@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.placement.assignment import plan_for_placement, placement_cost
 from repro.placement.problem import PlacementPlan, PlacementProblem
@@ -297,6 +297,10 @@ class BranchAndBoundSolver:
         for candidate, column in zip(model.problem.candidates, model.x_indices):
             if candidate in fixing:
                 lower[column] = upper[column] = float(fixing[candidate])
+        # Imported on use (here and in _solve_with_scipy_milp): loading
+        # scipy.optimize costs ~0.1 s that only a MILP solve should pay.
+        from scipy import optimize
+
         result = optimize.linprog(
             model.objective,
             A_ub=model.a_ub,
@@ -336,6 +340,8 @@ class BranchAndBoundSolver:
 
 def _solve_with_scipy_milp(model: MILPModel) -> Optional[MILPResult]:
     """Solve the linearized program with scipy's HiGHS MILP, if available."""
+    from scipy import optimize
+
     milp = getattr(optimize, "milp", None)
     if milp is None:  # pragma: no cover - scipy always ships milp in our env
         return None

@@ -37,11 +37,16 @@ Resilience contract (the failure-survival layer):
   (``<results>.quarantine.jsonl``) and skipped on subsequent resumes with
   a visible warning, so one poisoned shard cannot wedge a sweep forever
   (``python -m repro doctor --clear-quarantine`` lifts the quarantine);
-* worker processes are supervised individually (one process per shard,
-  at most ``workers`` alive): a worker that dies (OOM kill, segfault,
-  ``kill -9``) is detected through its exit code and a stuck worker is
-  killed once ``shard_timeout`` wall-clock seconds pass, freeing the slot
-  for the remaining shards either way;
+* shards run on a supervised persistent pool: at most ``workers``
+  long-lived processes, forked on first need, each serving one shard
+  attempt at a time over its own pipe while the parent sleeps until a
+  pipe, a process sentinel, a shard deadline or a retry backoff wakes it.
+  A worker that dies (OOM kill, segfault, ``kill -9``) or overruns
+  ``shard_timeout`` is killed and replaced on the next dispatch, and only
+  the shard it was running gets the failure row; an exception or a corrupt
+  row leaves the worker alive.  Reuse is safe because a shard's row is a
+  function of its task alone -- the serial path already runs every shard
+  back to back in one process and yields the same rows;
 * SIGINT/SIGTERM stop the sweep gracefully: in-flight shards are killed,
   the results file is left newline-clean, cleanup (shared-memory blocks,
   signal handlers) runs, and :class:`SweepInterrupted` propagates so the
@@ -65,6 +70,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.log import get_logger
@@ -205,61 +211,81 @@ class GridRunReport:
 
 @dataclass
 class _Shard:
-    """One pending grid entry moving through the supervised dispatch loop."""
+    """One pending grid entry moving through the dispatch loop."""
 
     key: str
     task: object
     index: int
     attempt: int = 0
     not_before: float = 0.0
-    process: Optional[object] = None
-    conn: Optional[object] = None
+
+
+@dataclass
+class _Worker:
+    """One pool process; ``shard`` is the attempt in flight (``None`` = idle)."""
+
+    process: object
+    conn: object
+    shard: Optional[_Shard] = None
     deadline: Optional[float] = None
 
 
-def _traceback_digest(text: str) -> str:
-    """A short stable digest of a traceback, for failure-row dedup/grep."""
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def _error_info(error: BaseException) -> Dict[str, object]:
+    """The failure-row fields describing the exception being handled."""
+    return {
+        "error": type(error).__name__,
+        "error_message": str(error)[:500],
+        # A short stable digest of the traceback, for failure-row dedup/grep.
+        "traceback_digest": hashlib.sha256(traceback.format_exc().encode()).hexdigest()[:12],
+    }
 
 
-def _shard_worker(
+def attempt(
     execute: Callable[[object], Dict[str, object]],
     task: object,
-    conn,
     directive: Optional[FaultDirective],
-) -> None:
-    """Worker-process entry point: run one task, send one message, exit.
+) -> Tuple[str, object]:
+    """Run one shard attempt: ``("ok", payload)`` or ``("exception", info)``.
 
-    SIGINT is ignored so a terminal Ctrl-C reaches only the supervising
-    parent, which then kills in-flight workers deliberately (SIGTERM/KILL).
-    The single message is ``("ok", row)`` or ``("error", info)``; a worker
-    that dies without sending anything is detected by the parent through
-    its exit code.
+    Shared by the serial loop and the pool worker, so the two differ only
+    in transport.
     """
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main-thread start methods
-        pass
-    try:
-        row = run_with_directive(execute, task, directive)
-        conn.send(("ok", row))
-    except BaseException as error:  # noqa: BLE001 - captured into a failure row
-        conn.send(
-            (
-                "error",
-                {
-                    "error": type(error).__name__,
-                    "error_message": str(error)[:500],
-                    "traceback_digest": _traceback_digest(traceback.format_exc()),
-                },
-            )
-        )
-    finally:
-        conn.close()
+        return "ok", run_with_directive(execute, task, directive)
+    except Exception as error:  # noqa: BLE001 - captured into a failure row
+        return "exception", _error_info(error)
+
+
+def _pool_worker(execute: Callable[[object], Dict[str, object]], conn, inherited) -> None:
+    """Pool-process entry point: serve ``(task, directive)`` requests until EOF.
+
+    ``inherited`` holds the parent-side pipe ends a forked child received a
+    copy of; they are closed first so that every worker sees EOF -- and
+    exits on its own -- as soon as the parent closes its end or dies.
+    SIGINT is ignored so a terminal Ctrl-C reaches only the supervising
+    parent, which then stops the pool deliberately; SIGTERM gets its default
+    disposition back instead of the parent's inherited graceful-stop handler.
+    """
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            task, directive = conn.recv()
+        except (EOFError, OSError):
+            return
+        outcome = attempt(execute, task, directive)
+        try:
+            conn.send(outcome)
+        except OSError:  # the parent is gone
+            return
+        except Exception as error:  # noqa: BLE001 - an unpicklable payload
+            conn.send(("exception", _error_info(error)))
 
 
 class JsonlGridRunner:
-    """Runs a keyed task grid over supervised worker processes, resumably.
+    """Runs a keyed task grid over a supervised worker pool, resumably.
 
     Resilience knobs (all keyword-only):
 
@@ -267,7 +293,7 @@ class JsonlGridRunner:
         shard_timeout: Wall-clock seconds one shard attempt may run before
             its worker is killed and the attempt counts as failed
             (``None``/``0`` disables; enforced only on the multi-worker
-            supervised path).
+            pool path).
         max_retries: Failed-shard re-dispatch budget under
             ``on_error="retry"``.
         on_error: ``"retry"`` (default) retries then quarantines,
@@ -287,9 +313,6 @@ class JsonlGridRunner:
     #: Report type constructed by :meth:`run`; subclasses may substitute a
     #: :class:`GridRunReport` subclass (extra accessors, domain naming).
     report_class = GridRunReport
-
-    #: Supervision poll period (seconds); latency of death/timeout detection.
-    _POLL_INTERVAL = 0.02
 
     def __init__(
         self,
@@ -320,6 +343,7 @@ class JsonlGridRunner:
         self.backoff_cap = backoff_cap
         self.fault_plan = fault_plan
         self._stop_signal: Optional[int] = None
+        self._wake: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------ #
     # the grid contract (subclass responsibilities)
@@ -443,13 +467,23 @@ class JsonlGridRunner:
             failure=row["failure"],
         )
 
-    def _validate_row(self, row: object, key: str) -> bool:
-        """Whether a worker's payload is the well-formed row of this shard."""
-        return (
-            isinstance(row, dict)
-            and row.get("run_key") == key
-            and row.get("schema_version") == self.schema_version
-        )
+    def _failure(
+        self, key: str, status: str, payload: object
+    ) -> Optional[Tuple[str, Dict[str, object]]]:
+        """``(kind, info)`` of a failed attempt; ``None`` for the shard's valid row."""
+        if status != "ok":
+            return status, payload  # type: ignore[return-value]
+        if (
+            isinstance(payload, dict)
+            and payload.get("run_key") == key
+            and payload.get("schema_version") == self.schema_version
+        ):
+            return None
+        return "corrupt-output", {
+            "error": "CorruptRow",
+            "error_message": f"executor returned {type(payload).__name__}, "
+            f"not the row of {key}",
+        }
 
     # ------------------------------------------------------------------ #
     # signal handling
@@ -459,10 +493,12 @@ class JsonlGridRunner:
 
         A second signal while already stopping restores the default
         disposition and re-raises, so a wedged shutdown can still be
-        forced from the terminal.
+        forced from the terminal.  The handler also writes to a self-pipe
+        the pool loop waits on, so a blocked wait notices the stop at once.
         """
         if threading.current_thread() is not threading.main_thread():
             return {}
+        self._wake = os.pipe()
 
         def handler(signum, frame):  # pragma: no cover - async delivery
             if self._stop_signal is not None:
@@ -470,6 +506,7 @@ class JsonlGridRunner:
                 os.kill(os.getpid(), signum)
                 return
             self._stop_signal = signum
+            os.write(self._wake[1], b"\0")
 
         previous: Dict[int, object] = {}
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -479,14 +516,17 @@ class JsonlGridRunner:
                 pass
         return previous
 
-    @staticmethod
-    def _restore_signal_handlers(previous: Dict[int, object]) -> None:
-        """Put the pre-run signal dispositions back."""
+    def _restore_signal_handlers(self, previous: Dict[int, object]) -> None:
+        """Put the pre-run signal dispositions back and drop the self-pipe."""
         for signum, old in previous.items():
             try:
                 signal.signal(signum, old)
             except (ValueError, OSError, TypeError):  # pragma: no cover
                 pass
+        if self._wake is not None:
+            for fd in self._wake:
+                os.close(fd)
+            self._wake = None
 
     # ------------------------------------------------------------------ #
     # dispatch
@@ -557,7 +597,7 @@ class JsonlGridRunner:
                             shards, execute, plan, record, record_failure
                         )
                     else:
-                        retries = self._run_supervised(
+                        retries = self._run_pool(
                             shards, worker_count, execute, plan, record, record_failure
                         )
         finally:
@@ -612,46 +652,22 @@ class JsonlGridRunner:
             while True:
                 if self._stop_signal is not None:
                     return retries
-                directive = (
-                    plan.directive_for(shard.index, shard.attempt) if plan else None
-                )
-                info: Optional[Dict[str, object]] = None
-                row: object = None
-                try:
-                    if directive is None:
-                        row = execute(shard.task)
-                    else:
-                        row = run_with_directive(execute, shard.task, directive)
-                except Exception as error:  # noqa: BLE001 - captured per contract
-                    info = {
-                        "error": type(error).__name__,
-                        "error_message": str(error)[:500],
-                        "traceback_digest": _traceback_digest(traceback.format_exc()),
-                    }
-                    kind = "exception"
-                if info is None:
-                    if self._validate_row(row, shard.key):
-                        record(row)  # type: ignore[arg-type]
-                        break
-                    info = {
-                        "error": "CorruptRow",
-                        "error_message": f"executor returned {type(row).__name__}, not "
-                        f"the row of {shard.key}",
-                    }
-                    kind = "corrupt-output"
-                if self._handle_failure(shard, kind, info, record_failure):
-                    retries += 1
-                    delay = self._backoff(shard.attempt - 1)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                break
+                directive = plan.directive_for(shard.index, shard.attempt) if plan else None
+                status, payload = attempt(execute, shard.task, directive)
+                failure = self._failure(shard.key, status, payload)
+                if failure is None:
+                    record(payload)  # type: ignore[arg-type]
+                    break
+                if not self._handle_failure(shard, *failure, record_failure):
+                    break
+                retries += 1
+                time.sleep(self._backoff(shard.attempt - 1))
         return retries
 
     # ------------------------------------------------------------------ #
-    # supervised path (workers > 1): one process per shard attempt
+    # pool path (workers > 1): persistent supervised worker processes
     # ------------------------------------------------------------------ #
-    def _run_supervised(
+    def _run_pool(
         self,
         shards: List[_Shard],
         worker_count: int,
@@ -660,177 +676,134 @@ class JsonlGridRunner:
         record: Callable[[Dict[str, object]], None],
         record_failure: Callable[[Dict[str, object]], None],
     ) -> int:
-        """Supervised dispatch: launch, poll, detect death/timeout, retry.
+        """Supervised dispatch over at most ``worker_count`` reused workers.
 
-        Each shard attempt gets its own worker process and result pipe, at
-        most ``worker_count`` alive at once.  The poll loop notices three
-        terminal conditions per shard -- a message arrived, the process
-        died without one, or the deadline passed -- and requeues or records
-        accordingly; remaining shards keep draining throughout.
+        The loop hands eligible shards to idle workers (forking one while
+        under the cap), then blocks until something can have changed: a
+        busy worker's pipe or sentinel fires, the nearest shard deadline or
+        retry ``not_before`` passes, or a stop signal hits the self-pipe.
+        A dead or overdue worker is killed and dropped -- the next dispatch
+        forks its replacement -- and its shard alone takes the failure.
         """
         ctx = multiprocessing.get_context()
         pending = deque(shards)
-        running: List[_Shard] = []
+        pool: List[_Worker] = []
         retries = 0
         try:
-            while pending or running:
+            while pending or any(worker.shard for worker in pool):
+                self._dispatch(pending, pool, worker_count, ctx, execute, plan)
+                busy = [worker for worker in pool if worker.shard is not None]
+                wakeups = [worker.deadline for worker in busy if worker.deadline]
+                if len(busy) < worker_count:
+                    wakeups += [shard.not_before for shard in pending]
+                ready = connection.wait(
+                    [worker.conn for worker in busy]
+                    + [worker.process.sentinel for worker in busy]
+                    + ([self._wake[0]] if self._wake else []),
+                    max(0.0, min(wakeups) - time.monotonic()) if wakeups else None,
+                )
                 if self._stop_signal is not None:
                     break
                 now = time.monotonic()
-                progressed = self._launch_eligible(
-                    pending, running, worker_count, ctx, execute, plan, now
-                )
-                for shard in list(running):
-                    outcome = self._poll_shard(shard, time.monotonic())
-                    if outcome is None:
+                for worker in busy:
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        status, payload = self._collect(worker)
+                    elif worker.deadline and now >= worker.deadline:
+                        status, payload = "timeout", {
+                            "error": "ShardTimeout",
+                            "error_message": f"no result within {self.shard_timeout}s; "
+                            f"worker killed",
+                        }
+                    else:
                         continue
-                    progressed = True
-                    running.remove(shard)
-                    status, payload = outcome
-                    if status == "ok":
+                    shard, worker.shard = worker.shard, None
+                    if status in ("timeout", "worker-death"):
+                        pool.remove(worker)
+                        self._retire(worker, kill=True)
+                    failure = self._failure(shard.key, status, payload)
+                    if failure is None:
                         record(payload)  # type: ignore[arg-type]
-                        continue
-                    kind, info = payload  # type: ignore[misc]
-                    if self._handle_failure(shard, kind, info, record_failure):
+                    elif self._handle_failure(shard, *failure, record_failure):
                         retries += 1
                         shard.not_before = time.monotonic() + self._backoff(
                             shard.attempt - 1
                         )
                         pending.append(shard)
-                if not progressed:
-                    time.sleep(self._POLL_INTERVAL)
         finally:
-            for shard in running:
-                self._reap(shard, kill=True)
+            for worker in pool:
+                self._retire(worker, kill=worker.shard is not None)
         return retries
 
-    def _launch_eligible(
+    def _dispatch(
         self,
         pending: deque,
-        running: List[_Shard],
+        pool: List[_Worker],
         worker_count: int,
         ctx,
         execute: Callable[[object], Dict[str, object]],
         plan: Optional[FaultPlan],
-        now: float,
-    ) -> bool:
-        """Start eligible pending shards into free worker slots."""
-        launched = False
+    ) -> None:
+        """Send eligible pending shards to idle workers, forking up to the cap."""
+        now = time.monotonic()
         for _ in range(len(pending)):
-            if len(running) >= worker_count:
-                break
+            worker = next((worker for worker in pool if worker.shard is None), None)
+            if worker is None and len(pool) >= worker_count:
+                return
             shard = pending.popleft()
             if shard.not_before > now:
                 pending.append(shard)
                 continue
-            directive = plan.directive_for(shard.index, shard.attempt) if plan else None
-            receive, send = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_shard_worker,
-                args=(execute, shard.task, send, directive),
-                daemon=True,
-            )
-            process.start()
-            send.close()
-            shard.process = process
-            shard.conn = receive
-            shard.deadline = (
+            if worker is None:
+                parent_end, child_end = ctx.Pipe()
+                inherited = [parent_end] + [other.conn for other in pool]
+                process = ctx.Process(
+                    target=_pool_worker, args=(execute, child_end, inherited), daemon=True
+                )
+                process.start()
+                child_end.close()
+                worker = _Worker(process, parent_end)
+                pool.append(worker)
+            worker.shard = shard
+            worker.deadline = (
                 time.monotonic() + self.shard_timeout if self.shard_timeout else None
             )
-            running.append(shard)
-            launched = True
-        return launched
-
-    def _poll_shard(self, shard: _Shard, now: float) -> Optional[Tuple[str, object]]:
-        """One supervision check: ``None`` (still running) or the outcome.
-
-        Outcomes: ``("ok", row)`` for a validated result row, or
-        ``("fail", (kind, info))`` for any captured failure.
-        """
-        conn = shard.conn
-        process = shard.process
-        has_message = conn.poll(0)
-        if not has_message and not process.is_alive():
-            # The process exited between polls; a message may still be in
-            # flight in the pipe buffer -- check once more before declaring
-            # the worker dead.
-            has_message = conn.poll(0.05)
-            if not has_message:
-                exitcode = process.exitcode
-                self._reap(shard, kill=False)
-                return (
-                    "fail",
-                    (
-                        "worker-death",
-                        {
-                            "error": "WorkerDied",
-                            "error_message": f"worker exited with code {exitcode} "
-                            f"before returning a row",
-                        },
-                    ),
-                )
-        if has_message:
+            directive = plan.directive_for(shard.index, shard.attempt) if plan else None
             try:
-                status, payload = conn.recv()
-            except (EOFError, OSError, ValueError):
-                self._reap(shard, kill=True)
-                return (
-                    "fail",
-                    (
-                        "worker-death",
-                        {
-                            "error": "WorkerDied",
-                            "error_message": "worker pipe closed mid-message",
-                        },
-                    ),
-                )
-            self._reap(shard, kill=False)
-            if status == "ok":
-                if self._validate_row(payload, shard.key):
-                    return ("ok", payload)
-                return (
-                    "fail",
-                    (
-                        "corrupt-output",
-                        {
-                            "error": "CorruptRow",
-                            "error_message": f"worker returned {type(payload).__name__}, "
-                            f"not the row of {shard.key}",
-                        },
-                    ),
-                )
-            return ("fail", ("exception", payload))
-        if shard.deadline is not None and now >= shard.deadline:
-            self._reap(shard, kill=True)
-            return (
-                "fail",
-                (
-                    "timeout",
-                    {
-                        "error": "ShardTimeout",
-                        "error_message": f"no result within {self.shard_timeout}s; "
-                        f"worker killed",
-                    },
-                ),
-            )
-        return None
+                worker.conn.send((shard.task, directive))
+            except OSError:
+                # The worker died while idle; its sentinel ends the next wait
+                # and the shard is retried like any other worker death.
+                pass
 
-    def _reap(self, shard: _Shard, kill: bool) -> None:
-        """Terminate (if asked) and join one shard's worker; close its pipe."""
-        process = shard.process
-        if process is not None:
-            if kill and process.is_alive():
-                process.kill()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - unkillable worker
-                log.warning(f"worker pid {process.pid} survived SIGKILL join")
-            else:
-                process.close()
-        if shard.conn is not None:
-            shard.conn.close()
-        shard.process = None
-        shard.conn = None
-        shard.deadline = None
+    @staticmethod
+    def _collect(worker: _Worker) -> Tuple[str, object]:
+        """A signalled worker's message, or the ``worker-death`` standing in for it."""
+        try:
+            if worker.conn.poll(0):
+                return worker.conn.recv()
+        except (EOFError, OSError):
+            pass
+        worker.process.join(timeout=5.0)
+        return "worker-death", {
+            "error": "WorkerDied",
+            "error_message": f"worker exited with code {worker.process.exitcode} "
+            f"before returning a row",
+        }
+
+    @staticmethod
+    def _retire(worker: _Worker, kill: bool) -> None:
+        """Close a worker's pipe (an idle one exits on the EOF), kill, join."""
+        worker.conn.close()
+        if kill:
+            worker.process.kill()
+        worker.process.join(timeout=5.0)
+        if worker.process.is_alive():  # pragma: no cover - missed the EOF
+            worker.process.kill()
+            worker.process.join(timeout=5.0)
+        if worker.process.is_alive():  # pragma: no cover - unkillable worker
+            log.warning(f"worker pid {worker.process.pid} survived SIGKILL join")
+        else:
+            worker.process.close()
 
     # ------------------------------------------------------------------ #
     # failure policy

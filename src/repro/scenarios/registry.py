@@ -274,6 +274,11 @@ def build_comparison_spec(
             if isinstance(workload_source, str)
             else dict(workload_source)
         )
+    # A mistyped source name is a configuration error, not a shard fault:
+    # resolve both names against the registries here, in the parent, so it
+    # raises before any dispatch instead of being retried and quarantined.
+    topology.describe_source()
+    workload.describe_source()
     return ScenarioSpec(
         name=f"compare-{scale}",
         description=f"Figure-8 comparison at the {scale} scale ({nodes} nodes)",

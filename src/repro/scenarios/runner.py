@@ -165,6 +165,11 @@ def execute_run(
     and reconstructs the network from it instead of re-running the topology
     generator, which is bit-identical by the block's order-preservation
     contract (``tests/topology/test_shared_topology.py``).
+
+    Pool workers outlive their shards, so the attachment is dropped when
+    the shard ends rather than left to garbage collection: the network goes
+    first, with :func:`_run_shard`'s frame (its arrays borrow the segment's
+    buffer and must not be read once that is unmapped), then the mapping.
     """
     if len(task) == 4:
         spec_dict, seed, overrides, shared_name = task
@@ -174,11 +179,24 @@ def execute_run(
     spec = ScenarioSpec.from_dict(spec_dict)
     if overrides:
         spec = spec.with_overrides(overrides)
-    network = None
-    if shared_name is not None:
-        from repro.topology.shared import SharedTopologyBlock
+    key = run_key(spec.name, seed, overrides, spec_fingerprint(spec_dict))
+    if shared_name is None:
+        return _run_shard(spec, seed, overrides, key, None)
+    from repro.topology.shared import SharedTopologyBlock
 
-        block = SharedTopologyBlock.attach(shared_name)
+    block = SharedTopologyBlock.attach(shared_name)
+    try:
+        return _run_shard(spec, seed, overrides, key, block)
+    finally:
+        block.close()
+
+
+def _run_shard(
+    spec: ScenarioSpec, seed: int, overrides: Dict[str, object], key: str, block
+) -> Dict[str, object]:
+    """Build and run one shard's experiment; return its JSON-safe row."""
+    network = None
+    if block is not None:
         network = block.build_network(lean=_lean_reconstruction(spec, block.backend))
     runner, schemes = spec.build_experiment(seed, network=network)
     store = None
@@ -194,7 +212,6 @@ def execute_run(
         )
         for scheme in schemes:
             scheme.attach_path_store(store)
-    key = run_key(spec.name, seed, overrides, spec_fingerprint(spec_dict))
     recorder = _build_recorder(spec, key) if spec.obs and spec.obs.get("dir") else None
     rng = np.random.default_rng(derive_seed(seed, "schemes"))
     if recorder is not None:

@@ -1,5 +1,9 @@
 """Tests for the MILP linearization and its solvers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,3 +105,15 @@ class TestSolvers:
     def test_plans_are_valid(self, medium_problem):
         result = solve_placement_milp(medium_problem)
         medium_problem.validate(result.plan.hubs, result.plan.assignment)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    """Only a MILP solve pays for ``scipy.optimize`` (~0.1 s of CLI start-up)."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = "import sys, repro.__main__; sys.exit('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src_dir), timeout=120
+    )
+    assert result.returncode == 0

@@ -117,8 +117,19 @@ class TestCompareCliErrorPaths:
     guarantee; the stderr assertions pin the message quality.
     """
 
+    @pytest.fixture(autouse=True)
+    def _scratch(self, tmp_path, monkeypatch):
+        """Run in an empty cwd; a rejected command must leave it empty."""
+        monkeypatch.chdir(tmp_path)
+        self.results_dir = tmp_path / "out"
+        yield
+        assert not (tmp_path / "results").exists()
+        # Config errors are rejected in the parent before any dispatch: no
+        # failure row, no quarantine file, nothing for a later sweep to trip on.
+        assert not list(tmp_path.rglob("*.jsonl"))
+
     def _fails_cleanly(self, capsys, argv, *needles):
-        assert cli_main(argv) == 2
+        assert cli_main([*argv, "--results-dir", str(self.results_dir)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         for needle in needles:
