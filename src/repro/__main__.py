@@ -209,12 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
             f"{', '.join(sorted(COMPARISON_SCALES))} (default large)"
         ),
     )
-    compare.add_argument(
-        "--backend",
-        choices=["numpy", "python"],
-        default="numpy",
-        help="execution backend for every scheme (default numpy)",
-    )
     compare.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     compare.add_argument("--seeds", default="1", help="comma-separated seeds (default 1)")
     compare.add_argument(
@@ -324,12 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--omegas",
         default=None,
         help="comma-separated omega sweep values (default: the paper's sweep)",
-    )
-    place.add_argument(
-        "--backend",
-        choices=["numpy", "python"],
-        default="numpy",
-        help="execution backend for every solve (default numpy)",
     )
     place.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     place.add_argument("--seeds", default="1", help="comma-separated seeds (default 1)")
@@ -749,6 +737,17 @@ def _peak_memory_mib() -> Optional[Tuple[float, float]]:
     return runner_mib, worker_mib
 
 
+def _publish_table(table_path: str, title: str, table: str) -> str:
+    """Print a titled figure table, write the same text to ``table_path``, return the path."""
+    rule = "=" * len(title)
+    for line in ("", title, rule, table, ""):
+        log.info(line)
+    with open(table_path, "w", encoding="utf-8") as handle:
+        handle.write(f"{title}\n{rule}\n{table}\n")
+    log.info(f"wrote {table_path}", path=table_path)
+    return table_path
+
+
 def _command_compare(args: argparse.Namespace) -> int:
     schemes = [part.strip() for part in args.schemes.split(",") if part.strip()]
     scales = [part.strip() for part in args.scale.split(",") if part.strip()]
@@ -767,7 +766,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         spec = build_comparison_spec(
             scale,
             schemes,
-            backend=args.backend,
             seeds=seeds,
             duration=args.duration,
             nodes=args.nodes,
@@ -845,17 +843,11 @@ def _command_compare(args: argparse.Namespace) -> int:
                 hits=hits,
                 misses=misses,
             )
-        log.info("")
-        title = f"Figure 8 comparison -- scale {scale} ({nodes} nodes, backend {args.backend})"
-        table = scenario_table(report.rows)
-        log.info(title)
-        log.info("=" * len(title))
-        log.info(table)
-        log.info("")
-        table_path = os.path.join(args.results_dir, f"fig8-{scale}-{args.backend}.txt")
-        with open(table_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{title}\n{'=' * len(title)}\n{table}\n")
-        log.info(f"wrote {table_path}", path=table_path)
+        table_path = _publish_table(
+            os.path.join(args.results_dir, f"fig8-{scale}.txt"),
+            f"Figure 8 comparison -- scale {scale} ({nodes} nodes)",
+            scenario_table(report.rows),
+        )
         _record_manifest(
             args.results_dir,
             command="compare",
@@ -895,7 +887,6 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             methods=methods,
             omegas=omegas,
             seeds=seeds,
-            backend=args.backend,
             nodes=args.nodes,
         )
         if not args.no_path_cache:
@@ -951,20 +942,11 @@ def _command_place_compare(args: argparse.Namespace) -> int:
                 hits=probe_hits,
                 misses=probe_misses,
             )
-        log.info("")
-        title = (
-            f"Figure 9 placement comparison -- scale {scale} "
-            f"({spec.nodes} nodes, backend {args.backend})"
+        table_path = _publish_table(
+            os.path.join(args.results_dir, f"fig9-{scale}.txt"),
+            f"Figure 9 placement comparison -- scale {scale} ({spec.nodes} nodes)",
+            fig9_table(report.rows, spec.methods),
         )
-        table = fig9_table(report.rows, spec.methods)
-        log.info(title)
-        log.info("=" * len(title))
-        log.info(table)
-        log.info("")
-        table_path = os.path.join(args.results_dir, f"fig9-{scale}-{args.backend}.txt")
-        with open(table_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{title}\n{'=' * len(title)}\n{table}\n")
-        log.info(f"wrote {table_path}", path=table_path)
         _record_manifest(
             args.results_dir,
             command="place-compare",
@@ -1111,7 +1093,7 @@ def _command_perf(args: argparse.Namespace) -> int:
 
     report = run_specs(specs, repeats=args.repeats, on_record=on_record)
     for key, ratio in report.speedups().items():
-        log.info(f"  speedup {key:<20} reference/fast = {ratio:.2f}x")
+        log.info(f"  speedup {key:<20} events/epoch = {ratio:.2f}x")
 
     os.makedirs(args.output_dir, exist_ok=True)
     report_path = os.path.join(args.output_dir, default_report_name(report.revision))

@@ -60,7 +60,6 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         super().prepare(network, rng)
         self.hub = max(network.nodes(), key=lambda node: network.degree(node))
         self._queue = deque()
-        self._report = SchemeStepReport()
         self._processing_backlog = 0.0
 
     # ------------------------------------------------------------------ #
@@ -111,6 +110,10 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
             else:
                 still_queued.append((submitted_at, payment))
         self._queue = still_queued
+        # Payments execute inside the step, so the balance mirror is flushed
+        # on the way out: step boundaries are where the channel objects
+        # become authoritative again.
+        self.flush_state()
         return report
 
     def _route_via_hub(self, network: PCNetwork, payment: Payment, now: float) -> bool:

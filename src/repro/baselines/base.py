@@ -10,10 +10,10 @@ driven by the experiment runner through three calls:
 
 Two families of schemes share helper machinery here:
 
-* *atomic source-routing* schemes (Flash, landmark, shortest-path, A2L)
-  attempt the whole payment at submission time: the helper
-  :meth:`AtomicRoutingMixin.execute_atomic` locks and settles funds across
-  one or more paths, all-or-nothing,
+* *atomic source-routing* schemes (Flash, landmark, shortest-path, A2L,
+  SpeedyMurmurs, waterfilling) attempt the whole payment in one shot: the
+  helper :meth:`AtomicRoutingMixin.execute_atomic` locks and settles funds
+  across one or more paths, all-or-nothing,
 * *source-computation delay*: the paper argues source routing pushes the
   path computation onto the (weak) sender, which becomes a bottleneck as the
   network grows; :class:`SourceComputationModel` converts network size into
@@ -29,11 +29,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.batch import AtomicBatchExecutor, CatalogEntry
-from repro.obs import core as obs
-from repro.routing.prices import validate_backend
-from repro.routing.transaction import FailureReason, Payment
+from repro.routing.transaction import Payment
 from repro.simulator.workload import TransactionRequest
-from repro.topology.channel import InsufficientFundsError
 from repro.topology.network import PCNetwork
 
 NodeId = Hashable
@@ -98,8 +95,8 @@ class RoutingScheme(abc.ABC):
         call (nothing else happened in between, so the decision sequence is
         unchanged).  Each request is routed at its own ``arrival_time``, which
         keeps timestamps -- and therefore deadlines and completion times --
-        identical to per-arrival delivery.  Schemes with a vectorized backend
-        override this to amortize work across the batch.
+        identical to per-arrival delivery.  Schemes that can amortize work
+        across the batch override this.
         """
         return [self.submit(request, request.arrival_time) for request in requests]
 
@@ -119,9 +116,9 @@ class RoutingScheme(abc.ABC):
 
         Called by the runner before anything external (a dynamics event, the
         end-of-run snapshot logic) reads or mutates the network.  Schemes
-        whose backend mirrors channel balances into arrays flush them here;
-        the default scheme operates on the network directly and has nothing
-        to do.
+        that mirror channel balances into arrays flush them here; the
+        default scheme operates on the network directly and has nothing to
+        do.
         """
 
     def on_network_change(self) -> None:
@@ -167,29 +164,33 @@ class RoutingScheme(abc.ABC):
 class AtomicRoutingMixin:
     """Shared all-or-nothing multi-path execution for source-routing schemes.
 
-    Execution has two interchangeable backends behind the same
-    ``backend="python"|"numpy"`` knob the Splicer router uses:
-
-    * ``python`` -- the readable reference: per-hop
-      :class:`~repro.topology.channel.PaymentChannel` lock/settle walks,
-    * ``numpy`` -- the :class:`~repro.baselines.batch.AtomicBatchExecutor`
-      replays the identical arithmetic on balance arrays with per-pair path
-      catalogs, which is what makes paper-scale comparisons tractable.
-
-    Schemes opt in by calling :meth:`_init_backend` from ``prepare``.
+    Payments execute on an :class:`~repro.baselines.batch.AtomicBatchExecutor`
+    bound in :meth:`prepare`: balance arrays plus per-pair path catalogs,
+    replaying the per-hop :class:`~repro.topology.channel.PaymentChannel`
+    lock/settle arithmetic (kept as the oracle in
+    :mod:`repro.reference.baselines`) bit for bit, which is what makes
+    paper-scale comparisons tractable.
     """
 
     #: Per-hop settlement delay used to timestamp completions.
     hop_delay: float = 0.02
 
-    #: Set by :meth:`_init_backend`; ``None`` selects the scalar reference.
+    #: Bound by :meth:`prepare`.
     _executor: Optional[AtomicBatchExecutor] = None
 
     #: Persistent path-catalog store offered by :meth:`attach_path_store`.
     _path_store: Optional[object] = None
 
-    #: Outcomes buffered since the last step; schemes reset this in prepare.
+    #: Outcomes buffered since the last step; reset by :meth:`prepare`.
     _report: SchemeStepReport
+
+    def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
+        """Bind a fresh executor and report buffer for a run on ``network``."""
+        super().prepare(network, rng)
+        self._executor = AtomicBatchExecutor(
+            network, hop_delay=self.hop_delay, path_store=self._path_store
+        )
+        self._report = SchemeStepReport()
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         """Hand over the payments that finished since the last step.
@@ -203,15 +204,6 @@ class AtomicRoutingMixin:
         report = self._report
         self._report = SchemeStepReport()
         return report
-
-    def _init_backend(self, network: PCNetwork, backend: str) -> None:
-        """Bind the execution backend for a fresh run."""
-        validate_backend(backend)
-        self._executor = (
-            AtomicBatchExecutor(network, hop_delay=self.hop_delay, path_store=self._path_store)
-            if backend == "numpy"
-            else None
-        )
 
     def attach_path_store(self, store: object) -> None:
         """Persist this scheme's topology-only catalogs across processes."""
@@ -247,129 +239,9 @@ class AtomicRoutingMixin:
         The payment value is split across the paths proportionally to their
         current bottleneck capacity.  If the paths cannot jointly carry the
         value, nothing is transferred and the attempt fails.  ``entry`` may
-        carry the catalog resolution of ``paths`` for the array backend.
-        ``shares`` (aligned with ``paths``) overrides the greedy
-        largest-first split with caller-computed per-path amounts
-        (waterfilling); the caller checks joint capacity beforehand.
+        carry the catalog resolution of ``paths``.  ``shares`` (aligned with
+        ``paths``) overrides the greedy largest-first split with
+        caller-computed per-path amounts (waterfilling); the caller checks
+        joint capacity beforehand.
         """
-        if self._executor is not None:
-            return self._executor.execute(payment, paths, now, entry=entry, shares=shares)
-        rec = obs.RECORDER
-        if rec.enabled and rec.payment_begin(payment):
-            rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
-        allocations: List[Tuple[Path, float]] = []
-        if shares is not None:
-            for raw_path, share in zip(paths, shares):
-                path = tuple(raw_path)
-                if len(path) >= 2 and share > 1e-9:
-                    allocations.append((path, float(share)))
-            if not allocations:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        capacity=0.0,
-                    )
-                return False
-        else:
-            usable: List[Tuple[Path, float]] = []
-            for raw_path in paths:
-                path = tuple(raw_path)
-                if len(path) < 2:
-                    continue
-                capacity = network.path_capacity(path)
-                if capacity > 0:
-                    usable.append((path, capacity))
-            total_capacity = sum(capacity for _, capacity in usable)
-            if not usable or total_capacity + 1e-9 < payment.value:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        capacity=round(total_capacity, 9),
-                    )
-                return False
-
-            # Allocate greedily by capacity, largest first, to minimize split count.
-            usable.sort(key=lambda item: item[1], reverse=True)
-            remaining = payment.value
-            for path, capacity in usable:
-                if remaining <= 1e-9:
-                    break
-                share = min(capacity, remaining)
-                allocations.append((path, share))
-                remaining -= share
-            if remaining > 1e-9:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        unallocated=round(remaining, 9),
-                    )
-                return False
-
-        locks: List[Tuple[object, int]] = []
-        try:
-            for path, share in allocations:
-                for sender, receiver in zip(path, path[1:]):
-                    channel = network.channel(sender, receiver)
-                    locks.append((channel, channel.lock(sender, share, now=now)))
-        except InsufficientFundsError:
-            for channel, lock_id in locks:
-                channel.release(lock_id)
-            payment.fail(FailureReason.LOCK_CONTENTION)
-            if rec.enabled:
-                rec.payment_event(
-                    payment, "atomic_fail", now,
-                    reason=FailureReason.LOCK_CONTENTION.value, released=len(locks),
-                )
-            return False
-
-        for channel, lock_id in locks:
-            channel.settle(lock_id)
-
-        longest = max(len(path) - 1 for path, _ in allocations)
-        completion_time = now + self.hop_delay * longest
-        payment.split(min_tu=payment.value, max_tu=payment.value)
-        unit = payment.units[0]
-        unit.path = allocations[0][0]
-        payment.record_unit_delivery(unit, completion_time)
-        payment.hops_used += sum(len(path) - 1 for path, _ in allocations[1:])
-        if rec.enabled:
-            rec.payment_event(
-                payment, "atomic_settle", now,
-                paths=len(allocations), complete_at=round(completion_time, 9),
-            )
-        return True
-
-
-@dataclass
-class _PendingSubmission:
-    """A payment waiting for the sender's path computation to finish."""
-
-    ready_at: float
-    request: TransactionRequest
-    payment: Payment
-
-
-class DelayedSubmissionQueue:
-    """Queue of payments delayed by source-side path computation."""
-
-    def __init__(self) -> None:
-        self._pending: List[_PendingSubmission] = []
-
-    def push(self, ready_at: float, request: TransactionRequest, payment: Payment) -> None:
-        """Add a payment that becomes routable at ``ready_at``."""
-        self._pending.append(_PendingSubmission(ready_at, request, payment))
-
-    def pop_ready(self, now: float) -> List[_PendingSubmission]:
-        """Remove and return every payment whose computation has finished."""
-        ready = [entry for entry in self._pending if entry.ready_at <= now]
-        self._pending = [entry for entry in self._pending if entry.ready_at > now]
-        return ready
-
-    def __len__(self) -> int:
-        return len(self._pending)
+        return self._executor.execute(payment, paths, now, entry=entry, shares=shares)

@@ -2,11 +2,11 @@
 
 The paper's large-scale argument (figure 8) is that per-sender path
 computation is what breaks source routing as the network grows.  To measure
-that at paper scale the *simulator* must not be the bottleneck: the scalar
-baselines recompute shortest/landmark paths per transaction and walk
-networkx edge dictionaries hop by hop for every capacity check, lock and
-settlement.  This module is their ``backend="numpy"`` fast path, mirroring
-the structure the Splicer router already uses (:mod:`repro.routing.state`):
+that at paper scale the *simulator* must not be the bottleneck, which
+recomputing shortest/landmark paths per transaction and walking channel
+objects hop by hop for every capacity check, lock and settlement would make
+it.  This module is the baselines' execution layer, mirroring the structure
+the Splicer router uses (:mod:`repro.routing.state`):
 
 * :class:`ChannelBalanceArrays` -- every channel's per-direction spendable
   balance mirrored into parallel NumPy arrays (rows allocated by the same
@@ -19,21 +19,21 @@ the structure the Splicer router already uses (:mod:`repro.routing.state`):
   ``topology_version`` so churn invalidates exactly the caches it must.
   Entries can be *pinned* to reproduce scalar schemes that deliberately keep
   stale path pools (Flash's mouse paths),
-* :class:`AtomicBatchExecutor` -- the all-or-nothing multi-path execution of
-  :meth:`~repro.baselines.base.AtomicRoutingMixin.execute_atomic` replayed
-  on the arrays, term-for-term in the same floating-point order, so the two
-  backends agree on every success/failure decision and routed amount to
-  strictly better than 1e-9 (they are bit-identical).
+* :class:`AtomicBatchExecutor` -- all-or-nothing multi-path execution on the
+  arrays, replaying the per-hop lock/settle walk of
+  :class:`repro.reference.baselines.ScalarExecutor` term-for-term in the
+  same floating-point order, so the two agree on every success/failure
+  decision and routed amount to strictly better than 1e-9 (they are
+  bit-identical).
 
-The scalar implementations stay the readable reference; the differential
-suite in ``tests/baselines/test_baseline_backend_equivalence.py`` pins both
-backends to the same numbers.  That includes the per-channel lifetime
+The scalar walk stays the readable reference; the baselines differential
+suite pins the two to the same numbers.  That includes the per-channel lifetime
 :class:`~repro.topology.channel.ChannelStats` counters: the executor updates
 them eagerly during execution (lock/settle/release tallies, settled volume,
 the running ``max_locked`` high-water mark and the per-settle imbalance
 samples), replaying the scalar lock-lifecycle arithmetic -- including the
 left-to-right ``locked_total`` summation order -- so the counters are
-bit-identical to the scalar backend's.
+bit-identical to the scalar walk's.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class ChannelBalanceArrays:
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #
-    def directed_row(self, sender: NodeId, receiver: NodeId) -> Optional[Tuple[int, int]]:
-        """The (row, sending side) of the live ``sender -> receiver`` hop."""
-        return self._directed.get((sender, receiver))
-
     def resolve_path(self, path: Sequence[NodeId]) -> Tuple[np.ndarray, np.ndarray]:
         """Per-hop (channel rows, sending sides) of a path; -1 rows for dead hops."""
         hops = len(path) - 1
@@ -296,12 +292,11 @@ class PathCatalog:
 class AtomicBatchExecutor:
     """All-or-nothing multi-path execution replayed on balance arrays.
 
-    The decision logic and floating-point operation order mirror
-    :meth:`~repro.baselines.base.AtomicRoutingMixin.execute_atomic` exactly
+    The decision logic and floating-point operation order mirror the per-hop
+    walk of :class:`repro.reference.baselines.ScalarExecutor` exactly
     (capacity filter, proportional greedy allocation, sequential lock
     arithmetic with the same 1e-9 epsilon and negative clamp, release on
-    failure), so both backends make identical decisions and leave identical
-    balances.
+    failure), so both make identical decisions and leave identical balances.
     """
 
     def __init__(
@@ -377,14 +372,7 @@ class AtomicBatchExecutor:
                     raise KeyError(f"no channel along path {path!r}")
                 allocations.append((rows, sides, share, len(rows)))
             if not allocations:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        capacity=0.0,
-                    )
-                return False
+                return self._fail(payment, now, FailureReason.INSUFFICIENT_CAPACITY, capacity=0.0)
         else:
             usable: List[Tuple[np.ndarray, np.ndarray, float, int]] = []
             if entry_aligned:
@@ -410,14 +398,10 @@ class AtomicBatchExecutor:
 
             total_capacity = sum(item[2] for item in usable)
             if not usable or total_capacity + _EPS < payment.value:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        capacity=round(total_capacity, 9),
-                    )
-                return False
+                return self._fail(
+                    payment, now, FailureReason.INSUFFICIENT_CAPACITY,
+                    capacity=round(total_capacity, 9),
+                )
 
             # Allocate greedily by capacity, largest first (stable, like list.sort).
             usable.sort(key=lambda item: item[2], reverse=True)
@@ -429,14 +413,10 @@ class AtomicBatchExecutor:
                 allocations.append((rows, sides, share, hops))
                 remaining -= share
             if remaining > _EPS:
-                payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-                if rec.enabled:
-                    rec.payment_event(
-                        payment, "atomic_fail", now,
-                        reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                        unallocated=round(remaining, 9),
-                    )
-                return False
+                return self._fail(
+                    payment, now, FailureReason.INSUFFICIENT_CAPACITY,
+                    unallocated=round(remaining, 9),
+                )
 
         # Lock phase: sequential subtraction in scalar order; paths may share
         # channels (landmark routes), so a later lock can still fail.  The
@@ -475,13 +455,7 @@ class AtomicBatchExecutor:
                 balance[side, row] += amount
                 balances.touched[row] = True
                 channels[row].stats.locks_released += 1
-            payment.fail(FailureReason.LOCK_CONTENTION)
-            if rec.enabled:
-                rec.payment_event(
-                    payment, "atomic_fail", now,
-                    reason=FailureReason.LOCK_CONTENTION.value, released=len(applied),
-                )
-            return False
+            return self._fail(payment, now, FailureReason.LOCK_CONTENTION, released=len(applied))
 
         # Settle phase: funds arrive on the receiving side of every hop, in
         # lock-creation order (the scalar settle loop's order), with the
@@ -518,6 +492,14 @@ class AtomicBatchExecutor:
                 paths=len(allocations), complete_at=round(completion_time, 9),
             )
         return True
+
+    @staticmethod
+    def _fail(payment: Payment, now: float, reason: FailureReason, **fields: object) -> bool:
+        """Fail the payment, trace why, and return ``False`` for the caller."""
+        payment.fail(reason)
+        if obs.RECORDER.enabled:
+            obs.RECORDER.payment_event(payment, "atomic_fail", now, reason=reason.value, **fields)
+        return False
 
     def _path_nodes(self, rows: np.ndarray, sides: np.ndarray) -> Path:
         """Rebuild the node sequence of a resolved path."""

@@ -16,7 +16,7 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
         timeout: float = 3.0,
         computation: Optional[SourceComputationModel] = None,
         seed: Optional[int] = 0,
-        backend: str = "numpy",
     ) -> None:
         super().__init__()
         if elephant_threshold <= 0:
@@ -56,17 +55,12 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
         self.timeout = timeout
         self.computation = computation or SourceComputationModel(base_delay=0.04)
         self.seed = seed
-        self.backend = backend
         self._rng = np.random.default_rng(seed)
-        self._mouse_paths: Dict[Tuple[object, object], List[List[object]]] = {}
         self._report = SchemeStepReport()
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
-        self._init_backend(network, self.backend)
         self._rng = rng if rng is not None else np.random.default_rng(self.seed)
-        self._mouse_paths = {}
-        self._report = SchemeStepReport()
 
     # ------------------------------------------------------------------ #
     # path selection
@@ -74,36 +68,27 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
     def _paths_for_mouse(self, sender: object, recipient: object) -> List[List[object]]:
         """Precomputed shortest-path pool for small payments (cached per pair).
 
-        Both backends cache the pool forever (Flash never refreshes mouse
-        paths); the array backend keeps it as a *pinned* catalog entry so its
-        channel rows still track the live topology.  Control messages are
-        counted once, when the pool is first computed.
+        The pool is cached forever (Flash never refreshes mouse paths), as a
+        *pinned* catalog entry so its channel rows still track the live
+        topology.  Control messages are counted once, when the pool is first
+        computed.
         """
         network = self._require_network()
-        if self._executor is not None:
-            entry, computed = self._executor.catalog.resolve(
-                (sender, recipient),
-                lambda: k_shortest_paths(network, sender, recipient, self.mouse_path_pool),
-                pinned=True,
-                store_key=("ksp", self.mouse_path_pool),
-            )
-            if computed:
-                self.control_messages += len(entry.paths)
-            return entry.paths
-        key = (sender, recipient)
-        if key not in self._mouse_paths:
-            self._mouse_paths[key] = k_shortest_paths(
-                network, sender, recipient, self.mouse_path_pool
-            )
-            self.control_messages += len(self._mouse_paths[key])
-        return self._mouse_paths[key]
+        entry, computed = self._executor.catalog.resolve(
+            (sender, recipient),
+            lambda: k_shortest_paths(network, sender, recipient, self.mouse_path_pool),
+            pinned=True,
+            store_key=("ksp", self.mouse_path_pool),
+        )
+        if computed:
+            self.control_messages += len(entry.paths)
+        return entry.paths
 
     def _paths_for_elephant(self, sender: object, recipient: object) -> List[List[object]]:
         """Max-flow style high-capacity paths for large payments."""
         network = self._require_network()
-        if self._executor is not None:
-            # The widest-path search reads live channel balances.
-            self._executor.flush()
+        # The widest-path search reads live channel balances.
+        self.flush_state()
         paths = edge_disjoint_widest_paths(network, sender, recipient, self.elephant_paths)
         # Flash probes every candidate path before committing the payment.
         self.control_messages += sum(max(len(path) - 1, 0) for path in paths)

@@ -38,7 +38,6 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
         paths_per_payment: int = 4,
         timeout: float = 3.0,
         computation: Optional[SourceComputationModel] = None,
-        backend: str = "numpy",
     ) -> None:
         super().__init__()
         if landmark_count < 1:
@@ -47,33 +46,23 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
         self.paths_per_payment = paths_per_payment
         self.timeout = timeout
         self.computation = computation or SourceComputationModel(base_delay=0.03)
-        self.backend = backend
         self.landmarks: List[object] = []
         self._report = SchemeStepReport()
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
-        self._init_backend(network, self.backend)
         # Landmarks are the best-connected nodes, as in prior landmark schemes.
         ranked = sorted(network.nodes(), key=lambda node: network.degree(node), reverse=True)
         self.landmarks = ranked[: self.landmark_count]
-        self._report = SchemeStepReport()
 
     def _landmark_paths(self, sender: object, recipient: object):
-        """Candidate landmark paths plus (array backend) their catalog entry.
+        """Candidate landmark paths plus their catalog entry.
 
-        Landmark paths depend only on the topology, so the array backend
-        resolves them once per (pair, topology version) through the landmark
-        index map instead of recomputing two shortest paths per landmark for
-        every payment -- the scalar reference recomputes each time and gets
-        identical paths.
+        Landmark paths depend only on the topology, so they are resolved
+        once per (pair, topology version) instead of recomputing two
+        shortest paths per landmark for every payment.
         """
         network = self._require_network()
-        if self._executor is None:
-            paths = landmark_paths(
-                network, sender, recipient, self.paths_per_payment, self.landmarks
-            )
-            return paths, None
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: landmark_paths(

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.baselines.base import (
     AtomicRoutingMixin,
     RoutingScheme,
@@ -21,7 +19,6 @@ from repro.baselines.base import (
 from repro.routing.paths import k_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
-from repro.topology.network import PCNetwork
 
 
 class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
@@ -33,17 +30,10 @@ class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
         self,
         timeout: float = 3.0,
         computation: Optional[SourceComputationModel] = None,
-        backend: str = "numpy",
     ) -> None:
         super().__init__()
         self.timeout = timeout
         self.computation = computation or SourceComputationModel()
-        self.backend = backend
-        self._report = SchemeStepReport()
-
-    def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
-        super().prepare(network, rng)
-        self._init_backend(network, self.backend)
         self._report = SchemeStepReport()
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
@@ -55,17 +45,13 @@ class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
             created_at=now,
             timeout=self.timeout,
         )
-        entry = None
-        if self._executor is not None:
-            # One shortest path per pair, recomputed only when topology moves.
-            entry, _computed = self._executor.catalog.resolve(
-                (request.sender, request.recipient),
-                lambda: k_shortest_paths(network, request.sender, request.recipient, 1),
-                store_key=("ksp", 1),
-            )
-            paths = entry.paths
-        else:
-            paths = k_shortest_paths(network, request.sender, request.recipient, 1)
+        # One shortest path per pair, recomputed only when topology moves.
+        entry, _computed = self._executor.catalog.resolve(
+            (request.sender, request.recipient),
+            lambda: k_shortest_paths(network, request.sender, request.recipient, 1),
+            store_key=("ksp", 1),
+        )
+        paths = entry.paths
         self.control_messages += 1  # the sender probes its one path
         if not paths:
             payment.fail(FailureReason.NO_PATH)

@@ -56,14 +56,12 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
         self,
         landmark_count: int = 3,
         timeout: float = 3.0,
-        backend: str = "numpy",
     ) -> None:
         super().__init__()
         if landmark_count < 1:
             raise ValueError("need at least one landmark")
         self.landmark_count = landmark_count
         self.timeout = timeout
-        self.backend = backend
         self.landmarks: List[NodeId] = []
         self._rank: Dict[NodeId, int] = {}
         self._link_state: Dict[EdgeKey, bool] = {}
@@ -78,7 +76,6 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
     # ------------------------------------------------------------------ #
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
-        self._init_backend(network, self.backend)
         self._rank = {}
         self._register_ranks()
         ranked = sorted(
@@ -97,7 +94,6 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
             # Every assigned node announces its coordinate to its neighbors.
             self.control_messages += len(coords)
         self._embedding_version = 0
-        self._report = SchemeStepReport()
 
     # ------------------------------------------------------------------ #
     # embedding construction
@@ -210,10 +206,9 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
             rebuilt += 1
         if rebuilt:
             self._embedding_version += 1
-            if self._executor is not None:
-                # Cached greedy paths key on the topology version, which a
-                # pure funding flip (jamming) does not bump.
-                self._executor.catalog.clear()
+            # Cached greedy paths key on the topology version, which a pure
+            # funding flip (jamming) does not bump.
+            self._executor.catalog.clear()
 
     # ------------------------------------------------------------------ #
     # greedy embedding routing
@@ -286,19 +281,14 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
             created_at=now,
             timeout=self.timeout,
         )
-        entry = None
-        if self._executor is not None:
-            # Greedy walks are embedding-pure, so they cache per pair until
-            # either the topology version moves or a repair clears the
-            # catalog; no persistent store (the embedding is not
-            # topology-only state).
-            entry, _computed = self._executor.catalog.resolve(
-                (request.sender, request.recipient),
-                lambda: self._candidate_paths(request.sender, request.recipient),
-            )
-            paths = entry.paths
-        else:
-            paths = self._candidate_paths(request.sender, request.recipient)
+        # Greedy walks are embedding-pure, so they cache per pair until
+        # either the topology version moves or a repair clears the catalog;
+        # no persistent store (the embedding is not topology-only state).
+        entry, _computed = self._executor.catalog.resolve(
+            (request.sender, request.recipient),
+            lambda: self._candidate_paths(request.sender, request.recipient),
+        )
+        paths = entry.paths
         # One forwarding probe per hop per landmark path.
         self.control_messages += sum(len(path) - 1 for path in paths)
         if not paths:

@@ -50,14 +50,9 @@ class SpiderScheme(RoutingScheme):
         router_config: Optional[RouterConfig] = None,
         timeout: float = 3.0,
         computation: Optional[SourceComputationModel] = None,
-        backend: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.router_config = router_config or replace(SPIDER_ROUTER_CONFIG)
-        if backend is not None:
-            # Same knob as Splicer: the router's epoch updates and dispatch
-            # queries run either as the scalar reference or vectorized.
-            self.router_config = replace(self.router_config, backend=backend)
         self.timeout = timeout
         self.computation = computation or SourceComputationModel(base_delay=0.05)
         self.router: Optional[RateRouter] = None

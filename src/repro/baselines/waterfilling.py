@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.baselines.base import (
     AtomicRoutingMixin,
     NodeId,
@@ -30,7 +28,6 @@ from repro.routing.paths import edge_disjoint_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.channel import EPS
-from repro.topology.network import PCNetwork
 
 
 def waterfill_shares(capacities: Sequence[float], value: float) -> List[float]:
@@ -38,8 +35,8 @@ def waterfill_shares(capacities: Sequence[float], value: float) -> List[float]:
 
     Lowers a single water level over the capacity profile: paths above the
     level carry ``capacity - level``, paths below carry nothing.  Pure
-    scalar arithmetic in a deterministic order, so both execution backends
-    compute bit-identical splits from bit-identical capacities.  When the
+    scalar arithmetic in a deterministic order, so bit-identical capacities
+    give bit-identical splits.  When the
     joint capacity cannot cover ``value`` every path is filled completely
     (callers reject that case up front).
     """
@@ -84,7 +81,6 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         paths_per_payment: int = 4,
         timeout: float = 3.0,
         computation: Optional[SourceComputationModel] = None,
-        backend: str = "numpy",
     ) -> None:
         super().__init__()
         if paths_per_payment < 1:
@@ -92,20 +88,12 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         self.paths_per_payment = paths_per_payment
         self.timeout = timeout
         self.computation = computation or SourceComputationModel()
-        self.backend = backend
-        self._report = SchemeStepReport()
-
-    def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
-        super().prepare(network, rng)
-        self._init_backend(network, self.backend)
         self._report = SchemeStepReport()
 
     def _candidate_paths(self, sender: NodeId, recipient: NodeId):
-        """Edge-disjoint shortest paths plus (array backend) their entry."""
+        """Edge-disjoint shortest paths plus their catalog entry."""
         network = self._require_network()
         k = self.paths_per_payment
-        if self._executor is None:
-            return edge_disjoint_shortest_paths(network, sender, recipient, k), None
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: edge_disjoint_shortest_paths(network, sender, recipient, k),
@@ -114,11 +102,8 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         return entry.paths, entry
 
     def _path_capacities(self, paths: Sequence[Path], entry) -> List[float]:
-        """Bottleneck capacities read from whichever state is authoritative."""
-        if self._executor is not None and entry is not None:
-            return [float(c) for c in entry.capacities(self._executor.balances)]
-        network = self._require_network()
-        return [network.path_capacity(path) for path in paths]
+        """Bottleneck capacities read from the executor's balance mirror."""
+        return [float(c) for c in entry.capacities(self._executor.balances)]
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         network = self._require_network()

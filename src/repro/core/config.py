@@ -23,9 +23,6 @@ class SplicerConfig:
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``/``brute``).
         placement_seed: Seed for the randomized placement approximation.
-        placement_backend: Execution backend of the placement optimization
-            (``"python"`` scalar reference / vectorized ``"numpy"``; both
-            produce identical plans).
         candidate_count: Number of smooth-node candidates elected by the
             voting contract when the network does not already designate them
             (``None`` keeps the network's candidate set).
@@ -42,7 +39,6 @@ class SplicerConfig:
     omega: float = 0.05
     placement_method: str = "auto"
     placement_seed: Optional[int] = 0
-    placement_backend: str = "numpy"
     candidate_count: Optional[int] = None
     kmg_size: int = 3
     epoch_duration: float = 1.0

@@ -45,9 +45,7 @@ class SplicerSystem:
         self.config = config or SplicerConfig()
         self.voting_contract = VotingContract()
         self.placement_contract = PlacementContract(
-            omega=self.config.omega,
-            method=self.config.placement_method,
-            backend=self.config.placement_backend,
+            omega=self.config.omega, method=self.config.placement_method
         )
         self.router = RateRouter(network, self.config.router)
         self.epoch_clock = EpochClock(duration=self.config.epoch_duration)

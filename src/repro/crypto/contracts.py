@@ -73,7 +73,6 @@ class PlacementContract:
 
     omega: float = 0.05
     method: str = "auto"
-    backend: str = "numpy"
     required_deposit: float = 100.0
     deposits: Dict[NodeId, float] = field(default_factory=dict)
     slashed: Dict[NodeId, float] = field(default_factory=dict)
@@ -107,9 +106,7 @@ class PlacementContract:
         The seed defaults to a constant so that every candidate executing the
         contract computes the identical plan.
         """
-        problem = build_problem(
-            network, omega=self.omega, candidates=candidates, backend=self.backend
-        )
+        problem = build_problem(network, omega=self.omega, candidates=candidates)
         solver = PlacementSolver(problem, method=self.method, seed=seed)
         self._last_plan = solver.solve()
         return self._last_plan

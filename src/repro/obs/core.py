@@ -218,7 +218,7 @@ class RunRecorder(NullRecorder):
 
         Returns whether the payment is sampled.  The decision is a pure hash
         of the payment's identity under the trace seed, so it is identical
-        across runs, processes and backends.
+        across runs and processes.
         """
         payment_id = payment.payment_id  # type: ignore[attr-defined]
         if payment_id in self._sampled:

@@ -34,7 +34,7 @@ class BenchmarkSpec:
         name: Unique identifier, ``<group>/<scale>/<variant>``.
         group: Benchmark family (``routing-step``/``scenario-run``/...).
         scale: Suite scale (``small``/``medium``/``large``).
-        variant: Backend or flavor (``numpy``/``python``/``-``).
+        variant: Flavor label (``numpy``/``events``/``epoch``/``-``).
         setup: Builds the benchmark state; run once, untimed.
         fn: One measured iteration, called with the setup's state.
         inner: Iterations per timed repeat (amortizes timer overhead for
@@ -123,11 +123,7 @@ class BenchmarkReport:
         raise KeyError(f"no benchmark record named {name!r}")
 
     def speedups(self) -> Dict[str, float]:
-        """Reference/fast best-time ratios per (group, scale) pair.
-
-        Covers both gated variant pairs: the backend pair (``python`` over
-        ``numpy``) and the engine pair (``events`` over ``epoch``).
-        """
+        """``events``/``epoch`` best-time ratios per (group, scale) pair."""
         by_key: Dict[tuple, Dict[str, float]] = {}
         for record in self.records:
             by_key.setdefault((record.group, record.scale), {})[record.variant] = (
@@ -135,9 +131,8 @@ class BenchmarkReport:
             )
         ratios = {}
         for (group, scale), variants in sorted(by_key.items()):
-            for reference, fast in (("python", "numpy"), ("events", "epoch")):
-                if reference in variants and fast in variants and variants[fast] > 0:
-                    ratios[f"{group}/{scale}"] = variants[reference] / variants[fast]
+            if "events" in variants and variants.get("epoch", 0) > 0:
+                ratios[f"{group}/{scale}"] = variants["events"] / variants["epoch"]
         return ratios
 
     def as_dict(self) -> Dict[str, object]:

@@ -1,34 +1,31 @@
 """Benchmark suites: routing step, scenario run, path generation, placement.
 
-Each scale (``small``/``medium``/``large``) defines one suite of five
+Each scale (``small``/``medium``/``large``) defines one suite of six
 benchmark groups:
 
 * ``routing-step`` -- one epoch of Algorithm 2's price/rate update
   (required-funds report, equations 21-22 over every channel, equation 26
   over every registered path) plus the per-interval arrival observations,
-  on a synthetic multipath state.  Measured once per backend; the
-  ``python``/``numpy`` pair is what the speedup gate watches.
+  on a synthetic multipath state.
 * ``scenario-run`` -- a full engine-driven experiment run of the Splicer
   scheme over a Watts-Strogatz topology (workload replay, dispatch, HTLC
   locks, metrics).
 * ``path-generation`` -- per-pair path-catalog generation with all four
   Table-II selectors (KSP / heuristic / EDW / EDS) on a figure-8-family
-  topology, once per graph backend; the ``python``/``numpy`` pair gates
-  the vectorized topology layer.  The large scale runs at the paper's
-  figure-8 network size (3000 nodes), where path generation dominated
-  pipeline setup before the CSR backend.
+  topology.  The large scale runs at the paper's figure-8 network size
+  (3000 nodes), where path generation dominates pipeline setup.
 * ``fig8-compare`` -- one comparison step of the figure-8 pipeline: the four
   source-routing baselines replayed over one workload with epoch-batched
-  dispatch, once per execution backend; the ``python``/``numpy`` pair gates
-  the batched baseline backends.
+  dispatch.
 * ``scheme-zoo`` -- the non-source-routing additions to the comparison
   (SpeedyMurmurs' embedding routing with churn-reactive repair, and the
-  waterfilling splitter) replayed over one workload, once per execution
-  backend; the ``python``/``numpy`` pair gates their batched executors.
+  waterfilling splitter) replayed over one workload.
 * ``placement-solver`` -- the placement facade on the same topology family
-  (exact method at small scale, double-greedy above), once per execution
-  backend; the ``python``/``numpy`` pair gates the vectorized placement
-  layer at the greedy scales.
+  (exact method at small scale, double-greedy above).
+
+The five array-kernel groups keep the record names they had when a scalar
+variant was measured next to them (``<group>/<scale>/numpy``), so the
+committed baseline rows keep gating them.
 
 The ``xl-small`` suite is separate: it contains only the
 ``xl-epoch-stepper`` group, which replays a payment-heavy workload through
@@ -37,8 +34,7 @@ reference loop (``events``) and the array-native epoch stepper
 (``epoch``).  The null scheme isolates the engine's per-payment dispatch
 machinery (event objects, heap traffic vs one ``searchsorted`` slice per
 drain), which is exactly the overhead the xl scale tier eliminates; the
-``events``/``epoch`` pair gates the stepper's speedup the same way the
-``python``/``numpy`` pairs gate the array backends.
+``events``/``epoch`` pair gates the stepper's speedup.
 
 Everything is seeded; two runs on one machine measure the same work.
 """
@@ -49,7 +45,20 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.baselines import (
+    FlashScheme,
+    LandmarkScheme,
+    RoutingScheme,
+    SchemeStepReport,
+    ShortestPathScheme,
+    SpeedyMurmursScheme,
+    SpiderScheme,
+    SplicerScheme,
+    WaterfillingScheme,
+)
 from repro.perf.harness import BenchmarkSpec
+from repro.placement.solver import solve_placement
+from repro.routing.paths import PATH_SELECTORS
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.simulator.experiment import ExperimentRunner
@@ -101,6 +110,39 @@ SCALES: Dict[str, Dict[str, object]] = {
 }
 
 
+#: Parameters of the engine-overhead suite: a small topology carrying a
+#: payment-heavy workload, so per-payment engine machinery dominates.
+XL_SCALES: Dict[str, Dict[str, object]] = {
+    "xl-small": {"nodes": 400, "duration": 8.0, "arrival_rate": 12500.0},
+}
+
+
+def _spec(group: str, scale: str, variant: str, setup, meta, inner: int = 1) -> BenchmarkSpec:
+    """One benchmark named ``<group>/<scale>/<variant>`` timing ``state.step()``."""
+    return BenchmarkSpec(
+        name=f"{group}/{scale}/{variant}",
+        group=group,
+        scale=scale,
+        variant=variant,
+        setup=setup,
+        fn=lambda state: state.step(),
+        inner=inner,
+        meta=meta,
+    )
+
+
+def _topology(nodes: int, seed: int, candidate_fraction: float = 0.2) -> PCNetwork:
+    """The suites' funded Watts-Strogatz topology."""
+    return watts_strogatz_pcn(
+        nodes,
+        nearest_neighbors=4,
+        rewire_probability=0.2,
+        uniform_channel_size=200.0,
+        candidate_fraction=candidate_fraction,
+        seed=seed,
+    )
+
+
 # ---------------------------------------------------------------------- #
 # routing step
 # ---------------------------------------------------------------------- #
@@ -113,7 +155,7 @@ class _RoutingStepState:
     transfers each epoch -- the state shape the router maintains mid-run.
     """
 
-    def __init__(self, pairs: int, paths_per_pair: int, observe_every: int, backend: str) -> None:
+    def __init__(self, pairs: int, paths_per_pair: int, observe_every: int) -> None:
         rng = np.random.default_rng(20230710)
         network = PCNetwork()
         self.pairs = []
@@ -131,10 +173,8 @@ class _RoutingStepState:
                 network.add_channel(relay, target, far, far)
                 paths.append((source, relay, target))
             self.pairs.append(((source, target), paths))
-        self.table = PriceTable(network, backend=backend)
-        self.controller = PathRateController(
-            backend=backend, min_rate=0.5, initial_rate=5.0, alpha=1.0
-        )
+        self.table = PriceTable(network)
+        self.controller = PathRateController(min_rate=0.5, initial_rate=5.0, alpha=1.0)
         for (source, target), paths in self.pairs:
             state = self.controller.register_pair(source, target, paths)
             state.rates = [float(rate) for rate in 10.0 * rng.random(len(paths)) + 1.0]
@@ -157,76 +197,83 @@ class _RoutingStepState:
         self._epoch += 1
 
 
-def _routing_step_specs(scale: str) -> List[BenchmarkSpec]:
-    params = SCALES[scale]
-    pairs = int(params["pairs"])
-    paths_per_pair = int(params["paths_per_pair"])
-    observe_every = int(params["observe_every"])
-    inner = {"small": 20, "medium": 10, "large": 5}[scale]
-    specs = []
-    for backend in ("python", "numpy"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"routing-step/{scale}/{backend}",
-                group="routing-step",
-                scale=scale,
-                variant=backend,
-                setup=lambda backend=backend: _RoutingStepState(
-                    pairs, paths_per_pair, observe_every, backend
-                ),
-                fn=lambda state: state.step(),
-                inner=inner,
-                meta={"pairs": pairs, "paths_per_pair": paths_per_pair},
-            )
-        )
-    return specs
+def _routing_step_spec(scale: str) -> BenchmarkSpec:
+    p = SCALES[scale]
+    return _spec(
+        "routing-step",
+        scale,
+        "numpy",
+        lambda: _RoutingStepState(p["pairs"], p["paths_per_pair"], p["observe_every"]),
+        {"pairs": p["pairs"], "paths_per_pair": p["paths_per_pair"]},
+        inner={"small": 20, "medium": 10, "large": 5}[scale],
+    )
 
 
 # ---------------------------------------------------------------------- #
-# scenario run
+# workload replays: scenario run, figure-8 step, scheme zoo, epoch stepper
 # ---------------------------------------------------------------------- #
-class _ScenarioRunState:
-    """A funded topology plus workload; each call replays the full run."""
+class _NullScheme(RoutingScheme):
+    """A constant-time sink: accepts every batch and completes nothing, so a
+    run through it measures the engine's arrival-delivery machinery and
+    essentially nothing else."""
 
-    def __init__(self, nodes: int, duration: float, arrival_rate: float) -> None:
-        # Imported lazily: baselines import the simulator package.
-        from repro.baselines.splicer_scheme import SplicerScheme
+    name = "null"
 
-        self.network = watts_strogatz_pcn(
-            nodes,
-            nearest_neighbors=4,
-            rewire_probability=0.2,
-            uniform_channel_size=200.0,
-            candidate_fraction=0.2,
-            seed=11,
-        )
+    def submit(self, request, now):  # pragma: no cover - batch path only
+        raise NotImplementedError("null scheme is batch-only")
+
+    def route_batch(self, requests):
+        return []
+
+    def step(self, now, dt):
+        return SchemeStepReport()
+
+
+#: Per replay group: scheme factories and the (topology, workload, run) seeds.
+_REPLAYS = {
+    # The Splicer scheme end to end: workload replay, dispatch, HTLC locks, metrics.
+    "scenario-run": ([SplicerScheme], (11, 5, 3)),
+    # One comparison step: the four source-routing baselines over one workload.
+    "fig8-compare": (
+        [SpiderScheme, lambda: FlashScheme(seed=3), LandmarkScheme, ShortestPathScheme],
+        (17, 23, 9),
+    ),
+    # Same shape, very different profile: BFS embedding builds and greedy
+    # coordinate walks; edge-disjoint path generation and the shares hook.
+    "scheme-zoo": ([SpeedyMurmursScheme, WaterfillingScheme], (17, 23, 9)),
+    # Engine overhead only; the variant is the runner's ``engine``.
+    "xl-epoch-stepper": ([_NullScheme], (41, 43, 7)),
+}
+
+
+class _ReplayState:
+    """A funded topology plus workload, built once; each call replays the run.
+
+    Fresh scheme instances per call (path catalogs and balance mirrors are
+    rebuilt each run, exactly as the compare pipeline does).
+    """
+
+    def __init__(
+        self, group: str, nodes: int, duration: float, arrival_rate: float, engine: str = "events"
+    ) -> None:
+        self._factories, (topology_seed, workload_seed, self._run_seed) = _REPLAYS[group]
+        self.network = _topology(nodes, topology_seed)
         self.workload = generate_workload(
             self.network,
-            WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=5),
+            WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=workload_seed),
         )
-        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1)
-        self._scheme_factory = SplicerScheme
+        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1, engine=engine)
 
     def step(self) -> None:
-        scheme = self._scheme_factory()
-        self.runner.run_single(scheme, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(self._run_seed)
+        for factory in self._factories:
+            self.runner.run_single(factory(), rng=rng)
 
 
-def _scenario_run_spec(scale: str) -> BenchmarkSpec:
-    params = SCALES[scale]
-    nodes = int(params["nodes"])
-    duration = float(params["duration"])
-    arrival_rate = float(params["arrival_rate"])
-    return BenchmarkSpec(
-        name=f"scenario-run/{scale}/-",
-        group="scenario-run",
-        scale=scale,
-        variant="-",
-        setup=lambda: _ScenarioRunState(nodes, duration, arrival_rate),
-        fn=lambda state: state.step(),
-        inner=1,
-        meta={"nodes": nodes, "duration": duration, "arrival_rate": arrival_rate},
-    )
+def _replay_spec(group: str, scale: str, variant: str, engine: str = "events") -> BenchmarkSpec:
+    p = XL_SCALES[scale] if scale in XL_SCALES else SCALES[scale]
+    meta = {key: p[key] for key in ("nodes", "duration", "arrival_rate")}
+    return _spec(group, scale, variant, lambda: _ReplayState(group, engine=engine, **meta), meta)
 
 
 # ---------------------------------------------------------------------- #
@@ -236,16 +283,13 @@ class _PathGenerationState:
     """A figure-8-family topology plus a seeded pair sample.
 
     Each call regenerates the full per-pair Table-II path catalog (all four
-    selectors at the scale's ``k``) on the chosen graph backend -- the
-    setup work one compare-shard worker performs before routing anything.
-    Balances are skewed by seeded transfers first so the widest-path and
-    heuristic selectors rank over non-degenerate liquidity.
+    selectors at the scale's ``k``) -- the setup work one compare-shard
+    worker performs before routing anything.  Balances are skewed by seeded
+    transfers first so the widest-path and heuristic selectors rank over
+    non-degenerate liquidity.
     """
 
-    def __init__(self, nodes: int, pairs: int, k: int, backend: str) -> None:
-        # Imported lazily: the suites module predates the routing selectors.
-        from repro.routing.paths import PATH_SELECTORS
-
+    def __init__(self, nodes: int, pairs: int, k: int) -> None:
         self.network = watts_strogatz_pcn(
             nodes,
             nearest_neighbors=8,
@@ -268,167 +312,20 @@ class _PathGenerationState:
                 sampled.append((source, target))
         self.pairs = sampled
         self.k = k
-        self.backend = backend
         self.selectors = [PATH_SELECTORS[name] for name in ("ksp", "heuristic", "edw", "eds")]
 
     def step(self) -> None:
         for source, target in self.pairs:
             for selector in self.selectors:
-                selector(self.network, source, target, self.k, backend=self.backend)
+                selector(self.network, source, target, self.k)
 
 
-def _path_generation_specs(scale: str) -> List[BenchmarkSpec]:
-    params = SCALES[scale]
-    nodes = int(params["pathgen_nodes"])
-    pairs = int(params["pathgen_pairs"])
-    k = int(params["pathgen_k"])
-    specs = []
-    for backend in ("python", "numpy"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"path-generation/{scale}/{backend}",
-                group="path-generation",
-                scale=scale,
-                variant=backend,
-                setup=lambda backend=backend: _PathGenerationState(nodes, pairs, k, backend),
-                fn=lambda state: state.step(),
-                inner=1,
-                meta={"nodes": nodes, "pairs": pairs, "k": k},
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------- #
-# figure-8 comparison step
-# ---------------------------------------------------------------------- #
-class _Fig8CompareState:
-    """One comparison step: the four baselines replayed over one workload.
-
-    Fresh scheme instances per call (path catalogs and balance mirrors are
-    rebuilt each run, exactly as the compare pipeline does); the topology and
-    workload are built once.
-    """
-
-    def __init__(self, nodes: int, duration: float, arrival_rate: float, backend: str) -> None:
-        from repro.baselines import (
-            FlashScheme,
-            LandmarkScheme,
-            ShortestPathScheme,
-            SpiderScheme,
-        )
-
-        self.network = watts_strogatz_pcn(
-            nodes,
-            nearest_neighbors=4,
-            rewire_probability=0.2,
-            uniform_channel_size=200.0,
-            candidate_fraction=0.2,
-            seed=17,
-        )
-        self.workload = generate_workload(
-            self.network,
-            WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=23),
-        )
-        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1)
-        self._factories = [
-            lambda: SpiderScheme(backend=backend),
-            lambda: FlashScheme(backend=backend, seed=3),
-            lambda: LandmarkScheme(backend=backend),
-            lambda: ShortestPathScheme(backend=backend),
-        ]
-
-    def step(self) -> None:
-        self.runner.run(
-            [factory() for factory in self._factories], rng=np.random.default_rng(9)
-        )
-
-
-def _fig8_compare_specs(scale: str) -> List[BenchmarkSpec]:
-    params = SCALES[scale]
-    nodes = int(params["nodes"])
-    duration = float(params["duration"])
-    arrival_rate = float(params["arrival_rate"])
-    specs = []
-    for backend in ("python", "numpy"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"fig8-compare/{scale}/{backend}",
-                group="fig8-compare",
-                scale=scale,
-                variant=backend,
-                setup=lambda backend=backend: _Fig8CompareState(
-                    nodes, duration, arrival_rate, backend
-                ),
-                fn=lambda state: state.step(),
-                inner=1,
-                meta={"nodes": nodes, "duration": duration, "arrival_rate": arrival_rate},
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------- #
-# scheme zoo (SpeedyMurmurs + waterfilling)
-# ---------------------------------------------------------------------- #
-class _SchemeZooState:
-    """The embedding and waterfilling schemes replayed over one workload.
-
-    Same shape as the fig8-compare state, but the work profile is very
-    different: SpeedyMurmurs spends its time in BFS embedding builds and
-    greedy coordinate walks, waterfilling in edge-disjoint path generation
-    and the shares hook of the atomic executor.
-    """
-
-    def __init__(self, nodes: int, duration: float, arrival_rate: float, backend: str) -> None:
-        from repro.baselines import SpeedyMurmursScheme, WaterfillingScheme
-
-        self.network = watts_strogatz_pcn(
-            nodes,
-            nearest_neighbors=4,
-            rewire_probability=0.2,
-            uniform_channel_size=200.0,
-            candidate_fraction=0.2,
-            seed=17,
-        )
-        self.workload = generate_workload(
-            self.network,
-            WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=23),
-        )
-        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1)
-        self._factories = [
-            lambda: SpeedyMurmursScheme(backend=backend),
-            lambda: WaterfillingScheme(backend=backend),
-        ]
-
-    def step(self) -> None:
-        self.runner.run(
-            [factory() for factory in self._factories], rng=np.random.default_rng(9)
-        )
-
-
-def _scheme_zoo_specs(scale: str) -> List[BenchmarkSpec]:
-    params = SCALES[scale]
-    nodes = int(params["nodes"])
-    duration = float(params["duration"])
-    arrival_rate = float(params["arrival_rate"])
-    specs = []
-    for backend in ("python", "numpy"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"scheme-zoo/{scale}/{backend}",
-                group="scheme-zoo",
-                scale=scale,
-                variant=backend,
-                setup=lambda backend=backend: _SchemeZooState(
-                    nodes, duration, arrival_rate, backend
-                ),
-                fn=lambda state: state.step(),
-                inner=1,
-                meta={"nodes": nodes, "duration": duration, "arrival_rate": arrival_rate},
-            )
-        )
-    return specs
+def _path_generation_spec(scale: str) -> BenchmarkSpec:
+    p = SCALES[scale]
+    meta = {"nodes": p["pathgen_nodes"], "pairs": p["pathgen_pairs"], "k": p["pathgen_k"]}
+    return _spec(
+        "path-generation", scale, "numpy", lambda: _PathGenerationState(**meta), meta
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -439,164 +336,50 @@ class _PlacementState:
 
     The cost model is rebuilt per call (hop-count probing included), so the
     measurement covers the full ``solve_placement(network)`` path exactly as
-    the Splicer system and the figure-9 pipeline invoke it.  The ``python``/
-    ``numpy`` variant pair gates the vectorized placement backend; note the
-    small scale solves with the exact method, whose subset scoring is pinned
-    to the scalar reference arithmetic by design, so only the greedy scales
-    (medium/large) are expected to show a backend speedup.
+    the Splicer system and the figure-9 pipeline invoke it.  The small scale
+    solves with the exact method, whose subset scoring runs on the scalar
+    tie-break arithmetic by design; the greedy scales (medium/large)
+    measure the vectorized kernels.
     """
 
-    def __init__(self, nodes: int, candidate_fraction: float, method: str, backend: str) -> None:
-        self.network = watts_strogatz_pcn(
-            nodes,
-            nearest_neighbors=4,
-            rewire_probability=0.2,
-            uniform_channel_size=200.0,
-            candidate_fraction=candidate_fraction,
-            seed=13,
-        )
+    def __init__(self, nodes: int, candidate_fraction: float, method: str) -> None:
+        self.network = _topology(nodes, 13, candidate_fraction)
         self.method = method
-        self.backend = backend
 
     def step(self) -> None:
-        from repro.placement.solver import solve_placement
-
-        solve_placement(
-            self.network, omega=0.05, method=self.method, seed=0, backend=self.backend
-        )
+        solve_placement(self.network, omega=0.05, method=self.method, seed=0)
 
 
-def _placement_specs(scale: str) -> List[BenchmarkSpec]:
-    params = SCALES[scale]
-    nodes = int(params["nodes"])
-    method = str(params["placement_method"])
-    candidate_fraction = float(params["candidate_fraction"])
-    specs = []
-    for backend in ("python", "numpy"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"placement-solver/{scale}/{backend}",
-                group="placement-solver",
-                scale=scale,
-                variant=backend,
-                setup=lambda backend=backend: _PlacementState(
-                    nodes, candidate_fraction, method, backend
-                ),
-                fn=lambda state: state.step(),
-                inner=1,
-                meta={"nodes": nodes, "method": method},
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------- #
-# epoch stepper (the xl-small suite)
-# ---------------------------------------------------------------------- #
-#: Parameters of the engine-overhead suite: a small topology carrying a
-#: payment-heavy workload, so per-payment engine machinery dominates.
-XL_SCALES: Dict[str, Dict[str, object]] = {
-    "xl-small": {"nodes": 400, "duration": 8.0, "arrival_rate": 12500.0},
-}
-
-_NULL_SCHEME_CLS = None
-
-
-def _null_scheme_class():
-    """A constant-time sink scheme (lazily defined: baselines import heavy).
-
-    Accepts every batch and completes nothing, so a run through it measures
-    the engine's arrival-delivery machinery and essentially nothing else.
-    """
-    global _NULL_SCHEME_CLS
-    if _NULL_SCHEME_CLS is None:
-        from repro.baselines.base import RoutingScheme, SchemeStepReport
-
-        class _NullScheme(RoutingScheme):
-            name = "null"
-
-            def submit(self, request, now):  # pragma: no cover - batch path only
-                raise NotImplementedError("null scheme is batch-only")
-
-            def route_batch(self, requests):
-                return []
-
-            def step(self, now, dt):
-                return SchemeStepReport()
-
-        _NULL_SCHEME_CLS = _NullScheme
-    return _NULL_SCHEME_CLS
-
-
-class _EpochStepperState:
-    """One funded topology plus a payment-heavy workload; each call replays it.
-
-    The same state shape drives both variants; only the runner's ``engine``
-    differs, so the measured difference is purely the per-payment event path
-    versus the array-native drain cursor.
-    """
-
-    def __init__(self, nodes: int, duration: float, arrival_rate: float, engine: str) -> None:
-        self.network = watts_strogatz_pcn(
-            nodes,
-            nearest_neighbors=4,
-            rewire_probability=0.2,
-            uniform_channel_size=200.0,
-            candidate_fraction=0.2,
-            seed=41,
-        )
-        self.workload = generate_workload(
-            self.network,
-            WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=43),
-        )
-        self.runner = ExperimentRunner(
-            self.network, self.workload, step_size=0.1, engine=engine
-        )
-        self._scheme_class = _null_scheme_class()
-
-    def step(self) -> None:
-        self.runner.run_single(self._scheme_class(), rng=np.random.default_rng(7))
-
-
-def _epoch_stepper_specs(scale: str) -> List[BenchmarkSpec]:
-    params = XL_SCALES[scale]
-    nodes = int(params["nodes"])
-    duration = float(params["duration"])
-    arrival_rate = float(params["arrival_rate"])
-    specs = []
-    for engine in ("events", "epoch"):
-        specs.append(
-            BenchmarkSpec(
-                name=f"xl-epoch-stepper/{scale}/{engine}",
-                group="xl-epoch-stepper",
-                scale=scale,
-                variant=engine,
-                setup=lambda engine=engine: _EpochStepperState(
-                    nodes, duration, arrival_rate, engine
-                ),
-                fn=lambda state: state.step(),
-                inner=1,
-                meta={"nodes": nodes, "duration": duration, "arrival_rate": arrival_rate},
-            )
-        )
-    return specs
+def _placement_spec(scale: str) -> BenchmarkSpec:
+    p = SCALES[scale]
+    meta = {"nodes": p["nodes"], "method": p["placement_method"]}
+    return _spec(
+        "placement-solver",
+        scale,
+        "numpy",
+        lambda: _PlacementState(candidate_fraction=p["candidate_fraction"], **meta),
+        meta,
+    )
 
 
 def build_suite(scale: str) -> List[BenchmarkSpec]:
     """All benchmarks of one scale."""
     if scale in XL_SCALES:
-        return _epoch_stepper_specs(scale)
+        return [
+            _replay_spec("xl-epoch-stepper", scale, engine, engine)
+            for engine in ("events", "epoch")
+        ]
     if scale not in SCALES:
         raise KeyError(
             f"unknown suite {scale!r}; choose from {sorted(SCALES) + sorted(XL_SCALES)}"
         )
     return [
-        *_routing_step_specs(scale),
-        _scenario_run_spec(scale),
-        *_path_generation_specs(scale),
-        *_fig8_compare_specs(scale),
-        *_scheme_zoo_specs(scale),
-        *_placement_specs(scale),
+        _routing_step_spec(scale),
+        _replay_spec("scenario-run", scale, "-"),
+        _path_generation_spec(scale),
+        _replay_spec("fig8-compare", scale, "numpy"),
+        _replay_spec("scheme-zoo", scale, "numpy"),
+        _placement_spec(scale),
     ]
 
 

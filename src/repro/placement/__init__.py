@@ -20,10 +20,6 @@ The subpackage provides:
 * :mod:`repro.placement.compare` -- the sharded figure-9 sweep pipeline behind
   ``python -m repro place-compare`` (imported on demand, not re-exported here,
   to keep this package import-light).
-
-Every evaluation path honors the repo-wide ``backend="python"|"numpy"``
-knob carried by :class:`~repro.placement.problem.PlacementProblem`; see
-``docs/architecture.md`` for the convention.
 """
 
 from repro.placement.assignment import optimal_assignment

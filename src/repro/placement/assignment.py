@@ -5,19 +5,20 @@ Given a fixed placement ``x``, the balance cost separates per client: client
 ``omega * sum_{l placed} delta[n][l] + zeta[m][n]``.  This module computes
 that assignment and, for a given placement, the resulting plan and cost.
 
-Both execution backends live here.  The scalar path walks the cost model's
-nested dicts; the vectorized path (``backend="numpy"``) evaluates the same
-quantities on the :class:`~repro.placement.costs.CostArrays` mirror.  The
-vectorized kernels are constructed to be *decision-identical* to the scalar
-reference: synchronization parts accumulate hub-by-hub in candidate order
-(the scalar ``sum`` order), the per-client score is the same two-term
-addition, and ``argmin`` breaks ties by the first (candidate-order) minimum
-exactly as ``min`` over the scalar hub list does.
+The assignment and the set function ``f(X)`` are evaluated on the
+:class:`~repro.placement.costs.CostArrays` mirror.  The kernels are
+constructed to be *decision-identical* to the nested-dict arithmetic kept in
+:mod:`repro.reference.placement`: synchronization parts accumulate
+hub-by-hub in candidate order (the scalar ``sum`` order), the per-client
+score is the same two-term addition, and ``argmin`` breaks ties by the first
+(candidate-order) minimum exactly as ``min`` over a candidate-ordered hub
+list does.  :func:`scalar_placement_cost` is the one nested-dict evaluation
+production keeps: the exact enumerative solvers rank subsets with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Sequence
+from typing import Dict, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _candidate_hub_list(problem: PlacementProblem, hubs: Iterable[NodeId]) -> li
 
 
 def _scalar_assignment(problem: PlacementProblem, hub_list: Sequence[NodeId]) -> Dict[NodeId, NodeId]:
-    """The Lemma-1 assignment over a prepared hub list, reference arithmetic."""
+    """The Lemma-1 assignment over a prepared hub list, nested-dict arithmetic."""
     sync_part = {hub: assignment_key(problem, hub_list, hub) for hub in hub_list}
     assignment: Dict[NodeId, NodeId] = {}
     for client in problem.clients:
@@ -82,19 +83,13 @@ def optimal_assignment(
 
     Ties are broken deterministically by the candidate ordering of the cost
     model so that repeated runs produce identical plans.  Hubs outside the
-    candidate set are ignored (as the scalar reference always did); a
-    placement with no usable hub raises ``ValueError``.
+    candidate set are ignored; a placement with no usable hub raises
+    ``ValueError``.
     """
     hub_list = _candidate_hub_list(problem, hubs)
-    if problem.backend == "numpy":
-        arrays = problem.arrays
-        hub_rows = arrays.candidate_rows(hub_list)
-        choices = assignment_rows(problem, hub_rows)
-        return {
-            client: hub_list[choice]
-            for client, choice in zip(arrays.clients, choices)
-        }
-    return _scalar_assignment(problem, hub_list)
+    arrays = problem.arrays
+    choices = assignment_rows(problem, arrays.candidate_rows(hub_list))
+    return {client: hub_list[choice] for client, choice in zip(arrays.clients, choices)}
 
 
 def plan_for_placement(
@@ -108,35 +103,36 @@ def plan_for_placement(
     return problem.make_plan(hub_set, assignment, method=method)
 
 
-def placement_cost(
-    problem: PlacementProblem,
-    hubs: Iterable[NodeId],
-    backend: Optional[str] = None,
-) -> float:
+def placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
     """Balance cost of a placement under its optimal assignment.
 
     This is the set function ``f(X)`` of equation (14); it is the objective
     both exact and approximate placement solvers optimize over subsets of the
-    candidate set.  An empty placement is infeasible and maps to ``+inf``.
-
-    Args:
-        problem: The placement instance.
-        hubs: The placement ``X`` to evaluate.
-        backend: Evaluation backend override.  ``None`` follows the problem's
-            backend; the exact enumerative solvers pass ``"python"`` so their
-            optimum selection among floating-point-tied subsets is identical
-            whatever the problem's backend (see
-            :mod:`repro.placement.solver`).
+    candidate set.  An empty placement is infeasible and maps to ``+inf``;
+    hubs outside the candidate set are ignored.
     """
     hub_set = set(hubs)
     if not hub_set:
         return float("inf")
     hub_list = _candidate_hub_list(problem, hub_set)
-    if (backend or problem.backend) == "numpy":
-        return vectorized_placement_cost(problem, problem.arrays.candidate_rows(hub_list))
+    return vectorized_placement_cost(problem, problem.arrays.candidate_rows(hub_list))
+
+
+def scalar_placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
+    """``f(X)`` as ``C_M + omega * C_S`` over the nested-dict cost model.
+
+    The exact enumerative solvers (brute force, both branch-and-bounds, the
+    double greedy's degenerate-case seed) rank candidate subsets with this
+    one fixed evaluation order, so which of several floating-point-tied
+    subsets they report as the optimum is pinned by the arithmetic below
+    rather than by the regrouped sum of :func:`vectorized_placement_cost`.
+    They are small-scale by definition, so the per-client loop is cheap.
+    """
+    hub_set = set(hubs)
+    if not hub_set:
+        return float("inf")
+    hub_list = _candidate_hub_list(problem, hub_set)
     assignment = _scalar_assignment(problem, hub_list)
-    # hub_list, not the raw set: hubs outside the candidate set are ignored
-    # consistently with the assignment (and with the vectorized branch).
     return problem.costs.balance_cost(hub_list, assignment, problem.omega)
 
 
@@ -146,7 +142,7 @@ def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -
     Uses the separable form ``f(X) = sum_m min_n (zeta[m][n] + omega *
     sum_l delta[n][l]) + omega * sum_{n,l in X} epsilon[n][l]``, which equals
     the scalar ``C_M + omega * C_S`` regrouped; the two agree to well below
-    the suite's 1e-9 tolerance.
+    the differential suite's 1e-9 tolerance.
     """
     arrays = problem.arrays
     scores = arrays.zeta[:, hub_rows] + hub_sync_parts(problem, hub_rows)[None, :]

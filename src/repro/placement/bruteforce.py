@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from repro.placement.assignment import plan_for_placement, placement_cost
+from repro.placement.assignment import plan_for_placement, scalar_placement_cost
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 #: Refuse to enumerate more candidates than this (2^16 subsets).
@@ -47,9 +47,7 @@ def brute_force_placement(
     best_subset = None
     for size in range(1, limit + 1):
         for subset in combinations(candidates, size):
-            # Scalar reference arithmetic: the enumerated optimum (and its
-            # tie-breaks) must not depend on the problem's backend.
-            cost = placement_cost(problem, subset, backend="python")
+            cost = scalar_placement_cost(problem, subset)
             if cost < best_cost:
                 best_cost = cost
                 best_subset = subset

@@ -11,9 +11,7 @@ the same JSONL grid machinery the scenario and figure-8 pipelines use
 (:mod:`repro.scenarios.jsonl`).
 
 Scales mirror the figure-8 comparison pipeline's node counts (small/60 up
-to paper/3000).  Paper scale with the default numpy backend solves in
-seconds per run; the scalar reference backend is available for differential
-runs at the smaller scales.
+to paper/3000); paper scale solves in seconds per run.
 
 Determinism: every plan-derived field of a result row is identical
 whatever the worker count or completion order (topology and solver seeds
@@ -76,8 +74,6 @@ class PlacementCompareSpec:
             against.
         omegas: Cost-weight sweep values.
         seeds: Base seeds; each seed generates an independent topology.
-        backend: Execution backend of every solve
-            (``"python"`` | ``"numpy"``).
         hop_cache_dir: Directory of the persistent hop-matrix cache shared
             by shard workers (``None`` disables it).  The cache is
             transparent -- probed hop counts are identical with or without
@@ -89,7 +85,6 @@ class PlacementCompareSpec:
     methods: List[str] = field(default_factory=lambda: ["exact", "greedy"])
     omegas: List[float] = field(default_factory=lambda: list(DEFAULT_OMEGAS))
     seeds: List[int] = field(default_factory=lambda: [1])
-    backend: str = "numpy"
     hop_cache_dir: Optional[str] = None
 
     @property
@@ -107,9 +102,9 @@ class PlacementCompareSpec:
         Methods, omegas and seeds expand the grid (they live in each run's
         key) and stay out of the hash, mirroring the scenario runner's
         fingerprint contract: changing them must not invalidate completed
-        runs, while changing the topology or backend must.
+        runs, while changing the topology must.
         """
-        material = {"scale": self.scale, "nodes": self.nodes, "backend": self.backend}
+        material = {"scale": self.scale, "nodes": self.nodes}
         digest = hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
         return digest[:12]
 
@@ -128,7 +123,6 @@ def build_place_spec(
     methods: Optional[Sequence[str]] = None,
     omegas: Optional[Sequence[float]] = None,
     seeds: Optional[Sequence[int]] = None,
-    backend: str = "numpy",
     nodes: Optional[int] = None,
 ) -> PlacementCompareSpec:
     """The figure-9 sweep at one scale, with optional dimension overrides."""
@@ -152,7 +146,6 @@ def build_place_spec(
         methods=method_list,
         omegas=[float(omega) for omega in omegas] if omegas else list(DEFAULT_OMEGAS),
         seeds=[int(seed) for seed in seeds] if seeds else [1],
-        backend=backend,
     )
 
 
@@ -205,7 +198,7 @@ def execute_place_run(
             from repro.topology.path_store import hop_dicts_from_rows
 
             hops = hop_dicts_from_rows(node_order, candidates, matrix)
-    problem = build_problem(network, omega=omega, backend=spec.backend, hops=hops)
+    problem = build_problem(network, omega=omega, hops=hops)
     solver_seed = derive_seed(seed, "place-solver")
     started = time.perf_counter()
     if method == "greedy-descent":
@@ -225,7 +218,6 @@ def execute_place_run(
         "seed": seed,
         "method": method,
         "omega": omega,
-        "backend": spec.backend,
         "nodes": spec.nodes,
         "candidate_count": problem.candidate_count,
         "client_count": problem.client_count,

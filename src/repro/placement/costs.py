@@ -37,7 +37,7 @@ PAPER_EPSILON_PER_HOP = 0.05
 class CostArrays:
     """Index-mapped dense mirrors of a :class:`PlacementCostModel`.
 
-    The vectorized placement backend addresses clients and candidates by row
+    The vectorized placement kernels address clients and candidates by row
     index instead of node id.  Indices follow the cost model's ordering, so
     ``argmin`` tie-breaks reproduce the scalar reference's first-in-candidate-
     order behaviour exactly.
@@ -86,11 +86,11 @@ class CostArrays:
 class PlacementCostModel:
     """Cost matrices of the placement problem.
 
-    The nested-dict matrices are the scalar reference representation; the
-    vectorized backend mirrors them once into :class:`CostArrays` via
-    :meth:`as_arrays`.  Cost models are treated as immutable after
-    construction -- mutating the dicts after the arrays were built would
-    desynchronize the two representations.
+    The nested-dict matrices are the scalar representation; the vectorized
+    kernels mirror them once into :class:`CostArrays` via :meth:`as_arrays`.
+    Cost models are treated as immutable after construction -- mutating the
+    dicts after the arrays were built would desynchronize the two
+    representations.
 
     Attributes:
         clients: Ordered client node ids (``V_CLI``).
@@ -220,7 +220,6 @@ def cost_model_from_network(
     epsilon_per_hop: float = PAPER_EPSILON_PER_HOP,
     uniform_delta: bool = False,
     hops: Optional[Dict[NodeId, Dict[NodeId, int]]] = None,
-    backend: Optional[str] = None,
 ) -> PlacementCostModel:
     """Probe hop-count based costs from a PCN, as the candidates do in the paper.
 
@@ -236,11 +235,8 @@ def cost_model_from_network(
             case) -- used by the large-scale approximation experiments.
         hops: Pre-probed per-candidate hop-count dicts (e.g. from the
             figure-9 pipeline's persistent :class:`HopMatrixStore`); must
-            cover every candidate.  ``None`` probes the network.
-        backend: Probe backend: ``"numpy"`` runs one batched
-            ``scipy.sparse.csgraph`` sweep over all candidates, ``"python"``
-            the per-candidate networkx BFS.  ``None`` follows the network's
-            default; hop counts are identical either way.
+            cover every candidate.  ``None`` probes the network with one
+            batched ``scipy.sparse.csgraph`` sweep over all candidates.
     """
     client_list = list(clients) if clients is not None else network.clients()
     candidate_list = list(candidates) if candidates is not None else network.candidates()
@@ -249,16 +245,11 @@ def cost_model_from_network(
 
     if hops is not None:
         hop_from_candidate = {candidate: hops[candidate] for candidate in candidate_list}
-    elif network.resolve_backend(backend) == "numpy":
+    else:
         from repro.topology.path_store import hop_dicts_from_rows
 
         node_order, matrix = network.hop_count_rows(candidate_list)
         hop_from_candidate = hop_dicts_from_rows(node_order, candidate_list, matrix)
-    else:
-        hop_from_candidate: Dict[NodeId, Dict[NodeId, int]] = {
-            candidate: network.hop_counts_from(candidate, backend="python")
-            for candidate in candidate_list
-        }
     fallback_hops = max(network.node_count(), 2)
 
     zeta: Dict[NodeId, Dict[NodeId, float]] = {}

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.placement.assignment import plan_for_placement, placement_cost
+from repro.placement.assignment import plan_for_placement, scalar_placement_cost
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 NodeId = Hashable
@@ -227,9 +227,7 @@ class BranchAndBoundSolver:
             warm = tuple(h for h in candidates if h in set(initial_hubs))
             if warm:
                 best_hubs = warm
-                # Incumbent scores use the scalar reference arithmetic so the
-                # branch-and-bound search is backend-independent.
-                best_cost = placement_cost(problem, warm, backend="python")
+                best_cost = scalar_placement_cost(problem, warm)
 
         # Depth-first stack of partial fixings: candidate -> 0/1.
         stack: List[Dict[NodeId, int]] = [{}]
@@ -258,7 +256,7 @@ class BranchAndBoundSolver:
                 )
                 if not hubs:
                     continue
-                cost = placement_cost(problem, hubs, backend="python")
+                cost = scalar_placement_cost(problem, hubs)
                 if cost < best_cost:
                     best_cost = cost
                     best_hubs = hubs
@@ -272,7 +270,7 @@ class BranchAndBoundSolver:
         if best_hubs is None:
             # Degenerate fallback: place every candidate.
             best_hubs = tuple(candidates)
-            best_cost = placement_cost(problem, best_hubs, backend="python")
+            best_cost = scalar_placement_cost(problem, best_hubs)
             proven_optimal = False
 
         plan = plan_for_placement(problem, best_hubs, method="milp-branch-and-bound")

@@ -1,13 +1,10 @@
 """Data model of the PCH placement problem and its solutions.
 
 :class:`PlacementProblem` carries the paper's decision-variable structure
-(binary placements ``x_n``, binary assignments ``y_mn``, equations 1-5) plus
-the execution ``backend`` knob shared with the routing and baseline
-subsystems: ``"python"`` evaluates objectives through the scalar nested-dict
-reference arithmetic, ``"numpy"`` (the default) through the index-mapped
-:class:`~repro.placement.costs.CostArrays` kernels.  Both backends make
-identical decisions; the differential suite in
-``tests/placement/test_backend_equivalence.py`` pins them together.
+(binary placements ``x_n``, binary assignments ``y_mn``, equations 1-5): a
+nested-dict :class:`~repro.placement.costs.PlacementCostModel` plus its
+index-mapped :class:`~repro.placement.costs.CostArrays` mirror, on which the
+solvers evaluate objectives.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Tuple
 
 from repro.placement.costs import CostArrays, PlacementCostModel
-from repro.routing.prices import validate_backend
 
 NodeId = Hashable
 
@@ -70,17 +66,11 @@ class PlacementProblem:
     exactly one *placed* candidate.
     """
 
-    def __init__(
-        self,
-        cost_model: PlacementCostModel,
-        omega: float = 0.05,
-        backend: str = "numpy",
-    ) -> None:
+    def __init__(self, cost_model: PlacementCostModel, omega: float = 0.05) -> None:
         if omega < 0:
             raise ValueError("omega must be non-negative")
         self.costs = cost_model
         self.omega = float(omega)
-        self.backend = validate_backend(backend)
 
     # ------------------------------------------------------------------ #
     # convenience accessors
@@ -165,8 +155,4 @@ class PlacementProblem:
 
     def with_omega(self, omega: float) -> "PlacementProblem":
         """A copy of the problem with a different cost weight (for omega sweeps)."""
-        return PlacementProblem(self.costs, omega, backend=self.backend)
-
-    def with_backend(self, backend: str) -> "PlacementProblem":
-        """A copy of the problem evaluated on a different execution backend."""
-        return PlacementProblem(self.costs, self.omega, backend=backend)
+        return PlacementProblem(self.costs, omega)

@@ -13,14 +13,13 @@ The facade also builds cost models straight from a
 :class:`~repro.topology.network.PCNetwork`, which is how the rest of the
 library (and the Splicer system itself) invokes placement.
 
-Execution backends: :func:`solve_placement` and :func:`build_problem` accept
-the repo-wide ``backend="python"|"numpy"`` knob (numpy default).  The knob
-selects the arithmetic of the *scalable* paths -- the double-greedy family
-and the Lemma-1 client attachment -- which is where large instances spend
-their time.  The exact enumerative methods (``brute``/``milp``/``exact``)
-always score candidate subsets with the scalar reference arithmetic: they
-are small-scale by definition, and evaluating ties with one fixed evaluation
-order keeps their reported optimum identical whatever the backend.
+The scalable paths -- the double-greedy family and the Lemma-1 client
+attachment, which is where large instances spend their time -- evaluate on
+the :class:`~repro.placement.costs.CostArrays` kernels.  The exact
+enumerative methods (``brute``/``milp``/``exact``) score candidate subsets
+with :func:`~repro.placement.assignment.scalar_placement_cost`: they are
+small-scale by definition, and evaluating ties with one fixed evaluation
+order pins which of several tied subsets is reported as the optimum.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence, Set, Tuple, Union
 
 
-from repro.placement.assignment import placement_cost, plan_for_placement
+from repro.placement.assignment import plan_for_placement, scalar_placement_cost
 from repro.placement.bruteforce import MAX_BRUTE_FORCE_CANDIDATES, brute_force_placement
 from repro.placement.costs import cost_model_from_network
 from repro.placement.milp import solve_placement_milp
@@ -70,9 +69,8 @@ class CombinatorialBranchAndBound:
         problem = self.problem
         candidates = list(problem.candidates)
         # Order candidates by how attractive they are as the sole hub, which
-        # tends to find good incumbents early.  Subset scores use the scalar
-        # reference arithmetic so the search is backend-independent.
-        candidates.sort(key=lambda c: placement_cost(problem, {c}, backend="python"))
+        # tends to find good incumbents early.
+        candidates.sort(key=lambda c: scalar_placement_cost(problem, {c}))
 
         best_hubs: Optional[Tuple[NodeId, ...]] = None
         best_cost = float("inf")
@@ -80,7 +78,7 @@ class CombinatorialBranchAndBound:
             warm = tuple(set(initial_hubs) & set(candidates))
             if warm:
                 best_hubs = warm
-                best_cost = placement_cost(problem, warm, backend="python")
+                best_cost = scalar_placement_cost(problem, warm)
 
         zeta = problem.costs.zeta
         epsilon = problem.costs.epsilon
@@ -106,7 +104,7 @@ class CombinatorialBranchAndBound:
                 return
             if index == len(candidates):
                 if forced_in:
-                    cost = placement_cost(problem, forced_in, backend="python")
+                    cost = scalar_placement_cost(problem, forced_in)
                     if cost < best_cost:
                         best_cost = cost
                         best_hubs = tuple(forced_in)
@@ -186,14 +184,13 @@ def build_problem(
     clients: Optional[Sequence[NodeId]] = None,
     candidates: Optional[Sequence[NodeId]] = None,
     uniform_delta: bool = False,
-    backend: str = "numpy",
     hops: Optional[dict] = None,
 ) -> PlacementProblem:
     """Construct a placement problem from a PCN with the paper's cost model.
 
     ``hops`` optionally injects pre-probed per-candidate hop-count dicts
     (the figure-9 pipeline's persistent hop-matrix cache); otherwise the
-    probe runs on ``backend`` (batched csgraph sweep for ``numpy``).
+    network is probed with one batched csgraph sweep.
     """
     cost_model = cost_model_from_network(
         network,
@@ -201,9 +198,8 @@ def build_problem(
         candidates=candidates,
         uniform_delta=uniform_delta,
         hops=hops,
-        backend=backend,
     )
-    return PlacementProblem(cost_model, omega=omega, backend=backend)
+    return PlacementProblem(cost_model, omega=omega)
 
 
 def solve_placement(
@@ -211,7 +207,6 @@ def solve_placement(
     omega: float = 0.05,
     method: str = "auto",
     seed: Optional[int] = 0,
-    backend: Optional[str] = None,
     **solver_options: object,
 ) -> PlacementPlan:
     """Solve the PCH placement problem for a network or a prepared instance.
@@ -229,19 +224,12 @@ def solve_placement(
             when a network is supplied).
         method: Placement algorithm, see :data:`METHODS`.
         seed: Seed for the randomized greedy variant.
-        backend: Execution backend (``"python"`` scalar reference or the
-            vectorized ``"numpy"``).  ``None`` keeps a supplied problem's
-            backend, and defaults to ``"numpy"`` when a network is supplied.
         **solver_options: Extra :class:`PlacementSolver` fields
             (``deterministic_greedy``, ``local_search``, ``small_scale_limit``).
     """
     if isinstance(network_or_problem, PlacementProblem):
         problem = network_or_problem
-        if backend is not None and backend != problem.backend:
-            problem = problem.with_backend(backend)
     else:
-        problem = build_problem(
-            network_or_problem, omega=omega, backend=backend or "numpy"
-        )
+        problem = build_problem(network_or_problem, omega=omega)
     solver = PlacementSolver(problem, method=method, seed=seed, **solver_options)
     return solver.solve()

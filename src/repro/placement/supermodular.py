@@ -13,8 +13,7 @@ This module implements:
 * :func:`objective_upper_bound` -- a valid ``f_ub``,
 * :class:`ObjectiveEngine` -- an incremental evaluator of ``f`` over an
   evolving placement, with per-candidate marginal-gain caching; probes run
-  on the problem's execution backend (scalar dict walks or the
-  :class:`~repro.placement.costs.CostArrays` kernels),
+  on the :class:`~repro.placement.costs.CostArrays` kernels,
 * :func:`double_greedy_placement` -- Algorithm 1 (randomized, or the
   deterministic variant when ``deterministic=True``), with an optional
   single-swap local-search polish driven by a lazy re-evaluation queue,
@@ -22,13 +21,13 @@ This module implements:
 * :func:`is_supermodular` -- an exhaustive/sampled checker for the
   supermodularity property (used to validate Lemma 2's uniform-cost case).
 
-Backend equivalence: both backends run the *same* decision sequence; only
-the arithmetic engine differs.  Marginal gains within ``GAIN_TOLERANCE`` of
-zero are snapped to exactly zero before any branch, and every gain
-comparison -- the deterministic keep/drop choice, the local-search
-improvement test and greedy descent's cross-candidate best-removal pick --
-carries the same tolerance, so floating-point noise between the two
-evaluation orders cannot flip a decision.
+Decision stability: marginal gains within ``GAIN_TOLERANCE`` of zero are
+snapped to exactly zero before any branch, and every gain comparison -- the
+deterministic keep/drop choice, the local-search improvement test and greedy
+descent's cross-candidate best-removal pick -- carries the same tolerance,
+so floating-point noise between this regrouped arithmetic and the
+nested-dict oracle in :mod:`repro.reference.placement` cannot flip a
+decision.
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.placement.assignment import (
-    plan_for_placement,
     placement_cost,
+    plan_for_placement,
+    scalar_placement_cost,
     vectorized_placement_cost,
 )
 from repro.placement.problem import PlacementPlan, PlacementProblem
@@ -49,8 +49,8 @@ from repro.placement.problem import PlacementPlan, PlacementProblem
 NodeId = Hashable
 
 #: Marginal gains within this tolerance of zero are treated as exactly zero,
-#: and improvement/keep-drop comparisons use it as slack, so both execution
-#: backends branch identically on (near-)tied probes.
+#: and improvement/keep-drop comparisons use it as slack, so (near-)tied
+#: probes branch the same way whatever the floating-point evaluation order.
 GAIN_TOLERANCE = 1e-12
 
 
@@ -95,71 +95,48 @@ class ObjectiveEngine:
 
     Instead of re-running :func:`placement_objective` from scratch for every
     probe, the engine maintains the current subset, its objective value and
-    (on the numpy backend) the sorted hub-row vector of the
+    the sorted hub-row vector of the
     :class:`~repro.placement.costs.CostArrays` mirror.  Marginal gains are
     cached per candidate and keyed by a state *version* that bumps on every
     applied move: a cached gain is served for free while the subset is
     unchanged and lazily re-evaluated the next time the candidate is probed
     after a move -- the re-evaluation queue of the local search leans on
     exactly this.
-
-    On ``backend="python"`` every evaluation delegates to the scalar
-    reference arithmetic, so the engine adds caching without changing any
-    number the reference would produce.
     """
 
     def __init__(self, problem: PlacementProblem, members: Iterable[NodeId] = ()) -> None:
         self.problem = problem
-        self.backend = problem.backend
         self.members: Set[NodeId] = set(members)
         self.version = 0
-        #: ``candidate -> (version, gain, resulting objective value)``.
-        self._gain_cache: Dict[NodeId, Tuple[int, float, float]] = {}
-        if self.backend == "numpy":
-            self._rows = problem.arrays.candidate_rows(self.members)
-        self.value = self._evaluate_members()
+        #: ``candidate -> (version, gain, resulting value, resulting rows)``.
+        self._gain_cache: Dict[NodeId, Tuple[int, float, float, np.ndarray]] = {}
+        self._rows = problem.arrays.candidate_rows(self.members)
+        self.value = self._evaluate_rows(self._rows)
 
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
-    def _evaluate_members(self) -> float:
-        if not self.members:
+    def _evaluate_rows(self, rows: np.ndarray) -> float:
+        if not len(rows):
             return objective_upper_bound(self.problem)
-        if self.backend == "numpy":
-            return vectorized_placement_cost(self.problem, self._rows)
-        return placement_cost(self.problem, self.members, backend="python")
+        return vectorized_placement_cost(self.problem, rows)
 
-    def _evaluate_subset(self, subset: Set[NodeId], rows: Optional[np.ndarray]) -> float:
-        if not subset:
-            return objective_upper_bound(self.problem)
-        if self.backend == "numpy":
-            return vectorized_placement_cost(self.problem, rows)
-        return placement_cost(self.problem, subset, backend="python")
-
-    def _probe(self, candidate: NodeId) -> Tuple[float, float]:
-        """(gain, resulting value) of toggling ``candidate``, cache-backed."""
+    def _probe(self, candidate: NodeId) -> Tuple[float, float, np.ndarray]:
+        """(gain, resulting value, resulting rows) of toggling ``candidate``."""
         cached = self._gain_cache.get(candidate)
         if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2]
+            return cached[1:]
+        row = self.problem.arrays.candidate_index[candidate]
         if candidate in self.members:
-            subset = self.members - {candidate}
-            rows = None
-            if self.backend == "numpy":
-                row = self.problem.arrays.candidate_index[candidate]
-                rows = self._rows[self._rows != row]
+            rows = self._rows[self._rows != row]
         else:
-            subset = self.members | {candidate}
-            rows = None
-            if self.backend == "numpy":
-                row = self.problem.arrays.candidate_index[candidate]
-                position = int(np.searchsorted(self._rows, row))
-                rows = np.insert(self._rows, position, row)
-        value = self._evaluate_subset(subset, rows)
+            rows = np.insert(self._rows, int(np.searchsorted(self._rows, row)), row)
+        value = self._evaluate_rows(rows)
         gain = value - self.value
         if abs(gain) < GAIN_TOLERANCE:
             gain = 0.0
-        self._gain_cache[candidate] = (self.version, gain, value)
-        return gain, value
+        self._gain_cache[candidate] = (self.version, gain, value, rows)
+        return gain, value, rows
 
     def add_gain(self, candidate: NodeId) -> float:
         """``f(S | {u}) - f(S)``; ``candidate`` must not be a member."""
@@ -182,19 +159,8 @@ class ObjectiveEngine:
     # ------------------------------------------------------------------ #
     def apply_toggle(self, candidate: NodeId) -> None:
         """Flip the candidate's membership, reusing the probe's exact value."""
-        _, value = self._probe(candidate)
-        if candidate in self.members:
-            self.members.remove(candidate)
-            if self.backend == "numpy":
-                row = self.problem.arrays.candidate_index[candidate]
-                self._rows = self._rows[self._rows != row]
-        else:
-            self.members.add(candidate)
-            if self.backend == "numpy":
-                row = self.problem.arrays.candidate_index[candidate]
-                position = int(np.searchsorted(self._rows, row))
-                self._rows = np.insert(self._rows, position, row)
-        self.value = value
+        _, self.value, self._rows = self._probe(candidate)
+        self.members ^= {candidate}
         self.version += 1
 
 
@@ -256,11 +222,8 @@ def double_greedy_placement(
     solution = set(lower.members)
     if not solution:
         # Infeasible corner case (can only happen on degenerate cost models):
-        # fall back to the single cheapest hub, scored with the scalar
-        # reference arithmetic so tie-breaks cannot differ across backends.
-        solution = {
-            min(candidates, key=lambda c: placement_cost(problem, {c}, backend="python"))
-        }
+        # fall back to the single cheapest hub.
+        solution = {min(candidates, key=lambda c: scalar_placement_cost(problem, {c}))}
         lower = ObjectiveEngine(problem, solution)
 
     if local_search:
@@ -318,8 +281,8 @@ def greedy_descent_placement(problem: PlacementProblem) -> PlacementPlan:
             gain = engine.remove_gain(candidate)
             # Tolerance also on the cross-candidate comparison: a later
             # candidate must beat the incumbent by more than floating-point
-            # noise, so near-tied gains resolve to the same (earlier,
-            # candidate-order) choice on both backends.
+            # noise, so near-tied gains resolve to the earlier
+            # (candidate-order) choice.
             if gain < best_gain - GAIN_TOLERANCE:
                 best_gain = gain
                 best_candidate = candidate

@@ -1,0 +1,180 @@
+"""networkx hop helpers and Table-II path selectors.
+
+The scalar counterparts of :mod:`repro.topology.graph_backend` and
+:mod:`repro.routing.paths`: every query walks the network's lazily
+materialized :attr:`~repro.topology.network.PCNetwork.graph` mirror, whose
+node and adjacency order equal the CSR mirror's, so path lists match the
+production kernels exactly (order and tie-breaks included; pinned by
+``tests/topology/test_graph_backend_equivalence.py``).
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from functools import partial
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+
+import networkx as nx
+
+from repro.routing.paths import _HEURISTIC_CANDIDATE_POOL, _join_landmark_legs
+from repro.topology.network import PCNetwork
+
+NodeId = Hashable
+Path = List[NodeId]
+
+
+def hop_count(network: PCNetwork, source: NodeId, target: NodeId) -> int:
+    """Hops on a shortest path; raises ``nx.NetworkXNoPath`` when disconnected."""
+    if source == target:
+        return 0
+    return nx.shortest_path_length(network.graph, source, target)
+
+
+def hop_counts_from(network: PCNetwork, source: NodeId) -> Dict[NodeId, int]:
+    """Hop count from ``source`` to every reachable node."""
+    return dict(nx.single_source_shortest_path_length(network.graph, source))
+
+
+def all_pairs_hop_counts(network: PCNetwork) -> Dict[NodeId, Dict[NodeId, int]]:
+    """Hop-count matrix for the whole network (BFS from every node)."""
+    return {
+        source: lengths for source, lengths in nx.all_pairs_shortest_path_length(network.graph)
+    }
+
+
+def shortest_path(network: PCNetwork, source: NodeId, target: NodeId) -> Path:
+    """One shortest (fewest-hops) path between two nodes."""
+    return nx.shortest_path(network.graph, source, target)
+
+
+def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int) -> List[Path]:
+    """Up to ``k`` loop-free shortest paths by hop count (the KSP column)."""
+    if k <= 0 or source == target:
+        return []
+    paths: List[Path] = []
+    try:
+        for path in nx.shortest_simple_paths(network.graph, source, target):
+            paths.append(list(path))
+            if len(paths) >= k:
+                break
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return []
+    return paths
+
+
+def heuristic_widest_paths(
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
+) -> List[Path]:
+    """The ``k`` shortest-pool candidates with the highest bottleneck funds."""
+    if k <= 0 or source == target:
+        return []
+    pool = k_shortest_paths(network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL))
+    ranked = sorted(pool, key=lambda path: network.path_capacity(path), reverse=True)
+    return ranked[:k]
+
+
+def _widest_path(
+    graph: nx.Graph,
+    network: PCNetwork,
+    source: NodeId,
+    target: NodeId,
+    excluded_edges: Set[frozenset],
+) -> Optional[Path]:
+    """Maximum-bottleneck path over directional spendable balances.
+
+    A Dijkstra variant where the path metric is the minimum directional
+    balance along the path and we maximize that minimum.  Edges in
+    ``excluded_edges`` are skipped (used to enforce edge-disjointness).
+    """
+    best_width: Dict[NodeId, float] = {source: float("inf")}
+    previous: Dict[NodeId, NodeId] = {}
+    counter = itertools.count()
+    heap: List[Tuple[float, int, NodeId]] = [(-float("inf"), next(counter), source)]
+    visited: Set[NodeId] = set()
+    while heap:
+        negative_width, _, node = heapq.heappop(heap)
+        width = -negative_width
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == target:
+            break
+        for neighbor in graph.neighbors(node):
+            edge_key = frozenset((node, neighbor))
+            if edge_key in excluded_edges or neighbor in visited:
+                continue
+            available = network.channel(node, neighbor).balance(node)
+            if available <= 0:
+                continue
+            new_width = min(width, available)
+            if new_width > best_width.get(neighbor, 0.0):
+                best_width[neighbor] = new_width
+                previous[neighbor] = node
+                heapq.heappush(heap, (-new_width, next(counter), neighbor))
+    if target not in best_width or target not in previous and target != source:
+        return None
+    path: Path = [target]
+    while path[-1] != source:
+        path.append(previous[path[-1]])
+    path.reverse()
+    return path
+
+
+def edge_disjoint_widest_paths(
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
+) -> List[Path]:
+    """Up to ``k`` edge-disjoint widest paths (the EDW column, Splicer's default)."""
+    if k <= 0 or source == target:
+        return []
+    graph = network.graph
+    excluded: Set[frozenset] = set()
+    paths: List[Path] = []
+    for _ in range(k):
+        path = _widest_path(graph, network, source, target, excluded)
+        if path is None or len(path) < 2:
+            break
+        paths.append(path)
+        for a, b in zip(path, path[1:]):
+            excluded.add(frozenset((a, b)))
+    return paths
+
+
+def edge_disjoint_shortest_paths(
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
+) -> List[Path]:
+    """Up to ``k`` edge-disjoint shortest (fewest hops) paths (the EDS column)."""
+    if k <= 0 or source == target:
+        return []
+    working = nx.Graph(network.graph.edges())
+    paths: List[Path] = []
+    for _ in range(k):
+        try:
+            path = nx.shortest_path(working, source, target)
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            break
+        if len(path) < 2:
+            break
+        paths.append(list(path))
+        working.remove_edges_from(list(zip(path, path[1:])))
+    return paths
+
+
+def landmark_paths(
+    network: PCNetwork,
+    source: NodeId,
+    target: NodeId,
+    k: int,
+    landmarks: Sequence[NodeId],
+) -> List[Path]:
+    """Paths through landmark nodes: two networkx shortest legs per landmark."""
+    return _join_landmark_legs(partial(shortest_path, network), source, target, k, landmarks)
+
+
+#: The scalar selectors under the Table-II names of ``PATH_SELECTORS``.
+PATH_SELECTORS = {
+    "ksp": k_shortest_paths,
+    "heuristic": heuristic_widest_paths,
+    "edw": edge_disjoint_widest_paths,
+    "eds": edge_disjoint_shortest_paths,
+}

@@ -24,7 +24,7 @@ from repro.routing.paths import (
     heuristic_widest_paths,
     k_shortest_paths,
 )
-from repro.routing.prices import ChannelPrices, PriceTable
+from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.routing.router import RateRouter, RoutingDecision
 from repro.routing.scheduling import SCHEDULERS, get_scheduler
@@ -41,7 +41,6 @@ __all__ = [
     "heuristic_widest_paths",
     "edge_disjoint_widest_paths",
     "edge_disjoint_shortest_paths",
-    "ChannelPrices",
     "PriceTable",
     "PathRateController",
     "CongestionController",

@@ -11,19 +11,16 @@ All selectors operate on the current spendable balances of a
 :class:`~repro.topology.network.PCNetwork`, i.e. the directional liquidity a
 sender could actually push through the path right now.
 
-Every selector takes the repo-wide ``backend="python"|"numpy"`` knob
-(defaulting to the network's own backend): ``python`` runs the networkx
-walks below -- the readable scalar reference -- while ``numpy`` dispatches
-to the CSR ports in :mod:`repro.topology.graph_backend`, which return the
-identical path lists (order and tie-breaks included; pinned by
-``tests/topology/test_graph_backend_equivalence.py``).
+The selectors run on the CSR kernels of
+:mod:`repro.topology.graph_backend`, which reproduce networkx's path lists
+(order and tie-breaks included); the networkx implementations they were
+ported from live in :mod:`repro.reference.topology` and
+``tests/topology/test_graph_backend_equivalence.py`` pins the two together.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -37,28 +34,18 @@ PathSelector = Callable[[PCNetwork, NodeId, NodeId, int], List[Path]]
 _HEURISTIC_CANDIDATE_POOL = 20
 
 
-def k_shortest_paths(
-    network: PCNetwork,
-    source: NodeId,
-    target: NodeId,
-    k: int,
-    backend: Optional[str] = None,
-) -> List[Path]:
+def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int) -> List[Path]:
     """Up to ``k`` loop-free shortest paths by hop count (the KSP column)."""
     if k <= 0 or source == target:
         return []
     try:
-        return network.shortest_paths(source, target, k, backend=backend)
+        return network.shortest_paths(source, target, k)
     except (nx.NetworkXNoPath, nx.NodeNotFound):
         return []
 
 
 def heuristic_widest_paths(
-    network: PCNetwork,
-    source: NodeId,
-    target: NodeId,
-    k: int,
-    backend: Optional[str] = None,
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
 ) -> List[Path]:
     """Pick the ``k`` candidate paths with the highest bottleneck funds.
 
@@ -67,120 +54,35 @@ def heuristic_widest_paths(
     """
     if k <= 0 or source == target:
         return []
-    pool = k_shortest_paths(
-        network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL), backend=backend
-    )
-    if network.resolve_backend(backend) == "numpy":
-        arrays = network.graph_arrays()
-        arrays.refresh_balances()
-        capacities = arrays.path_capacities(pool)
-        # Same stable descending order as the scalar ``sorted(..., reverse=True)``.
-        ranked = [
-            path for _, path in sorted(
-                zip(capacities, pool), key=lambda item: item[0], reverse=True
-            )
-        ]
-        return ranked[:k]
-    ranked = sorted(pool, key=lambda path: network.path_capacity(path), reverse=True)
+    pool = k_shortest_paths(network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL))
+    arrays = network.graph_arrays()
+    arrays.refresh_balances()
+    capacities = arrays.path_capacities(pool)
+    # Stable descending order: equal capacities keep their shortest-first rank.
+    ranked = [
+        path for _, path in sorted(
+            zip(capacities, pool), key=lambda item: item[0], reverse=True
+        )
+    ]
     return ranked[:k]
 
 
-def _widest_path(
-    graph: nx.Graph,
-    network: PCNetwork,
-    source: NodeId,
-    target: NodeId,
-    excluded_edges: Set[frozenset],
-) -> Optional[Path]:
-    """Maximum-bottleneck path over directional spendable balances.
-
-    A Dijkstra variant where the path metric is the minimum directional
-    balance along the path and we maximize that minimum.  Edges in
-    ``excluded_edges`` are skipped (used to enforce edge-disjointness).
-    """
-    best_width: Dict[NodeId, float] = {source: float("inf")}
-    previous: Dict[NodeId, NodeId] = {}
-    counter = itertools.count()
-    heap: List[Tuple[float, int, NodeId]] = [(-float("inf"), next(counter), source)]
-    visited: Set[NodeId] = set()
-    while heap:
-        negative_width, _, node = heapq.heappop(heap)
-        width = -negative_width
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == target:
-            break
-        for neighbor in graph.neighbors(node):
-            edge_key = frozenset((node, neighbor))
-            if edge_key in excluded_edges or neighbor in visited:
-                continue
-            available = network.channel(node, neighbor).balance(node)
-            if available <= 0:
-                continue
-            new_width = min(width, available)
-            if new_width > best_width.get(neighbor, 0.0):
-                best_width[neighbor] = new_width
-                previous[neighbor] = node
-                heapq.heappush(heap, (-new_width, next(counter), neighbor))
-    if target not in best_width or target not in previous and target != source:
-        return None
-    path: Path = [target]
-    while path[-1] != source:
-        path.append(previous[path[-1]])
-    path.reverse()
-    return path
-
-
 def edge_disjoint_widest_paths(
-    network: PCNetwork,
-    source: NodeId,
-    target: NodeId,
-    k: int,
-    backend: Optional[str] = None,
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
 ) -> List[Path]:
     """Up to ``k`` edge-disjoint widest paths (the EDW column, Splicer's default)."""
     if k <= 0 or source == target:
         return []
-    if network.resolve_backend(backend) == "numpy":
-        return network.graph_arrays().edge_disjoint_widest_paths(source, target, k)
-    graph = network.graph
-    excluded: Set[frozenset] = set()
-    paths: List[Path] = []
-    for _ in range(k):
-        path = _widest_path(graph, network, source, target, excluded)
-        if path is None or len(path) < 2:
-            break
-        paths.append(path)
-        for a, b in zip(path, path[1:]):
-            excluded.add(frozenset((a, b)))
-    return paths
+    return network.graph_arrays().edge_disjoint_widest_paths(source, target, k)
 
 
 def edge_disjoint_shortest_paths(
-    network: PCNetwork,
-    source: NodeId,
-    target: NodeId,
-    k: int,
-    backend: Optional[str] = None,
+    network: PCNetwork, source: NodeId, target: NodeId, k: int
 ) -> List[Path]:
     """Up to ``k`` edge-disjoint shortest (fewest hops) paths (the EDS column)."""
     if k <= 0 or source == target:
         return []
-    if network.resolve_backend(backend) == "numpy":
-        return network.graph_arrays().edge_disjoint_shortest_paths(source, target, k)
-    working = nx.Graph(network.graph.edges())
-    paths: List[Path] = []
-    for _ in range(k):
-        try:
-            path = nx.shortest_path(working, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            break
-        if len(path) < 2:
-            break
-        paths.append(list(path))
-        working.remove_edges_from(list(zip(path, path[1:])))
-    return paths
+    return network.graph_arrays().edge_disjoint_shortest_paths(source, target, k)
 
 
 def landmark_paths(
@@ -189,7 +91,6 @@ def landmark_paths(
     target: NodeId,
     k: int,
     landmarks: Sequence[NodeId],
-    backend: Optional[str] = None,
 ) -> List[Path]:
     """Paths through well-connected landmark nodes (landmark-routing baseline).
 
@@ -197,6 +98,17 @@ def landmark_paths(
     with the shortest landmark->target path (duplicate nodes collapsed).  At
     most ``k`` distinct loop-free paths are returned.
     """
+    return _join_landmark_legs(network.shortest_path, source, target, k, landmarks)
+
+
+def _join_landmark_legs(
+    shortest_path: Callable[[NodeId, NodeId], Path],
+    source: NodeId,
+    target: NodeId,
+    k: int,
+    landmarks: Sequence[NodeId],
+) -> List[Path]:
+    """:func:`landmark_paths` over any fewest-hops ``shortest_path(a, b)``."""
     if k <= 0 or source == target:
         return []
     paths: List[Path] = []
@@ -205,8 +117,8 @@ def landmark_paths(
         if len(paths) >= k:
             break
         try:
-            first_leg = network.shortest_path(source, landmark, backend=backend)
-            second_leg = network.shortest_path(landmark, target, backend=backend)
+            first_leg = shortest_path(source, landmark)
+            second_leg = shortest_path(landmark, target)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             continue
         combined = list(first_leg) + list(second_leg[1:])

@@ -13,20 +13,16 @@ and exposes the derived per-direction *routing price*
 ``(1 + T_fee) * sum of xi`` along the path.  Prices are updated every
 ``tau`` seconds from observations accumulated since the previous update.
 
-The table has two interchangeable backends:
-
-* ``backend="python"`` -- one :class:`ChannelPrices` object per channel,
-  updated in a Python loop.  The readable reference implementation.
-* ``backend="numpy"`` -- all price state lives in the parallel arrays of
-  :class:`repro.routing.state.ChannelArrays`, indexed by a stable channel
-  row map, and the per-epoch update plus all per-path reductions run as
-  vectorized kernels (see :mod:`repro.routing.state`).  Equivalent to the
-  scalar backend within floating-point noise.
+All price state lives in the parallel arrays of
+:class:`repro.routing.state.ChannelArrays`, indexed by a stable channel row
+map, and the per-epoch update plus all per-path reductions run as vectorized
+kernels (see :mod:`repro.routing.state`).  The one-object-per-channel scalar
+table these kernels were derived from is :mod:`repro.reference.routing`;
+the routing differential suite pins the two within 1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -42,16 +38,6 @@ DEFAULT_KAPPA = 0.01
 DEFAULT_ETA = 0.01
 DEFAULT_T_FEE = 0.01
 
-#: Backends understood by the price table and the rate controller.
-BACKENDS = ("python", "numpy")
-
-
-def validate_backend(backend: str) -> str:
-    """Normalize and validate a backend name."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
 
 def channel_key(node_a: NodeId, node_b: NodeId) -> ChannelKey:
     """Canonical (order-independent) key for a channel."""
@@ -59,112 +45,12 @@ def channel_key(node_a: NodeId, node_b: NodeId) -> ChannelKey:
     return (first, second)
 
 
-@dataclass
-class ChannelPrices:
-    """Price state and per-interval observations for one channel.
-
-    Attributes:
-        node_a: First endpoint (canonical order).
-        node_b: Second endpoint (canonical order).
-        capacity: Total channel capacity ``c_ab``.
-        capacity_price: ``lambda_ab`` (shared by both directions).
-        imbalance_price: Per-direction ``mu``; key is the sending endpoint.
-        required_funds: Per-endpoint funds needed to sustain current rates
-            (``n_a``, ``n_b``), reported by the rate controller.
-        arrived_value: Value that entered the channel from each endpoint since
-            the last price update (``m_a``, ``m_b``).
-    """
-
-    node_a: NodeId
-    node_b: NodeId
-    capacity: float
-    capacity_price: float = 0.0
-    imbalance_price: Dict[NodeId, float] = field(default_factory=dict)
-    required_funds: Dict[NodeId, float] = field(default_factory=dict)
-    arrived_value: Dict[NodeId, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for node in (self.node_a, self.node_b):
-            self.imbalance_price.setdefault(node, 0.0)
-            self.required_funds.setdefault(node, 0.0)
-            self.arrived_value.setdefault(node, 0.0)
-
-    # ------------------------------------------------------------------ #
-    # observations
-    # ------------------------------------------------------------------ #
-    def observe_arrival(self, sender: NodeId, value: float) -> None:
-        """Record value sent into the channel from ``sender`` this interval."""
-        self._check(sender)
-        self.arrived_value[sender] += value
-
-    def set_required_funds(self, node: NodeId, funds: float) -> None:
-        """Set ``n_node``: the funds needed to sustain the node's sending rate."""
-        self._check(node)
-        self.required_funds[node] = max(funds, 0.0)
-
-    # ------------------------------------------------------------------ #
-    # price updates (equations 21-22)
-    # ------------------------------------------------------------------ #
-    def update(self, kappa: float, eta: float, decay: float = 0.0) -> None:
-        """Apply one price-update step and reset the interval observations.
-
-        Equations (21)-(22) with the excess/imbalance terms normalized by the
-        channel capacity, so that one step size works across the heavy-tailed
-        range of channel sizes (the paper tunes kappa/eta on one testbed;
-        normalization plays the same role here).
-
-        ``decay`` leaks a small fraction of both prices per update.  Without
-        it a direction that stops carrying traffic keeps its last price
-        forever (no observations means no updates), so a throttled direction
-        would never be retried; the decay lets prices relax and blocked
-        directions probe again once conditions may have improved.
-        """
-        scale = max(self.capacity, 1e-9)
-        total_required = self.required_funds[self.node_a] + self.required_funds[self.node_b]
-        self.capacity_price = max(
-            0.0, self.capacity_price + kappa * (total_required - self.capacity) / scale
-        )
-        arrived_a = self.arrived_value[self.node_a]
-        arrived_b = self.arrived_value[self.node_b]
-        delta = eta * (arrived_a - arrived_b) / scale
-        self.imbalance_price[self.node_a] = max(0.0, self.imbalance_price[self.node_a] + delta)
-        self.imbalance_price[self.node_b] = max(0.0, self.imbalance_price[self.node_b] - delta)
-        if decay > 0.0:
-            keep = max(0.0, 1.0 - decay)
-            self.capacity_price *= keep
-            self.imbalance_price[self.node_a] *= keep
-            self.imbalance_price[self.node_b] *= keep
-        self.arrived_value = {self.node_a: 0.0, self.node_b: 0.0}
-
-    # ------------------------------------------------------------------ #
-    # derived prices (equations 23-24)
-    # ------------------------------------------------------------------ #
-    def routing_price(self, sender: NodeId) -> float:
-        """``xi`` for the ``sender -> other`` direction."""
-        self._check(sender)
-        receiver = self.node_b if sender == self.node_a else self.node_a
-        return (
-            2.0 * self.capacity_price
-            + self.imbalance_price[sender]
-            - self.imbalance_price[receiver]
-        )
-
-    def forwarding_fee(self, sender: NodeId, t_fee: float) -> float:
-        """Fee the sender-side hub pays the receiver-side hub (equation 24)."""
-        return max(0.0, t_fee * self.routing_price(sender))
-
-    def _check(self, node: NodeId) -> None:
-        if node not in (self.node_a, self.node_b):
-            raise KeyError(f"{node!r} is not an endpoint of channel {self.node_a!r}-{self.node_b!r}")
-
-
 class _ArraySideMap:
-    """Dict-like view over one directed quantity of an array-backed channel.
+    """Dict-like view over one directed quantity of a channel's array rows.
 
-    Presents ``{endpoint: value}`` access (as the scalar
-    :class:`ChannelPrices` dictionaries do) on top of a ``(2, n)`` state
-    array row, so code written against the scalar API keeps working on the
-    vectorized backend.
+    Presents ``{endpoint: value}`` access on top of a ``(2, n)`` state array
+    row, so per-channel reads and writes (tests, diagnostics) need not know
+    the row layout.
     """
 
     __slots__ = ("_table", "_array_name", "_key", "_row")
@@ -191,19 +77,13 @@ class _ArraySideMap:
         getattr(self._table._channels, self._array_name)[side, self._row] = float(value)
         self._table._channels.version += 1
 
-    def get(self, node: NodeId, default: float = 0.0) -> float:
-        try:
-            return self[node]
-        except KeyError:
-            return default
-
 
 class ChannelPricesView:
-    """Scalar-API view of one channel's rows in the array backend.
+    """Per-channel view of one channel's rows in the price arrays.
 
-    Duck-typed like :class:`ChannelPrices`: reads and writes go straight to
-    the shared arrays, so mutating a view (as tests and diagnostics do) is
-    observed by the vectorized kernels and vice versa.
+    Reads and writes go straight to the shared arrays, so mutating a view
+    (as tests and diagnostics do) is observed by the vectorized kernels and
+    vice versa.
     """
 
     __slots__ = ("_table", "_key", "_row")
@@ -277,7 +157,6 @@ class PriceTable:
         eta: float = DEFAULT_ETA,
         t_fee: float = DEFAULT_T_FEE,
         decay: float = 0.0,
-        backend: str = "python",
     ) -> None:
         if not 0.0 < t_fee < 1.0:
             raise ValueError("T_fee must be in (0, 1)")
@@ -286,19 +165,12 @@ class PriceTable:
         self.eta = float(eta)
         self.t_fee = float(t_fee)
         self.decay = float(decay)
-        self.backend = validate_backend(backend)
-        self._prices: Dict[ChannelKey, ChannelPrices] = {}
         self._channels = ChannelArrays()
         self._paths = PathIndex(self._channels)
         self._pending_arrived: Dict[Tuple[int, int], float] = {}
-        self._scalar_version = 0
         self._path_generation = 0
         for channel in network.channels():
-            key = channel_key(channel.node_a, channel.node_b)
-            if self.backend == "numpy":
-                self._channels.add(key, channel.capacity)
-            else:
-                self._prices[key] = ChannelPrices(key[0], key[1], channel.capacity)
+            self._channels.add(channel_key(channel.node_a, channel.node_b), channel.capacity)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -323,35 +195,21 @@ class PriceTable:
             return self._channels.add(key, 0.0)
         raise KeyError(f"no priced channel between {node_a!r} and {node_b!r}")
 
-    def prices(self, node_a: NodeId, node_b: NodeId):
+    def prices(self, node_a: NodeId, node_b: NodeId) -> ChannelPricesView:
         """Price state of the channel between two adjacent nodes.
 
         Channels opened after the table was built (network dynamics) get a
-        fresh zero-price entry on first access.  The scalar backend returns
-        the owning :class:`ChannelPrices`; the numpy backend returns an
-        equivalent :class:`ChannelPricesView` into the shared arrays.
+        fresh zero-price entry on first access.
         """
-        if self.backend == "numpy":
-            key = channel_key(node_a, node_b)
-            return ChannelPricesView(self, key, self._channel_row(node_a, node_b))
         key = channel_key(node_a, node_b)
-        try:
-            return self._prices[key]
-        except KeyError:
-            if self.network.has_channel(node_a, node_b):
-                channel = self.network.channel(node_a, node_b)
-                self._prices[key] = ChannelPrices(key[0], key[1], channel.capacity)
-                return self._prices[key]
-            raise KeyError(f"no priced channel between {node_a!r} and {node_b!r}") from None
+        return ChannelPricesView(self, key, self._channel_row(node_a, node_b))
 
-    def all_prices(self) -> Iterable[ChannelPrices]:
+    def all_prices(self) -> Iterable[ChannelPricesView]:
         """Iterate over every channel's price state."""
-        if self.backend == "numpy":
-            return [
-                ChannelPricesView(self, key, row)
-                for row, key in enumerate(self._channels.index.keys())
-            ]
-        return self._prices.values()
+        return [
+            ChannelPricesView(self, key, row)
+            for row, key in enumerate(self._channels.index.keys())
+        ]
 
     # ------------------------------------------------------------------ #
     # observations and updates
@@ -363,12 +221,9 @@ class PriceTable:
 
     def observe_transfer(self, sender: NodeId, receiver: NodeId, value: float) -> None:
         """Record that ``value`` moved ``sender -> receiver`` this interval."""
-        if self.backend == "numpy":
-            key = channel_key(sender, receiver)
-            row = self._channel_row(sender, receiver)
-            self._observe_row(row, self._channels.side(key, sender), value)
-            return
-        self.prices(sender, receiver).observe_arrival(sender, value)
+        key = channel_key(sender, receiver)
+        row = self._channel_row(sender, receiver)
+        self._observe_row(row, self._channels.side(key, sender), value)
 
     def set_required_funds(
         self, sender: NodeId, receiver: NodeId, funds: float, lenient: bool = False
@@ -380,51 +235,36 @@ class PriceTable:
         by the rate controller, whose registered paths may outlive a
         channel under network dynamics.
         """
-        if self.backend == "numpy":
-            key = channel_key(sender, receiver)
-            row = self._channel_row(sender, receiver, lenient=lenient)
-            self._channels.required[self._channels.side(key, sender), row] = max(funds, 0.0)
-            self._channels.version += 1
-            return
-        entry = self._lenient_prices(sender, receiver) if lenient else self.prices(sender, receiver)
-        entry.set_required_funds(sender, funds)
+        key = channel_key(sender, receiver)
+        row = self._channel_row(sender, receiver, lenient=lenient)
+        self._channels.required[self._channels.side(key, sender), row] = max(funds, 0.0)
+        self._channels.version += 1
 
     def update_all(self) -> None:
         """Run the per-interval price update (equations 21-22) on every channel."""
-        if self.backend == "numpy":
-            arrived = self._channels.arrived
-            for (row, side), value in self._pending_arrived.items():
-                arrived[side, row] += value
-            self._pending_arrived.clear()
-            self._channels.update_prices(self.kappa, self.eta, self.decay)
-            return
-        for prices in self._prices.values():
-            prices.update(self.kappa, self.eta, self.decay)
-        self._scalar_version += 1
+        arrived = self._channels.arrived
+        for (row, side), value in self._pending_arrived.items():
+            arrived[side, row] += value
+        self._pending_arrived.clear()
+        self._channels.update_prices(self.kappa, self.eta, self.decay)
 
     @property
     def price_version(self) -> int:
         """Counter that advances whenever derived routing prices may change.
 
-        Lets callers cache per-path rankings between price updates.  On the
-        scalar backend it only tracks :meth:`update_all` (direct mutation of
-        a :class:`ChannelPrices` entry is not observable); the numpy backend
-        tracks every mutation that goes through the table or its views.
+        Lets callers cache per-path rankings between price updates; tracks
+        every mutation that goes through the table or its views.
         """
-        if self.backend == "numpy":
-            return self._channels.version
-        return self._scalar_version
+        return self._channels.version
 
     # ------------------------------------------------------------------ #
     # path-level queries (equation 25)
     # ------------------------------------------------------------------ #
     def channel_price(self, sender: NodeId, receiver: NodeId) -> float:
         """Routing price ``xi`` of one directed channel hop."""
-        if self.backend == "numpy":
-            key = channel_key(sender, receiver)
-            row = self._channel_row(sender, receiver)
-            return self._channels.routing_price(row, self._channels.side(key, sender))
-        return self.prices(sender, receiver).routing_price(sender)
+        key = channel_key(sender, receiver)
+        row = self._channel_row(sender, receiver)
+        return self._channels.routing_price(row, self._channels.side(key, sender))
 
     def channel_fee(self, sender: NodeId, receiver: NodeId) -> float:
         """Forwarding fee of one directed channel hop."""
@@ -442,15 +282,14 @@ class PriceTable:
         return channel_rows, signs
 
     def path_row(self, path: Sequence[NodeId], lenient: bool = False) -> int:
-        """Stable row of a path in the table's path index (numpy backend).
+        """Stable row of a path in the table's path index.
 
         Registers the path (and any late-opened channels along it) on first
         sight; rows stay valid until :meth:`prune_paths` replaces the index
         (signalled by :attr:`path_generation`), so callers caching rows must
         key their caches on the generation.  ``lenient`` resolves dead hops
         to zero-capacity placeholder rows (see :meth:`_channel_row`); the
-        strict default raises KeyError for them, matching the scalar
-        backend's single-path queries.
+        strict default raises KeyError for them.
         """
         row = self._paths.get(path)
         if row is not None:
@@ -493,93 +332,45 @@ class PriceTable:
 
     def path_price(self, path: Sequence[NodeId]) -> float:
         """Total routing price ``rho_p = (1 + T_fee) * sum xi`` along a path."""
-        if self.backend == "numpy":
-            row = self.path_row(path)
-            return float(self._paths.path_prices(self.t_fee)[row])
-        total = sum(self.channel_price(a, b) for a, b in zip(path, path[1:]))
-        return (1.0 + self.t_fee) * total
+        row = self.path_row(path)
+        return float(self._paths.path_prices(self.t_fee)[row])
 
     def path_prices(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
-        """Routing prices of many paths at once (vectorized on numpy backend).
+        """Routing prices of many paths at once.
 
         Unlike the strict single-path :meth:`path_price`, the batch API is
         lenient: a hop whose channel opened and closed again before it was
-        ever priced resolves to a zero-capacity placeholder on both backends
-        (on the numpy side via the lenient row registration in
-        :meth:`path_row`) instead of raising, because batch queries come
-        from epoch updates and dispatch over cached paths that network
-        dynamics may have invalidated mid-run.
+        ever priced resolves to a zero-capacity placeholder (via the lenient
+        row registration in :meth:`path_row`) instead of raising, because
+        batch queries come from epoch updates and dispatch over cached paths
+        that network dynamics may have invalidated mid-run.
         """
-        if self.backend == "numpy":
-            rows = self.path_rows(paths)
-            return self._paths.path_prices(self.t_fee)[rows]
-        return np.asarray(
-            [
-                (1.0 + self.t_fee)
-                * sum(
-                    self._lenient_prices(a, b).routing_price(a)
-                    for a, b in zip(path, path[1:])
-                )
-                for path in paths
-            ]
-        )
+        rows = self.path_rows(paths)  # registers unseen paths before the reduction
+        return self._paths.path_prices(self.t_fee)[rows]
 
     def path_prices_by_row(self, rows: np.ndarray) -> np.ndarray:
-        """Routing prices of already-registered path rows (numpy backend)."""
+        """Routing prices of already-registered path rows."""
         return self._paths.path_prices(self.t_fee)[np.asarray(rows, dtype=np.intp)]
 
     def path_fee(self, path: Sequence[NodeId]) -> float:
         """Total forwarding fees the sender pays along a path."""
         return sum(self.channel_fee(a, b) for a, b in zip(path, path[1:]))
 
-    def _lenient_prices(self, node_a: NodeId, node_b: NodeId) -> ChannelPrices:
-        """Scalar-backend entry for a channel, placeholder-creating like the
-        lenient array rows: a channel with neither price state nor a live
-        network channel resolves to a zero-capacity entry (prices like an
-        overloaded channel; the dispatch capacity guard keeps units off it),
-        so both backends give a dead path identical economics."""
-        try:
-            return self.prices(node_a, node_b)
-        except KeyError:
-            key = channel_key(node_a, node_b)
-            entry = ChannelPrices(key[0], key[1], 0.0)
-            self._prices[key] = entry
-            return entry
-
     # ------------------------------------------------------------------ #
     # balance constraint (equation 19)
     # ------------------------------------------------------------------ #
     def path_max_imbalance_gap(self, path: Sequence[NodeId]) -> float:
         """Largest ``mu_sender - mu_receiver`` over the path's hops."""
-        if self.backend == "numpy":
-            row = self.path_row(path)
-            return float(self._paths.max_imbalance_gaps()[row])
-        worst = float("-inf")
-        for sender, receiver in zip(path, path[1:]):
-            prices = self.prices(sender, receiver)
-            gap = prices.imbalance_price[sender] - prices.imbalance_price[receiver]
-            if gap > worst:
-                worst = gap
-        return worst
+        row = self.path_row(path)
+        return float(self._paths.max_imbalance_gaps()[row])
 
     def paths_blocked(self, paths: Sequence[Sequence[NodeId]], max_gap: float) -> np.ndarray:
         """Boolean mask of paths whose worst hop violates the balance bound.
 
         Lenient towards dead hops, like :meth:`path_prices`.
         """
-        if self.backend == "numpy":
-            rows = self.path_rows(paths)
-            return self._paths.max_imbalance_gaps()[rows] > max_gap
-        blocked = []
-        for path in paths:
-            worst = float("-inf")
-            for sender, receiver in zip(path, path[1:]):
-                entry = self._lenient_prices(sender, receiver)
-                gap = entry.imbalance_price[sender] - entry.imbalance_price[receiver]
-                if gap > worst:
-                    worst = gap
-            blocked.append(worst > max_gap)
-        return np.asarray(blocked)
+        rows = self.path_rows(paths)
+        return self._paths.max_imbalance_gaps()[rows] > max_gap
 
     # ------------------------------------------------------------------ #
     # batched required-funds reporting (section IV-D)
@@ -592,10 +383,8 @@ class PriceTable:
     ) -> None:
         """Overwrite required funds from per-path ``rate * delay`` weights.
 
-        Numpy backend only; the scalar backend receives per-channel totals
-        through :meth:`set_required_funds` instead.  ``hops`` may carry a
-        cached ``gather_hops(rows)`` result (the hop structure only changes
-        when the registered path set changes).
+        ``hops`` may carry a cached ``gather_hops(rows)`` result (the hop
+        structure only changes when the registered path set changes).
         """
         self._paths.aggregate_required_funds(rows, weights, hops)
 

@@ -8,11 +8,10 @@ utility of the pair's total rate (so ``U'(r) = 1 / sum_p r_p``) and
 Rates are kept non-negative and, when a demand estimate is known, scaled so
 the demand constraint (17) is respected.
 
-With ``backend="numpy"`` (and a numpy-backed price table) the per-epoch
-gradient step and the required-funds report run as array kernels over a
-flattened view of every registered pair's paths, indexed by the price
-table's stable path rows; the scalar loops below remain the reference
-implementation and the two backends agree within floating-point noise.
+The per-epoch gradient step and the required-funds report run as array
+kernels over a flattened view of every registered pair's paths, indexed by
+the price table's stable path rows; the per-pair loops they replaced live in
+:mod:`repro.reference.routing` and agree within floating-point noise.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.routing.prices import PriceTable, validate_backend
+from repro.routing.prices import PriceTable
 
 NodeId = Hashable
 Pair = Tuple[NodeId, NodeId]
@@ -99,7 +98,6 @@ class PathRateController:
         min_rate: float = DEFAULT_MIN_RATE,
         initial_rate: float = DEFAULT_INITIAL_RATE,
         max_rate: Optional[float] = None,
-        backend: str = "python",
     ) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -109,7 +107,6 @@ class PathRateController:
         self.min_rate = float(min_rate)
         self.initial_rate = float(initial_rate)
         self.max_rate = max_rate
-        self.backend = validate_backend(backend)
         self._pairs: Dict[Pair, PairRateState] = {}
         self._version = 0
         self._flat_cache: Optional[_FlatPaths] = None
@@ -194,9 +191,6 @@ class PathRateController:
         self._flat_cache = cache
         return cache
 
-    def _use_arrays(self, price_table: PriceTable) -> bool:
-        return self.backend == "numpy" and getattr(price_table, "backend", "python") == "numpy"
-
     def _gather_rates(self, flat: _FlatPaths) -> np.ndarray:
         return np.fromiter(
             itertools.chain.from_iterable(state.rates for state in flat.states),
@@ -208,37 +202,12 @@ class PathRateController:
     # rate updates (equation 26)
     # ------------------------------------------------------------------ #
     def update_rates(self, price_table: PriceTable) -> None:
-        """One gradient step on every registered pair."""
-        if self._use_arrays(price_table):
-            self._update_rates_vectorized(price_table)
-            return
-        for state in self._pairs.values():
-            if not state.paths:
-                continue
-            total = max(state.total_rate, self.min_rate if self.min_rate > 0 else 1e-6)
-            marginal_utility = 1.0 / total
-            new_rates = []
-            # The lenient batch API gives a dead path (channel retired by
-            # dynamics before it was ever priced) the same zero-capacity
-            # placeholder economics on both backends.
-            prices = price_table.path_prices(state.paths)
-            for path, rate, price in zip(state.paths, state.rates, prices):
-                price = float(price)
-                updated = rate + self.alpha * (marginal_utility - price)
-                updated = max(updated, self.min_rate)
-                if self.max_rate is not None:
-                    updated = min(updated, self.max_rate)
-                new_rates.append(updated)
-            state.rates = new_rates
-            self._enforce_demand(state)
+        """One gradient step on every registered pair.
 
-    def _update_rates_vectorized(self, price_table: PriceTable) -> None:
-        """Equation (26) plus the demand cap (17) as one array kernel.
-
-        Mirrors the scalar loop operation by operation: marginal utility from
-        the pair totals, gradient step against the path routing prices,
-        clipping to ``[min_rate, max_rate]``, then the per-pair demand
-        rescaling.
+        Equation (26) plus the demand cap (17) as one array kernel: marginal
+        utility from the pair totals, gradient step against the path routing
+        prices, clipping to ``[min_rate, max_rate]``, then the per-pair
+        demand rescaling.
         """
         flat = self._flat(price_table)
         if not flat.states:
@@ -267,16 +236,6 @@ class PathRateController:
             updated = updated * np.repeat(scale, flat.lengths)
         for state, start, end in zip(flat.states, flat.ptr[:-1], flat.ptr[1:]):
             state.rates = updated[start:end].tolist()
-
-    def _enforce_demand(self, state: PairRateState) -> None:
-        """Scale rates down so the pair's total rate respects its demand cap."""
-        if state.demand_rate is None:
-            return
-        total = state.total_rate
-        if total <= state.demand_rate or total <= 0:
-            return
-        scale = state.demand_rate / total
-        state.rates = [rate * scale for rate in state.rates]
 
     def boost_rates(
         self,
@@ -320,24 +279,11 @@ class PathRateController:
         of ``rate * settlement_delay`` over every registered path that uses
         the channel in that direction (section IV-D).
         """
-        if self._use_arrays(price_table):
-            flat = self._flat(price_table)
-            if not flat.states:
-                return
-            weights = self._gather_rates(flat) * settlement_delay
-            price_table.set_required_funds_for_paths(flat.rows, weights, hops=flat.hops)
+        flat = self._flat(price_table)
+        if not flat.states:
             return
-        required: Dict[Tuple[NodeId, NodeId], float] = {}
-        for state in self._pairs.values():
-            for path, rate in zip(state.paths, state.rates):
-                for sender, receiver in zip(path, path[1:]):
-                    key = (sender, receiver)
-                    required[key] = required.get(key, 0.0) + rate * settlement_delay
-        for (sender, receiver), funds in required.items():
-            # Lenient: a registered path can traverse a channel that dynamics
-            # retired before it was ever priced; the placeholder entry keeps
-            # both backends' dead-path economics identical.
-            price_table.set_required_funds(sender, receiver, funds, lenient=True)
+        weights = self._gather_rates(flat) * settlement_delay
+        price_table.set_required_funds_for_paths(flat.rows, weights, hops=flat.hops)
 
     # ------------------------------------------------------------------ #
     # allocation helpers used by the router

@@ -33,7 +33,7 @@ import numpy as np
 from repro.obs import core as obs
 from repro.routing.congestion import CongestionController, QueuedUnit
 from repro.routing.paths import get_path_selector
-from repro.routing.prices import PriceTable, validate_backend
+from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.routing.scheduling import get_scheduler
 from repro.routing.transaction import FailureReason, Payment, TransactionUnit
@@ -86,10 +86,6 @@ class RouterConfig:
         congestion_control_enabled: Disable to ablate windows/queue marking.
         imbalance_pricing_enabled: Disable to ablate the imbalance price
             (the deadlock-avoidance mechanism).
-        backend: ``"numpy"`` (default) runs the per-epoch price/rate updates
-            and the per-path dispatch queries as vectorized array kernels;
-            ``"python"`` keeps the scalar reference implementation.  Both
-            produce the same numbers within floating-point noise.
     """
 
     path_type: str = "edw"
@@ -116,7 +112,6 @@ class RouterConfig:
     rate_control_enabled: bool = True
     congestion_control_enabled: bool = True
     imbalance_pricing_enabled: bool = True
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.path_count < 1:
@@ -125,7 +120,6 @@ class RouterConfig:
             raise ValueError("update_interval must be positive")
         if not 0 < self.t_fee < 1:
             raise ValueError("t_fee must be in (0, 1)")
-        validate_backend(self.backend)
 
 
 @dataclass
@@ -175,7 +169,6 @@ class RateRouter:
             eta=cfg.eta,
             t_fee=cfg.t_fee,
             decay=cfg.price_decay,
-            backend=cfg.backend,
         )
         if not cfg.imbalance_pricing_enabled:
             self.price_table.eta = 0.0
@@ -183,7 +176,6 @@ class RateRouter:
             alpha=cfg.alpha,
             min_rate=cfg.min_rate,
             initial_rate=cfg.initial_rate,
-            backend=cfg.backend,
         )
         self.congestion = CongestionController(
             queue_limit=cfg.queue_limit,
@@ -239,13 +231,7 @@ class RateRouter:
         cached = self._path_cache.get(pair)
         if cached is not None and now - cached[1] < self.config.path_refresh_interval:
             return cached[0]
-        # The selector follows the router's backend knob: the scalar
-        # reference router stays end-to-end scalar, the numpy router rides
-        # the CSR graph backend (identical paths either way).
-        raw = self._select_paths(
-            self.network, pair[0], pair[1], self.config.path_count,
-            backend=self.config.backend,
-        )
+        raw = self._select_paths(self.network, pair[0], pair[1], self.config.path_count)
         paths = [tuple(path) for path in raw]
         self._path_cache[pair] = (paths, now)
         if paths:
@@ -406,8 +392,6 @@ class RateRouter:
         outnumber the active ones several times over, rebuild the index
         around the paths currently cached for live pairs.
         """
-        if self.config.backend != "numpy":
-            return
         active_count = sum(len(paths) for paths, _ in self._path_cache.values())
         if self.price_table.registered_path_count() <= max(512, 4 * active_count):
             return
@@ -487,21 +471,14 @@ class RateRouter:
         (budget, window, live capacity).  Blocked paths -- those whose worst
         hop's imbalance-price gap exceeds ``max_imbalance_gap`` -- are
         excluded up front; they become usable again once reverse flow (or
-        the price decay) restores balance.
-
-        Only the numpy backend caches the ranking: its ``price_version``
-        tracks every price mutation, including direct writes through views.
-        The scalar reference backend re-ranks on every unit (as it did
-        before vectorization), so externally mutated ``ChannelPrices``
-        entries -- something tests and diagnostics do -- take effect
-        immediately.
+        the price decay) restores balance.  The cache key is the table's
+        ``price_version``, which tracks every price mutation, including
+        direct writes through views.
         """
-        caching = self.config.backend == "numpy"
         version = self.price_table.price_version
-        if caching:
-            cached = self._ranked_cache.get(pair)
-            if cached is not None and cached[0] == version and cached[1] is paths:
-                return cached[2]
+        cached = self._ranked_cache.get(pair)
+        if cached is not None and cached[0] == version and cached[1] is paths:
+            return cached[2]
         # Batch queries are lenient towards paths whose channels dynamics
         # retired before they were ever priced: such a path prices against a
         # zero-capacity placeholder and the per-unit capacity guard in
@@ -519,8 +496,7 @@ class RateRouter:
             ),
             key=lambda item: item[0],
         )
-        if caching:
-            self._ranked_cache[pair] = (version, paths, ranked)
+        self._ranked_cache[pair] = (version, paths, ranked)
         return ranked
 
     def _launch_unit(

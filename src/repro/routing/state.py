@@ -1,10 +1,10 @@
-"""Stable index maps and array state for the vectorized routing backend.
+"""Stable index maps and array state for the vectorized routing kernels.
 
 The per-epoch price and rate updates of Algorithm 2 (equations 17-28) touch
-every channel and every registered path once per update interval.  The
-scalar implementation walks Python objects hop by hop; at production scale
-that loop dominates the simulation.  This module provides the shared
-building blocks of the ``backend="numpy"`` fast path:
+every channel and every registered path once per update interval.  Walking
+Python objects hop by hop dominates the simulation at production scale, so
+this module provides the array building blocks the price table and the rate
+controller run on:
 
 * :class:`IndexMap` -- a stable key -> dense-row mapping.  Rows are assigned
   once and never reused or reordered, so array state indexed by a row stays
@@ -19,10 +19,9 @@ building blocks of the ``backend="numpy"`` fast path:
   equation 19) and directed required-funds aggregation (section IV-D) as
   array reductions.
 
-The scalar ``backend="python"`` implementations in
-:mod:`repro.routing.prices` and :mod:`repro.routing.rate_control` remain the
-readable reference; the equivalence test suite pins both backends to the
-same numbers within 1e-9.
+The scalar implementations in :mod:`repro.reference.routing` remain the
+readable reference; the routing differential suite pins the two to the same
+numbers within 1e-9.
 """
 
 from __future__ import annotations
@@ -164,9 +163,17 @@ class ChannelArrays:
     def update_prices(self, kappa: float, eta: float, decay: float = 0.0) -> None:
         """One price-update step over every channel, then reset observations.
 
-        The expressions mirror :meth:`repro.routing.prices.ChannelPrices.update`
-        term by term (same operand order) so the two backends agree to
-        floating-point noise.
+        Equations (21)-(22) with the excess/imbalance terms normalized by the
+        channel capacity, so that one step size works across the heavy-tailed
+        range of channel sizes (the paper tunes kappa/eta on one testbed;
+        normalization plays the same role here).  ``decay`` leaks a small
+        fraction of both prices per update: without it a direction that
+        stops carrying traffic keeps its last price forever (no observations
+        means no updates), so a throttled direction would never be retried.
+
+        The expressions mirror
+        :meth:`repro.reference.routing.ChannelPrices.update` term by term
+        (same operand order) so the two agree to floating-point noise.
         """
         n = len(self.index)
         if n == 0:

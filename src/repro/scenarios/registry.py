@@ -198,22 +198,16 @@ COMPARISON_SCALES: Dict[str, Dict[str, float]] = {
 }
 
 
-def comparison_scheme_spec(scheme: str, backend: str) -> SchemeSpec:
-    """A scheme spec wired to the requested execution backend."""
+def comparison_scheme_spec(scheme: str) -> SchemeSpec:
+    """A figure-8 scheme spec: Splicer places with the double greedy."""
     if scheme == "splicer":
-        return SchemeSpec(
-            name="splicer",
-            params={"router": {"backend": backend}, "placement_method": "greedy"},
-        )
-    if scheme == "a2l":
-        return SchemeSpec(name="a2l")  # single-hub scheme, scalar only
-    return SchemeSpec(name=scheme, params={"backend": backend})
+        return SchemeSpec(name="splicer", params={"placement_method": "greedy"})
+    return SchemeSpec(name=scheme)
 
 
 def build_comparison_spec(
     scale: str,
     schemes: List[str],
-    backend: str = "numpy",
     seeds: Optional[List[int]] = None,
     duration: float = 8.0,
     nodes: Optional[int] = None,
@@ -285,15 +279,11 @@ def build_comparison_spec(
         topology=topology,
         workload=workload,
         # A constant placeholder: every run's grid override replaces it, and
-        # keeping it independent of --schemes/--backend keeps the spec
-        # fingerprint (and therefore resume keys) stable across invocations
-        # that share the same scale/workload but name different schemes.
+        # keeping it independent of --schemes keeps the spec fingerprint
+        # (and therefore resume keys) stable across invocations that share
+        # the same scale/workload but name different schemes.
         schemes=[SchemeSpec(name="splicer")],
-        grid={
-            "schemes.0": [
-                asdict(comparison_scheme_spec(scheme, backend)) for scheme in schemes
-            ]
-        },
+        grid={"schemes.0": [asdict(comparison_scheme_spec(scheme)) for scheme in schemes]},
         seeds=list(seeds) if seeds else [1],
         engine=engine if engine is not None else ("epoch" if scale == "xl" else "events"),
     )
@@ -302,9 +292,7 @@ def build_comparison_spec(
 @register_scenario
 def compare_large() -> ScenarioSpec:
     """The default ``python -m repro compare`` configuration, for discovery."""
-    return build_comparison_spec(
-        "large", ["splicer", "spider", "flash", "landmark"], backend="numpy"
-    )
+    return build_comparison_spec("large", ["splicer", "spider", "flash", "landmark"])
 
 
 @register_scenario

@@ -132,28 +132,6 @@ def _build_recorder(spec: ScenarioSpec, key: str) -> "RunRecorder":
     )
 
 
-def _lean_reconstruction(spec: ScenarioSpec, network_backend: str) -> bool:
-    """Whether a shared-topology worker can reconstruct in lean (CSR-only) mode.
-
-    Lean networks forbid the networkx mirror, so every helper the run touches
-    must resolve to the ``numpy`` backend: the network default and each
-    scheme's declared backend (``params.backend``, or ``params.router.backend``
-    for splicer) all have to be numpy.  A scheme with no declaration inherits
-    the network default.
-    """
-    if network_backend != "numpy":
-        return False
-    for scheme in spec.scheme_specs():
-        params = scheme.params or {}
-        backend = params.get("backend")
-        if scheme.name == "splicer":
-            router = params.get("router") or {}
-            backend = router.get("backend", backend)
-        if (backend or network_backend) != "numpy":
-            return False
-    return True
-
-
 def execute_run(
     task: Tuple[Dict[str, object], int, Dict[str, object]]
 ) -> Dict[str, object]:
@@ -197,7 +175,7 @@ def _run_shard(
     """Build and run one shard's experiment; return its JSON-safe row."""
     network = None
     if block is not None:
-        network = block.build_network(lean=_lean_reconstruction(spec, block.backend))
+        network = block.build_network()
     runner, schemes = spec.build_experiment(seed, network=network)
     store = None
     if spec.path_cache_dir:
@@ -322,8 +300,11 @@ class ScenarioRunner(JsonlGridRunner):
 
         A shared-topology sweep starts by reaping orphaned shared-memory
         segments of dead owner processes (a previous runner killed hard),
-        so crashed sweeps cannot leak machine memory across restarts.
+        so crashed sweeps cannot leak machine memory across restarts.  The
+        spec is validated first: a configuration error is raised here, in
+        the parent, and leaves no failure row or quarantine entry.
         """
+        self.spec.validate()
         if not self.shared_topology:
             return super().run(workers=workers, on_row=on_row)
         from repro.topology.shared import reap_orphan_segments

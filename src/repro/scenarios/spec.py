@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import itertools
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -86,8 +86,8 @@ class TopologySpec:
 
     Attributes:
         kind: Source name from the topology-source registry
-            (:mod:`repro.data.sources`); the classic spelling, still
-            canonical for synthetic generators.
+            (:mod:`repro.data.sources`); the spelling for synthetic
+            generators only -- data-backed sources go through ``source``.
         params: Keyword arguments passed to the source builder verbatim
             (e.g. ``node_count``, ``nearest_neighbors``).
         channel_scale: Scale of the paper's heavy-tailed channel-size
@@ -112,11 +112,20 @@ class TopologySpec:
         An explicit ``source`` descriptor replaces both ``kind`` and
         ``params`` -- the legacy ``params`` field belongs to the legacy
         ``kind`` spelling (a Watts-Strogatz ``node_count`` means nothing to
-        a snapshot loader), so the two spellings never mix.
+        a snapshot loader), so the two spellings never mix.  ``kind`` names
+        synthetic generators only; a data-backed source spelled through it
+        is rejected here, where the parent resolves the spec, rather than
+        inside a shard.
         """
-        if self.source is None:
-            return self.kind, dict(self.params)
-        return _normalize_descriptor(self.source, "topology")
+        if self.source is not None:
+            return _normalize_descriptor(self.source, "topology")
+        if not get_topology_source(self.kind).synthetic:
+            raise ValueError(
+                f"the data-backed topology source {self.kind!r} cannot be spelled "
+                f"through the 'kind' field; use topology.source = "
+                f"{{'kind': {self.kind!r}, ...}} instead"
+            )
+        return self.kind, dict(self.params)
 
     def describe_source(self) -> Dict[str, object]:
         """The active source descriptor (for run manifests and reports)."""
@@ -128,14 +137,6 @@ class TopologySpec:
         """Build the funded network deterministically from ``seed``."""
         kind, params = self.resolved_source()
         info = get_topology_source(kind)
-        if self.source is None and not info.synthetic:
-            warnings.warn(
-                f"spelling the data-backed topology source {kind!r} through the "
-                f"legacy 'kind' field is deprecated; use topology.source = "
-                f"{{'kind': {kind!r}, ...}} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if self.channel_scale not in (None, 1, 1.0) and not info.channel_scale:
             raise ValueError(
                 f"topology source {kind!r} does not support channel_scale "
@@ -364,22 +365,42 @@ class SchemeSpec:
     params: Dict[str, object] = field(default_factory=dict)
 
     def build(self) -> RoutingScheme:
-        """Instantiate the scheme from the baselines registry."""
+        """Instantiate the scheme from the baselines registry.
+
+        An unknown scheme name or constructor parameter raises a
+        ``ValueError`` naming both, so :meth:`ScenarioSpec.validate` can
+        report it from the parent before any shard is dispatched.
+        """
         if self.name not in SCHEME_REGISTRY:
             raise ValueError(
                 f"unknown scheme {self.name!r}; expected one of {sorted(SCHEME_REGISTRY)}"
             )
         params = dict(self.params)
         if self.name == "splicer":
-            router = RouterConfig(**params.pop("router", {}))
+            router_params = dict(params.pop("router", {}))
+            self._reject_unknown(RouterConfig, router_params, prefix="router.")
+            self._reject_unknown(SplicerConfig, params)
             config = SplicerConfig(
-                router=router,
+                router=RouterConfig(**router_params),
                 placement_method=params.pop("placement_method", "greedy"),
                 placement_seed=params.pop("placement_seed", 0),
                 **params,
             )
             return SplicerScheme(config)
-        return SCHEME_REGISTRY[self.name](**params)
+        factory = SCHEME_REGISTRY[self.name]
+        self._reject_unknown(factory, params)
+        return factory(**params)
+
+    def _reject_unknown(self, factory: type, params: Dict[str, object], prefix: str = "") -> None:
+        """Raise for the first of ``params`` that ``factory`` does not accept."""
+        accepted = inspect.signature(factory).parameters
+        for key in params:
+            if key not in accepted:
+                removed = " (the execution-backend option was removed)" if key == "backend" else ""
+                raise ValueError(
+                    f"scheme {self.name!r}: unknown parameter {prefix + key!r}{removed}; "
+                    f"expected one of {sorted(accepted)}"
+                )
 
 
 # ---------------------------------------------------------------------- #
@@ -506,14 +527,35 @@ class ScenarioSpec:
                 raise KeyError(f"override path {path!r} does not resolve on {type(target).__name__}")
         return spec
 
-    def expand_runs(self) -> List[Tuple[int, Dict[str, object]]]:
-        """All (seed, overrides) pairs of the seeds x grid Cartesian product."""
+    def _grid_points(self) -> List[Dict[str, object]]:
+        """Every override combination of the grid (one empty dict without one)."""
         keys = sorted(self.grid)
-        combos: List[Dict[str, object]] = [
+        return [
             dict(zip(keys, values))
             for values in itertools.product(*(self.grid[key] for key in keys))
         ]
+
+    def expand_runs(self) -> List[Tuple[int, Dict[str, object]]]:
+        """All (seed, overrides) pairs of the seeds x grid Cartesian product."""
+        combos = self._grid_points()
         return [(seed, dict(combo)) for seed in self.seeds for combo in combos]
+
+    def validate(self) -> None:
+        """Resolve, for every grid point, what a shard would only find at build time.
+
+        Source names are looked up in their registries and every scheme is
+        constructed once (constructors are cheap and need no network), so a
+        mistyped source, scheme name or scheme parameter raises
+        ``ValueError`` in the parent -- a configuration error -- instead of
+        failing inside each shard, where it would be retried as if transient
+        and then quarantined.
+        """
+        for overrides in self._grid_points():
+            point = self.with_overrides(overrides) if overrides else self
+            point.topology.describe_source()
+            point.workload.describe_source()
+            for scheme in point.scheme_specs():
+                scheme.build()
 
     # -- building ------------------------------------------------------ #
     def scheme_specs(self) -> List[SchemeSpec]:

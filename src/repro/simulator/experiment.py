@@ -7,8 +7,8 @@ through the discrete-event engine, and every scheme is stepped at a fixed
 interval.  By default consecutive arrivals are coalesced and drained in
 epoch-sized batches through :meth:`RoutingScheme.route_batch` -- nothing
 happens between coalesced arrivals and each request keeps its own arrival
-timestamp, so results are identical to per-arrival delivery while vectorized
-scheme backends amortize their work.  The result is one
+timestamp, so results are identical to per-arrival delivery while schemes amortize
+their work across each batch.  The result is one
 :class:`~repro.simulator.metrics.SchemeMetrics` per scheme, which is exactly
 the material of the paper's figures 7, 8 and 9 and Table II.
 """
@@ -167,8 +167,8 @@ class ExperimentRunner:
     figures 7/8 or one cell of Table II.  Mid-run network dynamics are
     applied through the engine with the scheme's fast-path state flushed
     before and invalidated after every mutation (``flush_state`` /
-    ``on_network_change``), so array-mirror backends observe exactly what
-    the scalar reference would.
+    ``on_network_change``), so a scheme's array mirrors observe exactly
+    what code reading the channel objects would.
     """
 
     def __init__(
@@ -246,8 +246,8 @@ class ExperimentRunner:
         coalesced and drained through :meth:`RoutingScheme.route_batch` at
         the next tick or dynamics event.  Nothing happens between coalesced
         arrivals, and each request is routed at its own arrival time, so the
-        decision sequence is identical to per-arrival delivery; schemes with
-        a vectorized backend amortize their work across the batch.
+        decision sequence is identical to per-arrival delivery; schemes
+        amortize their work across the batch.
 
         :class:`~repro.simulator.workload.StreamingWorkload` inputs (trace
         replays) are pulled chunk by chunk at the same drain points instead

@@ -201,22 +201,10 @@ def _weighted_choice_cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _arrival_times_python(times_rng: np.random.Generator, config: WorkloadConfig) -> List[float]:
-    """The scalar arrival loop: one exponential gap at a time."""
-    times: List[float] = []
-    time = 0.0
-    scale = 1.0 / config.arrival_rate
-    while True:
-        time += float(times_rng.exponential(scale))
-        if time > config.duration:
-            return times
-        times.append(time)
+def _arrival_times(times_rng: np.random.Generator, config: WorkloadConfig) -> List[float]:
+    """Poisson arrival times as chunked cumulative sums of exponential gaps.
 
-
-def _arrival_times_numpy(times_rng: np.random.Generator, config: WorkloadConfig) -> List[float]:
-    """Chunked cumulative sums of exponential gaps, bit-identical to the loop.
-
-    ``cumsum`` accumulates left to right exactly like the scalar running
+    ``cumsum`` accumulates left to right exactly like a scalar running
     sum once the previous chunk's last time is folded into the chunk's
     first gap; extra draws past the crossing are discarded, which is safe
     because the arrival stream owns its dedicated child generator.
@@ -236,21 +224,79 @@ def _arrival_times_numpy(times_rng: np.random.Generator, config: WorkloadConfig)
         offset = float(cumulative[-1])
 
 
+def _workload_inputs(
+    network: PCNetwork,
+    config: WorkloadConfig,
+    senders: Optional[Sequence[NodeId]],
+    recipients: Optional[Sequence[NodeId]],
+):
+    """Pools, popularity weights, deadlock motifs and the per-phase generators.
+
+    Everything :func:`generate_workload` draws before its phases start, in
+    root-generator order; the six child generators (``rng.spawn``) are one
+    per phase: arrival times, values, motif mix, motif index, motif pattern,
+    popularity pairs.
+    """
+    rng = np.random.default_rng(config.seed)
+    population = network.clients() or network.nodes()
+    sender_pool = list(senders) if senders is not None else list(population)
+    recipient_pool = list(recipients) if recipients is not None else list(population)
+    if len(sender_pool) < 2 or len(recipient_pool) < 2:
+        raise ValueError("the workload needs at least two senders and two recipients")
+    sender_weights = _zipf_weights(len(sender_pool), config.sender_skew, rng)
+    recipient_weights = _zipf_weights(len(recipient_pool), config.recipient_skew, rng)
+    motifs = _find_deadlock_motifs(network, rng) if config.deadlock_fraction > 0 else []
+    return sender_pool, recipient_pool, sender_weights, recipient_weights, motifs, rng.spawn(6)
+
+
+def _motif_pairs(motifs, indices, patterns) -> List[Tuple[NodeId, NodeId]]:
+    """Sender/recipient of each motif arrival (figure 1's A and C push towards
+    B, B returns to A, so C's outgoing funds drain unless routing keeps
+    channels balanced)."""
+    pairs: List[Tuple[NodeId, NodeId]] = []
+    for index, pattern in zip(indices, patterns):
+        a, relay, b = motifs[int(index)]
+        if pattern < 0.4:
+            pairs.append((a, b))
+        elif pattern < 0.8:
+            pairs.append((relay, b))
+        else:
+            pairs.append((b, a))
+    return pairs
+
+
+def _assemble_workload(
+    config, motifs, times, values, motif_mask, motif_pairs, model_pairs
+) -> TransactionWorkload:
+    """Interleave motif and popularity pairs by the mask; self-pairs are
+    dropped (their draws stay consumed)."""
+    requests: List[TransactionRequest] = []
+    motif_iter, model_iter = iter(motif_pairs), iter(model_pairs)
+    for time, value, from_motif in zip(times, values, motif_mask):
+        sender, recipient = next(motif_iter if from_motif else model_iter)
+        if sender != recipient:
+            requests.append(
+                TransactionRequest(
+                    arrival_time=time, sender=sender, recipient=recipient, value=value
+                )
+            )
+    return TransactionWorkload(requests=requests, config=config, deadlock_motifs=motifs)
+
+
 def generate_workload(
     network: PCNetwork,
     config: Optional[WorkloadConfig] = None,
     senders: Optional[Sequence[NodeId]] = None,
     recipients: Optional[Sequence[NodeId]] = None,
-    backend: str = "numpy",
 ) -> TransactionWorkload:
     """Generate a Poisson transaction workload over a network's clients.
 
     The generator is phased -- arrival times, values, motif mixing, pair
     selection -- with each phase drawing from its own child generator
-    (``rng.spawn``), so the ``numpy`` backend can batch every phase while
-    the ``python`` backend draws the identical values one element at a
-    time.  The two backends produce bit-identical request streams (pinned
-    by ``tests/simulator/test_workload.py``).
+    (``rng.spawn``), so every phase is one batched draw that yields the
+    values the per-element loop of :mod:`repro.reference.workload` draws
+    from the same stream (bit-identical request streams, pinned by
+    ``tests/simulator/test_workload.py``).
 
     Args:
         network: Topology whose client nodes send and receive payments.
@@ -258,123 +304,61 @@ def generate_workload(
         senders: Restrict the sending population (defaults to all clients, or
             all nodes when the network has no client-role nodes).
         recipients: Restrict the receiving population (same default).
-        backend: ``"numpy"`` (default) batches the draws; ``"python"`` is
-            the scalar reference loop.
     """
     config = config or WorkloadConfig()
-    if backend not in ("python", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}; expected 'python' or 'numpy'")
-    rng = np.random.default_rng(config.seed)
-
-    population = network.clients() or network.nodes()
-    sender_pool = list(senders) if senders is not None else list(population)
-    recipient_pool = list(recipients) if recipients is not None else list(population)
-    if len(sender_pool) < 2 or len(recipient_pool) < 2:
-        raise ValueError("the workload needs at least two senders and two recipients")
-
-    sender_weights = _zipf_weights(len(sender_pool), config.sender_skew, rng)
-    recipient_weights = _zipf_weights(len(recipient_pool), config.recipient_skew, rng)
-    motifs = (
-        _find_deadlock_motifs(network, rng) if config.deadlock_fraction > 0 else []
+    sender_pool, recipient_pool, sender_weights, recipient_weights, motifs, streams = (
+        _workload_inputs(network, config, senders, recipients)
     )
-    times_rng, value_rng, mix_rng, motif_rng, pattern_rng, pair_rng = rng.spawn(6)
+    times_rng, value_rng, mix_rng, motif_rng, pattern_rng, pair_rng = streams
 
     # Phase 1: Poisson arrival times.
-    if backend == "numpy":
-        times = _arrival_times_numpy(times_rng, config)
-    else:
-        times = _arrival_times_python(times_rng, config)
+    times = _arrival_times(times_rng, config)
     count = len(times)
     if count == 0:
         return TransactionWorkload(requests=[], config=config, deadlock_motifs=motifs)
 
-    # Phase 2: payment values (one batched draw either way: the sampler's
-    # internal body/tail composition is a single distribution call).
+    # Phase 2: payment values.
     raw_values = config.value_distribution.sample(value_rng, size=count)
-    if backend == "numpy":
-        values = np.maximum(raw_values * config.value_scale, config.min_value).tolist()
-    else:
-        values = [
-            max(float(raw_values[i]) * config.value_scale, config.min_value)
-            for i in range(count)
-        ]
+    values = np.maximum(raw_values * config.value_scale, config.min_value).tolist()
 
     # Phase 3: which arrivals draw from the explicit deadlock motifs.
     if motifs:
-        if backend == "numpy":
-            motif_mask = (mix_rng.random(count) < config.deadlock_fraction).tolist()
-        else:
-            motif_mask = [
-                mix_rng.random() < config.deadlock_fraction for _ in range(count)
-            ]
+        motif_mask = (mix_rng.random(count) < config.deadlock_fraction).tolist()
     else:
         motif_mask = [False] * count
     motif_count = sum(motif_mask)
     pair_count = count - motif_count
 
-    # Phase 4a: motif pairs (figure 1's A and C push towards B, B returns to
-    # A, so C's outgoing funds drain unless routing keeps channels balanced).
+    # Phase 4a: motif pairs.
     motif_pairs: List[Tuple[NodeId, NodeId]] = []
     if motif_count:
-        if backend == "numpy":
-            indices = motif_rng.integers(len(motifs), size=motif_count)
-            patterns = pattern_rng.random(motif_count)
-        else:
-            indices = [int(motif_rng.integers(len(motifs))) for _ in range(motif_count)]
-            patterns = [pattern_rng.random() for _ in range(motif_count)]
-        for index, pattern in zip(indices, patterns):
-            a, relay, b = motifs[int(index)]
-            if pattern < 0.4:
-                motif_pairs.append((a, b))
-            elif pattern < 0.8:
-                motif_pairs.append((relay, b))
-            else:
-                motif_pairs.append((b, a))
+        motif_pairs = _motif_pairs(
+            motifs,
+            motif_rng.integers(len(motifs), size=motif_count),
+            pattern_rng.random(motif_count),
+        )
 
-    # Phase 4b: popularity-model pairs.  The batched path replicates
-    # Generator.choice's cdf-searchsorted arithmetic over a (count, 2)
-    # uniform block, whose row-major fill order matches the scalar backend's
-    # interleaved sender/recipient draws from the same stream.
+    # Phase 4b: popularity-model pairs.  Replicates Generator.choice's
+    # cdf-searchsorted arithmetic over a (count, 2) uniform block, whose
+    # row-major fill order matches interleaved per-element sender/recipient
+    # ``choice`` draws from the same stream.
     model_pairs: List[Tuple[NodeId, NodeId]] = []
     if pair_count:
-        if backend == "numpy":
-            uniforms = pair_rng.random((pair_count, 2))
-            sender_rows = _weighted_choice_cdf(sender_weights).searchsorted(
-                uniforms[:, 0], side="right"
-            )
-            recipient_rows = _weighted_choice_cdf(recipient_weights).searchsorted(
-                uniforms[:, 1], side="right"
-            )
-            model_pairs = [
-                (sender_pool[int(s)], recipient_pool[int(r)])
-                for s, r in zip(sender_rows, recipient_rows)
-            ]
-        else:
-            for _ in range(pair_count):
-                sender_row = int(pair_rng.choice(len(sender_pool), p=sender_weights))
-                recipient_row = int(pair_rng.choice(len(recipient_pool), p=recipient_weights))
-                model_pairs.append((sender_pool[sender_row], recipient_pool[recipient_row]))
-
-    # Assembly: self-pairs are dropped (their draws stay consumed, so both
-    # backends skip the identical elements).
-    requests: List[TransactionRequest] = []
-    motif_at = 0
-    model_at = 0
-    for i in range(count):
-        if motif_mask[i]:
-            sender, recipient = motif_pairs[motif_at]
-            motif_at += 1
-        else:
-            sender, recipient = model_pairs[model_at]
-            model_at += 1
-        if sender == recipient:
-            continue
-        requests.append(
-            TransactionRequest(
-                arrival_time=times[i], sender=sender, recipient=recipient, value=values[i]
-            )
+        uniforms = pair_rng.random((pair_count, 2))
+        sender_rows = _weighted_choice_cdf(sender_weights).searchsorted(
+            uniforms[:, 0], side="right"
         )
-    return TransactionWorkload(requests=requests, config=config, deadlock_motifs=motifs)
+        recipient_rows = _weighted_choice_cdf(recipient_weights).searchsorted(
+            uniforms[:, 1], side="right"
+        )
+        model_pairs = [
+            (sender_pool[int(s)], recipient_pool[int(r)])
+            for s, r in zip(sender_rows, recipient_rows)
+        ]
+
+    return _assemble_workload(
+        config, motifs, times, values, motif_mask, motif_pairs, model_pairs
+    )
 
 
 def circular_demand_workload(

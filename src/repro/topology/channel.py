@@ -23,9 +23,9 @@ from typing import Dict, Hashable, Iterator, Optional, Tuple
 NodeId = Hashable
 
 #: Tolerance for balance-sufficiency checks.  Shared by every execution path
-#: that replays lock arithmetic (the scalar ``execute_atomic`` and the array
-#: backend in :mod:`repro.baselines.batch`) -- the backends stay bit-identical
-#: only while they all test against this one constant.
+#: that replays lock arithmetic (the array executor in
+#: :mod:`repro.baselines.batch` and its scalar oracle) -- the two stay
+#: bit-identical only while they test against this one constant.
 EPS = 1e-9
 _EPS = EPS
 
@@ -109,7 +109,7 @@ class PaymentChannel:
     _id_counter = itertools.count()
 
     #: Class-wide counter bumped on every spendable-balance mutation of any
-    #: channel.  Balance mirrors (the graph backend's balance vector) compare
+    #: channel.  Balance mirrors (the graph kernels' balance vector) compare
     #: it against the value they last synchronized at and skip the O(E)
     #: re-read when nothing moved; cross-network bumps only cause a spurious
     #: refresh, never staleness.
@@ -311,7 +311,7 @@ class PaymentChannel:
     def balance_pair(self) -> Tuple[float, float]:
         """Both spendable balances ``(node_a's, node_b's)`` in one call.
 
-        Read primitive for array mirrors (the graph backend's balance
+        Read primitive for array mirrors (the graph kernels' balance
         vector, the baselines' balance arrays) that re-read every channel at
         synchronization points; one attribute walk instead of two
         member-checked :meth:`balance` calls.

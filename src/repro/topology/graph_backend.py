@@ -1,13 +1,13 @@
-"""Array-backed graph kernels: the topology layer's ``numpy`` backend.
+"""Array-backed graph kernels: the topology layer's path and distance queries.
 
 The topology queries behind every path selector -- BFS hop counts,
 (bidirectional) shortest paths, Yen's k-shortest enumeration and the
-widest-path Dijkstra -- walk networkx's dict-of-dicts structures in the
-scalar reference.  At paper scale those walks dominate the setup phase of
-the comparison pipelines: each worker process re-derives a per-pair path
-catalog hop by hop before routing a single payment.  This module mirrors
-the channel graph into dense CSR structures once per ``topology_version``
-and reimplements the queries on top:
+widest-path Dijkstra -- are networkx walks over dict-of-dicts structures in
+the scalar reference (:mod:`repro.reference.topology`).  At paper scale
+such walks would dominate the setup phase of the comparison pipelines: each
+worker process derives a per-pair path catalog before routing a single
+payment.  This module mirrors the channel graph into dense CSR structures
+once per ``topology_version`` and implements the queries on top:
 
 * :class:`GraphArrays` -- CSR adjacency arrays plus per-node neighbor/slot
   lists in the exact networkx adjacency order (which is what makes
@@ -21,18 +21,16 @@ and reimplements the queries on top:
   reference: the bidirectional BFS of ``nx.shortest_path`` (with the
   ignore-node/ignore-edge filters of ``shortest_simple_paths``), Yen's
   algorithm with the same ``PathBuffer`` tie-breaking, and this repo's
-  widest-path Dijkstra from :mod:`repro.routing.paths` with the same
-  heap-counter ordering.  Path enumeration is order-sensitive (the next
+  widest-path Dijkstra (``repro.reference.topology._widest_path``) with the
+  same heap-counter ordering.  Path enumeration is order-sensitive (the next
   expansion depends on the previous tie-break), so these kernels run as
   tight loops over dense int rows, precomputed adjacency lists and the
   flat balance vector -- no per-hop channel-object or edge-dict lookups.
 
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
-path lists are identical across backends -- enforced by
-``tests/topology/test_graph_backend_equivalence.py``.  The scalar code in
-:class:`~repro.topology.network.PCNetwork` and
-:mod:`repro.routing.paths` stays the readable reference.
+path lists are identical to the reference's -- enforced by
+``tests/topology/test_graph_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -204,10 +202,10 @@ class GraphArrays:
     def row_of(self, node: NodeId) -> int:
         """Dense row of a node; raises ``nx.NodeNotFound`` like networkx.
 
-        Keeps the backends exception-compatible: the selectors catch
-        ``(NetworkXNoPath, NodeNotFound)``, so an unknown node (a stale
-        external pair list, a removed landmark) degrades to "no paths" on
-        both backends instead of crashing only on this one.
+        Keeps the kernels exception-compatible with networkx: the selectors
+        catch ``(NetworkXNoPath, NodeNotFound)``, so an unknown node (a
+        stale external pair list, a removed landmark) degrades to "no
+        paths" exactly as it does on the scalar reference.
         """
         row = self.node_row.get(node)
         if row is None:
@@ -435,7 +433,7 @@ class GraphArrays:
         return [self.to_nodes(path) for path in results]
 
     # ------------------------------------------------------------------ #
-    # widest paths (port of `repro.routing.paths._widest_path`)
+    # widest paths (port of `repro.reference.topology._widest_path`)
     # ------------------------------------------------------------------ #
     def _widest_path_rows(self, source: int, target: int) -> Optional[List[int]]:
         """Maximum-bottleneck path over the balance vector, scalar tie-breaks.
@@ -500,7 +498,7 @@ class GraphArrays:
     def edge_disjoint_widest_paths(
         self, source: NodeId, target: NodeId, k: int
     ) -> List[List[NodeId]]:
-        """Up to ``k`` edge-disjoint widest paths (the EDW selector's backend)."""
+        """Up to ``k`` edge-disjoint widest paths (the EDW selector's kernel)."""
         self.refresh_balances()
         # Mirror the scalar reference's unknown-node shape: an unknown
         # source raises (graph.neighbors does), an unknown target is simply
@@ -593,7 +591,7 @@ class GraphArrays:
     def edge_disjoint_shortest_paths(
         self, source: NodeId, target: NodeId, k: int
     ) -> List[List[NodeId]]:
-        """Up to ``k`` edge-disjoint shortest paths (the EDS selector's backend)."""
+        """Up to ``k`` edge-disjoint shortest paths (the EDS selector's kernel)."""
         adjacency, slot_of = self._working_adjacency()
         source_row = self.node_row.get(source)
         target_row = self.node_row.get(target)

@@ -6,17 +6,17 @@ dict-of-dicts adjacency -- the same structure networkx uses internally, so
 neighbor iteration order (and therefore every path tie-break downstream) is
 identical to the historical networkx-backed implementation.  A real
 :class:`networkx.Graph` is only materialized *lazily*, as a cached mirror,
-when a scalar (``backend="python"``) helper actually walks it; the numpy
-backend and the CSR mirrors never touch networkx at all.  Networks built for
-the xl scale tier pass ``lean=True``, which forbids the mirror outright so a
-100k-node run provably never pays for networkx structures.
+when a caller asks for :attr:`PCNetwork.graph` (the scalar oracle in
+:mod:`repro.reference.topology` walks it); the path/distance helpers never
+touch networkx.  Networks built for the xl scale tier pass ``lean=True``,
+which forbids the mirror outright so a 100k-node run provably never pays
+for networkx structures.
 
-The path/distance helpers run on one of two execution backends behind the
-repo-wide ``backend="python"|"numpy"`` knob: the networkx walks below are
-the scalar reference, and :mod:`repro.topology.graph_backend` mirrors the
-adjacency into CSR arrays (rebuilt lazily whenever ``topology_version``
-moves) for ``scipy.sparse.csgraph``-batched BFS and array-backed path
-search with identical results, tie-breaks included.
+The path/distance helpers run on :mod:`repro.topology.graph_backend`, which
+mirrors the adjacency into CSR arrays (rebuilt lazily whenever
+``topology_version`` moves) for ``scipy.sparse.csgraph``-batched BFS and
+array-backed path search that reproduce networkx's results, tie-breaks
+included.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
-import numpy as np
 
 from repro.topology.channel import NodeId, PaymentChannel
 
@@ -37,9 +36,6 @@ ROLE_CANDIDATE = "candidate"
 ROLE_HUB = "hub"
 _VALID_ROLES = (ROLE_CLIENT, ROLE_CANDIDATE, ROLE_HUB)
 
-#: Execution backends of the path/distance helpers.
-VALID_BACKENDS = ("python", "numpy")
-
 
 class PCNetwork:
     """A payment channel network: nodes, roles and funded channels.
@@ -49,19 +45,13 @@ class PCNetwork:
     mutate state through channel operations.
 
     Args:
-        backend: Default execution backend of the path/distance helpers
-            (``"numpy"`` mirrors the graph into CSR arrays, ``"python"``
-            walks networkx structures); every helper also takes a per-call
-            override.
         lean: Forbid the networkx mirror entirely (CSR-only mode).  Lean
-            networks serve the xl scale tier: every query must run on the
-            ``numpy`` backend, and accessing :attr:`graph` raises instead
-            of silently materializing a 100k-node networkx structure.
+            networks serve the xl scale tier: accessing :attr:`graph`
+            raises instead of silently materializing a 100k-node networkx
+            structure.
     """
 
-    def __init__(self, backend: str = "numpy", lean: bool = False) -> None:
-        if backend not in VALID_BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {VALID_BACKENDS}")
+    def __init__(self, lean: bool = False) -> None:
         #: Node -> attribute dict (``role`` plus free-form attrs), insertion order.
         self._node_attrs: Dict[NodeId, Dict[str, object]] = {}
         #: Node -> (neighbor -> channel), both layers insertion-ordered --
@@ -73,7 +63,6 @@ class PCNetwork:
         #: catalogs, balance array mirrors) key their caches on this counter
         #: so topology dynamics invalidate them without explicit wiring.
         self.topology_version = 0
-        self.backend = backend
         self.lean = lean
         #: Read-only ``(indptr, indices)`` CSR views set by the shared-memory
         #: reconstruction path; :class:`GraphArrays` aliases them (while the
@@ -161,14 +150,13 @@ class PCNetwork:
 
         Built lazily and cached per ``topology_version``; the mirror
         reproduces node order *and* per-node adjacency order exactly, so
-        scalar networkx walks tie-break identically to the CSR backend.
+        scalar networkx walks tie-break identically to the CSR kernels.
         Lean (CSR-only) networks raise instead -- materializing networkx at
         xl scale is precisely what lean mode exists to prevent.
         """
         if self.lean:
             raise RuntimeError(
-                "this network is lean (CSR-only): the networkx mirror is "
-                "disabled; use backend='numpy' queries"
+                "this network is lean (CSR-only): the networkx mirror is disabled"
             )
         mirror = self._mirror
         if mirror is None or self._mirror_version != self.topology_version:
@@ -301,13 +289,6 @@ class PCNetwork:
     # ------------------------------------------------------------------ #
     # path / distance helpers
     # ------------------------------------------------------------------ #
-    def resolve_backend(self, backend: Optional[str] = None) -> str:
-        """The effective backend of one call (per-call override or default)."""
-        resolved = backend or self.backend
-        if resolved not in VALID_BACKENDS:
-            raise ValueError(f"unknown backend {resolved!r}; expected one of {VALID_BACKENDS}")
-        return resolved
-
     def graph_arrays(self) -> "GraphArrays":
         """The CSR mirror of the current topology version.
 
@@ -329,39 +310,25 @@ class PCNetwork:
 
         return topology_fingerprint(self)
 
-    def hop_count(self, source: NodeId, target: NodeId, backend: Optional[str] = None) -> int:
+    def hop_count(self, source: NodeId, target: NodeId) -> int:
         """Number of hops on the shortest path from ``source`` to ``target``.
 
         Raises ``networkx.NetworkXNoPath`` if the nodes are disconnected.
         """
         if source == target:
             return 0
-        if self.resolve_backend(backend) == "numpy":
-            return self.graph_arrays().hop_count(source, target)
-        return nx.shortest_path_length(self.graph, source, target)
+        return self.graph_arrays().hop_count(source, target)
 
-    def hop_counts_from(self, source: NodeId, backend: Optional[str] = None) -> Dict[NodeId, int]:
+    def hop_counts_from(self, source: NodeId) -> Dict[NodeId, int]:
         """Hop count from ``source`` to every reachable node."""
-        if self.resolve_backend(backend) == "numpy":
-            return self.graph_arrays().hop_counts_from(source)
-        return dict(nx.single_source_shortest_path_length(self.graph, source))
+        return self.graph_arrays().hop_counts_from(source)
 
-    def all_pairs_hop_counts(
-        self, backend: Optional[str] = None
-    ) -> Dict[NodeId, Dict[NodeId, int]]:
-        """Hop-count matrix for the whole network (BFS from every node)."""
-        if self.resolve_backend(backend) == "numpy":
-            arrays = self.graph_arrays()
-            node_ids = arrays.node_ids
-            distances = arrays.distances_from(range(len(node_ids)))
-            result: Dict[NodeId, Dict[NodeId, int]] = {}
-            for row, source in enumerate(node_ids):
-                reachable = np.nonzero(np.isfinite(distances[row]))[0]
-                result[source] = {
-                    node_ids[column]: int(distances[row, column]) for column in reachable
-                }
-            return result
-        return {source: lengths for source, lengths in nx.all_pairs_shortest_path_length(self.graph)}
+    def all_pairs_hop_counts(self) -> Dict[NodeId, Dict[NodeId, int]]:
+        """Hop-count matrix for the whole network (one batched BFS sweep)."""
+        from repro.topology.path_store import hop_dicts_from_rows
+
+        node_order, matrix = self.hop_count_rows(self.nodes())
+        return hop_dicts_from_rows(node_order, node_order, matrix)
 
     def hop_count_rows(self, sources: Sequence[NodeId]):
         """Batched hop counts: ``(node order, distances array)`` for ``sources``.
@@ -373,29 +340,13 @@ class PCNetwork:
         arrays = self.graph_arrays()
         return list(arrays.node_ids), arrays.distances_from(arrays.rows_of(sources))
 
-    def shortest_path(
-        self, source: NodeId, target: NodeId, backend: Optional[str] = None
-    ) -> List[NodeId]:
+    def shortest_path(self, source: NodeId, target: NodeId) -> List[NodeId]:
         """One shortest (fewest-hops) path between two nodes."""
-        if self.resolve_backend(backend) == "numpy":
-            return self.graph_arrays().shortest_path(source, target)
-        return nx.shortest_path(self.graph, source, target)
+        return self.graph_arrays().shortest_path(source, target)
 
-    def shortest_paths(
-        self, source: NodeId, target: NodeId, k: int, backend: Optional[str] = None
-    ) -> List[List[NodeId]]:
+    def shortest_paths(self, source: NodeId, target: NodeId, k: int) -> List[List[NodeId]]:
         """Up to ``k`` loop-free shortest paths (by hop count) between two nodes."""
-        if k <= 0:
-            return []
-        if self.resolve_backend(backend) == "numpy":
-            return self.graph_arrays().k_shortest_paths(source, target, k)
-        generator = nx.shortest_simple_paths(self.graph, source, target)
-        paths: List[List[NodeId]] = []
-        for path in generator:
-            paths.append(list(path))
-            if len(paths) >= k:
-                break
-        return paths
+        return self.graph_arrays().k_shortest_paths(source, target, k)
 
     def path_capacity(self, path: Sequence[NodeId]) -> float:
         """Bottleneck spendable funds along a directed path.
@@ -463,7 +414,6 @@ class PCNetwork:
         candidate_nodes: Optional[Iterable[NodeId]] = None,
         base_fee: float = 0.0,
         fee_rate: float = 0.0,
-        backend: str = "numpy",
     ) -> "PCNetwork":
         """Build a PCN from a plain topology graph with uniform channel sizes.
 
@@ -473,10 +423,9 @@ class PCNetwork:
             candidate_nodes: Nodes to mark as hub candidates (others are clients).
             base_fee: Flat fee applied to every channel.
             fee_rate: Proportional fee applied to every channel.
-            backend: Default path/distance helper backend of the network.
         """
         candidates = set(candidate_nodes or ())
-        network = cls(backend=backend)
+        network = cls()
         for node in graph.nodes:
             role = ROLE_CANDIDATE if node in candidates else ROLE_CLIENT
             network.add_node(node, role=role)

@@ -237,11 +237,6 @@ class SharedTopologyBlock:
         """Segment name; pickle-friendly worker handle."""
         return self.block.name
 
-    @property
-    def backend(self) -> str:
-        """Default execution backend of the exported network."""
-        return str(self.block.meta["backend"])
-
     # ------------------------------------------------------------------ #
     # export (parent side)
     # ------------------------------------------------------------------ #
@@ -292,7 +287,6 @@ class SharedTopologyBlock:
         meta = {
             "nodes": node_ids,
             "attrs": [dict(network.node_attrs(node)) for node in node_ids],
-            "backend": network.backend,
         }
         return cls(SharedArrayBlock.create(arrays, meta))
 
@@ -304,7 +298,7 @@ class SharedTopologyBlock:
     # ------------------------------------------------------------------ #
     # reconstruction (worker side)
     # ------------------------------------------------------------------ #
-    def build_network(self, backend: Optional[str] = None, lean: bool = True) -> PCNetwork:
+    def build_network(self, lean: bool = True) -> PCNetwork:
         """Reconstruct the exported network (lean/CSR-only by default).
 
         The walk below writes the private adjacency dicts directly -- going
@@ -315,7 +309,7 @@ class SharedTopologyBlock:
         arrays = self.block.arrays
         meta = self.block.meta
         nodes = meta["nodes"]
-        network = PCNetwork(backend=backend or meta["backend"], lean=lean)
+        network = PCNetwork(lean=lean)
         for node, attrs in zip(nodes, meta["attrs"]):
             network._node_attrs[node] = dict(attrs)
             network._adj[node] = {}
@@ -348,8 +342,8 @@ class SharedTopologyBlock:
                 neighbors[nodes[int(indices[pos])]] = channels[int(adj_edge[pos])]
         network._channel_count = len(channels)
         network.topology_version = 0
-        # Alias the block's CSR arrays so the numpy backend's GraphArrays
-        # reuses the shared read-only index structure, and pin the block on
+        # Alias the block's CSR arrays so the network's GraphArrays reuses
+        # the shared read-only index structure, and pin the block on
         # the network: the views borrow the segment's buffer, which must
         # stay mapped for the network's lifetime.
         network.shared_csr = (indptr, indices)

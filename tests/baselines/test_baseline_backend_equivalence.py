@@ -1,8 +1,9 @@
-"""Differential suite: batched baseline backends vs their scalar references.
+"""Differential suite: batched baseline execution vs the scalar references.
 
-Mirrors ``tests/routing/test_backend_equivalence.py`` one layer up: for each
-baseline scheme the ``backend="numpy"`` batch implementation must match the
-``backend="python"`` reference on every success/failure decision and every
+Mirrors ``tests/routing/test_backend_equivalence.py`` one layer up: each
+production baseline scheme (array executor, per-pair path catalogs) must
+match its :mod:`repro.reference.baselines` counterpart (per-hop lock/settle
+walk, per-payment paths) on every success/failure decision and every
 routed amount, across random topologies and seeds, to 1e-9 -- and the
 epoch-batched arrival draining of the experiment runner must be
 indistinguishable from per-arrival delivery.
@@ -11,15 +12,9 @@ indistinguishable from per-arrival delivery.
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FlashScheme,
-    LandmarkScheme,
-    ShortestPathScheme,
-    SpeedyMurmursScheme,
-    SpiderScheme,
-    WaterfillingScheme,
-)
+from repro import baselines as production
 from repro.baselines.base import AtomicRoutingMixin, RoutingScheme, SchemeStepReport
+from repro.reference import baselines as reference
 from repro.routing.transaction import Payment
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner
@@ -30,12 +25,13 @@ from repro.topology.network import PCNetwork
 TOL = 1e-9
 
 SCHEME_FACTORIES = {
-    "shortest-path": lambda backend: ShortestPathScheme(backend=backend),
-    "landmark": lambda backend: LandmarkScheme(backend=backend),
-    "flash": lambda backend: FlashScheme(backend=backend, seed=3),
-    "spider": lambda backend: SpiderScheme(backend=backend),
-    "speedymurmurs": lambda backend: SpeedyMurmursScheme(backend=backend),
-    "waterfilling": lambda backend: WaterfillingScheme(backend=backend),
+    "a2l": lambda side: side.A2LScheme(),
+    "shortest-path": lambda side: side.ShortestPathScheme(),
+    "landmark": lambda side: side.LandmarkScheme(),
+    "flash": lambda side: side.FlashScheme(seed=3),
+    "spider": lambda side: side.SpiderScheme(),
+    "speedymurmurs": lambda side: side.SpeedyMurmursScheme(),
+    "waterfilling": lambda side: side.WaterfillingScheme(),
 }
 
 
@@ -66,7 +62,7 @@ def _channel_stats(network):
     }
 
 
-def _run(scheme_name, backend, seed, dynamics_kind=None, batch_arrivals=True):
+def _run(scheme_name, side, seed, dynamics_kind=None, batch_arrivals=True):
     """One full experiment run; returns (metrics, final channel balances).
 
     ``seed`` varies both the topology and the workload, so the differential
@@ -86,7 +82,7 @@ def _run(scheme_name, backend, seed, dynamics_kind=None, batch_arrivals=True):
     runner = ExperimentRunner(
         network, workload, step_size=0.1, dynamics=events, batch_arrivals=batch_arrivals
     )
-    scheme = SCHEME_FACTORIES[scheme_name](backend)
+    scheme = SCHEME_FACTORIES[scheme_name](side)
     metrics = runner.run_single(scheme, rng=np.random.default_rng(0))
     balances = {
         channel.endpoints: (
@@ -98,9 +94,9 @@ def _run(scheme_name, backend, seed, dynamics_kind=None, batch_arrivals=True):
     return metrics, balances, _channel_stats(network)
 
 
-def _assert_equivalent(result_python, result_numpy):
-    metrics_py, balances_py, stats_py = result_python
-    metrics_np, balances_np, stats_np = result_numpy
+def _assert_equivalent(result_reference, result_production):
+    metrics_py, balances_py, stats_py = result_reference
+    metrics_np, balances_np, stats_np = result_production
     assert metrics_np.generated_count == metrics_py.generated_count
     assert metrics_np.completed_count == metrics_py.completed_count
     assert metrics_np.failed_count == metrics_py.failed_count
@@ -116,7 +112,7 @@ def _assert_equivalent(result_python, result_numpy):
         assert balances_np[key][0] == pytest.approx(balance_a, abs=TOL)
         assert balances_np[key][1] == pytest.approx(balance_b, abs=TOL)
     # The lifetime ChannelStats counters are part of the contract: the array
-    # backend replays lock/settle/release tallies, the max_locked high-water
+    # executor replays lock/settle/release tallies, the max_locked high-water
     # mark and the imbalance sampling bit-identically.
     assert stats_np == stats_py
 
@@ -124,11 +120,11 @@ def _assert_equivalent(result_python, result_numpy):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
 class TestStaticEquivalence:
-    """Static topology: both backends agree decision for decision."""
+    """Static topology: production agrees with the reference decision for decision."""
 
     def test_backends_agree(self, scheme_name, seed):
         _assert_equivalent(
-            _run(scheme_name, "python", seed), _run(scheme_name, "numpy", seed)
+            _run(scheme_name, reference, seed), _run(scheme_name, production, seed)
         )
 
 
@@ -143,19 +139,19 @@ class TestDynamicEquivalence:
 
     def test_backends_agree(self, scheme_name, dynamics_kind):
         _assert_equivalent(
-            _run(scheme_name, "python", seed=4, dynamics_kind=dynamics_kind),
-            _run(scheme_name, "numpy", seed=4, dynamics_kind=dynamics_kind),
+            _run(scheme_name, reference, seed=4, dynamics_kind=dynamics_kind),
+            _run(scheme_name, production, seed=4, dynamics_kind=dynamics_kind),
         )
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
 class TestBatchDrainingEquivalence:
-    """Epoch-batched arrival draining vs per-arrival delivery (both numpy)."""
+    """Epoch-batched arrival draining vs per-arrival delivery (both production)."""
 
     def test_batching_is_invisible(self, scheme_name):
         _assert_equivalent(
-            _run(scheme_name, "numpy", seed=3, batch_arrivals=False),
-            _run(scheme_name, "numpy", seed=3, batch_arrivals=True),
+            _run(scheme_name, production, seed=3, batch_arrivals=False),
+            _run(scheme_name, production, seed=3, batch_arrivals=True),
         )
 
 
@@ -166,20 +162,17 @@ class TestExecutorArithmetic:
     class _Harness(AtomicRoutingMixin, RoutingScheme):
         name = "harness"
 
-        def __init__(self, backend):
-            super().__init__()
-            self.backend = backend
-
-        def prepare(self, network, rng=None):
-            super().prepare(network, rng)
-            self._init_backend(network, self.backend)
-
         def submit(self, request, now):  # pragma: no cover - unused
             raise NotImplementedError
 
         def step(self, now, dt):
             self.flush_state()
             return SchemeStepReport()
+
+    class _ScalarHarness(reference.ScalarAtomicMixin, _Harness):
+        pass
+
+    HARNESSES = {"reference": _ScalarHarness, "production": _Harness}
 
     @staticmethod
     def _line(n=5, capacity=40.0):
@@ -191,9 +184,9 @@ class TestExecutorArithmetic:
             network.add_channel(a, b, capacity, capacity)
         return network, nodes
 
-    def _execute_sequence(self, backend):
+    def _execute_sequence(self, side):
         network, nodes = self._line()
-        harness = self._Harness(backend)
+        harness = self.HARNESSES[side]()
         harness.prepare(network)
         outcomes = []
         # Two paths sharing the n1-n2 channel: joint capacity looks
@@ -223,8 +216,8 @@ class TestExecutorArithmetic:
         return outcomes, balances, _channel_stats(network)
 
     def test_arithmetic_matches(self):
-        outcomes_py, balances_py, stats_py = self._execute_sequence("python")
-        outcomes_np, balances_np, stats_np = self._execute_sequence("numpy")
+        outcomes_py, balances_py, stats_py = self._execute_sequence("reference")
+        outcomes_np, balances_np, stats_np = self._execute_sequence("production")
         assert outcomes_np == outcomes_py
         for key, (balance_a, balance_b) in balances_py.items():
             assert balances_np[key][0] == pytest.approx(balance_a, abs=TOL)
@@ -234,10 +227,10 @@ class TestExecutorArithmetic:
         assert stats_np == stats_py
 
     def test_conservation_after_mixed_outcomes(self):
-        for backend in ("python", "numpy"):
+        for side in ("reference", "production"):
             network, _ = self._line()
             total_before = network.total_funds()
-            harness = self._Harness(backend)
+            harness = self.HARNESSES[side]()
             harness.prepare(network)
             for value in (10.0, 500.0, 35.0, 120.0):
                 payment = Payment.create("s", "t", value, created_at=0.0, timeout=9.0)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import SpeedyMurmursScheme
+from repro.reference.baselines import SpeedyMurmursScheme as ReferenceSpeedyMurmursScheme
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
@@ -51,11 +52,15 @@ def _bracket(scheme, mutate):
     return undo
 
 
+#: The repair invariant holds with and without the executor's path catalog.
+SCHEME_CLASSES = [ReferenceSpeedyMurmursScheme, SpeedyMurmursScheme]
+
+
 class TestRepairEqualsRebuild:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_close_and_reopen_channel(self, backend):
+    @pytest.mark.parametrize("scheme_class", SCHEME_CLASSES, ids=["reference", "production"])
+    def test_close_and_reopen_channel(self, scheme_class):
         network = _build_network(seed=3)
-        scheme = SpeedyMurmursScheme(backend=backend)
+        scheme = scheme_class()
         scheme.prepare(network)
         # Close a tree edge of the first landmark (forces a rebuild there),
         # then reopen it (a gained link: every landmark rebuilds).
@@ -68,10 +73,10 @@ class TestRepairEqualsRebuild:
         )
         _assert_repair_matches_rebuild(scheme)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_jamming_flips_funding_classification(self, backend):
+    @pytest.mark.parametrize("scheme_class", SCHEME_CLASSES, ids=["reference", "production"])
+    def test_jamming_flips_funding_classification(self, scheme_class):
         network = _build_network(seed=4)
-        scheme = SpeedyMurmursScheme(backend=backend)
+        scheme = scheme_class()
         scheme.prepare(network)
         # Jam one side of a phase-one tree edge dry: the channel flips from
         # bidirectional to unidirectional without any topology change.
@@ -88,7 +93,7 @@ class TestRepairEqualsRebuild:
 
     def test_non_tree_removal_skips_rebuild_soundly(self):
         network = _build_network(seed=5)
-        scheme = SpeedyMurmursScheme(backend="numpy")
+        scheme = SpeedyMurmursScheme()
         scheme.prepare(network)
         tree_union = set().union(*scheme._tree_edges)
         non_tree = [
@@ -113,7 +118,7 @@ class TestRepairEqualsRebuild:
     def test_random_mutation_sequences(self, seed, actions):
         """Arbitrary interleavings of close / reopen / jam / release."""
         network = _build_network(seed=seed, nodes=16)
-        scheme = SpeedyMurmursScheme(backend="numpy")
+        scheme = SpeedyMurmursScheme()
         scheme.prepare(network)
         closed = []  # (edge, balances)
         jams = []  # (channel, lock_id)
@@ -160,6 +165,6 @@ class TestRepairEqualsRebuild:
         else:
             events = jamming_events(network, at=0.5, duration=1.5, count=4, fraction=0.9)
         runner = ExperimentRunner(network, workload, step_size=0.1, dynamics=events)
-        scheme = SpeedyMurmursScheme(backend="numpy")
+        scheme = SpeedyMurmursScheme()
         runner.run_single(scheme, rng=np.random.default_rng(0))
         _assert_repair_matches_rebuild(scheme)

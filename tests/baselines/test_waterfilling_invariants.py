@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import WaterfillingScheme
 from repro.baselines.waterfilling import waterfill_shares
+from repro.reference.baselines import WaterfillingScheme as ReferenceWaterfillingScheme
 from repro.scenarios.dynamics import churn_events
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
@@ -78,9 +79,13 @@ class TestWaterfillShares:
                     assert capacity <= level + 1e-6
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize(
+    "scheme_class",
+    [ReferenceWaterfillingScheme, WaterfillingScheme],
+    ids=["reference", "production"],
+)
 class TestRunInvariants:
-    def _run(self, backend, dynamics=False):
+    def _run(self, scheme_class, dynamics=False):
         network = watts_strogatz_pcn(
             22,
             nearest_neighbors=4,
@@ -98,20 +103,20 @@ class TestRunInvariants:
             )
         total_before = network.total_funds()
         runner = ExperimentRunner(network, workload, step_size=0.1, dynamics=events)
-        metrics = runner.run_single(WaterfillingScheme(backend=backend), rng=np.random.default_rng(0))
+        metrics = runner.run_single(scheme_class(), rng=np.random.default_rng(0))
         return network, metrics, total_before
 
-    def test_funds_conserved(self, backend):
-        network, metrics, total_before = self._run(backend)
+    def test_funds_conserved(self, scheme_class):
+        network, metrics, total_before = self._run(scheme_class)
         assert metrics.completed_count > 0
         assert network.total_funds() == pytest.approx(total_before, abs=1e-6)
 
-    def test_funds_conserved_under_churn(self, backend):
-        network, _metrics, total_before = self._run(backend, dynamics=True)
+    def test_funds_conserved_under_churn(self, scheme_class):
+        network, _metrics, total_before = self._run(scheme_class, dynamics=True)
         assert network.total_funds() == pytest.approx(total_before, abs=1e-6)
 
-    def test_balances_never_negative(self, backend):
-        network, _metrics, _total = self._run(backend)
+    def test_balances_never_negative(self, scheme_class):
+        network, _metrics, _total = self._run(scheme_class)
         for channel in network.channels():
             assert channel.balance(channel.node_a) >= -TOL
             assert channel.balance(channel.node_b) >= -TOL

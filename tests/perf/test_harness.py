@@ -64,15 +64,17 @@ class TestTiming:
 
 class TestReport:
     def _report(self):
-        spec_py, _ = _spec(name="grp/large/python", group="grp", scale="large")
-        spec_np, _ = _spec(name="grp/large/numpy", group="grp", scale="large", variant="numpy")
-        report = run_specs([spec_py, spec_np], repeats=2)
+        spec_ev, _ = _spec(
+            name="grp/large/events", group="grp", scale="large", variant="events"
+        )
+        spec_ep, _ = _spec(name="grp/large/epoch", group="grp", scale="large", variant="epoch")
+        report = run_specs([spec_ev, spec_ep], repeats=2)
         return report
 
-    def test_speedups_pairs_python_and_numpy(self):
+    def test_speedups_pairs_events_and_epoch(self):
         report = self._report()
-        report.record("grp/large/python").best_seconds = 0.4
-        report.record("grp/large/numpy").best_seconds = 0.1
+        report.record("grp/large/events").best_seconds = 0.4
+        report.record("grp/large/epoch").best_seconds = 0.1
         assert report.speedups() == {"grp/large": pytest.approx(4.0)}
 
     def test_round_trip(self, tmp_path):
@@ -83,8 +85,8 @@ class TestReport:
         assert [r.name for r in loaded.records] == [r.name for r in report.records]
         assert loaded.calibration_seconds == pytest.approx(report.calibration_seconds)
         assert loaded.revision == report.revision
-        assert loaded.record("grp/large/python").normalized == pytest.approx(
-            report.record("grp/large/python").normalized
+        assert loaded.record("grp/large/events").normalized == pytest.approx(
+            report.record("grp/large/events").normalized
         )
 
     def test_record_lookup_raises_on_unknown(self):

@@ -1,21 +1,26 @@
-"""Differential suite: vectorized placement backend vs the scalar reference.
+"""Differential suite: vectorized placement kernels vs the scalar reference.
 
 Mirrors the routing and baseline equivalence suites one subsystem over: for
-every solver method the ``backend="numpy"`` placement path must produce the
-*identical plan* (hub set and client assignment) as the ``backend="python"``
-reference, with objective values at most 1e-9 apart, across seeds, omegas
-and the degenerate corners (single candidate, disconnected clients).  A
-hypothesis invariant additionally pins the incremental
-:class:`~repro.placement.supermodular.ObjectiveEngine` to the from-scratch
-:func:`~repro.placement.supermodular.placement_objective` on random cost
-models.
+every solver method the production placement path must produce the
+*identical plan* (hub set and client assignment) as the nested-dict,
+from-scratch solvers of :mod:`repro.reference.placement` (built over the
+per-candidate networkx hop probe), with objective values at most 1e-9
+apart, across seeds, omegas and the degenerate corners (single candidate,
+disconnected clients).  A hypothesis invariant additionally pins the
+incremental :class:`~repro.placement.supermodular.ObjectiveEngine` to the
+from-scratch objective on random cost models.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.placement.assignment import optimal_assignment, placement_cost
+from repro.placement.assignment import (
+    optimal_assignment,
+    placement_cost,
+    scalar_placement_cost,
+)
 from repro.placement.costs import PlacementCostModel, cost_model_from_network
 from repro.placement.problem import PlacementProblem
 from repro.placement.solver import build_problem, solve_placement
@@ -25,6 +30,7 @@ from repro.placement.supermodular import (
     greedy_descent_placement,
     placement_objective,
 )
+from repro.reference import placement as reference
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 
@@ -42,6 +48,12 @@ def _network(seed, nodes=40, candidate_fraction=0.25):
     )
 
 
+def _reference_problem(network, **options):
+    """The same cost model, built over the per-candidate networkx hop probe."""
+    hops = reference.hop_probe(network, options.get("candidates"))
+    return build_problem(network, hops=hops, **options)
+
+
 def _assert_plans_identical(plan_python, plan_numpy):
     assert plan_numpy.hubs == plan_python.hubs
     assert plan_numpy.assignment == plan_python.assignment
@@ -53,74 +65,68 @@ def _assert_plans_identical(plan_python, plan_numpy):
 
 
 class TestSolverMethodEquivalence:
-    """Every facade method produces the same plan on both backends."""
+    """Every facade method produces the plan the reference solvers produce."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("omega", [0.0, 0.05, 0.5])
     def test_greedy_randomized(self, seed, omega):
         network = _network(seed)
-        plans = [
-            solve_placement(network, omega=omega, method="greedy", seed=7, backend=backend)
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, omega=omega), seed=7
+            ),
+            solve_placement(network, omega=omega, method="greedy", seed=7),
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_greedy_deterministic(self, seed):
         network = _network(seed)
-        plans = [
-            solve_placement(
-                network,
-                omega=0.05,
-                method="greedy",
-                backend=backend,
-                deterministic_greedy=True,
-            )
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, omega=0.05), deterministic=True
+            ),
+            solve_placement(network, omega=0.05, method="greedy", deterministic_greedy=True),
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_greedy_without_local_search(self, seed):
         network = _network(seed)
-        plans = [
-            solve_placement(
-                network, omega=0.1, method="greedy", seed=0, backend=backend,
-                local_search=False,
-            )
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, omega=0.1), seed=0, local_search=False
+            ),
+            solve_placement(network, omega=0.1, method="greedy", seed=0, local_search=False),
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("method", ["exact", "milp", "brute"])
     def test_exact_methods(self, seed, method):
+        """Each exact method returns the exhaustive optimum the reference
+        enumerates, attached by the reference's Lemma-1 assignment."""
         network = _network(seed, nodes=24, candidate_fraction=0.25)
-        plans = [
-            solve_placement(network, omega=0.05, method=method, seed=0, backend=backend)
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.brute_force_placement(_reference_problem(network, omega=0.05)),
+            solve_placement(network, omega=0.05, method=method, seed=0),
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_greedy_descent(self, seed):
         network = _network(seed)
-        plans = []
-        for backend in ("python", "numpy"):
-            plans.append(greedy_descent_placement(build_problem(network, backend=backend)))
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.greedy_descent_placement(_reference_problem(network)),
+            greedy_descent_placement(build_problem(network)),
+        )
 
     def test_uniform_delta_lemma2_case(self):
         network = _network(5)
-        plans = [
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, omega=0.1, uniform_delta=True), seed=0
+            ),
             solve_placement(
-                build_problem(network, omega=0.1, uniform_delta=True, backend=backend),
-                method="greedy",
-                seed=0,
-            )
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+                build_problem(network, omega=0.1, uniform_delta=True), method="greedy", seed=0
+            ),
+        )
 
 
 class TestDegenerateCases:
@@ -129,44 +135,43 @@ class TestDegenerateCases:
     def test_single_candidate(self):
         network = _network(2, nodes=20)
         candidates = network.candidates()[:1]
-        plans = [
-            solve_placement(
-                build_problem(network, candidates=candidates, backend=backend),
-                method="greedy",
-                seed=0,
-            )
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
-        assert plans[0].hub_count == 1
+        plan = solve_placement(
+            build_problem(network, candidates=candidates), method="greedy", seed=0
+        )
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, candidates=candidates), seed=0
+            ),
+            plan,
+        )
+        assert plan.hub_count == 1
 
     def test_disconnected_clients_fall_back_to_uniform_hops(self):
         network = _network(3, nodes=20)
         for island in ("island-a", "island-b"):
             network.add_node(island)
         clients = network.clients() + ["island-a", "island-b"]
-        plans = [
-            solve_placement(
-                build_problem(network, clients=clients, backend=backend),
-                method="greedy",
-                seed=0,
-            )
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        plan = solve_placement(build_problem(network, clients=clients), method="greedy", seed=0)
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, clients=clients), seed=0
+            ),
+            plan,
+        )
         # The islands are assigned somewhere (Lemma 1 never strands a client).
         for island in ("island-a", "island-b"):
-            assert plans[0].assignment[island] in plans[0].hubs
+            assert plan.assignment[island] in plan.hubs
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_non_candidate_hubs_raise_the_canonical_error(self, backend):
+    def test_non_candidate_hubs_raise_the_canonical_error(self):
         """A placement disjoint from the candidate set fails loudly, not with
-        an opaque min()/KeyError crash, on both backends."""
-        problem = build_problem(_network(1, nodes=20), backend=backend)
-        with pytest.raises(ValueError, match="placement is empty"):
-            optimal_assignment(problem, ["not-a-candidate"])
-        with pytest.raises(ValueError, match="placement is empty"):
-            placement_cost(problem, ["not-a-candidate"])
+        an opaque min()/KeyError crash, on every evaluation path."""
+        problem = build_problem(_network(1, nodes=20))
+        for assign in (optimal_assignment, reference.optimal_assignment):
+            with pytest.raises(ValueError, match="placement is empty"):
+                assign(problem, ["not-a-candidate"])
+        for cost in (placement_cost, scalar_placement_cost):
+            with pytest.raises(ValueError, match="placement is empty"):
+                cost(problem, ["not-a-candidate"])
 
     def test_disconnected_candidate_component(self):
         """A candidate pair unreachable from the rest probes fallback hops."""
@@ -174,11 +179,41 @@ class TestDegenerateCases:
         network.add_node("far-hub", roles={"candidate"})
         network.add_node("far-client")
         network.add_channel("far-hub", "far-client", 50.0, 50.0)
-        plans = [
-            solve_placement(network, omega=0.05, method="greedy", seed=1, backend=backend)
-            for backend in ("python", "numpy")
-        ]
-        _assert_plans_identical(*plans)
+        _assert_plans_identical(
+            reference.double_greedy_placement(
+                _reference_problem(network, omega=0.05), seed=1
+            ),
+            solve_placement(network, omega=0.05, method="greedy", seed=1),
+        )
+
+
+class TestKernelEquivalence:
+    """Assignment, f(X) and the hop probe against their scalar counterparts."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_assignment_and_costs_match_on_random_subsets(self, seed):
+        network = _network(seed)
+        problem = build_problem(network, omega=0.05)
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            mask = rng.random(problem.candidate_count) < 0.4
+            hubs = [c for c, take in zip(problem.candidates, mask) if take]
+            if not hubs:
+                continue
+            assert optimal_assignment(problem, hubs) == reference.optimal_assignment(
+                problem, hubs
+            )
+            expected = reference.placement_cost(problem, hubs)
+            assert placement_cost(problem, hubs) == pytest.approx(expected, abs=TOL)
+
+    def test_batched_hop_probe_matches_per_candidate_bfs(self):
+        network = _network(6, nodes=30)
+        network.add_node("island")
+        produced = cost_model_from_network(network)
+        expected = _reference_problem(network).costs
+        assert produced.zeta == expected.zeta
+        assert produced.delta == expected.delta
+        assert produced.epsilon == expected.epsilon
 
 
 # ---------------------------------------------------------------------- #
@@ -215,60 +250,53 @@ def cost_models(draw):
 def test_incremental_gains_match_from_scratch(model, omega, toggles):
     """After any toggle sequence, every cached/incremental value the engine
     reports equals the from-scratch objective of its current subset, and each
-    probe gain equals the from-scratch objective difference, on both backends
-    -- and the two backends agree with each other."""
-    engines = {}
-    for backend in ("python", "numpy"):
-        problem = PlacementProblem(model, omega=omega, backend=backend)
-        engine = ObjectiveEngine(problem)
-        for index in toggles:
-            candidate = model.candidates[index % len(model.candidates)]
-            gain = engine.toggle_gain(candidate)
-            if gain is None:
-                continue
-            before = placement_objective(problem, engine.members)
-            if candidate in engine.members:
-                after = placement_objective(problem, engine.members - {candidate})
-            else:
-                after = placement_objective(problem, engine.members | {candidate})
+    probe gain equals the from-scratch objective difference -- both against
+    production's own from-scratch evaluation and against the scalar
+    reference objective."""
+    problem = PlacementProblem(model, omega=omega)
+    engine = ObjectiveEngine(problem)
+    for index in toggles:
+        candidate = model.candidates[index % len(model.candidates)]
+        gain = engine.toggle_gain(candidate)
+        if gain is None:
+            continue
+        toggled = engine.members ^ {candidate}
+        for objective in (placement_objective, reference.placement_objective):
+            before = objective(problem, engine.members)
+            after = objective(problem, toggled)
             assert gain == pytest.approx(after - before, abs=TOL)
-            engine.apply_toggle(candidate)
-            assert engine.value == pytest.approx(
-                placement_objective(problem, engine.members), abs=TOL
-            )
-        engines[backend] = engine
-    assert engines["python"].members == engines["numpy"].members
-    assert engines["python"].value == pytest.approx(engines["numpy"].value, abs=TOL)
+        engine.apply_toggle(candidate)
+        assert engine.members == toggled
+        for objective in (placement_objective, reference.placement_objective):
+            assert engine.value == pytest.approx(objective(problem, engine.members), abs=TOL)
 
 
 @settings(max_examples=30, deadline=None)
 @given(model=cost_models(), omega=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_double_greedy_backends_agree_on_random_models(model, omega):
     """Full Algorithm 1 plan identity on arbitrary random cost models."""
-    plans = [
-        double_greedy_placement(
-            PlacementProblem(model, omega=omega, backend=backend), seed=11
-        )
-        for backend in ("python", "numpy")
-    ]
-    _assert_plans_identical(*plans)
+    problem = PlacementProblem(model, omega=omega)
+    _assert_plans_identical(
+        reference.double_greedy_placement(problem, seed=11),
+        double_greedy_placement(problem, seed=11),
+    )
 
 
 def test_engine_probe_is_cached_per_version():
     """A probe at an unchanged version is served from the cache (no re-eval)."""
     network = _network(1, nodes=20)
-    problem = build_problem(network, backend="numpy")
+    problem = build_problem(network)
     engine = ObjectiveEngine(problem)
     first_candidate, probed = problem.candidates[0], problem.candidates[1]
     first_gain = engine.toggle_gain(probed)
     calls = {"count": 0}
-    original = engine._evaluate_subset
+    original = engine._evaluate_rows
 
-    def counting(subset, rows):
+    def counting(rows):
         calls["count"] += 1
-        return original(subset, rows)
+        return original(rows)
 
-    engine._evaluate_subset = counting
+    engine._evaluate_rows = counting
     assert engine.toggle_gain(probed) == first_gain
     assert calls["count"] == 0  # cache hit: no evaluation ran
     engine.apply_toggle(first_candidate)  # bumps the version (1 probe eval)
@@ -296,4 +324,4 @@ def test_empty_network_candidates_rejected():
     network.add_node("b")
     network.add_channel("a", "b", 10.0, 10.0)
     with pytest.raises(ValueError):
-        build_problem(network, backend="numpy")
+        build_problem(network)

@@ -9,9 +9,13 @@ from repro.placement.compare import (
     DEFAULT_OMEGAS,
     PLACEMENT_SCALES,
     PlacementCompareRunner,
+    build_place_network,
     build_place_spec,
     fig9_table,
 )
+from repro.placement.solver import build_problem
+from repro.reference import placement as reference
+from repro.scenarios.spec import derive_seed
 
 
 class TestPlacementCompareSpec:
@@ -38,10 +42,8 @@ class TestPlacementCompareSpec:
         base = build_place_spec("small")
         relabeled = build_place_spec("small", omegas=[0.3], seeds=[9])
         resized = build_place_spec("small", nodes=48)
-        rebackended = build_place_spec("small", backend="python")
         assert base.fingerprint() == relabeled.fingerprint()
         assert base.fingerprint() != resized.fingerprint()
-        assert base.fingerprint() != rebackended.fingerprint()
 
 
 class TestPlacementCompareRuns:
@@ -76,18 +78,28 @@ class TestPlacementCompareRuns:
         assert again.executed == 0
         assert again.skipped == 4
 
-    def test_backends_produce_identical_rows(self, tmp_path):
-        rows = {}
-        for backend in ("python", "numpy"):
-            spec = self._tiny_spec(backend=backend)
-            runner = PlacementCompareRunner(
-                spec, results_dir=str(tmp_path / backend), workers=1
+    def test_rows_match_the_reference_solvers(self, tmp_path):
+        """Every row of the pipeline equals the scalar oracle's plan for the
+        same (topology, omega, solver seed)."""
+        spec = self._tiny_spec()
+        runner = PlacementCompareRunner(spec, results_dir=str(tmp_path), workers=1)
+        rows = runner.run().rows
+        assert len(rows) == 4
+        for row in rows:
+            network = build_place_network(spec.to_dict(), row["seed"])
+            problem = build_problem(
+                network, omega=row["omega"], hops=reference.hop_probe(network)
             )
-            rows[backend] = {
-                (row["method"], row["omega"]): (row["hub_count"], row["balance_cost"])
-                for row in runner.run().rows
-            }
-        assert rows["python"] == rows["numpy"]
+            if row["method"] == "exact":
+                plan = reference.brute_force_placement(problem)
+            else:
+                plan = reference.double_greedy_placement(
+                    problem, seed=derive_seed(row["seed"], "place-solver")
+                )
+            assert (row["hub_count"], row["balance_cost"]) == (
+                plan.hub_count,
+                round(plan.balance_cost, 6),
+            )
 
     def test_fig9_table_pivots_by_omega(self, tmp_path):
         spec = self._tiny_spec()
@@ -121,9 +133,15 @@ class TestPlaceCompareCli:
         assert code == 0
         output = capsys.readouterr().out
         assert "Figure 9 placement comparison" in output
-        assert os.path.exists(os.path.join(results_dir, "fig9-small-numpy.txt"))
+        assert os.path.exists(os.path.join(results_dir, "fig9-small.txt"))
         assert os.path.exists(os.path.join(results_dir, "place-small.jsonl"))
 
     def test_cli_rejects_unknown_scale(self, capsys):
         assert cli_main(["place-compare", "--scale", "galactic"]) == 2
         assert "unknown placement scale" in capsys.readouterr().err
+
+    def test_cli_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["place-compare", "--backend", "numpy", "--scale", "small"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err

@@ -5,7 +5,7 @@ the topology, funding or request mix:
 
 * no channel's directional spendable balance ever goes negative,
 * total funds are conserved across the whole batch (locked funds included),
-* the batched numpy backend and the scalar reference make identical
+* the batched executor and the scalar reference make identical
   decisions, payment for payment.
 """
 
@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.baselines import FlashScheme, LandmarkScheme, ShortestPathScheme
+from repro import baselines as production
+from repro.reference import baselines as reference
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 
 SCHEME_FACTORIES = {
-    "shortest-path": lambda backend: ShortestPathScheme(backend=backend),
-    "landmark": lambda backend: LandmarkScheme(landmark_count=3, backend=backend),
-    "flash": lambda backend: FlashScheme(elephant_threshold=40.0, seed=5, backend=backend),
+    "shortest-path": lambda side: side.ShortestPathScheme(),
+    "landmark": lambda side: side.LandmarkScheme(landmark_count=3),
+    "flash": lambda side: side.FlashScheme(elephant_threshold=40.0, seed=5),
 }
 
 
@@ -85,10 +86,10 @@ def batch_scenarios(draw):
     return node_count, chord_stride, capacities, requests
 
 
-def _run_batch(scheme_name, backend, node_count, chord_stride, capacities, requests):
+def _run_batch(scheme_name, side, node_count, chord_stride, capacities, requests):
     network = _ring_with_chords(node_count, chord_stride, capacities)
     total_before = network.total_funds()
-    scheme = SCHEME_FACTORIES[scheme_name](backend)
+    scheme = SCHEME_FACTORIES[scheme_name](side)
     scheme.prepare(network, rng=np.random.default_rng(0))
     payments = scheme.route_batch(requests)
     scheme.step(1.0, 0.1)
@@ -103,7 +104,7 @@ class TestBatchInvariants:
     def test_balances_never_negative_and_funds_conserved(self, scheme_name, scenario):
         node_count, chord_stride, capacities, requests = scenario
         network, total_before, _ = _run_batch(
-            scheme_name, "numpy", node_count, chord_stride, capacities, requests
+            scheme_name, production, node_count, chord_stride, capacities, requests
         )
         for channel in network.channels():
             assert channel.balance(channel.node_a) >= -1e-9
@@ -116,22 +117,22 @@ class TestBatchInvariants:
         node_count, chord_stride, capacities, requests = scenario
         outcomes = {}
         balances = {}
-        for backend in ("python", "numpy"):
+        for side in (reference, production):
             network, _, payments = _run_batch(
-                scheme_name, backend, node_count, chord_stride, capacities, requests
+                scheme_name, side, node_count, chord_stride, capacities, requests
             )
-            outcomes[backend] = [
+            outcomes[side] = [
                 (payment.is_complete, payment.is_failed, payment.value)
                 for payment in payments
             ]
-            balances[backend] = {
+            balances[side] = {
                 channel.endpoints: (
                     channel.balance(channel.node_a),
                     channel.balance(channel.node_b),
                 )
                 for channel in network.channels()
             }
-        assert outcomes["numpy"] == outcomes["python"]
-        for key, (balance_a, balance_b) in balances["python"].items():
-            assert balances["numpy"][key][0] == pytest.approx(balance_a, abs=1e-9)
-            assert balances["numpy"][key][1] == pytest.approx(balance_b, abs=1e-9)
+        assert outcomes[production] == outcomes[reference]
+        for key, (balance_a, balance_b) in balances[reference].items():
+            assert balances[production][key][0] == pytest.approx(balance_a, abs=1e-9)
+            assert balances[production][key][1] == pytest.approx(balance_b, abs=1e-9)

@@ -16,6 +16,7 @@ channel is empty.  These tests pin that as an invariant:
 import numpy as np
 import pytest
 
+from repro.reference.routing import RateRouter as ReferenceRateRouter
 from repro.routing.router import RateRouter, RouterConfig
 from repro.routing.transaction import Payment
 from repro.scenarios.registry import get_scenario
@@ -40,17 +41,16 @@ def _figure1_network() -> PCNetwork:
     return network
 
 
-def _run_figure1(imbalance_pricing: bool, backend: str = "numpy"):
+def _run_figure1(imbalance_pricing: bool, router_class=RateRouter):
     """The deadlock-demo circulation; returns per-step relay balances."""
     network = _figure1_network()
-    router = RateRouter(
+    router = router_class(
         network,
         RouterConfig(
             path_count=1,
             hop_delay=0.01,
             eta=0.5,
             imbalance_pricing_enabled=imbalance_pricing,
-            backend=backend,
         ),
     )
     relay_history = []
@@ -68,10 +68,12 @@ def _run_figure1(imbalance_pricing: bool, backend: str = "numpy"):
 
 
 class TestImbalancePricesBoundDrain:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_relay_liquidity_stays_bounded(self, backend):
+    @pytest.mark.parametrize(
+        "router_class", [ReferenceRateRouter, RateRouter], ids=["reference", "production"]
+    )
+    def test_relay_liquidity_stays_bounded(self, router_class):
         """Equation 19 blocks the draining direction before the relay empties."""
-        _, history = _run_figure1(imbalance_pricing=True, backend=backend)
+        _, history = _run_figure1(imbalance_pricing=True, router_class=router_class)
         floor = 10.0 * RETAINED_FLOOR
         assert min(history) >= floor
 

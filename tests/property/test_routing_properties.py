@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.prices import ChannelPrices
+from repro.reference.routing import ChannelPrices
 from repro.routing.router import RateRouter, RouterConfig
 from repro.routing.transaction import Payment
 from repro.topology.generators import watts_strogatz_pcn

@@ -1,25 +1,26 @@
-"""Equivalence suite: the numpy backend must match the python reference.
+"""Equivalence suite: the array kernels must match the scalar reference.
 
-Covers the three levels the vectorization touches:
+Production (:mod:`repro.routing`) against :mod:`repro.reference.routing`, at
+the three levels the vectorization touches:
 
 * price-table level: identical channel/path prices after observations and
   updates,
 * rate-controller level: identical gradient steps and required-funds
   reports,
 * system level: three seeded scenarios through the full Splicer scheme must
-  produce the same prices, rates and success ratio under both backends.
+  produce the same prices, rates and success ratio on both sides.
 
-Tolerance is 1e-9 everywhere (the backends differ only by floating-point
+Tolerance is 1e-9 everywhere (the two differ only by floating-point
 association order, which lands many orders of magnitude below that).
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.splicer_scheme import SplicerScheme
-from repro.core.config import SplicerConfig
-from repro.routing.prices import PriceTable
-from repro.routing.rate_control import PathRateController
+from repro import routing as production
+from repro.baselines import splicer_scheme
+from repro.reference import baselines as reference_baselines
+from repro.reference import routing as reference
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
 from repro.topology.generators import watts_strogatz_pcn
@@ -38,13 +39,14 @@ def _line_network(n=5, capacity=50.0):
     return network
 
 
-def _build_pair(backend):
+SIDES = (reference, production)
+
+
+def _build_pair(side):
     """A (table, controller) pair over a line network with seeded state."""
     network = _line_network()
-    table = PriceTable(network, kappa=0.1, eta=0.1, decay=0.01, backend=backend)
-    controller = PathRateController(
-        alpha=0.7, min_rate=0.2, initial_rate=3.0, backend=backend
-    )
+    table = side.PriceTable(network, kappa=0.1, eta=0.1, decay=0.01)
+    controller = side.PathRateController(alpha=0.7, min_rate=0.2, initial_rate=3.0)
     rng = np.random.default_rng(42)
     pairs = [("n0", "n2"), ("n1", "n4"), ("n0", "n4"), ("n3", "n1")]
     for source, target in pairs:
@@ -71,8 +73,8 @@ def _run_epochs(table, controller, epochs=5):
 class TestPriceTableEquivalence:
     def test_channel_and_path_prices_match(self):
         results = {}
-        for backend in ("python", "numpy"):
-            network, table, controller, pairs = _build_pair(backend)
+        for side in SIDES:
+            network, table, controller, pairs = _build_pair(side)
             _run_epochs(table, controller)
             nodes = [f"n{i}" for i in range(5)]
             channel_prices = [
@@ -80,24 +82,24 @@ class TestPriceTableEquivalence:
                 for a, b in zip(nodes, nodes[1:])
             ]
             path = ("n0", "n1", "n2", "n3")
-            results[backend] = (
+            results[side] = (
                 channel_prices,
                 table.path_price(path),
                 table.path_fee(path),
                 table.path_max_imbalance_gap(path),
             )
-        py, vec = results["python"], results["numpy"]
+        py, vec = results[reference], results[production]
         assert np.allclose(py[0], vec[0], atol=TOL, rtol=TOL)
         for a, b in zip(py[1:], vec[1:]):
             assert a == pytest.approx(b, abs=TOL)
 
     def test_view_accessors_match_scalar_entries(self):
         results = {}
-        for backend in ("python", "numpy"):
-            network, table, controller, _ = _build_pair(backend)
+        for side in SIDES:
+            network, table, controller, _ = _build_pair(side)
             _run_epochs(table, controller)
             entry = table.prices("n1", "n2")
-            results[backend] = (
+            results[side] = (
                 entry.capacity_price,
                 entry.imbalance_price["n1"],
                 entry.imbalance_price["n2"],
@@ -105,15 +107,15 @@ class TestPriceTableEquivalence:
                 entry.routing_price("n1"),
                 entry.forwarding_fee("n1", 0.01),
             )
-        assert np.allclose(results["python"], results["numpy"], atol=TOL, rtol=TOL)
+        assert np.allclose(results[reference], results[production], atol=TOL, rtol=TOL)
 
-    def test_single_path_queries_stay_strict_on_both_backends(self):
+    def test_single_path_queries_stay_strict_on_both_sides(self):
         """path_price raises for a path through a channel that neither has
-        price state nor exists, identically on both backends; only the batch
+        price state nor exists, identically on both sides; only the batch
         APIs are lenient (they resolve dead hops to placeholders)."""
-        for backend in ("python", "numpy"):
+        for side in SIDES:
             network = _line_network()
-            table = PriceTable(network, backend=backend)
+            table = side.PriceTable(network)
             dead = ("n0", "ghost", "n2")
             with pytest.raises(KeyError):
                 table.path_price(dead)
@@ -121,7 +123,7 @@ class TestPriceTableEquivalence:
             assert np.isfinite(table.path_prices([dead])[0])
 
     def test_batch_queries_match_scalar_queries(self):
-        network, table, controller, _ = _build_pair("numpy")
+        network, table, controller, _ = _build_pair(production)
         _run_epochs(table, controller)
         paths = [("n0", "n1", "n2"), ("n2", "n1", "n0"), ("n1", "n2", "n3", "n4")]
         batch = table.path_prices(paths)
@@ -135,33 +137,33 @@ class TestPriceTableEquivalence:
 class TestRateControllerEquivalence:
     def test_rates_match_after_epochs(self):
         final = {}
-        for backend in ("python", "numpy"):
-            network, table, controller, pairs = _build_pair(backend)
+        for side in SIDES:
+            network, table, controller, pairs = _build_pair(side)
             _run_epochs(table, controller, epochs=8)
-            final[backend] = {
+            final[side] = {
                 (source, target): list(controller.pair_state(source, target).rates)
                 for source, target in pairs
             }
-        for key in final["python"]:
-            assert np.allclose(final["python"][key], final["numpy"][key], atol=TOL, rtol=TOL)
+        for key in final[reference]:
+            assert np.allclose(final[reference][key], final[production][key], atol=TOL, rtol=TOL)
 
     def test_required_funds_match(self):
         reported = {}
-        for backend in ("python", "numpy"):
-            network, table, controller, _ = _build_pair(backend)
+        for side in SIDES:
+            network, table, controller, _ = _build_pair(side)
             controller.report_required_funds(table, settlement_delay=0.3)
             nodes = [f"n{i}" for i in range(5)]
-            reported[backend] = [
+            reported[side] = [
                 (
                     table.prices(a, b).required_funds[a],
                     table.prices(a, b).required_funds[b],
                 )
                 for a, b in zip(nodes, nodes[1:])
             ]
-        assert np.allclose(reported["python"], reported["numpy"], atol=TOL, rtol=TOL)
+        assert np.allclose(reported[reference], reported[production], atol=TOL, rtol=TOL)
 
     def test_prune_paths_preserves_prices_and_rate_updates(self):
-        network, table, controller, pairs = _build_pair("numpy")
+        network, table, controller, pairs = _build_pair(production)
         _run_epochs(table, controller, epochs=3)
         # Register a throwaway path set (simulating churned-out paths).
         for i in range(4):
@@ -176,18 +178,18 @@ class TestRateControllerEquivalence:
             assert table.path_price(path) == pytest.approx(price, abs=TOL)
         _run_epochs(table, controller, epochs=2)  # flat cache must rebuild
 
-    def _run_dead_path_scenario(self, backend):
+    def _run_dead_path_scenario(self, side):
         """A path cached through a channel that opened and closed again
         before it was ever priced must not crash the epoch update or the
         dispatch ranking (regression: KeyError from pricing the dead hop)."""
-        from repro.routing.router import RateRouter, RouterConfig
+        from repro.routing.router import RouterConfig
         from repro.routing.transaction import Payment
 
         network = _line_network()
         # queue_limit small enough that the second submission is rejected
         # after its paths are cached but before they are ever priced.
-        router = RateRouter(
-            network, RouterConfig(backend=backend, queue_limit=6.0, path_refresh_interval=10.0)
+        router = side.RateRouter(
+            network, RouterConfig(queue_limit=6.0, path_refresh_interval=10.0)
         )
         network.add_node("z")
         network.add_channel("n0", "z", 50.0, 50.0)
@@ -214,11 +216,11 @@ class TestRateControllerEquivalence:
         }
 
     def test_dead_path_scenario_backends_agree(self):
-        """Both backends survive the dead-path scenario AND allocate the
+        """Both sides survive the dead-path scenario AND allocate the
         same rates: the dead path must get identical zero-capacity
         placeholder economics (no free-price growth, no uncapped boost)."""
-        rates_py = self._run_dead_path_scenario("python")
-        rates_np = self._run_dead_path_scenario("numpy")
+        rates_py = self._run_dead_path_scenario(reference)
+        rates_np = self._run_dead_path_scenario(production)
         assert set(rates_py) == set(rates_np)
         for key in rates_py:
             assert np.allclose(rates_py[key], rates_np[key], atol=TOL, rtol=TOL)
@@ -227,7 +229,7 @@ class TestRateControllerEquivalence:
         from repro.routing.router import RateRouter, RouterConfig
 
         network = _line_network()
-        router = RateRouter(network, RouterConfig(backend="numpy", path_refresh_interval=0.0))
+        router = RateRouter(network, RouterConfig(path_refresh_interval=0.0))
         # Register far more retired paths than the router's active set.
         for i in range(1200):
             network.add_node(f"x{i}")
@@ -242,7 +244,7 @@ class TestRateControllerEquivalence:
         assert router.price_table.registered_path_count() <= 512
 
     def test_registration_changes_invalidate_flat_cache(self):
-        network, table, controller, _ = _build_pair("numpy")
+        network, table, controller, _ = _build_pair(production)
         _run_epochs(table, controller, epochs=2)
         state = controller.register_pair("n0", "n3", [("n0", "n1", "n2", "n3")])
         _run_epochs(table, controller, epochs=2)
@@ -257,7 +259,7 @@ class TestSystemEquivalence:
     """Three seeded scenarios end to end: success ratio must match exactly
     (it is a count ratio) and prices/rates within 1e-9."""
 
-    def _run(self, backend, seed):
+    def _run(self, scheme_class, seed):
         network = watts_strogatz_pcn(
             24,
             nearest_neighbors=4,
@@ -270,7 +272,7 @@ class TestSystemEquivalence:
             network, WorkloadConfig(duration=5.0, arrival_rate=12.0, seed=seed)
         )
         runner = ExperimentRunner(network, workload, step_size=0.1)
-        scheme = SplicerScheme(SplicerConfig().with_router(backend=backend))
+        scheme = scheme_class()
         metrics = runner.run_single(scheme, rng=np.random.default_rng(0))
         router = scheme.system.router
         rates = {
@@ -288,8 +290,8 @@ class TestSystemEquivalence:
         return metrics, rates, prices
 
     def test_backends_agree(self, seed):
-        metrics_py, rates_py, prices_py = self._run("python", seed)
-        metrics_np, rates_np, prices_np = self._run("numpy", seed)
+        metrics_py, rates_py, prices_py = self._run(reference_baselines.SplicerScheme, seed)
+        metrics_np, rates_np, prices_np = self._run(splicer_scheme.SplicerScheme, seed)
         assert metrics_np.success_ratio == pytest.approx(metrics_py.success_ratio, abs=TOL)
         assert metrics_np.normalized_throughput == pytest.approx(
             metrics_py.normalized_throughput, abs=TOL

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.routing.prices import ChannelPrices, PriceTable, channel_key
+from repro.reference.routing import ChannelPrices
+from repro.routing.prices import PriceTable, channel_key
 
 
 @pytest.fixture

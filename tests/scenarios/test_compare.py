@@ -24,15 +24,6 @@ class TestComparisonSpec:
         names = {run[1]["schemes.0"]["name"] for run in runs}
         assert names == {"splicer", "spider", "flash"}
 
-    def test_backend_reaches_every_scheme(self):
-        spec = build_comparison_spec("small", ["splicer", "spider", "flash"], backend="python")
-        for _, overrides in spec.expand_runs():
-            entry = overrides["schemes.0"]
-            if entry["name"] == "splicer":
-                assert entry["params"]["router"]["backend"] == "python"
-            else:
-                assert entry["params"]["backend"] == "python"
-
     def test_unknown_scale_is_rejected(self):
         with pytest.raises(KeyError):
             build_comparison_spec("galactic", ["splicer"])
@@ -46,7 +37,7 @@ class TestComparisonSpec:
         (how the runner ships it to workers) must still build schemes."""
         spec = ScenarioSpec(name="coerce-test", schemes=[SchemeSpec(name="splicer")])
         spec = spec.with_overrides(
-            {"schemes.0": {"name": "shortest-path", "params": {"backend": "numpy"}}}
+            {"schemes.0": {"name": "shortest-path", "params": {"timeout": 2.0}}}
         )
         specs = spec.scheme_specs()
         assert [entry.name for entry in specs] == ["shortest-path"]
@@ -77,6 +68,16 @@ class TestComparisonRuns:
         assert again.executed == 0
         assert again.skipped == 2
 
+    def test_bad_scheme_parameter_fails_in_the_parent(self, tmp_path):
+        """A constructor parameter a scheme does not take is a configuration
+        error: the runner raises before dispatching a single shard."""
+        spec = self._tiny_spec(["splicer", "flash"], seeds=[1])
+        spec.grid["schemes.0"][0]["params"]["router"] = {"backend": "python"}
+        runner = ScenarioRunner(spec, results_dir=str(tmp_path), workers=1)
+        with pytest.raises(ValueError, match=r"'splicer'.*'router\.backend'.*removed"):
+            runner.run()
+        assert not os.listdir(tmp_path)
+
 
 class TestCompareCli:
     def test_compare_command_writes_table(self, tmp_path, capsys):
@@ -103,11 +104,17 @@ class TestCompareCli:
         output = capsys.readouterr().out
         assert "Figure 8 comparison -- scale small" in output
         assert "shortest-path" in output
-        table_path = os.path.join(results_dir, "fig8-small-numpy.txt")
+        table_path = os.path.join(results_dir, "fig8-small.txt")
         assert os.path.exists(table_path)
 
     def test_empty_scheme_list_is_an_error(self):
         assert cli_main(["compare", "--schemes", ",,"]) == 2
+
+    def test_cli_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["compare", "--backend", "numpy", "--scale", "small"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestCompareCliErrorPaths:
@@ -178,3 +185,45 @@ class TestCompareCliErrorPaths:
             capsys, ["run", "scheme-zoo", "--schemes", "warpspeed"],
             "unknown scheme", "warpspeed",
         )
+
+    def test_run_rejects_unknown_scheme_parameter(self, capsys):
+        # Raised in the parent: exit 2, no retried shard, no failure row, no
+        # quarantine file (the fixture checks the scratch cwd stays clean).
+        self._fails_cleanly(
+            capsys,
+            [
+                "run", "channel-jamming", "--duration", "1", "--seeds", "1",
+                "--nodes", "30", "--set", 'schemes.1.params.backend="fortran"',
+            ],
+            "'spider'", "unknown parameter 'backend'", "option was removed",
+        )
+        assert not list(self.results_dir.rglob("*quarantine*"))
+
+
+def test_production_paths_do_not_import_the_reference_oracle(tmp_path):
+    """The CLI, a compare shard and a placement solve leave ``repro.reference``
+    unimported: the scalar oracle is for the differential suites only."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        "import sys, repro.__main__\n"
+        "from repro.placement.solver import solve_placement\n"
+        "from repro.scenarios.registry import build_comparison_spec\n"
+        "from repro.scenarios.runner import execute_run\n"
+        "spec = build_comparison_spec('small', ['splicer', 'flash'], duration=1.0, nodes=16)\n"
+        "for seed, overrides in spec.expand_runs():\n"
+        "    execute_run((spec.to_dict(), seed, overrides))\n"
+        "solve_placement(spec.topology.build(1), method='exact')\n"
+        "sys.exit(any(name.startswith('repro.reference') for name in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        cwd=str(tmp_path),
+        timeout=120,
+    )
+    assert result.returncode == 0

@@ -6,8 +6,6 @@ the source registries changed *nothing* for pre-existing synthetic specs --
 neither resume keys (fingerprints) nor simulation results (metric rows).
 """
 
-import warnings
-
 import pytest
 
 from repro.scenarios.registry import build_comparison_spec, get_scenario
@@ -98,7 +96,6 @@ class TestFingerprintsUnchanged:
         spec = build_comparison_spec(
             "small",
             ["splicer", "shortest-path"],
-            backend="numpy",
             seeds=[1],
             duration=2.0,
             nodes=30,
@@ -179,24 +176,22 @@ class TestSourceDescriptors:
             TopologySpec(source="no-such-source").build(seed=1)
 
 
-class TestDeprecationShim:
-    def test_legacy_spelling_of_data_backed_source_warns(self):
+class TestKindSpelling:
+    def test_data_backed_source_through_kind_is_rejected_before_build(self):
         topology = TopologySpec(kind="lightning-snapshot", params={}, channel_scale=None)
-        with pytest.warns(DeprecationWarning, match="topology.source"):
-            network = topology.build(seed=1)
-        assert len(network.nodes()) == 44
+        for resolve in (topology.resolved_source, topology.describe_source):
+            with pytest.raises(ValueError, match="topology.source"):
+                resolve()
 
-    def test_synthetic_kinds_stay_warning_free(self):
+    def test_synthetic_kind_spelling_builds(self):
         topology = TopologySpec(params={"node_count": 16, "candidate_fraction": 0.2})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            topology.build(seed=1)
+        assert topology.describe_source()["synthetic"]
+        assert len(topology.build(seed=1).nodes()) == 16
 
-    def test_source_spelling_does_not_warn(self):
+    def test_source_spelling_of_data_backed_source_builds(self):
         topology = TopologySpec(source={"kind": "lightning-snapshot", "max_nodes": 20})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            topology.build(seed=1)
+        assert not topology.describe_source()["synthetic"]
+        assert len(topology.build(seed=1).nodes()) == 20
 
 
 class TestChannelScaleValidation:

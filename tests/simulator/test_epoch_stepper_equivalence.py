@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import SCHEME_REGISTRY, ShortestPathScheme
+from repro.reference.baselines import SpiderScheme as ReferenceSpiderScheme
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.scenarios.registry import comparison_scheme_spec
 from repro.simulator.experiment import ExperimentRunner
@@ -48,8 +49,8 @@ def _workload(network, duration: float = 4.0, rate: float = 12.0, seed: int = 11
     )
 
 
-def _run(engine: str, scheme_name: str, workload=None, dynamics=None, backend: str = "numpy"):
-    """One full run of ``scheme_name`` under the given engine, fresh state."""
+def _run(engine: str, scheme_name: str, workload=None, dynamics=None, scheme=None):
+    """One full run of ``scheme_name`` (or ``scheme``) under the given engine, fresh state."""
     network = _network()
     runner = ExperimentRunner(
         network,
@@ -59,7 +60,8 @@ def _run(engine: str, scheme_name: str, workload=None, dynamics=None, backend: s
         dynamics=dynamics(network) if dynamics is not None else None,
         engine=engine,
     )
-    scheme = comparison_scheme_spec(scheme_name, backend).build()
+    if scheme is None:
+        scheme = comparison_scheme_spec(scheme_name).build()
     return runner.run_single(scheme, rng=np.random.default_rng(99))
 
 
@@ -93,11 +95,12 @@ class TestAllSchemesBitIdentical:
         assert epoch == reference
         assert epoch.failure_reasons == reference.failure_reasons
 
-    def test_python_backend_agrees_too(self):
-        # The epoch cursor must be backend-agnostic: the scalar reference
-        # scheme implementation sees the same batches as the array one.
-        reference = _run("events", "spider", backend="python")
-        epoch = _run("epoch", "spider", backend="python")
+    def test_scalar_reference_scheme_agrees_too(self):
+        # The epoch cursor must not depend on a scheme amortizing batches:
+        # the scalar reference implementation sees the same batches as the
+        # array one.
+        reference = _run("events", "spider", scheme=ReferenceSpiderScheme())
+        epoch = _run("epoch", "spider", scheme=ReferenceSpiderScheme())
         assert epoch == reference
 
 
@@ -203,7 +206,7 @@ class TestRandomInterleavings:
             runner = ExperimentRunner(
                 _network(seed=3), workload, step_size=0.25, drain_time=1.0, engine=engine
             )
-            return runner.run_single(ShortestPathScheme(backend="numpy"))
+            return runner.run_single(ShortestPathScheme())
 
         assert run("epoch") == run("events")
 
@@ -224,6 +227,6 @@ class TestRandomInterleavings:
             runner = ExperimentRunner(
                 _network(seed=3), workload, step_size=0.2, drain_time=0.5, engine=engine
             )
-            return runner.run_single(ShortestPathScheme(backend="numpy"))
+            return runner.run_single(ShortestPathScheme())
 
         assert run("epoch") == run("events")

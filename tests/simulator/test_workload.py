@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.reference.workload import generate_workload as reference_generate_workload
 from repro.simulator.workload import WorkloadConfig, circular_demand_workload, generate_workload
 
 
@@ -115,7 +116,7 @@ class TestCircularWorkload:
 
 
 class TestBackendEquivalence:
-    """The numpy backend's batched draws must replicate the scalar loop.
+    """The generator's batched draws must replicate the reference's scalar loop.
 
     Bit-identity rests on replicating numpy Generator internals (choice's
     cdf-searchsorted arithmetic, chunked-cumsum accumulation, batched
@@ -124,8 +125,8 @@ class TestBackendEquivalence:
     """
 
     def _streams(self, network, config):
-        python = generate_workload(network, config, backend="python")
-        numpy_ = generate_workload(network, config, backend="numpy")
+        python = reference_generate_workload(network, config)
+        numpy_ = generate_workload(network, config)
         return (
             [(r.arrival_time, r.sender, r.recipient, r.value) for r in python.requests],
             [(r.arrival_time, r.sender, r.recipient, r.value) for r in numpy_.requests],
@@ -159,7 +160,3 @@ class TestBackendEquivalence:
         scalar, batched, *_ = self._streams(small_ws_network, config)
         assert len(scalar) > 1024
         assert scalar == batched
-
-    def test_unknown_backend_rejected(self, small_ws_network):
-        with pytest.raises(ValueError):
-            generate_workload(small_ws_network, WorkloadConfig(seed=1), backend="fortran")

@@ -1,7 +1,7 @@
-"""Differential suite: the CSR graph backend vs the networkx scalar reference.
+"""Differential suite: the CSR graph kernels vs the networkx scalar reference.
 
-The topology layer's ``backend="numpy"`` kernels must return *identical*
-results to the scalar networkx walks -- path lists including order and
+The topology layer's CSR kernels must return *identical* results to the
+networkx walks of :mod:`repro.reference.topology` -- path lists including order and
 tie-breaks, hop-count dicts including disconnected pairs -- across all four
 Table-II selectors, before and after dynamics-driven topology mutation.
 A hypothesis invariant additionally pins the persistent path-catalog store:
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.batch import ChannelBalanceArrays, PathCatalog
+from repro.reference import topology as reference
 from repro.routing.paths import (
     PATH_SELECTORS,
     edge_disjoint_widest_paths,
@@ -66,8 +67,8 @@ def _assert_selectors_identical(network, pairs, ks=(1, 3, 5)):
         selector = PATH_SELECTORS[name]
         for source, target in pairs:
             for k in ks:
-                scalar = selector(network, source, target, k, backend="python")
-                arrays = selector(network, source, target, k, backend="numpy")
+                scalar = reference.PATH_SELECTORS[name](network, source, target, k)
+                arrays = selector(network, source, target, k)
                 assert scalar == arrays, (name, source, target, k)
 
 
@@ -88,8 +89,8 @@ class TestSelectorEquivalence:
         nodes = network.nodes()
         landmarks = sorted(nodes, key=network.degree, reverse=True)[:5]
         for source, target in _sample_pairs(network, 20, 6):
-            scalar = landmark_paths(network, source, target, 4, landmarks, backend="python")
-            arrays = landmark_paths(network, source, target, 4, landmarks, backend="numpy")
+            scalar = reference.landmark_paths(network, source, target, 4, landmarks)
+            arrays = landmark_paths(network, source, target, 4, landmarks)
             assert scalar == arrays
 
     def test_disconnected_pairs_and_isolated_nodes(self):
@@ -101,14 +102,14 @@ class TestSelectorEquivalence:
         for target in ("island", "atoll"):
             for name in SELECTORS:
                 selector = PATH_SELECTORS[name]
-                assert selector(network, anchor, target, 3, backend="python") == \
-                    selector(network, anchor, target, 3, backend="numpy")
+                assert reference.PATH_SELECTORS[name](network, anchor, target, 3) == \
+                    selector(network, anchor, target, 3)
         lonely = PCNetwork()
         lonely.add_node("a")
         lonely.add_node("b")
         for name in SELECTORS:
             selector = PATH_SELECTORS[name]
-            assert selector(lonely, "a", "b", 2, backend="numpy") == []
+            assert selector(lonely, "a", "b", 2) == []
 
 
 class TestDistanceHelperEquivalence:
@@ -118,29 +119,28 @@ class TestDistanceHelperEquivalence:
         nodes = network.nodes()
         for source, target in _sample_pairs(network, 15, 12) + [(nodes[0], "island")]:
             try:
-                scalar = network.hop_count(source, target, backend="python")
+                scalar = reference.hop_count(network, source, target)
             except nx.NetworkXNoPath:
                 scalar = None
             try:
-                arrays = network.hop_count(source, target, backend="numpy")
+                arrays = network.hop_count(source, target)
             except nx.NetworkXNoPath:
                 arrays = None
             assert scalar == arrays
             if scalar is not None:
-                assert network.shortest_path(source, target, backend="python") == \
-                    network.shortest_path(source, target, backend="numpy")
+                assert reference.shortest_path(network, source, target) == \
+                    network.shortest_path(source, target)
         for source in nodes[:10] + ["island"]:
-            assert network.hop_counts_from(source, backend="python") == \
-                network.hop_counts_from(source, backend="numpy")
-        assert network.all_pairs_hop_counts(backend="python") == \
-            network.all_pairs_hop_counts(backend="numpy")
+            assert reference.hop_counts_from(network, source) == \
+                network.hop_counts_from(source)
+        assert reference.all_pairs_hop_counts(network) == network.all_pairs_hop_counts()
 
     def test_batched_rows_match_per_source_dicts(self):
         network = _build_network(13)
         candidates = network.candidates()
         node_order, matrix = network.hop_count_rows(candidates)
         for row, candidate in enumerate(candidates):
-            expected = network.hop_counts_from(candidate, backend="python")
+            expected = reference.hop_counts_from(network, candidate)
             reachable = {
                 node_order[column]: int(matrix[row, column])
                 for column in np.nonzero(np.isfinite(matrix[row]))[0]
@@ -182,7 +182,7 @@ class TestMutationEquivalence:
         network = _build_network(31, skew_seed=32)
         pairs = _sample_pairs(network, 10, 33)
         before = [
-            edge_disjoint_widest_paths(network, s, t, 3, backend="numpy") for s, t in pairs
+            edge_disjoint_widest_paths(network, s, t, 3) for s, t in pairs
         ]
         events = jamming_events(network, at=0.0, duration=None, count=8, fraction=0.95)
         undos = [undo for undo in (event.apply(network) for event in events) if undo]
@@ -190,7 +190,7 @@ class TestMutationEquivalence:
         # refresh must still observe it.
         _assert_selectors_identical(network, pairs, ks=(3,))
         after = [
-            edge_disjoint_widest_paths(network, s, t, 3, backend="numpy") for s, t in pairs
+            edge_disjoint_widest_paths(network, s, t, 3) for s, t in pairs
         ]
         assert before != after, "jamming 95% of the top channels should move some path"
         for undo in reversed(undos):
@@ -312,26 +312,24 @@ class TestPersistentCatalogInvariant:
 
 class TestUnknownNodeParity:
     def test_selectors_degrade_identically_for_unknown_nodes(self):
-        # The scalar backend raises nx.NodeNotFound inside networkx and the
-        # catching selectors (ksp/heuristic/eds) return []; the CSR backend
-        # must translate its row lookups the same way.  EDW mirrors the
+        # The scalar reference raises nx.NodeNotFound inside networkx and the
+        # catching selectors (ksp/heuristic/eds) return []; the CSR kernels
+        # must translate their row lookups the same way.  EDW mirrors the
         # scalar's asymmetric shape: an unknown target is simply never
-        # reached, an unknown source raises on both backends.
+        # reached, an unknown source raises on both sides.
         network = _build_network(2)
         anchor = network.nodes()[0]
         for name in ("ksp", "heuristic", "eds"):
-            selector = PATH_SELECTORS[name]
-            assert selector(network, anchor, "ghost", 3, backend="python") == \
-                selector(network, anchor, "ghost", 3, backend="numpy") == []
-            assert selector(network, "ghost", anchor, 3, backend="python") == \
-                selector(network, "ghost", anchor, 3, backend="numpy") == []
-        edw = PATH_SELECTORS["edw"]
-        assert edw(network, anchor, "ghost", 3, backend="python") == \
-            edw(network, anchor, "ghost", 3, backend="numpy") == []
-        for backend in ("python", "numpy"):
+            selector, scalar = PATH_SELECTORS[name], reference.PATH_SELECTORS[name]
+            assert scalar(network, anchor, "ghost", 3) == \
+                selector(network, anchor, "ghost", 3) == []
+            assert scalar(network, "ghost", anchor, 3) == \
+                selector(network, "ghost", anchor, 3) == []
+        edw, scalar_edw = PATH_SELECTORS["edw"], reference.PATH_SELECTORS["edw"]
+        assert scalar_edw(network, anchor, "ghost", 3) == \
+            edw(network, anchor, "ghost", 3) == []
+        for selector in (scalar_edw, edw):
             with pytest.raises(nx.NetworkXException):
-                edw(network, "ghost", anchor, 3, backend=backend)
-        assert landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"],
-                              backend="python") == \
-            landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"],
-                           backend="numpy")
+                selector(network, "ghost", anchor, 3)
+        assert reference.landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"]) == \
+            landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"])

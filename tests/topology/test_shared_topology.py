@@ -17,12 +17,11 @@ import pytest
 from repro.scenarios.registry import build_comparison_spec
 from repro.scenarios.runner import (
     ScenarioRunner,
-    _lean_reconstruction,
     execute_run,
     load_result_rows,
     spec_fingerprint,
 )
-from repro.scenarios.spec import SchemeSpec, derive_seed
+from repro.scenarios.spec import derive_seed
 from repro.topology.generators import multi_star_pcn, watts_strogatz_pcn
 from repro.topology.shared import SharedArrayBlock, SharedTopologyBlock
 
@@ -130,7 +129,6 @@ class TestTopologyRoundTrip:
             for node in network.adj:
                 assert list(rebuilt.adj[node]) == list(network.adj[node])
                 assert rebuilt.node_attrs(node) == network.node_attrs(node)
-            assert rebuilt.backend == network.backend
         finally:
             block.unlink()
 
@@ -194,19 +192,6 @@ class TestLeanReconstruction:
         arrays = rebuilt.graph_arrays()
         assert not np.shares_memory(arrays.indptr, attached.block.arrays["indptr"])
         assert arrays.indptr.shape[0] == len(nodes) + 1
-
-    def test_lean_eligibility_rules(self):
-        spec = build_comparison_spec("small", ["spider", "shortest-path"], seeds=[1])
-        assert _lean_reconstruction(spec, "numpy")
-        assert not _lean_reconstruction(spec, "python")
-        spec.schemes = [SchemeSpec("spider", params={"backend": "python"})]
-        assert not _lean_reconstruction(spec, "numpy")
-        spec.schemes = [
-            SchemeSpec("splicer", params={"router": {"backend": "python"}})
-        ]
-        assert not _lean_reconstruction(spec, "numpy")
-        spec.schemes = [SchemeSpec("splicer", params={"router": {"backend": "numpy"}})]
-        assert _lean_reconstruction(spec, "numpy")
 
 
 def _tiny_spec(name: str):
