@@ -12,8 +12,10 @@ once per ``topology_version`` and implements the queries on top:
 * :class:`GraphArrays` -- CSR adjacency arrays plus per-node neighbor/slot
   lists in the exact networkx adjacency order (which is what makes
   tie-breaks reproducible), a per-directed-edge spendable-balance vector
-  refreshed from the channel objects on demand, and a ``scipy.sparse``
-  matrix feeding the batched ``csgraph`` BFS distance kernels,
+  refreshed from the channel objects on demand (a list for element-wise
+  reads plus an ndarray mirror for whole-vector filters, with one writer),
+  and a ``scipy.sparse`` matrix feeding the batched ``csgraph`` BFS
+  distance kernels,
 * batched distance queries -- ``hop_counts_from`` / ``all_pairs`` /
   multi-source probes run as single C-level ``scipy.sparse.csgraph``
   sweeps instead of per-source Python BFS,
@@ -26,6 +28,10 @@ once per ``topology_version`` and implements the queries on top:
   expansion depends on the previous tie-break), so these kernels run as
   tight loops over dense int rows, precomputed adjacency lists and the
   flat balance vector -- no per-hop channel-object or edge-dict lookups.
+  The widest-path search additionally hands its one big *width level* (the
+  giant component of "hops at least this wide", where the heap degenerates
+  into a FIFO queue) to a single ``csgraph.breadth_first_order`` call that
+  visits the same rows in the same order from the same predecessors.
 
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
@@ -37,12 +43,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from array import array
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _csgraph_bfs
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.topology.channel import PaymentChannel
@@ -51,6 +59,21 @@ NodeId = Hashable
 
 #: "No predecessor" sentinel of the dense predecessor lists.
 _ROOT = -1
+
+#: "Not reached" in the predecessor array of ``csgraph.breadth_first_order``.
+_BFS_UNREACHED = -9999
+
+#: The widest-path search finishes a width level in one C-level BFS instead
+#: of one heap pop per row once the level has popped more than this many rows
+#: (a level that large is almost always the giant component of "hops at least
+#: this wide") ...
+_DRAIN_LEVEL_POPS = 64
+#: ... while at least this many rows are still unvisited.  A drain costs a
+#: fixed ~0.3 ms of whole-graph array passes whatever it discovers -- what
+#: the heap loop spends on a few hundred rows.  Both constants sit on the
+#: flat part of the measured break-even (``python -m repro perf``,
+#: ``path-generation/*``; see ``docs/architecture.md``).
+_DRAIN_MIN_UNVISITED = 256
 
 #: Adjacency structure of the path kernels: per-node neighbor rows plus the
 #: pre-joined ``(neighbor, slot)`` tuple lists, both in networkx adjacency
@@ -103,30 +126,27 @@ class GraphArrays:
         }
         n = len(self.node_ids)
 
-        #: Per-node neighbor rows / directed-edge slots, networkx adjacency
-        #: order.  A *slot* is the directed hop's position in the flattened
-        #: adjacency -- the shared key of the balance vector, the exclusion
-        #: masks of the disjoint-path selectors and the path resolution maps.
-        #: ``pairs`` pre-joins the two (one ``(neighbor, slot)`` tuple list
-        #: per node) for the hot loops.
+        #: Per-node neighbor rows, networkx adjacency order.  A directed hop's
+        #: *slot* is its position in the flattened adjacency -- the shared key
+        #: of the balance vector, the exclusion masks of the disjoint-path
+        #: selectors and the path resolution maps.  ``pairs`` pre-joins
+        #: neighbor and slot (one ``(neighbor, slot)`` tuple list per node)
+        #: for the hot loops.
         self.adjacency: List[List[int]] = [[] for _ in range(n)]
-        self.slots: List[List[int]] = [[] for _ in range(n)]
+        self.pairs: List[List[Tuple[int, int]]] = []
         self.slot_of: Dict[Tuple[int, int], int] = {}
         indptr = np.zeros(n + 1, dtype=np.intp)
         flat: List[int] = []
         for row, node in enumerate(self.node_ids):
             neighbors = self.adjacency[row]
-            slot_list = self.slots[row]
+            first_slot = len(flat)
             for neighbor in adj[node]:
                 neighbor_row = self.node_row[neighbor]
                 self.slot_of[(row, neighbor_row)] = len(flat)
-                slot_list.append(len(flat))
                 neighbors.append(neighbor_row)
                 flat.append(neighbor_row)
             indptr[row + 1] = len(flat)
-        self.pairs: List[List[Tuple[int, int]]] = [
-            list(zip(self.adjacency[row], self.slots[row])) for row in range(n)
-        ]
+            self.pairs.append(list(zip(neighbors, range(first_slot, len(flat)))))
         shared = getattr(network, "shared_csr", None)
         if shared is not None and network.topology_version == 0:
             # The network was reconstructed from a shared-memory topology
@@ -140,10 +160,15 @@ class GraphArrays:
         self.slot_count = len(flat)
 
         #: Spendable balance of the directed hop at each slot, refreshed from
-        #: the channel objects by :meth:`refresh_balances`.  A flat Python
-        #: list: the widest-path kernel reads it element-wise millions of
-        #: times, where unboxed-float list access beats ndarray item access.
+        #: the channel objects by :meth:`refresh_balances`.  Two
+        #: representations of one vector: a flat Python list (the heap loop
+        #: of the widest-path kernel reads it element-wise millions of times,
+        #: where unboxed-float list access beats ndarray item access) and an
+        #: ndarray mirror (the level drain of the same kernel filters whole
+        #: hop sets against a width).  :meth:`_write_balances` is the only
+        #: writer of either.
         self.balance: List[float] = [0.0] * self.slot_count
+        self.balance_array = np.zeros(self.slot_count)
         self._balance_epoch = -1
         self._balance_sources: List[Tuple[object, int, int]] = []
         for channel in network.channels():
@@ -152,7 +177,6 @@ class GraphArrays:
             self._balance_sources.append(
                 (channel, self.slot_of[(row_a, row_b)], self.slot_of[(row_b, row_a)])
             )
-
         #: Unit-weight sparse matrix for the batched csgraph distance kernels.
         self.sparse = csr_matrix(
             (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
@@ -162,6 +186,9 @@ class GraphArrays:
         # each node's neighbors by edge-*insertion* order of the rebuilt
         # graph, which differs from the primary adjacency; built on demand.
         self._working: Optional[Tuple[Adjacency, Dict[Tuple[int, int], int]]] = None
+
+        #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
+        self._level: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
 
         # Stamped BFS scratch, reused across every bidirectional search on
         # this mirror: an entry is valid only when its stamp matches the
@@ -189,10 +216,30 @@ class GraphArrays:
         epoch = PaymentChannel.balance_epoch
         if epoch == self._balance_epoch:
             return
-        balance = self.balance
+        values = [0.0] * self.slot_count
         for channel, slot_ab, slot_ba in self._balance_sources:
-            balance[slot_ab], balance[slot_ba] = channel.balance_pair()
+            values[slot_ab], values[slot_ba] = channel.balance_pair()
+        self._write_balances(None, values)
         self._balance_epoch = epoch
+
+    def _write_balances(
+        self, slots: Optional[Sequence[int]], values: Sequence[float]
+    ) -> None:
+        """The only writer of the balance vector: list and mirror move together.
+
+        ``slots=None`` replaces the whole vector (``values`` in slot order),
+        otherwise ``values[i]`` goes to ``slots[i]``.
+        """
+        if slots is None:
+            self.balance[:] = values
+            # Via a C double array: twice as fast as letting numpy walk the
+            # list of float objects itself.
+            self.balance_array[:] = array("d", values)
+        else:
+            balance = self.balance
+            for slot, value in zip(slots, values):
+                balance[slot] = value
+            self.balance_array[slots] = values
 
     @property
     def node_count(self) -> int:
@@ -438,14 +485,22 @@ class GraphArrays:
     def _widest_path_rows(self, source: int, target: int) -> Optional[List[int]]:
         """Maximum-bottleneck path over the balance vector, scalar tie-breaks.
 
-        The heap keys ``(-width, counter, row)`` replicate the scalar
+        The heap keys ``(-width, counter)`` replicate the scalar
         implementation's push order (consecutive counters per improved
         neighbor, adjacency order), so equal-width ties pop in the same
         sequence; reading directional liquidity is one flat-list index
         instead of an edge-dict walk and a channel method call per hop.
 
-        Two scalar checks are provably redundant and elided from the inner
-        loop, shrinking it to its relaxation core:
+        The search proceeds in *width levels*: all entries of one width pop
+        before any narrower one, in push order, and every entry they push is
+        no wider -- so inside a level the heap is a FIFO queue and the level
+        is a breadth-first search over the hops at least that wide.  Small
+        levels run through the heap; once a level has popped more than
+        ``_DRAIN_LEVEL_POPS`` rows, :meth:`_drain_level` finishes it in one
+        C-level BFS with the same visiting order and predecessors.
+
+        Scalar checks that are provably redundant are elided or tightened,
+        shrinking the inner loop to its relaxation core:
 
         * *excluded edges* -- the caller zeroes excluded slots in the
           balance vector instead (restoring them afterwards); a zero-width
@@ -453,7 +508,11 @@ class GraphArrays:
           explicit exclusion/`available <= 0` skips,
         * *visited neighbors* -- non-stale pop widths are non-increasing,
           so a visited neighbor's settled width is always >= any later
-          ``new_width`` and the improvement test fails on its own.
+          ``new_width`` and the improvement test fails on its own,
+        * *the target's floor* -- an entry no wider than the target's best
+          width so far would be pushed after the target's own entry of that
+          width, so it cannot pop before the target does and end the search;
+          it is never pushed.
         """
         pair_lists, balance = self.pairs, self.balance
         push, pop = heappush, heappop
@@ -470,6 +529,9 @@ class GraphArrays:
         pushed_node = [source]
         heap: List[Tuple[float, int]] = [(-float("inf"), 0)]
         visited = bytearray(n)
+        level = 0.0  # negated width of the level being popped
+        level_pops = 0
+        drain_after = _DRAIN_LEVEL_POPS
         while heap:
             negative_width, counter = pop(heap)
             node = pushed_node[counter]
@@ -482,11 +544,22 @@ class GraphArrays:
             for w, slot in pair_lists[node]:
                 available = balance[slot]
                 new_width = available if available < width else width
-                if new_width > best_width[w]:
+                if new_width > best_width[w] and new_width > best_width[target]:
                     best_width[w] = new_width
                     previous[w] = node
                     push(heap, (-new_width, len(pushed_node)))
                     pushed_node.append(w)
+            if negative_width != level:
+                level, level_pops = negative_width, 0
+            level_pops += 1
+            if level_pops > drain_after:
+                if n - visited.count(1) < _DRAIN_MIN_UNVISITED:
+                    # Unvisited rows only get fewer: no later drain pays.
+                    drain_after = n
+                elif self._drain_level(
+                    width, target, heap, pushed_node, visited, best_width, previous
+                ):
+                    break
         if best_width[target] <= 0.0 or previous[target] == _ROOT and target != source:
             return None
         path = [target]
@@ -494,6 +567,140 @@ class GraphArrays:
             path.append(previous[path[-1]])
         path.reverse()
         return path
+
+    def _drain_level(
+        self,
+        width: float,
+        target: int,
+        heap: List[Tuple[float, int]],
+        pushed_node: List[int],
+        visited: bytearray,
+        best_width: List[float],
+        previous: List[int],
+    ) -> bool:
+        """Finish the width level the search is popping, in one C-level BFS.
+
+        Replaces the remaining heap pops of the level (see
+        :meth:`_widest_path_rows`) and leaves the search state as they would
+        have, up to entries that can never pop un-stale: the level's rows
+        visited at ``width`` with the predecessor that first reached them,
+        and the heap holding, in the same relative order, the narrower
+        entries those rows would have pushed.  Returns ``True`` when the
+        target is in the level (its predecessor chain is then final).
+
+        The BFS runs from a virtual super-source whose out-hops are the
+        level's pending entries in pop order, over the adjacency with every
+        hop that is narrower than ``width`` or enters a visited row
+        redirected to a dead-end sink; scipy walks the stored adjacency
+        order, so rows are discovered in the order and from the row the heap
+        loop would have popped and relaxed them.
+
+        Entries the drained rows would have pushed for rows *inside* the
+        level are stale by the time they pop, as are the level's own entries
+        still on the heap; neither is touched.  A row left outside is reached
+        from drained rows over narrower hops only, and of those relaxations
+        just the widest -- the earliest among equals, in (rank of the drained
+        row in BFS order, adjacency position) order -- can pop before the
+        row is visited and names its predecessor; it is pushed, under the
+        loop's own strict-improvement and floor tests.
+        """
+        negative_width = -width
+        pending = [
+            pushed_node[counter]
+            for _, counter in sorted(entry for entry in heap if entry[0] == negative_width)
+            if not visited[pushed_node[counter]]
+        ]
+        if not pending:
+            return False
+
+        n, hop_count = self.node_count, self.slot_count
+        super_source, sink = n, n + 1
+        balance, indices = self.balance_array, self.indices
+        visited_rows = np.frombuffer(visited, dtype=np.uint8)  # a writable view
+        level_graph, sink_offset, slot_row = self._level_buffers()
+        level_hops = level_graph.indices[:hop_count]
+        wide = balance >= width
+        wide &= visited_rows.take(indices) == 0
+        np.multiply(wide, sink_offset, out=level_hops)
+        level_hops += sink
+        level_graph.indices[hop_count : hop_count + len(pending)] = pending
+        level_graph.indptr[super_source + 1 :] = hop_count + len(pending)
+        order, predecessor = _csgraph_bfs(
+            level_graph, super_source, directed=True, return_predecessors=True
+        )
+
+        if predecessor[target] != _BFS_UNREACHED:
+            best_width[target] = width
+            row = target
+            while predecessor[row] != super_source:
+                via = int(predecessor[row])
+                previous[row] = via
+                row = via
+            return True
+
+        drained = order[1:]
+        drained = drained[drained != sink]
+        visited_rows[drained] = 1
+        for row, via in zip(drained.tolist(), predecessor[drained].tolist()):
+            best_width[row] = width
+            if via != super_source:
+                previous[row] = via
+
+        # Hops from drained rows into the rows left outside, above the floor.
+        rank = np.full(n, -1, dtype=np.intp)
+        rank[drained] = np.arange(len(drained))
+        hop = np.flatnonzero(visited_rows.take(indices) == 0)
+        sender_rank = rank[slot_row[hop]]
+        keep = (sender_rank >= 0) & (balance[hop] > best_width[target])
+        hop, sender_rank = hop[keep], sender_rank[keep]
+        receiver, hop_width = indices[hop], balance[hop]
+        relaxed_at = sender_rank * hop_count + hop
+        # Per receiver the widest, earliest among equals; then relaxation order.
+        widest = np.lexsort((relaxed_at, -hop_width, receiver))
+        grouped = receiver[widest]
+        first_of_receiver = np.ones(len(widest), dtype=bool)
+        first_of_receiver[1:] = grouped[1:] != grouped[:-1]
+        widest = widest[first_of_receiver]
+        widest = widest[np.argsort(relaxed_at[widest])]
+        for w, node, new_width in zip(
+            receiver[widest].tolist(),
+            slot_row[hop[widest]].tolist(),
+            hop_width[widest].tolist(),
+        ):
+            if new_width > best_width[w] and new_width > best_width[target]:
+                best_width[w] = new_width
+                previous[w] = node
+                heappush(heap, (-new_width, len(pushed_node)))
+                pushed_node.append(w)
+        return False
+
+    def _level_buffers(self) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
+        """Private buffers of :meth:`_drain_level`, built on first use.
+
+        * the BFS graph: the mirror's rows, then the virtual super-source,
+          then the sink; its ``indptr`` is the mirror's plus those two rows,
+          its ``indices`` are rewritten by every drain (the mirrored
+          adjacency itself may be a read-only shared block),
+        * ``indices - sink``, so that ``keep * offset + sink`` redirects the
+          hops a drain filters out without a branch,
+        * the sending row of the hop at each slot (``indices`` holds the
+          receiving row).
+        """
+        if self._level is None:
+            n, hop_count = self.node_count, self.slot_count
+            capacity = hop_count + n  # every hop, plus at most n pending rows
+            indptr = np.empty(n + 3, dtype=np.int32)
+            indptr[: n + 1] = self.indptr
+            indptr[n + 1 :] = capacity  # the constructor trims to indptr[-1]
+            self._level = (
+                csr_matrix(
+                    (np.ones(capacity), np.zeros(capacity, dtype=np.int32), indptr),
+                    shape=(n + 2, n + 2),
+                ),
+                (self.indices - (n + 1)).astype(np.int32),
+                np.repeat(np.arange(n), np.diff(self.indptr)),
+            )
+        return self._level
 
     def edge_disjoint_widest_paths(
         self, source: NodeId, target: NodeId, k: int
@@ -512,7 +719,8 @@ class GraphArrays:
         # Edge-disjointness is enforced by zeroing used slots in the balance
         # vector (see _widest_path_rows); originals are restored on exit so
         # the shared vector stays authoritative for other queries.
-        zeroed: List[Tuple[int, float]] = []
+        zeroed: List[int] = []
+        originals: List[float] = []
         paths: List[List[NodeId]] = []
         try:
             for _ in range(k):
@@ -520,13 +728,16 @@ class GraphArrays:
                 if rows is None or len(rows) < 2:
                     break
                 paths.append(self.to_nodes(rows))
-                for a, b in zip(rows, rows[1:]):
-                    for slot in (slot_of[(a, b)], slot_of[(b, a)]):
-                        zeroed.append((slot, balance[slot]))
-                        balance[slot] = 0.0
+                used = [
+                    slot
+                    for a, b in zip(rows, rows[1:])
+                    for slot in (slot_of[(a, b)], slot_of[(b, a)])
+                ]
+                zeroed += used
+                originals += [balance[slot] for slot in used]
+                self._write_balances(used, [0.0] * len(used))
         finally:
-            for slot, value in reversed(zeroed):
-                balance[slot] = value
+            self._write_balances(zeroed, originals)
         return paths
 
     def path_capacities(self, paths: Sequence[Sequence[NodeId]]) -> List[float]:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
+from typing import Optional, Set
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,51 @@ from repro.placement.problem import PlacementProblem
 from repro.topology.datasets import ChannelSizeDistribution, TransactionValueDistribution
 from repro.topology.generators import grid_pcn, multi_star_pcn, watts_strogatz_pcn
 from repro.topology.network import PCNetwork
+
+
+#: What the interpreter and the test tools themselves leave in a checkout.
+_TOOL_LEFTOVERS = ("__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+
+
+def _checkout_status(root: Path) -> Optional[Set[str]]:
+    """``git status`` lines of the checkout, ignored files included.
+
+    ``None`` outside a git checkout (an unpacked archive, no ``git``).
+    """
+    try:
+        result = subprocess.run(
+            ["git", "status", "--porcelain", "--ignored"],
+            cwd=root, capture_output=True, text=True, check=False,
+        )
+    except OSError:
+        return None
+    if result.returncode != 0:
+        return None
+    return {
+        line for line in result.stdout.splitlines()
+        if not any(leftover in line for leftover in _TOOL_LEFTOVERS)
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_stays_clean():
+    """Fail the session if the suite left anything new in the checkout.
+
+    A test that writes ``results/`` (or a quarantine file, a cache, a JSONL)
+    into the working tree instead of ``tmp_path`` silently masks run keys for
+    later real sweeps; this turns the leak into a failure.
+    """
+    root = Path(__file__).resolve().parents[1]
+    before = _checkout_status(root)
+    yield
+    if before is None:
+        return
+    leaked = sorted(_checkout_status(root) - before)
+    if leaked:
+        pytest.fail(
+            "the test suite left new state in the checkout:\n  " + "\n  ".join(leaked),
+            pytrace=False,
+        )
 
 
 @pytest.fixture

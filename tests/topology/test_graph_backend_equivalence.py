@@ -3,11 +3,15 @@
 The topology layer's CSR kernels must return *identical* results to the
 networkx walks of :mod:`repro.reference.topology` -- path lists including order and
 tie-breaks, hop-count dicts including disconnected pairs -- across all four
-Table-II selectors, before and after dynamics-driven topology mutation.
+Table-II selectors, before and after dynamics-driven topology mutation --
+and, for the widest-path search, at sizes and forced trigger values where
+its level drain runs.
 A hypothesis invariant additionally pins the persistent path-catalog store:
 cached catalogs equal freshly generated ones, including after
 ``topology_version`` bumps.
 """
+
+import itertools
 
 import networkx as nx
 import numpy as np
@@ -24,6 +28,7 @@ from repro.routing.paths import (
     landmark_paths,
 )
 from repro.scenarios.dynamics import churn_events, jamming_events
+from repro.topology import graph_backend
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 from repro.topology.path_store import PathCatalogStore
@@ -196,6 +201,224 @@ class TestMutationEquivalence:
         for undo in reversed(undos):
             undo()
         _assert_selectors_identical(network, pairs, ks=(3,))
+
+
+# ---------------------------------------------------------------------- #
+# widest-path level drain
+# ---------------------------------------------------------------------- #
+def _build_drain_network(nodes, seed, balances):
+    """A network big enough for a width level to reach the drain trigger.
+
+    ``skewed``: every hop its own width (one giant level somewhere in the
+    middle); ``uniform``: every hop the same width (the whole graph is one
+    tie level); ``quantised``: five widths (a handful of giant tie levels).
+    """
+    assert balances in ("skewed", "uniform", "quantised")
+    network = _build_network(
+        seed, nodes=nodes, skew_seed=seed + 100 if balances == "skewed" else None
+    )
+    if balances == "quantised":
+        rng = np.random.default_rng(seed + 100)
+        for channel in network.channels():
+            channel.transfer(channel.node_a, 10.0 * int(rng.integers(0, 5)))
+    return network
+
+
+class _DrainSpy:
+    """Counts :meth:`GraphArrays._drain_level` calls and their outcomes."""
+
+    def __init__(self, monkeypatch):
+        self.outcomes = []
+        original = graph_backend.GraphArrays._drain_level
+
+        def spied(arrays, width, target, heap, pushed_node, visited, *state):
+            before = visited.count(1)
+            found = original(arrays, width, target, heap, pushed_node, visited, *state)
+            self.outcomes.append((found, visited.count(1) - before))
+            return found
+
+        monkeypatch.setattr(graph_backend.GraphArrays, "_drain_level", spied)
+
+
+def _assert_edw_identical(network, pairs, k=5):
+    for source, target in pairs:
+        expected = reference.edge_disjoint_widest_paths(network, source, target, k)
+        assert edge_disjoint_widest_paths(network, source, target, k) == expected, (
+            source, target,
+        )
+
+
+class TestLevelDrainEquivalence:
+    """EDW at sizes where a width level reaches the drain trigger.
+
+    The 40-node networks of the suites above never do, so they pin the heap
+    loop only; every case here asserts that drains actually ran.
+    """
+
+    @pytest.mark.parametrize("balances", ["skewed", "uniform", "quantised"])
+    @pytest.mark.parametrize("nodes,pair_count", [(400, 8), (1000, 4)])
+    def test_edw_identical_where_levels_drain(self, monkeypatch, nodes, pair_count, balances):
+        spy = _DrainSpy(monkeypatch)
+        network = _build_drain_network(nodes, seed=nodes + 1, balances=balances)
+        _assert_edw_identical(network, _sample_pairs(network, pair_count, nodes + 2))
+        assert spy.outcomes, "no width level reached the drain trigger"
+
+    def test_edw_identical_after_jamming_locks(self, monkeypatch):
+        spy = _DrainSpy(monkeypatch)
+        network = _build_drain_network(400, seed=41, balances="skewed")
+        pairs = _sample_pairs(network, 6, 42)
+        before = [edge_disjoint_widest_paths(network, s, t, 5) for s, t in pairs]
+        events = jamming_events(network, at=0.0, duration=None, count=60, fraction=0.95)
+        undos = [undo for undo in (event.apply(network) for event in events) if undo]
+        _assert_edw_identical(network, pairs)
+        after = [edge_disjoint_widest_paths(network, s, t, 5) for s, t in pairs]
+        assert before != after, "jamming the top channels should move some path"
+        for undo in reversed(undos):
+            undo()
+        _assert_edw_identical(network, pairs)
+        assert spy.outcomes
+
+    def test_edw_identical_after_a_churn_mutation(self, monkeypatch):
+        spy = _DrainSpy(monkeypatch)
+        network = _build_drain_network(400, seed=43, balances="quantised")
+        pairs = _sample_pairs(network, 5, 44)
+        rng = np.random.default_rng(45)
+        for _ in range(2):
+            channels = list(network.channels())
+            node_a, node_b = channels[int(rng.integers(len(channels)))].endpoints
+            settlement = network.remove_channel(node_a, node_b)
+            _assert_edw_identical(network, pairs)
+            # Reopening moves the hop to the back of both adjacencies.
+            network.add_channel(node_a, node_b, settlement[node_a], settlement[node_b])
+            _assert_edw_identical(network, pairs)
+        assert spy.outcomes
+
+
+@st.composite
+def small_widest_path_cases(draw):
+    """A small random channel graph with tie-heavy balances, and drain triggers.
+
+    Balances come from four values including 0 (zero-balance hops, equal
+    widths reaching one row over several hops); edges are sparse enough for
+    disconnected targets and dense enough for levels of several rows.
+    """
+    nodes = draw(st.integers(min_value=3, max_value=12))
+    possible = [(a, b) for a in range(nodes) for b in range(a + 1, nodes)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=2, max_size=3 * nodes, unique=True)
+    )
+    widths = st.sampled_from([0.0, 10.0, 20.0, 30.0])
+    funded = [(a, b, draw(widths), draw(widths)) for a, b in edges]
+    level_pops = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=5))
+    return nodes, funded, level_pops, k
+
+
+def _small_network(nodes, funded):
+    network = PCNetwork()
+    for node in range(nodes):
+        network.add_node(node)
+    for node_a, node_b, balance_a, balance_b in funded:
+        network.add_channel(node_a, node_b, balance_a, balance_b)
+    return network
+
+
+class TestLevelDrainProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(case=small_widest_path_cases())
+    def test_edw_equals_the_reference_with_the_trigger_forced_down(self, case):
+        nodes, funded, level_pops, k = case
+        network = _small_network(nodes, funded)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_backend, "_DRAIN_LEVEL_POPS", level_pops)
+            patch.setattr(graph_backend, "_DRAIN_MIN_UNVISITED", 1)
+            _assert_edw_identical(network, itertools.permutations(range(nodes), 2), k)
+
+    def test_forced_drains_reach_every_situation(self, monkeypatch):
+        """The situations the property test is there for do occur.
+
+        Seeded sweep over the same graph family with the trigger at 1: a
+        search with several drains, a target found inside the drained level,
+        a target found only after a drain that missed it, a target no search
+        reaches, and zero-balance hops on the way.
+        """
+        monkeypatch.setattr(graph_backend, "_DRAIN_LEVEL_POPS", 1)
+        monkeypatch.setattr(graph_backend, "_DRAIN_MIN_UNVISITED", 1)
+        spy = _DrainSpy(monkeypatch)
+        searches = []
+        original = graph_backend.GraphArrays._widest_path_rows
+
+        def counted(arrays, source, target):
+            start = len(spy.outcomes)
+            rows = original(arrays, source, target)
+            searches.append((rows is not None, [found for found, _ in spy.outcomes[start:]]))
+            return rows
+
+        monkeypatch.setattr(graph_backend.GraphArrays, "_widest_path_rows", counted)
+        rng = np.random.default_rng(7)
+        widths = np.array([0.0, 10.0, 20.0, 30.0])
+        saw_zero_hop = False
+        for _ in range(40):
+            nodes = int(rng.integers(6, 13))
+            funded = [
+                (a, b, float(rng.choice(widths)), float(rng.choice(widths)))
+                for a in range(nodes)
+                for b in range(a + 1, nodes)
+                if rng.random() < 0.3
+            ]
+            saw_zero_hop = saw_zero_hop or any(0.0 in edge[2:] for edge in funded)
+            network = _small_network(nodes, funded)
+            _assert_edw_identical(network, itertools.permutations(range(nodes), 2), k=3)
+        assert saw_zero_hop
+        assert any(len(drains) >= 2 for _, drains in searches), "no multi-drain search"
+        assert any(drains and drains[-1] for _, drains in searches), "no target inside a level"
+        assert any(
+            reached and drains and not drains[-1] for reached, drains in searches
+        ), "no target reached after a drain that missed it"
+        assert any(not reached and drains for reached, drains in searches), "no unreachable target"
+
+
+class TestBalanceVectorIntegrity:
+    """The balance vector's list and ndarray survive a failing EDW search."""
+
+    def test_both_representations_restored_when_a_search_raises(self, monkeypatch):
+        network = _build_network(17, skew_seed=18)
+        arrays = network.graph_arrays()
+        source, target = _sample_pairs(network, 1, 19)[0]
+        assert len(edge_disjoint_widest_paths(network, source, target, 5)) >= 2
+
+        original = graph_backend.GraphArrays._widest_path_rows
+        calls = []
+
+        def second_search_fails(self, source_row, target_row):
+            calls.append((source_row, target_row))
+            if len(calls) == 2:
+                # By now the first path's slots are zeroed in both places.
+                assert 0.0 in self.balance and not self.balance_array.all()
+                raise RuntimeError("injected search failure")
+            return original(self, source_row, target_row)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_backend.GraphArrays, "_widest_path_rows", second_search_fails)
+            with pytest.raises(RuntimeError, match="injected"):
+                edge_disjoint_widest_paths(network, source, target, 5)
+        assert len(calls) == 2
+
+        fresh = [None] * arrays.slot_count
+        for channel in network.channels():
+            node_a, node_b = channel.endpoints
+            row_a, row_b = arrays.node_row[node_a], arrays.node_row[node_b]
+            fresh[arrays.slot_of[(row_a, row_b)]] = channel.balance(node_a)
+            fresh[arrays.slot_of[(row_b, row_a)]] = channel.balance(node_b)
+        assert arrays.balance == fresh
+        assert arrays.balance_array.tolist() == fresh
+
+        # No balance moved, so the next calls skip the refresh and read the
+        # restored vector as it is.
+        for pair in [(source, target)] + _sample_pairs(network, 5, 20):
+            for name in ("edw", "heuristic"):
+                assert PATH_SELECTORS[name](network, *pair, 5) == \
+                    reference.PATH_SELECTORS[name](network, *pair, 5)
 
 
 # ---------------------------------------------------------------------- #
