@@ -1126,7 +1126,9 @@ def _command_perf(args: argparse.Namespace) -> int:
                 return 0
             log.error(f"no baseline at {baseline_path}; run --update-baseline first")
             return 2
-        entries = perf_baseline.filter_entries(entries, scales)
+        # Gate on the scale labels the run produced (the large suite also
+        # carries the ``placement-solver/paper`` record).
+        entries = perf_baseline.filter_entries(entries, sorted({spec.scale for spec in specs}))
         tolerance = perf_baseline.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
         comparison = perf_baseline.compare_report(report, entries, tolerance=tolerance)
         if comparison.regressions:

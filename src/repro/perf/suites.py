@@ -21,7 +21,8 @@ benchmark groups:
   (SpeedyMurmurs' embedding routing with churn-reactive repair, and the
   waterfilling splitter) replayed over one workload.
 * ``placement-solver`` -- the placement facade on the same topology family
-  (exact method at small scale, double-greedy above).
+  (exact method at small scale, double-greedy above); the large suite adds
+  ``placement-solver/paper``, one figure-9 paper-scale shard (3000 nodes).
 
 The five array-kernel groups keep the record names they had when a scalar
 variant was measured next to them (``<group>/<scale>/numpy``), so the
@@ -57,6 +58,7 @@ from repro.baselines import (
     WaterfillingScheme,
 )
 from repro.perf.harness import BenchmarkSpec
+from repro.placement.compare import build_place_network
 from repro.placement.solver import solve_placement
 from repro.routing.paths import PATH_SELECTORS
 from repro.routing.prices import PriceTable
@@ -342,12 +344,12 @@ class _PlacementState:
     measure the vectorized kernels.
     """
 
-    def __init__(self, nodes: int, candidate_fraction: float, method: str) -> None:
-        self.network = _topology(nodes, 13, candidate_fraction)
-        self.method = method
+    def __init__(self, network: PCNetwork, method: str, omega: float = 0.05, **options) -> None:
+        self.network = network
+        self.options = dict(omega=omega, method=method, seed=0, **options)
 
     def step(self) -> None:
-        solve_placement(self.network, omega=0.05, method=self.method, seed=0)
+        solve_placement(self.network, **self.options)
 
 
 def _placement_spec(scale: str) -> BenchmarkSpec:
@@ -357,7 +359,28 @@ def _placement_spec(scale: str) -> BenchmarkSpec:
         "placement-solver",
         scale,
         "numpy",
-        lambda: _PlacementState(candidate_fraction=p["candidate_fraction"], **meta),
+        lambda: _PlacementState(
+            _topology(p["nodes"], 13, p["candidate_fraction"]), p["placement_method"]
+        ),
+        meta,
+    )
+
+
+def _paper_placement_spec() -> BenchmarkSpec:
+    """One figure-9 paper-scale shard, network -> plan (3000 nodes, 8 % candidates).
+
+    The three ``SCALES`` rows top out at 100 nodes and cannot see the cost
+    matrices or the probe kernel; this is the instance family and method of
+    ``place-compare --scale paper``.
+    """
+    meta = {"nodes": 3000, "method": "greedy-det", "omega": 0.02}
+    return _spec(
+        "placement-solver",
+        "paper",
+        "numpy",
+        lambda: _PlacementState(
+            build_place_network(meta, 13), "greedy", meta["omega"], deterministic_greedy=True
+        ),
         meta,
     )
 
@@ -380,6 +403,7 @@ def build_suite(scale: str) -> List[BenchmarkSpec]:
         _replay_spec("fig8-compare", scale, "numpy"),
         _replay_spec("scheme-zoo", scale, "numpy"),
         _placement_spec(scale),
+        *([_paper_placement_spec()] if scale == "large" else []),
     ]
 
 

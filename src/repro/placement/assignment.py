@@ -6,14 +6,15 @@ Given a fixed placement ``x``, the balance cost separates per client: client
 that assignment and, for a given placement, the resulting plan and cost.
 
 The assignment and the set function ``f(X)`` are evaluated on the
-:class:`~repro.placement.costs.CostArrays` mirror.  The kernels are
+:class:`~repro.placement.costs.CostArrays`.  The kernels are
 constructed to be *decision-identical* to the nested-dict arithmetic kept in
 :mod:`repro.reference.placement`: synchronization parts accumulate
 hub-by-hub in candidate order (the scalar ``sum`` order), the per-client
 score is the same two-term addition, and ``argmin`` breaks ties by the first
 (candidate-order) minimum exactly as ``min`` over a candidate-ordered hub
-list does.  :func:`scalar_placement_cost` is the one nested-dict evaluation
-production keeps: the exact enumerative solvers rank subsets with it.
+list does.  :func:`scalar_placement_cost` is the one evaluation production
+keeps on the model's nested-dict views: the exact enumerative solvers rank
+subsets with it.
 """
 
 from __future__ import annotations
@@ -35,21 +36,23 @@ def assignment_key(problem: PlacementProblem, hubs: Sequence[NodeId], hub: NodeI
 def hub_sync_parts(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
     """``omega * sum_l delta[n][l]`` for every hub row, vectorized.
 
-    Accumulates the delta columns hub-by-hub in ``hub_rows`` order (candidate
-    order), reproducing the scalar ``sum`` over the hub list bit-for-bit.
+    The last column of a row-wise ``cumsum`` over the hubs' delta block:
+    ``cumsum`` accumulates left to right, i.e. hub-by-hub in ``hub_rows``
+    (candidate) order, reproducing the scalar ``sum`` over the hub list
+    bit-for-bit.
     """
-    delta = problem.arrays.delta
-    acc = np.zeros(len(hub_rows))
-    for l in hub_rows:
-        acc += delta[hub_rows, l]
-    return problem.omega * acc
+    block = problem.arrays.delta[hub_rows[:, None], hub_rows]
+    return problem.omega * np.cumsum(block, axis=1)[:, -1]
+
+
+def _hub_scores(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
+    """``(hubs, clients)`` Lemma-1 scores: one contiguous ``zeta`` row per hub."""
+    return problem.arrays.zeta_t[hub_rows] + hub_sync_parts(problem, hub_rows)[:, None]
 
 
 def assignment_rows(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
     """Per-client index into ``hub_rows`` of each client's Lemma-1 hub."""
-    arrays = problem.arrays
-    scores = arrays.zeta[:, hub_rows] + hub_sync_parts(problem, hub_rows)[None, :]
-    return np.argmin(scores, axis=1)
+    return np.argmin(_hub_scores(problem, hub_rows), axis=0)
 
 
 def _candidate_hub_list(problem: PlacementProblem, hubs: Iterable[NodeId]) -> list:
@@ -137,17 +140,15 @@ def scalar_placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> 
 
 
 def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -> float:
-    """``f(X)`` evaluated on the arrays for a hub-row index vector.
+    """``f(X)`` evaluated on the arrays for a non-empty hub-row index vector.
 
     Uses the separable form ``f(X) = sum_m min_n (zeta[m][n] + omega *
     sum_l delta[n][l]) + omega * sum_{n,l in X} epsilon[n][l]``, which equals
     the scalar ``C_M + omega * C_S`` regrouped; the two agree to well below
     the differential suite's 1e-9 tolerance.
     """
-    arrays = problem.arrays
-    scores = arrays.zeta[:, hub_rows] + hub_sync_parts(problem, hub_rows)[None, :]
-    per_client = scores.min(axis=1) if scores.size else np.zeros(arrays.client_count)
-    epsilon_total = float(arrays.epsilon[np.ix_(hub_rows, hub_rows)].sum())
+    per_client = _hub_scores(problem, hub_rows).min(axis=0)
+    epsilon_total = float(problem.arrays.epsilon[hub_rows[:, None], hub_rows].sum())
     return float(per_client.sum()) + problem.omega * epsilon_total
 
 

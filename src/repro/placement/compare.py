@@ -11,7 +11,8 @@ the same JSONL grid machinery the scenario and figure-8 pipelines use
 (:mod:`repro.scenarios.jsonl`).
 
 Scales mirror the figure-8 comparison pipeline's node counts (small/60 up
-to paper/3000); paper scale solves in seconds per run.
+to paper/3000); a paper-scale solve takes 0.3-0.6 s, a seed's set-up
+(topology, hop probe, cost matrices) about as long once per process.
 
 Determinism: every plan-derived field of a result row is identical
 whatever the worker count or completion order (topology and solver seeds
@@ -162,6 +163,40 @@ def build_place_network(spec_dict: Dict[str, object], seed: int):
     )
 
 
+#: One-entry per-process memo of the last ``(nodes, seed, hop-cache dir)``'s
+#: problem.  The grid is seed-major and pool workers are long-lived, so the
+#: (method x omega) siblings of a seed skip the network build, the probe
+#: (or NPZ load) and the cost-matrix build; omega is applied per shard.
+_SEED_PROBLEM: Dict[tuple, object] = {}
+
+
+def _seed_problem(spec: PlacementCompareSpec, spec_dict: Dict[str, object], seed: int):
+    """``(problem, hop_cache)`` of one seed's topology, memoised per process."""
+    from repro.placement.solver import build_problem
+    from repro.topology.path_store import HopMatrixStore
+
+    key = (spec.nodes, seed, spec.hop_cache_dir)
+    if key in _SEED_PROBLEM:
+        return _SEED_PROBLEM[key], "hit" if spec.hop_cache_dir else "off"
+    network = build_place_network(spec_dict, seed)
+    probe, hop_cache = None, "off"
+    if spec.hop_cache_dir:
+        # Shards sharing a seed probe the identical hop-count matrix; the
+        # persistent store lets siblings in other processes (and resumed
+        # sweeps) skip the probe.
+        store = HopMatrixStore(spec.hop_cache_dir, network.topology_fingerprint())
+        probe = store.load()
+        hop_cache = "hit" if probe is not None else "miss"
+        if probe is None:
+            candidates = network.candidates()
+            node_order, matrix = network.hop_count_rows(candidates)
+            probe = (node_order, candidates, matrix)
+            store.save(*probe)
+    _SEED_PROBLEM.clear()
+    _SEED_PROBLEM[key] = problem = build_problem(network, hops=probe)
+    return problem, hop_cache
+
+
 def execute_place_run(
     task: Tuple[Dict[str, object], int, Dict[str, object]],
 ) -> Dict[str, object]:
@@ -171,7 +206,7 @@ def execute_place_run(
     """
     # Imported here so worker processes pay the import once per process and
     # the module stays importable without pulling the whole solver stack in.
-    from repro.placement.solver import build_problem, solve_placement
+    from repro.placement.solver import solve_placement
     from repro.placement.supermodular import greedy_descent_placement
     from repro.scenarios.runner import run_key
 
@@ -180,25 +215,8 @@ def execute_place_run(
     method = str(overrides["method"])
     omega = float(overrides["omega"])
 
-    network = build_place_network(spec_dict, seed)
-    hops = None
-    hop_cache = "off"
-    if spec.hop_cache_dir:
-        # Shards sharing a seed probe the identical hop-count matrix; the
-        # persistent store lets (method x omega) siblings skip the probe.
-        from repro.topology.path_store import HopMatrixStore
-
-        store = HopMatrixStore(spec.hop_cache_dir, network.topology_fingerprint())
-        hops = store.load()
-        hop_cache = "hit" if hops is not None else "miss"
-        if hops is None:
-            candidates = network.candidates()
-            node_order, matrix = network.hop_count_rows(candidates)
-            store.save(node_order, candidates, matrix)
-            from repro.topology.path_store import hop_dicts_from_rows
-
-            hops = hop_dicts_from_rows(node_order, candidates, matrix)
-    problem = build_problem(network, omega=omega, hops=hops)
+    base_problem, hop_cache = _seed_problem(spec, spec_dict, seed)
+    problem = base_problem.with_omega(omega)
     solver_seed = derive_seed(seed, "place-solver")
     started = time.perf_counter()
     if method == "greedy-descent":

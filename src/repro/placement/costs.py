@@ -10,13 +10,16 @@ network during the previous long period:
 * ``epsilon[n][l]`` -- constant synchronization cost between smooth nodes
   (paper setting: ``0.05 * hops(n, l)``).
 
-:class:`PlacementCostModel` stores these matrices and exposes the balance
-cost ``C_B = C_M + omega * C_S`` of equations (3)-(5).
+:class:`PlacementCostModel` holds them as dense :class:`CostArrays` (built
+straight from the batched hop probe, never through per-cell dicts) and
+exposes the balance cost ``C_B = C_M + omega * C_S`` of equations (3)-(5).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,33 +36,61 @@ PAPER_DELTA_PER_HOP = 0.01
 PAPER_EPSILON_PER_HOP = 0.05
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of ``values`` in row-major order.
+
+    ``np.cumsum`` accumulates sequentially, so this is the nested-dict
+    ``total += x`` loop of :mod:`repro.reference.placement` bit for bit
+    (``ndarray.sum`` is pairwise and is not).
+    """
+    flat = np.ravel(values)
+    return float(np.cumsum(flat)[-1]) if flat.size else 0.0
+
+
 @dataclass(frozen=True)
 class CostArrays:
-    """Index-mapped dense mirrors of a :class:`PlacementCostModel`.
+    """The index-mapped dense cost matrices -- the cost model's representation.
 
-    The vectorized placement kernels address clients and candidates by row
-    index instead of node id.  Indices follow the cost model's ordering, so
-    ``argmin`` tie-breaks reproduce the scalar reference's first-in-candidate-
-    order behaviour exactly.
+    Clients and candidates are addressed by row index instead of node id.
+    Indices follow the model's ordering, so ``argmin`` tie-breaks reproduce
+    the scalar reference's first-in-candidate-order behaviour exactly.  The
+    matrices are frozen (``writeable=False``): a cost model is immutable.
 
     Attributes:
         clients: Client ids in index order (row ``i`` of ``zeta``).
         candidates: Candidate ids in index order (column/row order of all
             three matrices).
-        client_index: ``client id -> zeta row``.
-        candidate_index: ``candidate id -> matrix row/column``.
         zeta: ``(M, Z)`` management-cost matrix.
         delta: ``(Z, Z)`` per-client synchronization-cost matrix.
         epsilon: ``(Z, Z)`` constant synchronization-cost matrix.
+        client_index: ``client id -> zeta row``.
+        candidate_index: ``candidate id -> matrix row/column``.
+        zeta_t: C-contiguous ``(Z, M)`` transpose of ``zeta``: the probe
+            kernel gathers one contiguous row per hub.
     """
 
     clients: Sequence[NodeId]
     candidates: Sequence[NodeId]
-    client_index: Mapping[NodeId, int]
-    candidate_index: Mapping[NodeId, int]
     zeta: np.ndarray
     delta: np.ndarray
     epsilon: np.ndarray
+    client_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
+    candidate_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
+    zeta_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shape = (len(self.clients), len(self.candidates))
+        if not self.candidates:
+            raise ValueError("the placement problem needs at least one candidate")
+        shapes = (self.zeta.shape, self.delta.shape, self.epsilon.shape)
+        if shapes != (shape, shape[1:] * 2, shape[1:] * 2):
+            raise ValueError(f"cost matrices {shapes} do not fit {shape} clients x candidates")
+        derive = object.__setattr__
+        derive(self, "client_index", {client: i for i, client in enumerate(self.clients)})
+        derive(self, "candidate_index", {cand: j for j, cand in enumerate(self.candidates)})
+        derive(self, "zeta_t", np.ascontiguousarray(self.zeta.T))
+        for matrix in (self.zeta, self.delta, self.epsilon, self.zeta_t):
+            matrix.flags.writeable = False
 
     @property
     def client_count(self) -> int:
@@ -81,16 +112,34 @@ class CostArrays:
         rows = sorted(self.candidate_index[hub] for hub in hubs)
         return np.asarray(rows, dtype=np.intp)
 
+    def off_diagonal_delta(self) -> np.ndarray:
+        """The ``delta[n][l]``, ``n != l`` entries in row-major order."""
+        return self.delta[~np.eye(self.candidate_count, dtype=bool)]
 
-@dataclass
+
+def _dense(name: str, kind: str, matrix, rows: Sequence, columns: Sequence) -> np.ndarray:
+    """A matrix as a dense array; a nested dict's missing entry names its row."""
+    if isinstance(matrix, np.ndarray):
+        return matrix
+    dense = np.empty((len(rows), len(columns)))
+    for i, row in enumerate(rows):
+        try:
+            dense[i] = [matrix[row][column] for column in columns]
+        except KeyError:
+            raise ValueError(f"{name} is missing entries for {kind} {row!r}") from None
+    return dense
+
+
 class PlacementCostModel:
-    """Cost matrices of the placement problem.
+    """Cost matrices of the placement problem (equations 3-5).
 
-    The nested-dict matrices are the scalar representation; the vectorized
-    kernels mirror them once into :class:`CostArrays` via :meth:`as_arrays`.
-    Cost models are treated as immutable after construction -- mutating the
-    dicts after the arrays were built would desynchronize the two
-    representations.
+    :class:`CostArrays` is the representation: every evaluation below and
+    every scalable solver reads the arrays, in the accumulation order of the
+    nested-dict arithmetic they replaced.  ``zeta`` / ``delta`` / ``epsilon``
+    are read-only nested-dict *views*, materialised on first access; only the
+    exact small-scale solvers and :mod:`repro.reference.placement` touch them.
+    The constructor takes each matrix dense (``(M, Z)`` / ``(Z, Z)``, shape
+    checked) or as a nested dict (every entry must be present).
 
     Attributes:
         clients: Ordered client node ids (``V_CLI``).
@@ -100,65 +149,50 @@ class PlacementCostModel:
         epsilon: ``epsilon[n][l]`` constant synchronization cost between candidates.
     """
 
-    clients: List[NodeId]
-    candidates: List[NodeId]
-    zeta: Dict[NodeId, Dict[NodeId, float]]
-    delta: Dict[NodeId, Dict[NodeId, float]]
-    epsilon: Dict[NodeId, Dict[NodeId, float]]
-    _arrays: Optional[CostArrays] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, clients: Sequence[NodeId], candidates: Sequence[NodeId], zeta, delta, epsilon
+    ) -> None:
+        self.clients: List[NodeId] = list(clients)
+        self.candidates: List[NodeId] = list(candidates)
+        self._arrays = CostArrays(
+            tuple(clients),
+            tuple(candidates),
+            _dense("zeta", "client", zeta, self.clients, self.candidates),
+            _dense("delta", "candidate", delta, self.candidates, self.candidates),
+            _dense("epsilon", "candidate", epsilon, self.candidates, self.candidates),
+        )
+        self._views: Dict[str, Mapping[NodeId, Mapping[NodeId, float]]] = {}
 
     def as_arrays(self) -> CostArrays:
-        """The dense index-mapped mirror of the matrices (built once, cached)."""
-        if self._arrays is None:
-            client_index = {client: i for i, client in enumerate(self.clients)}
-            candidate_index = {cand: j for j, cand in enumerate(self.candidates)}
-            zeta = np.array(
-                [[self.zeta[m][n] for n in self.candidates] for m in self.clients],
-                dtype=float,
-            ).reshape(len(self.clients), len(self.candidates))
-            delta = np.array(
-                [[self.delta[n][l] for l in self.candidates] for n in self.candidates],
-                dtype=float,
-            ).reshape(len(self.candidates), len(self.candidates))
-            epsilon = np.array(
-                [[self.epsilon[n][l] for l in self.candidates] for n in self.candidates],
-                dtype=float,
-            ).reshape(len(self.candidates), len(self.candidates))
-            self._arrays = CostArrays(
-                clients=tuple(self.clients),
-                candidates=tuple(self.candidates),
-                client_index=client_index,
-                candidate_index=candidate_index,
-                zeta=zeta,
-                delta=delta,
-                epsilon=epsilon,
-            )
+        """The dense index-mapped matrices."""
         return self._arrays
 
-    def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ValueError("the placement problem needs at least one candidate")
-        for client in self.clients:
-            row = self.zeta.get(client)
-            if row is None or any(candidate not in row for candidate in self.candidates):
-                raise ValueError(f"zeta is missing entries for client {client!r}")
-        for n in self.candidates:
-            for matrix_name, matrix in (("delta", self.delta), ("epsilon", self.epsilon)):
-                row = matrix.get(n)
-                if row is None or any(l not in row for l in self.candidates):
-                    raise ValueError(f"{matrix_name} is missing entries for candidate {n!r}")
+    def _view(self, name: str) -> Mapping[NodeId, Mapping[NodeId, float]]:
+        """The read-only nested-dict view of one matrix, built on first use."""
+        view = self._views.get(name)
+        if view is None:
+            rows = self.clients if name == "zeta" else self.candidates
+            view = self._views[name] = MappingProxyType(
+                {
+                    row: MappingProxyType(dict(zip(self.candidates, values)))
+                    for row, values in zip(rows, getattr(self._arrays, name).tolist())
+                }
+            )
+        return view
+
+    zeta = property(lambda self: self._view("zeta"))
+    delta = property(lambda self: self._view("delta"))
+    epsilon = property(lambda self: self._view("epsilon"))
 
     # ------------------------------------------------------------------ #
     # cost evaluation (equations 3-5)
     # ------------------------------------------------------------------ #
     def management_cost(self, assignment: Mapping[NodeId, NodeId]) -> float:
         """``C_M(y)``: total client-to-hub management cost for an assignment."""
-        total = 0.0
-        for client, hub in assignment.items():
-            total += self.zeta[client][hub]
-        return total
+        arrays = self._arrays
+        rows = [arrays.client_index[client] for client in assignment]
+        columns = [arrays.candidate_index[hub] for hub in assignment.values()]
+        return sequential_sum(arrays.zeta[rows, columns])
 
     def synchronization_cost(
         self,
@@ -170,16 +204,15 @@ class PlacementCostModel:
         Following equation (4), every ordered pair of placed hubs ``(n, l)``
         contributes ``delta[n][l] * |clients assigned to n| + epsilon[n][l]``.
         """
+        arrays = self._arrays
         hub_list = list(hubs)
-        clients_per_hub: Dict[NodeId, int] = {hub: 0 for hub in hub_list}
-        for hub in assignment.values():
-            if hub in clients_per_hub:
-                clients_per_hub[hub] += 1
-        total = 0.0
-        for n in hub_list:
-            for l in hub_list:
-                total += self.delta[n][l] * clients_per_hub[n] + self.epsilon[n][l]
-        return total
+        loads = Counter(assignment.values())
+        clients_per_hub = np.array([loads[hub] for hub in hub_list], dtype=float)
+        rows = [arrays.candidate_index[hub] for hub in hub_list]
+        pairs = np.ix_(rows, rows)
+        return sequential_sum(
+            arrays.delta[pairs] * clients_per_hub[:, None] + arrays.epsilon[pairs]
+        )
 
     def balance_cost(
         self,
@@ -196,19 +229,15 @@ class PlacementCostModel:
         This is the quantity minimized in Lemma 1:
         ``omega * sum_l delta[hub][l] + zeta[client][hub]``.
         """
-        return omega * sum(self.delta[hub][l] for l in hubs) + self.zeta[client][hub]
+        arrays = self._arrays
+        row = arrays.candidate_index[hub]
+        sync = sequential_sum(arrays.delta[row, [arrays.candidate_index[l] for l in hubs]])
+        return omega * sync + float(arrays.zeta[arrays.client_index[client], row])
 
     def has_uniform_delta(self, tolerance: float = 1e-9) -> bool:
         """Whether all off-diagonal delta entries are equal (Lemma 2's condition)."""
-        values = [
-            self.delta[n][l]
-            for n in self.candidates
-            for l in self.candidates
-            if n != l
-        ]
-        if not values:
-            return True
-        return max(values) - min(values) <= tolerance
+        values = self._arrays.off_diagonal_delta()
+        return not values.size or float(values.max() - values.min()) <= tolerance
 
 
 def cost_model_from_network(
@@ -219,9 +248,14 @@ def cost_model_from_network(
     delta_per_hop: float = PAPER_DELTA_PER_HOP,
     epsilon_per_hop: float = PAPER_EPSILON_PER_HOP,
     uniform_delta: bool = False,
-    hops: Optional[Dict[NodeId, Dict[NodeId, int]]] = None,
+    hops=None,
 ) -> PlacementCostModel:
     """Probe hop-count based costs from a PCN, as the candidates do in the paper.
+
+    The one network -> cost-model builder: each cost is the elementwise
+    ``coefficient * hops`` product of the paper's setting over the probe's
+    hop matrix, with unreachable or unknown pairs charged
+    ``max(node count, 2)`` hops and a zero candidate-to-itself distance.
 
     Args:
         network: The PCN to probe.
@@ -233,65 +267,55 @@ def cost_model_from_network(
         uniform_delta: Replace the hop-based delta with its mean value, which
             makes the objective provably supermodular (Lemma 2's uniform-cost
             case) -- used by the large-scale approximation experiments.
-        hops: Pre-probed per-candidate hop-count dicts (e.g. from the
-            figure-9 pipeline's persistent :class:`HopMatrixStore`); must
-            cover every candidate.  ``None`` probes the network with one
-            batched ``scipy.sparse.csgraph`` sweep over all candidates.
+        hops: A pre-made probe covering every candidate: the ``(node order,
+            sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (what
+            the figure-9 pipeline's :class:`HopMatrixStore` holds; ``inf``
+            where unreachable) or per-candidate reachable-only hop-count
+            dicts (the oracle's BFS probe).  ``None`` probes the network with
+            one batched ``scipy.sparse.csgraph`` sweep over all candidates.
     """
     client_list = list(clients) if clients is not None else network.clients()
     candidate_list = list(candidates) if candidates is not None else network.candidates()
     if not candidate_list:
         raise ValueError("the network has no candidate smooth nodes")
 
-    if hops is not None:
-        hop_from_candidate = {candidate: hops[candidate] for candidate in candidate_list}
+    if hops is None:
+        sources = candidate_list
+        node_order, matrix = network.hop_count_rows(sources)
+    elif isinstance(hops, Mapping):
+        # Densify only the columns read below.
+        sources, node_order = candidate_list, client_list + candidate_list
+        matrix = [[hops[source].get(node, np.inf) for node in node_order] for source in sources]
     else:
-        from repro.topology.path_store import hop_dicts_from_rows
+        node_order, sources, matrix = hops
+    source_row = {source: row for row, source in enumerate(sources)}
+    column = {node: j for j, node in enumerate(node_order)}
+    rows = np.asarray(matrix, dtype=float)[[source_row[candidate] for candidate in candidate_list]]
+    # One extra all-inf column stands in for nodes the probe never saw.
+    rows = np.column_stack([rows, np.full(len(candidate_list), np.inf)])
+    fallback_hops = float(max(network.node_count(), 2))
 
-        node_order, matrix = network.hop_count_rows(candidate_list)
-        hop_from_candidate = hop_dicts_from_rows(node_order, candidate_list, matrix)
-    fallback_hops = max(network.node_count(), 2)
+    def hops_to(nodes: Sequence[NodeId]) -> np.ndarray:
+        block = rows[:, [column.get(node, -1) for node in nodes]]
+        return np.where(np.isfinite(block), block, fallback_hops)
 
-    zeta: Dict[NodeId, Dict[NodeId, float]] = {}
-    for client in client_list:
-        zeta[client] = {}
-        for candidate in candidate_list:
-            hops = hop_from_candidate[candidate].get(client, fallback_hops)
-            zeta[client][candidate] = zeta_per_hop * hops
-
-    delta: Dict[NodeId, Dict[NodeId, float]] = {}
-    epsilon: Dict[NodeId, Dict[NodeId, float]] = {}
-    for n in candidate_list:
-        delta[n] = {}
-        epsilon[n] = {}
-        for l in candidate_list:
-            hops = 0 if n == l else hop_from_candidate[n].get(l, fallback_hops)
-            delta[n][l] = delta_per_hop * hops
-            epsilon[n][l] = epsilon_per_hop * hops
-
-    model = PlacementCostModel(client_list, candidate_list, zeta, delta, epsilon)
-    if uniform_delta:
-        model = uniformize_delta(model)
-    return model
+    between = hops_to(candidate_list)
+    np.fill_diagonal(between, 0.0)
+    model = PlacementCostModel(
+        client_list,
+        candidate_list,
+        (zeta_per_hop * hops_to(client_list)).T,
+        delta_per_hop * between,
+        epsilon_per_hop * between,
+    )
+    return uniformize_delta(model) if uniform_delta else model
 
 
 def uniformize_delta(model: PlacementCostModel) -> PlacementCostModel:
     """Replace off-diagonal delta entries by their mean (Lemma 2's uniform case)."""
-    off_diagonal = [
-        model.delta[n][l]
-        for n in model.candidates
-        for l in model.candidates
-        if n != l
-    ]
-    mean_delta = sum(off_diagonal) / len(off_diagonal) if off_diagonal else 0.0
-    delta = {
-        n: {l: (0.0 if n == l else mean_delta) for l in model.candidates}
-        for n in model.candidates
-    }
-    return PlacementCostModel(
-        clients=list(model.clients),
-        candidates=list(model.candidates),
-        zeta={m: dict(row) for m, row in model.zeta.items()},
-        delta=delta,
-        epsilon={n: dict(row) for n, row in model.epsilon.items()},
-    )
+    arrays = model.as_arrays()
+    off_diagonal = arrays.off_diagonal_delta()
+    mean_delta = sequential_sum(off_diagonal) / off_diagonal.size if off_diagonal.size else 0.0
+    delta = np.full_like(arrays.delta, mean_delta)
+    np.fill_diagonal(delta, 0.0)
+    return PlacementCostModel(arrays.clients, arrays.candidates, arrays.zeta, delta, arrays.epsilon)

@@ -2,9 +2,8 @@
 
 :class:`PlacementProblem` carries the paper's decision-variable structure
 (binary placements ``x_n``, binary assignments ``y_mn``, equations 1-5): a
-nested-dict :class:`~repro.placement.costs.PlacementCostModel` plus its
-index-mapped :class:`~repro.placement.costs.CostArrays` mirror, on which the
-solvers evaluate objectives.
+:class:`~repro.placement.costs.PlacementCostModel` whose index-mapped
+:class:`~repro.placement.costs.CostArrays` the solvers evaluate objectives on.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class PlacementProblem:
 
     @property
     def arrays(self) -> CostArrays:
-        """The cost model's dense index-mapped mirror (built lazily, cached)."""
+        """The cost model's dense index-mapped matrices."""
         return self.costs.as_arrays()
 
     # ------------------------------------------------------------------ #

@@ -184,12 +184,13 @@ def build_problem(
     clients: Optional[Sequence[NodeId]] = None,
     candidates: Optional[Sequence[NodeId]] = None,
     uniform_delta: bool = False,
-    hops: Optional[dict] = None,
+    hops=None,
 ) -> PlacementProblem:
     """Construct a placement problem from a PCN with the paper's cost model.
 
-    ``hops`` optionally injects pre-probed per-candidate hop-count dicts
-    (the figure-9 pipeline's persistent hop-matrix cache); otherwise the
+    ``hops`` optionally injects a pre-made probe (the figure-9 pipeline's
+    persistent hop-matrix rows, or the oracle's per-candidate dicts; see
+    :func:`~repro.placement.costs.cost_model_from_network`); otherwise the
     network is probed with one batched csgraph sweep.
     """
     cost_model = cost_model_from_network(

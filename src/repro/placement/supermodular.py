@@ -44,6 +44,7 @@ from repro.placement.assignment import (
     scalar_placement_cost,
     vectorized_placement_cost,
 )
+from repro.placement.costs import sequential_sum
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 NodeId = Hashable
@@ -76,17 +77,9 @@ def objective_upper_bound(problem: PlacementProblem) -> float:
     candidate; synchronization cost is bounded by placing every candidate and
     charging every pair for the full client population.
     """
-    costs = problem.costs
-    management_bound = sum(
-        max(costs.zeta[client][candidate] for candidate in problem.candidates)
-        for client in problem.clients
-    )
-    client_count = len(problem.clients)
-    synchronization_bound = sum(
-        costs.delta[n][l] * client_count + costs.epsilon[n][l]
-        for n in problem.candidates
-        for l in problem.candidates
-    )
+    arrays = problem.arrays
+    management_bound = sequential_sum(arrays.zeta_t.max(axis=0))
+    synchronization_bound = sequential_sum(arrays.delta * arrays.client_count + arrays.epsilon)
     return management_bound + problem.omega * synchronization_bound + 1.0
 
 
@@ -96,7 +89,7 @@ class ObjectiveEngine:
     Instead of re-running :func:`placement_objective` from scratch for every
     probe, the engine maintains the current subset, its objective value and
     the sorted hub-row vector of the
-    :class:`~repro.placement.costs.CostArrays` mirror.  Marginal gains are
+    :class:`~repro.placement.costs.CostArrays`.  Marginal gains are
     cached per candidate and keyed by a state *version* that bumps on every
     applied move: a cached gain is served for free while the subset is
     unchanged and lazily re-evaluated the next time the candidate is probed

@@ -273,8 +273,8 @@ class HopMatrixStore:
         """The store's NPZ file."""
         return os.path.join(self.directory, f"hops-{self.fingerprint}.npz")
 
-    def load(self) -> Optional[Dict[NodeId, Dict[NodeId, int]]]:
-        """The cached per-source hop-count dicts, or ``None`` when absent.
+    def load(self) -> Optional[Tuple[List[NodeId], List[NodeId], np.ndarray]]:
+        """The cached ``(node order, sources, matrix)`` probe, or ``None`` when absent.
 
         A corrupt or truncated NPZ (``BadZipFile``, damaged members,
         undecodable node reprs) warns and returns ``None`` -- the caller
@@ -289,7 +289,9 @@ class HopMatrixStore:
                 matrix = payload["matrix"]
             nodes = [_decode_node(str(text)) for text in node_reprs]
             sources = [nodes[int(row)] for row in source_rows]
-            return hop_dicts_from_rows(nodes, sources, matrix)
+            if matrix.shape != (len(sources), len(nodes)):
+                raise ValueError(f"hop matrix shape {matrix.shape}")
+            return nodes, sources, matrix
         except (
             OSError,
             ValueError,

@@ -176,7 +176,7 @@ class TestDegenerateCases:
     def test_disconnected_candidate_component(self):
         """A candidate pair unreachable from the rest probes fallback hops."""
         network = _network(4, nodes=20)
-        network.add_node("far-hub", roles={"candidate"})
+        network.add_node("far-hub", role="candidate")
         network.add_node("far-client")
         network.add_channel("far-hub", "far-client", 50.0, 50.0)
         _assert_plans_identical(

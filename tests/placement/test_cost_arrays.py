@@ -1,0 +1,243 @@
+"""Pins of the array-first cost model.
+
+* The probe kernel (row gather on ``zeta_t``, ``cumsum`` synchronization
+  parts) returns the *same floats* as the column-gather + hub-by-hub loop it
+  replaced -- ``==``, not ``approx`` -- at a size where the difference would
+  show.
+* The matrices built straight from the hop rows equal the nested-dict loop
+  over the oracle's per-candidate BFS probe, cell for cell.
+* The double-greedy family never materialises the nested-dict views; the
+  exact solvers and the oracle still read them and agree with each other.
+* A cost model is immutable: arrays and views both refuse writes.
+"""
+
+import numpy as np
+import pytest
+
+from repro.placement.assignment import hub_sync_parts, vectorized_placement_cost
+from repro.placement.costs import (
+    PAPER_DELTA_PER_HOP,
+    PAPER_EPSILON_PER_HOP,
+    PAPER_ZETA_PER_HOP,
+    PlacementCostModel,
+    cost_model_from_network,
+)
+from repro.placement.problem import PlacementProblem
+from repro.placement.solver import build_problem, solve_placement
+from repro.placement.supermodular import objective_upper_bound
+from repro.reference import placement as reference
+from repro.topology.generators import watts_strogatz_pcn
+
+
+# ---------------------------------------------------------------------- #
+# the formulation this kernel replaced, kept verbatim as the bitwise oracle
+# ---------------------------------------------------------------------- #
+def _loop_sync_parts(arrays, omega, hub_rows):
+    acc = np.zeros(len(hub_rows))
+    for l in hub_rows:
+        acc += arrays.delta[hub_rows, l]
+    return omega * acc
+
+
+def _column_gather_cost(arrays, zeta, omega, hub_rows):
+    scores = zeta[:, hub_rows] + _loop_sync_parts(arrays, omega, hub_rows)[None, :]
+    per_client = scores.min(axis=1)
+    epsilon_total = float(arrays.epsilon[np.ix_(hub_rows, hub_rows)].sum())
+    return float(per_client.sum()) + omega * epsilon_total
+
+
+def _dict_loop_upper_bound(problem):
+    costs = problem.costs
+    management_bound = sum(
+        max(costs.zeta[client][candidate] for candidate in problem.candidates)
+        for client in problem.clients
+    )
+    client_count = len(problem.clients)
+    synchronization_bound = sum(
+        costs.delta[n][l] * client_count + costs.epsilon[n][l]
+        for n in problem.candidates
+        for l in problem.candidates
+    )
+    return management_bound + problem.omega * synchronization_bound + 1.0
+
+
+@pytest.fixture(scope="module")
+def thousand_node_model():
+    network = watts_strogatz_pcn(
+        1000,
+        nearest_neighbors=8,
+        rewire_probability=0.25,
+        uniform_channel_size=200.0,
+        candidate_fraction=0.08,
+        seed=4,
+    )
+    model = cost_model_from_network(network)
+    assert len(model.candidates) == 80
+    return model
+
+
+class TestKernelIsBitIdentical:
+    @pytest.mark.parametrize("omega", [0.0, 0.02, 0.5])
+    def test_probe_values_equal_the_column_gather_loop(self, thousand_node_model, omega):
+        problem = PlacementProblem(thousand_node_model, omega=omega)
+        arrays = problem.arrays
+        zeta = np.ascontiguousarray(arrays.zeta)  # the old (M, Z) row-major layout
+        count = arrays.candidate_count
+        rng = np.random.default_rng(17)
+        subsets = [np.array([0]), np.array([count - 1]), np.arange(count)]
+        for density in (0.05, 0.3, 0.6, 0.9):
+            for _ in range(10):
+                rows = np.flatnonzero(rng.random(count) < density)
+                if len(rows):
+                    subsets.append(rows.astype(np.intp))
+        for rows in subsets:
+            assert np.array_equal(
+                hub_sync_parts(problem, rows), _loop_sync_parts(arrays, omega, rows)
+            )
+            assert vectorized_placement_cost(problem, rows) == _column_gather_cost(
+                arrays, zeta, omega, rows
+            )
+
+    def test_upper_bound_equals_the_dict_loop(self, thousand_node_model):
+        for omega in (0.0, 0.02, 0.5):
+            problem = PlacementProblem(thousand_node_model, omega=omega)
+            assert objective_upper_bound(problem) == _dict_loop_upper_bound(problem)
+
+
+# ---------------------------------------------------------------------- #
+# build: hop rows -> matrices == the nested-dict loop over the BFS probe
+# ---------------------------------------------------------------------- #
+def _dict_loop_model(network, clients, candidates):
+    """The dict-first builder this PR removed, over the oracle's probe."""
+    hops = reference.hop_probe(network, candidates)
+    fallback = max(network.node_count(), 2)
+    zeta = {
+        m: {n: PAPER_ZETA_PER_HOP * hops[n].get(m, fallback) for n in candidates}
+        for m in clients
+    }
+    between = {
+        n: {l: 0 if n == l else hops[n].get(l, fallback) for l in candidates}
+        for n in candidates
+    }
+    delta = {
+        n: {l: PAPER_DELTA_PER_HOP * h for l, h in row.items()} for n, row in between.items()
+    }
+    epsilon = {
+        n: {l: PAPER_EPSILON_PER_HOP * h for l, h in row.items()} for n, row in between.items()
+    }
+    return PlacementCostModel(clients, candidates, zeta, delta, epsilon)
+
+
+def _island_network():
+    network = watts_strogatz_pcn(
+        60, nearest_neighbors=4, rewire_probability=0.3, candidate_fraction=0.2, seed=8
+    )
+    network.add_node("island-client")
+    network.add_node("far-hub", role="candidate")
+    network.add_node("far-client")
+    network.add_channel("far-hub", "far-client", 50.0, 50.0)
+    return network
+
+
+class TestBuildFromHopRows:
+    def test_matrices_equal_the_dict_loop_with_disconnected_parts(self):
+        network = _island_network()
+        clients = network.clients() + ["island-client", "not-in-the-network"]
+        candidates = network.candidates()
+        assert "far-hub" in candidates
+        expected = _dict_loop_model(network, clients, candidates).as_arrays()
+        # A rows probe may cover more sources than the candidates, in any order.
+        sources = network.nodes()[::-1]
+        node_order, matrix = network.hop_count_rows(sources)
+        probes = (None, reference.hop_probe(network, candidates), (node_order, sources, matrix))
+        for hops in probes:
+            arrays = cost_model_from_network(
+                network, clients=clients, candidates=candidates, hops=hops
+            ).as_arrays()
+            assert arrays.clients == tuple(clients)
+            assert arrays.candidates == tuple(candidates)
+            for name in ("zeta", "delta", "epsilon"):
+                assert np.array_equal(getattr(arrays, name), getattr(expected, name)), name
+        fallback = PAPER_ZETA_PER_HOP * network.node_count()
+        island = arrays.zeta[arrays.client_index["island-client"]]
+        assert island.tolist() == [fallback] * len(candidates)
+        far_pair = arrays.client_index["far-client"], arrays.candidate_index["far-hub"]
+        assert arrays.zeta[far_pair] == PAPER_ZETA_PER_HOP
+
+    def test_views_mirror_the_arrays(self):
+        model = cost_model_from_network(_island_network())
+        arrays = model.as_arrays()
+        assert arrays.zeta_t.flags.c_contiguous
+        assert np.array_equal(arrays.zeta_t, arrays.zeta.T)
+        assert list(model.zeta) == model.clients
+        for name in ("zeta", "delta", "epsilon"):
+            view = getattr(model, name)
+            rebuilt = [[view[row][column] for column in model.candidates] for row in view]
+            assert rebuilt == getattr(arrays, name).tolist()
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            PlacementCostModel(
+                ["c0"], ["h0", "h1"], np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((2, 2))
+            )
+
+
+# ---------------------------------------------------------------------- #
+# structure: who reads the nested-dict views
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def view_reads(monkeypatch):
+    reads = []
+    materialise = PlacementCostModel._view
+
+    def spy(self, name):
+        reads.append(name)
+        return materialise(self, name)
+
+    monkeypatch.setattr(PlacementCostModel, "_view", spy)
+    return reads
+
+
+class TestWhoReadsTheViews:
+    def _network(self):
+        return watts_strogatz_pcn(
+            24, nearest_neighbors=4, rewire_probability=0.3, candidate_fraction=0.25, seed=1
+        )
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_double_greedy_never_materialises_them(self, view_reads, deterministic):
+        problem = build_problem(self._network(), omega=0.05)
+        plan = solve_placement(
+            problem, method="greedy", seed=3, deterministic_greedy=deterministic
+        )
+        assert plan.hub_count >= 1 and plan.balance_cost > 0
+        assert view_reads == []
+
+    @pytest.mark.parametrize("method", ["exact", "milp", "brute"])
+    def test_exact_solvers_and_the_oracle_still_do(self, view_reads, method):
+        network = self._network()
+        plan = solve_placement(build_problem(network, omega=0.05), method=method, seed=0)
+        assert view_reads
+        del view_reads[:]
+        oracle = reference.brute_force_placement(build_problem(network, omega=0.05))
+        assert view_reads
+        assert (plan.hubs, plan.assignment) == (oracle.hubs, oracle.assignment)
+        assert plan.balance_cost == pytest.approx(oracle.balance_cost, abs=1e-9)
+
+
+# ---------------------------------------------------------------------- #
+# immutability
+# ---------------------------------------------------------------------- #
+class TestCostModelIsImmutable:
+    def test_arrays_refuse_writes(self, tiny_placement_problem):
+        arrays = tiny_placement_problem.arrays
+        for matrix in (arrays.zeta, arrays.zeta_t, arrays.delta, arrays.epsilon):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+
+    def test_views_refuse_writes(self, tiny_placement_problem):
+        costs = tiny_placement_problem.costs
+        with pytest.raises(TypeError):
+            costs.epsilon["h0"]["h1"] = 0.0
+        with pytest.raises(TypeError):
+            costs.zeta["c0"] = {}

@@ -101,20 +101,15 @@ class TestSupermodularity:
     def test_uniform_delta_objective_is_supermodular(self):
         """Lemma 2: with uniform synchronization costs the objective is supermodular."""
         network = watts_strogatz_pcn(18, nearest_neighbors=4, candidate_fraction=0.3, seed=13)
-        model = uniformize_delta(cost_model_from_network(network))
-        # Zero out epsilon as well so only the uniform-delta structure remains.
-        for n in model.candidates:
-            for l in model.candidates:
-                model.epsilon[n][l] = 0.0
+        # Zero epsilon as well so only the uniform-delta structure remains
+        # (cost models are immutable, so it is zero from construction).
+        model = uniformize_delta(cost_model_from_network(network, epsilon_per_hop=0.0))
         problem = PlacementProblem(model, omega=0.2)
         assert is_supermodular(problem)
 
     def test_sampled_check_agrees_on_uniform_instance(self):
         network = watts_strogatz_pcn(40, nearest_neighbors=4, candidate_fraction=0.3, seed=17)
-        model = uniformize_delta(cost_model_from_network(network))
-        for n in model.candidates:
-            for l in model.candidates:
-                model.epsilon[n][l] = 0.0
+        model = uniformize_delta(cost_model_from_network(network, epsilon_per_hop=0.0))
         problem = PlacementProblem(model, omega=0.2)
         assert is_supermodular(problem, sample_checks=200)
 
