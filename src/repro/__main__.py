@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -228,16 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     compare.add_argument(
-        "--engine",
-        choices=["events", "epoch"],
-        default=None,
-        help=(
-            "simulation engine: the per-event reference loop or the "
-            "array-native epoch stepper (decision-identical; default epoch "
-            "at the xl scale, events elsewhere)"
-        ),
-    )
-    compare.add_argument(
         "--shared-memory",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -400,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help=(
             "which scale to run: the classic three, the xl-small "
-            "engine-overhead suite, or all of them (default all)"
+            "arrival-cursor suite, or all of them (default all)"
         ),
     )
     perf.add_argument(
@@ -771,7 +762,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             nodes=args.nodes,
             topology_source=_parse_source_flag(args.topology_source, "--topology-source"),
             workload_source=_parse_source_flag(args.workload_source, "--workload-source"),
-            engine=args.engine,
         )
         if args.arrival_rate is not None:
             spec.workload.arrival_rate = args.arrival_rate
@@ -1092,8 +1082,6 @@ def _command_perf(args: argparse.Namespace) -> int:
         )
 
     report = run_specs(specs, repeats=args.repeats, on_record=on_record)
-    for key, ratio in report.speedups().items():
-        log.info(f"  speedup {key:<20} events/epoch = {ratio:.2f}x")
 
     os.makedirs(args.output_dir, exist_ok=True)
     report_path = os.path.join(args.output_dir, default_report_name(report.revision))
@@ -1177,8 +1165,30 @@ def _command_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "list":
+        return _command_list()
+    if args.command == "show":
+        return _command_show(args.scenario)
+    if args.command == "perf":
+        return _command_perf(args)
+    if args.command == "compare":
+        return _command_compare(args)
+    if args.command == "place-compare":
+        return _command_place_compare(args)
+    if args.command == "report":
+        return _command_report(args)
+    if args.command == "trace":
+        return _command_trace(args)
+    if args.command == "doctor":
+        return _command_doctor(args)
+    if args.command == "data":
+        return run_data_command(args)
+    return _command_run(args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI dispatcher (exposed for tests)."""
+    """CLI entry point (exposed for tests)."""
     args = _build_parser().parse_args(argv)
     configure(
         mode="jsonl" if args.log_json else "human",
@@ -1186,25 +1196,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         verbose=bool(args.verbose),
     )
     try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "show":
-            return _command_show(args.scenario)
-        if args.command == "perf":
-            return _command_perf(args)
-        if args.command == "compare":
-            return _command_compare(args)
-        if args.command == "place-compare":
-            return _command_place_compare(args)
-        if args.command == "report":
-            return _command_report(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "doctor":
-            return _command_doctor(args)
-        if args.command == "data":
-            return run_data_command(args)
-        return _command_run(args)
+        code = _dispatch(args)
+        # Flush inside the handler: a reader that went away must surface
+        # here, not in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`... | head`).  Point stdout at devnull
+        # so the exit flush cannot raise again, and report the conventional
+        # fatal-signal exit code instead of a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
     except ShardFailure as error:
         log.error(str(error))
         return 1

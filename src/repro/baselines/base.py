@@ -91,12 +91,12 @@ class RoutingScheme(abc.ABC):
     def route_batch(self, requests: Sequence[TransactionRequest]) -> List[Payment]:
         """Offer a batch of requests that arrived since the last drain.
 
-        The experiment runner coalesces consecutive arrival events into one
-        call (nothing else happened in between, so the decision sequence is
-        unchanged).  Each request is routed at its own ``arrival_time``, which
-        keeps timestamps -- and therefore deadlines and completion times --
-        identical to per-arrival delivery.  Schemes that can amortize work
-        across the batch override this.
+        The experiment runner hands over everything that arrived between two
+        drain points in one call (nothing else happened in between, so the
+        decision sequence is unchanged).  Each request is routed at its own
+        ``arrival_time``, which keeps timestamps -- and therefore deadlines
+        and completion times -- identical to per-arrival delivery.  Schemes
+        that can amortize work across the batch override this.
         """
         return [self.submit(request, request.arrival_time) for request in requests]
 

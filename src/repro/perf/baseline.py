@@ -118,10 +118,11 @@ def filter_entries(
 ) -> Dict[str, BaselineEntry]:
     """Restrict baseline entries to the given suite scales.
 
-    Benchmark names are ``<group>/<scale>/<variant>``; a partial-suite run
-    (CI runs only ``small``) must not fail the gate for the scales it never
-    executed, while a dropped benchmark *within* an executed scale still
-    counts as missing.
+    Benchmark names are ``<group>/<scale>`` (older baseline files carry a
+    third ``/<variant>`` part; their entries still select by scale and then
+    report as missing); a partial-suite run (CI runs only ``small``) must
+    not fail the gate for the scales it never executed, while a dropped
+    benchmark *within* an executed scale still counts as missing.
     """
     wanted = set(scales)
     filtered = {}

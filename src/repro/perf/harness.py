@@ -31,10 +31,9 @@ class BenchmarkSpec:
     """One benchmark: a setup building fresh state and a timed step.
 
     Attributes:
-        name: Unique identifier, ``<group>/<scale>/<variant>``.
+        name: Unique identifier, ``<group>/<scale>``.
         group: Benchmark family (``routing-step``/``scenario-run``/...).
-        scale: Suite scale (``small``/``medium``/``large``).
-        variant: Flavor label (``numpy``/``events``/``epoch``/``-``).
+        scale: Suite scale (``small``/``medium``/``large``/``xl-small``).
         setup: Builds the benchmark state; run once, untimed.
         fn: One measured iteration, called with the setup's state.
         inner: Iterations per timed repeat (amortizes timer overhead for
@@ -45,7 +44,6 @@ class BenchmarkSpec:
     name: str
     group: str
     scale: str
-    variant: str
     setup: Callable[[], object]
     fn: Callable[[object], None]
     inner: int = 1
@@ -65,7 +63,6 @@ class BenchmarkRecord:
     name: str
     group: str
     scale: str
-    variant: str
     repeats: int
     inner: int
     best_seconds: float
@@ -79,7 +76,6 @@ class BenchmarkRecord:
             "name": self.name,
             "group": self.group,
             "scale": self.scale,
-            "variant": self.variant,
             "repeats": self.repeats,
             "inner": self.inner,
             "best_seconds": self.best_seconds,
@@ -95,7 +91,6 @@ class BenchmarkRecord:
             name=str(data["name"]),
             group=str(data["group"]),
             scale=str(data["scale"]),
-            variant=str(data["variant"]),
             repeats=int(data["repeats"]),
             inner=int(data["inner"]),
             best_seconds=float(data["best_seconds"]),
@@ -122,26 +117,12 @@ class BenchmarkReport:
                 return record
         raise KeyError(f"no benchmark record named {name!r}")
 
-    def speedups(self) -> Dict[str, float]:
-        """``events``/``epoch`` best-time ratios per (group, scale) pair."""
-        by_key: Dict[tuple, Dict[str, float]] = {}
-        for record in self.records:
-            by_key.setdefault((record.group, record.scale), {})[record.variant] = (
-                record.best_seconds
-            )
-        ratios = {}
-        for (group, scale), variants in sorted(by_key.items()):
-            if "events" in variants and variants.get("epoch", 0) > 0:
-                ratios[f"{group}/{scale}"] = variants["events"] / variants["epoch"]
-        return ratios
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "schema": 1,
             "revision": self.revision,
             "calibration_seconds": self.calibration_seconds,
             "environment": dict(self.environment),
-            "speedups": self.speedups(),
             "records": [record.as_dict() for record in self.records],
         }
 
@@ -257,7 +238,6 @@ def _build_record(
         name=spec.name,
         group=spec.group,
         scale=spec.scale,
-        variant=spec.variant,
         repeats=len(times),
         inner=spec.inner,
         best_seconds=best,
@@ -364,10 +344,14 @@ def profile_specs(
 
 
 def git_revision() -> str:
-    """Short git revision of the working tree, or ``local`` outside a repo."""
+    """Short git revision of the working tree, or ``local`` outside a repo.
+
+    Uncommitted changes append ``-dirty``, so a report or baseline measured
+    on a modified tree never passes for a measurement of its parent commit.
+    """
     try:
         output = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
             capture_output=True,
             text=True,
             timeout=10,

@@ -7,9 +7,8 @@ benchmark groups:
   (required-funds report, equations 21-22 over every channel, equation 26
   over every registered path) plus the per-interval arrival observations,
   on a synthetic multipath state.
-* ``scenario-run`` -- a full engine-driven experiment run of the Splicer
-  scheme over a Watts-Strogatz topology (workload replay, dispatch, HTLC
-  locks, metrics).
+* ``scenario-run`` -- a full experiment run of the Splicer scheme over a
+  Watts-Strogatz topology (workload replay, dispatch, HTLC locks, metrics).
 * ``path-generation`` -- per-pair path-catalog generation with all four
   Table-II selectors (KSP / heuristic / EDW / EDS) on a figure-8-family
   topology.  The large scale runs at the paper's figure-8 network size
@@ -24,18 +23,15 @@ benchmark groups:
   (exact method at small scale, double-greedy above); the large suite adds
   ``placement-solver/paper``, one figure-9 paper-scale shard (3000 nodes).
 
-The five array-kernel groups keep the record names they had when a scalar
-variant was measured next to them (``<group>/<scale>/numpy``), so the
-committed baseline rows keep gating them.
+Records are named ``<group>/<scale>``.
 
 The ``xl-small`` suite is separate: it contains only the
-``xl-epoch-stepper`` group, which replays a payment-heavy workload through
-a constant-time null scheme under both execution engines -- the per-event
-reference loop (``events``) and the array-native epoch stepper
-(``epoch``).  The null scheme isolates the engine's per-payment dispatch
-machinery (event objects, heap traffic vs one ``searchsorted`` slice per
-drain), which is exactly the overhead the xl scale tier eliminates; the
-``events``/``epoch`` pair gates the stepper's speedup.
+``xl-epoch-stepper`` group, which replays a payment-heavy workload (100k
+arrivals) through a constant-time null scheme.  The null scheme isolates the
+runner's arrival-delivery machinery -- the sorted cursor's one
+``searchsorted`` slice per drain -- so the row's time gate and memory
+ceiling catch per-payment work or a per-payment materialization creeping
+back into the path every replay takes.
 
 Everything is seeded; two runs on one machine measure the same work.
 """
@@ -112,20 +108,19 @@ SCALES: Dict[str, Dict[str, object]] = {
 }
 
 
-#: Parameters of the engine-overhead suite: a small topology carrying a
-#: payment-heavy workload, so per-payment engine machinery dominates.
+#: Parameters of the arrival-cursor suite: a small topology carrying a
+#: payment-heavy workload, so arrival delivery dominates.
 XL_SCALES: Dict[str, Dict[str, object]] = {
     "xl-small": {"nodes": 400, "duration": 8.0, "arrival_rate": 12500.0},
 }
 
 
-def _spec(group: str, scale: str, variant: str, setup, meta, inner: int = 1) -> BenchmarkSpec:
-    """One benchmark named ``<group>/<scale>/<variant>`` timing ``state.step()``."""
+def _spec(group: str, scale: str, setup, meta, inner: int = 1) -> BenchmarkSpec:
+    """One benchmark named ``<group>/<scale>`` timing ``state.step()``."""
     return BenchmarkSpec(
-        name=f"{group}/{scale}/{variant}",
+        name=f"{group}/{scale}",
         group=group,
         scale=scale,
-        variant=variant,
         setup=setup,
         fn=lambda state: state.step(),
         inner=inner,
@@ -204,7 +199,6 @@ def _routing_step_spec(scale: str) -> BenchmarkSpec:
     return _spec(
         "routing-step",
         scale,
-        "numpy",
         lambda: _RoutingStepState(p["pairs"], p["paths_per_pair"], p["observe_every"]),
         {"pairs": p["pairs"], "paths_per_pair": p["paths_per_pair"]},
         inner={"small": 20, "medium": 10, "large": 5}[scale],
@@ -216,7 +210,7 @@ def _routing_step_spec(scale: str) -> BenchmarkSpec:
 # ---------------------------------------------------------------------- #
 class _NullScheme(RoutingScheme):
     """A constant-time sink: accepts every batch and completes nothing, so a
-    run through it measures the engine's arrival-delivery machinery and
+    run through it measures the runner's arrival-delivery machinery and
     essentially nothing else."""
 
     name = "null"
@@ -243,7 +237,7 @@ _REPLAYS = {
     # Same shape, very different profile: BFS embedding builds and greedy
     # coordinate walks; edge-disjoint path generation and the shares hook.
     "scheme-zoo": ([SpeedyMurmursScheme, WaterfillingScheme], (17, 23, 9)),
-    # Engine overhead only; the variant is the runner's ``engine``.
+    # Arrival delivery only.
     "xl-epoch-stepper": ([_NullScheme], (41, 43, 7)),
 }
 
@@ -255,16 +249,14 @@ class _ReplayState:
     rebuilt each run, exactly as the compare pipeline does).
     """
 
-    def __init__(
-        self, group: str, nodes: int, duration: float, arrival_rate: float, engine: str = "events"
-    ) -> None:
+    def __init__(self, group: str, nodes: int, duration: float, arrival_rate: float) -> None:
         self._factories, (topology_seed, workload_seed, self._run_seed) = _REPLAYS[group]
         self.network = _topology(nodes, topology_seed)
         self.workload = generate_workload(
             self.network,
             WorkloadConfig(duration=duration, arrival_rate=arrival_rate, seed=workload_seed),
         )
-        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1, engine=engine)
+        self.runner = ExperimentRunner(self.network, self.workload, step_size=0.1)
 
     def step(self) -> None:
         rng = np.random.default_rng(self._run_seed)
@@ -272,10 +264,10 @@ class _ReplayState:
             self.runner.run_single(factory(), rng=rng)
 
 
-def _replay_spec(group: str, scale: str, variant: str, engine: str = "events") -> BenchmarkSpec:
+def _replay_spec(group: str, scale: str) -> BenchmarkSpec:
     p = XL_SCALES[scale] if scale in XL_SCALES else SCALES[scale]
     meta = {key: p[key] for key in ("nodes", "duration", "arrival_rate")}
-    return _spec(group, scale, variant, lambda: _ReplayState(group, engine=engine, **meta), meta)
+    return _spec(group, scale, lambda: _ReplayState(group, **meta), meta)
 
 
 # ---------------------------------------------------------------------- #
@@ -325,9 +317,7 @@ class _PathGenerationState:
 def _path_generation_spec(scale: str) -> BenchmarkSpec:
     p = SCALES[scale]
     meta = {"nodes": p["pathgen_nodes"], "pairs": p["pathgen_pairs"], "k": p["pathgen_k"]}
-    return _spec(
-        "path-generation", scale, "numpy", lambda: _PathGenerationState(**meta), meta
-    )
+    return _spec("path-generation", scale, lambda: _PathGenerationState(**meta), meta)
 
 
 # ---------------------------------------------------------------------- #
@@ -358,7 +348,6 @@ def _placement_spec(scale: str) -> BenchmarkSpec:
     return _spec(
         "placement-solver",
         scale,
-        "numpy",
         lambda: _PlacementState(
             _topology(p["nodes"], 13, p["candidate_fraction"]), p["placement_method"]
         ),
@@ -377,7 +366,6 @@ def _paper_placement_spec() -> BenchmarkSpec:
     return _spec(
         "placement-solver",
         "paper",
-        "numpy",
         lambda: _PlacementState(
             build_place_network(meta, 13), "greedy", meta["omega"], deterministic_greedy=True
         ),
@@ -388,20 +376,17 @@ def _paper_placement_spec() -> BenchmarkSpec:
 def build_suite(scale: str) -> List[BenchmarkSpec]:
     """All benchmarks of one scale."""
     if scale in XL_SCALES:
-        return [
-            _replay_spec("xl-epoch-stepper", scale, engine, engine)
-            for engine in ("events", "epoch")
-        ]
+        return [_replay_spec("xl-epoch-stepper", scale)]
     if scale not in SCALES:
         raise KeyError(
             f"unknown suite {scale!r}; choose from {sorted(SCALES) + sorted(XL_SCALES)}"
         )
     return [
         _routing_step_spec(scale),
-        _replay_spec("scenario-run", scale, "-"),
+        _replay_spec("scenario-run", scale),
         _path_generation_spec(scale),
-        _replay_spec("fig8-compare", scale, "numpy"),
-        _replay_spec("scheme-zoo", scale, "numpy"),
+        _replay_spec("fig8-compare", scale),
+        _replay_spec("scheme-zoo", scale),
         _placement_spec(scale),
         *([_paper_placement_spec()] if scale == "large" else []),
     ]

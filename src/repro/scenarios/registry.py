@@ -186,9 +186,9 @@ def hub_failure() -> ScenarioSpec:
 #: paper's figure-8 network size; ``large`` is the laptop-class default of
 #: ``python -m repro compare``.  ``xl`` is the beyond-paper scale tier: a
 #: 100k-node network offered one million payments (arrival_rate x the
-#: default 8s duration); it defaults to the epoch-stepper engine and
-#: shared-memory workers, and ``--nodes`` / ``--payments`` shrink it to
-#: machine-sized smokes (see ``docs/scaling.md``).
+#: default 8s duration); it defaults to shared-memory workers, and
+#: ``--nodes`` / ``--payments`` shrink it to machine-sized smokes (see
+#: ``docs/scaling.md``).
 COMPARISON_SCALES: Dict[str, Dict[str, float]] = {
     "small": {"nodes": 60, "arrival_rate": 20.0},
     "medium": {"nodes": 200, "arrival_rate": 30.0},
@@ -213,7 +213,6 @@ def build_comparison_spec(
     nodes: Optional[int] = None,
     topology_source: Optional[object] = None,
     workload_source: Optional[object] = None,
-    engine: Optional[str] = None,
 ) -> ScenarioSpec:
     """The figure-8 comparison at one scale, sharded one scheme per run.
 
@@ -229,11 +228,6 @@ def build_comparison_spec(
     ``nodes`` override becomes the snapshot loader's ``max_nodes`` cap.
     Source-backed specs fingerprint on the descriptor, so their JSONL
     sweeps resume independently of the synthetic ones.
-
-    ``engine`` selects the simulation engine (``events`` | ``epoch``); the
-    default is the epoch stepper at the ``xl`` scale and the per-event loop
-    elsewhere.  The engine is decision-identical and stays outside the
-    resume fingerprint.
     """
     try:
         params = COMPARISON_SCALES[scale]
@@ -285,7 +279,6 @@ def build_comparison_spec(
         schemes=[SchemeSpec(name="splicer")],
         grid={"schemes.0": [asdict(comparison_scheme_spec(scheme)) for scheme in schemes]},
         seeds=list(seeds) if seeds else [1],
-        engine=engine if engine is not None else ("epoch" if scale == "xl" else "events"),
     )
 
 

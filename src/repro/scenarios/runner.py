@@ -54,10 +54,7 @@ __all__ = [
 #: directory is excluded because the cache is transparent: a run produces
 #: bit-identical rows with or without it.  Observability is transparent the
 #: same way (sampling decisions never touch a simulation RNG), so enabling
-#: tracing must not re-run a completed sweep either.  The execution engine
-#: (per-event loop vs epoch stepper) is decision-identical by contract --
-#: pinned by ``tests/simulator/test_epoch_stepper_equivalence.py`` -- so
-#: switching engines must not re-run a completed sweep.  Fault plans perturb
+#: tracing must not re-run a completed sweep either.  Fault plans perturb
 #: execution (retries, worker kills), never results, so a chaos run and a
 #: clean run must share run keys and resume into the same file.
 _NON_FINGERPRINT_FIELDS = (
@@ -66,7 +63,6 @@ _NON_FINGERPRINT_FIELDS = (
     "description",
     "path_cache_dir",
     "obs",
-    "engine",
     "fault_plan",
 )
 

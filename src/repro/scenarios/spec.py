@@ -41,7 +41,7 @@ from repro.scenarios.dynamics import (
     jamming_events,
 )
 from repro.data.sources import get_topology_source, get_workload_source
-from repro.simulator.experiment import ExperimentRunner
+from repro.simulator.experiment import ExperimentRunner, validate_stepping
 from repro.simulator.workload import TransactionWorkload, WorkloadConfig, generate_workload
 from repro.topology.datasets import TransactionValueDistribution
 from repro.topology.network import PCNetwork
@@ -432,12 +432,6 @@ class ScenarioSpec:
             Observability is transparent like the path cache -- metrics are
             bit-identical with it on or off -- so it also stays out of the
             resume fingerprint.
-        engine: Execution engine of the runner: ``"events"`` (per-event
-            reference loop) or ``"epoch"`` (array-native epoch stepper).
-            The two are decision-identical -- pinned by the epoch-stepper
-            differential suite -- so the field is pruned from the dict
-            shape while at its default and excluded from the resume
-            fingerprint, like the other transparent knobs.
         fault_plan: Serialized deterministic fault-injection plan
             (:meth:`~repro.scenarios.faults.FaultPlan.to_dict`), or ``None``
             (the default) for no injection.  Faults perturb *execution*,
@@ -461,7 +455,6 @@ class ScenarioSpec:
     drain_time: float = 4.0
     path_cache_dir: Optional[str] = None
     obs: Optional[Dict[str, object]] = None
-    engine: str = "events"
     fault_plan: Optional[Dict[str, object]] = None
 
     # -- serialization ------------------------------------------------- #
@@ -478,8 +471,6 @@ class ScenarioSpec:
             sub = data.get(section)
             if isinstance(sub, dict) and sub.get("source") is None:
                 sub.pop("source", None)
-        if data.get("engine") == "events":
-            data.pop("engine", None)
         if data.get("fault_plan") is None:
             data.pop("fault_plan", None)
         return data
@@ -543,15 +534,17 @@ class ScenarioSpec:
     def validate(self) -> None:
         """Resolve, for every grid point, what a shard would only find at build time.
 
-        Source names are looked up in their registries and every scheme is
-        constructed once (constructors are cheap and need no network), so a
-        mistyped source, scheme name or scheme parameter raises
-        ``ValueError`` in the parent -- a configuration error -- instead of
-        failing inside each shard, where it would be retried as if transient
-        and then quarantined.
+        Source names are looked up in their registries, every scheme is
+        constructed once (constructors are cheap and need no network) and
+        the stepping parameters go through the experiment runner's own
+        check, so a mistyped source, scheme name, scheme parameter or a
+        non-positive ``step_size`` raises ``ValueError`` in the parent -- a
+        configuration error -- instead of failing inside each shard, where
+        it would be retried as if transient and then quarantined.
         """
         for overrides in self._grid_points():
             point = self.with_overrides(overrides) if overrides else self
+            validate_stepping(point.step_size, point.drain_time)
             point.topology.describe_source()
             point.workload.describe_source()
             for scheme in point.scheme_specs():
@@ -596,7 +589,6 @@ class ScenarioSpec:
             step_size=self.step_size,
             drain_time=self.drain_time,
             dynamics=events,
-            engine=self.engine,
         )
         return runner, [scheme_spec.build() for scheme_spec in self.scheme_specs()]
 

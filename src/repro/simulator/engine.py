@@ -9,7 +9,7 @@ drives routing-scheme steps and epoch synchronization.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.simulator.events import Event, EventKind
 
@@ -31,35 +31,6 @@ class SimulationEngine:
         if event.time < self.now - 1e-12:
             raise ValueError(f"cannot schedule an event at {event.time} before now ({self.now})")
         heapq.heappush(self._queue, event)
-
-    def schedule_many(self, events: Iterable[Event]) -> int:
-        """Bulk-load a batch of events onto the queue.
-
-        Replaying a workload schedules thousands of arrival events up front;
-        loading them through one ``heapify`` is O(n) instead of the O(n log n)
-        of per-event pushes.  A batch larger than the *live* queue is merged
-        the same way -- extend then re-heapify, O(n + m) -- while a small
-        batch against a big queue keeps the O(m log n) per-event pushes
-        (re-heapifying the whole queue would cost more than the pushes
-        save).  Heap layout does not affect pop order: events are totally
-        ordered by ``(time, sequence)``.  Returns the number scheduled.
-        """
-        batch = list(events)
-        for event in batch:
-            if event.time < self.now - 1e-12:
-                raise ValueError(
-                    f"cannot schedule an event at {event.time} before now ({self.now})"
-                )
-        if not self._queue:
-            self._queue = batch
-            heapq.heapify(self._queue)
-        elif len(batch) > len(self._queue):
-            self._queue.extend(batch)
-            heapq.heapify(self._queue)
-        else:
-            for event in batch:
-                heapq.heappush(self._queue, event)
-        return len(batch)
 
     def schedule_at(
         self,
@@ -84,12 +55,13 @@ class SimulationEngine:
         """Schedule a periodic event train; returns the number of occurrences."""
         if interval <= 0:
             raise ValueError("interval must be positive")
-        events: List[Event] = []
+        count = 0
         time = start
         while time <= end + 1e-12:
-            events.append(Event(time=time, kind=kind, handler=handler))
+            self.schedule(Event(time=time, kind=kind, handler=handler))
             time += interval
-        return self.schedule_many(events)
+            count += 1
+        return count
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""

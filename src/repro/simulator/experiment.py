@@ -2,13 +2,17 @@
 
 :class:`ExperimentRunner` replays the same transaction workload over the
 same funded topology under each scheme: channel balances are snapshotted
-before the first run and restored between runs, arrivals are delivered
-through the discrete-event engine, and every scheme is stepped at a fixed
-interval.  By default consecutive arrivals are coalesced and drained in
-epoch-sized batches through :meth:`RoutingScheme.route_batch` -- nothing
-happens between coalesced arrivals and each request keeps its own arrival
-timestamp, so results are identical to per-arrival delivery while schemes amortize
-their work across each batch.  The result is one
+before the first run and restored between runs, and every scheme is stepped
+at a fixed interval by the discrete-event engine.  Arrivals never touch the
+event heap: at every *drain point* (scheme tick, dynamics event, timed
+revert, end of run) one sorted cursor hands the scheme, through
+:meth:`RoutingScheme.route_batch`, everything that arrived since the last
+one.  Nothing mutates scheme or network state between two drain points and
+each request keeps its own arrival timestamp, so results are identical to
+delivering every arrival as its own event -- the definition kept in
+:mod:`repro.reference.simulator` and pinned against this module by
+``tests/simulator/test_epoch_stepper_equivalence.py`` -- while schemes
+amortize their work across each batch.  The result is one
 :class:`~repro.simulator.metrics.SchemeMetrics` per scheme, which is exactly
 the material of the paper's figures 7, 8 and 9 and Table II.
 """
@@ -26,74 +30,59 @@ if TYPE_CHECKING:  # imported lazily to keep simulator importable before baselin
 
 from repro.obs import core as obs
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import Event, EventKind
+from repro.simulator.events import EventKind
 from repro.simulator.metrics import MetricsCollector, SchemeMetrics
 from repro.simulator.workload import StreamingWorkload, TransactionWorkload
 from repro.topology.network import PCNetwork
 
 
-#: Execution engines of the runner: ``"events"`` schedules every arrival as
-#: its own engine event (the reference), ``"epoch"`` drains arrivals from a
-#: sorted array cursor per tick without touching the python heap per payment.
-VALID_ENGINES = ("events", "epoch")
+def validate_stepping(step_size: float, drain_time: float) -> None:
+    """The runner's rules for its stepping parameters (``ValueError`` otherwise).
 
-
-class _EpochArrivalCursor:
-    """Array-backed drain cursor over a materialized workload (epoch engine).
-
-    Holds the stable arrival-time-sorted request list plus a float64 view of
-    the times; each drain is one ``np.searchsorted`` and a list slice.  The
-    order and the strict ``arrival_time <= now`` boundary reproduce exactly
-    what the event engine's ``(time, sequence)`` heap delivers, so the two
-    execution paths are decision-identical (pinned by
-    ``tests/simulator/test_epoch_stepper_equivalence.py``).
+    Shared with :meth:`repro.scenarios.spec.ScenarioSpec.validate`, which
+    applies it to every grid point in the sweep's parent process.
     """
-
-    def __init__(self, times: np.ndarray, requests: List) -> None:
-        self._times = times
-        self._requests = requests
-        self._index = 0
-
-    def take_until(self, now: float) -> List:
-        """All not-yet-taken requests with ``arrival_time <= now``, in order."""
-        hi = int(np.searchsorted(self._times, now, side="right"))
-        lo = self._index
-        if hi <= lo:
-            return []
-        self._index = hi
-        return self._requests[lo:hi]
+    if step_size <= 0:
+        raise ValueError("step_size must be positive")
+    if drain_time < 0:
+        raise ValueError("drain_time must be non-negative")
 
 
 class _ArrivalCursor:
-    """Pulls time-ordered requests out of a streaming workload on demand.
+    """Sorted drain cursor over a workload's time-ordered request chunks.
 
-    Streaming replay must be *decision-identical* to scheduling every
-    request as an engine event: with batched arrivals, a request arriving
-    at or before a drain point (tick, dynamics event, final drain) is part
-    of that drain's batch.  The cursor reproduces exactly that with a
-    strict ``arrival_time <= now`` test, holding only one chunk of the
-    stream in memory at a time.
+    Holds one chunk at a time -- the request list plus a float64 array of
+    its arrival times -- so each drain is one ``np.searchsorted`` and a list
+    slice, and a streamed trace never materializes beyond the current chunk.
+    The stable ``(arrival_time, index)`` order of the chunks and the
+    inclusive ``arrival_time <= now`` boundary reproduce exactly what a
+    ``(time, sequence)`` event heap holding one event per request would have
+    delivered by ``now``.
     """
 
-    def __init__(self, workload: StreamingWorkload) -> None:
+    def __init__(self, workload: "TransactionWorkload | StreamingWorkload") -> None:
         self._chunks = iter(workload.iter_chunks())
-        self._buffer: List = []
+        self._requests: List = []
+        self._times = np.empty(0)
         self._index = 0
 
     def take_until(self, now: float) -> List:
         """All not-yet-taken requests with ``arrival_time <= now``, in order."""
         taken: List = []
         while True:
-            while self._index < len(self._buffer):
-                request = self._buffer[self._index]
-                if request.arrival_time > now:
-                    return taken
-                taken.append(request)
-                self._index += 1
+            hi = int(np.searchsorted(self._times, now, side="right"))
+            if hi > self._index:
+                taken += self._requests[self._index : hi]
+                self._index = hi
+            if hi < len(self._requests):
+                return taken
             chunk = next(self._chunks, None)
             if chunk is None:
                 return taken
-            self._buffer = chunk
+            self._requests = chunk
+            self._times = np.fromiter(
+                (request.arrival_time for request in chunk), dtype=float, count=len(chunk)
+            )
             self._index = 0
 
 
@@ -178,29 +167,12 @@ class ExperimentRunner:
         step_size: float = 0.1,
         drain_time: float = 5.0,
         dynamics: Optional[Sequence[NetworkDynamicsEvent]] = None,
-        batch_arrivals: bool = True,
-        engine: str = "events",
     ) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if drain_time < 0:
-            raise ValueError("drain_time must be non-negative")
-        if engine not in VALID_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {VALID_ENGINES}")
-        if hasattr(workload, "iter_chunks") and not batch_arrivals:
-            raise ValueError(
-                "streaming workloads require batch_arrivals=True; "
-                "materialize() the workload for per-arrival delivery"
-            )
-        if engine == "epoch" and not batch_arrivals:
-            raise ValueError("the epoch engine requires batch_arrivals=True")
+        validate_stepping(step_size, drain_time)
         self.network = network
         self.workload = workload
         self.step_size = step_size
         self.drain_time = drain_time
-        self.batch_arrivals = batch_arrivals
-        self.engine = engine
-        self._epoch_arrivals: Optional[tuple] = None
         self.dynamics: List[NetworkDynamicsEvent] = list(dynamics or [])
         self._snapshot = network.snapshot()
         self._channel_fees = {
@@ -242,17 +214,11 @@ class ExperimentRunner:
         and is undone after its ``duration`` -- or at the end of the run, so
         the next scheme replays the identical (static) starting topology.
 
-        With ``batch_arrivals`` (the default) consecutive arrival events are
-        coalesced and drained through :meth:`RoutingScheme.route_batch` at
-        the next tick or dynamics event.  Nothing happens between coalesced
-        arrivals, and each request is routed at its own arrival time, so the
-        decision sequence is identical to per-arrival delivery; schemes
-        amortize their work across the batch.
-
-        :class:`~repro.simulator.workload.StreamingWorkload` inputs (trace
-        replays) are pulled chunk by chunk at the same drain points instead
-        of being pre-scheduled, with identical batch boundaries -- the full
-        trace is never materialized as Python objects.
+        Arrivals are drained through :meth:`RoutingScheme.route_batch` at
+        every tick, dynamics event, timed revert and at the end of the run
+        (see :meth:`_arrival_drain`); streamed workloads (trace replays) are
+        pulled chunk by chunk at the same drain points, so the full trace is
+        never materialized as Python objects.
         """
         self._reset_network()
         scheme.prepare(self.network, rng=rng)
@@ -260,20 +226,6 @@ class ExperimentRunner:
 
         engine = SimulationEngine()
         end_time = self.workload.config.duration + self.drain_time
-        pending: List = []
-        # Streaming workloads are pulled through a cursor at every drain
-        # point instead of being pre-scheduled as engine events; the strict
-        # arrival_time <= now test makes the two delivery paths
-        # decision-identical (engine.run leaves now == end_time, so the
-        # final drain sees the stream's tail as well).  The epoch engine
-        # extends the same cursor contract to materialized workloads: no
-        # per-payment heap events at all, one searchsorted slice per drain.
-        if hasattr(self.workload, "iter_chunks"):
-            cursor = _ArrivalCursor(self.workload)
-        elif self.engine == "epoch":
-            cursor = self._epoch_cursor()
-        else:
-            cursor = None
 
         rec = obs.RECORDER
         if rec.enabled:
@@ -283,45 +235,17 @@ class ExperimentRunner:
                 end_time=round(end_time, 9), requests=self.workload.count,
             )
 
-        def drain_arrivals() -> None:
-            if cursor is not None:
-                pending.extend(cursor.take_until(engine.now))
-            if not pending:
-                return
-            batch = list(pending)
-            pending.clear()
-            collector.record_generated_batch([request.value for request in batch])
-            if rec.enabled:
-                rec.note_batch(scheme.name, len(batch))
-            scheme.route_batch(batch)
-
-        if self.batch_arrivals:
-
-            def on_arrival(_engine: SimulationEngine, event) -> None:
-                pending.append(event.payload)
-
-        else:
-
-            def on_arrival(_engine: SimulationEngine, event) -> None:
-                request = event.payload
-                collector.record_generated(request.value)
-                scheme.submit(request, _engine.now)
+        # Set up before anything else is scheduled: an arrival at exactly a
+        # drain point's time belongs to that drain (the per-event oracle in
+        # repro.reference.simulator relies on this position to schedule its
+        # arrival events ahead of the ticks).
+        drain_arrivals = self._arrival_drain(engine, scheme, collector)
 
         def on_tick(_engine: SimulationEngine, _event) -> None:
             drain_arrivals()
             report = scheme.step(_engine.now, self.step_size)
             self._consume(report, scheme, collector, _engine.now)
 
-        if cursor is None:
-            engine.schedule_many(
-                Event(
-                    time=request.arrival_time,
-                    kind=EventKind.PAYMENT_ARRIVAL,
-                    payload=request,
-                    handler=on_arrival,
-                )
-                for request in self.workload.requests
-            )
         engine.schedule_periodic(
             start=self.step_size,
             interval=self.step_size,
@@ -375,19 +299,32 @@ class ExperimentRunner:
             rec.set_scheme(None)
         return collector.finalize()
 
-    def _epoch_cursor(self) -> _EpochArrivalCursor:
-        """A fresh drain cursor over the workload's stable-sorted arrivals.
+    def _arrival_drain(
+        self, engine: SimulationEngine, scheme: RoutingScheme, collector: MetricsCollector
+    ) -> Callable[[], None]:
+        """The callable every drain point invokes to deliver due arrivals.
 
-        The sorted request list and its float64 time view are computed once
-        per runner and shared across schemes (the cursor only advances an
-        index), so multi-scheme comparisons pay the sort a single time.
+        A fresh cursor per run: each call hands the scheme, as one batch,
+        every request with ``arrival_time <= engine.now`` not yet delivered.
+        ``engine.run`` leaves ``now == end_time``, so the final drain sees
+        the tail of the workload; later arrivals are never delivered and
+        never counted as generated.  This is the runner's only
+        arrival-delivery code; the per-event definition it must agree with
+        overrides it in :mod:`repro.reference.simulator`.
         """
-        cached = self._epoch_arrivals
-        if cached is None or cached[0] is not self.workload.requests:
-            times, ordered = self.workload._sorted_arrivals()
-            cached = (self.workload.requests, np.asarray(times, dtype=float), ordered)
-            self._epoch_arrivals = cached
-        return _EpochArrivalCursor(cached[1], cached[2])
+        cursor = _ArrivalCursor(self.workload)
+        rec = obs.RECORDER
+
+        def drain_arrivals() -> None:
+            batch = cursor.take_until(engine.now)
+            if not batch:
+                return
+            collector.record_generated_batch([request.value for request in batch])
+            if rec.enabled:
+                rec.note_batch(scheme.name, len(batch))
+            scheme.route_batch(batch)
+
+        return drain_arrivals
 
     def _schedule_dynamics(
         self,
@@ -536,8 +473,6 @@ def compare_schemes(
     drain_time: float = 5.0,
     parameters: Optional[Dict[str, object]] = None,
     dynamics: Optional[Sequence[NetworkDynamicsEvent]] = None,
-    batch_arrivals: bool = True,
-    engine: str = "events",
 ) -> ExperimentResult:
     """One-call convenience wrapper used by the examples and benchmarks."""
     runner = ExperimentRunner(
@@ -546,7 +481,5 @@ def compare_schemes(
         step_size=step_size,
         drain_time=drain_time,
         dynamics=dynamics,
-        batch_arrivals=batch_arrivals,
-        engine=engine,
     )
     return runner.run(schemes, parameters=parameters)

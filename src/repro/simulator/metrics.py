@@ -156,7 +156,7 @@ class MetricsCollector:
         self.generated_value += value
 
     def record_generated_batch(self, values: Sequence[float]) -> None:
-        """A whole arrival batch was offered to the scheme (epoch draining).
+        """A whole drained arrival batch was offered to the scheme.
 
         Delegates per value so batched and per-arrival runs stay bit-identical
         whatever record_generated accumulates.

@@ -15,11 +15,15 @@ capacity.  :func:`generate_workload` reproduces those properties with:
   and deadlocks schemes without balance-aware routing,
 * an optional explicit *deadlock motif*: a fraction of demand arranged as
   the three-node pattern of figure 1(b)/(c).
+
+Both workload shapes -- the generated :class:`TransactionWorkload` and the
+chunk-streamed :class:`StreamingWorkload` of trace replays -- hand their
+requests to the experiment runner through ``iter_chunks()``, in arrival
+order.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -100,12 +104,13 @@ class TransactionWorkload:
         """Number of generated payments."""
         return len(self.requests)
 
-    def _sorted_arrivals(self) -> Tuple[List[float], List[TransactionRequest]]:
-        """Arrival times and requests sorted by time (cached, stable order).
+    def _sorted_arrivals(self) -> List[TransactionRequest]:
+        """The requests in stable ``(arrival_time, index)`` order (cached).
 
-        The cache is invalidated when the request list is replaced or its
-        length changes; in-place replacement of individual entries is not
-        supported.
+        That order is exactly what a ``(time, sequence)`` event heap loaded
+        with one event per request, in list order, would deliver.  The cache
+        is invalidated when the request list is replaced or its length
+        changes; in-place replacement of individual entries is not supported.
         """
         cached = self.__dict__.get("_arrival_cache")
         if (
@@ -113,33 +118,22 @@ class TransactionWorkload:
             and cached[0] is self.requests
             and cached[1] == len(self.requests)
         ):
-            return cached[2], cached[3]
+            return cached[2]
         ordered = sorted(
             range(len(self.requests)), key=lambda i: (self.requests[i].arrival_time, i)
         )
         ordered_requests = [self.requests[i] for i in ordered]
-        times = [r.arrival_time for r in ordered_requests]
-        self.__dict__["_arrival_cache"] = (
-            self.requests,
-            len(self.requests),
-            times,
-            ordered_requests,
-        )
-        return times, ordered_requests
+        self.__dict__["_arrival_cache"] = (self.requests, len(self.requests), ordered_requests)
+        return ordered_requests
 
-    def requests_between(self, start: float, end: float) -> List[TransactionRequest]:
-        """Requests with ``start < arrival_time <= end``.
+    def iter_chunks(self) -> Iterator[List[TransactionRequest]]:
+        """The whole workload as one time-ordered chunk.
 
-        Used by stepped replay harnesses that pull arrivals window by window
-        (the engine-driven runner instead schedules each request as its own
-        event).  One precomputed sorted arrival index plus
-        :func:`bisect.bisect` slicing makes each per-window call
-        O(log n + matches) instead of a full O(n) scan.
+        Same contract as :meth:`StreamingWorkload.iter_chunks`, so the
+        experiment runner drains generated and streamed workloads through
+        one cursor.
         """
-        times, ordered_requests = self._sorted_arrivals()
-        lo = bisect.bisect_right(times, start)
-        hi = bisect.bisect_right(times, end)
-        return ordered_requests[lo:hi]
+        yield self._sorted_arrivals()
 
 
 def _zipf_weights(count: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
@@ -405,9 +399,8 @@ class StreamingWorkload:
     anything worth holding as Python objects; this wrapper carries the
     summary statistics the experiment runner reports up front and yields
     :class:`TransactionRequest` chunks on demand, in arrival order.  The
-    runner detects it by the presence of :meth:`iter_chunks` and drains
-    arrivals through a pull cursor instead of pre-scheduling every payment
-    as an engine event.
+    runner's arrival cursor holds one chunk at a time, so a replay's memory
+    does not grow with the length of the trace.
 
     Attributes:
         config: Workload parameters (duration drives the experiment end

@@ -15,6 +15,7 @@ import pytest
 from repro import baselines as production
 from repro.baselines.base import AtomicRoutingMixin, RoutingScheme, SchemeStepReport
 from repro.reference import baselines as reference
+from repro.reference.simulator import PerEventRunner
 from repro.routing.transaction import Payment
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner
@@ -62,7 +63,7 @@ def _channel_stats(network):
     }
 
 
-def _run(scheme_name, side, seed, dynamics_kind=None, batch_arrivals=True):
+def _run(scheme_name, side, seed, dynamics_kind=None, runner_class=ExperimentRunner):
     """One full experiment run; returns (metrics, final channel balances).
 
     ``seed`` varies both the topology and the workload, so the differential
@@ -79,9 +80,7 @@ def _run(scheme_name, side, seed, dynamics_kind=None, batch_arrivals=True):
         )
     elif dynamics_kind == "jamming":
         events = jamming_events(network, at=0.5, duration=2.5, count=6, fraction=0.9)
-    runner = ExperimentRunner(
-        network, workload, step_size=0.1, dynamics=events, batch_arrivals=batch_arrivals
-    )
+    runner = runner_class(network, workload, step_size=0.1, dynamics=events)
     scheme = SCHEME_FACTORIES[scheme_name](side)
     metrics = runner.run_single(scheme, rng=np.random.default_rng(0))
     balances = {
@@ -146,12 +145,13 @@ class TestDynamicEquivalence:
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
 class TestBatchDrainingEquivalence:
-    """Epoch-batched arrival draining vs per-arrival delivery (both production)."""
+    """Per-arrival delivery (the oracle runner) vs the batched cursor drain,
+    both over the production schemes."""
 
     def test_batching_is_invisible(self, scheme_name):
         _assert_equivalent(
-            _run(scheme_name, production, seed=3, batch_arrivals=False),
-            _run(scheme_name, production, seed=3, batch_arrivals=True),
+            _run(scheme_name, production, seed=3, runner_class=PerEventRunner),
+            _run(scheme_name, production, seed=3),
         )
 
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main as cli_main
 from repro.obs.report import (
     MANIFEST_VERSION,
@@ -223,3 +227,51 @@ class TestLogModes:
         record = json.loads(line)
         assert record["level"] == "info"
         assert record["logger"] == "repro.cli"
+
+
+class TestClosedStdoutPipe:
+    """``python -m repro <command> | head``: a reader that goes away ends the
+    command with the SIGPIPE exit code and nothing on stderr."""
+
+    def _command(self, argv, results_dir, unbuffered="1"):
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        argv = [results_dir if part == "<results>" else part for part in argv]
+        env = dict(os.environ, PYTHONPATH=src_dir, PYTHONUNBUFFERED=unbuffered)
+        return [sys.executable, "-m", "repro", *argv], env
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [
+            (["list"], "1"),
+            # Block-buffered: nothing is written until main()'s own flush.
+            (["list"], ""),
+            (["show", "paper-default"], "1"),
+            (["report", "<results>"], "1"),
+        ],
+    )
+    def test_reader_gone_before_the_first_write(self, traced_results, argv, unbuffered):
+        command, env = self._command(argv, traced_results, unbuffered)
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            result = subprocess.run(
+                command, env=env, stdout=write_fd, stderr=subprocess.PIPE, timeout=120
+            )
+        finally:
+            os.close(write_fd)
+        assert result.returncode == 128 + signal.SIGPIPE
+        assert result.stderr == b""
+
+    def test_reader_closes_after_the_first_line(self, traced_results):
+        command, env = self._command(["list"], traced_results)
+        with subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as process:
+            first_line = process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read()
+            code = process.wait(timeout=120)
+        assert first_line.startswith(b"scenario")
+        # 0 when the child had already written everything into the pipe.
+        assert code in (0, 128 + signal.SIGPIPE)
+        assert stderr == b""

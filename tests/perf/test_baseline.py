@@ -15,12 +15,11 @@ from repro.perf.harness import BenchmarkRecord, BenchmarkReport
 
 
 def _record(name, normalized, best=0.01):
-    group, scale, variant = name.split("/")
+    group, scale = name.split("/")
     return BenchmarkRecord(
         name=name,
         group=group,
         scale=scale,
-        variant=variant,
         repeats=3,
         inner=1,
         best_seconds=best,
@@ -44,38 +43,38 @@ def _baseline(**normals):
 
 class TestCompare:
     def test_within_tolerance_passes(self):
-        report = _report([_record("r/small/numpy", 1.1)])
-        comparison = compare_report(report, _baseline(**{"r/small/numpy": 1.0}), tolerance=0.25)
+        report = _report([_record("r/small", 1.1)])
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
         assert comparison.ok
-        assert comparison.unchanged == ["r/small/numpy"]
+        assert comparison.unchanged == ["r/small"]
 
     def test_regression_detected(self):
-        report = _report([_record("r/small/numpy", 1.4)])
-        comparison = compare_report(report, _baseline(**{"r/small/numpy": 1.0}), tolerance=0.25)
+        report = _report([_record("r/small", 1.4)])
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
         assert not comparison.ok
         (name, base, current, ratio) = comparison.regressions[0]
-        assert name == "r/small/numpy"
+        assert name == "r/small"
         assert ratio == pytest.approx(1.4)
         assert any("REGRESSION" in line for line in comparison.summary_lines())
 
     def test_improvement_reported_but_passing(self):
-        report = _report([_record("r/small/numpy", 0.5)])
-        comparison = compare_report(report, _baseline(**{"r/small/numpy": 1.0}), tolerance=0.25)
+        report = _report([_record("r/small", 0.5)])
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
         assert comparison.ok
-        assert comparison.improvements[0][0] == "r/small/numpy"
+        assert comparison.improvements[0][0] == "r/small"
 
     def test_missing_baseline_entry_fails_gate(self):
-        report = _report([_record("r/small/numpy", 1.0)])
-        baseline = _baseline(**{"r/small/numpy": 1.0, "gone/small/-": 2.0})
+        report = _report([_record("r/small", 1.0)])
+        baseline = _baseline(**{"r/small": 1.0, "gone/small": 2.0})
         comparison = compare_report(report, baseline, tolerance=0.25)
         assert not comparison.ok
-        assert comparison.missing == ["gone/small/-"]
+        assert comparison.missing == ["gone/small"]
 
     def test_new_benchmark_is_informational(self):
-        report = _report([_record("fresh/small/-", 1.0)])
+        report = _report([_record("fresh/small", 1.0)])
         comparison = compare_report(report, _baseline(), tolerance=0.25)
         assert comparison.ok
-        assert comparison.new == ["fresh/small/-"]
+        assert comparison.new == ["fresh/small"]
 
     def test_negative_tolerance_rejected(self):
         report = _report([])
@@ -86,30 +85,48 @@ class TestCompare:
 class TestFilter:
     def test_restricts_to_executed_scales(self):
         baseline = _baseline(
-            **{"r/small/numpy": 1.0, "r/large/numpy": 2.0, "s/medium/-": 3.0}
+            **{"r/small": 1.0, "r/large": 2.0, "s/medium": 3.0}
         )
         filtered = filter_entries(baseline, ["small", "medium"])
-        assert sorted(filtered) == ["r/small/numpy", "s/medium/-"]
+        assert sorted(filtered) == ["r/small", "s/medium"]
+
+
+    def test_pre_rename_three_part_names_report_missing_and_new(self, tmp_path):
+        # A user's baseline written while names still ended in /<variant>:
+        # the gate must say what to do (missing + new), and an update of the
+        # executed scale must clear it.
+        path = str(tmp_path / "baseline.json")
+        stored = {"normalized": 1.0, "best_seconds": 0.01}
+        with open(path, "w") as handle:
+            json.dump({"entries": {"r/small/numpy": stored, "r/large/numpy": stored}}, handle)
+        report = _report([_record("r/small", 1.0)])
+        comparison = compare_report(report, filter_entries(load_baseline(path), ["small"]))
+        assert not comparison.ok
+        assert comparison.missing == ["r/small/numpy"]
+        assert comparison.new == ["r/small"]
+        assert not comparison.regressions
+        update_baseline(report, path)
+        assert sorted(load_baseline(path)) == ["r/large/numpy", "r/small"]
 
 
 class TestUpdate:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "baseline.json")
-        report = _report([_record("r/small/numpy", 1.25, best=0.004)])
+        report = _report([_record("r/small", 1.25, best=0.004)])
         update_baseline(report, path)
         entries = load_baseline(path)
-        assert entries["r/small/numpy"].normalized == pytest.approx(1.25)
-        assert entries["r/small/numpy"].best_seconds == pytest.approx(0.004)
+        assert entries["r/small"].normalized == pytest.approx(1.25)
+        assert entries["r/small"].best_seconds == pytest.approx(0.004)
         payload = json.load(open(path))
         assert payload["revision"] == "testrev"
 
     def test_partial_update_preserves_other_entries(self, tmp_path):
         path = str(tmp_path / "baseline.json")
-        update_baseline(_report([_record("r/small/numpy", 1.0)]), path)
-        update_baseline(_report([_record("r/large/numpy", 5.0)]), path)
+        update_baseline(_report([_record("r/small", 1.0)]), path)
+        update_baseline(_report([_record("r/large", 5.0)]), path)
         entries = load_baseline(path)
-        assert sorted(entries) == ["r/large/numpy", "r/small/numpy"]
-        assert entries["r/small/numpy"].normalized == pytest.approx(1.0)
+        assert sorted(entries) == ["r/large", "r/small"]
+        assert entries["r/small"].normalized == pytest.approx(1.0)
 
     def test_update_drops_renamed_entries_within_covered_scale(self, tmp_path):
         """A renamed benchmark must not wedge the gate: updating with the
@@ -117,12 +134,12 @@ class TestUpdate:
         scales the run did not execute are preserved."""
         path = str(tmp_path / "baseline.json")
         update_baseline(
-            _report([_record("old-name/small/numpy", 1.0), _record("r/large/numpy", 5.0)]),
+            _report([_record("old-name/small", 1.0), _record("r/large", 5.0)]),
             path,
         )
-        update_baseline(_report([_record("new-name/small/numpy", 2.0)]), path)
+        update_baseline(_report([_record("new-name/small", 2.0)]), path)
         entries = load_baseline(path)
-        assert sorted(entries) == ["new-name/small/numpy", "r/large/numpy"]
+        assert sorted(entries) == ["new-name/small", "r/large"]
 
     def test_load_missing_returns_none(self, tmp_path):
         assert load_baseline(str(tmp_path / "absent.json")) is None

@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness (timing, report schema, speedups)."""
+"""Tests for the benchmark harness (timing, report schema)."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.perf.harness import (
 )
 
 
-def _spec(name="demo/small/python", group="demo", scale="small", variant="python", inner=1):
+def _spec(name="demo/small", group="demo", scale="small", inner=1):
     calls = {"setup": 0, "fn": 0}
 
     def setup():
@@ -27,7 +27,6 @@ def _spec(name="demo/small/python", group="demo", scale="small", variant="python
         name=name,
         group=group,
         scale=scale,
-        variant=variant,
         setup=setup,
         fn=fn,
         inner=inner,
@@ -52,8 +51,8 @@ class TestTiming:
         assert calibrate(repeats=1) > 0.0
 
     def test_run_specs_interleaves_all_repeats(self):
-        spec_a, calls_a = _spec(name="a/small/python")
-        spec_b, calls_b = _spec(name="b/small/numpy", variant="numpy", group="b")
+        spec_a, calls_a = _spec(name="a/small")
+        spec_b, calls_b = _spec(name="b/small", group="b")
         report = run_specs([spec_a, spec_b], repeats=5, passes=2)
         assert calls_a["setup"] == 1 and calls_b["setup"] == 1
         assert calls_a["fn"] == 5 + 1  # repeats plus warmup
@@ -64,18 +63,9 @@ class TestTiming:
 
 class TestReport:
     def _report(self):
-        spec_ev, _ = _spec(
-            name="grp/large/events", group="grp", scale="large", variant="events"
-        )
-        spec_ep, _ = _spec(name="grp/large/epoch", group="grp", scale="large", variant="epoch")
-        report = run_specs([spec_ev, spec_ep], repeats=2)
-        return report
-
-    def test_speedups_pairs_events_and_epoch(self):
-        report = self._report()
-        report.record("grp/large/events").best_seconds = 0.4
-        report.record("grp/large/epoch").best_seconds = 0.1
-        assert report.speedups() == {"grp/large": pytest.approx(4.0)}
+        spec_a, _ = _spec(name="grp/large", group="grp", scale="large")
+        spec_b, _ = _spec(name="other/large", group="other", scale="large")
+        return run_specs([spec_a, spec_b], repeats=2)
 
     def test_round_trip(self, tmp_path):
         report = self._report()
@@ -85,14 +75,14 @@ class TestReport:
         assert [r.name for r in loaded.records] == [r.name for r in report.records]
         assert loaded.calibration_seconds == pytest.approx(report.calibration_seconds)
         assert loaded.revision == report.revision
-        assert loaded.record("grp/large/events").normalized == pytest.approx(
-            report.record("grp/large/events").normalized
+        assert loaded.record("grp/large").normalized == pytest.approx(
+            report.record("grp/large").normalized
         )
 
     def test_record_lookup_raises_on_unknown(self):
         report = self._report()
         with pytest.raises(KeyError):
-            report.record("missing/small/-")
+            report.record("missing/small")
 
     def test_report_name_embeds_revision(self):
         assert default_report_name("abc123") == "BENCH_abc123.json"

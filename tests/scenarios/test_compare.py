@@ -117,6 +117,12 @@ class TestCompareCli:
         assert "--backend" in capsys.readouterr().err
 
 
+#: The smallest real ``run`` invocation: one shard, well under a second.
+_TINY_RUN = [
+    "run", "paper-default", "--duration", "1", "--seeds", "1", "--schemes", "shortest-path",
+]
+
+
 class TestCompareCliErrorPaths:
     """Bad inputs exit with a clean one-line error, never a traceback.
 
@@ -200,9 +206,41 @@ class TestCompareCliErrorPaths:
         assert not list(self.results_dir.rglob("*quarantine*"))
 
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("engine=ticks", "override path 'engine' does not resolve on ScenarioSpec"),
+            ('grid={"engine": ["epoch"]}', "override path 'engine' does not resolve"),
+            ("step_size=-1", "step_size must be positive"),
+            ("drain_time=-1", "drain_time must be non-negative"),
+            ('grid={"step_size": [0.1, -1]}', "step_size must be positive"),
+        ],
+    )
+    def test_run_rejects_bad_runner_settings_in_the_parent(self, capsys, override, message):
+        # The removed engine selector is an unknown path and the runner's
+        # stepping rules hold for every grid point: exit 2 before dispatch,
+        # nothing retried, nothing quarantined (the fixture checks the cwd).
+        self._fails_cleanly(capsys, [*_TINY_RUN, "--set", override], message)
+        assert not self.results_dir.exists()
+
+
+def test_rejected_override_does_not_poison_the_results_dir(tmp_path, capsys):
+    """``--set engine=...`` used to be retried, quarantined *under the valid
+    configuration's run key* and exit 0, so the next correct invocation
+    skipped its only run.  Now step one fails fast and step two executes."""
+    argv = [*_TINY_RUN, "--quiet", "--results-dir", str(tmp_path)]
+    assert cli_main([*argv, "--set", "engine=ticks"]) == 2
+    assert not list(tmp_path.rglob("*quarantine*"))
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    assert "executed 1 run(s), skipped 0" in capsys.readouterr().out
+
+
 def test_production_paths_do_not_import_the_reference_oracle(tmp_path):
-    """The CLI, a compare shard and a placement solve leave ``repro.reference``
-    unimported: the scalar oracle is for the differential suites only."""
+    """The CLI, a ``compare`` run, a compare shard and a placement solve leave
+    ``repro.reference`` unimported: the scalar oracle -- the per-event
+    arrival loop of ``repro.reference.simulator`` included -- is for the
+    differential suites only."""
     import subprocess
     import sys
 
@@ -218,6 +256,8 @@ def test_production_paths_do_not_import_the_reference_oracle(tmp_path):
         "for seed, overrides in spec.expand_runs():\n"
         "    execute_run((spec.to_dict(), seed, overrides))\n"
         "solve_placement(spec.topology.build(1), method='exact')\n"
+        "repro.__main__.main(['compare', '--scale', 'small', '--nodes', '16', '--duration', '1',\n"
+        "    '--schemes', 'shortest-path,spider', '--quiet', '--results-dir', 'out'])\n"
         "sys.exit(any(name.startswith('repro.reference') for name in sys.modules))\n"
     )
     result = subprocess.run(

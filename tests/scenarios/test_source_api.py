@@ -17,7 +17,6 @@ from repro.scenarios.spec import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import StreamingWorkload
 
 #: Resume fingerprints of every built-in spec as of the pre-source-API code.
@@ -247,15 +246,7 @@ class TestRealTraceScenario:
         spec = get_scenario("real-trace")
         runner, schemes = spec.build_experiment(seed=1)
         assert isinstance(runner.workload, StreamingWorkload)
-        assert runner.batch_arrivals
         assert len(schemes) == 5
-
-    def test_streaming_requires_batched_arrivals(self):
-        spec = get_scenario("real-trace")
-        network = spec.topology.build(seed=1)
-        workload = spec.workload.build(network, seed=1)
-        with pytest.raises(ValueError, match="batch_arrivals"):
-            ExperimentRunner(network, workload, batch_arrivals=False)
 
     def test_unknown_trace_parameter_rejected(self):
         spec = get_scenario("real-trace").with_overrides(

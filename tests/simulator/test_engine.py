@@ -98,49 +98,3 @@ class TestRun:
         engine.run()
         assert engine.pending_count() == 1
 
-
-class TestScheduleMany:
-    def test_bulk_load_into_empty_queue(self):
-        engine = SimulationEngine()
-        events = [Event(time=float(t)) for t in (3, 1, 2)]
-        assert engine.schedule_many(events) == 3
-        popped = engine.run(collect_events=True)
-        assert [event.time for event in popped] == [1.0, 2.0, 3.0]
-
-    def test_large_batch_merges_into_live_queue_in_order(self):
-        # A batch larger than the live queue takes the extend-and-heapify
-        # path; pop order must interleave both sources by (time, sequence).
-        engine = SimulationEngine()
-        first = [Event(time=float(t)) for t in (5, 1)]
-        engine.schedule_many(first)
-        batch = [Event(time=float(t)) for t in (4, 0.5, 2, 3)]
-        assert len(batch) > engine.pending_count()
-        engine.schedule_many(batch)
-        popped = engine.run(collect_events=True)
-        assert [event.time for event in popped] == [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_small_batch_pushes_into_live_queue_in_order(self):
-        engine = SimulationEngine()
-        engine.schedule_many([Event(time=float(t)) for t in (6, 2, 4, 8)])
-        engine.schedule_many([Event(time=float(t)) for t in (3, 7)])
-        popped = engine.run(collect_events=True)
-        assert [event.time for event in popped] == [2.0, 3.0, 4.0, 6.0, 7.0, 8.0]
-
-    def test_simultaneous_events_keep_scheduling_order_across_merge(self):
-        engine = SimulationEngine()
-        early = [Event(time=1.0, payload="first"), Event(time=1.0, payload="second")]
-        engine.schedule_many(early)
-        late = [Event(time=1.0, payload=f"batch{i}") for i in range(4)]
-        engine.schedule_many(late)  # larger than live queue -> heapify merge
-        popped = engine.run(collect_events=True)
-        assert [event.payload for event in popped] == [
-            "first", "second", "batch0", "batch1", "batch2", "batch3",
-        ]
-
-    def test_merge_rejects_past_events(self):
-        engine = SimulationEngine()
-        engine.schedule_many([Event(time=float(t)) for t in (1, 2)])
-        engine.run()
-        assert engine.now == 2.0
-        with pytest.raises(ValueError):
-            engine.schedule_many([Event(time=3.0), Event(time=4.0), Event(time=1.0)])

@@ -2,8 +2,6 @@
 
 from typing import List
 
-import pytest
-
 from repro.baselines import ShortestPathScheme
 from repro.simulator.experiment import ExperimentRunner, _ArrivalCursor
 from repro.simulator.workload import (
@@ -105,7 +103,3 @@ class TestStreamingRunner:
         ).run_single(ShortestPathScheme())
         assert tiny.as_dict() == huge.as_dict()
 
-    def test_per_arrival_delivery_rejected(self, small_ws_network):
-        streaming = _as_streaming(_poisson_workload(small_ws_network), chunk_size=5)
-        with pytest.raises(ValueError, match="batch_arrivals"):
-            ExperimentRunner(small_ws_network, streaming, batch_arrivals=False)

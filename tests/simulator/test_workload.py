@@ -73,11 +73,6 @@ class TestGenerateWorkload:
         )
         assert workload.deadlock_motifs == []
 
-    def test_requests_between(self, small_ws_network):
-        workload = generate_workload(small_ws_network, WorkloadConfig(duration=10.0, seed=7))
-        window = workload.requests_between(2.0, 4.0)
-        assert all(2.0 < request.arrival_time <= 4.0 for request in window)
-
     def test_restricted_sender_pool(self, small_ws_network):
         clients = small_ws_network.clients()[:5]
         workload = generate_workload(

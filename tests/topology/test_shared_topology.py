@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.scenarios.registry import build_comparison_spec
-from repro.scenarios.runner import (
-    ScenarioRunner,
-    execute_run,
-    load_result_rows,
-    spec_fingerprint,
-)
+from repro.scenarios.runner import ScenarioRunner, execute_run, load_result_rows
 from repro.scenarios.spec import derive_seed
 from repro.topology.generators import multi_star_pcn, watts_strogatz_pcn
 from repro.topology.shared import SharedArrayBlock, SharedTopologyBlock
@@ -269,10 +264,3 @@ class TestSharedCompareEquivalence:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 SharedTopologyBlock.attach(name)
-
-    def test_engine_field_transparent_to_resume(self):
-        spec = _tiny_spec("fingerprints")
-        events = spec.to_dict()
-        spec.engine = "epoch"
-        epoch = spec.to_dict()
-        assert spec_fingerprint(events) == spec_fingerprint(epoch)
