@@ -41,7 +41,7 @@ def main() -> None:
     runner = ScenarioRunner(spec, results_dir="results/scenarios", workers=2)
     report = runner.run(on_row=lambda row: print(f"  done {row['run_key']}"))
     print(
-        f"\n{report.scenario}: executed {report.executed}, "
+        f"\n{report.name}: executed {report.executed}, "
         f"skipped {report.skipped} (already in {report.results_path})\n"
     )
     print(scenario_table(report.rows))

@@ -229,16 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     compare.add_argument(
-        "--shared-memory",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "share each seed's topology across worker processes via a "
-            "read-only shared-memory block instead of rebuilding it per "
-            "shard (default on at the xl scale, off elsewhere)"
-        ),
-    )
-    compare.add_argument(
         "--results-dir",
         default=os.path.join("results", "compare"),
         help="directory for the JSONL results (default results/compare)",
@@ -772,12 +762,13 @@ def _command_compare(args: argparse.Namespace) -> int:
                 args.results_dir, "path-cache"
             )
         spec.obs = _obs_settings(args)
-        shared = args.shared_memory if args.shared_memory is not None else scale == "xl"
         runner = ScenarioRunner(
             spec,
             results_dir=args.results_dir,
             workers=args.workers,
-            shared_topology=shared,
+            # At the xl scale each seed's topology is exported once to a
+            # read-only shared-memory block instead of rebuilt per shard.
+            shared_topology=scale == "xl",
             **_resilience_kwargs(args),
         )
         total = len(spec.expand_runs())
@@ -1209,7 +1200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 128 + signal.SIGPIPE
     except ShardFailure as error:
         log.error(str(error))
-        return 1
+        # A configuration error reproduced by a retry is a usage error (2),
+        # like one caught in the parent; a fault under --on-shard-error=fail
+        # is a failed run (1).
+        return 2 if error.deterministic else 1
     except SweepInterrupted as error:
         log.error(str(error))
         # The conventional fatal-signal exit code, so wrapping scripts and

@@ -11,8 +11,8 @@ The subpackage provides:
 * :mod:`repro.placement.problem` -- the problem/plan data model and cost evaluation.
 * :mod:`repro.placement.assignment` -- Lemma-1 optimal client assignment.
 * :mod:`repro.placement.bruteforce` -- exhaustive optimum for tiny instances.
-* :mod:`repro.placement.milp` -- the paper's MILP linearization and a
-  branch-and-bound solver over it (small-scale optimal solution).
+* :mod:`repro.placement.milp` -- the paper's MILP linearization, solved by
+  HiGHS through ``scipy.optimize.milp`` (small-scale optimal solution).
 * :mod:`repro.placement.supermodular` -- the double-greedy 1/2-approximation
   (large-scale solution, Algorithm 1) with the incremental cached-gain
   :class:`~repro.placement.supermodular.ObjectiveEngine`.

@@ -124,7 +124,7 @@ def placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
 def scalar_placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
     """``f(X)`` as ``C_M + omega * C_S`` over the nested-dict cost model.
 
-    The exact enumerative solvers (brute force, both branch-and-bounds, the
+    The exact enumerative solvers (brute force, the branch-and-bound, the
     double greedy's degenerate-case seed) rank candidate subsets with this
     one fixed evaluation order, so which of several floating-point-tied
     subsets they report as the optimum is pinned by the arithmetic below

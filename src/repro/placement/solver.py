@@ -48,8 +48,8 @@ SMALL_SCALE_CANDIDATE_LIMIT = 12
 class CombinatorialBranchAndBound:
     """Exact placement search that branches on ``x`` with combinatorial bounds.
 
-    Unlike the LP-relaxation branch and bound in :mod:`repro.placement.milp`,
-    this solver never builds the (large) linearized program.  Its lower bound
+    Unlike the MILP route (:mod:`repro.placement.milp`), this solver never
+    builds the (large) linearized program.  Its lower bound
     for a partial decision (some candidates forced in, some forced out) is
 
     ``sum_m min_{n allowed} zeta[m][n] + omega * sum_{n,l forced in} epsilon[n][l]``
@@ -154,8 +154,7 @@ class PlacementSolver:
         if method == "brute":
             return brute_force_placement(self.problem)
         if method == "milp":
-            warm = self._greedy_plan()
-            return solve_placement_milp(self.problem, initial_hubs=tuple(warm.hubs)).plan
+            return solve_placement_milp(self.problem).plan
         if method == "exact":
             warm = self._greedy_plan()
             solver = CombinatorialBranchAndBound(self.problem)

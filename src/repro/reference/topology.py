@@ -1,17 +1,19 @@
 """networkx hop helpers and Table-II path selectors.
 
-The scalar counterparts of :mod:`repro.topology.graph_backend` and
-:mod:`repro.routing.paths`: every query walks the network's lazily
-materialized :attr:`~repro.topology.network.PCNetwork.graph` mirror, whose
-node and adjacency order equal the CSR mirror's, so path lists match the
-production kernels exactly (order and tie-breaks included; pinned by
-``tests/topology/test_graph_backend_equivalence.py``).
+The scalar counterparts of :mod:`repro.topology.csr` and
+:mod:`repro.routing.paths`: every query walks :func:`nx_mirror`, the
+networkx export of a :class:`~repro.topology.network.PCNetwork` that only
+this oracle builds (production code never sees a networkx view of a
+network).  Its node and adjacency order equal the CSR mirror's, so path
+lists match the production kernels exactly (order and tie-breaks included;
+pinned by ``tests/topology/test_csr_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -23,29 +25,59 @@ from repro.topology.network import PCNetwork
 NodeId = Hashable
 Path = List[NodeId]
 
+#: network -> (``(topology_version, node_count)`` it was built at, mirror).
+#: Weak keys: a mirror lives exactly as long as the network it exports.
+_MIRRORS: "weakref.WeakKeyDictionary[PCNetwork, Tuple[Tuple[int, int], nx.Graph]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def nx_mirror(network: PCNetwork) -> nx.Graph:
+    """The networkx export of ``network`` (channels on the ``channel`` edge attr).
+
+    Reproduces node order *and* per-node adjacency order exactly -- the rows
+    of the private networkx adjacency are written in the network's own
+    order rather than re-derived from an edge list -- so the networkx walks
+    below tie-break identically to the CSR kernels.  Cached per
+    ``topology_version`` (and node count: adding an isolated node does not
+    move the version).
+    """
+    stamp = (network.topology_version, network.node_count())
+    cached = _MIRRORS.get(network)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    mirror = nx.Graph()
+    mirror.add_nodes_from(network.adj)
+    rows = mirror._adj
+    data_of: Dict[int, Dict[str, object]] = {}
+    for node, neighbors in network.adj.items():
+        row = rows[node]
+        for neighbor, channel in neighbors.items():
+            row[neighbor] = data_of.setdefault(id(channel), {"channel": channel})
+    _MIRRORS[network] = (stamp, mirror)
+    return mirror
+
 
 def hop_count(network: PCNetwork, source: NodeId, target: NodeId) -> int:
     """Hops on a shortest path; raises ``nx.NetworkXNoPath`` when disconnected."""
     if source == target:
         return 0
-    return nx.shortest_path_length(network.graph, source, target)
+    return nx.shortest_path_length(nx_mirror(network), source, target)
 
 
 def hop_counts_from(network: PCNetwork, source: NodeId) -> Dict[NodeId, int]:
     """Hop count from ``source`` to every reachable node."""
-    return dict(nx.single_source_shortest_path_length(network.graph, source))
+    return dict(nx.single_source_shortest_path_length(nx_mirror(network), source))
 
 
 def all_pairs_hop_counts(network: PCNetwork) -> Dict[NodeId, Dict[NodeId, int]]:
     """Hop-count matrix for the whole network (BFS from every node)."""
-    return {
-        source: lengths for source, lengths in nx.all_pairs_shortest_path_length(network.graph)
-    }
+    return dict(nx.all_pairs_shortest_path_length(nx_mirror(network)))
 
 
 def shortest_path(network: PCNetwork, source: NodeId, target: NodeId) -> Path:
     """One shortest (fewest-hops) path between two nodes."""
-    return nx.shortest_path(network.graph, source, target)
+    return nx.shortest_path(nx_mirror(network), source, target)
 
 
 def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int) -> List[Path]:
@@ -54,7 +86,7 @@ def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int)
         return []
     paths: List[Path] = []
     try:
-        for path in nx.shortest_simple_paths(network.graph, source, target):
+        for path in nx.shortest_simple_paths(nx_mirror(network), source, target):
             paths.append(list(path))
             if len(paths) >= k:
                 break
@@ -127,7 +159,7 @@ def edge_disjoint_widest_paths(
     """Up to ``k`` edge-disjoint widest paths (the EDW column, Splicer's default)."""
     if k <= 0 or source == target:
         return []
-    graph = network.graph
+    graph = nx_mirror(network)
     excluded: Set[frozenset] = set()
     paths: List[Path] = []
     for _ in range(k):
@@ -146,7 +178,7 @@ def edge_disjoint_shortest_paths(
     """Up to ``k`` edge-disjoint shortest (fewest hops) paths (the EDS column)."""
     if k <= 0 or source == target:
         return []
-    working = nx.Graph(network.graph.edges())
+    working = nx.Graph(nx_mirror(network).edges())
     paths: List[Path] = []
     for _ in range(k):
         try:

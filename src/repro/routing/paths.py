@@ -12,10 +12,10 @@ All selectors operate on the current spendable balances of a
 sender could actually push through the path right now.
 
 The selectors run on the CSR kernels of
-:mod:`repro.topology.graph_backend`, which reproduce networkx's path lists
+:mod:`repro.topology.csr`, which reproduce networkx's path lists
 (order and tie-breaks included); the networkx implementations they were
 ported from live in :mod:`repro.reference.topology` and
-``tests/topology/test_graph_backend_equivalence.py`` pins the two together.
+``tests/topology/test_csr_equivalence.py`` pins the two together.
 """
 
 from __future__ import annotations

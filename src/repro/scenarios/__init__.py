@@ -33,7 +33,6 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.runner import (
     ScenarioRunner,
-    ScenarioRunReport,
     execute_run,
     load_result_rows,
     run_key,
@@ -55,7 +54,6 @@ __all__ = [
     "DynamicsEvent",
     "DynamicsEventSpec",
     "HubOutage",
-    "ScenarioRunReport",
     "ScenarioRunner",
     "ScenarioSpec",
     "SchemeSpec",

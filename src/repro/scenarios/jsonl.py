@@ -33,6 +33,11 @@ Resilience contract (the failure-survival layer):
   sweep stops after recording the row (``"fail"``);
 * failure rows never count as completed: resume re-runs them, and a later
   success row supersedes them in every report;
+* a configuration error is not a shard fault: a ``ValueError``,
+  ``TypeError`` or ``KeyError`` that a retry reproduces with the same
+  traceback digest stops the sweep with :class:`ShardFailure`
+  (``deterministic=True``; the CLI exits 2) and is never quarantined --
+  fixing the command must not also require clearing a quarantine;
 * a shard that exhausts its retries is written to a *quarantine file*
   (``<results>.quarantine.jsonl``) and skipped on subsequent resumes with
   a visible warning, so one poisoned shard cannot wedge a sweep forever
@@ -91,18 +96,29 @@ RESULT_SCHEMA_VERSION = 3
 #: Failure kinds a shard attempt can be captured with.
 FAILURE_KINDS = ("exception", "timeout", "worker-death", "corrupt-output")
 
+#: Exception classes that mean "the configuration is wrong" once a retry has
+#: failed with the identical traceback digest (see ``_handle_failure``).
+DETERMINISTIC_ERRORS = ("ValueError", "TypeError", "KeyError")
+
 #: Paths already warned about corrupt lines (one warning per file per
 #: process; the count stays visible in every :class:`GridRunReport`).
 _CORRUPT_WARNED: set = set()
 
 
 class ShardFailure(RuntimeError):
-    """Raised under ``on_error="fail"`` after a shard failure is recorded."""
+    """Raised after recording a shard failure that stops the sweep.
 
-    def __init__(self, run_key: str, kind: str, message: str) -> None:
+    Either ``on_error="fail"`` asked for it, or the failure is
+    ``deterministic``: a configuration error no retry can cure.
+    """
+
+    def __init__(
+        self, run_key: str, kind: str, message: str, deterministic: bool = False
+    ) -> None:
         super().__init__(f"shard {run_key} failed ({kind}): {message}")
         self.run_key = run_key
         self.kind = kind
+        self.deterministic = deterministic
 
 
 class SweepInterrupted(RuntimeError):
@@ -218,6 +234,8 @@ class _Shard:
     index: int
     attempt: int = 0
     not_before: float = 0.0
+    #: Traceback digest of the previous attempt when it raised (else ``None``).
+    last_digest: Optional[str] = None
 
 
 @dataclass
@@ -309,10 +327,6 @@ class JsonlGridRunner:
 
     #: Schema version stamped on and required of every row.
     schema_version = RESULT_SCHEMA_VERSION
-
-    #: Report type constructed by :meth:`run`; subclasses may substitute a
-    #: :class:`GridRunReport` subclass (extra accessors, domain naming).
-    report_class = GridRunReport
 
     def __init__(
         self,
@@ -532,21 +546,18 @@ class JsonlGridRunner:
     # dispatch
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        workers: Optional[int] = None,
-        on_row: Optional[Callable[[Dict[str, object]], None]] = None,
+        self, on_row: Optional[Callable[[Dict[str, object]], None]] = None
     ) -> GridRunReport:
         """Execute every pending run and append its row to the results file.
 
         Args:
-            workers: Worker-process count (defaults to the constructor's).
             on_row: Optional progress callback invoked with each fresh row.
 
         Raises:
-            ShardFailure: Under ``on_error="fail"`` once a shard fails.
+            ShardFailure: Under ``on_error="fail"`` once a shard fails, and
+                under any policy for a deterministic configuration error.
             SweepInterrupted: After a graceful SIGINT/SIGTERM shutdown.
         """
-        worker_count = self.workers if workers is None else workers
         entries = self.pending_entries()
         expected = self.expected_keys()
         execute = self.executor()
@@ -592,13 +603,13 @@ class JsonlGridRunner:
                         _Shard(key=key, task=task, index=index)
                         for index, (key, task) in enumerate(entries)
                     ]
-                    if worker_count <= 1:
+                    if self.workers <= 1:
                         retries = self._run_serial(
                             shards, execute, plan, record, record_failure
                         )
                     else:
                         retries = self._run_pool(
-                            shards, worker_count, execute, plan, record, record_failure
+                            shards, self.workers, execute, plan, record, record_failure
                         )
         finally:
             self._restore_signal_handlers(previous_handlers)
@@ -615,7 +626,7 @@ class JsonlGridRunner:
         quarantined = sorted(
             key for key in self.quarantined_keys() if key in expected_set
         )
-        return self.report_class(
+        return GridRunReport(
             name=self.results_name,
             results_path=self.results_path,
             executed=len(fresh_rows),
@@ -825,8 +836,26 @@ class JsonlGridRunner:
         ``retry`` the shard is re-dispatched until ``max_retries`` is
         exhausted, then quarantined; ``skip`` moves on immediately (the
         shard re-runs on a future resume); ``fail`` raises.
+
+        One rule overrides the policy: an exception of a
+        :data:`DETERMINISTIC_ERRORS` class whose traceback digest equals the
+        shard's previous attempt's is a configuration error, not a fault --
+        the same input failed the same way twice.  It raises like ``fail``
+        and is never quarantined.  Without a second attempt to compare
+        (``max_retries=0``, ``skip``) nothing is classified.
         """
-        will_retry = self.on_error == "retry" and shard.attempt < self.max_retries
+        digest = info.get("traceback_digest") if kind == "exception" else None
+        deterministic = (
+            digest is not None
+            and digest == shard.last_digest
+            and info.get("error") in DETERMINISTIC_ERRORS
+        )
+        shard.last_digest = digest
+        will_retry = (
+            not deterministic
+            and self.on_error == "retry"
+            and shard.attempt < self.max_retries
+        )
         row = self._failure_row(
             shard.key, kind, shard.attempt, final=not will_retry, info=info
         )
@@ -842,8 +871,10 @@ class JsonlGridRunner:
                 attempt=shard.attempt,
             )
             return True
-        if self.on_error == "fail":
-            raise ShardFailure(shard.key, kind, str(row["error_message"]))
+        if deterministic or self.on_error == "fail":
+            raise ShardFailure(
+                shard.key, kind, str(row["error_message"]), deterministic=deterministic
+            )
         if self.on_error == "retry":
             self._quarantine(row)
         else:

@@ -186,7 +186,7 @@ def hub_failure() -> ScenarioSpec:
 #: paper's figure-8 network size; ``large`` is the laptop-class default of
 #: ``python -m repro compare``.  ``xl`` is the beyond-paper scale tier: a
 #: 100k-node network offered one million payments (arrival_rate x the
-#: default 8s duration); it defaults to shared-memory workers, and
+#: default 8s duration); its workers share each seed's topology, and
 #: ``--nodes`` / ``--payments`` shrink it to machine-sized smokes (see
 #: ``docs/scaling.md``).
 COMPARISON_SCALES: Dict[str, Dict[str, float]] = {

@@ -41,7 +41,6 @@ log = get_logger("repro.sweep")
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
-    "ScenarioRunReport",
     "ScenarioRunner",
     "execute_run",
     "load_result_rows",
@@ -135,15 +134,11 @@ def execute_run(
 
     Module-level so it pickles for worker processes; the spec travels as a
     plain dict for the same reason.  A 4-tuple task carries the name of a
-    shared-memory topology block exported by the parent: the worker attaches
-    and reconstructs the network from it instead of re-running the topology
-    generator, which is bit-identical by the block's order-preservation
-    contract (``tests/topology/test_shared_topology.py``).
-
-    Pool workers outlive their shards, so the attachment is dropped when
-    the shard ends rather than left to garbage collection: the network goes
-    first, with :func:`_run_shard`'s frame (its arrays borrow the segment's
-    buffer and must not be read once that is unmapped), then the mapping.
+    shared-memory topology block exported by the parent: the worker attaches,
+    reconstructs the network from it instead of re-running the topology
+    generator -- bit-identical by the block's order-preservation contract
+    (``tests/topology/test_shared_topology.py``) -- and unmaps the segment
+    again before the run starts (the rebuilt network borrows nothing).
     """
     if len(task) == 4:
         spec_dict, seed, overrides, shared_name = task
@@ -154,24 +149,15 @@ def execute_run(
     if overrides:
         spec = spec.with_overrides(overrides)
     key = run_key(spec.name, seed, overrides, spec_fingerprint(spec_dict))
-    if shared_name is None:
-        return _run_shard(spec, seed, overrides, key, None)
-    from repro.topology.shared import SharedTopologyBlock
-
-    block = SharedTopologyBlock.attach(shared_name)
-    try:
-        return _run_shard(spec, seed, overrides, key, block)
-    finally:
-        block.close()
-
-
-def _run_shard(
-    spec: ScenarioSpec, seed: int, overrides: Dict[str, object], key: str, block
-) -> Dict[str, object]:
-    """Build and run one shard's experiment; return its JSON-safe row."""
     network = None
-    if block is not None:
-        network = block.build_network()
+    if shared_name is not None:
+        from repro.topology.shared import SharedTopologyBlock
+
+        block = SharedTopologyBlock.attach(shared_name)
+        try:
+            network = block.build_network()
+        finally:
+            block.close()
     runner, schemes = spec.build_experiment(seed, network=network)
     store = None
     if spec.path_cache_dir:
@@ -214,15 +200,6 @@ def _run_shard(
     return row
 
 
-class ScenarioRunReport(GridRunReport):
-    """A :class:`~repro.scenarios.jsonl.GridRunReport` with the legacy accessor."""
-
-    @property
-    def scenario(self) -> str:
-        """The scenario's name (alias of :attr:`name`)."""
-        return self.name
-
-
 class ScenarioRunner(JsonlGridRunner):
     """Runs a scenario's full grid over worker processes, resumably.
 
@@ -236,8 +213,6 @@ class ScenarioRunner(JsonlGridRunner):
     bit-identical either way; the blocks are unlinked in a ``finally`` (plus
     a finalizer guard inside the block itself).
     """
-
-    report_class = ScenarioRunReport
 
     def __init__(
         self,
@@ -291,7 +266,7 @@ class ScenarioRunner(JsonlGridRunner):
         """The module-level scenario task function."""
         return execute_run
 
-    def run(self, workers=None, on_row=None) -> GridRunReport:
+    def run(self, on_row=None) -> GridRunReport:
         """Execute pending runs, exporting shared topology blocks if enabled.
 
         A shared-topology sweep starts by reaping orphaned shared-memory
@@ -302,7 +277,7 @@ class ScenarioRunner(JsonlGridRunner):
         """
         self.spec.validate()
         if not self.shared_topology:
-            return super().run(workers=workers, on_row=on_row)
+            return super().run(on_row=on_row)
         from repro.topology.shared import reap_orphan_segments
 
         reaped = reap_orphan_segments()
@@ -314,7 +289,7 @@ class ScenarioRunner(JsonlGridRunner):
             )
         self._export_shared_blocks()
         try:
-            return super().run(workers=workers, on_row=on_row)
+            return super().run(on_row=on_row)
         finally:
             self._release_shared_blocks()
 

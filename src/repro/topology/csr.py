@@ -36,7 +36,7 @@ once per ``topology_version`` and implements the queries on top:
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
 path lists are identical to the reference's -- enforced by
-``tests/topology/test_graph_backend_equivalence.py``.
+``tests/topology/test_csr_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -147,16 +147,8 @@ class GraphArrays:
                 flat.append(neighbor_row)
             indptr[row + 1] = len(flat)
             self.pairs.append(list(zip(neighbors, range(first_slot, len(flat)))))
-        shared = getattr(network, "shared_csr", None)
-        if shared is not None and network.topology_version == 0:
-            # The network was reconstructed from a shared-memory topology
-            # block (same node order, same adjacency order, version 0 ==
-            # untouched): alias the block's read-only CSR arrays instead of
-            # keeping a private copy per worker process.
-            self.indptr, self.indices = shared
-        else:
-            self.indptr = indptr
-            self.indices = np.asarray(flat, dtype=np.intp)
+        self.indptr = indptr
+        self.indices = np.asarray(flat, dtype=np.intp)
         self.slot_count = len(flat)
 
         #: Spendable balance of the directed hop at each slot, refreshed from
@@ -182,7 +174,7 @@ class GraphArrays:
             (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
         )
 
-        # The EDS working graph (``nx.Graph(network.graph.edges())``) orders
+        # The oracle's EDS working graph (``nx.Graph(mirror.edges())``) orders
         # each node's neighbors by edge-*insertion* order of the rebuilt
         # graph, which differs from the primary adjacency; built on demand.
         self._working: Optional[Tuple[Adjacency, Dict[Tuple[int, int], int]]] = None
@@ -679,8 +671,8 @@ class GraphArrays:
 
         * the BFS graph: the mirror's rows, then the virtual super-source,
           then the sink; its ``indptr`` is the mirror's plus those two rows,
-          its ``indices`` are rewritten by every drain (the mirrored
-          adjacency itself may be a read-only shared block),
+          its ``indices`` are rewritten by every drain (the mirror's own
+          adjacency stays intact for every other query),
         * ``indices - sink``, so that ``keep * offset + sink`` redirects the
           hops a drain filters out without a branch,
         * the sending row of the hop at each slot (``indices`` holds the
@@ -769,7 +761,7 @@ class GraphArrays:
     # edge-disjoint shortest paths (port of the EDS selector's working graph)
     # ------------------------------------------------------------------ #
     def _working_adjacency(self) -> Tuple[Adjacency, Dict[Tuple[int, int], int]]:
-        """Adjacency of ``nx.Graph(network.graph.edges())``, in its order.
+        """Adjacency of the oracle's ``nx.Graph(mirror.edges())``, in its order.
 
         The scalar EDS selector rebuilds the graph from the edge iterator,
         which re-orders each node's neighbors by edge-insertion order of the

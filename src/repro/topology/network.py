@@ -4,32 +4,28 @@
 ``"candidate"`` or ``"hub"``) and funded channels in plain insertion-ordered
 dict-of-dicts adjacency -- the same structure networkx uses internally, so
 neighbor iteration order (and therefore every path tie-break downstream) is
-identical to the historical networkx-backed implementation.  A real
-:class:`networkx.Graph` is only materialized *lazily*, as a cached mirror,
-when a caller asks for :attr:`PCNetwork.graph` (the scalar oracle in
-:mod:`repro.reference.topology` walks it); the path/distance helpers never
-touch networkx.  Networks built for the xl scale tier pass ``lean=True``,
-which forbids the mirror outright so a 100k-node run provably never pays
-for networkx structures.
+identical to the historical networkx-backed implementation.  The container
+itself never touches networkx: a :class:`networkx.Graph` view of a network
+is an export only the scalar oracle builds
+(:func:`repro.reference.topology.nx_mirror`), and production code cannot
+import that package -- so a 100k-node run structurally never pays for
+networkx structures.
 
-The path/distance helpers run on :mod:`repro.topology.graph_backend`, which
-mirrors the adjacency into CSR arrays (rebuilt lazily whenever
-``topology_version`` moves) for ``scipy.sparse.csgraph``-batched BFS and
-array-backed path search that reproduce networkx's results, tie-breaks
-included.
+The path/distance helpers run on :mod:`repro.topology.csr`, which mirrors
+the adjacency into CSR arrays (rebuilt lazily whenever ``topology_version``
+moves) for ``scipy.sparse.csgraph``-batched BFS and array-backed path search
+that reproduce networkx's results, tie-breaks included.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.topology.channel import NodeId, PaymentChannel
 
 if TYPE_CHECKING:  # imported lazily to keep module import light
-    from repro.topology.graph_backend import GraphArrays
+    from repro.topology.csr import GraphArrays
 
 ROLE_CLIENT = "client"
 ROLE_CANDIDATE = "candidate"
@@ -43,15 +39,9 @@ class PCNetwork:
     The container is deliberately independent of any routing scheme; routing
     and placement code read liquidity and topology through this API and only
     mutate state through channel operations.
-
-    Args:
-        lean: Forbid the networkx mirror entirely (CSR-only mode).  Lean
-            networks serve the xl scale tier: accessing :attr:`graph`
-            raises instead of silently materializing a 100k-node networkx
-            structure.
     """
 
-    def __init__(self, lean: bool = False) -> None:
+    def __init__(self) -> None:
         #: Node -> attribute dict (``role`` plus free-form attrs), insertion order.
         self._node_attrs: Dict[NodeId, Dict[str, object]] = {}
         #: Node -> (neighbor -> channel), both layers insertion-ordered --
@@ -63,14 +53,7 @@ class PCNetwork:
         #: catalogs, balance array mirrors) key their caches on this counter
         #: so topology dynamics invalidate them without explicit wiring.
         self.topology_version = 0
-        self.lean = lean
-        #: Read-only ``(indptr, indices)`` CSR views set by the shared-memory
-        #: reconstruction path; :class:`GraphArrays` aliases them (while the
-        #: topology is untouched) instead of keeping per-process copies.
-        self.shared_csr: Optional[Tuple[object, object]] = None
         self._graph_arrays: Optional["GraphArrays"] = None
-        self._mirror: Optional[nx.Graph] = None
-        self._mirror_version = -1
 
     # ------------------------------------------------------------------ #
     # construction
@@ -86,7 +69,6 @@ class PCNetwork:
         else:  # networkx semantics: re-adding updates attributes in place
             existing["role"] = role
             existing.update(attrs)
-        self._mirror = None
 
     def add_channel(
         self,
@@ -139,48 +121,10 @@ class PCNetwork:
         if node not in self._node_attrs:
             raise KeyError(f"node {node!r} is not part of the network")
         self._node_attrs[node]["role"] = role
-        self._mirror = None
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> nx.Graph:
-        """A networkx mirror of the network (channels on the ``channel`` edge attr).
-
-        Built lazily and cached per ``topology_version``; the mirror
-        reproduces node order *and* per-node adjacency order exactly, so
-        scalar networkx walks tie-break identically to the CSR kernels.
-        Lean (CSR-only) networks raise instead -- materializing networkx at
-        xl scale is precisely what lean mode exists to prevent.
-        """
-        if self.lean:
-            raise RuntimeError(
-                "this network is lean (CSR-only): the networkx mirror is disabled"
-            )
-        mirror = self._mirror
-        if mirror is None or self._mirror_version != self.topology_version:
-            mirror = nx.Graph()
-            mirror.add_nodes_from(self._node_attrs.items())
-            adj = mirror._adj
-            data_of: Dict[int, Dict[str, object]] = {}
-            for node, neighbors in self._adj.items():
-                row = adj[node]
-                for neighbor, channel in neighbors.items():
-                    data = data_of.get(id(channel))
-                    if data is None:
-                        data = {"channel": channel}
-                        data_of[id(channel)] = data
-                    row[neighbor] = data
-            self._mirror = mirror
-            self._mirror_version = self.topology_version
-        return mirror
-
-    @property
-    def nx_materialized(self) -> bool:
-        """Whether a networkx mirror is currently materialized (test probe)."""
-        return self._mirror is not None
-
     @property
     def adj(self) -> Mapping[NodeId, Mapping[NodeId, PaymentChannel]]:
         """Read-only view of the adjacency: node -> (neighbor -> channel).
@@ -296,7 +240,7 @@ class PCNetwork:
         repo-wide invalidation convention; balance freshness is the mirror's
         own concern (see :meth:`GraphArrays.refresh_balances`).
         """
-        from repro.topology.graph_backend import GraphArrays
+        from repro.topology.csr import GraphArrays
 
         cached = self._graph_arrays
         if cached is None or cached.version != self.topology_version:
@@ -306,7 +250,7 @@ class PCNetwork:
 
     def topology_fingerprint(self) -> str:
         """Stable hash of the node and edge sets (persistent-cache key)."""
-        from repro.topology.graph_backend import topology_fingerprint
+        from repro.topology.csr import topology_fingerprint
 
         return topology_fingerprint(self)
 
@@ -366,10 +310,6 @@ class PCNetwork:
             bottleneck = min(bottleneck, channel.balance(path[i]))
         return bottleneck
 
-    def subgraph_view(self) -> nx.Graph:
-        """A read-only copy of the channel graph topology (no channel objects)."""
-        return nx.Graph(self.graph.edges())
-
     # ------------------------------------------------------------------ #
     # snapshot / restore
     # ------------------------------------------------------------------ #
@@ -402,36 +342,6 @@ class PCNetwork:
         """Clear every channel's lifetime statistics."""
         for channel in self.channels():
             channel.stats.__init__()
-
-    # ------------------------------------------------------------------ #
-    # convenience constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_graph(
-        cls,
-        graph: nx.Graph,
-        channel_size: float = 100.0,
-        candidate_nodes: Optional[Iterable[NodeId]] = None,
-        base_fee: float = 0.0,
-        fee_rate: float = 0.0,
-    ) -> "PCNetwork":
-        """Build a PCN from a plain topology graph with uniform channel sizes.
-
-        Args:
-            graph: Topology; each edge becomes a channel.
-            channel_size: Funds deposited *per direction* of every channel.
-            candidate_nodes: Nodes to mark as hub candidates (others are clients).
-            base_fee: Flat fee applied to every channel.
-            fee_rate: Proportional fee applied to every channel.
-        """
-        candidates = set(candidate_nodes or ())
-        network = cls()
-        for node in graph.nodes:
-            role = ROLE_CANDIDATE if node in candidates else ROLE_CLIENT
-            network.add_node(node, role=role)
-        for node_a, node_b in graph.edges:
-            network.add_channel(node_a, node_b, channel_size, channel_size, base_fee, fee_rate)
-        return network
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

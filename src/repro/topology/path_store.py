@@ -17,7 +17,7 @@ run directories so warm shards skip the recomputation:
 * :class:`HopMatrixStore` -- one NPZ per topology fingerprint holding the
   batched hop-count rows of the placement cost probe.
 
-Keys include :func:`repro.topology.graph_backend.topology_fingerprint`,
+Keys include :func:`repro.topology.csr.topology_fingerprint`,
 which covers exactly the node and edge sets -- the inputs of every cached
 artifact.  Balance-dependent selectors (EDW, heuristic) are never
 persisted.  Writers merge-then-replace atomically, so concurrent shard
@@ -27,7 +27,7 @@ written between a concurrent writer's merge and its rename getting lost
 
 Caches are *transparent*: a stored catalog is bit-identical to a freshly
 generated one (pinned by the hypothesis invariant in
-``tests/topology/test_graph_backend_equivalence.py``), and schemes account
+``tests/topology/test_csr_equivalence.py``), and schemes account
 control-plane probe messages as if they had computed the paths themselves,
 so metrics never depend on cache warmth.
 """

@@ -11,11 +11,11 @@ scheme shard.  This module packs one seed's topology into a single
   preserves the *exact* insertion/adjacency order, so the reconstructed
   network's ``topology_fingerprint`` matches the original bit for bit),
   and per-channel initial balances and fees as float64 arrays,
-* **per-worker mutable state** -- workers reconstruct lightweight
-  :class:`~repro.topology.network.PCNetwork` objects (lean/CSR-only by
-  default: no networkx mirror is ever materialized) whose channel balances
-  are the only mutable copies; the big immutable arrays stay mapped once
-  in physical memory across every worker.
+* **per-worker private state** -- a worker attaches, reconstructs a
+  :class:`~repro.topology.network.PCNetwork` that *copies out* everything
+  it needs (:meth:`SharedTopologyBlock.build_network`), and unmaps the
+  segment again before it runs: the rebuilt network borrows nothing from
+  the block, so neither side constrains the other's lifetime.
 
 Cleanup is owned by the creating process: the compare runner unlinks every
 block in a ``finally``, and creator blocks additionally carry a
@@ -298,8 +298,8 @@ class SharedTopologyBlock:
     # ------------------------------------------------------------------ #
     # reconstruction (worker side)
     # ------------------------------------------------------------------ #
-    def build_network(self, lean: bool = True) -> PCNetwork:
-        """Reconstruct the exported network (lean/CSR-only by default).
+    def build_network(self) -> PCNetwork:
+        """Reconstruct the exported network; it holds no view of the block.
 
         The walk below writes the private adjacency dicts directly -- going
         through ``add_channel`` would re-derive insertion order from the
@@ -309,7 +309,7 @@ class SharedTopologyBlock:
         arrays = self.block.arrays
         meta = self.block.meta
         nodes = meta["nodes"]
-        network = PCNetwork(lean=lean)
+        network = PCNetwork()
         for node, attrs in zip(nodes, meta["attrs"]):
             network._node_attrs[node] = dict(attrs)
             network._adj[node] = {}
@@ -341,13 +341,6 @@ class SharedTopologyBlock:
             for pos in range(int(indptr[row]), int(indptr[row + 1])):
                 neighbors[nodes[int(indices[pos])]] = channels[int(adj_edge[pos])]
         network._channel_count = len(channels)
-        network.topology_version = 0
-        # Alias the block's CSR arrays so the network's GraphArrays reuses
-        # the shared read-only index structure, and pin the block on
-        # the network: the views borrow the segment's buffer, which must
-        # stay mapped for the network's lifetime.
-        network.shared_csr = (indptr, indices)
-        network._shared_block = self
         return network
 
     # ------------------------------------------------------------------ #

@@ -110,6 +110,7 @@ def test_the_docs_do_document_commands():
     "line, problem",
     [
         ("compare --scale small --backend numpy", "--backend is not accepted by compare"),
+        ("compare --scale xl --shared-memory", "--shared-memory is not accepted by compare"),
         ("data fetch --output x", "--output is not accepted by data fetch"),
         ("frobnicate --workers 2", "unknown subcommand 'frobnicate'"),
         ("--log-json", "no subcommand"),
@@ -123,6 +124,6 @@ def test_valid_examples_pass():
     for line in (
         "--log-json run paper-default --workers 4 --set workload.value_scale=2.0",
         "data clean raw.csv --output trace.npz",
-        "compare --scale xl --no-shared-memory --trace-sample-rate=0.5",
+        "compare --scale xl --no-path-cache --trace-sample-rate=0.5",
     ):
         assert check_invocation(shlex.split(line)) == []

@@ -1,5 +1,6 @@
-"""Tests for the MILP linearization and its solvers."""
+"""Tests for the MILP linearization and its HiGHS solve."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -9,11 +10,7 @@ import pytest
 
 from repro.placement.bruteforce import brute_force_placement
 from repro.placement.costs import cost_model_from_network
-from repro.placement.milp import (
-    BranchAndBoundSolver,
-    linearize_placement,
-    solve_placement_milp,
-)
+from repro.placement.milp import linearize_placement, solve_placement_milp
 from repro.placement.problem import PlacementProblem
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -64,47 +61,31 @@ class TestLinearization:
 
 
 class TestSolvers:
-    def test_scipy_backend_matches_brute_force(self, tiny_placement_problem):
-        exact = brute_force_placement(tiny_placement_problem)
-        result = solve_placement_milp(tiny_placement_problem, backend="scipy")
-        assert result.plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-6)
+    def test_takes_only_the_problem(self):
+        assert list(inspect.signature(solve_placement_milp).parameters) == ["problem"]
 
-    def test_inhouse_bnb_matches_brute_force(self, tiny_placement_problem):
+    def test_matches_brute_force(self, tiny_placement_problem):
         exact = brute_force_placement(tiny_placement_problem)
-        result = solve_placement_milp(tiny_placement_problem, backend="bnb")
+        result = solve_placement_milp(tiny_placement_problem)
         assert result.plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-6)
-        assert result.backend == "in-house-bnb"
-        assert result.nodes_explored >= 1
-
-    def test_auto_backend(self, tiny_placement_problem):
-        result = solve_placement_milp(tiny_placement_problem, backend="auto")
-        exact = brute_force_placement(tiny_placement_problem)
-        assert result.plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-6)
-
-    def test_unknown_backend_rejected(self, tiny_placement_problem):
-        with pytest.raises(ValueError):
-            solve_placement_milp(tiny_placement_problem, backend="cplex")
-
-    def test_warm_start_accepted(self, tiny_placement_problem):
-        hubs = tuple(tiny_placement_problem.candidates[:1])
-        result = solve_placement_milp(tiny_placement_problem, backend="bnb", initial_hubs=hubs)
-        exact = brute_force_placement(tiny_placement_problem)
-        assert result.plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-6)
+        assert result.objective_value == result.plan.balance_cost
 
     def test_medium_instance_optimal(self, medium_problem):
         exact = brute_force_placement(medium_problem)
-        result = solve_placement_milp(medium_problem, backend="auto")
+        result = solve_placement_milp(medium_problem)
         assert result.plan.balance_cost == pytest.approx(exact.balance_cost, rel=1e-6)
-
-    def test_bnb_node_limit_still_returns_plan(self, medium_problem):
-        model = linearize_placement(medium_problem)
-        solver = BranchAndBoundSolver(model, node_limit=1)
-        result = solver.solve()
-        assert result.plan.hub_count >= 1
 
     def test_plans_are_valid(self, medium_problem):
         result = solve_placement_milp(medium_problem)
         medium_problem.validate(result.plan.hubs, result.plan.assignment)
+
+    def test_failed_solve_raises(self, tiny_placement_problem, monkeypatch):
+        from scipy import optimize
+
+        failed = optimize.OptimizeResult(success=False, x=None)
+        monkeypatch.setattr(optimize, "milp", lambda **kwargs: failed)
+        with pytest.raises(RuntimeError, match="failed to solve the placement MILP"):
+            solve_placement_milp(tiny_placement_problem)
 
 
 def test_cli_import_does_not_load_scipy_optimize():

@@ -59,7 +59,7 @@ def test_exact_solvers_agree_with_brute_force(problem):
 @given(problem=placement_problems(max_candidates=3, max_clients=4))
 def test_milp_matches_brute_force(problem):
     exact = brute_force_placement(problem)
-    milp = solve_placement_milp(problem, backend="auto")
+    milp = solve_placement_milp(problem)
     assert milp.plan.balance_cost == pytest.approx(exact.balance_cost, rel=1e-6, abs=1e-6)
 
 

@@ -28,7 +28,7 @@ from repro.routing.paths import (
     landmark_paths,
 )
 from repro.scenarios.dynamics import churn_events, jamming_events
-from repro.topology import graph_backend
+from repro.topology import csr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 from repro.topology.path_store import PathCatalogStore
@@ -115,6 +115,51 @@ class TestSelectorEquivalence:
         for name in SELECTORS:
             selector = PATH_SELECTORS[name]
             assert selector(lonely, "a", "b", 2) == []
+
+
+class TestOracleMirror:
+    """``reference.nx_mirror``: the networkx export every scalar walk reads."""
+
+    @staticmethod
+    def _assert_orders_match(network):
+        mirror = reference.nx_mirror(network)
+        assert list(mirror.nodes) == network.nodes()
+        for node in network.nodes():
+            assert list(mirror.adj[node]) == network.neighbors(node)
+            for neighbor in network.neighbors(node):
+                assert mirror.edges[node, neighbor]["channel"] is network.channel(node, neighbor)
+        assert [frozenset(edge) for edge in mirror.edges()] == [
+            frozenset(channel.endpoints) for channel in network.channels()
+        ]
+
+    def test_preserves_node_and_adjacency_order(self):
+        network = _build_network(41)
+        network.add_node("island")
+        self._assert_orders_match(network)
+
+    def test_close_and_reopen_moves_the_edge_to_the_back_of_both_rows(self):
+        network = _build_network(42)
+        node_a = network.nodes()[0]
+        node_b = network.neighbors(node_a)[0]
+        stale = reference.nx_mirror(network)
+        settlement = network.remove_channel(node_a, node_b)
+        network.add_channel(node_a, node_b, settlement[node_a], settlement[node_b])
+        assert network.neighbors(node_a)[-1] == node_b
+        assert network.neighbors(node_b)[-1] == node_a
+        assert reference.nx_mirror(network) is not stale
+        self._assert_orders_match(network)
+
+    def test_cached_until_the_topology_moves(self):
+        network = _build_network(43)
+        mirror = reference.nx_mirror(network)
+        next(network.channels()).transfer(network.nodes()[0], 1.0)
+        assert reference.nx_mirror(network) is mirror  # balances are not topology
+        network.add_node("late")  # no version bump, but a new node
+        grown = reference.nx_mirror(network)
+        assert grown is not mirror and "late" in grown
+        network.add_channel("late", network.nodes()[0], 10.0)
+        assert reference.nx_mirror(network) is not grown
+        self._assert_orders_match(network)
 
 
 class TestDistanceHelperEquivalence:
@@ -229,7 +274,7 @@ class _DrainSpy:
 
     def __init__(self, monkeypatch):
         self.outcomes = []
-        original = graph_backend.GraphArrays._drain_level
+        original = csr.GraphArrays._drain_level
 
         def spied(arrays, width, target, heap, pushed_node, visited, *state):
             before = visited.count(1)
@@ -237,7 +282,7 @@ class _DrainSpy:
             self.outcomes.append((found, visited.count(1) - before))
             return found
 
-        monkeypatch.setattr(graph_backend.GraphArrays, "_drain_level", spied)
+        monkeypatch.setattr(csr.GraphArrays, "_drain_level", spied)
 
 
 def _assert_edw_identical(network, pairs, k=5):
@@ -330,8 +375,8 @@ class TestLevelDrainProperty:
         nodes, funded, level_pops, k = case
         network = _small_network(nodes, funded)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graph_backend, "_DRAIN_LEVEL_POPS", level_pops)
-            patch.setattr(graph_backend, "_DRAIN_MIN_UNVISITED", 1)
+            patch.setattr(csr, "_DRAIN_LEVEL_POPS", level_pops)
+            patch.setattr(csr, "_DRAIN_MIN_UNVISITED", 1)
             _assert_edw_identical(network, itertools.permutations(range(nodes), 2), k)
 
     def test_forced_drains_reach_every_situation(self, monkeypatch):
@@ -342,11 +387,11 @@ class TestLevelDrainProperty:
         a target found only after a drain that missed it, a target no search
         reaches, and zero-balance hops on the way.
         """
-        monkeypatch.setattr(graph_backend, "_DRAIN_LEVEL_POPS", 1)
-        monkeypatch.setattr(graph_backend, "_DRAIN_MIN_UNVISITED", 1)
+        monkeypatch.setattr(csr, "_DRAIN_LEVEL_POPS", 1)
+        monkeypatch.setattr(csr, "_DRAIN_MIN_UNVISITED", 1)
         spy = _DrainSpy(monkeypatch)
         searches = []
-        original = graph_backend.GraphArrays._widest_path_rows
+        original = csr.GraphArrays._widest_path_rows
 
         def counted(arrays, source, target):
             start = len(spy.outcomes)
@@ -354,7 +399,7 @@ class TestLevelDrainProperty:
             searches.append((rows is not None, [found for found, _ in spy.outcomes[start:]]))
             return rows
 
-        monkeypatch.setattr(graph_backend.GraphArrays, "_widest_path_rows", counted)
+        monkeypatch.setattr(csr.GraphArrays, "_widest_path_rows", counted)
         rng = np.random.default_rng(7)
         widths = np.array([0.0, 10.0, 20.0, 30.0])
         saw_zero_hop = False
@@ -387,7 +432,7 @@ class TestBalanceVectorIntegrity:
         source, target = _sample_pairs(network, 1, 19)[0]
         assert len(edge_disjoint_widest_paths(network, source, target, 5)) >= 2
 
-        original = graph_backend.GraphArrays._widest_path_rows
+        original = csr.GraphArrays._widest_path_rows
         calls = []
 
         def second_search_fails(self, source_row, target_row):
@@ -399,7 +444,7 @@ class TestBalanceVectorIntegrity:
             return original(self, source_row, target_row)
 
         with monkeypatch.context() as patch:
-            patch.setattr(graph_backend.GraphArrays, "_widest_path_rows", second_search_fails)
+            patch.setattr(csr.GraphArrays, "_widest_path_rows", second_search_fails)
             with pytest.raises(RuntimeError, match="injected"):
                 edge_disjoint_widest_paths(network, source, target, 5)
         assert len(calls) == 2

@@ -1,14 +1,30 @@
 """Unit tests for the PCN graph container."""
 
-import networkx as nx
+import inspect
+import re
+
 import pytest
 
+from repro.topology import network as network_module
 from repro.topology.network import ROLE_CANDIDATE, ROLE_CLIENT, ROLE_HUB, PCNetwork
 
 
 @pytest.fixture
 def network(line_network) -> PCNetwork:
     return line_network
+
+
+class TestStructure:
+    """networkx is an export the oracle builds, not a view the container owns."""
+
+    def test_module_does_not_import_networkx(self):
+        source = inspect.getsource(network_module)
+        assert not re.search(r"^\s*(import|from)\s+networkx", source, re.MULTILINE)
+
+    def test_constructor_takes_no_argument(self):
+        assert list(inspect.signature(PCNetwork).parameters) == []
+        for gone in ("graph", "lean", "nx_materialized", "subgraph_view", "from_graph"):
+            assert not hasattr(PCNetwork(), gone)
 
 
 class TestConstruction:
@@ -55,14 +71,6 @@ class TestConstruction:
         settlement = network.remove_channel("n0", "n1")
         assert settlement == {"n0": 50.0, "n1": 50.0}
         assert not network.has_channel("n0", "n1")
-
-    def test_from_graph(self):
-        graph = nx.cycle_graph(5)
-        net = PCNetwork.from_graph(graph, channel_size=10.0, candidate_nodes=[0, 1])
-        assert net.node_count() == 5
-        assert net.channel_count() == 5
-        assert set(net.candidates()) == {0, 1}
-        assert all(c.capacity == pytest.approx(20.0) for c in net.channels())
 
 
 class TestQueries:
@@ -126,11 +134,6 @@ class TestPathsAndDistances:
         path = ["n0", "n1", "n2"]
         assert network.path_capacity(path) == pytest.approx(20.0)
         assert network.path_capacity(["n0"]) == 0.0
-
-    def test_subgraph_view_has_no_channels(self, network):
-        view = network.subgraph_view()
-        assert view.number_of_edges() == 4
-        assert all("channel" not in data for _, _, data in view.edges(data=True))
 
 
 class TestSnapshotRestore:

@@ -3,9 +3,10 @@
 Covers the whole contract chain: order-preserving export/reconstruction
 (bit-identical fingerprints and snapshots), read-only enforcement on the
 shared views, creator-side lifecycle (explicit unlink, idempotency, and the
-``weakref.finalize`` crash guard), lean/CSR-only reconstruction, GraphArrays
-aliasing of the shared CSR, and end-to-end compare runs that produce
-byte-identical JSONL rows with sharing on and off.
+``weakref.finalize`` crash guard), self-contained reconstruction (the
+rebuilt network outlives the mapping and shares no memory with it), and
+end-to-end compare runs that produce byte-identical JSONL rows with sharing
+on and off.
 """
 
 import gc
@@ -117,9 +118,12 @@ class TestTopologyRoundTrip:
         block = SharedTopologyBlock.from_network(network)
         try:
             attached = SharedTopologyBlock.attach(block.name)
-            rebuilt = attached.build_network(lean=False)
+            rebuilt = attached.build_network()
             assert rebuilt.topology_fingerprint() == network.topology_fingerprint()
             assert rebuilt.snapshot() == network.snapshot()
+            assert [c.endpoints for c in rebuilt.channels()] == [
+                c.endpoints for c in network.channels()
+            ]
             assert list(rebuilt.adj) == list(network.adj)
             for node in network.adj:
                 assert list(rebuilt.adj[node]) == list(network.adj[node])
@@ -155,38 +159,36 @@ class TestTopologyRoundTrip:
         assert attached.block.arrays["bal_u"][0] == original
 
 
-class TestLeanReconstruction:
-    def test_lean_network_never_materializes_networkx(self, exported):
-        _, block = exported
-        rebuilt = SharedTopologyBlock.attach(block.name).build_network(lean=True)
-        assert rebuilt.lean
-        assert not rebuilt.nx_materialized
-        # Array-backed helpers work without the mirror...
-        arrays = rebuilt.graph_arrays()
-        assert arrays.indptr.shape[0] == len(rebuilt.nodes()) + 1
-        assert not rebuilt.nx_materialized
-        # ...and the mirror itself is a hard error, not a silent rebuild.
-        with pytest.raises(RuntimeError, match="lean"):
-            rebuilt.graph
-
-    def test_graph_arrays_alias_the_shared_csr(self, exported):
-        _, block = exported
+class TestSelfContainedReconstruction:
+    def test_rebuilt_network_borrows_nothing_from_the_block(self, exported):
+        network, block = exported
         attached = SharedTopologyBlock.attach(block.name)
         rebuilt = attached.build_network()
         arrays = rebuilt.graph_arrays()
-        assert np.shares_memory(arrays.indptr, attached.block.arrays["indptr"])
-        assert np.shares_memory(arrays.indices, attached.block.arrays["indices"])
-
-    def test_aliasing_stops_after_topology_mutation(self, exported):
-        _, block = exported
-        attached = SharedTopologyBlock.attach(block.name)
-        rebuilt = attached.build_network(lean=False)
-        nodes = rebuilt.nodes()
-        rebuilt.remove_channel(*next(rebuilt.channels()).endpoints)
-        assert rebuilt.topology_version > 0
-        arrays = rebuilt.graph_arrays()
-        assert not np.shares_memory(arrays.indptr, attached.block.arrays["indptr"])
-        assert arrays.indptr.shape[0] == len(nodes) + 1
+        assert not any(
+            np.shares_memory(private, view)
+            for view in attached.block.arrays.values()
+            for private in (arrays.indptr, arrays.indices, arrays.balance_array)
+        )
+        # Unmapping must succeed (no exported buffer left) and change nothing.
+        attached.close()
+        source, target = network.nodes()[0], network.nodes()[-1]
+        sources = network.nodes()[:5]
+        assert rebuilt.graph_arrays() is arrays
+        np.testing.assert_array_equal(arrays.indices, network.graph_arrays().indices)
+        np.testing.assert_array_equal(
+            rebuilt.hop_count_rows(sources)[1], network.hop_count_rows(sources)[1]
+        )
+        assert rebuilt.shortest_paths(source, target, 4) == network.shortest_paths(
+            source, target, 4
+        )
+        # A mirror rebuilt after the unmap (the topology moved) works too.
+        for net in (rebuilt, network):
+            net.remove_channel(*next(net.channels()).endpoints)
+        assert rebuilt.graph_arrays() is not arrays
+        assert rebuilt.shortest_paths(source, target, 4) == network.shortest_paths(
+            source, target, 4
+        )
 
 
 def _tiny_spec(name: str):
