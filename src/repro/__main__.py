@@ -47,7 +47,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import format_table, scenario_table
+from repro.analysis.tables import fig9_table, format_table, scenario_table
 from repro.baselines import SCHEME_REGISTRY
 from repro.data.cli import add_data_arguments, run_data_command
 from repro.data.sources import list_topology_sources, list_workload_sources
@@ -67,7 +67,6 @@ from repro.placement.compare import (
     PLACEMENT_SCALES,
     PlacementCompareRunner,
     build_place_spec,
-    fig9_table,
 )
 from repro.scenarios.registry import (
     COMPARISON_SCALES,
@@ -234,19 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for the JSONL results (default results/compare)",
     )
     compare.add_argument(
-        "--path-cache-dir",
-        default=None,
-        help=(
-            "directory of the persistent path-catalog cache shared by shard "
-            "workers (default <results-dir>/path-cache)"
-        ),
-    )
-    compare.add_argument(
-        "--no-path-cache",
-        action="store_true",
-        help="disable the persistent path-catalog cache",
-    )
-    compare.add_argument(
         "--topology-source",
         default=None,
         metavar="KIND|JSON",
@@ -307,19 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--results-dir",
         default=os.path.join("results", "place"),
         help="directory for the JSONL results (default results/place)",
-    )
-    place.add_argument(
-        "--path-cache-dir",
-        default=None,
-        help=(
-            "directory of the persistent hop-matrix cache shared by shard "
-            "workers (default <results-dir>/path-cache)"
-        ),
-    )
-    place.add_argument(
-        "--no-path-cache",
-        action="store_true",
-        help="disable the persistent hop-matrix cache",
     )
     place.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
     _add_resilience_arguments(place)
@@ -560,6 +533,7 @@ def _record_manifest(
     obs_dir: Optional[str] = None,
     table: Optional[str] = None,
     sources: Optional[Dict[str, object]] = None,
+    methods: Optional[Sequence[str]] = None,
     report: Optional[GridRunReport] = None,
 ) -> None:
     """Register one pipeline's outputs in ``<results_dir>/manifest.json``."""
@@ -576,6 +550,9 @@ def _record_manifest(
         entry["table"] = os.path.basename(table)
     if sources:
         entry["sources"] = sources
+    if methods:
+        # ``repro report`` pivots the figure-9 table in this order.
+        entry["methods"] = list(methods)
     if report is not None and (report.failures or report.quarantined):
         entry["failures"] = len(report.failures)
         entry["quarantined"] = len(report.quarantined)
@@ -757,10 +734,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             spec.workload.arrival_rate = args.arrival_rate
         if args.payments is not None:
             spec.workload.arrival_rate = args.payments / spec.workload.duration
-        if not args.no_path_cache:
-            spec.path_cache_dir = args.path_cache_dir or os.path.join(
-                args.results_dir, "path-cache"
-            )
         spec.obs = _obs_settings(args)
         runner = ScenarioRunner(
             spec,
@@ -814,16 +787,6 @@ def _command_compare(args: argparse.Namespace) -> int:
                 runner_mib=round(runner_mib, 1),
                 worker_mib=round(worker_mib, 1),
             )
-        cache_rows = [row["path_cache"] for row in report.rows if "path_cache" in row]
-        if cache_rows:
-            hits = sum(int(entry.get("hits", 0)) for entry in cache_rows)
-            misses = sum(int(entry.get("misses", 0)) for entry in cache_rows)
-            log.info(
-                f"path-catalog cache: {hits} hit(s), {misses} miss(es) "
-                f"across {len(cache_rows)} run(s) -> {spec.path_cache_dir}",
-                hits=hits,
-                misses=misses,
-            )
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig8-{scale}.txt"),
             f"Figure 8 comparison -- scale {scale} ({nodes} nodes)",
@@ -870,10 +833,6 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             seeds=seeds,
             nodes=args.nodes,
         )
-        if not args.no_path_cache:
-            spec.hop_cache_dir = args.path_cache_dir or os.path.join(
-                args.results_dir, "path-cache"
-            )
         runner = PlacementCompareRunner(
             spec,
             results_dir=args.results_dir,
@@ -914,15 +873,6 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             seconds=round(elapsed, 3),
         )
         _log_resilience(report)
-        probe_hits = sum(1 for row in report.rows if row.get("hop_cache") == "hit")
-        probe_misses = sum(1 for row in report.rows if row.get("hop_cache") == "miss")
-        if probe_hits or probe_misses:
-            log.info(
-                f"hop-matrix cache: {probe_hits} hit(s), {probe_misses} miss(es) "
-                f"-> {spec.hop_cache_dir}",
-                hits=probe_hits,
-                misses=probe_misses,
-            )
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig9-{scale}.txt"),
             f"Figure 9 placement comparison -- scale {scale} ({spec.nodes} nodes)",
@@ -936,6 +886,7 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             schema_version=PLACE_SCHEMA_VERSION,
             rows=len(report.rows),
             table=table_path,
+            methods=spec.methods,
             report=report,
         )
     return 0

@@ -9,7 +9,7 @@ external plotting.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simulator.experiment import ExperimentResult
 
@@ -162,6 +162,53 @@ def failure_table(result_rows: Sequence[Dict[str, object]]) -> str:
     if not rows:
         return "(no failure reasons recorded)"
     return format_table(rows)
+
+
+def fig9_table(rows: Sequence[Dict[str, object]], methods: Sequence[str]) -> str:
+    """A figure-9-shaped table: one line per omega, one column group per method.
+
+    Per method: mean balance cost and mean hub count over the seeds.  Every
+    non-reference method also gets a ``gap%`` column against the first
+    method in ``methods`` (at small scale that is the optimum, reproducing
+    figure 9(a)'s model-vs-optimal comparison).
+    """
+    by_cell: Dict[Tuple[float, str], List[Dict[str, object]]] = {}
+    omegas: List[float] = []
+    for row in rows:
+        omega = float(row["omega"])
+        if omega not in omegas:
+            omegas.append(omega)
+        by_cell.setdefault((omega, str(row["method"])), []).append(row)
+    omegas.sort()
+
+    def mean(cell_rows: List[Dict[str, object]], field_name: str) -> float:
+        return sum(float(r[field_name]) for r in cell_rows) / len(cell_rows)
+
+    reference = methods[0] if methods else None
+    table_rows: List[Dict[str, object]] = []
+    for omega in omegas:
+        line: Dict[str, object] = {"omega": omega}
+        reference_cost: Optional[float] = None
+        for method in methods:
+            cell = by_cell.get((omega, method))
+            if not cell:
+                continue
+            cost = mean(cell, "balance_cost")
+            line[f"{method}_cost"] = round(cost, 4)
+            line[f"{method}_hubs"] = round(mean(cell, "hub_count"), 2)
+            if method == reference:
+                reference_cost = cost
+            elif reference_cost is not None:
+                if reference_cost > 0:
+                    gap = 100.0 * (cost - reference_cost) / reference_cost
+                else:
+                    # A zero-cost reference: any non-zero model cost is an
+                    # infinite relative gap, shown explicitly rather than
+                    # silently dropping the column.
+                    gap = 0.0 if cost == 0 else float("inf")
+                line[f"{method}_gap%"] = round(gap, 2) if gap != float("inf") else gap
+        table_rows.append(line)
+    return format_table(table_rows)
 
 
 def to_csv(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str]] = None) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,20 +130,6 @@ class RoutingScheme(abc.ABC):
         pure balance mutations such as jamming locks.
         """
 
-    def attach_path_store(self, store: object) -> None:
-        """Offer a persistent path-catalog store for topology-only selectors.
-
-        Called by shard runners before :meth:`prepare` so repeated
-        (scheme x seed) processes on the same topology skip regenerating
-        identical per-pair catalogs.  The default scheme has no catalog and
-        ignores the offer; stores are transparent (identical paths, identical
-        metrics), so accepting one is always safe.
-        """
-
-    def path_store_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss counters of the attached path store, or ``None``."""
-        return None
-
     # ------------------------------------------------------------------ #
     # per-payment accounting
     # ------------------------------------------------------------------ #
@@ -178,18 +164,13 @@ class AtomicRoutingMixin:
     #: Bound by :meth:`prepare`.
     _executor: Optional[AtomicBatchExecutor] = None
 
-    #: Persistent path-catalog store offered by :meth:`attach_path_store`.
-    _path_store: Optional[object] = None
-
     #: Outcomes buffered since the last step; reset by :meth:`prepare`.
     _report: SchemeStepReport
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         """Bind a fresh executor and report buffer for a run on ``network``."""
         super().prepare(network, rng)
-        self._executor = AtomicBatchExecutor(
-            network, hop_delay=self.hop_delay, path_store=self._path_store
-        )
+        self._executor = AtomicBatchExecutor(network, hop_delay=self.hop_delay)
         self._report = SchemeStepReport()
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
@@ -204,18 +185,6 @@ class AtomicRoutingMixin:
         report = self._report
         self._report = SchemeStepReport()
         return report
-
-    def attach_path_store(self, store: object) -> None:
-        """Persist this scheme's topology-only catalogs across processes."""
-        self._path_store = store
-        if self._executor is not None:
-            self._executor.catalog.store = store
-
-    def path_store_stats(self) -> Optional[Dict[str, int]]:
-        """The attached store's hit/miss counters (``None`` without a store)."""
-        if self._path_store is None:
-            return None
-        return self._path_store.stats()
 
     def flush_state(self) -> None:
         if self._executor is not None:

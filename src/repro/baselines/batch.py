@@ -203,41 +203,14 @@ class PathCatalog:
     keep their *path lists* forever -- reproducing scalar schemes that cache
     paths without invalidation -- but still re-resolve their channel rows so
     capacity checks see the live topology.
-
-    An optional persistent :class:`~repro.topology.path_store.PathCatalogStore`
-    backs cache misses of topology-only selectors across *processes*: on a
-    miss the store is consulted before ``compute`` runs, and fresh results
-    are recorded for the next shard.  The store is transparent -- stored
-    lists are bit-identical to freshly computed ones (the store key pins
-    the topology fingerprint) and the ``computed`` flag still reports
-    ``True``, so probe-message accounting is independent of cache warmth.
     """
 
-    def __init__(self, balances: ChannelBalanceArrays, store: Optional[object] = None) -> None:
+    def __init__(self, balances: ChannelBalanceArrays) -> None:
         self.balances = balances
-        self.store = store
         self._entries: Dict[Pair, CatalogEntry] = {}
-        self._store_fingerprint: Optional[str] = None
-        self._store_fingerprint_version = -1
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _store_for(self, version: int) -> Optional[object]:
-        """The store, when its fingerprint matches the current topology.
-
-        The store is keyed to one topology fingerprint; after dynamics
-        mutate the channel set the fingerprints diverge and the store is
-        bypassed until the topology returns to the fingerprinted shape
-        (e.g. a churned channel reopening).
-        """
-        store = self.store
-        if store is None:
-            return None
-        if self._store_fingerprint_version != version:
-            self._store_fingerprint = self.balances.network.topology_fingerprint()
-            self._store_fingerprint_version = version
-        return store if self._store_fingerprint == store.fingerprint else None
 
     def clear(self) -> None:
         """Drop every cached entry, pinned ones included.
@@ -254,17 +227,13 @@ class PathCatalog:
         pair: Pair,
         compute: Callable[[], Sequence[Sequence[NodeId]]],
         pinned: bool = False,
-        store_key: Optional[Tuple[str, int]] = None,
     ) -> Tuple[CatalogEntry, bool]:
         """The pair's entry plus whether it was (re)created for this call.
 
         ``compute`` runs at most once per (pair, topology version) for
         non-pinned entries and once ever for pinned entries; the boolean lets
         callers account per-computation costs (e.g. probe messages) without
-        inferring them from catalog state.  ``store_key`` (a
-        ``(selector label, k)`` pair) opts the computation into the
-        persistent store; the flag stays ``True`` on store hits because the
-        scheme conceptually performed the probe either way.
+        inferring them from catalog state.
         """
         self.balances.ensure_fresh()
         version = self.balances.network.topology_version
@@ -273,15 +242,7 @@ class PathCatalog:
             entry = None
         computed = entry is None
         if entry is None:
-            paths: Optional[Sequence[Sequence[NodeId]]] = None
-            store = self._store_for(version) if store_key is not None else None
-            if store is not None:
-                paths = store.get(store_key[0], store_key[1], pair)
-            if paths is None:
-                paths = [path for path in compute() if len(path) >= 2]
-                if store is not None:
-                    store.put(store_key[0], store_key[1], pair, paths)
-            entry = CatalogEntry(paths, pinned)
+            entry = CatalogEntry([path for path in compute() if len(path) >= 2], pinned)
             self._entries[pair] = entry
         if entry._seen_topology != version:
             entry.refresh_rows(self.balances)
@@ -299,16 +260,11 @@ class AtomicBatchExecutor:
     failure), so both make identical decisions and leave identical balances.
     """
 
-    def __init__(
-        self,
-        network: PCNetwork,
-        hop_delay: float = 0.02,
-        path_store: Optional[object] = None,
-    ) -> None:
+    def __init__(self, network: PCNetwork, hop_delay: float = 0.02) -> None:
         self.network = network
         self.hop_delay = hop_delay
         self.balances = ChannelBalanceArrays(network)
-        self.catalog = PathCatalog(self.balances, store=path_store)
+        self.catalog = PathCatalog(self.balances)
 
     # ------------------------------------------------------------------ #
     # synchronization hooks (wired through the scheme interface)

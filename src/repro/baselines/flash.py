@@ -78,7 +78,6 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
             (sender, recipient),
             lambda: k_shortest_paths(network, sender, recipient, self.mouse_path_pool),
             pinned=True,
-            store_key=("ksp", self.mouse_path_pool),
         )
         if computed:
             self.control_messages += len(entry.paths)

@@ -10,7 +10,6 @@ balance control.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
 import numpy as np
@@ -68,14 +67,8 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
             lambda: landmark_paths(
                 network, sender, recipient, self.paths_per_payment, self.landmarks
             ),
-            store_key=(self._landmark_selector_label(), self.paths_per_payment),
         )
         return entry.paths, entry
-
-    def _landmark_selector_label(self) -> str:
-        """Store label of this landmark line-up (paths depend on the list)."""
-        digest = hashlib.sha256(repr(list(self.landmarks)).encode()).hexdigest()[:8]
-        return f"landmark-{digest}"
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         network = self._require_network()

@@ -49,7 +49,6 @@ class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
         entry, _computed = self._executor.catalog.resolve(
             (request.sender, request.recipient),
             lambda: k_shortest_paths(network, request.sender, request.recipient, 1),
-            store_key=("ksp", 1),
         )
         paths = entry.paths
         self.control_messages += 1  # the sender probes its one path

@@ -97,7 +97,6 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: edge_disjoint_shortest_paths(network, sender, recipient, k),
-            store_key=("eds", k),
         )
         return entry.paths, entry
 

@@ -26,8 +26,6 @@ Metrics per probe:
   topology (via the workload generator's motif finder) and how many of them
   currently have their relay-side balance below
   :data:`DRAINED_FRACTION` of the channel capacity,
-* ``cache_hits`` / ``cache_misses`` -- cumulative path-catalog (or
-  hop-matrix) store counters, when the scheme carries a store,
 * ``batch_count`` / ``batch_mean`` -- arrival batches drained since the
   previous probe and their mean size.
 """
@@ -97,12 +95,11 @@ class HealthRecorder:
         """One arrival batch was drained for ``scheme``."""
         self._batches.setdefault(scheme, []).append(int(size))
 
-    def observe(self, scheme: str, network: object, t: float, cache_stats: Optional[Dict[str, int]] = None) -> None:
+    def observe(self, scheme: str, network: object, t: float) -> None:
         """Take one probe of the live network for ``scheme`` at time ``t``.
 
         The caller must have flushed the scheme's fast-path state so channel
-        objects are authoritative.  ``cache_stats`` is the scheme's path
-        store hit/miss dict when it has one.
+        objects are authoritative.
         """
         channels = list(network.channels())  # type: ignore[attr-defined]
         sides: List[float] = []
@@ -131,9 +128,6 @@ class HealthRecorder:
         push("saturation_hist", hist.astype(np.int64))
         push("motifs_found", int(found))
         push("motifs_drained", int(drained))
-        stats = cache_stats or {}
-        push("cache_hits", int(stats.get("hits", 0)))
-        push("cache_misses", int(stats.get("misses", 0)))
         batches = self._batches.pop(scheme, [])
         push("batch_count", len(batches))
         push("batch_mean", float(np.mean(batches)) if batches else 0.0)

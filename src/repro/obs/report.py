@@ -2,10 +2,10 @@
 
 ``report`` digests a results directory produced by the ``run``/``compare``/
 ``place-compare`` pipelines: the run manifest (``manifest.json``), the
-per-scheme result tables, the failure-reason breakdown, and -- when runs
-were traced -- a health summary aggregated from the per-shard NPZ telemetry
-files.  ``trace`` filters and pretty-prints one JSONL trace file, including
-a per-payment timeline view.
+per-scheme result tables (the figure-9 table for placement rows), the
+failure-reason breakdown, and -- when runs were traced -- a health summary
+aggregated from the per-shard NPZ telemetry files.  ``trace`` filters and
+pretty-prints one JSONL trace file, including a per-payment timeline view.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.tables import failure_breakdown_rows, format_table, scenario_table
+from repro.analysis.tables import (
+    failure_breakdown_rows,
+    fig9_table,
+    format_table,
+    scenario_table,
+)
 from repro.obs.health import load_health
 from repro.scenarios.jsonl import RESULT_SCHEMA_VERSION, load_result_rows
 
@@ -64,8 +69,8 @@ def update_manifest(results_dir: str, entry: Dict[str, object]) -> str:
     Entries are keyed by ``(command, name)``: re-running a pipeline replaces
     its entry instead of appending duplicates, so the manifest always lists
     each results file once with its latest state.  The file is written via
-    temp file plus atomic rename (the path-store convention), so a runner
-    killed mid-write can never leave a torn manifest behind.
+    temp file plus atomic rename, so a runner killed mid-write can never
+    leave a torn manifest behind.
     """
     os.makedirs(results_dir, exist_ok=True)
     manifest = load_manifest(results_dir) or {"manifest_version": MANIFEST_VERSION, "entries": []}
@@ -141,9 +146,6 @@ def _health_summary_rows(results_dir: str, rows: Sequence[Dict[str, object]]) ->
             bucket.setdefault("motifs_drained_max", []).append(
                 float(drained.max()) if drained is not None and len(drained) else 0.0
             )
-            hits, misses = last("cache_hits"), last("cache_misses")
-            total = hits + misses
-            bucket.setdefault("cache_hit_rate", []).append(hits / total if total else 0.0)
             batch_mean = metrics.get("batch_mean")
             bucket.setdefault("batch_mean", []).append(
                 float(batch_mean[batch_mean > 0].mean())
@@ -243,8 +245,17 @@ def render_report(results_dir: str) -> str:
                 block.append("")
                 block.append("epoch health (mean over runs; last probe unless noted)")
                 block.append(format_table(health_rows))
+        elif all("method" in row and "omega" in row for row in rows):
+            # Methods in the sweep's grid order (its first one is the gap
+            # reference); a manifest that predates the field falls back to
+            # the order the rows were written in.
+            methods = entry.get("methods") or list(
+                dict.fromkeys(str(row["method"]) for row in rows)
+            )
+            block.append("")
+            block.append("placement summary (mean over seeds)")
+            block.append(fig9_table(rows, methods))
         else:
-            # Placement-style rows: no per-scheme metrics, show the raw count.
             block.append(f"(non-scenario rows; see {results_path})")
         sections.append("\n".join(block))
     return "\n\n".join(sections)

@@ -30,7 +30,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import format_table
 from repro.scenarios.jsonl import JsonlGridRunner
 from repro.scenarios.spec import derive_seed
 from repro.topology.generators import watts_strogatz_pcn
@@ -75,10 +74,6 @@ class PlacementCompareSpec:
             against.
         omegas: Cost-weight sweep values.
         seeds: Base seeds; each seed generates an independent topology.
-        hop_cache_dir: Directory of the persistent hop-matrix cache shared
-            by shard workers (``None`` disables it).  The cache is
-            transparent -- probed hop counts are identical with or without
-            it -- so the field stays out of the resume fingerprint.
     """
 
     scale: str
@@ -86,7 +81,6 @@ class PlacementCompareSpec:
     methods: List[str] = field(default_factory=lambda: ["exact", "greedy"])
     omegas: List[float] = field(default_factory=lambda: list(DEFAULT_OMEGAS))
     seeds: List[int] = field(default_factory=lambda: [1])
-    hop_cache_dir: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -163,38 +157,24 @@ def build_place_network(spec_dict: Dict[str, object], seed: int):
     )
 
 
-#: One-entry per-process memo of the last ``(nodes, seed, hop-cache dir)``'s
-#: problem.  The grid is seed-major and pool workers are long-lived, so the
-#: (method x omega) siblings of a seed skip the network build, the probe
-#: (or NPZ load) and the cost-matrix build; omega is applied per shard.
+#: One-entry per-process memo of the last ``(nodes, seed)``'s problem.  The
+#: grid is seed-major and pool workers are long-lived, so the (method x omega)
+#: siblings of a seed skip the network build, the probe and the cost-matrix
+#: build; omega is applied per shard.
 _SEED_PROBLEM: Dict[tuple, object] = {}
 
 
-def _seed_problem(spec: PlacementCompareSpec, spec_dict: Dict[str, object], seed: int):
-    """``(problem, hop_cache)`` of one seed's topology, memoised per process."""
+def _seed_problem(spec_dict: Dict[str, object], seed: int):
+    """The problem of one seed's topology, memoised per process."""
     from repro.placement.solver import build_problem
-    from repro.topology.path_store import HopMatrixStore
 
-    key = (spec.nodes, seed, spec.hop_cache_dir)
-    if key in _SEED_PROBLEM:
-        return _SEED_PROBLEM[key], "hit" if spec.hop_cache_dir else "off"
-    network = build_place_network(spec_dict, seed)
-    probe, hop_cache = None, "off"
-    if spec.hop_cache_dir:
-        # Shards sharing a seed probe the identical hop-count matrix; the
-        # persistent store lets siblings in other processes (and resumed
-        # sweeps) skip the probe.
-        store = HopMatrixStore(spec.hop_cache_dir, network.topology_fingerprint())
-        probe = store.load()
-        hop_cache = "hit" if probe is not None else "miss"
-        if probe is None:
-            candidates = network.candidates()
-            node_order, matrix = network.hop_count_rows(candidates)
-            probe = (node_order, candidates, matrix)
-            store.save(*probe)
-    _SEED_PROBLEM.clear()
-    _SEED_PROBLEM[key] = problem = build_problem(network, hops=probe)
-    return problem, hop_cache
+    key = (spec_dict["nodes"], seed)
+    if key not in _SEED_PROBLEM:
+        # Dropped first: the previous seed's matrices must not sit under the
+        # peak of the next build.
+        _SEED_PROBLEM.clear()
+        _SEED_PROBLEM[key] = build_problem(build_place_network(spec_dict, seed))
+    return _SEED_PROBLEM[key]
 
 
 def execute_place_run(
@@ -215,8 +195,7 @@ def execute_place_run(
     method = str(overrides["method"])
     omega = float(overrides["omega"])
 
-    base_problem, hop_cache = _seed_problem(spec, spec_dict, seed)
-    problem = base_problem.with_omega(omega)
+    problem = _seed_problem(spec_dict, seed).with_omega(omega)
     solver_seed = derive_seed(seed, "place-solver")
     started = time.perf_counter()
     if method == "greedy-descent":
@@ -244,7 +223,6 @@ def execute_place_run(
         "synchronization_cost": round(plan.synchronization_cost, 6),
         "balance_cost": round(plan.balance_cost, 6),
         "solve_seconds": round(solve_seconds, 4),
-        "hop_cache": hop_cache,
     }
 
 
@@ -294,50 +272,3 @@ class PlacementCompareRunner(JsonlGridRunner):
     def executor(self):
         """The module-level placement task function."""
         return execute_place_run
-
-
-def fig9_table(rows: Sequence[Dict[str, object]], methods: Sequence[str]) -> str:
-    """A figure-9-shaped table: one line per omega, one column group per method.
-
-    Per method: mean balance cost and mean hub count over the seeds.  Every
-    non-reference method also gets a ``gap%`` column against the first
-    method in ``methods`` (at small scale that is the optimum, reproducing
-    figure 9(a)'s model-vs-optimal comparison).
-    """
-    by_cell: Dict[Tuple[float, str], List[Dict[str, object]]] = {}
-    omegas: List[float] = []
-    for row in rows:
-        omega = float(row["omega"])
-        if omega not in omegas:
-            omegas.append(omega)
-        by_cell.setdefault((omega, str(row["method"])), []).append(row)
-    omegas.sort()
-
-    def mean(cell_rows: List[Dict[str, object]], field_name: str) -> float:
-        return sum(float(r[field_name]) for r in cell_rows) / len(cell_rows)
-
-    reference = methods[0] if methods else None
-    table_rows: List[Dict[str, object]] = []
-    for omega in omegas:
-        line: Dict[str, object] = {"omega": omega}
-        reference_cost: Optional[float] = None
-        for method in methods:
-            cell = by_cell.get((omega, method))
-            if not cell:
-                continue
-            cost = mean(cell, "balance_cost")
-            line[f"{method}_cost"] = round(cost, 4)
-            line[f"{method}_hubs"] = round(mean(cell, "hub_count"), 2)
-            if method == reference:
-                reference_cost = cost
-            elif reference_cost is not None:
-                if reference_cost > 0:
-                    gap = 100.0 * (cost - reference_cost) / reference_cost
-                else:
-                    # A zero-cost reference: any non-zero model cost is an
-                    # infinite relative gap, shown explicitly rather than
-                    # silently dropping the column.
-                    gap = 0.0 if cost == 0 else float("inf")
-                line[f"{method}_gap%"] = round(gap, 2) if gap != float("inf") else gap
-        table_rows.append(line)
-    return format_table(table_rows)

@@ -268,8 +268,7 @@ def cost_model_from_network(
             makes the objective provably supermodular (Lemma 2's uniform-cost
             case) -- used by the large-scale approximation experiments.
         hops: A pre-made probe covering every candidate: the ``(node order,
-            sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (what
-            the figure-9 pipeline's :class:`HopMatrixStore` holds; ``inf``
+            sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (``inf``
             where unreachable) or per-candidate reachable-only hop-count
             dicts (the oracle's BFS probe).  ``None`` probes the network with
             one batched ``scipy.sparse.csgraph`` sweep over all candidates.

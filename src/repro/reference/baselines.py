@@ -62,12 +62,11 @@ class ScalarExecutor:
     """
 
     balances = None
-    store = None
 
     def __init__(self, network: PCNetwork, hop_delay: float) -> None:
         self.network = network
         self.hop_delay = hop_delay
-        self.catalog = self  # ``resolve`` / ``clear`` / ``store`` live here
+        self.catalog = self  # ``resolve`` / ``clear`` live here
         self._pinned: Dict[Tuple[NodeId, NodeId], _PerPaymentEntry] = {}
 
     def flush(self) -> None:
@@ -80,7 +79,7 @@ class ScalarExecutor:
         """Forget the pinned pools."""
         self._pinned.clear()
 
-    def resolve(self, pair, compute, pinned=False, store_key=None):
+    def resolve(self, pair, compute, pinned=False):
         """``(entry, computed)``; only pinned entries are ever reused."""
         if pinned and pair in self._pinned:
             return self._pinned[pair], False

@@ -189,7 +189,7 @@ class RateRouter:
         self._budgets: Dict[Tuple[Pair, Path], float] = {}
         self._in_flight: List[_InFlightUnit] = []
         self._payments: Dict[int, Payment] = {}
-        self._path_cache: Dict[Pair, Tuple[List[Path], float]] = {}
+        self._pair_paths: Dict[Pair, Tuple[List[Path], float]] = {}
         self._ranked_cache: Dict[Pair, Tuple[int, List[Path], List[Tuple[float, Path]]]] = {}
         self._next_price_update = cfg.update_interval
         self.total_fees_paid = 0.0
@@ -228,12 +228,12 @@ class RateRouter:
         return RoutingDecision(payment, paths, accepted=True)
 
     def _paths_for(self, pair: Pair, now: float) -> List[Path]:
-        cached = self._path_cache.get(pair)
+        cached = self._pair_paths.get(pair)
         if cached is not None and now - cached[1] < self.config.path_refresh_interval:
             return cached[0]
         raw = self._select_paths(self.network, pair[0], pair[1], self.config.path_count)
         paths = [tuple(path) for path in raw]
-        self._path_cache[pair] = (paths, now)
+        self._pair_paths[pair] = (paths, now)
         if paths:
             self.rate_controller.register_pair(pair[0], pair[1], paths)
             self.congestion.register_paths(pair[0], pair[1], paths)
@@ -260,7 +260,7 @@ class RateRouter:
             earliest_deadline = min((q.unit.deadline for q in queue), default=now)
             horizon = max(0.25 * (earliest_deadline - now), delay)
             target_rate = outstanding / horizon
-            paths, _ = self._path_cache.get(pair, ([], 0.0))
+            paths, _ = self._pair_paths.get(pair, ([], 0.0))
             # Each path's boost ceiling is its capacity-derived rate bound
             # (equation 18) discounted by the current routing price, so a
             # congested or imbalanced path does not get re-inflated.  The
@@ -392,11 +392,11 @@ class RateRouter:
         outnumber the active ones several times over, rebuild the index
         around the paths currently cached for live pairs.
         """
-        active_count = sum(len(paths) for paths, _ in self._path_cache.values())
+        active_count = sum(len(paths) for paths, _ in self._pair_paths.values())
         if self.price_table.registered_path_count() <= max(512, 4 * active_count):
             return
         self.price_table.prune_paths(
-            path for paths, _ in self._path_cache.values() for path in paths
+            path for paths, _ in self._pair_paths.values() for path in paths
         )
 
     def _accrue_budgets(self, dt: float) -> None:
@@ -599,7 +599,7 @@ class RateRouter:
                 self._payments.pop(payment_id, None)
 
     def _preferred_path(self, pair: Pair) -> Path:
-        cached = self._path_cache.get(pair)
+        cached = self._pair_paths.get(pair)
         if cached and cached[0]:
             return cached[0][0]
         return (pair[0], pair[1])

@@ -65,6 +65,7 @@ Resilience contract (the failure-survival layer):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -200,13 +201,15 @@ def terminate_partial_line(path: str) -> None:
 class GridRunReport:
     """What one :meth:`JsonlGridRunner.run` invocation did.
 
-    ``rows`` holds only successful result rows; failure rows captured this
-    invocation land in ``failures``, keys skipped or newly written to the
-    quarantine file in ``quarantined``, and ``retries``/``corrupt_lines``
-    surface how much resilience machinery actually fired.  ``skipped``
-    counts every grid key not dispatched this invocation -- previously
-    completed *plus* quarantine-skipped -- so ``executed + skipped`` always
-    covers the full grid when no new failure occurs.
+    ``rows`` holds only successful result rows, one per run key of the grid
+    and in grid order (the file is in completion order and may repeat a
+    key); failure rows captured this invocation land in ``failures``, keys
+    skipped or newly written to the quarantine file in ``quarantined``, and
+    ``retries``/``corrupt_lines`` surface how much resilience machinery
+    actually fired.  ``skipped`` counts every grid key not dispatched this
+    invocation -- previously completed *plus* quarantine-skipped -- so
+    ``executed + skipped`` always covers the full grid when no new failure
+    occurs.
     """
 
     name: str
@@ -283,11 +286,19 @@ def _pool_worker(execute: Callable[[object], Dict[str, object]], conn, inherited
     SIGINT is ignored so a terminal Ctrl-C reaches only the supervising
     parent, which then stops the pool deliberately; SIGTERM gets its default
     disposition back instead of the parent's inherited graceful-stop handler.
+
+    A shard's cyclic garbage (its network, schemes and runner) is collected
+    when the shard ends, not at the next automatic full collection, which a
+    long-lived worker reaches only every ~60 shards.  What the fork
+    inherited is frozen first, so that a collection walks what the shards
+    left (~1 ms) instead of every imported module (~30 ms), and writes to no
+    page the worker still shares with the parent.
     """
     for other in inherited:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    gc.freeze()
     while True:
         try:
             task, directive = conn.recv()
@@ -300,6 +311,7 @@ def _pool_worker(execute: Callable[[object], Dict[str, object]], conn, inherited
             return
         except Exception as error:  # noqa: BLE001 - an unpicklable payload
             conn.send(("exception", _error_info(error)))
+        gc.collect()
 
 
 class JsonlGridRunner:
@@ -423,7 +435,12 @@ class JsonlGridRunner:
         return entries
 
     def pending_entries(self) -> List[Tuple[str, object]]:
-        """``(run_key, task)`` pairs of the pending grid entries, in grid order."""
+        """``(run_key, task)`` pairs of the pending grid entries, in grid order.
+
+        One entry per run key: a grid that lists a value twice (``--seeds
+        1,1``) names the same run -- the same task -- twice, and a run
+        executes once.
+        """
         done = self.completed_keys()
         keys = [key for key in self.expected_keys() if key not in done]
         tasks = self.pending_tasks()
@@ -432,7 +449,7 @@ class JsonlGridRunner:
                 f"grid contract violation: {len(keys)} pending key(s) but "
                 f"{len(tasks)} pending task(s) for {self.results_name!r}"
             )
-        return list(zip(keys, tasks))
+        return list(dict(zip(keys, tasks)).items())
 
     # ------------------------------------------------------------------ #
     # failure capture
@@ -559,7 +576,7 @@ class JsonlGridRunner:
             SweepInterrupted: After a graceful SIGINT/SIGTERM shutdown.
         """
         entries = self.pending_entries()
-        expected = self.expected_keys()
+        expected = list(dict.fromkeys(self.expected_keys()))
         execute = self.executor()
         plan = self.fault_plan or FaultPlan.from_env()
         os.makedirs(self.results_dir, exist_ok=True)
@@ -616,26 +633,24 @@ class JsonlGridRunner:
         if self._stop_signal is not None:
             raise SweepInterrupted(self._stop_signal)
 
-        # Report only this grid's rows: the file may also hold rows of the
-        # same name run with other parameters (different fingerprints), which
-        # must not leak into the aggregate.  Failure rows never make it into
-        # ``rows``: a failed shard either has a fresher success row or is
-        # reported through ``failures``/``quarantined``.
-        expected_set = set(expected)
+        # Report only this grid's rows, one per run key and in grid order
+        # whatever order the shards finished in: the file may also hold rows
+        # of the same name run with other parameters (different
+        # fingerprints), which must not leak into the aggregate, and several
+        # rows of one key (the last one counts).  Failure rows never make it
+        # into ``rows``: a failed shard either has a fresher success row or
+        # is reported through ``failures``/``quarantined``.
         all_rows, corrupt_lines = read_result_rows(self.results_path, self.schema_version)
-        quarantined = sorted(
-            key for key in self.quarantined_keys() if key in expected_set
-        )
+        latest = {
+            row["run_key"]: row for row in all_rows if row.get("status") != "failed"
+        }
+        quarantined = sorted(set(self.quarantined_keys()).intersection(expected))
         return GridRunReport(
             name=self.results_name,
             results_path=self.results_path,
             executed=len(fresh_rows),
             skipped=skipped,
-            rows=[
-                row
-                for row in all_rows
-                if row["run_key"] in expected_set and row.get("status") != "failed"
-            ],
+            rows=[latest[key] for key in expected if key in latest],
             failures=failures,
             quarantined=quarantined,
             retries=retries,

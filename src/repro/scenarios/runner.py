@@ -13,8 +13,9 @@ simulation work.
 Determinism: every run derives all of its randomness from its own
 ``(seed, purpose)`` pair (see :func:`~repro.scenarios.spec.derive_seed`), so
 the produced rows are identical whatever the worker count or completion
-order.  Rows are written in completion order; consumers that need a stable
-order sort by ``run_key``.
+order.  Rows are written in completion order; the run report hands them
+back in grid order, and consumers of the file that need a stable order sort
+by ``run_key``.
 """
 
 from __future__ import annotations
@@ -49,18 +50,15 @@ __all__ = [
 ]
 
 #: Spec fields that expand or label the grid rather than parameterize a run;
-#: changing them must not invalidate already-completed runs.  The path-cache
-#: directory is excluded because the cache is transparent: a run produces
-#: bit-identical rows with or without it.  Observability is transparent the
-#: same way (sampling decisions never touch a simulation RNG), so enabling
-#: tracing must not re-run a completed sweep either.  Fault plans perturb
-#: execution (retries, worker kills), never results, so a chaos run and a
-#: clean run must share run keys and resume into the same file.
+#: changing them must not invalidate already-completed runs.  Observability
+#: is transparent (sampling decisions never touch a simulation RNG), so
+#: enabling tracing must not re-run a completed sweep either.  Fault plans
+#: perturb execution (retries, worker kills), never results, so a chaos run
+#: and a clean run must share run keys and resume into the same file.
 _NON_FINGERPRINT_FIELDS = (
     "seeds",
     "grid",
     "description",
-    "path_cache_dir",
     "obs",
     "fault_plan",
 )
@@ -159,19 +157,6 @@ def execute_run(
         finally:
             block.close()
     runner, schemes = spec.build_experiment(seed, network=network)
-    store = None
-    if spec.path_cache_dir:
-        # Shards sharing a seed build the identical topology; the persistent
-        # catalog store lets them share per-pair path computations.  It is
-        # transparent (identical paths, identical metrics), so rows do not
-        # depend on cache warmth -- only the reported hit counters do.
-        from repro.topology.path_store import PathCatalogStore
-
-        store = PathCatalogStore(
-            spec.path_cache_dir, runner.network.topology_fingerprint()
-        )
-        for scheme in schemes:
-            scheme.attach_path_store(store)
     recorder = _build_recorder(spec, key) if spec.obs and spec.obs.get("dir") else None
     rng = np.random.default_rng(derive_seed(seed, "schemes"))
     if recorder is not None:
@@ -194,9 +179,6 @@ def execute_run(
     }
     if recorder is not None:
         row["obs"] = recorder.summary()
-    if store is not None:
-        store.save()
-        row["path_cache"] = store.stats()
     return row
 
 

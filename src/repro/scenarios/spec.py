@@ -419,26 +419,21 @@ class ScenarioSpec:
             ``{"workload.value_scale": [1, 2, 4]}``; the runner executes the
             full Cartesian product for every seed.
         step_size / drain_time: Experiment-runner stepping parameters.
-        path_cache_dir: Directory of the persistent path-catalog cache
-            shared by shard workers (``None`` disables it).  The cache is
-            transparent -- results are bit-identical with or without it --
-            so the field stays out of the runner's resume fingerprint.
         obs: Observability settings, or ``None`` (the default) for no
             recording.  Keys: ``dir`` (artifact directory; per-run trace
             JSONL and health NPZ files land there), ``sample_rate``
             (fraction of payments traced), ``trace_seed`` (sampling seed,
             independent of all simulation seeds) and ``health_interval``
             (probe period in simulated seconds; 0 disables health probes).
-            Observability is transparent like the path cache -- metrics are
-            bit-identical with it on or off -- so it also stays out of the
-            resume fingerprint.
+            Observability is transparent -- metrics are bit-identical with
+            it on or off -- so it stays out of the runner's resume
+            fingerprint.
         fault_plan: Serialized deterministic fault-injection plan
             (:meth:`~repro.scenarios.faults.FaultPlan.to_dict`), or ``None``
             (the default) for no injection.  Faults perturb *execution*,
             never results -- a faulted sweep retries/resumes to the same
             rows a clean sweep produces -- so the field is pruned while
-            unset and excluded from the resume fingerprint like the other
-            transparent knobs.
+            unset and excluded from the resume fingerprint like ``obs``.
     """
 
     name: str
@@ -453,7 +448,6 @@ class ScenarioSpec:
     grid: Dict[str, List[object]] = field(default_factory=dict)
     step_size: float = 0.1
     drain_time: float = 4.0
-    path_cache_dir: Optional[str] = None
     obs: Optional[Dict[str, object]] = None
     fault_plan: Optional[Dict[str, object]] = None
 

@@ -264,10 +264,7 @@ class ExperimentRunner:
             # stay bit-identical with telemetry on or off.
             def on_probe(_engine: SimulationEngine, _event) -> None:
                 scheme.flush_state()
-                health.observe(
-                    scheme.name, self.network, _engine.now,
-                    cache_stats=scheme.path_store_stats(),
-                )
+                health.observe(scheme.name, self.network, _engine.now)
 
             engine.schedule_periodic(
                 start=health.interval,

@@ -84,15 +84,14 @@ Adjacency = Tuple[List[List[int]], List[List[Tuple[int, int]]]]
 def topology_fingerprint(network) -> str:
     """A short stable hash of the channel graph's node and *adjacency* order.
 
-    Keys the persistent path-catalog cache: two networks with the same
-    fingerprint produce identical topology-dependent path catalogs (KSP,
-    EDS, landmark legs), whatever process computed them.  The hash covers
-    the per-node neighbor order, not just the edge set, because networkx
-    path tie-breaks follow adjacency iteration order: closing and reopening
-    a channel leaves the edge set intact but moves the edge to the back of
-    both endpoints' adjacency, which can flip equal-length path choices.
-    Balances stay out of the hash -- balance-dependent selectors are never
-    persisted.
+    The order-identity check of the shared-memory and data-loader tests:
+    two networks with the same fingerprint produce identical
+    topology-dependent path catalogs (KSP, EDS, landmark legs), whatever
+    process built them.  The hash covers the per-node neighbor order, not
+    just the edge set, because path tie-breaks follow adjacency iteration
+    order: closing and reopening a channel leaves the edge set intact but
+    moves the edge to the back of both endpoints' adjacency, which can flip
+    equal-length path choices.  Balances stay out of the hash.
     """
     adj = network.adj
     parts = []

@@ -249,7 +249,7 @@ class PCNetwork:
         return cached
 
     def topology_fingerprint(self) -> str:
-        """Stable hash of the node and edge sets (persistent-cache key)."""
+        """Stable hash of the node order and per-node adjacency order."""
         from repro.topology.csr import topology_fingerprint
 
         return topology_fingerprint(self)

@@ -111,6 +111,11 @@ def test_the_docs_do_document_commands():
     [
         ("compare --scale small --backend numpy", "--backend is not accepted by compare"),
         ("compare --scale xl --shared-memory", "--shared-memory is not accepted by compare"),
+        ("compare --scale xl --no-path-cache", "--no-path-cache is not accepted by compare"),
+        (
+            "place-compare --path-cache-dir x",
+            "--path-cache-dir is not accepted by place-compare",
+        ),
         ("data fetch --output x", "--output is not accepted by data fetch"),
         ("frobnicate --workers 2", "unknown subcommand 'frobnicate'"),
         ("--log-json", "no subcommand"),
@@ -124,6 +129,6 @@ def test_valid_examples_pass():
     for line in (
         "--log-json run paper-default --workers 4 --set workload.value_scale=2.0",
         "data clean raw.csv --output trace.npz",
-        "compare --scale xl --no-path-cache --trace-sample-rate=0.5",
+        "compare --scale xl --quiet --trace-sample-rate=0.5",
     ):
         assert check_invocation(shlex.split(line)) == []

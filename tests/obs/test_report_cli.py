@@ -110,6 +110,33 @@ class TestReport:
         text = render_report(traced_results)
         assert "scheme summary" in text
 
+    def test_report_renders_the_fig9_table_of_a_place_compare_directory(
+        self, tmp_path, capsys
+    ):
+        results_dir = str(tmp_path / "place")
+        argv = [
+            "place-compare", "--scale", "small", "--nodes", "24", "--methods", "greedy,exact",
+            "--omegas", "0.02,0.2", "--results-dir", results_dir, "--quiet",
+        ]
+        assert cli_main(argv) == 0
+        with open(os.path.join(results_dir, "fig9-small.txt"), encoding="utf-8") as handle:
+            table = handle.read().split("\n", 2)[2].strip()  # below the title and its rule
+        capsys.readouterr()
+        assert cli_main(["report", results_dir]) == 0
+        output = capsys.readouterr().out
+        assert "place-small (place-compare, 4 row(s))" in output
+        assert "non-scenario rows" not in output
+        # Methods in grid order: greedy is the reference, exact gets the gap.
+        assert table in output
+        assert "exact_gap%" in table and "greedy_gap%" not in table
+        # A manifest written before it recorded the methods: the order the
+        # rows were written in stands in.
+        manifest = load_manifest(results_dir)
+        (entry,) = manifest["entries"]
+        assert entry.pop("methods") == ["greedy", "exact"]
+        update_manifest(results_dir, entry)
+        assert table in render_report(results_dir)
+
     def test_report_missing_dir_is_an_error(self, capsys):
         assert cli_main(["report", "/nonexistent/run-results"]) == 2
         assert "does not exist" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.analysis.tables import fig9_table
 from repro.placement import compare
 from repro.placement.compare import (
     DEFAULT_OMEGAS,
@@ -13,12 +14,10 @@ from repro.placement.compare import (
     PlacementCompareRunner,
     build_place_network,
     build_place_spec,
-    fig9_table,
 )
 from repro.placement.solver import build_problem
 from repro.reference import placement as reference
 from repro.scenarios.spec import derive_seed
-from repro.topology.path_store import HopMatrixStore
 
 
 class TestPlacementCompareSpec:
@@ -171,60 +170,33 @@ class TestSeedProblemMemo:
         monkeypatch.setattr(compare, "build_place_network", spy)
         return builds
 
-    def _tasks(self, tmp_path, seeds, cache="cache"):
+    def _tasks(self, seeds):
         spec = build_place_spec(
             "small", methods=["greedy"], omegas=[0.02, 0.2], seeds=seeds, nodes=24
         )
-        spec.hop_cache_dir = str(tmp_path / cache) if cache else None
         return [(spec.to_dict(), seed, overrides) for seed, overrides in spec.expand_runs()]
 
-    def test_two_omegas_of_a_seed_build_the_network_once(self, tmp_path, network_builds):
-        rows = [compare.execute_place_run(task) for task in self._tasks(tmp_path, [1])]
+    def test_two_omegas_of_a_seed_build_the_network_once(self, network_builds):
+        rows = [compare.execute_place_run(task) for task in self._tasks([1])]
         assert network_builds == [1]
-        assert [row["hop_cache"] for row in rows] == ["miss", "hit"]
         assert rows[0]["omega"] != rows[1]["omega"]
         assert rows[0]["balance_cost"] != rows[1]["balance_cost"]  # omega applied per shard
 
-    def test_a_different_seed_evicts(self, tmp_path, network_builds):
-        first, _, other, _ = self._tasks(tmp_path, [1, 2])
+    def test_a_different_seed_evicts(self, network_builds):
+        first, _, other, _ = self._tasks([1, 2])
         for task in (first, other, first):
             compare.execute_place_run(task)
         assert network_builds == [1, 2, 1]
         assert len(compare._SEED_PROBLEM) == 1
 
-    def test_cache_off_reports_off(self, tmp_path, network_builds):
-        rows = [
-            compare.execute_place_run(task) for task in self._tasks(tmp_path, [1], cache=None)
-        ]
-        assert network_builds == [1]
-        assert [row["hop_cache"] for row in rows] == ["off", "off"]
-
-    def test_rows_equal_a_fresh_process_per_shard(self, tmp_path, network_builds):
-        shared = [compare.execute_place_run(task) for task in self._tasks(tmp_path, [1, 2])]
+    def test_rows_equal_a_fresh_process_per_shard(self, network_builds):
+        shared = [compare.execute_place_run(task) for task in self._tasks([1, 2])]
         fresh = []
-        for task in self._tasks(tmp_path, [1, 2], cache="cache-fresh"):
+        for task in self._tasks([1, 2]):
             compare._SEED_PROBLEM.clear()  # what a new worker process starts with
             fresh.append(compare.execute_place_run(task))
         assert network_builds == [1, 2] + [1, 1, 2, 2]
         assert [_plan_fields(row) for row in shared] == [_plan_fields(row) for row in fresh]
-
-    def test_corrupt_hop_matrix_warns_and_reprobes(self, tmp_path, network_builds, capsys):
-        task = self._tasks(tmp_path, [1])[0]
-        expected = compare.execute_place_run(task)
-        (cache_file,) = (tmp_path / "cache").glob("hops-*.npz")
-        cache_file.write_bytes(b"PK\x03\x04 not a zip archive")
-        compare._SEED_PROBLEM.clear()
-        capsys.readouterr()
-        row = compare.execute_place_run(task)
-        captured = capsys.readouterr()
-        assert "corrupt or truncated" in captured.err + captured.out
-        assert row["hop_cache"] == "miss"
-        assert _plan_fields(row) == _plan_fields(expected)
-        network = build_place_network(task[0], 1)
-        store = HopMatrixStore(str(tmp_path / "cache"), network.topology_fingerprint())
-        node_order, sources, matrix = store.load()  # rewritten, valid again
-        assert sources == network.candidates()
-        assert matrix.shape == (len(sources), len(node_order))
 
 
 class TestGoldenRows:
@@ -238,7 +210,6 @@ class TestGoldenRows:
         with open(path, encoding="utf-8") as handle:
             golden = json.load(handle)
         spec = build_place_spec(scale, seeds=[1, 2])
-        spec.hop_cache_dir = str(tmp_path / "path-cache")
         rows = PlacementCompareRunner(spec, results_dir=str(tmp_path), workers=1).run().rows
         produced = sorted(
             ({key: row[key] for key in golden[0]} for row in rows),

@@ -278,6 +278,27 @@ def probing_execute_without_gc(task):
     return probing_execute(task)
 
 
+class _Cycle:
+    """Garbage only the cyclic collector can free; ``live`` counts instances."""
+
+    live = 0
+
+    def __init__(self):
+        self.me = self
+        type(self).live += 1
+
+    def __del__(self):
+        type(self).live -= 1
+
+
+def littering_execute(task):
+    """Leave one cycle behind; report how many earlier shards' cycles survive."""
+    key, _value = task
+    survivors = _Cycle.live
+    _Cycle()
+    return {"schema_version": RESULT_SCHEMA_VERSION, "run_key": key, "survivors": survivors}
+
+
 class ProbingRunner(ScenarioRunner):
     def executor(self):
         return probing_execute
@@ -300,6 +321,17 @@ class TestLongLivedWorkerHygiene:
         # Whatever a worker mapped for a shard (one block) is unmapped when
         # the shard returns, so attachments cannot pile up over a sweep.
         assert [row["new_mappings"] for row in report.rows] == [0] * 6
+
+    def test_a_shards_cyclic_garbage_goes_with_the_shard(self, toy_runner_cls, tmp_path):
+        class LitteringRunner(toy_runner_cls):
+            def executor(self):
+                return littering_execute
+
+        report = LitteringRunner(str(tmp_path), KEYS, workers=2).run()
+        assert report.executed == len(KEYS)
+        # Twelve tiny shards never reach an automatic collection: without the
+        # worker's own one per shard the counts would climb 0, 1, 2, ...
+        assert [row["survivors"] for row in report.rows] == [0] * len(KEYS)
 
     def test_worker_rss_is_flat_from_ten_to_a_hundred_shards(self, tmp_path):
         spec = compare_spec(range(1, 111))

@@ -35,7 +35,6 @@ COMPARE_ARGS = [
     "shortest-path,landmark",
     "--workers",
     "2",
-    "--no-path-cache",
     "--quiet",
 ]
 

@@ -31,7 +31,6 @@ from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.topology import csr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
-from repro.topology.path_store import PathCatalogStore
 
 SELECTORS = sorted(PATH_SELECTORS)
 
@@ -467,7 +466,7 @@ class TestBalanceVectorIntegrity:
 
 
 # ---------------------------------------------------------------------- #
-# persistent path-catalog store invariant
+# in-memory path-catalog invariant
 # ---------------------------------------------------------------------- #
 @st.composite
 def catalog_scenarios(draw):
@@ -487,27 +486,20 @@ def catalog_scenarios(draw):
     return seed, steps, k
 
 
-class TestPersistentCatalogInvariant:
+class TestCatalogInvariant:
     @settings(max_examples=25, deadline=None)
     @given(scenario=catalog_scenarios())
-    def test_cached_catalogs_equal_fresh_generation_across_version_bumps(
-        self, scenario, tmp_path_factory
-    ):
+    def test_catalog_entries_equal_fresh_generation_across_version_bumps(self, scenario):
         seed, steps, k = scenario
-        directory = str(tmp_path_factory.mktemp("path-cache"))
         network = _build_network(seed, nodes=18)
-        store = PathCatalogStore(directory, network.topology_fingerprint())
-        balances = ChannelBalanceArrays(network)
-        catalog = PathCatalog(balances, store=store)
+        catalog = PathCatalog(ChannelBalanceArrays(network))
         pairs = _sample_pairs(network, 6, seed + 1)
-        rng = np.random.default_rng(seed + 2)
 
         def query_all():
             for source, target in pairs:
                 entry, _ = catalog.resolve(
                     (source, target),
                     lambda s=source, t=target: k_shortest_paths(network, s, t, k),
-                    store_key=("ksp", k),
                 )
                 fresh = [tuple(p) for p in k_shortest_paths(network, source, target, k)]
                 assert entry.paths == fresh
@@ -531,51 +523,6 @@ class TestPersistentCatalogInvariant:
                         settlement = network.remove_channel(node_a, node_b)
                         removed.append((node_a, node_b, settlement))
         query_all()
-        store.save()
-
-        # A second process on the same (restored) topology reads the store:
-        # served catalogs must equal fresh generation there too.
-        for node_a, node_b, settlement in reversed(removed):
-            if not network.has_channel(node_a, node_b):
-                network.add_channel(node_a, node_b, settlement[node_a], settlement[node_b])
-        if network.topology_fingerprint() == store.fingerprint:
-            sibling_store = PathCatalogStore(directory, network.topology_fingerprint())
-            sibling = PathCatalog(ChannelBalanceArrays(network), store=sibling_store)
-            for source, target in pairs:
-                entry, _ = sibling.resolve(
-                    (source, target),
-                    lambda s=source, t=target: k_shortest_paths(network, s, t, k),
-                    store_key=("ksp", k),
-                )
-                assert entry.paths == [
-                    tuple(p) for p in k_shortest_paths(network, source, target, k)
-                ]
-
-    def test_prefix_serving_matches_smaller_k(self, tmp_path):
-        network = _build_network(3)
-        store = PathCatalogStore(str(tmp_path), network.topology_fingerprint())
-        source, target = _sample_pairs(network, 1, 4)[0]
-        full = k_shortest_paths(network, source, target, 5)
-        store.put("ksp", 5, (source, target), full)
-        for k in (1, 2, 3, 5):
-            served = store.get("ksp", k, (source, target))
-            assert served == [tuple(p) for p in k_shortest_paths(network, source, target, k)]
-        assert store.get("ksp", 6, (source, target)) is None
-
-    def test_store_round_trips_through_disk(self, tmp_path):
-        network = _build_network(5)
-        store = PathCatalogStore(str(tmp_path), network.topology_fingerprint())
-        pairs = _sample_pairs(network, 5, 6)
-        for source, target in pairs:
-            store.put("ksp", 3, (source, target), k_shortest_paths(network, source, target, 3))
-        store.save()
-        reloaded = PathCatalogStore(str(tmp_path), network.topology_fingerprint())
-        for source, target in pairs:
-            assert reloaded.get("ksp", 3, (source, target)) == [
-                tuple(p) for p in k_shortest_paths(network, source, target, 3)
-            ]
-        foreign = PathCatalogStore(str(tmp_path), "0" * 16)
-        assert foreign.get("ksp", 3, pairs[0]) is None
 
 
 class TestUnknownNodeParity:
