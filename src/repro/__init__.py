@@ -19,34 +19,43 @@ It contains:
 * :mod:`repro.analysis` -- experiment sweeps, metrics tables and statistics.
 """
 
-from repro.core.config import SplicerConfig
-from repro.core.splicer import SplicerSystem
-from repro.placement.problem import PlacementPlan, PlacementProblem
-from repro.placement.solver import PlacementSolver, solve_placement
-from repro.routing.router import RateRouter
-from repro.scenarios.registry import get_scenario, list_scenarios, register_scenario
-from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import ScenarioSpec
-from repro.simulator.experiment import ExperimentResult, ExperimentRunner
-from repro.topology.network import PCNetwork
+import importlib
 
-__version__ = "1.1.0"
+#: Public name -> defining module.  Resolved on first access (PEP 562), so
+#: ``import repro`` -- which every ``repro.*`` import and ``python -m repro``
+#: runs first -- pulls in neither the scheme zoo nor networkx.
+_EXPORTS = {
+    "SplicerConfig": "repro.core.config",
+    "SplicerSystem": "repro.core.splicer",
+    "PlacementPlan": "repro.placement.problem",
+    "PlacementProblem": "repro.placement.problem",
+    "PlacementSolver": "repro.placement.solver",
+    "solve_placement": "repro.placement.solver",
+    "RateRouter": "repro.routing.router",
+    "ScenarioRunner": "repro.scenarios.runner",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "get_scenario": "repro.scenarios.registry",
+    "list_scenarios": "repro.scenarios.registry",
+    "register_scenario": "repro.scenarios.registry",
+    "ExperimentResult": "repro.simulator.experiment",
+    "ExperimentRunner": "repro.simulator.experiment",
+    "PCNetwork": "repro.topology.network",
+}
 
-__all__ = [
-    "SplicerConfig",
-    "SplicerSystem",
-    "PlacementPlan",
-    "PlacementProblem",
-    "PlacementSolver",
-    "solve_placement",
-    "RateRouter",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "get_scenario",
-    "list_scenarios",
-    "register_scenario",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "PCNetwork",
-    "__version__",
-]
+#: The one version string: ``pyproject.toml`` reads this attribute
+#: (``[tool.setuptools.dynamic]``), it does not state a version of its own.
+__version__ = "1.2.0"
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

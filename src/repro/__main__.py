@@ -45,38 +45,17 @@ import os
 import signal
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import fig9_table, format_table, scenario_table
-from repro.baselines import SCHEME_REGISTRY
-from repro.data.cli import add_data_arguments, run_data_command
-from repro.data.sources import list_topology_sources, list_workload_sources
 from repro.obs import DEFAULT_SAMPLE_RATE
 from repro.obs.log import INFO, configure, get_logger
-from repro.obs.report import (
-    filter_trace_events,
-    read_trace,
-    render_report,
-    render_timeline,
-    render_trace,
-    update_manifest,
-)
-from repro.placement.compare import (
-    PLACE_METHODS,
-    PLACE_SCHEMA_VERSION,
-    PLACEMENT_SCALES,
-    PlacementCompareRunner,
-    build_place_spec,
-)
-from repro.scenarios.registry import (
-    COMPARISON_SCALES,
-    build_comparison_spec,
-    get_scenario,
-    list_scenarios,
-)
-from repro.scenarios.jsonl import GridRunReport, ShardFailure, SweepInterrupted
-from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
-from repro.scenarios.spec import SchemeSpec
+
+# Everything else is imported where a subcommand uses it: importing this
+# module pulls in neither the scheme zoo nor networkx.  The sweep commands
+# import their whole stack (``repro.scenarios`` imports every scheme) before
+# a worker pool forks, so workers inherit it.
+if TYPE_CHECKING:
+    from repro.scenarios.jsonl import GridRunReport
 
 log = get_logger("repro.cli")
 
@@ -144,6 +123,10 @@ def _add_obs_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.data.cli import add_data_arguments
+    from repro.placement.compare import PLACE_METHODS, PLACEMENT_SCALES
+    from repro.scenarios.registry import COMPARISON_SCALES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Splicer reproduction: scenario orchestration CLI",
@@ -431,6 +414,9 @@ def _obs_settings(args: argparse.Namespace) -> Optional[Dict[str, object]]:
 
 
 def _spec_with_cli_overrides(args: argparse.Namespace):
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import SchemeSpec
+
     spec = get_scenario(args.scenario)
     overrides: Dict[str, object] = {}
     if args.nodes is not None:
@@ -472,6 +458,10 @@ def _spec_with_cli_overrides(args: argparse.Namespace):
 
 
 def _command_list() -> int:
+    from repro.analysis.tables import format_table
+    from repro.data.sources import list_topology_sources, list_workload_sources
+    from repro.scenarios.registry import list_scenarios
+
     rows = [
         {"scenario": name, "description": description}
         for name, description in list_scenarios().items()
@@ -509,6 +499,8 @@ def _command_list() -> int:
 
 
 def _command_show(scenario: str) -> int:
+    from repro.scenarios.registry import get_scenario
+
     # The JSON spec *is* the output artifact, so it owns stdout directly
     # (it must stay parseable even under --log-json).
     print(json.dumps(get_scenario(scenario).to_dict(), indent=2, sort_keys=True))
@@ -537,6 +529,8 @@ def _record_manifest(
     report: Optional[GridRunReport] = None,
 ) -> None:
     """Register one pipeline's outputs in ``<results_dir>/manifest.json``."""
+    from repro.obs.report import update_manifest
+
     entry: Dict[str, object] = {
         "command": command,
         "name": name,
@@ -601,6 +595,9 @@ def _log_resilience(report: GridRunReport) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import scenario_table
+    from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
+
     spec = _spec_with_cli_overrides(args)
     spec.obs = _obs_settings(args)
     runner = ScenarioRunner(
@@ -671,6 +668,8 @@ def _parse_source_flag(raw: Optional[str], flag: str) -> Optional[object]:
 
 def _check_scheme_names(names: Sequence[str]) -> None:
     """Reject unknown scheme names before any topology/worker spin-up."""
+    from repro.baselines import SCHEME_REGISTRY
+
     unknown = [name for name in names if name not in SCHEME_REGISTRY]
     if unknown:
         raise ValueError(
@@ -707,6 +706,10 @@ def _publish_table(table_path: str, title: str, table: str) -> str:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import scenario_table
+    from repro.scenarios.registry import build_comparison_spec
+    from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
+
     schemes = [part.strip() for part in args.schemes.split(",") if part.strip()]
     scales = [part.strip() for part in args.scale.split(",") if part.strip()]
     seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
@@ -808,6 +811,13 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_place_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import fig9_table
+    from repro.placement.compare import (
+        PLACE_SCHEMA_VERSION,
+        PlacementCompareRunner,
+        build_place_spec,
+    )
+
     scales = [part.strip() for part in args.scale.split(",") if part.strip()]
     seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
     methods = (
@@ -942,12 +952,16 @@ def _command_doctor(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.obs.report import render_report
+
     log.info(render_report(args.results_dir))
     return 0
 
 
 def _trace_events(path: str) -> List[Dict[str, object]]:
     """Events of one trace file, or of every shard in an obs directory."""
+    from repro.obs.report import read_trace
+
     if os.path.isdir(path):
         import glob as _glob
 
@@ -964,6 +978,8 @@ def _trace_events(path: str) -> List[Dict[str, object]]:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.obs.report import filter_trace_events, render_timeline, render_trace
+
     events = _trace_events(args.trace_file)
     channel = None
     if args.channel:
@@ -1125,6 +1141,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "doctor":
         return _command_doctor(args)
     if args.command == "data":
+        from repro.data.cli import run_data_command
+
         return run_data_command(args)
     return _command_run(args)
 
@@ -1132,6 +1150,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (exposed for tests)."""
     args = _build_parser().parse_args(argv)
+    from repro.scenarios.jsonl import ShardFailure, SweepInterrupted
+
     configure(
         mode="jsonl" if args.log_json else "human",
         level=INFO,

@@ -77,6 +77,10 @@ class ChannelBalanceArrays:
         self.touched = np.zeros(_MIN_ALLOC, dtype=bool)
         self._channels: List[object] = []
         self._directed: Dict[Pair, Tuple[int, int]] = {}
+        #: Live rows and where each one's ``node_a`` balance sits in the
+        #: network's balance store (``node_b``'s is the next entry), as of
+        #: ``_seen_topology``: a resync is two gathers.
+        self._rows = self._slots = np.empty(0, dtype=np.intp)
         self._seen_topology = -1
         self._dirty = True
 
@@ -96,31 +100,48 @@ class ChannelBalanceArrays:
             self._sync()
 
     def _sync(self) -> None:
-        n = len(self.index)
-        self.alive[:n] = False
+        network = self.network
+        if self._seen_topology != network.topology_version:
+            self._resolve_rows()
+        store = network.balance_store
+        rows, slots = self._rows, self._slots
+        balances = store.as_array()
+        self.balance[0, rows] = balances[slots]
+        self.balance[1, rows] = balances[slots + 1]
+        self.locked[rows] = 0.0
+        if store.open_locks:
+            for row in rows.tolist():
+                self.locked[row] = self._channels[row].locked_total()
+        self.touched[: len(self.index)] = False
+        self._dirty = False
+
+    def _resolve_rows(self) -> None:
+        """Give every live channel its stable row; runs once per topology version."""
+        network = self.network
+        self.alive[: len(self.index)] = False
         self._directed.clear()
-        for channel in self.network.channels():
+        rows: List[int] = []
+        slots: List[int] = []
+        for channel in network.channels():
             node_a, node_b = channel.endpoints
-            key = (node_a, node_b)
-            row = self.index.add(key)
-            if row >= self.balance.shape[1]:
-                size = row + 1
-                self.balance = grow_array_2d(self.balance, size)
-                self.locked = grow_array(self.locked, size)
-                self.alive = grow_array(self.alive, size)
-                self.touched = grow_array(self.touched, size)
+            row = self.index.add((node_a, node_b))
             while len(self._channels) <= row:
                 self._channels.append(None)
             self._channels[row] = channel
-            self.balance[0, row] = channel.balance(node_a)
-            self.balance[1, row] = channel.balance(node_b)
-            self.locked[row] = channel.locked_total()
-            self.alive[row] = True
             self._directed[(node_a, node_b)] = (row, 0)
             self._directed[(node_b, node_a)] = (row, 1)
-        self.touched[: len(self.index)] = False
-        self._seen_topology = self.network.topology_version
-        self._dirty = False
+            rows.append(row)
+            slots.append(channel.store_index)
+        size = len(self.index)
+        if size > self.balance.shape[1]:
+            self.balance = grow_array_2d(self.balance, size)
+            self.locked = grow_array(self.locked, size)
+            self.alive = grow_array(self.alive, size)
+            self.touched = grow_array(self.touched, size)
+        self._rows = np.asarray(rows, dtype=np.intp)
+        self._slots = np.asarray(slots, dtype=np.intp)
+        self.alive[self._rows] = True
+        self._seen_topology = network.topology_version
 
     def flush(self) -> None:
         """Write balances of rows touched since the last flush back to channels."""

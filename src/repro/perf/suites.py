@@ -1,6 +1,6 @@
 """Benchmark suites: routing step, scenario run, path generation, placement.
 
-Each scale (``small``/``medium``/``large``) defines one suite of six
+Each scale (``small``/``medium``/``large``) defines one suite of seven
 benchmark groups:
 
 * ``routing-step`` -- one epoch of Algorithm 2's price/rate update
@@ -22,16 +22,20 @@ benchmark groups:
 * ``placement-solver`` -- the placement facade on the same topology family
   (exact method at small scale, double-greedy above); the large suite adds
   ``placement-solver/paper``, one figure-9 paper-scale shard (3000 nodes).
+* ``topology-state`` -- what every shard pays before it routes anything and
+  between schemes: build the funded topology and its CSR mirror, snapshot
+  it, restore it three times, refresh the kernels' balance vector ten
+  times.  Its ``peak_mib`` is the memory gate on the channel-state layout.
 
 Records are named ``<group>/<scale>``.
 
-The ``xl-small`` suite is separate: it contains only the
-``xl-epoch-stepper`` group, which replays a payment-heavy workload (100k
-arrivals) through a constant-time null scheme.  The null scheme isolates the
-runner's arrival-delivery machinery -- the sorted cursor's one
-``searchsorted`` slice per drain -- so the row's time gate and memory
-ceiling catch per-payment work or a per-payment materialization creeping
-back into the path every replay takes.
+The ``xl-small`` suite is separate: next to its own ``topology-state`` row
+it contains the ``xl-epoch-stepper`` group, which replays a payment-heavy
+workload (100k arrivals) through a constant-time null scheme.  The null
+scheme isolates the runner's arrival-delivery machinery -- the sorted
+cursor's one ``searchsorted`` slice per drain -- so the row's time gate and
+memory ceiling catch per-payment work or a per-payment materialization
+creeping back into the path every replay takes.
 
 Everything is seeded; two runs on one machine measure the same work.
 """
@@ -61,6 +65,7 @@ from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
+from repro.topology import csr  # noqa: F401 -- PCNetwork imports it lazily; not inside a memory probe
 from repro.topology.network import PCNetwork
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -373,10 +378,54 @@ def _paper_placement_spec() -> BenchmarkSpec:
     )
 
 
+# ---------------------------------------------------------------------- #
+# topology state
+# ---------------------------------------------------------------------- #
+class _TopologyStateState:
+    """Channel-state set-up and reset on the suite's largest topology.
+
+    Each call rebuilds the funded network channel by channel (from an edge
+    list taken once, so no generator transient sits in the measurement) and
+    its CSR mirror, snapshots it, then alternates a balance mutation with a
+    restore (3x) and with a balance-vector refresh (10x) -- the mutation
+    keeps either from being skipped as a no-op.  Everything is allocated
+    inside the call, so the record's ``peak_mib`` is the whole layout:
+    channels, store, adjacency, mirror and snapshot.
+    """
+
+    def __init__(self, nodes: int) -> None:
+        template = _topology(nodes, 37)
+        self.nodes = [(node, template.role(node)) for node in template.nodes()]
+        self.edges = [
+            (*channel.endpoints, *channel.balance_pair()) for channel in template.channels()
+        ]
+
+    def step(self) -> None:
+        network = PCNetwork()
+        for node, role in self.nodes:
+            network.add_node(node, role=role)
+        for edge in self.edges:
+            network.add_channel(*edge)
+        arrays = network.graph_arrays()
+        snapshot = network.snapshot()
+        channel = next(network.channels())
+        for _ in range(3):
+            channel.transfer(channel.node_a, 1.0)
+            network.restore(snapshot)
+        for _ in range(10):
+            channel.transfer(channel.node_a, 1.0)
+            arrays.refresh_balances()
+
+
+def _topology_state_spec(scale: str) -> BenchmarkSpec:
+    nodes = XL_SCALES[scale]["nodes"] if scale in XL_SCALES else SCALES[scale]["pathgen_nodes"]
+    return _spec("topology-state", scale, lambda: _TopologyStateState(nodes), {"nodes": nodes})
+
+
 def build_suite(scale: str) -> List[BenchmarkSpec]:
     """All benchmarks of one scale."""
     if scale in XL_SCALES:
-        return [_replay_spec("xl-epoch-stepper", scale)]
+        return [_replay_spec("xl-epoch-stepper", scale), _topology_state_spec(scale)]
     if scale not in SCALES:
         raise KeyError(
             f"unknown suite {scale!r}; choose from {sorted(SCALES) + sorted(XL_SCALES)}"
@@ -389,6 +438,7 @@ def build_suite(scale: str) -> List[BenchmarkSpec]:
         _replay_spec("scheme-zoo", scale),
         _placement_spec(scale),
         *([_paper_placement_spec()] if scale == "large" else []),
+        _topology_state_spec(scale),
     ]
 
 

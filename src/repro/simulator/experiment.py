@@ -175,10 +175,6 @@ class ExperimentRunner:
         self.drain_time = drain_time
         self.dynamics: List[NetworkDynamicsEvent] = list(dynamics or [])
         self._snapshot = network.snapshot()
-        self._channel_fees = {
-            frozenset(channel.endpoints): (channel.base_fee, channel.fee_rate)
-            for channel in network.channels()
-        }
 
     # ------------------------------------------------------------------ #
     # public API
@@ -407,23 +403,29 @@ class ExperimentRunner:
     def _reconcile_topology(self) -> None:
         """Force the channel set back to the snapshotted topology.
 
-        The dynamics undo stack restores the topology on its own in every
-        normal run; this is the safety net for pathological event
-        combinations (e.g. a close and an open overlapping on the same node
-        pair, where one undo consumes the other's effect).  Channels the
-        snapshot does not know are removed, channels it knows but the network
-        lost are recreated; ``restore`` then resets every balance.
+        Nothing to do while the network is still at the snapshot's
+        ``topology_version``.  Otherwise the dynamics undo stack has normally
+        restored the channel set on its own and the walk below finds nothing
+        to fix; it is the safety net for pathological event combinations
+        (e.g. a close and an open overlapping on the same node pair, where
+        one undo consumes the other's effect).  Channels the snapshot does
+        not know are removed, channels it knows but the network lost are
+        recreated; ``restore`` then resets every balance.
         """
-        snapshot_pairs = {frozenset(pair): pair for pair in self._snapshot}
-        for channel in list(self.network.channels()):
-            if frozenset(channel.endpoints) not in snapshot_pairs:
-                self.network.remove_channel(*channel.endpoints)
-        for key, (node_a, node_b) in snapshot_pairs.items():
-            if not self.network.has_channel(node_a, node_b):
-                balances = self._snapshot[(node_a, node_b)]
-                base_fee, fee_rate = self._channel_fees[key]
-                self.network.add_channel(
-                    node_a, node_b, balances[node_a], balances[node_b], base_fee, fee_rate
+        snapshot, network = self._snapshot, self.network
+        if network.topology_version == snapshot.topology_version:
+            return
+        known = {frozenset(pair) for pair in snapshot.pairs()}
+        for channel in list(network.channels()):
+            if frozenset(channel.endpoints) not in known:
+                network.remove_channel(*channel.endpoints)
+        for position, (node_a, node_b) in enumerate(snapshot.pairs()):
+            if not network.has_channel(node_a, node_b):
+                network.add_channel(
+                    node_a,
+                    node_b,
+                    *snapshot.balances[2 * position : 2 * position + 2],
+                    *snapshot.fees[2 * position : 2 * position + 2],
                 )
 
     def _consume(

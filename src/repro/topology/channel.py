@@ -17,8 +17,11 @@ The model here follows the behaviour the paper relies on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from array import array
+from math import inf
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 NodeId = Hashable
 
@@ -46,8 +49,7 @@ class UnknownLockError(ChannelError):
     """Raised when settling or releasing a lock id the channel does not hold."""
 
 
-@dataclass(frozen=True)
-class ChannelLock:
+class ChannelLock(NamedTuple):
     """An in-flight (HTLC-style) hold on channel funds.
 
     Attributes:
@@ -65,17 +67,27 @@ class ChannelLock:
     tag: Optional[str] = None
 
 
-@dataclass
 class ChannelStats:
     """Lifetime counters for a channel, used by the evaluation metrics."""
 
-    locks_created: int = 0
-    locks_settled: int = 0
-    locks_released: int = 0
-    volume_settled: float = 0.0
-    max_locked: float = 0.0
-    imbalance_samples: int = 0
-    imbalance_sum: float = 0.0
+    __slots__ = (
+        "locks_created",
+        "locks_settled",
+        "locks_released",
+        "volume_settled",
+        "max_locked",
+        "imbalance_samples",
+        "imbalance_sum",
+    )
+
+    def __init__(self) -> None:
+        self.locks_created = 0
+        self.locks_settled = 0
+        self.locks_released = 0
+        self.volume_settled = 0.0
+        self.max_locked = 0.0
+        self.imbalance_samples = 0
+        self.imbalance_sum = 0.0
 
     def record_imbalance(self, imbalance: float) -> None:
         """Accumulate an imbalance observation (|balance_a - balance_b| / capacity)."""
@@ -89,13 +101,106 @@ class ChannelStats:
             return 0.0
         return self.imbalance_sum / self.imbalance_samples
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None  # mutable, like the dataclass it replaces
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ChannelStats({fields})"
+
+
+class BalanceStore:
+    """Flat float64 store of spendable balances, two entries per channel.
+
+    ``values[2 * i]`` and ``values[2 * i + 1]`` are the ``node_a`` / ``node_b``
+    side balances of ``channels[i]``; the store stays dense, so a network's
+    whole balance state is one C double buffer that snapshot, restore and the
+    array mirrors copy or gather in one operation.  A
+    :class:`~repro.topology.network.PCNetwork` owns one store for all of its
+    channels; a stand-alone (or removed) channel owns a private two-entry one
+    through the same code path.
+
+    Attributes:
+        values: The balances (``array('d')``: unboxed doubles read back as
+            Python floats).
+        channels: The channel views bound by :meth:`adopt`, in slot order.
+        version: Bumped on every balance mutation of this store; array
+            mirrors compare it against the value they last synchronized at.
+        open_locks: Number of in-flight locks across the store's channels.
+    """
+
+    __slots__ = ("values", "channels", "version", "open_locks")
+
+    def __init__(self, values: Iterable[float] = ()) -> None:
+        self.values = array("d", values)
+        self.channels: List["PaymentChannel"] = []
+        self.version = 0
+        self.open_locks = 0
+
+    def as_array(self) -> np.ndarray:
+        """A float64 ndarray *view* of :attr:`values`, for gathers and checks.
+
+        The buffer cannot grow while a view of it is alive: use the view
+        within one call and never store it.
+        """
+        return np.frombuffer(self.values, dtype=np.float64)
+
+    def overwrite(self, balances: "array[float]") -> None:
+        """Replace every balance at once, validated in one vectorised pass.
+
+        :meth:`PaymentChannel.write_balances` for the whole store: a negative
+        or non-finite entry is a ``ValueError`` and nothing is written.
+        """
+        if len(balances) != len(self.values):
+            raise ValueError("balance array does not match the store's size")
+        check = np.frombuffer(balances, dtype=np.float64)
+        if check.size and not (np.isfinite(check).all() and check.min() >= 0.0):
+            raise ValueError("spendable balances must be non-negative and finite")
+        self.values[:] = balances
+        self.version += 1
+
+    def adopt(self, channel: "PaymentChannel") -> None:
+        """Append a freshly constructed (lock-free) channel: its balances move in here."""
+        source, start = channel._store, channel._index
+        channel._store, channel._index = self, len(self.values)
+        self.values.extend(source.values[start : start + 2])
+        self.channels.append(channel)
+        self.version += 1
+
+    def release(self, channel: "PaymentChannel") -> None:
+        """Detach a closed channel onto a private store of its own.
+
+        The last channel takes over the vacated pair of entries, which keeps
+        the store dense (and is why slot order is insertion order only until
+        the first removal).
+        """
+        values, index = self.values, channel._index
+        channel._store, channel._index = BalanceStore(values[index : index + 2]), 0
+        last = self.channels.pop()
+        if last is not channel:
+            values[index : index + 2] = values[-2:]
+            last._index = index
+            self.channels[index // 2] = last
+        del values[-2:]
+        self.version += 1
+
+
+def _not_an_endpoint(node: NodeId) -> KeyError:
+    return KeyError(f"{node!r} is not an endpoint of this channel")
+
 
 class PaymentChannel:
     """A bidirectional payment channel between two PCN nodes.
 
     The channel tracks a spendable balance for each endpoint plus the set of
     in-flight locks.  ``balance(u) + balance(v) + locked_total == capacity``
-    holds for the channel's whole lifetime.
+    holds for the channel's whole lifetime.  The two spendable balances live
+    in a :class:`BalanceStore` -- the owning network's, or a private one --
+    and the channel is a view ``(store, index)`` onto them.
 
     Args:
         node_a: First endpoint.
@@ -106,14 +211,23 @@ class PaymentChannel:
         fee_rate: Proportional forwarding fee (fraction of the forwarded value).
     """
 
-    _id_counter = itertools.count()
+    __slots__ = (
+        "channel_id",
+        "node_a",
+        "node_b",
+        "_store",
+        "_index",
+        "_initial_a",
+        "_initial_b",
+        "_locks",
+        "_next_lock_id",
+        "base_fee",
+        "fee_rate",
+        "closed",
+        "stats",
+    )
 
-    #: Class-wide counter bumped on every spendable-balance mutation of any
-    #: channel.  Balance mirrors (the graph kernels' balance vector) compare
-    #: it against the value they last synchronized at and skip the O(E)
-    #: re-read when nothing moved; cross-network bumps only cause a spurious
-    #: refresh, never staleness.
-    balance_epoch = 0
+    _id_counter = itertools.count()
 
     def __init__(
         self,
@@ -131,11 +245,12 @@ class PaymentChannel:
         self.channel_id = next(PaymentChannel._id_counter)
         self.node_a = node_a
         self.node_b = node_b
-        self._balances: Dict[NodeId, float] = {node_a: float(balance_a), node_b: float(balance_b)}
-        PaymentChannel.balance_epoch += 1
-        self._initial_balances: Dict[NodeId, float] = dict(self._balances)
+        self._initial_a = float(balance_a)
+        self._initial_b = float(balance_b)
+        self._store = BalanceStore((self._initial_a, self._initial_b))
+        self._index = 0
         self._locks: Dict[int, ChannelLock] = {}
-        self._lock_counter = itertools.count()
+        self._next_lock_id = 0
         self.base_fee = float(base_fee)
         self.fee_rate = float(fee_rate)
         self.closed = False
@@ -150,30 +265,37 @@ class PaymentChannel:
         return (self.node_a, self.node_b)
 
     @property
+    def store_index(self) -> int:
+        """Where ``node_a``'s balance sits in the store (``node_b``'s is next)."""
+        return self._index
+
+    @property
     def capacity(self) -> float:
         """Total funds committed to the channel (both balances plus locks)."""
-        return self._balances[self.node_a] + self._balances[self.node_b] + self.locked_total()
+        balance_a, balance_b = self.balance_pair()
+        return balance_a + balance_b + self.locked_total()
 
     def balance(self, node: NodeId) -> float:
         """Spendable balance on ``node``'s side of the channel."""
-        self._check_member(node)
-        return self._balances[node]
+        if node == self.node_a:  # the hot read: ``_side`` inlined
+            return self._store.values[self._index]
+        if node == self.node_b:
+            return self._store.values[self._index + 1]
+        raise _not_an_endpoint(node)
 
     def initial_balance(self, node: NodeId) -> float:
         """Balance deposited by ``node`` when the channel was opened."""
-        self._check_member(node)
-        return self._initial_balances[node]
+        return self._initial_b if self._side(node) else self._initial_a
 
     def other(self, node: NodeId) -> NodeId:
         """The endpoint opposite ``node``."""
-        self._check_member(node)
-        return self.node_b if node == self.node_a else self.node_a
+        return self.node_a if self._side(node) else self.node_b
 
     def locked_total(self, node: Optional[NodeId] = None) -> float:
         """Sum of in-flight locked funds, optionally restricted to one sender."""
         if node is None:
             return sum(lock.amount for lock in self._locks.values())
-        self._check_member(node)
+        self._side(node)
         return sum(lock.amount for lock in self._locks.values() if lock.sender == node)
 
     def locks(self) -> Iterator[ChannelLock]:
@@ -185,14 +307,14 @@ class PaymentChannel:
         cap = self.capacity
         if cap <= _EPS:
             return 0.0
-        return abs(self._balances[self.node_a] - self._balances[self.node_b]) / cap
+        balance_a, balance_b = self.balance_pair()
+        return abs(balance_a - balance_b) / cap
 
     def can_send(self, sender: NodeId, amount: float) -> bool:
         """Whether ``sender`` currently has ``amount`` spendable in this channel."""
         if self.closed or amount < 0:
             return False
-        self._check_member(sender)
-        return self._balances[sender] + _EPS >= amount
+        return self.balance(sender) + _EPS >= amount
 
     def forwarding_fee(self, amount: float) -> float:
         """Fee charged by the channel owner for forwarding ``amount``."""
@@ -214,19 +336,22 @@ class PaymentChannel:
         in the channel until :meth:`settle` or :meth:`release`.
         """
         self._check_open()
-        self._check_member(sender)
+        store = self._store
+        slot = self._index + self._side(sender)
         if amount < 0:
             raise ValueError("cannot lock a negative amount")
-        if self._balances[sender] + _EPS < amount:
+        balance = store.values[slot]
+        if balance + _EPS < amount:
             raise InsufficientFundsError(
                 f"channel {self.node_a!r}-{self.node_b!r}: {sender!r} has "
-                f"{self._balances[sender]:.6f} < {amount:.6f}"
+                f"{balance:.6f} < {amount:.6f}"
             )
-        lock_id = next(self._lock_counter)
-        self._balances[sender] -= amount
-        if self._balances[sender] < 0:
-            self._balances[sender] = 0.0
-        PaymentChannel.balance_epoch += 1
+        lock_id = self._next_lock_id
+        self._next_lock_id = lock_id + 1
+        balance -= amount
+        store.values[slot] = 0.0 if balance < 0 else balance
+        store.version += 1
+        store.open_locks += 1
         self._locks[lock_id] = ChannelLock(lock_id, sender, float(amount), now, tag)
         self.stats.locks_created += 1
         self.stats.max_locked = max(self.stats.max_locked, self.locked_total())
@@ -236,9 +361,9 @@ class PaymentChannel:
         """Complete a lock: the funds move to the receiving endpoint."""
         self._check_open()
         lock = self._pop_lock(lock_id)
-        receiver = self.other(lock.sender)
-        self._balances[receiver] += lock.amount
-        PaymentChannel.balance_epoch += 1
+        store = self._store
+        store.values[self._index + 1 - self._side(lock.sender)] += lock.amount
+        store.version += 1
         self.stats.locks_settled += 1
         self.stats.volume_settled += lock.amount
         self.stats.record_imbalance(self.imbalance())
@@ -248,8 +373,9 @@ class PaymentChannel:
         """Abort a lock: the funds return to the sender's spendable balance."""
         self._check_open()
         lock = self._pop_lock(lock_id)
-        self._balances[lock.sender] += lock.amount
-        PaymentChannel.balance_epoch += 1
+        store = self._store
+        store.values[self._index + self._side(lock.sender)] += lock.amount
+        store.version += 1
         self.stats.locks_released += 1
         return lock.amount
 
@@ -273,10 +399,9 @@ class PaymentChannel:
         self._check_open()
         if not 0.0 <= target_ratio <= 1.0:
             raise ValueError("target_ratio must be in [0, 1]")
-        spendable = self._balances[self.node_a] + self._balances[self.node_b]
-        self._balances[self.node_a] = spendable * target_ratio
-        self._balances[self.node_b] = spendable * (1.0 - target_ratio)
-        PaymentChannel.balance_epoch += 1
+        balance_a, balance_b = self.balance_pair()
+        spendable = balance_a + balance_b
+        self._write(spendable * target_ratio, spendable * (1.0 - target_ratio))
 
     def close(self) -> Dict[NodeId, float]:
         """Close the channel, releasing outstanding locks back to their senders.
@@ -288,7 +413,7 @@ class PaymentChannel:
         for lock_id in list(self._locks):
             self.release(lock_id)
         self.closed = True
-        return dict(self._balances)
+        return self._balance_dict()
 
     # ------------------------------------------------------------------ #
     # snapshot / restore (used by the simulator to replay a topology)
@@ -297,27 +422,24 @@ class PaymentChannel:
         """Capture the current spendable balances (locks must be drained)."""
         if self._locks:
             raise ChannelError("cannot snapshot a channel with in-flight locks")
-        return dict(self._balances)
+        return self._balance_dict()
 
     def restore(self, balances: Dict[NodeId, float]) -> None:
-        """Restore spendable balances from a prior :meth:`snapshot`."""
+        """Restore spendable balances from a prior :meth:`snapshot`.
+
+        Validates like :meth:`write_balances`: a negative or non-finite
+        balance is a ``ValueError``.
+        """
         if set(balances) != {self.node_a, self.node_b}:
             raise ValueError("snapshot endpoints do not match the channel")
         if self._locks:
             raise ChannelError("cannot restore a channel with in-flight locks")
-        self._balances = {node: float(amount) for node, amount in balances.items()}
-        PaymentChannel.balance_epoch += 1
+        self.write_balances(balances[self.node_a], balances[self.node_b])
 
     def balance_pair(self) -> Tuple[float, float]:
-        """Both spendable balances ``(node_a's, node_b's)`` in one call.
-
-        Read primitive for array mirrors (the graph kernels' balance
-        vector, the baselines' balance arrays) that re-read every channel at
-        synchronization points; one attribute walk instead of two
-        member-checked :meth:`balance` calls.
-        """
-        balances = self._balances
-        return balances[self.node_a], balances[self.node_b]
+        """Both spendable balances ``(node_a's, node_b's)`` in one call."""
+        values, index = self._store.values, self._index
+        return values[index], values[index + 1]
 
     def write_balances(self, balance_a: float, balance_b: float) -> None:
         """Overwrite the spendable balances without touching in-flight locks.
@@ -331,32 +453,47 @@ class PaymentChannel:
             balance_a: New spendable balance on ``node_a``'s side.
             balance_b: New spendable balance on ``node_b``'s side.
         """
-        if balance_a < 0 or balance_b < 0:
-            raise ValueError("spendable balances must be non-negative")
-        self._balances[self.node_a] = float(balance_a)
-        self._balances[self.node_b] = float(balance_b)
-        PaymentChannel.balance_epoch += 1
+        if not (0 <= balance_a < inf and 0 <= balance_b < inf):
+            raise ValueError("spendable balances must be non-negative and finite")
+        self._write(balance_a, balance_b)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _write(self, balance_a: float, balance_b: float) -> None:
+        store, index = self._store, self._index
+        store.values[index] = balance_a
+        store.values[index + 1] = balance_b
+        store.version += 1
+
+    def _balance_dict(self) -> Dict[NodeId, float]:
+        balance_a, balance_b = self.balance_pair()
+        return {self.node_a: balance_a, self.node_b: balance_b}
+
     def _pop_lock(self, lock_id: int) -> ChannelLock:
         try:
-            return self._locks.pop(lock_id)
+            lock = self._locks.pop(lock_id)
         except KeyError:
             raise UnknownLockError(f"unknown lock id {lock_id}") from None
+        self._store.open_locks -= 1
+        return lock
 
-    def _check_member(self, node: NodeId) -> None:
-        if node not in self._balances:
-            raise KeyError(f"{node!r} is not an endpoint of this channel")
+    def _side(self, node: NodeId) -> int:
+        """0 for ``node_a``, 1 for ``node_b``; ``KeyError`` for anyone else."""
+        if node == self.node_a:
+            return 0
+        if node == self.node_b:
+            return 1
+        raise _not_an_endpoint(node)
 
     def _check_open(self) -> None:
         if self.closed:
             raise ChannelClosedError("channel is closed")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        balance_a, balance_b = self.balance_pair()
         return (
             f"PaymentChannel({self.node_a!r}<->{self.node_b!r}, "
-            f"{self._balances[self.node_a]:.1f}/{self._balances[self.node_b]:.1f}, "
+            f"{balance_a:.1f}/{balance_b:.1f}, "
             f"locked={self.locked_total():.1f})"
         )

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from array import array
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -52,8 +51,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _csgraph_bfs
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-from repro.topology.channel import PaymentChannel
 
 NodeId = Hashable
 
@@ -160,14 +157,15 @@ class GraphArrays:
         #: writer of either.
         self.balance: List[float] = [0.0] * self.slot_count
         self.balance_array = np.zeros(self.slot_count)
-        self._balance_epoch = -1
-        self._balance_sources: List[Tuple[object, int, int]] = []
-        for channel in network.channels():
-            node_a, node_b = channel.endpoints
-            row_a, row_b = self.node_row[node_a], self.node_row[node_b]
-            self._balance_sources.append(
-                (channel, self.slot_of[(row_a, row_b)], self.slot_of[(row_b, row_a)])
-            )
+        self._balance_version = -1
+        #: Where each slot's balance sits in the network's balance store:
+        #: the whole vector is ``store[_balance_gather]``.
+        gather = [0] * self.slot_count
+        for position, channel in enumerate(network.balance_store.channels):
+            row_a, row_b = self.node_row[channel.node_a], self.node_row[channel.node_b]
+            gather[self.slot_of[(row_a, row_b)]] = 2 * position
+            gather[self.slot_of[(row_b, row_a)]] = 2 * position + 1
+        self._balance_gather = np.asarray(gather, dtype=np.intp)
         #: Unit-weight sparse matrix for the batched csgraph distance kernels.
         self.sparse = csr_matrix(
             (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
@@ -197,35 +195,30 @@ class GraphArrays:
     # synchronization
     # ------------------------------------------------------------------ #
     def refresh_balances(self) -> None:
-        """Re-read every channel's directional spendable balances.
+        """Re-read every directed hop's spendable balance: one gather.
 
-        Gated on :attr:`PaymentChannel.balance_epoch`: when no channel
-        anywhere mutated a balance since the last refresh, the O(E) re-read
-        is skipped -- which is what lets back-to-back selector calls on a
-        quiescent network amortize one synchronization.
+        Gated on the network's :attr:`BalanceStore.version`: when no channel
+        of *this* network mutated a balance since the last refresh, the O(E)
+        re-read is skipped -- which is what lets back-to-back selector calls
+        on a quiescent network amortize one synchronization.
         """
-        epoch = PaymentChannel.balance_epoch
-        if epoch == self._balance_epoch:
+        store = self.network.balance_store
+        if store.version == self._balance_version:
             return
-        values = [0.0] * self.slot_count
-        for channel, slot_ab, slot_ba in self._balance_sources:
-            values[slot_ab], values[slot_ba] = channel.balance_pair()
-        self._write_balances(None, values)
-        self._balance_epoch = epoch
+        self._write_balances(None, store.as_array()[self._balance_gather])
+        self._balance_version = store.version
 
     def _write_balances(
         self, slots: Optional[Sequence[int]], values: Sequence[float]
     ) -> None:
         """The only writer of the balance vector: list and mirror move together.
 
-        ``slots=None`` replaces the whole vector (``values`` in slot order),
-        otherwise ``values[i]`` goes to ``slots[i]``.
+        ``slots=None`` replaces the whole vector (``values``: a float64
+        array in slot order), otherwise ``values[i]`` goes to ``slots[i]``.
         """
         if slots is None:
-            self.balance[:] = values
-            # Via a C double array: twice as fast as letting numpy walk the
-            # list of float objects itself.
-            self.balance_array[:] = array("d", values)
+            self.balance[:] = values.tolist()
+            self.balance_array[:] = values
         else:
             balance = self.balance
             for slot, value in zip(slots, values):

@@ -19,10 +19,11 @@ that reproduce networkx's results, tie-breaks included.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.topology.channel import NodeId, PaymentChannel
+from repro.topology.channel import BalanceStore, ChannelError, NodeId, PaymentChannel
 
 if TYPE_CHECKING:  # imported lazily to keep module import light
     from repro.topology.csr import GraphArrays
@@ -31,6 +32,56 @@ ROLE_CLIENT = "client"
 ROLE_CANDIDATE = "candidate"
 ROLE_HUB = "hub"
 _VALID_ROLES = (ROLE_CLIENT, ROLE_CANDIDATE, ROLE_HUB)
+
+
+class NetworkSnapshot:
+    """Every channel's spendable balances and fees at one instant, as arrays.
+
+    Laid out like the :class:`~repro.topology.channel.BalanceStore` it was
+    copied from: entries ``2 * i`` and ``2 * i + 1`` of ``endpoints`` /
+    ``balances`` / ``fees`` are channel ``i``'s ``(node_a, node_b)``, its two
+    side balances and its ``(base_fee, fee_rate)``.  Two snapshots are equal
+    when they describe the same channels with the same numbers, whatever the
+    slot order.
+
+    Attributes:
+        topology_version: The network's ``topology_version`` at capture;
+            while the network is still at it, its store has this very
+            layout and :meth:`PCNetwork.restore` is one slice assignment.
+    """
+
+    __slots__ = ("endpoints", "balances", "fees", "topology_version", "_store")
+
+    def __init__(self, network: "PCNetwork") -> None:
+        store = network.balance_store
+        self.endpoints: List[NodeId] = []
+        self.fees = array("d")
+        for channel in store.channels:
+            self.endpoints += channel.endpoints
+            self.fees.extend((channel.base_fee, channel.fee_rate))
+        self.balances = array("d", store.values)
+        self.topology_version = network.topology_version
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self.endpoints) // 2
+
+    def pairs(self) -> Iterator[Tuple[NodeId, NodeId]]:
+        """The ``(node_a, node_b)`` endpoint pair of each channel, in slot order."""
+        endpoints = iter(self.endpoints)
+        return zip(endpoints, endpoints)
+
+    def as_dict(self) -> Dict[Tuple[NodeId, NodeId], Tuple[float, float, float, float]]:
+        """``(node_a, node_b) -> (balance_a, balance_b, base_fee, fee_rate)``."""
+        numbers = zip(self.balances[0::2], self.balances[1::2], self.fees[0::2], self.fees[1::2])
+        return dict(zip(self.pairs(), numbers))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetworkSnapshot):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    __hash__ = None
 
 
 class PCNetwork:
@@ -48,7 +99,9 @@ class PCNetwork:
         #: exactly the dict-of-dicts shape networkx keeps, so adjacency
         #: iteration order matches the historical nx-backed container.
         self._adj: Dict[NodeId, Dict[NodeId, PaymentChannel]] = {}
-        self._channel_count = 0
+        #: Every channel's spendable balances in one flat buffer (the
+        #: channels are views onto it), plus the channels in slot order.
+        self.balance_store = BalanceStore()
         #: Bumped on every channel addition/removal.  Fast-path layers (path
         #: catalogs, balance array mirrors) key their caches on this counter
         #: so topology dynamics invalidate them without explicit wiring.
@@ -98,9 +151,9 @@ class PCNetwork:
         if balance_b is None:
             balance_b = balance_a
         channel = PaymentChannel(node_a, node_b, balance_a, balance_b, base_fee, fee_rate)
+        self.balance_store.adopt(channel)
         self._adj[node_a][node_b] = channel
         self._adj[node_b][node_a] = channel
-        self._channel_count += 1
         self.topology_version += 1
         return channel
 
@@ -108,9 +161,9 @@ class PCNetwork:
         """Close and remove the channel between two nodes, returning the settlement."""
         channel = self.channel(node_a, node_b)
         settlement = channel.close()
+        self.balance_store.release(channel)
         del self._adj[node_a][node_b]
         del self._adj[node_b][node_a]
-        self._channel_count -= 1
         self.topology_version += 1
         return settlement
 
@@ -204,7 +257,7 @@ class PCNetwork:
 
     def channel_count(self) -> int:
         """Number of channels in the network."""
-        return self._channel_count
+        return len(self.balance_store.channels)
 
     def is_connected(self) -> bool:
         """Whether the channel graph is a single connected component."""
@@ -313,16 +366,45 @@ class PCNetwork:
     # ------------------------------------------------------------------ #
     # snapshot / restore
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[Tuple[NodeId, NodeId], Dict[NodeId, float]]:
+    def snapshot(self) -> NetworkSnapshot:
         """Capture every channel's balances so the topology can be replayed."""
-        return {
-            (channel.node_a, channel.node_b): channel.snapshot() for channel in self.channels()
-        }
+        if self.balance_store.open_locks:
+            raise ChannelError("cannot snapshot a network with in-flight locks")
+        return NetworkSnapshot(self)
 
-    def restore(self, snapshot: Dict[Tuple[NodeId, NodeId], Dict[NodeId, float]]) -> None:
-        """Restore channel balances captured by :meth:`snapshot`."""
-        for (node_a, node_b), balances in snapshot.items():
-            self.channel(node_a, node_b).restore(balances)
+    def restore(self, snapshot: NetworkSnapshot) -> None:
+        """Restore the channel balances captured by :meth:`snapshot`.
+
+        One slice assignment while the network is at the snapshot's
+        ``topology_version`` (no channel was added or removed since, so the
+        store still has the snapshot's layout); a per-pair walk otherwise.
+        Refused with ``ChannelError`` while locks are in flight, and with
+        ``ValueError`` -- before anything is written -- when the snapshot
+        holds a negative or non-finite balance or its endpoint pairs are not
+        exactly this network's channels.
+        """
+        store = self.balance_store
+        if store.open_locks:
+            raise ChannelError("cannot restore a network with in-flight locks")
+        balances = snapshot.balances
+        if snapshot._store is not store or snapshot.topology_version != self.topology_version:
+            balances = self._in_store_order(snapshot)
+        store.overwrite(balances)
+
+    def _in_store_order(self, snapshot: NetworkSnapshot) -> "array[float]":
+        """A snapshot's balances permuted to this network's current slots."""
+        mismatch = ValueError("snapshot endpoint pairs do not match the network's channels")
+        if len(snapshot) != self.channel_count():
+            raise mismatch
+        balances = array("d", bytes(8 * len(snapshot.balances)))
+        for position, (node_a, node_b) in enumerate(snapshot.pairs()):
+            channel = self._adj.get(node_a, {}).get(node_b)
+            if channel is None:
+                raise mismatch
+            index, swapped = channel.store_index, channel.node_a != node_a
+            balances[index + swapped] = snapshot.balances[2 * position]
+            balances[index + 1 - swapped] = snapshot.balances[2 * position + 1]
+        return balances
 
     def release_all_locks(self) -> int:
         """Release every outstanding lock in the network (aborting in-flight payments).
@@ -331,16 +413,16 @@ class PCNetwork:
         scheme that still had units in flight does not poison the next run.
         Returns the number of locks released.
         """
-        released = 0
-        for channel in self.channels():
-            for lock in list(channel.locks()):
-                channel.release(lock.lock_id)
-                released += 1
+        released = self.balance_store.open_locks
+        if released:
+            for channel in self.balance_store.channels:
+                for lock in channel.locks():
+                    channel.release(lock.lock_id)
         return released
 
     def reset_stats(self) -> None:
         """Clear every channel's lifetime statistics."""
-        for channel in self.channels():
+        for channel in self.balance_store.channels:
             channel.stats.__init__()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -247,21 +247,11 @@ class SharedTopologyBlock:
         node_ids = list(adj)
         row_of = {node: row for row, node in enumerate(node_ids)}
 
-        edge_index: Dict[int, int] = {}
-        edge_u: List[int] = []
-        edge_v: List[int] = []
-        bal_u: List[float] = []
-        bal_v: List[float] = []
-        base_fee: List[float] = []
-        fee_rate: List[float] = []
-        for channel in network.channels():
-            edge_index[id(channel)] = len(edge_u)
-            edge_u.append(row_of[channel.node_a])
-            edge_v.append(row_of[channel.node_b])
-            bal_u.append(channel.balance(channel.node_a))
-            bal_v.append(channel.balance(channel.node_b))
-            base_fee.append(channel.base_fee)
-            fee_rate.append(channel.fee_rate)
+        # Edges in balance-store order: the rebuilt network's store is the
+        # exported one, entry for entry.
+        store = network.balance_store
+        channels = store.channels
+        balances = store.as_array()
 
         n = len(node_ids)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -270,19 +260,19 @@ class SharedTopologyBlock:
         for row, node in enumerate(node_ids):
             for neighbor, channel in adj[node].items():
                 indices.append(row_of[neighbor])
-                adj_edge.append(edge_index[id(channel)])
+                adj_edge.append(channel.store_index // 2)
             indptr[row + 1] = len(indices)
 
         arrays = {
             "indptr": indptr,
             "indices": np.asarray(indices, dtype=np.int64),
             "adj_edge": np.asarray(adj_edge, dtype=np.int64),
-            "edge_u": np.asarray(edge_u, dtype=np.int64),
-            "edge_v": np.asarray(edge_v, dtype=np.int64),
-            "bal_u": np.asarray(bal_u, dtype=np.float64),
-            "bal_v": np.asarray(bal_v, dtype=np.float64),
-            "base_fee": np.asarray(base_fee, dtype=np.float64),
-            "fee_rate": np.asarray(fee_rate, dtype=np.float64),
+            "edge_u": np.asarray([row_of[c.node_a] for c in channels], dtype=np.int64),
+            "edge_v": np.asarray([row_of[c.node_b] for c in channels], dtype=np.int64),
+            "bal_u": balances[0::2],
+            "bal_v": balances[1::2],
+            "base_fee": np.asarray([c.base_fee for c in channels], dtype=np.float64),
+            "fee_rate": np.asarray([c.fee_rate for c in channels], dtype=np.float64),
         }
         meta = {
             "nodes": node_ids,
@@ -314,23 +304,17 @@ class SharedTopologyBlock:
             network._node_attrs[node] = dict(attrs)
             network._adj[node] = {}
 
-        edge_u = arrays["edge_u"]
-        edge_v = arrays["edge_v"]
-        bal_u = arrays["bal_u"]
-        bal_v = arrays["bal_v"]
-        base_fee = arrays["base_fee"]
-        fee_rate = arrays["fee_rate"]
-        channels = [
-            PaymentChannel(
-                nodes[int(edge_u[i])],
-                nodes[int(edge_v[i])],
-                float(bal_u[i]),
-                float(bal_v[i]),
-                float(base_fee[i]),
-                float(fee_rate[i]),
+        store = network.balance_store
+        edge_columns = ("edge_u", "edge_v", "bal_u", "bal_v", "base_fee", "fee_rate")
+        for node_a, node_b, balance_a, balance_b, base_fee, fee_rate in zip(
+            *(arrays[key].tolist() for key in edge_columns)
+        ):
+            store.adopt(
+                PaymentChannel(
+                    nodes[node_a], nodes[node_b], balance_a, balance_b, base_fee, fee_rate
+                )
             )
-            for i in range(edge_u.shape[0])
-        ]
+        channels = store.channels
 
         indptr = arrays["indptr"]
         indices = arrays["indices"]
@@ -340,7 +324,6 @@ class SharedTopologyBlock:
             neighbors = internal[node]
             for pos in range(int(indptr[row]), int(indptr[row + 1])):
                 neighbors[nodes[int(indices[pos])]] = channels[int(adj_edge[pos])]
-        network._channel_count = len(channels)
         return network
 
     # ------------------------------------------------------------------ #

@@ -34,6 +34,7 @@ def test_perf_cli_emits_report_updates_baseline_and_gates(tmp_path, capsys):
         "fig8-compare/small",
         "scheme-zoo/small",
         "placement-solver/small",
+        "topology-state/small",
     }
     assert "speedups" not in payload
     assert all("variant" not in record for record in payload["records"])

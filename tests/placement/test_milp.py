@@ -93,7 +93,11 @@ def test_cli_import_does_not_load_scipy_optimize():
     import repro
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    probe = "import sys, repro.__main__; sys.exit('scipy.optimize' in sys.modules)"
+    # Building the parser imports every sweep command's stack.
+    probe = (
+        "import sys, repro.__main__ as cli; cli._build_parser(); "
+        "sys.exit('scipy.optimize' in sys.modules or 'repro.placement.milp' not in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src_dir), timeout=120
     )
