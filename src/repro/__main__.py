@@ -526,6 +526,7 @@ def _record_manifest(
     table: Optional[str] = None,
     sources: Optional[Dict[str, object]] = None,
     methods: Optional[Sequence[str]] = None,
+    schemes: Optional[Sequence[str]] = None,
     report: Optional[GridRunReport] = None,
 ) -> None:
     """Register one pipeline's outputs in ``<results_dir>/manifest.json``."""
@@ -547,6 +548,10 @@ def _record_manifest(
     if methods:
         # ``repro report`` pivots the figure-9 table in this order.
         entry["methods"] = list(methods)
+    if schemes:
+        # ... and lists scheme lines in this order (the JSONL file is in
+        # completion order).
+        entry["schemes"] = list(schemes)
     if report is not None and (report.failures or report.quarantined):
         entry["failures"] = len(report.failures)
         entry["quarantined"] = len(report.quarantined)
@@ -805,6 +810,7 @@ def _command_compare(args: argparse.Namespace) -> int:
             obs_dir=spec.obs.get("dir") if spec.obs else None,
             table=table_path,
             sources=_spec_sources(spec),
+            schemes=schemes,
             report=report,
         )
     return 0

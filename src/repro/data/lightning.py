@@ -30,14 +30,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.data.fixtures import fixture_path
 from repro.data.sources import topology_source
 from repro.topology.datasets import PAPER_CHANNEL_MEDIAN, PAPER_CHANNEL_MIN
-from repro.topology.network import PCNetwork
+from repro.topology.network import PCNetwork, reachable
 
 __all__ = [
     "DEFAULT_SNAPSHOT_FIXTURE",
@@ -234,41 +232,66 @@ def parse_snapshot(path: str) -> SnapshotGraph:
     )
 
 
-def _as_graph(snapshot: SnapshotGraph) -> "nx.Graph":
-    graph = nx.Graph()
-    graph.add_nodes_from(snapshot.nodes)
+#: Node -> neighbor -> channel, insertion-ordered like ``PCNetwork.adj``.
+Adjacency = Dict[str, Dict[str, SnapshotChannel]]
+
+
+def _adjacency(snapshot: SnapshotGraph) -> Adjacency:
+    adjacency: Adjacency = {node: {} for node in snapshot.nodes}
     for channel in snapshot.channels:
-        graph.add_edge(
-            channel.node_a,
-            channel.node_b,
-            capacity=channel.capacity,
-            base_fee=channel.base_fee,
-            fee_rate=channel.fee_rate,
-        )
-    return graph
+        adjacency[channel.node_a][channel.node_b] = channel
+        adjacency[channel.node_b][channel.node_a] = channel
+    return adjacency
 
 
-def _node_rank_key(graph: "nx.Graph"):
+def _components(adjacency: Adjacency) -> List[Set[str]]:
+    """The connected components, as node sets."""
+    components: List[Set[str]] = []
+    seen: Set[str] = set()
+    for root in adjacency:
+        if root not in seen:
+            components.append(reachable(adjacency, root))
+            seen |= components[-1]
+    return components
+
+
+def _induced(adjacency: Adjacency, keep: Iterable[str]) -> Adjacency:
+    """The sub-adjacency over ``keep``, rows rebuilt in edge-enumeration order.
+
+    What ``networkx.Graph.subgraph(keep).copy()`` does (the order
+    ``GraphArrays._working_adjacency`` reproduces for EDS); the capacity
+    sums of :func:`_node_rank_key` follow it.
+    """
+    keep = set(keep)
+    induced: Adjacency = {node: {} for node in adjacency if node in keep}
+    for node, row in induced.items():
+        for neighbor, channel in adjacency[node].items():
+            if neighbor in keep:
+                row[neighbor] = induced[neighbor][node] = channel
+    return induced
+
+
+def _node_rank_key(adjacency: Adjacency):
     """Sort key ranking nodes hub-first: degree, then total capacity, then id."""
     strength = {
-        node: sum(data["capacity"] for data in graph[node].values())
-        for node in graph.nodes
+        node: sum(channel.capacity for channel in row.values())
+        for node, row in adjacency.items()
     }
 
     def key(node: str) -> Tuple[int, float, str]:
-        return (-graph.degree(node), -strength[node], str(node))
+        return (-len(adjacency[node]), -strength[node], str(node))
 
     return key
 
 
-def _largest_component(graph: "nx.Graph") -> "nx.Graph":
-    if graph.number_of_nodes() == 0:
+def _largest_component(adjacency: Adjacency) -> Adjacency:
+    if not adjacency:
         raise ValueError("snapshot has no usable channels")
-    components = sorted(nx.connected_components(graph), key=lambda c: (-len(c), min(c)))
-    return graph.subgraph(components[0]).copy()
+    components = sorted(_components(adjacency), key=lambda c: (-len(c), min(c)))
+    return _induced(adjacency, components[0])
 
 
-def _cap_nodes(graph: "nx.Graph", max_nodes: int) -> "nx.Graph":
+def _cap_nodes(adjacency: Adjacency, max_nodes: int) -> Adjacency:
     """Keep the ``max_nodes`` best-connected nodes, then re-extract the LCC.
 
     Ranking by degree (capacity as tie-break) keeps the snapshot's hubs and
@@ -276,10 +299,10 @@ def _cap_nodes(graph: "nx.Graph", max_nodes: int) -> "nx.Graph":
     cutting low-degree leaves first means the survivor graph usually stays
     connected, but the LCC is re-extracted to guarantee it.
     """
-    if graph.number_of_nodes() <= max_nodes:
-        return graph
-    keep = sorted(graph.nodes, key=_node_rank_key(graph))[:max_nodes]
-    return _largest_component(graph.subgraph(keep).copy())
+    if len(adjacency) <= max_nodes:
+        return adjacency
+    keep = sorted(adjacency, key=_node_rank_key(adjacency))[:max_nodes]
+    return _largest_component(_induced(adjacency, keep))
 
 
 def load_snapshot(
@@ -320,13 +343,20 @@ def load_snapshot(
     if not isinstance(candidate_fraction, (int, float)) or not 0 < candidate_fraction <= 1:
         raise ValueError("candidate_fraction must be in (0, 1]")
     snapshot = parse_snapshot(path)
-    graph = _largest_component(_as_graph(snapshot))
+    adjacency = _largest_component(_adjacency(snapshot))
     if max_nodes is not None:
         if int(max_nodes) < 2:
             raise ValueError("max_nodes must be at least 2")
-        graph = _cap_nodes(graph, int(max_nodes))
+        adjacency = _cap_nodes(adjacency, int(max_nodes))
 
-    capacities = sorted(data["capacity"] for _, _, data in graph.edges(data=True))
+    # The surviving channels, in the snapshot's (sorted) endpoint order: a
+    # reduction keeps every channel between two nodes it keeps.
+    channels = [
+        channel
+        for channel in snapshot.channels
+        if channel.node_a in adjacency and channel.node_b in adjacency
+    ]
+    capacities = sorted(channel.capacity for channel in channels)
     if capacity_unit == "auto":
         median = capacities[len(capacities) // 2]
         unit = median / PAPER_CHANNEL_MEDIAN if median > 0 else 1.0
@@ -340,27 +370,26 @@ def load_snapshot(
     if scale <= 0:
         raise ValueError("channel_scale must be positive")
 
-    nodes = sorted(graph.nodes, key=str)
-    ranked = sorted(nodes, key=_node_rank_key(graph))
+    nodes = sorted(adjacency)
+    ranked = sorted(nodes, key=_node_rank_key(adjacency))
     candidate_count = max(1, round(candidate_fraction * len(nodes)))
     candidates = set(ranked[:candidate_count])
 
     network = PCNetwork()
     for node in nodes:
         network.add_node(node, role="candidate" if node in candidates else "client")
-    for node_a, node_b in sorted(graph.edges(), key=lambda edge: tuple(sorted(edge))):
-        data = graph[node_a][node_b]
-        capacity = data["capacity"] / unit
+    for channel in channels:
+        capacity = channel.capacity / unit
         if min_capacity is not None:
             capacity = max(capacity, float(min_capacity))
         capacity *= scale
         network.add_channel(
-            min(node_a, node_b, key=str),
-            max(node_a, node_b, key=str),
+            channel.node_a,
+            channel.node_b,
             balance_a=capacity / 2.0,
             balance_b=capacity / 2.0,
-            base_fee=data["base_fee"] / unit * scale,
-            fee_rate=data["fee_rate"],
+            base_fee=channel.base_fee / unit * scale,
+            fee_rate=channel.fee_rate,
         )
     return network
 
@@ -370,8 +399,7 @@ def snapshot_info(path: Optional[str] = None) -> Dict[str, object]:
     if path is None:
         path = fixture_path(DEFAULT_SNAPSHOT_FIXTURE)
     snapshot = parse_snapshot(path)
-    graph = _as_graph(snapshot)
-    components = sorted((len(c) for c in nx.connected_components(graph)), reverse=True)
+    components = sorted((len(c) for c in _components(_adjacency(snapshot))), reverse=True)
     capacities = sorted(channel.capacity for channel in snapshot.channels)
     info: Dict[str, object] = {
         "path": os.path.abspath(path),

@@ -35,6 +35,7 @@ enough to see every built-in.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -162,14 +163,28 @@ def workload_source(
 
 
 def get_topology_source(kind: str) -> SourceInfo:
-    """The registered topology source, or a ``ValueError`` listing options."""
+    """The registered topology source, or a ``ValueError`` listing options.
+
+    The three auxiliary generators are the only production code that builds
+    on networkx; asking for one without the package is a configuration
+    error raised here -- where the parent resolves a spec -- not an
+    ``ImportError`` inside every shard.
+    """
     try:
-        return TOPOLOGY_SOURCES[kind]
+        info = TOPOLOGY_SOURCES[kind]
     except KeyError:
         raise ValueError(
             f"unknown topology kind {kind!r}; expected one of "
             f"{sorted(TOPOLOGY_SOURCES)}"
         ) from None
+    if (
+        info.builder in (_scale_free_source, _random_source, _grid_source)
+        and importlib.util.find_spec("networkx") is None
+    ):
+        raise ValueError(
+            f"topology kind {kind!r} needs the 'networkx' package, which is not installed"
+        )
+    return info
 
 
 def get_workload_source(kind: str) -> SourceInfo:

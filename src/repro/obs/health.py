@@ -101,17 +101,23 @@ class HealthRecorder:
         The caller must have flushed the scheme's fast-path state so channel
         objects are authoritative.
         """
-        channels = list(network.channels())  # type: ignore[attr-defined]
-        sides: List[float] = []
-        imbalances: List[float] = []
-        locked = 0.0
-        for channel in channels:
-            balance_a, balance_b = channel.balance_pair()
-            sides.append(balance_a)
-            sides.append(balance_b)
-            imbalances.append(channel.imbalance())
-            locked += channel.locked_total()
-        imbalance_array = np.asarray(imbalances, dtype=float)
+        # Imported lazily: obs must stay importable below the topology layer.
+        from repro.topology.channel import EPS
+
+        # Both sides of every channel from the network's flat store, in slot
+        # order (a view: used inside this call only); channels are walked one
+        # by one only for their locks, and only while any lock is open.
+        store = network.balance_store  # type: ignore[attr-defined]
+        sides = store.as_array()
+        side_a, side_b = sides[0::2], sides[1::2]
+        locked = (
+            [channel.locked_total() for channel in store.channels]
+            if store.open_locks
+            else [0.0] * len(store.channels)
+        )
+        capacity = side_a + side_b + locked
+        imbalance_array = np.zeros(len(capacity))
+        np.divide(np.abs(side_a - side_b), capacity, out=imbalance_array, where=capacity > EPS)
         hist, _ = np.histogram(imbalance_array, bins=SATURATION_BINS)
 
         found, drained = self._probe_motifs(network)
@@ -122,9 +128,9 @@ class HealthRecorder:
             series.setdefault(metric, []).append(value)
 
         push("time", float(t))
-        push("gini", gini(np.asarray(sides, dtype=float)))
-        push("imbalance_mean", float(imbalance_array.mean()) if imbalances else 0.0)
-        push("locked_total", float(locked))
+        push("gini", gini(sides))
+        push("imbalance_mean", float(imbalance_array.mean()) if len(imbalance_array) else 0.0)
+        push("locked_total", float(sum(locked)))
         push("saturation_hist", hist.astype(np.int64))
         push("motifs_found", int(found))
         push("motifs_drained", int(drained))

@@ -22,7 +22,7 @@ from repro.analysis.tables import (
     failure_breakdown_rows,
     fig9_table,
     format_table,
-    scenario_table,
+    scenario_summary_rows,
 )
 from repro.obs.health import load_health
 from repro.scenarios.jsonl import RESULT_SCHEMA_VERSION, load_result_rows
@@ -205,6 +205,19 @@ def _shard_failure_section(
     return lines
 
 
+def _in_grid_order(
+    scheme_rows: List[Dict[str, object]], schemes: Sequence[str]
+) -> List[Dict[str, object]]:
+    """One-row-per-scheme ``scheme_rows`` in the sweep's grid order.
+
+    The rows arrive in first-seen order of a file written in completion
+    order.  A manifest that predates the ``schemes`` field (or a scheme it
+    does not list) keeps that order: the sort is stable.
+    """
+    position = {scheme: index for index, scheme in enumerate(schemes)}
+    return sorted(scheme_rows, key=lambda row: position.get(str(row["scheme"]), len(position)))
+
+
 def render_report(results_dir: str) -> str:
     """The full ``repro report`` text for one results directory."""
     if not os.path.isdir(results_dir):
@@ -232,15 +245,16 @@ def render_report(results_dir: str) -> str:
             sections.append("\n".join(block))
             continue
         if any("metrics" in row for row in rows):
+            schemes = entry.get("schemes") or []
             block.append("")
             block.append("scheme summary")
-            block.append(scenario_table(rows))
-            breakdown = failure_breakdown_rows(rows)
+            block.append(format_table(_in_grid_order(scenario_summary_rows(rows), schemes)))
+            breakdown = _in_grid_order(failure_breakdown_rows(rows), schemes)
             if breakdown:
                 block.append("")
                 block.append("failure breakdown (payments per reason)")
                 block.append(format_table(breakdown))
-            health_rows = _health_summary_rows(results_dir, rows)
+            health_rows = _in_grid_order(_health_summary_rows(results_dir, rows), schemes)
             if health_rows:
                 block.append("")
                 block.append("epoch health (mean over runs; last probe unless noted)")

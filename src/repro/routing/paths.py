@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.topology.network import PCNetwork
 
 NodeId = Hashable
@@ -38,9 +36,13 @@ def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int)
     """Up to ``k`` loop-free shortest paths by hop count (the KSP column)."""
     if k <= 0 or source == target:
         return []
+    # Imported where PCNetwork imports the kernels: a process that never
+    # queries a path never loads scipy's csgraph stack.
+    from repro.topology.csr import NodeNotFound, NoPath
+
     try:
         return network.shortest_paths(source, target, k)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    except (NoPath, NodeNotFound):
         return []
 
 
@@ -111,6 +113,8 @@ def _join_landmark_legs(
     """:func:`landmark_paths` over any fewest-hops ``shortest_path(a, b)``."""
     if k <= 0 or source == target:
         return []
+    from repro.topology.csr import NodeNotFound, NoPath
+
     paths: List[Path] = []
     seen: Set[Tuple[NodeId, ...]] = set()
     for landmark in landmarks:
@@ -119,7 +123,7 @@ def _join_landmark_legs(
         try:
             first_leg = shortest_path(source, landmark)
             second_leg = shortest_path(landmark, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except (NoPath, NodeNotFound):
             continue
         combined = list(first_leg) + list(second_leg[1:])
         deduplicated = _remove_loops(combined)

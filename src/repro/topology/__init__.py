@@ -29,6 +29,8 @@ __all__ = [
     "PaymentChannel",
     "ChannelClosedError",
     "InsufficientFundsError",
+    "NoPath",
+    "NodeNotFound",
     "PCNetwork",
     "ChannelSizeDistribution",
     "TransactionValueDistribution",
@@ -40,3 +42,14 @@ __all__ = [
     "star_pcn",
     "multi_star_pcn",
 ]
+
+
+def __getattr__(name: str):
+    # The path kernels' exception classes live with the kernels, whose
+    # module loads scipy's csgraph stack: resolved on first use, like
+    # ``PCNetwork.graph_arrays`` imports the kernels themselves.
+    if name in ("NoPath", "NodeNotFound"):
+        from repro.topology import csr
+
+        return getattr(csr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,13 +46,25 @@ import itertools
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _csgraph_bfs
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 NodeId = Hashable
+
+
+class NoPath(Exception):
+    """No path joins the two nodes (what ``networkx.NetworkXNoPath`` is to the oracle).
+
+    Also control flow: Yen's spur loop raises and catches one per dead-end
+    spur, so it stays a plain local class.
+    """
+
+
+class NodeNotFound(Exception):
+    """A queried node is not in the graph (``networkx.NodeNotFound`` in the oracle)."""
+
 
 #: "No predecessor" sentinel of the dense predecessor lists.
 _ROOT = -1
@@ -231,20 +243,19 @@ class GraphArrays:
         return len(self.node_ids)
 
     def row_of(self, node: NodeId) -> int:
-        """Dense row of a node; raises ``nx.NodeNotFound`` like networkx.
+        """Dense row of a node; raises :class:`NodeNotFound` for an unknown one.
 
-        Keeps the kernels exception-compatible with networkx: the selectors
-        catch ``(NetworkXNoPath, NodeNotFound)``, so an unknown node (a
-        stale external pair list, a removed landmark) degrades to "no
+        The selectors catch ``(NoPath, NodeNotFound)``, so an unknown node
+        (a stale external pair list, a removed landmark) degrades to "no
         paths" exactly as it does on the scalar reference.
         """
         row = self.node_row.get(node)
         if row is None:
-            raise nx.NodeNotFound(f"node {node!r} is not in the graph")
+            raise NodeNotFound(f"node {node!r} is not in the graph")
         return row
 
     def rows_of(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Dense rows of a node sequence (``nx.NodeNotFound`` on unknown nodes)."""
+        """Dense rows of a node sequence (:class:`NodeNotFound` on unknown nodes)."""
         return np.asarray([self.row_of(node) for node in nodes], dtype=np.intp)
 
     def to_nodes(self, rows: Sequence[int]) -> List[NodeId]:
@@ -270,7 +281,7 @@ class GraphArrays:
         return np.atleast_2d(result)
 
     def hop_count(self, source: NodeId, target: NodeId) -> int:
-        """Hops on a shortest path; raises ``nx.NetworkXNoPath`` when disconnected."""
+        """Hops on a shortest path; raises :class:`NoPath` when disconnected."""
         rows = self._bidirectional_path_rows(self.row_of(source), self.row_of(target))
         return len(rows) - 1
 
@@ -301,12 +312,12 @@ class GraphArrays:
         stamped scratch lists reused across calls (no per-call allocation,
         no hashing), and the node/edge filters of the Yen spur searches are
         flat bytearray masks indexed by row and directed-edge slot.
-        Raises ``nx.NetworkXNoPath`` when the pair is disconnected.
+        Raises :class:`NoPath` when the pair is disconnected.
         """
         if source == target:
             return [source]
         if ignore_nodes is not None and (ignore_nodes[source] or ignore_nodes[target]):
-            raise nx.NetworkXNoPath(f"No path between row {source} and row {target}.")
+            raise NoPath(f"No path between row {source} and row {target}.")
         adj, pair_lists = adjacency if adjacency is not None else (self.adjacency, self.pairs)
         if ignore_nodes is not None and ignore_edges is None:
             ignore_edges = self._zero_edge_mask
@@ -373,7 +384,7 @@ class GraphArrays:
                     if meet >= 0:
                         break
         if meet < 0:
-            raise nx.NetworkXNoPath(f"No path between row {source} and row {target}.")
+            raise NoPath(f"No path between row {source} and row {target}.")
         path: List[int] = []
         row = meet
         while row != _ROOT:
@@ -397,7 +408,7 @@ class GraphArrays:
     def k_shortest_paths(self, source: NodeId, target: NodeId, k: int) -> List[List[NodeId]]:
         """Up to ``k`` loop-free shortest paths, in networkx's exact order.
 
-        Raises ``nx.NetworkXNoPath`` when the pair is disconnected (like the
+        Raises :class:`NoPath` when the pair is disconnected (like the
         first pull on the scalar generator).  The ``PathBuffer`` tie-break
         -- a ``(cost, push counter)`` heap with whole-path deduplication --
         is replicated verbatim.
@@ -448,7 +459,7 @@ class GraphArrays:
                             prev_path[i - 1], target_row, ignore_nodes, ignore_edges
                         )
                         push(i + len(spur), prev_path[: i - 1] + spur)
-                    except nx.NetworkXNoPath:
+                    except NoPath:
                         pass
                     ignore_nodes[prev_path[i - 1]] = 1
             if heap:
@@ -497,6 +508,18 @@ class GraphArrays:
           width so far would be pushed after the target's own entry of that
           width, so it cannot pop before the target does and end the search;
           it is never pushed.
+
+        The search also *stops early*, on this lemma: let the target hold
+        width ``f >= 0``.  A later relaxation from row ``x`` offers it
+        ``min(width(x), balance[x->t]) <= balance[x->t]`` and the
+        improvement test is strict, so once no **unvisited** in-neighbor
+        ``x`` of the target has ``balance[x->t] > f``, ``previous[target]``
+        is final (for ``f = 0``: the target stays unreached).  Its chain
+        runs over visited rows, whose pointers never change, so the result
+        is decided.  The condition can only become true when an in-neighbor
+        of the target is visited, so it is tested after such a pop (a
+        ``bytearray`` guard; at most ``degree(target)`` reads) and after a
+        level drain, which visits rows in bulk.
         """
         pair_lists, balance = self.pairs, self.balance
         push, pop = heappush, heappop
@@ -513,6 +536,12 @@ class GraphArrays:
         pushed_node = [source]
         heap: List[Tuple[float, int]] = [(-float("inf"), 0)]
         visited = bytearray(n)
+        # The hops *into* the target (the graph is symmetric: its neighbors
+        # are its in-neighbors) for the early-exit test, and their guard.
+        in_hops = [(x, self.slot_of[(x, target)]) for x in self.adjacency[target]]
+        enters_target = bytearray(n)
+        for x, _ in in_hops:
+            enters_target[x] = 1
         level = 0.0  # negated width of the level being popped
         level_pops = 0
         drain_after = _DRAIN_LEVEL_POPS
@@ -533,6 +562,13 @@ class GraphArrays:
                     previous[w] = node
                     push(heap, (-new_width, len(pushed_node)))
                     pushed_node.append(w)
+            if enters_target[node]:
+                floor = best_width[target]
+                for x, slot in in_hops:
+                    if not visited[x] and balance[slot] > floor:
+                        break
+                else:
+                    break  # previous[target] is final: the search is decided
             if negative_width != level:
                 level, level_pops = negative_width, 0
             level_pops += 1
@@ -541,7 +577,7 @@ class GraphArrays:
                     # Unvisited rows only get fewer: no later drain pays.
                     drain_after = n
                 elif self._drain_level(
-                    width, target, heap, pushed_node, visited, best_width, previous
+                    width, target, heap, pushed_node, visited, best_width, previous, in_hops
                 ):
                     break
         if best_width[target] <= 0.0 or previous[target] == _ROOT and target != source:
@@ -561,6 +597,7 @@ class GraphArrays:
         visited: bytearray,
         best_width: List[float],
         previous: List[int],
+        in_hops: List[Tuple[int, int]],
     ) -> bool:
         """Finish the width level the search is popping, in one C-level BFS.
 
@@ -570,7 +607,11 @@ class GraphArrays:
         visited at ``width`` with the predecessor that first reached them,
         and the heap holding, in the same relative order, the narrower
         entries those rows would have pushed.  Returns ``True`` when the
-        target is in the level (its predecessor chain is then final).
+        search is decided (the target's predecessor chain is then final):
+        the target is in the level, or -- the early-exit lemma of
+        :meth:`_widest_path_rows`, over ``in_hops``, the ``(row, slot)`` hops
+        into the target -- no row still unvisited after the drain can improve
+        on what the target holds once the drained rows have relaxed it.
 
         The BFS runs from a virtual super-source whose out-hops are the
         level's pending entries in pop order, over the adjacency with every
@@ -625,14 +666,39 @@ class GraphArrays:
         drained = order[1:]
         drained = drained[drained != sink]
         visited_rows[drained] = 1
+        rank = np.full(n, -1, dtype=np.intp)
+        rank[drained] = np.arange(len(drained))
+
+        # The target's own relaxation from the drained rows -- the widest
+        # hop, from the earliest drained row among equals, under the strict
+        # test: what the push phase below would record for it -- against the
+        # widest hop into it from a row the drain left unvisited.
+        floor, via, via_rank, open_width = best_width[target], previous[target], -1, 0.0
+        hop_width = self.balance
+        for x, slot in in_hops:
+            offered, x_rank = hop_width[slot], rank[x]
+            if x_rank >= 0:
+                if offered > floor or offered == floor and x_rank < via_rank:
+                    floor, via, via_rank = offered, x, x_rank
+            elif not visited[x] and offered > open_width:
+                open_width = offered
+        if open_width <= floor:
+            best_width[target], previous[target] = floor, via
+            # Drained rows on the chain take their BFS predecessor; the chain
+            # leaves them at a pending row or at one visited before the
+            # drain, and those pointers are set.
+            row = via
+            while row != _ROOT and predecessor[row] not in (_BFS_UNREACHED, super_source):
+                previous[row] = int(predecessor[row])
+                row = previous[row]
+            return True
+
         for row, via in zip(drained.tolist(), predecessor[drained].tolist()):
             best_width[row] = width
             if via != super_source:
                 previous[row] = via
 
         # Hops from drained rows into the rows left outside, above the floor.
-        rank = np.full(n, -1, dtype=np.intp)
-        rank[drained] = np.arange(len(drained))
         hop = np.flatnonzero(visited_rows.take(indices) == 0)
         sender_rank = rank[slot_row[hop]]
         keep = (sender_rank >= 0) & (balance[hop] > best_width[target])
@@ -803,7 +869,7 @@ class GraphArrays:
                 rows = self._bidirectional_path_rows(
                     source_row, target_row, ignore_edges=removed, adjacency=adjacency
                 )
-            except nx.NetworkXNoPath:
+            except NoPath:
                 break
             if len(rows) < 2:
                 break

@@ -10,19 +10,22 @@ topologies used throughout the library and its tests:
 * :func:`random_pcn` -- Erdos-Renyi graph (connected), for fuzz testing.
 * :func:`grid_pcn` -- 2-D grid, useful for hand-checkable placement tests.
 * :func:`star_pcn` / :func:`multi_star_pcn` -- the PCH topologies of figure 2.
+
+Only the scale-free, random and grid generators import networkx (inside the
+function, so no other process loads it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+import random
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.channel import NodeId
 from repro.topology.datasets import ChannelSizeDistribution
-from repro.topology.network import ROLE_CANDIDATE, ROLE_CLIENT, ROLE_HUB, PCNetwork
+from repro.topology.network import ROLE_CANDIDATE, ROLE_CLIENT, ROLE_HUB, PCNetwork, reachable
 
 
 def _resolve_rng(rng: Optional[np.random.Generator], seed: Optional[int]) -> np.random.Generator:
@@ -31,9 +34,27 @@ def _resolve_rng(rng: Optional[np.random.Generator], seed: Optional[int]) -> np.
     return np.random.default_rng(seed)
 
 
+#: Node -> neighbors, insertion-ordered: ``PCNetwork.adj`` / ``nx.Graph.adj`` shape.
+Adjacency = Mapping[NodeId, Mapping[NodeId, object]]
+
+
+def _edges(adjacency: Adjacency) -> Iterator[Tuple[NodeId, NodeId]]:
+    """Every undirected edge once, at its first endpoint in node order.
+
+    The enumeration order of ``networkx.Graph.edges``, which is the order
+    channels are funded (and hence opened) in.
+    """
+    seen = set()
+    for node, neighbors in adjacency.items():
+        for neighbor in neighbors:
+            if neighbor not in seen:
+                yield node, neighbor
+        seen.add(node)
+
+
 def _fund_network(
     network: PCNetwork,
-    graph: nx.Graph,
+    adjacency: Adjacency,
     rng: np.random.Generator,
     channel_sizes: Optional[ChannelSizeDistribution],
     uniform_size: float,
@@ -41,7 +62,7 @@ def _fund_network(
     fee_rate: float,
 ) -> None:
     """Open one channel per topology edge, funded per direction."""
-    for node_a, node_b in graph.edges:
+    for node_a, node_b in _edges(adjacency):
         if channel_sizes is not None:
             size = float(channel_sizes.sample(rng))
         else:
@@ -50,8 +71,10 @@ def _fund_network(
         network.add_channel(node_a, node_b, per_side, per_side, base_fee, fee_rate)
 
 
-def _ensure_connected(graph: nx.Graph, rng: np.random.Generator) -> nx.Graph:
-    """Join disconnected components with random bridging edges."""
+def _ensure_connected(graph, rng: np.random.Generator):
+    """Join disconnected components of an ``nx.Graph`` with random bridging edges."""
+    import networkx as nx
+
     components = [list(c) for c in nx.connected_components(graph)]
     while len(components) > 1:
         a = components[0][int(rng.integers(len(components[0])))]
@@ -62,7 +85,7 @@ def _ensure_connected(graph: nx.Graph, rng: np.random.Generator) -> nx.Graph:
 
 
 def _select_candidates(
-    graph: nx.Graph,
+    adjacency: Adjacency,
     candidate_fraction: float,
     rng: np.random.Generator,
 ) -> List[NodeId]:
@@ -72,15 +95,14 @@ def _select_candidates(
     connections, more funds); we approximate the outcome by taking the
     highest-degree nodes with random tie-breaking.
     """
-    count = max(1, int(round(candidate_fraction * graph.number_of_nodes())))
-    degrees = dict(graph.degree())
-    jitter = {node: rng.random() for node in graph.nodes}
-    ranked = sorted(graph.nodes, key=lambda n: (-degrees[n], jitter[n]))
+    count = max(1, int(round(candidate_fraction * len(adjacency))))
+    jitter = {node: rng.random() for node in adjacency}
+    ranked = sorted(adjacency, key=lambda n: (-len(adjacency[n]), jitter[n]))
     return ranked[:count]
 
 
 def _build_pcn(
-    graph: nx.Graph,
+    adjacency: Adjacency,
     rng: np.random.Generator,
     channel_sizes: Optional[ChannelSizeDistribution],
     uniform_channel_size: float,
@@ -88,13 +110,53 @@ def _build_pcn(
     base_fee: float,
     fee_rate: float,
 ) -> PCNetwork:
-    candidates = set(_select_candidates(graph, candidate_fraction, rng)) if candidate_fraction > 0 else set()
+    candidates = set(_select_candidates(adjacency, candidate_fraction, rng)) if candidate_fraction > 0 else set()
     network = PCNetwork()
-    for node in graph.nodes:
+    for node in adjacency:
         role = ROLE_CANDIDATE if node in candidates else ROLE_CLIENT
         network.add_node(node, role=role)
-    _fund_network(network, graph, rng, channel_sizes, uniform_channel_size, base_fee, fee_rate)
+    _fund_network(network, adjacency, rng, channel_sizes, uniform_channel_size, base_fee, fee_rate)
     return network
+
+
+def _connected_watts_strogatz(
+    node_count: int, k: int, p: float, seed: int
+) -> Dict[int, Dict[int, None]]:
+    """Adjacency of a connected Watts-Strogatz graph over nodes ``0..n-1``.
+
+    Draw for draw what ``networkx.connected_watts_strogatz_graph`` (3.x) does
+    for ``k < n`` -- one ``random.Random(seed)`` across all tries, one
+    ``random()`` per lattice edge, ``choice(nodes)`` per candidate endpoint,
+    a rewired edge moved to the end of both rows -- so node, edge and
+    adjacency order are its (``tests/topology/test_generators.py``).  The
+    consumption order is this repository's contract from here on; it is
+    spelled out in ``docs/architecture.md``.
+    """
+    rng = random.Random(seed)
+    nodes = list(range(node_count))
+    rings = [nodes[j:] + nodes[:j] for j in range(1, k // 2 + 1)]
+    for _ in range(200):
+        adjacency: Dict[int, Dict[int, None]] = {node: {} for node in nodes}
+        for targets in rings:
+            for u, v in zip(nodes, targets):
+                adjacency[u][v] = adjacency[v][u] = None
+        for targets in rings:
+            for u, v in zip(nodes, targets):
+                if rng.random() < p:
+                    row = adjacency[u]
+                    w = rng.choice(nodes)
+                    while w == u or w in row:
+                        w = rng.choice(nodes)
+                        if len(row) >= node_count - 1:
+                            break  # u is adjacent to everyone: keep u-v
+                    else:
+                        del row[v], adjacency[v][u]
+                        row[w] = adjacency[w][u] = None
+        if len(reachable(adjacency, 0)) == node_count:
+            return adjacency
+    raise ValueError(
+        f"no connected Watts-Strogatz graph (n={node_count}, k={k}, p={p}) in 200 tries"
+    )
 
 
 def watts_strogatz_pcn(
@@ -132,11 +194,11 @@ def watts_strogatz_pcn(
     if k % 2 == 1:
         k -= 1
     k = max(k, 2)
-    graph = nx.connected_watts_strogatz_graph(
-        node_count, k, rewire_probability, tries=200, seed=int(rng.integers(2**31 - 1))
+    adjacency = _connected_watts_strogatz(
+        node_count, k, rewire_probability, seed=int(rng.integers(2**31 - 1))
     )
     return _build_pcn(
-        graph, rng, channel_sizes, uniform_channel_size, candidate_fraction, base_fee, fee_rate
+        adjacency, rng, channel_sizes, uniform_channel_size, candidate_fraction, base_fee, fee_rate
     )
 
 
@@ -154,11 +216,13 @@ def scale_free_pcn(
     """A Barabasi-Albert scale-free PCN (ROLL generates scale-free graphs)."""
     if node_count < 3:
         raise ValueError("a PCN needs at least 3 nodes")
+    import networkx as nx
+
     rng = _resolve_rng(rng, seed)
     m = max(1, min(attachment, node_count - 1))
     graph = nx.barabasi_albert_graph(node_count, m, seed=int(rng.integers(2**31 - 1)))
     return _build_pcn(
-        graph, rng, channel_sizes, uniform_channel_size, candidate_fraction, base_fee, fee_rate
+        graph.adj, rng, channel_sizes, uniform_channel_size, candidate_fraction, base_fee, fee_rate
     )
 
 
@@ -174,12 +238,14 @@ def random_pcn(
     """A connected Erdos-Renyi PCN, used mainly for fuzz and property tests."""
     if node_count < 3:
         raise ValueError("a PCN needs at least 3 nodes")
+    import networkx as nx
+
     rng = _resolve_rng(rng, seed)
     if edge_probability is None:
         edge_probability = min(1.0, 2.0 * math.log(node_count) / node_count)
     graph = nx.gnp_random_graph(node_count, edge_probability, seed=int(rng.integers(2**31 - 1)))
     graph = _ensure_connected(graph, rng)
-    return _build_pcn(graph, rng, channel_sizes, uniform_channel_size, candidate_fraction, 0.0, 0.0)
+    return _build_pcn(graph.adj, rng, channel_sizes, uniform_channel_size, candidate_fraction, 0.0, 0.0)
 
 
 def grid_pcn(
@@ -193,9 +259,11 @@ def grid_pcn(
     """A 2-D grid PCN with uniform channels; node ids are ``(row, col)`` tuples."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    import networkx as nx
+
     rng = _resolve_rng(rng, seed)
     graph = nx.grid_2d_graph(rows, cols)
-    return _build_pcn(graph, rng, None, channel_size, candidate_fraction, 0.0, 0.0)
+    return _build_pcn(graph.adj, rng, None, channel_size, candidate_fraction, 0.0, 0.0)
 
 
 def star_pcn(

@@ -20,8 +20,18 @@ that reproduce networkx's results, tie-breaks included.
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.topology.channel import BalanceStore, ChannelError, NodeId, PaymentChannel
 
@@ -32,6 +42,18 @@ ROLE_CLIENT = "client"
 ROLE_CANDIDATE = "candidate"
 ROLE_HUB = "hub"
 _VALID_ROLES = (ROLE_CLIENT, ROLE_CANDIDATE, ROLE_HUB)
+
+
+def reachable(adjacency: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> Set[NodeId]:
+    """The nodes joined to ``start`` in a node -> neighbors adjacency."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return seen
 
 
 class NetworkSnapshot:
@@ -264,16 +286,7 @@ class PCNetwork:
         total = len(self._node_attrs)
         if total == 0:
             return True
-        start = next(iter(self._adj))
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            node = queue.popleft()
-            for neighbor in self._adj[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        return len(seen) == total
+        return len(reachable(self._adj, next(iter(self._adj)))) == total
 
     def total_funds(self) -> float:
         """Total collateral committed to all channels."""
@@ -310,7 +323,8 @@ class PCNetwork:
     def hop_count(self, source: NodeId, target: NodeId) -> int:
         """Number of hops on the shortest path from ``source`` to ``target``.
 
-        Raises ``networkx.NetworkXNoPath`` if the nodes are disconnected.
+        Raises :class:`repro.topology.NoPath` if the nodes are disconnected
+        (:class:`repro.topology.NodeNotFound` if either is unknown).
         """
         if source == target:
             return 0
@@ -338,11 +352,11 @@ class PCNetwork:
         return list(arrays.node_ids), arrays.distances_from(arrays.rows_of(sources))
 
     def shortest_path(self, source: NodeId, target: NodeId) -> List[NodeId]:
-        """One shortest (fewest-hops) path between two nodes."""
+        """One shortest (fewest-hops) path between two nodes (``NoPath`` if none)."""
         return self.graph_arrays().shortest_path(source, target)
 
     def shortest_paths(self, source: NodeId, target: NodeId, k: int) -> List[List[NodeId]]:
-        """Up to ``k`` loop-free shortest paths (by hop count) between two nodes."""
+        """Up to ``k`` loop-free shortest paths by hop count (``NoPath`` if none)."""
         return self.graph_arrays().k_shortest_paths(source, target, k)
 
     def path_capacity(self, path: Sequence[NodeId]) -> float:

@@ -119,6 +119,59 @@ class TestLoad:
         second = load_snapshot(fixture_file)
         assert first.topology_fingerprint() == second.topology_fingerprint()
 
+    @pytest.mark.parametrize(
+        "max_nodes, fingerprint",
+        [
+            (None, "8aecd315929cedec"),
+            (200, "8aecd315929cedec"),
+            (60, "8aecd315929cedec"),
+            (30, "a9319e0667e296b9"),
+            (20, "a3cf666b0a174f33"),
+            (12, "e2495ce536b72fe7"),
+        ],
+    )
+    def test_identical_to_the_networkx_built_network(self, fixture_file, max_nodes, fingerprint):
+        """The dict loader against the networkx reduction it replaced.
+
+        44 nodes survive the LCC cut, so 200 and 60 leave the graph whole
+        and the smaller caps exercise ``subgraph(keep).copy()``.
+        """
+        nx = pytest.importorskip("networkx")
+
+        def largest_component(graph):
+            components = sorted(nx.connected_components(graph), key=lambda c: (-len(c), min(c)))
+            return graph.subgraph(components[0]).copy()
+
+        def rank_key(graph):
+            strength = {
+                node: sum(data["capacity"] for data in graph[node].values())
+                for node in graph.nodes
+            }
+            return lambda node: (-graph.degree(node), -strength[node], str(node))
+
+        graph = nx.Graph()
+        snapshot = parse_snapshot(fixture_file)
+        graph.add_nodes_from(snapshot.nodes)
+        for channel in snapshot.channels:
+            graph.add_edge(channel.node_a, channel.node_b, capacity=channel.capacity)
+        graph = largest_component(graph)
+        if max_nodes is not None and graph.number_of_nodes() > max_nodes:
+            keep = sorted(graph.nodes, key=rank_key(graph))[:max_nodes]
+            graph = largest_component(graph.subgraph(keep).copy())
+        ranked = sorted(sorted(graph.nodes), key=rank_key(graph))
+        edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
+        capacities = sorted(graph[a][b]["capacity"] for a, b in edges)
+        unit = capacities[len(capacities) // 2] / PAPER_CHANNEL_MEDIAN
+
+        network = load_snapshot(fixture_file, max_nodes=max_nodes)
+        assert network.topology_fingerprint() == fingerprint
+        assert network.nodes() == sorted(graph.nodes)
+        assert [channel.endpoints for channel in network.channels()] == edges
+        assert network.candidates() == sorted(ranked[: max(1, round(0.15 * len(ranked)))])
+        for channel in network.channels():
+            capacity = max(graph[channel.node_a][channel.node_b]["capacity"] / unit, PAPER_CHANNEL_MIN)
+            assert channel.balance_pair() == (capacity / 2.0, capacity / 2.0)
+
     def test_invalid_parameters_rejected(self, fixture_file):
         with pytest.raises(ValueError, match="candidate_fraction"):
             load_snapshot(fixture_file, candidate_fraction=0.0)

@@ -13,7 +13,9 @@ import copy
 import json
 import os
 
-from repro.obs.health import HealthRecorder, load_health
+import numpy as np
+
+from repro.obs.health import SATURATION_BINS, HealthRecorder, gini, load_health
 from repro.scenarios.runner import execute_run
 from repro.scenarios.spec import (
     DynamicsEventSpec,
@@ -178,6 +180,29 @@ class TestHealthTelemetry:
         assert loaded["batch_count"][0] == 1
         assert loaded["batch_mean"][0] == 3.0
         assert loaded["batch_count"][1] == 0
+
+
+    def test_probe_reads_the_store_like_the_per_channel_walk(self, small_ws_network):
+        """Balances off the flat store: every statistic ``==`` the channel API's,
+        with locks in flight and after a removal has permuted the slots."""
+        network = small_ws_network
+        channels = list(network.channels())
+        for index, channel in enumerate(channels[:12]):
+            channel.transfer(channel.node_a, channel.balance(channel.node_a) * index / 12.0)
+        channels[3].lock(channels[3].node_b, 17.5)
+        channels[8].lock(channels[8].node_a, 2.25)
+        network.remove_channel(*channels[5].endpoints)
+        walk = network.balance_store.channels
+        assert [c.endpoints for c in walk] != [c.endpoints for c in network.channels()]
+
+        recorder = HealthRecorder(interval=1.0, seed=0)
+        recorder.observe("scheme", network, 1.0)
+        probe = {key.split("|")[1]: value[0] for key, value in recorder.arrays().items()}
+        imbalances = np.asarray([channel.imbalance() for channel in walk])
+        assert probe["gini"] == gini(np.asarray([side for c in walk for side in c.balance_pair()]))
+        assert probe["imbalance_mean"] == float(imbalances.mean())
+        assert probe["locked_total"] == sum(channel.locked_total() for channel in walk) == 19.75
+        assert (probe["saturation_hist"] == np.histogram(imbalances, bins=SATURATION_BINS)[0]).all()
 
 
 class TestFingerprintTransparency:

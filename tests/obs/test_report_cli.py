@@ -137,6 +137,29 @@ class TestReport:
         update_manifest(results_dir, entry)
         assert table in render_report(results_dir)
 
+    def test_report_lists_compare_schemes_in_grid_order(self, tmp_path, capsys):
+        results_dir = str(tmp_path / "compare")
+        argv = [
+            "compare", "--scale", "small", "--nodes", "16", "--duration", "1",
+            "--schemes", "spider,shortest-path,flash", "--results-dir", results_dir, "--quiet",
+        ]
+        assert cli_main(argv) == 0
+        with open(os.path.join(results_dir, "fig8-small.txt"), encoding="utf-8") as handle:
+            table = handle.read().split("\n", 2)[2].strip()
+        # The file is in completion order, which two workers can make anything.
+        rows_path = os.path.join(results_dir, "compare-small.jsonl")
+        with open(rows_path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(rows_path, "w", encoding="utf-8") as handle:
+            handle.writelines(reversed(lines))
+        assert table in render_report(results_dir)
+        # A manifest written before it recorded the schemes: file order stands in.
+        (entry,) = load_manifest(results_dir)["entries"]
+        assert entry.pop("schemes") == ["spider", "shortest-path", "flash"]
+        update_manifest(results_dir, entry)
+        summary = render_report(results_dir).split("scheme summary\n")[1].splitlines()
+        assert [line.split()[0] for line in summary[2:5]] == ["flash", "shortest-path", "spider"]
+
     def test_report_missing_dir_is_an_error(self, capsys):
         assert cli_main(["report", "/nonexistent/run-results"]) == 2
         assert "does not exist" in capsys.readouterr().err

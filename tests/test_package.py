@@ -86,17 +86,33 @@ def test_importing_the_cli_module_loads_no_subcommand_stack():
     assert result.returncode == 0, result.stderr
 
 
+def test_building_the_parser_loads_neither_networkx_nor_the_path_kernels():
+    """The scheme zoo is in, the oracle's library and scipy's csgraph stack
+    (``repro.topology.csr``, first needed by a path query) are not."""
+    result = _probe(
+        "import sys, repro.__main__ as cli\n"
+        "cli._build_parser()\n"
+        "assert 'repro.baselines.spider' in sys.modules\n"
+        "loaded = [name for name in ('networkx', 'repro.topology.csr', 'scipy.sparse.csgraph',\n"
+        "    'repro.reference') if name in sys.modules]\n"
+        "sys.exit(', '.join(loaded) or 0)\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
     """Everything a shard needs is in the parent when the pool starts, so
-    workers inherit it instead of importing it once each."""
+    workers inherit it instead of importing it once each -- and nothing a
+    Watts-Strogatz sweep never uses (networkx)."""
     result = _probe(
         "import sys, repro.__main__ as cli\n"
         "from repro.scenarios import jsonl\n"
         "run_pool = jsonl.JsonlGridRunner._run_pool\n"
         "def spy(self, *args, **kwargs):\n"
-        "    missing = [name for name in ('networkx', 'repro.crypto', 'repro.baselines.spider',\n"
+        "    missing = [name for name in ('repro.crypto', 'repro.baselines.spider',\n"
         "        'repro.routing.router', 'repro.core.splicer') if name not in sys.modules]\n"
         "    assert not missing, missing\n"
+        "    assert 'networkx' not in sys.modules\n"
         "    print('pool-started')\n"
         "    return run_pool(self, *args, **kwargs)\n"
         "jsonl.JsonlGridRunner._run_pool = spy\n"

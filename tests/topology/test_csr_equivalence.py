@@ -12,8 +12,8 @@ cached catalogs equal freshly generated ones, including after
 """
 
 import itertools
+from heapq import heappop
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,11 +169,11 @@ class TestDistanceHelperEquivalence:
         for source, target in _sample_pairs(network, 15, 12) + [(nodes[0], "island")]:
             try:
                 scalar = reference.hop_count(network, source, target)
-            except nx.NetworkXNoPath:
+            except reference.ORACLE_EXCEPTIONS[csr.NoPath]:
                 scalar = None
             try:
                 arrays = network.hop_count(source, target)
-            except nx.NetworkXNoPath:
+            except csr.NoPath:
                 arrays = None
             assert scalar == arrays
             if scalar is not None:
@@ -269,16 +269,24 @@ def _build_drain_network(nodes, seed, balances):
 
 
 class _DrainSpy:
-    """Counts :meth:`GraphArrays._drain_level` calls and their outcomes."""
+    """Counts :meth:`GraphArrays._drain_level` calls and their outcomes.
+
+    ``early_exits`` counts the drains that decided a search whose target was
+    *not* in the level (it then holds less than the level's width).
+    """
 
     def __init__(self, monkeypatch):
         self.outcomes = []
+        self.early_exits = 0
         original = csr.GraphArrays._drain_level
 
-        def spied(arrays, width, target, heap, pushed_node, visited, *state):
+        def spied(arrays, width, target, heap, pushed_node, visited, best_width, *state):
             before = visited.count(1)
-            found = original(arrays, width, target, heap, pushed_node, visited, *state)
+            found = original(
+                arrays, width, target, heap, pushed_node, visited, best_width, *state
+            )
             self.outcomes.append((found, visited.count(1) - before))
+            self.early_exits += found and best_width[target] < width
             return found
 
         monkeypatch.setattr(csr.GraphArrays, "_drain_level", spied)
@@ -420,6 +428,49 @@ class TestLevelDrainProperty:
             reached and drains and not drains[-1] for reached, drains in searches
         ), "no target reached after a drain that missed it"
         assert any(not reached and drains for reached, drains in searches), "no unreachable target"
+        assert spy.early_exits, "no drain decided a search whose target it missed"
+
+
+class TestEarlyExit:
+    """The widest-path search stops once the target's predecessor is final."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=small_widest_path_cases(), data=st.data())
+    def test_kernel_equals_the_reference_search_with_zeroed_hops(self, case, data):
+        """One search, some hops excluded: zeroed slots here, a set there."""
+        nodes, funded, _, _ = case
+        network = _small_network(nodes, funded)
+        excluded = data.draw(
+            st.lists(st.sampled_from([edge[:2] for edge in funded]), unique=True, max_size=4)
+        )
+        arrays = network.graph_arrays()
+        arrays.refresh_balances()
+        slots = [
+            arrays.slot_of[hop] for a, b in excluded for hop in ((a, b), (b, a))
+        ]
+        arrays._write_balances(slots, [0.0] * len(slots))
+        graph = reference.nx_mirror(network)
+        excluded_keys = {frozenset(edge) for edge in excluded}
+        for source, target in itertools.permutations(range(nodes), 2):
+            expected = reference._widest_path(graph, network, source, target, excluded_keys)
+            assert arrays._widest_path_rows(source, target) == expected, (source, target)
+
+    def test_the_heap_loop_stops_at_the_last_hop_into_the_target(self, monkeypatch):
+        """``0 -> 1 -> 2`` is decided when row 1 pops: it is the target's only
+        in-neighbor.  The 30 wider rows behind row 0 never pop."""
+        chain = [(0, 3, 50.0, 50.0)] + [(row, row + 1, 50.0, 50.0) for row in range(3, 32)]
+        network = _small_network(33, [(0, 1, 100.0, 100.0), (1, 2, 5.0, 5.0)] + chain)
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(heap[0])
+            return heappop(heap)
+
+        monkeypatch.setattr(csr, "heappop", counting_pop)
+        assert edge_disjoint_widest_paths(network, 0, 2, 1) == [[0, 1, 2]]
+        assert len(pops) == 2
+        monkeypatch.undo()
+        assert reference.edge_disjoint_widest_paths(network, 0, 2, 1) == [[0, 1, 2]]
 
 
 class TestBalanceVectorIntegrity:
@@ -529,7 +580,7 @@ class TestUnknownNodeParity:
     def test_selectors_degrade_identically_for_unknown_nodes(self):
         # The scalar reference raises nx.NodeNotFound inside networkx and the
         # catching selectors (ksp/heuristic/eds) return []; the CSR kernels
-        # must translate their row lookups the same way.  EDW mirrors the
+        # raise their own NodeNotFound from the row lookup to the same effect.  EDW mirrors the
         # scalar's asymmetric shape: an unknown target is simply never
         # reached, an unknown source raises on both sides.
         network = _build_network(2)
@@ -543,8 +594,9 @@ class TestUnknownNodeParity:
         edw, scalar_edw = PATH_SELECTORS["edw"], reference.PATH_SELECTORS["edw"]
         assert scalar_edw(network, anchor, "ghost", 3) == \
             edw(network, anchor, "ghost", 3) == []
-        for selector in (scalar_edw, edw):
-            with pytest.raises(nx.NetworkXException):
-                selector(network, "ghost", anchor, 3)
+        with pytest.raises(reference.ORACLE_EXCEPTIONS[csr.NodeNotFound]):
+            scalar_edw(network, "ghost", anchor, 3)
+        with pytest.raises(csr.NodeNotFound):
+            edw(network, "ghost", anchor, 3)
         assert reference.landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"]) == \
             landmark_paths(network, anchor, network.nodes()[1], 2, ["ghost"])

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.scenarios.registry import build_comparison_spec
+from repro.scenarios.spec import derive_seed
 from repro.topology.datasets import ChannelSizeDistribution
 from repro.topology.generators import (
+    _connected_watts_strogatz,
+    _edges,
     assign_roles_from_placement,
     grid_pcn,
     multi_star_pcn,
@@ -55,6 +59,55 @@ class TestWattsStrogatz:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             watts_strogatz_pcn(2)
+
+
+class TestWattsStrogatzPort:
+    """The in-house ring-rewire reproduces networkx draw for draw."""
+
+    @pytest.mark.parametrize("n", [12, 60, 100, 300, 2000, 3000])
+    def test_node_edge_and_adjacency_order_equal_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        retried = 0
+        for k in (2, 4, 8, 10):
+            for p in (0.05, 0.25, 0.9):
+                for seed in range(6 if n < 1000 else 1):
+                    oracle = nx.connected_watts_strogatz_graph(n, k, p, tries=200, seed=seed)
+                    adjacency = _connected_watts_strogatz(n, k, p, seed)
+                    assert list(adjacency) == list(oracle.nodes)
+                    assert list(_edges(adjacency)) == list(oracle.edges)
+                    assert all(list(adjacency[u]) == list(oracle.adj[u]) for u in adjacency)
+                    # An int seed replays the first try of the connected variant.
+                    retried += not nx.is_connected(nx.watts_strogatz_graph(n, k, p, seed=seed))
+        assert retried or n > 100  # the small sparse rings exercise the retry path
+
+    def test_ring_degree_clamped_below_the_node_count(self):
+        nx = pytest.importorskip("networkx")
+        # nearest_neighbors >= n - 1 clamps to the largest even k < n; with
+        # k = n - 1 every row is full and each rewire gives up (keeps u-v).
+        oracle = nx.connected_watts_strogatz_graph(5, 4, 0.9, tries=200, seed=3)
+        adjacency = _connected_watts_strogatz(5, 4, 0.9, 3)
+        assert [list(adjacency[u]) for u in adjacency] == [list(oracle.adj[u]) for u in oracle]
+        for n in (3, 4, 5, 9):
+            net = watts_strogatz_pcn(n, nearest_neighbors=8, rewire_probability=0.9, seed=1)
+            assert net.is_connected() and max(net.degree(v) for v in net.nodes()) <= n - 1
+
+    @pytest.mark.parametrize(
+        "scale, nodes, fingerprints",
+        [
+            ("small", None, ("df40597c1cd50b83", "f3f82179b8e04934")),
+            ("medium", None, ("adb294a540f6f1ae", "31ae310afab3d067")),
+            ("paper", None, ("d7e213017a9bbdf1", "e1afc99bc8432f5b")),
+            # The 100,000-node tier takes 6 s a build; docs/scaling.md's 20,000.
+            ("xl", 20000, ("7c70f336cdb08689", "78d368ee84c070c3")),
+        ],
+    )
+    def test_scale_topologies_are_pinned(self, scale, nodes, fingerprints):
+        """Literals, so neither a networkx upgrade nor an edit here moves a figure."""
+        for seed, expected in zip((1, 2), fingerprints):
+            spec = build_comparison_spec(scale, ["shortest-path"], seeds=[seed], nodes=nodes)
+            network = spec.topology.build(derive_seed(seed, "topology"))
+            assert network.topology_fingerprint() == expected
+        assert watts_strogatz_pcn(3000, seed=1).topology_fingerprint() == "a5e5e0495f875080"
 
 
 class TestOtherGenerators:
