@@ -21,7 +21,7 @@ class SplicerConfig:
     Attributes:
         router: Routing-protocol parameters (paths, rates, prices, congestion).
         omega: Placement weight between management and synchronization costs.
-        placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``/``brute``).
+        placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
         placement_seed: Seed for the randomized placement approximation.
         candidate_count: Number of smooth-node candidates elected by the
             voting contract when the network does not already designate them

@@ -334,9 +334,10 @@ class _PlacementState:
     The cost model is rebuilt per call (hop-count probing included), so the
     measurement covers the full ``solve_placement(network)`` path exactly as
     the Splicer system and the figure-9 pipeline invoke it.  The small scale
-    solves with the exact method, whose subset scoring runs on the scalar
-    tie-break arithmetic by design; the greedy scales (medium/large)
-    measure the vectorized kernels.
+    solves with the exact branch-and-bound, which ranks subsets with the
+    sequentially accumulated ``sequential_placement_cost`` (that order pins
+    which tied subset it reports); the greedy scales (medium/large) measure
+    the regrouped ``vectorized_placement_cost`` probes.
     """
 
     def __init__(self, network: PCNetwork, method: str, omega: float = 0.05, **options) -> None:

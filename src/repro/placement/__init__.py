@@ -10,20 +10,19 @@ The subpackage provides:
 * :mod:`repro.placement.costs` -- hop-count based cost model (zeta, delta, epsilon).
 * :mod:`repro.placement.problem` -- the problem/plan data model and cost evaluation.
 * :mod:`repro.placement.assignment` -- Lemma-1 optimal client assignment.
-* :mod:`repro.placement.bruteforce` -- exhaustive optimum for tiny instances.
 * :mod:`repro.placement.milp` -- the paper's MILP linearization, solved by
   HiGHS through ``scipy.optimize.milp`` (small-scale optimal solution).
 * :mod:`repro.placement.supermodular` -- the double-greedy 1/2-approximation
   (large-scale solution, Algorithm 1) with the incremental cached-gain
   :class:`~repro.placement.supermodular.ObjectiveEngine`.
-* :mod:`repro.placement.solver` -- a unified facade that picks the right method.
+* :mod:`repro.placement.solver` -- the exact branch-and-bound and a unified
+  facade that picks the right method.
 * :mod:`repro.placement.compare` -- the sharded figure-9 sweep pipeline behind
   ``python -m repro place-compare`` (imported on demand, not re-exported here,
   to keep this package import-light).
 """
 
 from repro.placement.assignment import optimal_assignment
-from repro.placement.bruteforce import brute_force_placement
 from repro.placement.costs import CostArrays, PlacementCostModel, cost_model_from_network
 from repro.placement.milp import MILPModel, linearize_placement, solve_placement_milp
 from repro.placement.problem import PlacementPlan, PlacementProblem
@@ -44,7 +43,6 @@ __all__ = [
     "optimal_assignment",
     "ObjectiveEngine",
     "greedy_descent_placement",
-    "brute_force_placement",
     "MILPModel",
     "linearize_placement",
     "solve_placement_milp",

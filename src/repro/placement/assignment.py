@@ -12,25 +12,21 @@ constructed to be *decision-identical* to the nested-dict arithmetic kept in
 hub-by-hub in candidate order (the scalar ``sum`` order), the per-client
 score is the same two-term addition, and ``argmin`` breaks ties by the first
 (candidate-order) minimum exactly as ``min`` over a candidate-ordered hub
-list does.  :func:`scalar_placement_cost` is the one evaluation production
-keeps on the model's nested-dict views: the exact enumerative solvers rank
-subsets with it.
+list does.  :func:`sequential_placement_cost` is ``C_M + omega * C_S`` in the
+accumulation order of :meth:`PlacementProblem.make_plan`; the exact search
+ranks subsets with it, so the cost it compares is the cost the plan reports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Sequence
+from typing import Dict, Hashable, Iterable
 
 import numpy as np
 
+from repro.placement.costs import sequential_sum
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 NodeId = Hashable
-
-
-def assignment_key(problem: PlacementProblem, hubs: Sequence[NodeId], hub: NodeId) -> float:
-    """The per-client-independent part of Lemma 1's assignment cost for ``hub``."""
-    return problem.omega * sum(problem.costs.delta[hub][l] for l in hubs)
 
 
 def hub_sync_parts(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
@@ -66,16 +62,6 @@ def _candidate_hub_list(problem: PlacementProblem, hubs: Iterable[NodeId]) -> li
     if not hub_list:
         raise ValueError("cannot assign clients: the placement is empty")
     return hub_list
-
-
-def _scalar_assignment(problem: PlacementProblem, hub_list: Sequence[NodeId]) -> Dict[NodeId, NodeId]:
-    """The Lemma-1 assignment over a prepared hub list, nested-dict arithmetic."""
-    sync_part = {hub: assignment_key(problem, hub_list, hub) for hub in hub_list}
-    assignment: Dict[NodeId, NodeId] = {}
-    for client in problem.clients:
-        zeta_row = problem.costs.zeta[client]
-        assignment[client] = min(hub_list, key=lambda hub: sync_part[hub] + zeta_row[hub])
-    return assignment
 
 
 def optimal_assignment(
@@ -121,22 +107,22 @@ def placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
     return vectorized_placement_cost(problem, problem.arrays.candidate_rows(hub_list))
 
 
-def scalar_placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
-    """``f(X)`` as ``C_M + omega * C_S`` over the nested-dict cost model.
+def sequential_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -> float:
+    """``f(X)`` as ``C_M + omega * C_S`` for a non-empty candidate-ordered row vector.
 
-    The exact enumerative solvers (brute force, the branch-and-bound, the
-    double greedy's degenerate-case seed) rank candidate subsets with this
-    one fixed evaluation order, so which of several floating-point-tied
-    subsets they report as the optimum is pinned by the arithmetic below
-    rather than by the regrouped sum of :func:`vectorized_placement_cost`.
-    They are small-scale by definition, so the per-client loop is cheap.
+    The arithmetic of :meth:`PlacementProblem.make_plan` without the dicts:
+    the Lemma-1 choice per client, the chosen ``zeta`` entries summed in
+    client order, ``C_S`` from the same :meth:`CostArrays.synchronization`
+    the plan's cost comes from.  The exact search and the double greedy's degenerate-case seed
+    rank subsets with it: which of several floating-point-tied subsets they
+    report is pinned by this sequential accumulation order, not by the
+    regrouped pairwise sums of :func:`vectorized_placement_cost`.
     """
-    hub_set = set(hubs)
-    if not hub_set:
-        return float("inf")
-    hub_list = _candidate_hub_list(problem, hub_set)
-    assignment = _scalar_assignment(problem, hub_list)
-    return problem.costs.balance_cost(hub_list, assignment, problem.omega)
+    arrays = problem.arrays
+    choices = assignment_rows(problem, hub_rows)
+    management = sequential_sum(arrays.zeta_t[hub_rows[choices], np.arange(len(choices))])
+    loads = np.bincount(choices, minlength=len(hub_rows)).astype(float)
+    return management + problem.omega * arrays.synchronization(hub_rows, loads)
 
 
 def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -> float:
@@ -150,25 +136,3 @@ def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -
     per_client = _hub_scores(problem, hub_rows).min(axis=0)
     epsilon_total = float(problem.arrays.epsilon[hub_rows[:, None], hub_rows].sum())
     return float(per_client.sum()) + problem.omega * epsilon_total
-
-
-def is_assignment_optimal(
-    problem: PlacementProblem,
-    plan: PlacementPlan,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Whether no single client could switch hubs and lower the balance cost.
-
-    Used by tests to verify Lemma 1: for every client, its assigned hub must
-    achieve the minimum of ``omega * sum_l delta[n][l] + zeta[m][n]`` over
-    the placed hubs.
-    """
-    hub_list = [hub for hub in problem.candidates if hub in plan.hubs]
-    sync_part = {hub: assignment_key(problem, hub_list, hub) for hub in hub_list}
-    for client, assigned in plan.assignment.items():
-        zeta_row = problem.costs.zeta[client]
-        current = sync_part[assigned] + zeta_row[assigned]
-        best = min(sync_part[hub] + zeta_row[hub] for hub in hub_list)
-        if current > best + tolerance:
-            return False
-    return True

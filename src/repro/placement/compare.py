@@ -56,7 +56,7 @@ PLACEMENT_SCALES: Dict[str, Dict[str, object]] = {
 #: Methods the pipeline understands (superset of the solver facade's: the
 #: deterministic double-greedy variant and the descent ablation are
 #: first-class sweep dimensions here).
-PLACE_METHODS = ("exact", "milp", "brute", "greedy", "greedy-det", "greedy-descent")
+PLACE_METHODS = ("exact", "milp", "greedy", "greedy-det", "greedy-descent")
 
 #: Result-row schema of this pipeline (independent of the scenario rows').
 PLACE_SCHEMA_VERSION = 1

@@ -112,6 +112,15 @@ class CostArrays:
         rows = sorted(self.candidate_index[hub] for hub in hubs)
         return np.asarray(rows, dtype=np.intp)
 
+    def synchronization(self, hub_rows: Sequence[int], loads: np.ndarray) -> float:
+        """``C_S`` of equation (4) for placed rows and their client counts.
+
+        Every ordered pair of placed hubs ``(n, l)`` contributes
+        ``delta[n][l] * loads[n] + epsilon[n][l]``, summed row-major.
+        """
+        pairs = np.ix_(hub_rows, hub_rows)
+        return sequential_sum(self.delta[pairs] * loads[:, None] + self.epsilon[pairs])
+
     def off_diagonal_delta(self) -> np.ndarray:
         """The ``delta[n][l]``, ``n != l`` entries in row-major order."""
         return self.delta[~np.eye(self.candidate_count, dtype=bool)]
@@ -199,20 +208,13 @@ class PlacementCostModel:
         hubs: Iterable[NodeId],
         assignment: Mapping[NodeId, NodeId],
     ) -> float:
-        """``C_S(x, y)``: total hub-to-hub synchronization cost.
-
-        Following equation (4), every ordered pair of placed hubs ``(n, l)``
-        contributes ``delta[n][l] * |clients assigned to n| + epsilon[n][l]``.
-        """
+        """``C_S(x, y)``: total hub-to-hub synchronization cost (equation 4)."""
         arrays = self._arrays
         hub_list = list(hubs)
         loads = Counter(assignment.values())
         clients_per_hub = np.array([loads[hub] for hub in hub_list], dtype=float)
         rows = [arrays.candidate_index[hub] for hub in hub_list]
-        pairs = np.ix_(rows, rows)
-        return sequential_sum(
-            arrays.delta[pairs] * clients_per_hub[:, None] + arrays.epsilon[pairs]
-        )
+        return arrays.synchronization(rows, clients_per_hub)
 
     def balance_cost(
         self,
@@ -222,17 +224,6 @@ class PlacementCostModel:
     ) -> float:
         """``C_B = C_M + omega * C_S`` (equation 5)."""
         return self.management_cost(assignment) + omega * self.synchronization_cost(hubs, assignment)
-
-    def assignment_cost(self, client: NodeId, hub: NodeId, hubs: Sequence[NodeId], omega: float) -> float:
-        """Marginal cost of assigning ``client`` to ``hub`` given placed ``hubs``.
-
-        This is the quantity minimized in Lemma 1:
-        ``omega * sum_l delta[hub][l] + zeta[client][hub]``.
-        """
-        arrays = self._arrays
-        row = arrays.candidate_index[hub]
-        sync = sequential_sum(arrays.delta[row, [arrays.candidate_index[l] for l in hubs]])
-        return omega * sync + float(arrays.zeta[arrays.client_index[client], row])
 
     def has_uniform_delta(self, tolerance: float = 1e-9) -> bool:
         """Whether all off-diagonal delta entries are equal (Lemma 2's condition)."""

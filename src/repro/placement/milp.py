@@ -1,24 +1,36 @@
 """MILP formulation of the placement problem (small-scale optimal solution).
 
-The paper linearizes the nonlinear balance-cost objective by introducing the
-auxiliary binary variables ``theta[n][l] = x_n * x_l`` and
-``phi[n][l][m] = theta[n][l] * y_mn`` (equations 6-10) and hands the
-resulting mixed-integer linear program to a solver.  This module does the
-same with the solver scipy ships:
+The paper linearizes the nonlinear balance cost
 
-* :func:`linearize_placement` -- builds the exact MILP of the paper
-  (objective vector, inequality and equality constraint matrices, variable
-  index maps),
-* :func:`solve_placement_milp` -- solves it with ``scipy.optimize.milp``
-  (HiGHS branch-and-cut, part of every scipy >= 1.9) and decodes the plan.
+``C_B = sum_mn zeta_mn y_mn + omega * sum_nl x_n x_l (delta_nl * sum_m y_mn + epsilon_nl)``
 
-The result is validated against brute force in the test suite.
+with auxiliary binaries ``theta_nl = x_n x_l`` and ``phi_nlm = theta_nl y_mn``
+(equations 6-10: three rows per product) and hands the mixed-integer linear
+program to a solver.  :func:`linearize_placement` builds the same model in an
+aggregated form that is ``z^2 m`` variables and ``3 z^2 m`` rows smaller:
+
+* ``y_mn <= x_n`` (a client attaches to a placed candidate only) makes
+  ``phi_nlm = x_n x_l y_mn = x_l y_mn``, so the objective needs ``phi`` only
+  through ``s_nl = sum_m phi_nlm = x_l * sum_m y_mn``: the number of clients
+  hub ``n`` synchronizes towards hub ``l``, between 0 and ``M = |V_CLI|``;
+* the program minimizes and ``omega * delta``, ``omega * epsilon`` are
+  non-negative, so of each product's three rows only the lower bound can be
+  active at an optimum: ``theta_nl >= x_n + x_l - 1`` and
+  ``s_nl >= sum_m y_mn - M (1 - x_l)``; ``theta`` and ``s`` then take their
+  product values without being declared integer.
+
+Variables: binary ``x_n``, ``y_mn``; continuous ``theta_nl`` in ``[0, 1]`` and
+``s_nl`` in ``[0, M]``.  Rows: ``sum_n y_mn = 1``; ``y_mn <= x_n``; the two
+lower bounds above; ``sum_n x_n >= 1``.
+:func:`solve_placement_milp` solves it with ``scipy.optimize.milp`` (HiGHS
+branch-and-cut) and decodes the plan; the suite validates the optimum against
+the exhaustive oracle of :mod:`repro.reference.placement`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, List
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +43,11 @@ NodeId = Hashable
 
 @dataclass
 class MILPModel:
-    """The linearized placement MILP in standard ``min c.x`` form.
+    """The linearized placement MILP in standard ``min c.v`` form.
+
+    Columns are laid out ``x`` (``z``), ``y`` (``m z``, client-major),
+    ``theta`` (``z^2``, row-major), ``s`` (``z^2``, row-major); see
+    :meth:`column`.
 
     Attributes:
         objective: Objective coefficient vector ``c``.
@@ -39,10 +55,8 @@ class MILPModel:
         b_ub: Inequality right-hand side.
         a_eq: Equality constraint matrix (``A_eq @ v == b_eq``), CSR sparse.
         b_eq: Equality right-hand side.
-        index: Map from symbolic variable name (e.g. ``("x", n)``,
-            ``("y", m, n)``, ``("theta", n, l)``, ``("phi", n, l, m)``) to its
-            column index.
-        x_indices: Column indices of the placement variables in candidate order.
+        integrality: 1 for the binary ``x`` / ``y`` columns, 0 for ``theta`` / ``s``.
+        upper: Per-column upper bound (every lower bound is 0).
         problem: The originating placement problem.
     """
 
@@ -51,8 +65,8 @@ class MILPModel:
     b_ub: np.ndarray
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
-    index: Dict[Tuple, int]
-    x_indices: List[int]
+    integrality: np.ndarray
+    upper: np.ndarray
     problem: PlacementProblem
 
     @property
@@ -60,137 +74,107 @@ class MILPModel:
         """Total number of decision variables."""
         return int(self.objective.size)
 
-    @property
-    def constraint_count(self) -> int:
-        """Total number of linear constraints."""
-        return int(self.a_ub.shape[0] + self.a_eq.shape[0])
+    def column(self, name: str, *ids: NodeId) -> int:
+        """Column of ``("x", n)``, ``("y", m, n)``, ``("theta", n, l)`` or ``("s", n, l)``."""
+        arrays = self.problem.arrays
+        z, m = arrays.candidate_count, arrays.client_count
+        if name == "x":
+            return arrays.candidate_index[ids[0]]
+        if name == "y":
+            return z + arrays.client_index[ids[0]] * z + arrays.candidate_index[ids[1]]
+        block = {"theta": 0, "s": 1}[name]
+        pair = arrays.candidate_index[ids[0]] * z + arrays.candidate_index[ids[1]]
+        return z + m * z + block * z * z + pair
 
     def decode_placement(self, solution: np.ndarray) -> List[NodeId]:
         """Candidates whose ``x_n`` is (numerically) one in a solution vector."""
-        hubs = []
-        for candidate, column in zip(self.problem.candidates, self.x_indices):
-            if solution[column] > 0.5:
-                hubs.append(candidate)
-        return hubs
+        placed = np.asarray(solution)[: self.problem.candidate_count] > 0.5
+        return [hub for hub, take in zip(self.problem.candidates, placed) if take]
 
 
 def linearize_placement(problem: PlacementProblem) -> MILPModel:
-    """Build the paper's linearized MILP (equations 6-10) for a problem instance."""
-    clients = list(problem.clients)
-    candidates = list(problem.candidates)
-    omega = problem.omega
-    costs = problem.costs
+    """Build the aggregated linearization of equations 6-10 (see the module docstring).
 
-    index: Dict[Tuple, int] = {}
+    Raises:
+        ValueError: On a negative ``delta`` / ``epsilon`` entry -- dropping
+            the products' upper-bound rows is only valid when no
+            synchronization coefficient rewards a larger ``theta`` / ``s``.
+    """
+    arrays = problem.arrays
+    z, m = arrays.candidate_count, arrays.client_count
+    if arrays.delta.min() < 0 or arrays.epsilon.min() < 0:
+        raise ValueError("the placement MILP needs non-negative delta and epsilon costs")
 
-    def add_var(key: Tuple) -> int:
-        index[key] = len(index)
-        return index[key]
-
-    for n in candidates:
-        add_var(("x", n))
-    for m in clients:
-        for n in candidates:
-            add_var(("y", m, n))
-    for n in candidates:
-        for l in candidates:
-            add_var(("theta", n, l))
-    for n in candidates:
-        for l in candidates:
-            for m in clients:
-                add_var(("phi", n, l, m))
-
-    var_count = len(index)
-    objective = np.zeros(var_count)
-    # Management cost: sum_m sum_n zeta[m][n] * y_mn.
-    for m in clients:
-        for n in candidates:
-            objective[index[("y", m, n)]] += costs.zeta[m][n]
-    # Synchronization cost: omega * sum_nl (sum_m delta[n][l] * phi_nlm + eps[n][l] * theta_nl).
-    for n in candidates:
-        for l in candidates:
-            objective[index[("theta", n, l)]] += omega * costs.epsilon[n][l]
-            for m in clients:
-                objective[index[("phi", n, l, m)]] += omega * costs.delta[n][l]
-
-    ub_rows: List[Tuple[List[int], List[float], float]] = []
-    eq_rows: List[Tuple[List[int], List[float], float]] = []
-
-    # Each client is assigned to exactly one candidate (constraint on y).
-    for m in clients:
-        cols = [index[("y", m, n)] for n in candidates]
-        eq_rows.append((cols, [1.0] * len(cols), 1.0))
-
-    # Assignment only to placed candidates: y_mn - x_n <= 0.
-    for m in clients:
-        for n in candidates:
-            ub_rows.append(([index[("y", m, n)], index[("x", n)]], [1.0, -1.0], 0.0))
-
-    # Linearization of theta = x_n * x_l (equation 8).
-    for n in candidates:
-        for l in candidates:
-            t = index[("theta", n, l)]
-            xn = index[("x", n)]
-            xl = index[("x", l)]
-            ub_rows.append(([t, xn], [1.0, -1.0], 0.0))
-            ub_rows.append(([t, xl], [1.0, -1.0], 0.0))
-            ub_rows.append(([xn, xl, t], [1.0, 1.0, -1.0], 1.0))
-
-    # Linearization of phi = theta * y (equation 9).
-    for n in candidates:
-        for l in candidates:
-            t = index[("theta", n, l)]
-            for m in clients:
-                p = index[("phi", n, l, m)]
-                y = index[("y", m, n)]
-                ub_rows.append(([p, t], [1.0, -1.0], 0.0))
-                ub_rows.append(([p, y], [1.0, -1.0], 0.0))
-                ub_rows.append(([t, y, p], [1.0, 1.0, -1.0], 1.0))
-
-    # At least one smooth node must be placed.
-    ub_rows.append(([index[("x", n)] for n in candidates], [-1.0] * len(candidates), -1.0))
-
-    a_ub, b_ub = _rows_to_sparse(ub_rows, var_count)
-    a_eq, b_eq = _rows_to_sparse(eq_rows, var_count)
-    x_indices = [index[("x", n)] for n in candidates]
-    return MILPModel(objective, a_ub, b_ub, a_eq, b_eq, index, x_indices, problem)
-
-
-def _rows_to_sparse(
-    rows: Sequence[Tuple[List[int], List[float], float]],
-    var_count: int,
-) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    """Assemble (cols, coefficients, rhs) row triples into a CSR matrix."""
-    data: List[float] = []
-    row_idx: List[int] = []
-    col_idx: List[int] = []
-    rhs: List[float] = []
-    for row_number, (cols, coefficients, bound) in enumerate(rows):
-        rhs.append(bound)
-        for col, coefficient in zip(cols, coefficients):
-            row_idx.append(row_number)
-            col_idx.append(col)
-            data.append(coefficient)
-    matrix = sparse.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(len(rows), var_count), dtype=float
+    x = np.arange(z)
+    y = z + np.arange(m * z).reshape(m, z)
+    theta = z + m * z + np.arange(z * z)
+    s = theta + z * z
+    objective = np.concatenate(
+        [
+            np.zeros(z),
+            arrays.zeta.ravel(),
+            problem.omega * arrays.epsilon.ravel(),
+            problem.omega * arrays.delta.ravel(),
+        ]
     )
-    return matrix, np.asarray(rhs, dtype=float)
+    first, second = np.repeat(x, z), np.tile(x, z)  # n and l of every (n, l) pair
+    attach = np.arange(m * z)
+    both = m * z + np.arange(z * z)
+    load = both + z * z
+    some_hub = m * z + 2 * z * z
+    # (rows, columns, coefficient) of every non-zero of A_ub.
+    entries = [
+        # y_mn - x_n <= 0
+        (attach, y.ravel(), 1.0),
+        (attach, np.tile(x, m), -1.0),
+        # x_n + x_l - theta_nl <= 1   (n == l sums to 2 x_n - theta_nn <= 1)
+        (both, first, 1.0),
+        (both, second, 1.0),
+        (both, theta, -1.0),
+        # sum_m y_mn + M x_l - s_nl <= M
+        (np.repeat(load, m), y.T[first].ravel(), 1.0),
+        (load, second, float(m)),
+        (load, s, -1.0),
+        # -sum_n x_n <= -1
+        (np.full(z, some_hub), x, -1.0),
+    ]
+    a_ub = sparse.csr_matrix(
+        (
+            np.concatenate([np.full(len(rows), value) for rows, _, value in entries]),
+            (
+                np.concatenate([rows for rows, _, _ in entries]),
+                np.concatenate([columns for _, columns, _ in entries]),
+            ),
+        ),
+        shape=(some_hub + 1, objective.size),
+    )
+    b_ub = np.concatenate([np.zeros(m * z), np.ones(z * z), np.full(z * z, float(m)), [-1.0]])
+    # Each client is assigned to exactly one candidate.
+    a_eq = sparse.csr_matrix(
+        (np.ones(m * z), (np.repeat(np.arange(m), z), y.ravel())), shape=(m, objective.size)
+    )
+    binary = z + m * z
+    return MILPModel(
+        objective,
+        a_ub,
+        b_ub,
+        a_eq,
+        np.ones(m),
+        integrality=(np.arange(objective.size) < binary).astype(float),
+        upper=np.concatenate([np.ones(binary + z * z), np.full(z * z, float(m))]),
+        problem=problem,
+    )
 
 
-@dataclass
-class MILPResult:
-    """Outcome of a MILP solve: the decoded plan and its objective value."""
-
-    plan: PlacementPlan
-    objective_value: float
-
-
-def solve_placement_milp(problem: PlacementProblem) -> MILPResult:
+def solve_placement_milp(problem: PlacementProblem) -> PlacementPlan:
     """Solve the placement problem exactly through the MILP formulation.
 
+    HiGHS decides the placement; the returned plan attaches the clients by
+    Lemma 1 and carries the costs of :meth:`PlacementProblem.make_plan`.
+
     Args:
-        problem: The placement instance (small-scale: the MILP grows as
-            ``O(|V_SNC|^2 * |V_CLI|)`` variables).
+        problem: The placement instance (small-scale: ``z + z m + 2 z^2``
+            variables, ``m z`` of them in branch-and-cut's hands).
 
     Raises:
         RuntimeError: When HiGHS reports no solution or one that places no hub.
@@ -200,19 +184,16 @@ def solve_placement_milp(problem: PlacementProblem) -> MILPResult:
     from scipy import optimize
 
     model = linearize_placement(problem)
-    constraints = []
-    if model.a_ub.shape[0]:
-        constraints.append(optimize.LinearConstraint(model.a_ub, -np.inf, model.b_ub))
+    constraints = [optimize.LinearConstraint(model.a_ub, -np.inf, model.b_ub)]
     if model.a_eq.shape[0]:
         constraints.append(optimize.LinearConstraint(model.a_eq, model.b_eq, model.b_eq))
     result = optimize.milp(
         c=model.objective,
         constraints=constraints,
-        integrality=np.ones(model.variable_count),
-        bounds=optimize.Bounds(0, 1),
+        integrality=model.integrality,
+        bounds=optimize.Bounds(0, model.upper),
     )
     hubs = model.decode_placement(result.x) if result.success else []
     if not hubs:
         raise RuntimeError("scipy.optimize.milp failed to solve the placement MILP")
-    plan = plan_for_placement(problem, hubs, method="milp-highs")
-    return MILPResult(plan=plan, objective_value=plan.balance_cost)
+    return plan_for_placement(problem, hubs, method="milp-highs")

@@ -2,7 +2,6 @@
 
 Routes a placement instance to the right algorithm:
 
-* very small instances -> brute force (optional, mainly for verification),
 * small-scale instances -> the optimal solution, either through the paper's
   MILP formulation (:mod:`repro.placement.milp`) or through a lighter
   combinatorial branch-and-bound that exploits Lemma 1 directly,
@@ -13,24 +12,24 @@ The facade also builds cost models straight from a
 :class:`~repro.topology.network.PCNetwork`, which is how the rest of the
 library (and the Splicer system itself) invokes placement.
 
-The scalable paths -- the double-greedy family and the Lemma-1 client
-attachment, which is where large instances spend their time -- evaluate on
-the :class:`~repro.placement.costs.CostArrays` kernels.  The exact
-enumerative methods (``brute``/``milp``/``exact``) score candidate subsets
-with :func:`~repro.placement.assignment.scalar_placement_cost`: they are
-small-scale by definition, and evaluating ties with one fixed evaluation
-order pins which of several tied subsets is reported as the optimum.
+Every method evaluates on the :class:`~repro.placement.costs.CostArrays`.
+The double-greedy family probes with the regrouped
+:func:`~repro.placement.assignment.vectorized_placement_cost`; the
+branch-and-bound ranks subsets with
+:func:`~repro.placement.assignment.sequential_placement_cost`, whose
+left-to-right accumulation is the plan's own cost arithmetic -- that order
+is what pins which of several floating-point-tied subsets ``exact`` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence, Set, Tuple, Union
+from typing import Hashable, Iterable, Optional, Sequence, Tuple, Union
 
+import numpy as np
 
-from repro.placement.assignment import plan_for_placement, scalar_placement_cost
-from repro.placement.bruteforce import MAX_BRUTE_FORCE_CANDIDATES, brute_force_placement
-from repro.placement.costs import cost_model_from_network
+from repro.placement.assignment import plan_for_placement, sequential_placement_cost
+from repro.placement.costs import cost_model_from_network, sequential_sum
 from repro.placement.milp import solve_placement_milp
 from repro.placement.problem import PlacementPlan, PlacementProblem
 from repro.placement.supermodular import double_greedy_placement
@@ -39,10 +38,14 @@ from repro.topology.network import PCNetwork
 NodeId = Hashable
 
 #: Methods understood by the facade.
-METHODS = ("auto", "brute", "milp", "exact", "greedy")
+METHODS = ("auto", "milp", "exact", "greedy")
 
 #: Candidate-count threshold below which "auto" uses an exact method.
 SMALL_SCALE_CANDIDATE_LIMIT = 12
+
+#: The exact search refuses more candidates than this: its tree has at most
+#: ``2^(z+1) - 1`` nodes, 131,071 here, so it always runs to a proven optimum.
+MAX_EXACT_CANDIDATES = 16
 
 
 class CombinatorialBranchAndBound:
@@ -57,68 +60,71 @@ class CombinatorialBranchAndBound:
     which is valid because management costs can only increase when choices
     are removed and every placed pair contributes at least its constant
     synchronization cost.  Incumbents come from Lemma-1 completion.
+
+    Raises:
+        ValueError: If the instance has more candidates than
+            :data:`MAX_EXACT_CANDIDATES`.
     """
 
-    def __init__(self, problem: PlacementProblem, node_limit: int = 200_000) -> None:
+    def __init__(self, problem: PlacementProblem) -> None:
+        if problem.candidate_count > MAX_EXACT_CANDIDATES:
+            raise ValueError(
+                f"exact placement search limited to {MAX_EXACT_CANDIDATES} candidates, "
+                f"got {problem.candidate_count}"
+            )
         self.problem = problem
-        self.node_limit = node_limit
         self.nodes_explored = 0
 
-    def solve(self, initial_hubs: Optional[Sequence[NodeId]] = None) -> PlacementPlan:
-        """Run the search and return the best plan found (optimal within the node budget)."""
+    def solve(self, initial_hubs: Iterable[NodeId] = ()) -> PlacementPlan:
+        """Run the search to the proven optimum, warm-started from ``initial_hubs``."""
         problem = self.problem
-        candidates = list(problem.candidates)
+        arrays = problem.arrays
+        omega = problem.omega
+
+        def cost(rows: Sequence[int]) -> float:
+            return sequential_placement_cost(problem, np.sort(np.asarray(rows, dtype=np.intp)))
+
         # Order candidates by how attractive they are as the sole hub, which
         # tends to find good incumbents early.
-        candidates.sort(key=lambda c: scalar_placement_cost(problem, {c}))
+        order = sorted(range(arrays.candidate_count), key=lambda row: cost([row]))
 
-        best_hubs: Optional[Tuple[NodeId, ...]] = None
-        best_cost = float("inf")
-        if initial_hubs:
-            warm = tuple(set(initial_hubs) & set(candidates))
-            if warm:
-                best_hubs = warm
-                best_cost = scalar_placement_cost(problem, warm)
+        best_rows: Tuple[int, ...] = tuple(
+            arrays.candidate_index[hub] for hub in initial_hubs if hub in arrays.candidate_index
+        )
+        best_cost = cost(best_rows) if best_rows else float("inf")
+        allowed = np.ones(arrays.candidate_count, dtype=bool)
 
-        zeta = problem.costs.zeta
-        epsilon = problem.costs.epsilon
-        omega = problem.omega
-        clients = problem.clients
-
-        def lower_bound(forced_in: Set[NodeId], forced_out: Set[NodeId]) -> float:
-            allowed = [c for c in candidates if c not in forced_out]
-            if not allowed:
-                return float("inf")
-            management = sum(min(zeta[m][n] for n in allowed) for m in clients)
-            synchronization = sum(
-                epsilon[n][l] for n in forced_in for l in forced_in
-            )
-            return management + omega * synchronization
-
-        def visit(index: int, forced_in: Set[NodeId], forced_out: Set[NodeId]) -> None:
-            nonlocal best_hubs, best_cost
-            if self.nodes_explored >= self.node_limit:
-                return
+        def visit(index: int, placed: Tuple[int, ...], management: float, synchronization: float) -> None:
+            nonlocal best_rows, best_cost
             self.nodes_explored += 1
-            if lower_bound(forced_in, forced_out) >= best_cost - 1e-12:
+            if management + omega * synchronization >= best_cost - 1e-12:
                 return
-            if index == len(candidates):
-                if forced_in:
-                    cost = scalar_placement_cost(problem, forced_in)
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_hubs = tuple(forced_in)
+            if index == len(order):
+                leaf_cost = cost(placed)
+                if leaf_cost < best_cost:
+                    best_cost = leaf_cost
+                    best_rows = placed
                 return
-            candidate = candidates[index]
+            row = order[index]
             # Explore "place the candidate" first: placements discovered early
-            # give tighter incumbents for pruning.
-            visit(index + 1, forced_in | {candidate}, forced_out)
-            visit(index + 1, forced_in, forced_out | {candidate})
+            # give tighter incumbents for pruning.  Placing leaves the allowed
+            # columns, and with them the management term, unchanged.
+            grown = placed + (row,)
+            pairs = sequential_sum(arrays.epsilon[np.ix_(grown, grown)])
+            visit(index + 1, grown, management, pairs)
+            allowed[row] = False
+            if allowed.any():  # excluding every candidate places nothing
+                visit(
+                    index + 1,
+                    placed,
+                    sequential_sum(arrays.zeta_t[allowed].min(axis=0)),
+                    synchronization,
+                )
+            allowed[row] = True
 
-        visit(0, set(), set())
-        if best_hubs is None:
-            best_hubs = tuple(candidates)
-        return plan_for_placement(self.problem, best_hubs, method="exact-bnb")
+        visit(0, (), sequential_sum(arrays.zeta_t.min(axis=0)), 0.0)
+        hubs = [arrays.candidates[row] for row in sorted(best_rows)]
+        return plan_for_placement(problem, hubs, method="exact-bnb")
 
 
 @dataclass
@@ -134,7 +140,6 @@ class PlacementSolver:
             entropy is opt-in via ``seed=None``.
         deterministic_greedy: Use the deterministic double-greedy variant.
         local_search: Polish the greedy output with single-swap local search.
-        small_scale_limit: Candidate-count threshold for ``"auto"``.
     """
 
     problem: PlacementProblem
@@ -142,7 +147,6 @@ class PlacementSolver:
     seed: Optional[int] = 0
     deterministic_greedy: bool = False
     local_search: bool = True
-    small_scale_limit: int = SMALL_SCALE_CANDIDATE_LIMIT
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -150,23 +154,17 @@ class PlacementSolver:
 
     def solve(self) -> PlacementPlan:
         """Solve the instance with the configured method."""
-        method = self._resolve_method()
-        if method == "brute":
-            return brute_force_placement(self.problem)
+        method = self.method
+        if method == "auto":
+            small = self.problem.candidate_count <= SMALL_SCALE_CANDIDATE_LIMIT
+            method = "exact" if small else "greedy"
         if method == "milp":
-            return solve_placement_milp(self.problem).plan
+            return solve_placement_milp(self.problem)
         if method == "exact":
-            warm = self._greedy_plan()
-            solver = CombinatorialBranchAndBound(self.problem)
-            return solver.solve(initial_hubs=tuple(warm.hubs))
+            # Constructed first: the candidate-count guard fires before any work.
+            search = CombinatorialBranchAndBound(self.problem)
+            return search.solve(initial_hubs=self._greedy_plan().hubs)
         return self._greedy_plan()
-
-    def _resolve_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        if self.problem.candidate_count <= min(self.small_scale_limit, MAX_BRUTE_FORCE_CANDIDATES):
-            return "exact"
-        return "greedy"
 
     def _greedy_plan(self) -> PlacementPlan:
         return double_greedy_placement(
@@ -225,7 +223,7 @@ def solve_placement(
         method: Placement algorithm, see :data:`METHODS`.
         seed: Seed for the randomized greedy variant.
         **solver_options: Extra :class:`PlacementSolver` fields
-            (``deterministic_greedy``, ``local_search``, ``small_scale_limit``).
+            (``deterministic_greedy``, ``local_search``).
     """
     if isinstance(network_or_problem, PlacementProblem):
         problem = network_or_problem

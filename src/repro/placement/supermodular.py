@@ -41,7 +41,7 @@ import numpy as np
 from repro.placement.assignment import (
     placement_cost,
     plan_for_placement,
-    scalar_placement_cost,
+    sequential_placement_cost,
     vectorized_placement_cost,
 )
 from repro.placement.costs import sequential_sum
@@ -216,7 +216,8 @@ def double_greedy_placement(
     if not solution:
         # Infeasible corner case (can only happen on degenerate cost models):
         # fall back to the single cheapest hub.
-        solution = {min(candidates, key=lambda c: scalar_placement_cost(problem, {c}))}
+        rows = problem.arrays.candidate_rows
+        solution = {min(candidates, key=lambda c: sequential_placement_cost(problem, rows([c])))}
         lower = ObjectiveEngine(problem, solution)
 
     if local_search:

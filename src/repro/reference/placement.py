@@ -1,17 +1,18 @@
 """Nested-dict placement arithmetic and from-scratch solvers.
 
-The scalar side of the placement subsystem: the per-candidate networkx hop
-probe, Lemma 1 as a ``min`` over a candidate-ordered hub list, ``f(X)`` as
-``C_M + omega * C_S`` over the cost model's dicts (both shared with the
-exact solvers' tie-break arithmetic in :mod:`repro.placement.assignment`),
-and the solvers written directly against that objective -- every marginal gain is two from-scratch
-evaluations, with no incremental engine, no gain cache and no row vectors.
-The decision rules (gain snapping, tolerances, random draws, sweep orders)
-are those of :mod:`repro.placement.supermodular`, so the plans are
-comparable hub for hub.
+The scalar side of the placement subsystem, and the only reader of the cost
+model's nested-dict views: the per-candidate networkx hop probe, Lemma 1 as
+a ``min`` over a candidate-ordered hub list, ``f(X)`` as ``C_M + omega *
+C_S`` of that assignment, the exhaustive optimum, and the greedy solvers
+written directly against that objective -- every marginal gain is two
+from-scratch evaluations, with no incremental engine, no gain cache and no
+row vectors.  The decision rules (gain snapping, tolerances, random draws,
+sweep orders) are those of :mod:`repro.placement.supermodular`, so the plans
+are comparable hub for hub.
 
 ``tests/placement/test_backend_equivalence.py`` pins production against
-this module: identical hub sets and assignments, costs within 1e-9.
+this module: identical hub sets and assignments, costs within 1e-9 for the
+regrouped greedy kernels and ``==`` for the exact search's sequential one.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from typing import Dict, Hashable, Iterable, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.placement.assignment import (
-    _candidate_hub_list,
-    _scalar_assignment,
-    scalar_placement_cost as placement_cost,
-)
 from repro.placement.problem import PlacementPlan, PlacementProblem
 from repro.placement.supermodular import GAIN_TOLERANCE, objective_upper_bound
 from repro.reference.topology import hop_counts_from
@@ -46,9 +42,70 @@ def hop_probe(
     return {candidate: hop_counts_from(network, candidate) for candidate in candidate_list}
 
 
+def _candidate_hub_list(problem: PlacementProblem, hubs: Iterable[NodeId]) -> list:
+    """``hubs`` filtered to candidates, in candidate order; never empty."""
+    hub_set = set(hubs)
+    hub_list = [hub for hub in problem.candidates if hub in hub_set]
+    if not hub_list:
+        raise ValueError("cannot assign clients: the placement is empty")
+    return hub_list
+
+
+def assignment_key(problem: PlacementProblem, hubs: Sequence[NodeId], hub: NodeId) -> float:
+    """The per-client-independent part of Lemma 1's assignment cost for ``hub``."""
+    return problem.omega * sum(problem.costs.delta[hub][l] for l in hubs)
+
+
+def _scalar_assignment(problem: PlacementProblem, hub_list: Sequence[NodeId]) -> Dict[NodeId, NodeId]:
+    """The Lemma-1 assignment over a prepared hub list, nested-dict arithmetic."""
+    sync_part = {hub: assignment_key(problem, hub_list, hub) for hub in hub_list}
+    assignment: Dict[NodeId, NodeId] = {}
+    for client in problem.clients:
+        zeta_row = problem.costs.zeta[client]
+        assignment[client] = min(hub_list, key=lambda hub: sync_part[hub] + zeta_row[hub])
+    return assignment
+
+
 def optimal_assignment(problem: PlacementProblem, hubs: Iterable[NodeId]) -> Dict[NodeId, NodeId]:
     """Assign every client to its Lemma-1 optimal hub among ``hubs``."""
     return _scalar_assignment(problem, _candidate_hub_list(problem, hubs))
+
+
+def placement_cost(problem: PlacementProblem, hubs: Iterable[NodeId]) -> float:
+    """``f(X)`` as ``C_M + omega * C_S`` of the nested-dict Lemma-1 assignment.
+
+    The one fixed evaluation order the exhaustive optimum ranks subsets
+    with; production's ``sequential_placement_cost`` must reproduce it bit
+    for bit.  An empty placement is infeasible and maps to ``+inf``.
+    """
+    hub_set = set(hubs)
+    if not hub_set:
+        return float("inf")
+    hub_list = _candidate_hub_list(problem, hub_set)
+    assignment = _scalar_assignment(problem, hub_list)
+    return problem.costs.balance_cost(hub_list, assignment, problem.omega)
+
+
+def is_assignment_optimal(
+    problem: PlacementProblem,
+    plan: PlacementPlan,
+    tolerance: float = 1e-9,
+) -> bool:
+    """Whether no single client could switch hubs and lower the balance cost.
+
+    Used by tests to verify Lemma 1: for every client, its assigned hub must
+    achieve the minimum of ``omega * sum_l delta[n][l] + zeta[m][n]`` over
+    the placed hubs.
+    """
+    hub_list = [hub for hub in problem.candidates if hub in plan.hubs]
+    sync_part = {hub: assignment_key(problem, hub_list, hub) for hub in hub_list}
+    for client, assigned in plan.assignment.items():
+        zeta_row = problem.costs.zeta[client]
+        current = sync_part[assigned] + zeta_row[assigned]
+        best = min(sync_part[hub] + zeta_row[hub] for hub in hub_list)
+        if current > best + tolerance:
+            return False
+    return True
 
 
 def plan_for_placement(

@@ -205,6 +205,11 @@ def comparison_scheme_spec(scheme: str) -> SchemeSpec:
     return SchemeSpec(name=scheme)
 
 
+#: Synthetic topology sources sized by a ``node_count`` argument (``grid`` /
+#: ``star`` / ``multi-star`` are sized by their own parameters).
+_NODE_COUNT_SOURCES = ("watts-strogatz", "scale-free", "random")
+
+
 def build_comparison_spec(
     scale: str,
     schemes: List[str],
@@ -224,8 +229,10 @@ def build_comparison_spec(
     ``topology_source`` / ``workload_source`` swap the synthetic topology
     and/or Poisson workload for registered source descriptors (a kind name
     or ``{"kind": ..., **params}``), e.g. ``lightning-snapshot`` x
-    ``ripple-trace`` for a real-graph-x-real-payments comparison; a
-    ``nodes`` override becomes the snapshot loader's ``max_nodes`` cap.
+    ``ripple-trace`` for a real-graph-x-real-payments comparison; the
+    scale's node count (or a ``nodes`` override) becomes a data-backed
+    loader's ``max_nodes`` cap and the default ``node_count`` of the
+    synthetic generators that take one.
     Source-backed specs fingerprint on the descriptor, so their JSONL
     sweeps resume independently of the synthetic ones.
     """
@@ -253,8 +260,12 @@ def build_comparison_spec(
             if isinstance(topology_source, str)
             else dict(topology_source)
         )
-        descriptor.setdefault("max_nodes", nodes)
         topology = TopologySpec(source=descriptor)
+        described = topology.describe_source()
+        if not described["synthetic"]:
+            descriptor.setdefault("max_nodes", nodes)
+        elif described["kind"] in _NODE_COUNT_SOURCES:
+            descriptor.setdefault("node_count", nodes)
     workload = WorkloadSpec(duration=duration, arrival_rate=float(params["arrival_rate"]))
     if workload_source is not None:
         workload.source = (

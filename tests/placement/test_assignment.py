@@ -3,11 +3,11 @@
 import pytest
 
 from repro.placement.assignment import (
-    is_assignment_optimal,
     optimal_assignment,
     placement_cost,
     plan_for_placement,
 )
+from repro.reference.placement import is_assignment_optimal
 
 
 class TestOptimalAssignment:

@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.placement.assignment import (
-    optimal_assignment,
-    placement_cost,
-    scalar_placement_cost,
-)
+from repro.placement.assignment import optimal_assignment, placement_cost
 from repro.placement.costs import PlacementCostModel, cost_model_from_network
 from repro.placement.problem import PlacementProblem
 from repro.placement.solver import build_problem, solve_placement
@@ -99,7 +95,7 @@ class TestSolverMethodEquivalence:
         )
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("method", ["exact", "milp", "brute"])
+    @pytest.mark.parametrize("method", ["exact", "milp"])
     def test_exact_methods(self, seed, method):
         """Each exact method returns the exhaustive optimum the reference
         enumerates, attached by the reference's Lemma-1 assignment."""
@@ -169,7 +165,7 @@ class TestDegenerateCases:
         for assign in (optimal_assignment, reference.optimal_assignment):
             with pytest.raises(ValueError, match="placement is empty"):
                 assign(problem, ["not-a-candidate"])
-        for cost in (placement_cost, scalar_placement_cost):
+        for cost in (placement_cost, reference.placement_cost):
             with pytest.raises(ValueError, match="placement is empty"):
                 cost(problem, ["not-a-candidate"])
 

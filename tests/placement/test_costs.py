@@ -79,9 +79,11 @@ class TestCostEvaluation:
             management + 0.5 * sync
         )
 
-    def test_assignment_cost_is_lemma1_quantity(self, tiny_placement_problem):
-        costs = tiny_placement_problem.costs
-        value = costs.assignment_cost("c0", "h0", ["h0", "h1"], omega=0.5)
+    def test_oracle_assignment_key_is_lemma1_quantity(self, tiny_placement_problem):
+        from repro.reference.placement import assignment_key
+
+        value = assignment_key(tiny_placement_problem, ["h0", "h1"], "h0")
+        value += tiny_placement_problem.costs.zeta["c0"]["h0"]
         assert value == pytest.approx(0.5 * (0.0 + 0.01) + 0.02)
 
     def test_has_uniform_delta(self, tiny_placement_problem):

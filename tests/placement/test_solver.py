@@ -2,14 +2,27 @@
 
 import pytest
 
-from repro.placement.bruteforce import brute_force_placement
+from repro.placement.assignment import placement_cost
+from repro.placement.costs import PlacementCostModel
+from repro.placement.problem import PlacementProblem
 from repro.placement.solver import (
+    MAX_EXACT_CANDIDATES,
+    METHODS,
     CombinatorialBranchAndBound,
     PlacementSolver,
     build_problem,
     solve_placement,
 )
+from repro.reference.placement import brute_force_placement
 from repro.topology.generators import watts_strogatz_pcn
+
+
+def _flat_problem(candidate_count):
+    """One client, ``candidate_count`` interchangeable candidates."""
+    candidates = [f"h{i}" for i in range(candidate_count)]
+    zeta = {"c0": {h: 1.0 for h in candidates}}
+    zero = {h: {l: 0.0 for l in candidates} for h in candidates}
+    return PlacementProblem(PlacementCostModel(["c0"], candidates, zeta, zero, zero))
 
 
 class TestCombinatorialBranchAndBound:
@@ -29,18 +42,52 @@ class TestCombinatorialBranchAndBound:
         exact = brute_force_placement(tiny_placement_problem)
         assert plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-9)
 
-    def test_respects_node_limit(self, small_placement_problem):
-        solver = CombinatorialBranchAndBound(small_placement_problem, node_limit=2)
-        plan = solver.solve()
-        small_placement_problem.validate(plan.hubs, plan.assignment)
-        assert solver.nodes_explored <= 2
+    def test_optimum_beats_all_subsets(self, tiny_placement_problem):
+        from itertools import combinations
+
+        plan = CombinatorialBranchAndBound(tiny_placement_problem).solve()
+        candidates = tiny_placement_problem.candidates
+        for size in range(1, len(candidates) + 1):
+            for subset in combinations(candidates, size):
+                assert plan.balance_cost <= placement_cost(tiny_placement_problem, subset) + 1e-12
+
+    def test_omega_zero_places_hubs_near_every_client(self, tiny_placement_problem):
+        # Without synchronization cost, adding hubs can only help management
+        # cost, so the optimum assigns every client to its cheapest candidate.
+        problem = tiny_placement_problem.with_omega(0.0)
+        plan = CombinatorialBranchAndBound(problem).solve()
+        expected = sum(
+            min(problem.costs.zeta[c][h] for h in problem.candidates) for c in problem.clients
+        )
+        assert plan.balance_cost == pytest.approx(expected)
+        assert plan.method == "exact-bnb"
+
+    def test_search_tree_is_bounded_by_the_candidate_count(self, small_placement_problem):
+        """No budget to run out of: the whole tree has 2^(z+1) - 1 nodes."""
+        solver = CombinatorialBranchAndBound(small_placement_problem)
+        solver.solve()
+        z = small_placement_problem.candidate_count
+        assert 1 <= solver.nodes_explored <= 2 ** (z + 1) - 1
+
+    def test_too_many_candidates_rejected_up_front(self, monkeypatch):
+        """``exact`` never returns an unproven plan: it refuses the instance,
+        naming the count and the limit, before the warm start is computed."""
+        from repro.placement import solver as solver_module
+
+        monkeypatch.setattr(
+            solver_module, "double_greedy_placement", lambda *a, **k: pytest.fail("ran")
+        )
+        count = MAX_EXACT_CANDIDATES + 1
+        message = f"limited to {MAX_EXACT_CANDIDATES} candidates, got {count}"
+        with pytest.raises(ValueError, match=message):
+            solve_placement(_flat_problem(count), method="exact")
+
+    def test_the_limit_itself_is_accepted(self):
+        plan = solve_placement(_flat_problem(MAX_EXACT_CANDIDATES), method="exact")
+        assert plan.balance_cost == 1.0
 
 
 class TestPlacementSolverFacade:
-    def test_brute_method(self, tiny_placement_problem):
-        plan = PlacementSolver(tiny_placement_problem, method="brute").solve()
-        assert plan.method == "brute-force"
-
     def test_exact_method(self, tiny_placement_problem):
         plan = PlacementSolver(tiny_placement_problem, method="exact").solve()
         exact = brute_force_placement(tiny_placement_problem)
@@ -66,9 +113,16 @@ class TestPlacementSolverFacade:
         plan = PlacementSolver(problem, method="auto", seed=0).solve()
         assert plan.method == "double-greedy"
 
-    def test_unknown_method_rejected(self, tiny_placement_problem):
-        with pytest.raises(ValueError):
-            PlacementSolver(tiny_placement_problem, method="quantum")
+    @pytest.mark.parametrize("method", ["quantum", "brute"])
+    def test_unknown_method_rejected(self, tiny_placement_problem, method):
+        assert METHODS == ("auto", "milp", "exact", "greedy")
+        with pytest.raises(ValueError, match="unknown placement method"):
+            PlacementSolver(tiny_placement_problem, method=method)
+
+    @pytest.mark.parametrize("option", ["small_scale_limit", "max_hubs", "node_limit"])
+    def test_removed_options_stay_removed(self, tiny_placement_problem, option):
+        with pytest.raises(TypeError):
+            solve_placement(tiny_placement_problem, method="exact", **{option: 4})
 
 
 class TestSolvePlacementEntryPoint:
@@ -78,7 +132,7 @@ class TestSolvePlacementEntryPoint:
         assert set(plan.assignment) == set(small_ws_network.clients())
 
     def test_from_problem(self, tiny_placement_problem):
-        plan = solve_placement(tiny_placement_problem, method="brute")
+        plan = solve_placement(tiny_placement_problem, method="exact")
         assert plan.hub_count >= 1
 
     def test_omega_changes_hub_count_direction(self, small_ws_network):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.placement.bruteforce import brute_force_placement
 from repro.placement.costs import cost_model_from_network, uniformize_delta
 from repro.placement.problem import PlacementProblem
 from repro.placement.supermodular import (
@@ -12,6 +11,7 @@ from repro.placement.supermodular import (
     objective_upper_bound,
     placement_objective,
 )
+from repro.reference.placement import brute_force_placement
 from repro.topology.generators import watts_strogatz_pcn
 
 

@@ -175,6 +175,13 @@ _PIPELINES = {
         ["--omegas", "0.05"],
         "omega must be non-negative",
     ),
+    # 48 candidates: ``exact`` refuses instead of returning an unproven plan.
+    "place-compare-exact": (
+        ["place-compare", "--scale", "large", "--omegas", "0.05"],
+        ["--methods", "exact"],
+        ["--methods", "greedy"],
+        "exact placement search limited to 16 candidates, got 48",
+    ),
 }
 
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.data.sources import list_topology_sources
 from repro.scenarios.registry import (
     COMPARISON_SCALES,
     build_comparison_spec,
@@ -42,6 +43,46 @@ class TestComparisonSpec:
         specs = spec.scheme_specs()
         assert [entry.name for entry in specs] == ["shortest-path"]
         assert specs[0].build().name == "shortest-path"
+
+
+#: What the synthetic kinds sized by their own parameters need spelled out.
+_OWN_SIZE_PARAMS = {
+    "grid": {"rows": 4, "cols": 4},
+    "star": {"client_count": 12},
+    "multi-star": {"hub_count": 3, "clients_per_hub": 4},
+}
+
+
+class TestSyntheticTopologySources:
+    """``compare --topology-source`` works for every registered generator."""
+
+    @pytest.mark.parametrize(
+        "kind", [info.kind for info in list_topology_sources() if info.synthetic]
+    )
+    def test_spec_builds_and_a_shard_runs_to_a_row(self, kind, tmp_path):
+        descriptor = {"kind": kind, **_OWN_SIZE_PARAMS.get(kind, {})}
+        spec = build_comparison_spec(
+            "small", ["shortest-path"], duration=1.0, nodes=18, topology_source=descriptor
+        )
+        _, params = spec.topology.resolved_source()
+        assert "max_nodes" not in params  # the data-backed loaders' cap only
+        if kind in _OWN_SIZE_PARAMS:
+            assert params == _OWN_SIZE_PARAMS[kind]
+        else:
+            assert params == {"node_count": 18}
+        report = ScenarioRunner(spec, results_dir=str(tmp_path), workers=1).run()
+        assert report.executed == 1 and not report.failures
+        assert report.rows[0]["metrics"]["shortest-path"]["completed_count"] >= 1
+
+    def test_explicit_node_count_wins_and_snapshots_keep_their_cap(self):
+        explicit = build_comparison_spec(
+            "small", ["splicer"], topology_source={"kind": "scale-free", "node_count": 25}
+        )
+        assert explicit.topology.resolved_source()[1] == {"node_count": 25}
+        snapshot = build_comparison_spec(
+            "small", ["splicer"], nodes=30, topology_source="lightning-snapshot"
+        )
+        assert snapshot.topology.resolved_source()[1] == {"max_nodes": 30}
 
 
 class TestComparisonRuns:
