@@ -110,10 +110,6 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
             else:
                 still_queued.append((submitted_at, payment))
         self._queue = still_queued
-        # Payments execute inside the step, so the balance mirror is flushed
-        # on the way out: step boundaries are where the channel objects
-        # become authoritative again.
-        self.flush_state()
         return report
 
     def _route_via_hub(self, network: PCNetwork, payment: Payment, now: float) -> bool:

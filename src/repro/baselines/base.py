@@ -109,25 +109,18 @@ class RoutingScheme(abc.ABC):
         return self.step(now, 0.0)
 
     # ------------------------------------------------------------------ #
-    # fast-path state synchronization
+    # dynamics
     # ------------------------------------------------------------------ #
-    def flush_state(self) -> None:
-        """Write scheme-internal fast-path state back to the network.
-
-        Called by the runner before anything external (a dynamics event, the
-        end-of-run snapshot logic) reads or mutates the network.  Schemes
-        that mirror channel balances into arrays flush them here; the
-        default scheme operates on the network directly and has nothing to
-        do.
-        """
-
     def on_network_change(self) -> None:
-        """The network was mutated outside the scheme; invalidate caches.
+        """The network was mutated outside the scheme; repair derived state.
 
         Called by the runner after every dynamics event application and
-        revert.  Topology changes (channel close/open) are also detectable
-        through ``network.topology_version``; this hook additionally covers
-        pure balance mutations such as jamming locks.
+        revert, and once more after the end-of-run unwinding.  Topology
+        changes (channel close/open) are also visible through
+        ``network.topology_version``; this hook additionally covers pure
+        balance mutations such as jamming locks (SpeedyMurmurs re-embeds on
+        the funding flips they cause).  Balances themselves need no hook:
+        every scheme reads and writes them on the network.
         """
 
     # ------------------------------------------------------------------ #
@@ -151,11 +144,11 @@ class AtomicRoutingMixin:
     """Shared all-or-nothing multi-path execution for source-routing schemes.
 
     Payments execute on an :class:`~repro.baselines.batch.AtomicBatchExecutor`
-    bound in :meth:`prepare`: balance arrays plus per-pair path catalogs,
-    replaying the per-hop :class:`~repro.topology.channel.PaymentChannel`
-    lock/settle arithmetic (kept as the oracle in
-    :mod:`repro.reference.baselines`) bit for bit, which is what makes
-    paper-scale comparisons tractable.
+    bound in :meth:`prepare`: per-pair path catalogs plus lock/settle
+    arithmetic run directly on the network's balance store, replaying the
+    per-hop :class:`~repro.topology.channel.PaymentChannel` walk (kept as the
+    oracle in :mod:`repro.reference.baselines`) bit for bit, which is what
+    makes paper-scale comparisons tractable.
     """
 
     #: Per-hop settlement delay used to timestamp completions.
@@ -177,22 +170,11 @@ class AtomicRoutingMixin:
         """Hand over the payments that finished since the last step.
 
         Atomic schemes execute at submission time, so stepping just swaps the
-        report buffer -- after flushing the array mirror, because step
-        boundaries are the synchronization points at which the channel
-        objects become authoritative again.
+        report buffer.
         """
-        self.flush_state()
         report = self._report
         self._report = SchemeStepReport()
         return report
-
-    def flush_state(self) -> None:
-        if self._executor is not None:
-            self._executor.flush()
-
-    def on_network_change(self) -> None:
-        if self._executor is not None:
-            self._executor.on_network_change()
 
     def execute_atomic(
         self,

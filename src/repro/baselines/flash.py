@@ -86,8 +86,6 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
     def _paths_for_elephant(self, sender: object, recipient: object) -> List[List[object]]:
         """Max-flow style high-capacity paths for large payments."""
         network = self._require_network()
-        # The widest-path search reads live channel balances.
-        self.flush_state()
         paths = edge_disjoint_widest_paths(network, sender, recipient, self.elephant_paths)
         # Flash probes every candidate path before committing the payment.
         self.control_messages += sum(max(len(path) - 1, 0) for path in paths)

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 from repro.baselines.base import (
     AtomicRoutingMixin,
     NodeId,
-    Path,
     RoutingScheme,
     SchemeStepReport,
     SourceComputationModel,
@@ -100,10 +99,6 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         )
         return entry.paths, entry
 
-    def _path_capacities(self, paths: Sequence[Path], entry) -> List[float]:
-        """Bottleneck capacities read from the executor's balance mirror."""
-        return [float(c) for c in entry.capacities(self._executor.balances)]
-
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         network = self._require_network()
         payment = Payment.create(
@@ -120,7 +115,7 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
             payment.fail(FailureReason.NO_PATH)
             self._report.failed.append(payment)
             return payment
-        capacities = self._path_capacities(paths, entry)
+        capacities = [float(c) for c in entry.capacities(network)]
         total = sum(capacities)
         if total + EPS < payment.value:
             payment.fail(FailureReason.INSUFFICIENT_CAPACITY)

@@ -108,9 +108,12 @@ class SplicerSystem:
         return plan
 
     def _safe_hops(self, source: NodeId, target: NodeId) -> int:
+        """Hop distance, or ``node_count()`` when the two are not connected."""
+        from repro.topology.csr import NodeNotFound, NoPath
+
         try:
             return self.network.hop_count(source, target)
-        except Exception:
+        except (NoPath, NodeNotFound):
             return self.network.node_count()
 
     # ------------------------------------------------------------------ #

@@ -52,6 +52,9 @@ def multiwinner_vote(
     """
     if winners < 1:
         raise ValueError("must elect at least one winner")
+    # The path kernels' exceptions: imported where ``hop_count`` loads them.
+    from repro.topology.csr import NodeNotFound, NoPath
+
     pool = list(eligible) if eligible is not None else network.nodes()
     if not pool:
         return []
@@ -68,7 +71,7 @@ def multiwinner_vote(
                 for chosen in selected:
                     try:
                         distances.append(network.hop_count(node, chosen))
-                    except Exception:
+                    except (NoPath, NodeNotFound):
                         distances.append(network.node_count())
                 nearest = min(distances)
                 penalty = diversity_weight / (1.0 + nearest)

@@ -5,9 +5,10 @@ scheme runs (see ``ExperimentRunner.run_single``).  Each probe appends one
 sample per metric to the scheme's series; :meth:`HealthRecorder.save` writes
 every series into one ``.npz`` whose keys are ``"<scheme>|<metric>"``.
 
-Probes are strictly read-only with respect to routing decisions: they run
-after the scheme's array mirrors are flushed, they mutate nothing, and the
-deadlock-motif search uses its own derived RNG -- so enabling telemetry
+Probes are strictly read-only with respect to routing decisions: they read
+the network's balance store (which every scheme writes directly, so there
+is nothing to flush first), they mutate nothing, and the deadlock-motif
+search uses its own derived RNG -- so enabling telemetry
 leaves every scheme's results bit-identical (asserted by the no-op
 equivalence tests).
 
@@ -98,8 +99,7 @@ class HealthRecorder:
     def observe(self, scheme: str, network: object, t: float) -> None:
         """Take one probe of the live network for ``scheme`` at time ``t``.
 
-        The caller must have flushed the scheme's fast-path state so channel
-        objects are authoritative.
+        Needs no cooperation from the scheme: its balances are the store's.
         """
         # Imported lazily: obs must stay importable below the topology layer.
         from repro.topology.channel import EPS

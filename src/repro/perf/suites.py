@@ -250,8 +250,8 @@ _REPLAYS = {
 class _ReplayState:
     """A funded topology plus workload, built once; each call replays the run.
 
-    Fresh scheme instances per call (path catalogs and balance mirrors are
-    rebuilt each run, exactly as the compare pipeline does).
+    Fresh scheme instances per call (path catalogs are rebuilt each run,
+    exactly as the compare pipeline does).
     """
 
     def __init__(self, group: str, nodes: int, duration: float, arrival_rate: float) -> None:

@@ -43,37 +43,28 @@ Path = Tuple[NodeId, ...]
 class _PerPaymentEntry:
     """Catalog-entry stand-in: the paths, with capacities read off the channels."""
 
-    def __init__(self, network: PCNetwork, paths: Sequence[Sequence[NodeId]]) -> None:
-        self.network = network
+    def __init__(self, paths: Sequence[Sequence[NodeId]]) -> None:
         self.paths = [tuple(path) for path in paths if len(path) >= 2]
 
-    def capacities(self, balances: object) -> List[float]:
+    def capacities(self, network: PCNetwork) -> List[float]:
         """Live bottleneck capacity of every path."""
-        return [self.network.path_capacity(path) for path in self.paths]
+        return [network.path_capacity(path) for path in self.paths]
 
 
 class ScalarExecutor:
     """The executor's interface over the channel objects themselves.
 
-    Drop-in for :class:`~repro.baselines.batch.AtomicBatchExecutor`: no
-    balance mirror (so nothing to flush or invalidate), paths recomputed for
-    every payment instead of catalogued (Flash's pinned mouse pools live in
-    a plain dict), and :meth:`execute` is the per-hop lock/settle walk.
+    Drop-in for :class:`~repro.baselines.batch.AtomicBatchExecutor`: paths
+    recomputed for every payment instead of catalogued (Flash's pinned mouse
+    pools live in a plain dict), and :meth:`execute` is the per-hop
+    lock/settle walk through the channel objects.
     """
-
-    balances = None
 
     def __init__(self, network: PCNetwork, hop_delay: float) -> None:
         self.network = network
         self.hop_delay = hop_delay
         self.catalog = self  # ``resolve`` / ``clear`` live here
         self._pinned: Dict[Tuple[NodeId, NodeId], _PerPaymentEntry] = {}
-
-    def flush(self) -> None:
-        """Channel objects are always authoritative."""
-
-    def on_network_change(self) -> None:
-        """Nothing is cached against the network."""
 
     def clear(self) -> None:
         """Forget the pinned pools."""
@@ -83,7 +74,7 @@ class ScalarExecutor:
         """``(entry, computed)``; only pinned entries are ever reused."""
         if pinned and pair in self._pinned:
             return self._pinned[pair], False
-        entry = _PerPaymentEntry(self.network, compute())
+        entry = _PerPaymentEntry(compute())
         if pinned:
             self._pinned[pair] = entry
         return entry, True

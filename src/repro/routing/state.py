@@ -90,8 +90,7 @@ class IndexMap:
 def grow_array(array: np.ndarray, size: int) -> np.ndarray:
     """Return ``array`` grown (amortized doubling) to hold ``size`` rows.
 
-    The shared growth policy of every array-backed state holder (channel
-    price arrays here, the baselines' balance mirror); new rows are
+    The growth policy of the channel price arrays; new rows are
     zero-initialized and existing rows keep their values and positions.
     """
     if size <= array.shape[0]:

@@ -154,10 +154,11 @@ class ExperimentRunner:
     each scheme sees the identical funded topology and arrival stream, and
     its :class:`~repro.simulator.metrics.SchemeMetrics` row is one bar of
     figures 7/8 or one cell of Table II.  Mid-run network dynamics are
-    applied through the engine with the scheme's fast-path state flushed
-    before and invalidated after every mutation (``flush_state`` /
-    ``on_network_change``), so a scheme's array mirrors observe exactly
-    what code reading the channel objects would.
+    applied through the engine: due arrivals are drained before every
+    mutation and the scheme's ``on_network_change`` runs after it, so state
+    a scheme derives from the network (SpeedyMurmurs' embedding) is repaired
+    before its next call.  Balances need no such bracketing: schemes read
+    and write them on the network's balance store.
     """
 
     def __init__(
@@ -255,11 +256,9 @@ class ExperimentRunner:
         if health is not None:
             # Scheduled after the tick series so that a probe landing on a
             # tick's timestamp observes the post-step network.  The probe is
-            # strictly read-only: flushing makes the channel objects
-            # authoritative without changing any scheme decision, so results
-            # stay bit-identical with telemetry on or off.
+            # strictly read-only, so results stay bit-identical with
+            # telemetry on or off.
             def on_probe(_engine: SimulationEngine, _event) -> None:
-                scheme.flush_state()
                 health.observe(scheme.name, self.network, _engine.now)
 
             engine.schedule_periodic(
@@ -275,10 +274,8 @@ class ExperimentRunner:
             final_report = scheme.finish(end_time)
             self._consume(final_report, scheme, collector, end_time)
         finally:
-            # Make the channel objects authoritative again before touching
-            # them, then undo mutations still in effect (newest first) so the
-            # snapshot can be restored for the next scheme.
-            scheme.flush_state()
+            # Undo mutations still in effect (newest first) so the snapshot
+            # can be restored for the next scheme.
             for key in sorted(outstanding, reverse=True):
                 outstanding.pop(key)()
             scheme.on_network_change()
@@ -328,10 +325,10 @@ class ExperimentRunner:
     ) -> Dict[int, Callable[[], None]]:
         """Schedule dynamics events plus their timed reverts on the engine.
 
-        Every mutation is bracketed by the scheme's fast-path hooks: buffered
-        arrivals are drained and array state is flushed *before* the network
-        changes (the mutation may read or rewrite channel balances), and the
-        scheme is told to invalidate its mirrors *after*.
+        Buffered arrivals are drained *before* every mutation (they arrived
+        while the network was unchanged) and the scheme's
+        ``on_network_change`` runs *after* it, for the apply and the timed
+        revert alike.
 
         Returns the registry of outstanding undo callables; entries are
         removed as timed reverts fire, and whatever remains at the end of the
@@ -343,7 +340,6 @@ class ExperimentRunner:
         def on_dynamics(_engine: SimulationEngine, event) -> None:
             dynamics_event = event.payload
             drain_arrivals()
-            scheme.flush_state()
             undo = dynamics_event.apply(self.network)
             scheme.on_network_change()
             rec = obs.RECORDER
@@ -366,7 +362,6 @@ class ExperimentRunner:
                 revert = outstanding.pop(_key, None)
                 if revert is not None:
                     drain_arrivals()
-                    scheme.flush_state()
                     revert()
                     scheme.on_network_change()
                     inner = obs.RECORDER

@@ -26,7 +26,7 @@ import numpy as np
 NodeId = Hashable
 
 #: Tolerance for balance-sufficiency checks.  Shared by every execution path
-#: that replays lock arithmetic (the array executor in
+#: that replays lock arithmetic (the batched executor in
 #: :mod:`repro.baselines.batch` and its scalar oracle) -- the two stay
 #: bit-identical only while they test against this one constant.
 EPS = 1e-9
@@ -118,8 +118,9 @@ class BalanceStore:
 
     ``values[2 * i]`` and ``values[2 * i + 1]`` are the ``node_a`` / ``node_b``
     side balances of ``channels[i]``; the store stays dense, so a network's
-    whole balance state is one C double buffer that snapshot, restore and the
-    array mirrors copy or gather in one operation.  A
+    whole balance state is one C double buffer that snapshot and restore copy,
+    the CSR kernels gather from, and the atomic baselines' executor reads and
+    writes in place.  A
     :class:`~repro.topology.network.PCNetwork` owns one store for all of its
     channels; a stand-alone (or removed) channel owns a private two-entry one
     through the same code path.
@@ -128,8 +129,9 @@ class BalanceStore:
         values: The balances (``array('d')``: unboxed doubles read back as
             Python floats).
         channels: The channel views bound by :meth:`adopt`, in slot order.
-        version: Bumped on every balance mutation of this store; array
-            mirrors compare it against the value they last synchronized at.
+        version: Bumped on every balance mutation of this store (the
+            channels' own and the atomic executor's); the CSR kernels'
+            balance vector compares it against the value it last gathered at.
         open_locks: Number of in-flight locks across the store's channels.
     """
 
@@ -444,9 +446,8 @@ class PaymentChannel:
     def write_balances(self, balance_a: float, balance_b: float) -> None:
         """Overwrite the spendable balances without touching in-flight locks.
 
-        Synchronization primitive for array-backed execution engines that own
-        the balance evolution between flush points: unlike :meth:`restore` it
-        is valid while locks are outstanding (the locked funds stay locked and
+        The validated write behind :meth:`restore`; unlike ``restore`` it is
+        valid while locks are outstanding (the locked funds stay locked and
         are still released/settled through the normal lock lifecycle).
 
         Args:

@@ -125,8 +125,8 @@ class PCNetwork:
         #: channels are views onto it), plus the channels in slot order.
         self.balance_store = BalanceStore()
         #: Bumped on every channel addition/removal.  Fast-path layers (path
-        #: catalogs, balance array mirrors) key their caches on this counter
-        #: so topology dynamics invalidate them without explicit wiring.
+        #: catalogs, the CSR mirror) key their caches on this counter so
+        #: topology dynamics invalidate them without explicit wiring.
         self.topology_version = 0
         self._graph_arrays: Optional["GraphArrays"] = None
 

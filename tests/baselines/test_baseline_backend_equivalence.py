@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro import baselines as production
-from repro.baselines.base import AtomicRoutingMixin, RoutingScheme, SchemeStepReport
+from repro.baselines.base import AtomicRoutingMixin, RoutingScheme
 from repro.reference import baselines as reference
 from repro.reference.simulator import PerEventRunner
 from repro.routing.transaction import Payment
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
+from repro.topology.csr import GraphArrays
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 
@@ -165,10 +166,6 @@ class TestExecutorArithmetic:
         def submit(self, request, now):  # pragma: no cover - unused
             raise NotImplementedError
 
-        def step(self, now, dt):
-            self.flush_state()
-            return SchemeStepReport()
-
     class _ScalarHarness(reference.ScalarAtomicMixin, _Harness):
         pass
 
@@ -184,24 +181,34 @@ class TestExecutorArithmetic:
             network.add_channel(a, b, capacity, capacity)
         return network, nodes
 
-    def _execute_sequence(self, side):
+    #: Two paths sharing the n1-n2 channel in the second case: joint
+    #: capacity looks sufficient, but the second allocation's lock must fail
+    #: and roll back everything (the scalar InsufficientFundsError path).
+    SHARED_CHANNEL_CASES = [
+        (["n0 n1 n2".split()], 25.0),
+        (["n0 n1 n2".split(), "n0 n1 n2 n3".split()], 70.0),
+        (["n2 n3 n4".split()], 10.0),
+        (["n4 n3".split(), "n4 n3 n2".split()], 50.0),
+    ]
+
+    #: A2L-style leg pairs that cross the n1-n2 channel out and back: both
+    #: directions of one channel locked by one payment, settled in order.
+    BOTH_DIRECTIONS_CASES = [
+        (["n0 n1 n2 n1".split()], 30.0),
+        (["n3 n2 n1 n2 n3".split()], 12.5),
+        (["n0 n1 n2 n1".split(), "n0 n1".split()], 45.0),
+        (["n1 n2 n1 n0".split()], 60.0),
+    ]
+
+    def _execute_sequence(self, side, cases=SHARED_CHANNEL_CASES, jam=False):
         network, nodes = self._line()
+        if jam:
+            # An externally held lock on the crossed channel: the executor's
+            # max_locked / imbalance replay must start from it.
+            network.channel("n1", "n2").lock("n2", 7.5, now=0.0, tag="jam")
         harness = self.HARNESSES[side]()
         harness.prepare(network)
         outcomes = []
-        # Two paths sharing the n1-n2 channel: joint capacity looks
-        # sufficient, but the second allocation's lock must fail and roll
-        # back everything (the scalar InsufficientFundsError path).
-        shared = [
-            ("n0", "n1", "n2"),
-            ("n0", "n1", "n2", "n3"),
-        ]
-        cases = [
-            (["n0 n1 n2".split()], 25.0),
-            ([list(path) for path in shared], 70.0),
-            (["n2 n3 n4".split()], 10.0),
-            (["n4 n3".split(), "n4 n3 n2".split()], 50.0),
-        ]
         for index, (paths, value) in enumerate(cases):
             payment = Payment.create("s", "t", value, created_at=0.1 * index, timeout=9.0)
             outcomes.append(harness.execute_atomic(network, payment, paths, 0.1 * index))
@@ -215,9 +222,15 @@ class TestExecutorArithmetic:
         }
         return outcomes, balances, _channel_stats(network)
 
-    def test_arithmetic_matches(self):
-        outcomes_py, balances_py, stats_py = self._execute_sequence("reference")
-        outcomes_np, balances_np, stats_np = self._execute_sequence("production")
+    @pytest.mark.parametrize(
+        "cases, jam",
+        [(SHARED_CHANNEL_CASES, False), (BOTH_DIRECTIONS_CASES, False), (BOTH_DIRECTIONS_CASES, True)],
+        ids=["shared-channel", "both-directions", "both-directions-jammed"],
+    )
+    def test_arithmetic_matches(self, cases, jam):
+        outcomes_py, balances_py, stats_py = self._execute_sequence("reference", cases, jam)
+        outcomes_np, balances_np, stats_np = self._execute_sequence("production", cases, jam)
+        assert True in outcomes_np and False in outcomes_np
         assert outcomes_np == outcomes_py
         for key, (balance_a, balance_b) in balances_py.items():
             assert balances_np[key][0] == pytest.approx(balance_a, abs=TOL)
@@ -225,6 +238,34 @@ class TestExecutorArithmetic:
         # Exact equality: the rollback path must tally releases, and the
         # settle path the imbalance samples, in the scalar order.
         assert stats_np == stats_py
+
+    def test_balances_are_live_right_after_execute(self):
+        """No hook between an execution and a reader: the store is the balance.
+
+        Channel views, ``path_capacity`` and the CSR kernels' balance vector
+        all see the payment the moment ``execute`` returns, because it bumps
+        the store's ``version``.
+        """
+        network, _ = self._line()
+        arrays = network.graph_arrays()
+        arrays.refresh_balances()
+        store = network.balance_store
+        version = store.version
+        harness = self._Harness()
+        harness.prepare(network)
+        payment = Payment.create("s", "t", 25.0, created_at=0.0, timeout=9.0)
+        assert harness.execute_atomic(network, payment, ["n0 n1 n2".split()], 0.0)
+        assert store.version != version
+        assert network.channel("n0", "n1").balance_pair() == (15.0, 65.0)
+        assert network.channel("n1", "n2").balance_pair() == (15.0, 65.0)
+        assert network.path_capacity(["n0", "n1", "n2"]) == 15.0
+        assert network.path_capacity(["n2", "n1", "n0"]) == 65.0
+        arrays.refresh_balances()
+        fresh = GraphArrays(network)
+        fresh.refresh_balances()
+        assert arrays.balance == fresh.balance
+        n0, n1 = arrays.node_row["n0"], arrays.node_row["n1"]
+        assert arrays.balance[arrays.slot_of[(n0, n1)]] == 15.0
 
     def test_conservation_after_mixed_outcomes(self):
         for side in ("reference", "production"):

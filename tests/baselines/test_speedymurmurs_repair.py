@@ -46,7 +46,6 @@ def _assert_repair_matches_rebuild(scheme):
 
 def _bracket(scheme, mutate):
     """Apply one mutation through the runner's hook protocol."""
-    scheme.flush_state()
     undo = mutate()
     scheme.on_network_change()
     return undo

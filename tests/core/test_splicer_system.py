@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import SplicerConfig
 from repro.core.splicer import SplicerSystem
 from repro.routing.router import RouterConfig
+from repro.topology.network import PCNetwork
 
 
 @pytest.fixture
@@ -54,6 +55,35 @@ class TestSetup:
             system.hub_of("anything")
         with pytest.raises(RuntimeError):
             system.step(0.1, 0.1)
+
+
+class TestSafeHops:
+    @staticmethod
+    def _two_components() -> PCNetwork:
+        network = PCNetwork()
+        for node in ("a0", "a1", "b0", "b1"):
+            network.add_node(node)
+        network.add_channel("a0", "a1", 10.0)
+        network.add_channel("b0", "b1", 10.0)
+        return network
+
+    def test_unreachable_or_unknown_falls_back_to_node_count(self):
+        network = self._two_components()
+        system = SplicerSystem(network)
+        assert system._safe_hops("a0", "a1") == 1
+        assert system._safe_hops("a0", "b1") == network.node_count() == 4
+        assert system._safe_hops("a0", "nowhere") == 4
+
+    def test_unexpected_hop_count_errors_propagate(self, monkeypatch):
+        network = self._two_components()
+        system = SplicerSystem(network)
+
+        def broken(source, target):
+            raise RuntimeError("bug in hop_count")
+
+        monkeypatch.setattr(network, "hop_count", broken)
+        with pytest.raises(RuntimeError, match="bug in hop_count"):
+            system._safe_hops("a0", "b1")
 
 
 class TestPayments:

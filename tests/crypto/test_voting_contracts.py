@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.contracts import PlacementContract, VotingContract
 from repro.crypto.voting import excellence_scores, multiwinner_vote
+from repro.topology.network import PCNetwork
 
 
 class TestMultiwinnerVoting:
@@ -32,6 +33,28 @@ class TestMultiwinnerVoting:
     def test_excellence_scores_in_unit_range(self, small_ws_network):
         scores = excellence_scores(small_ws_network)
         assert all(0.0 <= score <= 1.0 + 1e-9 for score in scores.values())
+
+    def test_disconnected_candidates_count_as_far_apart(self):
+        """No path between two nodes is a distance of ``node_count()``."""
+        network = PCNetwork()
+        for hub, leaves in (("x", 4), ("y", 3)):
+            network.add_node(hub)
+            for i in range(leaves):
+                network.add_node(f"{hub}{i}")
+                network.add_channel(hub, f"{hub}{i}", 50.0)
+        # y's penalty uses the fallback distance (9 nodes); x's own leaves
+        # sit one hop from the first winner.
+        assert multiwinner_vote(network, 2, diversity_weight=5.0) == ["x", "y"]
+
+    def test_unexpected_hop_count_errors_propagate(self, monkeypatch, small_ws_network):
+        """Only the kernels' NoPath / NodeNotFound mean "far apart"; a bug raises."""
+
+        def broken(source, target):
+            raise RuntimeError("bug in hop_count")
+
+        monkeypatch.setattr(small_ws_network, "hop_count", broken)
+        with pytest.raises(RuntimeError, match="bug in hop_count"):
+            multiwinner_vote(small_ws_network, 2)
 
 
 class TestVotingContract:

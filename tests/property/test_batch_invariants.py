@@ -93,7 +93,6 @@ def _run_batch(scheme_name, side, node_count, chord_stride, capacities, requests
     scheme.prepare(network, rng=np.random.default_rng(0))
     payments = scheme.route_batch(requests)
     scheme.step(1.0, 0.1)
-    scheme.flush_state()
     return network, total_before, payments
 
 

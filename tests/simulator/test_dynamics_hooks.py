@@ -1,15 +1,14 @@
-"""Regression suite for the runner's dynamics-hook bracketing.
+"""Regression suite for the runner's one dynamics hook.
 
 Every network mutation the :class:`ExperimentRunner` performs -- a dynamics
 event *applying*, its timed *revert* firing, and the end-of-run unwinding of
-still-outstanding undos -- must be bracketed by the scheme's fast-path
-hooks: ``flush_state()`` immediately before (so channel objects are
-authoritative when the mutation reads or rewrites balances) and
-``on_network_change()`` immediately after (so mirrors and caches
-invalidate).  A missed hook on any of the three paths silently corrupts
-array-backend state; this suite pins the bracketing with a hook-recording
-stub scheme whose records fail loudly if a mutation ever lands outside a
-flush/change pair.
+still-outstanding undos -- must be announced through the scheme's
+``on_network_change()`` before the scheme is called for anything else, so
+state it derives from the network (SpeedyMurmurs' embedding, path catalogs)
+is repaired before it routes again.  Balances need no hook: schemes read and
+write them on the network's balance store.  This suite pins the ordering
+with a stub scheme that records every call it receives, with a network
+fingerprint.
 """
 
 import numpy as np
@@ -17,20 +16,20 @@ import pytest
 
 from repro.baselines.base import RoutingScheme, SchemeStepReport
 from repro.routing.transaction import FailureReason, Payment
-from repro.scenarios.dynamics import churn_events, jamming_events
+from repro.scenarios.dynamics import ChannelClose, churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
 from repro.topology.generators import watts_strogatz_pcn
 
 
 class HookRecordingScheme(RoutingScheme):
-    """Routes nothing; records every hook call with a network fingerprint.
+    """Routes nothing; records every call with a network fingerprint.
 
     The fingerprint captures both mutation families the dynamics layer can
-    perform: the topology version (churn adds/removes channels and nodes)
-    and the total locked liquidity (jamming locks funds without touching
-    the graph).  Because the scheme itself never locks or settles anything,
-    any fingerprint movement is attributable to the runner's mutations.
+    perform: the topology version (churn adds/removes channels) and the
+    total locked liquidity (jamming locks funds without touching the graph).
+    Because the scheme itself never locks or settles anything, any
+    fingerprint movement is attributable to the runner's mutations.
     """
 
     name = "hook-recorder"
@@ -39,14 +38,19 @@ class HookRecordingScheme(RoutingScheme):
         super().__init__()
         self.records = []
 
-    def _fingerprint(self):
+    def _record(self, kind):
         network = self._require_network()
         locked = sum(channel.locked_total() for channel in network.channels())
-        return (network.topology_version, round(locked, 9))
+        self.records.append((kind, (network.topology_version, round(locked, 9))))
 
     def prepare(self, network, rng=None):
         super().prepare(network, rng)
-        self.records = [("prepare", self._fingerprint())]
+        self.records = []
+        self._record("prepare")
+
+    def route_batch(self, requests):
+        self._record("route_batch")
+        return super().route_batch(requests)
 
     def submit(self, request, now):
         payment = Payment.create(
@@ -60,16 +64,15 @@ class HookRecordingScheme(RoutingScheme):
         return payment
 
     def step(self, now, dt):
+        self._record("step")
         return SchemeStepReport()
 
-    def flush_state(self):
-        self.records.append(("flush", self._fingerprint()))
-
     def on_network_change(self):
-        self.records.append(("change", self._fingerprint()))
+        self._record("change")
 
 
 def _run_with_dynamics(dynamics_kind):
+    """A run whose timed events revert mid-run and one event outlives it."""
     network = watts_strogatz_pcn(
         24,
         nearest_neighbors=4,
@@ -84,50 +87,60 @@ def _run_with_dynamics(dynamics_kind):
         events = churn_events(
             network, np.random.default_rng(5), count=8, start=0.5, end=3.0, down_time=1.0
         )
+        taken = {frozenset((event.node_a, event.node_b)) for event in events}
+        spare = next(c for c in network.channels() if frozenset(c.endpoints) not in taken)
+        events.append(ChannelClose(time=1.5, duration=None, node_a=spare.node_a, node_b=spare.node_b))
     else:
         events = jamming_events(network, at=0.5, duration=2.0, count=5, fraction=0.9)
+        events += jamming_events(network, at=1.5, duration=None, count=1, fraction=0.5)
     runner = ExperimentRunner(network, workload, step_size=0.1, dynamics=events)
     scheme = HookRecordingScheme()
     runner.run_single(scheme, rng=np.random.default_rng(0))
     return scheme.records
 
 
+def _moves(records):
+    """``(kind_before, kind_after, fp_before, fp_after)`` wherever the network moved."""
+    return [
+        (kind_before, kind_after, fp_before, fp_after)
+        for (kind_before, fp_before), (kind_after, fp_after) in zip(records, records[1:])
+        if fp_after != fp_before
+    ]
+
+
 @pytest.mark.parametrize("dynamics_kind", ["churn", "jamming"])
-class TestDynamicsHookBracketing:
-    def test_every_mutation_is_bracketed(self, dynamics_kind):
-        """The fingerprint only ever moves between a flush and a change.
+class TestDynamicsHook:
+    def test_every_mutation_is_announced_before_the_next_call(self, dynamics_kind):
+        """The first call after any fingerprint move is ``on_network_change``.
 
         This single invariant covers all three mutation paths (apply, timed
-        revert, end-of-run undo unwinding): if any of them skipped the
-        pre-mutation ``flush_state`` or the post-mutation
-        ``on_network_change``, the movement would land across some other
-        pair of consecutive records and the assertion would name it.
+        revert, end-of-run undo unwinding): had any of them skipped the
+        hook, the move would land in front of a ``route_batch`` / ``step``
+        record and the assertion would name it.
         """
         records = _run_with_dynamics(dynamics_kind)
-        for (kind_before, fp_before), (kind_after, fp_after) in zip(records, records[1:]):
-            if fp_after != fp_before:
-                assert (kind_before, kind_after) == ("flush", "change"), (
-                    f"network mutated between hook calls {kind_before!r} -> "
-                    f"{kind_after!r} (fingerprint {fp_before} -> {fp_after})"
-                )
+        assert {kind for kind, _ in records} >= {"route_batch", "step", "change"}
+        for kind_before, kind_after, fp_before, fp_after in _moves(records):
+            assert kind_after == "change", (
+                f"network mutated between {kind_before!r} and {kind_after!r} "
+                f"without the hook (fingerprint {fp_before} -> {fp_after})"
+            )
 
-    def test_applies_and_reverts_both_fire(self, dynamics_kind):
-        """Both directions of the mutation are exercised, not just apply."""
+    def test_applies_and_timed_reverts_both_fire(self, dynamics_kind):
+        """Both directions of a timed mutation are exercised, not just apply."""
         records = _run_with_dynamics(dynamics_kind)
-        bracketed = [
-            (fp_before, fp_after)
-            for (kind_before, fp_before), (kind_after, fp_after) in zip(records, records[1:])
-            if fp_after != fp_before and (kind_before, kind_after) == ("flush", "change")
-        ]
-        # At least one apply and one revert moved the fingerprint.
-        assert len(bracketed) >= 2
+        mid_run = _moves(records[:-1])
+        assert len(mid_run) >= 2
         if dynamics_kind == "jamming":
-            # Jamming must fully unwind: the last change restores the
-            # zero-locked baseline recorded at prepare time.
-            assert records[-1][1] == records[0][1]
+            locked = [(before[1], after[1]) for _, _, before, after in mid_run]
+            assert any(after > before for before, after in locked)  # apply
+            assert any(after < before for before, after in locked)  # revert
 
-    def test_run_ends_with_final_invalidation(self, dynamics_kind):
-        """The finally-block restores and announces the original network."""
+    def test_end_of_run_unwinding_is_announced(self, dynamics_kind):
+        """The outliving event is undone in the finally block, then announced."""
         records = _run_with_dynamics(dynamics_kind)
         assert records[-1][0] == "change"
-        assert records[-2][0] == "flush"
+        assert records[-1][1] != records[-2][1]
+        if dynamics_kind == "jamming":
+            # Jamming fully unwinds to the zero-locked start.
+            assert records[-1][1][1] == records[0][1][1] == 0

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.batch import ChannelBalanceArrays, PathCatalog
+from repro.baselines.batch import PathCatalog, hop_slots
 from repro.reference import topology as reference
 from repro.routing.paths import (
     PATH_SELECTORS,
@@ -543,7 +543,7 @@ class TestCatalogInvariant:
     def test_catalog_entries_equal_fresh_generation_across_version_bumps(self, scenario):
         seed, steps, k = scenario
         network = _build_network(seed, nodes=18)
-        catalog = PathCatalog(ChannelBalanceArrays(network))
+        catalog = PathCatalog(network)
         pairs = _sample_pairs(network, 6, seed + 1)
 
         def query_all():
@@ -554,6 +554,17 @@ class TestCatalogInvariant:
                 )
                 fresh = [tuple(p) for p in k_shortest_paths(network, source, target, k)]
                 assert entry.paths == fresh
+                # Removals move store slots: every entry must follow them,
+                # pinned ones (which keep their first path list) included.
+                pinned, _ = catalog.resolve(
+                    ("pinned", source, target),
+                    lambda s=source, t=target: k_shortest_paths(network, s, t, k),
+                    pinned=True,
+                )
+                for cached in (entry, pinned):
+                    assert cached.hop_slots.tolist() == [
+                        slot for path in cached.paths for slot in hop_slots(network, path)
+                    ]
 
         removed = []
         for action, value in steps:
