@@ -30,6 +30,7 @@ from repro.routing.paths import k_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 
 class A2LScheme(AtomicRoutingMixin, RoutingScheme):
@@ -127,7 +128,7 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         if path is None or len(path) < 2:
             payment.fail(FailureReason.NO_PATH)
             return False
-        return self.execute_atomic(network, payment, [path], now)
+        return self.execute_atomic(payment, PathCSR(network, [path]), now)
 
     def extra_delay(self, payment: Payment) -> float:
         return self.crypto_delay

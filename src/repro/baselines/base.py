@@ -28,10 +28,11 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.batch import AtomicBatchExecutor, CatalogEntry
+from repro.baselines.batch import AtomicBatchExecutor
 from repro.routing.transaction import Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
@@ -178,21 +179,20 @@ class AtomicRoutingMixin:
 
     def execute_atomic(
         self,
-        network: PCNetwork,
         payment: Payment,
-        paths: Sequence[Sequence[NodeId]],
+        paths: PathCSR,
         now: float,
-        entry: Optional[CatalogEntry] = None,
         shares: Optional[Sequence[float]] = None,
     ) -> bool:
         """Attempt to deliver ``payment`` across ``paths``, all-or-nothing.
 
-        The payment value is split across the paths proportionally to their
-        current bottleneck capacity.  If the paths cannot jointly carry the
-        value, nothing is transferred and the attempt fails.  ``entry`` may
-        carry the catalog resolution of ``paths``.  ``shares`` (aligned with
-        ``paths``) overrides the greedy largest-first split with
-        caller-computed per-path amounts (waterfilling); the caller checks
-        joint capacity beforehand.
+        ``paths`` is the pair's catalog entry, or ``PathCSR(network, paths)``
+        for a list computed per payment.  The payment value is split across
+        the paths proportionally to their current bottleneck capacity.  If
+        the paths cannot jointly carry the value, nothing is transferred and
+        the attempt fails.  ``shares`` (aligned with ``paths.paths``)
+        overrides the greedy largest-first split with caller-computed
+        per-path amounts (waterfilling); the caller checks joint capacity
+        beforehand.
         """
-        return self._executor.execute(payment, paths, now, entry=entry, shares=shares)
+        return self._executor.execute(payment, paths, now, shares=shares)

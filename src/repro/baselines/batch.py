@@ -10,13 +10,12 @@ its own: every read and write goes to the network's
 :class:`~repro.topology.channel.BalanceStore`, which the channel objects are
 views of, so there is nothing to synchronise.
 
-* A *slot* names one direction of one channel: the store entry of the
-  sending side (``channel.store_index`` for ``node_a``, the next entry for
-  ``node_b``).  The receiving side is ``slot ^ 1`` and the channel is
-  ``store.channels[slot >> 1]``.
-* :class:`PathCatalog` -- per-pair candidate paths resolved once into a CSR
-  flattening of hop slots, keyed on the network's ``topology_version`` (which
-  is also what moves slots: ``remove_channel`` keeps the store dense).
+* Paths travel as a :class:`~repro.topology.pathcsr.PathCSR`: the store
+  *slot* of every hop's sending side (``slot ^ 1`` is the receiving side,
+  ``store.channels[slot >> 1]`` the channel), re-resolved whenever the
+  ``topology_version`` moves, with the bottleneck rule written once.
+* :class:`PathCatalog` -- per-pair candidate paths as :class:`CatalogEntry`
+  CSRs, recomputed when the topology they were computed on changes.
   Entries can be *pinned* to reproduce scalar schemes that deliberately keep
   stale path pools (Flash's mouse paths).
 * :class:`AtomicBatchExecutor` -- all-or-nothing multi-path execution on the
@@ -39,87 +38,39 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.obs import core as obs
 from repro.routing.transaction import FailureReason, Payment
 from repro.topology.channel import EPS as _EPS
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 Pair = Tuple[NodeId, NodeId]
 
 
-def hop_slots(network: PCNetwork, path: Sequence[NodeId]) -> List[int]:
-    """Store slot of every hop's sending side; ``-1`` where no channel exists."""
-    adj = network.adj
-    slots: List[int] = []
-    for sender, receiver in zip(path, path[1:]):
-        neighbors = adj.get(sender)
-        channel = neighbors.get(receiver) if neighbors is not None else None
-        if channel is None:
-            slots.append(-1)
-        elif channel.node_a == sender:
-            slots.append(channel.store_index)
-        else:
-            slots.append(channel.store_index + 1)
-    return slots
+class CatalogEntry(PathCSR):
+    """One pair's candidate paths, pinned or tied to the topology they were computed on."""
 
+    __slots__ = ("pinned", "topology_version")
 
-class CatalogEntry:
-    """One pair's candidate paths with their CSR hop-slot flattening."""
-
-    __slots__ = ("paths", "hop_slots", "ptr", "pinned", "_seen_topology")
-
-    def __init__(self, paths: Sequence[Sequence[NodeId]], pinned: bool) -> None:
-        self.paths: List[Path] = [tuple(path) for path in paths]
+    def __init__(self, network: PCNetwork, paths: Sequence[Sequence[NodeId]], pinned: bool) -> None:
+        super().__init__(network, paths)
         self.pinned = pinned
-        self.hop_slots: np.ndarray = np.empty(0, dtype=np.intp)
-        self.ptr: np.ndarray = np.empty(0, dtype=np.intp)
-        self._seen_topology = -1
-
-    def refresh_slots(self, network: PCNetwork) -> None:
-        """(Re)resolve every hop against the network's current store slots."""
-        slots: List[int] = []
-        ptr = [0]
-        for path in self.paths:
-            slots += hop_slots(network, path)
-            ptr.append(len(slots))
-        self.hop_slots = np.asarray(slots, dtype=np.intp)
-        self.ptr = np.asarray(ptr, dtype=np.intp)
-        self._seen_topology = network.topology_version
-
-    def path_slots(self, index: int) -> List[int]:
-        """The hop slots of ``paths[index]``."""
-        return self.hop_slots[self.ptr[index] : self.ptr[index + 1]].tolist()
-
-    def capacities(self, network: PCNetwork) -> np.ndarray:
-        """Bottleneck spendable funds of every path (0.0 across dead hops).
-
-        Matches :meth:`repro.topology.network.PCNetwork.path_capacity`: a
-        missing hop zeroes the whole path, otherwise the minimum directional
-        balance along it.
-        """
-        if len(self.paths) == 0:
-            return np.empty(0)
-        slots = self.hop_slots
-        live = slots >= 0
-        values = np.zeros(len(slots))
-        values[live] = network.balance_store.as_array()[slots[live]]
-        # Zero-hop paths (len < 2) cannot occur: callers filter them out.
-        return np.minimum.reduceat(values, self.ptr[:-1])
+        self.topology_version = network.topology_version
 
 
 class PathCatalog:
     """Per-pair path cache keyed on the network's topology version.
 
-    Non-pinned entries are dropped whenever the topology changes, so the
-    caller recomputes paths exactly when the scalar reference (which
-    recomputes per transaction) would see different ones.  Pinned entries
-    keep their *path lists* forever -- reproducing scalar schemes that cache
-    paths without invalidation -- but still re-resolve their hop slots so
-    capacity checks see the live topology.
+    Non-pinned entries are dropped once the topology moved past the version
+    they were created at, so the caller recomputes paths exactly when the
+    scalar reference (which recomputes per transaction) would see different
+    ones.  (Not by the version their slots were last resolved at: a
+    capacity read refreshes those without making the path list current.)
+    Pinned entries keep their *path lists* forever -- reproducing scalar
+    schemes that cache paths without invalidation -- while their hop slots
+    still follow the live topology.
     """
 
     def __init__(self, network: PCNetwork) -> None:
@@ -152,16 +103,15 @@ class PathCatalog:
         callers account per-computation costs (e.g. probe messages) without
         inferring them from catalog state.
         """
-        version = self.network.topology_version
+        network = self.network
         entry = self._entries.get(pair)
-        if entry is not None and not entry.pinned and entry._seen_topology != version:
+        if entry is not None and not entry.pinned and entry.topology_version != network.topology_version:
             entry = None
         computed = entry is None
         if entry is None:
-            entry = CatalogEntry([path for path in compute() if len(path) >= 2], pinned)
+            paths = [path for path in compute() if len(path) >= 2]
+            entry = CatalogEntry(network, paths, pinned)
             self._entries[pair] = entry
-        if entry._seen_topology != version:
-            entry.refresh_slots(self.network)
         return entry, computed
 
 
@@ -183,43 +133,40 @@ class AtomicBatchExecutor:
     def execute(
         self,
         payment: Payment,
-        paths: Sequence[Sequence[NodeId]],
+        paths: PathCSR,
         now: float,
-        entry: Optional[CatalogEntry] = None,
         shares: Optional[Sequence[float]] = None,
     ) -> bool:
         """Attempt ``payment`` across ``paths``, all-or-nothing.
 
-        ``entry`` may carry the pre-resolved CSR of ``paths`` (from the
-        catalog); ad-hoc path lists (e.g. Flash's per-elephant max-flow
-        paths) are resolved on the fly.  ``shares`` (aligned with ``paths``)
-        replaces the greedy largest-first allocation with caller-computed
-        per-path amounts (waterfilling); the caller is responsible for
-        checking joint capacity first, exactly like the scalar mixin.
+        ``paths`` is a catalog entry, or a throwaway ``PathCSR(network,
+        paths)`` for ad-hoc path lists (e.g. Flash's per-elephant max-flow
+        paths).  ``shares`` (aligned with ``paths.paths``) replaces the
+        greedy largest-first allocation with caller-computed per-path
+        amounts (waterfilling); the caller is responsible for checking joint
+        capacity first, exactly like the scalar mixin.
         """
-        network = self.network
-        store = network.balance_store
+        store = self.network.balance_store
         values = store.values
         rec = obs.RECORDER
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
 
-        entry_aligned = (
-            entry is not None
-            and entry._seen_topology == network.topology_version
-            and (paths is entry.paths or entry.paths == [tuple(p) for p in paths])
-        )
+        all_slots, ptr = paths.slots(), paths.ptr
+
+        def path_slots(row: int) -> List[int]:
+            return all_slots[ptr[row] : ptr[row + 1]].tolist()
+
         allocations: List[Tuple[Path, List[int], float]] = []
         if shares is not None:
             # Caller-computed split: keep the given path order, skip
             # zero-share paths, and resolve hops without a capacity filter
             # (locks enforce capacity, as the scalar reference does).
-            for i, raw_path in enumerate(paths):
+            for i, path in enumerate(paths.paths):
                 share = float(shares[i])
-                path = tuple(raw_path)
-                if len(path) < 2 or share <= _EPS:
+                if share <= _EPS:
                     continue
-                slots = entry.path_slots(i) if entry_aligned else hop_slots(network, path)
+                slots = path_slots(i)
                 if -1 in slots:
                     # The scalar lock walk would raise on the missing channel;
                     # callers allocate zero shares to dead paths, so reaching
@@ -230,23 +177,9 @@ class AtomicBatchExecutor:
                 return self._fail(payment, now, FailureReason.INSUFFICIENT_CAPACITY, capacity=0.0)
         else:
             usable: List[Tuple[Path, List[int], float]] = []
-            if entry_aligned:
-                capacities = entry.capacities(network)
-                for i, path in enumerate(entry.paths):
-                    capacity = float(capacities[i])
-                    if capacity > 0:
-                        usable.append((path, entry.path_slots(i), capacity))
-            else:
-                for raw_path in paths:
-                    path = tuple(raw_path)
-                    if len(path) < 2:
-                        continue
-                    slots = hop_slots(network, path)
-                    if -1 in slots:
-                        continue
-                    capacity = min(values[slot] for slot in slots)
-                    if capacity > 0:
-                        usable.append((path, slots, capacity))
+            for i, capacity in enumerate(paths.capacities().tolist()):
+                if capacity > 0:
+                    usable.append((paths.paths[i], path_slots(i), capacity))
 
             total_capacity = sum(item[2] for item in usable)
             if not usable or total_capacity + _EPS < payment.value:

@@ -30,6 +30,7 @@ from repro.routing.paths import edge_disjoint_widest_paths, k_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 
 class FlashScheme(AtomicRoutingMixin, RoutingScheme):
@@ -112,7 +113,7 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
             payment.fail(FailureReason.NO_PATH)
             self._report.failed.append(payment)
             return payment
-        if self.execute_atomic(network, payment, paths, now):
+        if self.execute_atomic(payment, PathCSR(network, paths), now):
             self._report.completed.append(payment)
         else:
             self._report.failed.append(payment)

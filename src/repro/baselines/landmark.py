@@ -85,7 +85,7 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
             payment.fail(FailureReason.NO_PATH)
             self._report.failed.append(payment)
             return payment
-        if self.execute_atomic(network, payment, paths, now, entry=entry):
+        if self.execute_atomic(payment, entry, now):
             self._report.completed.append(payment)
         else:
             self._report.failed.append(payment)

@@ -115,7 +115,7 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
             payment.fail(FailureReason.NO_PATH)
             self._report.failed.append(payment)
             return payment
-        capacities = [float(c) for c in entry.capacities(network)]
+        capacities = entry.capacities().tolist()
         total = sum(capacities)
         if total + EPS < payment.value:
             payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
@@ -129,7 +129,7 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
             self._report.failed.append(payment)
             return payment
         shares = waterfill_shares(capacities, payment.value)
-        if self.execute_atomic(network, payment, paths, now, entry=entry, shares=shares):
+        if self.execute_atomic(payment, entry, now, shares=shares):
             self._report.completed.append(payment)
         else:
             self._report.failed.append(payment)

@@ -31,6 +31,7 @@ from repro.baselines import (
 )
 from repro.core.splicer import SplicerSystem
 from repro.obs import core as obs
+from repro.reference.topology import path_capacity
 from repro.reference.routing import RateRouter
 from repro.routing.transaction import FailureReason, Payment
 from repro.topology.channel import InsufficientFundsError
@@ -43,12 +44,13 @@ Path = Tuple[NodeId, ...]
 class _PerPaymentEntry:
     """Catalog-entry stand-in: the paths, with capacities read off the channels."""
 
-    def __init__(self, paths: Sequence[Sequence[NodeId]]) -> None:
+    def __init__(self, network: PCNetwork, paths: Sequence[Sequence[NodeId]]) -> None:
+        self.network = network
         self.paths = [tuple(path) for path in paths if len(path) >= 2]
 
-    def capacities(self, network: PCNetwork) -> List[float]:
+    def capacities(self) -> np.ndarray:
         """Live bottleneck capacity of every path."""
-        return [network.path_capacity(path) for path in self.paths]
+        return np.asarray([path_capacity(self.network, path) for path in self.paths])
 
 
 class ScalarExecutor:
@@ -74,7 +76,7 @@ class ScalarExecutor:
         """``(entry, computed)``; only pinned entries are ever reused."""
         if pinned and pair in self._pinned:
             return self._pinned[pair], False
-        entry = _PerPaymentEntry(compute())
+        entry = _PerPaymentEntry(self.network, compute())
         if pinned:
             self._pinned[pair] = entry
         return entry, True
@@ -82,16 +84,19 @@ class ScalarExecutor:
     def execute(
         self,
         payment: Payment,
-        paths: Sequence[Sequence[NodeId]],
+        paths,
         now: float,
-        entry: Optional[_PerPaymentEntry] = None,
         shares: Optional[Sequence[float]] = None,
     ) -> bool:
-        """Attempt to deliver ``payment`` across ``paths``, all-or-nothing."""
+        """Attempt to deliver ``payment`` across ``paths.paths``, all-or-nothing.
+
+        ``paths`` is an entry of :meth:`resolve` or a production
+        :class:`~repro.topology.pathcsr.PathCSR`; only its node lists are read.
+        """
         network = self.network
         rec = obs.RECORDER
         if rec.enabled and rec.payment_begin(payment):
-            rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
+            rec.payment_event(payment, "atomic_attempt", now, paths=len(paths.paths))
 
         def fail(reason: FailureReason, **fields: object) -> bool:
             payment.fail(reason)
@@ -101,7 +106,7 @@ class ScalarExecutor:
 
         allocations: List[Tuple[Path, float]] = []
         if shares is not None:
-            for raw_path, share in zip(paths, shares):
+            for raw_path, share in zip(paths.paths, shares):
                 path = tuple(raw_path)
                 if len(path) >= 2 and share > 1e-9:
                     allocations.append((path, float(share)))
@@ -109,11 +114,11 @@ class ScalarExecutor:
                 return fail(FailureReason.INSUFFICIENT_CAPACITY, capacity=0.0)
         else:
             usable: List[Tuple[Path, float]] = []
-            for raw_path in paths:
+            for raw_path in paths.paths:
                 path = tuple(raw_path)
                 if len(path) < 2:
                     continue
-                capacity = network.path_capacity(path)
+                capacity = path_capacity(network, path)
                 if capacity > 0:
                     usable.append((path, capacity))
             total_capacity = sum(capacity for _, capacity in usable)

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reference.topology import PATH_SELECTORS
+from repro.reference.topology import PATH_SELECTORS, path_capacity
 from repro.routing import rate_control, router
 from repro.routing.prices import (
     DEFAULT_ETA,
@@ -201,11 +201,6 @@ class PriceTable:
         """Forwarding fee of one directed channel hop."""
         return max(0.0, self.t_fee * self.channel_price(sender, receiver))
 
-    def path_price(self, path: Sequence[NodeId]) -> float:
-        """Total routing price ``rho_p = (1 + T_fee) * sum xi`` along a path."""
-        total = sum(self.channel_price(a, b) for a, b in zip(path, path[1:]))
-        return (1.0 + self.t_fee) * total
-
     def path_prices(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
         """Routing prices of many paths (lenient towards dead hops)."""
         return np.asarray(
@@ -219,26 +214,24 @@ class PriceTable:
             ]
         )
 
-    def path_fee(self, path: Sequence[NodeId]) -> float:
-        """Total forwarding fees the sender pays along a path."""
-        return sum(self.channel_fee(a, b) for a, b in zip(path, path[1:]))
-
-    def _max_gap(self, path: Sequence[NodeId], entry_of) -> float:
+    def _max_gap(self, path: Sequence[NodeId]) -> float:
         worst = float("-inf")
         for sender, receiver in zip(path, path[1:]):
-            imbalance = entry_of(sender, receiver).imbalance_price
+            imbalance = self._lenient_prices(sender, receiver).imbalance_price
             worst = max(worst, imbalance[sender] - imbalance[receiver])
         return worst
 
-    def path_max_imbalance_gap(self, path: Sequence[NodeId]) -> float:
-        """Largest ``mu_sender - mu_receiver`` over the path's hops."""
-        return self._max_gap(path, self.prices)
-
     def paths_blocked(self, paths: Sequence[Sequence[NodeId]], max_gap: float) -> np.ndarray:
         """Boolean mask of paths whose worst hop violates the balance bound."""
-        return np.asarray(
-            [self._max_gap(path, self._lenient_prices) > max_gap for path in paths]
-        )
+        return np.asarray([self._max_gap(path) > max_gap for path in paths])
+
+    def path_capacities(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
+        """Bottleneck spendable funds of many paths, hop by hop."""
+        return np.asarray([path_capacity(self.network, path) for path in paths])
+
+    def path_capacity(self, path: Sequence[NodeId]) -> float:
+        """Bottleneck spendable funds of one path, hop by hop."""
+        return path_capacity(self.network, path)
 
 
 class PathRateController(rate_control.PathRateController):

@@ -103,6 +103,26 @@ def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int)
     return paths
 
 
+def path_capacity(network: PCNetwork, path: Sequence[NodeId]) -> float:
+    """Bottleneck spendable funds along a directed path, walked hop by hop.
+
+    A path with a missing hop (e.g. a channel closed by network dynamics
+    after the path was cached) has capacity 0.0 rather than raising, so
+    routing layers holding stale paths simply skip them.  The oracle of
+    :class:`repro.topology.pathcsr.PathCSR`'s bottleneck reads.
+    """
+    if len(path) < 2:
+        return 0.0
+    bottleneck = float("inf")
+    for sender, receiver in zip(path, path[1:]):
+        neighbors = network.adj.get(sender)
+        channel = neighbors.get(receiver) if neighbors is not None else None
+        if channel is None:
+            return 0.0
+        bottleneck = min(bottleneck, channel.balance(sender))
+    return bottleneck
+
+
 def heuristic_widest_paths(
     network: PCNetwork, source: NodeId, target: NodeId, k: int
 ) -> List[Path]:
@@ -110,7 +130,7 @@ def heuristic_widest_paths(
     if k <= 0 or source == target:
         return []
     pool = k_shortest_paths(network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL))
-    ranked = sorted(pool, key=lambda path: network.path_capacity(path), reverse=True)
+    ranked = sorted(pool, key=lambda path: path_capacity(network, path), reverse=True)
     return ranked[:k]
 
 

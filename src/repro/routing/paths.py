@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 NodeId = Hashable
 Path = List[NodeId]
@@ -57,9 +58,7 @@ def heuristic_widest_paths(
     if k <= 0 or source == target:
         return []
     pool = k_shortest_paths(network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL))
-    arrays = network.graph_arrays()
-    arrays.refresh_balances()
-    capacities = arrays.path_capacities(pool)
+    capacities = PathCSR(network, pool).capacities().tolist()
     # Stable descending order: equal capacities keep their shortest-first rank.
     ranked = [
         path for _, path in sorted(

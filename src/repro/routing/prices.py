@@ -166,7 +166,7 @@ class PriceTable:
         self.t_fee = float(t_fee)
         self.decay = float(decay)
         self._channels = ChannelArrays()
-        self._paths = PathIndex(self._channels)
+        self._paths = PathIndex(network, self._channels)
         self._pending_arrived: Dict[Tuple[int, int], float] = {}
         self._path_generation = 0
         for channel in network.channels():
@@ -270,31 +270,31 @@ class PriceTable:
         """Forwarding fee of one directed channel hop."""
         return max(0.0, self.t_fee * self.channel_price(sender, receiver))
 
-    def _hop_arrays(
-        self, path: Sequence[NodeId], lenient: bool = False
-    ) -> Tuple[List[int], List[float]]:
+    def _hop_arrays(self, path: Sequence[NodeId]) -> Tuple[List[int], List[float]]:
         channel_rows: List[int] = []
         signs: List[float] = []
         for sender, receiver in zip(path, path[1:]):
             key = channel_key(sender, receiver)
-            channel_rows.append(self._channel_row(sender, receiver, lenient=lenient))
+            channel_rows.append(self._channel_row(sender, receiver, lenient=True))
             signs.append(1.0 if self._channels.side(key, sender) == 0 else -1.0)
         return channel_rows, signs
 
-    def path_row(self, path: Sequence[NodeId], lenient: bool = False) -> int:
+    def path_row(self, path: Sequence[NodeId]) -> int:
         """Stable row of a path in the table's path index.
 
         Registers the path (and any late-opened channels along it) on first
         sight; rows stay valid until :meth:`prune_paths` replaces the index
         (signalled by :attr:`path_generation`), so callers caching rows must
-        key their caches on the generation.  ``lenient`` resolves dead hops
-        to zero-capacity placeholder rows (see :meth:`_channel_row`); the
-        strict default raises KeyError for them.
+        key their caches on the generation.  Lenient: a hop whose channel
+        opened and closed again before it was ever priced resolves to a
+        zero-capacity placeholder row (see :meth:`_channel_row`), because
+        path queries come from epoch updates and dispatch over cached paths
+        that network dynamics may have invalidated mid-run.
         """
         row = self._paths.get(path)
         if row is not None:
             return row
-        channel_rows, signs = self._hop_arrays(path, lenient=lenient)
+        channel_rows, signs = self._hop_arrays(path)
         return self._paths.add_path(path, channel_rows, signs)
 
     @property
@@ -316,35 +316,20 @@ class PriceTable:
         state, so nothing is lost.  Bumps :attr:`path_generation` so row
         caches (the rate controller's flattened view) rebuild lazily.
         """
-        rebuilt = PathIndex(self._channels)
+        rebuilt = PathIndex(self.network, self._channels)
         for path in active_paths:
             if rebuilt.get(path) is None:
-                channel_rows, signs = self._hop_arrays(path, lenient=True)
+                channel_rows, signs = self._hop_arrays(path)
                 rebuilt.add_path(path, channel_rows, signs)
         self._paths = rebuilt
         self._path_generation += 1
 
     def path_rows(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
-        """Stable rows for many paths at once (lenient towards dead hops)."""
-        return np.asarray(
-            [self.path_row(path, lenient=True) for path in paths], dtype=np.intp
-        )
-
-    def path_price(self, path: Sequence[NodeId]) -> float:
-        """Total routing price ``rho_p = (1 + T_fee) * sum xi`` along a path."""
-        row = self.path_row(path)
-        return float(self._paths.path_prices(self.t_fee)[row])
+        """Stable rows for many paths at once."""
+        return np.asarray([self.path_row(path) for path in paths], dtype=np.intp)
 
     def path_prices(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
-        """Routing prices of many paths at once.
-
-        Unlike the strict single-path :meth:`path_price`, the batch API is
-        lenient: a hop whose channel opened and closed again before it was
-        ever priced resolves to a zero-capacity placeholder (via the lenient
-        row registration in :meth:`path_row`) instead of raising, because
-        batch queries come from epoch updates and dispatch over cached paths
-        that network dynamics may have invalidated mid-run.
-        """
+        """Routing prices ``rho_p = (1 + T_fee) * sum xi`` of many paths (eq. 25)."""
         rows = self.path_rows(paths)  # registers unseen paths before the reduction
         return self._paths.path_prices(self.t_fee)[rows]
 
@@ -352,25 +337,25 @@ class PriceTable:
         """Routing prices of already-registered path rows."""
         return self._paths.path_prices(self.t_fee)[np.asarray(rows, dtype=np.intp)]
 
-    def path_fee(self, path: Sequence[NodeId]) -> float:
-        """Total forwarding fees the sender pays along a path."""
-        return sum(self.channel_fee(a, b) for a, b in zip(path, path[1:]))
-
     # ------------------------------------------------------------------ #
     # balance constraint (equation 19)
     # ------------------------------------------------------------------ #
-    def path_max_imbalance_gap(self, path: Sequence[NodeId]) -> float:
-        """Largest ``mu_sender - mu_receiver`` over the path's hops."""
-        row = self.path_row(path)
-        return float(self._paths.max_imbalance_gaps()[row])
-
     def paths_blocked(self, paths: Sequence[Sequence[NodeId]], max_gap: float) -> np.ndarray:
-        """Boolean mask of paths whose worst hop violates the balance bound.
-
-        Lenient towards dead hops, like :meth:`path_prices`.
-        """
+        """Boolean mask of paths whose worst hop's ``mu_sender - mu_receiver``
+        exceeds the balance bound."""
         rows = self.path_rows(paths)
         return self._paths.max_imbalance_gaps()[rows] > max_gap
+
+    # ------------------------------------------------------------------ #
+    # live bottleneck funds (the capacity bound of equation 18)
+    # ------------------------------------------------------------------ #
+    def path_capacities(self, paths: Sequence[Sequence[NodeId]]) -> np.ndarray:
+        """Bottleneck spendable funds of many paths (0.0 across a dead hop)."""
+        return self._paths.capacities(self.path_rows(paths))
+
+    def path_capacity(self, path: Sequence[NodeId]) -> float:
+        """Bottleneck spendable funds of one path: the per-unit dispatch check."""
+        return self._paths.capacity(self.path_row(path))
 
     # ------------------------------------------------------------------ #
     # batched required-funds reporting (section IV-D)

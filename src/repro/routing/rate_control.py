@@ -58,13 +58,6 @@ class PairRateState:
         """Aggregate sending rate across the pair's paths."""
         return sum(self.rates)
 
-    def path_rate(self, path: Path) -> float:
-        """Rate of a specific path (0.0 if the path is not registered)."""
-        try:
-            return self.rates[self.paths.index(path)]
-        except ValueError:
-            return 0.0
-
 
 @dataclass
 class _FlatPaths:
@@ -170,7 +163,7 @@ class PathRateController:
         states = [state for state in self._pairs.values() if state.paths]
         rows = np.asarray(
             [
-                price_table.path_row(path, lenient=True)
+                price_table.path_row(path)
                 for state in states
                 for path in state.paths
             ],
@@ -284,13 +277,3 @@ class PathRateController:
             return
         weights = self._gather_rates(flat) * settlement_delay
         price_table.set_required_funds_for_paths(flat.rows, weights, hops=flat.hops)
-
-    # ------------------------------------------------------------------ #
-    # allocation helpers used by the router
-    # ------------------------------------------------------------------ #
-    def step_budgets(self, source: NodeId, target: NodeId, dt: float) -> Dict[Path, float]:
-        """Value each path may send during a step of length ``dt`` (``rate * dt``)."""
-        state = self._pairs.get((source, target))
-        if state is None:
-            return {}
-        return {path: rate * dt for path, rate in zip(state.paths, state.rates)}

@@ -264,14 +264,15 @@ class RateRouter:
             # Each path's boost ceiling is its capacity-derived rate bound
             # (equation 18) discounted by the current routing price, so a
             # congested or imbalanced path does not get re-inflated.  The
-            # batch price query is lenient: a path whose channel was retired
-            # by dynamics gets placeholder prices, and its zero live
-            # capacity makes its cap (and thus its boost) zero.
-            path_prices = self.price_table.path_prices(paths) if paths else []
+            # path queries are lenient: a path whose channel was retired by
+            # dynamics gets placeholder prices, and its zero live capacity
+            # makes its cap (and thus its boost) zero.
+            table = self.price_table
             per_path_caps = {
-                path: (self.network.path_capacity(path) / delay)
-                / (1.0 + max(float(price), 0.0))
-                for path, price in zip(paths, path_prices)
+                path: (float(capacity) / delay) / (1.0 + max(float(price), 0.0))
+                for path, price, capacity in zip(
+                    paths, table.path_prices(paths), table.path_capacities(paths)
+                )
             }
             self.rate_controller.boost_rates(pair[0], pair[1], target_rate, per_path_caps)
         else:
@@ -456,7 +457,7 @@ class RateRouter:
                 continue
             if cfg.congestion_control_enabled and not self.congestion.can_send(path):
                 continue
-            if self.network.path_capacity(path) < unit.value:
+            if self.price_table.path_capacity(path) < unit.value:
                 continue
             return path
         return None

@@ -13,11 +13,12 @@ controller run on:
   per-direction imbalance prices, required funds and arrived value) held in
   parallel NumPy arrays, with the equation (21)-(22) update as one
   vectorized kernel.
-* :class:`PathIndex` -- a stable path -> row mapping plus a CSR flattening
-  of every path's directed hops, enabling whole-table path-price evaluation
-  (equation 25), per-path imbalance-gap maxima (the balance constraint of
-  equation 19) and directed required-funds aggregation (section IV-D) as
-  array reductions.
+* :class:`PathIndex` -- a stable path -> row mapping over the shared
+  :class:`~repro.topology.pathcsr.PathCSR`, whose price columns enable
+  whole-table path-price evaluation (equation 25), per-path imbalance-gap
+  maxima (the balance constraint of equation 19) and directed
+  required-funds aggregation (section IV-D) as array reductions, and whose
+  store slots give every path's live bottleneck funds.
 
 The scalar implementations in :mod:`repro.reference.routing` remain the
 readable reference; the routing differential suite pins the two to the same
@@ -30,13 +31,12 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import _MIN_ALLOC, PathCSR, grow_array
+
 NodeId = Hashable
 ChannelKey = Tuple[NodeId, NodeId]
 Path = Tuple[NodeId, ...]
-
-#: Initial allocation for growable arrays.
-_MIN_ALLOC = 64
-
 
 class IndexMap:
     """A stable mapping from hashable keys to dense array rows.
@@ -85,22 +85,6 @@ class IndexMap:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._keys)
-
-
-def grow_array(array: np.ndarray, size: int) -> np.ndarray:
-    """Return ``array`` grown (amortized doubling) to hold ``size`` rows.
-
-    The growth policy of the channel price arrays; new rows are
-    zero-initialized and existing rows keep their values and positions.
-    """
-    if size <= array.shape[0]:
-        return array
-    new_size = max(_MIN_ALLOC, array.shape[0])
-    while new_size < size:
-        new_size *= 2
-    grown = np.zeros(new_size, dtype=array.dtype)
-    grown[: array.shape[0]] = array
-    return grown
 
 
 def grow_array_2d(array: np.ndarray, size: int) -> np.ndarray:
@@ -207,29 +191,30 @@ class ChannelArrays:
         )
 
 
-class PathIndex:
-    """Stable path -> row mapping plus a CSR flattening of directed hops.
+class PathIndex(PathCSR):
+    """Stable path -> row mapping over a :class:`PathCSR`, plus price columns.
 
-    For every registered path the index records, per hop, the channel row in
-    a :class:`ChannelArrays` and the hop sign (+1 when the hop sender is the
-    channel's canonical first endpoint, -1 otherwise).  All per-path
-    reductions -- routing prices, imbalance-gap maxima, required-funds
-    aggregation -- then run as NumPy segment operations over the flattened
-    arrays instead of per-hop Python loops.
+    Beside the store slots of its base (what the per-unit capacity guard
+    reads), every hop records its channel row in a :class:`ChannelArrays`
+    and its sign (+1 when the hop sender is the channel's canonical first
+    endpoint, -1 otherwise).  Price rows are keyed by channel key, not store
+    slot: price state survives a channel's close and reopen, and a hop whose
+    channel never existed while priced maps to a placeholder row.  All
+    per-path reductions -- routing prices, imbalance-gap maxima,
+    required-funds aggregation -- then run as NumPy segment operations over
+    the flattened columns instead of per-hop Python loops.
     """
 
-    def __init__(self, channels: ChannelArrays) -> None:
+    __slots__ = ("channels", "_rows", "_price_rows", "_signs", "_price_cache", "_gap_cache")
+
+    def __init__(self, network: PCNetwork, channels: ChannelArrays) -> None:
+        super().__init__(network)
         self.channels = channels
-        self.index = IndexMap()
-        self._hop_channel: List[int] = []
-        self._hop_sign: List[float] = []
-        self._ptr: List[int] = [0]
-        self._csr_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._rows: Dict[Path, int] = {}
+        self._price_rows = np.zeros(_MIN_ALLOC, dtype=np.intp)
+        self._signs = np.zeros(_MIN_ALLOC)
         self._price_cache: Optional[Tuple[int, int, float, np.ndarray]] = None
         self._gap_cache: Optional[Tuple[int, int, np.ndarray]] = None
-
-    def __len__(self) -> int:
-        return len(self.index)
 
     # ------------------------------------------------------------------ #
     # registration
@@ -237,35 +222,29 @@ class PathIndex:
     def add_path(self, path: Sequence[NodeId], channel_rows: Sequence[int], signs: Sequence[float]) -> int:
         """Register a path given its per-hop channel rows and signs."""
         key = tuple(path)
-        existing = self.index.get(key)
+        existing = self._rows.get(key)
         if existing is not None:
             return existing
-        if len(key) < 2:
-            raise ValueError("a path needs at least one hop")
-        if len(channel_rows) != len(key) - 1 or len(signs) != len(channel_rows):
+        if len(key) >= 2 and (len(channel_rows) != len(key) - 1 or len(signs) != len(channel_rows)):
             raise ValueError("hop arrays must cover every hop of the path")
-        row = self.index.add(key)
-        self._hop_channel.extend(int(c) for c in channel_rows)
-        self._hop_sign.extend(float(s) for s in signs)
-        self._ptr.append(len(self._hop_channel))
-        self._csr_cache = None
+        start = self._hops
+        row = self._append(key)
+        self._rows[key] = row
+        self._price_rows = grow_array(self._price_rows, self._hops)
+        self._signs = grow_array(self._signs, self._hops)
+        self._price_rows[start : self._hops] = channel_rows
+        self._signs[start : self._hops] = signs
         self._price_cache = None
         self._gap_cache = None
         return row
 
     def get(self, path: Sequence[NodeId]) -> Optional[int]:
         """Row of a path, or ``None`` when it was never registered."""
-        return self.index.get(tuple(path))
+        return self._rows.get(tuple(path))
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flattened hop structure ``(hop_channel, hop_sign, ptr)``."""
-        if self._csr_cache is None:
-            self._csr_cache = (
-                np.asarray(self._hop_channel, dtype=np.intp),
-                np.asarray(self._hop_sign, dtype=float),
-                np.asarray(self._ptr, dtype=np.intp),
-            )
-        return self._csr_cache
+        """The flattened hop structure ``(hop_channel, hop_sign, ptr)`` (views)."""
+        return self._price_rows[: self._hops], self._signs[: self._hops], self.ptr
 
     def gather_hops(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hop arrays restricted to ``rows``: ``(hop_channel, hop_sign, lengths)``.
@@ -273,16 +252,8 @@ class PathIndex:
         The hops of the selected paths are returned contiguously in row
         order, which is what the required-funds aggregation consumes.
         """
-        hop_channel, hop_sign, ptr = self.csr()
-        rows = np.asarray(rows, dtype=np.intp)
-        lengths = ptr[rows + 1] - ptr[rows]
-        total = int(lengths.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, np.empty(0), lengths
-        starts = ptr[rows]
-        offsets = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        positions = np.repeat(starts, lengths) + offsets
+        positions, lengths = self.hop_positions(rows)
+        hop_channel, hop_sign, _ = self.csr()
         return hop_channel[positions], hop_sign[positions], lengths
 
     # ------------------------------------------------------------------ #
@@ -302,31 +273,31 @@ class PathIndex:
         if (
             cached is not None
             and cached[0] == self.channels.version
-            and cached[1] == len(self.index)
+            and cached[1] == len(self.paths)
             and cached[2] == t_fee
         ):
             return cached[3]
-        if len(self.index) == 0:
+        if len(self.paths) == 0:
             prices = np.empty(0)
         else:
             xi, _ = self._directed_hop_prices()
             _, _, ptr = self.csr()
             prices = (1.0 + t_fee) * np.add.reduceat(xi, ptr[:-1])
-        self._price_cache = (self.channels.version, len(self.index), t_fee, prices)
+        self._price_cache = (self.channels.version, len(self.paths), t_fee, prices)
         return prices
 
     def max_imbalance_gaps(self) -> np.ndarray:
         """Largest directed imbalance-price gap along every path (eq. 19)."""
         cached = self._gap_cache
-        if cached is not None and cached[0] == self.channels.version and cached[1] == len(self.index):
+        if cached is not None and cached[0] == self.channels.version and cached[1] == len(self.paths):
             return cached[2]
-        if len(self.index) == 0:
+        if len(self.paths) == 0:
             gaps = np.empty(0)
         else:
             _, gap = self._directed_hop_prices()
             _, _, ptr = self.csr()
             gaps = np.maximum.reduceat(gap, ptr[:-1])
-        self._gap_cache = (self.channels.version, len(self.index), gaps)
+        self._gap_cache = (self.channels.version, len(self.paths), gaps)
         return gaps
 
     def aggregate_required_funds(

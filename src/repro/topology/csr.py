@@ -790,31 +790,6 @@ class GraphArrays:
             self._write_balances(zeroed, originals)
         return paths
 
-    def path_capacities(self, paths: Sequence[Sequence[NodeId]]) -> List[float]:
-        """Bottleneck spendable funds of each path over the balance vector.
-
-        Callers refresh balances first; values equal
-        :meth:`PCNetwork.path_capacity` on live hops (missing hops zero the
-        path, exactly like the scalar walk).
-        """
-        capacities: List[float] = []
-        slot_of, balance, node_row = self.slot_of, self.balance, self.node_row
-        for path in paths:
-            if len(path) < 2:
-                capacities.append(0.0)
-                continue
-            bottleneck = float("inf")
-            for a, b in zip(path, path[1:]):
-                slot = slot_of.get((node_row[a], node_row[b]))
-                if slot is None:
-                    bottleneck = 0.0
-                    break
-                available = balance[slot]
-                if available < bottleneck:
-                    bottleneck = available
-            capacities.append(bottleneck)
-        return capacities
-
     # ------------------------------------------------------------------ #
     # edge-disjoint shortest paths (port of the EDS selector's working graph)
     # ------------------------------------------------------------------ #

@@ -359,24 +359,6 @@ class PCNetwork:
         """Up to ``k`` loop-free shortest paths by hop count (``NoPath`` if none)."""
         return self.graph_arrays().k_shortest_paths(source, target, k)
 
-    def path_capacity(self, path: Sequence[NodeId]) -> float:
-        """Bottleneck spendable funds along a directed path.
-
-        A path with a missing hop (e.g. a channel closed by network dynamics
-        after the path was cached) has capacity 0.0 rather than raising, so
-        routing layers holding stale paths simply skip them.
-        """
-        if len(path) < 2:
-            return 0.0
-        bottleneck = float("inf")
-        for i in range(len(path) - 1):
-            neighbors = self._adj.get(path[i])
-            channel = neighbors.get(path[i + 1]) if neighbors is not None else None
-            if channel is None:
-                return 0.0
-            bottleneck = min(bottleneck, channel.balance(path[i]))
-        return bottleneck
-
     # ------------------------------------------------------------------ #
     # snapshot / restore
     # ------------------------------------------------------------------ #

@@ -15,6 +15,7 @@ import pytest
 from repro import baselines as production
 from repro.baselines.base import AtomicRoutingMixin, RoutingScheme
 from repro.reference import baselines as reference
+from repro.reference.topology import path_capacity
 from repro.reference.simulator import PerEventRunner
 from repro.routing.transaction import Payment
 from repro.scenarios.dynamics import churn_events, jamming_events
@@ -23,6 +24,7 @@ from repro.simulator.workload import WorkloadConfig, generate_workload
 from repro.topology.csr import GraphArrays
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 TOL = 1e-9
 
@@ -211,7 +213,7 @@ class TestExecutorArithmetic:
         outcomes = []
         for index, (paths, value) in enumerate(cases):
             payment = Payment.create("s", "t", value, created_at=0.1 * index, timeout=9.0)
-            outcomes.append(harness.execute_atomic(network, payment, paths, 0.1 * index))
+            outcomes.append(harness.execute_atomic(payment, PathCSR(network, paths), 0.1 * index))
         harness.step(1.0, 0.1)
         balances = {
             channel.endpoints: (
@@ -242,7 +244,7 @@ class TestExecutorArithmetic:
     def test_balances_are_live_right_after_execute(self):
         """No hook between an execution and a reader: the store is the balance.
 
-        Channel views, ``path_capacity`` and the CSR kernels' balance vector
+        Channel views, ``PathCSR`` capacities and the CSR kernels' balance vector
         all see the payment the moment ``execute`` returns, because it bumps
         the store's ``version``.
         """
@@ -254,12 +256,14 @@ class TestExecutorArithmetic:
         harness = self._Harness()
         harness.prepare(network)
         payment = Payment.create("s", "t", 25.0, created_at=0.0, timeout=9.0)
-        assert harness.execute_atomic(network, payment, ["n0 n1 n2".split()], 0.0)
+        assert harness.execute_atomic(payment, PathCSR(network, ["n0 n1 n2".split()]), 0.0)
         assert store.version != version
         assert network.channel("n0", "n1").balance_pair() == (15.0, 65.0)
         assert network.channel("n1", "n2").balance_pair() == (15.0, 65.0)
-        assert network.path_capacity(["n0", "n1", "n2"]) == 15.0
-        assert network.path_capacity(["n2", "n1", "n0"]) == 65.0
+        assert PathCSR(network, ["n0 n1 n2".split(), "n2 n1 n0".split()]).capacities().tolist() == [
+            15.0, 65.0,
+        ]
+        assert path_capacity(network, ["n0", "n1", "n2"]) == 15.0
         arrays.refresh_balances()
         fresh = GraphArrays(network)
         fresh.refresh_balances()
@@ -276,7 +280,7 @@ class TestExecutorArithmetic:
             for value in (10.0, 500.0, 35.0, 120.0):
                 payment = Payment.create("s", "t", value, created_at=0.0, timeout=9.0)
                 harness.execute_atomic(
-                    network, payment, [["n0", "n1", "n2", "n3", "n4"]], 0.0
+                    payment, PathCSR(network, [["n0", "n1", "n2", "n3", "n4"]]), 0.0
                 )
             harness.step(0.1, 0.1)
             assert network.total_funds() == pytest.approx(total_before, abs=1e-6)

@@ -133,5 +133,5 @@ class TestDynamicScenarioInvariants:
             assert price_a >= 0.0 and price_b >= 0.0
             assert entry.capacity_price >= 0.0
             path = (entry.node_a, entry.node_b)
-            gap = table.path_max_imbalance_gap(path)
+            gap = price_a - price_b
             assert bool(table.paths_blocked([path], max_gap)[0]) == (gap > max_gap)

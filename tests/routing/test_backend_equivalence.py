@@ -81,17 +81,17 @@ class TestPriceTableEquivalence:
                 (table.channel_price(a, b), table.channel_price(b, a), table.channel_fee(a, b))
                 for a, b in zip(nodes, nodes[1:])
             ]
-            path = ("n0", "n1", "n2", "n3")
+            paths = [("n0", "n1", "n2", "n3"), ("n3", "n2", "n1")]
             results[side] = (
                 channel_prices,
-                table.path_price(path),
-                table.path_fee(path),
-                table.path_max_imbalance_gap(path),
+                table.path_prices(paths).tolist(),
+                [table.paths_blocked(paths, gap).tolist() for gap in (0.0, 0.01, 0.05)],
+                table.path_capacities(paths).tolist(),
             )
         py, vec = results[reference], results[production]
         assert np.allclose(py[0], vec[0], atol=TOL, rtol=TOL)
-        for a, b in zip(py[1:], vec[1:]):
-            assert a == pytest.approx(b, abs=TOL)
+        assert np.allclose(py[1], vec[1], atol=TOL, rtol=TOL)
+        assert py[2:] == vec[2:]
 
     def test_view_accessors_match_scalar_entries(self):
         results = {}
@@ -109,29 +109,30 @@ class TestPriceTableEquivalence:
             )
         assert np.allclose(results[reference], results[production], atol=TOL, rtol=TOL)
 
-    def test_single_path_queries_stay_strict_on_both_sides(self):
-        """path_price raises for a path through a channel that neither has
-        price state nor exists, identically on both sides; only the batch
-        APIs are lenient (they resolve dead hops to placeholders)."""
+    def test_path_queries_are_lenient_on_both_sides(self):
+        """A path through a channel that neither has price state nor exists
+        prices against placeholders and carries nothing, on both sides."""
         for side in SIDES:
             network = _line_network()
             table = side.PriceTable(network)
             dead = ("n0", "ghost", "n2")
-            with pytest.raises(KeyError):
-                table.path_price(dead)
-            # The lenient batch API prices the same path via placeholders.
             assert np.isfinite(table.path_prices([dead])[0])
+            assert table.path_capacities([dead]).tolist() == [0.0]
+            assert table.path_capacity(dead) == 0.0
 
-    def test_batch_queries_match_scalar_queries(self):
+    def test_batch_queries_match_one_path_queries(self):
         network, table, controller, _ = _build_pair(production)
         _run_epochs(table, controller)
+        network.channel("n1", "n2").transfer("n1", 20.0)
         paths = [("n0", "n1", "n2"), ("n2", "n1", "n0"), ("n1", "n2", "n3", "n4")]
-        batch = table.path_prices(paths)
-        for path, price in zip(paths, batch):
-            assert table.path_price(path) == pytest.approx(float(price), abs=TOL)
+        prices = table.path_prices(paths)
         blocked = table.paths_blocked(paths, max_gap=0.05)
-        for path, is_blocked in zip(paths, blocked):
-            assert (table.path_max_imbalance_gap(path) > 0.05) == bool(is_blocked)
+        capacities = table.path_capacities(paths)
+        for i, path in enumerate(paths):
+            assert table.path_prices([path])[0] == prices[i]
+            assert table.paths_blocked([path], max_gap=0.05)[0] == blocked[i]
+            assert table.path_capacity(path) == capacities[i]
+        assert capacities.tolist() == [30.0, 50.0, 30.0]
 
 
 class TestRateControllerEquivalence:
@@ -169,13 +170,13 @@ class TestRateControllerEquivalence:
         for i in range(4):
             table.path_row(("n4", "n3", "n2") if i % 2 else ("n2", "n3", "n4"))
         active = [path for s, t in pairs for path in controller.pair_state(s, t).paths]
-        before = {path: table.path_price(path) for path in active}
+        before = dict(zip(active, table.path_prices(active)))
         generation = table.path_generation
         table.prune_paths(active)
         assert table.path_generation == generation + 1
         assert table.registered_path_count() == len(set(active))
         for path, price in before.items():
-            assert table.path_price(path) == pytest.approx(price, abs=TOL)
+            assert table.path_prices([path])[0] == pytest.approx(price, abs=TOL)
         _run_epochs(table, controller, epochs=2)  # flat cache must rebuild
 
     def _run_dead_path_scenario(self, side):

@@ -89,7 +89,7 @@ class TestPriceTable:
         entry.capacity_price = 1.0
         path = ["n0", "n1", "n2"]
         expected = (1.0 + 0.01) * (2.0 + 0.0)
-        assert table.path_price(path) == pytest.approx(expected)
+        assert table.path_prices([path])[0] == pytest.approx(expected)
 
     def test_observe_transfer_feeds_imbalance(self, line_network):
         table = PriceTable(line_network, eta=0.5)
@@ -103,10 +103,10 @@ class TestPriceTable:
         table.update_all()
         assert table.channel_price("n0", "n1") > 0.0
 
-    def test_path_fee(self, line_network):
+    def test_channel_fee(self, line_network):
         table = PriceTable(line_network, t_fee=0.1)
         table.prices("n0", "n1").capacity_price = 1.0
-        assert table.path_fee(["n0", "n1"]) == pytest.approx(0.1 * 2.0)
+        assert table.channel_fee("n0", "n1") == pytest.approx(0.1 * 2.0)
 
     def test_unknown_channel_rejected(self, line_network):
         table = PriceTable(line_network)

@@ -43,11 +43,6 @@ class TestRegistration:
         controller.drop_pair("n0", "n2")
         assert controller.pair_state("n0", "n2") is None
 
-    def test_path_rate_helper(self, controller):
-        state = controller.register_pair("n0", "n2", PATHS)
-        assert state.path_rate(PATHS[0]) == 5.0
-        assert state.path_rate(("n0", "missing")) == 0.0
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             PathRateController(alpha=0.0)
@@ -117,9 +112,3 @@ class TestPriceTableInteraction:
         assert entry.required_funds["n0"] == pytest.approx(10.0)
         # Only the longer path traverses n2 -> n3.
         assert table.prices("n2", "n3").required_funds["n2"] == pytest.approx(5.0)
-
-    def test_step_budgets(self, controller):
-        controller.register_pair("n0", "n2", PATHS)
-        budgets = controller.step_budgets("n0", "n2", dt=0.5)
-        assert budgets[PATHS[0]] == pytest.approx(2.5)
-        assert controller.step_budgets("x", "y", 0.5) == {}

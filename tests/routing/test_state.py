@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from repro.routing.state import ChannelArrays, IndexMap, PathIndex
+from repro.topology.network import PCNetwork
+
+
+def _abc_network():
+    """``a - b - c`` with 10 a side / 30 the other, keyed like the price rows."""
+    network = PCNetwork()
+    for node in "abc":
+        network.add_node(node)
+    network.add_channel("a", "b", 10.0, 30.0)
+    network.add_channel("b", "c", 10.0, 30.0)
+    return network
 
 
 class TestIndexMap:
@@ -71,7 +82,7 @@ class TestPathIndex:
         channels = ChannelArrays()
         ab = channels.add(("a", "b"), 10.0)
         bc = channels.add(("b", "c"), 10.0)
-        paths = PathIndex(channels)
+        paths = PathIndex(_abc_network(), channels)
         # a->b->c: both hops travel first-endpoint -> second-endpoint
         row = paths.add_path(("a", "b", "c"), [ab, bc], [1.0, 1.0])
         back = paths.add_path(("c", "b"), [bc], [-1.0])
@@ -86,9 +97,10 @@ class TestPathIndex:
 
     def test_single_node_path_rejected(self):
         channels = ChannelArrays()
-        paths = PathIndex(channels)
+        paths = PathIndex(_abc_network(), channels)
         with pytest.raises(ValueError):
             paths.add_path(("a",), [], [])
+        assert len(paths) == 0
 
     def test_path_prices_and_direction(self):
         channels, paths, row, back, ab, bc = self._fixture()
@@ -139,3 +151,23 @@ class TestPathIndex:
         assert channels.required[0, ab] == pytest.approx(2.0)
         assert channels.required[0, bc] == pytest.approx(2.0)
         assert channels.required[1, ab] == pytest.approx(7.0)
+
+    def test_capacities_read_the_balance_store(self):
+        channels, paths, row, back, ab, bc = self._fixture()
+        assert paths.capacities().tolist() == [10.0, 30.0]
+        assert [paths.capacity(row), paths.capacity(back)] == [10.0, 30.0]
+        paths.network.channel("b", "c").transfer("c", 25.0)
+        assert paths.capacities(np.array([back])).tolist() == [5.0]
+        assert paths.capacity(row) == 10.0
+
+    def test_csr_views_grow_with_registration(self):
+        channels, paths, row, back, ab, bc = self._fixture()
+        hop_channel, hop_sign, ptr = paths.csr()
+        assert hop_channel.tolist() == [ab, bc, bc]
+        assert hop_sign.tolist() == [1.0, 1.0, -1.0]
+        assert ptr.tolist() == [0, 2, 3]
+        for i in range(70):
+            paths.add_path(("a", "b") + ("c", "b") * (i + 1), [ab] + [bc, bc] * (i + 1), [1.0] + [1.0, -1.0] * (i + 1))
+        hop_channel, _, ptr = paths.csr()
+        assert len(paths) == 72 and ptr[-1] == hop_channel.shape[0] == paths.slots().shape[0]
+        assert paths.capacities().tolist()[:2] == [10.0, 30.0]

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.batch import PathCatalog, hop_slots
+from repro.baselines.batch import PathCatalog
 from repro.reference import topology as reference
+from repro.routing.prices import PriceTable
 from repro.routing.paths import (
     PATH_SELECTORS,
     edge_disjoint_widest_paths,
@@ -31,6 +32,7 @@ from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.topology import csr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR, hop_slots
 
 SELECTORS = sorted(PATH_SELECTORS)
 
@@ -537,6 +539,15 @@ def catalog_scenarios(draw):
     return seed, steps, k
 
 
+def _assert_capacities_match_oracle(network, csr_paths):
+    """Vector and scalar bottleneck reads of a PathCSR equal the dict walk."""
+    expected = [reference.path_capacity(network, path) for path in csr_paths.paths]
+    assert csr_paths.capacities().tolist() == expected
+    assert [csr_paths.capacity(row) for row in range(len(csr_paths))] == expected
+    rows = np.arange(len(csr_paths))[::-2]
+    assert csr_paths.capacities(rows).tolist() == [expected[row] for row in rows]
+
+
 class TestCatalogInvariant:
     @settings(max_examples=25, deadline=None)
     @given(scenario=catalog_scenarios())
@@ -544,6 +555,7 @@ class TestCatalogInvariant:
         seed, steps, k = scenario
         network = _build_network(seed, nodes=18)
         catalog = PathCatalog(network)
+        table = PriceTable(network)
         pairs = _sample_pairs(network, 6, seed + 1)
 
         def query_all():
@@ -562,9 +574,20 @@ class TestCatalogInvariant:
                     pinned=True,
                 )
                 for cached in (entry, pinned):
-                    assert cached.hop_slots.tolist() == [
+                    assert cached.slots().tolist() == [
                         slot for path in cached.paths for slot in hop_slots(network, path)
                     ]
+                    _assert_capacities_match_oracle(network, cached)
+                # The router's index registers the pinned (possibly dead)
+                # paths too and keeps every row it ever saw.
+                paths = entry.paths + pinned.paths
+                assert table.path_capacities(paths).tolist() == [
+                    reference.path_capacity(network, path) for path in paths
+                ]
+                assert [table.path_capacity(path) for path in paths] == [
+                    reference.path_capacity(network, path) for path in paths
+                ]
+            _assert_capacities_match_oracle(network, table._paths)
 
         removed = []
         for action, value in steps:
@@ -585,6 +608,37 @@ class TestCatalogInvariant:
                         settlement = network.remove_channel(node_a, node_b)
                         removed.append((node_a, node_b, settlement))
         query_all()
+
+
+    def test_growth_past_the_first_allocation_with_a_dead_hop(self):
+        network = _build_network(3, nodes=30)
+        pairs = _sample_pairs(network, 40, 4)
+        paths = [p for s, t in pairs for p in k_shortest_paths(network, s, t, 3)]
+        (node_a, node_b), *_ = [channel.endpoints for channel in network.channels()]
+        paths.append((node_a, node_b))
+        assert len(paths) > 64
+        csr_paths = PathCSR(network, paths)
+        assert int(csr_paths.ptr[-1]) > 64
+        _assert_capacities_match_oracle(network, csr_paths)
+        network.remove_channel(node_a, node_b)
+        assert csr_paths.capacity(len(paths) - 1) == 0.0
+        _assert_capacities_match_oracle(network, csr_paths)
+
+    def test_resolve_recomputes_a_refreshed_non_pinned_entry(self):
+        """Reading an entry re-resolves its slots on the new topology, but its
+        path list is still the old topology's: resolve must recompute it."""
+        network = _build_network(5, nodes=18)
+        catalog = PathCatalog(network)
+        source, target = _sample_pairs(network, 1, 6)[0]
+        compute = lambda: k_shortest_paths(network, source, target, 1)  # noqa: E731
+        entry, computed = catalog.resolve((source, target), compute)
+        assert computed
+        path = entry.paths[0]
+        network.remove_channel(path[0], path[1])
+        assert entry.capacities().tolist() == [0.0]  # slots refreshed: dead hop
+        fresh, computed = catalog.resolve((source, target), compute)
+        assert computed and fresh is not entry
+        assert fresh.paths == [tuple(p) for p in compute()]
 
 
 class TestUnknownNodeParity:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.topology import network as network_module
 from repro.topology.network import ROLE_CANDIDATE, ROLE_CLIENT, ROLE_HUB, PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 
 @pytest.fixture
@@ -131,9 +132,11 @@ class TestPathsAndDistances:
 
     def test_path_capacity(self, network):
         network.channel("n1", "n2").transfer("n1", 30.0)
-        path = ["n0", "n1", "n2"]
-        assert network.path_capacity(path) == pytest.approx(20.0)
-        assert network.path_capacity(["n0"]) == 0.0
+        paths = PathCSR(network, [["n0", "n1", "n2"], ["n2", "n1", "n0"]])
+        assert paths.capacities().tolist() == [pytest.approx(20.0), pytest.approx(50.0)]
+        assert paths.capacity(0) == pytest.approx(20.0)
+        with pytest.raises(ValueError):
+            PathCSR(network, [["n0"]])
 
 
 class TestSnapshotRestore:
