@@ -65,11 +65,21 @@ def hop_slots(network: "PCNetwork", path: Sequence[NodeId]) -> List[int]:
     return slots
 
 
+def _with_hops(path: Sequence[NodeId]) -> Path:
+    """``path`` as a tuple; a path without a hop is a ``ValueError``."""
+    key = tuple(path)
+    if len(key) < 2:
+        raise ValueError("a path needs at least one hop")
+    return key
+
+
 class PathCSR:
     """Paths flattened into the store slots of their hops.
 
-    ``paths[i]``'s hops are ``slots()[ptr[i]:ptr[i + 1]]``.  Both live in
-    capacity-doubling buffers, so appending a path is amortized O(hops);
+    ``paths[i]``'s hops are ``slots()[ptr[i]:ptr[i + 1]]``.  The paths given
+    to the constructor fill both arrays exactly (a per-payment or per-pair
+    structure costs no spare room); :meth:`_append` grows them by capacity
+    doubling, so a registry that keeps adding paths is amortized O(hops).
     :attr:`ptr` and :meth:`slots` return views of the filled prefix, which
     -- like ``BalanceStore.as_array`` -- are used within one call and never
     stored.
@@ -79,22 +89,29 @@ class PathCSR:
 
     def __init__(self, network: "PCNetwork", paths: Sequence[Sequence[NodeId]] = ()) -> None:
         self.network = network
-        self.paths: List[Path] = []
-        self._ptr = np.zeros(_MIN_ALLOC, dtype=np.intp)
-        self._slots = np.zeros(_MIN_ALLOC, dtype=np.intp)
-        self._hops = 0
+        self.paths: List[Path] = [_with_hops(path) for path in paths]
+        slots, ptr = self._resolve()
+        self._slots = np.array(slots, dtype=np.intp)
+        self._ptr = np.array(ptr, dtype=np.intp)
+        self._hops = len(slots)
         self._seen_topology = network.topology_version
-        for path in paths:
-            self._append(path)
 
     def __len__(self) -> int:
         return len(self.paths)
 
+    def _resolve(self) -> Tuple[List[int], List[int]]:
+        """Every hop's slot on the live topology, in path order, and the row offsets."""
+        network = self.network
+        slots: List[int] = []
+        ptr = [0]
+        for path in self.paths:
+            slots += hop_slots(network, path)
+            ptr.append(len(slots))
+        return slots, ptr
+
     def _append(self, path: Sequence[NodeId]) -> int:
         """Add a path (resolved against the live topology); returns its row."""
-        key = tuple(path)
-        if len(key) < 2:
-            raise ValueError("a path needs at least one hop")
+        key = _with_hops(path)
         row, start = len(self.paths), self._hops
         self._hops += len(key) - 1
         self._slots = grow_array(self._slots, self._hops)
@@ -113,10 +130,7 @@ class PathCSR:
         """Every hop's store slot, re-resolved if the topology moved (a view)."""
         version = self.network.topology_version
         if self._seen_topology != version:
-            network = self.network
-            self._slots[: self._hops] = [
-                slot for path in self.paths for slot in hop_slots(network, path)
-            ]
+            self._slots[: self._hops] = self._resolve()[0]
             self._seen_topology = version
         return self._slots[: self._hops]
 
