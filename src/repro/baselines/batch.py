@@ -64,10 +64,9 @@ class PathCatalog:
     """Per-pair path cache keyed on the network's topology version.
 
     Non-pinned entries are dropped once the topology moved past the version
-    they were created at, so the caller recomputes paths exactly when the
-    scalar reference (which recomputes per transaction) would see different
-    ones.  (Not by the version their slots were last resolved at: a
-    capacity read refreshes those without making the path list current.)
+    they were *created* at (a capacity read refreshes their slots, not
+    their paths), so the caller recomputes paths exactly when the scalar
+    reference (which recomputes per transaction) would see different ones.
     Pinned entries keep their *path lists* forever -- reproducing scalar
     schemes that cache paths without invalidation -- while their hop slots
     still follow the live topology.
@@ -103,14 +102,13 @@ class PathCatalog:
         callers account per-computation costs (e.g. probe messages) without
         inferring them from catalog state.
         """
-        network = self.network
+        version = self.network.topology_version
         entry = self._entries.get(pair)
-        if entry is not None and not entry.pinned and entry.topology_version != network.topology_version:
+        if entry is not None and not entry.pinned and entry.topology_version != version:
             entry = None
         computed = entry is None
         if entry is None:
-            paths = [path for path in compute() if len(path) >= 2]
-            entry = CatalogEntry(network, paths, pinned)
+            entry = CatalogEntry(self.network, [p for p in compute() if len(p) >= 2], pinned)
             self._entries[pair] = entry
         return entry, computed
 
@@ -152,11 +150,6 @@ class AtomicBatchExecutor:
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
 
-        all_slots, ptr = paths.slots(), paths.ptr
-
-        def path_slots(row: int) -> List[int]:
-            return all_slots[ptr[row] : ptr[row + 1]].tolist()
-
         allocations: List[Tuple[Path, List[int], float]] = []
         if shares is not None:
             # Caller-computed split: keep the given path order, skip
@@ -166,7 +159,7 @@ class AtomicBatchExecutor:
                 share = float(shares[i])
                 if share <= _EPS:
                     continue
-                slots = path_slots(i)
+                slots = paths.row_slots(i)
                 if -1 in slots:
                     # The scalar lock walk would raise on the missing channel;
                     # callers allocate zero shares to dead paths, so reaching
@@ -179,7 +172,7 @@ class AtomicBatchExecutor:
             usable: List[Tuple[Path, List[int], float]] = []
             for i, capacity in enumerate(paths.capacities().tolist()):
                 if capacity > 0:
-                    usable.append((paths.paths[i], path_slots(i), capacity))
+                    usable.append((paths.paths[i], paths.row_slots(i), capacity))
 
             total_capacity = sum(item[2] for item in usable)
             if not usable or total_capacity + _EPS < payment.value:

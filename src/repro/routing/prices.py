@@ -286,10 +286,8 @@ class PriceTable:
         sight; rows stay valid until :meth:`prune_paths` replaces the index
         (signalled by :attr:`path_generation`), so callers caching rows must
         key their caches on the generation.  Lenient: a hop whose channel
-        opened and closed again before it was ever priced resolves to a
-        zero-capacity placeholder row (see :meth:`_channel_row`), because
-        path queries come from epoch updates and dispatch over cached paths
-        that network dynamics may have invalidated mid-run.
+        opened and closed again before it was ever priced (dynamics) maps to
+        a zero-capacity placeholder row (see :meth:`_channel_row`).
         """
         row = self._paths.get(path)
         if row is not None:
@@ -318,9 +316,7 @@ class PriceTable:
         """
         rebuilt = PathIndex(self.network, self._channels)
         for path in active_paths:
-            if rebuilt.get(path) is None:
-                channel_rows, signs = self._hop_arrays(path)
-                rebuilt.add_path(path, channel_rows, signs)
+            rebuilt.add_path(path, *self._hop_arrays(path))
         self._paths = rebuilt
         self._path_generation += 1
 

@@ -225,7 +225,7 @@ class PathIndex(PathCSR):
         existing = self._rows.get(key)
         if existing is not None:
             return existing
-        if len(key) >= 2 and (len(channel_rows) != len(key) - 1 or len(signs) != len(channel_rows)):
+        if len(key) >= 2 and not len(channel_rows) == len(signs) == len(key) - 1:
             raise ValueError("hop arrays must cover every hop of the path")
         start = self._hops
         row = self._append(key)

@@ -134,6 +134,10 @@ class PathCSR:
             self._seen_topology = version
         return self._slots[: self._hops]
 
+    def row_slots(self, row: int) -> List[int]:
+        """The store slots of ``paths[row]``'s hops."""
+        return self.slots()[self._ptr[row] : self._ptr[row + 1]].tolist()
+
     def hop_positions(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(positions, lengths)``: the flat hop positions of ``rows``,
         contiguous in row order, and each row's hop count."""
@@ -166,7 +170,7 @@ class PathCSR:
 
     def capacity(self, row: int) -> float:
         """:meth:`capacities` of one row, read off the store without numpy."""
-        hops = self.slots()[self._ptr[row] : self._ptr[row + 1]].tolist()
+        hops = self.row_slots(row)
         if -1 in hops:
             return 0.0
         values = self.network.balance_store.values

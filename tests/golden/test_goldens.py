@@ -15,7 +15,10 @@ import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-_spec = importlib.util.spec_from_file_location("golden_regenerate", os.path.join(HERE, "regenerate.py"))
+# The generator is a script, not a package module: load it by path.
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", os.path.join(HERE, "regenerate.py")
+)
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 

@@ -166,8 +166,9 @@ class TestPathIndex:
         assert hop_channel.tolist() == [ab, bc, bc]
         assert hop_sign.tolist() == [1.0, 1.0, -1.0]
         assert ptr.tolist() == [0, 2, 3]
-        for i in range(70):
-            paths.add_path(("a", "b") + ("c", "b") * (i + 1), [ab] + [bc, bc] * (i + 1), [1.0] + [1.0, -1.0] * (i + 1))
+        for i in range(1, 71):
+            # a -> b, then i round trips b -> c -> b
+            paths.add_path(("a", "b") + ("c", "b") * i, [ab] + [bc, bc] * i, [1.0] + [1.0, -1.0] * i)
         hop_channel, _, ptr = paths.csr()
         assert len(paths) == 72 and ptr[-1] == hop_channel.shape[0] == paths.slots().shape[0]
         assert paths.capacities().tolist()[:2] == [10.0, 30.0]
