@@ -31,8 +31,8 @@ from repro.baselines import (
 )
 from repro.core.splicer import SplicerSystem
 from repro.obs import core as obs
-from repro.reference.topology import path_capacity
 from repro.reference.routing import RateRouter
+from repro.reference.topology import path_capacity
 from repro.routing.transaction import FailureReason, Payment
 from repro.topology.channel import InsufficientFundsError
 from repro.topology.network import PCNetwork

@@ -38,6 +38,7 @@ NodeId = Hashable
 ChannelKey = Tuple[NodeId, NodeId]
 Path = Tuple[NodeId, ...]
 
+
 class IndexMap:
     """A stable mapping from hashable keys to dense array rows.
 

@@ -15,8 +15,8 @@ import pytest
 from repro import baselines as production
 from repro.baselines.base import AtomicRoutingMixin, RoutingScheme
 from repro.reference import baselines as reference
-from repro.reference.topology import path_capacity
 from repro.reference.simulator import PerEventRunner
+from repro.reference.topology import path_capacity
 from repro.routing.transaction import Payment
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.simulator.experiment import ExperimentRunner

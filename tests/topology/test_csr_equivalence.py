@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from repro.baselines.batch import PathCatalog
 from repro.reference import topology as reference
-from repro.routing.prices import PriceTable
 from repro.routing.paths import (
     PATH_SELECTORS,
     edge_disjoint_widest_paths,
     k_shortest_paths,
     landmark_paths,
 )
+from repro.routing.prices import PriceTable
 from repro.scenarios.dynamics import churn_events, jamming_events
 from repro.topology import csr
 from repro.topology.generators import watts_strogatz_pcn
@@ -608,7 +608,6 @@ class TestCatalogInvariant:
                         settlement = network.remove_channel(node_a, node_b)
                         removed.append((node_a, node_b, settlement))
         query_all()
-
 
     def test_growth_past_the_first_allocation_with_a_dead_hop(self):
         network = _build_network(3, nodes=30)
