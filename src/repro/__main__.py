@@ -45,7 +45,7 @@ import os
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.obs import DEFAULT_SAMPLE_RATE
 from repro.obs.log import INFO, configure, get_logger
@@ -683,20 +683,25 @@ def _check_scheme_names(names: Sequence[str]) -> None:
         )
 
 
-def _peak_memory_mib() -> Optional[Tuple[float, float]]:
-    """Peak RSS of this process and its worker children, in MiB.
+def _log_peak_memory() -> None:
+    """Log the peak RSS of this process and its worker children, in MiB.
 
-    The figure the xl memory ceiling is documented (and CI-grepped)
-    against; ``None`` where the ``resource`` module is unavailable.
+    The ``peak memory: runner ... MiB, max worker ... MiB`` line is what the
+    CI memory ceilings are documented and grepped against; nothing is logged
+    where the ``resource`` module is unavailable.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
+        return
     scale = 1024.0 if sys.platform != "darwin" else 1024.0 * 1024.0
     runner_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
     worker_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale
-    return runner_mib, worker_mib
+    log.info(
+        f"peak memory: runner {runner_mib:.0f} MiB, max worker {worker_mib:.0f} MiB",
+        runner_mib=round(runner_mib, 1),
+        worker_mib=round(worker_mib, 1),
+    )
 
 
 def _publish_table(table_path: str, title: str, table: str) -> str:
@@ -786,15 +791,7 @@ def _command_compare(args: argparse.Namespace) -> int:
             seconds=round(elapsed, 3),
         )
         _log_resilience(report)
-        peak = _peak_memory_mib()
-        if peak is not None:
-            runner_mib, worker_mib = peak
-            log.info(
-                f"peak memory: runner {runner_mib:.0f} MiB, "
-                f"max worker {worker_mib:.0f} MiB",
-                runner_mib=round(runner_mib, 1),
-                worker_mib=round(worker_mib, 1),
-            )
+        _log_peak_memory()
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig8-{scale}.txt"),
             f"Figure 8 comparison -- scale {scale} ({nodes} nodes)",
@@ -889,6 +886,7 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             seconds=round(elapsed, 3),
         )
         _log_resilience(report)
+        _log_peak_memory()
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig9-{scale}.txt"),
             f"Figure 9 placement comparison -- scale {scale} ({spec.nodes} nodes)",

@@ -23,7 +23,7 @@ from typing import Dict, Hashable, Iterable
 
 import numpy as np
 
-from repro.placement.costs import sequential_sum
+from repro.placement.costs import scratch_rows, sequential_sum
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 NodeId = Hashable
@@ -43,7 +43,9 @@ def hub_sync_parts(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarra
 
 def _hub_scores(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
     """``(hubs, clients)`` Lemma-1 scores: one contiguous ``zeta`` row per hub."""
-    return problem.arrays.zeta_t[hub_rows] + hub_sync_parts(problem, hub_rows)[:, None]
+    scores = problem.arrays.zeta_t[hub_rows]
+    scores += hub_sync_parts(problem, hub_rows)[:, None]
+    return scores
 
 
 def assignment_rows(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
@@ -132,7 +134,24 @@ def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -
     sum_l delta[n][l]) + omega * sum_{n,l in X} epsilon[n][l]``, which equals
     the scalar ``C_M + omega * C_S`` regrouped; the two agree to well below
     the differential suite's 1e-9 tolerance.
+
+    The per-client minimum is folded over blocks of :func:`scratch_rows` hub
+    rows, so a probe never holds the ``(hubs, clients)`` score matrix.
+    ``min`` is exact, so the blocking cannot change a bit of ``per_client``.
     """
-    per_client = _hub_scores(problem, hub_rows).min(axis=0)
-    epsilon_total = float(problem.arrays.epsilon[hub_rows[:, None], hub_rows].sum())
+    arrays = problem.arrays
+    sync = hub_sync_parts(problem, hub_rows)
+    block = scratch_rows(arrays.client_count)
+    scratch = np.empty((min(block, len(hub_rows)), arrays.client_count))
+    per_client = None
+    for start in range(0, len(hub_rows), block):
+        rows = hub_rows[start : start + block]
+        scores = scratch[: len(rows)]
+        np.take(arrays.zeta_t, rows, axis=0, out=scores, mode="clip")  # unbuffered
+        scores += sync[start : start + block, None]
+        if per_client is None:
+            per_client = scores.min(axis=0)
+        else:
+            np.minimum(per_client, scores.min(axis=0), out=per_client)
+    epsilon_total = float(arrays.epsilon[hub_rows[:, None], hub_rows].sum())
     return float(per_client.sum()) + problem.omega * epsilon_total

@@ -35,6 +35,21 @@ PAPER_DELTA_PER_HOP = 0.01
 #: Paper's coefficient for the constant synchronization cost per hop.
 PAPER_EPSILON_PER_HOP = 0.05
 
+#: Bytes of float64 scratch one chunk of cost-block probe rows, or one block
+#: of probe-kernel score rows, may use: at paper scale (Z, M, N) = (240, 2760,
+#: 3000) that is 43 probe rows or 47 score rows.  Measured at paper scale on
+#: a 2-core Xeon (4 MiB L2): one all-hub probe takes 1.04-1.20 ms with 16- to
+#: 47-row blocks, 1.14-1.34 ms with 64 to 95 rows and 2.3 ms unblocked;
+#: ``cost_model_from_network`` takes 98-105 ms at any budget from 0.5 to
+#: 4 MiB, while its traced peak grows from 1.5 to 1.7, 1.9 and 2.4 (Z, M)
+#: blocks at 0.5, 1, 1.5 and 4 MiB.
+_SCRATCH_BYTES = 1 << 20
+
+
+def scratch_rows(row_length: int) -> int:
+    """How many float64 rows of ``row_length`` fit the scratch budget (at least one)."""
+    return max(1, _SCRATCH_BYTES // (8 * max(row_length, 1)))
+
 
 def sequential_sum(values: np.ndarray) -> float:
     """Left-to-right float sum of ``values`` in row-major order.
@@ -66,7 +81,9 @@ class CostArrays:
         client_index: ``client id -> zeta row``.
         candidate_index: ``candidate id -> matrix row/column``.
         zeta_t: C-contiguous ``(Z, M)`` transpose of ``zeta``: the probe
-            kernel gathers one contiguous row per hub.
+            kernel gathers one contiguous row per hub.  No copy when ``zeta``
+            is already the transpose of such a block, as
+            :func:`cost_model_from_network` builds it.
     """
 
     clients: Sequence[NodeId]
@@ -247,6 +264,9 @@ def cost_model_from_network(
     ``coefficient * hops`` product of the paper's setting over the probe's
     hop matrix, with unreachable or unknown pairs charged
     ``max(node count, 2)`` hops and a zero candidate-to-itself distance.
+    The hop counts land chunk by chunk in the ``(Z, M)`` block that becomes
+    ``zeta_t`` and are scaled there, so set-up holds one dense block plus
+    one chunk of probe rows, never the whole ``(Z, N)`` probe.
 
     Args:
         network: The PCN to probe.
@@ -262,43 +282,83 @@ def cost_model_from_network(
             sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (``inf``
             where unreachable) or per-candidate reachable-only hop-count
             dicts (the oracle's BFS probe).  ``None`` probes the network with
-            one batched ``scipy.sparse.csgraph`` sweep over all candidates.
+            batched ``scipy.sparse.csgraph`` sweeps over its bare adjacency
+            CSR, one chunk of candidates per sweep.
     """
     client_list = list(clients) if clients is not None else network.clients()
     candidate_list = list(candidates) if candidates is not None else network.candidates()
     if not candidate_list:
         raise ValueError("the network has no candidate smooth nodes")
 
-    if hops is None:
-        sources = candidate_list
-        node_order, matrix = network.hop_count_rows(sources)
-    elif isinstance(hops, Mapping):
-        # Densify only the columns read below.
-        sources, node_order = candidate_list, client_list + candidate_list
-        matrix = [[hops[source].get(node, np.inf) for node in node_order] for source in sources]
-    else:
-        node_order, sources, matrix = hops
-    source_row = {source: row for row, source in enumerate(sources)}
-    column = {node: j for j, node in enumerate(node_order)}
-    rows = np.asarray(matrix, dtype=float)[[source_row[candidate] for candidate in candidate_list]]
-    # One extra all-inf column stands in for nodes the probe never saw.
-    rows = np.column_stack([rows, np.full(len(candidate_list), np.inf)])
+    node_order, probe = _hop_probe(network, client_list, candidate_list, hops)
     fallback_hops = float(max(network.node_count(), 2))
-
-    def hops_to(nodes: Sequence[NodeId]) -> np.ndarray:
-        block = rows[:, [column.get(node, -1) for node in nodes]]
-        return np.where(np.isfinite(block), block, fallback_hops)
-
-    between = hops_to(candidate_list)
+    zeta_t, between = _hop_blocks(node_order, probe, client_list, candidate_list, fallback_hops)
     np.fill_diagonal(between, 0.0)
-    model = PlacementCostModel(
-        client_list,
-        candidate_list,
-        (zeta_per_hop * hops_to(client_list)).T,
-        delta_per_hop * between,
-        epsilon_per_hop * between,
-    )
+    zeta_t *= zeta_per_hop
+    delta = delta_per_hop * between
+    between *= epsilon_per_hop
+    model = PlacementCostModel(client_list, candidate_list, zeta_t.T, delta, between)
     return uniformize_delta(model) if uniform_delta else model
+
+
+def _hop_probe(network: PCNetwork, clients: List[NodeId], candidates: List[NodeId], hops):
+    """``(node order, probe)`` of one ``hops`` form of :func:`cost_model_from_network`.
+
+    ``probe(start, stop)`` returns the hop rows of ``candidates[start:stop]``
+    over the node order (``inf`` where unreachable), so the caller holds one
+    chunk of rows at a time.  An unknown candidate raises here, before any
+    block is allocated.
+    """
+    if hops is None:
+        from repro.topology.csr import AdjacencyCSR
+
+        graph = AdjacencyCSR(network)
+        source_rows = graph.rows_of(candidates)
+        return graph.node_ids, lambda start, stop: graph.distances_from(source_rows[start:stop])
+    if isinstance(hops, Mapping):
+        # Densify only the columns the blocks read.
+        node_order = clients + candidates
+        sources = [hops[candidate] for candidate in candidates]
+        return node_order, lambda start, stop: np.array(
+            [[row.get(node, np.inf) for node in node_order] for row in sources[start:stop]],
+            dtype=float,
+        )
+    node_order, sources, matrix = hops
+    matrix = np.asarray(matrix, dtype=float)
+    source_row = {source: row for row, source in enumerate(sources)}
+    picks = np.asarray([source_row[candidate] for candidate in candidates], dtype=np.intp)
+    return node_order, lambda start, stop: matrix[picks[start:stop]]
+
+
+def _hop_blocks(
+    node_order: Sequence[NodeId],
+    probe,
+    clients: Sequence[NodeId],
+    candidates: Sequence[NodeId],
+    fallback_hops: float,
+):
+    """The ``(Z, M)`` candidate-to-client and ``(Z, Z)`` between-candidate hop blocks.
+
+    Candidates are probed one :func:`scratch_rows` chunk at a time and each
+    chunk's columns are gathered straight into the preallocated blocks; a
+    non-finite hop count -- unreachable, or a node the probe never saw --
+    becomes ``fallback_hops``.  Every cell is the probe's exact integer or
+    the fallback, so the chunk size cannot change a bit.
+    """
+    column = {node: j for j, node in enumerate(node_order)}
+    blocks = []
+    for nodes in (clients, candidates):
+        picks = np.asarray([column.get(node, -1) for node in nodes], dtype=np.intp)
+        blocks.append((np.empty((len(candidates), len(nodes))), picks, picks >= 0))
+    chunk = scratch_rows(len(node_order))
+    for start in range(0, len(candidates), chunk):
+        rows = probe(start, start + chunk)
+        for block, picks, seen in blocks:
+            out = block[start : start + len(rows)]
+            # ``clip`` sends an unseen node's -1 to column 0; ``seen`` overwrites it.
+            np.take(rows, picks, axis=1, out=out, mode="clip")
+            np.copyto(out, fallback_hops, where=~(np.isfinite(out) & seen))
+    return blocks[0][0], blocks[1][0]
 
 
 def uniformize_delta(model: PlacementCostModel) -> PlacementCostModel:

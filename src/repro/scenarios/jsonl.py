@@ -671,23 +671,31 @@ class JsonlGridRunner:
         """Execute shards in-process; exceptions and corrupt rows are captured.
 
         Hang/kill faults act on the runner process itself here -- timeout
-        supervision and death detection need the multi-worker path.
+        supervision and death detection need the multi-worker path.  Like
+        :func:`_pool_worker`, the loop collects each shard's cyclic garbage
+        when the shard ends, over a frozen heap, so it does not sit under
+        the next shard's peak.
         """
         retries = 0
-        for shard in shards:
-            while True:
-                if self._stop_signal is not None:
-                    return retries
-                directive = plan.directive_for(shard.index, shard.attempt) if plan else None
-                status, payload = attempt(execute, shard.task, directive)
-                failure = self._failure(shard.key, status, payload)
-                if failure is None:
-                    record(payload)  # type: ignore[arg-type]
-                    break
-                if not self._handle_failure(shard, *failure, record_failure):
-                    break
-                retries += 1
-                time.sleep(self._backoff(shard.attempt - 1))
+        gc.freeze()
+        try:
+            for shard in shards:
+                while True:
+                    if self._stop_signal is not None:
+                        return retries
+                    directive = plan.directive_for(shard.index, shard.attempt) if plan else None
+                    status, payload = attempt(execute, shard.task, directive)
+                    failure = self._failure(shard.key, status, payload)
+                    if failure is None:
+                        record(payload)  # type: ignore[arg-type]
+                        break
+                    if not self._handle_failure(shard, *failure, record_failure):
+                        break
+                    retries += 1
+                    time.sleep(self._backoff(shard.attempt - 1))
+                gc.collect()
+        finally:
+            gc.unfreeze()
         return retries
 
     # ------------------------------------------------------------------ #

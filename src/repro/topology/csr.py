@@ -9,7 +9,9 @@ worker process derives a per-pair path catalog before routing a single
 payment.  This module mirrors the channel graph into dense CSR structures
 once per ``topology_version`` and implements the queries on top:
 
-* :class:`GraphArrays` -- CSR adjacency arrays plus per-node neighbor/slot
+* :class:`AdjacencyCSR` -- the one flattening of the adjacency and the
+  batched hop probe over it; the placement cost blocks use it bare,
+* :class:`GraphArrays` -- that CSR plus per-node neighbor/slot
   lists in the exact networkx adjacency order (which is what makes
   tie-breaks reproducible), a per-directed-edge spendable-balance vector
   refreshed from the channel objects on demand (a list for element-wise
@@ -111,7 +113,80 @@ def topology_fingerprint(network) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
-class GraphArrays:
+class AdjacencyCSR:
+    """The bare adjacency of one topology version: node rows plus CSR arrays.
+
+    The one flattening of the adjacency, and all the batched hop probe needs
+    (:meth:`PCNetwork.hop_count_rows`, the placement cost blocks): a
+    throwaway of a few flat arrays, where the :class:`GraphArrays` routing
+    mirror adds per-node Python lists, the slot map and the balance vector
+    on top.  Row ``r`` is ``node_ids[r]``; its neighbor rows, in networkx
+    adjacency order, are ``indices[indptr[r]:indptr[r + 1]]``, and a
+    directed hop's *slot* is its position in ``indices``.
+    """
+
+    def __init__(self, network) -> None:
+        adj = network.adj
+        self.node_ids: List[NodeId] = list(adj)
+        self.node_row: Dict[NodeId, int] = {
+            node: row for row, node in enumerate(self.node_ids)
+        }
+        n = len(self.node_ids)
+        self.indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum([len(adj[node]) for node in self.node_ids], out=self.indptr[1:])
+        self.slot_count = int(self.indptr[-1])
+        self.indices = np.fromiter(
+            (self.node_row[neighbor] for node in self.node_ids for neighbor in adj[node]),
+            dtype=np.intp,
+            count=self.slot_count,
+        )
+        #: Unit-weight sparse matrix for the batched csgraph distance kernels.
+        self.sparse = csr_matrix(
+            (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
+        )
+
+    @property
+    def node_count(self) -> int:
+        """Number of node rows."""
+        return len(self.node_ids)
+
+    def row_of(self, node: NodeId) -> int:
+        """Dense row of a node; raises :class:`NodeNotFound` for an unknown one.
+
+        The selectors catch ``(NoPath, NodeNotFound)``, so an unknown node
+        (a stale external pair list, a removed landmark) degrades to "no
+        paths" exactly as it does on the scalar reference.
+        """
+        row = self.node_row.get(node)
+        if row is None:
+            raise NodeNotFound(f"node {node!r} is not in the graph")
+        return row
+
+    def rows_of(self, nodes: Sequence[NodeId]) -> np.ndarray:
+        """Dense rows of a node sequence (:class:`NodeNotFound` on unknown nodes)."""
+        return np.asarray([self.row_of(node) for node in nodes], dtype=np.intp)
+
+    def to_nodes(self, rows: Sequence[int]) -> List[NodeId]:
+        """Node ids of a row sequence."""
+        node_ids = self.node_ids
+        return [node_ids[row] for row in rows]
+
+    def distances_from(self, rows: Sequence[int]) -> np.ndarray:
+        """Hop-count rows from the given sources; ``inf`` marks unreachable.
+
+        One C-level call whatever the source count -- this is the batched
+        BFS the placement cost probe and ``all_pairs_hop_counts`` ride on.
+        """
+        rows = list(rows)
+        if self.node_count == 0:
+            return np.zeros((len(rows), 0))
+        result = _csgraph_dijkstra(
+            self.sparse, directed=True, unweighted=True, indices=rows
+        )
+        return np.atleast_2d(result)
+
+
+class GraphArrays(AdjacencyCSR):
     """Dense mirror of one topology version of a :class:`PCNetwork`.
 
     Built lazily by :meth:`PCNetwork.graph_arrays` and discarded whenever
@@ -124,15 +199,10 @@ class GraphArrays:
     """
 
     def __init__(self, network) -> None:
+        super().__init__(network)
         self.network = network
         self.version = network.topology_version
-        adj = network.adj
-
-        self.node_ids: List[NodeId] = list(adj)
-        self.node_row: Dict[NodeId, int] = {
-            node: row for row, node in enumerate(self.node_ids)
-        }
-        n = len(self.node_ids)
+        n = self.node_count
 
         #: Per-node neighbor rows, networkx adjacency order.  A directed hop's
         #: *slot* is its position in the flattened adjacency -- the shared key
@@ -140,24 +210,17 @@ class GraphArrays:
         #: selectors and the path resolution maps.  ``pairs`` pre-joins
         #: neighbor and slot (one ``(neighbor, slot)`` tuple list per node)
         #: for the hot loops.
-        self.adjacency: List[List[int]] = [[] for _ in range(n)]
-        self.pairs: List[List[Tuple[int, int]]] = []
-        self.slot_of: Dict[Tuple[int, int], int] = {}
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        flat: List[int] = []
-        for row, node in enumerate(self.node_ids):
-            neighbors = self.adjacency[row]
-            first_slot = len(flat)
-            for neighbor in adj[node]:
-                neighbor_row = self.node_row[neighbor]
-                self.slot_of[(row, neighbor_row)] = len(flat)
-                neighbors.append(neighbor_row)
-                flat.append(neighbor_row)
-            indptr[row + 1] = len(flat)
-            self.pairs.append(list(zip(neighbors, range(first_slot, len(flat)))))
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=np.intp)
-        self.slot_count = len(flat)
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        self.adjacency: List[List[int]] = [flat[bounds[row] : bounds[row + 1]] for row in range(n)]
+        self.pairs: List[List[Tuple[int, int]]] = [
+            list(zip(neighbors, range(bounds[row], bounds[row + 1])))
+            for row, neighbors in enumerate(self.adjacency)
+        ]
+        self.slot_of: Dict[Tuple[int, int], int] = {
+            (row, neighbor): slot
+            for row, pairs in enumerate(self.pairs)
+            for neighbor, slot in pairs
+        }
 
         #: Spendable balance of the directed hop at each slot, refreshed from
         #: the channel objects by :meth:`refresh_balances`.  Two
@@ -178,10 +241,6 @@ class GraphArrays:
             gather[self.slot_of[(row_a, row_b)]] = 2 * position
             gather[self.slot_of[(row_b, row_a)]] = 2 * position + 1
         self._balance_gather = np.asarray(gather, dtype=np.intp)
-        #: Unit-weight sparse matrix for the batched csgraph distance kernels.
-        self.sparse = csr_matrix(
-            (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
-        )
 
         # The oracle's EDS working graph (``nx.Graph(mirror.edges())``) orders
         # each node's neighbors by edge-*insertion* order of the rebuilt
@@ -237,49 +296,9 @@ class GraphArrays:
                 balance[slot] = value
             self.balance_array[slots] = values
 
-    @property
-    def node_count(self) -> int:
-        """Number of node rows."""
-        return len(self.node_ids)
-
-    def row_of(self, node: NodeId) -> int:
-        """Dense row of a node; raises :class:`NodeNotFound` for an unknown one.
-
-        The selectors catch ``(NoPath, NodeNotFound)``, so an unknown node
-        (a stale external pair list, a removed landmark) degrades to "no
-        paths" exactly as it does on the scalar reference.
-        """
-        row = self.node_row.get(node)
-        if row is None:
-            raise NodeNotFound(f"node {node!r} is not in the graph")
-        return row
-
-    def rows_of(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Dense rows of a node sequence (:class:`NodeNotFound` on unknown nodes)."""
-        return np.asarray([self.row_of(node) for node in nodes], dtype=np.intp)
-
-    def to_nodes(self, rows: Sequence[int]) -> List[NodeId]:
-        """Node ids of a row sequence."""
-        node_ids = self.node_ids
-        return [node_ids[row] for row in rows]
-
     # ------------------------------------------------------------------ #
-    # batched distance kernels (scipy csgraph)
+    # distance queries
     # ------------------------------------------------------------------ #
-    def distances_from(self, rows: Sequence[int]) -> np.ndarray:
-        """Hop-count rows from the given sources; ``inf`` marks unreachable.
-
-        One C-level call whatever the source count -- this is the batched
-        BFS the placement cost probe and ``all_pairs_hop_counts`` ride on.
-        """
-        rows = list(rows)
-        if self.node_count == 0:
-            return np.zeros((len(rows), 0))
-        result = _csgraph_dijkstra(
-            self.sparse, directed=True, unweighted=True, indices=rows
-        )
-        return np.atleast_2d(result)
-
     def hop_count(self, source: NodeId, target: NodeId) -> int:
         """Hops on a shortest path; raises :class:`NoPath` when disconnected."""
         rows = self._bidirectional_path_rows(self.row_of(source), self.row_of(target))

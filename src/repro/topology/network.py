@@ -344,12 +344,15 @@ class PCNetwork:
     def hop_count_rows(self, sources: Sequence[NodeId]):
         """Batched hop counts: ``(node order, distances array)`` for ``sources``.
 
-        One C-level BFS sweep for all sources (the placement cost probe's
-        fast path); row ``i`` holds the hop counts from ``sources[i]`` to
-        every node in the returned node order, ``inf`` where unreachable.
+        One C-level BFS sweep for all sources; row ``i`` holds the hop counts
+        from ``sources[i]`` to every node in the returned node order, ``inf``
+        where unreachable.  Runs on a throwaway bare adjacency CSR, never on
+        the routing mirror of :meth:`graph_arrays`.
         """
-        arrays = self.graph_arrays()
-        return list(arrays.node_ids), arrays.distances_from(arrays.rows_of(sources))
+        from repro.topology.csr import AdjacencyCSR
+
+        graph = AdjacencyCSR(self)
+        return graph.node_ids, graph.distances_from(graph.rows_of(sources))
 
     def shortest_path(self, source: NodeId, target: NodeId) -> List[NodeId]:
         """One shortest (fewest-hops) path between two nodes (``NoPath`` if none)."""

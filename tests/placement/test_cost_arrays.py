@@ -6,15 +6,24 @@
   show.
 * The matrices built straight from the hop rows equal the nested-dict loop
   over the oracle's per-candidate BFS probe, cell for cell.
+* The probe folds its per-client ``min`` over blocks of hub rows and still
+  equals the full-matrix ``min(axis=0).sum()``, ``==``, ties included.
+* At paper scale set-up holds one dense ``(Z, M)`` block plus bounded
+  scratch: the traced peaks of the cost build and of an all-hub probe, and
+  no routing mirror built on the way.
 * No production solver materialises the nested-dict views -- not the double
   greedy, not ``exact``, not ``milp``; the oracle reads them and agrees.
 * A cost model is immutable: arrays and views both refuse writes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.placement import costs
 from repro.placement.assignment import hub_sync_parts, vectorized_placement_cost
+from repro.placement.compare import build_place_network
 from repro.placement.costs import (
     PAPER_DELTA_PER_HOP,
     PAPER_EPSILON_PER_HOP,
@@ -26,6 +35,7 @@ from repro.placement.problem import PlacementProblem
 from repro.placement.solver import build_problem, solve_placement
 from repro.placement.supermodular import objective_upper_bound
 from repro.reference import placement as reference
+from repro.topology.csr import NodeNotFound
 from repro.topology.generators import watts_strogatz_pcn
 
 
@@ -102,6 +112,98 @@ class TestKernelIsBitIdentical:
         for omega in (0.0, 0.02, 0.5):
             problem = PlacementProblem(thousand_node_model, omega=omega)
             assert objective_upper_bound(problem) == _dict_loop_upper_bound(problem)
+
+
+def _full_matrix_cost(problem, hub_rows):
+    """The unblocked probe: the whole ``(hubs, clients)`` score matrix at once."""
+    arrays = problem.arrays
+    scores = arrays.zeta_t[hub_rows] + hub_sync_parts(problem, hub_rows)[:, None]
+    epsilon_total = float(arrays.epsilon[hub_rows[:, None], hub_rows].sum())
+    return float(scores.min(axis=0).sum()) + problem.omega * epsilon_total
+
+
+def _tied_model(clients=300, candidates=23, seed=5):
+    """Small-integer costs: every client's minimum is tied across many hubs."""
+    rng = np.random.default_rng(seed)
+    hops = rng.integers(1, 4, size=(candidates, candidates)).astype(float)
+    np.fill_diagonal(hops, 0.0)
+    return PlacementCostModel(
+        [f"c{i}" for i in range(clients)],
+        [f"h{j}" for j in range(candidates)],
+        0.02 * rng.integers(1, 4, size=(clients, candidates)),
+        0.01 * hops,
+        0.05 * hops,
+    )
+
+
+class TestProbeRowBlocks:
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 40])
+    def test_blocked_cost_equals_the_full_matrix_min(
+        self, monkeypatch, thousand_node_model, block_rows
+    ):
+        for model in (thousand_node_model, _tied_model()):
+            clients = model.as_arrays().client_count
+            monkeypatch.setattr(costs, "_SCRATCH_BYTES", 8 * clients * block_rows)
+            assert costs.scratch_rows(clients) == block_rows
+            count = model.as_arrays().candidate_count
+            rng = np.random.default_rng(block_rows)
+            subsets = [np.arange(count), np.arange(0, count, 2), np.array([count - 1])]
+            subsets += [np.flatnonzero(rng.random(count) < 0.6) for _ in range(5)]
+            for omega in (0.0, 0.05, 0.5):
+                problem = PlacementProblem(model, omega=omega)
+                for rows in subsets:
+                    rows = rows.astype(np.intp)
+                    assert vectorized_placement_cost(problem, rows) == _full_matrix_cost(
+                        problem, rows
+                    )
+
+
+# ---------------------------------------------------------------------- #
+# set-up memory at paper scale
+# ---------------------------------------------------------------------- #
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def paper_network():
+    return build_place_network({"nodes": 3000}, 1)
+
+
+class TestSetupMemory:
+    """Set-up holds one dense ``(Z, M)`` block plus bounded scratch."""
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_cost_model_peak_is_under_two_blocks(self, paper_network, mirror):
+        paper_network._graph_arrays = None
+        if mirror:
+            paper_network.graph_arrays()
+        model, peak = _traced_peak(lambda: cost_model_from_network(paper_network))
+        arrays = model.as_arrays()
+        assert (arrays.candidate_count, arrays.client_count) == (240, 2760)
+        assert peak <= 2 * arrays.zeta_t.nbytes
+        assert np.shares_memory(arrays.zeta, arrays.zeta_t)
+
+    def test_probe_peak_is_under_one_block(self, paper_network):
+        problem = build_problem(paper_network, omega=0.05)
+        rows = np.arange(problem.arrays.candidate_count, dtype=np.intp)
+        cost, peak = _traced_peak(lambda: vectorized_placement_cost(problem, rows))
+        assert peak < problem.arrays.zeta_t.nbytes
+        assert cost == _full_matrix_cost(problem, rows)
+
+    def test_build_problem_leaves_the_routing_mirror_unbuilt(self, paper_network):
+        paper_network._graph_arrays = None
+        build_problem(paper_network)
+        assert paper_network._graph_arrays is None
+
+    def test_unknown_candidate_raises_before_any_block(self, paper_network):
+        with pytest.raises(NodeNotFound, match="ghost"):
+            cost_model_from_network(paper_network, candidates=["ghost"])
 
 
 # ---------------------------------------------------------------------- #

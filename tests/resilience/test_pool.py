@@ -333,6 +333,18 @@ class TestLongLivedWorkerHygiene:
         # worker's own one per shard the counts would climb 0, 1, 2, ...
         assert [row["survivors"] for row in report.rows] == [0] * len(KEYS)
 
+    def test_the_serial_loop_collects_like_the_worker(self, toy_runner_cls, tmp_path):
+        class LitteringRunner(toy_runner_cls):
+            def executor(self):
+                return littering_execute
+
+        gc.collect()
+        report = LitteringRunner(str(tmp_path), KEYS, workers=1).run()
+        assert report.executed == len(KEYS)
+        assert [row["survivors"] for row in report.rows] == [0] * len(KEYS)
+        # The runner's heap is frozen only while the loop runs.
+        assert gc.get_freeze_count() == 0
+
     def test_worker_rss_is_flat_from_ten_to_a_hundred_shards(self, tmp_path):
         spec = compare_spec(range(1, 111))
         report = ProbingRunner(spec, results_dir=str(tmp_path), workers=2).run()

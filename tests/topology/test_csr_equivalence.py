@@ -198,6 +198,41 @@ class TestDistanceHelperEquivalence:
             }
             assert reachable == expected
 
+    def test_batched_rows_never_build_the_routing_mirror(self):
+        network = _build_network(14)
+        network.add_node("island")
+        sources = network.candidates() + ["island"]
+        node_order, bare = network.hop_count_rows(sources)
+        assert network._graph_arrays is None
+        mirror = network.graph_arrays()
+        assert node_order == mirror.node_ids
+        assert np.array_equal(mirror.distances_from(mirror.rows_of(sources)), bare)
+        again_order, again = network.hop_count_rows(sources)
+        assert again_order == node_order
+        assert np.array_equal(again, bare)
+        assert network.graph_arrays() is mirror
+
+    def test_batched_rows_reject_an_unknown_source(self):
+        network = _build_network(15)
+        with pytest.raises(csr.NodeNotFound, match="ghost"):
+            network.hop_count_rows(network.candidates() + ["ghost"])
+        assert network._graph_arrays is None
+
+    def test_one_flattening_feeds_the_mirror(self):
+        network = _build_network(16)
+        bare = csr.AdjacencyCSR(network)
+        node_ids, node_row, indptr = bare.node_ids, bare.node_row, bare.indptr
+        mirror = network.graph_arrays()
+        assert mirror.node_ids == node_ids and mirror.node_row == node_row
+        assert np.array_equal(mirror.indptr, indptr)
+        assert np.array_equal(mirror.indices, bare.indices)
+        for row, node in enumerate(node_ids):
+            neighbors = [node_row[neighbor] for neighbor in network.neighbors(node)]
+            slots = list(range(indptr[row], indptr[row + 1]))
+            assert mirror.adjacency[row] == neighbors
+            assert mirror.pairs[row] == list(zip(neighbors, slots))
+            assert [mirror.slot_of[(row, neighbor)] for neighbor in neighbors] == slots
+
 
 class TestMutationEquivalence:
     def test_churn_mutation_mid_sequence(self):
