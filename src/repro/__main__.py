@@ -715,6 +715,19 @@ def _publish_table(table_path: str, title: str, table: str) -> str:
     return table_path
 
 
+def _node_label(source_kind: str, params: Dict[str, object]) -> str:
+    """The size a topology source builds: ``60 nodes``, or ``up to 60 nodes`` under a cap.
+
+    A data-backed source takes the scale's node count as a ``max_nodes`` cap
+    and may build fewer (the bundled snapshot keeps 44 of ``small``'s 60).
+    """
+    if params.get("node_count"):
+        return f"{params['node_count']} nodes"
+    if params.get("max_nodes"):
+        return f"up to {params['max_nodes']} nodes"
+    return f"{source_kind} nodes"
+
+
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.analysis.tables import scenario_table
     from repro.scenarios.registry import build_comparison_spec
@@ -758,10 +771,9 @@ def _command_compare(args: argparse.Namespace) -> int:
             **_resilience_kwargs(args),
         )
         total = len(spec.expand_runs())
-        source_kind, source_params = spec.topology.resolved_source()
-        nodes = source_params.get("node_count") or source_params.get("max_nodes") or source_kind
+        nodes = _node_label(*spec.topology.resolved_source())
         log.info(
-            f"compare scale {scale!r}: {nodes} nodes, {len(schemes)} scheme(s) x "
+            f"compare scale {scale!r}: {nodes}, {len(schemes)} scheme(s) x "
             f"{len(seeds)} seed(s) = {total} run(s), {args.workers} worker(s) "
             f"-> {runner.results_path}",
             scale=scale,
@@ -794,7 +806,7 @@ def _command_compare(args: argparse.Namespace) -> int:
         _log_peak_memory()
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig8-{scale}.txt"),
-            f"Figure 8 comparison -- scale {scale} ({nodes} nodes)",
+            f"Figure 8 comparison -- scale {scale} ({nodes})",
             scenario_table(report.rows),
         )
         _record_manifest(

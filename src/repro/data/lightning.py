@@ -29,11 +29,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.data.fixtures import fixture_path
-from repro.data.sources import topology_source
+from repro.data.sources import last_parse, topology_source
 from repro.topology.datasets import PAPER_CHANNEL_MEDIAN, PAPER_CHANNEL_MIN
 from repro.topology.network import PCNetwork, reachable
 
@@ -156,8 +156,28 @@ def _iter_csv_records(path: str) -> Iterable[Dict[str, object]]:
             }
 
 
+#: The last snapshot file :func:`parse_snapshot` parsed (see :func:`last_parse`).
+_PARSED_SNAPSHOT: Dict[tuple, SnapshotGraph] = {}
+
+
 def parse_snapshot(path: str) -> SnapshotGraph:
     """Parse a snapshot file into aggregated channels plus statistics.
+
+    The last file's parse is kept per process while the file is unchanged;
+    every call gets its own :class:`SnapshotGraph` and lists (the channel
+    records are frozen).
+    """
+    parsed = last_parse(_PARSED_SNAPSHOT, path, _parse_snapshot_file)
+    return replace(
+        parsed,
+        channels=list(parsed.channels),
+        nodes=list(parsed.nodes),
+        metadata=dict(parsed.metadata),
+    )
+
+
+def _parse_snapshot_file(path: str) -> SnapshotGraph:
+    """:func:`parse_snapshot`'s parse.
 
     JSON (``.json``) is read in ``describegraph`` shape (an ``edges`` or
     ``channels`` list, or a bare list of channel objects); anything else is

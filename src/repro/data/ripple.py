@@ -35,13 +35,13 @@ import io
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.fixtures import fixture_path
-from repro.data.sources import workload_source
+from repro.data.sources import last_parse, workload_source
 from repro.simulator.workload import (
     StreamingWorkload,
     TransactionRequest,
@@ -356,13 +356,30 @@ def clean_trace(
     return trace, report, dest
 
 
+#: The last trace file :func:`load_trace` parsed (see :func:`last_parse`).
+_LOADED_TRACE: Dict[tuple, CanonicalTrace] = {}
+
+
 def load_trace(path: Optional[str] = None) -> CanonicalTrace:
-    """Load a trace from canonical ``.npz`` or raw CSV (cleaned in memory)."""
+    """Load a trace from canonical ``.npz`` or raw CSV (cleaned in memory).
+
+    The last file's parse is kept per process while the file is unchanged.
+    Every call gets its own :class:`CanonicalTrace` and ``accounts`` list;
+    the arrays are shared and read-only.
+    """
     if path is None:
         path = fixture_path(DEFAULT_TRACE_FIXTURE)
+    trace = last_parse(_LOADED_TRACE, path, _parse_trace)
+    return replace(trace, accounts=list(trace.accounts))
+
+
+def _parse_trace(path: str) -> CanonicalTrace:
     if path.endswith(".npz"):
-        return read_canonical(path)
-    trace, _ = _read_raw_csv(path)
+        trace = read_canonical(path)
+    else:
+        trace, _ = _read_raw_csv(path)
+    for array in (trace.times, trace.values, trace.senders, trace.recipients):
+        array.flags.writeable = False
     return trace
 
 

@@ -27,6 +27,10 @@ Builder calling conventions (enforced by the spec layer, not here):
   :class:`~repro.scenarios.spec.WorkloadSpec` (its fields supply defaults
   such as the target duration and value scale).
 
+File-backed sources parse through :func:`last_parse`, which keeps the last
+file's parse per process: the shards of a sweep over one snapshot and one
+trace read each file once per worker.
+
 The synthetic generators register themselves below; the real-data sources
 (``lightning-snapshot``, ``ripple-trace``) register from their own modules,
 imported at the bottom of this file so that importing the registry is
@@ -36,8 +40,9 @@ enough to see every built-in.
 from __future__ import annotations
 
 import importlib.util
+import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, TypeVar
 
 from repro.topology.datasets import ChannelSizeDistribution
 from repro.topology.generators import (
@@ -53,6 +58,7 @@ __all__ = [
     "SourceInfo",
     "get_topology_source",
     "get_workload_source",
+    "last_parse",
     "list_topology_sources",
     "list_workload_sources",
     "topology_source",
@@ -206,6 +212,28 @@ def list_topology_sources() -> List[SourceInfo]:
 def list_workload_sources() -> List[SourceInfo]:
     """All registered workload sources, sorted by kind."""
     return [WORKLOAD_SOURCES[kind] for kind in sorted(WORKLOAD_SOURCES)]
+
+
+Parsed = TypeVar("Parsed")
+
+
+def last_parse(memo: Dict[tuple, Parsed], path: str, parse: Callable[[str], Parsed]) -> Parsed:
+    """``parse(path)``, reused while the file is unchanged; ``memo`` keeps one file.
+
+    The key is the path plus the file's size, mtime and inode: a rewrite in
+    place moves the mtime (and usually the size), a rewrite by rename moves
+    the inode.  A parse is shared by every later hit, so callers keep it
+    immutable and hand out copies of its containers.
+    """
+    stat = os.stat(path)
+    key = (path, stat.st_size, stat.st_mtime_ns, stat.st_ino)
+    parsed = memo.get(key)
+    if parsed is None:
+        # Dropped first: the previous file's parse must not sit under the
+        # peak of the next one.
+        memo.clear()
+        parsed = memo[key] = parse(path)
+    return parsed
 
 
 # ---------------------------------------------------------------------- #

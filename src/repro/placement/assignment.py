@@ -35,9 +35,11 @@ def hub_sync_parts(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarra
     The last column of a row-wise ``cumsum`` over the hubs' delta block:
     ``cumsum`` accumulates left to right, i.e. hub-by-hub in ``hub_rows``
     (candidate) order, reproducing the scalar ``sum`` over the hub list
-    bit-for-bit.
+    bit-for-bit.  The ``(hubs, hubs)`` block is gathered with two ``take``
+    calls (rows, then columns): the same values in the same C layout as the
+    2-D fancy index, at about half its cost.
     """
-    block = problem.arrays.delta[hub_rows[:, None], hub_rows]
+    block = problem.arrays.delta.take(hub_rows, axis=0).take(hub_rows, axis=1)
     return problem.omega * np.cumsum(block, axis=1)[:, -1]
 
 
@@ -153,5 +155,5 @@ def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -
             per_client = scores.min(axis=0)
         else:
             np.minimum(per_client, scores.min(axis=0), out=per_client)
-    epsilon_total = float(arrays.epsilon[hub_rows[:, None], hub_rows].sum())
+    epsilon_total = float(arrays.epsilon.take(hub_rows, axis=0).take(hub_rows, axis=1).sum())
     return float(per_client.sum()) + problem.omega * epsilon_total

@@ -123,7 +123,8 @@ class ObjectiveEngine:
         if candidate in self.members:
             rows = self._rows[self._rows != row]
         else:
-            rows = np.insert(self._rows, int(np.searchsorted(self._rows, row)), row)
+            at = int(np.searchsorted(self._rows, row))
+            rows = np.concatenate((self._rows[:at], [row], self._rows[at:]))
         value = self._evaluate_rows(rows)
         gain = value - self.value
         if abs(gain) < GAIN_TOLERANCE:

@@ -34,6 +34,13 @@ once per ``topology_version`` and implements the queries on top:
   giant component of "hops at least this wide", where the heap degenerates
   into a FIFO queue) to a single ``csgraph.breadth_first_order`` call that
   visits the same rows in the same order from the same predecessors.
+* a per-process memo of the hop-count answers -- ``shortest_path``,
+  ``k_shortest_paths`` and ``edge_disjoint_shortest_paths`` read no balance,
+  so their answer is a function of the adjacency order and the arguments
+  alone.  It holds one topology, keyed by :attr:`GraphArrays.digest`; the
+  shards of a sweep over one snapshot rebuild the same topology again and
+  again, and each worker answers a repeated question once.  The widest-path
+  search and the heuristic ranking read balances and are never memoised.
 
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
@@ -46,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -86,6 +93,28 @@ _DRAIN_LEVEL_POPS = 64
 #: ``path-generation/*``; see ``docs/architecture.md``).
 _DRAIN_MIN_UNVISITED = 256
 
+#: The hop-count path answers of one topology, shared by every mirror of it
+#: in this process: ``{digest: {query: answer}}`` with at most one digest
+#: (a mirror with another digest drops the old one).  A query is
+#: ``(kernel, source, target[, k])``; an answer is a tuple of node ids, a
+#: tuple of such paths, or a :class:`_Raised` record.
+_PATH_MEMO: Dict[bytes, Dict[tuple, object]] = {}
+
+
+class _Raised:
+    """A memoised ``NoPath`` / ``NodeNotFound``: its type and arguments only.
+
+    A hit raises a new instance; re-raising one kept instance would grow its
+    traceback on every raise, and keeping a traceback keeps its frames.
+    """
+
+    __slots__ = ("kind", "args")
+
+    def __init__(self, kind: type, args: tuple) -> None:
+        self.kind = kind
+        self.args = args
+
+
 #: Adjacency structure of the path kernels: per-node neighbor rows plus the
 #: pre-joined ``(neighbor, slot)`` tuple lists, both in networkx adjacency
 #: order (the unfiltered BFS iterates the former, filtered loops the latter).
@@ -102,7 +131,9 @@ def topology_fingerprint(network) -> str:
     just the edge set, because path tie-breaks follow adjacency iteration
     order: closing and reopening a channel leaves the edge set intact but
     moves the edge to the back of both endpoints' adjacency, which can flip
-    equal-length path choices.  Balances stay out of the hash.
+    equal-length path choices.  Balances stay out of the hash.  The path
+    memo keys on the same contract (:attr:`GraphArrays.digest`, hashed from
+    the mirror's arrays instead of the adjacency dicts).
     """
     adj = network.adj
     parts = []
@@ -249,6 +280,7 @@ class GraphArrays(AdjacencyCSR):
 
         #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
         self._level: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
+        self._digest: Optional[bytes] = None
 
         # Stamped BFS scratch, reused across every bidirectional search on
         # this mirror: an entry is valid only when its stamp matches the
@@ -295,6 +327,50 @@ class GraphArrays(AdjacencyCSR):
             for slot, value in zip(slots, values):
                 balance[slot] = value
             self.balance_array[slots] = values
+
+    # ------------------------------------------------------------------ #
+    # the hop-count path memo
+    # ------------------------------------------------------------------ #
+    @property
+    def digest(self) -> bytes:
+        """Content key of the topology: node order, ``indptr`` and ``indices``.
+
+        Two mirrors with one digest answer every hop-count path query alike
+        (the :func:`topology_fingerprint` contract, hashed from the arrays
+        this mirror already holds, which is ~10x cheaper).  Computed on the
+        first memoised query.
+        """
+        if self._digest is None:
+            digest = hashlib.blake2b(repr(self.node_ids).encode(), digest_size=16)
+            digest.update(self.indptr.tobytes())
+            digest.update(self.indices.tobytes())
+            self._digest = digest.digest()
+        return self._digest
+
+    def _memoised(self, query: tuple, compute: Callable[[], object]) -> object:
+        """The answer to ``query`` from the process's path memo, or ``compute()``'s.
+
+        Answers are immutable tuples; the public kernels hand out fresh lists
+        built from them.  A ``NoPath`` / ``NodeNotFound`` is memoised as well
+        and raised again as a new instance of the same type and message.
+        """
+        memo = _PATH_MEMO.get(self.digest)
+        if memo is None:
+            # Dropped first: one topology per process.
+            _PATH_MEMO.clear()
+            memo = _PATH_MEMO[self.digest] = {}
+        try:
+            answer = memo[query]
+        except KeyError:
+            try:
+                answer = memo[query] = compute()
+            except (NoPath, NodeNotFound) as error:
+                memo[query] = _Raised(type(error), error.args)
+                raise
+            return answer
+        if type(answer) is _Raised:
+            raise answer.kind(*answer.args)
+        return answer
 
     # ------------------------------------------------------------------ #
     # distance queries
@@ -417,23 +493,43 @@ class GraphArrays(AdjacencyCSR):
         return path
 
     def shortest_path(self, source: NodeId, target: NodeId) -> List[NodeId]:
-        """One shortest path between two nodes (identical to the scalar's)."""
-        rows = self._bidirectional_path_rows(self.row_of(source), self.row_of(target))
-        return self.to_nodes(rows)
+        """One shortest path between two nodes (identical to the scalar's); memoised."""
+        return list(
+            self._memoised(
+                ("shortest", source, target),
+                lambda: tuple(
+                    self.to_nodes(
+                        self._bidirectional_path_rows(self.row_of(source), self.row_of(target))
+                    )
+                ),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # Yen's algorithm (port of networkx's `shortest_simple_paths`)
     # ------------------------------------------------------------------ #
     def k_shortest_paths(self, source: NodeId, target: NodeId, k: int) -> List[List[NodeId]]:
-        """Up to ``k`` loop-free shortest paths, in networkx's exact order.
+        """Up to ``k`` loop-free shortest paths, in networkx's exact order; memoised.
 
         Raises :class:`NoPath` when the pair is disconnected (like the
-        first pull on the scalar generator).  The ``PathBuffer`` tie-break
-        -- a ``(cost, push counter)`` heap with whole-path deduplication --
-        is replicated verbatim.
+        first pull on the scalar generator).
         """
         if k <= 0:
             return []
+        paths = self._memoised(
+            ("ksp", source, target, k),
+            lambda: tuple(
+                tuple(self.to_nodes(rows)) for rows in self._k_shortest_rows(source, target, k)
+            ),
+        )
+        return [list(path) for path in paths]
+
+    def _k_shortest_rows(self, source: NodeId, target: NodeId, k: int) -> List[List[int]]:
+        """Yen's enumeration over rows.
+
+        The ``PathBuffer`` tie-break -- a ``(cost, push counter)`` heap with
+        whole-path deduplication -- is replicated verbatim.
+        """
         source_row = self.row_of(source)
         target_row = self.row_of(target)
         slot_of = self.slot_of
@@ -491,7 +587,7 @@ class GraphArrays(AdjacencyCSR):
                     break
             else:
                 break
-        return [self.to_nodes(path) for path in results]
+        return results
 
     # ------------------------------------------------------------------ #
     # widest paths (port of `repro.reference.topology._widest_path`)
@@ -846,7 +942,20 @@ class GraphArrays(AdjacencyCSR):
     def edge_disjoint_shortest_paths(
         self, source: NodeId, target: NodeId, k: int
     ) -> List[List[NodeId]]:
-        """Up to ``k`` edge-disjoint shortest paths (the EDS selector's kernel)."""
+        """Up to ``k`` edge-disjoint shortest paths (the EDS selector's kernel); memoised."""
+        paths = self._memoised(
+            ("eds", source, target, k),
+            lambda: tuple(
+                tuple(self.to_nodes(rows))
+                for rows in self._edge_disjoint_shortest_rows(source, target, k)
+            ),
+        )
+        return [list(path) for path in paths]
+
+    def _edge_disjoint_shortest_rows(
+        self, source: NodeId, target: NodeId, k: int
+    ) -> List[List[int]]:
+        """Successive shortest paths over the working graph, hops removed as used."""
         adjacency, slot_of = self._working_adjacency()
         source_row = self.node_row.get(source)
         target_row = self.node_row.get(target)
@@ -857,7 +966,7 @@ class GraphArrays(AdjacencyCSR):
         if not adjacency[0][source_row] or not adjacency[0][target_row]:
             return []
         removed = bytearray(self.slot_count)
-        paths: List[List[NodeId]] = []
+        paths: List[List[int]] = []
         for _ in range(k):
             try:
                 rows = self._bidirectional_path_rows(
@@ -867,7 +976,7 @@ class GraphArrays(AdjacencyCSR):
                 break
             if len(rows) < 2:
                 break
-            paths.append(self.to_nodes(rows))
+            paths.append(rows)
             for a, b in zip(rows, rows[1:]):
                 removed[slot_of[(a, b)]] = 1
                 removed[slot_of[(b, a)]] = 1

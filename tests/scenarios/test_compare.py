@@ -143,10 +143,31 @@ class TestCompareCli:
         )
         assert rc == 0
         output = capsys.readouterr().out
-        assert "Figure 8 comparison -- scale small" in output
+        assert "Figure 8 comparison -- scale small (16 nodes)" in output
         assert "shortest-path" in output
         table_path = os.path.join(results_dir, "fig8-small.txt")
         assert os.path.exists(table_path)
+
+    def test_a_capped_source_reports_the_cap_as_a_cap(self, tmp_path, capsys):
+        """The snapshot source takes the scale's 60 nodes as ``max_nodes`` and builds 44."""
+        from repro.data.lightning import load_snapshot
+
+        assert load_snapshot(max_nodes=60).node_count() == 44
+        results_dir = str(tmp_path / "compare")
+        rc = cli_main(
+            [
+                "compare", "--scale", "small", "--topology-source", "lightning-snapshot",
+                "--schemes", "shortest-path", "--seeds", "1", "--duration", "1",
+                "--results-dir", results_dir, "--quiet",
+            ]
+        )
+        assert rc == 0
+        output = capsys.readouterr().out
+        assert "compare scale 'small': up to 60 nodes, 1 scheme(s)" in output
+        title = "Figure 8 comparison -- scale small (up to 60 nodes)"
+        assert title in output
+        with open(os.path.join(results_dir, "fig8-small.txt")) as handle:
+            assert handle.readline().rstrip("\n") == title
 
     def test_empty_scheme_list_is_an_error(self):
         assert cli_main(["compare", "--schemes", ",,"]) == 2
