@@ -37,7 +37,9 @@ cursor's one ``searchsorted`` slice per drain -- so the row's time gate and
 memory ceiling catch per-payment work or a per-payment materialization
 creeping back into the path every replay takes.
 
-Everything is seeded; two runs on one machine measure the same work.
+Everything is seeded; two runs on one machine measure the same work.  Every
+call starts from an empty hop-count path memo (:func:`_cold_step`), so a
+repeat times the kernels, not dict hits.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
-from repro.topology import csr  # noqa: F401 -- PCNetwork imports it lazily; not inside a memory probe
+from repro.topology import csr  # PCNetwork imports it lazily; not inside a memory probe
 from repro.topology.network import PCNetwork
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -120,14 +122,25 @@ XL_SCALES: Dict[str, Dict[str, object]] = {
 }
 
 
+def _cold_step(state) -> None:
+    """``state.step()`` from an empty hop-count path memo.
+
+    The memo (``csr._PATH_MEMO``) outlives a call, so without the reset every
+    repeat after the warmup would answer its KSP / EDS / shortest-path
+    queries from a dict and the row would stop timing those kernels.
+    """
+    csr._PATH_MEMO.clear()
+    state.step()
+
+
 def _spec(group: str, scale: str, setup, meta, inner: int = 1) -> BenchmarkSpec:
-    """One benchmark named ``<group>/<scale>`` timing ``state.step()``."""
+    """One benchmark named ``<group>/<scale>`` timing ``state.step()`` cold."""
     return BenchmarkSpec(
         name=f"{group}/{scale}",
         group=group,
         scale=scale,
         setup=setup,
-        fn=lambda state: state.step(),
+        fn=_cold_step,
         inner=inner,
         meta=meta,
     )

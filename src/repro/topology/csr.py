@@ -96,23 +96,9 @@ _DRAIN_MIN_UNVISITED = 256
 #: The hop-count path answers of one topology, shared by every mirror of it
 #: in this process: ``{digest: {query: answer}}`` with at most one digest
 #: (a mirror with another digest drops the old one).  A query is
-#: ``(kernel, source, target[, k])``; an answer is a tuple of node ids, a
-#: tuple of such paths, or a :class:`_Raised` record.
+#: ``(kernel, source, target[, k])``; an answer is a tuple of node ids or a
+#: tuple of such paths.  A query that raises is not kept.
 _PATH_MEMO: Dict[bytes, Dict[tuple, object]] = {}
-
-
-class _Raised:
-    """A memoised ``NoPath`` / ``NodeNotFound``: its type and arguments only.
-
-    A hit raises a new instance; re-raising one kept instance would grow its
-    traceback on every raise, and keeping a traceback keeps its frames.
-    """
-
-    __slots__ = ("kind", "args")
-
-    def __init__(self, kind: type, args: tuple) -> None:
-        self.kind = kind
-        self.args = args
 
 
 #: Adjacency structure of the path kernels: per-node neighbor rows plus the
@@ -351,25 +337,17 @@ class GraphArrays(AdjacencyCSR):
         """The answer to ``query`` from the process's path memo, or ``compute()``'s.
 
         Answers are immutable tuples; the public kernels hand out fresh lists
-        built from them.  A ``NoPath`` / ``NodeNotFound`` is memoised as well
-        and raised again as a new instance of the same type and message.
+        built from them.  A ``NoPath`` / ``NodeNotFound`` propagates and is
+        recomputed on a repeat.
         """
         memo = _PATH_MEMO.get(self.digest)
         if memo is None:
             # Dropped first: one topology per process.
             _PATH_MEMO.clear()
             memo = _PATH_MEMO[self.digest] = {}
-        try:
-            answer = memo[query]
-        except KeyError:
-            try:
-                answer = memo[query] = compute()
-            except (NoPath, NodeNotFound) as error:
-                memo[query] = _Raised(type(error), error.args)
-                raise
-            return answer
-        if type(answer) is _Raised:
-            raise answer.kind(*answer.args)
+        answer = memo.get(query)
+        if answer is None:
+            answer = memo[query] = compute()
         return answer
 
     # ------------------------------------------------------------------ #

@@ -6,8 +6,6 @@ widest-path search and the heuristic ranking read balances and must follow
 them.  These tests pin what a hit may and may not change.
 """
 
-import traceback
-
 import pytest
 
 from repro.reference import topology as reference
@@ -138,7 +136,7 @@ class TestTopologyKey:
         assert len(csr._PATH_MEMO[second.graph_arrays().digest]) == 1
 
 
-class TestMemoisedErrors:
+class TestFailingQueries:
     @staticmethod
     def _disconnected():
         network = _square()
@@ -156,19 +154,15 @@ class TestMemoisedErrors:
             (lambda arrays: arrays.k_shortest_paths("nowhere", "t", 2), csr.NodeNotFound),
         ],
     )
-    def test_raised_alike_on_the_first_call_and_every_repeat(self, query, error, kernel_calls):
+    def test_raised_alike_on_the_first_call_and_every_repeat(self, query, error):
         arrays = self._disconnected().graph_arrays()
         raised = []
         for _ in range(3):
             with pytest.raises(error) as info:
                 query(arrays)
             raised.append(info.value)
-        assert len(kernel_calls) <= 1  # the repeats come from the memo
-        assert len({id(exception) for exception in raised}) == 3
         assert {str(exception) for exception in raised} == {str(raised[0])}
-        # A fresh instance per raise: the traceback does not grow.
-        depths = [len(traceback.extract_tb(exception.__traceback__)) for exception in raised]
-        assert depths[1] == depths[2]
+        assert not csr._PATH_MEMO.get(arrays.digest)  # a failing query is not kept
 
     def test_eds_of_an_unknown_node_is_an_empty_answer(self):
         arrays = self._disconnected().graph_arrays()
