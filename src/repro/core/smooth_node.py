@@ -43,6 +43,9 @@ class SmoothNode:
         router: The (epoch-synchronized) routing engine.
         kmg: The key management group the node belongs to or queries.
         clients: Clients attached to this smooth node, keyed by node id.
+        sessions: Open payment sessions by transaction id.  A session
+            retires once its final ACK is forwarded, once its payment fails,
+            or when the router rejects the payment.
         stats: Lifetime counters.
     """
 
@@ -101,28 +104,37 @@ class SmoothNode:
             session.attach_payment(payment)
             self.stats.payments_accepted += 1
         else:
+            self.sessions.pop(session.tid, None)
             self.stats.payments_rejected += 1
         return decision
 
     def process_acknowledgments(self) -> List[str]:
         """Flip per-unit flags from delivered units and forward final ACKs.
 
-        Returns the transaction ids completed during this call.
+        Returns the transaction ids completed during this call.  Completed
+        and failed sessions retire.
         """
         completed: List[str] = []
+        retired: List[str] = []
         for tid, session in self.sessions.items():
             payment = session.payment
-            if payment is None or session.ack_sent:
+            if payment is None:
+                continue
+            if payment.is_failed:
+                retired.append(tid)
                 continue
             for unit in payment.units:
                 if unit.delivered and not session.unit_states.get(unit.unit_id, False):
                     session.record_unit_ack(unit.unit_id)
             if session.finalize():
                 completed.append(tid)
+                retired.append(tid)
                 self.stats.acks_forwarded += 1
                 client = self.clients.get(payment.sender)
                 if client is not None:
                     client.receive_ack(tid)
+        for tid in retired:
+            del self.sessions[tid]
         return completed
 
     def record_sync_round(self) -> None:

@@ -83,8 +83,9 @@ class SourceInfo:
             does not support it are rejected instead of silently ignored.
         synthetic: Whether the source generates its data (synthetic
             generators) or loads external data (trace/snapshot loaders).
-            Data-backed sources spelled through the legacy ``kind`` field
-            raise a deprecation warning pointing at ``source:``.
+            A data-backed source spelled through the ``kind`` field is
+            rejected with a ``ValueError`` pointing at ``source:``
+            (:meth:`~repro.scenarios.spec.TopologySpec.resolved_source`).
     """
 
     kind: str

@@ -250,8 +250,6 @@ class PathRateController(rate_control.PathRateController):
                 price = float(price)
                 updated = rate + self.alpha * (marginal_utility - price)
                 updated = max(updated, self.min_rate)
-                if self.max_rate is not None:
-                    updated = min(updated, self.max_rate)
                 new_rates.append(updated)
             state.rates = new_rates
             self._enforce_demand(state)

@@ -23,7 +23,6 @@ from repro.routing.transaction import TransactionUnit
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
-Pair = Tuple[NodeId, NodeId]
 
 #: Paper defaults (section V-A).
 DEFAULT_QUEUE_LIMIT = 8000.0
@@ -81,9 +80,11 @@ class QueuedUnit:
 class CongestionController:
     """Queue, marking and window management for one routing engine.
 
-    The controller is shared by all pairs the engine serves; windows are
-    keyed by path and queue occupancy is tracked per source hub (the entity
-    that would hold the queue in the deployed system).
+    The controller is shared by all pairs the engine serves and keeps no
+    per-pair state: windows are keyed by path (pairs share them), the caller
+    supplies a pair's paths where equation (28) needs them, and queue
+    occupancy is tracked per source hub (the entity that would hold the
+    queue in the deployed system).
     """
 
     def __init__(
@@ -104,20 +105,11 @@ class CongestionController:
         self.gamma = float(gamma)
         self.initial_window = float(initial_window)
         self._windows: Dict[Path, PathWindow] = {}
-        self._pair_paths: Dict[Pair, List[Path]] = {}
         self._queued_value: Dict[NodeId, float] = {}
 
     # ------------------------------------------------------------------ #
     # window management
     # ------------------------------------------------------------------ #
-    def register_paths(self, source: NodeId, target: NodeId, paths: Iterable[Sequence[NodeId]]) -> None:
-        """Create windows for a pair's paths (existing windows are preserved)."""
-        pair = (source, target)
-        normalized = [tuple(path) for path in paths]
-        self._pair_paths[pair] = normalized
-        for path in normalized:
-            self._windows.setdefault(path, PathWindow(size=self.initial_window))
-
     def window(self, path: Sequence[NodeId]) -> PathWindow:
         """The window of a path (created on first use)."""
         key = tuple(path)
@@ -133,20 +125,18 @@ class CongestionController:
         """Record a unit entering a path."""
         self.window(path).on_launch()
 
-    def on_complete(self, source: NodeId, target: NodeId, path: Sequence[NodeId]) -> None:
-        """Record a unit completing on a path (grows its window)."""
-        pair_total = self._pair_window_total(source, target)
+    def on_complete(self, path: Sequence[NodeId], pair_paths: Sequence[Path]) -> None:
+        """Record a unit completing on a path (grows its window).
+
+        ``pair_paths`` are the paths registered for the unit's pair; their
+        window sizes sum to the denominator of equation (28).
+        """
+        pair_total = sum(self.window(pair_path).size for pair_path in pair_paths)
         self.window(path).on_complete(pair_total, self.gamma)
 
     def on_abort(self, path: Sequence[NodeId]) -> None:
         """Record a unit aborting on a path (shrinks its window)."""
         self.window(path).on_abort(self.beta)
-
-    def _pair_window_total(self, source: NodeId, target: NodeId) -> float:
-        paths = self._pair_paths.get((source, target), [])
-        if not paths:
-            return MIN_WINDOW
-        return sum(self._windows[path].size for path in paths if path in self._windows)
 
     # ------------------------------------------------------------------ #
     # queue management

@@ -36,15 +36,22 @@ DEFAULT_INITIAL_RATE = 2.0
 
 @dataclass
 class PairRateState:
-    """Per source-destination pair rate state.
+    """The record of one source-destination pair: paths, rates, dispatch state.
 
     Attributes:
         source: Sending client (or hub) of the pair.
         target: Receiving client (or hub) of the pair.
-        paths: Candidate paths currently registered for the pair.
+        paths: Candidate paths currently registered for the pair.  A path
+            search that finds none leaves the previous paths registered.
         rates: Sending rate (tokens/second) per path, aligned with ``paths``.
         demand_rate: Optional cap on the pair's total rate derived from its
             outstanding demand (the demand constraint of equation 17).
+        searched_at: Time of the router's last path search for the pair.
+        found: Whether that search found any path.
+        budgets: Token-bucket sending budget per path.  Entries outlive a
+            refresh, so a path that comes back resumes its budget.
+        ranked: ``(price_version, ranking)`` memo of the dispatch ranking,
+            cleared by every path search.
     """
 
     source: NodeId
@@ -52,11 +59,20 @@ class PairRateState:
     paths: List[Path] = field(default_factory=list)
     rates: List[float] = field(default_factory=list)
     demand_rate: Optional[float] = None
+    searched_at: float = float("-inf")
+    found: bool = False
+    budgets: Dict[Path, float] = field(default_factory=dict)
+    ranked: Optional[Tuple[int, List[Tuple[float, Path]]]] = None
 
     @property
     def total_rate(self) -> float:
         """Aggregate sending rate across the pair's paths."""
         return sum(self.rates)
+
+    @property
+    def found_paths(self) -> List[Path]:
+        """The paths units may take: those of the last search, if it found any."""
+        return self.paths if self.found else []
 
 
 @dataclass
@@ -90,7 +106,6 @@ class PathRateController:
         alpha: float = DEFAULT_ALPHA,
         min_rate: float = DEFAULT_MIN_RATE,
         initial_rate: float = DEFAULT_INITIAL_RATE,
-        max_rate: Optional[float] = None,
     ) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -99,7 +114,6 @@ class PathRateController:
         self.alpha = float(alpha)
         self.min_rate = float(min_rate)
         self.initial_rate = float(initial_rate)
-        self.max_rate = max_rate
         self._pairs: Dict[Pair, PairRateState] = {}
         self._version = 0
         self._flat_cache: Optional[_FlatPaths] = None
@@ -111,15 +125,18 @@ class PathRateController:
         """Register (or refresh) the candidate paths of a pair.
 
         Existing rates are kept for paths that survive the refresh; new paths
-        start at the initial rate.
+        start at the initial rate.  An empty ``paths`` keeps the registered
+        ones.  The registry runs in order of first non-empty registration,
+        which fixes the summation order of the array kernels.
         """
         key = (source, target)
         normalized = [tuple(path) for path in paths]
         state = self._pairs.get(key)
         if state is None:
-            state = PairRateState(source, target)
-            self._pairs[key] = state
-        if normalized == state.paths:
+            state = self._pairs[key] = PairRateState(source, target)
+        elif normalized and not state.paths:
+            self._pairs[key] = self._pairs.pop(key)
+        if not normalized or normalized == state.paths:
             return state
         old_rates = dict(zip(state.paths, state.rates))
         state.paths = normalized
@@ -132,14 +149,8 @@ class PathRateController:
         return self._pairs.get((source, target))
 
     def pairs(self) -> List[PairRateState]:
-        """All registered pair states."""
+        """Every pair record, including pairs no search has found a path for."""
         return list(self._pairs.values())
-
-    def set_demand_rate(self, source: NodeId, target: NodeId, demand_rate: Optional[float]) -> None:
-        """Set the demand-derived cap on the pair's total rate (equation 17)."""
-        state = self._pairs.get((source, target))
-        if state is not None:
-            state.demand_rate = demand_rate
 
     def drop_pair(self, source: NodeId, target: NodeId) -> None:
         """Forget a pair (e.g. when it has no outstanding demand left)."""
@@ -199,8 +210,8 @@ class PathRateController:
 
         Equation (26) plus the demand cap (17) as one array kernel: marginal
         utility from the pair totals, gradient step against the path routing
-        prices, clipping to ``[min_rate, max_rate]``, then the per-pair
-        demand rescaling.
+        prices, flooring at ``min_rate``, then the per-pair demand
+        rescaling.
         """
         flat = self._flat(price_table)
         if not flat.states:
@@ -211,8 +222,6 @@ class PathRateController:
         totals = np.maximum(np.add.reduceat(rates, flat.ptr[:-1]), floor)
         marginal = np.repeat(1.0 / totals, flat.lengths)
         updated = np.maximum(rates + self.alpha * (marginal - prices), self.min_rate)
-        if self.max_rate is not None:
-            updated = np.minimum(updated, self.max_rate)
         demand = np.fromiter(
             (
                 state.demand_rate if state.demand_rate is not None else np.inf
@@ -257,8 +266,6 @@ class PathRateController:
             boosted = max(rate, share)
             if cap is not None:
                 boosted = min(boosted, max(cap, self.min_rate))
-            if self.max_rate is not None:
-                boosted = min(boosted, self.max_rate)
             new_rates.append(boosted)
         state.rates = new_rates
 

@@ -34,7 +34,7 @@ from repro.obs import core as obs
 from repro.routing.congestion import CongestionController, QueuedUnit
 from repro.routing.paths import get_path_selector
 from repro.routing.prices import PriceTable
-from repro.routing.rate_control import PathRateController
+from repro.routing.rate_control import PairRateState, PathRateController
 from repro.routing.scheduling import get_scheduler
 from repro.routing.transaction import FailureReason, Payment, TransactionUnit
 from repro.topology.channel import ChannelError, InsufficientFundsError
@@ -157,7 +157,11 @@ class StepReport:
 
 
 class RateRouter:
-    """Rate-based multi-path payment router over a payment channel network."""
+    """Rate-based multi-path payment router over a payment channel network.
+
+    A pair's one record is its rate controller ``PairRateState``; only the
+    waiting queues live apart, as their insertion order is the dispatch order.
+    """
 
     def __init__(self, network: PCNetwork, config: Optional[RouterConfig] = None) -> None:
         self.network = network
@@ -186,11 +190,8 @@ class RateRouter:
         self._select_paths = get_path_selector(cfg.path_type)
         self._schedule = get_scheduler(cfg.scheduler)
         self._queues: Dict[Pair, List[QueuedUnit]] = {}
-        self._budgets: Dict[Tuple[Pair, Path], float] = {}
         self._in_flight: List[_InFlightUnit] = []
         self._payments: Dict[int, Payment] = {}
-        self._pair_paths: Dict[Pair, Tuple[List[Path], float]] = {}
-        self._ranked_cache: Dict[Pair, Tuple[int, List[Path], List[Tuple[float, Path]]]] = {}
         self._next_price_update = cfg.update_interval
         self.total_fees_paid = 0.0
         self.total_units_delivered = 0
@@ -204,7 +205,8 @@ class RateRouter:
         cfg = self.config
         rec = obs.RECORDER
         pair = (payment.sender, payment.recipient)
-        paths = self._paths_for(pair, now)
+        state = self._pair_state(pair, now)
+        paths = state.found_paths
         if not paths:
             payment.fail(FailureReason.NO_PATH)
             if rec.enabled and rec.payment_begin(payment):
@@ -222,45 +224,51 @@ class RateRouter:
         for unit in units:
             queue.append(QueuedUnit(unit=unit, enqueued_at=now))
         self.congestion.on_enqueue(payment.sender, payment.value)
-        self._refresh_demand_rate(pair, now)
+        self._refresh_demand_rate(state, queue, now)
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "paths", now, paths=len(paths), units=len(units))
         return RoutingDecision(payment, paths, accepted=True)
 
-    def _paths_for(self, pair: Pair, now: float) -> List[Path]:
-        cached = self._pair_paths.get(pair)
-        if cached is not None and now - cached[1] < self.config.path_refresh_interval:
-            return cached[0]
+    def _pair_state(self, pair: Pair, now: float) -> PairRateState:
+        """The pair's record, its paths searched again once they are stale.
+
+        A search that finds no path holds for ``path_refresh_interval`` too;
+        the controller keeps the previous paths registered meanwhile.
+        """
+        state = self.rate_controller.pair_state(*pair)
+        if state is not None and now - state.searched_at < self.config.path_refresh_interval:
+            return state
         raw = self._select_paths(self.network, pair[0], pair[1], self.config.path_count)
         paths = [tuple(path) for path in raw]
-        self._pair_paths[pair] = (paths, now)
-        if paths:
-            self.rate_controller.register_pair(pair[0], pair[1], paths)
-            self.congestion.register_paths(pair[0], pair[1], paths)
-            # One probe per path per refresh measures the path prices.
-            self.total_probe_messages += sum(len(p) - 1 for p in paths)
-        return paths
+        state = self.rate_controller.register_pair(pair[0], pair[1], paths)
+        state.searched_at = now
+        state.found = bool(paths)
+        state.ranked = None
+        # One probe per path per refresh measures the path prices.
+        self.total_probe_messages += sum(len(p) - 1 for p in paths)
+        return state
 
-    def _refresh_demand_rate(self, pair: Pair, now: float) -> None:
+    def _refresh_demand_rate(
+        self, state: PairRateState, queue: List[QueuedUnit], now: float
+    ) -> None:
         """Demand constraint (17): the rate needed to clear the outstanding demand.
 
         Equation (17) bounds ``sum_p r_p * Delta`` by the pair's demand, i.e.
         the pair never sustains a higher rate than its outstanding value can
         feed within one settlement delay.
         """
-        queue = self._queues.get(pair, [])
         outstanding = sum(q.unit.value for q in queue)
         if outstanding > 0:
             delay = max(self.config.settlement_delay, 1e-6)
             # Equation (17) caps in-flight funds by the demand: r * Delta <= d.
-            self.rate_controller.set_demand_rate(pair[0], pair[1], outstanding / delay)
+            state.demand_rate = outstanding / delay
             # The *target* rate only needs to clear the queued value before the
             # earliest deadline among the queued units (with a safety factor of
             # two); asking for more would just inflate the capacity prices.
             earliest_deadline = min((q.unit.deadline for q in queue), default=now)
             horizon = max(0.25 * (earliest_deadline - now), delay)
             target_rate = outstanding / horizon
-            paths, _ = self._pair_paths.get(pair, ([], 0.0))
+            paths = state.found_paths
             # Each path's boost ceiling is its capacity-derived rate bound
             # (equation 18) discounted by the current routing price, so a
             # congested or imbalanced path does not get re-inflated.  The
@@ -274,9 +282,9 @@ class RateRouter:
                     paths, table.path_prices(paths), table.path_capacities(paths)
                 )
             }
-            self.rate_controller.boost_rates(pair[0], pair[1], target_rate, per_path_caps)
+            self.rate_controller.boost_rates(state.source, state.target, target_rate, per_path_caps)
         else:
-            self.rate_controller.set_demand_rate(pair[0], pair[1], None)
+            state.demand_rate = None
 
     # ------------------------------------------------------------------ #
     # stepping
@@ -319,7 +327,8 @@ class RateRouter:
                 if payment.is_complete:
                     report.completed_payments.append(payment)
                     self._payments.pop(payment.payment_id, None)
-            self.congestion.on_complete(unit.sender, unit.recipient, entry.path)
+            state = self.rate_controller.pair_state(unit.sender, unit.recipient)
+            self.congestion.on_complete(entry.path, state.paths if state is not None else [])
             report.delivered_units += 1
             report.delivered_value += unit.value
             report.fees_paid += entry.fee
@@ -379,8 +388,10 @@ class RateRouter:
                 # Dynamic adjustment: pairs with queued demand re-assert the
                 # rate needed to clear it, so rates recover after a price spike
                 # instead of staying pinned at the floor.
-                for pair in list(self._queues):
-                    self._refresh_demand_rate(pair, now)
+                for pair, queue in self._queues.items():
+                    state = self.rate_controller.pair_state(*pair)
+                    if state is not None:
+                        self._refresh_demand_rate(state, queue, now)
             self._next_price_update += cfg.update_interval
         self._maybe_prune_paths()
 
@@ -391,14 +402,13 @@ class RateRouter:
         accumulate in the table's path index forever and every whole-table
         price reduction would slow down monotonically.  Once retired rows
         outnumber the active ones several times over, rebuild the index
-        around the paths currently cached for live pairs.
+        around the paths the pairs' last searches found.
         """
-        active_count = sum(len(paths) for paths, _ in self._pair_paths.values())
+        found = [state.paths for state in self.rate_controller.pairs() if state.found]
+        active_count = sum(map(len, found))
         if self.price_table.registered_path_count() <= max(512, 4 * active_count):
             return
-        self.price_table.prune_paths(
-            path for paths, _ in self._pair_paths.values() for path in paths
-        )
+        self.price_table.prune_paths(path for paths in found for path in paths)
 
     def _accrue_budgets(self, dt: float) -> None:
         cfg = self.config
@@ -406,17 +416,15 @@ class RateRouter:
             state = self.rate_controller.pair_state(*pair)
             if state is None:
                 continue
+            budgets = state.budgets
             for path, rate in zip(state.paths, state.rates):
-                key = (pair, path)
-                effective_rate = rate if cfg.rate_control_enabled else float("inf")
-                if effective_rate == float("inf"):
-                    self._budgets[key] = float("inf")
-                else:
-                    # Token bucket: the burst capacity tracks the current rate so
-                    # high-demand pairs are not throttled below their allowance.
-                    burst_cap = max(cfg.max_tu * 4.0, effective_rate * dt * 2.0)
-                    current = self._budgets.get(key, 0.0)
-                    self._budgets[key] = min(current + effective_rate * dt, burst_cap)
+                if not cfg.rate_control_enabled:
+                    budgets[path] = float("inf")
+                    continue
+                # Token bucket: the burst capacity tracks the current rate so
+                # high-demand pairs are not throttled below their allowance.
+                burst_cap = max(cfg.max_tu * 4.0, rate * dt * 2.0)
+                budgets[path] = min(budgets.get(path, 0.0) + rate * dt, burst_cap)
 
     # -- dispatch -------------------------------------------------------- #
     def _dispatch_queued(self, now: float, report: StepReport) -> None:
@@ -439,21 +447,21 @@ class RateRouter:
                 continue
             if unit.expired(now):
                 continue  # handled by _expire_overdue below
-            path = self._choose_path(pair, unit, now)
+            state = self._pair_state(pair, now)
+            path = self._choose_path(state, unit)
             if path is None:
                 unit.retries += 1
                 continue
-            if self._launch_unit(pair, queued, unit, path, now):
+            if self._launch_unit(state, unit, path, now):
                 self._remove_from_queue(pair, queued)
 
-    def _choose_path(self, pair: Pair, unit: TransactionUnit, now: float) -> Optional[Path]:
+    def _choose_path(self, state: PairRateState, unit: TransactionUnit) -> Optional[Path]:
         cfg = self.config
-        paths = self._paths_for(pair, now)
-        if not paths:
+        if not state.found:
             return None
-        for _, path in self._ranked_paths(pair, paths):
-            budget = self._budgets.get((pair, path), 0.0)
-            if budget < unit.value:
+        budgets = state.budgets
+        for _, path in self._ranked_paths(state):
+            if budgets.get(path, 0.0) < unit.value:
                 continue
             if cfg.congestion_control_enabled and not self.congestion.can_send(path):
                 continue
@@ -462,7 +470,7 @@ class RateRouter:
             return path
         return None
 
-    def _ranked_paths(self, pair: Pair, paths: List[Path]) -> List[Tuple[float, Path]]:
+    def _ranked_paths(self, state: PairRateState) -> List[Tuple[float, Path]]:
         """The pair's candidate paths, price-sorted with blocked paths dropped.
 
         Routing prices and the balance constraint (equation 19) only change
@@ -472,14 +480,15 @@ class RateRouter:
         (budget, window, live capacity).  Blocked paths -- those whose worst
         hop's imbalance-price gap exceeds ``max_imbalance_gap`` -- are
         excluded up front; they become usable again once reverse flow (or
-        the price decay) restores balance.  The cache key is the table's
-        ``price_version``, which tracks every price mutation, including
-        direct writes through views.
+        the price decay) restores balance.  The memo (``state.ranked``) is
+        keyed by the table's ``price_version``, which tracks every price
+        mutation, including direct writes through views; a path search
+        clears it.
         """
         version = self.price_table.price_version
-        cached = self._ranked_cache.get(pair)
-        if cached is not None and cached[0] == version and cached[1] is paths:
-            return cached[2]
+        if state.ranked is not None and state.ranked[0] == version:
+            return state.ranked[1]
+        paths = state.paths
         # Batch queries are lenient towards paths whose channels dynamics
         # retired before they were ever priced: such a path prices against a
         # zero-capacity placeholder and the per-unit capacity guard in
@@ -497,16 +506,11 @@ class RateRouter:
             ),
             key=lambda item: item[0],
         )
-        self._ranked_cache[pair] = (version, paths, ranked)
+        state.ranked = (version, ranked)
         return ranked
 
     def _launch_unit(
-        self,
-        pair: Pair,
-        queued: QueuedUnit,
-        unit: TransactionUnit,
-        path: Path,
-        now: float,
+        self, state: PairRateState, unit: TransactionUnit, path: Path, now: float
     ) -> bool:
         rec = obs.RECORDER
         locks: List[Tuple[object, int]] = []
@@ -531,9 +535,9 @@ class RateRouter:
                 )
             locks.append((channel, lock_id))
             fee += self.price_table.channel_fee(sender, receiver)
-        budget_key = (pair, path)
-        if self._budgets.get(budget_key, 0.0) != float("inf"):
-            self._budgets[budget_key] = max(self._budgets.get(budget_key, 0.0) - unit.value, 0.0)
+        budget = state.budgets.get(path, 0.0)
+        if budget != float("inf"):
+            state.budgets[path] = max(budget - unit.value, 0.0)
         self.congestion.on_launch(path)
         complete_at = now + self.config.hop_delay * (len(path) - 1)
         self._in_flight.append(
@@ -600,10 +604,8 @@ class RateRouter:
                 self._payments.pop(payment_id, None)
 
     def _preferred_path(self, pair: Pair) -> Path:
-        cached = self._pair_paths.get(pair)
-        if cached and cached[0]:
-            return cached[0][0]
-        return (pair[0], pair[1])
+        state = self.rate_controller.pair_state(*pair)
+        return state.paths[0] if state is not None and state.found else pair
 
     # ------------------------------------------------------------------ #
     # inspection helpers

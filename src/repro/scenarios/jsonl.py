@@ -29,8 +29,8 @@ Resilience contract (the failure-survival layer):
   row* (``status="failed"`` plus error class, message and traceback
   digest) appended to the results file, and the shard is retried with
   deterministic capped exponential backoff (``on_error="retry"``, the
-  default), skipped (``"skip"``), or -- for the legacy behavior -- the
-  sweep stops after recording the row (``"fail"``);
+  default), skipped (``"skip"``), or the sweep stops after recording the
+  row (``"fail"``, ``--on-shard-error=fail``);
 * failure rows never count as completed: resume re-runs them, and a later
   success row supersedes them in every report;
 * a configuration error is not a shard fault: a ``ValueError``,

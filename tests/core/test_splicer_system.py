@@ -129,3 +129,32 @@ class TestEpochs:
             assert system.sync_message_hops_per_epoch() > 0
         else:
             assert system.sync_message_hops_per_epoch() == 0
+
+
+class TestSessions:
+    def test_drained_run_retires_every_session(self, system):
+        """Completed, failed and rejected payments all leave ``sessions``."""
+        clients = sorted(system.clients, key=repr)
+        payments = []
+        for index in range(24):
+            sender = clients[index % len(clients)]
+            recipient = clients[(index * 7 + 3) % len(clients)]
+            if sender == recipient:
+                continue
+            # Some values exceed what the paths can carry in time and fail.
+            value = 3.0 if index % 3 else 900.0
+            _, decision = system.submit_payment(sender, recipient, value, now=0.0)
+            payments.append(decision.payment)
+        # More than the sender's queue holds: rejected at submission.
+        _, rejected = system.submit_payment(clients[0], clients[1], 9000.0, now=0.0)
+        assert not rejected.accepted
+        payments.append(rejected.payment)
+        system.run(duration=6.0)
+        router = system.router
+        assert router.queued_unit_count() == router.in_flight_count() == 0
+        assert router.active_payment_count() == 0
+        completed = sum(payment.is_complete for payment in payments)
+        assert 0 < completed < len(payments)
+        assert all(not node.sessions for node in system.smooth_nodes.values())
+        acks = sum(node.stats.acks_forwarded for node in system.smooth_nodes.values())
+        assert acks == completed

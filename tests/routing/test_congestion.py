@@ -43,24 +43,27 @@ class TestPathWindow:
 
 
 class TestWindows:
-    def test_register_creates_windows(self):
+    def test_unused_paths_can_send(self):
         controller = CongestionController()
-        controller.register_paths("s", "t", [PATH_A, PATH_B])
         assert controller.can_send(PATH_A)
         assert controller.can_send(PATH_B)
 
     def test_launch_and_complete_cycle(self):
         controller = CongestionController(initial_window=1.0, gamma=1.0)
-        controller.register_paths("s", "t", [PATH_A])
         controller.on_launch(PATH_A)
         assert not controller.can_send(PATH_A)
-        controller.on_complete("s", "t", PATH_A)
+        # Equation (28): gamma over the pair's window total, which counts the
+        # never-used PATH_B at its initial size.
+        controller.on_complete(PATH_A, [PATH_A, PATH_B])
         assert controller.can_send(PATH_A)
-        assert controller.window(PATH_A).size > 1.0
+        assert controller.window(PATH_A).size == pytest.approx(1.0 + 1.0 / 2.0)
+        assert controller.window(PATH_B).size == pytest.approx(1.0)
+        # With no registered paths the denominator falls back to MIN_WINDOW.
+        controller.on_complete(PATH_B, [])
+        assert controller.window(PATH_B).size == pytest.approx(1.0 + 1.0 / MIN_WINDOW)
 
     def test_abort_shrinks(self):
         controller = CongestionController(initial_window=20.0, beta=5.0)
-        controller.register_paths("s", "t", [PATH_A])
         controller.on_abort(PATH_A)
         assert controller.window(PATH_A).size == pytest.approx(15.0)
 

@@ -31,12 +31,20 @@ class TestRegistration:
         state = controller.register_pair("n0", "n2", [PATHS[0], ("n0", "n4")])
         assert state.rates[0] == 1.0
         assert state.rates[1] == 5.0  # new path starts at the initial rate
+        # A search that found nothing keeps the registered paths and rates.
+        assert controller.register_pair("n0", "n2", []) is state
+        assert state.paths == [PATHS[0], ("n0", "n4")]
+        assert state.rates == [1.0, 5.0]
 
     def test_pair_state_lookup(self, controller):
         assert controller.pair_state("n0", "n2") is None
+        controller.register_pair("n0", "n3", [])
         controller.register_pair("n0", "n2", PATHS)
         assert controller.pair_state("n0", "n2") is not None
-        assert len(controller.pairs()) == 1
+        assert controller.pair_state("n0", "n3").paths == []
+        # The registry runs in order of first non-empty registration.
+        controller.register_pair("n0", "n3", [("n0", "n1", "n2", "n3")])
+        assert [(s.source, s.target) for s in controller.pairs()] == [("n0", "n2"), ("n0", "n3")]
 
     def test_drop_pair(self, controller):
         controller.register_pair("n0", "n2", PATHS)
@@ -71,15 +79,9 @@ class TestRateUpdates:
             controller.update_rates(table)
         assert all(rate == pytest.approx(0.5) for rate in controller.pair_state("n0", "n2").rates)
 
-    def test_max_rate_respected(self, table):
-        controller = PathRateController(alpha=100.0, min_rate=0.0, initial_rate=1.0, max_rate=2.0)
-        controller.register_pair("n0", "n2", PATHS)
-        controller.update_rates(table)
-        assert all(rate <= 2.0 for rate in controller.pair_state("n0", "n2").rates)
-
     def test_demand_cap_scales_rates(self, controller, table):
         controller.register_pair("n0", "n2", PATHS)
-        controller.set_demand_rate("n0", "n2", 4.0)
+        controller.pair_state("n0", "n2").demand_rate = 4.0
         controller.update_rates(table)
         assert controller.pair_state("n0", "n2").total_rate <= 4.0 + 1e-9
 

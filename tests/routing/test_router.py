@@ -277,3 +277,57 @@ class TestDeadlockAvoidance:
         without_pricing = run(imbalance_enabled=False)
         assert with_pricing >= without_pricing
         assert with_pricing > 0.5
+
+
+class TestEmptyPathSearch:
+    """A channel closure disconnects a pair with queued demand.
+
+    The goldens never reach a path search that finds nothing, so this pins
+    what the router does then: it answers ``[]`` for ``path_refresh_interval``
+    while the rate controller keeps the previous paths, which stay priced and
+    get an uncapped demand boost; an expiry penalises the ``(sender,
+    recipient)`` fallback window.
+    """
+
+    PATH = ("n0", "n1", "n2", "n3", "n4")
+
+    def test_disconnected_pair_keeps_previous_paths(self, line_network, fast_config):
+        router = RateRouter(line_network, fast_config)
+        payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=1.5)
+        assert router.submit(payment, 0.0).accepted
+        line_network.remove_channel("n1", "n2")
+        state = router.rate_controller.pair_state("n0", "n4")
+        for step in range(1, 10):
+            router.step(0.1 * step, 0.1)
+        # Still cached: the dead hop's zero capacity caps the boost at the floor.
+        assert state.rates == [pytest.approx(fast_config.min_rate)]
+
+        for step in range(10, 16):  # the refresh at t = 1.0 finds no path
+            router.step(0.1 * step, 0.1)
+        assert router.queued_unit_count() == len(payment.units)
+        assert router.rate_controller.pair_state("n0", "n4") is state
+        assert state.paths == [self.PATH]
+        # No path to cap it: the boost asks for the whole demand rate ...
+        demand_rate = payment.value / fast_config.settlement_delay
+        assert state.rates == [pytest.approx(demand_rate)]
+        # ... and the kept path still reports its required funds.
+        required = router.price_table.prices("n0", "n1").required_funds["n0"]
+        assert required == pytest.approx(demand_rate * fast_config.settlement_delay)
+
+        report = router.step(1.6, 0.1)
+        assert payment in report.failed_payments
+        assert router.queued_unit_count() == 0
+        initial = router.congestion.initial_window
+        assert router.congestion.window(("n0", "n4")).size == initial - fast_config.beta
+        assert router.congestion.window(self.PATH).size == initial
+
+        # The empty answer holds for path_refresh_interval despite the reopen.
+        line_network.add_channel("n1", "n2", 50.0, 50.0)
+        early = Payment.create("n0", "n4", 2.0, created_at=1.7, timeout=3.0)
+        assert router.submit(early, 1.7).reason == "no path"
+        late = Payment.create("n0", "n4", 2.0, created_at=2.0, timeout=3.0)
+        assert router.submit(late, 2.0).accepted
+        assert router.rate_controller.pair_state("n0", "n4").paths == [self.PATH]
+        for step in range(21, 40):
+            router.step(0.1 * step, 0.1)
+        assert late.is_complete
