@@ -1,8 +1,10 @@
 """Golden outputs: result rows, printed tables and final-state digests.
 
 Covers the figure-8 comparison at ``--scale small`` over every scheme
-(seeds 1 and 2) and the ``channel-churn`` / ``channel-jamming`` /
-``hub-failure`` / ``real-trace`` scenarios at ``--duration 2``, each built
+(seeds 1 and 2), the atomic baselines over the bundled Lightning snapshot
+and Ripple trace (``snapshot-trace``, seeds 1 and 2) and the
+``channel-churn`` / ``channel-jamming`` / ``hub-failure`` / ``real-trace``
+scenarios at ``--duration 2``, each built
 exactly as ``python -m repro compare`` / ``run`` builds it and executed
 through the sweep's own task function.  Per scenario the directory holds
 
@@ -53,6 +55,17 @@ GOLDENS: Dict[str, Callable[[], ScenarioSpec]] = {
     "channel-jamming": _run_scenario("channel-jamming"),
     "hub-failure": _run_scenario("hub-failure"),
     "real-trace": _run_scenario("real-trace"),
+    # python -m repro compare --scale small --topology-source lightning-snapshot
+    #   --workload-source ripple-trace --schemes flash,landmark,shortest-path,waterfilling
+    #   --duration 2 --seeds 1,2
+    "snapshot-trace": lambda: build_comparison_spec(
+        "small",
+        ["flash", "landmark", "shortest-path", "waterfilling"],
+        seeds=[1, 2],
+        duration=2.0,
+        topology_source="lightning-snapshot",
+        workload_source="ripple-trace",
+    ),
 }
 
 
