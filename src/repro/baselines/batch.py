@@ -10,12 +10,13 @@ its own: every read and write goes to the network's
 :class:`~repro.topology.channel.BalanceStore`, which the channel objects are
 views of, so there is nothing to synchronise.
 
-* Paths travel as a :class:`~repro.topology.pathcsr.PathCSR`: the store
-  *slot* of every hop's sending side (``slot ^ 1`` is the receiving side,
-  ``store.channels[slot >> 1]`` the channel), re-resolved whenever the
-  ``topology_version`` moves, with the bottleneck rule written once.
+* Paths travel as a :class:`~repro.topology.pathcsr.PathCSR`: per path, a
+  tuple of the store *slot* of every hop's sending side (``slot ^ 1`` is
+  the receiving side, ``store.channels[slot >> 1]`` the channel),
+  re-resolved whenever the ``topology_version`` moves, with the bottleneck
+  rule written once.
 * :class:`PathCatalog` -- per-pair candidate paths as :class:`CatalogEntry`
-  CSRs, recomputed when the topology they were computed on changes.
+  rows, recomputed when the topology they were computed on changes.
   Entries can be *pinned* to reproduce scalar schemes that deliberately keep
   stale path pools (Flash's mouse paths).
 * :class:`AtomicBatchExecutor` -- all-or-nothing multi-path execution on the
@@ -150,7 +151,7 @@ class AtomicBatchExecutor:
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
 
-        allocations: List[Tuple[Path, List[int], float]] = []
+        allocations: List[Tuple[Path, Tuple[int, ...], float]] = []
         if shares is not None:
             # Caller-computed split: keep the given path order, skip
             # zero-share paths, and resolve hops without a capacity filter
@@ -169,10 +170,11 @@ class AtomicBatchExecutor:
             if not allocations:
                 return self._fail(payment, now, FailureReason.INSUFFICIENT_CAPACITY, capacity=0.0)
         else:
-            usable: List[Tuple[Path, List[int], float]] = []
-            for i, capacity in enumerate(paths.capacities().tolist()):
+            usable: List[Tuple[Path, Tuple[int, ...], float]] = []
+            for i, path in enumerate(paths.paths):
+                capacity = paths.capacity(i)
                 if capacity > 0:
-                    usable.append((paths.paths[i], paths.row_slots(i), capacity))
+                    usable.append((path, paths.row_slots(i), capacity))
 
             total_capacity = sum(item[2] for item in usable)
             if not usable or total_capacity + _EPS < payment.value:

@@ -115,7 +115,7 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
             payment.fail(FailureReason.NO_PATH)
             self._report.failed.append(payment)
             return payment
-        capacities = entry.capacities().tolist()
+        capacities = [entry.capacity(i) for i in range(len(paths))]
         total = sum(capacities)
         if total + EPS < payment.value:
             payment.fail(FailureReason.INSUFFICIENT_CAPACITY)

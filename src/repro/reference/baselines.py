@@ -48,9 +48,9 @@ class _PerPaymentEntry:
         self.network = network
         self.paths = [tuple(path) for path in paths if len(path) >= 2]
 
-    def capacities(self) -> np.ndarray:
-        """Live bottleneck capacity of every path."""
-        return np.asarray([path_capacity(self.network, path) for path in self.paths])
+    def capacity(self, row: int) -> float:
+        """Live bottleneck capacity of ``paths[row]``."""
+        return path_capacity(self.network, self.paths[row])
 
 
 class ScalarExecutor:

@@ -58,7 +58,8 @@ def heuristic_widest_paths(
     if k <= 0 or source == target:
         return []
     pool = k_shortest_paths(network, source, target, max(k, _HEURISTIC_CANDIDATE_POOL))
-    capacities = PathCSR(network, pool).capacities().tolist()
+    candidates = PathCSR(network, pool)
+    capacities = [candidates.capacity(i) for i in range(len(pool))]
     # Stable descending order: equal capacities keep their shortest-first rank.
     ranked = [
         path for _, path in sorted(

@@ -14,11 +14,12 @@ controller run on:
   parallel NumPy arrays, with the equation (21)-(22) update as one
   vectorized kernel.
 * :class:`PathIndex` -- a stable path -> row mapping over the shared
-  :class:`~repro.topology.pathcsr.PathCSR`, whose price columns enable
-  whole-table path-price evaluation (equation 25), per-path imbalance-gap
-  maxima (the balance constraint of equation 19) and directed
-  required-funds aggregation (section IV-D) as array reductions, and whose
-  store slots give every path's live bottleneck funds.
+  :class:`~repro.topology.pathcsr.PathCSR`, whose flattened row offsets
+  and price columns enable whole-table path-price evaluation (equation
+  25), per-path imbalance-gap maxima (the balance constraint of equation
+  19) and directed required-funds aggregation (section IV-D) as array
+  reductions, and whose store slots give every path's live bottleneck
+  funds.
 
 The scalar implementations in :mod:`repro.reference.routing` remain the
 readable reference; the routing differential suite pins the two to the same
@@ -32,11 +33,14 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.topology.network import PCNetwork
-from repro.topology.pathcsr import _MIN_ALLOC, PathCSR, grow_array
+from repro.topology.pathcsr import PathCSR
 
 NodeId = Hashable
 ChannelKey = Tuple[NodeId, NodeId]
 Path = Tuple[NodeId, ...]
+
+#: Initial allocation for growable arrays.
+_MIN_ALLOC = 64
 
 
 class IndexMap:
@@ -86,6 +90,22 @@ class IndexMap:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._keys)
+
+
+def grow_array(array: np.ndarray, size: int) -> np.ndarray:
+    """Return ``array`` grown (amortized doubling) to hold ``size`` rows.
+
+    New rows are zero-initialized and existing rows keep their values and
+    positions.
+    """
+    if size <= array.shape[0]:
+        return array
+    new_size = max(_MIN_ALLOC, array.shape[0])
+    while new_size < size:
+        new_size *= 2
+    grown = np.zeros(new_size, dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 def grow_array_2d(array: np.ndarray, size: int) -> np.ndarray:
@@ -196,22 +216,31 @@ class PathIndex(PathCSR):
     """Stable path -> row mapping over a :class:`PathCSR`, plus price columns.
 
     Beside the store slots of its base (what the per-unit capacity guard
-    reads), every hop records its channel row in a :class:`ChannelArrays`
-    and its sign (+1 when the hop sender is the channel's canonical first
+    reads), the hops of every path are flattened in registration order:
+    ``paths[i]``'s hops sit at ``ptr[i]:ptr[i + 1]``, and each records its
+    channel row in a :class:`ChannelArrays` and its sign (+1 when the hop sender is the channel's canonical first
     endpoint, -1 otherwise).  Price rows are keyed by channel key, not store
     slot: price state survives a channel's close and reopen, and a hop whose
     channel never existed while priced maps to a placeholder row.  All
     per-path reductions -- routing prices, imbalance-gap maxima,
     required-funds aggregation -- then run as NumPy segment operations over
-    the flattened columns instead of per-hop Python loops.
+    the flattened columns instead of per-hop Python loops.  The columns
+    grow by capacity doubling, so registration is amortized O(hops);
+    :attr:`ptr` and :meth:`csr` return views of the filled prefix, used
+    within one call and never stored.
     """
 
-    __slots__ = ("channels", "_rows", "_price_rows", "_signs", "_price_cache", "_gap_cache")
+    __slots__ = (
+        "channels", "_rows", "_ptr", "_hops", "_price_rows", "_signs",
+        "_price_cache", "_gap_cache",
+    )
 
     def __init__(self, network: PCNetwork, channels: ChannelArrays) -> None:
         super().__init__(network)
         self.channels = channels
         self._rows: Dict[Path, int] = {}
+        self._ptr = np.zeros(_MIN_ALLOC, dtype=np.intp)
+        self._hops = 0
         self._price_rows = np.zeros(_MIN_ALLOC, dtype=np.intp)
         self._signs = np.zeros(_MIN_ALLOC)
         self._price_cache: Optional[Tuple[int, int, float, np.ndarray]] = None
@@ -231,6 +260,9 @@ class PathIndex(PathCSR):
         start = self._hops
         row = self._append(key)
         self._rows[key] = row
+        self._hops += len(key) - 1
+        self._ptr = grow_array(self._ptr, row + 2)
+        self._ptr[row + 1] = self._hops
         self._price_rows = grow_array(self._price_rows, self._hops)
         self._signs = grow_array(self._signs, self._hops)
         self._price_rows[start : self._hops] = channel_rows
@@ -242,6 +274,21 @@ class PathIndex(PathCSR):
     def get(self, path: Sequence[NodeId]) -> Optional[int]:
         """Row of a path, or ``None`` when it was never registered."""
         return self._rows.get(tuple(path))
+
+    @property
+    def ptr(self) -> np.ndarray:
+        """Row offsets into the hop columns (a view)."""
+        return self._ptr[: len(self.paths) + 1]
+
+    def hop_positions(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, lengths)``: the flat hop positions of ``rows``,
+        contiguous in row order, and each row's hop count."""
+        ptr = self.ptr
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = ptr[rows]
+        lengths = ptr[rows + 1] - starts
+        offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return np.repeat(starts, lengths) + offsets, lengths
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flattened hop structure ``(hop_channel, hop_sign, ptr)`` (views)."""

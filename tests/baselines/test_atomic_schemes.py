@@ -4,7 +4,11 @@ import pytest
 
 from repro.baselines import FlashScheme, LandmarkScheme, ShortestPathScheme
 from repro.baselines.base import SourceComputationModel
+from repro.baselines.batch import AtomicBatchExecutor
+from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
+from repro.topology.channel import EPS
+from repro.topology.pathcsr import PathCSR
 
 
 def _request(sender, recipient, value, time=0.0):
@@ -132,3 +136,40 @@ class TestLandmarkScheme:
         scheme.prepare(multi_star_network)
         scheme.submit(_request("client-0-0", "client-1-0", 5.0), now=0.0)
         assert scheme.overhead_messages() > 0
+
+
+class TestExecutorCallerShares:
+    """``execute(shares=...)``: the caller splits, the executor only locks.
+
+    On the five-node line, ``n0 -> n2`` has no channel, so the second
+    candidate path is dead.
+    """
+
+    PATHS = [("n0", "n1", "n2"), ("n0", "n2")]
+
+    def _execute(self, network, shares):
+        payment = Payment.create("n0", "n2", 5.0)
+        ok = AtomicBatchExecutor(network).execute(
+            payment, PathCSR(network, self.PATHS), 0.0, shares=shares
+        )
+        return payment, ok
+
+    def test_positive_share_on_a_dead_path_raises(self, line_network):
+        before = list(line_network.balance_store.values)
+        with pytest.raises(KeyError, match="no channel along path"):
+            self._execute(line_network, [2.5, 2.5])
+        assert list(line_network.balance_store.values) == before
+
+    def test_zero_share_dead_path_is_skipped(self, line_network):
+        payment, ok = self._execute(line_network, [5.0, 0.0])
+        assert ok and payment.is_complete
+        assert line_network.available("n0", "n1") == pytest.approx(45.0)
+        assert line_network.available("n1", "n2") == pytest.approx(45.0)
+        assert line_network.available("n2", "n1") == pytest.approx(55.0)
+
+    def test_no_share_above_eps_fails_without_moving_funds(self, line_network):
+        before = list(line_network.balance_store.values)
+        payment, ok = self._execute(line_network, [EPS, 0.0])
+        assert not ok and payment.is_failed
+        assert payment.failure_reason == FailureReason.INSUFFICIENT_CAPACITY.value
+        assert list(line_network.balance_store.values) == before

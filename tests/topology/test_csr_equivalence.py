@@ -609,9 +609,11 @@ class TestCatalogInvariant:
                     pinned=True,
                 )
                 for cached in (entry, pinned):
-                    assert cached.slots().tolist() == [
-                        slot for path in cached.paths for slot in hop_slots(network, path)
-                    ]
+                    for row, path in enumerate(cached.paths):
+                        slots = cached.row_slots(row)
+                        # A tuple: a caller cannot corrupt the entry it was handed.
+                        assert isinstance(slots, tuple)
+                        assert slots == tuple(hop_slots(network, path))
                     _assert_capacities_match_oracle(network, cached)
                 # The router's index registers the pinned (possibly dead)
                 # paths too and keeps every row it ever saw.
@@ -652,11 +654,17 @@ class TestCatalogInvariant:
         paths.append((node_a, node_b))
         assert len(paths) > 64
         csr_paths = PathCSR(network, paths)
-        assert int(csr_paths.ptr[-1]) > 64
-        _assert_capacities_match_oracle(network, csr_paths)
+        # The router's index grows its flattened hop columns past the first
+        # allocation while registering the same paths.
+        table = PriceTable(network)
+        table.path_rows(paths)
+        assert int(table._paths.ptr[-1]) > 64
+        for indexed in (csr_paths, table._paths):
+            _assert_capacities_match_oracle(network, indexed)
         network.remove_channel(node_a, node_b)
         assert csr_paths.capacity(len(paths) - 1) == 0.0
-        _assert_capacities_match_oracle(network, csr_paths)
+        for indexed in (csr_paths, table._paths):
+            _assert_capacities_match_oracle(network, indexed)
 
     def test_resolve_recomputes_a_refreshed_non_pinned_entry(self):
         """Reading an entry re-resolves its slots on the new topology, but its
