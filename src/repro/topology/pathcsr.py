@@ -58,10 +58,19 @@ def _with_hops(path: Sequence[NodeId]) -> Path:
 
 
 def _bottleneck(values: "array[float]", slots: Slots) -> float:
-    """Smallest balance at ``slots``; 0.0 when a hop has no channel."""
+    """Smallest balance at ``slots``; 0.0 when a hop has no channel.
+
+    The loop makes ``min``'s comparisons in ``min``'s order (so the same
+    value comes back) at about half its cost on a few hops.
+    """
     if -1 in slots:
         return 0.0
-    return min([values[slot] for slot in slots])
+    smallest = values[slots[0]]
+    for slot in slots:
+        value = values[slot]
+        if value < smallest:
+            smallest = value
+    return smallest
 
 
 class PathCSR:
@@ -116,4 +125,4 @@ class PathCSR:
 
     def capacity(self, row: int) -> float:
         """:meth:`capacities` of one row, without numpy."""
-        return _bottleneck(self.network.balance_store.values, self.row_slots(row))
+        return _bottleneck(self.network.balance_store.values, self._live_slots()[row])
