@@ -10,11 +10,10 @@ its own: every read and write goes to the network's
 :class:`~repro.topology.channel.BalanceStore`, which the channel objects are
 views of, so there is nothing to synchronise.
 
-* Paths travel as a :class:`~repro.topology.pathcsr.PathCSR`: per path, a
-  tuple of the store *slot* of every hop's sending side (``slot ^ 1`` is
-  the receiving side, ``store.channels[slot >> 1]`` the channel),
-  re-resolved whenever the ``topology_version`` moves, with the bottleneck
-  rule written once.
+* Paths travel as a :class:`~repro.topology.pathcsr.PathCSR`: per path, the
+  store *slots* of its hops' sending sides (``slot ^ 1`` is the receiving
+  side, ``store.channels[slot >> 1]`` the channel), re-resolved whenever
+  the ``topology_version`` moves, with the bottleneck rule written once.
 * :class:`PathCatalog` -- per-pair candidate paths as :class:`CatalogEntry`
   rows, recomputed when the topology they were computed on changes.
   Entries can be *pinned* to reproduce scalar schemes that deliberately keep

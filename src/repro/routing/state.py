@@ -14,12 +14,11 @@ controller run on:
   parallel NumPy arrays, with the equation (21)-(22) update as one
   vectorized kernel.
 * :class:`PathIndex` -- a stable path -> row mapping over the shared
-  :class:`~repro.topology.pathcsr.PathCSR`, whose flattened row offsets
-  and price columns enable whole-table path-price evaluation (equation
-  25), per-path imbalance-gap maxima (the balance constraint of equation
-  19) and directed required-funds aggregation (section IV-D) as array
-  reductions, and whose store slots give every path's live bottleneck
-  funds.
+  :class:`~repro.topology.pathcsr.PathCSR`, whose flattened hop columns
+  enable whole-table path-price evaluation (equation 25), per-path
+  imbalance-gap maxima (the balance constraint of equation 19) and directed
+  required-funds aggregation (section IV-D) as array reductions, and whose
+  store slots give every path's live bottleneck funds.
 
 The scalar implementations in :mod:`repro.reference.routing` remain the
 readable reference; the routing differential suite pins the two to the same
@@ -218,22 +217,20 @@ class PathIndex(PathCSR):
     Beside the store slots of its base (what the per-unit capacity guard
     reads), the hops of every path are flattened in registration order:
     ``paths[i]``'s hops sit at ``ptr[i]:ptr[i + 1]``, and each records its
-    channel row in a :class:`ChannelArrays` and its sign (+1 when the hop sender is the channel's canonical first
-    endpoint, -1 otherwise).  Price rows are keyed by channel key, not store
-    slot: price state survives a channel's close and reopen, and a hop whose
-    channel never existed while priced maps to a placeholder row.  All
-    per-path reductions -- routing prices, imbalance-gap maxima,
-    required-funds aggregation -- then run as NumPy segment operations over
-    the flattened columns instead of per-hop Python loops.  The columns
-    grow by capacity doubling, so registration is amortized O(hops);
-    :attr:`ptr` and :meth:`csr` return views of the filled prefix, used
-    within one call and never stored.
+    channel row in a :class:`ChannelArrays` and its sign (+1 when the hop
+    sender is the channel's canonical first endpoint, -1 otherwise).  Price
+    rows are keyed by channel key, not store slot: price state survives a
+    channel's close and reopen, and a hop whose channel never existed while
+    priced maps to a placeholder row.  All per-path reductions -- routing
+    prices, imbalance-gap maxima, required-funds aggregation -- then run as
+    NumPy segment operations over the flattened columns instead of per-hop
+    Python loops.  The columns grow by capacity doubling, so registration
+    is amortized O(hops); :attr:`ptr` and :meth:`csr` return views of the
+    filled prefix, used within one call and never stored.
     """
 
-    __slots__ = (
-        "channels", "_rows", "_ptr", "_hops", "_price_rows", "_signs",
-        "_price_cache", "_gap_cache",
-    )
+    __slots__ = ("channels", "_rows", "_ptr", "_hops", "_price_rows", "_signs",
+                 "_price_cache", "_gap_cache")
 
     def __init__(self, network: PCNetwork, channels: ChannelArrays) -> None:
         super().__init__(network)

@@ -24,8 +24,6 @@ from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from array import array
-
     from repro.topology.network import PCNetwork
 
 NodeId = Hashable
@@ -57,7 +55,7 @@ def _with_hops(path: Sequence[NodeId]) -> Path:
     return key
 
 
-def _bottleneck(values: "array[float]", slots: Slots) -> float:
+def _bottleneck(values: Sequence[float], slots: Slots) -> float:
     """Smallest balance at ``slots``; 0.0 when a hop has no channel.
 
     The loop makes ``min``'s comparisons in ``min``'s order (so the same
