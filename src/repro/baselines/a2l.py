@@ -54,7 +54,6 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         self.timeout = timeout
         self.hub: Optional[object] = None
         self._queue: Deque[Tuple[float, Payment]] = deque()
-        self._report = SchemeStepReport()
         self._processing_backlog = 0.0
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
@@ -81,8 +80,7 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         network = self._require_network()
-        report = self._report
-        self._report = SchemeStepReport()
+        report = super().step(now, dt)
 
         # The hub can process a bounded number of payments per second.
         budget = self.hub_capacity_per_second * dt + self._processing_backlog
@@ -128,7 +126,7 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         if path is None or len(path) < 2:
             payment.fail(FailureReason.NO_PATH)
             return False
-        return self.execute_atomic(payment, PathCSR(network, [path]), now)
+        return self._execute(payment, PathCSR(network, [path]), now)
 
     def extra_delay(self, payment: Payment) -> float:
         return self.crypto_delay

@@ -11,13 +11,16 @@ driven by the experiment runner through three calls:
 Two families of schemes share helper machinery here:
 
 * *atomic source-routing* schemes (Flash, landmark, shortest-path, A2L,
-  SpeedyMurmurs, waterfilling) attempt the whole payment in one shot: the
-  helper :meth:`AtomicRoutingMixin.execute_atomic` locks and settles funds
-  across one or more paths, all-or-nothing,
+  SpeedyMurmurs, waterfilling) attempt the whole payment in one shot:
+  :meth:`AtomicRoutingMixin.submit` asks the scheme for its paths
+  (``_paths``) and :meth:`AtomicRoutingMixin._execute` locks and settles
+  funds across them, all-or-nothing,
 * *source-computation delay*: the paper argues source routing pushes the
   path computation onto the (weak) sender, which becomes a bottleneck as the
   network grows; :class:`SourceComputationModel` converts network size into
-  a per-payment computation delay that eats into the 3-second deadline.
+  a per-payment computation delay that eats into the 3-second deadline, and
+  :meth:`RoutingScheme.extra_delay` charges it to every scheme that sets
+  :attr:`RoutingScheme.computation`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.batch import AtomicBatchExecutor
-from repro.routing.transaction import Payment
+from repro.routing.transaction import FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import PathCSR
@@ -72,6 +75,9 @@ class RoutingScheme(abc.ABC):
 
     #: Display name used in result tables.
     name: str = "scheme"
+
+    #: The sender's path-computation cost; ``None`` for schemes without one.
+    computation: Optional[SourceComputationModel] = None
 
     def __init__(self) -> None:
         self.network: Optional[PCNetwork] = None
@@ -128,8 +134,14 @@ class RoutingScheme(abc.ABC):
     # per-payment accounting
     # ------------------------------------------------------------------ #
     def extra_delay(self, payment: Payment) -> float:
-        """Scheme-specific latency added on top of the routing latency."""
-        return 0.0
+        """Scheme-specific latency added on top of the routing latency.
+
+        By default the source-computation delay of :attr:`computation` at the
+        network's current size, or nothing without a model.
+        """
+        if self.computation is None:
+            return 0.0
+        return self.computation.delay_for(self._require_network().node_count())
 
     def overhead_messages(self) -> float:
         """Control-plane messages generated so far."""
@@ -142,7 +154,11 @@ class RoutingScheme(abc.ABC):
 
 
 class AtomicRoutingMixin:
-    """Shared all-or-nothing multi-path execution for source-routing schemes.
+    """Shared all-or-nothing multi-path intake for source-routing schemes.
+
+    A scheme supplies only :meth:`_paths` (counting its own probe messages
+    there) and, for a split other than the executor's greedy one,
+    :meth:`_execute`; :meth:`submit` does the rest.
 
     Payments execute on an :class:`~repro.baselines.batch.AtomicBatchExecutor`
     bound in :meth:`prepare`: per-pair path catalogs plus lock/settle
@@ -155,17 +171,42 @@ class AtomicRoutingMixin:
     #: Per-hop settlement delay used to timestamp completions.
     hop_delay: float = 0.02
 
+    #: Seconds a payment may take before it fails; set by each scheme.
+    timeout: float
+
     #: Bound by :meth:`prepare`.
     _executor: Optional[AtomicBatchExecutor] = None
 
-    #: Outcomes buffered since the last step; reset by :meth:`prepare`.
-    _report: SchemeStepReport
+    def __init__(self) -> None:
+        super().__init__()
+        #: Outcomes buffered since the last step; reset by :meth:`prepare`.
+        self._report = SchemeStepReport()
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         """Bind a fresh executor and report buffer for a run on ``network``."""
         super().prepare(network, rng)
         self._executor = AtomicBatchExecutor(network, hop_delay=self.hop_delay)
         self._report = SchemeStepReport()
+
+    def submit(self, request: TransactionRequest, now: float) -> Payment:
+        """Route ``request`` at once on the scheme's paths, all-or-nothing."""
+        self._require_network()
+        payment = Payment.create(
+            sender=request.sender,
+            recipient=request.recipient,
+            value=request.value,
+            created_at=now,
+            timeout=self.timeout,
+        )
+        paths = self._paths(request.sender, request.recipient, request.value)
+        if not paths.paths:
+            payment.fail(FailureReason.NO_PATH)
+            self._report.failed.append(payment)
+        elif self._execute(payment, paths, now):
+            self._report.completed.append(payment)
+        else:
+            self._report.failed.append(payment)
+        return payment
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         """Hand over the payments that finished since the last step.
@@ -177,22 +218,15 @@ class AtomicRoutingMixin:
         self._report = SchemeStepReport()
         return report
 
-    def execute_atomic(
-        self,
-        payment: Payment,
-        paths: PathCSR,
-        now: float,
-        shares: Optional[Sequence[float]] = None,
-    ) -> bool:
+    def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> PathCSR:
+        """The paths to attempt a payment on: a catalog entry or a ``PathCSR``."""
+        raise NotImplementedError
+
+    def _execute(self, payment: Payment, paths: PathCSR, now: float) -> bool:
         """Attempt to deliver ``payment`` across ``paths``, all-or-nothing.
 
-        ``paths`` is the pair's catalog entry, or ``PathCSR(network, paths)``
-        for a list computed per payment.  The payment value is split across
-        the paths proportionally to their current bottleneck capacity.  If
-        the paths cannot jointly carry the value, nothing is transferred and
-        the attempt fails.  ``shares`` (aligned with ``paths.paths``)
-        overrides the greedy largest-first split with caller-computed
-        per-path amounts (waterfilling); the caller checks joint capacity
-        beforehand.
+        The value is split greedily, largest bottleneck capacity first; if
+        the paths cannot jointly carry it, nothing moves and the attempt
+        fails.
         """
-        return self._executor.execute(payment, paths, now, shares=shares)
+        return self._executor.execute(payment, paths, now)

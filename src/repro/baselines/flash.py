@@ -16,19 +16,13 @@ workloads.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import (
-    AtomicRoutingMixin,
-    RoutingScheme,
-    SchemeStepReport,
-    SourceComputationModel,
-)
+from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
 from repro.routing.paths import edge_disjoint_widest_paths, k_shortest_paths
-from repro.routing.transaction import FailureReason, Payment
-from repro.simulator.workload import TransactionRequest
+from repro.routing.transaction import Payment
 from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import PathCSR
 
@@ -57,24 +51,25 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
         self.computation = computation or SourceComputationModel(base_delay=0.04)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._report = SchemeStepReport()
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
         self._rng = rng if rng is not None else np.random.default_rng(self.seed)
 
-    # ------------------------------------------------------------------ #
-    # path selection
-    # ------------------------------------------------------------------ #
-    def _paths_for_mouse(self, sender: object, recipient: object) -> List[List[object]]:
-        """Precomputed shortest-path pool for small payments (cached per pair).
+    def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> PathCSR:
+        """Max-flow style paths for an elephant, one random pool path for a mouse.
 
-        The pool is cached forever (Flash never refreshes mouse paths), as a
-        *pinned* catalog entry so its channel rows still track the live
-        topology.  Control messages are counted once, when the pool is first
-        computed.
+        The mouse pool is a few shortest paths, cached forever (Flash never
+        refreshes mouse paths) as a *pinned* catalog entry so its channel
+        rows still track the live topology.  Its control messages are
+        counted once, when the pool is first computed.
         """
         network = self._require_network()
+        if value >= self.elephant_threshold:
+            paths = edge_disjoint_widest_paths(network, sender, recipient, self.elephant_paths)
+            # Flash probes every candidate path before committing the payment.
+            self.control_messages += sum(max(len(path) - 1, 0) for path in paths)
+            return PathCSR(network, paths)
         entry, computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: k_shortest_paths(network, sender, recipient, self.mouse_path_pool),
@@ -82,45 +77,12 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
         )
         if computed:
             self.control_messages += len(entry.paths)
-        return entry.paths
-
-    def _paths_for_elephant(self, sender: object, recipient: object) -> List[List[object]]:
-        """Max-flow style high-capacity paths for large payments."""
-        network = self._require_network()
-        paths = edge_disjoint_widest_paths(network, sender, recipient, self.elephant_paths)
-        # Flash probes every candidate path before committing the payment.
-        self.control_messages += sum(max(len(path) - 1, 0) for path in paths)
-        return paths
-
-    # ------------------------------------------------------------------ #
-    # scheme interface
-    # ------------------------------------------------------------------ #
-    def submit(self, request: TransactionRequest, now: float) -> Payment:
-        network = self._require_network()
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=now,
-            timeout=self.timeout,
-        )
-        if request.value >= self.elephant_threshold:
-            paths = self._paths_for_elephant(request.sender, request.recipient)
-        else:
-            pool = self._paths_for_mouse(request.sender, request.recipient)
-            paths = [pool[int(self._rng.integers(len(pool)))]] if pool else []
-        if not paths:
-            payment.fail(FailureReason.NO_PATH)
-            self._report.failed.append(payment)
-            return payment
-        if self.execute_atomic(payment, PathCSR(network, paths), now):
-            self._report.completed.append(payment)
-        else:
-            self._report.failed.append(payment)
-        return payment
+        pool = entry.paths
+        paths = [pool[int(self._rng.integers(len(pool)))]] if pool else []
+        return PathCSR(network, paths)
 
     def extra_delay(self, payment: Payment) -> float:
-        base = self.computation.delay_for(self._require_network().node_count())
+        base = super().extra_delay(payment)
         # Elephants pay the full max-flow computation; mice use cached paths.
         if payment.value >= self.elephant_threshold:
             return base

@@ -14,15 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines.base import (
-    AtomicRoutingMixin,
-    RoutingScheme,
-    SchemeStepReport,
-    SourceComputationModel,
-)
+from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
+from repro.baselines.batch import CatalogEntry
 from repro.routing.paths import landmark_paths
-from repro.routing.transaction import FailureReason, Payment
-from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 
 
@@ -46,7 +40,6 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
         self.timeout = timeout
         self.computation = computation or SourceComputationModel(base_delay=0.03)
         self.landmarks: List[object] = []
-        self._report = SchemeStepReport()
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
@@ -54,8 +47,8 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
         ranked = sorted(network.nodes(), key=lambda node: network.degree(node), reverse=True)
         self.landmarks = ranked[: self.landmark_count]
 
-    def _landmark_paths(self, sender: object, recipient: object):
-        """Candidate landmark paths plus their catalog entry.
+    def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> CatalogEntry:
+        """Candidate landmark paths, as the pair's catalog entry.
 
         Landmark paths depend only on the topology, so they are resolved
         once per (pair, topology version) instead of recomputing two
@@ -68,28 +61,5 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
                 network, sender, recipient, self.paths_per_payment, self.landmarks
             ),
         )
-        return entry.paths, entry
-
-    def submit(self, request: TransactionRequest, now: float) -> Payment:
-        network = self._require_network()
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=now,
-            timeout=self.timeout,
-        )
-        paths, entry = self._landmark_paths(request.sender, request.recipient)
-        self.control_messages += sum(max(len(path) - 1, 0) for path in paths)
-        if not paths:
-            payment.fail(FailureReason.NO_PATH)
-            self._report.failed.append(payment)
-            return payment
-        if self.execute_atomic(payment, entry, now):
-            self._report.completed.append(payment)
-        else:
-            self._report.failed.append(payment)
-        return payment
-
-    def extra_delay(self, payment: Payment) -> float:
-        return self.computation.delay_for(self._require_network().node_count())
+        self.control_messages += sum(max(len(path) - 1, 0) for path in entry.paths)
+        return entry

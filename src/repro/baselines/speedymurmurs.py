@@ -30,15 +30,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.baselines.base import (
-    AtomicRoutingMixin,
-    NodeId,
-    Path,
-    RoutingScheme,
-    SchemeStepReport,
-)
-from repro.routing.transaction import FailureReason, Payment
-from repro.simulator.workload import TransactionRequest
+from repro.baselines.base import AtomicRoutingMixin, NodeId, Path, RoutingScheme
+from repro.baselines.batch import CatalogEntry
 from repro.topology.channel import EPS
 from repro.topology.network import PCNetwork
 
@@ -69,7 +62,6 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
         self._parents: List[Dict[NodeId, NodeId]] = []
         self._tree_edges: List[Set[EdgeKey]] = []
         self._embedding_version = 0
-        self._report = SchemeStepReport()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -269,37 +261,16 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
                 paths.append(path)
         return paths
 
-    # ------------------------------------------------------------------ #
-    # payment intake
-    # ------------------------------------------------------------------ #
-    def submit(self, request: TransactionRequest, now: float) -> Payment:
-        network = self._require_network()
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=now,
-            timeout=self.timeout,
-        )
+    def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> CatalogEntry:
         # Greedy walks are embedding-pure, so they cache per pair until
         # either the topology version moves or a repair clears the catalog;
         # no persistent store (the embedding is not topology-only state).
         entry, _computed = self._executor.catalog.resolve(
-            (request.sender, request.recipient),
-            lambda: self._candidate_paths(request.sender, request.recipient),
+            (sender, recipient), lambda: self._candidate_paths(sender, recipient)
         )
-        paths = entry.paths
         # One forwarding probe per hop per landmark path.
-        self.control_messages += sum(len(path) - 1 for path in paths)
-        if not paths:
-            payment.fail(FailureReason.NO_PATH)
-            self._report.failed.append(payment)
-            return payment
-        if self.execute_atomic(payment, entry, now):
-            self._report.completed.append(payment)
-        else:
-            self._report.failed.append(payment)
-        return payment
+        self.control_messages += sum(len(path) - 1 for path in entry.paths)
+        return entry
 
     # SpeedyMurmurs' decisions are local per hop; unlike the source-routing
     # baselines there is no per-payment whole-topology computation, so the

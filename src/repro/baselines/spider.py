@@ -64,7 +64,6 @@ class SpiderScheme(RoutingScheme):
         self._pending = []
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
-        network = self._require_network()
         payment = Payment.create(
             sender=request.sender,
             recipient=request.recipient,
@@ -74,7 +73,7 @@ class SpiderScheme(RoutingScheme):
         )
         # The sender must finish its own path computation before the payment
         # can start routing; the deadline keeps counting meanwhile.
-        ready_at = now + self.computation.delay_for(network.node_count())
+        ready_at = now + self.extra_delay(payment)
         self._pending.append((ready_at, payment))
         return payment
 
@@ -98,6 +97,3 @@ class SpiderScheme(RoutingScheme):
         report.fees_paid += router_report.fees_paid
         self.control_messages = self.router.total_probe_messages
         return report
-
-    def extra_delay(self, payment: Payment) -> float:
-        return self.computation.delay_for(self._require_network().node_count())

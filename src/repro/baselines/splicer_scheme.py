@@ -9,7 +9,7 @@ experiment runner can replay identical workloads over all of them.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,13 +30,11 @@ class SplicerScheme(RoutingScheme):
         super().__init__()
         self.config = config or SplicerConfig()
         self.system: Optional[SplicerSystem] = None
-        self._sender_of_payment: Dict[int, object] = {}
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
         self.system = SplicerSystem(network, self.config)
         self.system.setup()
-        self._sender_of_payment = {}
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         if self.system is None:
@@ -57,9 +55,7 @@ class SplicerScheme(RoutingScheme):
         session, decision = self.system.submit_payment(
             sender=sender, recipient=request.recipient, value=request.value, now=now
         )
-        payment = decision.payment
-        self._sender_of_payment[payment.payment_id] = sender
-        return payment
+        return decision.payment
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         if self.system is None:
@@ -73,12 +69,9 @@ class SplicerScheme(RoutingScheme):
         )
 
     def extra_delay(self, payment: Payment) -> float:
-        if self.system is None:
+        if self.system is None or payment.sender not in self.system.clients:
             return 0.0
-        sender = self._sender_of_payment.get(payment.payment_id)
-        if sender is None or sender not in self.system.clients:
-            return 0.0
-        return self.system.management_delay(sender)
+        return self.system.management_delay(payment.sender)
 
     # ------------------------------------------------------------------ #
     # overhead accounting

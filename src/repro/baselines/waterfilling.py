@@ -6,26 +6,20 @@ edge-disjoint shortest paths and splits the payment so the paths'
 *residual* bottleneck capacities equalize -- funds are poured onto the
 currently-widest path until its headroom levels with the next one,
 instead of filling paths to capacity greedily.  The split itself is still
-attempted atomically (all-or-nothing, HTLC-style), so the scheme slots
-into the same executor machinery as the other atomic baselines via the
-``shares`` hook of :meth:`~repro.baselines.base.AtomicRoutingMixin.execute_atomic`.
+attempted atomically (all-or-nothing, HTLC-style): the scheme overrides
+:meth:`~repro.baselines.base.AtomicRoutingMixin._execute` to check joint
+capacity and pass its split to the shared executor's ``shares`` hook.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.baselines.base import (
-    AtomicRoutingMixin,
-    NodeId,
-    RoutingScheme,
-    SchemeStepReport,
-    SourceComputationModel,
-)
+from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
+from repro.baselines.batch import CatalogEntry
 from repro.obs import core as obs
 from repro.routing.paths import edge_disjoint_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
-from repro.simulator.workload import TransactionRequest
 from repro.topology.channel import EPS
 
 
@@ -87,35 +81,22 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         self.paths_per_payment = paths_per_payment
         self.timeout = timeout
         self.computation = computation or SourceComputationModel()
-        self._report = SchemeStepReport()
 
-    def _candidate_paths(self, sender: NodeId, recipient: NodeId):
-        """Edge-disjoint shortest paths plus their catalog entry."""
+    def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> CatalogEntry:
+        """Edge-disjoint shortest paths, as the pair's catalog entry."""
         network = self._require_network()
         k = self.paths_per_payment
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: edge_disjoint_shortest_paths(network, sender, recipient, k),
         )
-        return entry.paths, entry
-
-    def submit(self, request: TransactionRequest, now: float) -> Payment:
-        network = self._require_network()
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=now,
-            timeout=self.timeout,
-        )
-        paths, entry = self._candidate_paths(request.sender, request.recipient)
         # One balance probe per hop per candidate path.
-        self.control_messages += sum(len(path) - 1 for path in paths)
-        if not paths:
-            payment.fail(FailureReason.NO_PATH)
-            self._report.failed.append(payment)
-            return payment
-        capacities = [entry.capacity(i) for i in range(len(paths))]
+        self.control_messages += sum(len(path) - 1 for path in entry.paths)
+        return entry
+
+    def _execute(self, payment: Payment, paths: CatalogEntry, now: float) -> bool:
+        """Fail unless the paths jointly carry the value, else lock the waterfilled split."""
+        capacities = [paths.capacity(i) for i in range(len(paths.paths))]
         total = sum(capacities)
         if total + EPS < payment.value:
             payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
@@ -126,14 +107,6 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
                     reason=FailureReason.INSUFFICIENT_CAPACITY.value,
                     capacity=round(total, 9),
                 )
-            self._report.failed.append(payment)
-            return payment
+            return False
         shares = waterfill_shares(capacities, payment.value)
-        if self.execute_atomic(payment, entry, now, shares=shares):
-            self._report.completed.append(payment)
-        else:
-            self._report.failed.append(payment)
-        return payment
-
-    def extra_delay(self, payment: Payment) -> float:
-        return self.computation.delay_for(self._require_network().node_count())
+        return self._executor.execute(payment, paths, now, shares=shares)

@@ -221,4 +221,3 @@ class SplicerScheme(splicer_scheme.SplicerScheme):
         self.system = SplicerSystem(network, self.config)
         self.system.router = RateRouter(network, self.config.router)
         self.system.setup()
-        self._sender_of_payment = {}

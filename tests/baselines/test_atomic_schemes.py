@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.baselines import FlashScheme, LandmarkScheme, ShortestPathScheme
+from repro.baselines import (
+    FlashScheme,
+    LandmarkScheme,
+    ShortestPathScheme,
+    SpeedyMurmursScheme,
+    WaterfillingScheme,
+)
 from repro.baselines.base import SourceComputationModel
 from repro.baselines.batch import AtomicBatchExecutor
 from repro.routing.transaction import FailureReason, Payment
@@ -13,6 +19,33 @@ from repro.topology.pathcsr import PathCSR
 
 def _request(sender, recipient, value, time=0.0):
     return TransactionRequest(arrival_time=time, sender=sender, recipient=recipient, value=value)
+
+
+#: Each atomic scheme with the probe messages one unroutable payment costs:
+#: shortest-path probes its one path whether or not it exists.
+ATOMIC_SCHEMES = {
+    "shortest-path": (ShortestPathScheme, 1),
+    "landmark": (LandmarkScheme, 0),
+    "flash": (lambda: FlashScheme(seed=1), 0),
+    "speedymurmurs": (SpeedyMurmursScheme, 0),
+    "waterfilling": (WaterfillingScheme, 0),
+}
+
+
+@pytest.mark.parametrize("value", [5.0, 100.0], ids=["mouse", "elephant"])
+@pytest.mark.parametrize("name", sorted(ATOMIC_SCHEMES))
+def test_disconnected_recipient_fails(line_network, name, value):
+    factory, probes = ATOMIC_SCHEMES[name]
+    line_network.add_node("island")
+    scheme = factory()
+    scheme.prepare(line_network)
+    balances = list(line_network.balance_store.values)
+    messages = scheme.control_messages
+    payment = scheme.submit(_request("n0", "island", value), now=0.0)
+    assert payment.failure_reason == FailureReason.NO_PATH.value
+    assert payment in scheme.step(0.1, 0.1).failed
+    assert list(line_network.balance_store.values) == balances
+    assert scheme.control_messages - messages == probes
 
 
 class TestSourceComputationModel:
@@ -42,13 +75,6 @@ class TestShortestPathScheme:
         assert payment in report.failed
         # All-or-nothing: nothing moved.
         assert line_network.available("n0", "n1") == pytest.approx(50.0)
-
-    def test_disconnected_recipient_fails(self, line_network):
-        line_network.add_node("island")
-        scheme = ShortestPathScheme()
-        scheme.prepare(line_network)
-        payment = scheme.submit(_request("n0", "island", 1.0), now=0.0)
-        assert payment.is_failed
 
     def test_step_clears_buffer(self, line_network):
         scheme = ShortestPathScheme()
@@ -103,6 +129,16 @@ class TestFlashScheme:
         elephant = scheme.submit(_request("n0", "n4", 20.0), now=0.0)
         assert scheme.extra_delay(elephant) > scheme.extra_delay(mouse)
 
+    def test_unroutable_mouse_draws_no_random_number(self, grid_network):
+        grid_network.add_node("island")
+        scheme = FlashScheme(seed=1)
+        scheme.prepare(grid_network)
+        state = scheme._rng.bit_generator.state
+        scheme.submit(_request((0, 0), "island", 1.0), now=0.0)
+        assert scheme._rng.bit_generator.state == state
+        scheme.submit(_request((0, 0), (3, 3), 1.0), now=0.0)
+        assert scheme._rng.bit_generator.state != state
+
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             FlashScheme(elephant_threshold=0.0)
@@ -119,13 +155,6 @@ class TestLandmarkScheme:
         scheme.prepare(multi_star_network)
         payment = scheme.submit(_request("client-0-0", "client-2-1", 10.0), now=0.0)
         assert payment.is_complete
-
-    def test_unroutable_payment_fails(self, multi_star_network):
-        multi_star_network.add_node("island")
-        scheme = LandmarkScheme(landmark_count=2)
-        scheme.prepare(multi_star_network)
-        payment = scheme.submit(_request("client-0-0", "island", 1.0), now=0.0)
-        assert payment.is_failed
 
     def test_invalid_landmark_count(self):
         with pytest.raises(ValueError):

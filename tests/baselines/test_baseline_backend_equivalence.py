@@ -165,9 +165,6 @@ class TestExecutorArithmetic:
     class _Harness(AtomicRoutingMixin, RoutingScheme):
         name = "harness"
 
-        def submit(self, request, now):  # pragma: no cover - unused
-            raise NotImplementedError
-
     class _ScalarHarness(reference.ScalarAtomicMixin, _Harness):
         pass
 
@@ -213,7 +210,7 @@ class TestExecutorArithmetic:
         outcomes = []
         for index, (paths, value) in enumerate(cases):
             payment = Payment.create("s", "t", value, created_at=0.1 * index, timeout=9.0)
-            outcomes.append(harness.execute_atomic(payment, PathCSR(network, paths), 0.1 * index))
+            outcomes.append(harness._execute(payment, PathCSR(network, paths), 0.1 * index))
         harness.step(1.0, 0.1)
         balances = {
             channel.endpoints: (
@@ -256,7 +253,7 @@ class TestExecutorArithmetic:
         harness = self._Harness()
         harness.prepare(network)
         payment = Payment.create("s", "t", 25.0, created_at=0.0, timeout=9.0)
-        assert harness.execute_atomic(payment, PathCSR(network, ["n0 n1 n2".split()]), 0.0)
+        assert harness._execute(payment, PathCSR(network, ["n0 n1 n2".split()]), 0.0)
         assert store.version != version
         assert network.channel("n0", "n1").balance_pair() == (15.0, 65.0)
         assert network.channel("n1", "n2").balance_pair() == (15.0, 65.0)
@@ -279,7 +276,7 @@ class TestExecutorArithmetic:
             harness.prepare(network)
             for value in (10.0, 500.0, 35.0, 120.0):
                 payment = Payment.create("s", "t", value, created_at=0.0, timeout=9.0)
-                harness.execute_atomic(
+                harness._execute(
                     payment, PathCSR(network, [["n0", "n1", "n2", "n3", "n4"]]), 0.0
                 )
             harness.step(0.1, 0.1)
