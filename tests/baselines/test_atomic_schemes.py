@@ -1,4 +1,4 @@
-"""Tests for the atomic source-routing baselines (shortest-path, Flash, landmark)."""
+"""Tests for the atomic source-routing baselines and their shared intake."""
 
 import pytest
 
