@@ -54,8 +54,14 @@ class CatalogEntry(PathCSR):
 
     __slots__ = ("pinned", "topology_version")
 
-    def __init__(self, network: PCNetwork, paths: Sequence[Sequence[NodeId]], pinned: bool) -> None:
-        super().__init__(network, paths)
+    def __init__(
+        self,
+        network: PCNetwork,
+        paths: Sequence[Sequence[NodeId]],
+        pinned: bool,
+        slots: Optional[Sequence[Tuple[int, ...]]] = None,
+    ) -> None:
+        super().__init__(network, paths, slots)
         self.pinned = pinned
         self.topology_version = network.topology_version
 
@@ -70,11 +76,21 @@ class PathCatalog:
     Pinned entries keep their *path lists* forever -- reproducing scalar
     schemes that cache paths without invalidation -- while their hop slots
     still follow the live topology.
+
+    A pair's first computation can come from the process's path memo
+    (:meth:`repro.topology.csr.GraphArrays.catalog_rows`): when ``resolve``
+    names its ``query`` and an earlier catalog of the process resolved the
+    same query on the same store layout, the entry is built from the
+    memo's rows and neither ``compute`` nor the slot walk runs.
     """
 
     def __init__(self, network: PCNetwork) -> None:
         self.network = network
         self._entries: Dict[Pair, CatalogEntry] = {}
+        #: Per query, the memo's shared rows (``None``: not reused) on the
+        #: layout of topology version ``_shared_version``.
+        self._shared: Dict[Hashable, Optional[Dict[Pair, tuple]]] = {}
+        self._shared_version = -1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,13 +110,16 @@ class PathCatalog:
         pair: Pair,
         compute: Callable[[], Sequence[Sequence[NodeId]]],
         pinned: bool = False,
+        query: Optional[Hashable] = None,
     ) -> Tuple[CatalogEntry, bool]:
         """The pair's entry plus whether it was (re)created for this call.
 
         ``compute`` runs at most once per (pair, topology version) for
         non-pinned entries and once ever for pinned entries; the boolean lets
         callers account per-computation costs (e.g. probe messages) without
-        inferring them from catalog state.
+        inferring them from catalog state.  ``query`` names what ``compute``
+        asks (e.g. ``("ksp", 1)``) when its answer depends on the topology
+        alone; an entry built from the memo's rows still counts as computed.
         """
         version = self.network.topology_version
         entry = self._entries.get(pair)
@@ -108,9 +127,36 @@ class PathCatalog:
             entry = None
         computed = entry is None
         if entry is None:
-            entry = CatalogEntry(self.network, [p for p in compute() if len(p) >= 2], pinned)
-            self._entries[pair] = entry
+            entry = self._entries[pair] = self._build(pair, compute, pinned, query)
         return entry, computed
+
+    def _build(
+        self,
+        pair: Pair,
+        compute: Callable[[], Sequence[Sequence[NodeId]]],
+        pinned: bool,
+        query: Optional[Hashable],
+    ) -> CatalogEntry:
+        """A new entry, from the memo's rows when they hold the pair."""
+        network = self.network
+        rows = None
+        if query is not None:
+            if self._shared_version != network.topology_version:
+                self._shared.clear()
+                self._shared_version = network.topology_version
+            if query not in self._shared:
+                self._shared[query] = network.graph_arrays().catalog_rows(query)
+            rows = self._shared[query]
+        row = rows.get(pair) if rows is not None else None
+        if row is not None:
+            return CatalogEntry(network, row[0], pinned, row[1])
+        entry = CatalogEntry(network, [p for p in compute() if len(p) >= 2], pinned)
+        if rows is not None:
+            rows[pair] = (
+                tuple(entry.paths),
+                tuple(entry.row_slots(i) for i in range(len(entry.paths))),
+            )
+        return entry
 
 
 class AtomicBatchExecutor:

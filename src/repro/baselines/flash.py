@@ -61,8 +61,9 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
 
         The mouse pool is a few shortest paths, cached forever (Flash never
         refreshes mouse paths) as a *pinned* catalog entry so its channel
-        rows still track the live topology.  Its control messages are
-        counted once, when the pool is first computed.
+        rows still track the live topology; the chosen path travels with the
+        pool's row of store slots.  Its control messages are counted once,
+        when the pool is first computed.
         """
         network = self._require_network()
         if value >= self.elephant_threshold:
@@ -70,16 +71,19 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
             # Flash probes every candidate path before committing the payment.
             self.control_messages += sum(max(len(path) - 1, 0) for path in paths)
             return PathCSR(network, paths)
+        pool = self.mouse_path_pool
         entry, computed = self._executor.catalog.resolve(
             (sender, recipient),
-            lambda: k_shortest_paths(network, sender, recipient, self.mouse_path_pool),
+            lambda: k_shortest_paths(network, sender, recipient, pool),
             pinned=True,
+            query=("ksp", pool),
         )
         if computed:
             self.control_messages += len(entry.paths)
-        pool = entry.paths
-        paths = [pool[int(self._rng.integers(len(pool)))]] if pool else []
-        return PathCSR(network, paths)
+        if not entry.paths:
+            return PathCSR(network)
+        row = int(self._rng.integers(len(entry.paths)))
+        return PathCSR(network, [entry.paths[row]], [entry.row_slots(row)])
 
     def extra_delay(self, payment: Payment) -> float:
         base = super().extra_delay(payment)

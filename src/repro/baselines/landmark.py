@@ -55,11 +55,11 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
         shortest paths per landmark for every payment.
         """
         network = self._require_network()
+        k, landmarks = self.paths_per_payment, self.landmarks
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
-            lambda: landmark_paths(
-                network, sender, recipient, self.paths_per_payment, self.landmarks
-            ),
+            lambda: landmark_paths(network, sender, recipient, k, landmarks),
+            query=("landmark", k, tuple(landmarks)),
         )
         self.control_messages += sum(max(len(path) - 1, 0) for path in entry.paths)
         return entry

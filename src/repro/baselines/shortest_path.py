@@ -35,6 +35,7 @@ class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: k_shortest_paths(network, sender, recipient, 1),
+            query=("ksp", 1),
         )
         self.control_messages += 1  # the sender probes its one path
         return entry

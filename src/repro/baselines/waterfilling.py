@@ -89,6 +89,7 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         entry, _computed = self._executor.catalog.resolve(
             (sender, recipient),
             lambda: edge_disjoint_shortest_paths(network, sender, recipient, k),
+            query=("eds", k),
         )
         # One balance probe per hop per candidate path.
         self.control_messages += sum(len(path) - 1 for path in entry.paths)

@@ -123,13 +123,15 @@ XL_SCALES: Dict[str, Dict[str, object]] = {
 
 
 def _cold_step(state) -> None:
-    """``state.step()`` from an empty hop-count path memo.
+    """``state.step()`` from an empty path memo.
 
-    The memo (``csr._PATH_MEMO``) outlives a call, so without the reset every
-    repeat after the warmup would answer its KSP / EDS / shortest-path
-    queries from a dict and the row would stop timing those kernels.
+    The memo (:func:`csr.clear_path_memo`) outlives a call, so without the
+    reset every repeat after the warmup would answer its KSP / EDS /
+    shortest-path queries from a dict -- and from the third call on, a
+    scheme's catalog entries from memoised rows -- and the row would stop
+    timing those kernels.
     """
-    csr._PATH_MEMO.clear()
+    csr.clear_path_memo()
     state.step()
 
 

@@ -36,6 +36,7 @@ from repro.reference.topology import path_capacity
 from repro.routing.transaction import FailureReason, Payment
 from repro.topology.channel import InsufficientFundsError
 from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import hop_slots
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
@@ -51,6 +52,10 @@ class _PerPaymentEntry:
     def capacity(self, row: int) -> float:
         """Live bottleneck capacity of ``paths[row]``."""
         return path_capacity(self.network, self.paths[row])
+
+    def row_slots(self, row: int) -> Tuple[int, ...]:
+        """Store slots of ``paths[row]``'s hops, walked afresh."""
+        return tuple(hop_slots(self.network, self.paths[row]))
 
 
 class ScalarExecutor:
@@ -72,8 +77,8 @@ class ScalarExecutor:
         """Forget the pinned pools."""
         self._pinned.clear()
 
-    def resolve(self, pair, compute, pinned=False):
-        """``(entry, computed)``; only pinned entries are ever reused."""
+    def resolve(self, pair, compute, pinned=False, query=None):
+        """``(entry, computed)``; only pinned entries are ever reused (``query`` is ignored)."""
         if pinned and pair in self._pinned:
             return self._pinned[pair], False
         entry = _PerPaymentEntry(self.network, compute())

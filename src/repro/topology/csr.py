@@ -41,6 +41,10 @@ once per ``topology_version`` and implements the queries on top:
   shards of a sweep over one snapshot rebuild the same topology again and
   again, and each worker answers a repeated question once.  The widest-path
   search and the heuristic ranking read balances and are never memoised.
+  The same memo keeps the atomic baselines' catalog rows (a pair's paths
+  plus their store slots, :meth:`GraphArrays.catalog_rows`) per store
+  layout, once a second catalog of the process asks for them;
+  :func:`clear_path_memo` empties all of it.
 
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
@@ -97,8 +101,19 @@ _DRAIN_MIN_UNVISITED = 256
 #: in this process: ``{digest: {query: answer}}`` with at most one digest
 #: (a mirror with another digest drops the old one).  A query is
 #: ``(kernel, source, target[, k])``; an answer is a tuple of node ids or a
-#: tuple of such paths.  A query that raises is not kept.
+#: tuple of such paths.  A query that raises is not kept.  The same dict
+#: holds the catalog rows of :meth:`GraphArrays.catalog_rows` under
+#: ``("rows", store layout, catalog query)`` keys.
 _PATH_MEMO: Dict[bytes, Dict[tuple, object]] = {}
+
+
+def clear_path_memo() -> None:
+    """Empty the process's path memo: kernel answers, catalog rows and reuse records.
+
+    A timing or test that counts kernel work across networks built from one
+    topology starts here, or it measures dict hits.
+    """
+    _PATH_MEMO.clear()
 
 
 #: Adjacency structure of the path kernels: per-node neighbor rows plus the
@@ -267,6 +282,7 @@ class GraphArrays(AdjacencyCSR):
         #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
         self._level: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
         self._digest: Optional[bytes] = None
+        self._store_layout: Optional[bytes] = None
 
         # Stamped BFS scratch, reused across every bidirectional search on
         # this mirror: an entry is valid only when its stamp matches the
@@ -315,7 +331,7 @@ class GraphArrays(AdjacencyCSR):
             self.balance_array[slots] = values
 
     # ------------------------------------------------------------------ #
-    # the hop-count path memo
+    # the path memo: hop-count answers and catalog rows
     # ------------------------------------------------------------------ #
     @property
     def digest(self) -> bytes:
@@ -333,6 +349,29 @@ class GraphArrays(AdjacencyCSR):
             self._digest = digest.digest()
         return self._digest
 
+    @property
+    def store_layout(self) -> bytes:
+        """Content key of where each directed hop sits in the balance store.
+
+        A hash of ``_balance_gather``.  The digest alone does not fix a hop's
+        store slot -- slots follow channel insertion order, so ``a-b, c-d``
+        and ``c-d, a-b`` share a digest but not a layout -- while digest and
+        layout together do.
+        """
+        if self._store_layout is None:
+            layout = hashlib.blake2b(self._balance_gather.tobytes(), digest_size=16)
+            self._store_layout = layout.digest()
+        return self._store_layout
+
+    def _topology_memo(self) -> Dict[tuple, object]:
+        """This topology's dict in the process's path memo."""
+        memo = _PATH_MEMO.get(self.digest)
+        if memo is None:
+            # Dropped first: one topology per process.
+            _PATH_MEMO.clear()
+            memo = _PATH_MEMO[self.digest] = {}
+        return memo
+
     def _memoised(self, query: tuple, compute: Callable[[], object]) -> object:
         """The answer to ``query`` from the process's path memo, or ``compute()``'s.
 
@@ -340,15 +379,32 @@ class GraphArrays(AdjacencyCSR):
         built from them.  A ``NoPath`` / ``NodeNotFound`` propagates and is
         recomputed on a repeat.
         """
-        memo = _PATH_MEMO.get(self.digest)
-        if memo is None:
-            # Dropped first: one topology per process.
-            _PATH_MEMO.clear()
-            memo = _PATH_MEMO[self.digest] = {}
+        memo = self._topology_memo()
         answer = memo.get(query)
         if answer is None:
             answer = memo[query] = compute()
         return answer
+
+    def catalog_rows(self, query: tuple) -> Optional[Dict[tuple, tuple]]:
+        """The shared ``{pair: (paths, slots)}`` rows of ``query`` on this layout.
+
+        ``query`` names what a catalog computes per pair (e.g. ``("ksp",
+        1)``), so a pair's filtered paths and their store slots are a
+        function of digest, layout, query and pair.  The first call for a
+        (layout, query) only records it and returns ``None``: rows are kept
+        only once a second caller -- the next catalog of the same scheme on
+        this topology -- asks again, and every later call returns that one
+        dict.  A run that resolves each query once keeps no rows.
+        """
+        memo = self._topology_memo()
+        key = ("rows", self.store_layout, query)
+        if key not in memo:
+            memo[key] = None
+            return None
+        rows = memo[key]
+        if rows is None:
+            rows = memo[key] = {}
+        return rows
 
     # ------------------------------------------------------------------ #
     # distance queries

@@ -77,14 +77,26 @@ class PathCSR:
     ``row_slots(i)`` are ``paths[i]``'s hops.  Rows are immutable tuples, so
     a caller cannot corrupt an entry through what it was handed; the whole
     list is rebuilt on the first read after the topology moved.
+
+    ``slots`` (one tuple per path) are rows already resolved against the
+    live topology -- another entry's ``row_slots`` or the path memo's
+    catalog rows -- and skip the :func:`hop_slots` walk.
     """
 
     __slots__ = ("network", "paths", "_slots", "_seen_topology")
 
-    def __init__(self, network: "PCNetwork", paths: Sequence[Sequence[NodeId]] = ()) -> None:
+    def __init__(
+        self,
+        network: "PCNetwork",
+        paths: Sequence[Sequence[NodeId]] = (),
+        slots: Optional[Sequence[Slots]] = None,
+    ) -> None:
         self.network = network
         self.paths: List[Path] = [_with_hops(path) for path in paths]
-        self._slots: List[Slots] = [tuple(hop_slots(network, path)) for path in self.paths]
+        if slots is None:
+            self._slots: List[Slots] = [tuple(hop_slots(network, path)) for path in self.paths]
+        else:
+            self._slots = list(slots)
         self._seen_topology = network.topology_version
 
     def __len__(self) -> int:

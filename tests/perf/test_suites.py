@@ -20,7 +20,9 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["path-generation/small", "fig8-compare/small"])
+@pytest.mark.parametrize(
+    "name", ["path-generation/small", "fig8-compare/small", "scheme-zoo/small"]
+)
 def test_every_call_runs_the_hop_count_kernels(name, kernel_calls):
     (spec,) = [spec for spec in build_suite("small") if spec.name == name]
     state = spec.setup()
@@ -31,4 +33,4 @@ def test_every_call_runs_the_hop_count_kernels(name, kernel_calls):
         per_call.append(len(kernel_calls))
     assert per_call[0] > 0
     assert per_call == [per_call[0]] * 3
-    csr._PATH_MEMO.clear()
+    csr.clear_path_memo()

@@ -3,23 +3,39 @@
 ``shortest_path``, ``k_shortest_paths`` and ``edge_disjoint_shortest_paths``
 read no balance, so every mirror of one topology shares their answers; the
 widest-path search and the heuristic ranking read balances and must follow
-them.  These tests pin what a hit may and may not change.
+them.  The same memo keeps the atomic baselines' catalog rows per store
+layout once a scheme routes again on one topology.  These tests pin what a
+hit may and may not change.
 """
 
 import pytest
 
+from repro.baselines import (
+    FlashScheme,
+    LandmarkScheme,
+    ShortestPathScheme,
+    SpeedyMurmursScheme,
+    WaterfillingScheme,
+)
+from repro.baselines.batch import PathCatalog
+from repro.data.lightning import load_snapshot
 from repro.reference import topology as reference
-from repro.routing.paths import edge_disjoint_widest_paths, heuristic_widest_paths
-from repro.topology import csr
+from repro.routing.paths import (
+    edge_disjoint_shortest_paths,
+    edge_disjoint_widest_paths,
+    heuristic_widest_paths,
+    k_shortest_paths,
+)
+from repro.topology import csr, pathcsr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 
 
 @pytest.fixture(autouse=True)
 def _empty_memo():
-    csr._PATH_MEMO.clear()
+    csr.clear_path_memo()
     yield
-    csr._PATH_MEMO.clear()
+    csr.clear_path_memo()
 
 
 def _watts_strogatz(seed=5):
@@ -197,3 +213,161 @@ class TestBalanceReadersStayLive:
         after = heuristic_widest_paths(network, "s", "t", 1)
         assert after == [["s", "a", "t"]]
         assert after == reference.heuristic_widest_paths(network, "s", "t", 1)
+
+
+# ---------------------------------------------------------------------- #
+# catalog rows
+# ---------------------------------------------------------------------- #
+def _kept_rows():
+    """Every catalog row the memo holds, as ``{(layout, query): {pair: row}}``."""
+    return {
+        key[1:]: rows
+        for memo in csr._PATH_MEMO.values()
+        for key, rows in memo.items()
+        if key[0] == "rows" and rows
+    }
+
+
+@pytest.fixture()
+def slot_walks(monkeypatch):
+    """The paths :func:`pathcsr.hop_slots` walked."""
+    walks = []
+    walk = pathcsr.hop_slots
+
+    def counted(network, path):
+        walks.append(tuple(path))
+        return walk(network, path)
+
+    monkeypatch.setattr(pathcsr, "hop_slots", counted)
+    return walks
+
+
+def _two_channels(order):
+    """Nodes ``a..d`` with channels ``a-b`` and ``c-d`` opened in ``order``."""
+    network = PCNetwork()
+    for node in "abcd":
+        network.add_node(node)
+    for a, b in order:
+        network.add_channel(a, b, balance_a=10.0, balance_b=10.0)
+    return network
+
+
+def _resolve(network, pair, query=("ksp", 2)):
+    """A fresh catalog's entry for ``pair`` (what one shard's scheme builds)."""
+    entry, computed = PathCatalog(network).resolve(
+        pair, lambda: k_shortest_paths(network, *pair, 2), query=query
+    )
+    assert computed
+    return entry
+
+
+def _rows_of(entry):
+    return [(path, entry.row_slots(row)) for row, path in enumerate(entry.paths)]
+
+
+#: The four schemes that name a query; 5.0 is a mouse payment for Flash.
+CATALOG_SCHEMES = {
+    "shortest-path": ShortestPathScheme,
+    "landmark": LandmarkScheme,
+    "waterfilling": WaterfillingScheme,
+    "flash": lambda: FlashScheme(seed=4),
+}
+
+
+class TestCatalogRows:
+    @pytest.mark.parametrize("name", sorted(CATALOG_SCHEMES))
+    def test_third_shard_is_served_from_the_memo_and_equals_a_fresh_generation(
+        self, name, slot_walks
+    ):
+        factory = CATALOG_SCHEMES[name]
+        shards = []
+        for _ in range(3):  # three shards of one snapshot in one worker
+            network = load_snapshot()
+            nodes = network.nodes()
+            pairs = [(nodes[i], nodes[-1 - i]) for i in range(12)]
+            scheme = factory()
+            scheme.prepare(network)
+            slot_walks.clear()
+            routed = [scheme._paths(source, target, 5.0) for source, target in pairs]
+            shards.append(
+                ([_rows_of(paths) for paths in routed], scheme.overhead_messages(), len(slot_walks))
+            )
+            for paths in routed:
+                for path, slots in _rows_of(paths):
+                    assert slots == tuple(pathcsr.hop_slots(network, path))
+        (cold, cold_messages, cold_walks), _second, (warm, warm_messages, warm_walks) = shards
+        assert cold_walks > 0
+        assert warm_walks == 0  # neither compute's answer nor a slot walk
+        assert warm == cold
+        # A hit counts as computed: Flash's pool probes are charged again.
+        assert warm_messages == cold_messages
+        assert _kept_rows()
+
+    def test_a_hit_returns_computed_and_the_fresh_rows(self):
+        pair = None
+        for _ in range(3):
+            network = _watts_strogatz()
+            pair = pair or (network.nodes()[0], network.nodes()[-1])
+            entry = _resolve(network, pair)
+            fresh = [tuple(path) for path in k_shortest_paths(network, *pair, 2)]
+            assert entry.paths == fresh
+            assert _rows_of(entry) == [
+                (path, tuple(pathcsr.hop_slots(network, path))) for path in fresh
+            ]
+        assert len(_kept_rows()) == 1
+
+    def test_rows_follow_the_store_layout_not_the_digest(self):
+        first = _two_channels([("a", "b"), ("c", "d")])
+        second = _two_channels([("c", "d"), ("a", "b")])
+        assert first.graph_arrays().digest == second.graph_arrays().digest
+        assert first.graph_arrays().store_layout != second.graph_arrays().store_layout
+        for network in (first, first, first, second, second, second):
+            (slots,) = [slots for _path, slots in _rows_of(_resolve(network, ("a", "b")))]
+            assert slots == tuple(pathcsr.hop_slots(network, ("a", "b")))
+        assert _rows_of(_resolve(first, ("a", "b"))) == [(("a", "b"), (0,))]
+        assert _rows_of(_resolve(second, ("a", "b"))) == [(("a", "b"), (2,))]
+
+    def test_queries_resolved_once_each_keep_no_rows(self):
+        network = _watts_strogatz()
+        source, target = network.nodes()[0], network.nodes()[-1]
+        PathCatalog(network).resolve(
+            (source, target), lambda: k_shortest_paths(network, source, target, 1),
+            query=("ksp", 1),
+        )
+        PathCatalog(network).resolve(
+            (source, target),
+            lambda: edge_disjoint_shortest_paths(network, source, target, 3),
+            query=("eds", 3),
+        )
+        assert _kept_rows() == {}
+
+    def test_a_channel_closed_mid_run_never_gets_the_old_layouts_rows(self):
+        network = _watts_strogatz()
+        nodes = network.nodes()
+        pairs = [(nodes[i], nodes[-1 - i]) for i in range(8)]
+        for _ in range(2):
+            for pair in pairs:
+                _resolve(network, pair)
+        catalog = PathCatalog(network)
+        compute = {pair: (lambda p=pair: k_shortest_paths(network, *p, 2)) for pair in pairs}
+        before = [catalog.resolve(pair, compute[pair], query=("ksp", 2))[0] for pair in pairs]
+        assert _kept_rows()  # the third catalog was served from the memo
+        path = next(entry.paths[0] for entry in before if entry.paths)
+        network.remove_channel(path[0], path[1])
+        for pair in pairs:
+            entry, computed = catalog.resolve(pair, compute[pair], query=("ksp", 2))
+            assert computed
+            fresh = [tuple(path) for path in k_shortest_paths(network, *pair, 2)]
+            assert _rows_of(entry) == [
+                (path, tuple(pathcsr.hop_slots(network, path))) for path in fresh
+            ]
+
+    def test_speedymurmurs_adds_no_rows(self):
+        for _ in range(3):
+            network = load_snapshot()
+            nodes = network.nodes()
+            scheme = SpeedyMurmursScheme()
+            scheme.prepare(network)
+            for i in range(12):
+                scheme._paths(nodes[i], nodes[-1 - i], 5.0)
+        assert not any(key[0] == "rows" for memo in csr._PATH_MEMO.values() for key in memo)
