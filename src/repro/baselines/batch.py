@@ -25,13 +25,11 @@ views of, so there is nothing to synchronise.
   decision and routed amount (they are bit-identical).
 
 The scalar walk stays the readable reference; the baselines differential
-suite pins the two to the same numbers.  That includes the per-channel lifetime
-:class:`~repro.topology.channel.ChannelStats` counters: the executor updates
-them during execution (lock/settle/release tallies, settled volume, the
-running ``max_locked`` high-water mark and the per-settle imbalance
-samples), replaying the scalar lock-lifecycle arithmetic -- including the
-left-to-right ``locked_total`` summation order -- so the counters are
-bit-identical to the scalar walk's.
+suite pins the two to the same decisions, final balances and per-payment
+outcomes (status, completion time, delivered value, hops).  The executor
+writes nothing per hop but the balances, and a success completes its
+payment in place (:meth:`Payment.complete`), where the scalar walk reaches
+the same fields through one full-value transaction unit.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import PathCSR
 
 NodeId = Hashable
-Path = Tuple[NodeId, ...]
 Pair = Tuple[NodeId, NodeId]
 
 
@@ -196,7 +193,7 @@ class AtomicBatchExecutor:
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "atomic_attempt", now, paths=len(paths))
 
-        allocations: List[Tuple[Path, Tuple[int, ...], float]] = []
+        allocations: List[Tuple[Tuple[int, ...], float]] = []
         if shares is not None:
             # Caller-computed split: keep the given path order, skip
             # zero-share paths, and resolve hops without a capacity filter
@@ -211,17 +208,17 @@ class AtomicBatchExecutor:
                     # callers allocate zero shares to dead paths, so reaching
                     # this is a contract violation, not a routing failure.
                     raise KeyError(f"no channel along path {path!r}")
-                allocations.append((path, slots, share))
+                allocations.append((slots, share))
             if not allocations:
                 return self._fail(payment, now, FailureReason.INSUFFICIENT_CAPACITY, capacity=0.0)
         else:
-            usable: List[Tuple[Path, Tuple[int, ...], float]] = []
-            for i, path in enumerate(paths.paths):
+            usable: List[Tuple[Tuple[int, ...], float]] = []
+            for i in range(len(paths.paths)):
                 capacity = paths.capacity(i)
                 if capacity > 0:
-                    usable.append((path, paths.row_slots(i), capacity))
+                    usable.append((paths.row_slots(i), capacity))
 
-            total_capacity = sum(item[2] for item in usable)
+            total_capacity = sum(item[1] for item in usable)
             if not usable or total_capacity + _EPS < payment.value:
                 return self._fail(
                     payment, now, FailureReason.INSUFFICIENT_CAPACITY,
@@ -229,13 +226,13 @@ class AtomicBatchExecutor:
                 )
 
             # Allocate greedily by capacity, largest first (stable, like list.sort).
-            usable.sort(key=lambda item: item[2], reverse=True)
+            usable.sort(key=lambda item: item[1], reverse=True)
             remaining = payment.value
-            for path, slots, capacity in usable:
+            for slots, capacity in usable:
                 if remaining <= _EPS:
                     break
                 share = min(capacity, remaining)
-                allocations.append((path, slots, share))
+                allocations.append((slots, share))
                 remaining -= share
             if remaining > _EPS:
                 return self._fail(
@@ -244,18 +241,10 @@ class AtomicBatchExecutor:
                 )
 
         # Lock phase: sequential subtraction in scalar order; paths may share
-        # channels (landmark routes), so a later lock can still fail.  The
-        # per-channel lifetime stats are replayed alongside: ``in_flight``
-        # holds this payment's outstanding shares per channel in creation
-        # order, and every locked_total() the scalar path would observe is
-        # reproduced as the same left-to-right fold starting from the
-        # channel's externally held locks (jamming), read live.
-        channels = store.channels
-        external = store.open_locks > 0
-        in_flight: Dict[int, List[float]] = {}
+        # channels (landmark routes), so a later lock can still fail.
         applied: List[Tuple[int, float]] = []
         failed = False
-        for _path, slots, share in allocations:
+        for slots, share in allocations:
             for slot in slots:
                 balance = values[slot]
                 if balance + _EPS < share:
@@ -264,54 +253,24 @@ class AtomicBatchExecutor:
                 balance -= share
                 values[slot] = 0.0 if balance < 0 else balance
                 applied.append((slot, share))
-                channel = channels[slot >> 1]
-                pending = in_flight.setdefault(slot >> 1, [])
-                pending.append(share)
-                stats = channel.stats
-                stats.locks_created += 1
-                locked_now = channel.locked_total() if external else 0.0
-                for amount in pending:
-                    locked_now += amount
-                stats.max_locked = max(stats.max_locked, locked_now)
             if failed:
                 break
         if failed:
             for slot, amount in applied:
                 values[slot] += amount
-                channels[slot >> 1].stats.locks_released += 1
             if applied:
                 store.version += 1
             return self._fail(payment, now, FailureReason.LOCK_CONTENTION, released=len(applied))
 
         # Settle phase: funds arrive on the receiving side of every hop, in
-        # lock-creation order (the scalar settle loop's order), with the
-        # post-settle imbalance sampled exactly as PaymentChannel.settle does.
+        # lock-creation order (the scalar settle loop's order).
         for slot, amount in applied:
             values[slot ^ 1] += amount
-            channel = channels[slot >> 1]
-            stats = channel.stats
-            stats.locks_settled += 1
-            stats.volume_settled += amount
-            pending = in_flight[slot >> 1]
-            pending.pop(0)
-            locked_now = channel.locked_total() if external else 0.0
-            for amount_left in pending:
-                locked_now += amount_left
-            balance_a, balance_b = values[slot & ~1], values[slot | 1]
-            capacity = balance_a + balance_b + locked_now
-            if capacity <= _EPS:
-                stats.record_imbalance(0.0)
-            else:
-                stats.record_imbalance(abs(balance_a - balance_b) / capacity)
         store.version += 1
 
-        longest = max(len(slots) for _, slots, _ in allocations)
+        longest = max(len(slots) for slots, _ in allocations)
         completion_time = now + self.hop_delay * longest
-        payment.split(min_tu=payment.value, max_tu=payment.value)
-        unit = payment.units[0]
-        unit.path = allocations[0][0]
-        payment.record_unit_delivery(unit, completion_time)
-        payment.hops_used += sum(len(slots) for _, slots, _ in allocations[1:])
+        payment.complete(completion_time, sum(len(slots) for slots, _ in allocations))
         if rec.enabled:
             rec.payment_event(
                 payment, "atomic_settle", now,
@@ -321,8 +280,13 @@ class AtomicBatchExecutor:
 
     @staticmethod
     def _fail(payment: Payment, now: float, reason: FailureReason, **fields: object) -> bool:
-        """Fail the payment, trace why, and return ``False`` for the caller."""
+        """Fail the payment, trace why, and return ``False`` for the caller.
+
+        Starts the payment's trace if nothing has yet (waterfilling rejects
+        before it reaches :meth:`execute`).
+        """
         payment.fail(reason)
-        if obs.RECORDER.enabled:
-            obs.RECORDER.payment_event(payment, "atomic_fail", now, reason=reason.value, **fields)
+        rec = obs.RECORDER
+        if rec.enabled and rec.payment_begin(payment):
+            rec.payment_event(payment, "atomic_fail", now, reason=reason.value, **fields)
         return False

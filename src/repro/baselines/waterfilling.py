@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
-from repro.baselines.batch import CatalogEntry
-from repro.obs import core as obs
+from repro.baselines.batch import AtomicBatchExecutor, CatalogEntry
 from repro.routing.paths import edge_disjoint_shortest_paths
 from repro.routing.transaction import FailureReason, Payment
 from repro.topology.channel import EPS
@@ -100,14 +99,8 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
         capacities = [paths.capacity(i) for i in range(len(paths.paths))]
         total = sum(capacities)
         if total + EPS < payment.value:
-            payment.fail(FailureReason.INSUFFICIENT_CAPACITY)
-            rec = obs.RECORDER
-            if rec.enabled and rec.payment_begin(payment):
-                rec.payment_event(
-                    payment, "atomic_fail", now,
-                    reason=FailureReason.INSUFFICIENT_CAPACITY.value,
-                    capacity=round(total, 9),
-                )
-            return False
+            return AtomicBatchExecutor._fail(
+                payment, now, FailureReason.INSUFFICIENT_CAPACITY, capacity=round(total, 9)
+            )
         shares = waterfill_shares(capacities, payment.value)
         return self._executor.execute(payment, paths, now, shares=shares)

@@ -9,8 +9,8 @@ per-pair catalogs.  :class:`SpiderScheme` and :class:`SplicerScheme` swap in
 the scalar :class:`~repro.reference.routing.RateRouter`.
 
 ``tests/baselines/test_baseline_backend_equivalence.py`` pins every
-success/failure decision, routed amount, final balance and lifetime
-:class:`~repro.topology.channel.ChannelStats` counter against production.
+success/failure decision, routed amount, final balance and per-payment
+outcome (status, completion time, delivered value, hops) against production.
 """
 
 from __future__ import annotations

@@ -234,6 +234,18 @@ class Payment:
             self.status = PaymentStatus.COMPLETED
             self.completed_at = now
 
+    def complete(self, now: float, hops: int) -> None:
+        """Deliver the whole value at once over ``hops`` channel hops.
+
+        The outcome of an atomic multi-path settlement: the same fields a
+        single full-value unit's :meth:`record_unit_delivery` would set,
+        without building the unit.
+        """
+        self.delivered_value += self.value
+        self.hops_used += hops
+        self.status = PaymentStatus.COMPLETED
+        self.completed_at = now
+
     def fail(self, reason: Optional["FailureReason"] = None) -> None:
         """Mark the payment failed, recording the first cause supplied.
 

@@ -393,7 +393,6 @@ class ExperimentRunner:
         self.network.release_all_locks()
         self._reconcile_topology()
         self.network.restore(self._snapshot)
-        self.network.reset_stats()
 
     def _reconcile_topology(self) -> None:
         """Force the channel set back to the snapshotted topology.

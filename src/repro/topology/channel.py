@@ -67,52 +67,6 @@ class ChannelLock(NamedTuple):
     tag: Optional[str] = None
 
 
-class ChannelStats:
-    """Lifetime counters for a channel, used by the evaluation metrics."""
-
-    __slots__ = (
-        "locks_created",
-        "locks_settled",
-        "locks_released",
-        "volume_settled",
-        "max_locked",
-        "imbalance_samples",
-        "imbalance_sum",
-    )
-
-    def __init__(self) -> None:
-        self.locks_created = 0
-        self.locks_settled = 0
-        self.locks_released = 0
-        self.volume_settled = 0.0
-        self.max_locked = 0.0
-        self.imbalance_samples = 0
-        self.imbalance_sum = 0.0
-
-    def record_imbalance(self, imbalance: float) -> None:
-        """Accumulate an imbalance observation (|balance_a - balance_b| / capacity)."""
-        self.imbalance_samples += 1
-        self.imbalance_sum += imbalance
-
-    @property
-    def mean_imbalance(self) -> float:
-        """Average observed imbalance, or 0.0 if never sampled."""
-        if self.imbalance_samples == 0:
-            return 0.0
-        return self.imbalance_sum / self.imbalance_samples
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    __hash__ = None  # mutable, like the dataclass it replaces
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"ChannelStats({fields})"
-
-
 class BalanceStore:
     """Flat float64 store of spendable balances, two entries per channel.
 
@@ -226,7 +180,6 @@ class PaymentChannel:
         "base_fee",
         "fee_rate",
         "closed",
-        "stats",
     )
 
     _id_counter = itertools.count()
@@ -256,7 +209,6 @@ class PaymentChannel:
         self.base_fee = float(base_fee)
         self.fee_rate = float(fee_rate)
         self.closed = False
-        self.stats = ChannelStats()
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -355,8 +307,6 @@ class PaymentChannel:
         store.version += 1
         store.open_locks += 1
         self._locks[lock_id] = ChannelLock(lock_id, sender, float(amount), now, tag)
-        self.stats.locks_created += 1
-        self.stats.max_locked = max(self.stats.max_locked, self.locked_total())
         return lock_id
 
     def settle(self, lock_id: int) -> float:
@@ -366,9 +316,6 @@ class PaymentChannel:
         store = self._store
         store.values[self._index + 1 - self._side(lock.sender)] += lock.amount
         store.version += 1
-        self.stats.locks_settled += 1
-        self.stats.volume_settled += lock.amount
-        self.stats.record_imbalance(self.imbalance())
         return lock.amount
 
     def release(self, lock_id: int) -> float:
@@ -378,7 +325,6 @@ class PaymentChannel:
         store = self._store
         store.values[self._index + self._side(lock.sender)] += lock.amount
         store.version += 1
-        self.stats.locks_released += 1
         return lock.amount
 
     def transfer(self, sender: NodeId, amount: float, now: float = 0.0) -> None:

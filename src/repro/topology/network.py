@@ -419,11 +419,6 @@ class PCNetwork:
                     channel.release(lock.lock_id)
         return released
 
-    def reset_stats(self) -> None:
-        """Clear every channel's lifetime statistics."""
-        for channel in self.balance_store.channels:
-            channel.stats.__init__()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PCNetwork(nodes={self.node_count()}, channels={self.channel_count()}, "

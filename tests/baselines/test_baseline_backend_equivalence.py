@@ -50,20 +50,9 @@ def _build_network(seed, nodes=26):
     )
 
 
-def _channel_stats(network):
-    """Per-channel lifetime counters, as comparable plain tuples."""
-    return {
-        channel.endpoints: (
-            channel.stats.locks_created,
-            channel.stats.locks_settled,
-            channel.stats.locks_released,
-            channel.stats.volume_settled,
-            channel.stats.max_locked,
-            channel.stats.imbalance_samples,
-            channel.stats.imbalance_sum,
-        )
-        for channel in network.channels()
-    }
+def _balances(network):
+    """Final spendable balances per channel."""
+    return {channel.endpoints: channel.balance_pair() for channel in network.channels()}
 
 
 def _run(scheme_name, side, seed, dynamics_kind=None, runner_class=ExperimentRunner):
@@ -86,19 +75,12 @@ def _run(scheme_name, side, seed, dynamics_kind=None, runner_class=ExperimentRun
     runner = runner_class(network, workload, step_size=0.1, dynamics=events)
     scheme = SCHEME_FACTORIES[scheme_name](side)
     metrics = runner.run_single(scheme, rng=np.random.default_rng(0))
-    balances = {
-        channel.endpoints: (
-            channel.balance(channel.node_a),
-            channel.balance(channel.node_b),
-        )
-        for channel in network.channels()
-    }
-    return metrics, balances, _channel_stats(network)
+    return metrics, _balances(network)
 
 
 def _assert_equivalent(result_reference, result_production):
-    metrics_py, balances_py, stats_py = result_reference
-    metrics_np, balances_np, stats_np = result_production
+    metrics_py, balances_py = result_reference
+    metrics_np, balances_np = result_production
     assert metrics_np.generated_count == metrics_py.generated_count
     assert metrics_np.completed_count == metrics_py.completed_count
     assert metrics_np.failed_count == metrics_py.failed_count
@@ -109,14 +91,9 @@ def _assert_equivalent(result_reference, result_production):
     )
     assert metrics_np.overhead_messages == pytest.approx(metrics_py.overhead_messages, abs=TOL)
     assert metrics_np.transfer_hops == metrics_py.transfer_hops
-    assert set(balances_np) == set(balances_py)
-    for key, (balance_a, balance_b) in balances_py.items():
-        assert balances_np[key][0] == pytest.approx(balance_a, abs=TOL)
-        assert balances_np[key][1] == pytest.approx(balance_b, abs=TOL)
-    # The lifetime ChannelStats counters are part of the contract: the array
-    # executor replays lock/settle/release tallies, the max_locked high-water
-    # mark and the imbalance sampling bit-identically.
-    assert stats_np == stats_py
+    # Exact: the executor replays the scalar lock/settle arithmetic in the
+    # same floating-point order, so every balance is bit-identical.
+    assert balances_np == balances_py
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -202,24 +179,29 @@ class TestExecutorArithmetic:
     def _execute_sequence(self, side, cases=SHARED_CHANNEL_CASES, jam=False):
         network, nodes = self._line()
         if jam:
-            # An externally held lock on the crossed channel: the executor's
-            # max_locked / imbalance replay must start from it.
+            # An externally held lock on the crossed channel: its funds are
+            # out of the spendable balance, so the executor must fail and
+            # settle exactly where the scalar walk's channel locks do.
             network.channel("n1", "n2").lock("n2", 7.5, now=0.0, tag="jam")
         harness = self.HARNESSES[side]()
         harness.prepare(network)
-        outcomes = []
+        payments = []
         for index, (paths, value) in enumerate(cases):
             payment = Payment.create("s", "t", value, created_at=0.1 * index, timeout=9.0)
-            outcomes.append(harness._execute(payment, PathCSR(network, paths), 0.1 * index))
-        harness.step(1.0, 0.1)
-        balances = {
-            channel.endpoints: (
-                channel.balance(channel.node_a),
-                channel.balance(channel.node_b),
+            outcome = harness._execute(payment, PathCSR(network, paths), 0.1 * index)
+            payments.append(
+                (
+                    outcome,
+                    payment.status,
+                    payment.failure_reason,
+                    payment.completed_at,
+                    payment.delivered_value,
+                    payment.hops_used,
+                    payment.latency,
+                )
             )
-            for channel in network.channels()
-        }
-        return outcomes, balances, _channel_stats(network)
+        harness.step(1.0, 0.1)
+        return payments, _balances(network)
 
     @pytest.mark.parametrize(
         "cases, jam",
@@ -227,16 +209,15 @@ class TestExecutorArithmetic:
         ids=["shared-channel", "both-directions", "both-directions-jammed"],
     )
     def test_arithmetic_matches(self, cases, jam):
-        outcomes_py, balances_py, stats_py = self._execute_sequence("reference", cases, jam)
-        outcomes_np, balances_np, stats_np = self._execute_sequence("production", cases, jam)
-        assert True in outcomes_np and False in outcomes_np
-        assert outcomes_np == outcomes_py
-        for key, (balance_a, balance_b) in balances_py.items():
-            assert balances_np[key][0] == pytest.approx(balance_a, abs=TOL)
-            assert balances_np[key][1] == pytest.approx(balance_b, abs=TOL)
-        # Exact equality: the rollback path must tally releases, and the
-        # settle path the imbalance samples, in the scalar order.
-        assert stats_np == stats_py
+        payments_py, balances_py = self._execute_sequence("reference", cases, jam)
+        payments_np, balances_np = self._execute_sequence("production", cases, jam)
+        outcomes = [payment[0] for payment in payments_np]
+        assert True in outcomes and False in outcomes
+        # Per payment: outcome, status, failure reason, completion time,
+        # delivered value, hops and latency -- the executor completes a
+        # payment in place, the scalar walk through a full-value unit.
+        assert payments_np == payments_py
+        assert balances_np == balances_py
 
     def test_balances_are_live_right_after_execute(self):
         """No hook between an execution and a reader: the store is the balance.

@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 
 from repro.baselines import WaterfillingScheme
 from repro.baselines.waterfilling import waterfill_shares
+from repro.obs.core import RunRecorder, use_recorder
 from repro.reference.baselines import WaterfillingScheme as ReferenceWaterfillingScheme
+from repro.routing.transaction import FailureReason, Payment, PaymentStatus
 from repro.scenarios.dynamics import churn_events
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
 from repro.topology.generators import watts_strogatz_pcn
+from repro.topology.network import PCNetwork
+from repro.topology.pathcsr import PathCSR
 
 TOL = 1e-9
 
@@ -121,3 +125,34 @@ class TestRunInvariants:
             assert channel.balance(channel.node_a) >= -TOL
             assert channel.balance(channel.node_b) >= -TOL
             assert channel.locked_total() == pytest.approx(0.0, abs=TOL)
+
+    def test_insufficient_capacity_is_traced_without_an_attempt(self, scheme_class):
+        """The joint-capacity rejection fails before the executor runs:
+        the trace holds the arrival and one ``atomic_fail`` with the paths'
+        total capacity, and no ``atomic_attempt``."""
+        network = PCNetwork()
+        for node in ("a", "b", "c"):
+            network.add_node(node)
+        network.add_channel("a", "b", 30.0, 30.0)
+        network.add_channel("b", "c", 12.5, 30.0)
+        network.add_channel("a", "c", 20.0, 30.0)
+        scheme = scheme_class()
+        scheme.prepare(network)
+        payment = Payment.create("a", "c", 40.0, created_at=0.5, timeout=9.0)
+        paths = PathCSR(network, [["a", "b", "c"], ["a", "c"]])
+        recorder = RunRecorder(sample_rate=1.0)
+        with use_recorder(recorder):
+            assert scheme._execute(payment, paths, 0.5) is False
+        assert payment.status is PaymentStatus.FAILED
+        assert payment.failure_reason == FailureReason.INSUFFICIENT_CAPACITY.value
+        assert [event["kind"] for event in recorder.events] == [
+            "trace.header", "payment.arrive", "payment.atomic_fail",
+        ]
+        assert recorder.events[-1] == {
+            "kind": "payment.atomic_fail",
+            "t": 0.5,
+            "pid": 0,
+            "reason": "insufficient-capacity",
+            "capacity": 32.5,
+        }
+        assert network.channel("a", "b").balance_pair() == (30.0, 30.0)

@@ -12,7 +12,7 @@ import pytest
 from repro.scenarios.dynamics import ChannelClose, ChannelOpen
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
-from repro.topology.channel import ChannelError, ChannelLock, ChannelStats, PaymentChannel
+from repro.topology.channel import ChannelError, ChannelLock, PaymentChannel
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
 
@@ -38,9 +38,9 @@ class TestLayout:
         channel = PaymentChannel("a", "b", 1, 1)
         channel.lock("a", 0.5)
         lock = next(channel.locks())
-        for instance in (channel, channel.stats, lock):
+        for instance in (channel, lock):
             assert not hasattr(instance, "__dict__"), type(instance).__name__
-        assert isinstance(lock, ChannelLock) and isinstance(channel.stats, ChannelStats)
+        assert isinstance(lock, ChannelLock)
 
     def test_store_is_dense_and_channels_are_views(self):
         network = _skewed_network()

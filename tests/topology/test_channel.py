@@ -9,6 +9,7 @@ from repro.topology.channel import (
     PaymentChannel,
     UnknownLockError,
 )
+from repro.topology.network import PCNetwork
 
 
 @pytest.fixture
@@ -173,14 +174,18 @@ class TestCloseSnapshotStats:
         with pytest.raises(ValueError):
             channel.restore({"a": 1.0, "z": 2.0})
 
-    def test_stats_counters(self, channel):
+    def test_lock_settle_release_balances(self):
+        network = PCNetwork()
+        network.add_node("a")
+        network.add_node("b")
+        channel = network.add_channel("a", "b", 100.0, 50.0)
         first = channel.lock("a", 10.0)
         second = channel.lock("a", 10.0)
+        assert channel.locked_total() == 20.0
+        assert network.balance_store.open_locks == 2
         channel.settle(first)
         channel.release(second)
-        assert channel.stats.locks_created == 2
-        assert channel.stats.locks_settled == 1
-        assert channel.stats.locks_released == 1
-        assert channel.stats.volume_settled == pytest.approx(10.0)
-        assert channel.stats.max_locked == pytest.approx(20.0)
-        assert channel.stats.mean_imbalance >= 0.0
+        assert channel.balance("a") == 90.0
+        assert channel.balance("b") == 60.0
+        assert channel.locked_total() == 0
+        assert network.balance_store.open_locks == 0

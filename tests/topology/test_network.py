@@ -154,8 +154,3 @@ class TestSnapshotRestore:
         assert released == 2
         assert channel.balance("n0") == pytest.approx(50.0)
         assert channel.balance("n1") == pytest.approx(50.0)
-
-    def test_reset_stats(self, network):
-        network.channel("n0", "n1").transfer("n0", 10.0)
-        network.reset_stats()
-        assert all(channel.stats.locks_settled == 0 for channel in network.channels())
