@@ -202,14 +202,20 @@ class TestSeedProblemMemo:
 class TestGoldenRows:
     """Plan-derived fields of the default sweeps, generated on the commit
     before the cost model went array-first (`small` covers the exact solver's
-    dict-view path, `medium` the greedy family)."""
+    dict-view path, `medium` the greedy family).  `paper` (one seed, the
+    bench's two omegas) was generated before the probe kernel's bounded
+    fold: its 240 candidates are the only pinned sweep whose hub sets
+    exceed one scratch block."""
 
-    @pytest.mark.parametrize("scale", ["small", "medium"])
-    def test_rows_reproduce_the_committed_file(self, tmp_path, scale):
+    @pytest.mark.parametrize(
+        "scale, seeds, omegas",
+        [("small", [1, 2], None), ("medium", [1, 2], None), ("paper", [1], [0.02, 0.5])],
+    )
+    def test_rows_reproduce_the_committed_file(self, tmp_path, scale, seeds, omegas):
         path = os.path.join(os.path.dirname(__file__), "data", f"fig9_rows_{scale}.json")
         with open(path, encoding="utf-8") as handle:
             golden = json.load(handle)
-        spec = build_place_spec(scale, seeds=[1, 2])
+        spec = build_place_spec(scale, seeds=seeds, omegas=omegas)
         rows = PlacementCompareRunner(spec, results_dir=str(tmp_path), workers=1).run().rows
         produced = sorted(
             ({key: row[key] for key in golden[0]} for row in rows),
