@@ -23,7 +23,7 @@ from typing import Dict, Hashable, Iterable
 
 import numpy as np
 
-from repro.placement.costs import scratch_rows, sequential_sum
+from repro.placement.costs import BOUND_ROWS, CostArrays, scratch_rows, sequential_sum
 from repro.placement.problem import PlacementPlan, PlacementProblem
 
 NodeId = Hashable
@@ -43,16 +43,17 @@ def hub_sync_parts(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarra
     return problem.omega * np.cumsum(block, axis=1)[:, -1]
 
 
-def _hub_scores(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
+def _scores(zeta_t: np.ndarray, hub_rows: np.ndarray, sync: np.ndarray) -> np.ndarray:
     """``(hubs, clients)`` Lemma-1 scores: one contiguous ``zeta`` row per hub."""
-    scores = problem.arrays.zeta_t[hub_rows]
-    scores += hub_sync_parts(problem, hub_rows)[:, None]
+    scores = zeta_t[hub_rows]
+    scores += sync[:, None]
     return scores
 
 
 def assignment_rows(problem: PlacementProblem, hub_rows: np.ndarray) -> np.ndarray:
     """Per-client index into ``hub_rows`` of each client's Lemma-1 hub."""
-    return np.argmin(_hub_scores(problem, hub_rows), axis=0)
+    scores = _scores(problem.arrays.zeta_t, hub_rows, hub_sync_parts(problem, hub_rows))
+    return np.argmin(scores, axis=0)
 
 
 def _candidate_hub_list(problem: PlacementProblem, hubs: Iterable[NodeId]) -> list:
@@ -137,23 +138,55 @@ def vectorized_placement_cost(problem: PlacementProblem, hub_rows: np.ndarray) -
     the scalar ``C_M + omega * C_S`` regrouped; the two agree to well below
     the differential suite's 1e-9 tolerance.
 
-    The per-client minimum is folded over blocks of :func:`scratch_rows` hub
-    rows, so a probe never holds the ``(hubs, clients)`` score matrix.
-    ``min`` is exact, so the blocking cannot change a bit of ``per_client``.
+    A hub set that fits one :func:`scratch_rows` block is one gather; a
+    larger one takes :func:`_bounded_minimum`, so a probe never holds the
+    ``(hubs, clients)`` score matrix.  Both return the exact per-client
+    minimum, so ``per_client.sum()`` cannot move a bit.
     """
     arrays = problem.arrays
     sync = hub_sync_parts(problem, hub_rows)
-    block = scratch_rows(arrays.client_count)
-    scratch = np.empty((min(block, len(hub_rows)), arrays.client_count))
-    per_client = None
-    for start in range(0, len(hub_rows), block):
-        rows = hub_rows[start : start + block]
-        scores = scratch[: len(rows)]
-        np.take(arrays.zeta_t, rows, axis=0, out=scores, mode="clip")  # unbuffered
-        scores += sync[start : start + block, None]
-        if per_client is None:
-            per_client = scores.min(axis=0)
-        else:
-            np.minimum(per_client, scores.min(axis=0), out=per_client)
+    if len(hub_rows) <= scratch_rows(arrays.client_count):
+        per_client = _scores(arrays.zeta_t, hub_rows, sync).min(axis=0)
+    else:
+        per_client = _bounded_minimum(arrays, hub_rows, sync)
     epsilon_total = float(arrays.epsilon.take(hub_rows, axis=0).take(hub_rows, axis=1).sum())
     return float(per_client.sum()) + problem.omega * epsilon_total
+
+
+def _bounded_minimum(arrays: CostArrays, hub_rows: np.ndarray, sync: np.ndarray) -> np.ndarray:
+    """Every client's minimum Lemma-1 score, folding only the cells that can hold it.
+
+    1. Fold the ``B`` hubs with the smallest synchronization parts.
+    2. Fold each client's ``R`` nearest candidates
+       (:meth:`CostArrays.nearest_candidates`); one outside the hub set
+       scores ``+inf``.
+    3. Settle every client whose running minimum is at most
+       ``beyond[m] + s_B``, where ``s_B`` is the smallest synchronization
+       part step 1 left out.  Any cell skipped so far has ``zeta >=
+       beyond[m]`` and synchronization part ``>= s_B``, and rounded addition
+       is monotone, so its score cannot undercut the minimum.
+    4. Fold every hub for the clients left open, one chunk of clients
+       within the scratch budget at a time.
+
+    ``B = R =`` :data:`BOUND_ROWS`.  ``min`` is exact, so the result equals
+    the all-hubs ``min`` bit for bit.
+    """
+    order = np.argsort(sync, kind="stable")
+    first = order[:BOUND_ROWS]
+    per_client = _scores(arrays.zeta_t, hub_rows[first], sync[first]).min(axis=0)
+    if len(hub_rows) <= BOUND_ROWS:
+        return per_client
+    near_rows, near_zeta, beyond = arrays.nearest_candidates()
+    hub_sync = np.full(arrays.candidate_count, np.inf)
+    hub_sync[hub_rows] = sync
+    near = hub_sync.take(near_rows)
+    near += near_zeta
+    np.minimum(per_client, near.min(axis=0), out=per_client)
+    open_clients = np.flatnonzero(per_client > beyond + sync[order[BOUND_ROWS]])
+    width = scratch_rows(len(hub_rows))
+    for start in range(0, len(open_clients), width):
+        clients = open_clients[start : start + width]
+        scores = arrays.zeta_t[np.ix_(hub_rows, clients)]
+        scores += sync[:, None]
+        per_client[clients] = scores.min(axis=0)
+    return per_client

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,15 +35,29 @@ PAPER_DELTA_PER_HOP = 0.01
 #: Paper's coefficient for the constant synchronization cost per hop.
 PAPER_EPSILON_PER_HOP = 0.05
 
-#: Bytes of float64 scratch one chunk of cost-block probe rows, or one block
-#: of probe-kernel score rows, may use: at paper scale (Z, M, N) = (240, 2760,
-#: 3000) that is 43 probe rows or 47 score rows.  Measured at paper scale on
-#: a 2-core Xeon (4 MiB L2): one all-hub probe takes 1.04-1.20 ms with 16- to
-#: 47-row blocks, 1.14-1.34 ms with 64 to 95 rows and 2.3 ms unblocked;
-#: ``cost_model_from_network`` takes 98-105 ms at any budget from 0.5 to
-#: 4 MiB, while its traced peak grows from 1.5 to 1.7, 1.9 and 2.4 (Z, M)
-#: blocks at 0.5, 1, 1.5 and 4 MiB.
+#: Bytes of float64 scratch one chunk of cost-block probe rows, one probe
+#: gather of score rows, or one chunk of the probe's open clients may use:
+#: at paper scale (Z, M, N) = (240, 2760, 3000) that is 43 probe rows or 47
+#: score rows, and a hub set of more than 47 takes the bounded fold.
+#: Measured at paper scale on a 2-core Xeon (4 MiB L2): one all-hub probe
+#: takes 0.49-0.56 ms bounded, against 1.27-1.50 ms for the fold over
+#: 47-row blocks it replaced (1.04-1.20 ms in a quieter sitting, 2.3 ms
+#: unblocked); a 17- to 47-hub probe takes 0.15 ms as one gather and
+#: 0.26-0.37 ms bounded.  ``cost_model_from_network`` takes 98-105 ms at any
+#: budget from 0.5 to 4 MiB, while its traced peak grows from 1.5 to 1.7,
+#: 1.9 and 2.4 (Z, M) blocks at 0.5, 1, 1.5 and 4 MiB.
 _SCRATCH_BYTES = 1 << 20
+
+#: ``B = R`` of the probe kernel's bounded fold: it folds the ``B`` hubs with
+#: the smallest synchronization parts, then each client's ``R`` nearest
+#: candidates (:meth:`CostArrays.nearest_candidates`), before it settles a
+#: client.  Measured at paper scale on a 2-core Xeon, replaying the probes
+#: of more than 47 hubs of one deterministic solve at omega 0.02, 0.05 and
+#: 0.5, best of three sittings: 0.41 / 0.41 / 0.31 ms at (B, R) = (16, 16),
+#: 0.38 / 0.45 / 0.32 at (8, 16), 0.42 / 0.43 / 0.37 at (8, 24), 0.44 /
+#: 0.59 / 0.34 at (4, 8), 0.44 / 0.48 / 0.41 at (32, 16) and 0.46 / 0.54 /
+#: 0.41 at (16, 24), against 0.81-0.88 ms for the all-rows fold.
+BOUND_ROWS = 16
 
 
 def scratch_rows(row_length: int) -> int:
@@ -94,6 +108,9 @@ class CostArrays:
     client_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
     candidate_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
     zeta_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _nearest: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         shape = (len(self.clients), len(self.candidates))
@@ -129,6 +146,24 @@ class CostArrays:
         rows = sorted(self.candidate_index[hub] for hub in hubs)
         return np.asarray(rows, dtype=np.intp)
 
+    def nearest_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, zeta, beyond)``: every client's :data:`BOUND_ROWS` nearest candidates.
+
+        Column ``m`` of the ``(R, M)`` ``int32`` ``rows`` and ``float64``
+        ``zeta`` holds client ``m``'s ``R = min(BOUND_ROWS, Z)`` smallest
+        ``zeta`` values and their candidate rows; ``beyond[m]`` is its
+        ``(R + 1)``-th smallest value (``+inf`` when ``Z <= R``), a lower
+        bound on ``zeta[m][n]`` for every candidate ``n`` not in ``rows``.
+        The ``(R, M)`` layout lets the probe reduce over axis 0.  Built on
+        first use, in client chunks within the scratch budget, and shared by
+        every problem of the cost model (:meth:`PlacementProblem.with_omega`
+        keeps the arrays).  A stable sort makes tied columns deterministic;
+        any ``R`` smallest values and the next one would bound as well.
+        """
+        if self._nearest is None:
+            object.__setattr__(self, "_nearest", _nearest_table(self.zeta_t))
+        return self._nearest
+
     def synchronization(self, hub_rows: Sequence[int], loads: np.ndarray) -> float:
         """``C_S`` of equation (4) for placed rows and their client counts.
 
@@ -141,6 +176,27 @@ class CostArrays:
     def off_diagonal_delta(self) -> np.ndarray:
         """The ``delta[n][l]``, ``n != l`` entries in row-major order."""
         return self.delta[~np.eye(self.candidate_count, dtype=bool)]
+
+
+def _nearest_table(zeta_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`CostArrays.nearest_candidates` of a ``(Z, M)`` block, one client chunk at a time."""
+    count, clients = zeta_t.shape
+    kept = min(BOUND_ROWS, count)
+    rows = np.empty((kept, clients), dtype=np.int32)
+    values = np.empty((kept, clients))
+    beyond = np.full(clients, np.inf)
+    width = scratch_rows(count)
+    for start in range(0, clients, width):
+        block = zeta_t[:, start : start + width]
+        order = np.argsort(block, axis=0, kind="stable")[: kept + 1]
+        stop = start + block.shape[1]
+        rows[:, start:stop] = order[:kept]
+        values[:, start:stop] = np.take_along_axis(block, order[:kept], axis=0)
+        if count > kept:
+            beyond[start:stop] = np.take_along_axis(block, order[kept:], axis=0)[0]
+    for table in (rows, values, beyond):
+        table.flags.writeable = False
+    return rows, values, beyond
 
 
 def _dense(name: str, kind: str, matrix, rows: Sequence, columns: Sequence) -> np.ndarray:

@@ -6,8 +6,9 @@
   show.
 * The matrices built straight from the hop rows equal the nested-dict loop
   over the oracle's per-candidate BFS probe, cell for cell.
-* The probe folds its per-client ``min`` over blocks of hub rows and still
-  equals the full-matrix ``min(axis=0).sum()``, ``==``, ties included.
+* A probe of more hubs than one scratch block folds only the cells that can
+  hold a client's minimum, and still equals the full-matrix
+  ``min(axis=0).sum()``, ``==``, ties included.
 * At paper scale set-up holds one dense ``(Z, M)`` block plus bounded
   scratch: the traced peaks of the cost build and of an all-hub probe, and
   no routing mirror built on the way.
@@ -17,9 +18,12 @@
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.placement import costs
 from repro.placement.assignment import hub_sync_parts, vectorized_placement_cost
@@ -156,6 +160,136 @@ class TestProbeRowBlocks:
                     assert vectorized_placement_cost(problem, rows) == _full_matrix_cost(
                         problem, rows
                     )
+
+
+def _level_model(rng, candidates, clients, hub_rows, omega):
+    """Scores within noise of one level: ``zeta = K - sync + noise`` on the hubs.
+
+    A client's minimum is then at any hub.  ``zeta`` falls as the
+    synchronization part rises, so with ``B + R + 1`` hubs the first fold
+    takes the ``B`` lowest parts, the second the ``R`` highest, and the
+    bound's threshold is the score of the one hub in between: the cell a
+    looser bound would skip.
+    """
+    between = np.repeat((rng.permutation(candidates) + 1.0)[:, None], candidates, axis=1)
+    np.fill_diagonal(between, 0.0)
+    delta = PAPER_DELTA_PER_HOP * between
+    flat = PlacementCostModel(
+        range(clients), range(candidates), np.zeros((clients, candidates)), delta, delta
+    )
+    sync = hub_sync_parts(PlacementProblem(flat, omega=omega), hub_rows)
+    level = 1.0 + sync.max()
+    spacing = np.diff(np.sort(sync)).min(initial=1.0) or 1.0
+    zeta = level + rng.random((clients, candidates))
+    zeta[:, hub_rows] = level - sync + 0.5 * spacing * rng.random((clients, len(hub_rows)))
+    return PlacementCostModel(
+        [f"c{i}" for i in range(clients)], [f"h{j}" for j in range(candidates)], zeta, delta, delta
+    )
+
+
+@st.composite
+def bounded_probes(draw):
+    """A random cost model, a hub subset and a scratch block smaller than it.
+
+    Three cost shapes, ``Z`` on both sides of ``BOUND_ROWS``: float costs;
+    small-integer ones whose minima tie across many hubs (the
+    :func:`_tied_model` shape); and level ones (:func:`_level_model`).
+    """
+    shape = draw(st.sampled_from(["float", "tied", "level"]))
+    bound = costs.BOUND_ROWS
+    hubs = 2 * bound + 1
+    candidates = draw(st.integers(min_value=hubs if shape == "level" else 2, max_value=60))
+    clients = draw(st.integers(min_value=1, max_value=300))
+    omega = draw(st.sampled_from([0.0, 0.02, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if shape == "level":
+        rows = np.sort(rng.choice(candidates, size=hubs, replace=False))
+        model = _level_model(rng, candidates, clients, rows, omega)
+    else:
+        if shape == "tied":
+            to_clients = rng.integers(1, 4, size=(clients, candidates)).astype(float)
+            between = rng.integers(1, 4, size=(candidates, candidates)).astype(float)
+        else:
+            to_clients = rng.random((clients, candidates)) * 5.0
+            between = rng.random((candidates, candidates)) * 5.0
+        np.fill_diagonal(between, 0.0)
+        model = PlacementCostModel(
+            [f"c{i}" for i in range(clients)],
+            [f"h{j}" for j in range(candidates)],
+            PAPER_ZETA_PER_HOP * to_clients,
+            PAPER_DELTA_PER_HOP * between,
+            PAPER_EPSILON_PER_HOP * between,
+        )
+        rows = np.flatnonzero(rng.random(candidates) < draw(st.floats(0.1, 1.0)))
+        if len(rows) < 2:
+            rows = np.arange(candidates)
+    block = draw(st.integers(min_value=1, max_value=len(rows) - 1))
+    return PlacementProblem(model, omega=omega), rows.astype(np.intp), block
+
+
+def _bounded_cost(problem, rows, block):
+    """The probe with a scratch budget of ``block`` score rows (< ``len(rows)``)."""
+    clients = problem.arrays.client_count
+    with mock.patch.object(costs, "_SCRATCH_BYTES", 8 * clients * block):
+        assert costs.scratch_rows(clients) == block < len(rows)
+        return vectorized_placement_cost(problem, rows)
+
+
+def _open_model():
+    """Every client's 16 nearest candidates are off the hub set at 0 cost, and
+    its cheapest hub is not among the 16 that sort first at ``omega = 0``."""
+    zeta = np.zeros((40, 48))
+    zeta[:, 16:32] = 2.0  # the 16 hubs step 1 folds
+    zeta[:, 32:] = 1.0  # the minimum, at the 17th zeta and beyond the bound
+    between = np.ones((48, 48))
+    np.fill_diagonal(between, 0.0)
+    return PlacementCostModel(
+        [f"c{i}" for i in range(40)], [f"h{j}" for j in range(48)], zeta, between, between
+    )
+
+
+class TestBoundedProbe:
+    """Hub sets larger than one scratch block take the bounded fold: it must
+    equal the full-matrix ``min(axis=0).sum()``, ``==``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounded_probes())
+    def test_bounded_cost_equals_the_full_matrix_min(self, case):
+        problem, rows, block = case
+        assert _bounded_cost(problem, rows, block) == _full_matrix_cost(problem, rows)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.02, 0.5])
+    def test_edge_cases(self, omega):
+        tied = PlacementProblem(_tied_model(candidates=40), omega=omega)
+        few = PlacementProblem(_tied_model(candidates=12), omega=omega)
+        assert few.arrays.nearest_candidates()[2].tolist() == [np.inf] * 300  # Z <= R
+        cases = [
+            (tied, np.arange(0, 40, 4), 3),  # h <= B: the first fold covers every hub
+            (few, np.arange(1, 12), 3),
+            (tied, np.arange(40), 7),
+        ]
+        for problem, rows, block in cases:
+            rows = rows.astype(np.intp)
+            assert _bounded_cost(problem, rows, block) == _full_matrix_cost(problem, rows)
+
+    def test_every_client_left_open_gets_the_exact_fold(self):
+        problem = PlacementProblem(_open_model(), omega=0.0)
+        rows = np.arange(16, 48, dtype=np.intp)
+        near_rows, _, beyond = problem.arrays.nearest_candidates()
+        assert (near_rows < 16).all() and (beyond == 1.0).all()
+        cost = _bounded_cost(problem, rows, 4)
+        assert cost == _full_matrix_cost(problem, rows) == 40.0
+
+    def test_table_is_shared_across_omegas(self, thousand_node_model):
+        problem = PlacementProblem(thousand_node_model, omega=0.02)
+        table = problem.arrays.nearest_candidates()
+        assert problem.with_omega(0.5).arrays.nearest_candidates() is table
+        rows, values, beyond = table
+        assert rows.shape == values.shape == (costs.BOUND_ROWS, 920)
+        assert rows.dtype == np.int32
+        zeta = np.sort(thousand_node_model.as_arrays().zeta, axis=1)
+        assert np.array_equal(values, zeta[:, : costs.BOUND_ROWS].T)
+        assert np.array_equal(beyond, zeta[:, costs.BOUND_ROWS])
 
 
 # ---------------------------------------------------------------------- #
