@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.client import Client
 from repro.core.config import SplicerConfig
 from repro.core.epochs import EpochClock
@@ -92,29 +94,38 @@ class SplicerSystem:
         }
 
         self.clients = {}
-        for client_id, hub_id in plan.assignment.items():
+        hubs = list(plan.hubs)
+        hub_index = {hub: i for i, hub in enumerate(hubs)}
+        hops = self._hop_counts(hubs, list(plan.assignment) + hubs)
+        for column, (client_id, hub_id) in enumerate(plan.assignment.items()):
             client = Client(node_id=client_id)
-            hops = self._safe_hops(client_id, hub_id)
-            self.smooth_nodes[hub_id].attach_client(client, hops)
+            self.smooth_nodes[hub_id].attach_client(client, int(hops[hub_index[hub_id], column]))
             self.clients[client_id] = client
 
+        between = hops[:, len(plan.assignment) :]
         self._hub_pair_hops = {
-            (a, b): self._safe_hops(a, b)
-            for a in plan.hubs
-            for b in plan.hubs
+            (a, b): int(between[i, j])
+            for i, a in enumerate(hubs)
+            for j, b in enumerate(hubs)
             if a != b
         }
         self._is_setup = True
         return plan
 
-    def _safe_hops(self, source: NodeId, target: NodeId) -> int:
-        """Hop distance, or ``node_count()`` when the two are not connected."""
-        from repro.topology.csr import NodeNotFound, NoPath
+    def _hop_counts(self, sources: List[NodeId], targets: List[NodeId]) -> np.ndarray:
+        """``(sources, targets)`` hop counts from one batched BFS over the source rows.
 
-        try:
-            return self.network.hop_count(source, target)
-        except (NoPath, NodeNotFound):
-            return self.network.node_count()
+        An unreachable or unknown target counts ``node_count()`` hops.  The
+        channel graph is undirected, so row ``i`` also holds the hops from
+        each target back to ``sources[i]``.
+        """
+        graph = self.network.graph_arrays()
+        distances = graph.distances_from(graph.rows_of(sources))
+        columns = np.array([graph.node_row.get(node, -1) for node in targets], dtype=np.intp)
+        hops = distances[:, columns]
+        hops[:, columns < 0] = np.inf
+        hops[~np.isfinite(hops)] = self.network.node_count()
+        return hops.astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # payment workflow

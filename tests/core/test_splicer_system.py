@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import SplicerConfig
 from repro.core.splicer import SplicerSystem
 from repro.routing.router import RouterConfig
+from repro.topology.csr import NodeNotFound
 from repro.topology.network import PCNetwork
 
 
@@ -57,7 +58,7 @@ class TestSetup:
             system.step(0.1, 0.1)
 
 
-class TestSafeHops:
+class TestHopCounts:
     @staticmethod
     def _two_components() -> PCNetwork:
         network = PCNetwork()
@@ -70,20 +71,22 @@ class TestSafeHops:
     def test_unreachable_or_unknown_falls_back_to_node_count(self):
         network = self._two_components()
         system = SplicerSystem(network)
-        assert system._safe_hops("a0", "a1") == 1
-        assert system._safe_hops("a0", "b1") == network.node_count() == 4
-        assert system._safe_hops("a0", "nowhere") == 4
+        hops = system._hop_counts(["a0", "b1"], ["a1", "b1", "nowhere", "a0"])
+        assert network.node_count() == 4
+        assert hops.tolist() == [[1, 4, 4, 0], [4, 0, 4, 4]]
 
-    def test_unexpected_hop_count_errors_propagate(self, monkeypatch):
-        network = self._two_components()
-        system = SplicerSystem(network)
+    def test_unknown_source_raises(self):
+        system = SplicerSystem(self._two_components())
+        with pytest.raises(NodeNotFound, match="nowhere"):
+            system._hop_counts(["nowhere"], ["a0"])
 
-        def broken(source, target):
-            raise RuntimeError("bug in hop_count")
-
-        monkeypatch.setattr(network, "hop_count", broken)
-        with pytest.raises(RuntimeError, match="bug in hop_count"):
-            system._safe_hops("a0", "b1")
+    def test_setup_hops_equal_the_scalar_hop_count(self, system):
+        network = system.network
+        for client_id, client in system.clients.items():
+            assert client.hops_to_hub == network.hop_count(client_id, system.hub_of(client_id))
+        assert system._hub_pair_hops
+        for (a, b), hops in system._hub_pair_hops.items():
+            assert hops == network.hop_count(a, b)
 
 
 class TestPayments:
