@@ -158,7 +158,7 @@ def _bounded_minimum(arrays: CostArrays, hub_rows: np.ndarray, sync: np.ndarray)
 
     1. Fold the ``B`` hubs with the smallest synchronization parts.
     2. Fold each client's ``R`` nearest candidates
-       (:meth:`CostArrays.nearest_candidates`); one outside the hub set
+       (:attr:`CostArrays.nearest_candidates`); one outside the hub set
        scores ``+inf``.
     3. Settle every client whose running minimum is at most
        ``beyond[m] + s_B``, where ``s_B`` is the smallest synchronization
@@ -176,7 +176,7 @@ def _bounded_minimum(arrays: CostArrays, hub_rows: np.ndarray, sync: np.ndarray)
     per_client = _scores(arrays.zeta_t, hub_rows[first], sync[first]).min(axis=0)
     if len(hub_rows) <= BOUND_ROWS:
         return per_client
-    near_rows, near_zeta, beyond = arrays.nearest_candidates()
+    near_rows, near_zeta, beyond = arrays.nearest_candidates
     hub_sync = np.full(arrays.candidate_count, np.inf)
     hub_sync[hub_rows] = sync
     near = hub_sync.take(near_rows)

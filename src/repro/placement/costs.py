@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,7 +51,7 @@ _SCRATCH_BYTES = 1 << 20
 
 #: ``B = R`` of the probe kernel's bounded fold: it folds the ``B`` hubs with
 #: the smallest synchronization parts, then each client's ``R`` nearest
-#: candidates (:meth:`CostArrays.nearest_candidates`), before it settles a
+#: candidates (:attr:`CostArrays.nearest_candidates`), before it settles a
 #: client.  Measured at paper scale on a 2-core Xeon, replaying the probes
 #: of more than 47 hubs of one deterministic solve at omega 0.02, 0.05 and
 #: 0.5, best of three sittings: 0.41 / 0.41 / 0.31 ms at (B, R) = (16, 16),
@@ -108,9 +109,6 @@ class CostArrays:
     client_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
     candidate_index: Mapping[NodeId, int] = field(init=False, repr=False, compare=False)
     zeta_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _nearest: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         shape = (len(self.clients), len(self.candidates))
@@ -146,6 +144,7 @@ class CostArrays:
         rows = sorted(self.candidate_index[hub] for hub in hubs)
         return np.asarray(rows, dtype=np.intp)
 
+    @cached_property
     def nearest_candidates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, zeta, beyond)``: every client's :data:`BOUND_ROWS` nearest candidates.
 
@@ -160,9 +159,23 @@ class CostArrays:
         keeps the arrays).  A stable sort makes tied columns deterministic;
         any ``R`` smallest values and the next one would bound as well.
         """
-        if self._nearest is None:
-            object.__setattr__(self, "_nearest", _nearest_table(self.zeta_t))
-        return self._nearest
+        count, clients = self.zeta_t.shape
+        kept = min(BOUND_ROWS, count)
+        rows = np.empty((kept, clients), dtype=np.int32)
+        values = np.empty((kept, clients))
+        beyond = np.full(clients, np.inf)
+        width = scratch_rows(count)
+        for start in range(0, clients, width):
+            block = self.zeta_t[:, start : start + width]
+            order = np.argsort(block, axis=0, kind="stable")[: kept + 1]
+            stop = start + block.shape[1]
+            rows[:, start:stop] = order[:kept]
+            values[:, start:stop] = np.take_along_axis(block, order[:kept], axis=0)
+            if count > kept:
+                beyond[start:stop] = np.take_along_axis(block, order[kept:], axis=0)[0]
+        for table in (rows, values, beyond):
+            table.flags.writeable = False
+        return rows, values, beyond
 
     def synchronization(self, hub_rows: Sequence[int], loads: np.ndarray) -> float:
         """``C_S`` of equation (4) for placed rows and their client counts.
@@ -176,27 +189,6 @@ class CostArrays:
     def off_diagonal_delta(self) -> np.ndarray:
         """The ``delta[n][l]``, ``n != l`` entries in row-major order."""
         return self.delta[~np.eye(self.candidate_count, dtype=bool)]
-
-
-def _nearest_table(zeta_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`CostArrays.nearest_candidates` of a ``(Z, M)`` block, one client chunk at a time."""
-    count, clients = zeta_t.shape
-    kept = min(BOUND_ROWS, count)
-    rows = np.empty((kept, clients), dtype=np.int32)
-    values = np.empty((kept, clients))
-    beyond = np.full(clients, np.inf)
-    width = scratch_rows(count)
-    for start in range(0, clients, width):
-        block = zeta_t[:, start : start + width]
-        order = np.argsort(block, axis=0, kind="stable")[: kept + 1]
-        stop = start + block.shape[1]
-        rows[:, start:stop] = order[:kept]
-        values[:, start:stop] = np.take_along_axis(block, order[:kept], axis=0)
-        if count > kept:
-            beyond[start:stop] = np.take_along_axis(block, order[kept:], axis=0)[0]
-    for table in (rows, values, beyond):
-        table.flags.writeable = False
-    return rows, values, beyond
 
 
 def _dense(name: str, kind: str, matrix, rows: Sequence, columns: Sequence) -> np.ndarray:

@@ -262,7 +262,7 @@ class TestBoundedProbe:
     def test_edge_cases(self, omega):
         tied = PlacementProblem(_tied_model(candidates=40), omega=omega)
         few = PlacementProblem(_tied_model(candidates=12), omega=omega)
-        assert few.arrays.nearest_candidates()[2].tolist() == [np.inf] * 300  # Z <= R
+        assert few.arrays.nearest_candidates[2].tolist() == [np.inf] * 300  # Z <= R
         cases = [
             (tied, np.arange(0, 40, 4), 3),  # h <= B: the first fold covers every hub
             (few, np.arange(1, 12), 3),
@@ -275,15 +275,15 @@ class TestBoundedProbe:
     def test_every_client_left_open_gets_the_exact_fold(self):
         problem = PlacementProblem(_open_model(), omega=0.0)
         rows = np.arange(16, 48, dtype=np.intp)
-        near_rows, _, beyond = problem.arrays.nearest_candidates()
+        near_rows, _, beyond = problem.arrays.nearest_candidates
         assert (near_rows < 16).all() and (beyond == 1.0).all()
         cost = _bounded_cost(problem, rows, 4)
         assert cost == _full_matrix_cost(problem, rows) == 40.0
 
     def test_table_is_shared_across_omegas(self, thousand_node_model):
         problem = PlacementProblem(thousand_node_model, omega=0.02)
-        table = problem.arrays.nearest_candidates()
-        assert problem.with_omega(0.5).arrays.nearest_candidates() is table
+        table = problem.arrays.nearest_candidates
+        assert problem.with_omega(0.5).arrays.nearest_candidates is table
         rows, values, beyond = table
         assert rows.shape == values.shape == (costs.BOUND_ROWS, 920)
         assert rows.dtype == np.int32
