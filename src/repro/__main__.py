@@ -45,7 +45,7 @@ import os
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs import DEFAULT_SAMPLE_RATE
 from repro.obs.log import INFO, configure, get_logger
@@ -58,6 +58,8 @@ if TYPE_CHECKING:
     from repro.scenarios.jsonl import GridRunReport
 
 log = get_logger("repro.cli")
+
+T = TypeVar("T")
 
 
 def _add_resilience_arguments(sub: argparse.ArgumentParser) -> None:
@@ -88,6 +90,23 @@ def _add_resilience_arguments(sub: argparse.ArgumentParser) -> None:
             "and stop the sweep (fail)"
         ),
     )
+
+
+def _add_sweep_arguments(sub: argparse.ArgumentParser, results: str) -> None:
+    """The flags every sweep pipeline shares; results land in ``results/<results>``."""
+    sub.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    sub.add_argument(
+        "--nodes",
+        type=int,
+        help="override the topology's node count (a data-backed source's max_nodes cap)",
+    )
+    sub.add_argument(
+        "--results-dir",
+        default=os.path.join("results", results),
+        help=f"directory for the JSONL results (default results/{results})",
+    )
+    sub.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
+    _add_resilience_arguments(sub)
 
 
 def _add_obs_arguments(sub: argparse.ArgumentParser) -> None:
@@ -150,17 +169,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="execute a scenario grid")
     run.add_argument("scenario", help="registered scenario name")
-    run.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    run.add_argument(
-        "--results-dir",
-        default=os.path.join("results", "scenarios"),
-        help="directory for the JSONL results (default results/scenarios)",
-    )
     run.add_argument("--seeds", help="comma-separated seeds overriding the spec's")
     run.add_argument(
         "--schemes", help="comma-separated scheme names restricting the comparison"
     )
-    run.add_argument("--nodes", type=int, help="override topology node count")
     run.add_argument("--duration", type=float, help="override workload duration (seconds)")
     run.add_argument(
         "--arrival-rate", type=float, help="override workload arrival rate (payments/s)"
@@ -172,9 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH=JSON",
         help="extra dotted-path override, e.g. --set workload.value_scale=2.0",
     )
-    run.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
+    _add_sweep_arguments(run, "scenarios")
     _add_obs_arguments(run)
-    _add_resilience_arguments(run)
 
     compare = commands.add_parser(
         "compare", help="run the figure-8 scheme comparison, sharded over workers"
@@ -192,12 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
             f"{', '.join(sorted(COMPARISON_SCALES))} (default large)"
         ),
     )
-    compare.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     compare.add_argument("--seeds", default="1", help="comma-separated seeds (default 1)")
     compare.add_argument(
         "--duration", type=float, default=8.0, help="workload duration in seconds (default 8)"
     )
-    compare.add_argument("--nodes", type=int, help="override the scale's node count")
     compare.add_argument(
         "--arrival-rate", type=float, help="override the scale's arrival rate (payments/s)"
     )
@@ -209,11 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "rate to payments/duration); mutually exclusive with "
             "--arrival-rate"
         ),
-    )
-    compare.add_argument(
-        "--results-dir",
-        default=os.path.join("results", "compare"),
-        help="directory for the JSONL results (default results/compare)",
     )
     compare.add_argument(
         "--topology-source",
@@ -235,9 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
             'like {"kind": "ripple-trace", "path": "..."}'
         ),
     )
-    compare.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
+    _add_sweep_arguments(compare, "compare")
     _add_obs_arguments(compare)
-    _add_resilience_arguments(compare)
 
     data = commands.add_parser(
         "data", help="dataset utilities: fetch fixtures, clean traces, inspect files"
@@ -269,16 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated omega sweep values (default: the paper's sweep)",
     )
-    place.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     place.add_argument("--seeds", default="1", help="comma-separated seeds (default 1)")
-    place.add_argument("--nodes", type=int, help="override the scale's node count")
-    place.add_argument(
-        "--results-dir",
-        default=os.path.join("results", "place"),
-        help="directory for the JSONL results (default results/place)",
-    )
-    place.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
-    _add_resilience_arguments(place)
+    _add_sweep_arguments(place, "place")
 
     doctor = commands.add_parser(
         "doctor",
@@ -413,14 +408,24 @@ def _obs_settings(args: argparse.Namespace) -> Optional[Dict[str, object]]:
     }
 
 
+def _split(
+    raw: Optional[str], flag: str, convert: Callable[[str], T] = str
+) -> Optional[List[T]]:
+    """A comma-separated flag value as a list; ``None`` when the flag is unset."""
+    if raw is None:
+        return None
+    values = [convert(part.strip()) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{flag} must name at least one value")
+    return values
+
+
 def _spec_with_cli_overrides(args: argparse.Namespace):
-    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.registry import get_scenario, size_topology
     from repro.scenarios.spec import SchemeSpec
 
     spec = get_scenario(args.scenario)
     overrides: Dict[str, object] = {}
-    if args.nodes is not None:
-        overrides["topology.params.node_count"] = args.nodes
     if args.duration is not None:
         overrides["workload.duration"] = args.duration
     if args.arrival_rate is not None:
@@ -432,10 +437,13 @@ def _spec_with_cli_overrides(args: argparse.Namespace):
         overrides[path.strip()] = _parse_value(raw)
     if overrides:
         spec = spec.with_overrides(overrides)
-    if args.seeds:
-        spec.seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-    if args.schemes:
-        wanted = [part.strip() for part in args.schemes.split(",") if part.strip()]
+    if args.nodes is not None:
+        size_topology(spec.topology, args.nodes)
+    seeds = _split(args.seeds, "--seeds", int)
+    if seeds is not None:
+        spec.seeds = seeds
+    wanted = _split(args.schemes, "--schemes")
+    if wanted is not None:
         if "schemes.0" in spec.grid:
             # Comparison-style scenarios shard the scheme dimension through
             # the grid; restricting `spec.schemes` alone would be silently
@@ -467,34 +475,24 @@ def _command_list() -> int:
         for name, description in list_scenarios().items()
     ]
     log.info(format_table(rows))
-    log.info("")
-    log.info("topology sources (topology.kind / topology.source):")
-    log.info(
-        format_table(
-            [
-                {
-                    "kind": info.kind,
-                    "data": "synthetic" if info.synthetic else "data-backed",
-                    "description": info.description,
-                }
-                for info in list_topology_sources()
-            ]
+    for heading, sources in (
+        ("topology sources (topology.kind / topology.source):", list_topology_sources()),
+        ("workload sources (workload.source):", list_workload_sources()),
+    ):
+        log.info("")
+        log.info(heading)
+        log.info(
+            format_table(
+                [
+                    {
+                        "kind": info.kind,
+                        "data": "synthetic" if info.synthetic else "data-backed",
+                        "description": info.description,
+                    }
+                    for info in sources
+                ]
+            )
         )
-    )
-    log.info("")
-    log.info("workload sources (workload.source):")
-    log.info(
-        format_table(
-            [
-                {
-                    "kind": info.kind,
-                    "data": "synthetic" if info.synthetic else "data-backed",
-                    "description": info.description,
-                }
-                for info in list_workload_sources()
-            ]
-        )
-    )
     return 0
 
 
@@ -518,26 +516,23 @@ def _spec_sources(spec) -> Dict[str, object]:
 def _record_manifest(
     results_dir: str,
     command: str,
-    name: str,
-    results_path: str,
+    report: GridRunReport,
     schema_version: int,
-    rows: int,
     obs_dir: Optional[str] = None,
     table: Optional[str] = None,
     sources: Optional[Dict[str, object]] = None,
     methods: Optional[Sequence[str]] = None,
     schemes: Optional[Sequence[str]] = None,
-    report: Optional[GridRunReport] = None,
 ) -> None:
-    """Register one pipeline's outputs in ``<results_dir>/manifest.json``."""
+    """Register one sweep's outputs in ``<results_dir>/manifest.json``."""
     from repro.obs.report import update_manifest
 
     entry: Dict[str, object] = {
         "command": command,
-        "name": name,
-        "results": os.path.basename(results_path),
+        "name": report.name,
+        "results": os.path.basename(report.results_path),
         "schema_version": schema_version,
-        "rows": rows,
+        "rows": len(report.rows),
     }
     if obs_dir:
         entry["obs_dir"] = obs_dir
@@ -552,11 +547,11 @@ def _record_manifest(
         # ... and lists scheme lines in this order (the JSONL file is in
         # completion order).
         entry["schemes"] = list(schemes)
-    if report is not None and (report.failures or report.quarantined):
+    if report.failures or report.quarantined:
         entry["failures"] = len(report.failures)
         entry["quarantined"] = len(report.quarantined)
     path = update_manifest(results_dir, entry)
-    log.debug(f"updated manifest {path}", command=command, name=name)
+    log.debug(f"updated manifest {path}", command=command, name=report.name)
 
 
 def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, object]:
@@ -599,6 +594,43 @@ def _log_resilience(report: GridRunReport) -> None:
         )
 
 
+def _sweep(
+    runner,
+    args: argparse.Namespace,
+    announce: str,
+    fields: Dict[str, object],
+    progress: Callable[[Dict[str, object]], Tuple[str, Dict[str, object]]],
+) -> GridRunReport:
+    """Run one sweep with the log lines every sweep pipeline prints.
+
+    ``announce`` opens the sweep (the worker count and results path are
+    appended), ``progress(row)`` returns a finished row's ``(message,
+    fields)`` unless ``--quiet``, and the summary, resilience and peak
+    memory lines close it.
+    """
+    log.info(f"{announce}, {args.workers} worker(s) -> {runner.results_path}", **fields)
+    on_row = None
+    if not args.quiet:
+
+        def on_row(row: Dict[str, object]) -> None:
+            message, row_fields = progress(row)
+            log.info(message, **row_fields)
+
+    started = time.perf_counter()
+    report = runner.run(on_row=on_row)
+    elapsed = time.perf_counter() - started
+    log.info(
+        f"executed {report.executed} run(s), skipped {report.skipped} "
+        f"already-completed or quarantined, in {elapsed:.1f}s",
+        executed=report.executed,
+        skipped=report.skipped,
+        seconds=round(elapsed, 3),
+    )
+    _log_resilience(report)
+    _log_peak_memory()
+    return report
+
+
 def _command_run(args: argparse.Namespace) -> int:
     from repro.analysis.tables import scenario_table
     from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
@@ -612,44 +644,23 @@ def _command_run(args: argparse.Namespace) -> int:
         **_resilience_kwargs(args),
     )
     total = len(spec.expand_runs())
-    log.info(
+    report = _sweep(
+        runner,
+        args,
         f"scenario {spec.name!r}: {total} run(s) "
-        f"({len(spec.seeds)} seed(s) x {max(total // max(len(spec.seeds), 1), 1)} grid point(s)), "
-        f"{args.workers} worker(s) -> {runner.results_path}",
-        scenario=spec.name,
-        runs=total,
-        workers=args.workers,
+        f"({len(spec.seeds)} seed(s) x {max(total // max(len(spec.seeds), 1), 1)} grid point(s))",
+        {"scenario": spec.name, "runs": total, "workers": args.workers},
+        lambda row: (f"  done {row['run_key']}", {"run_key": row["run_key"]}),
     )
-
-    started = time.perf_counter()
-    progress = None
-    if not args.quiet:
-
-        def progress(row: Dict[str, object]) -> None:
-            log.info(f"  done {row['run_key']}", run_key=row["run_key"])
-
-    report = runner.run(on_row=progress)
-    elapsed = time.perf_counter() - started
-    log.info(
-        f"executed {report.executed} run(s), skipped {report.skipped} already-completed "
-        f"or quarantined, in {elapsed:.1f}s",
-        executed=report.executed,
-        skipped=report.skipped,
-        seconds=round(elapsed, 3),
-    )
-    _log_resilience(report)
     log.info("")
     log.info(scenario_table(report.rows))
     _record_manifest(
         args.results_dir,
-        command="run",
-        name=spec.name,
-        results_path=runner.results_path,
-        schema_version=RESULT_SCHEMA_VERSION,
-        rows=len(report.rows),
+        "run",
+        report,
+        RESULT_SCHEMA_VERSION,
         obs_dir=spec.obs.get("dir") if spec.obs else None,
         sources=_spec_sources(spec),
-        report=report,
     )
     return 0
 
@@ -728,20 +739,22 @@ def _node_label(source_kind: str, params: Dict[str, object]) -> str:
     return f"{source_kind} nodes"
 
 
+def _compare_progress(row: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
+    schemes = ", ".join(row.get("metrics", {}))
+    return (
+        f"  done seed={row['seed']} scheme={schemes}",
+        {"seed": row["seed"], "schemes": schemes},
+    )
+
+
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.analysis.tables import scenario_table
     from repro.scenarios.registry import build_comparison_spec
     from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
 
-    schemes = [part.strip() for part in args.schemes.split(",") if part.strip()]
-    scales = [part.strip() for part in args.scale.split(",") if part.strip()]
-    seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-    if not schemes:
-        raise ValueError("--schemes must name at least one scheme")
-    if not scales:
-        raise ValueError("--scale must name at least one scale")
-    if not seeds:
-        raise ValueError("--seeds must name at least one seed")
+    schemes = _split(args.schemes, "--schemes")
+    scales = _split(args.scale, "--scale")
+    seeds = _split(args.seeds, "--seeds", int)
     if args.payments is not None and args.arrival_rate is not None:
         raise ValueError("--payments and --arrival-rate are mutually exclusive")
     _check_scheme_names(schemes)
@@ -772,38 +785,14 @@ def _command_compare(args: argparse.Namespace) -> int:
         )
         total = len(spec.expand_runs())
         nodes = _node_label(*spec.topology.resolved_source())
-        log.info(
+        report = _sweep(
+            runner,
+            args,
             f"compare scale {scale!r}: {nodes}, {len(schemes)} scheme(s) x "
-            f"{len(seeds)} seed(s) = {total} run(s), {args.workers} worker(s) "
-            f"-> {runner.results_path}",
-            scale=scale,
-            nodes=nodes,
-            runs=total,
+            f"{len(seeds)} seed(s) = {total} run(s)",
+            {"scale": scale, "nodes": nodes, "runs": total},
+            _compare_progress,
         )
-
-        started = time.perf_counter()
-        progress = None
-        if not args.quiet:
-
-            def progress(row: Dict[str, object]) -> None:
-                scheme_names = ", ".join(row.get("metrics", {}))
-                log.info(
-                    f"  done seed={row['seed']} scheme={scheme_names}",
-                    seed=row["seed"],
-                    schemes=scheme_names,
-                )
-
-        report = runner.run(on_row=progress)
-        elapsed = time.perf_counter() - started
-        log.info(
-            f"executed {report.executed} run(s), skipped {report.skipped} "
-            f"already-completed or quarantined, in {elapsed:.1f}s",
-            executed=report.executed,
-            skipped=report.skipped,
-            seconds=round(elapsed, 3),
-        )
-        _log_resilience(report)
-        _log_peak_memory()
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig8-{scale}.txt"),
             f"Figure 8 comparison -- scale {scale} ({nodes})",
@@ -811,18 +800,23 @@ def _command_compare(args: argparse.Namespace) -> int:
         )
         _record_manifest(
             args.results_dir,
-            command="compare",
-            name=spec.name,
-            results_path=runner.results_path,
-            schema_version=RESULT_SCHEMA_VERSION,
-            rows=len(report.rows),
+            "compare",
+            report,
+            RESULT_SCHEMA_VERSION,
             obs_dir=spec.obs.get("dir") if spec.obs else None,
             table=table_path,
             sources=_spec_sources(spec),
             schemes=schemes,
-            report=report,
         )
     return 0
+
+
+def _place_progress(row: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
+    return (
+        f"  done seed={row['seed']} method={row['method']} "
+        f"omega={row['omega']} ({row['solve_seconds']}s)",
+        {"seed": row["seed"], "method": row["method"], "omega": row["omega"]},
+    )
 
 
 def _command_place_compare(args: argparse.Namespace) -> int:
@@ -833,22 +827,10 @@ def _command_place_compare(args: argparse.Namespace) -> int:
         build_place_spec,
     )
 
-    scales = [part.strip() for part in args.scale.split(",") if part.strip()]
-    seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-    methods = (
-        [part.strip() for part in args.methods.split(",") if part.strip()]
-        if args.methods
-        else None
-    )
-    omegas = (
-        [float(part) for part in args.omegas.split(",") if part.strip()]
-        if args.omegas
-        else None
-    )
-    if not scales:
-        raise ValueError("--scale must name at least one scale")
-    if not seeds:
-        raise ValueError("--seeds must name at least one seed")
+    scales = _split(args.scale, "--scale")
+    seeds = _split(args.seeds, "--seeds", int)
+    methods = _split(args.methods, "--methods")
+    omegas = _split(args.omegas, "--omegas", float)
 
     for scale in scales:
         spec = build_place_spec(
@@ -865,40 +847,15 @@ def _command_place_compare(args: argparse.Namespace) -> int:
             **_resilience_kwargs(args),
         )
         total = len(spec.expand_runs())
-        log.info(
+        report = _sweep(
+            runner,
+            args,
             f"place-compare scale {scale!r}: {spec.nodes} nodes, "
             f"{len(spec.methods)} method(s) x {len(spec.omegas)} omega(s) x "
-            f"{len(seeds)} seed(s) = {total} run(s), {args.workers} worker(s) "
-            f"-> {runner.results_path}",
-            scale=scale,
-            nodes=spec.nodes,
-            runs=total,
+            f"{len(seeds)} seed(s) = {total} run(s)",
+            {"scale": scale, "nodes": spec.nodes, "runs": total},
+            _place_progress,
         )
-
-        started = time.perf_counter()
-        progress = None
-        if not args.quiet:
-
-            def progress(row: Dict[str, object]) -> None:
-                log.info(
-                    f"  done seed={row['seed']} method={row['method']} "
-                    f"omega={row['omega']} ({row['solve_seconds']}s)",
-                    seed=row["seed"],
-                    method=row["method"],
-                    omega=row["omega"],
-                )
-
-        report = runner.run(on_row=progress)
-        elapsed = time.perf_counter() - started
-        log.info(
-            f"executed {report.executed} run(s), skipped {report.skipped} "
-            f"already-completed or quarantined, in {elapsed:.1f}s",
-            executed=report.executed,
-            skipped=report.skipped,
-            seconds=round(elapsed, 3),
-        )
-        _log_resilience(report)
-        _log_peak_memory()
         table_path = _publish_table(
             os.path.join(args.results_dir, f"fig9-{scale}.txt"),
             f"Figure 9 placement comparison -- scale {scale} ({spec.nodes} nodes)",
@@ -906,14 +863,11 @@ def _command_place_compare(args: argparse.Namespace) -> int:
         )
         _record_manifest(
             args.results_dir,
-            command="place-compare",
-            name=runner.results_name,
-            results_path=runner.results_path,
-            schema_version=PLACE_SCHEMA_VERSION,
-            rows=len(report.rows),
+            "place-compare",
+            report,
+            PLACE_SCHEMA_VERSION,
             table=table_path,
             methods=spec.methods,
-            report=report,
         )
     return 0
 
@@ -997,12 +951,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.obs.report import filter_trace_events, render_timeline, render_trace
 
     events = _trace_events(args.trace_file)
-    channel = None
-    if args.channel:
-        endpoints = [part.strip() for part in args.channel.split(",") if part.strip()]
-        if len(endpoints) != 2:
-            raise ValueError(f"--channel expects two endpoints A,B, got {args.channel!r}")
-        channel = endpoints
+    channel = _split(args.channel, "--channel")
+    if channel is not None and len(channel) != 2:
+        raise ValueError(f"--channel expects two endpoints A,B, got {args.channel!r}")
     if args.timeline:
         if args.payment is None:
             raise ValueError("--timeline requires --payment")

@@ -73,9 +73,9 @@ class ChannelPrices:
         self._check(node)
         self.required_funds[node] = max(funds, 0.0)
 
-    def update(self, kappa: float, eta: float, decay: float = 0.0) -> None:
+    def update(self, kappa: float, eta: float) -> None:
         """Apply one price-update step (equations 21-22) and reset the
-        interval observations; normalization and decay as documented on
+        interval observations; normalization as documented on
         :meth:`repro.routing.state.ChannelArrays.update_prices`."""
         scale = max(self.capacity, 1e-9)
         total_required = self.required_funds[self.node_a] + self.required_funds[self.node_b]
@@ -87,11 +87,6 @@ class ChannelPrices:
         delta = eta * (arrived_a - arrived_b) / scale
         self.imbalance_price[self.node_a] = max(0.0, self.imbalance_price[self.node_a] + delta)
         self.imbalance_price[self.node_b] = max(0.0, self.imbalance_price[self.node_b] - delta)
-        if decay > 0.0:
-            keep = max(0.0, 1.0 - decay)
-            self.capacity_price *= keep
-            self.imbalance_price[self.node_a] *= keep
-            self.imbalance_price[self.node_b] *= keep
         self.arrived_value = {self.node_a: 0.0, self.node_b: 0.0}
 
     def routing_price(self, sender: NodeId) -> float:
@@ -122,7 +117,6 @@ class PriceTable:
         kappa: float = DEFAULT_KAPPA,
         eta: float = DEFAULT_ETA,
         t_fee: float = DEFAULT_T_FEE,
-        decay: float = 0.0,
     ) -> None:
         if not 0.0 < t_fee < 1.0:
             raise ValueError("T_fee must be in (0, 1)")
@@ -130,7 +124,6 @@ class PriceTable:
         self.kappa = float(kappa)
         self.eta = float(eta)
         self.t_fee = float(t_fee)
-        self.decay = float(decay)
         self._prices: Dict[ChannelKey, ChannelPrices] = {}
         self._version = 0
         for channel in network.channels():
@@ -184,7 +177,7 @@ class PriceTable:
     def update_all(self) -> None:
         """Run the per-interval price update (equations 21-22) on every channel."""
         for prices in self._prices.values():
-            prices.update(self.kappa, self.eta, self.decay)
+            prices.update(self.kappa, self.eta)
         self._version += 1
 
     @property
@@ -289,9 +282,7 @@ class RateRouter(router.RateRouter):
     def __init__(self, network: PCNetwork, config: Optional[router.RouterConfig] = None) -> None:
         super().__init__(network, config)
         cfg = self.config
-        self.price_table = PriceTable(
-            network, kappa=cfg.kappa, eta=cfg.eta, t_fee=cfg.t_fee, decay=cfg.price_decay
-        )
+        self.price_table = PriceTable(network, kappa=cfg.kappa, eta=cfg.eta, t_fee=cfg.t_fee)
         if not cfg.imbalance_pricing_enabled:
             self.price_table.eta = 0.0
         self.rate_controller = PathRateController(

@@ -156,7 +156,6 @@ class PriceTable:
         kappa: float = DEFAULT_KAPPA,
         eta: float = DEFAULT_ETA,
         t_fee: float = DEFAULT_T_FEE,
-        decay: float = 0.0,
     ) -> None:
         if not 0.0 < t_fee < 1.0:
             raise ValueError("T_fee must be in (0, 1)")
@@ -164,7 +163,6 @@ class PriceTable:
         self.kappa = float(kappa)
         self.eta = float(eta)
         self.t_fee = float(t_fee)
-        self.decay = float(decay)
         self._channels = ChannelArrays()
         self._paths = PathIndex(network, self._channels)
         self._pending_arrived: Dict[Tuple[int, int], float] = {}
@@ -246,7 +244,7 @@ class PriceTable:
         for (row, side), value in self._pending_arrived.items():
             arrived[side, row] += value
         self._pending_arrived.clear()
-        self._channels.update_prices(self.kappa, self.eta, self.decay)
+        self._channels.update_prices(self.kappa, self.eta)
 
     @property
     def price_version(self) -> int:

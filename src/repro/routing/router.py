@@ -62,11 +62,6 @@ class RouterConfig:
         alpha: Rate-update step size (equation 26).
         kappa: Capacity-price step size (equation 21).
         eta: Imbalance-price step size (equation 22).
-        price_decay: Optional per-update multiplicative leak on both prices.
-            Zero (the default) keeps a persistently imbalanced direction
-            throttled until reverse flow actually arrives, which is what
-            preserves relay liquidity; a small positive value re-probes idle
-            directions at the cost of slowly re-draining them.
         t_fee: Fee threshold ``T_fee`` in (0, 1) (equation 24).
         max_imbalance_gap: Hard bound on the per-channel imbalance-price gap
             (the balance constraint of equation 19): a direction whose
@@ -98,7 +93,6 @@ class RouterConfig:
     alpha: float = 1.0
     kappa: float = 0.1
     eta: float = 0.1
-    price_decay: float = 0.0
     max_imbalance_gap: float = 0.075
     t_fee: float = 0.01
     scheduler: str = "lifo"
@@ -172,7 +166,6 @@ class RateRouter:
             kappa=cfg.kappa,
             eta=cfg.eta,
             t_fee=cfg.t_fee,
-            decay=cfg.price_decay,
         )
         if not cfg.imbalance_pricing_enabled:
             self.price_table.eta = 0.0
@@ -479,8 +472,8 @@ class RateRouter:
         walks the short pre-sorted list checking only its per-unit conditions
         (budget, window, live capacity).  Blocked paths -- those whose worst
         hop's imbalance-price gap exceeds ``max_imbalance_gap`` -- are
-        excluded up front; they become usable again once reverse flow (or
-        the price decay) restores balance.  The memo (``state.ranked``) is
+        excluded up front; they become usable again once reverse flow
+        restores balance.  The memo (``state.ranked``) is
         keyed by the table's ``price_version``, which tracks every price
         mutation, including direct writes through views; a path search
         clears it.

@@ -163,16 +163,13 @@ class ChannelArrays:
     # ------------------------------------------------------------------ #
     # vectorized price update (equations 21-22)
     # ------------------------------------------------------------------ #
-    def update_prices(self, kappa: float, eta: float, decay: float = 0.0) -> None:
+    def update_prices(self, kappa: float, eta: float) -> None:
         """One price-update step over every channel, then reset observations.
 
         Equations (21)-(22) with the excess/imbalance terms normalized by the
         channel capacity, so that one step size works across the heavy-tailed
         range of channel sizes (the paper tunes kappa/eta on one testbed;
-        normalization plays the same role here).  ``decay`` leaks a small
-        fraction of both prices per update: without it a direction that
-        stops carrying traffic keeps its last price forever (no observations
-        means no updates), so a throttled direction would never be retried.
+        normalization plays the same role here).
 
         The expressions mirror
         :meth:`repro.reference.routing.ChannelPrices.update` term by term
@@ -192,10 +189,6 @@ class ChannelArrays:
         delta = eta * (self.arrived[0, :n] - self.arrived[1, :n]) / scale
         np.maximum(0.0, self.imbalance[0, :n] + delta, out=self.imbalance[0, :n])
         np.maximum(0.0, self.imbalance[1, :n] - delta, out=self.imbalance[1, :n])
-        if decay > 0.0:
-            keep = max(0.0, 1.0 - decay)
-            self.capacity_price[:n] *= keep
-            self.imbalance[:, :n] *= keep
         self.arrived[:, :n] = 0.0
         self.version += 1
 

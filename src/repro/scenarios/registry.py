@@ -210,6 +210,38 @@ def comparison_scheme_spec(scheme: str) -> SchemeSpec:
 _NODE_COUNT_SOURCES = ("watts-strogatz", "scale-free", "random")
 
 
+def node_size_key(topology: TopologySpec, required: bool = True) -> Optional[str]:
+    """The source parameter a node count sizes ``topology`` through.
+
+    A data-backed loader takes it as a ``max_nodes`` cap, the generators in
+    ``_NODE_COUNT_SOURCES`` as their ``node_count``.  Any other source is
+    sized by its own parameters: ``None``, or a ``ValueError`` when a node
+    count is ``required`` -- raised here, in the parent, rather than the
+    count being ignored.
+    """
+    described = topology.describe_source()
+    if not described["synthetic"]:
+        return "max_nodes"
+    if described["kind"] in _NODE_COUNT_SOURCES:
+        return "node_count"
+    if not required:
+        return None
+    raise ValueError(
+        f"topology source {described['kind']!r} is sized by its own parameters "
+        f"and takes no node count (--nodes)"
+    )
+
+
+def size_topology(topology: TopologySpec, nodes: int) -> None:
+    """Set ``topology``'s node count (``--nodes``) through :func:`node_size_key`."""
+    key = node_size_key(topology)
+    if topology.source is None:
+        topology.params[key] = nodes
+        return
+    kind, params = topology.resolved_source()
+    topology.source = {"kind": kind, **params, key: nodes}
+
+
 def build_comparison_spec(
     scale: str,
     schemes: List[str],
@@ -232,7 +264,9 @@ def build_comparison_spec(
     ``ripple-trace`` for a real-graph-x-real-payments comparison; the
     scale's node count (or a ``nodes`` override) becomes a data-backed
     loader's ``max_nodes`` cap and the default ``node_count`` of the
-    synthetic generators that take one.
+    synthetic generators that take one (:func:`node_size_key`); an
+    explicit descriptor key, or the own parameters of a source that takes
+    neither key, wins.
     Source-backed specs fingerprint on the descriptor, so their JSONL
     sweeps resume independently of the synthetic ones.
     """
@@ -261,11 +295,11 @@ def build_comparison_spec(
             else dict(topology_source)
         )
         topology = TopologySpec(source=descriptor)
-        described = topology.describe_source()
-        if not described["synthetic"]:
-            descriptor.setdefault("max_nodes", nodes)
-        elif described["kind"] in _NODE_COUNT_SOURCES:
-            descriptor.setdefault("node_count", nodes)
+        # The descriptor's own sizing wins: an explicit key, or the
+        # parameters of a source that takes no node count.
+        key = node_size_key(topology, required=False)
+        if key is not None:
+            descriptor.setdefault(key, nodes)
     workload = WorkloadSpec(duration=duration, arrival_rate=float(params["arrival_rate"]))
     if workload_source is not None:
         workload.source = (

@@ -197,3 +197,20 @@ def test_bad_command_exits_2_and_the_corrected_one_runs(pipeline, tmp_path, caps
     assert not list(tmp_path.rglob("*quarantine*"))
     assert cli_main([*argv, *fixed]) == 0
     assert "executed 1 run(s), skipped 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "paper-default", "--seeds", ","],
+        ["run", "paper-default", "--schemes", ","],
+        ["place-compare", "--scale", "small", "--omegas", ","],
+        ["place-compare", "--scale", "small", "--methods", ","],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_an_empty_list_flag_is_a_usage_error(argv, tmp_path, capsys):
+    """They used to run an empty sweep, a scheme-less one or the default one."""
+    assert cli_main([*argv, "--quiet", "--results-dir", str(tmp_path)]) == 2
+    assert f"{argv[-2]} must name at least one value" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

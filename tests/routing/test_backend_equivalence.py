@@ -45,7 +45,7 @@ SIDES = (reference, production)
 def _build_pair(side):
     """A (table, controller) pair over a line network with seeded state."""
     network = _line_network()
-    table = side.PriceTable(network, kappa=0.1, eta=0.1, decay=0.01)
+    table = side.PriceTable(network, kappa=0.1, eta=0.1)
     controller = side.PathRateController(alpha=0.7, min_rate=0.2, initial_rate=3.0)
     rng = np.random.default_rng(42)
     pairs = [("n0", "n2"), ("n1", "n4"), ("n0", "n4"), ("n3", "n1")]

@@ -10,9 +10,10 @@ from repro.scenarios.registry import (
     COMPARISON_SCALES,
     build_comparison_spec,
     get_scenario,
+    size_topology,
 )
 from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import ScenarioSpec, SchemeSpec
+from repro.scenarios.spec import ScenarioSpec, SchemeSpec, TopologySpec
 
 
 class TestComparisonSpec:
@@ -83,6 +84,34 @@ class TestSyntheticTopologySources:
             "small", ["splicer"], nodes=30, topology_source="lightning-snapshot"
         )
         assert snapshot.topology.resolved_source()[1] == {"max_nodes": 30}
+
+
+class TestRunNodes:
+    """``run --nodes`` sizes a spec through the same key ``compare`` uses."""
+
+    def test_it_caps_a_source_backed_scenario(self, tmp_path, monkeypatch):
+        built = []
+        build = TopologySpec.build
+
+        def spy(topology, seed):
+            network = build(topology, seed)
+            built.append(network.node_count())
+            return network
+
+        monkeypatch.setattr(TopologySpec, "build", spy)
+        argv = [
+            "run", "real-trace", "--nodes", "20", "--seeds", "1", "--schemes", "flash",
+            "--duration", "1", "--quiet", "--results-dir", str(tmp_path),
+        ]
+        assert cli_main(argv) == 0
+        assert built == [20]
+
+    def test_it_overrides_a_descriptor_key_compare_would_keep(self):
+        descriptor = {"kind": "lightning-snapshot", "max_nodes": 30}
+        spec = build_comparison_spec("small", ["flash"], nodes=20, topology_source=descriptor)
+        assert spec.topology.resolved_source()[1] == {"max_nodes": 30}
+        size_topology(spec.topology, 20)
+        assert spec.topology.resolved_source()[1] == {"max_nodes": 20}
 
 
 class TestComparisonRuns:
@@ -240,6 +269,18 @@ class TestCompareCliErrorPaths:
             ["compare", "--schemes", "splicer", "--workload-source", "no-such-trace"],
             "unknown workload source", "no-such-trace",
         )
+
+    def test_nodes_on_a_source_sized_by_its_own_parameters(self, capsys):
+        # Rejected in the parent: no shard runs, nothing is written.
+        self._fails_cleanly(
+            capsys,
+            [
+                *_TINY_RUN, "--nodes", "20",
+                "--set", 'topology.source={"kind": "grid", "rows": 3, "cols": 3}',
+            ],
+            "'grid' is sized by its own parameters",
+        )
+        assert not self.results_dir.exists()
 
     def test_source_descriptor_missing_kind(self, capsys):
         self._fails_cleanly(
