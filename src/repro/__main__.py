@@ -55,7 +55,7 @@ from repro.obs.log import INFO, configure, get_logger
 # import their whole stack (``repro.scenarios`` imports every scheme) before
 # a worker pool forks, so workers inherit it.
 if TYPE_CHECKING:
-    from repro.scenarios.jsonl import GridRunReport
+    from repro.scenarios.jsonl import GridRunReport, JsonlGridRunner
 
 log = get_logger("repro.cli")
 
@@ -595,7 +595,7 @@ def _log_resilience(report: GridRunReport) -> None:
 
 
 def _sweep(
-    runner,
+    runner: JsonlGridRunner,
     args: argparse.Namespace,
     announce: str,
     fields: Dict[str, object],
