@@ -749,7 +749,7 @@ def _compare_progress(row: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
 
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.analysis.tables import scenario_table
-    from repro.scenarios.registry import build_comparison_spec
+    from repro.scenarios.registry import build_comparison_spec, required_size_key
     from repro.scenarios.runner import RESULT_SCHEMA_VERSION, ScenarioRunner
 
     schemes = _split(args.schemes, "--schemes")
@@ -769,6 +769,9 @@ def _command_compare(args: argparse.Namespace) -> int:
             topology_source=_parse_source_flag(args.topology_source, "--topology-source"),
             workload_source=_parse_source_flag(args.workload_source, "--workload-source"),
         )
+        if args.nodes is not None:
+            # As on ``run``: a source sized by its own parameters rejects it.
+            required_size_key(spec.topology)
         if args.arrival_rate is not None:
             spec.workload.arrival_rate = args.arrival_rate
         if args.payments is not None:

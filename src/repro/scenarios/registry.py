@@ -210,31 +210,37 @@ def comparison_scheme_spec(scheme: str) -> SchemeSpec:
 _NODE_COUNT_SOURCES = ("watts-strogatz", "scale-free", "random")
 
 
-def node_size_key(topology: TopologySpec, required: bool = True) -> Optional[str]:
+def node_size_key(topology: TopologySpec) -> Optional[str]:
     """The source parameter a node count sizes ``topology`` through.
 
     A data-backed loader takes it as a ``max_nodes`` cap, the generators in
-    ``_NODE_COUNT_SOURCES`` as their ``node_count``.  Any other source is
-    sized by its own parameters: ``None``, or a ``ValueError`` when a node
-    count is ``required`` -- raised here, in the parent, rather than the
-    count being ignored.
+    ``_NODE_COUNT_SOURCES`` as their ``node_count``; ``None`` for any other
+    source, which is sized by its own parameters.
     """
     described = topology.describe_source()
     if not described["synthetic"]:
         return "max_nodes"
     if described["kind"] in _NODE_COUNT_SOURCES:
         return "node_count"
-    if not required:
-        return None
-    raise ValueError(
-        f"topology source {described['kind']!r} is sized by its own parameters "
-        f"and takes no node count (--nodes)"
-    )
+    return None
+
+
+def required_size_key(topology: TopologySpec) -> str:
+    """:func:`node_size_key`, or a ``ValueError`` for a source sized by its
+    own parameters -- raised in the parent rather than ``--nodes`` being
+    ignored."""
+    key = node_size_key(topology)
+    if key is None:
+        raise ValueError(
+            f"topology source {topology.describe_source()['kind']!r} is sized by "
+            f"its own parameters and takes no node count (--nodes)"
+        )
+    return key
 
 
 def size_topology(topology: TopologySpec, nodes: int) -> None:
     """Set ``topology``'s node count (``--nodes``) through :func:`node_size_key`."""
-    key = node_size_key(topology)
+    key = required_size_key(topology)
     if topology.source is None:
         topology.params[key] = nodes
         return
@@ -297,7 +303,7 @@ def build_comparison_spec(
         topology = TopologySpec(source=descriptor)
         # The descriptor's own sizing wins: an explicit key, or the
         # parameters of a source that takes no node count.
-        key = node_size_key(topology, required=False)
+        key = node_size_key(topology)
         if key is not None:
             descriptor.setdefault(key, nodes)
     workload = WorkloadSpec(duration=duration, arrival_rate=float(params["arrival_rate"]))

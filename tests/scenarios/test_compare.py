@@ -282,6 +282,19 @@ class TestCompareCliErrorPaths:
         )
         assert not self.results_dir.exists()
 
+    def test_compare_nodes_on_a_source_sized_by_its_own_parameters(self, capsys):
+        # ``--nodes`` means the same on both commands: compare rejects it too.
+        self._fails_cleanly(
+            capsys,
+            [
+                "compare", "--scale", "small", "--schemes", "shortest-path",
+                "--duration", "1", "--seeds", "1", "--nodes", "20",
+                "--topology-source", '{"kind": "grid", "rows": 3, "cols": 3}',
+            ],
+            "'grid' is sized by its own parameters",
+        )
+        assert not self.results_dir.exists()
+
     def test_source_descriptor_missing_kind(self, capsys):
         self._fails_cleanly(
             capsys,
