@@ -21,7 +21,7 @@ model of figure 2(a).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         self.hub_capacity_per_second = hub_capacity_per_second
         self.timeout = timeout
         self.hub: Optional[object] = None
-        self._queue: Deque[Tuple[float, Payment]] = deque()
+        self._queue: Deque[Payment] = deque()
         self._processing_backlog = 0.0
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
@@ -70,12 +70,12 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
             sender=request.sender,
             recipient=request.recipient,
             value=request.value,
-            created_at=now,
+            created_at=request.arrival_time,
             timeout=self.timeout,
         )
         # Puzzle-promise setup costs two round trips with the hub.
         self.control_messages += 4
-        self._queue.append((now, payment))
+        self._queue.append(payment)
         return payment
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
@@ -84,13 +84,10 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
 
         # The hub can process a bounded number of payments per second.
         budget = self.hub_capacity_per_second * dt + self._processing_backlog
-        processed = 0
         while self._queue and budget >= 1.0:
-            submitted_at, payment = self._queue.popleft()
+            payment = self._queue.popleft()
             budget -= 1.0
-            processed += 1
-            completion_floor = submitted_at + self.crypto_delay
-            if max(now, completion_floor) > payment.deadline:
+            if now > payment.deadline:
                 payment.fail(FailureReason.TIMEOUT)
                 report.failed.append(payment)
                 continue
@@ -101,13 +98,13 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
         self._processing_backlog = min(budget, self.hub_capacity_per_second)
 
         # Anything still queued past its deadline fails.
-        still_queued: Deque[Tuple[float, Payment]] = deque()
-        for submitted_at, payment in self._queue:
+        still_queued: Deque[Payment] = deque()
+        for payment in self._queue:
             if now > payment.deadline:
                 payment.fail(FailureReason.TIMEOUT)
                 report.failed.append(payment)
             else:
-                still_queued.append((submitted_at, payment))
+                still_queued.append(payment)
         self._queue = still_queued
         return report
 
@@ -128,5 +125,5 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
             return False
         return self._execute(payment, PathCSR(network, [path]), now)
 
-    def extra_delay(self, payment: Payment) -> float:
+    def extra_delay(self, request: TransactionRequest) -> float:
         return self.crypto_delay

@@ -18,14 +18,17 @@ Two families of schemes share helper machinery here:
 * *source-computation delay*: the paper argues source routing pushes the
   path computation onto the (weak) sender, which becomes a bottleneck as the
   network grows; :class:`SourceComputationModel` converts network size into
-  a per-payment computation delay that eats into the 3-second deadline, and
-  :meth:`RoutingScheme.extra_delay` charges it to every scheme that sets
-  :attr:`RoutingScheme.computation`.
+  a per-payment computation delay that eats into the 3-second deadline:
+  :meth:`RoutingScheme.route_batch` holds every request for its scheme's
+  :meth:`RoutingScheme.extra_delay` before submitting it, and payments are
+  dated from arrival, so the wait counts against the deadline.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -90,6 +93,9 @@ class RoutingScheme(abc.ABC):
         """Bind the scheme to a network and precompute whatever it needs."""
         self.network = network
         self.control_messages = 0.0
+        #: Requests waiting out :meth:`extra_delay`: ``(ready_at, offer order, request)``.
+        self._waiting: List[Tuple[float, int, TransactionRequest]] = []
+        self._offers = itertools.count()
 
     @abc.abstractmethod
     def submit(self, request: TransactionRequest, now: float) -> Payment:
@@ -100,12 +106,24 @@ class RoutingScheme(abc.ABC):
 
         The experiment runner hands over everything that arrived between two
         drain points in one call (nothing else happened in between, so the
-        decision sequence is unchanged).  Each request is routed at its own
-        ``arrival_time``, which keeps timestamps -- and therefore deadlines
-        and completion times -- identical to per-arrival delivery.  Schemes
-        that can amortize work across the batch override this.
+        decision sequence is unchanged).  Each request waits
+        :meth:`extra_delay` from its ``arrival_time``; those whose wait ended
+        by the batch's last arrival are submitted, in order of readiness, at
+        the time it ended, the rest by a later batch or :meth:`step`.
+        Returns the payments this call submitted.
         """
-        return [self.submit(request, request.arrival_time) for request in requests]
+        for request in requests:
+            ready_at = request.arrival_time + self.extra_delay(request)
+            heapq.heappush(self._waiting, (ready_at, next(self._offers), request))
+        return self._route_waiting(requests[-1].arrival_time) if requests else []
+
+    def _route_waiting(self, now: float) -> List[Payment]:
+        """Submit, in order of readiness, every request whose wait ended by ``now``."""
+        waiting, routed = self._waiting, []
+        while waiting and waiting[0][0] <= now:
+            ready_at, _, request = heapq.heappop(waiting)
+            routed.append(self.submit(request, ready_at))
+        return routed
 
     @abc.abstractmethod
     def step(self, now: float, dt: float) -> SchemeStepReport:
@@ -133,11 +151,12 @@ class RoutingScheme(abc.ABC):
     # ------------------------------------------------------------------ #
     # per-payment accounting
     # ------------------------------------------------------------------ #
-    def extra_delay(self, payment: Payment) -> float:
-        """Scheme-specific latency added on top of the routing latency.
+    def extra_delay(self, request: TransactionRequest) -> float:
+        """Seconds ``request`` waits before it can start routing.
 
-        By default the source-computation delay of :attr:`computation` at the
-        network's current size, or nothing without a model.
+        The wait counts against the payment's deadline.  By default the
+        source-computation delay of :attr:`computation` at the network's
+        current size, or nothing without a model.
         """
         if self.computation is None:
             return 0.0
@@ -195,9 +214,13 @@ class AtomicRoutingMixin:
             sender=request.sender,
             recipient=request.recipient,
             value=request.value,
-            created_at=now,
+            created_at=request.arrival_time,
             timeout=self.timeout,
         )
+        if now > payment.deadline:  # the wait outlasted the deadline
+            payment.fail(FailureReason.TIMEOUT)
+            self._report.failed.append(payment)
+            return payment
         paths = self._paths(request.sender, request.recipient, request.value)
         if not paths.paths:
             payment.fail(FailureReason.NO_PATH)
@@ -211,9 +234,10 @@ class AtomicRoutingMixin:
     def step(self, now: float, dt: float) -> SchemeStepReport:
         """Hand over the payments that finished since the last step.
 
-        Atomic schemes execute at submission time, so stepping just swaps the
-        report buffer.
+        Atomic schemes execute at submission time, so stepping submits the
+        requests whose wait has ended and swaps the report buffer.
         """
+        self._route_waiting(now)
         report = self._report
         self._report = SchemeStepReport()
         return report

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
 from repro.routing.paths import edge_disjoint_widest_paths, k_shortest_paths
-from repro.routing.transaction import Payment
+from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import PathCSR
 
@@ -85,9 +85,9 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
         row = int(self._rng.integers(len(entry.paths)))
         return PathCSR(network, [entry.paths[row]], [entry.row_slots(row)])
 
-    def extra_delay(self, payment: Payment) -> float:
-        base = super().extra_delay(payment)
+    def extra_delay(self, request: TransactionRequest) -> float:
+        base = super().extra_delay(request)
         # Elephants pay the full max-flow computation; mice use cached paths.
-        if payment.value >= self.elephant_threshold:
+        if request.value >= self.elephant_threshold:
             return base
         return base * 0.25

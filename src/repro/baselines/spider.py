@@ -56,44 +56,28 @@ class SpiderScheme(RoutingScheme):
         self.timeout = timeout
         self.computation = computation or SourceComputationModel(base_delay=0.05)
         self.router: Optional[RateRouter] = None
-        self._pending: list = []
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         super().prepare(network, rng)
         self.router = RateRouter(network, self.router_config)
-        self._pending = []
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         payment = Payment.create(
             sender=request.sender,
             recipient=request.recipient,
             value=request.value,
-            created_at=now,
+            created_at=request.arrival_time,
             timeout=self.timeout,
         )
-        # The sender must finish its own path computation before the payment
-        # can start routing; the deadline keeps counting meanwhile.
-        ready_at = now + self.extra_delay(payment)
-        self._pending.append((ready_at, payment))
+        self.router.submit(payment, now)
         return payment
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         if self.router is None:
             raise RuntimeError("spider: prepare() must be called before step()")
-        report = SchemeStepReport()
-        still_pending = []
-        for ready_at, payment in self._pending:
-            if ready_at <= now:
-                decision = self.router.submit(payment, now)
-                if not decision.accepted:
-                    report.failed.append(payment)
-            else:
-                still_pending.append((ready_at, payment))
-        self._pending = still_pending
-
+        self._route_waiting(now)
         router_report = self.router.step(now, dt)
-        report.completed.extend(router_report.completed_payments)
-        report.failed.extend(router_report.failed_payments)
-        report.fees_paid += router_report.fees_paid
         self.control_messages = self.router.total_probe_messages
-        return report
+        return SchemeStepReport(
+            router_report.completed_payments, router_report.failed_payments, router_report.fees_paid
+        )

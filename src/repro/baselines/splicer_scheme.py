@@ -47,19 +47,20 @@ class SplicerScheme(RoutingScheme):
                 sender=sender,
                 recipient=request.recipient,
                 value=request.value,
-                created_at=now,
+                created_at=request.arrival_time,
                 timeout=self.config.payment_timeout,
             )
             self.system.router.submit(payment, now)
             return payment
         session, decision = self.system.submit_payment(
-            sender=sender, recipient=request.recipient, value=request.value, now=now
+            sender, request.recipient, request.value, now=now, created_at=request.arrival_time
         )
         return decision.payment
 
     def step(self, now: float, dt: float) -> SchemeStepReport:
         if self.system is None:
             raise RuntimeError("splicer: prepare() must be called before step()")
+        self._route_waiting(now)
         router_report = self.system.step(now, dt)
         self.control_messages = self._total_control_messages()
         return SchemeStepReport(
@@ -68,10 +69,10 @@ class SplicerScheme(RoutingScheme):
             fees_paid=router_report.fees_paid,
         )
 
-    def extra_delay(self, payment: Payment) -> float:
-        if self.system is None or payment.sender not in self.system.clients:
+    def extra_delay(self, request: TransactionRequest) -> float:
+        if self.system is None or request.sender not in self.system.clients:
             return 0.0
-        return self.system.management_delay(payment.sender)
+        return self.system.management_delay(request.sender)
 
     # ------------------------------------------------------------------ #
     # overhead accounting

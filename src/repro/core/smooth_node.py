@@ -11,7 +11,7 @@ synchronization cost pays for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.client import Client
 from repro.core.kmg import KeyManagementGroup
@@ -87,6 +87,7 @@ class SmoothNode:
         ciphertext: bytes,
         now: float,
         timeout: float,
+        created_at: Optional[float] = None,
     ) -> RoutingDecision:
         """Payment execution: decrypt the demand, split it and start routing."""
         self.stats.requests_received += 1
@@ -96,7 +97,7 @@ class SmoothNode:
             sender=demand.sender,
             recipient=demand.recipient,
             value=demand.value,
-            created_at=now,
+            created_at=now if created_at is None else created_at,
             timeout=timeout,
         )
         decision = self.router.submit(payment, now)

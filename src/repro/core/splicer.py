@@ -144,11 +144,13 @@ class SplicerSystem:
         recipient: NodeId,
         value: float,
         now: float = 0.0,
+        created_at: Optional[float] = None,
     ) -> Tuple[PaymentSession, RoutingDecision]:
         """Run the full encrypted workflow for one payment demand.
 
-        Returns the workflow session and the routing decision.  The payment's
-        deadline is ``now + payment_timeout``.
+        Returns the workflow session and the routing decision.  The payment
+        is dated ``created_at`` (default ``now``) and its deadline is
+        ``created_at + payment_timeout``.
         """
         self._require_setup()
         hub_id = self.hub_of(sender)
@@ -157,7 +159,7 @@ class SplicerSystem:
         session = smooth_node.open_payment(sender)
         ciphertext = client.build_request(session, recipient, value)
         decision = smooth_node.execute_payment(
-            session, ciphertext, now=now, timeout=self.config.payment_timeout
+            session, ciphertext, now, self.config.payment_timeout, created_at
         )
         return session, decision
 

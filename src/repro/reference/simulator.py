@@ -6,7 +6,7 @@ dynamics event, timed revert and at the end of the run.  This module keeps
 the definition that drain has to agree with, in the most literal form a
 discrete-event simulator offers: every request is its own
 ``PAYMENT_ARRIVAL`` event, handled at its own arrival time by counting it
-as generated and calling ``scheme.submit(request, engine.now)``.
+as generated and calling ``scheme.route_batch([request])``.
 
 Delivery order is then whatever the engine's ``(time, sequence)`` heap
 says.  Arrivals are scheduled in request-list order and before the tick
@@ -44,7 +44,7 @@ class PerEventRunner(ExperimentRunner):
         def on_arrival(_engine: SimulationEngine, event: Event) -> None:
             request = event.payload
             collector.record_generated(request.value)
-            scheme.submit(request, _engine.now)
+            scheme.route_batch([request])
 
         for request in self.workload.requests:
             engine.schedule_at(

@@ -185,6 +185,8 @@ class RateRouter:
         self._queues: Dict[Pair, List[QueuedUnit]] = {}
         self._in_flight: List[_InFlightUnit] = []
         self._payments: Dict[int, Payment] = {}
+        #: Payments refused since the last step; that step reports them failed.
+        self._refused: List[Payment] = []
         self._next_price_update = cfg.update_interval
         self.total_fees_paid = 0.0
         self.total_units_delivered = 0
@@ -202,11 +204,13 @@ class RateRouter:
         paths = state.found_paths
         if not paths:
             payment.fail(FailureReason.NO_PATH)
+            self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
                 rec.payment_event(payment, "reject", now, reason=FailureReason.NO_PATH.value)
             return RoutingDecision(payment, [], accepted=False, reason="no path")
         if not self.congestion.can_enqueue(payment.sender, payment.value):
             payment.fail(FailureReason.QUEUE_FULL)
+            self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
                 rec.payment_event(payment, "reject", now, reason=FailureReason.QUEUE_FULL.value)
             return RoutingDecision(payment, paths, accepted=False, reason="queue full")
@@ -283,8 +287,9 @@ class RateRouter:
     # stepping
     # ------------------------------------------------------------------ #
     def step(self, now: float, dt: float) -> StepReport:
-        """Advance the router by one simulation step of length ``dt``."""
-        report = StepReport(now=now)
+        """Advance the router by ``dt``; the failures open with refusals since the last step."""
+        report = StepReport(now=now, failed_payments=self._refused)
+        self._refused = []
         self._settle_in_flight(now, report)
         self._maybe_update_prices(now)
         self._accrue_budgets(dt)

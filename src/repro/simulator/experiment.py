@@ -241,7 +241,7 @@ class ExperimentRunner:
         def on_tick(_engine: SimulationEngine, _event) -> None:
             drain_arrivals()
             report = scheme.step(_engine.now, self.step_size)
-            self._consume(report, scheme, collector, _engine.now)
+            self._consume(report, collector, _engine.now)
 
         engine.schedule_periodic(
             start=self.step_size,
@@ -272,7 +272,7 @@ class ExperimentRunner:
             engine.run(until=end_time)
             drain_arrivals()
             final_report = scheme.finish(end_time)
-            self._consume(final_report, scheme, collector, end_time)
+            self._consume(final_report, collector, end_time)
         finally:
             # Undo mutations still in effect (newest first) so the snapshot
             # can be restored for the next scheme.
@@ -425,7 +425,6 @@ class ExperimentRunner:
     def _consume(
         self,
         report: SchemeStepReport,
-        scheme: RoutingScheme,
         collector: MetricsCollector,
         now: float,
     ) -> None:
@@ -439,7 +438,7 @@ class ExperimentRunner:
         """
         rec = obs.RECORDER
         for payment in report.completed:
-            collector.record_completed(payment, extra_delay=scheme.extra_delay(payment))
+            collector.record_completed(payment)
             if rec.enabled and rec.payment_begin(payment):
                 settled_at = payment.completed_at if payment.completed_at is not None else now
                 rec.payment_end(

@@ -7,8 +7,8 @@ The paper reports four quantities:
 * **Normalized throughput** -- value of completed payments over value of
   generated payments (which also normalizes by the maximum achievable
   throughput of the workload),
-* **Average transaction delay** -- completion latency including the
-  client-to-hub (or source-computation) delay each scheme adds,
+* **Average transaction delay** -- completion latency from arrival, which
+  includes the client-to-hub (or source-computation) wait before routing,
 * **Traffic overhead** -- control and synchronization messages (probes,
   management round trips, hub state synchronization) plus per-hop transfer
   messages.
@@ -71,8 +71,8 @@ class SchemeMetrics:
         completed_value: Total value of completed payments.
         success_ratio: ``completed_count / generated_count``.
         normalized_throughput: ``completed_value / generated_value``.
-        average_delay: Mean completion latency (seconds) including the
-            scheme's extra per-payment delay; 0.0 when nothing completed.
+        average_delay: Mean completion latency (seconds) from arrival,
+            pre-routing wait included; 0.0 when nothing completed.
         median_delay: Median completion latency.
         p90_delay: 90th-percentile completion latency -- the tail the
             paper's delay plots actually compare (0.0 when nothing completed).
@@ -164,12 +164,11 @@ class MetricsCollector:
         for value in values:
             self.record_generated(value)
 
-    def record_completed(self, payment: Payment, extra_delay: float = 0.0) -> None:
-        """A payment completed; ``extra_delay`` is the scheme's added latency."""
+    def record_completed(self, payment: Payment) -> None:
+        """A payment completed; its delay is its latency."""
         self.completed_count += 1
         self.completed_value += payment.value
-        latency = payment.latency if payment.latency is not None else 0.0
-        self.delays.append(latency + extra_delay)
+        self.delays.append(payment.latency if payment.latency is not None else 0.0)
         self.transfer_hops += payment.hops_used
 
     def record_failed(self, payment: Payment) -> None:

@@ -12,7 +12,8 @@ from repro.baselines import (
 from repro.baselines.base import SourceComputationModel
 from repro.baselines.batch import AtomicBatchExecutor
 from repro.routing.transaction import FailureReason, Payment
-from repro.simulator.workload import TransactionRequest
+from repro.simulator.experiment import ExperimentRunner
+from repro.simulator.workload import TransactionRequest, WorkloadConfig, generate_workload
 from repro.topology.channel import EPS
 from repro.topology.pathcsr import PathCSR
 
@@ -90,6 +91,18 @@ class TestShortestPathScheme:
         scheme.prepare(line_network)
         payment = scheme.submit(_request("n0", "n4", 1.0), now=0.0)
         assert scheme.extra_delay(payment) == pytest.approx(0.1)
+
+    def test_wait_past_the_timeout_fails_every_payment(self, small_ws_network):
+        # 30 nodes at 5 s per 100 nodes: a 1.5 s wait against a 1 s timeout.
+        scheme = ShortestPathScheme(
+            timeout=1.0, computation=SourceComputationModel(base_delay=5.0)
+        )
+        workload = generate_workload(
+            small_ws_network, WorkloadConfig(duration=2.0, arrival_rate=10.0, seed=3)
+        )
+        metrics = ExperimentRunner(small_ws_network, workload, drain_time=2.0).run_single(scheme)
+        assert metrics.generated_count > 0
+        assert metrics.failure_reasons == {FailureReason.TIMEOUT.value: metrics.generated_count}
 
 
 class TestFlashScheme:

@@ -6,7 +6,8 @@ from repro.baselines import A2LScheme, SpiderScheme, SplicerScheme
 from repro.baselines.base import SourceComputationModel
 from repro.core.config import SplicerConfig
 from repro.routing.router import RouterConfig
-from repro.simulator.workload import TransactionRequest
+from repro.simulator.experiment import ExperimentRunner
+from repro.simulator.workload import TransactionRequest, WorkloadConfig, generate_workload
 
 
 def _request(sender, recipient, value, time=0.0):
@@ -27,10 +28,11 @@ class TestSpiderScheme:
     def test_payment_completes_after_computation_delay(self, line_network):
         scheme = SpiderScheme(computation=SourceComputationModel(base_delay=0.2, reference_size=5))
         scheme.prepare(line_network)
-        payment = scheme.submit(_request("n0", "n4", 6.0), now=0.0)
+        # The sender is still computing paths, so nothing is routed yet.
+        assert scheme.route_batch([_request("n0", "n4", 6.0)]) == []
         completed, _ = _run(scheme, 2.0)
-        assert payment.is_complete
-        assert payment in completed
+        assert [payment.created_at for payment in completed] == [0.0]
+        assert completed[0].is_complete
 
     def test_uses_eds_paths_without_imbalance_pricing(self):
         scheme = SpiderScheme()
@@ -137,6 +139,19 @@ class TestSplicerScheme:
         system = scheme.system
         expected = system.management_delay(clients[0])
         assert scheme.extra_delay(payment) == pytest.approx(expected)
+
+    def test_refused_payments_are_reported_failed(self, small_ws_network):
+        # A sender's queue holds at most 2 tokens, so most payments are refused.
+        config = SplicerConfig(
+            router=RouterConfig(queue_limit=2.0), placement_method="greedy", placement_seed=0
+        )
+        workload = generate_workload(
+            small_ws_network, WorkloadConfig(duration=2.0, arrival_rate=10.0, seed=1)
+        )
+        runner = ExperimentRunner(small_ws_network, workload, drain_time=2.0)
+        metrics = runner.run_single(SplicerScheme(config))
+        assert metrics.failure_reasons.get("queue-full", 0) > 0
+        assert metrics.generated_count == metrics.completed_count + metrics.failed_count
 
     def test_overhead_includes_sync_and_management(self, scheme, small_ws_network):
         clients = sorted(small_ws_network.clients(), key=repr)

@@ -220,13 +220,20 @@ class TestRandomInterleavings:
 class _LoggingScheme(ShortestPathScheme):
     """Shortest-path routing that logs, in order, every delivery (with the
     probe's view of the network at that instant), step and network change --
-    the complete interleaving the two runners must agree on."""
+    the complete interleaving the two runners must agree on.
 
-    def __init__(self, name="logging", probe=lambda network: None):
+    Requests route at once unless ``wait(request)`` holds them back.
+    """
+
+    def __init__(self, name="logging", probe=lambda network: None, wait=lambda request: 0.0):
         super().__init__()
         self.name = name
         self.probe = probe
+        self.wait = wait
         self.log = []
+
+    def extra_delay(self, request):
+        return self.wait(request)
 
     def submit(self, request, now):
         self.log.append(("submit", request, now, self.probe(self.network)))
@@ -241,9 +248,9 @@ class _LoggingScheme(ShortestPathScheme):
         super().on_network_change()
 
 
-class TestCursorEdgeCases:
-    """Hand-built arrival patterns at the cursor's boundaries, each checked
-    against the per-event oracle on the full delivery/step/mutation log."""
+class _OracleLogCase:
+    """Hand-built arrival patterns, each checked against the per-event
+    oracle on the full delivery/step/mutation log."""
 
     STEP = 0.25  # exact in binary, so tick times are exact multiples
 
@@ -264,11 +271,14 @@ class TestCursorEdgeCases:
             requests=requests, config=WorkloadConfig(duration=duration, arrival_rate=10.0)
         )
 
-    def _logged(self, runner_class, workload, dynamics=None, probe=lambda network: None):
+    def _logged(
+        self, runner_class, workload, dynamics=None, probe=lambda network: None,
+        wait=lambda request: 0.0,
+    ):
         runner = runner_class(
             _network(seed=3), workload, step_size=self.STEP, drain_time=0.5, dynamics=dynamics
         )
-        scheme = _LoggingScheme(probe=probe)
+        scheme = _LoggingScheme(probe=probe, wait=wait)
         return runner.run_single(scheme), scheme.log
 
     def _assert_matches_oracle(self, workload, oracle_workload=None, **options):
@@ -279,6 +289,10 @@ class TestCursorEdgeCases:
         assert log == oracle_log
         assert metrics == oracle_metrics
         return metrics, log
+
+
+class TestCursorEdgeCases(_OracleLogCase):
+    """Arrival patterns at the cursor's boundaries."""
 
     def test_unsorted_input_with_duplicate_times_is_stable(self):
         requests = self._requests([0.4, 0.1, 0.4, 0.1, 0.3, 0.4])
@@ -341,3 +355,72 @@ class TestCursorEdgeCases:
         assert first.log == second.log == oracle_log
         assert result.scheme("first").generated_count == len(requests)
         assert result.scheme("second").generated_count == len(requests)
+
+
+class TestWaitEdgeCases(_OracleLogCase):
+    """Pre-routing waits on the per-event oracle: a request waits
+    ``extra_delay`` from its arrival and is submitted, stamped with the end
+    of its wait, at the first offer or step at or after that time."""
+
+    # Times and waits are exact in binary, so every sum below is exact.
+    def _waited(self, times, waits, sender=None, recipient=None, **options):
+        requests = self._requests(times, sender, recipient)
+        wait_of = {request.value: delay for request, delay in zip(requests, waits)}
+        metrics, log = self._assert_matches_oracle(
+            self._workload(requests), wait=lambda request: wait_of[request.value], **options
+        )
+        submitted = [(requests.index(entry[1]), entry[2]) for entry in log if entry[0] == "submit"]
+        return metrics, log, submitted
+
+    def test_wait_ending_between_two_arrivals(self):
+        # Ends at 0.1875, between the arrivals at 0.125 and 0.25 and before
+        # the 0.25 tick, whose batch submits it ahead of the later arrival.
+        _, log, submitted = self._waited([0.125, 0.25, 0.375], [0.0625, 0.0, 0.0])
+        assert submitted == [(0, 0.1875), (1, 0.25), (2, 0.375)]
+        assert log.index(("step", 0.25)) == 2
+
+    def test_wait_ending_exactly_on_a_tick(self):
+        # Both are due at the 0.25 tick: the earlier offer goes first, and
+        # both are submitted before that tick's step.
+        _, log, submitted = self._waited([0.125, 0.25], [0.125, 0.0])
+        assert submitted == [(0, 0.25), (1, 0.25)]
+        assert log.index(("step", 0.25)) == 2
+
+    def test_wait_ending_across_a_dynamics_event(self):
+        network = _network(seed=3)
+        node_a, node_b = next(iter(network.channels())).endpoints
+        dynamics = [ChannelClose(time=0.625, duration=None, node_a=node_a, node_b=node_b)]
+        _, log, submitted = self._waited(
+            [0.5625, 0.5625, 0.6875],
+            [0.0, 0.09375, 0.0],
+            sender=node_a,
+            recipient=node_b,
+            dynamics=dynamics,
+            probe=lambda network: network.has_channel(node_a, node_b),
+        )
+        # The second request's wait spans the close at 0.625, so it routes
+        # on the closed network, offered again by the 0.6875 arrival.
+        assert submitted == [(0, 0.5625), (1, 0.65625), (2, 0.6875)]
+        channel_open = [entry[3] for entry in log if entry[0] == "submit"]
+        assert channel_open == [True, False, False]
+
+    def test_zero_and_non_zero_waits_mixed(self):
+        # Like Splicer: unplaced senders route at once, clients wait.
+        times = [0.125, 0.125, 0.25, 0.3125, 0.5, 0.5]
+        waits = [0.0, 0.375, 0.0, 0.375, 0.0, 0.375]
+        _, _, submitted = self._waited(times, waits)
+        assert submitted == [
+            (0, 0.125), (2, 0.25), (1, 0.5), (4, 0.5), (3, 0.6875), (5, 0.875),
+        ]
+
+    def test_per_request_waits_reorder_requests(self):
+        # Like Flash: an elephant waits longer than the mice behind it.
+        _, _, submitted = self._waited([0.125, 0.1875, 0.25], [0.5, 0.125, 0.03125])
+        assert submitted == [(2, 0.28125), (1, 0.3125), (0, 0.625)]
+
+    def test_wait_outlasting_the_run_is_generated_but_never_routed(self):
+        # The run ends at 1.5; the second request would be ready at 2.0.
+        metrics, _, submitted = self._waited([0.25, 1.0], [0.0, 1.0])
+        assert submitted == [(0, 0.25)]
+        assert metrics.generated_count == 2
+        assert metrics.completed_count + metrics.failed_count == 1

@@ -40,12 +40,6 @@ class TestMetricsCollector:
         assert metrics.median_delay == pytest.approx(1.0)
         assert metrics.transfer_hops == 4
 
-    def test_extra_delay_added(self):
-        collector = MetricsCollector("test")
-        collector.record_generated(10.0)
-        collector.record_completed(_completed_payment(10.0, 1.0), extra_delay=0.5)
-        assert collector.finalize().average_delay == pytest.approx(1.5)
-
     def test_overhead_and_fees(self):
         collector = MetricsCollector("test")
         collector.add_overhead(100.0)
