@@ -87,9 +87,16 @@ class MILPModel:
         return z + m * z + block * z * z + pair
 
     def decode_placement(self, solution: np.ndarray) -> List[NodeId]:
-        """Candidates whose ``x_n`` is (numerically) one in a solution vector."""
-        placed = np.asarray(solution)[: self.problem.candidate_count] > 0.5
-        return [hub for hub, take in zip(self.problem.candidates, placed) if take]
+        """Candidates some client attaches to (``y_mn`` numerically one) in a solution vector.
+
+        ``y_mn <= x_n`` makes every such candidate a placed one.  A placed
+        candidate no client attaches to is left out: with non-negative costs
+        it only adds synchronization cost, yet HiGHS keeps it open when that
+        cost is below its tolerances (``omega = 1e-9``, say).
+        """
+        z, m = self.problem.candidate_count, self.problem.client_count
+        attached = np.asarray(solution)[z : z + m * z].reshape(m, z) > 0.5
+        return [hub for hub, take in zip(self.problem.candidates, attached.any(axis=0)) if take]
 
 
 def linearize_placement(problem: PlacementProblem) -> MILPModel:
@@ -177,7 +184,7 @@ def solve_placement_milp(problem: PlacementProblem) -> PlacementPlan:
             variables, ``m z`` of them in branch-and-cut's hands).
 
     Raises:
-        RuntimeError: When HiGHS reports no solution or one that places no hub.
+        RuntimeError: When HiGHS reports no solution or one that attaches no client.
     """
     # Imported on use: loading scipy.optimize costs ~0.1 s that only a MILP
     # solve should pay.

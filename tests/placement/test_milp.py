@@ -77,9 +77,14 @@ class TestLinearization:
             linearize_placement(PlacementProblem(model))
 
     def test_decode_placement(self, tiny_placement_problem):
+        """The placement is the candidates a client attaches to; a placed
+        candidate serving no client is left out."""
         model = linearize_placement(tiny_placement_problem)
         solution = np.zeros(model.variable_count)
         solution[model.column("x", "h1")] = 1.0
+        solution[model.column("x", "h2")] = 1.0
+        for client in tiny_placement_problem.clients:
+            solution[model.column("y", client, "h1")] = 1.0
         assert model.decode_placement(solution) == ["h1"]
 
 
@@ -92,6 +97,22 @@ class TestSolvers:
         plan = solve_placement_milp(tiny_placement_problem)
         assert plan.balance_cost == pytest.approx(exact.balance_cost, abs=1e-6)
         assert plan.method == "milp-highs"
+
+    def test_no_hub_without_a_client(self):
+        """At ``omega = 1e-9`` opening ``h0`` costs less than HiGHS resolves;
+        the plan still names the unique optimum, which leaves it out."""
+        model = PlacementCostModel(
+            ["c0", "c1"],
+            ["h0", "h1", "h2"],
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        )
+        problem = PlacementProblem(model, omega=1e-9)
+        plan = solve_placement_milp(problem)
+        exact = brute_force_placement(problem)
+        assert (plan.hubs, plan.assignment) == (exact.hubs, exact.assignment)
+        assert plan.balance_cost == exact.balance_cost == 0.0
 
     def test_medium_instance_optimal(self, medium_problem):
         """The oracle, the branch-and-bound and HiGHS agree (the 9-candidate
