@@ -1,161 +1,112 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper's evaluation.
-Absolute numbers differ from the paper (the substrate is a simulator, not an
-LND testbed); what the benchmarks check and report is the *shape*: which
-scheme wins, roughly by how much, and how the curves move with each swept
-parameter.
+Every benchmark checks the *shape* of one table or figure of the paper's
+evaluation -- which scheme wins, roughly by how much, how a curve moves with
+its swept parameter -- on the result rows of the two sharded pipelines
+behind ``python -m repro compare`` and ``place-compare``, at their named
+scales and default seed.  Absolute numbers differ from the paper (the
+substrate is a simulator, not an LND testbed).
 
-Scaling
--------
-The default sizes are laptop-sized so the whole harness finishes in minutes.
-Set the environment variables below to approach the paper's scale:
-
-* ``SPLICER_BENCH_SMALL_NODES``  (default 60,  paper 100)
-* ``SPLICER_BENCH_LARGE_NODES``  (default 100, paper 3000)
-* ``SPLICER_BENCH_DURATION``     (default 8 seconds of simulated arrivals)
-* ``SPLICER_BENCH_ARRIVAL_RATE`` (default 20 payments/second)
-
-Results are printed and also written to ``benchmarks/results/*.txt``.
+A grid's rows land in pytest's temporary directory, one results directory
+per comparison scale for the whole session: the pipelines resume by run
+key, so a grid point that two benchmarks share runs once.  Tables are
+printed, never written into the checkout.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict
+from typing import Dict, List, Sequence, Union
 
 import pytest
 
-from repro.baselines import (
-    A2LScheme,
-    FlashScheme,
-    LandmarkScheme,
-    SpiderScheme,
-    SplicerScheme,
-)
-from repro.core.config import SplicerConfig
+from repro.analysis.tables import format_table
+from repro.placement.compare import PlacementCompareRunner, build_place_spec
 from repro.routing.router import RouterConfig
-from repro.simulator.experiment import ExperimentResult, ExperimentRunner
-from repro.simulator.workload import WorkloadConfig, generate_workload
-from repro.topology.datasets import ChannelSizeDistribution, TransactionValueDistribution
-from repro.topology.generators import watts_strogatz_pcn
+from repro.scenarios.registry import build_comparison_spec, comparison_scheme_spec
+from repro.scenarios.runner import ScenarioRunner
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Worker processes per pipeline run.
+WORKERS = 2
 
+#: The five schemes of figures 7 and 8, Splicer first.
+SCHEMES = ["splicer", "spider", "flash", "landmark", "a2l"]
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
-
-
-def _env_float(name: str, default: float) -> float:
-    return float(os.environ.get(name, default))
+_ROUTER_DEFAULTS = asdict(RouterConfig())
 
 
-#: Benchmark scale knobs (see module docstring).
-SMALL_NODES = _env_int("SPLICER_BENCH_SMALL_NODES", 60)
-LARGE_NODES = _env_int("SPLICER_BENCH_LARGE_NODES", 100)
-DURATION = _env_float("SPLICER_BENCH_DURATION", 8.0)
-ARRIVAL_RATE = _env_float("SPLICER_BENCH_ARRIVAL_RATE", 20.0)
-DRAIN_TIME = 4.0
-STEP_SIZE = 0.1
+def scheme(name: str, **router) -> Dict[str, object]:
+    """A ``schemes.0`` grid entry: the pipeline's scheme, Splicer with router overrides.
+
+    Overrides equal to the router's defaults are dropped, so the default
+    Splicer has one entry (and one run key) however a sweep spells it.
+    """
+    entry = asdict(comparison_scheme_spec(name))
+    changed = {key: value for key, value in router.items() if _ROUTER_DEFAULTS[key] != value}
+    if changed:
+        entry["params"]["router"] = changed
+    return entry
 
 
-def build_network(node_count: int, channel_scale: float = 1.0, seed: int = 1):
-    """The evaluation topology: funded Watts-Strogatz small world."""
-    return watts_strogatz_pcn(
-        node_count,
-        nearest_neighbors=8,
-        rewire_probability=0.25,
-        channel_sizes=ChannelSizeDistribution(scale=channel_scale),
-        candidate_fraction=0.15 if node_count <= 150 else 0.08,
-        seed=seed,
-    )
-
-
-def build_workload(network, value_scale: float = 1.0, arrival_rate: Optional[float] = None, seed: int = 2):
-    """The evaluation workload: heavy-tailed values, skewed recipients, deadlock motifs."""
-    config = WorkloadConfig(
-        duration=DURATION,
-        arrival_rate=arrival_rate if arrival_rate is not None else ARRIVAL_RATE,
-        seed=seed,
-        value_distribution=TransactionValueDistribution(
-            mean_value=15.0, tail_fraction=0.08, tail_start=80.0
-        ),
-        value_scale=value_scale,
-        recipient_skew=1.2,
-        deadlock_fraction=0.2,
-    )
-    return generate_workload(network, config)
-
-
-def splicer_scheme(update_interval: float = 0.2, **router_overrides) -> SplicerScheme:
-    """A Splicer scheme instance with the paper's defaults (overridable)."""
-    router = RouterConfig(update_interval=update_interval, **router_overrides)
-    return SplicerScheme(SplicerConfig(router=router, placement_method="greedy", placement_seed=0))
-
-
-def all_schemes(update_interval: float = 0.2) -> List:
-    """The five schemes of figures 7 and 8."""
-    return [
-        splicer_scheme(update_interval=update_interval),
-        SpiderScheme(),
-        FlashScheme(),
-        LandmarkScheme(),
-        A2LScheme(),
-    ]
-
-
-def run_comparison(
-    node_count: int,
+def pick(
+    rows: Sequence[Dict[str, object]],
+    entry: Dict[str, object],
     channel_scale: float = 1.0,
     value_scale: float = 1.0,
-    update_interval: float = 0.2,
-    arrival_rate: Optional[float] = None,
-    schemes: Optional[Sequence] = None,
-    seed: int = 1,
-) -> ExperimentResult:
-    """One full comparison run (one point of a figure-7/8 sweep)."""
-    network = build_network(node_count, channel_scale=channel_scale, seed=seed)
-    workload = build_workload(network, value_scale=value_scale, arrival_rate=arrival_rate, seed=seed + 1)
-    runner = ExperimentRunner(network, workload, step_size=STEP_SIZE, drain_time=DRAIN_TIME)
-    used_schemes = list(schemes) if schemes is not None else all_schemes(update_interval)
-    return runner.run(
-        used_schemes,
-        parameters={
-            "node_count": node_count,
-            "channel_scale": channel_scale,
-            "value_scale": value_scale,
-            "update_interval": update_interval,
-        },
-    )
+) -> Dict[str, object]:
+    """The metrics of the one row that ran ``entry`` at one grid point."""
+    point = {
+        "schemes.0": entry,
+        "topology.channel_scale": channel_scale,
+        "workload.value_scale": value_scale,
+    }
+    (row,) = [row for row in rows if row["overrides"] == point]
+    (metrics,) = row["metrics"].values()
+    return metrics
 
 
-def save_table(name: str, title: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    body = f"{title}\n{'=' * len(title)}\n{text}\n"
-    (RESULTS_DIR / f"{name}.txt").write_text(body)
-    print(f"\n{body}")
+def show(title: str, table: Union[str, List[Dict[str, object]]]) -> None:
+    """Print one result table (rows, or an already rendered table)."""
+    text = table if isinstance(table, str) else format_table(table)
+    print(f"\n{title}\n{'=' * len(title)}\n{text}")
 
 
-def sweep_rows(parameter: str, values, results: Dict, metric: str) -> List[Dict]:
-    """Rows of (parameter value x scheme metric) for a sweep table."""
-    rows = []
-    for value in values:
-        result = results[value]
-        row = {parameter: value}
-        for scheme in result.schemes():
-            row[scheme] = round(getattr(result.scheme(scheme), metric), 4)
-        rows.append(row)
-    return rows
+@pytest.fixture(scope="session")
+def compare(tmp_path_factory):
+    """``compare(scale, entries, channel_scales, value_scales)`` -> result rows.
+
+    Runs the figure-8 comparison pipeline's grid of ``schemes.0`` entries x
+    channel scales x transaction-value scales at one named scale, seed 1.
+    """
+
+    def run(scale, entries, channel_scales=(1.0,), value_scales=(1.0,)):
+        spec = build_comparison_spec(scale, SCHEMES)
+        spec.grid = {
+            "schemes.0": list(entries),
+            "topology.channel_scale": list(channel_scales),
+            "workload.value_scale": list(value_scales),
+        }
+        results_dir = str(tmp_path_factory.getbasetemp() / f"compare-{scale}")
+        report = ScenarioRunner(spec, results_dir=results_dir, workers=WORKERS).run()
+        assert len(report.rows) == len(spec.expand_runs()), report.quarantined
+        for row in report.rows:
+            for metrics in row["metrics"].values():
+                assert 0.0 <= metrics["success_ratio"] <= 1.0
+                assert 0.0 <= metrics["normalized_throughput"] <= 1.0
+        return report.rows
+
+    return run
 
 
-@pytest.fixture
-def once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing."""
+@pytest.fixture(scope="session")
+def place(tmp_path_factory):
+    """``place(scale, methods)`` -> the figure-9 placement pipeline's rows (seed 1)."""
 
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    def run(scale, methods):
+        spec = build_place_spec(scale, methods=methods)
+        results_dir = str(tmp_path_factory.getbasetemp() / f"place-{scale}")
+        report = PlacementCompareRunner(spec, results_dir=results_dir, workers=WORKERS).run()
+        assert len(report.rows) == len(spec.expand_runs()), report.quarantined
+        return report.rows
 
-    return runner
+    return run

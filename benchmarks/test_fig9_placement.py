@@ -1,193 +1,103 @@
 """Figure 9: evaluation of smooth-node placement.
 
-* 9(a) average balance cost vs the weight omega (model vs exact optimum),
-* 9(b) management-cost / synchronization-cost tradeoff along the omega sweep,
-* 9(c) number of placed smooth nodes vs omega, small scale,
-* 9(d) number of placed smooth nodes vs omega, large scale,
-* 9(e) average transaction delay vs traffic overhead with and without PCHs,
-  small scale,
-* 9(f) the same tradeoff at large scale.
+(a)-(d) read the placement pipeline's rows (``place-compare``, seed 1, the
+paper's seven omegas): the optimum vs the double-greedy model at ``small``
+(60 nodes) and the model alone at ``medium`` (200 nodes).
+
+* 9(a) balance cost vs omega, model vs exact optimum,
+* 9(b) management / synchronization cost tradeoff along omega,
+* 9(c)/(d) number of placed smooth nodes vs omega at both scales,
+* 9(e)/(f) decision delay vs control overhead with and without PCHs.
 """
 
 import pytest
 
-from .conftest import LARGE_NODES, SMALL_NODES, build_network, save_table
-from repro.analysis.tables import format_table
+from .conftest import show
+from repro.analysis.tables import fig9_table
 from repro.baselines import ShortestPathScheme, SplicerScheme
 from repro.core.config import SplicerConfig
-from repro.placement.solver import PlacementSolver, build_problem
+from repro.placement.compare import PLACEMENT_SCALES, build_place_network
 
-OMEGAS = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
 DELAY_OMEGAS = [0.02, 0.1, 0.5]
 
 
-def _placement_sweep(node_count: int, method: str, seed: int = 5):
-    network = build_network(node_count, seed=seed)
-    rows = []
-    for omega in OMEGAS:
-        problem = build_problem(network, omega=omega)
-        plan = PlacementSolver(problem, method=method, seed=0).solve()
-        rows.append(
-            {
-                "omega": omega,
-                "hub_count": plan.hub_count,
-                "management_cost": round(plan.management_cost, 4),
-                "sync_cost": round(plan.synchronization_cost, 4),
-                "balance_cost": round(plan.balance_cost, 4),
-            }
-        )
-    return network, rows
+@pytest.fixture(scope="module")
+def small(place):
+    return place("small", ["exact", "greedy"])
 
 
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9a_balance_cost(once):
+@pytest.fixture(scope="module")
+def medium(place):
+    return place("medium", ["greedy"])
+
+
+def _method_rows(rows, method):
+    return [row for row in rows if row["method"] == method]
+
+
+def test_fig9a_balance_cost(small):
     """Balance cost vs omega: the greedy model tracks the exact optimum closely."""
-
-    def run():
-        network = build_network(SMALL_NODES, seed=5)
-        rows = []
-        for omega in OMEGAS:
-            problem = build_problem(network, omega=omega)
-            exact = PlacementSolver(problem, method="exact").solve()
-            greedy = PlacementSolver(problem, method="greedy", seed=0).solve()
-            gap = 0.0 if exact.balance_cost == 0 else (
-                (greedy.balance_cost - exact.balance_cost) / exact.balance_cost
-            )
-            rows.append(
-                {
-                    "omega": omega,
-                    "optimal_cost": round(exact.balance_cost, 4),
-                    "model_cost": round(greedy.balance_cost, 4),
-                    "gap_percent": round(100.0 * gap, 2),
-                }
-            )
-        return rows
-
-    rows = once(run)
-    save_table("fig9a_balance_cost", "Figure 9(a): balance cost vs omega", format_table(rows))
-    # The approximation stays near the optimum for (almost) all omegas.
-    assert max(row["gap_percent"] for row in rows) <= 25.0
-    assert sum(row["gap_percent"] for row in rows) / len(rows) <= 10.0
+    show("Figure 9(a): balance cost vs omega (small)", fig9_table(small, ["exact", "greedy"]))
+    gaps = [
+        0.0 if exact["balance_cost"] == 0 else
+        100.0 * (greedy["balance_cost"] - exact["balance_cost"]) / exact["balance_cost"]
+        for exact, greedy in zip(_method_rows(small, "exact"), _method_rows(small, "greedy"))
+    ]
+    assert max(gaps) <= 25.0
+    assert sum(gaps) / len(gaps) <= 10.0
 
 
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9b_cost_tradeoff(once):
+def test_fig9b_cost_tradeoff(small):
     """Management vs synchronization cost move in opposite directions along omega."""
-
-    def run():
-        return _placement_sweep(SMALL_NODES, method="exact")[1]
-
-    rows = once(run)
-    save_table("fig9b_cost_tradeoff", "Figure 9(b): cost tradeoff along the omega sweep", format_table(rows))
-    assert rows[0]["management_cost"] <= rows[-1]["management_cost"] + 1e-9
-    assert rows[0]["sync_cost"] >= rows[-1]["sync_cost"] - 1e-9
+    exact = _method_rows(small, "exact")
+    columns = ("omega", "hub_count", "management_cost", "synchronization_cost", "balance_cost")
+    show("Figure 9(b): cost tradeoff along omega (small, exact)",
+         [{key: row[key] for key in columns} for row in exact])
+    assert exact[0]["management_cost"] <= exact[-1]["management_cost"] + 1e-9
+    assert exact[0]["synchronization_cost"] >= exact[-1]["synchronization_cost"] - 1e-9
 
 
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9c_small_scale_hub_count(once):
-    """Small scale: cheaper synchronization (small omega) places more smooth nodes."""
-
-    def run():
-        return _placement_sweep(SMALL_NODES, method="exact")[1]
-
-    rows = once(run)
-    save_table("fig9c_small_hub_count", "Figure 9(c): smooth nodes vs omega (small scale)", format_table(rows))
-    counts = [row["hub_count"] for row in rows]
-    assert counts[0] >= counts[-1]
-    assert all(count >= 1 for count in counts)
+def test_fig9cd_hub_count(small, medium):
+    """Cheaper synchronization (small omega) places more hubs; the larger network needs more."""
+    show("Figure 9(d): smooth nodes vs omega (medium)", fig9_table(medium, ["greedy"]))
+    for counts in ([row["hub_count"] for row in _method_rows(small, "exact")],
+                   [row["hub_count"] for row in medium]):
+        assert counts[0] >= counts[-1]
+        assert all(count >= 1 for count in counts)
+    assert medium[0]["hub_count"] >= _method_rows(small, "exact")[0]["hub_count"]
 
 
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9d_large_scale_hub_count(once):
-    """Large scale: same trend, and more hubs than the small network for small omega."""
+@pytest.mark.parametrize("scale", ["small", "medium"])
+def test_fig9ef_delay_overhead(scale):
+    """Placed PCHs decide faster than source routing, trading hubs for sync traffic.
 
-    def run():
-        small = _placement_sweep(SMALL_NODES, method="exact")[1]
-        large = _placement_sweep(LARGE_NODES, method="greedy")[1]
-        return small, large
-
-    small_rows, large_rows = once(run)
-    save_table(
-        "fig9d_large_hub_count", "Figure 9(d): smooth nodes vs omega (large scale)", format_table(large_rows)
-    )
-    counts = [row["hub_count"] for row in large_rows]
-    assert counts[0] >= counts[-1]
-    # A larger network needs at least as many hubs when management cost dominates.
-    assert large_rows[0]["hub_count"] >= small_rows[0]["hub_count"]
-
-
-def _delay_overhead(node_count: int):
-    """Routing-decision delay vs control overhead, with and without placed PCHs.
-
-    Figure 9(e)/(f) measures the cost of *getting a routing decision made*:
-    with PCHs a client only talks to its (nearby, placement-optimized) hub,
+    With PCHs a client only talks to its (nearby, placement-optimized) hub,
     but the hubs pay per-epoch synchronization traffic; without PCHs every
-    sender computes routes itself, which costs no synchronization but a
-    per-payment computation delay that grows with the network size.  The
-    omega sweep traces the paper's delay/overhead tradeoff curve.
+    sender computes routes itself, at a per-payment delay that grows with
+    the network size.
     """
-    network = build_network(node_count, seed=7)
-    rows = []
+    nodes = int(PLACEMENT_SCALES[scale]["nodes"])
+    network = build_place_network({"nodes": nodes}, seed=1)
+    table = []
     for omega in DELAY_OMEGAS:
-        scheme = SplicerScheme(SplicerConfig(omega=omega, placement_method="greedy", placement_seed=0))
-        scheme.prepare(network)
-        system = scheme.system
+        splicer = SplicerScheme(SplicerConfig(omega=omega, placement_method="greedy", placement_seed=0))
+        splicer.prepare(network)
+        system = splicer.system
         clients = list(system.clients)
-        decision_delay = sum(system.management_delay(c) for c in clients) / len(clients)
-        management_hops = sum(system.management_hops(c) for c in clients) / len(clients)
-        rows.append(
-            {
-                "scheme": f"splicer (omega={omega})",
-                "hub_count": system.placement_plan.hub_count,
-                "decision_delay": round(decision_delay, 4),
-                "mgmt_hops_per_payment": round(management_hops, 2),
-                "sync_hops_per_epoch": system.sync_message_hops_per_epoch(),
-            }
-        )
+        table.append({
+            "scheme": f"splicer (omega={omega})",
+            "hub_count": system.placement_plan.hub_count,
+            "decision_delay": round(sum(map(system.management_delay, clients)) / len(clients), 4),
+            "mgmt_hops_per_payment": round(sum(map(system.management_hops, clients)) / len(clients), 2),
+            "sync_hops_per_epoch": system.sync_message_hops_per_epoch(),
+        })
     source = ShortestPathScheme()
     source.prepare(network)
-    rows.append(
-        {
-            "scheme": "no PCH (source routing)",
-            "hub_count": 0,
-            "decision_delay": round(source.computation.delay_for(node_count), 4),
-            "mgmt_hops_per_payment": 0.0,
-            "sync_hops_per_epoch": 0,
-        }
-    )
-    return rows
-
-
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9e_small_delay_overhead(once):
-    """Small scale: PCH placement keeps the decision delay low at bounded sync overhead."""
-
-    rows = once(_delay_overhead, SMALL_NODES)
-    save_table(
-        "fig9e_small_delay_overhead",
-        "Figure 9(e): decision delay vs overhead with and without PCHs (small scale)",
-        format_table(rows),
-    )
-    splicer_rows = rows[:-1]
-    baseline = rows[-1]
-    assert min(row["decision_delay"] for row in splicer_rows) <= baseline["decision_delay"] * 1.5
-    # More hubs (small omega) means shorter client-hub paths but more sync traffic.
-    assert splicer_rows[0]["decision_delay"] <= splicer_rows[-1]["decision_delay"] + 1e-9
-    assert splicer_rows[0]["sync_hops_per_epoch"] >= splicer_rows[-1]["sync_hops_per_epoch"]
-
-
-@pytest.mark.benchmark(group="fig9-placement")
-def test_fig9f_large_delay_overhead(once):
-    """Large scale: the decision-delay advantage of placed PCHs grows with network size."""
-
-    rows = once(_delay_overhead, LARGE_NODES)
-    save_table(
-        "fig9f_large_delay_overhead",
-        "Figure 9(f): decision delay vs overhead with and without PCHs (large scale)",
-        format_table(rows),
-    )
-    splicer_best = min(row["decision_delay"] for row in rows[:-1])
-    baseline_delay = rows[-1]["decision_delay"]
-    # Source routing pays a computation delay that scales with the node count,
-    # so hub-assisted decisions are strictly cheaper at larger scale.
-    assert splicer_best < baseline_delay
+    table.append({"scheme": "no PCH (source routing)", "hub_count": 0,
+                  "decision_delay": round(source.computation.delay_for(nodes), 4),
+                  "mgmt_hops_per_payment": 0.0, "sync_hops_per_epoch": 0})
+    show(f"Figure 9(e)/(f): decision delay vs overhead with and without PCHs ({scale})", table)
+    *hubs, baseline = table
+    assert min(row["decision_delay"] for row in hubs) < baseline["decision_delay"]
+    assert hubs[0]["decision_delay"] <= hubs[-1]["decision_delay"] + 1e-9
+    assert hubs[0]["sync_hops_per_epoch"] >= hubs[-1]["sync_hops_per_epoch"]

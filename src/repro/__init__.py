@@ -16,7 +16,7 @@ It contains:
 * :mod:`repro.scenarios` -- declarative scenarios, mid-run network dynamics
   and the parallel sweep runner behind the ``python -m repro`` CLI.
 * :mod:`repro.crypto` -- simulated key management, HTLC and contract layer.
-* :mod:`repro.analysis` -- experiment sweeps, metrics tables and statistics.
+* :mod:`repro.analysis` -- metrics tables and summary statistics.
 """
 
 import importlib

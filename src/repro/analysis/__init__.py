@@ -1,16 +1,12 @@
-"""Result handling: tables, parameter sweeps and summary statistics."""
+"""Result handling: tables and summary statistics."""
 
 from repro.analysis.stats import improvement_percent, mean_improvement, summarize_series
-from repro.analysis.sweep import SweepPoint, SweepResult, sweep
 from repro.analysis.tables import format_table, result_table, to_csv
 
 __all__ = [
     "format_table",
     "result_table",
     "to_csv",
-    "sweep",
-    "SweepPoint",
-    "SweepResult",
     "improvement_percent",
     "mean_improvement",
     "summarize_series",

@@ -25,9 +25,18 @@ def mean_improvement(ours: Sequence[float], baselines: Dict[str, Sequence[float]
     schemes on average"): for every baseline and every sweep point, compute
     the percent improvement, then average over all of them.  Infinite
     improvements (baseline stuck at zero) are clipped to 100%.
+
+    Raises:
+        ValueError: A baseline series does not have one value per point of
+            ``ours`` (say, a sweep point missing from its rows).
     """
     improvements: List[float] = []
-    for baseline_series in baselines.values():
+    for name, baseline_series in baselines.items():
+        if len(baseline_series) != len(ours):
+            raise ValueError(
+                f"baseline {name!r} has {len(baseline_series)} point(s), "
+                f"ours has {len(ours)}"
+            )
         for our_value, their_value in zip(ours, baseline_series):
             value = improvement_percent(our_value, their_value)
             improvements.append(min(value, 100.0) if value == float("inf") else value)

@@ -1,43 +1,8 @@
-"""Tests for sweep helpers and summary statistics."""
+"""Tests for the summary statistics of sweep results."""
 
 import pytest
 
 from repro.analysis.stats import improvement_percent, mean_improvement, summarize_series
-from repro.analysis.sweep import sweep
-from repro.simulator.experiment import ExperimentResult
-from repro.simulator.metrics import SchemeMetrics
-
-
-def _result(splicer: float, spider: float) -> ExperimentResult:
-    metrics = {
-        "splicer": SchemeMetrics(scheme="splicer", success_ratio=splicer),
-        "spider": SchemeMetrics(scheme="spider", success_ratio=spider),
-    }
-    return ExperimentResult(metrics=metrics, workload_count=1, workload_value=1.0)
-
-
-class TestSweep:
-    def test_sweep_collects_points(self):
-        values = [1, 2, 3]
-        result = sweep("channel_scale", values, lambda v: _result(0.5 + 0.1 * v, 0.4))
-        assert result.values() == values
-        assert result.series("splicer") == pytest.approx([0.6, 0.7, 0.8])
-        assert result.series("spider") == pytest.approx([0.4, 0.4, 0.4])
-
-    def test_all_series(self):
-        result = sweep("x", [1, 2], lambda v: _result(0.9, 0.5))
-        series = result.all_series("success_ratio")
-        assert set(series) == {"splicer", "spider"}
-
-    def test_as_rows(self):
-        result = sweep("x", [1, 2], lambda v: _result(0.9, 0.5))
-        rows = result.as_rows("success_ratio")
-        assert rows[0]["x"] == 1
-        assert rows[0]["splicer"] == pytest.approx(0.9)
-
-    def test_empty_sweep(self):
-        result = sweep("x", [], lambda v: _result(1.0, 1.0))
-        assert result.all_series() == {}
 
 
 class TestStats:
@@ -54,6 +19,11 @@ class TestStats:
 
     def test_mean_improvement_clips_infinite(self):
         assert mean_improvement([0.5], {"a": [0.0]}) == pytest.approx(100.0)
+
+    def test_mean_improvement_rejects_a_short_baseline(self):
+        # A baseline missing a sweep point must not shrink the average silently.
+        with pytest.raises(ValueError, match="'b'"):
+            mean_improvement([0.8, 0.9], {"a": [0.4, 0.45], "b": [0.8]})
 
     def test_mean_improvement_empty(self):
         assert mean_improvement([], {}) == 0.0

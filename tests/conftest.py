@@ -17,7 +17,7 @@ from repro.topology.network import PCNetwork
 
 
 #: What the interpreter and the test tools themselves leave in a checkout.
-_TOOL_LEFTOVERS = ("__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+_TOOL_LEFTOVERS = ("__pycache__", ".pytest_cache", ".hypothesis")
 
 
 def _checkout_status(root: Path) -> Optional[Set[str]]:
