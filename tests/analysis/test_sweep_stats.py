@@ -25,6 +25,11 @@ class TestStats:
         with pytest.raises(ValueError, match="'b'"):
             mean_improvement([0.8, 0.9], {"a": [0.4, 0.45], "b": [0.8]})
 
+    def test_mean_improvement_rejects_a_long_baseline(self):
+        # zip() would drop the extra point; the mismatch must raise instead.
+        with pytest.raises(ValueError, match="'a' has 3 point"):
+            mean_improvement([0.8, 0.9], {"a": [0.4, 0.45, 0.5]})
+
     def test_mean_improvement_empty(self):
         assert mean_improvement([], {}) == 0.0
 

@@ -12,7 +12,7 @@ from repro.scenarios.registry import (
     get_scenario,
     size_topology,
 )
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioRunner, run_key
 from repro.scenarios.spec import ScenarioSpec, SchemeSpec, TopologySpec
 
 
@@ -33,6 +33,48 @@ class TestComparisonSpec:
     def test_paper_scale_is_registered(self):
         assert COMPARISON_SCALES["paper"]["nodes"] == 3000
         assert get_scenario("compare-large").name == "compare-large"
+
+    def test_grid_of_scheme_entries_and_scales_expands_to_their_product(self):
+        """The figure-7/8 sweeps put Splicer variants and both scales in one
+        grid: every run carries all three overrides and its own run key."""
+        spec = build_comparison_spec("small", ["splicer"])
+        tuned = {"name": "splicer", "params": {"router": {"update_interval": 0.4}}}
+        spec.grid = {
+            "schemes.0": [{"name": "splicer", "params": {}}, tuned],
+            "topology.channel_scale": [0.5, 1.0],
+            "workload.value_scale": [1.0, 2.0],
+        }
+        runs = spec.expand_runs()
+        assert len(runs) == 8  # 2 entries x 2 channel scales x 2 value scales, 1 seed
+        assert all(set(overrides) == set(spec.grid) for _, overrides in runs)
+        keys = {run_key(spec.name, seed, overrides) for seed, overrides in runs}
+        assert len(keys) == 8
+
+    def test_router_overrides_of_a_scheme_entry_reach_its_router(self):
+        spec = build_comparison_spec("small", ["splicer"]).with_overrides(
+            {
+                "schemes.0": {
+                    "name": "splicer",
+                    "params": {
+                        "placement_method": "greedy",
+                        "router": {"update_interval": 0.4, "path_count": 1},
+                    },
+                }
+            }
+        )
+        (entry,) = spec.scheme_specs()
+        config = entry.build().config
+        assert config.router.update_interval == 0.4
+        assert config.router.path_count == 1
+        assert config.placement_method == "greedy"
+
+    def test_channel_scale_override_scales_every_channel(self):
+        spec = build_comparison_spec("small", ["splicer"])
+        base = spec.topology.build(1)
+        for scale in (0.5, 2.0):
+            scaled = spec.with_overrides({"topology.channel_scale": scale}).topology.build(1)
+            assert scaled.channel_count() == base.channel_count()
+            assert scaled.total_funds() == pytest.approx(scale * base.total_funds())
 
     def test_scheme_dict_overrides_are_coerced(self):
         """A grid override replacing a whole schemes entry with a plain dict
