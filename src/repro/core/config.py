@@ -2,8 +2,9 @@
 
 All defaults follow section V-A of the paper: 3-second transaction timeout,
 Min-TU of 1 token, Max-TU of 4 tokens, 5 routing paths, 200 ms update time,
-8000-token queues, window factors beta=10 and gamma=0.1, a 400 ms queueing
-delay threshold, and the hop-based placement cost coefficients.
+8000-token queues, window factors beta=10 and gamma=0.1, and the hop-based
+placement cost coefficients.  The paper's 400 ms queueing-delay threshold has
+no field: the router does not mark delayed units.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class SplicerConfig:
     """Every tunable parameter of a Splicer deployment.
 
     Attributes:
-        router: Routing-protocol parameters (paths, rates, prices, congestion).
+        router: Routing-protocol parameters (paths, rates, prices, windows, queues).
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
         placement_seed: Seed for the randomized placement approximation.

@@ -10,9 +10,10 @@ from two kinds of channel prices:
   than the reverse direction, steering flow back towards balance -- this is
   what prevents the local deadlocks of section II-B.
 
-Congestion control (per-channel queues, delay marking and per-path windows)
-bounds the number of in-flight TUs, and pluggable schedulers decide the
-order in which queued TUs are served.
+Per-path windows (equations 27-28) bound the number of in-flight TUs, what
+cannot be sent waits in per-pair queues bounded by the value each sender may
+have queued, and pluggable schedulers decide the order in which queued TUs
+are served.
 """
 
 from repro.routing.congestion import CongestionController, PathWindow

@@ -1,32 +1,27 @@
-"""Congestion control: waiting queues, delay marking and per-path windows.
+"""Congestion windows: the per-path half of Algorithm 2's congestion control.
 
-Lines 10-18 of Algorithm 2.  Whenever a transaction unit cannot be sent
-immediately (the path's rate budget is exhausted, its window is full, or a
-channel lacks funds), it waits in a queue.  The controller
+The router keeps one sending *window* per path: the maximum number of
+unfinished units allowed on the path.  The window shrinks additively by
+``beta`` on an abort (equation 27) and grows by ``gamma / sum of the pair's
+windows`` on a success (equation 28).  From the initial 50 units only a run
+of aborts on a path (five at the paper's ``beta``) brings a window down to
+where it refuses units: the figure-1 circulation does, and Spider's paths do
+at 2000 nodes and 2000 payments.
 
-* bounds the amount of queued value (the paper uses an 8000-token queue per
-  channel),
-* marks units whose queueing delay exceeds the threshold ``T`` (marked units
-  are only forwarded, and the sender may abort them),
-* maintains one sending *window* per path: the maximum number of unfinished
-  units allowed on the path.  The window shrinks additively by ``beta`` on an
-  abort (equation 27) and grows by ``gamma / sum of the pair's windows`` on a
-  success (equation 28).
+The paper's queue-delay marking (threshold ``T``) is not implemented: a mark
+had no reader.  The queue itself, and its per-sender value bound, live in
+:class:`repro.routing.router.RateRouter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
-
-from repro.routing.transaction import TransactionUnit
+from typing import Dict, Hashable, Sequence, Tuple
 
 NodeId = Hashable
 Path = Tuple[NodeId, ...]
 
 #: Paper defaults (section V-A).
-DEFAULT_QUEUE_LIMIT = 8000.0
-DEFAULT_DELAY_THRESHOLD = 0.4
 DEFAULT_BETA = 10.0
 DEFAULT_GAMMA = 0.1
 DEFAULT_INITIAL_WINDOW = 50.0
@@ -65,51 +60,25 @@ class PathWindow:
         self.size = max(self.size - beta, MIN_WINDOW)
 
 
-@dataclass
-class QueuedUnit:
-    """A transaction unit waiting in a hub's queue."""
-
-    unit: TransactionUnit
-    enqueued_at: float
-
-    def waiting_time(self, now: float) -> float:
-        """How long the unit has been queued."""
-        return max(now - self.enqueued_at, 0.0)
-
-
 class CongestionController:
-    """Queue, marking and window management for one routing engine.
+    """The windows of one routing engine.
 
-    The controller is shared by all pairs the engine serves and keeps no
-    per-pair state: windows are keyed by path (pairs share them), the caller
-    supplies a pair's paths where equation (28) needs them, and queue
-    occupancy is tracked per source hub (the entity that would hold the
-    queue in the deployed system).
+    Windows are keyed by path (pairs share them) and the controller keeps no
+    per-pair state: the caller supplies a pair's paths where equation (28)
+    needs them.
     """
 
     def __init__(
         self,
-        queue_limit: float = DEFAULT_QUEUE_LIMIT,
-        delay_threshold: float = DEFAULT_DELAY_THRESHOLD,
         beta: float = DEFAULT_BETA,
         gamma: float = DEFAULT_GAMMA,
         initial_window: float = DEFAULT_INITIAL_WINDOW,
     ) -> None:
-        if queue_limit <= 0:
-            raise ValueError("queue_limit must be positive")
-        if delay_threshold <= 0:
-            raise ValueError("delay_threshold must be positive")
-        self.queue_limit = float(queue_limit)
-        self.delay_threshold = float(delay_threshold)
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.initial_window = float(initial_window)
         self._windows: Dict[Path, PathWindow] = {}
-        self._queued_value: Dict[NodeId, float] = {}
 
-    # ------------------------------------------------------------------ #
-    # window management
-    # ------------------------------------------------------------------ #
     def window(self, path: Sequence[NodeId]) -> PathWindow:
         """The window of a path (created on first use)."""
         key = tuple(path)
@@ -137,39 +106,3 @@ class CongestionController:
     def on_abort(self, path: Sequence[NodeId]) -> None:
         """Record a unit aborting on a path (shrinks its window)."""
         self.window(path).on_abort(self.beta)
-
-    # ------------------------------------------------------------------ #
-    # queue management
-    # ------------------------------------------------------------------ #
-    def can_enqueue(self, hub: NodeId, value: float) -> bool:
-        """Whether the hub's queue has room for ``value`` more tokens."""
-        return self._queued_value.get(hub, 0.0) + value <= self.queue_limit
-
-    def on_enqueue(self, hub: NodeId, value: float) -> None:
-        """Record queued value at a hub."""
-        self._queued_value[hub] = self._queued_value.get(hub, 0.0) + value
-
-    def on_dequeue(self, hub: NodeId, value: float) -> None:
-        """Remove queued value from a hub."""
-        remaining = self._queued_value.get(hub, 0.0) - value
-        self._queued_value[hub] = max(remaining, 0.0)
-
-    def queued_value(self, hub: NodeId) -> float:
-        """Total value currently queued at a hub (``q_amount``)."""
-        return self._queued_value.get(hub, 0.0)
-
-    # ------------------------------------------------------------------ #
-    # delay marking
-    # ------------------------------------------------------------------ #
-    def should_mark(self, queued: QueuedUnit, now: float) -> bool:
-        """Whether a queued unit has exceeded the delay threshold ``T``."""
-        return queued.waiting_time(now) > self.delay_threshold
-
-    def mark_overdue(self, queued_units: Iterable[QueuedUnit], now: float) -> List[TransactionUnit]:
-        """Mark all overdue units and return the newly-marked ones."""
-        newly_marked = []
-        for queued in queued_units:
-            if not queued.unit.marked and self.should_mark(queued, now):
-                queued.unit.marked = True
-                newly_marked.append(queued.unit)
-        return newly_marked

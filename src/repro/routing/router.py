@@ -7,10 +7,13 @@ per source-destination pair, and dispatches units under three controls:
 * the *rate controller* adjusts per-path sending rates from routing prices
   (capacity price + imbalance price), keeping channels balanced and thus the
   network deadlock-free,
-* the *congestion controller* bounds in-flight units per path (windows),
-  queues what cannot be sent, and marks overdue units,
+* the *congestion controller* bounds in-flight units per path (windows,
+  equations 27-28),
 * the configured *scheduler* decides the order in which queued units are
   served.
+
+Units that cannot be sent yet wait in per-pair queues; the value a sender may
+have queued is bounded by ``queue_limit``.
 
 Transfers are executed against the shared :class:`~repro.topology.network.PCNetwork`
 with HTLC-style lock/settle semantics: funds are locked hop by hop when a
@@ -31,7 +34,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import core as obs
-from repro.routing.congestion import CongestionController, QueuedUnit
+from repro.routing.congestion import CongestionController
 from repro.routing.paths import get_path_selector
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PairRateState, PathRateController
@@ -70,15 +73,15 @@ class RouterConfig:
             default eta this corresponds to blocking a direction once it has
             net-drained roughly three quarters of the channel capacity.
         scheduler: Waiting-queue scheduling policy (paper default: ``lifo``).
-        queue_limit: Maximum queued value per source hub (paper: 8000 tokens).
-        delay_threshold: Queueing-delay marking threshold ``T`` (paper: 0.4 s).
+        queue_limit: Maximum value a sender may have queued (paper: 8000
+            tokens); a payment that would exceed it is refused.
         beta: Window decrease factor (equation 27, paper: 10).
         gamma: Window increase factor (equation 28, paper: 0.1).
         initial_rate: Starting per-path rate (tokens/second).
         min_rate: Floor on per-path rates.
         path_refresh_interval: How often cached paths are recomputed (seconds).
         rate_control_enabled: Disable to ablate price-based rate control.
-        congestion_control_enabled: Disable to ablate windows/queue marking.
+        congestion_control_enabled: Disable to ablate the per-path windows.
         imbalance_pricing_enabled: Disable to ablate the imbalance price
             (the deadlock-avoidance mechanism).
     """
@@ -97,7 +100,6 @@ class RouterConfig:
     t_fee: float = 0.01
     scheduler: str = "lifo"
     queue_limit: float = 8000.0
-    delay_threshold: float = 0.4
     beta: float = 10.0
     gamma: float = 0.1
     initial_rate: float = 20.0
@@ -114,6 +116,8 @@ class RouterConfig:
             raise ValueError("update_interval must be positive")
         if not 0 < self.t_fee < 1:
             raise ValueError("t_fee must be in (0, 1)")
+        if self.queue_limit <= 0:
+            raise ValueError("queue_limit must be positive")
 
 
 @dataclass
@@ -155,6 +159,7 @@ class RateRouter:
 
     A pair's one record is its rate controller ``PairRateState``; only the
     waiting queues live apart, as their insertion order is the dispatch order.
+    ``_queued_value`` sums each sender's queued value against ``queue_limit``.
     """
 
     def __init__(self, network: PCNetwork, config: Optional[RouterConfig] = None) -> None:
@@ -174,15 +179,11 @@ class RateRouter:
             min_rate=cfg.min_rate,
             initial_rate=cfg.initial_rate,
         )
-        self.congestion = CongestionController(
-            queue_limit=cfg.queue_limit,
-            delay_threshold=cfg.delay_threshold,
-            beta=cfg.beta,
-            gamma=cfg.gamma,
-        )
+        self.congestion = CongestionController(beta=cfg.beta, gamma=cfg.gamma)
         self._select_paths = get_path_selector(cfg.path_type)
         self._schedule = get_scheduler(cfg.scheduler)
-        self._queues: Dict[Pair, List[QueuedUnit]] = {}
+        self._queues: Dict[Pair, List[TransactionUnit]] = {}
+        self._queued_value: Dict[NodeId, float] = {}
         self._in_flight: List[_InFlightUnit] = []
         self._payments: Dict[int, Payment] = {}
         #: Payments refused since the last step; that step reports them failed.
@@ -208,7 +209,8 @@ class RateRouter:
             if rec.enabled and rec.payment_begin(payment):
                 rec.payment_event(payment, "reject", now, reason=FailureReason.NO_PATH.value)
             return RoutingDecision(payment, [], accepted=False, reason="no path")
-        if not self.congestion.can_enqueue(payment.sender, payment.value):
+        queued_value = self._queued_value.get(payment.sender, 0.0)
+        if queued_value + payment.value > cfg.queue_limit:
             payment.fail(FailureReason.QUEUE_FULL)
             self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
@@ -218,9 +220,8 @@ class RateRouter:
         self._payments[payment.payment_id] = payment
         units = payment.split(cfg.min_tu, cfg.max_tu, now=now)
         queue = self._queues.setdefault(pair, [])
-        for unit in units:
-            queue.append(QueuedUnit(unit=unit, enqueued_at=now))
-        self.congestion.on_enqueue(payment.sender, payment.value)
+        queue.extend(units)
+        self._queued_value[payment.sender] = queued_value + payment.value
         self._refresh_demand_rate(state, queue, now)
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "paths", now, paths=len(paths), units=len(units))
@@ -246,7 +247,7 @@ class RateRouter:
         return state
 
     def _refresh_demand_rate(
-        self, state: PairRateState, queue: List[QueuedUnit], now: float
+        self, state: PairRateState, queue: List[TransactionUnit], now: float
     ) -> None:
         """Demand constraint (17): the rate needed to clear the outstanding demand.
 
@@ -254,7 +255,7 @@ class RateRouter:
         the pair never sustains a higher rate than its outstanding value can
         feed within one settlement delay.
         """
-        outstanding = sum(q.unit.value for q in queue)
+        outstanding = sum(unit.value for unit in queue)
         if outstanding > 0:
             delay = max(self.config.settlement_delay, 1e-6)
             # Equation (17) caps in-flight funds by the demand: r * Delta <= d.
@@ -262,7 +263,7 @@ class RateRouter:
             # The *target* rate only needs to clear the queued value before the
             # earliest deadline among the queued units (with a safety factor of
             # two); asking for more would just inflate the capacity prices.
-            earliest_deadline = min((q.unit.deadline for q in queue), default=now)
+            earliest_deadline = min((unit.deadline for unit in queue), default=now)
             horizon = max(0.25 * (earliest_deadline - now), delay)
             target_rate = outstanding / horizon
             paths = state.found_paths
@@ -426,32 +427,20 @@ class RateRouter:
 
     # -- dispatch -------------------------------------------------------- #
     def _dispatch_queued(self, now: float, report: StepReport) -> None:
-        cfg = self.config
-        all_queued: List[Tuple[Pair, QueuedUnit]] = [
-            (pair, queued) for pair, queue in self._queues.items() for queued in queue
-        ]
+        all_queued = [unit for queue in self._queues.values() for unit in queue]
         if not all_queued:
             return
-        order = self._schedule([queued.unit for _, queued in all_queued])
-        by_unit_id = {queued.unit.unit_id: (pair, queued) for pair, queued in all_queued}
-        if cfg.congestion_control_enabled:
-            self.congestion.mark_overdue((queued for _, queued in all_queued), now)
-        for unit in order:
-            pair, queued = by_unit_id[unit.unit_id]
+        for unit in self._schedule(all_queued):
             payment = self._payments.get(unit.payment_id)
             if payment is None or payment.is_failed:
-                self._remove_from_queue(pair, queued)
-                self.congestion.on_dequeue(unit.sender, unit.value)
+                self._unqueue(unit)
                 continue
             if unit.expired(now):
                 continue  # handled by _expire_overdue below
-            state = self._pair_state(pair, now)
+            state = self._pair_state((unit.sender, unit.recipient), now)
             path = self._choose_path(state, unit)
-            if path is None:
-                unit.retries += 1
-                continue
-            if self._launch_unit(state, unit, path, now):
-                self._remove_from_queue(pair, queued)
+            if path is not None and self._launch_unit(state, unit, path, now):
+                self._unqueue(unit)
 
     def _choose_path(self, state: PairRateState, unit: TransactionUnit) -> Optional[Path]:
         cfg = self.config
@@ -541,7 +530,6 @@ class RateRouter:
         self._in_flight.append(
             _InFlightUnit(unit=unit, path=path, locks=locks, complete_at=complete_at, fee=fee)
         )
-        self.congestion.on_dequeue(unit.sender, unit.value)
         if rec.enabled:
             rec.payment_event(
                 unit.payment_id, "launch", now,
@@ -549,37 +537,40 @@ class RateRouter:
             )
         return True
 
-    def _remove_from_queue(self, pair: Pair, queued: QueuedUnit) -> None:
+    def _unqueue(self, unit: TransactionUnit) -> None:
+        """Take a unit off its pair's queue and its value off its sender's total."""
+        pair = (unit.sender, unit.recipient)
         queue = self._queues.get(pair)
-        if queue is None:
-            return
-        try:
-            queue.remove(queued)
-        except ValueError:
-            pass
-        if not queue:
-            self._queues.pop(pair, None)
+        if queue is not None:
+            try:
+                queue.remove(unit)
+            except ValueError:
+                pass
+            if not queue:
+                self._queues.pop(pair, None)
+        remaining = self._queued_value.get(unit.sender, 0.0) - unit.value
+        self._queued_value[unit.sender] = max(remaining, 0.0)
 
     # -- expiry ---------------------------------------------------------- #
     def _expire_overdue(self, now: float, report: StepReport) -> None:
         aborted_payments = set()
         for pair, queue in list(self._queues.items()):
-            for queued in list(queue):
-                unit = queued.unit
+            for unit in list(queue):
                 payment = self._payments.get(unit.payment_id)
                 if payment is None:
-                    self._remove_from_queue(pair, queued)
-                    self.congestion.on_dequeue(unit.sender, unit.value)
+                    self._unqueue(unit)
                     continue
                 if unit.expired(now) or payment.is_failed:
-                    self._remove_from_queue(pair, queued)
-                    self.congestion.on_dequeue(unit.sender, unit.value)
+                    self._unqueue(unit)
                     report.aborted_units += 1
                     # The window penalty (equation 27) applies once per aborted
-                    # payment, not once per queued unit of that payment.
+                    # payment, on the pair's first path.  A pair whose last
+                    # search found nothing dispatches nothing: no penalty.
                     if unit.payment_id not in aborted_payments:
                         aborted_payments.add(unit.payment_id)
-                        self.congestion.on_abort(self._preferred_path(pair))
+                        state = self.rate_controller.pair_state(*pair)
+                        if state is not None and state.found:
+                            self.congestion.on_abort(state.paths[0])
                     if not payment.is_failed:
                         payment.fail(FailureReason.TIMEOUT)
                         rec = obs.RECORDER
@@ -601,16 +592,16 @@ class RateRouter:
                 report.failed_payments.append(payment)
                 self._payments.pop(payment_id, None)
 
-    def _preferred_path(self, pair: Pair) -> Path:
-        state = self.rate_controller.pair_state(*pair)
-        return state.paths[0] if state is not None and state.found else pair
-
     # ------------------------------------------------------------------ #
     # inspection helpers
     # ------------------------------------------------------------------ #
     def queued_unit_count(self) -> int:
         """Number of transaction units currently waiting in queues."""
         return sum(len(queue) for queue in self._queues.values())
+
+    def queued_value(self, sender: NodeId) -> float:
+        """Total value the sender currently has queued (``q_amount``)."""
+        return self._queued_value.get(sender, 0.0)
 
     def in_flight_count(self) -> int:
         """Number of units currently locked along their paths."""

@@ -1,8 +1,8 @@
 """Waiting-queue scheduling policies (Table II, "Scheduling Algorithm").
 
-The congestion controller queues transaction units that cannot be sent
-immediately.  The order in which queued units are served when capacity frees
-up is a pluggable policy; the paper evaluates four:
+The router queues transaction units that cannot be sent immediately.  The
+order in which queued units are served when capacity frees up is a pluggable
+policy; the paper evaluates four:
 
 * ``fifo`` -- first in, first out,
 * ``lifo`` -- last in, first out (the paper's best performer: it serves the

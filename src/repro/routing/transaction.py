@@ -107,10 +107,6 @@ class TransactionUnit:
         created_at: Time the unit was created.
         deadline: Absolute time by which the unit must be delivered.
         delivered_at: Completion time, or ``None`` while in flight.
-        marked: Congestion mark (the ``d*`` flag of the paper): once set,
-            intermediate hubs only forward the unit without re-processing it,
-            and the sender may abort the payment.
-        retries: Number of times delivery has been attempted.
     """
 
     unit_id: int
@@ -122,8 +118,6 @@ class TransactionUnit:
     created_at: float = 0.0
     deadline: float = float("inf")
     delivered_at: Optional[float] = None
-    marked: bool = False
-    retries: int = 0
 
     @property
     def delivered(self) -> bool:

@@ -456,22 +456,3 @@ class ExperimentRunner:
                 )
         collector.add_fees(report.fees_paid)
 
-
-def compare_schemes(
-    network: PCNetwork,
-    workload: "TransactionWorkload | StreamingWorkload",
-    schemes: Sequence[RoutingScheme],
-    step_size: float = 0.1,
-    drain_time: float = 5.0,
-    parameters: Optional[Dict[str, object]] = None,
-    dynamics: Optional[Sequence[NetworkDynamicsEvent]] = None,
-) -> ExperimentResult:
-    """One-call convenience wrapper used by the examples and benchmarks."""
-    runner = ExperimentRunner(
-        network,
-        workload,
-        step_size=step_size,
-        drain_time=drain_time,
-        dynamics=dynamics,
-    )
-    return runner.run(schemes, parameters=parameters)

@@ -17,7 +17,6 @@ class TestSplicerConfig:
         assert config.router.queue_limit == pytest.approx(8000.0)
         assert config.router.beta == pytest.approx(10.0)
         assert config.router.gamma == pytest.approx(0.1)
-        assert config.router.delay_threshold == pytest.approx(0.4)
         assert config.router.scheduler == "lifo"
         assert config.router.path_type == "edw"
 

@@ -1,24 +1,12 @@
-"""Tests for the congestion controller (queues, marking, windows)."""
+"""Tests for the per-path congestion windows (equations 27-28)."""
 
 import pytest
 
-from repro.routing.congestion import (
-    MIN_WINDOW,
-    CongestionController,
-    PathWindow,
-    QueuedUnit,
-)
-from repro.routing.transaction import Payment
+from repro.routing.congestion import MIN_WINDOW, CongestionController, PathWindow
 
 
 PATH_A = ("s", "x", "t")
 PATH_B = ("s", "y", "t")
-
-
-def _queued_unit(created_at: float = 0.0, timeout: float = 3.0) -> QueuedUnit:
-    payment = Payment.create("s", "t", 2.0, created_at=created_at, timeout=timeout)
-    unit = payment.split()[0]
-    return QueuedUnit(unit=unit, enqueued_at=created_at)
 
 
 class TestPathWindow:
@@ -70,65 +58,3 @@ class TestWindows:
     def test_window_created_on_demand(self):
         controller = CongestionController()
         assert controller.window(PATH_A).size == controller.initial_window
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CongestionController(queue_limit=0.0)
-        with pytest.raises(ValueError):
-            CongestionController(delay_threshold=0.0)
-
-
-class TestQueueAccounting:
-    def test_enqueue_dequeue_tracking(self):
-        controller = CongestionController(queue_limit=100.0)
-        assert controller.can_enqueue("hub", 60.0)
-        controller.on_enqueue("hub", 60.0)
-        assert controller.queued_value("hub") == 60.0
-        assert not controller.can_enqueue("hub", 50.0)
-        controller.on_dequeue("hub", 30.0)
-        assert controller.queued_value("hub") == 30.0
-
-    def test_dequeue_never_negative(self):
-        controller = CongestionController()
-        controller.on_dequeue("hub", 10.0)
-        assert controller.queued_value("hub") == 0.0
-
-
-class TestMarking:
-    def test_should_mark_after_threshold(self):
-        controller = CongestionController(delay_threshold=0.4)
-        queued = _queued_unit(created_at=0.0)
-        assert not controller.should_mark(queued, now=0.3)
-        assert controller.should_mark(queued, now=0.5)
-
-    def test_mark_overdue_marks_once(self):
-        controller = CongestionController(delay_threshold=0.1)
-        queued = [_queued_unit(created_at=0.0), _queued_unit(created_at=0.0)]
-        first = controller.mark_overdue(queued, now=1.0)
-        assert len(first) == 2
-        assert all(q.unit.marked for q in queued)
-        second = controller.mark_overdue(queued, now=2.0)
-        assert second == []
-
-    def test_waiting_time(self):
-        queued = _queued_unit(created_at=1.0)
-        assert queued.waiting_time(3.0) == pytest.approx(2.0)
-        assert queued.waiting_time(0.5) == 0.0
-
-    def test_mark_overdue_agrees_with_should_mark(self):
-        """The vectorized prefilter must never drop a unit should_mark accepts.
-
-        Guards the superset invariant between mark_overdue's array pass and
-        the authoritative scalar predicate: any future change to should_mark
-        that the prefilter does not cover fails here.
-        """
-        controller = CongestionController(delay_threshold=0.4)
-        now = 5.0
-        queued = [
-            _queued_unit(created_at=t, timeout=100.0)
-            for t in (0.0, 4.59, 4.6, 4.61, 4.999, 5.0, 6.5)
-        ]
-        expected = {id(q.unit) for q in queued if controller.should_mark(q, now)}
-        marked = controller.mark_overdue(queued, now)
-        assert {id(unit) for unit in marked} == expected
-        assert all(q.unit.marked == (id(q.unit) in expected) for q in queued)

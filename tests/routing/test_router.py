@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.routing.congestion import MIN_WINDOW
 from repro.routing.router import RateRouter, RouterConfig
 from repro.routing.transaction import Payment
 from repro.topology.network import PCNetwork
@@ -65,6 +66,8 @@ class TestSubmission:
             RouterConfig(update_interval=0.0)
         with pytest.raises(ValueError):
             RouterConfig(t_fee=1.0)
+        with pytest.raises(ValueError):
+            RouterConfig(queue_limit=0.0)
 
 
 class TestDelivery:
@@ -154,15 +157,6 @@ class TestFailures:
         assert not decision.accepted
         assert payment.is_failed
 
-    def test_failed_payment_releases_queue_space(self, triangle_network, fast_config):
-        triangle_network.channel("C", "B").transfer("C", 9.5)
-        router = RateRouter(triangle_network, fast_config)
-        payment = Payment.create("A", "B", 5.0, created_at=0.0, timeout=0.5)
-        router.submit(payment, 0.0)
-        _run(router, 1.5)
-        assert router.queued_unit_count() == 0
-        assert router.congestion.queued_value("A") == pytest.approx(0.0)
-
     def test_mid_flight_channel_close_refunds_sender(self, line_network, fast_config):
         """A channel closing under an in-flight unit aborts it HTLC-style.
 
@@ -206,6 +200,98 @@ class TestFailures:
         for channel in funded_ws_network.channels():
             assert channel.balance(channel.node_a) >= -1e-9
             assert channel.balance(channel.node_b) >= -1e-9
+
+
+class TestQueueAccounting:
+    """A sender's queued value, which ``queue_limit`` bounds, returns to 0
+    however its payment leaves the queue."""
+
+    def test_completed_payment(self, line_network, fast_config):
+        router = RateRouter(line_network, fast_config)
+        payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
+        router.submit(payment, 0.0)
+        assert router.queued_value("n0") == pytest.approx(10.0)
+        assert router.queued_value("n4") == 0.0
+        _run(router, 2.0)
+        assert payment.is_complete
+        assert router.queued_value("n0") == pytest.approx(0.0)
+
+    def test_expired_payment(self, triangle_network, fast_config):
+        triangle_network.channel("C", "B").transfer("C", 9.5)
+        router = RateRouter(triangle_network, fast_config)
+        payment = Payment.create("A", "B", 5.0, created_at=0.0, timeout=0.5)
+        router.submit(payment, 0.0)
+        assert router.queued_value("A") == pytest.approx(5.0)
+        reports = _run(router, 1.5)
+        assert payment in _failed(reports)
+        assert router.queued_unit_count() == 0
+        assert router.queued_value("A") == pytest.approx(0.0)
+
+    def test_limit_is_inclusive_and_expiry_frees_it(self, triangle_network):
+        triangle_network.channel("C", "B").transfer("C", 9.5)
+        router = RateRouter(triangle_network, RouterConfig(queue_limit=5.0, hop_delay=0.01))
+
+        def offer(value, now):
+            payment = Payment.create("A", "B", value, created_at=now, timeout=0.5)
+            return router.submit(payment, now).accepted
+
+        assert offer(5.0, 0.0)
+        assert not offer(0.5, 0.0)
+        _run(router, 1.0)  # the first payment expires and gives its value back
+        assert offer(5.0, 1.0)
+
+    def test_refused_payment(self, line_network):
+        router = RateRouter(line_network, RouterConfig(queue_limit=5.0, hop_delay=0.01))
+        first = Payment.create("n0", "n4", 4.0, created_at=0.0, timeout=3.0)
+        refused = Payment.create("n0", "n4", 2.0, created_at=0.0, timeout=3.0)
+        assert router.submit(first, 0.0).accepted
+        assert router.submit(refused, 0.0).reason == "queue full"
+        assert router.queued_value("n0") == pytest.approx(4.0)
+        # The bound is per sender: another sender still has the whole limit.
+        other = Payment.create("n4", "n0", 5.0, created_at=0.0, timeout=3.0)
+        assert router.submit(other, 0.0).accepted
+        reports = _run(router, 2.0)
+        assert refused in _failed(reports)
+        assert first.is_complete and other.is_complete
+        assert router.queued_value("n0") == pytest.approx(0.0)
+        assert router.queued_value("n4") == pytest.approx(0.0)
+
+
+class TestWindows:
+    """The regime where the windows act (equations 27-28).
+
+    Each expired payment takes ``beta`` off its pair's first path, so five of
+    them bring the initial 50-unit window to one unit, and a second unit then
+    waits for the first to settle.  The figure-1 circulation of
+    ``tests/integration/test_end_to_end.py`` reaches this state.
+    """
+
+    PATH = ("A", "C", "B")
+
+    @pytest.mark.parametrize("windows, launched", [(True, 1), (False, 2)], ids=["on", "off"])
+    def test_aborts_shrink_a_window_to_one_unit(self, triangle_network, windows, launched):
+        config = RouterConfig(
+            path_count=1, hop_delay=0.01,
+            rate_control_enabled=False, congestion_control_enabled=windows,
+        )
+        triangle_network.channel("C", "B").transfer("C", 9.5)
+        router = RateRouter(triangle_network, config)
+        stuck = [Payment.create("A", "B", 1.0, created_at=0.0, timeout=0.5) for _ in range(5)]
+        for payment in stuck:
+            router.submit(payment, 0.0)
+        _run(router, 1.0)
+        assert all(payment.is_failed for payment in stuck)
+        assert router.congestion.window(self.PATH).size == MIN_WINDOW
+
+        triangle_network.channel("C", "B").transfer("B", 9.5)  # C's side refilled
+        payment = Payment.create("A", "B", 8.0, created_at=1.0, timeout=3.0)
+        router.submit(payment, 1.0)
+        router.step(1.1, 0.1)
+        assert len(payment.units) == 2
+        assert router.in_flight_count() == launched
+        for step in range(2, 6):
+            router.step(1.0 + 0.1 * step, 0.1)
+        assert payment.is_complete
 
 
 class TestAblations:
@@ -285,8 +371,8 @@ class TestEmptyPathSearch:
     The goldens never reach a path search that finds nothing, so this pins
     what the router does then: it answers ``[]`` for ``path_refresh_interval``
     while the rate controller keeps the previous paths, which stay priced and
-    get an uncapped demand boost; an expiry penalises the ``(sender,
-    recipient)`` fallback window.
+    get an uncapped demand boost.  An expiry then penalises no window: a pair
+    whose last search found nothing dispatches on no path.
     """
 
     PATH = ("n0", "n1", "n2", "n3", "n4")
@@ -318,8 +404,8 @@ class TestEmptyPathSearch:
         assert payment in report.failed_payments
         assert router.queued_unit_count() == 0
         initial = router.congestion.initial_window
-        assert router.congestion.window(("n0", "n4")).size == initial - fast_config.beta
         assert router.congestion.window(self.PATH).size == initial
+        assert router.congestion.window(("n0", "n4")).size == initial
 
         # The empty answer holds for path_refresh_interval despite the reopen.
         line_network.add_channel("n1", "n2", 50.0, 50.0)

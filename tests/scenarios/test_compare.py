@@ -350,16 +350,29 @@ class TestCompareCliErrorPaths:
             "unknown scheme", "warpspeed",
         )
 
-    def test_run_rejects_unknown_scheme_parameter(self, capsys):
+    @pytest.mark.parametrize(
+        "scenario, override, needles",
+        [
+            pytest.param(
+                ["channel-jamming", "--nodes", "30"], 'schemes.1.params.backend="fortran"',
+                ["'spider'", "unknown parameter 'backend'", "option was removed"],
+                id="backend",
+            ),
+            # The router's queue-delay marking, and with it its threshold, was removed.
+            pytest.param(
+                ["paper-default"], 'schemes.0.params={"router": {"delay_threshold": 0.4}}',
+                ["'splicer'", "unknown parameter 'router.delay_threshold'"],
+                id="delay_threshold",
+            ),
+        ],
+    )
+    def test_run_rejects_unknown_scheme_parameter(self, capsys, scenario, override, needles):
         # Raised in the parent: exit 2, no retried shard, no failure row, no
         # quarantine file (the fixture checks the scratch cwd stays clean).
         self._fails_cleanly(
             capsys,
-            [
-                "run", "channel-jamming", "--duration", "1", "--seeds", "1",
-                "--nodes", "30", "--set", 'schemes.1.params.backend="fortran"',
-            ],
-            "'spider'", "unknown parameter 'backend'", "option was removed",
+            ["run", *scenario, "--duration", "1", "--seeds", "1", "--set", override],
+            *needles,
         )
         assert not list(self.results_dir.rglob("*quarantine*"))
 
@@ -379,6 +392,19 @@ class TestCompareCliErrorPaths:
         # stepping rules hold for every grid point: exit 2 before dispatch,
         # nothing retried, nothing quarantined (the fixture checks the cwd).
         self._fails_cleanly(capsys, [*_TINY_RUN, "--set", override], message)
+        assert not self.results_dir.exists()
+
+    def test_run_rejects_a_bad_router_setting_in_the_parent(self, capsys):
+        # RouterConfig checks queue_limit when the spec builds its schemes:
+        # exit 2 before dispatch, nothing retried, nothing written.
+        self._fails_cleanly(
+            capsys,
+            [
+                "run", "paper-default", "--duration", "1", "--seeds", "1",
+                "--set", 'schemes.0.params={"router": {"queue_limit": 0}}',
+            ],
+            "queue_limit must be positive",
+        )
         assert not self.results_dir.exists()
 
 

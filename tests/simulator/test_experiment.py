@@ -7,7 +7,7 @@ from repro.baselines.base import RoutingScheme, SchemeStepReport
 from repro.core.config import SplicerConfig
 from repro.routing.router import RouterConfig
 from repro.routing.transaction import Payment
-from repro.simulator.experiment import ExperimentResult, ExperimentRunner, compare_schemes
+from repro.simulator.experiment import ExperimentResult, ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
 
 
@@ -96,15 +96,9 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             ExperimentRunner(small_ws_network, workload, drain_time=-1.0)
 
-    def test_compare_schemes_helper(self, small_ws_network, workload):
-        result = compare_schemes(
-            small_ws_network,
-            workload,
-            [AcceptAllScheme()],
-            step_size=0.2,
-            drain_time=0.5,
-            parameters={"label": "unit-test"},
-        )
+    def test_run_records_parameters(self, small_ws_network, workload):
+        runner = ExperimentRunner(small_ws_network, workload, step_size=0.2, drain_time=0.5)
+        result = runner.run([AcceptAllScheme()], parameters={"label": "unit-test"})
         assert result.parameters["label"] == "unit-test"
         assert result.workload_count == workload.count
 
