@@ -30,13 +30,15 @@ the exhaustive oracle of :mod:`repro.reference.placement`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List
+from typing import TYPE_CHECKING, Hashable, List
 
 import numpy as np
-from scipy import sparse
 
 from repro.placement.assignment import plan_for_placement
 from repro.placement.problem import PlacementPlan, PlacementProblem
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NodeId = Hashable
 
@@ -107,6 +109,10 @@ def linearize_placement(problem: PlacementProblem) -> MILPModel:
             the products' upper-bound rows is only valid when no
             synchronization coefficient rewards a larger ``theta`` / ``s``.
     """
+    # Imported on use, like scipy.optimize below: the CLI imports this module
+    # with every placement method, and only a MILP builds a sparse matrix.
+    from scipy.sparse import csr_matrix
+
     arrays = problem.arrays
     z, m = arrays.candidate_count, arrays.client_count
     if arrays.delta.min() < 0 or arrays.epsilon.min() < 0:
@@ -145,7 +151,7 @@ def linearize_placement(problem: PlacementProblem) -> MILPModel:
         # -sum_n x_n <= -1
         (np.full(z, some_hub), x, -1.0),
     ]
-    a_ub = sparse.csr_matrix(
+    a_ub = csr_matrix(
         (
             np.concatenate([np.full(len(rows), value) for rows, _, value in entries]),
             (
@@ -157,7 +163,7 @@ def linearize_placement(problem: PlacementProblem) -> MILPModel:
     )
     b_ub = np.concatenate([np.zeros(m * z), np.ones(z * z), np.full(z * z, float(m)), [-1.0]])
     # Each client is assigned to exactly one candidate.
-    a_eq = sparse.csr_matrix(
+    a_eq = csr_matrix(
         (np.ones(m * z), (np.repeat(np.arange(m), z), y.ravel())), shape=(m, objective.size)
     )
     binary = z + m * z

@@ -38,7 +38,7 @@ def k_shortest_paths(network: PCNetwork, source: NodeId, target: NodeId, k: int)
     if k <= 0 or source == target:
         return []
     # Imported where PCNetwork imports the kernels: a process that never
-    # queries a path never loads scipy's csgraph stack.
+    # queries a path never loads them.
     from repro.topology.csr import NodeNotFound, NoPath
 
     try:

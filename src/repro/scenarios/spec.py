@@ -585,13 +585,3 @@ class ScenarioSpec:
             dynamics=events,
         )
         return runner, [scheme_spec.build() for scheme_spec in self.scheme_specs()]
-
-    def run_once(self, seed: int):
-        """Execute one seed of this scenario and return the experiment result."""
-        runner, schemes = self.build_experiment(seed)
-        rng = np.random.default_rng(derive_seed(seed, "schemes"))
-        return runner.run(
-            schemes,
-            rng=rng,
-            parameters={"scenario": self.name, "seed": seed},
-        )

@@ -45,8 +45,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The path kernels' exception classes live with the kernels, whose
-    # module loads scipy's csgraph stack: resolved on first use, like
+    # The path kernels' exception classes live with the kernels, which no
+    # import of the package loads: resolved on first use, like
     # ``PCNetwork.graph_arrays`` imports the kernels themselves.
     if name in ("NoPath", "NodeNotFound"):
         from repro.topology import csr

@@ -16,8 +16,6 @@ once per ``topology_version`` and implements the queries on top:
   tie-breaks reproducible), a per-directed-edge spendable-balance vector
   refreshed from the channel objects on demand (a list for element-wise
   reads plus an ndarray mirror for whole-vector filters, with one writer),
-  and a ``scipy.sparse`` matrix feeding the batched ``csgraph`` BFS
-  distance kernels,
 * batched distance queries -- ``hop_counts_from`` / ``all_pairs`` /
   multi-source probes run as single C-level ``scipy.sparse.csgraph``
   sweeps instead of per-source Python BFS,
@@ -50,6 +48,15 @@ Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
 path lists are identical to the reference's -- enforced by
 ``tests/topology/test_csr_equivalence.py``.
+
+scipy is imported by the three kernels that call it and nowhere else: the
+batched distance sweep (:meth:`AdjacencyCSR.distances_from`, whose
+unit-weight matrix is built on its first call) and the widest-path level
+drain (:meth:`GraphArrays._drain_level` and its buffers).  The hop-count
+BFS, Yen, the edge-disjoint kernels and the catalog rows run on numpy and
+Python lists alone, so a run that never sweeps distances or drains a level
+never maps scipy (``tests/test_package.py`` runs the atomic baselines with
+it blocked).
 """
 
 from __future__ import annotations
@@ -57,12 +64,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from heapq import heappop, heappush
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order as _csgraph_bfs
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NodeId = Hashable
 
@@ -172,10 +179,8 @@ class AdjacencyCSR:
             dtype=np.intp,
             count=self.slot_count,
         )
-        #: Unit-weight sparse matrix for the batched csgraph distance kernels.
-        self.sparse = csr_matrix(
-            (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
-        )
+        #: Unit-weight sparse matrix of :meth:`distances_from`, built on first use.
+        self._unit_weights: Optional[sparse.csr_matrix] = None
 
     @property
     def node_count(self) -> int:
@@ -210,11 +215,17 @@ class AdjacencyCSR:
         BFS the placement cost probe and ``all_pairs_hop_counts`` ride on.
         """
         rows = list(rows)
-        if self.node_count == 0:
+        n = self.node_count
+        if n == 0:
             return np.zeros((len(rows), 0))
-        result = _csgraph_dijkstra(
-            self.sparse, directed=True, unweighted=True, indices=rows
-        )
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        if self._unit_weights is None:
+            self._unit_weights = csr_matrix(
+                (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
+            )
+        result = dijkstra(self._unit_weights, directed=True, unweighted=True, indices=rows)
         return np.atleast_2d(result)
 
 
@@ -280,7 +291,7 @@ class GraphArrays(AdjacencyCSR):
         self._working: Optional[Tuple[Adjacency, Dict[Tuple[int, int], int]]] = None
 
         #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
-        self._level: Optional[Tuple[csr_matrix, np.ndarray, np.ndarray]] = None
+        self._level: Optional[Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]] = None
         self._digest: Optional[bytes] = None
         self._store_layout: Optional[bytes] = None
 
@@ -778,6 +789,8 @@ class GraphArrays(AdjacencyCSR):
         row is visited and names its predecessor; it is pushed, under the
         loop's own strict-improvement and floor tests.
         """
+        from scipy.sparse.csgraph import breadth_first_order
+
         negative_width = -width
         pending = [
             pushed_node[counter]
@@ -799,7 +812,7 @@ class GraphArrays(AdjacencyCSR):
         level_hops += sink
         level_graph.indices[hop_count : hop_count + len(pending)] = pending
         level_graph.indptr[super_source + 1 :] = hop_count + len(pending)
-        order, predecessor = _csgraph_bfs(
+        order, predecessor = breadth_first_order(
             level_graph, super_source, directed=True, return_predecessors=True
         )
 
@@ -873,7 +886,7 @@ class GraphArrays(AdjacencyCSR):
                 pushed_node.append(w)
         return False
 
-    def _level_buffers(self) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
+    def _level_buffers(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
         """Private buffers of :meth:`_drain_level`, built on first use.
 
         * the BFS graph: the mirror's rows, then the virtual super-source,
@@ -886,6 +899,8 @@ class GraphArrays(AdjacencyCSR):
           receiving row).
         """
         if self._level is None:
+            from scipy.sparse import csr_matrix
+
             n, hop_count = self.node_count, self.slot_count
             capacity = hop_count + n  # every hop, plus at most n pending rows
             indptr = np.empty(n + 3, dtype=np.int32)

@@ -340,40 +340,3 @@ def assign_roles_from_placement(network: PCNetwork, hubs: Iterable[NodeId]) -> N
             network.set_role(node, ROLE_HUB)
         elif current == ROLE_HUB:
             network.set_role(node, ROLE_CANDIDATE)
-
-
-def paper_small_scale_network(
-    seed: Optional[int] = 0,
-    channel_scale: float = 1.0,
-    candidate_fraction: float = 0.15,
-) -> PCNetwork:
-    """The paper's small-scale (100-node) evaluation topology."""
-    return watts_strogatz_pcn(
-        node_count=100,
-        nearest_neighbors=8,
-        rewire_probability=0.25,
-        channel_sizes=ChannelSizeDistribution(scale=channel_scale),
-        candidate_fraction=candidate_fraction,
-        seed=seed,
-    )
-
-
-def paper_large_scale_network(
-    node_count: int = 3000,
-    seed: Optional[int] = 0,
-    channel_scale: float = 1.0,
-    candidate_fraction: float = 0.05,
-) -> PCNetwork:
-    """The paper's large-scale evaluation topology (3000 nodes by default).
-
-    ``node_count`` is exposed so test and CI runs can use a reduced network
-    while keeping every other parameter identical.
-    """
-    return watts_strogatz_pcn(
-        node_count=node_count,
-        nearest_neighbors=10,
-        rewire_probability=0.25,
-        channel_sizes=ChannelSizeDistribution(scale=channel_scale),
-        candidate_fraction=candidate_fraction,
-        seed=seed,
-    )

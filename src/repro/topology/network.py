@@ -13,8 +13,11 @@ networkx structures.
 
 The path/distance helpers run on :mod:`repro.topology.csr`, which mirrors
 the adjacency into CSR arrays (rebuilt lazily whenever ``topology_version``
-moves) for ``scipy.sparse.csgraph``-batched BFS and array-backed path search
-that reproduce networkx's results, tie-breaks included.
+moves) for array-backed path search that reproduces networkx's results,
+tie-breaks included.  Only the batched distance sweep
+(:meth:`PCNetwork.hop_count_rows` and what rides on it) and the widest-path
+level drain load scipy, on their first call; every other query runs without
+it.
 """
 
 from __future__ import annotations

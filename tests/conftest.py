@@ -68,6 +68,23 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def run_once():
+    """``run_once(spec, seed)``: one seed of a :class:`ScenarioSpec`, in-process.
+
+    The shard body of ``repro.scenarios.runner`` minus the row: the same
+    experiment and scheme seed, returning the :class:`ExperimentResult`.
+    """
+    from repro.scenarios.spec import derive_seed
+
+    def run(spec, seed: int):
+        runner, schemes = spec.build_experiment(seed)
+        rng = np.random.default_rng(derive_seed(seed, "schemes"))
+        return runner.run(schemes, rng=rng, parameters={"scenario": spec.name, "seed": seed})
+
+    return run
+
+
+@pytest.fixture
 def triangle_network() -> PCNetwork:
     """The three-node network of the paper's figure 1 (A - C - B)."""
     network = PCNetwork()

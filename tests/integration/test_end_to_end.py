@@ -116,7 +116,14 @@ class TestPlacementReducesManagementDelay:
 
 class TestDeadlockScenario:
     def test_figure1_circulation_survives_under_splicer(self, triangle_network):
-        """The figure-1 workload does not wedge the A <-> B circulation."""
+        """The figure-1 workload keeps the B -> A direction working, and the
+        router settles every unit it accepted.
+
+        The balance read at t = 6.0 is a snapshot, not a deadlock-freedom
+        result: C keeps funds on (C, B) there because the congestion window
+        refused the last A -> B unit of the final step; stepping further
+        drains C's side.
+        """
         config = SplicerConfig(
             router=RouterConfig(path_count=1, hop_delay=0.01, eta=0.5),
             placement_method="greedy",
@@ -127,6 +134,7 @@ class TestDeadlockScenario:
         system = SplicerSystem(triangle_network, config)
         system.setup()
         completed_late_circulation = 0
+        submitted = []
         now = 0.0
         for round_number in range(15):
             now = round_number * 0.4
@@ -134,6 +142,7 @@ class TestDeadlockScenario:
             def submit(sender, recipient, value):
                 if sender in clients and recipient != sender:
                     _, decision = system.submit_payment(sender, recipient, value, now=now)
+                    submitted.append(decision.payment)
                     return decision.payment
                 return None
 
@@ -146,5 +155,17 @@ class TestDeadlockScenario:
                 completed_late_circulation += 1
         # Even after the imbalanced phase, the B -> A direction keeps working.
         assert completed_late_circulation >= 3
-        # And the relay channel retains funds on C's side (no full deadlock).
+        # At t = 6.0 C still holds funds on (C, B): the congestion window
+        # refused the last A -> B unit of the final step.
         assert triangle_network.channel("C", "B").balance("C") > 0.0
+
+        # Every accepted unit settles or is released: nothing stays queued or
+        # locked, each payment ends, and no channel gains or loses funds.
+        system.router.drain(6.0, 0.1)
+        assert system.router.queued_unit_count() == 0
+        assert system.router.in_flight_count() == 0
+        assert submitted
+        assert all(payment.is_complete or payment.is_failed for payment in submitted)
+        for a, b in (("A", "C"), ("C", "B")):
+            channel = triangle_network.channel(a, b)
+            assert channel.balance(a) + channel.balance(b) == pytest.approx(20.0)

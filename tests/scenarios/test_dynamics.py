@@ -206,7 +206,7 @@ class TestMidRunInjection:
         for name in ("shortest-path", "a2l"):
             assert result.scheme(name).generated_count == workload.count
 
-    def test_hub_outage_measurably_degrades_hub_scheme(self):
+    def test_hub_outage_measurably_degrades_hub_scheme(self, run_once):
         spec = ScenarioSpec(
             name="outage-probe",
             topology=TopologySpec(
@@ -216,7 +216,7 @@ class TestMidRunInjection:
             schemes=[SchemeSpec(name="a2l")],
             drain_time=1.0,
         )
-        static = spec.run_once(1).scheme("a2l")
+        static = run_once(spec, 1).scheme("a2l")
 
         runner, schemes = spec.build_experiment(1)
         # A2L's hub is the best-connected node overall, not a candidate.

@@ -122,10 +122,10 @@ class TestFingerprintsUnchanged:
 
 
 class TestResultsUnchanged:
-    def test_diff_pin_metrics_bit_identical(self):
+    def test_diff_pin_metrics_bit_identical(self, run_once):
         spec = _diff_pin_spec()
         assert spec_fingerprint(spec.to_dict()) == DIFF_PIN_FINGERPRINT
-        result = spec.run_once(7)
+        result = run_once(spec, 7)
         observed = {name: metrics.as_dict() for name, metrics in result.metrics.items()}
         assert observed == DIFF_PIN_METRICS
 

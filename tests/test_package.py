@@ -87,14 +87,15 @@ def test_importing_the_cli_module_loads_no_subcommand_stack():
 
 
 def test_building_the_parser_loads_neither_networkx_nor_the_path_kernels():
-    """The scheme zoo is in, the oracle's library and scipy's csgraph stack
-    (``repro.topology.csr``, first needed by a path query) are not."""
+    """The scheme zoo is in; the oracle's library, the path kernels
+    (``repro.topology.csr``, first needed by a path query) and scipy (first
+    needed by a distance sweep, a level drain or a MILP) are not."""
     result = _probe(
         "import sys, repro.__main__ as cli\n"
         "cli._build_parser()\n"
         "assert 'repro.baselines.spider' in sys.modules\n"
         "loaded = [name for name in ('networkx', 'repro.topology.csr', 'scipy.sparse.csgraph',\n"
-        "    'repro.reference') if name in sys.modules]\n"
+        "    'scipy', 'repro.reference') if name in sys.modules]\n"
         "sys.exit(', '.join(loaded) or 0)\n"
     )
     assert result.returncode == 0, result.stderr
@@ -103,7 +104,10 @@ def test_building_the_parser_loads_neither_networkx_nor_the_path_kernels():
 def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
     """Everything a shard needs is in the parent when the pool starts, so
     workers inherit it instead of importing it once each -- and nothing a
-    Watts-Strogatz sweep never uses (networkx)."""
+    Watts-Strogatz sweep never uses (networkx).  scipy is the one deliberate
+    exception: only the distance sweep, the widest-path level drain and the
+    MILP call it, so a worker whose shards reach one of them imports it
+    itself, and a sweep of atomic baselines never maps it."""
     result = _probe(
         "import sys, repro.__main__ as cli\n"
         "from repro.scenarios import jsonl\n"
@@ -122,3 +126,72 @@ def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "pool-started" in result.stdout
+
+
+#: Runs the CLI in a process where every ``import scipy`` raises; pool
+#: workers are forked, so they inherit the block.
+_SCIPY_BLOCKED = (
+    "import sys\n"
+    "sys.modules['scipy'] = None\n"
+    "from repro.__main__ import main\n"
+    "code = main(sys.argv[1:])\n"
+    "assert sys.modules['scipy'] is None\n"
+    "sys.exit(code)\n"
+)
+_ATOMIC_BASELINES = "shortest-path,landmark,waterfilling,speedymurmurs"
+
+
+def _cli(code, argv):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _sorted_rows(path) -> list:
+    with open(path, encoding="utf-8") as handle:
+        return sorted(handle)
+
+
+def test_the_atomic_baselines_run_without_scipy(tmp_path):
+    """Hop-count BFS, Yen, EDS, landmark and embedding walks, the atomic
+    executor, the shared-memory block (``--scale xl``) and a no-op re-run
+    never import scipy, on one worker or on a forked pool, and write the
+    rows and table of a run that is free to import it."""
+    free = "import sys\nfrom repro.__main__ import main\nsys.exit(main(sys.argv[1:]))\n"
+    for scale, size in (("small", []), ("xl", ["--nodes", "300", "--payments", "2000"])):
+        common = ["compare", "--scale", scale, *size, "--schemes", _ATOMIC_BASELINES, "--quiet"]
+        reference = tmp_path / f"{scale}-free"
+        assert _cli(free, [*common, "--results-dir", str(reference)]).returncode == 0
+        for workers in ("1", "2"):
+            results = tmp_path / f"{scale}-w{workers}"
+            argv = [*common, "--workers", workers, "--results-dir", str(results)]
+            result = _cli(_SCIPY_BLOCKED, argv)
+            assert result.returncode == 0, result.stderr
+            assert "Figure 8 comparison" in result.stdout
+            for name in (f"compare-{scale}.jsonl", f"fig8-{scale}.txt"):
+                assert _sorted_rows(results / name) == _sorted_rows(reference / name)
+            rerun = _cli(_SCIPY_BLOCKED, argv)
+            assert rerun.returncode == 0, rerun.stderr
+            assert "executed 0 run(s)" in rerun.stdout
+
+
+def test_blocking_scipy_stops_the_distance_sweep():
+    """The control of the test above: with scipy blocked, a kernel that needs
+    it raises, so a run that exits 0 really ran without it."""
+    result = _probe(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from repro.topology.generators import watts_strogatz_pcn\n"
+        "network = watts_strogatz_pcn(30, 4, 0.1, seed=1)\n"
+        "assert network.shortest_path(*network.nodes()[:2])\n"
+        "try:\n"
+        "    network.hop_count_rows(network.nodes()[:2])\n"
+        "except ImportError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('hop_count_rows ran with scipy blocked')\n"
+    )
+    assert result.returncode == 0, result.stderr

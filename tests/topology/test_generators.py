@@ -12,8 +12,6 @@ from repro.topology.generators import (
     assign_roles_from_placement,
     grid_pcn,
     multi_star_pcn,
-    paper_large_scale_network,
-    paper_small_scale_network,
     random_pcn,
     scale_free_pcn,
     star_pcn,
@@ -187,15 +185,3 @@ class TestRoleAssignment:
         assign_roles_from_placement(small_ws_network, candidates[1:2])
         assert small_ws_network.hubs() == [candidates[1]]
 
-
-class TestPaperNetworks:
-    def test_small_scale(self):
-        net = paper_small_scale_network(seed=1)
-        assert net.node_count() == 100
-        assert net.is_connected()
-        assert len(net.candidates()) == 15
-
-    def test_large_scale_scaled_down(self):
-        net = paper_large_scale_network(node_count=200, seed=1)
-        assert net.node_count() == 200
-        assert net.is_connected()
