@@ -6,8 +6,11 @@ scale (seed 1), changing one router setting from its default:
 * path type   -- KSP vs heuristic vs edge-disjoint widest vs edge-disjoint shortest,
 * path number -- 1 / 3 / 5 / 7 edge-disjoint widest paths,
 * scheduling  -- FIFO / LIFO / SPF / EDF waiting-queue scheduling,
-* ablations   -- price-based rate control, the imbalance price (deadlock
-  avoidance) or congestion control (queues + windows) switched off.
+* ablations   -- price-based rate control or the imbalance price (deadlock
+  avoidance) switched off.
+
+The paper's congestion-control ablation has no row: the router keeps no
+congestion windows (equations 27-28), which changed no measured outcome.
 """
 
 import pytest
@@ -24,7 +27,6 @@ ABLATIONS = {
     "single path (k=1)": scheme("splicer", path_count=1),
     "no rate control": scheme("splicer", rate_control_enabled=False),
     "no imbalance pricing": scheme("splicer", imbalance_pricing_enabled=False),
-    "no congestion control": scheme("splicer", congestion_control_enabled=False),
 }
 
 VARIANTS = [scheme("splicer", **{key: value}) for key, values in TABLE2.items() for value in values]

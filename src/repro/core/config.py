@@ -2,9 +2,11 @@
 
 All defaults follow section V-A of the paper: 3-second transaction timeout,
 Min-TU of 1 token, Max-TU of 4 tokens, 5 routing paths, 200 ms update time,
-8000-token queues, window factors beta=10 and gamma=0.1, and the hop-based
-placement cost coefficients.  The paper's 400 ms queueing-delay threshold has
-no field: the router does not mark delayed units.
+8000-token queues and the hop-based placement cost coefficients.  The paper's
+400 ms queueing-delay threshold has no field: the router does not mark
+delayed units.  Nor do its window factors beta=10 and gamma=0.1 (equations
+27-28): the router keeps no congestion windows, which changed no measured
+outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ class SplicerConfig:
     """Every tunable parameter of a Splicer deployment.
 
     Attributes:
-        router: Routing-protocol parameters (paths, rates, prices, windows, queues).
+        router: Routing-protocol parameters (paths, rates, prices, queues).
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
         placement_seed: Seed for the randomized placement approximation.

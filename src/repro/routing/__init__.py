@@ -10,13 +10,12 @@ from two kinds of channel prices:
   than the reverse direction, steering flow back towards balance -- this is
   what prevents the local deadlocks of section II-B.
 
-Per-path windows (equations 27-28) bound the number of in-flight TUs, what
-cannot be sent waits in per-pair queues bounded by the value each sender may
-have queued, and pluggable schedulers decide the order in which queued TUs
-are served.
+What cannot be sent waits in per-pair queues bounded by the value each
+sender may have queued, and pluggable schedulers decide the order in which
+queued TUs are served.  The paper's per-path congestion windows (equations
+27-28) are not implemented: they changed no measured outcome.
 """
 
-from repro.routing.congestion import CongestionController, PathWindow
 from repro.routing.paths import (
     PathSelector,
     edge_disjoint_shortest_paths,
@@ -44,8 +43,6 @@ __all__ = [
     "edge_disjoint_shortest_paths",
     "PriceTable",
     "PathRateController",
-    "CongestionController",
-    "PathWindow",
     "SCHEDULERS",
     "get_scheduler",
     "RateRouter",

@@ -2,18 +2,20 @@
 
 :class:`RateRouter` is the engine a smooth node runs: it accepts decrypted
 payment demands, splits them into transaction units, chooses a set of paths
-per source-destination pair, and dispatches units under three controls:
+per source-destination pair, and dispatches units under two controls:
 
 * the *rate controller* adjusts per-path sending rates from routing prices
   (capacity price + imbalance price), keeping channels balanced and thus the
   network deadlock-free,
-* the *congestion controller* bounds in-flight units per path (windows,
-  equations 27-28),
-* the configured *scheduler* decides the order in which queued units are
-  served.
+* ``queue_limit`` bounds the value a sender may have queued in the per-pair
+  queues where units wait until they can be sent.
 
-Units that cannot be sent yet wait in per-pair queues; the value a sender may
-have queued is bounded by ``queue_limit``.
+The configured *scheduler* decides the order in which queued units are
+served.
+
+The paper's congestion control (Algorithm 2's per-path windows, equations
+27-28) is not implemented: on this router the windows refused no unit in any
+golden scenario and changed no success ratio.
 
 Transfers are executed against the shared :class:`~repro.topology.network.PCNetwork`
 with HTLC-style lock/settle semantics: funds are locked hop by hop when a
@@ -34,7 +36,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import core as obs
-from repro.routing.congestion import CongestionController
 from repro.routing.paths import get_path_selector
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PairRateState, PathRateController
@@ -75,13 +76,10 @@ class RouterConfig:
         scheduler: Waiting-queue scheduling policy (paper default: ``lifo``).
         queue_limit: Maximum value a sender may have queued (paper: 8000
             tokens); a payment that would exceed it is refused.
-        beta: Window decrease factor (equation 27, paper: 10).
-        gamma: Window increase factor (equation 28, paper: 0.1).
         initial_rate: Starting per-path rate (tokens/second).
         min_rate: Floor on per-path rates.
         path_refresh_interval: How often cached paths are recomputed (seconds).
         rate_control_enabled: Disable to ablate price-based rate control.
-        congestion_control_enabled: Disable to ablate the per-path windows.
         imbalance_pricing_enabled: Disable to ablate the imbalance price
             (the deadlock-avoidance mechanism).
     """
@@ -100,13 +98,10 @@ class RouterConfig:
     t_fee: float = 0.01
     scheduler: str = "lifo"
     queue_limit: float = 8000.0
-    beta: float = 10.0
-    gamma: float = 0.1
     initial_rate: float = 20.0
     min_rate: float = 2.0
     path_refresh_interval: float = 1.0
     rate_control_enabled: bool = True
-    congestion_control_enabled: bool = True
     imbalance_pricing_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -179,7 +174,6 @@ class RateRouter:
             min_rate=cfg.min_rate,
             initial_rate=cfg.initial_rate,
         )
-        self.congestion = CongestionController(beta=cfg.beta, gamma=cfg.gamma)
         self._select_paths = get_path_selector(cfg.path_type)
         self._schedule = get_scheduler(cfg.scheduler)
         self._queues: Dict[Pair, List[TransactionUnit]] = {}
@@ -326,8 +320,6 @@ class RateRouter:
                 if payment.is_complete:
                     report.completed_payments.append(payment)
                     self._payments.pop(payment.payment_id, None)
-            state = self.rate_controller.pair_state(unit.sender, unit.recipient)
-            self.congestion.on_complete(entry.path, state.paths if state is not None else [])
             report.delivered_units += 1
             report.delivered_value += unit.value
             report.fees_paid += entry.fee
@@ -363,7 +355,6 @@ class RateRouter:
     def _abort_in_flight(self, entry: _InFlightUnit, report: StepReport) -> None:
         """Account for a unit whose path broke while its locks were in flight."""
         report.aborted_units += 1
-        self.congestion.on_abort(entry.path)
         rec = obs.RECORDER
         if rec.enabled:
             rec.payment_event(
@@ -443,14 +434,11 @@ class RateRouter:
                 self._unqueue(unit)
 
     def _choose_path(self, state: PairRateState, unit: TransactionUnit) -> Optional[Path]:
-        cfg = self.config
         if not state.found:
             return None
         budgets = state.budgets
         for _, path in self._ranked_paths(state):
             if budgets.get(path, 0.0) < unit.value:
-                continue
-            if cfg.congestion_control_enabled and not self.congestion.can_send(path):
                 continue
             if self.price_table.path_capacity(path) < unit.value:
                 continue
@@ -464,7 +452,7 @@ class RateRouter:
         when prices change, so the ranking is computed once per
         (path refresh, price update) and every queued unit of the pair then
         walks the short pre-sorted list checking only its per-unit conditions
-        (budget, window, live capacity).  Blocked paths -- those whose worst
+        (budget, live capacity).  Blocked paths -- those whose worst
         hop's imbalance-price gap exceeds ``max_imbalance_gap`` -- are
         excluded up front; they become usable again once reverse flow
         restores balance.  The memo (``state.ranked``) is
@@ -525,7 +513,6 @@ class RateRouter:
         budget = state.budgets.get(path, 0.0)
         if budget != float("inf"):
             state.budgets[path] = max(budget - unit.value, 0.0)
-        self.congestion.on_launch(path)
         complete_at = now + self.config.hop_delay * (len(path) - 1)
         self._in_flight.append(
             _InFlightUnit(unit=unit, path=path, locks=locks, complete_at=complete_at, fee=fee)
@@ -553,8 +540,7 @@ class RateRouter:
 
     # -- expiry ---------------------------------------------------------- #
     def _expire_overdue(self, now: float, report: StepReport) -> None:
-        aborted_payments = set()
-        for pair, queue in list(self._queues.items()):
+        for queue in list(self._queues.values()):
             for unit in list(queue):
                 payment = self._payments.get(unit.payment_id)
                 if payment is None:
@@ -563,14 +549,6 @@ class RateRouter:
                 if unit.expired(now) or payment.is_failed:
                     self._unqueue(unit)
                     report.aborted_units += 1
-                    # The window penalty (equation 27) applies once per aborted
-                    # payment, on the pair's first path.  A pair whose last
-                    # search found nothing dispatches nothing: no penalty.
-                    if unit.payment_id not in aborted_payments:
-                        aborted_payments.add(unit.payment_id)
-                        state = self.rate_controller.pair_state(*pair)
-                        if state is not None and state.found:
-                            self.congestion.on_abort(state.paths[0])
                     if not payment.is_failed:
                         payment.fail(FailureReason.TIMEOUT)
                         rec = obs.RECORDER

@@ -355,42 +355,6 @@ def generate_workload(
     )
 
 
-def circular_demand_workload(
-    nodes: Sequence[NodeId],
-    value_per_payment: float,
-    payments_per_pair: int,
-    duration: float,
-    seed: Optional[int] = 0,
-) -> TransactionWorkload:
-    """A synthetic balanced circulation: every node pays the next one in a ring.
-
-    Useful for tests and ablations: a balanced circulation is sustainable
-    indefinitely by a balance-aware router, so completion ratios should stay
-    high; routers that ignore balance drain channels and stall.
-    """
-    if len(nodes) < 2:
-        raise ValueError("need at least two nodes for a circulation")
-    rng = np.random.default_rng(seed)
-    requests: List[TransactionRequest] = []
-    total = payments_per_pair * len(nodes)
-    times = np.sort(rng.uniform(0.0, duration, size=total))
-    index = 0
-    for round_number in range(payments_per_pair):
-        for position, sender in enumerate(nodes):
-            recipient = nodes[(position + 1) % len(nodes)]
-            requests.append(
-                TransactionRequest(
-                    arrival_time=float(times[index]),
-                    sender=sender,
-                    recipient=recipient,
-                    value=value_per_payment,
-                )
-            )
-            index += 1
-    config = WorkloadConfig(duration=duration, arrival_rate=max(total / duration, 1e-6), seed=seed)
-    return TransactionWorkload(requests=requests, config=config)
-
-
 @dataclass
 class StreamingWorkload:
     """A workload delivered in chunks instead of one materialized list.

@@ -15,8 +15,6 @@ class TestSplicerConfig:
         assert config.router.path_count == 5
         assert config.router.update_interval == pytest.approx(0.2)
         assert config.router.queue_limit == pytest.approx(8000.0)
-        assert config.router.beta == pytest.approx(10.0)
-        assert config.router.gamma == pytest.approx(0.1)
         assert config.router.scheduler == "lifo"
         assert config.router.path_type == "edw"
 

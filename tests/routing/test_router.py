@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.routing.congestion import MIN_WINDOW
 from repro.routing.router import RateRouter, RouterConfig
 from repro.routing.transaction import Payment
 from repro.topology.network import PCNetwork
@@ -257,54 +256,9 @@ class TestQueueAccounting:
         assert router.queued_value("n4") == pytest.approx(0.0)
 
 
-class TestWindows:
-    """The regime where the windows act (equations 27-28).
-
-    Each expired payment takes ``beta`` off its pair's first path, so five of
-    them bring the initial 50-unit window to one unit, and a second unit then
-    waits for the first to settle.  The figure-1 circulation of
-    ``tests/integration/test_end_to_end.py`` reaches this state.
-    """
-
-    PATH = ("A", "C", "B")
-
-    @pytest.mark.parametrize("windows, launched", [(True, 1), (False, 2)], ids=["on", "off"])
-    def test_aborts_shrink_a_window_to_one_unit(self, triangle_network, windows, launched):
-        config = RouterConfig(
-            path_count=1, hop_delay=0.01,
-            rate_control_enabled=False, congestion_control_enabled=windows,
-        )
-        triangle_network.channel("C", "B").transfer("C", 9.5)
-        router = RateRouter(triangle_network, config)
-        stuck = [Payment.create("A", "B", 1.0, created_at=0.0, timeout=0.5) for _ in range(5)]
-        for payment in stuck:
-            router.submit(payment, 0.0)
-        _run(router, 1.0)
-        assert all(payment.is_failed for payment in stuck)
-        assert router.congestion.window(self.PATH).size == MIN_WINDOW
-
-        triangle_network.channel("C", "B").transfer("B", 9.5)  # C's side refilled
-        payment = Payment.create("A", "B", 8.0, created_at=1.0, timeout=3.0)
-        router.submit(payment, 1.0)
-        router.step(1.1, 0.1)
-        assert len(payment.units) == 2
-        assert router.in_flight_count() == launched
-        for step in range(2, 6):
-            router.step(1.0 + 0.1 * step, 0.1)
-        assert payment.is_complete
-
-
 class TestAblations:
     def test_runs_without_rate_control(self, line_network):
         config = RouterConfig(rate_control_enabled=False, hop_delay=0.01)
-        router = RateRouter(line_network, config)
-        payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
-        router.submit(payment, 0.0)
-        _run(router, 1.0)
-        assert payment.is_complete
-
-    def test_runs_without_congestion_control(self, line_network):
-        config = RouterConfig(congestion_control_enabled=False, hop_delay=0.01)
         router = RateRouter(line_network, config)
         payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
         router.submit(payment, 0.0)
@@ -371,8 +325,7 @@ class TestEmptyPathSearch:
     The goldens never reach a path search that finds nothing, so this pins
     what the router does then: it answers ``[]`` for ``path_refresh_interval``
     while the rate controller keeps the previous paths, which stay priced and
-    get an uncapped demand boost.  An expiry then penalises no window: a pair
-    whose last search found nothing dispatches on no path.
+    get an uncapped demand boost.
     """
 
     PATH = ("n0", "n1", "n2", "n3", "n4")
@@ -403,9 +356,6 @@ class TestEmptyPathSearch:
         report = router.step(1.6, 0.1)
         assert payment in report.failed_payments
         assert router.queued_unit_count() == 0
-        initial = router.congestion.initial_window
-        assert router.congestion.window(self.PATH).size == initial
-        assert router.congestion.window(("n0", "n4")).size == initial
 
         # The empty answer holds for path_refresh_interval despite the reopen.
         line_network.add_channel("n1", "n2", 50.0, 50.0)

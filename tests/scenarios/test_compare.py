@@ -364,6 +364,18 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'router.delay_threshold'"],
                 id="delay_threshold",
             ),
+            # So were the congestion windows, their switch and their factors.
+            pytest.param(
+                ["paper-default"],
+                'schemes.0.params={"router": {"congestion_control_enabled": false}}',
+                ["'splicer'", "unknown parameter 'router.congestion_control_enabled'"],
+                id="congestion_control_enabled",
+            ),
+            pytest.param(
+                ["paper-default"], 'schemes.0.params={"router": {"beta": 10.0}}',
+                ["'splicer'", "unknown parameter 'router.beta'"],
+                id="beta",
+            ),
         ],
     )
     def test_run_rejects_unknown_scheme_parameter(self, capsys, scenario, override, needles):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.reference.workload import generate_workload as reference_generate_workload
-from repro.simulator.workload import WorkloadConfig, circular_demand_workload, generate_workload
+from repro.simulator.workload import WorkloadConfig, generate_workload
 
 
 class TestWorkloadConfig:
@@ -94,20 +94,6 @@ class TestGenerateWorkload:
             counts[request.recipient] = counts.get(request.recipient, 0) + 1
         top_share = max(counts.values()) / workload.count
         assert top_share > 0.15
-
-
-class TestCircularWorkload:
-    def test_ring_demand(self):
-        workload = circular_demand_workload(["a", "b", "c"], 2.0, payments_per_pair=4, duration=10.0, seed=1)
-        assert workload.count == 12
-        assert workload.total_value == pytest.approx(24.0)
-        senders = {r.sender for r in workload.requests}
-        recipients = {r.recipient for r in workload.requests}
-        assert senders == recipients == {"a", "b", "c"}
-
-    def test_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            circular_demand_workload(["a"], 1.0, 1, 1.0)
 
 
 class TestBackendEquivalence:
