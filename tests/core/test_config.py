@@ -1,5 +1,7 @@
 """Tests for the Splicer configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import SplicerConfig
@@ -24,6 +26,21 @@ class TestSplicerConfig:
         assert modified.router.path_count == 7
         assert modified.router.scheduler == "fifo"
         assert config.router.path_count == 5  # original untouched
+
+    def test_with_router_rejects_removed_field(self):
+        # The congestion windows' switch went with the windows.
+        with pytest.raises(TypeError, match="congestion_control_enabled"):
+            SplicerConfig().with_router(congestion_control_enabled=False)
+
+    def test_router_fields(self):
+        # Every router option a scenario may set; a new one is a deliberate change.
+        assert [f.name for f in fields(RouterConfig)] == [
+            "path_type", "path_count", "min_tu", "max_tu", "update_interval",
+            "settlement_delay", "hop_delay", "alpha", "kappa", "eta",
+            "max_imbalance_gap", "t_fee", "scheduler", "queue_limit",
+            "initial_rate", "min_rate", "path_refresh_interval",
+            "rate_control_enabled", "imbalance_pricing_enabled",
+        ]
 
     def test_custom_router_config(self):
         router = RouterConfig(path_type="eds", path_count=3)

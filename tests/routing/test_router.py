@@ -68,6 +68,21 @@ class TestSubmission:
         with pytest.raises(ValueError):
             RouterConfig(queue_limit=0.0)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            # The congestion windows (equations 27-28) and their factors ...
+            ("congestion_control_enabled", False),
+            ("beta", 10.0),
+            ("gamma", 1.0),
+            # ... and the queue-delay marking were deleted, not switched off.
+            ("delay_threshold", 0.4),
+        ],
+    )
+    def test_removed_options_rejected(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            RouterConfig(**{option: value})
+
 
 class TestDelivery:
     def test_simple_payment_completes(self, line_network, fast_config):
@@ -256,9 +271,63 @@ class TestQueueAccounting:
         assert router.queued_value("n4") == pytest.approx(0.0)
 
 
+    def test_mixed_outcomes_leave_nothing_held(self, triangle_network, fast_config):
+        triangle_network.channel("C", "B").transfer("C", 9.5)
+        router = RateRouter(triangle_network, fast_config)
+        stuck = Payment.create("A", "B", 5.0, created_at=0.0, timeout=0.5)
+        direct = Payment.create("A", "C", 3.0, created_at=0.0, timeout=3.0)
+        assert router.submit(stuck, 0.0).accepted
+        assert router.submit(direct, 0.0).accepted
+        assert router.active_payment_count() == 2
+        reports = _run(router, 1.5)
+        assert _failed(reports) == [stuck]
+        assert _completed(reports) == [direct]
+        assert router.active_payment_count() == 0
+        assert router.in_flight_count() == 0
+        assert router.queued_unit_count() == 0
+        assert router.queued_value("A") == pytest.approx(0.0)
+
+
+class TestAbortsDoNotThrottle:
+    """Expired payments leave a pair's dispatch as it was.
+
+    Under the paper's congestion windows (equations 27-28, not implemented)
+    each expiry here would have shrunk the path's window, and the second
+    unit of the next payment would have waited for the first to settle.
+    """
+
+    def test_both_units_launch_after_five_expiries(self, triangle_network):
+        config = RouterConfig(path_count=1, hop_delay=0.01, rate_control_enabled=False)
+        triangle_network.channel("C", "B").transfer("C", 9.5)
+        router = RateRouter(triangle_network, config)
+        stuck = [Payment.create("A", "B", 1.0, created_at=0.0, timeout=0.5) for _ in range(5)]
+        for payment in stuck:
+            router.submit(payment, 0.0)
+        _run(router, 1.0)
+        assert all(payment.is_failed for payment in stuck)
+
+        triangle_network.channel("C", "B").transfer("B", 9.5)  # C's side refilled
+        payment = Payment.create("A", "B", 8.0, created_at=1.0, timeout=3.0)
+        router.submit(payment, 1.0)
+        router.step(1.1, 0.1)
+        assert len(payment.units) == 2
+        assert router.in_flight_count() == 2
+        for step in range(2, 6):
+            router.step(1.0 + 0.1 * step, 0.1)
+        assert payment.is_complete
+
+
 class TestAblations:
     def test_runs_without_rate_control(self, line_network):
         config = RouterConfig(rate_control_enabled=False, hop_delay=0.01)
+        router = RateRouter(line_network, config)
+        payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
+        router.submit(payment, 0.0)
+        _run(router, 1.0)
+        assert payment.is_complete
+
+    def test_runs_without_imbalance_pricing(self, line_network):
+        config = RouterConfig(imbalance_pricing_enabled=False, hop_delay=0.01)
         router = RateRouter(line_network, config)
         payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
         router.submit(payment, 0.0)

@@ -376,6 +376,11 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'router.beta'"],
                 id="beta",
             ),
+            pytest.param(
+                ["paper-default"], 'schemes.0.params={"router": {"gamma": 1.0}}',
+                ["'splicer'", "unknown parameter 'router.gamma'"],
+                id="gamma",
+            ),
         ],
     )
     def test_run_rejects_unknown_scheme_parameter(self, capsys, scenario, override, needles):
