@@ -1051,7 +1051,10 @@ def _command_perf(args: argparse.Namespace) -> int:
             # A transient load spike (noisy neighbor, cgroup throttling) can
             # inflate one measurement pass; regressions must survive an
             # independent re-measurement before they fail the gate.
-            retry_names = {name for name, *_ in comparison.regressions}
+            retry_names = {
+                name.removesuffix(perf_baseline.MEMORY_SUFFIX)
+                for name, *_ in comparison.regressions
+            }
             log.info(f"re-measuring {len(retry_names)} regressed benchmark(s) to rule out noise")
             retry_specs = [spec for spec in specs if spec.name in retry_names]
             retry = run_specs(retry_specs, repeats=args.repeats)

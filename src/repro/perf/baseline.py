@@ -31,6 +31,9 @@ DEFAULT_TOLERANCE = 0.25
 #: structure accidentally materialized per item, not 5% drift.
 DEFAULT_MEMORY_TOLERANCE = 0.50
 
+#: Appended to a benchmark's name in the regression row of its memory gate.
+MEMORY_SUFFIX = " [memory]"
+
 
 @dataclass
 class BaselineEntry:
@@ -169,7 +172,7 @@ def compare_report(
             memory_ratio = record.peak_mib / entry.peak_mib
             if memory_ratio > 1.0 + memory_tolerance:
                 comparison.regressions.append(
-                    (f"{record.name} [memory]", entry.peak_mib, record.peak_mib, memory_ratio)
+                    (record.name + MEMORY_SUFFIX, entry.peak_mib, record.peak_mib, memory_ratio)
                 )
         if entry.normalized <= 0:
             comparison.unchanged.append(record.name)

@@ -330,8 +330,9 @@ def cost_model_from_network(
             sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (``inf``
             where unreachable) or per-candidate reachable-only hop-count
             dicts (the oracle's BFS probe).  ``None`` probes the network with
-            batched ``scipy.sparse.csgraph`` sweeps over its bare adjacency
-            CSR, one chunk of candidates per sweep.
+            bit-parallel BFS sweeps over its bare adjacency CSR
+            (:meth:`repro.topology.csr.AdjacencyCSR.distances_from`), one
+            chunk of candidates per sweep.
     """
     client_list = list(clients) if clients is not None else network.clients()
     candidate_list = list(candidates) if candidates is not None else network.candidates()

@@ -188,7 +188,7 @@ def build_problem(
     ``hops`` optionally injects a pre-made probe (the figure-9 pipeline's
     persistent hop-matrix rows, or the oracle's per-candidate dicts; see
     :func:`~repro.placement.costs.cost_model_from_network`); otherwise the
-    network is probed with one batched csgraph sweep.
+    network is probed with batched bit-parallel BFS sweeps.
     """
     cost_model = cost_model_from_network(
         network,

@@ -36,7 +36,7 @@ def hop_probe(
     """Per-candidate hop-count dicts, one networkx BFS per candidate.
 
     Feeds ``build_problem(network, ..., hops=hop_probe(network))`` in place
-    of the batched csgraph sweep.
+    of the batched bit-parallel BFS sweep.
     """
     candidate_list = list(candidates) if candidates is not None else network.candidates()
     return {candidate: hop_counts_from(network, candidate) for candidate in candidate_list}

@@ -17,8 +17,9 @@ once per ``topology_version`` and implements the queries on top:
   refreshed from the channel objects on demand (a list for element-wise
   reads plus an ndarray mirror for whole-vector filters, with one writer),
 * batched distance queries -- ``hop_counts_from`` / ``all_pairs`` /
-  multi-source probes run as single C-level ``scipy.sparse.csgraph``
-  sweeps instead of per-source Python BFS,
+  multi-source probes run as bit-parallel numpy BFS sweeps, 64 sources to
+  a ``uint64`` word (:meth:`AdjacencyCSR.distances_from`), instead of
+  per-source Python BFS,
 * faithful ports of the exact algorithms networkx runs for the scalar
   reference: the bidirectional BFS of ``nx.shortest_path`` (with the
   ignore-node/ignore-edge filters of ``shortest_simple_paths``), Yen's
@@ -49,14 +50,13 @@ neighbor iteration order, same heap keys, same first-meet detection), so
 path lists are identical to the reference's -- enforced by
 ``tests/topology/test_csr_equivalence.py``.
 
-scipy is imported by the three kernels that call it and nowhere else: the
-batched distance sweep (:meth:`AdjacencyCSR.distances_from`, whose
-unit-weight matrix is built on its first call) and the widest-path level
-drain (:meth:`GraphArrays._drain_level` and its buffers).  The hop-count
-BFS, Yen, the edge-disjoint kernels and the catalog rows run on numpy and
-Python lists alone, so a run that never sweeps distances or drains a level
-never maps scipy (``tests/test_package.py`` runs the atomic baselines with
-it blocked).
+scipy is imported by the one kernel here that calls it and nowhere else:
+the widest-path level drain (:meth:`GraphArrays._drain_level` and its
+buffers).  The batched distance sweep, the hop-count BFS, Yen, the
+edge-disjoint kernels and the catalog rows run on numpy and Python lists
+alone, so a run that never drains a level never maps scipy
+(``tests/test_package.py`` runs the atomic baselines and the figure-9
+placement sweep with it blocked).
 """
 
 from __future__ import annotations
@@ -179,8 +179,6 @@ class AdjacencyCSR:
             dtype=np.intp,
             count=self.slot_count,
         )
-        #: Unit-weight sparse matrix of :meth:`distances_from`, built on first use.
-        self._unit_weights: Optional[sparse.csr_matrix] = None
 
     @property
     def node_count(self) -> int:
@@ -211,22 +209,73 @@ class AdjacencyCSR:
     def distances_from(self, rows: Sequence[int]) -> np.ndarray:
         """Hop-count rows from the given sources; ``inf`` marks unreachable.
 
-        One C-level call whatever the source count -- this is the batched
-        BFS the placement cost probe and ``all_pairs_hop_counts`` ride on.
-        """
-        rows = list(rows)
-        n = self.node_count
-        if n == 0:
-            return np.zeros((len(rows), 0))
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
+        Row ``i`` holds the hops from ``rows[i]`` to every node row.  This is
+        the batched BFS the placement cost probe, Splicer's set-up and
+        ``all_pairs_hop_counts`` ride on: a multi-source, bit-parallel BFS
+        in which source ``i`` of a sweep owns bit ``i % 64`` of word
+        ``i // 64`` of every node's ``uint64`` frontier and seen words.  One
+        hop level is one gather of the frontier words over ``indices`` and
+        one ``bitwise_or.reduceat`` over the rows' slot ranges; what a row
+        reaches that it had not seen is its frontier for the next level,
+        and the frontier's bits unpack into a mask that writes the level's
+        hop count.  Hop counts are integers, so the rows are exactly what
+        any shortest-path sweep writes, and the sources a sweep packs cannot
+        change a bit.
 
-        if self._unit_weights is None:
-            self._unit_weights = csr_matrix(
-                (np.ones(self.slot_count), self.indices, self.indptr), shape=(n, n)
-            )
-        result = dijkstra(self._unit_weights, directed=True, unweighted=True, indices=rows)
-        return np.atleast_2d(result)
+        A row *pulls* its next frontier from the rows in its own slot range.
+        Those are the rows that can reach it only because the CSR is
+        symmetric: channels are undirected, so every hop is stored both
+        ways.  Rows without a slot
+        take no part in the reduction (their empty ranges would read their
+        successor's slots, and the last one's would start past the end of
+        ``indices``); one is reached only as its own source.  A sweep packs
+        as many words as keep its per-level gather, ``slots x words`` of
+        ``uint64``, within the scratch budget of
+        :func:`repro.placement.costs.scratch_rows` (the cost blocks' budget,
+        borrowed), so ``all_pairs_hop_counts`` at 3000 nodes runs in ten
+        sweeps of 320 sources.
+        """
+        from repro.placement.costs import scratch_rows
+
+        sources = np.asarray(rows, dtype=np.intp)
+        result = np.full((len(sources), self.node_count), np.inf)
+        linked = np.flatnonzero(np.diff(self.indptr))
+        per_sweep = 64 * scratch_rows(self.slot_count)
+        for first in range(0, len(sources), per_sweep):
+            end = first + per_sweep
+            self._sweep(sources[first:end], linked, result[first:end])
+        return result
+
+    def _sweep(self, sources: np.ndarray, linked: np.ndarray, out: np.ndarray) -> None:
+        """One bit-parallel BFS of :meth:`distances_from`: ``out``'s rows from ``sources``.
+
+        ``linked`` are the rows with a slot.  Each level's frontier -- the
+        sources themselves at level 0 -- unpacks to a ``(rows, sources)``
+        mask that writes the level into ``out`` through its transpose.
+        """
+        count = len(sources)
+        bit = np.arange(count)
+        frontier = np.zeros((self.node_count, -(-count // 64)), dtype="<u8")
+        np.bitwise_or.at(
+            frontier, (sources, bit // 64), np.left_shift(np.uint64(1), (bit % 64).astype("<u8"))
+        )
+        seen = frontier[linked]
+        starts = self.indptr[linked]
+        gathered = np.empty((self.slot_count, frontier.shape[1]), dtype="<u8")
+        level = 0
+        while True:
+            # Little-endian words: bit ``i % 64`` of word ``i // 64`` unpacks to column ``i``.
+            bits = np.unpackbits(frontier.view(np.uint8), axis=1, count=count, bitorder="little")
+            np.copyto(out.T, level, where=bits.view(bool))
+            level += 1
+            np.take(frontier, self.indices, axis=0, out=gathered)
+            reached = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            reached &= ~seen
+            if not reached.any():
+                return
+            seen |= reached
+            frontier.fill(0)
+            frontier[linked] = reached
 
 
 class GraphArrays(AdjacencyCSR):

@@ -14,10 +14,10 @@ networkx structures.
 The path/distance helpers run on :mod:`repro.topology.csr`, which mirrors
 the adjacency into CSR arrays (rebuilt lazily whenever ``topology_version``
 moves) for array-backed path search that reproduces networkx's results,
-tie-breaks included.  Only the batched distance sweep
-(:meth:`PCNetwork.hop_count_rows` and what rides on it) and the widest-path
-level drain load scipy, on their first call; every other query runs without
-it.
+tie-breaks included.  Only the widest-path level drain loads scipy, on its
+first call; every other query -- the batched distance sweep of
+:meth:`PCNetwork.hop_count_rows` and what rides on it included -- runs
+without it.
 """
 
 from __future__ import annotations
@@ -347,10 +347,12 @@ class PCNetwork:
     def hop_count_rows(self, sources: Sequence[NodeId]):
         """Batched hop counts: ``(node order, distances array)`` for ``sources``.
 
-        One C-level BFS sweep for all sources; row ``i`` holds the hop counts
-        from ``sources[i]`` to every node in the returned node order, ``inf``
-        where unreachable.  Runs on a throwaway bare adjacency CSR, never on
-        the routing mirror of :meth:`graph_arrays`.
+        Bit-parallel numpy BFS sweeps, 64 sources to a ``uint64`` word
+        (:meth:`repro.topology.csr.AdjacencyCSR.distances_from`); row ``i``
+        holds the hop counts from ``sources[i]`` to every node in the
+        returned node order, ``inf`` where unreachable.  Runs on a throwaway
+        bare adjacency CSR, never on the routing mirror of
+        :meth:`graph_arrays`.
         """
         from repro.topology.csr import AdjacencyCSR
 

@@ -47,6 +47,17 @@ def test_perf_cli_emits_report_updates_baseline_and_gates(tmp_path, capsys):
     gate_output = capsys.readouterr().out
     assert "REGRESSION" not in gate_output
 
+    # A memory-only regression is re-measured like a slow one, then fails.
+    with open(baseline, encoding="utf-8") as handle:
+        stored = json.load(handle)
+    stored["entries"]["routing-step/small"]["peak_mib"] = 1e-6
+    with open(baseline, "w", encoding="utf-8") as handle:
+        json.dump(stored, handle)
+    assert cli_main(base_args + ["--check", "--tolerance", "5.0"]) == 1
+    gate_output = capsys.readouterr().out
+    assert "re-measuring 1 regressed benchmark(s)" in gate_output
+    assert "REGRESSION routing-step/small [memory]" in gate_output
+
     # No baseline file is a usage error, not a silent pass.
     missing = str(tmp_path / "absent.json")
     assert (

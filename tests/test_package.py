@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -89,7 +90,7 @@ def test_importing_the_cli_module_loads_no_subcommand_stack():
 def test_building_the_parser_loads_neither_networkx_nor_the_path_kernels():
     """The scheme zoo is in; the oracle's library, the path kernels
     (``repro.topology.csr``, first needed by a path query) and scipy (first
-    needed by a distance sweep, a level drain or a MILP) are not."""
+    needed by a level drain or a MILP) are not."""
     result = _probe(
         "import sys, repro.__main__ as cli\n"
         "cli._build_parser()\n"
@@ -105,9 +106,9 @@ def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
     """Everything a shard needs is in the parent when the pool starts, so
     workers inherit it instead of importing it once each -- and nothing a
     Watts-Strogatz sweep never uses (networkx).  scipy is the one deliberate
-    exception: only the distance sweep, the widest-path level drain and the
-    MILP call it, so a worker whose shards reach one of them imports it
-    itself, and a sweep of atomic baselines never maps it."""
+    exception: only the widest-path level drain and the MILP call it, so a
+    worker whose shards reach one of them imports it itself, and a sweep of
+    atomic baselines or of the greedy placements never maps it."""
     result = _probe(
         "import sys, repro.__main__ as cli\n"
         "from repro.scenarios import jsonl\n"
@@ -179,19 +180,69 @@ def test_the_atomic_baselines_run_without_scipy(tmp_path):
             assert "executed 0 run(s)" in rerun.stdout
 
 
-def test_blocking_scipy_stops_the_distance_sweep():
-    """The control of the test above: with scipy blocked, a kernel that needs
-    it raises, so a run that exits 0 really ran without it."""
+def _plan_rows(path) -> list:
+    """A placement sweep's rows without ``solve_seconds`` (wall clock), sorted."""
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            row = json.loads(line)
+            del row["solve_seconds"]
+            rows.append(json.dumps(row, sort_keys=True))
+    return sorted(rows)
+
+
+def test_the_placement_sweep_runs_without_scipy(tmp_path):
+    """The hop probe, the cost build, the exact search and both double
+    greedies never import scipy, on one worker or on a forked pool, and
+    write the rows and table of a run that is free to import it -- which
+    loads no scipy module either."""
+    free = (
+        "import sys\n"
+        "from repro.__main__ import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "sys.exit(', '.join(loaded) or 0)\n"
+    )
+    for scale, size in (("small", []), ("paper", ["--nodes", "300"])):
+        common = ["place-compare", "--scale", scale, *size, "--quiet"]
+        reference = tmp_path / f"{scale}-free"
+        result = _cli(free, [*common, "--workers", "1", "--results-dir", str(reference)])
+        assert result.returncode == 0, result.stderr
+        for workers in ("1", "2"):
+            results = tmp_path / f"{scale}-w{workers}"
+            argv = [*common, "--workers", workers, "--results-dir", str(results)]
+            result = _cli(_SCIPY_BLOCKED, argv)
+            assert result.returncode == 0, result.stderr
+            assert "Figure 9 placement comparison" in result.stdout
+            rows = f"place-{scale}.jsonl"
+            assert _plan_rows(results / rows) == _plan_rows(reference / rows)
+            table = f"fig9-{scale}.txt"
+            assert _sorted_rows(results / table) == _sorted_rows(reference / table)
+            rerun = _cli(_SCIPY_BLOCKED, argv)
+            assert rerun.returncode == 0, rerun.stderr
+            assert "executed 0 run(s)" in rerun.stdout
+
+
+def test_blocking_scipy_stops_the_level_drain():
+    """The control of the tests above: with scipy blocked, the batched
+    distance sweep still runs, while the widest-path level drain -- forced
+    on at its first level -- raises, so a run that exits 0 really ran
+    without scipy."""
     result = _probe(
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "from repro.topology import csr\n"
         "from repro.topology.generators import watts_strogatz_pcn\n"
-        "network = watts_strogatz_pcn(30, 4, 0.1, seed=1)\n"
-        "assert network.shortest_path(*network.nodes()[:2])\n"
+        "network = watts_strogatz_pcn(30, 4, 0.1, uniform_channel_size=100.0, seed=1)\n"
+        "nodes = network.nodes()\n"
+        "assert network.shortest_path(*nodes[:2])\n"
+        "node_order, rows = network.hop_count_rows(nodes[:2])\n"
+        "assert rows.shape == (2, 30) and rows[0, node_order.index(nodes[0])] == 0\n"
+        "csr._DRAIN_LEVEL_POPS, csr._DRAIN_MIN_UNVISITED = 0, 0\n"
         "try:\n"
-        "    network.hop_count_rows(network.nodes()[:2])\n"
+        "    network.graph_arrays().edge_disjoint_widest_paths(nodes[0], nodes[15], 1)\n"
         "except ImportError:\n"
         "    sys.exit(0)\n"
-        "sys.exit('hop_count_rows ran with scipy blocked')\n"
+        "sys.exit('the level drain ran with scipy blocked')\n"
     )
     assert result.returncode == 0, result.stderr

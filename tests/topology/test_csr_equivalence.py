@@ -13,6 +13,7 @@ cached catalogs equal freshly generated ones, including after
 
 import itertools
 from heapq import heappop
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.batch import PathCatalog
+from repro.placement import costs
+from repro.placement.compare import build_place_network
 from repro.reference import topology as reference
 from repro.routing.paths import (
     PATH_SELECTORS,
@@ -232,6 +235,101 @@ class TestDistanceHelperEquivalence:
             assert mirror.adjacency[row] == neighbors
             assert mirror.pairs[row] == list(zip(neighbors, slots))
             assert [mirror.slot_of[(row, neighbor)] for neighbor in neighbors] == slots
+
+
+@st.composite
+def hop_sweep_cases(draw):
+    """A sparse random channel graph with isolated rows, and a source list.
+
+    Node ids are strings (``"n0"``, ``"n1"``, ...) so rows and ids differ
+    in kind.  ``last_isolated`` keeps every channel off the last row, the
+    one whose slot range starts past the end of ``indices``.  Sources are
+    drawn from a small pool, so long lists repeat nodes; 130 sources span
+    three 64-bit words.
+    """
+    nodes = draw(st.integers(min_value=1, max_value=40))
+    last_isolated = draw(st.booleans())
+    linked = nodes - 1 if last_isolated else nodes
+    possible = [(a, b) for a in range(linked) for b in range(a + 1, linked)]
+    edges = (
+        draw(st.lists(st.sampled_from(possible), max_size=2 * nodes, unique=True))
+        if possible
+        else []
+    )
+    pool = draw(
+        st.lists(st.integers(min_value=0, max_value=nodes - 1), min_size=1, max_size=8)
+    )
+    count = draw(st.sampled_from([0, 1, 63, 64, 65, 130]))
+    sources = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(count)]
+    budget = draw(st.sampled_from([None, 8]))
+    return nodes, edges, sources, budget
+
+
+def _hop_sweep_network(nodes, edges):
+    network = PCNetwork()
+    for node in range(nodes):
+        network.add_node(f"n{node}")
+    for node_a, node_b in edges:
+        network.add_channel(f"n{node_a}", f"n{node_b}", 10.0)
+    return network
+
+
+class TestBitParallelSweep:
+    """``AdjacencyCSR.distances_from`` against the networkx BFS of the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=hop_sweep_cases())
+    def test_rows_equal_the_reference_bfs(self, case):
+        nodes, edges, sources, budget = case
+        network = _hop_sweep_network(nodes, edges)
+        names = [f"n{source}" for source in sources]
+        # ``budget`` 8 bytes: every sweep packs one word, so 130 sources take three.
+        with mock.patch.object(costs, "_SCRATCH_BYTES", budget or costs._SCRATCH_BYTES):
+            graph = csr.AdjacencyCSR(network)
+            rows = graph.distances_from(graph.rows_of(names))
+            node_order, batched = network.hop_count_rows(names)
+        assert rows.shape == (len(sources), nodes)
+        assert node_order == graph.node_ids
+        assert np.array_equal(batched, rows)
+        for row, name in zip(rows, names):
+            expected = np.full(nodes, np.inf)
+            for node, hops in reference.hop_counts_from(network, name).items():
+                expected[graph.node_row[node]] = hops
+            assert np.array_equal(row, expected)
+        assert network.all_pairs_hop_counts() == reference.all_pairs_hop_counts(network)
+
+    def test_an_empty_network(self):
+        network = PCNetwork()
+        graph = csr.AdjacencyCSR(network)
+        assert graph.distances_from([]).shape == (0, 0)
+        node_order, matrix = network.hop_count_rows([])
+        assert node_order == [] and matrix.shape == (0, 0)
+        assert network.all_pairs_hop_counts() == {}
+
+    def test_paper_scale_all_pairs_sweep_in_budgeted_chunks(self, monkeypatch):
+        network = build_place_network({"nodes": 3000}, 1)
+        graph = csr.AdjacencyCSR(network)
+        swept = []
+        sweep = csr.AdjacencyCSR._sweep
+
+        def spy(self, sources, *args):
+            swept.append(len(sources))
+            return sweep(self, sources, *args)
+
+        monkeypatch.setattr(csr.AdjacencyCSR, "_sweep", spy)
+        rows = graph.distances_from(range(graph.node_count))
+        words = costs.scratch_rows(graph.slot_count)
+        assert graph.slot_count * words * 8 <= costs._SCRATCH_BYTES
+        assert len(swept) > 1 and sum(swept) == graph.node_count
+        assert max(swept) == 64 * words
+        assert np.array_equal(rows, rows.T)
+        assert not np.diagonal(rows).any()
+        sample = graph.node_ids[::997]
+        for source in sample:
+            hops = reference.hop_counts_from(network, source)
+            expected = np.full(graph.node_count, np.inf)
+            expected[graph.rows_of(list(hops))] = list(hops.values())
+            assert np.array_equal(rows[graph.node_row[source]], expected)
 
 
 class TestMutationEquivalence:
