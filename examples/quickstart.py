@@ -1,4 +1,4 @@
-"""Quickstart: build a PCN, place the hubs, and route an encrypted payment.
+"""Quickstart: build a PCN, place the hubs, and route a payment through one.
 
 Run with::
 
@@ -6,9 +6,9 @@ Run with::
 
 The script builds a 60-node Watts-Strogatz payment channel network funded
 from the paper's channel-size distribution, lets Splicer elect and place its
-smooth nodes, and then pushes one payment through the full encrypted
-workflow (client -> smooth node -> multi-path rate-based routing ->
-acknowledgment).
+smooth nodes, and then pushes one payment through the workflow (client ->
+smooth node -> multi-path rate-based routing -> acknowledgment), whose
+messages Splicer counts as overhead.
 """
 
 from repro.core.config import SplicerConfig
@@ -39,8 +39,8 @@ def main() -> None:
     clients = sorted(system.clients, key=str)
     sender, recipient = clients[0], clients[-1]
     print(f"\nSending 25 tokens from {sender} to {recipient} ...")
-    session, decision = system.submit_payment(sender, recipient, 25.0, now=0.0)
-    print(f"  transaction id: {session.tid}")
+    decision = system.submit_payment(sender, recipient, 25.0, now=0.0)
+    print(f"  payment id: {decision.payment.payment_id} (via hub {system.hub_of(sender)})")
     print(f"  split into {len(decision.payment.units)} transaction units "
           f"over {len(decision.paths)} candidate paths")
 
@@ -48,7 +48,7 @@ def main() -> None:
     payment = decision.payment
     if payment.is_complete:
         print(f"  completed in {payment.latency:.2f}s "
-              f"({payment.hops_used} channel hops, ack forwarded: {session.ack_sent})")
+              f"({payment.hops_used} channel hops, acks forwarded: {system.acks_forwarded})")
     else:
         print(f"  payment did not complete (status: {payment.status.value})")
 

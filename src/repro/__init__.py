@@ -8,14 +8,14 @@ It contains:
 * :mod:`repro.placement` -- the PCH placement optimization (MILP for
   small-scale networks, supermodular double-greedy for large-scale).
 * :mod:`repro.routing` -- the rate-based, deadlock-free routing protocol.
-* :mod:`repro.core` -- the Splicer system tying placement and routing together.
+* :mod:`repro.core` -- the Splicer system tying candidate voting, placement
+  and routing together, with the section III-A workflow counted as messages.
 * :mod:`repro.baselines` -- Spider, Flash, landmark routing, A2L and
   shortest-path comparison schemes.
 * :mod:`repro.simulator` -- a discrete-event PCN simulator used by the
   evaluation harness.
 * :mod:`repro.scenarios` -- declarative scenarios, mid-run network dynamics
   and the parallel sweep runner behind the ``python -m repro`` CLI.
-* :mod:`repro.crypto` -- simulated key management, HTLC and contract layer.
 * :mod:`repro.analysis` -- metrics tables and summary statistics.
 """
 

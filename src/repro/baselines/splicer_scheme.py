@@ -1,8 +1,8 @@
 """Splicer wrapped in the comparison-scheme interface.
 
 The scheme wires a full :class:`~repro.core.splicer.SplicerSystem` (candidate
-election, placement optimization, client attachment, the encrypted payment
-workflow, and the rate-based routing protocol) behind the same
+election, placement optimization, client attachment, the counted messages of
+the payment workflow, and the rate-based routing protocol) behind the same
 ``prepare`` / ``submit`` / ``step`` interface the baselines implement, so the
 experiment runner can replay identical workloads over all of them.
 """
@@ -52,7 +52,7 @@ class SplicerScheme(RoutingScheme):
             )
             self.system.router.submit(payment, now)
             return payment
-        session, decision = self.system.submit_payment(
+        decision = self.system.submit_payment(
             sender, request.recipient, request.value, now=now, created_at=request.arrival_time
         )
         return decision.payment
@@ -79,10 +79,7 @@ class SplicerScheme(RoutingScheme):
     # ------------------------------------------------------------------ #
     def _total_control_messages(self) -> float:
         assert self.system is not None
-        management = sum(
-            node.stats.management_messages + node.stats.acks_forwarded
-            for node in self.system.smooth_nodes.values()
-        )
+        management = self.system.management_messages + self.system.acks_forwarded
         sync = self.system.epoch_clock.total_sync_messages()
         probes = self.system.router.total_probe_messages
         return float(management + sync + probes)

@@ -4,32 +4,24 @@ This subpackage ties the substrates together into the system of the paper:
 
 * :class:`~repro.core.config.SplicerConfig` collects every tunable parameter
   with the paper's defaults,
-* :class:`~repro.core.kmg.KeyManagementGroup` issues per-transaction keys,
-* :class:`~repro.core.client.Client` and
-  :class:`~repro.core.smooth_node.SmoothNode` are the two entity types,
-* :class:`~repro.core.payment.PaymentSession` is the encrypted payment
-  workflow of section III-A,
+* :func:`~repro.core.voting.multiwinner_vote` elects the smooth-node
+  candidates when the network designates none,
 * :class:`~repro.core.epochs.EpochClock` models the bounded-synchronous
   epoch communication,
 * :class:`~repro.core.splicer.SplicerSystem` is the public facade: give it a
-  network, it elects candidates, solves placement, wires clients to smooth
-  nodes and routes payments deadlock-free.
+  network, it elects candidates, solves placement, maps every client to its
+  smooth node, routes payments deadlock-free and counts the messages of the
+  section III-A workflow.
 """
 
-from repro.core.client import Client
 from repro.core.config import SplicerConfig
 from repro.core.epochs import EpochClock
-from repro.core.kmg import KeyManagementGroup
-from repro.core.payment import PaymentSession
-from repro.core.smooth_node import SmoothNode
 from repro.core.splicer import SplicerSystem
+from repro.core.voting import multiwinner_vote
 
 __all__ = [
     "SplicerConfig",
-    "KeyManagementGroup",
-    "Client",
-    "SmoothNode",
-    "PaymentSession",
     "EpochClock",
     "SplicerSystem",
+    "multiwinner_vote",
 ]

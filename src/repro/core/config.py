@@ -21,15 +21,20 @@ from repro.routing.router import RouterConfig
 class SplicerConfig:
     """Every tunable parameter of a Splicer deployment.
 
+    The paper's key management group size (iota) has no field: the section
+    III-A workflow is counted, not simulated -- three management messages per
+    client submission and one ACK per completed client payment -- since its
+    toy encryption handed every demand back unchanged and moved no outcome
+    but the message count.
+
     Attributes:
         router: Routing-protocol parameters (paths, rates, prices, queues).
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
         placement_seed: Seed for the randomized placement approximation.
-        candidate_count: Number of smooth-node candidates elected by the
-            voting contract when the network does not already designate them
-            (``None`` keeps the network's candidate set).
-        kmg_size: Number of smooth nodes forming the key management group (iota).
+        candidate_count: Number of smooth-node candidates elected by
+            multiwinner voting when the network does not already designate
+            them (``None`` keeps the network's candidate set).
         epoch_duration: Length of one communication epoch in seconds.
         payment_timeout: Transaction deadline in seconds (paper: 3 s).
         client_hub_hop_delay: One-way communication delay per hop between a
@@ -43,7 +48,6 @@ class SplicerConfig:
     placement_method: str = "auto"
     placement_seed: Optional[int] = 0
     candidate_count: Optional[int] = None
-    kmg_size: int = 3
     epoch_duration: float = 1.0
     payment_timeout: float = 3.0
     client_hub_hop_delay: float = 0.01
@@ -52,8 +56,6 @@ class SplicerConfig:
     def __post_init__(self) -> None:
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
-        if self.kmg_size < 1:
-            raise ValueError("the key management group needs at least one member")
         if self.epoch_duration <= 0:
             raise ValueError("epoch_duration must be positive")
         if self.payment_timeout <= 0:

@@ -4,14 +4,18 @@
 payment channel network:
 
 1. *Candidate election* -- when the network does not already designate
-   candidate smooth nodes, the multiwinner voting contract elects them.
-2. *Placement* -- the placement-optimization contract solves for the actual
-   PCHs (MILP for small candidate sets, double-greedy otherwise) and every
+   candidate smooth nodes, multiwinner voting elects them.
+2. *Placement* -- the placement optimization solves for the actual PCHs
+   (MILP for small candidate sets, double-greedy otherwise) and every
    client is attached to its Lemma-1 optimal hub.
 3. *Routing* -- the smooth nodes run the rate-based deadlock-free routing
    protocol over the shared (epoch-synchronized) network state.
-4. *Workflow* -- payments follow the encrypted prepare/execute/acknowledge
-   workflow of section III-A, with keys issued by the key management group.
+4. *Workflow* -- the prepare/execute/acknowledge workflow of section III-A
+   is counted, not simulated: each client submission costs three
+   management messages (payment request, the ``(tid, pk)`` reply and the
+   encrypted demand) and each completed client payment one final ACK.
+   The demand reaches the router unchanged either way, so the counts are
+   the workflow's whole effect on a run.
 
 The facade exposes a small API (``setup``, ``submit_payment``, ``step``)
 that the examples, tests, benchmarks and the simulator scheme wrapper all
@@ -24,15 +28,13 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.client import Client
 from repro.core.config import SplicerConfig
 from repro.core.epochs import EpochClock
-from repro.core.kmg import KeyManagementGroup
-from repro.core.payment import PaymentSession
-from repro.core.smooth_node import SmoothNode
-from repro.crypto.contracts import PlacementContract, VotingContract
+from repro.core.voting import multiwinner_vote
 from repro.placement.problem import PlacementPlan
+from repro.placement.solver import PlacementSolver, build_problem
 from repro.routing.router import RateRouter, RoutingDecision, StepReport
+from repro.routing.transaction import Payment
 from repro.topology.generators import assign_roles_from_placement
 from repro.topology.network import PCNetwork
 
@@ -40,22 +42,27 @@ NodeId = Hashable
 
 
 class SplicerSystem:
-    """A deployed Splicer instance over a payment channel network."""
+    """A deployed Splicer instance over a payment channel network.
+
+    Attributes:
+        clients: Each client's serving smooth node.
+        management_messages: Workflow messages between clients and their
+            hubs, three per client submission.
+        acks_forwarded: Final acknowledgments forwarded to senders, one per
+            completed client payment.
+    """
 
     def __init__(self, network: PCNetwork, config: Optional[SplicerConfig] = None) -> None:
         self.network = network
         self.config = config or SplicerConfig()
-        self.voting_contract = VotingContract()
-        self.placement_contract = PlacementContract(
-            omega=self.config.omega, method=self.config.placement_method
-        )
         self.router = RateRouter(network, self.config.router)
         self.epoch_clock = EpochClock(duration=self.config.epoch_duration)
         self.placement_plan: Optional[PlacementPlan] = None
-        self.smooth_nodes: Dict[NodeId, SmoothNode] = {}
-        self.clients: Dict[NodeId, Client] = {}
-        self.kmg: Optional[KeyManagementGroup] = None
+        self.clients: Dict[NodeId, NodeId] = {}
+        self._client_hops: Dict[NodeId, int] = {}
         self._hub_pair_hops: Dict[Tuple[NodeId, NodeId], int] = {}
+        self.management_messages = 0
+        self.acks_forwarded = 0
         self._is_setup = False
 
     # ------------------------------------------------------------------ #
@@ -69,38 +76,27 @@ class SplicerSystem:
         if self._is_setup and self.placement_plan is not None:
             return self.placement_plan
 
+        config = self.config
         candidates = self.network.candidates()
-        if self.config.candidate_count is not None or not candidates:
-            winners = self.config.candidate_count or max(2, self.network.node_count() // 10)
-            population = self.network.node_count()
-            candidates = self.voting_contract.elect_candidates(
-                self.network,
-                winners=winners,
-                votes_for=population,
-                votes_total=population,
-            )
+        if config.candidate_count is not None or not candidates:
+            winners = config.candidate_count or max(2, self.network.node_count() // 10)
+            candidates = multiwinner_vote(self.network, winners)
 
-        plan = self.placement_contract.decide_placement(
-            self.network, candidates=candidates, seed=self.config.placement_seed
-        )
+        problem = build_problem(self.network, omega=config.omega, candidates=candidates)
+        plan = PlacementSolver(
+            problem, method=config.placement_method, seed=config.placement_seed
+        ).solve()
         self.placement_plan = plan
         assign_roles_from_placement(self.network, plan.hubs)
 
-        self.kmg = KeyManagementGroup(
-            members=sorted(plan.hubs, key=repr)[: max(self.config.kmg_size, 1)]
-        )
-        self.smooth_nodes = {
-            hub: SmoothNode(node_id=hub, router=self.router, kmg=self.kmg) for hub in plan.hubs
-        }
-
-        self.clients = {}
         hubs = list(plan.hubs)
         hub_index = {hub: i for i, hub in enumerate(hubs)}
         hops = self._hop_counts(hubs, list(plan.assignment) + hubs)
-        for column, (client_id, hub_id) in enumerate(plan.assignment.items()):
-            client = Client(node_id=client_id)
-            self.smooth_nodes[hub_id].attach_client(client, int(hops[hub_index[hub_id], column]))
-            self.clients[client_id] = client
+        self.clients = dict(plan.assignment)
+        self._client_hops = {
+            client_id: int(hops[hub_index[hub_id], column])
+            for column, (client_id, hub_id) in enumerate(plan.assignment.items())
+        }
 
         between = hops[:, len(plan.assignment) :]
         self._hub_pair_hops = {
@@ -133,10 +129,10 @@ class SplicerSystem:
     def hub_of(self, client_id: NodeId) -> NodeId:
         """The smooth node serving a client."""
         self._require_setup()
-        client = self.clients.get(client_id)
-        if client is None or client.smooth_node_id is None:
+        hub_id = self.clients.get(client_id)
+        if hub_id is None:
             raise KeyError(f"{client_id!r} is not a client of this Splicer instance")
-        return client.smooth_node_id
+        return hub_id
 
     def submit_payment(
         self,
@@ -145,35 +141,33 @@ class SplicerSystem:
         value: float,
         now: float = 0.0,
         created_at: Optional[float] = None,
-    ) -> Tuple[PaymentSession, RoutingDecision]:
-        """Run the full encrypted workflow for one payment demand.
+    ) -> RoutingDecision:
+        """Hand one client's payment demand to the router through its hub.
 
-        Returns the workflow session and the routing decision.  The payment
+        Counts the three management messages of the submission.  The payment
         is dated ``created_at`` (default ``now``) and its deadline is
         ``created_at + payment_timeout``.
         """
-        self._require_setup()
-        hub_id = self.hub_of(sender)
-        smooth_node = self.smooth_nodes[hub_id]
-        client = self.clients[sender]
-        session = smooth_node.open_payment(sender)
-        ciphertext = client.build_request(session, recipient, value)
-        decision = smooth_node.execute_payment(
-            session, ciphertext, now, self.config.payment_timeout, created_at
+        self.hub_of(sender)
+        self.management_messages += 3
+        payment = Payment.create(
+            sender=sender,
+            recipient=recipient,
+            value=value,
+            created_at=now if created_at is None else created_at,
+            timeout=self.config.payment_timeout,
         )
-        return session, decision
+        return self.router.submit(payment, now)
 
     def step(self, now: float, dt: float) -> StepReport:
         """Advance the system: route, acknowledge, and synchronize at epoch edges."""
         self._require_setup()
         report = self.router.step(now, dt)
-        for smooth_node in self.smooth_nodes.values():
-            smooth_node.process_acknowledgments()
+        clients = self.clients
+        self.acks_forwarded += sum(p.sender in clients for p in report.completed_payments)
         if self.epoch_clock.crossed_boundary(now):
             self.epoch_clock.advance(now)
             self.epoch_clock.record_sync(self._hub_pair_hops, self.config.hub_sync_hop_delay)
-            for smooth_node in self.smooth_nodes.values():
-                smooth_node.record_sync_round()
         return report
 
     def run(self, duration: float, dt: Optional[float] = None) -> List[StepReport]:
@@ -191,14 +185,12 @@ class SplicerSystem:
     # ------------------------------------------------------------------ #
     def management_delay(self, client_id: NodeId) -> float:
         """Round-trip client-to-hub communication delay for one payment."""
-        self._require_setup()
-        client = self.clients[client_id]
-        return client.request_round_trip_hops * self.config.client_hub_hop_delay
+        return self.management_hops(client_id) * self.config.client_hub_hop_delay
 
     def management_hops(self, client_id: NodeId) -> int:
         """Round-trip client-to-hub hops for one payment (overhead metric)."""
         self._require_setup()
-        return self.clients[client_id].request_round_trip_hops
+        return 2 * self._client_hops[client_id]
 
     def sync_message_hops_per_epoch(self) -> int:
         """Hop traversals consumed by one hub-to-hub synchronization round."""

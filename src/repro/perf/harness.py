@@ -55,9 +55,9 @@ class BenchmarkRecord:
     """Measured result of one benchmark.
 
     ``peak_mib`` is the tracemalloc peak of one untimed iteration (the
-    warmup call), in MiB -- the memory dimension of the regression gate.
-    Memory is measured outside the timed repeats, so the probe's overhead
-    never touches the reported times.
+    warmup that follows one untraced call), in MiB -- the memory dimension
+    of the regression gate.  Memory is measured outside the timed repeats,
+    so the probe's overhead never touches the reported times.
     """
 
     name: str
@@ -159,13 +159,15 @@ def _time_once(fn: Callable[[object], None], state: object, inner: int) -> float
 def _warmup_with_memory_probe(
     fn: Callable[[object], None], state: object, inner: int
 ) -> float:
-    """Run the untimed warmup under tracemalloc; return its peak in MiB.
+    """Warm up with one untraced call, then trace an untimed one; return its peak in MiB.
 
-    Doubles as the warmup (caches, lazy imports) and the memory probe: the
+    The untraced call pays the one-time costs (lazy imports, module caches),
+    so the traced warmup measures the benchmark's own allocations, and the
     tracing overhead lives entirely outside the timed repeats.  When
     tracemalloc is already running (e.g. the whole process is being
     profiled), the probe stays out of its way and reports 0.
     """
+    fn(state)
     if tracemalloc.is_tracing():  # pragma: no cover - external profiling run
         _time_once(fn, state, inner)
         return 0.0
@@ -217,7 +219,7 @@ def run_spec(
     calibration_seconds: float,
     repeats: int = DEFAULT_REPEATS,
 ) -> BenchmarkRecord:
-    """Run one benchmark: fresh setup, one warmup, then timed repeats."""
+    """Run one benchmark: fresh setup, the warmups, then timed repeats."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     state = spec.setup()

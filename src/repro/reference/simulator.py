@@ -20,8 +20,8 @@ series, the dynamics events and the health probes, so
 
 Everything else -- network reset, ticks, dynamics, metrics -- is inherited
 unchanged, so a differential test that swaps this runner in isolates the
-arrival path.  Streamed workloads have no request list; ``materialize()``
-them first.
+arrival path.  Streamed workloads have no request list; collect them with
+:func:`repro.reference.workload.materialize` first.
 """
 
 from __future__ import annotations

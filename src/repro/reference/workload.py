@@ -1,10 +1,12 @@
-"""Per-element workload draws.
+"""Per-element workload draws, and streams collected into one list.
 
 :func:`generate_workload` walks the same phases over the same child
 generators as :func:`repro.simulator.workload.generate_workload` but draws
 one element at a time -- one exponential gap, one uniform, one
 ``Generator.choice`` per arrival.  ``tests/simulator/test_workload.py`` pins
-the two request streams bit-identical.
+the two request streams bit-identical.  :func:`materialize` turns a
+:class:`~repro.simulator.workload.StreamingWorkload` into the plain request
+list the per-event runner and the stream tests compare against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence
 
 from repro.simulator.workload import (
+    StreamingWorkload,
     TransactionWorkload,
     WorkloadConfig,
     _assemble_workload,
@@ -78,4 +81,17 @@ def generate_workload(
 
     return _assemble_workload(
         config, motifs, times, values, motif_mask, motif_pairs, model_pairs
+    )
+
+
+def materialize(stream: StreamingWorkload) -> TransactionWorkload:
+    """Collect a whole stream into a plain :class:`TransactionWorkload`.
+
+    Small traces only: it defeats the point of streaming for large ones.
+    """
+    requests = [request for chunk in stream.iter_chunks() for request in chunk]
+    return TransactionWorkload(
+        requests=requests,
+        config=stream.config,
+        deadlock_motifs=list(stream.deadlock_motifs),
     )

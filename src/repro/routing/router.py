@@ -1,8 +1,9 @@
 """The distributed routing decision engine (Algorithm 2).
 
-:class:`RateRouter` is the engine a smooth node runs: it accepts decrypted
-payment demands, splits them into transaction units, chooses a set of paths
-per source-destination pair, and dispatches units under two controls:
+:class:`RateRouter` is the engine a smooth node runs: it accepts its
+clients' payment demands, splits them into transaction units, chooses a set
+of paths per source-destination pair, and dispatches units under two
+controls:
 
 * the *rate controller* adjusts per-path sending rates from routing prices
   (capacity price + imbalance price), keeping channels balanced and thus the

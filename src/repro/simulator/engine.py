@@ -21,7 +21,6 @@ class SimulationEngine:
         self._queue: List[Event] = []
         self.now = 0.0
         self.processed_events = 0
-        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -63,52 +62,25 @@ class SimulationEngine:
             count += 1
         return count
 
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stopped = True
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        collect_events: bool = False,
-    ) -> List[Event]:
-        """Process events in time order.
+    def run(self, until: Optional[float] = None) -> None:
+        """Process events in time order, each through its handler.
 
         Args:
             until: Stop once the next event would fire after this time.
-            max_events: Stop after processing this many events.
-            collect_events: Accumulate and return handler-less events.  Off by
-                default: a caller that ignores the return value (the
-                experiment runner processes everything through handlers) would
-                otherwise retain every handler-less event for the whole run.
-
-        Returns:
-            Events that had no handler (the caller is expected to act on
-            them) when ``collect_events`` is set; an empty list otherwise.
         """
-        unhandled: List[Event] = []
-        processed = 0
-        self._stopped = False
-        while self._queue and not self._stopped:
+        while self._queue:
             if until is not None and self._queue[0].time > until + 1e-12:
-                break
-            if max_events is not None and processed >= max_events:
                 break
             event = heapq.heappop(self._queue)
             self.now = max(self.now, event.time)
             if event.handler is not None:
                 event.handler(self, event)
-            elif collect_events:
-                unhandled.append(event)
             self.processed_events += 1
-            processed += 1
         if until is not None:
             self.now = max(self.now, until)
-        return unhandled
 
     def pending_count(self) -> int:
         """Number of events still queued."""

@@ -387,16 +387,3 @@ class StreamingWorkload:
     def iter_chunks(self) -> Iterator[List[TransactionRequest]]:
         """A fresh pass over the stream, yielding time-ordered chunks."""
         return self.chunk_factory()
-
-    def materialize(self) -> TransactionWorkload:
-        """Collect the whole stream into a plain :class:`TransactionWorkload`.
-
-        Intended for tests and small traces -- it defeats the point of
-        streaming for large ones.
-        """
-        requests = [request for chunk in self.iter_chunks() for request in chunk]
-        return TransactionWorkload(
-            requests=requests,
-            config=self.config,
-            deadlock_motifs=list(self.deadlock_motifs),
-        )

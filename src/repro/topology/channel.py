@@ -334,23 +334,6 @@ class PaymentChannel:
         """
         self.settle(self.lock(sender, amount, now=now))
 
-    def rebalance(self, target_ratio: float = 0.5) -> None:
-        """Re-split the spendable funds between the two sides.
-
-        Used by rebalancing baselines (e.g. Revive-style schemes) and by test
-        fixtures; in-flight locks are left untouched.
-
-        Args:
-            target_ratio: Fraction of the spendable funds to give to
-                ``node_a`` (the remainder goes to ``node_b``).
-        """
-        self._check_open()
-        if not 0.0 <= target_ratio <= 1.0:
-            raise ValueError("target_ratio must be in [0, 1]")
-        balance_a, balance_b = self.balance_pair()
-        spendable = balance_a + balance_b
-        self._write(spendable * target_ratio, spendable * (1.0 - target_ratio))
-
     def close(self) -> Dict[NodeId, float]:
         """Close the channel, releasing outstanding locks back to their senders.
 

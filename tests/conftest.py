@@ -84,6 +84,23 @@ def run_once():
     return run
 
 
+@pytest.fixture(scope="session")
+def rebalance():
+    """``rebalance(channel, ratio)``: re-split a channel's spendable funds.
+
+    ``ratio`` of them go to ``node_a`` and the rest to ``node_b``; in-flight
+    locks stay as they are.  The public ``write_balances`` does the write, so
+    a ratio outside ``[0, 1]`` is refused as a negative balance.
+    """
+
+    def run(channel, ratio: float = 0.5) -> None:
+        balance_a, balance_b = channel.balance_pair()
+        spendable = balance_a + balance_b
+        channel.write_balances(spendable * ratio, spendable * (1.0 - ratio))
+
+    return run
+
+
 @pytest.fixture
 def triangle_network() -> PCNetwork:
     """The three-node network of the paper's figure 1 (A - C - B)."""

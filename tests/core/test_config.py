@@ -51,9 +51,16 @@ class TestSplicerConfig:
         with pytest.raises(ValueError):
             SplicerConfig(omega=-1.0)
 
-    def test_invalid_kmg_size(self):
-        with pytest.raises(ValueError):
-            SplicerConfig(kmg_size=0)
+    def test_kmg_size_removed(self):
+        # The section III-A workflow is counted, not simulated: no key group.
+        with pytest.raises(TypeError, match="kmg_size"):
+            SplicerConfig(kmg_size=3)
+
+    def test_fields(self):
+        assert [f.name for f in fields(SplicerConfig)] == [
+            "router", "omega", "placement_method", "placement_seed", "candidate_count",
+            "epoch_duration", "payment_timeout", "client_hub_hop_delay", "hub_sync_hop_delay",
+        ]
 
     def test_invalid_epoch_duration(self):
         with pytest.raises(ValueError):

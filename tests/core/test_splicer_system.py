@@ -2,21 +2,24 @@
 
 import pytest
 
+from repro.baselines import SplicerScheme
 from repro.core.config import SplicerConfig
 from repro.core.splicer import SplicerSystem
 from repro.routing.router import RouterConfig
+from repro.simulator.workload import TransactionRequest
 from repro.topology.csr import NodeNotFound
 from repro.topology.network import PCNetwork
+
+_CONFIG = SplicerConfig(
+    router=RouterConfig(hop_delay=0.01, path_count=3),
+    placement_method="greedy",
+    placement_seed=0,
+)
 
 
 @pytest.fixture
 def system(small_ws_network) -> SplicerSystem:
-    config = SplicerConfig(
-        router=RouterConfig(hop_delay=0.01, path_count=3),
-        placement_method="greedy",
-        placement_seed=0,
-    )
-    instance = SplicerSystem(small_ws_network, config)
+    instance = SplicerSystem(small_ws_network, _CONFIG)
     instance.setup()
     return instance
 
@@ -26,8 +29,7 @@ class TestSetup:
         plan = system.placement_plan
         assert plan is not None
         assert plan.hub_count >= 1
-        assert set(system.smooth_nodes) == set(plan.hubs)
-        assert set(system.clients) == set(plan.assignment)
+        assert system.clients == plan.assignment
         assert set(small_ws_network.hubs()) == set(plan.hubs)
 
     def test_setup_is_idempotent(self, system):
@@ -35,14 +37,10 @@ class TestSetup:
         second = system.setup()
         assert first is second
 
-    def test_every_client_attached_to_its_hub(self, system):
-        for client_id, client in system.clients.items():
-            hub = system.placement_plan.assignment[client_id]
-            assert client.smooth_node_id == hub
-            assert client_id in system.smooth_nodes[hub].clients
-
-    def test_kmg_members_are_hubs(self, system):
-        assert set(system.kmg.members) <= set(system.placement_plan.hubs)
+    def test_placement_is_deterministic(self, small_ws_network, system):
+        # Every candidate solving the same problem must reach the same hubs.
+        again = SplicerSystem(small_ws_network, _CONFIG)
+        assert again.setup().hubs == system.placement_plan.hubs
 
     def test_candidate_election_when_network_has_no_candidates(self, line_network):
         config = SplicerConfig(candidate_count=2, placement_method="greedy")
@@ -82,8 +80,8 @@ class TestHopCounts:
 
     def test_setup_hops_equal_the_scalar_hop_count(self, system):
         network = system.network
-        for client_id, client in system.clients.items():
-            assert client.hops_to_hub == network.hop_count(client_id, system.hub_of(client_id))
+        for client_id, hub_id in system.clients.items():
+            assert system.management_hops(client_id) == 2 * network.hop_count(client_id, hub_id)
         assert system._hub_pair_hops
         for (a, b), hops in system._hub_pair_hops.items():
             assert hops == network.hop_count(a, b)
@@ -93,12 +91,12 @@ class TestPayments:
     def test_submit_payment_completes(self, system):
         clients = sorted(system.clients, key=repr)
         sender, recipient = clients[0], clients[-1]
-        session, decision = system.submit_payment(sender, recipient, 5.0, now=0.0)
+        decision = system.submit_payment(sender, recipient, 5.0, now=0.0)
         assert decision.accepted
         reports = system.run(duration=2.0)
         assert decision.payment.is_complete
         assert any(decision.payment in report.completed_payments for report in reports)
-        assert session.ack_sent
+        assert (system.management_messages, system.acks_forwarded) == (3, 1)
 
     def test_hub_of(self, system):
         client = next(iter(system.clients))
@@ -109,11 +107,12 @@ class TestPayments:
     def test_submit_unknown_sender_rejected(self, system):
         with pytest.raises(KeyError):
             system.submit_payment("ghost", next(iter(system.clients)), 1.0)
+        assert system.management_messages == 0
 
     def test_management_delay_and_hops(self, system):
         client = next(iter(system.clients))
         hops = system.management_hops(client)
-        assert hops == 2 * system.clients[client].hops_to_hub
+        assert hops == 2 * system.network.hop_count(client, system.hub_of(client))
         assert system.management_delay(client) == pytest.approx(
             hops * system.config.client_hub_hop_delay
         )
@@ -124,8 +123,6 @@ class TestEpochs:
         system.run(duration=2.5)
         assert system.epoch_clock.current_epoch >= 2
         assert len(system.epoch_clock.sync_records) >= 2
-        for node in system.smooth_nodes.values():
-            assert node.stats.sync_rounds >= 2
 
     def test_sync_message_hops_positive_with_multiple_hubs(self, system):
         if len(system.hubs) > 1:
@@ -134,9 +131,32 @@ class TestEpochs:
             assert system.sync_message_hops_per_epoch() == 0
 
 
-class TestSessions:
-    def test_drained_run_retires_every_session(self, system):
-        """Completed, failed and rejected payments all leave ``sessions``."""
+def _request(sender, recipient, value):
+    return TransactionRequest(arrival_time=0.0, sender=sender, recipient=recipient, value=value)
+
+
+def _drain(scheme, duration=6.0, dt=0.1):
+    """Step ``scheme`` past every payment's deadline; the router ends empty."""
+    for index in range(1, int(duration / dt) + 1):
+        scheme.step(index * dt, dt)
+    router = scheme.system.router
+    assert router.queued_unit_count() == router.in_flight_count() == 0
+    assert router.active_payment_count() == 0
+
+
+class TestWorkflowMessages:
+    """The section III-A workflow is counted: 3 messages per client
+    submission and 1 ACK per completed client payment, on top of the hubs'
+    sync messages and the router's probes."""
+
+    @pytest.fixture
+    def scheme(self, small_ws_network) -> SplicerScheme:
+        scheme = SplicerScheme(_CONFIG)
+        scheme.prepare(small_ws_network)
+        return scheme
+
+    def test_drained_run_counts_submissions_and_completions(self, scheme):
+        system = scheme.system
         clients = sorted(system.clients, key=repr)
         payments = []
         for index in range(24):
@@ -146,18 +166,33 @@ class TestSessions:
                 continue
             # Some values exceed what the paths can carry in time and fail.
             value = 3.0 if index % 3 else 900.0
-            _, decision = system.submit_payment(sender, recipient, value, now=0.0)
-            payments.append(decision.payment)
-        # More than the sender's queue holds: rejected at submission.
-        _, rejected = system.submit_payment(clients[0], clients[1], 9000.0, now=0.0)
-        assert not rejected.accepted
-        payments.append(rejected.payment)
-        system.run(duration=6.0)
-        router = system.router
-        assert router.queued_unit_count() == router.in_flight_count() == 0
-        assert router.active_payment_count() == 0
+            payments.append(scheme.submit(_request(sender, recipient, value), now=0.0))
+        # More than the sender's queue holds: refused at submission.
+        refused = scheme.submit(_request(clients[0], clients[1], 9000.0), now=0.0)
+        payments.append(refused)
+        _drain(scheme)
         completed = sum(payment.is_complete for payment in payments)
-        assert 0 < completed < len(payments)
-        assert all(not node.sessions for node in system.smooth_nodes.values())
-        acks = sum(node.stats.acks_forwarded for node in system.smooth_nodes.values())
-        assert acks == completed
+        assert refused.failure_reason == "queue-full"
+        assert 0 < completed < len(payments) - 1
+        sync = system.epoch_clock.total_sync_messages()
+        probes = system.router.total_probe_messages
+        assert sync > 0 and probes > 0
+        assert scheme.overhead_messages() == 3 * len(payments) + completed + sync + probes
+
+    def test_hub_and_unplaced_candidate_senders_add_no_workflow_messages(
+        self, scheme, small_ws_network
+    ):
+        system = scheme.system
+        unplaced = sorted(set(small_ws_network.candidates()) - set(system.hubs), key=repr)
+        assert unplaced and not set(unplaced) & set(system.clients)
+        recipient = sorted(system.clients, key=repr)[0]
+        payments = [
+            scheme.submit(_request(sender, recipient, 3.0), now=0.0)
+            for sender in (system.hubs[0], unplaced[0])
+        ]
+        _drain(scheme)
+        assert all(payment.is_complete for payment in payments)
+        assert system.management_messages == system.acks_forwarded == 0
+        assert scheme.overhead_messages() == (
+            system.epoch_clock.total_sync_messages() + system.router.total_probe_messages
+        )

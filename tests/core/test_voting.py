@@ -1,9 +1,8 @@
-"""Tests for multiwinner voting and the contract simulations."""
+"""Tests for multiwinner voting of the smooth-node candidate list."""
 
 import pytest
 
-from repro.crypto.contracts import PlacementContract, VotingContract
-from repro.crypto.voting import excellence_scores, multiwinner_vote
+from repro.core.voting import excellence_scores, multiwinner_vote
 from repro.topology.network import PCNetwork
 
 
@@ -56,50 +55,3 @@ class TestMultiwinnerVoting:
         with pytest.raises(RuntimeError, match="bug in hop_count"):
             multiwinner_vote(small_ws_network, 2)
 
-
-class TestVotingContract:
-    def test_election_requires_supermajority(self, small_ws_network):
-        contract = VotingContract()
-        with pytest.raises(PermissionError):
-            contract.elect_candidates(small_ws_network, 3, votes_for=60, votes_total=100)
-
-    def test_election_passes_with_supermajority(self, small_ws_network):
-        contract = VotingContract()
-        winners = contract.elect_candidates(small_ws_network, 3, votes_for=70, votes_total=100)
-        assert len(winners) == 3
-        assert contract.candidate_list == winners
-
-    def test_invalid_vote_totals(self, small_ws_network):
-        with pytest.raises(ValueError):
-            VotingContract().elect_candidates(small_ws_network, 3, votes_for=0, votes_total=0)
-
-
-class TestPlacementContract:
-    def test_decide_placement_is_deterministic(self, small_ws_network):
-        contract = PlacementContract(omega=0.05)
-        first = contract.decide_placement(small_ws_network)
-        second = contract.decide_placement(small_ws_network)
-        assert first.hubs == second.hubs
-        assert contract.current_plan is second
-
-    def test_deposits_and_access(self):
-        contract = PlacementContract(required_deposit=50.0)
-        contract.pledge("hub", 30.0)
-        assert not contract.has_access("hub")
-        contract.pledge("hub", 25.0)
-        assert contract.has_access("hub")
-
-    def test_invalid_deposit(self):
-        with pytest.raises(ValueError):
-            PlacementContract().pledge("hub", 0.0)
-
-    def test_slashing_confiscates_deposit(self):
-        contract = PlacementContract(required_deposit=50.0)
-        contract.pledge("hub", 60.0)
-        slashed = contract.slash("hub")
-        assert slashed == 60.0
-        assert not contract.has_access("hub")
-        assert contract.slashed["hub"] == 60.0
-
-    def test_slashing_unknown_hub_is_zero(self):
-        assert PlacementContract().slash("ghost") == 0.0

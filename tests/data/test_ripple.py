@@ -15,6 +15,7 @@ from repro.data.ripple import (
     trace_workload,
     write_canonical,
 )
+from repro.reference.workload import materialize
 from repro.topology.network import PCNetwork
 
 DIRTY_CSV = """payment_id,timestamp,sender,receiver,amount
@@ -175,7 +176,7 @@ class TestReplay:
 
     def test_count_and_total_match_materialized(self, trace):
         workload = trace_workload(_star_network(), trace)
-        materialized = workload.materialize()
+        materialized = materialize(workload)
         assert len(materialized.requests) == workload.count
         assert sum(r.value for r in materialized.requests) == pytest.approx(
             workload.total_value

@@ -142,7 +142,7 @@ class TestDeadlockScenario:
             clients = system.clients
             def submit(sender, recipient, value):
                 if sender in clients and recipient != sender:
-                    _, decision = system.submit_payment(sender, recipient, value, now=now)
+                    decision = system.submit_payment(sender, recipient, value, now=now)
                     submitted.append(decision.payment)
                     return decision.payment
                 return None

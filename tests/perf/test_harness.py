@@ -39,7 +39,7 @@ class TestTiming:
         spec, calls = _spec(inner=3)
         record = run_spec(spec, calibration_seconds=0.5, repeats=4)
         assert calls["setup"] == 1
-        assert calls["fn"] == 3 * (4 + 1)  # repeats plus one warmup
+        assert calls["fn"] == 3 * (4 + 1) + 1  # repeats, the traced warmup, one untraced call
         assert record.name == spec.name
         assert record.repeats == 4
         assert record.inner == 3
@@ -55,8 +55,8 @@ class TestTiming:
         spec_b, calls_b = _spec(name="b/small", group="b")
         report = run_specs([spec_a, spec_b], repeats=5, passes=2)
         assert calls_a["setup"] == 1 and calls_b["setup"] == 1
-        assert calls_a["fn"] == 5 + 1  # repeats plus warmup
-        assert calls_b["fn"] == 5 + 1
+        assert calls_a["fn"] == 5 + 1 + 1  # repeats, traced and untraced warmups
+        assert calls_b["fn"] == 5 + 1 + 1
         assert [record.name for record in report.records] == [spec_a.name, spec_b.name]
         assert all(record.repeats == 5 for record in report.records)
 

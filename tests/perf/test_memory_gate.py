@@ -1,7 +1,7 @@
 """Tests for the perf harness memory probe and the memory regression gate.
 
-The harness measures each benchmark's tracemalloc peak during the untimed
-warmup call and carries it as ``peak_mib`` through records, reports and the
+The harness measures each benchmark's tracemalloc peak during an untimed
+warmup that follows one untraced call, and carries it as ``peak_mib`` through records, reports and the
 committed baseline; ``compare_report`` then gates memory growth exactly like
 normalized-time growth.  These tests pin the probe, the plumbing, the gate
 semantics (including back-compat with baselines that predate the probe) and
@@ -40,6 +40,22 @@ def _alloc_spec(mib: float, name: str = "alloc/small"):
     )
 
 
+#: Filled by the first call of :func:`_lazy_spec`'s benchmark, like the
+#: tables a lazy import leaves behind.
+_ONE_OFF = []
+
+
+def _lazy_spec():
+    """0.25 MiB per call, plus an 8 MiB module-level buffer the first call builds."""
+
+    def fn(state):
+        if not _ONE_OFF:
+            _ONE_OFF.append(np.ones(8 * 1024 * 1024 // 8, dtype=np.float64))
+        state["kept"] = np.ones(256 * 1024 // 8, dtype=np.float64)
+
+    return BenchmarkSpec(name="lazy/small", group="lazy", scale="small", setup=dict, fn=fn)
+
+
 def _record(name, normalized=1.0, peak_mib=0.0):
     group, scale = name.split("/")
     return BenchmarkRecord(
@@ -65,6 +81,14 @@ class TestMemoryProbe:
     def test_run_spec_measures_allocation_peak(self):
         record = run_spec(_alloc_spec(4.0), calibration_seconds=0.5, repeats=1)
         assert 3.5 < record.peak_mib < 16.0
+
+    def test_one_time_costs_of_the_first_call_are_not_charged(self):
+        # A lazy import or module cache is paid by the untraced call; the
+        # traced one sees only what every call allocates.
+        _ONE_OFF.clear()
+        record = run_spec(_lazy_spec(), calibration_seconds=0.5, repeats=1)
+        assert _ONE_OFF
+        assert 0.2 < record.peak_mib < 2.0
 
     def test_run_specs_measures_each_benchmark_independently(self):
         report = run_specs(

@@ -61,10 +61,10 @@ def test_capacity_is_conserved_and_balances_stay_non_negative(balance_a, balance
     balance_b=st.floats(min_value=1.0, max_value=500.0),
     ratio=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_rebalance_preserves_total_and_respects_ratio(balance_a, balance_b, ratio):
+def test_rebalance_preserves_total_and_respects_ratio(rebalance, balance_a, balance_b, ratio):
     channel = PaymentChannel("a", "b", balance_a, balance_b)
     total = channel.balance("a") + channel.balance("b")
-    channel.rebalance(ratio)
+    rebalance(channel, ratio)
     assert channel.balance("a") + channel.balance("b") == pytest.approx(total)
     assert channel.balance("a") == pytest.approx(total * ratio)
 

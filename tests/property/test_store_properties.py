@@ -77,7 +77,7 @@ def _check(network: PCNetwork, models, detached) -> None:
 
 @settings(max_examples=120, deadline=None)
 @given(operations=_operations)
-def test_store_matches_a_plain_two_float_model(operations):
+def test_store_matches_a_plain_two_float_model(rebalance, operations):
     network = PCNetwork()
     for node in _NODES:
         network.add_node(node)
@@ -112,7 +112,7 @@ def test_store_matches_a_plain_two_float_model(operations):
             getattr(channel, kind)(lock_id)
             getattr(model, kind)(lock_id)
         elif kind == "rebalance":
-            channel.rebalance(fraction)
+            rebalance(channel, fraction)
             spendable = model.sides[0] + model.sides[1]
             model.sides = [spendable * fraction, spendable * (1.0 - fraction)]
         elif kind == "write":
@@ -143,6 +143,6 @@ def test_store_matches_a_plain_two_float_model(operations):
     if not network.balance_store.open_locks:
         snapshot = network.snapshot()
         for channel in models:
-            channel.rebalance(0.5)
+            rebalance(channel, 0.5)
         network.restore(snapshot)
         _check(network, models, detached)

@@ -381,6 +381,12 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'router.gamma'"],
                 id="gamma",
             ),
+            # The key management group went with the simulated workflow.
+            pytest.param(
+                ["paper-default"], "schemes.0.params.kmg_size=3",
+                ["'splicer'", "unknown parameter 'kmg_size'"],
+                id="kmg_size",
+            ),
         ],
     )
     def test_run_rejects_unknown_scheme_parameter(self, capsys, scenario, override, needles):

@@ -56,20 +56,6 @@ class TestRun:
         assert engine.now == pytest.approx(2.0)
         assert engine.pending_count() == 1
 
-    def test_max_events(self):
-        engine = SimulationEngine()
-        for time in range(5):
-            engine.schedule_at(float(time + 1), handler=lambda _e, _ev: None)
-        engine.run(max_events=3)
-        assert engine.processed_events == 3
-
-    def test_unhandled_events_returned(self):
-        engine = SimulationEngine()
-        engine.schedule_at(1.0, kind=EventKind.PAYMENT_ARRIVAL, payload="request")
-        unhandled = engine.run(collect_events=True)
-        assert len(unhandled) == 1
-        assert unhandled[0].payload == "request"
-
     def test_handlers_can_schedule_more_events(self):
         engine = SimulationEngine()
         fired = []
@@ -83,18 +69,11 @@ class TestRun:
         engine.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_unhandled_events_not_retained_by_default(self):
-        # Regression: the runner ignores run()'s return value, so collecting
-        # handler-less events by default would retain them for the whole run.
+    def test_handler_less_event_is_consumed(self):
+        # Nothing retains an event without a handler once it fires.
         engine = SimulationEngine()
         engine.schedule_at(1.0, kind=EventKind.PAYMENT_ARRIVAL, payload="request")
-        assert engine.run() == []
+        assert engine.run() is None
         assert engine.processed_events == 1
-
-    def test_stop(self):
-        engine = SimulationEngine()
-        engine.schedule_at(1.0, handler=lambda e, _ev: e.stop())
-        engine.schedule_at(2.0, handler=lambda _e, _ev: None)
-        engine.run()
-        assert engine.pending_count() == 1
+        assert engine.pending_count() == 0
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.baselines import SCHEME_REGISTRY, ShortestPathScheme
 from repro.reference.baselines import SpiderScheme as ReferenceSpiderScheme
 from repro.reference.simulator import PerEventRunner
+from repro.reference.workload import materialize
 from repro.scenarios.dynamics import ChannelClose, churn_events, jamming_events
 from repro.scenarios.registry import comparison_scheme_spec
 from repro.simulator.experiment import ExperimentRunner
@@ -148,7 +149,7 @@ def _streaming(workload, chunk_size: int) -> StreamingWorkload:
 class TestStreamingWorkloads:
     def test_streaming_matches_per_event_materialized(self):
         streaming = _streaming(_workload(_network()), 7)
-        reference = _run(PerEventRunner, "shortest-path", workload=streaming.materialize())
+        reference = _run(PerEventRunner, "shortest-path", workload=materialize(streaming))
         streamed = _run(ExperimentRunner, "shortest-path", workload=streaming)
         assert streamed == reference
 

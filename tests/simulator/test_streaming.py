@@ -3,6 +3,7 @@
 from typing import List
 
 from repro.baselines import ShortestPathScheme
+from repro.reference.workload import materialize
 from repro.simulator.experiment import ExperimentRunner, _ArrivalCursor
 from repro.simulator.workload import (
     StreamingWorkload,
@@ -48,7 +49,7 @@ def _as_streaming(workload, chunk_size: int) -> StreamingWorkload:
 class TestStreamingWorkload:
     def test_materialize_round_trips(self, small_ws_network):
         base = _poisson_workload(small_ws_network)
-        materialized = _as_streaming(base, chunk_size=5).materialize()
+        materialized = materialize(_as_streaming(base, chunk_size=5))
         assert materialized.requests == list(base.requests)
         assert materialized.config is base.config
 

@@ -80,7 +80,7 @@ def test_root_exports_resolve_lazily():
 def test_importing_the_cli_module_loads_no_subcommand_stack():
     result = _probe(
         "import sys, repro.__main__\n"
-        "loaded = [name for name in ('repro.crypto', 'repro.placement.milp', 'networkx',\n"
+        "loaded = [name for name in ('repro.core.voting', 'repro.placement.milp', 'networkx',\n"
         "    'repro.baselines', 'repro.scenarios') if name in sys.modules]\n"
         "sys.exit(', '.join(loaded) or 0)\n"
     )
@@ -114,7 +114,7 @@ def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
         "from repro.scenarios import jsonl\n"
         "run_pool = jsonl.JsonlGridRunner._run_pool\n"
         "def spy(self, *args, **kwargs):\n"
-        "    missing = [name for name in ('repro.crypto', 'repro.baselines.spider',\n"
+        "    missing = [name for name in ('repro.core.voting', 'repro.baselines.spider',\n"
         "        'repro.routing.router', 'repro.core.splicer') if name not in sys.modules]\n"
         "    assert not missing, missing\n"
         "    assert 'networkx' not in sys.modules\n"

@@ -81,17 +81,17 @@ class TestLayout:
 
 
 class TestSnapshotRestore:
-    def test_restore_returns_every_balance(self):
+    def test_restore_returns_every_balance(self, rebalance):
         network = _skewed_network()
         before = _pairs(network)
         snapshot = network.snapshot()
         for channel in network.channels():
-            channel.rebalance(0.25)
+            rebalance(channel, 0.25)
         assert _pairs(network) != before
         network.restore(snapshot)
         assert _pairs(network) == before
 
-    def test_fast_path_iff_topology_version_unchanged(self, monkeypatch):
+    def test_fast_path_iff_topology_version_unchanged(self, monkeypatch, rebalance):
         slow_calls = []
         original = PCNetwork._in_store_order
         monkeypatch.setattr(
@@ -102,7 +102,7 @@ class TestSnapshotRestore:
         network = _skewed_network()
         before = _pairs(network)
         snapshot = network.snapshot()
-        next(network.channels()).rebalance(0.9)
+        rebalance(next(network.channels()), 0.9)
         network.restore(snapshot)
         assert slow_calls == [] and _pairs(network) == before
 
@@ -112,15 +112,15 @@ class TestSnapshotRestore:
         undo = ChannelClose(node_a=node_a, node_b=node_b).apply(network)
         undo()
         assert network.topology_version != snapshot.topology_version
-        next(network.channels()).rebalance(0.1)
+        rebalance(next(network.channels()), 0.1)
         network.restore(snapshot)
         assert slow_calls == [1] and _pairs(network) == before
         assert network.snapshot() == snapshot
 
-    def test_snapshot_of_another_network_takes_the_pair_walk(self):
+    def test_snapshot_of_another_network_takes_the_pair_walk(self, rebalance):
         network, twin = _skewed_network(), _skewed_network()
         for channel in twin.channels():
-            channel.rebalance(0.5)
+            rebalance(channel, 0.5)
         assert twin.topology_version == network.topology_version
         twin.restore(network.snapshot())
         assert _pairs(twin) == _pairs(network)
@@ -216,7 +216,7 @@ class TestBalanceVector:
         row_a, row_b = (arrays.node_row[node] for node in channel.endpoints)
         assert arrays.balance[arrays.slot_of[(row_b, row_a)]] == channel.balance(channel.node_b)
 
-    def test_networks_do_not_invalidate_each_other(self, monkeypatch):
+    def test_networks_do_not_invalidate_each_other(self, monkeypatch, rebalance):
         first, second = _skewed_network(seed=1), _skewed_network(seed=2)
         arrays = first.graph_arrays()
         arrays.refresh_balances()
@@ -228,10 +228,10 @@ class TestBalanceVector:
             lambda self, slots, values: writes.append(self) or original(self, slots, values),
         )
         for channel in second.channels():
-            channel.rebalance(0.5)
+            rebalance(channel, 0.5)
         PaymentChannel("x", "y", 1.0, 1.0).transfer("x", 0.5)
         arrays.refresh_balances()
         assert writes == []
-        next(first.channels()).rebalance(0.5)
+        rebalance(next(first.channels()), 0.5)
         arrays.refresh_balances()
         assert writes == [arrays]

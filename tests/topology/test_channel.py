@@ -128,14 +128,14 @@ class TestTransferAndRebalance:
         channel.transfer("a", 25.0)
         assert channel.imbalance() == pytest.approx(0.0)
 
-    def test_rebalance_splits_funds(self, channel):
-        channel.rebalance(0.5)
+    def test_rebalance_splits_funds(self, channel, rebalance):
+        rebalance(channel, 0.5)
         assert channel.balance("a") == pytest.approx(75.0)
         assert channel.balance("b") == pytest.approx(75.0)
 
-    def test_rebalance_invalid_ratio(self, channel):
+    def test_rebalance_invalid_ratio(self, channel, rebalance):
         with pytest.raises(ValueError):
-            channel.rebalance(1.5)
+            rebalance(channel, 1.5)
 
     def test_forwarding_fee(self):
         channel = PaymentChannel("a", "b", 10.0, 10.0, base_fee=1.0, fee_rate=0.01)
