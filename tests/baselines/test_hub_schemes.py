@@ -162,3 +162,40 @@ class TestSplicerScheme:
     def test_submit_before_prepare_rejected(self):
         with pytest.raises(RuntimeError):
             SplicerScheme().submit(_request("a", "b", 1.0), now=0.0)
+
+    def test_step_before_prepare_rejected(self):
+        scheme = SplicerScheme()
+        assert scheme.placement_plan is None
+        with pytest.raises(RuntimeError):
+            scheme.step(0.1, 0.1)
+
+    def test_unplaced_candidate_sender_has_no_management_delay(self, scheme, small_ws_network):
+        unplaced = sorted(
+            set(small_ws_network.candidates()) - set(scheme.placement_plan.hubs), key=repr
+        )
+        client = sorted(small_ws_network.clients(), key=repr)[0]
+        payment = scheme.submit(_request(unplaced[0], client, 3.0), now=0.0)
+        assert scheme.extra_delay(payment) == 0.0
+        assert scheme.system.management_messages == 0
+
+    def test_client_submission_is_dated_by_its_arrival(self, scheme, small_ws_network):
+        # A request routed after its management delay keeps its arrival time.
+        clients = sorted(small_ws_network.clients(), key=repr)
+        payment = scheme.submit(_request(clients[0], clients[1], 2.0, time=0.5), now=0.8)
+        assert payment.created_at == 0.5
+        assert payment.deadline == pytest.approx(0.5 + scheme.config.payment_timeout)
+        assert scheme.system.management_messages == 3
+
+    def test_overhead_is_read_after_every_step(self, scheme, small_ws_network):
+        clients = sorted(small_ws_network.clients(), key=repr)
+        scheme.submit(_request(clients[0], clients[-1], 5.0), now=0.0)
+        system = scheme.system
+        for index in range(1, 16):
+            scheme.step(index * 0.1, 0.1)
+            assert scheme.overhead_messages() == (
+                system.management_messages
+                + system.acks_forwarded
+                + system.epoch_clock.total_sync_messages()
+                + system.router.total_probe_messages
+            )
+        assert system.acks_forwarded == 1

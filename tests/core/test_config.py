@@ -51,6 +51,25 @@ class TestSplicerConfig:
         with pytest.raises(ValueError):
             SplicerConfig(omega=-1.0)
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [("omega", -0.01), ("epoch_duration", -1.0), ("payment_timeout", -3.0)],
+    )
+    def test_negative_values_rejected(self, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            SplicerConfig(**{field_name: value})
+
+    def test_zero_omega_allowed(self):
+        # omega weighs synchronization against management cost; 0 ignores sync.
+        assert SplicerConfig(omega=0.0).omega == 0.0
+
+    def test_with_router_keeps_the_other_fields(self):
+        config = SplicerConfig(omega=0.3, epoch_duration=2.0, candidate_count=4)
+        modified = config.with_router(queue_limit=100.0)
+        assert modified.router.queue_limit == 100.0
+        assert (modified.omega, modified.epoch_duration, modified.candidate_count) == (0.3, 2.0, 4)
+        assert modified.router.path_count == config.router.path_count
+
     def test_kmg_size_removed(self):
         # The section III-A workflow is counted, not simulated: no key group.
         with pytest.raises(TypeError, match="kmg_size"):

@@ -55,3 +55,46 @@ class TestMultiwinnerVoting:
         with pytest.raises(RuntimeError, match="bug in hop_count"):
             multiwinner_vote(small_ws_network, 2)
 
+
+    def test_first_winner_has_the_top_excellence_score(self, small_ws_network):
+        scores = excellence_scores(small_ws_network)
+        top = max(sorted(scores, key=repr), key=scores.get)
+        assert multiwinner_vote(small_ws_network, 3)[0] == top
+
+    def test_zero_diversity_elects_the_top_scores(self, small_ws_network):
+        scores = excellence_scores(small_ws_network)
+        winners = multiwinner_vote(small_ws_network, 5, diversity_weight=0.0)
+        ranked = sorted(sorted(scores, key=repr), key=scores.get, reverse=True)
+        assert winners == ranked[:5]
+
+    @pytest.mark.parametrize("winners", [1, 2, 3, 4])
+    def test_a_larger_election_extends_a_smaller_one(self, small_ws_network, winners):
+        # Greedy picks: electing one more winner keeps every earlier pick in order.
+        smaller = multiwinner_vote(small_ws_network, winners)
+        larger = multiwinner_vote(small_ws_network, winners + 1)
+        assert larger[:winners] == smaller
+
+    def test_vote_is_deterministic(self, small_ws_network):
+        assert multiwinner_vote(small_ws_network, 4) == multiwinner_vote(small_ws_network, 4)
+
+    def test_more_winners_than_eligible_elects_every_eligible_node(self, small_ws_network):
+        eligible = small_ws_network.nodes()[:3]
+        winners = multiwinner_vote(small_ws_network, 10, eligible=eligible)
+        assert sorted(winners, key=repr) == sorted(eligible, key=repr)
+
+    def test_empty_eligible_elects_nobody(self, small_ws_network):
+        assert multiwinner_vote(small_ws_network, 2, eligible=[]) == []
+
+    def test_excellence_scores_cover_only_the_given_nodes(self, small_ws_network):
+        nodes = small_ws_network.nodes()[:4]
+        assert sorted(excellence_scores(small_ws_network, nodes), key=repr) == sorted(
+            nodes, key=repr
+        )
+        assert excellence_scores(small_ws_network, []) == {}
+
+    def test_best_connected_best_funded_node_scores_one(self, multi_star_network):
+        # Degree and funds each weigh one half, normalized by the maximum.
+        scores = excellence_scores(multi_star_network)
+        best = max(scores.values())
+        assert best == pytest.approx(1.0)
+        assert all(str(node).startswith("hub") for node, score in scores.items() if score == best)

@@ -40,6 +40,25 @@ class TestScheduling:
         assert count == 4
         assert ticks == [0.5, 1.0, 1.5, 2.0]
 
+    def test_schedule_at_returns_the_scheduled_event(self):
+        engine = SimulationEngine()
+        event = engine.schedule_at(2.0, kind=EventKind.SCHEME_TICK, payload="tick")
+        assert (event.time, event.kind, event.payload) == (2.0, EventKind.SCHEME_TICK, "tick")
+        assert engine.pending_count() == 1
+
+    def test_event_within_tolerance_of_now_is_accepted(self):
+        engine = SimulationEngine()
+        engine.run(until=2.0)
+        engine.schedule_at(2.0 - 1e-13)
+        engine.run()
+        assert engine.processed_events == 1
+        assert engine.now == 2.0  # the clock never moves backwards
+
+    def test_periodic_train_tolerates_float_drift(self):
+        # 0.1 + 0.1 + 0.1 overshoots 0.3 by a rounding error; the tick still fires.
+        engine = SimulationEngine()
+        assert engine.schedule_periodic(start=0.0, interval=0.1, end=0.3) == 4
+
     def test_invalid_periodic_interval(self):
         with pytest.raises(ValueError):
             SimulationEngine().schedule_periodic(0.0, 0.0, 1.0)
@@ -77,3 +96,30 @@ class TestRun:
         assert engine.processed_events == 1
         assert engine.pending_count() == 0
 
+
+    def test_run_resumes_after_until(self):
+        engine = SimulationEngine()
+        fired = []
+        for time in (1.0, 3.0, 5.0):
+            engine.schedule_at(time, handler=lambda _e, ev: fired.append(ev.time))
+        engine.run(until=2.0)
+        engine.run(until=4.0)
+        assert fired == [1.0, 3.0]
+        engine.run()
+        assert fired == [1.0, 3.0, 5.0]
+        assert engine.now == 5.0
+
+    def test_run_until_on_an_empty_queue_advances_the_clock(self):
+        engine = SimulationEngine()
+        engine.run(until=7.5)
+        assert engine.now == 7.5
+        assert engine.processed_events == 0
+
+    def test_processed_events_counts_every_fired_event(self):
+        engine = SimulationEngine()
+        engine.schedule_periodic(start=0.0, interval=1.0, end=4.0)
+        engine.schedule_at(2.5, handler=lambda _e, _ev: None)
+        engine.run(until=3.0)
+        assert (engine.processed_events, engine.pending_count()) == (5, 1)
+        engine.run()
+        assert (engine.processed_events, engine.pending_count()) == (6, 0)

@@ -2,6 +2,8 @@
 
 from typing import List
 
+import pytest
+
 from repro.baselines import ShortestPathScheme
 from repro.reference.workload import materialize
 from repro.simulator.experiment import ExperimentRunner, _ArrivalCursor
@@ -52,6 +54,23 @@ class TestStreamingWorkload:
         materialized = materialize(_as_streaming(base, chunk_size=5))
         assert materialized.requests == list(base.requests)
         assert materialized.config is base.config
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 10_000])
+    def test_materialize_is_independent_of_chunk_size(self, small_ws_network, chunk_size):
+        base = _poisson_workload(small_ws_network)
+        streaming = _as_streaming(base, chunk_size=chunk_size)
+        materialized = materialize(streaming)
+        assert materialized.requests == list(base.requests)
+        assert len(materialized.requests) == streaming.count
+        assert sum(r.value for r in materialized.requests) == streaming.total_value
+
+    def test_materialize_copies_the_motif_list(self, small_ws_network):
+        streaming = _as_streaming(_poisson_workload(small_ws_network), chunk_size=5)
+        streaming.deadlock_motifs.append(("a", "b", "c"))
+        materialized = materialize(streaming)
+        assert materialized.deadlock_motifs == [("a", "b", "c")]
+        materialized.deadlock_motifs.clear()
+        assert streaming.deadlock_motifs == [("a", "b", "c")]
 
     def test_iter_chunks_restarts_per_call(self, small_ws_network):
         streaming = _as_streaming(_poisson_workload(small_ws_network), chunk_size=5)

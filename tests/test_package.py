@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from importlib import metadata
+
+import pytest
 
 import repro
 
@@ -246,3 +249,19 @@ def test_blocking_scipy_stops_the_level_drain():
         "sys.exit('the level drain ran with scipy blocked')\n"
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.crypto",
+        "repro.core.kmg",
+        "repro.core.payment",
+        "repro.core.client",
+        "repro.core.smooth_node",
+    ],
+)
+def test_simulated_workflow_modules_stay_removed(module):
+    """The section III-A workflow is counted by ``SplicerSystem``; its toy crypto,
+    key group and session objects are gone."""
+    assert importlib.util.find_spec(module) is None
