@@ -2,11 +2,11 @@
 
 The committed baseline (``benchmarks/perf_baseline.json``) stores, per
 benchmark, the *normalized* time (best time divided by the machine-speed
-calibration, see :mod:`repro.perf.harness`) measured when the baseline was
-last updated.  ``python -m repro perf --check`` re-runs the suite and fails
-when any benchmark's normalized time exceeds its baseline by more than the
-tolerance (default 25%); ``--update-baseline`` rewrites the file from the
-current run.
+calibration, see :mod:`benchmarks.perf.harness`) measured when the baseline
+was last updated.  ``python -m benchmarks.perf --check`` re-runs the suite
+and fails when any benchmark's normalized time exceeds its baseline by more
+than :data:`DEFAULT_TOLERANCE` (25%); ``--update-baseline`` rewrites the
+file from the current run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.perf.harness import BenchmarkReport
+from benchmarks.perf.harness import BenchmarkReport
 
 #: Repo-relative location of the committed baseline.
 DEFAULT_BASELINE_PATH = os.path.join("benchmarks", "perf_baseline.json")

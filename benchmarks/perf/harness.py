@@ -18,7 +18,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -85,21 +85,6 @@ class BenchmarkRecord:
             "meta": dict(self.meta),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BenchmarkRecord":
-        return cls(
-            name=str(data["name"]),
-            group=str(data["group"]),
-            scale=str(data["scale"]),
-            repeats=int(data["repeats"]),
-            inner=int(data["inner"]),
-            best_seconds=float(data["best_seconds"]),
-            mean_seconds=float(data["mean_seconds"]),
-            normalized=float(data["normalized"]),
-            peak_mib=float(data.get("peak_mib", 0.0)),
-            meta=dict(data.get("meta", {})),
-        )
-
 
 @dataclass
 class BenchmarkReport:
@@ -110,13 +95,6 @@ class BenchmarkReport:
     revision: str
     environment: Dict[str, str] = field(default_factory=dict)
 
-    def record(self, name: str) -> BenchmarkRecord:
-        """Record by name (KeyError when absent)."""
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise KeyError(f"no benchmark record named {name!r}")
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "schema": 1,
@@ -126,24 +104,10 @@ class BenchmarkReport:
             "records": [record.as_dict() for record in self.records],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BenchmarkReport":
-        return cls(
-            records=[BenchmarkRecord.from_dict(entry) for entry in data.get("records", [])],
-            calibration_seconds=float(data["calibration_seconds"]),
-            revision=str(data.get("revision", "unknown")),
-            environment=dict(data.get("environment", {})),
-        )
-
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-    @classmethod
-    def read(cls, path: str) -> "BenchmarkReport":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 # ---------------------------------------------------------------------- #
@@ -214,46 +178,9 @@ def calibrate(repeats: int = 5) -> float:
     return best
 
 
-def run_spec(
-    spec: BenchmarkSpec,
-    calibration_seconds: float,
-    repeats: int = DEFAULT_REPEATS,
-) -> BenchmarkRecord:
-    """Run one benchmark: fresh setup, the warmups, then timed repeats."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    state = spec.setup()
-    peak_mib = _warmup_with_memory_probe(spec.fn, state, spec.inner)
-    times = [_time_once(spec.fn, state, spec.inner) for _ in range(repeats)]
-    return _build_record(spec, times, calibration_seconds, peak_mib=peak_mib)
-
-
-def _build_record(
-    spec: BenchmarkSpec,
-    times: List[float],
-    calibration_seconds: float,
-    normalized: Optional[float] = None,
-    peak_mib: float = 0.0,
-) -> BenchmarkRecord:
-    best = min(times)
-    return BenchmarkRecord(
-        name=spec.name,
-        group=spec.group,
-        scale=spec.scale,
-        repeats=len(times),
-        inner=spec.inner,
-        best_seconds=best,
-        mean_seconds=sum(times) / len(times),
-        normalized=normalized if normalized is not None else best / max(calibration_seconds, 1e-12),
-        peak_mib=peak_mib,
-        meta=dict(spec.meta),
-    )
-
-
 def run_specs(
     specs: Sequence[BenchmarkSpec],
     repeats: int = DEFAULT_REPEATS,
-    on_record: Optional[Callable[[BenchmarkRecord], None]] = None,
     passes: int = 2,
 ) -> BenchmarkReport:
     """Run a list of benchmarks and assemble the report.
@@ -293,14 +220,21 @@ def run_specs(
             times[index].extend(pass_times)
             normalized[index] = min(normalized[index], min(pass_times) / adjacent_calibration)
     calibration_seconds = min(calibrations)
-    records = []
-    for index, (spec, spec_times) in enumerate(zip(specs, times)):
-        record = _build_record(
-            spec, spec_times, calibration_seconds, normalized[index], peak_mib=peaks[index]
+    records = [
+        BenchmarkRecord(
+            name=spec.name,
+            group=spec.group,
+            scale=spec.scale,
+            repeats=len(spec_times),
+            inner=spec.inner,
+            best_seconds=min(spec_times),
+            mean_seconds=sum(spec_times) / len(spec_times),
+            normalized=normalized[index],
+            peak_mib=peaks[index],
+            meta=dict(spec.meta),
         )
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
+        for index, (spec, spec_times) in enumerate(zip(specs, times))
+    ]
     return BenchmarkReport(
         records=records,
         calibration_seconds=calibration_seconds,
@@ -313,36 +247,6 @@ def run_specs(
             "argv": " ".join(sys.argv[1:]),
         },
     )
-
-
-def profile_specs(
-    specs: Sequence[BenchmarkSpec],
-    top: int = 15,
-    stream=None,
-) -> None:
-    """Run each benchmark once under cProfile and print its hottest calls.
-
-    The diagnostic sibling of :func:`run_specs`: setup and one warmup call
-    stay outside the profile (caches, lazy imports), then ``inner``
-    iterations run under the profiler and the top ``top`` functions by
-    cumulative time are printed.  No report or baseline is produced --
-    profiling overhead would poison the numbers.
-    """
-    import cProfile
-    import pstats
-
-    out = stream if stream is not None else sys.stdout
-    for spec in specs:
-        state = spec.setup()
-        _time_once(spec.fn, state, spec.inner)  # warmup: caches, lazy imports
-        profile = cProfile.Profile()
-        profile.enable()
-        for _ in range(spec.inner):
-            spec.fn(state)
-        profile.disable()
-        print(f"\n=== {spec.name} (inner={spec.inner}) ===", file=out)
-        stats = pstats.Stats(profile, stream=out)
-        stats.sort_stats("cumulative").print_stats(top)
 
 
 def git_revision() -> str:
@@ -362,8 +266,3 @@ def git_revision() -> str:
         return output or "local"
     except (OSError, subprocess.SubprocessError):
         return "local"
-
-
-def default_report_name(revision: Optional[str] = None) -> str:
-    """Conventional report filename: ``BENCH_<rev>.json``."""
-    return f"BENCH_{revision or git_revision()}.json"

@@ -48,6 +48,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from benchmarks.perf.harness import BenchmarkSpec
 from repro.baselines import (
     FlashScheme,
     LandmarkScheme,
@@ -59,7 +60,6 @@ from repro.baselines import (
     SplicerScheme,
     WaterfillingScheme,
 )
-from repro.perf.harness import BenchmarkSpec
 from repro.placement.compare import build_place_network
 from repro.placement.solver import solve_placement
 from repro.routing.paths import PATH_SELECTORS
@@ -190,7 +190,7 @@ class _RoutingStepState:
                 network.add_channel(relay, target, far, far)
                 paths.append((source, relay, target))
             self.pairs.append(((source, target), paths))
-        self.table = PriceTable(network)
+        self.table = PriceTable(network, kappa=0.01, eta=0.01, t_fee=0.01)
         self.controller = PathRateController(min_rate=0.5, initial_rate=5.0, alpha=1.0)
         for (source, target), paths in self.pairs:
             state = self.controller.register_pair(source, target, paths)

@@ -19,9 +19,6 @@ Subcommands:
   tables, failure-reason breakdown and (for traced runs) epoch health.
 * ``trace <trace-file>`` -- filter and pretty-print a payment trace,
   including a per-payment ``--timeline`` view.
-* ``perf`` -- run the micro-benchmark suites, emit ``BENCH_<rev>.json`` and
-  optionally gate against (``--check``) or rewrite (``--update-baseline``)
-  the committed ``benchmarks/perf_baseline.json``.
 * ``doctor`` -- reap orphaned shared-memory segments left by killed
   runners and inspect or clear sweep quarantine files
   (see ``docs/resilience.md``).
@@ -323,63 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeline",
         action="store_true",
         help="render --payment as a relative-time lifecycle timeline",
-    )
-
-    perf = commands.add_parser("perf", help="run the performance benchmark suites")
-    perf.add_argument(
-        "--suite",
-        choices=["small", "medium", "large", "xl-small", "all"],
-        default="all",
-        help=(
-            "which scale to run: the classic three, the xl-small "
-            "arrival-cursor suite, or all of them (default all)"
-        ),
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=5, help="timed repeats per benchmark (default 5)"
-    )
-    perf.add_argument(
-        "--output-dir",
-        default=".",
-        help="directory for the emitted BENCH_<rev>.json (default: current directory)",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default benchmarks/perf_baseline.json)",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed normalized-time growth before --check fails (default 0.25)",
-    )
-    perf.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline; exit 1 on regression",
-    )
-    perf.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from this run's measurements",
-    )
-    perf.add_argument(
-        "--json",
-        dest="json_output",
-        action="store_true",
-        help="print the benchmark report (and gate outcome) as JSON on stdout",
-    )
-    perf.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each benchmark once under cProfile and print the hottest calls",
-    )
-    perf.add_argument(
-        "--profile-top",
-        type=int,
-        default=15,
-        help="rows per benchmark in --profile output (default 15)",
     )
     return parser
 
@@ -979,130 +919,11 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_perf(args: argparse.Namespace) -> int:
-    from repro.perf import baseline as perf_baseline
-    from repro.perf.harness import default_report_name, profile_specs, run_specs
-    from repro.perf.suites import build_suites
-
-    if args.repeats < 1:
-        raise ValueError("--repeats must be at least 1")
-    if args.json_output and args.profile:
-        raise ValueError("--json is not available with --profile")
-    if args.json_output:
-        # The JSON report owns stdout; progress/summary lines move to stderr.
-        configure(stream=sys.stderr)
-    scales = ["small", "medium", "large", "xl-small"] if args.suite == "all" else [args.suite]
-    specs = build_suites(scales)
-    log.info(f"perf: {len(specs)} benchmark(s) across suite(s) {', '.join(scales)}")
-
-    if args.profile:
-        if args.profile_top < 1:
-            raise ValueError("--profile-top must be at least 1")
-        profile_specs(specs, top=args.profile_top)
-        return 0
-
-    def on_record(record) -> None:
-        log.info(
-            f"  {record.name:<28} best {record.best_seconds * 1e3:9.3f} ms  "
-            f"normalized {record.normalized:8.3f}",
-            benchmark=record.name,
-            normalized=round(record.normalized, 3),
-        )
-
-    report = run_specs(specs, repeats=args.repeats, on_record=on_record)
-
-    os.makedirs(args.output_dir, exist_ok=True)
-    report_path = os.path.join(args.output_dir, default_report_name(report.revision))
-    report.write(report_path)
-    log.info(f"wrote {report_path}", path=report_path)
-
-    def emit_json(check: Optional[Dict[str, object]] = None) -> None:
-        if not args.json_output:
-            return
-        payload = report.as_dict()
-        if check is not None:
-            payload["check"] = check
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-
-    baseline_path = args.baseline or perf_baseline.DEFAULT_BASELINE_PATH
-    if args.update_baseline and not args.check:
-        perf_baseline.update_baseline(report, baseline_path)
-        log.info(f"updated baseline {baseline_path}", path=baseline_path)
-        emit_json()
-        return 0
-    if args.check:
-        entries = perf_baseline.load_baseline(baseline_path)
-        if entries is None:
-            if args.update_baseline:
-                # Bootstrapping: nothing to gate against yet, so this run
-                # becomes the baseline.
-                perf_baseline.update_baseline(report, baseline_path)
-                log.info(f"no baseline to check against; created {baseline_path}")
-                emit_json()
-                return 0
-            log.error(f"no baseline at {baseline_path}; run --update-baseline first")
-            return 2
-        # Gate on the scale labels the run produced (the large suite also
-        # carries the ``placement-solver/paper`` record).
-        entries = perf_baseline.filter_entries(entries, sorted({spec.scale for spec in specs}))
-        tolerance = perf_baseline.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-        comparison = perf_baseline.compare_report(report, entries, tolerance=tolerance)
-        if comparison.regressions:
-            # A transient load spike (noisy neighbor, cgroup throttling) can
-            # inflate one measurement pass; regressions must survive an
-            # independent re-measurement before they fail the gate.
-            retry_names = {
-                name.removesuffix(perf_baseline.MEMORY_SUFFIX)
-                for name, *_ in comparison.regressions
-            }
-            log.info(f"re-measuring {len(retry_names)} regressed benchmark(s) to rule out noise")
-            retry_specs = [spec for spec in specs if spec.name in retry_names]
-            retry = run_specs(retry_specs, repeats=args.repeats)
-            by_name = {record.name: record for record in retry.records}
-            for index, record in enumerate(report.records):
-                better = by_name.get(record.name)
-                if better is not None and better.normalized < record.normalized:
-                    # Adopt the retry's record wholesale so the emitted
-                    # report stays a self-consistent measurement, and mark
-                    # it so analysts know a first pass was discarded.
-                    better.meta["retried"] = True
-                    report.records[index] = better
-            report.write(report_path)
-            comparison = perf_baseline.compare_report(report, entries, tolerance=tolerance)
-        for line in comparison.summary_lines():
-            log.info(line)
-        if args.update_baseline:
-            # Gate first, refresh second: a regression must never be baked
-            # into the baseline it would then hide from.
-            if comparison.ok:
-                perf_baseline.update_baseline(report, baseline_path)
-                log.info(f"updated baseline {baseline_path}", path=baseline_path)
-            else:
-                log.warning("baseline NOT updated: regressions above")
-        emit_json(
-            {
-                "ok": comparison.ok,
-                "tolerance": comparison.tolerance,
-                "regressions": [
-                    {"name": name, "baseline": base, "current": current, "ratio": ratio}
-                    for name, base, current, ratio in comparison.regressions
-                ],
-                "missing": list(comparison.missing),
-                "new": list(comparison.new),
-            }
-        )
-        return 0 if comparison.ok else 1
-    emit_json()
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _command_list()
     if args.command == "show":
         return _command_show(args.scenario)
-    if args.command == "perf":
-        return _command_perf(args)
     if args.command == "compare":
         return _command_compare(args)
     if args.command == "place-compare":

@@ -12,7 +12,7 @@ models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, Tuple
 
 NodeId = Hashable
 
@@ -39,7 +39,8 @@ class EpochClock:
 
     duration: float
     current_epoch: int = 0
-    _records: List[SyncRecord] = field(default_factory=list)
+    _sync_messages: int = field(default=0, init=False, repr=False)
+    _sync_hops: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -70,6 +71,9 @@ class EpochClock:
     ) -> SyncRecord:
         """Record one synchronization round among the placed hubs.
 
+        The round is added to the running totals and returned; the clock
+        keeps no per-round history.
+
         Args:
             hub_hop_counts: Communication hops for every ordered pair of hubs
                 that exchanges state.
@@ -85,18 +89,14 @@ class EpochClock:
             total_hops=total_hops,
             max_delay=max_delay,
         )
-        self._records.append(record)
+        self._sync_messages += messages
+        self._sync_hops += total_hops
         return record
-
-    @property
-    def sync_records(self) -> List[SyncRecord]:
-        """All synchronization rounds recorded so far."""
-        return list(self._records)
 
     def total_sync_messages(self) -> int:
         """Total hub-to-hub messages across all recorded rounds."""
-        return sum(record.messages for record in self._records)
+        return self._sync_messages
 
     def total_sync_hops(self) -> int:
         """Total hop traversals consumed by synchronization traffic."""
-        return sum(record.total_hops for record in self._records)
+        return self._sync_hops

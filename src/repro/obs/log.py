@@ -40,8 +40,7 @@ def configure(
 
     ``verbose``/``quiet`` are conveniences for the CLI flags: verbose lowers
     the threshold to DEBUG, quiet raises it to WARNING (verbose wins when
-    both are passed).  ``stream`` overrides the info/debug destination
-    (e.g. stderr while ``perf --json`` owns stdout).
+    both are passed).  ``stream`` overrides the info/debug destination.
     """
     if mode is not None:
         if mode not in ("human", "jsonl"):

@@ -18,7 +18,7 @@ Determinism: every plan-derived field of a result row is identical
 whatever the worker count or completion order (topology and solver seeds
 derive from the run's own ``(seed, purpose)`` pairs).  The one exception is
 ``solve_seconds``, which is measured wall-clock time -- a diagnostic, like
-the perf harness's BENCH files, not part of the reproducibility contract.
+the kernel perf gate's reports, not part of the reproducibility contract.
 """
 
 from __future__ import annotations

@@ -26,13 +26,7 @@ import numpy as np
 
 from repro.reference.topology import PATH_SELECTORS, path_capacity
 from repro.routing import rate_control, router
-from repro.routing.prices import (
-    DEFAULT_ETA,
-    DEFAULT_KAPPA,
-    DEFAULT_T_FEE,
-    ChannelKey,
-    channel_key,
-)
+from repro.routing.prices import ChannelKey, channel_key
 from repro.topology.network import PCNetwork
 
 NodeId = Hashable
@@ -111,13 +105,7 @@ class ChannelPrices:
 class PriceTable:
     """All channel prices of a PCN as one :class:`ChannelPrices` per channel."""
 
-    def __init__(
-        self,
-        network: PCNetwork,
-        kappa: float = DEFAULT_KAPPA,
-        eta: float = DEFAULT_ETA,
-        t_fee: float = DEFAULT_T_FEE,
-    ) -> None:
+    def __init__(self, network: PCNetwork, kappa: float, eta: float, t_fee: float) -> None:
         if not 0.0 < t_fee < 1.0:
             raise ValueError("T_fee must be in (0, 1)")
         self.network = network

@@ -33,11 +33,6 @@ from repro.topology.network import PCNetwork
 NodeId = Hashable
 ChannelKey = Tuple[NodeId, NodeId]
 
-#: Paper defaults for the price controller.
-DEFAULT_KAPPA = 0.01
-DEFAULT_ETA = 0.01
-DEFAULT_T_FEE = 0.01
-
 
 def channel_key(node_a: NodeId, node_b: NodeId) -> ChannelKey:
     """Canonical (order-independent) key for a channel."""
@@ -150,13 +145,7 @@ class PriceTable:
     probes sent along candidate paths read it to compute path routing prices.
     """
 
-    def __init__(
-        self,
-        network: PCNetwork,
-        kappa: float = DEFAULT_KAPPA,
-        eta: float = DEFAULT_ETA,
-        t_fee: float = DEFAULT_T_FEE,
-    ) -> None:
+    def __init__(self, network: PCNetwork, kappa: float, eta: float, t_fee: float) -> None:
         if not 0.0 < t_fee < 1.0:
             raise ValueError("T_fee must be in (0, 1)")
         self.network = network

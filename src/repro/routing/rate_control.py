@@ -28,11 +28,6 @@ NodeId = Hashable
 Pair = Tuple[NodeId, NodeId]
 Path = Tuple[NodeId, ...]
 
-#: Paper-inspired defaults for the rate controller.
-DEFAULT_ALPHA = 0.5
-DEFAULT_MIN_RATE = 0.1
-DEFAULT_INITIAL_RATE = 2.0
-
 
 @dataclass
 class PairRateState:
@@ -101,12 +96,7 @@ class _FlatPaths:
 class PathRateController:
     """Maintains and updates the per-path rates of every active pair."""
 
-    def __init__(
-        self,
-        alpha: float = DEFAULT_ALPHA,
-        min_rate: float = DEFAULT_MIN_RATE,
-        initial_rate: float = DEFAULT_INITIAL_RATE,
-    ) -> None:
+    def __init__(self, alpha: float, min_rate: float, initial_rate: float) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if min_rate < 0:

@@ -100,7 +100,7 @@ _DRAIN_LEVEL_POPS = 64
 #: ... while at least this many rows are still unvisited.  A drain costs a
 #: fixed ~0.3 ms of whole-graph array passes whatever it discovers -- what
 #: the heap loop spends on a few hundred rows.  Both constants sit on the
-#: flat part of the measured break-even (``python -m repro perf``,
+#: flat part of the measured break-even (``python -m benchmarks.perf``,
 #: ``path-generation/*``; see ``docs/architecture.md``).
 _DRAIN_MIN_UNVISITED = 256
 

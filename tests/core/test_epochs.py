@@ -43,12 +43,13 @@ class TestEpochClock:
         assert record.messages == 0
         assert record.max_delay == 0.0
 
-    def test_sync_records_accumulate(self):
+    def test_sync_totals_accumulate(self):
         clock = EpochClock(duration=1.0)
-        clock.record_sync({("a", "b"): 1}, hop_delay=0.01)
-        clock.record_sync({("a", "b"): 2}, hop_delay=0.01)
-        assert len(clock.sync_records) == 2
-        assert clock.total_sync_hops() == 3
+        first = clock.record_sync({("a", "b"): 1}, hop_delay=0.01)
+        second = clock.record_sync({("a", "b"): 2, ("b", "a"): 2}, hop_delay=0.01)
+        assert (first.total_hops, second.total_hops) == (1, 4)
+        assert clock.total_sync_messages() == first.messages + second.messages == 3
+        assert clock.total_sync_hops() == 5
 
     def test_epoch_of_a_fractional_duration(self):
         clock = EpochClock(duration=0.25)
@@ -72,12 +73,12 @@ class TestEpochClock:
         second = clock.record_sync({("a", "b"): 1}, hop_delay=0.01)
         assert (first.epoch, second.epoch) == (2, 5)
 
-    def test_sync_records_returns_a_copy(self):
+    def test_totals_do_not_read_the_returned_record(self):
         clock = EpochClock(duration=1.0)
-        clock.record_sync({("a", "b"): 1}, hop_delay=0.01)
-        clock.sync_records.clear()
-        assert len(clock.sync_records) == 1
+        record = clock.record_sync({("a", "b"): 1}, hop_delay=0.01)
+        record.messages = record.total_hops = 99
         assert clock.total_sync_messages() == 1
+        assert clock.total_sync_hops() == 1
 
     def test_max_delay_is_the_farthest_pair(self):
         clock = EpochClock(duration=1.0)

@@ -200,23 +200,41 @@ class TestPayments:
         )
 
 
+@pytest.fixture
+def sync_rounds(system, monkeypatch):
+    """The records ``record_sync`` returns while ``system`` runs."""
+    rounds = []
+    record_sync = system.epoch_clock.record_sync
+
+    def recorded(*args):
+        rounds.append(record_sync(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(system.epoch_clock, "record_sync", recorded)
+    return rounds
+
+
 class TestEpochs:
-    def test_epoch_sync_recorded(self, system):
+    def test_epoch_sync_recorded(self, system, sync_rounds):
         system.run(duration=2.5)
         assert system.epoch_clock.current_epoch >= 2
-        assert len(system.epoch_clock.sync_records) >= 2
+        assert len(sync_rounds) >= 2
+        assert system.epoch_clock.total_sync_messages() == sum(
+            record.messages for record in sync_rounds
+        )
 
-    def test_one_sync_round_per_epoch_boundary(self, system):
+    def test_one_sync_round_per_epoch_boundary(self, system, sync_rounds):
         reports = system.run(duration=3.0, dt=0.1)
         assert len(reports) == 30
-        assert [record.epoch for record in system.epoch_clock.sync_records] == [1, 2, 3]
+        assert [record.epoch for record in sync_rounds] == [1, 2, 3]
 
-    def test_sync_round_reaches_every_ordered_hub_pair(self, system):
+    def test_sync_round_reaches_every_ordered_hub_pair(self, system, sync_rounds):
         hubs = system.hubs
         assert len(hubs) > 1
         system.run(duration=1.0, dt=0.25)
-        (record,) = system.epoch_clock.sync_records
+        (record,) = sync_rounds
         assert record.messages == len(hubs) * (len(hubs) - 1)
+        assert system.epoch_clock.total_sync_hops() == record.total_hops
         assert record.total_hops == system.sync_message_hops_per_epoch()
         farthest = max(
             system.network.hop_count(a, b) for a in hubs for b in hubs if a != b

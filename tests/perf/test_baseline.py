@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.perf.baseline import (
+from benchmarks.perf.baseline import (
     BaselineEntry,
     compare_report,
     filter_entries,
     load_baseline,
     update_baseline,
 )
-from repro.perf.harness import BenchmarkRecord, BenchmarkReport
+from benchmarks.perf.harness import BenchmarkRecord, BenchmarkReport
 
 
 def _record(name, normalized, best=0.01):

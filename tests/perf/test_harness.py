@@ -1,16 +1,8 @@
 """Tests for the benchmark harness (timing, report schema)."""
 
-import pytest
+import json
 
-from repro.perf.harness import (
-    BenchmarkReport,
-    BenchmarkSpec,
-    calibrate,
-    default_report_name,
-    git_revision,
-    run_spec,
-    run_specs,
-)
+from benchmarks.perf.harness import BenchmarkSpec, calibrate, git_revision, run_specs
 
 
 def _spec(name="demo/small", group="demo", scale="small", inner=1):
@@ -35,16 +27,16 @@ def _spec(name="demo/small", group="demo", scale="small", inner=1):
 
 
 class TestTiming:
-    def test_run_spec_counts_and_record_fields(self):
+    def test_run_specs_counts_and_record_fields(self):
         spec, calls = _spec(inner=3)
-        record = run_spec(spec, calibration_seconds=0.5, repeats=4)
+        (record,) = run_specs([spec], repeats=4).records
         assert calls["setup"] == 1
         assert calls["fn"] == 3 * (4 + 1) + 1  # repeats, the traced warmup, one untraced call
         assert record.name == spec.name
         assert record.repeats == 4
         assert record.inner == 3
         assert record.best_seconds <= record.mean_seconds
-        assert record.normalized == pytest.approx(record.best_seconds / 0.5)
+        assert record.normalized > 0.0
         assert record.meta == {"marker": spec.name}
 
     def test_calibrate_is_positive(self):
@@ -62,29 +54,19 @@ class TestTiming:
 
 
 class TestReport:
-    def _report(self):
+    def test_written_report_carries_every_record(self, tmp_path):
         spec_a, _ = _spec(name="grp/large", group="grp", scale="large")
         spec_b, _ = _spec(name="other/large", group="other", scale="large")
-        return run_specs([spec_a, spec_b], repeats=2)
-
-    def test_round_trip(self, tmp_path):
-        report = self._report()
-        path = str(tmp_path / "BENCH_test.json")
+        report = run_specs([spec_a, spec_b], repeats=2)
+        path = str(tmp_path / "kernels_test.json")
         report.write(path)
-        loaded = BenchmarkReport.read(path)
-        assert [r.name for r in loaded.records] == [r.name for r in report.records]
-        assert loaded.calibration_seconds == pytest.approx(report.calibration_seconds)
-        assert loaded.revision == report.revision
-        assert loaded.record("grp/large").normalized == pytest.approx(
-            report.record("grp/large").normalized
-        )
+        with open(path, encoding="utf-8") as handle:
+            written = json.load(handle)
+        assert written["schema"] == 1
+        assert written["revision"] == report.revision
+        assert written["calibration_seconds"] == report.calibration_seconds
+        assert [record["name"] for record in written["records"]] == ["grp/large", "other/large"]
+        assert written["records"][0]["normalized"] == report.records[0].normalized
 
-    def test_record_lookup_raises_on_unknown(self):
-        report = self._report()
-        with pytest.raises(KeyError):
-            report.record("missing/small")
-
-    def test_report_name_embeds_revision(self):
-        assert default_report_name("abc123") == "BENCH_abc123.json"
-        assert default_report_name().startswith("BENCH_")
-        assert git_revision()  # never empty
+    def test_git_revision_is_never_empty(self):
+        assert git_revision()

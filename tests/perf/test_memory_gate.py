@@ -1,17 +1,19 @@
 """Tests for the perf harness memory probe and the memory regression gate.
 
 The harness measures each benchmark's tracemalloc peak during an untimed
-warmup that follows one untraced call, and carries it as ``peak_mib`` through records, reports and the
-committed baseline; ``compare_report`` then gates memory growth exactly like
-normalized-time growth.  These tests pin the probe, the plumbing, the gate
-semantics (including back-compat with baselines that predate the probe) and
-the committed xl-small ceiling.
+warmup that follows one untraced call, and carries it as ``peak_mib``
+through records, reports and the committed baseline; ``compare_report``
+then gates memory growth exactly like normalized-time growth.  These tests
+pin the probe, the plumbing, the gate semantics (including back-compat with
+baselines that predate the probe) and the committed xl-small ceiling.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.perf.baseline import (
+from benchmarks.perf.baseline import (
     DEFAULT_BASELINE_PATH,
     DEFAULT_MEMORY_TOLERANCE,
     BaselineEntry,
@@ -20,13 +22,7 @@ from repro.perf.baseline import (
     load_baseline,
     update_baseline,
 )
-from repro.perf.harness import (
-    BenchmarkRecord,
-    BenchmarkReport,
-    BenchmarkSpec,
-    run_spec,
-    run_specs,
-)
+from benchmarks.perf.harness import BenchmarkRecord, BenchmarkReport, BenchmarkSpec, run_specs
 
 
 def _alloc_spec(mib: float, name: str = "alloc/small"):
@@ -77,16 +73,20 @@ def _report(records):
     )
 
 
+def _peaks(report):
+    return {record.name: record.peak_mib for record in report.records}
+
+
 class TestMemoryProbe:
-    def test_run_spec_measures_allocation_peak(self):
-        record = run_spec(_alloc_spec(4.0), calibration_seconds=0.5, repeats=1)
+    def test_run_specs_measures_allocation_peak(self):
+        (record,) = run_specs([_alloc_spec(4.0)], repeats=1).records
         assert 3.5 < record.peak_mib < 16.0
 
     def test_one_time_costs_of_the_first_call_are_not_charged(self):
         # A lazy import or module cache is paid by the untraced call; the
         # traced one sees only what every call allocates.
         _ONE_OFF.clear()
-        record = run_spec(_lazy_spec(), calibration_seconds=0.5, repeats=1)
+        (record,) = run_specs([_lazy_spec()], repeats=1).records
         assert _ONE_OFF
         assert 0.2 < record.peak_mib < 2.0
 
@@ -95,20 +95,17 @@ class TestMemoryProbe:
             [_alloc_spec(4.0, "big/small"), _alloc_spec(0.25, "tiny/small")],
             repeats=1,
         )
-        assert report.record("big/small").peak_mib > 3.5
-        assert report.record("tiny/small").peak_mib < 2.0
+        peaks = _peaks(report)
+        assert peaks["big/small"] > 3.5
+        assert peaks["tiny/small"] < 2.0
 
-    def test_peak_survives_report_round_trip(self, tmp_path):
+    def test_peak_is_written_to_the_report(self, tmp_path):
         report = _report([_record("r/small", peak_mib=12.5)])
-        path = str(tmp_path / "BENCH_x.json")
+        path = str(tmp_path / "kernels_x.json")
         report.write(path)
-        assert BenchmarkReport.read(path).record("r/small").peak_mib == 12.5
-
-    def test_record_from_dict_defaults_missing_peak(self):
-        # Reports written before the probe existed have no peak_mib key.
-        data = _record("r/small").as_dict()
-        del data["peak_mib"]
-        assert BenchmarkRecord.from_dict(data).peak_mib == 0.0
+        with open(path, encoding="utf-8") as handle:
+            (written,) = json.load(handle)["records"]
+        assert written["peak_mib"] == 12.5
 
 
 class TestMemoryGate:
@@ -165,8 +162,6 @@ class TestBaselinePersistence:
         assert load_baseline(path)["r/small"].peak_mib == 7.25
 
     def test_zero_peak_omitted_from_file(self, tmp_path):
-        import json
-
         path = str(tmp_path / "baseline.json")
         update_baseline(_report([_record("r/small", peak_mib=0.0)]), path)
         stored = json.load(open(path))["entries"]["r/small"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.suites import build_suite
+from benchmarks.perf.suites import build_suite
 from repro.topology import csr
 
 

@@ -45,7 +45,7 @@ SIDES = (reference, production)
 def _build_pair(side):
     """A (table, controller) pair over a line network with seeded state."""
     network = _line_network()
-    table = side.PriceTable(network, kappa=0.1, eta=0.1)
+    table = side.PriceTable(network, kappa=0.1, eta=0.1, t_fee=0.01)
     controller = side.PathRateController(alpha=0.7, min_rate=0.2, initial_rate=3.0)
     rng = np.random.default_rng(42)
     pairs = [("n0", "n2"), ("n1", "n4"), ("n0", "n4"), ("n3", "n1")]
@@ -114,7 +114,7 @@ class TestPriceTableEquivalence:
         prices against placeholders and carries nothing, on both sides."""
         for side in SIDES:
             network = _line_network()
-            table = side.PriceTable(network)
+            table = side.PriceTable(network, kappa=0.01, eta=0.01, t_fee=0.01)
             dead = ("n0", "ghost", "n2")
             assert np.isfinite(table.path_prices([dead])[0])
             assert table.path_capacities([dead]).tolist() == [0.0]

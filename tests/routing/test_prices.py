@@ -80,11 +80,11 @@ class TestChannelPrices:
 
 class TestPriceTable:
     def test_builds_entry_per_channel(self, line_network):
-        table = PriceTable(line_network)
+        table = PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=0.01)
         assert len(list(table.all_prices())) == line_network.channel_count()
 
     def test_path_price_sums_channel_prices(self, line_network):
-        table = PriceTable(line_network, t_fee=0.01)
+        table = PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=0.01)
         entry = table.prices("n0", "n1")
         entry.capacity_price = 1.0
         path = ["n0", "n1", "n2"]
@@ -92,30 +92,30 @@ class TestPriceTable:
         assert table.path_prices([path])[0] == pytest.approx(expected)
 
     def test_observe_transfer_feeds_imbalance(self, line_network):
-        table = PriceTable(line_network, eta=0.5)
+        table = PriceTable(line_network, kappa=0.01, eta=0.5, t_fee=0.01)
         table.observe_transfer("n0", "n1", 40.0)
         table.update_all()
         assert table.channel_price("n0", "n1") > table.channel_price("n1", "n0")
 
     def test_set_required_funds_feeds_capacity_price(self, line_network):
-        table = PriceTable(line_network, kappa=0.5)
+        table = PriceTable(line_network, kappa=0.5, eta=0.01, t_fee=0.01)
         table.set_required_funds("n0", "n1", 500.0)
         table.update_all()
         assert table.channel_price("n0", "n1") > 0.0
 
     def test_channel_fee(self, line_network):
-        table = PriceTable(line_network, t_fee=0.1)
+        table = PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=0.1)
         table.prices("n0", "n1").capacity_price = 1.0
         assert table.channel_fee("n0", "n1") == pytest.approx(0.1 * 2.0)
 
     def test_unknown_channel_rejected(self, line_network):
-        table = PriceTable(line_network)
+        table = PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=0.01)
         with pytest.raises(KeyError):
             table.prices("n0", "n4")
 
     def test_invalid_t_fee_rejected(self, line_network):
         with pytest.raises(ValueError):
-            PriceTable(line_network, t_fee=1.5)
+            PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=1.5)
 
     def test_channel_key_is_order_independent(self):
         assert channel_key("b", "a") == channel_key("a", "b")

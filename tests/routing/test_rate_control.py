@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.reference import routing as reference
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 
 
 @pytest.fixture
 def table(line_network) -> PriceTable:
-    return PriceTable(line_network)
+    return PriceTable(line_network, kappa=0.01, eta=0.01, t_fee=0.01)
 
 
 @pytest.fixture
@@ -51,11 +52,20 @@ class TestRegistration:
         controller.drop_pair("n0", "n2")
         assert controller.pair_state("n0", "n2") is None
 
+    def test_step_sizes_have_no_defaults(self, line_network):
+        """Built bare, neither side's controller or price table invents step sizes."""
+        for constructor in (PathRateController, reference.PathRateController):
+            with pytest.raises(TypeError):
+                constructor()
+        for constructor in (PriceTable, reference.PriceTable):
+            with pytest.raises(TypeError):
+                constructor(line_network)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            PathRateController(alpha=0.0)
+            PathRateController(alpha=0.0, min_rate=0.1, initial_rate=2.0)
         with pytest.raises(ValueError):
-            PathRateController(min_rate=-1.0)
+            PathRateController(alpha=0.5, min_rate=-1.0, initial_rate=2.0)
 
 
 class TestRateUpdates:

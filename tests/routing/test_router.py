@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.reference import routing as reference
 from repro.routing.router import RateRouter, RouterConfig
 from repro.routing.transaction import Payment
 from repro.topology.network import PCNetwork
@@ -338,6 +339,17 @@ class TestAblations:
         config = RouterConfig(imbalance_pricing_enabled=False)
         router = RateRouter(line_network, config)
         assert router.price_table.eta == 0.0
+
+    @pytest.mark.parametrize("router_class", [RateRouter, reference.RateRouter])
+    def test_step_sizes_come_from_the_config(self, line_network, router_class):
+        """``RouterConfig`` is the one source of the price and rate step sizes."""
+        config = RouterConfig(
+            kappa=0.2, eta=0.3, t_fee=0.05, alpha=0.7, initial_rate=7.0, min_rate=0.7
+        )
+        router = router_class(line_network, config)
+        table, controller = router.price_table, router.rate_controller
+        assert (table.kappa, table.eta, table.t_fee) == (0.2, 0.3, 0.05)
+        assert (controller.alpha, controller.initial_rate, controller.min_rate) == (0.7, 7.0, 0.7)
 
     def test_scheduler_choice_respected(self, line_network):
         for scheduler in ("fifo", "lifo", "spf", "edf"):

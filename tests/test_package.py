@@ -265,3 +265,14 @@ def test_simulated_workflow_modules_stay_removed(module):
     """The section III-A workflow is counted by ``SplicerSystem``; its toy crypto,
     key group and session objects are gone."""
     assert importlib.util.find_spec(module) is None
+
+
+def test_the_kernel_perf_gate_is_not_in_the_package():
+    """The perf gate is developer tooling in ``benchmarks/perf``: no ``repro.perf``
+    module and no ``repro perf`` subcommand."""
+    from repro.__main__ import _build_parser
+
+    assert importlib.util.find_spec("repro.perf") is None
+    with pytest.raises(SystemExit) as exited:
+        _build_parser().parse_args(["perf"])
+    assert exited.value.code == 2

@@ -688,7 +688,7 @@ class TestCatalogInvariant:
         seed, steps, k = scenario
         network = _build_network(seed, nodes=18)
         catalog = PathCatalog(network)
-        table = PriceTable(network)
+        table = PriceTable(network, kappa=0.01, eta=0.01, t_fee=0.01)
         pairs = _sample_pairs(network, 6, seed + 1)
 
         def query_all():
@@ -754,7 +754,7 @@ class TestCatalogInvariant:
         csr_paths = PathCSR(network, paths)
         # The router's index grows its flattened hop columns past the first
         # allocation while registering the same paths.
-        table = PriceTable(network)
+        table = PriceTable(network, kappa=0.01, eta=0.01, t_fee=0.01)
         table.path_rows(paths)
         assert int(table._paths.ptr[-1]) > 64
         for indexed in (csr_paths, table._paths):
