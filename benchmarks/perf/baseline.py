@@ -66,7 +66,6 @@ class BaselineComparison:
     (informational only).
     """
 
-    tolerance: float
     regressions: List[tuple] = field(default_factory=list)
     improvements: List[tuple] = field(default_factory=list)
     unchanged: List[str] = field(default_factory=list)
@@ -83,7 +82,7 @@ class BaselineComparison:
             unit = "peak MiB" if name.endswith(" [memory]") else "normalized"
             lines.append(
                 f"REGRESSION {name}: {unit} {current:.3f} vs baseline {base:.3f} "
-                f"({(ratio - 1.0) * 100.0:+.1f}%, tolerance {self.tolerance * 100.0:.0f}%)"
+                f"({(ratio - 1.0) * 100.0:+.1f}%, tolerance {DEFAULT_TOLERANCE * 100.0:.0f}%)"
             )
         for name in self.missing:
             lines.append(f"MISSING {name}: present in baseline but not in this run")
@@ -139,28 +138,23 @@ def filter_entries(
 def compare_report(
     report: BenchmarkReport,
     baseline: Dict[str, BaselineEntry],
-    tolerance: float = DEFAULT_TOLERANCE,
-    improvement_margin: float = 0.10,
-    memory_tolerance: float = DEFAULT_MEMORY_TOLERANCE,
 ) -> BaselineComparison:
     """Compare a report's normalized times against the baseline entries.
 
     Only benchmarks present in the baseline gate the result; new benchmarks
     are reported informationally, baseline entries missing from the run fail
-    the gate.  Benchmarks faster than baseline by more than
-    ``improvement_margin`` are listed as improvements (a hint to re-baseline
-    so future regressions are caught from the new level).
+    the gate.  A benchmark slower than baseline by more than
+    :data:`DEFAULT_TOLERANCE` is a regression; one faster by more than 10%
+    is listed as an improvement (a hint to re-baseline so future regressions
+    are caught from the new level).
 
     Benchmarks whose baseline entry stores a ``peak_mib`` additionally gate
-    on memory: a peak above the baseline by more than ``memory_tolerance``
-    is a regression (reported as ``<name> [memory]``), so an accidental
-    per-item materialization fails CI exactly like a slowdown.
+    on memory: a peak above the baseline by more than
+    :data:`DEFAULT_MEMORY_TOLERANCE` is a regression (reported as
+    ``<name> [memory]``), so an accidental per-item materialization fails CI
+    exactly like a slowdown.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    if memory_tolerance < 0:
-        raise ValueError("memory_tolerance must be non-negative")
-    comparison = BaselineComparison(tolerance=tolerance)
+    comparison = BaselineComparison()
     seen = set()
     for record in report.records:
         seen.add(record.name)
@@ -170,7 +164,7 @@ def compare_report(
             continue
         if entry.peak_mib > 0 and record.peak_mib > 0:
             memory_ratio = record.peak_mib / entry.peak_mib
-            if memory_ratio > 1.0 + memory_tolerance:
+            if memory_ratio > 1.0 + DEFAULT_MEMORY_TOLERANCE:
                 comparison.regressions.append(
                     (record.name + MEMORY_SUFFIX, entry.peak_mib, record.peak_mib, memory_ratio)
                 )
@@ -179,9 +173,9 @@ def compare_report(
             continue
         ratio = record.normalized / entry.normalized
         row = (record.name, entry.normalized, record.normalized, ratio)
-        if ratio > 1.0 + tolerance:
+        if ratio > 1.0 + DEFAULT_TOLERANCE:
             comparison.regressions.append(row)
-        elif ratio < 1.0 - improvement_margin:
+        elif ratio < 0.90:
             comparison.improvements.append(row)
         else:
             comparison.unchanged.append(record.name)

@@ -181,14 +181,14 @@ def calibrate(repeats: int = 5) -> float:
 def run_specs(
     specs: Sequence[BenchmarkSpec],
     repeats: int = DEFAULT_REPEATS,
-    passes: int = 2,
 ) -> BenchmarkReport:
     """Run a list of benchmarks and assemble the report.
 
-    The timed repeats are split into ``passes`` round-robin sweeps over the
-    whole spec list, so a transient machine-load spike degrades one pass of
-    every benchmark (recovered by the min over the other passes) instead of
-    poisoning every repeat of whichever benchmark it happened to hit.
+    The timed repeats are split into two round-robin passes over the whole
+    spec list (one when ``repeats`` is 1), so a transient machine-load spike
+    degrades one pass of every benchmark (recovered by the min over the
+    other pass) instead of poisoning every repeat of whichever benchmark it
+    happened to hit.
 
     Machine speed can also drift *within* a run (CPU-frequency scaling,
     cgroup quota throttling), so the calibration workload is re-measured
@@ -199,7 +199,7 @@ def run_specs(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    passes = max(1, min(passes, repeats))
+    passes = min(2, repeats)
     states = []
     peaks: List[float] = []
     for spec in specs:

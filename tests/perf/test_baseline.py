@@ -44,13 +44,13 @@ def _baseline(**normals):
 class TestCompare:
     def test_within_tolerance_passes(self):
         report = _report([_record("r/small", 1.1)])
-        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}))
         assert comparison.ok
         assert comparison.unchanged == ["r/small"]
 
     def test_regression_detected(self):
         report = _report([_record("r/small", 1.4)])
-        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}))
         assert not comparison.ok
         (name, base, current, ratio) = comparison.regressions[0]
         assert name == "r/small"
@@ -59,27 +59,22 @@ class TestCompare:
 
     def test_improvement_reported_but_passing(self):
         report = _report([_record("r/small", 0.5)])
-        comparison = compare_report(report, _baseline(**{"r/small": 1.0}), tolerance=0.25)
+        comparison = compare_report(report, _baseline(**{"r/small": 1.0}))
         assert comparison.ok
         assert comparison.improvements[0][0] == "r/small"
 
     def test_missing_baseline_entry_fails_gate(self):
         report = _report([_record("r/small", 1.0)])
         baseline = _baseline(**{"r/small": 1.0, "gone/small": 2.0})
-        comparison = compare_report(report, baseline, tolerance=0.25)
+        comparison = compare_report(report, baseline)
         assert not comparison.ok
         assert comparison.missing == ["gone/small"]
 
     def test_new_benchmark_is_informational(self):
         report = _report([_record("fresh/small", 1.0)])
-        comparison = compare_report(report, _baseline(), tolerance=0.25)
+        comparison = compare_report(report, _baseline())
         assert comparison.ok
         assert comparison.new == ["fresh/small"]
-
-    def test_negative_tolerance_rejected(self):
-        report = _report([])
-        with pytest.raises(ValueError):
-            compare_report(report, _baseline(), tolerance=-0.1)
 
 
 class TestFilter:

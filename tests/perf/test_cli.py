@@ -40,6 +40,8 @@ def test_small_suite_writes_a_kernels_report_only_where_asked(tmp_path, monkeypa
         "placement-solver/small",
         "topology-state/small",
     }
+    assert "speedups" not in payload
+    assert all("variant" not in record for record in payload["records"])
     assert os.path.basename(report) == f"kernels_{payload['revision']}.json"
     assert payload["calibration_seconds"] > 0
     assert "topology-state/small" in capsys.readouterr().out

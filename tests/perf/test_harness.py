@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from benchmarks.perf.harness import BenchmarkSpec, calibrate, git_revision, run_specs
 
 
@@ -29,15 +31,25 @@ def _spec(name="demo/small", group="demo", scale="small", inner=1):
 class TestTiming:
     def test_run_specs_counts_and_record_fields(self):
         spec, calls = _spec(inner=3)
-        (record,) = run_specs([spec], repeats=4).records
+        report = run_specs([spec], repeats=4)
+        (record,) = report.records
         assert calls["setup"] == 1
         assert calls["fn"] == 3 * (4 + 1) + 1  # repeats, the traced warmup, one untraced call
         assert record.name == spec.name
         assert record.repeats == 4
         assert record.inner == 3
         assert record.best_seconds <= record.mean_seconds
-        assert record.normalized > 0.0
+        # Each pass divides by its own calibration; the report keeps the smallest.
+        assert 0.0 < record.normalized <= record.best_seconds / report.calibration_seconds
         assert record.meta == {"marker": spec.name}
+
+    def test_one_pass_normalizes_against_its_calibration(self):
+        spec, _ = _spec()
+        report = run_specs([spec], repeats=1)
+        (record,) = report.records
+        assert record.normalized == pytest.approx(
+            record.best_seconds / report.calibration_seconds
+        )
 
     def test_calibrate_is_positive(self):
         assert calibrate(repeats=1) > 0.0
@@ -45,7 +57,7 @@ class TestTiming:
     def test_run_specs_interleaves_all_repeats(self):
         spec_a, calls_a = _spec(name="a/small")
         spec_b, calls_b = _spec(name="b/small", group="b")
-        report = run_specs([spec_a, spec_b], repeats=5, passes=2)
+        report = run_specs([spec_a, spec_b], repeats=5)
         assert calls_a["setup"] == 1 and calls_b["setup"] == 1
         assert calls_a["fn"] == 5 + 1 + 1  # repeats, traced and untraced warmups
         assert calls_b["fn"] == 5 + 1 + 1

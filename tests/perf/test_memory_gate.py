@@ -131,7 +131,7 @@ class TestMemoryGate:
 
     def test_time_and_memory_can_both_regress(self):
         report = _report([_record("r/small", normalized=2.0, peak_mib=16.0)])
-        comparison = compare_report(report, self._baseline(10.0), tolerance=0.25)
+        comparison = compare_report(report, self._baseline(10.0))
         names = [row[0] for row in comparison.regressions]
         assert names == ["r/small [memory]", "r/small"]
 
@@ -144,15 +144,6 @@ class TestMemoryGate:
         # An externally-profiled run (tracemalloc already tracing) reports 0.
         report = _report([_record("r/small", peak_mib=0.0)])
         assert compare_report(report, self._baseline(10.0)).ok
-
-    def test_custom_memory_tolerance(self):
-        report = _report([_record("r/small", peak_mib=11.0)])
-        assert compare_report(report, self._baseline(10.0), memory_tolerance=0.20).ok
-        assert not compare_report(report, self._baseline(10.0), memory_tolerance=0.05).ok
-
-    def test_negative_memory_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_report(_report([]), {}, memory_tolerance=-0.1)
 
 
 class TestBaselinePersistence:
