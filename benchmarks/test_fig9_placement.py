@@ -82,14 +82,13 @@ def test_fig9ef_delay_overhead(scale):
     for omega in DELAY_OMEGAS:
         splicer = SplicerScheme(SplicerConfig(omega=omega, placement_method="greedy", placement_seed=0))
         splicer.prepare(network)
-        system = splicer.system
-        clients = list(system.clients)
+        clients = list(splicer.placement_plan.assignment)
         table.append({
             "scheme": f"splicer (omega={omega})",
-            "hub_count": system.placement_plan.hub_count,
-            "decision_delay": round(sum(map(system.management_delay, clients)) / len(clients), 4),
-            "mgmt_hops_per_payment": round(sum(map(system.management_hops, clients)) / len(clients), 2),
-            "sync_hops_per_epoch": system.sync_message_hops_per_epoch(),
+            "hub_count": splicer.placement_plan.hub_count,
+            "decision_delay": round(sum(map(splicer.management_delay, clients)) / len(clients), 4),
+            "mgmt_hops_per_payment": round(sum(map(splicer.management_hops, clients)) / len(clients), 2),
+            "sync_hops_per_epoch": splicer.sync_message_hops_per_epoch(),
         })
     source = ShortestPathScheme()
     source.prepare(network)

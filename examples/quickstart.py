@@ -11,8 +11,9 @@ smooth node -> multi-path rate-based routing -> acknowledgment), whose
 messages Splicer counts as overhead.
 """
 
+from repro.baselines.splicer_scheme import SplicerScheme
 from repro.core.config import SplicerConfig
-from repro.core.splicer import SplicerSystem
+from repro.simulator.workload import TransactionRequest
 from repro.topology.datasets import ChannelSizeDistribution
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -29,28 +30,31 @@ def main() -> None:
     print(f"Built a PCN with {network.node_count()} nodes and {network.channel_count()} channels")
     print(f"Total collateral locked in channels: {network.total_funds():.0f} tokens")
 
-    system = SplicerSystem(network, SplicerConfig(placement_method="auto", placement_seed=0))
-    plan = system.setup()
+    splicer = SplicerScheme(SplicerConfig(placement_method="auto", placement_seed=0))
+    splicer.prepare(network)
+    plan = splicer.placement_plan
     print(f"\nPlacement ({plan.method}): {plan.hub_count} smooth nodes, "
           f"balance cost {plan.balance_cost:.3f}")
     for hub, load in sorted(plan.load_per_hub().items(), key=lambda item: str(item[0])):
         print(f"  hub {hub}: serves {load} clients")
 
-    clients = sorted(system.clients, key=str)
+    clients = sorted(plan.assignment, key=str)
     sender, recipient = clients[0], clients[-1]
     print(f"\nSending 25 tokens from {sender} to {recipient} ...")
-    decision = system.submit_payment(sender, recipient, 25.0, now=0.0)
-    print(f"  payment id: {decision.payment.payment_id} (via hub {system.hub_of(sender)})")
-    print(f"  split into {len(decision.payment.units)} transaction units "
-          f"over {len(decision.paths)} candidate paths")
+    request = TransactionRequest(arrival_time=0.0, sender=sender, recipient=recipient, value=25.0)
+    payment = splicer.submit(request, now=0.0)
+    print(f"  payment id: {payment.payment_id} (via hub {plan.assignment[sender]})")
+    print(f"  split into {len(payment.units)} transaction units")
 
-    system.run(duration=3.0)
-    payment = decision.payment
+    dt = splicer.config.router.update_interval
+    for index in range(1, round(3.0 / dt) + 1):
+        splicer.step(index * dt, dt)
     if payment.is_complete:
         print(f"  completed in {payment.latency:.2f}s "
-              f"({payment.hops_used} channel hops, acks forwarded: {system.acks_forwarded})")
+              f"({payment.hops_used} channel hops, acks forwarded: {splicer.acks_forwarded})")
     else:
         print(f"  payment did not complete (status: {payment.status.value})")
+    print(f"  control messages so far: {splicer.overhead_messages():.0f}")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ It contains:
 * :mod:`repro.placement` -- the PCH placement optimization (MILP for
   small-scale networks, supermodular double-greedy for large-scale).
 * :mod:`repro.routing` -- the rate-based, deadlock-free routing protocol.
-* :mod:`repro.core` -- the Splicer system tying candidate voting, placement
-  and routing together, with the section III-A workflow counted as messages.
-* :mod:`repro.baselines` -- Spider, Flash, landmark routing, A2L and
-  shortest-path comparison schemes.
+* :mod:`repro.core` -- Splicer's configuration and candidate voting.
+* :mod:`repro.baselines` -- the Splicer system
+  (:mod:`repro.baselines.splicer_scheme`: candidate voting, placement and
+  routing tied together, with the section III-A workflow counted as
+  messages) and the Spider, Flash, landmark routing, A2L and shortest-path
+  comparison schemes.
 * :mod:`repro.simulator` -- a discrete-event PCN simulator used by the
   evaluation harness.
 * :mod:`repro.scenarios` -- declarative scenarios, mid-run network dynamics
@@ -26,7 +28,7 @@ import importlib
 #: runs first -- pulls in neither the scheme zoo nor networkx.
 _EXPORTS = {
     "SplicerConfig": "repro.core.config",
-    "SplicerSystem": "repro.core.splicer",
+    "SplicerScheme": "repro.baselines.splicer_scheme",
     "PlacementPlan": "repro.placement.problem",
     "PlacementProblem": "repro.placement.problem",
     "PlacementSolver": "repro.placement.solver",

@@ -1,19 +1,15 @@
 """Spider-style multi-path packetized source routing (NSDI'20).
 
-Spider splits payments into packet-like transaction units, routes them on a
-set of edge-disjoint shortest paths, and adjusts per-path rates from
-congestion signals at intermediate routers.  It is the closest competitor to
-Splicer in the paper; the differences this reproduction models are exactly
-the ones the paper attributes the gap to:
+Spider splits payments into packet-like transaction units.  It is the
+closest competitor to Splicer in the paper, and this reproduction runs it on
+the same rate router with three differences:
 
-* the *sender* computes and refreshes paths, so every payment pays a
+* paths are edge-disjoint shortest (EDS, k = 4) rather than widest, so they
+  ignore the heavy-tailed channel capacities,
+* per-path rates follow the capacity price only: imbalance pricing is off,
+* the *sender* computes and refreshes paths, so every payment first waits a
   source-computation delay that grows with network size (and eats into the
-  3-second deadline),
-* paths are edge-disjoint shortest rather than widest, which underutilizes
-  the heavy-tailed channel capacities,
-* rate control reacts to congestion (capacity price) but lacks Splicer's
-  proactive imbalance pricing, so circulating imbalances drain channels
-  more easily.
+  3-second deadline).
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.topology.network import PCNetwork
 
 
 #: Spider's default router parameters (k = 4 edge-disjoint shortest paths,
-#: congestion pricing only).
+#: capacity price only).
 SPIDER_ROUTER_CONFIG = RouterConfig(
     path_type="eds",
     path_count=4,
@@ -41,7 +37,7 @@ SPIDER_ROUTER_CONFIG = RouterConfig(
 
 
 class SpiderScheme(RoutingScheme):
-    """Spider: packetized multi-path source routing with congestion pricing."""
+    """Spider: packetized multi-path source routing with capacity pricing."""
 
     name = "spider"
 

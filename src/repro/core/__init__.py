@@ -1,27 +1,19 @@
-"""The Splicer system: multi-PCH payment routing with optimized placement.
-
-This subpackage ties the substrates together into the system of the paper:
+"""Splicer's configuration and candidate election.
 
 * :class:`~repro.core.config.SplicerConfig` collects every tunable parameter
   with the paper's defaults,
 * :func:`~repro.core.voting.multiwinner_vote` elects the smooth-node
-  candidates when the network designates none,
-* :class:`~repro.core.epochs.EpochClock` models the bounded-synchronous
-  epoch communication,
-* :class:`~repro.core.splicer.SplicerSystem` is the public facade: give it a
-  network, it elects candidates, solves placement, maps every client to its
-  smooth node, routes payments deadlock-free and counts the messages of the
-  section III-A workflow.
+  candidates when the network designates none.
+
+The system itself -- election, placement, the client -> hub map, epoch
+synchronization, the counted section III-A workflow and the rate router
+behind the hubs -- is :class:`~repro.baselines.splicer_scheme.SplicerScheme`.
 """
 
 from repro.core.config import SplicerConfig
-from repro.core.epochs import EpochClock
-from repro.core.splicer import SplicerSystem
 from repro.core.voting import multiwinner_vote
 
 __all__ = [
     "SplicerConfig",
-    "EpochClock",
-    "SplicerSystem",
     "multiwinner_vote",
 ]

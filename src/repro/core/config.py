@@ -11,7 +11,7 @@ outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.routing.router import RouterConfig
@@ -32,40 +32,17 @@ class SplicerConfig:
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
         placement_seed: Seed for the randomized placement approximation.
-        candidate_count: Number of smooth-node candidates elected by
-            multiwinner voting when the network does not already designate
-            them (``None`` keeps the network's candidate set).
-        epoch_duration: Length of one communication epoch in seconds.
         payment_timeout: Transaction deadline in seconds (paper: 3 s).
-        client_hub_hop_delay: One-way communication delay per hop between a
-            client and its smooth node, used for the management-delay metric.
-        hub_sync_hop_delay: One-way delay per hop between smooth nodes, used
-            for the synchronization-delay metric.
     """
 
     router: RouterConfig = field(default_factory=RouterConfig)
     omega: float = 0.05
     placement_method: str = "auto"
     placement_seed: Optional[int] = 0
-    candidate_count: Optional[int] = None
-    epoch_duration: float = 1.0
     payment_timeout: float = 3.0
-    client_hub_hop_delay: float = 0.01
-    hub_sync_hop_delay: float = 0.01
 
     def __post_init__(self) -> None:
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
-        if self.epoch_duration <= 0:
-            raise ValueError("epoch_duration must be positive")
         if self.payment_timeout <= 0:
             raise ValueError("payment_timeout must be positive")
-
-    def with_router(self, **changes: object) -> "SplicerConfig":
-        """A copy of the configuration with some router fields replaced."""
-        return replace(self, router=replace(self.router, **changes))
-
-    @classmethod
-    def paper_defaults(cls) -> "SplicerConfig":
-        """The configuration used by the paper's evaluation."""
-        return cls()

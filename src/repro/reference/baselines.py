@@ -29,7 +29,6 @@ from repro.baselines import (
     splicer_scheme,
     waterfilling,
 )
-from repro.core.splicer import SplicerSystem
 from repro.obs import core as obs
 from repro.reference.routing import RateRouter
 from repro.reference.topology import path_capacity
@@ -221,8 +220,6 @@ class SplicerScheme(splicer_scheme.SplicerScheme):
     """Splicer with the scalar router behind its smooth nodes."""
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
-        """Build the system, swap in the scalar router, then run setup."""
-        super(splicer_scheme.SplicerScheme, self).prepare(network, rng)
-        self.system = SplicerSystem(network, self.config)
-        self.system.router = RateRouter(network, self.config.router)
-        self.system.setup()
+        """Prepare as production does, then swap in the scalar router."""
+        super().prepare(network, rng)
+        self.router = RateRouter(network, self.config.router)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import A2LScheme, SpiderScheme, SplicerScheme
 from repro.baselines.base import SourceComputationModel
+from repro.baselines.splicer_scheme import CLIENT_HUB_HOP_DELAY, EPOCH_DURATION
 from repro.core.config import SplicerConfig
 from repro.routing.router import RouterConfig
 from repro.simulator.experiment import ExperimentRunner
@@ -136,8 +137,9 @@ class TestSplicerScheme:
     def test_extra_delay_reflects_client_hub_distance(self, scheme, small_ws_network):
         clients = sorted(small_ws_network.clients(), key=repr)
         payment = scheme.submit(_request(clients[0], clients[-1], 2.0), now=0.0)
-        system = scheme.system
-        expected = system.management_delay(clients[0])
+        hub = scheme.placement_plan.assignment[clients[0]]
+        expected = 2 * small_ws_network.hop_count(clients[0], hub) * CLIENT_HUB_HOP_DELAY
+        assert expected > 0
         assert scheme.extra_delay(payment) == pytest.approx(expected)
 
     def test_refused_payments_are_reported_failed(self, small_ws_network):
@@ -176,7 +178,7 @@ class TestSplicerScheme:
         client = sorted(small_ws_network.clients(), key=repr)[0]
         payment = scheme.submit(_request(unplaced[0], client, 3.0), now=0.0)
         assert scheme.extra_delay(payment) == 0.0
-        assert scheme.system.management_messages == 0
+        assert scheme.management_messages == 0
 
     def test_client_submission_is_dated_by_its_arrival(self, scheme, small_ws_network):
         # A request routed after its management delay keeps its arrival time.
@@ -184,18 +186,63 @@ class TestSplicerScheme:
         payment = scheme.submit(_request(clients[0], clients[1], 2.0, time=0.5), now=0.8)
         assert payment.created_at == 0.5
         assert payment.deadline == pytest.approx(0.5 + scheme.config.payment_timeout)
-        assert scheme.system.management_messages == 3
+        assert scheme.management_messages == 3
 
     def test_overhead_is_read_after_every_step(self, scheme, small_ws_network):
         clients = sorted(small_ws_network.clients(), key=repr)
         scheme.submit(_request(clients[0], clients[-1], 5.0), now=0.0)
-        system = scheme.system
         for index in range(1, 16):
             scheme.step(index * 0.1, 0.1)
             assert scheme.overhead_messages() == (
-                system.management_messages
-                + system.acks_forwarded
-                + system.epoch_clock.total_sync_messages()
-                + system.router.total_probe_messages
+                scheme.management_messages
+                + scheme.acks_forwarded
+                + scheme.sync_messages
+                + scheme.router.total_probe_messages
             )
-        assert system.acks_forwarded == 1
+        assert scheme.acks_forwarded == 1
+
+
+class _CollectingSplicer(SplicerScheme):
+    """Splicer keeping every payment its steps report completed."""
+
+    def prepare(self, network, rng=None):
+        super().prepare(network, rng)
+        self.completed = []
+
+    def step(self, now, dt):
+        report = super().step(now, dt)
+        self.completed.extend(report.completed)
+        return report
+
+
+@pytest.mark.parametrize("step_size", [0.1, 0.3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_overhead_of_a_run_matches_independent_counts(small_ws_network, seed, step_size):
+    """A full run's overhead, rebuilt from the workload and the finished payments.
+
+    Every client submission costs 3 messages and every completed client
+    payment 1 ACK; every hub pair exchanges one message at each epoch
+    boundary the run crosses.  Only the probes are read from the router.
+    """
+    config = SplicerConfig(placement_method="greedy", placement_seed=0)
+    workload = generate_workload(
+        small_ws_network, WorkloadConfig(duration=3.0, arrival_rate=20.0, seed=seed)
+    )
+    runner = ExperimentRunner(small_ws_network, workload, step_size=step_size, drain_time=1.6)
+    scheme = _CollectingSplicer(config)
+    metrics = runner.run_single(scheme)
+
+    clients = scheme.placement_plan.assignment
+    submissions = sum(request.sender in clients for request in workload.requests)
+    completed = sum(payment.sender in clients for payment in scheme.completed)
+    hubs = scheme.placement_plan.hub_count
+    epochs = int((workload.config.duration + runner.drain_time) // EPOCH_DURATION)
+    assert submissions > 0 and 0 < completed < submissions and hubs > 1 and epochs == 4
+    assert len(scheme.completed) == metrics.completed_count
+    assert metrics.generated_count == len(workload.requests)
+    assert metrics.overhead_messages == (
+        3 * submissions
+        + completed
+        + hubs * (hubs - 1) * epochs
+        + scheme.router.total_probe_messages
+    )

@@ -40,6 +40,14 @@ def _checkout_status(root: Path) -> Optional[Set[str]]:
     }
 
 
+def _root_directories(root: Path) -> Set[str]:
+    """The directories in the checkout root, the test tools' own excepted."""
+    return {
+        path.name for path in root.iterdir()
+        if path.is_dir() and path.name not in _TOOL_LEFTOVERS
+    }
+
+
 @pytest.fixture(scope="session", autouse=True)
 def checkout_stays_clean():
     """Fail the session if the suite left anything new in the checkout.
@@ -50,10 +58,15 @@ def checkout_stays_clean():
     """
     root = Path(__file__).resolve().parents[1]
     before = _checkout_status(root)
+    directories = _root_directories(root)
     yield
     if before is None:
         return
     leaked = sorted(_checkout_status(root) - before)
+    # ``git status`` does not list an empty directory, so look for new ones.
+    leaked += [
+        f"{name}/ (new directory)" for name in sorted(_root_directories(root) - directories)
+    ]
     if leaked:
         pytest.fail(
             "the test suite left new state in the checkout:\n  " + "\n  ".join(leaked),

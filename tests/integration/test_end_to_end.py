@@ -1,7 +1,7 @@
 """End-to-end integration tests: full system runs on shared workloads.
 
 These tests exercise the whole stack (topology generation, candidate
-election, placement, the encrypted workflow, rate-based routing, the
+election, placement, the counted workflow, rate-based routing, the
 discrete-event harness and the metric collectors) on small-but-loaded
 scenarios, and check the *qualitative* claims of the paper rather than
 absolute numbers.
@@ -24,7 +24,7 @@ from repro.baselines import (
 from repro.core.config import SplicerConfig
 from repro.routing.router import RouterConfig
 from repro.simulator.experiment import ExperimentRunner
-from repro.simulator.workload import WorkloadConfig, generate_workload
+from repro.simulator.workload import TransactionRequest, WorkloadConfig, generate_workload
 from repro.topology.datasets import ChannelSizeDistribution, TransactionValueDistribution
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -111,7 +111,7 @@ class TestPlacementReducesManagementDelay:
         source_routing = ShortestPathScheme()
         source_routing.prepare(network)
         client = sorted(network.clients(), key=repr)[0]
-        hub_delay = splicer.system.management_delay(client)
+        hub_delay = splicer.management_delay(client)
         source_delay = source_routing.computation.delay_for(network.node_count())
         assert hub_delay < source_delay
 
@@ -128,30 +128,30 @@ class TestDeadlockScenario:
         config = SplicerConfig(
             router=RouterConfig(path_count=1, hop_delay=0.01, eta=0.5),
             placement_method="greedy",
-            candidate_count=1,
         )
-        from repro.core.splicer import SplicerSystem
-
-        system = SplicerSystem(triangle_network, config)
-        system.setup()
+        # C, the relay, is the only candidate and so the one hub.
+        triangle_network.set_role("C", "candidate")
+        scheme = SplicerScheme(config)
+        scheme.prepare(triangle_network)
+        assert list(scheme.placement_plan.hubs) == ["C"]
         completed_late_circulation = 0
         submitted = []
         now = 0.0
         for round_number in range(15):
             now = round_number * 0.4
-            clients = system.clients
+
             def submit(sender, recipient, value):
-                if sender in clients and recipient != sender:
-                    decision = system.submit_payment(sender, recipient, value, now=now)
-                    submitted.append(decision.payment)
-                    return decision.payment
-                return None
+                request = TransactionRequest(
+                    arrival_time=now, sender=sender, recipient=recipient, value=value
+                )
+                submitted.append(scheme.submit(request, now))
+                return submitted[-1]
 
             submit("A", "B", 1.0)
             submit("C", "B", 2.0)
             late = submit("B", "A", 1.0) if round_number >= 10 else None
             for sub_step in range(1, 5):
-                system.step(now + sub_step * 0.1, 0.1)
+                scheme.step(now + sub_step * 0.1, 0.1)
             if late is not None and late.is_complete:
                 completed_late_circulation += 1
         # Even after the imbalanced phase, the B -> A direction keeps working.
@@ -159,9 +159,9 @@ class TestDeadlockScenario:
 
         # Every accepted unit settles or is released: nothing stays queued or
         # locked, each payment ends, and no channel gains or loses funds.
-        system.router.drain(6.0, 0.1)
-        assert system.router.queued_unit_count() == 0
-        assert system.router.in_flight_count() == 0
+        scheme.router.drain(6.0, 0.1)
+        assert scheme.router.queued_unit_count() == 0
+        assert scheme.router.in_flight_count() == 0
         assert all(payment.is_complete or payment.is_failed for payment in submitted)
         outcome = Counter((p.sender, p.recipient, p.is_complete) for p in submitted)
         assert outcome == {

@@ -124,7 +124,7 @@ class TestDynamicScenarioInvariants:
         whose worst hop exceeds the imbalance gap bound must be reported
         blocked, and prices stay in their lawful (non-negative) domain."""
         _, scheme, _, _ = _run_scenario(scenario_name)
-        router = scheme.system.router
+        router = scheme.router
         table = router.price_table
         max_gap = router.config.max_imbalance_gap
         for entry in table.all_prices():

@@ -275,7 +275,7 @@ class TestSystemEquivalence:
         runner = ExperimentRunner(network, workload, step_size=0.1)
         scheme = scheme_class()
         metrics = runner.run_single(scheme, rng=np.random.default_rng(0))
-        router = scheme.system.router
+        router = scheme.router
         rates = {
             (state.source, state.target): list(state.rates)
             for state in router.rate_controller.pairs()
@@ -294,6 +294,7 @@ class TestSystemEquivalence:
         metrics_py, rates_py, prices_py = self._run(reference_baselines.SplicerScheme, seed)
         metrics_np, rates_np, prices_np = self._run(splicer_scheme.SplicerScheme, seed)
         assert metrics_np.success_ratio == pytest.approx(metrics_py.success_ratio, abs=TOL)
+        assert metrics_np.overhead_messages == metrics_py.overhead_messages
         assert metrics_np.normalized_throughput == pytest.approx(
             metrics_py.normalized_throughput, abs=TOL
         )

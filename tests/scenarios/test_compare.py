@@ -387,6 +387,18 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'kmg_size'"],
                 id="kmg_size",
             ),
+            # Election, epochs and the client-hub delay take no config field.
+            *(
+                pytest.param(
+                    ["paper-default"], f"schemes.0.params.{name}=1",
+                    ["'splicer'", f"unknown parameter '{name}'"],
+                    id=name,
+                )
+                for name in (
+                    "candidate_count", "epoch_duration", "client_hub_hop_delay",
+                    "hub_sync_hop_delay",
+                )
+            ),
         ],
     )
     def test_run_rejects_unknown_scheme_parameter(self, capsys, scenario, override, needles):

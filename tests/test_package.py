@@ -46,7 +46,7 @@ def test_one_version_string():
 def test_root_exports_resolve_lazily():
     assert repro.__all__ == [
         "SplicerConfig",
-        "SplicerSystem",
+        "SplicerScheme",
         "PlacementPlan",
         "PlacementProblem",
         "PlacementSolver",
@@ -68,14 +68,15 @@ def test_root_exports_resolve_lazily():
     result = _probe(
         "import sys, repro\n"
         "assert 'repro.core' not in sys.modules and 'numpy' not in sys.modules\n"
-        "from repro import SplicerSystem, PCNetwork\n"
-        "assert SplicerSystem.__module__ == 'repro.core.splicer'\n"
-        "assert 'SplicerSystem' in vars(repro)  # resolved once, then cached\n"
-        "try:\n"
-        "    repro.no_such_name\n"
-        "except AttributeError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
+        "from repro import SplicerScheme, PCNetwork\n"
+        "assert SplicerScheme.__module__ == 'repro.baselines.splicer_scheme'\n"
+        "assert 'SplicerScheme' in vars(repro)  # resolved once, then cached\n"
+        "for name in ('no_such_name', 'SplicerSystem'):\n"
+        "    try:\n"
+        "        exec(f'from repro import {name}')\n"
+        "    except ImportError:\n"
+        "        continue\n"
+        "    sys.exit(f'repro.{name} resolved')\n"
     )
     assert result.returncode == 0, result.stderr
 
@@ -118,7 +119,7 @@ def test_a_sweep_command_imports_its_whole_stack_before_it_forks(tmp_path):
         "run_pool = jsonl.JsonlGridRunner._run_pool\n"
         "def spy(self, *args, **kwargs):\n"
         "    missing = [name for name in ('repro.core.voting', 'repro.baselines.spider',\n"
-        "        'repro.routing.router', 'repro.core.splicer') if name not in sys.modules]\n"
+        "        'repro.routing.router', 'repro.baselines.splicer_scheme') if name not in sys.modules]\n"
         "    assert not missing, missing\n"
         "    assert 'networkx' not in sys.modules\n"
         "    print('pool-started')\n"
@@ -259,11 +260,14 @@ def test_blocking_scipy_stops_the_level_drain():
         "repro.core.payment",
         "repro.core.client",
         "repro.core.smooth_node",
+        "repro.core.splicer",
+        "repro.core.epochs",
     ],
 )
 def test_simulated_workflow_modules_stay_removed(module):
-    """The section III-A workflow is counted by ``SplicerSystem``; its toy crypto,
-    key group and session objects are gone."""
+    """The section III-A workflow is counted by ``SplicerScheme``; its toy crypto,
+    key group and session objects are gone, and so are the ``SplicerSystem``
+    facade and the epoch clock the scheme folded in."""
     assert importlib.util.find_spec(module) is None
 
 
