@@ -251,7 +251,7 @@ _REPLAYS = {
     "scenario-run": ([SplicerScheme], (11, 5, 3)),
     # One comparison step: the four source-routing baselines over one workload.
     "fig8-compare": (
-        [SpiderScheme, lambda: FlashScheme(seed=3), LandmarkScheme, ShortestPathScheme],
+        [SpiderScheme, FlashScheme, LandmarkScheme, ShortestPathScheme],
         (17, 23, 9),
     ),
     # Same shape, very different profile: BFS embedding builds and greedy

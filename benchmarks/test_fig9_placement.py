@@ -80,7 +80,7 @@ def test_fig9ef_delay_overhead(scale):
     network = build_place_network({"nodes": nodes}, seed=1)
     table = []
     for omega in DELAY_OMEGAS:
-        splicer = SplicerScheme(SplicerConfig(omega=omega, placement_method="greedy", placement_seed=0))
+        splicer = SplicerScheme(SplicerConfig(omega=omega, placement_method="greedy"))
         splicer.prepare(network)
         clients = list(splicer.placement_plan.assignment)
         table.append({

@@ -30,7 +30,7 @@ def main() -> None:
     print(f"Built a PCN with {network.node_count()} nodes and {network.channel_count()} channels")
     print(f"Total collateral locked in channels: {network.total_funds():.0f} tokens")
 
-    splicer = SplicerScheme(SplicerConfig(placement_method="auto", placement_seed=0))
+    splicer = SplicerScheme(SplicerConfig(placement_method="auto"))
     splicer.prepare(network)
     plan = splicer.placement_plan
     print(f"\nPlacement ({plan.method}): {plan.hub_count} smooth nodes, "

@@ -47,7 +47,7 @@ def main() -> None:
     )
 
     schemes = [
-        SplicerScheme(SplicerConfig(placement_method="greedy", placement_seed=0)),
+        SplicerScheme(SplicerConfig(placement_method="greedy")),
         SpiderScheme(),
         FlashScheme(),
         LandmarkScheme(),

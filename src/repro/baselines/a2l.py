@@ -38,20 +38,13 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
 
     name = "a2l"
 
-    def __init__(
-        self,
-        crypto_delay: float = 0.05,
-        hub_capacity_per_second: float = 40.0,
-        timeout: float = 3.0,
-    ) -> None:
+    #: Seconds of puzzle-promise processing before a payment can route.
+    crypto_delay: float = 0.05
+    #: Payments the hub processes per second.
+    hub_capacity_per_second: float = 40.0
+
+    def __init__(self) -> None:
         super().__init__()
-        if crypto_delay < 0:
-            raise ValueError("crypto_delay must be non-negative")
-        if hub_capacity_per_second <= 0:
-            raise ValueError("hub_capacity_per_second must be positive")
-        self.crypto_delay = crypto_delay
-        self.hub_capacity_per_second = hub_capacity_per_second
-        self.timeout = timeout
         self.hub: Optional[object] = None
         self._queue: Deque[Payment] = deque()
         self._processing_backlog = 0.0
@@ -66,13 +59,7 @@ class A2LScheme(AtomicRoutingMixin, RoutingScheme):
     # scheme interface
     # ------------------------------------------------------------------ #
     def submit(self, request: TransactionRequest, now: float) -> Payment:
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=request.arrival_time,
-            timeout=self.timeout,
-        )
+        payment = self._payment(request)
         # Puzzle-promise setup costs two round trips with the hub.
         self.control_messages += 4
         self._queue.append(payment)

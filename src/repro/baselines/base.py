@@ -53,7 +53,7 @@ class SchemeStepReport:
     fees_paid: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceComputationModel:
     """Per-payment path-computation delay of source-routing schemes.
 
@@ -78,6 +78,9 @@ class RoutingScheme(abc.ABC):
 
     #: Display name used in result tables.
     name: str = "scheme"
+
+    #: Seconds a payment may take before it fails (section V-A: 3 s).
+    timeout: float = 3.0
 
     #: The sender's path-computation cost; ``None`` for schemes without one.
     computation: Optional[SourceComputationModel] = None
@@ -162,6 +165,16 @@ class RoutingScheme(abc.ABC):
             return 0.0
         return self.computation.delay_for(self._require_network().node_count())
 
+    def _payment(self, request: TransactionRequest) -> Payment:
+        """The payment for ``request``: dated from arrival, due :attr:`timeout` later."""
+        return Payment.create(
+            request.sender,
+            request.recipient,
+            request.value,
+            created_at=request.arrival_time,
+            timeout=self.timeout,
+        )
+
     def overhead_messages(self) -> float:
         """Control-plane messages generated so far."""
         return self.control_messages
@@ -190,9 +203,6 @@ class AtomicRoutingMixin:
     #: Per-hop settlement delay used to timestamp completions.
     hop_delay: float = 0.02
 
-    #: Seconds a payment may take before it fails; set by each scheme.
-    timeout: float
-
     #: Bound by :meth:`prepare`.
     _executor: Optional[AtomicBatchExecutor] = None
 
@@ -210,13 +220,7 @@ class AtomicRoutingMixin:
     def submit(self, request: TransactionRequest, now: float) -> Payment:
         """Route ``request`` at once on the scheme's paths, all-or-nothing."""
         self._require_network()
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=request.arrival_time,
-            timeout=self.timeout,
-        )
+        payment = self._payment(request)
         if now > payment.deadline:  # the wait outlasted the deadline
             payment.fail(FailureReason.TIMEOUT)
             self._report.failed.append(payment)

@@ -32,29 +32,18 @@ class FlashScheme(AtomicRoutingMixin, RoutingScheme):
 
     name = "flash"
 
-    def __init__(
-        self,
-        elephant_threshold: float = 80.0,
-        elephant_paths: int = 4,
-        mouse_path_pool: int = 4,
-        timeout: float = 3.0,
-        computation: Optional[SourceComputationModel] = None,
-        seed: Optional[int] = 0,
-    ) -> None:
-        super().__init__()
-        if elephant_threshold <= 0:
-            raise ValueError("elephant_threshold must be positive")
-        self.elephant_threshold = elephant_threshold
-        self.elephant_paths = elephant_paths
-        self.mouse_path_pool = mouse_path_pool
-        self.timeout = timeout
-        self.computation = computation or SourceComputationModel(base_delay=0.04)
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+    #: Payments of at least this value are elephants.
+    elephant_threshold: float = 80.0
+    #: Max-flow style paths an elephant is split across.
+    elephant_paths: int = 4
+    #: Shortest paths in a pair's mouse pool.
+    mouse_path_pool: int = 4
+    computation = SourceComputationModel(base_delay=0.04)
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
+        """Bind the network; mouse paths are drawn from ``rng`` (seed 0 without one)."""
         super().prepare(network, rng)
-        self._rng = rng if rng is not None else np.random.default_rng(self.seed)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> PathCSR:
         """Max-flow style paths for an elephant, one random pool path for a mouse.

@@ -25,20 +25,14 @@ class LandmarkScheme(AtomicRoutingMixin, RoutingScheme):
 
     name = "landmark"
 
-    def __init__(
-        self,
-        landmark_count: int = 5,
-        paths_per_payment: int = 4,
-        timeout: float = 3.0,
-        computation: Optional[SourceComputationModel] = None,
-    ) -> None:
+    #: Best-connected nodes serving as landmarks.
+    landmark_count: int = 5
+    #: Landmark paths a payment is attempted on.
+    paths_per_payment: int = 4
+    computation = SourceComputationModel(base_delay=0.03)
+
+    def __init__(self) -> None:
         super().__init__()
-        if landmark_count < 1:
-            raise ValueError("need at least one landmark")
-        self.landmark_count = landmark_count
-        self.paths_per_payment = paths_per_payment
-        self.timeout = timeout
-        self.computation = computation or SourceComputationModel(base_delay=0.03)
         self.landmarks: List[object] = []
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:

@@ -8,8 +8,6 @@ sender bears the path-computation cost itself.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
 from repro.baselines.batch import CatalogEntry
 from repro.routing.paths import k_shortest_paths
@@ -19,15 +17,7 @@ class ShortestPathScheme(AtomicRoutingMixin, RoutingScheme):
     """Single shortest-path atomic source routing."""
 
     name = "shortest-path"
-
-    def __init__(
-        self,
-        timeout: float = 3.0,
-        computation: Optional[SourceComputationModel] = None,
-    ) -> None:
-        super().__init__()
-        self.timeout = timeout
-        self.computation = computation or SourceComputationModel()
+    computation = SourceComputationModel()
 
     def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> CatalogEntry:
         network = self._require_network()

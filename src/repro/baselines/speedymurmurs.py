@@ -45,16 +45,11 @@ class SpeedyMurmursScheme(AtomicRoutingMixin, RoutingScheme):
 
     name = "speedymurmurs"
 
-    def __init__(
-        self,
-        landmark_count: int = 3,
-        timeout: float = 3.0,
-    ) -> None:
+    #: Landmark-rooted spanning trees a payment is walked through.
+    landmark_count: int = 3
+
+    def __init__(self) -> None:
         super().__init__()
-        if landmark_count < 1:
-            raise ValueError("need at least one landmark")
-        self.landmark_count = landmark_count
-        self.timeout = timeout
         self.landmarks: List[NodeId] = []
         self._rank: Dict[NodeId, int] = {}
         self._link_state: Dict[EdgeKey, bool] = {}

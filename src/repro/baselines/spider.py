@@ -40,17 +40,11 @@ class SpiderScheme(RoutingScheme):
     """Spider: packetized multi-path source routing with capacity pricing."""
 
     name = "spider"
+    computation = SourceComputationModel(base_delay=0.05)
 
-    def __init__(
-        self,
-        router_config: Optional[RouterConfig] = None,
-        timeout: float = 3.0,
-        computation: Optional[SourceComputationModel] = None,
-    ) -> None:
+    def __init__(self, router_config: Optional[RouterConfig] = None) -> None:
         super().__init__()
         self.router_config = router_config or replace(SPIDER_ROUTER_CONFIG)
-        self.timeout = timeout
-        self.computation = computation or SourceComputationModel(base_delay=0.05)
         self.router: Optional[RateRouter] = None
 
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
@@ -58,13 +52,7 @@ class SpiderScheme(RoutingScheme):
         self.router = RateRouter(network, self.router_config)
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=request.arrival_time,
-            timeout=self.timeout,
-        )
+        payment = self._payment(request)
         self.router.submit(payment, now)
         return payment
 

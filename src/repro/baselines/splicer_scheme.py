@@ -6,7 +6,8 @@ baselines implement, so the experiment runner replays identical workloads
 over all of them:
 
 1. *Candidate election* -- when the network designates no candidate smooth
-   nodes, multiwinner voting elects ``max(2, n // 10)`` of them.
+   nodes, multiwinner voting elects ``max(2, n // 10)`` of them; the
+   elected nodes are no longer clients.
 2. *Placement* -- the placement optimization solves for the actual PCHs
    (MILP for small candidate sets, double-greedy otherwise) and every
    client is attached to its Lemma-1 optimal hub.
@@ -79,13 +80,13 @@ class SplicerScheme(RoutingScheme):
         self.management_messages = self.acks_forwarded = self.sync_messages = 0
         self._epoch = 0
 
-        candidates = network.candidates()
+        candidates, clients = network.candidates(), None
         if not candidates:
             candidates = multiwinner_vote(network, max(2, network.node_count() // 10))
-        problem = build_problem(network, omega=config.omega, candidates=candidates)
-        plan = PlacementSolver(
-            problem, method=config.placement_method, seed=config.placement_seed
-        ).solve()
+            elected = set(candidates)
+            clients = [node for node in network.clients() if node not in elected]
+        problem = build_problem(network, omega=config.omega, clients=clients, candidates=candidates)
+        plan = PlacementSolver(problem, method=config.placement_method).solve()
         self.placement_plan = plan
         assign_roles_from_placement(network, plan.hubs)
 
@@ -106,13 +107,7 @@ class SplicerScheme(RoutingScheme):
         # they reach the router directly, without the client workflow.
         if request.sender in self._client_hops:
             self.management_messages += 3
-        payment = Payment.create(
-            sender=request.sender,
-            recipient=request.recipient,
-            value=request.value,
-            created_at=request.arrival_time,
-            timeout=self.config.payment_timeout,
-        )
+        payment = self._payment(request)
         self.router.submit(payment, now)
         return payment
 

@@ -13,7 +13,7 @@ capacity and pass its split to the shared executor's ``shares`` hook.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.baselines.base import AtomicRoutingMixin, NodeId, RoutingScheme, SourceComputationModel
 from repro.baselines.batch import AtomicBatchExecutor, CatalogEntry
@@ -68,18 +68,9 @@ class WaterfillingScheme(AtomicRoutingMixin, RoutingScheme):
 
     name = "waterfilling"
 
-    def __init__(
-        self,
-        paths_per_payment: int = 4,
-        timeout: float = 3.0,
-        computation: Optional[SourceComputationModel] = None,
-    ) -> None:
-        super().__init__()
-        if paths_per_payment < 1:
-            raise ValueError("need at least one path per payment")
-        self.paths_per_payment = paths_per_payment
-        self.timeout = timeout
-        self.computation = computation or SourceComputationModel()
+    #: Edge-disjoint shortest paths a payment is split across.
+    paths_per_payment: int = 4
+    computation = SourceComputationModel()
 
     def _paths(self, sender: NodeId, recipient: NodeId, value: float) -> CatalogEntry:
         """Edge-disjoint shortest paths, as the pair's catalog entry."""

@@ -30,7 +30,7 @@ from typing import Callable
 
 from repro.baselines.base import RoutingScheme
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import Event, EventKind
+from repro.simulator.events import Event
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.metrics import MetricsCollector
 
@@ -47,11 +47,6 @@ class PerEventRunner(ExperimentRunner):
             scheme.route_batch([request])
 
         for request in self.workload.requests:
-            engine.schedule_at(
-                request.arrival_time,
-                kind=EventKind.PAYMENT_ARRIVAL,
-                payload=request,
-                handler=on_arrival,
-            )
+            engine.schedule_at(request.arrival_time, payload=request, handler=on_arrival)
         # Nothing is ever buffered, so the drain points have nothing to do.
         return lambda: None

@@ -20,10 +20,10 @@ A plan is a list of :class:`FaultDirective` entries.  Each directive names
 * the **attempts** it fires on (default: only the first, so a retried
   shard succeeds and the recovery path is exercised end to end).
 
-Plans ride along outside the reproducibility contract: the spec field and
-the ``REPRO_FAULT_PLAN`` environment variable are both excluded from resume
-fingerprints, so a chaos run and a clean run share run keys and a plain
-rerun resumes the faulted sweep to byte-identical result rows.
+Plans ride along outside the reproducibility contract: the runner's
+``fault_plan`` argument and the ``REPRO_FAULT_PLAN`` environment variable
+never reach a spec, so a chaos run and a clean run share run keys and a
+plain rerun resumes the faulted sweep to byte-identical result rows.
 """
 
 from __future__ import annotations

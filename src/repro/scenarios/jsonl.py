@@ -57,8 +57,8 @@ Resilience contract (the failure-survival layer):
   signal handlers) runs, and :class:`SweepInterrupted` propagates so the
   CLI can exit with the conventional ``128 + signum`` -- a plain rerun
   resumes byte-identically;
-* a deterministic :class:`~repro.scenarios.faults.FaultPlan` (spec field,
-  constructor argument or the ``REPRO_FAULT_PLAN`` environment variable)
+* a deterministic :class:`~repro.scenarios.faults.FaultPlan` (constructor
+  argument or the ``REPRO_FAULT_PLAN`` environment variable)
   injects exactly these failures on chosen shard attempts, which is how
   ``tests/resilience`` exercises every recovery path.
 """
@@ -100,6 +100,12 @@ FAILURE_KINDS = ("exception", "timeout", "worker-death", "corrupt-output")
 #: Exception classes that mean "the configuration is wrong" once a retry has
 #: failed with the identical traceback digest (see ``_handle_failure``).
 DETERMINISTIC_ERRORS = ("ValueError", "TypeError", "KeyError")
+
+#: Deterministic capped exponential backoff before a re-dispatch: failed
+#: attempt ``n`` waits ``min(BACKOFF_BASE * 2**n, BACKOFF_CAP)`` seconds
+#: (the slot serves other shards meanwhile).
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 30.0
 
 #: Paths already warned about corrupt lines (one warning per file per
 #: process; the count stays visible in every :class:`GridRunReport`).
@@ -329,9 +335,6 @@ class JsonlGridRunner:
         on_error: ``"retry"`` (default) retries then quarantines,
             ``"skip"`` records the failure row and moves on, ``"fail"``
             records the failure row and raises :class:`ShardFailure`.
-        backoff_base / backoff_cap: Deterministic capped exponential
-            backoff: attempt ``n`` waits ``min(base * 2**n, cap)`` seconds
-            before re-dispatch (the slot serves other shards meanwhile).
         fault_plan: Deterministic fault injection for tests/CI; when
             ``None`` the ``REPRO_FAULT_PLAN`` environment variable is
             consulted at run start.
@@ -348,8 +351,6 @@ class JsonlGridRunner:
         shard_timeout: Optional[float] = None,
         max_retries: int = 1,
         on_error: str = "retry",
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers < 1:
@@ -365,8 +366,6 @@ class JsonlGridRunner:
         self.shard_timeout = shard_timeout if shard_timeout else None
         self.max_retries = max_retries
         self.on_error = on_error
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.fault_plan = fault_plan
         self._stop_signal: Optional[int] = None
         self._wake: Optional[Tuple[int, int]] = None
@@ -844,7 +843,7 @@ class JsonlGridRunner:
     # ------------------------------------------------------------------ #
     def _backoff(self, failed_attempt: int) -> float:
         """Deterministic capped exponential backoff before a re-dispatch."""
-        return min(self.backoff_base * (2**failed_attempt), self.backoff_cap)
+        return min(BACKOFF_BASE * (2**failed_attempt), BACKOFF_CAP)
 
     def _handle_failure(
         self,

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.obs import DEFAULT_SAMPLE_RATE, HealthRecorder, RunRecorder, use_recorder
 from repro.obs.log import get_logger
-from repro.scenarios.faults import FaultPlan
 from repro.scenarios.jsonl import (
     RESULT_SCHEMA_VERSION,
     GridRunReport,
@@ -52,15 +51,12 @@ __all__ = [
 #: Spec fields that expand or label the grid rather than parameterize a run;
 #: changing them must not invalidate already-completed runs.  Observability
 #: is transparent (sampling decisions never touch a simulation RNG), so
-#: enabling tracing must not re-run a completed sweep either.  Fault plans
-#: perturb execution (retries, worker kills), never results, so a chaos run
-#: and a clean run must share run keys and resume into the same file.
+#: enabling tracing must not re-run a completed sweep either.
 _NON_FINGERPRINT_FIELDS = (
     "seeds",
     "grid",
     "description",
     "obs",
-    "fault_plan",
 )
 
 
@@ -204,8 +200,6 @@ class ScenarioRunner(JsonlGridRunner):
         shared_topology: bool = False,
         **resilience,
     ) -> None:
-        if resilience.get("fault_plan") is None and spec.fault_plan is not None:
-            resilience["fault_plan"] = FaultPlan.from_dict(spec.fault_plan)
         super().__init__(results_dir=results_dir, workers=workers, **resilience)
         self.spec = spec
         self.shared_topology = shared_topology

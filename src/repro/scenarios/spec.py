@@ -383,7 +383,6 @@ class SchemeSpec:
             config = SplicerConfig(
                 router=RouterConfig(**router_params),
                 placement_method=params.pop("placement_method", "greedy"),
-                placement_seed=params.pop("placement_seed", 0),
                 **params,
             )
             return SplicerScheme(config)
@@ -397,9 +396,9 @@ class SchemeSpec:
         for key in params:
             if key not in accepted:
                 removed = " (the execution-backend option was removed)" if key == "backend" else ""
+                expected = f"expected one of {sorted(accepted)}" if accepted else "it takes none"
                 raise ValueError(
-                    f"scheme {self.name!r}: unknown parameter {prefix + key!r}{removed}; "
-                    f"expected one of {sorted(accepted)}"
+                    f"scheme {self.name!r}: unknown parameter {prefix + key!r}{removed}; {expected}"
                 )
 
 
@@ -428,12 +427,6 @@ class ScenarioSpec:
             Observability is transparent -- metrics are bit-identical with
             it on or off -- so it stays out of the runner's resume
             fingerprint.
-        fault_plan: Serialized deterministic fault-injection plan
-            (:meth:`~repro.scenarios.faults.FaultPlan.to_dict`), or ``None``
-            (the default) for no injection.  Faults perturb *execution*,
-            never results -- a faulted sweep retries/resumes to the same
-            rows a clean sweep produces -- so the field is pruned while
-            unset and excluded from the resume fingerprint like ``obs``.
     """
 
     name: str
@@ -449,7 +442,6 @@ class ScenarioSpec:
     step_size: float = 0.1
     drain_time: float = 4.0
     obs: Optional[Dict[str, object]] = None
-    fault_plan: Optional[Dict[str, object]] = None
 
     # -- serialization ------------------------------------------------- #
     def to_dict(self) -> Dict[str, object]:
@@ -465,8 +457,6 @@ class ScenarioSpec:
             sub = data.get(section)
             if isinstance(sub, dict) and sub.get("source") is None:
                 sub.pop("source", None)
-        if data.get("fault_plan") is None:
-            data.pop("fault_plan", None)
         return data
 
     @classmethod

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional
 
-from repro.simulator.events import Event, EventKind
+from repro.simulator.events import Event
 
 
 class SimulationEngine:
@@ -34,12 +34,11 @@ class SimulationEngine:
     def schedule_at(
         self,
         time: float,
-        kind: EventKind = EventKind.CUSTOM,
         payload: object = None,
         handler: Optional[Callable[["SimulationEngine", Event], None]] = None,
     ) -> Event:
         """Convenience wrapper building and scheduling an event."""
-        event = Event(time=time, kind=kind, payload=payload, handler=handler)
+        event = Event(time=time, payload=payload, handler=handler)
         self.schedule(event)
         return event
 
@@ -48,7 +47,6 @@ class SimulationEngine:
         start: float,
         interval: float,
         end: float,
-        kind: EventKind = EventKind.SCHEME_TICK,
         handler: Optional[Callable[["SimulationEngine", Event], None]] = None,
     ) -> int:
         """Schedule a periodic event train; returns the number of occurrences."""
@@ -57,7 +55,7 @@ class SimulationEngine:
         count = 0
         time = start
         while time <= end + 1e-12:
-            self.schedule(Event(time=time, kind=kind, handler=handler))
+            self.schedule(Event(time=time, handler=handler))
             time += interval
             count += 1
         return count

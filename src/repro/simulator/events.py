@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 _sequence = itertools.count()
-
-
-class EventKind(enum.Enum):
-    """Built-in event categories used by the evaluation harness."""
-
-    PAYMENT_ARRIVAL = "payment_arrival"
-    SCHEME_TICK = "scheme_tick"
-    EPOCH_BOUNDARY = "epoch_boundary"
-    TOPOLOGY_CHANGE = "topology_change"
-    CUSTOM = "custom"
 
 
 @dataclass(order=True)
@@ -30,15 +19,12 @@ class Event:
     Attributes:
         time: Simulation time at which the event fires.
         sequence: Tie-breaking sequence number (assigned automatically).
-        kind: Event category.
         payload: Arbitrary data for the handler.
         handler: Optional callable invoked as ``handler(engine, event)``;
-            events without a handler are returned to the caller of
-            :meth:`~repro.simulator.engine.SimulationEngine.run`.
+            an event without one only advances the clock.
     """
 
     time: float
     sequence: int = field(default_factory=lambda: next(_sequence))
-    kind: EventKind = field(default=EventKind.CUSTOM, compare=False)
     payload: Any = field(default=None, compare=False)
     handler: Optional[Callable[["object", "Event"], None]] = field(default=None, compare=False)

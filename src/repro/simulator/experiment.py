@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # imported lazily to keep simulator importable before baselin
 
 from repro.obs import core as obs
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import EventKind
 from repro.simulator.metrics import MetricsCollector, SchemeMetrics
 from repro.simulator.workload import StreamingWorkload, TransactionWorkload
 from repro.topology.network import PCNetwork
@@ -247,7 +246,6 @@ class ExperimentRunner:
             start=self.step_size,
             interval=self.step_size,
             end=end_time,
-            kind=EventKind.SCHEME_TICK,
             handler=on_tick,
         )
         events = self.dynamics if dynamics is None else list(dynamics)
@@ -265,7 +263,6 @@ class ExperimentRunner:
                 start=health.interval,
                 interval=health.interval,
                 end=end_time,
-                kind=EventKind.CUSTOM,
                 handler=on_probe,
             )
         try:
@@ -371,19 +368,10 @@ class ExperimentRunner:
                             event=type(dynamics_event).__name__,
                         )
 
-            _engine.schedule_at(
-                _engine.now + dynamics_event.duration,
-                kind=EventKind.TOPOLOGY_CHANGE,
-                handler=on_revert,
-            )
+            _engine.schedule_at(_engine.now + dynamics_event.duration, handler=on_revert)
 
         for dynamics_event in events:
-            engine.schedule_at(
-                dynamics_event.time,
-                kind=EventKind.TOPOLOGY_CHANGE,
-                payload=dynamics_event,
-                handler=on_dynamics,
-            )
+            engine.schedule_at(dynamics_event.time, payload=dynamics_event, handler=on_dynamics)
         return outstanding
 
     # ------------------------------------------------------------------ #

@@ -32,7 +32,7 @@ SCHEME_FACTORIES = {
     "a2l": lambda side: side.A2LScheme(),
     "shortest-path": lambda side: side.ShortestPathScheme(),
     "landmark": lambda side: side.LandmarkScheme(),
-    "flash": lambda side: side.FlashScheme(seed=3),
+    "flash": lambda side: side.FlashScheme(),
     "spider": lambda side: side.SpiderScheme(),
     "speedymurmurs": lambda side: side.SpeedyMurmursScheme(),
     "waterfilling": lambda side: side.WaterfillingScheme(),

@@ -27,7 +27,8 @@ def _run(scheme, duration, dt=0.1, start=0.0):
 
 class TestSpiderScheme:
     def test_payment_completes_after_computation_delay(self, line_network):
-        scheme = SpiderScheme(computation=SourceComputationModel(base_delay=0.2, reference_size=5))
+        scheme = SpiderScheme()
+        scheme.computation = SourceComputationModel(base_delay=0.2, reference_size=5)
         scheme.prepare(line_network)
         # The sender is still computing paths, so nothing is routed yet.
         assert scheme.route_batch([_request("n0", "n4", 6.0)]) == []
@@ -54,7 +55,8 @@ class TestSpiderScheme:
 
     def test_unroutable_payment_reported_failed(self, line_network):
         line_network.add_node("island")
-        scheme = SpiderScheme(computation=SourceComputationModel(base_delay=0.0))
+        scheme = SpiderScheme()
+        scheme.computation = SourceComputationModel(base_delay=0.0)
         scheme.prepare(line_network)
         payment = scheme.submit(_request("n0", "island", 1.0), now=0.0)
         _, failed = _run(scheme, 0.5)
@@ -68,7 +70,7 @@ class TestA2LScheme:
         assert str(scheme.hub).startswith("hub")
 
     def test_payment_via_hub(self, multi_star_network):
-        scheme = A2LScheme(hub_capacity_per_second=100.0)
+        scheme = A2LScheme()
         scheme.prepare(multi_star_network)
         payment = scheme.submit(_request("client-0-0", "client-1-1", 10.0), now=0.0)
         completed, _ = _run(scheme, 1.0)
@@ -76,7 +78,8 @@ class TestA2LScheme:
         assert payment in completed
 
     def test_hub_processing_rate_limits_throughput(self, multi_star_network):
-        scheme = A2LScheme(hub_capacity_per_second=2.0, timeout=1.0)
+        scheme = A2LScheme()
+        scheme.hub_capacity_per_second, scheme.timeout = 2.0, 1.0
         scheme.prepare(multi_star_network)
         for _ in range(30):
             scheme.submit(_request("client-0-0", "client-1-1", 1.0, time=0.0), now=0.0)
@@ -92,15 +95,9 @@ class TestA2LScheme:
         assert payment in failed
 
     def test_extra_delay_is_crypto_delay(self, multi_star_network):
-        scheme = A2LScheme(crypto_delay=0.07)
+        scheme = A2LScheme()
         scheme.prepare(multi_star_network)
-        assert scheme.extra_delay(None) == pytest.approx(0.07)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            A2LScheme(crypto_delay=-1.0)
-        with pytest.raises(ValueError):
-            A2LScheme(hub_capacity_per_second=0.0)
+        assert scheme.extra_delay(None) == scheme.crypto_delay == pytest.approx(0.05)
 
 
 class TestSplicerScheme:
@@ -109,7 +106,6 @@ class TestSplicerScheme:
         config = SplicerConfig(
             router=RouterConfig(path_count=3, hop_delay=0.01),
             placement_method="greedy",
-            placement_seed=0,
         )
         scheme = SplicerScheme(config)
         scheme.prepare(small_ws_network)
@@ -144,9 +140,7 @@ class TestSplicerScheme:
 
     def test_refused_payments_are_reported_failed(self, small_ws_network):
         # A sender's queue holds at most 2 tokens, so most payments are refused.
-        config = SplicerConfig(
-            router=RouterConfig(queue_limit=2.0), placement_method="greedy", placement_seed=0
-        )
+        config = SplicerConfig(router=RouterConfig(queue_limit=2.0), placement_method="greedy")
         workload = generate_workload(
             small_ws_network, WorkloadConfig(duration=2.0, arrival_rate=10.0, seed=1)
         )
@@ -185,7 +179,7 @@ class TestSplicerScheme:
         clients = sorted(small_ws_network.clients(), key=repr)
         payment = scheme.submit(_request(clients[0], clients[1], 2.0, time=0.5), now=0.8)
         assert payment.created_at == 0.5
-        assert payment.deadline == pytest.approx(0.5 + scheme.config.payment_timeout)
+        assert payment.deadline == pytest.approx(0.5 + scheme.timeout)
         assert scheme.management_messages == 3
 
     def test_overhead_is_read_after_every_step(self, scheme, small_ws_network):
@@ -224,7 +218,7 @@ def test_overhead_of_a_run_matches_independent_counts(small_ws_network, seed, st
     payment 1 ACK; every hub pair exchanges one message at each epoch
     boundary the run crosses.  Only the probes are read from the router.
     """
-    config = SplicerConfig(placement_method="greedy", placement_seed=0)
+    config = SplicerConfig(placement_method="greedy")
     workload = generate_workload(
         small_ws_network, WorkloadConfig(duration=3.0, arrival_rate=20.0, seed=seed)
     )

@@ -15,7 +15,6 @@ from repro.topology.network import PCNetwork
 _CONFIG = SplicerConfig(
     router=RouterConfig(hop_delay=0.01, path_count=3),
     placement_method="greedy",
-    placement_seed=0,
 )
 
 
@@ -87,6 +86,19 @@ class TestSetup:
         assert plan.hub_count >= 1
         assert set(plan.hubs) <= set(winners)
 
+    def test_elected_hubs_are_not_their_own_clients(self, line_network):
+        scheme = SplicerScheme(SplicerConfig(placement_method="greedy"))
+        scheme.prepare(line_network)
+        hubs = _hubs(scheme)
+        assert hubs == ["n1", "n3"]
+        assert not set(hubs) & set(scheme.placement_plan.assignment)
+        assert set(scheme.placement_plan.assignment) == {"n0", "n2", "n4"}
+        payment = scheme.submit(_request("n1", "n4", 5.0), now=0.0)
+        _run(scheme, 2.0)
+        assert payment.is_complete
+        assert scheme.extra_delay(_request("n1", "n4", 5.0)) == 0.0
+        assert scheme.management_messages == scheme.acks_forwarded == 0
+
     def test_designated_candidates_skip_the_election(self, triangle_network):
         triangle_network.set_role("A", "candidate")
         scheme = SplicerScheme(SplicerConfig(placement_method="greedy"))
@@ -144,7 +156,7 @@ class TestPayments:
         payment = scheme.submit(_request(sender, recipient, 6.0, time=1.25), now=1.5)
         assert (payment.sender, payment.recipient, payment.value) == (sender, recipient, 6.0)
         assert payment.created_at == 1.25
-        assert payment.deadline == pytest.approx(1.25 + scheme.config.payment_timeout)
+        assert payment.deadline == pytest.approx(1.25 + scheme.timeout)
         assert payment.units
 
     def test_refused_submission_costs_its_messages_and_earns_no_ack(self, scheme):
@@ -169,7 +181,7 @@ class TestPayments:
         # Far more than the 200-token channels can move before the deadline.
         payment = scheme.submit(_request(sender, recipient, 900.0), now=0.0)
         assert not payment.is_failed
-        _run(scheme, scheme.config.payment_timeout + 1.0)
+        _run(scheme, scheme.timeout + 1.0)
         assert payment.is_failed
         assert (scheme.management_messages, scheme.acks_forwarded) == (3, 0)
 

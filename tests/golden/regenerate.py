@@ -79,9 +79,8 @@ def _sha256(*arrays: np.ndarray) -> str:
 def state_digests(runner: ExperimentRunner, scheme) -> Dict[str, str]:
     """Digests of the state a scheme leaves behind at the end of its run."""
     digests = {"balances": _sha256(np.asarray(runner.network.balance_store.values))}
-    # Spider holds its router; Splicer's sits behind the system facade.
-    system = getattr(scheme, "system", None)
-    router = getattr(scheme, "router", None) or getattr(system, "router", None)
+    # Spider and Splicer hold their rate router; the atomic schemes have none.
+    router = getattr(scheme, "router", None)
     if router is not None:
         channels = router.price_table._channels
         n = len(channels)

@@ -53,7 +53,7 @@ def comparison_result():
             deadlock_fraction=0.2,
         ),
     )
-    splicer_config = SplicerConfig(placement_method="greedy", placement_seed=0)
+    splicer_config = SplicerConfig(placement_method="greedy")
     runner = ExperimentRunner(network, workload, step_size=0.1, drain_time=4.0)
     schemes = [
         SplicerScheme(splicer_config),
@@ -106,7 +106,7 @@ class TestPlacementReducesManagementDelay:
         network = watts_strogatz_pcn(
             80, nearest_neighbors=6, candidate_fraction=0.15, uniform_channel_size=300.0, seed=41
         )
-        splicer = SplicerScheme(SplicerConfig(placement_method="greedy", placement_seed=0))
+        splicer = SplicerScheme(SplicerConfig(placement_method="greedy"))
         splicer.prepare(network)
         source_routing = ShortestPathScheme()
         source_routing.prepare(network)

@@ -19,10 +19,18 @@ from repro.reference import baselines as reference
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 
+
+def _with(scheme, **constants):
+    """``scheme`` with some of its class constants overridden on the instance."""
+    for name, value in constants.items():
+        setattr(scheme, name, value)
+    return scheme
+
+
 SCHEME_FACTORIES = {
     "shortest-path": lambda side: side.ShortestPathScheme(),
-    "landmark": lambda side: side.LandmarkScheme(landmark_count=3),
-    "flash": lambda side: side.FlashScheme(elephant_threshold=40.0, seed=5),
+    "landmark": lambda side: _with(side.LandmarkScheme(), landmark_count=3),
+    "flash": lambda side: _with(side.FlashScheme(), elephant_threshold=40.0),
 }
 
 

@@ -12,6 +12,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.scenarios import jsonl
 from repro.scenarios.jsonl import RESULT_SCHEMA_VERSION, JsonlGridRunner
 
 
@@ -46,6 +47,12 @@ class ToyRunner(JsonlGridRunner):
 
     def executor(self):
         return toy_execute
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Re-dispatch failed shards at once instead of after the 0.5 s backoff."""
+    monkeypatch.setattr(jsonl, "BACKOFF_BASE", 0.0)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def row_lines(report):
 
 @pytest.mark.slow
 class TestChaosAcceptance:
-    def test_raise_hang_kill_sweep_recovers_byte_identical(self, tmp_path):
+    def test_raise_hang_kill_sweep_recovers_byte_identical(self, tmp_path, no_backoff):
         plan = FaultPlan(
             [
                 FaultDirective(action="raise", shard=0),
@@ -52,7 +52,6 @@ class TestChaosAcceptance:
             workers=2,
             shared_topology=shared,
             shard_timeout=5.0,
-            backoff_base=0.0,
             fault_plan=plan,
         ).run()
 

@@ -57,12 +57,11 @@ def fails_differently(scratch, task):
 
 
 @pytest.fixture
-def Runner(toy_runner_cls):
+def Runner(toy_runner_cls, no_backoff):
     """The toy grid over ``KEYS`` with a chosen executor and no backoff."""
 
     class Runner(toy_runner_cls):
         def __init__(self, results_dir, execute, **kwargs):
-            kwargs.setdefault("backoff_base", 0.0)
             super().__init__(str(results_dir), KEYS, **kwargs)
             self._execute = execute
 

@@ -17,6 +17,7 @@ import time
 import pytest
 
 import repro
+from repro.scenarios import jsonl
 from repro.scenarios.faults import FaultDirective, FaultPlan
 from repro.scenarios.jsonl import RESULT_SCHEMA_VERSION, load_result_rows
 from repro.scenarios.registry import build_comparison_spec
@@ -41,7 +42,7 @@ def pid_execute(task):
 
 
 @pytest.fixture
-def run_pool(toy_runner_cls, tmp_path):
+def run_pool(toy_runner_cls, tmp_path, no_backoff):
     """Run the twelve toy shards on two workers with the pid-reporting executor."""
 
     class PidRunner(toy_runner_cls):
@@ -49,7 +50,6 @@ def run_pool(toy_runner_cls, tmp_path):
             return pid_execute
 
     def run(plan=None, **kwargs):
-        kwargs.setdefault("backoff_base", 0.0)
         runner = PidRunner(str(tmp_path), KEYS, workers=2, fault_plan=plan, **kwargs)
         return runner, runner.run()
 
@@ -146,7 +146,9 @@ class TestReplacement:
 
 
 class TestStress:
-    def test_more_workers_than_cores_under_random_faults(self, toy_runner_cls, tmp_path):
+    def test_more_workers_than_cores_under_random_faults(
+        self, toy_runner_cls, tmp_path, no_backoff
+    ):
         """Eight workers, seeded kills/raises/corrupt rows: every shard exactly once."""
         before = child_pids()
         keys = [f"shard-{index:03d}" for index in range(150)]
@@ -157,9 +159,7 @@ class TestStress:
             ],
             seed=7,
         )
-        runner = toy_runner_cls(
-            str(tmp_path), keys, workers=8, backoff_base=0.0, fault_plan=plan
-        )
+        runner = toy_runner_cls(str(tmp_path), keys, workers=8, fault_plan=plan)
         report = runner.run()
         assert report.executed == len(keys) and report.quarantined == []
         assert report.retries == len(report.failures) > 10
@@ -168,10 +168,11 @@ class TestStress:
 
 
 class TestWaiting:
-    def test_backoff_is_slept_not_polled(self, run_pool):
+    def test_backoff_is_slept_not_polled(self, run_pool, monkeypatch):
+        monkeypatch.setattr(jsonl, "BACKOFF_BASE", 0.6)
         plan = FaultPlan([FaultDirective(action="raise", shard=0)])
         wall, cpu = time.perf_counter(), time.process_time()
-        _runner, report = run_pool(plan, backoff_base=0.6)
+        _runner, report = run_pool(plan)
         wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
         assert report.executed == len(KEYS) and report.retries == 1
         assert wall >= 0.6

@@ -11,10 +11,11 @@ from repro.scenarios.jsonl import ShardFailure, load_result_rows
 
 KEYS = ["shard-a", "shard-b", "shard-c", "shard-d"]
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 
 def run_with_plan(toy_runner_cls, tmp_path, plan, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backoff_base", 0.0)
     runner = toy_runner_cls(str(tmp_path), KEYS, fault_plan=plan, **kwargs)
     return runner, runner.run()
 
@@ -122,7 +123,7 @@ class TestQuarantine:
         # Resume (still faulted, but the quarantine short-circuits first):
         # the poisoned shard is skipped, nothing re-runs, nothing raises.
         runner2 = toy_runner_cls(
-            str(tmp_path), KEYS, workers=2, backoff_base=0.0, fault_plan=plan
+            str(tmp_path), KEYS, workers=2, fault_plan=plan
         )
         resumed = runner2.run()
         assert resumed.executed == 0
@@ -164,7 +165,7 @@ class TestEnvPlan:
             "REPRO_FAULT_PLAN",
             json.dumps({"directives": [{"action": "raise", "shard": 0}]}),
         )
-        runner = toy_runner_cls(str(tmp_path), KEYS, workers=2, backoff_base=0.0)
+        runner = toy_runner_cls(str(tmp_path), KEYS, workers=2)
         report = runner.run()
         assert_all_completed(report)
         assert report.retries == 1

@@ -81,7 +81,7 @@ class TestComparisonSpec:
         (how the runner ships it to workers) must still build schemes."""
         spec = ScenarioSpec(name="coerce-test", schemes=[SchemeSpec(name="splicer")])
         spec = spec.with_overrides(
-            {"schemes.0": {"name": "shortest-path", "params": {"timeout": 2.0}}}
+            {"schemes.0": {"name": "shortest-path", "params": {}}}
         )
         specs = spec.scheme_specs()
         assert [entry.name for entry in specs] == ["shortest-path"]
@@ -387,7 +387,8 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'kmg_size'"],
                 id="kmg_size",
             ),
-            # Election, epochs and the client-hub delay take no config field.
+            # Election, epochs, the client-hub delay, the placement seed and
+            # the deadline take no config field.
             *(
                 pytest.param(
                     ["paper-default"], f"schemes.0.params.{name}=1",
@@ -396,8 +397,14 @@ class TestCompareCliErrorPaths:
                 )
                 for name in (
                     "candidate_count", "epoch_duration", "client_hub_hop_delay",
-                    "hub_sync_hop_delay",
+                    "hub_sync_hop_delay", "placement_seed", "payment_timeout",
                 )
+            ),
+            # The baselines' parameters are class constants.
+            pytest.param(
+                ["paper-default"], "schemes.2.params.elephant_threshold=40",
+                ["'flash'", "unknown parameter 'elephant_threshold'"],
+                id="elephant_threshold",
             ),
         ],
     )

@@ -162,10 +162,10 @@ class TestSchemeSpec:
 
     def test_splicer_router_params(self):
         scheme = SchemeSpec(
-            name="splicer", params={"router": {"path_count": 3}, "placement_seed": 4}
+            name="splicer", params={"router": {"path_count": 3}, "omega": 0.1}
         ).build()
         assert scheme.config.router.path_count == 3
-        assert scheme.config.placement_seed == 4
+        assert scheme.config.omega == 0.1
         assert scheme.config.placement_method == "greedy"
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator.engine import SimulationEngine
-from repro.simulator.events import Event, EventKind
+from repro.simulator.events import Event
 
 
 class TestScheduling:
@@ -42,8 +42,8 @@ class TestScheduling:
 
     def test_schedule_at_returns_the_scheduled_event(self):
         engine = SimulationEngine()
-        event = engine.schedule_at(2.0, kind=EventKind.SCHEME_TICK, payload="tick")
-        assert (event.time, event.kind, event.payload) == (2.0, EventKind.SCHEME_TICK, "tick")
+        event = engine.schedule_at(2.0, payload="tick")
+        assert (event.time, event.payload) == (2.0, "tick")
         assert engine.pending_count() == 1
 
     def test_event_within_tolerance_of_now_is_accepted(self):
@@ -91,7 +91,7 @@ class TestRun:
     def test_handler_less_event_is_consumed(self):
         # Nothing retains an event without a handler once it fires.
         engine = SimulationEngine()
-        engine.schedule_at(1.0, kind=EventKind.PAYMENT_ARRIVAL, payload="request")
+        engine.schedule_at(1.0, payload="request")
         assert engine.run() is None
         assert engine.processed_events == 1
         assert engine.pending_count() == 0

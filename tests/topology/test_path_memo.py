@@ -270,7 +270,7 @@ CATALOG_SCHEMES = {
     "shortest-path": ShortestPathScheme,
     "landmark": LandmarkScheme,
     "waterfilling": WaterfillingScheme,
-    "flash": lambda: FlashScheme(seed=4),
+    "flash": FlashScheme,
 }
 
 
