@@ -36,7 +36,7 @@ class SplicerConfig:
 
     router: RouterConfig = field(default_factory=RouterConfig)
     omega: float = 0.05
-    placement_method: str = "auto"
+    placement_method: str = "greedy"
 
     def __post_init__(self) -> None:
         if self.omega < 0:

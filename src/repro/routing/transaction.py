@@ -19,7 +19,6 @@ NodeId = Hashable
 #: Paper defaults (section V-A).
 PAPER_MIN_TU = 1.0
 PAPER_MAX_TU = 4.0
-PAPER_TIMEOUT_SECONDS = 3.0
 
 
 class PaymentStatus(enum.Enum):
@@ -172,9 +171,13 @@ class Payment:
         recipient: NodeId,
         value: float,
         created_at: float = 0.0,
-        timeout: float = PAPER_TIMEOUT_SECONDS,
+        *,
+        timeout: float,
     ) -> "Payment":
-        """Create a payment with a fresh id and an absolute deadline."""
+        """Create a payment with a fresh id, due ``timeout`` after ``created_at``.
+
+        Schemes pass their :attr:`~repro.baselines.base.RoutingScheme.timeout`.
+        """
         if sender == recipient:
             raise ValueError("sender and recipient must differ")
         if value <= 0:

@@ -16,14 +16,23 @@ the produced rows are identical whatever the worker count or completion
 order.  Rows are written in completion order; the run report hands them
 back in grid order, and consumers of the file that need a stable order sort
 by ``run_key``.
+
+Per-seed reuse: the grid is seed-major, and a comparison sweep runs one
+scheme per shard.  Each process therefore keeps the last seed's
+:class:`~repro.simulator.experiment.ExperimentRunner` (network, workload,
+dynamics events) and replays it for the next shard of the same spec and seed
+whose overrides stay under ``schemes.``, exactly as ``ExperimentRunner.run``
+replays one topology for several schemes.  Rows equal those of a fresh build
+per shard (``tests/scenarios/test_seed_runner.py``).
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,11 +46,15 @@ from repro.scenarios.jsonl import (
 )
 from repro.scenarios.spec import ScenarioSpec, derive_seed
 
+if TYPE_CHECKING:
+    from repro.simulator.experiment import ExperimentRunner
+
 log = get_logger("repro.sweep")
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
     "ScenarioRunner",
+    "clear_seed_runner",
     "execute_run",
     "load_result_rows",
     "run_key",
@@ -121,6 +134,62 @@ def _build_recorder(spec: ScenarioSpec, key: str) -> "RunRecorder":
     )
 
 
+#: One-entry per-process memo of the last ``(spec fingerprint, seed)``'s
+#: experiment runner.  The grid is seed-major and pool workers are
+#: long-lived, so the scheme siblings of a seed replay one network, workload
+#: and dynamics schedule instead of rebuilding them; the shard's schemes are
+#: built per shard.  :func:`execute_run` takes the entry out while a shard
+#: runs and puts it back only when the shard succeeds.
+_SEED_RUNNER: Dict[Tuple[str, int], "ExperimentRunner"] = {}
+
+
+def clear_seed_runner() -> None:
+    """Drop the process's cached experiment runner.
+
+    A test that pairs two :func:`execute_run` calls of one spec and seed to
+    compare two code paths starts the second here, or the second one replays
+    the first one's runner.
+    """
+    _SEED_RUNNER.clear()
+
+
+def _cached_runner(seed_key: Optional[Tuple[str, int]]) -> Optional["ExperimentRunner"]:
+    """Take the cached runner out if it serves ``seed_key``, else drop it.
+
+    A runner serves only while its network is still at the snapshot's
+    topology: a dynamics undo re-adds a channel at the end of the adjacency,
+    so a reconciled network breaks path ties differently from a fresh one.
+    A dropped runner is collected before the caller builds the next one, so
+    two networks never sit under one peak.
+    """
+    if not _SEED_RUNNER:
+        return None
+    cached_key, runner = _SEED_RUNNER.popitem()
+    if cached_key == seed_key and not runner.topology_moved:
+        return runner
+    del runner
+    gc.collect()
+    return None
+
+
+def _shared_network(shared_name: Optional[str]):
+    """The network rebuilt from a shared-memory block, or ``None`` without one.
+
+    Bit-identical to the generator's by the block's order-preservation
+    contract (``tests/topology/test_shared_topology.py``); the segment is
+    unmapped again at once (the rebuilt network borrows nothing).
+    """
+    if shared_name is None:
+        return None
+    from repro.topology.shared import SharedTopologyBlock
+
+    block = SharedTopologyBlock.attach(shared_name)
+    try:
+        return block.build_network()
+    finally:
+        block.close()
+
+
 def execute_run(
     task: Tuple[Dict[str, object], int, Dict[str, object]]
 ) -> Dict[str, object]:
@@ -128,11 +197,9 @@ def execute_run(
 
     Module-level so it pickles for worker processes; the spec travels as a
     plain dict for the same reason.  A 4-tuple task carries the name of a
-    shared-memory topology block exported by the parent: the worker attaches,
-    reconstructs the network from it instead of re-running the topology
-    generator -- bit-identical by the block's order-preservation contract
-    (``tests/topology/test_shared_topology.py``) -- and unmaps the segment
-    again before the run starts (the rebuilt network borrows nothing).
+    shared-memory topology block exported by the parent: a shard that cannot
+    reuse its process's cached runner rebuilds the network from the block
+    instead of re-running the topology generator.
     """
     if len(task) == 4:
         spec_dict, seed, overrides, shared_name = task
@@ -142,17 +209,19 @@ def execute_run(
     spec = ScenarioSpec.from_dict(spec_dict)
     if overrides:
         spec = spec.with_overrides(overrides)
-    key = run_key(spec.name, seed, overrides, spec_fingerprint(spec_dict))
-    network = None
-    if shared_name is not None:
-        from repro.topology.shared import SharedTopologyBlock
-
-        block = SharedTopologyBlock.attach(shared_name)
-        try:
-            network = block.build_network()
-        finally:
-            block.close()
-    runner, schemes = spec.build_experiment(seed, network=network)
+    fingerprint = spec_fingerprint(spec_dict)
+    key = run_key(spec.name, seed, overrides, fingerprint)
+    # Only scheme overrides leave the seed's network, workload and dynamics alone.
+    seed_key = (
+        (fingerprint, seed)
+        if all(path.startswith("schemes.") for path in overrides)
+        else None
+    )
+    runner = _cached_runner(seed_key)
+    if runner is None:
+        runner, schemes = spec.build_experiment(seed, network=_shared_network(shared_name))
+    else:
+        schemes = [scheme_spec.build() for scheme_spec in spec.scheme_specs()]
     recorder = _build_recorder(spec, key) if spec.obs and spec.obs.get("dir") else None
     rng = np.random.default_rng(derive_seed(seed, "schemes"))
     if recorder is not None:
@@ -163,6 +232,8 @@ def execute_run(
             recorder.close()
     else:
         result = runner.run(schemes, rng=rng)
+    if seed_key is not None:
+        _SEED_RUNNER[seed_key] = runner
     row = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "run_key": key,
@@ -181,15 +252,17 @@ def execute_run(
 class ScenarioRunner(JsonlGridRunner):
     """Runs a scenario's full grid over worker processes, resumably.
 
-    With ``shared_topology=True`` the parent builds each pending seed's funded
-    topology once, exports it to a read-only shared-memory block
-    (:class:`~repro.topology.shared.SharedTopologyBlock`) and hands workers
-    the block name instead of letting every shard re-run the generator.
-    Sharing applies only when every grid override path stays under
-    ``schemes.`` (the comparison pipeline's shape) -- a grid that sweeps
-    topology parameters builds per-run networks as before.  Rows are
-    bit-identical either way; the blocks are unlinked in a ``finally`` (plus
-    a finalizer guard inside the block itself).
+    With ``shared_topology=True`` and more than one worker, the parent builds
+    each pending seed's funded topology once, exports it to a read-only
+    shared-memory block (:class:`~repro.topology.shared.SharedTopologyBlock`)
+    and hands workers the block name instead of letting every worker re-run
+    the generator.  On one worker nothing is exported: the shards run in this
+    process, where the per-seed runner cache of :func:`execute_run` already
+    builds each seed once.  Sharing applies only when every grid override
+    path stays under ``schemes.`` (the comparison pipeline's shape) -- a grid
+    that sweeps topology parameters builds per-run networks as before.  Rows
+    are bit-identical either way; the blocks are unlinked in a ``finally``
+    (plus a finalizer guard inside the block itself).
     """
 
     def __init__(
@@ -245,14 +318,15 @@ class ScenarioRunner(JsonlGridRunner):
     def run(self, on_row=None) -> GridRunReport:
         """Execute pending runs, exporting shared topology blocks if enabled.
 
-        A shared-topology sweep starts by reaping orphaned shared-memory
-        segments of dead owner processes (a previous runner killed hard),
-        so crashed sweeps cannot leak machine memory across restarts.  The
-        spec is validated first: a configuration error is raised here, in
-        the parent, and leaves no failure row or quarantine entry.
+        Blocks are exported only when the sweep forks workers.  Such a sweep
+        starts by reaping orphaned shared-memory segments of dead owner
+        processes (a previous runner killed hard), so crashed sweeps cannot
+        leak machine memory across restarts.  The spec is validated first: a
+        configuration error is raised here, in the parent, and leaves no
+        failure row or quarantine entry.
         """
         self.spec.validate()
-        if not self.shared_topology:
+        if not self.shared_topology or self.workers <= 1:
             return super().run(on_row=on_row)
         from repro.topology.shared import reap_orphan_segments
 
@@ -293,6 +367,10 @@ class ScenarioRunner(JsonlGridRunner):
         for seed in sorted(seeds):
             network = self.spec.topology.build(derive_seed(seed, "topology"))
             self._shared_blocks[seed] = SharedTopologyBlock.from_network(network)
+            # Cyclic garbage now: freed before the next seed's build, and never
+            # inherited (and frozen) by the workers forked later.
+            del network
+            gc.collect()
 
     def _release_shared_blocks(self) -> None:
         """Unlink every exported block (idempotent)."""

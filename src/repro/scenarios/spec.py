@@ -380,11 +380,7 @@ class SchemeSpec:
             router_params = dict(params.pop("router", {}))
             self._reject_unknown(RouterConfig, router_params, prefix="router.")
             self._reject_unknown(SplicerConfig, params)
-            config = SplicerConfig(
-                router=RouterConfig(**router_params),
-                placement_method=params.pop("placement_method", "greedy"),
-                **params,
-            )
+            config = SplicerConfig(router=RouterConfig(**router_params), **params)
             return SplicerScheme(config)
         factory = SCHEME_REGISTRY[self.name]
         self._reject_unknown(factory, params)
@@ -558,6 +554,11 @@ class ScenarioSpec:
         identical to what ``topology.build`` would produce for ``seed``,
         which :class:`~repro.topology.shared.SharedTopologyBlock`
         guarantees by preserving node, adjacency and channel order.
+
+        The runner depends on the spec only through its topology, workload,
+        dynamics and stepping, so a sweep process keeps it across the scheme
+        shards of one seed (:func:`repro.scenarios.runner.execute_run`) and
+        builds only each shard's schemes.
         """
         if network is None:
             network = self.topology.build(derive_seed(seed, "topology"))

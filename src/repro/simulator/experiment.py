@@ -176,6 +176,16 @@ class ExperimentRunner:
         self.dynamics: List[NetworkDynamicsEvent] = list(dynamics or [])
         self._snapshot = network.snapshot()
 
+    @property
+    def topology_moved(self) -> bool:
+        """Whether a channel was added or removed since the snapshot.
+
+        Resetting brings the channel set back but not its adjacency order, so
+        a runner whose topology moved no longer replays what a fresh build of
+        the same network would: path ties break differently.
+        """
+        return self.network.topology_version != self._snapshot.topology_version
+
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
@@ -394,9 +404,9 @@ class ExperimentRunner:
         not know are removed, channels it knows but the network lost are
         recreated; ``restore`` then resets every balance.
         """
-        snapshot, network = self._snapshot, self.network
-        if network.topology_version == snapshot.topology_version:
+        if not self.topology_moved:
             return
+        snapshot, network = self._snapshot, self.network
         known = {frozenset(pair) for pair in snapshot.pairs()}
         for channel in list(network.channels()):
             if frozenset(channel.endpoints) not in known:

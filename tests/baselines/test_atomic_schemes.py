@@ -188,7 +188,7 @@ class TestExecutorCallerShares:
     PATHS = [("n0", "n1", "n2"), ("n0", "n2")]
 
     def _execute(self, network, shares):
-        payment = Payment.create("n0", "n2", 5.0)
+        payment = Payment.create("n0", "n2", 5.0, timeout=3.0)
         ok = AtomicBatchExecutor(network).execute(
             payment, PathCSR(network, self.PATHS), 0.0, shares=shares
         )

@@ -12,6 +12,7 @@ from repro.routing.router import RouterConfig
 class TestSplicerConfig:
     def test_paper_defaults(self):
         config = SplicerConfig()
+        assert config.placement_method == "greedy"  # what every scenario runs
         assert RoutingScheme.timeout == pytest.approx(3.0)
         assert config.router.min_tu == pytest.approx(1.0)
         assert config.router.max_tu == pytest.approx(4.0)

@@ -18,7 +18,7 @@ from repro.routing.transaction import Payment
 
 
 def make_payment(value: float = 5.0, created_at: float = 0.25) -> Payment:
-    return Payment.create("a", "b", value, created_at=created_at)
+    return Payment.create("a", "b", value, created_at=created_at, timeout=3.0)
 
 
 class TestSampleHash:

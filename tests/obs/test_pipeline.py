@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from repro.obs.health import SATURATION_BINS, HealthRecorder, gini, load_health
-from repro.scenarios.runner import execute_run
+from repro.scenarios.runner import clear_seed_runner, execute_run
 from repro.scenarios.spec import (
     DynamicsEventSpec,
     ScenarioSpec,
@@ -65,6 +65,7 @@ def read_kinds(trace_path):
 class TestNoOpEquivalence:
     def test_rows_bit_identical_with_and_without_obs(self, tmp_path):
         plain = execute_run((tiny_spec().to_dict(), 1, {}))
+        clear_seed_runner()  # the traced run builds its own runner
         traced = execute_run((tiny_spec(obs=obs_settings(tmp_path)).to_dict(), 1, {}))
         assert strip_obs(traced) == plain
         assert traced["obs"]["sampled_payments"] > 0
@@ -78,6 +79,7 @@ class TestNoOpEquivalence:
             )
         ]
         plain = execute_run((tiny_spec(dynamics=dynamics).to_dict(), 1, {}))
+        clear_seed_runner()
         traced = execute_run(
             (tiny_spec(obs=obs_settings(tmp_path), dynamics=dynamics).to_dict(), 1, {})
         )
@@ -90,6 +92,7 @@ class TestNoOpEquivalence:
 
     def test_atomic_baseline_rows_bit_identical(self, tmp_path):
         plain = execute_run((tiny_spec(schemes=("flash",)).to_dict(), 1, {}))
+        clear_seed_runner()
         traced = execute_run(
             (tiny_spec(obs=obs_settings(tmp_path), schemes=("flash",)).to_dict(), 1, {})
         )

@@ -59,34 +59,39 @@ class TestPaymentLifecycle:
         assert payment.status == PaymentStatus.PENDING
         assert payment.deadline == pytest.approx(4.0)
 
+    def test_create_requires_a_timeout(self):
+        # The deadline is the scheme's (RoutingScheme.timeout); no second default.
+        with pytest.raises(TypeError, match="timeout"):
+            Payment.create("a", "b", 10.0)
+
     def test_create_rejects_self_payment(self):
         with pytest.raises(ValueError):
-            Payment.create("a", "a", 10.0)
+            Payment.create("a", "a", 10.0, timeout=3.0)
 
     def test_create_rejects_non_positive_value(self):
         with pytest.raises(ValueError):
-            Payment.create("a", "b", 0.0)
+            Payment.create("a", "b", 0.0, timeout=3.0)
 
     def test_unique_ids(self):
-        first = Payment.create("a", "b", 1.0)
-        second = Payment.create("a", "b", 1.0)
+        first = Payment.create("a", "b", 1.0, timeout=3.0)
+        second = Payment.create("a", "b", 1.0, timeout=3.0)
         assert first.payment_id != second.payment_id
 
     def test_split_creates_units(self):
-        payment = Payment.create("a", "b", 10.0)
+        payment = Payment.create("a", "b", 10.0, timeout=3.0)
         units = payment.split(1.0, 4.0)
         assert sum(unit.value for unit in units) == pytest.approx(10.0)
         assert payment.status == PaymentStatus.IN_FLIGHT
         assert all(unit.sender == "a" and unit.recipient == "b" for unit in units)
 
     def test_double_split_rejected(self):
-        payment = Payment.create("a", "b", 10.0)
+        payment = Payment.create("a", "b", 10.0, timeout=3.0)
         payment.split()
         with pytest.raises(ValueError):
             payment.split()
 
     def test_completion_requires_all_units(self):
-        payment = Payment.create("a", "b", 10.0)
+        payment = Payment.create("a", "b", 10.0, timeout=3.0)
         units = payment.split(1.0, 4.0)
         for unit in units[:-1]:
             payment.record_unit_delivery(unit, now=1.0)
@@ -97,14 +102,14 @@ class TestPaymentLifecycle:
         assert payment.latency == pytest.approx(2.0)
 
     def test_delivery_of_foreign_unit_rejected(self):
-        first = Payment.create("a", "b", 10.0)
-        second = Payment.create("a", "b", 10.0)
+        first = Payment.create("a", "b", 10.0, timeout=3.0)
+        second = Payment.create("a", "b", 10.0, timeout=3.0)
         unit = second.split()[0]
         with pytest.raises(ValueError):
             first.record_unit_delivery(unit, now=0.0)
 
     def test_hops_accumulate_from_paths(self):
-        payment = Payment.create("a", "b", 6.0)
+        payment = Payment.create("a", "b", 6.0, timeout=3.0)
         units = payment.split(1.0, 4.0)
         for unit in units:
             unit.path = ("a", "x", "b")
@@ -112,7 +117,7 @@ class TestPaymentLifecycle:
         assert payment.hops_used == 2 * len(units)
 
     def test_fail_does_not_override_completion(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         unit = payment.split()[0]
         payment.record_unit_delivery(unit, now=0.5)
         payment.fail()
@@ -120,13 +125,13 @@ class TestPaymentLifecycle:
         assert not payment.is_failed
 
     def test_fail_marks_failed(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         payment.fail()
         assert payment.is_failed
         assert payment.latency is None
 
     def test_outstanding_units(self):
-        payment = Payment.create("a", "b", 8.0)
+        payment = Payment.create("a", "b", 8.0, timeout=3.0)
         units = payment.split(1.0, 4.0)
         payment.record_unit_delivery(units[0], now=0.1)
         assert units[0] not in payment.outstanding_units
@@ -149,14 +154,14 @@ class TestTransactionUnit:
 
 class TestFailureReason:
     def test_fail_records_first_cause(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         payment.fail(FailureReason.NO_PATH)
         payment.fail(FailureReason.TIMEOUT)
         assert payment.is_failed
         assert payment.failure_reason == "no-path"
 
     def test_fail_without_reason_leaves_reason_unset(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         payment.fail()
         assert payment.is_failed
         assert payment.failure_reason is None
@@ -165,17 +170,17 @@ class TestFailureReason:
         assert payment.failure_reason == "lock-contention"
 
     def test_fail_accepts_raw_code_strings(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         payment.fail("queue-full")
         assert payment.failure_reason == "queue-full"
 
     def test_fail_rejects_unknown_codes(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         with pytest.raises(ValueError):
             payment.fail("meteor-strike")
 
     def test_completed_payment_gets_no_reason(self):
-        payment = Payment.create("a", "b", 2.0)
+        payment = Payment.create("a", "b", 2.0, timeout=3.0)
         unit = payment.split()[0]
         payment.record_unit_delivery(unit, now=0.5)
         payment.fail(FailureReason.TIMEOUT)

@@ -121,7 +121,9 @@ class _ChannelProbeScheme(RoutingScheme):
     def submit(self, request, now):
         from repro.routing.transaction import Payment
 
-        payment = Payment.create(request.sender, request.recipient, request.value, created_at=now)
+        payment = Payment.create(
+            request.sender, request.recipient, request.value, created_at=now, timeout=self.timeout
+        )
         payment.fail()
         return payment
 

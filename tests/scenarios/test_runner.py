@@ -9,6 +9,7 @@ from repro.analysis.tables import scenario_summary_rows
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.runner import (
     ScenarioRunner,
+    clear_seed_runner,
     execute_run,
     load_result_rows,
     run_key,
@@ -49,7 +50,9 @@ class TestExecuteRun:
 
     def test_deterministic(self):
         spec_dict = tiny_spec().to_dict()
-        assert execute_run((spec_dict, 3, {})) == execute_run((spec_dict, 3, {}))
+        first = execute_run((spec_dict, 3, {}))
+        clear_seed_runner()  # two builds, not one build replayed
+        assert execute_run((spec_dict, 3, {})) == first
 
     def test_overrides_applied(self):
         spec_dict = tiny_spec().to_dict()

@@ -21,7 +21,9 @@ class AcceptAllScheme(RoutingScheme):
         self._report = SchemeStepReport()
 
     def submit(self, request, now):
-        payment = Payment.create(request.sender, request.recipient, request.value, created_at=now)
+        payment = Payment.create(
+            request.sender, request.recipient, request.value, created_at=now, timeout=self.timeout
+        )
         unit = payment.split(min_tu=request.value, max_tu=request.value)[0]
         payment.record_unit_delivery(unit, now)
         self._report.completed.append(payment)
@@ -43,7 +45,9 @@ class RejectAllScheme(RoutingScheme):
         self._report = SchemeStepReport()
 
     def submit(self, request, now):
-        payment = Payment.create(request.sender, request.recipient, request.value, created_at=now)
+        payment = Payment.create(
+            request.sender, request.recipient, request.value, created_at=now, timeout=self.timeout
+        )
         payment.fail()
         self._report.failed.append(payment)
         return payment

@@ -27,7 +27,7 @@ class TestMetricsCollector:
             collector.record_generated(value)
         collector.record_completed(_completed_payment(10.0, 0.5))
         collector.record_completed(_completed_payment(20.0, 1.5))
-        failed = Payment.create("a", "b", 30.0)
+        failed = Payment.create("a", "b", 30.0, timeout=3.0)
         failed.fail()
         collector.record_failed(failed)
         metrics = collector.finalize()

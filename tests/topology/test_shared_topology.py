@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.scenarios.registry import build_comparison_spec
-from repro.scenarios.runner import ScenarioRunner, execute_run, load_result_rows
+from repro.scenarios.runner import (
+    ScenarioRunner,
+    clear_seed_runner,
+    execute_run,
+    load_result_rows,
+)
 from repro.scenarios.spec import derive_seed
 from repro.topology.generators import multi_star_pcn, watts_strogatz_pcn
 from repro.topology.shared import SharedArrayBlock, SharedTopologyBlock
@@ -217,6 +222,7 @@ class TestSharedCompareEquivalence:
         )
         try:
             plain = execute_run((spec_dict, 1, {}))
+            clear_seed_runner()  # or the second call replays the first one's network
             shared = execute_run((spec_dict, 1, {}, block.name))
         finally:
             block.unlink()
