@@ -278,9 +278,11 @@ def _components(adjacency: Adjacency) -> List[Set[str]]:
 def _induced(adjacency: Adjacency, keep: Iterable[str]) -> Adjacency:
     """The sub-adjacency over ``keep``, rows rebuilt in edge-enumeration order.
 
-    What ``networkx.Graph.subgraph(keep).copy()`` does (the order
-    ``GraphArrays._working_adjacency`` reproduces for EDS); the capacity
-    sums of :func:`_node_rank_key` follow it.
+    What ``networkx.Graph.subgraph(keep).copy()`` does; the capacity sums of
+    :func:`_node_rank_key` follow it.  Each row ends up with its lower
+    neighbors first, ascending, then the rest in adjacency order -- the
+    order ``GraphArrays._working_adjacency`` computes for EDS, so a loaded
+    snapshot's EDS working rows are its primary rows.
     """
     keep = set(keep)
     induced: Adjacency = {node: {} for node in adjacency if node in keep}

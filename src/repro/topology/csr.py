@@ -158,10 +158,10 @@ class AdjacencyCSR:
     The one flattening of the adjacency, and all the batched hop probe needs
     (:meth:`PCNetwork.hop_count_rows`, the placement cost blocks): a
     throwaway of a few flat arrays, where the :class:`GraphArrays` routing
-    mirror adds per-node Python lists, the slot map and the balance vector
-    on top.  Row ``r`` is ``node_ids[r]``; its neighbor rows, in networkx
-    adjacency order, are ``indices[indptr[r]:indptr[r + 1]]``, and a
-    directed hop's *slot* is its position in ``indices``.
+    mirror adds per-node Python lists and the balance vector on top.  Row
+    ``r`` is ``node_ids[r]``; its neighbor rows, in networkx adjacency
+    order, are ``indices[indptr[r]:indptr[r + 1]]``, and a directed hop's
+    *slot* is its position in ``indices``.
     """
 
     def __init__(self, network) -> None:
@@ -297,22 +297,20 @@ class GraphArrays(AdjacencyCSR):
         n = self.node_count
 
         #: Per-node neighbor rows, networkx adjacency order.  A directed hop's
-        #: *slot* is its position in the flattened adjacency -- the shared key
-        #: of the balance vector, the exclusion masks of the disjoint-path
-        #: selectors and the path resolution maps.  ``pairs`` pre-joins
-        #: neighbor and slot (one ``(neighbor, slot)`` tuple list per node)
-        #: for the hot loops.
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        #: *slot* is its position in the flattened adjacency (:meth:`slot`) --
+        #: the shared key of the balance vector, the exclusion masks of the
+        #: disjoint-path selectors and the path resolution maps.  ``pairs``
+        #: pre-joins neighbor and slot (one ``(neighbor, slot)`` tuple list
+        #: per node) for the hot loops.  Every entry naming a row is that
+        #: row's one int object, not a fresh int per slot.
+        row_ids = list(range(n))
+        flat = list(map(row_ids.__getitem__, self.indices.tolist()))
+        bounds = self._bounds = self.indptr.tolist()
         self.adjacency: List[List[int]] = [flat[bounds[row] : bounds[row + 1]] for row in range(n)]
         self.pairs: List[List[Tuple[int, int]]] = [
             list(zip(neighbors, range(bounds[row], bounds[row + 1])))
             for row, neighbors in enumerate(self.adjacency)
         ]
-        self.slot_of: Dict[Tuple[int, int], int] = {
-            (row, neighbor): slot
-            for row, pairs in enumerate(self.pairs)
-            for neighbor, slot in pairs
-        }
 
         #: Spendable balance of the directed hop at each slot, refreshed from
         #: the channel objects by :meth:`refresh_balances`.  Two
@@ -330,14 +328,15 @@ class GraphArrays(AdjacencyCSR):
         gather = [0] * self.slot_count
         for position, channel in enumerate(network.balance_store.channels):
             row_a, row_b = self.node_row[channel.node_a], self.node_row[channel.node_b]
-            gather[self.slot_of[(row_a, row_b)]] = 2 * position
-            gather[self.slot_of[(row_b, row_a)]] = 2 * position + 1
+            gather[self.slot(row_a, row_b)] = 2 * position
+            gather[self.slot(row_b, row_a)] = 2 * position + 1
         self._balance_gather = np.asarray(gather, dtype=np.intp)
 
         # The oracle's EDS working graph (``nx.Graph(mirror.edges())``) orders
         # each node's neighbors by edge-*insertion* order of the rebuilt
-        # graph, which differs from the primary adjacency; built on demand.
-        self._working: Optional[Tuple[Adjacency, Dict[Tuple[int, int], int]]] = None
+        # graph, which may differ from the primary adjacency; built on demand
+        # as a view of it (see :meth:`_working_adjacency`).
+        self._working: Optional[Adjacency] = None
 
         #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
         self._level: Optional[Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]] = None
@@ -355,6 +354,13 @@ class GraphArrays(AdjacencyCSR):
         #: Stands in for an absent edge filter when only a node filter is
         #: given, so the filtered loops never test for ``None`` per edge.
         self._zero_edge_mask = bytearray(max(self.slot_count, 1))
+
+    def slot(self, a: int, b: int) -> int:
+        """Slot of the directed hop ``a -> b``: its position in the flattened adjacency.
+
+        Raises ``ValueError`` when ``b`` is not a neighbor of ``a``.
+        """
+        return self._bounds[a] + self.adjacency[a].index(b)
 
     # ------------------------------------------------------------------ #
     # synchronization
@@ -626,7 +632,7 @@ class GraphArrays(AdjacencyCSR):
         """
         source_row = self.row_of(source)
         target_row = self.row_of(target)
-        slot_of = self.slot_of
+        slot = self.slot
         results: List[List[int]] = []
         list_a: List[List[int]] = []
         heap: List[Tuple[int, int, List[int]]] = []
@@ -661,8 +667,8 @@ class GraphArrays(AdjacencyCSR):
                         if len(listed) > i and listed[i - 1] == anchor
                     ]
                     for listed in matching:
-                        ignore_edges[slot_of[(listed[i - 1], listed[i])]] = 1
-                        ignore_edges[slot_of[(listed[i], listed[i - 1])]] = 1
+                        ignore_edges[slot(listed[i - 1], listed[i])] = 1
+                        ignore_edges[slot(listed[i], listed[i - 1])] = 1
                     try:
                         spur = self._bidirectional_path_rows(
                             prev_path[i - 1], target_row, ignore_nodes, ignore_edges
@@ -747,7 +753,7 @@ class GraphArrays(AdjacencyCSR):
         visited = bytearray(n)
         # The hops *into* the target (the graph is symmetric: its neighbors
         # are its in-neighbors) for the early-exit test, and their guard.
-        in_hops = [(x, self.slot_of[(x, target)]) for x in self.adjacency[target]]
+        in_hops = [(x, self.slot(x, target)) for x in self.adjacency[target]]
         enters_target = bytearray(n)
         for x, _ in in_hops:
             enters_target[x] = 1
@@ -977,7 +983,7 @@ class GraphArrays(AdjacencyCSR):
         target_row = self.node_row.get(target)
         if target_row is None:
             return []
-        slot_of = self.slot_of
+        slot = self.slot
         balance = self.balance
         # Edge-disjointness is enforced by zeroing used slots in the balance
         # vector (see _widest_path_rows); originals are restored on exit so
@@ -991,13 +997,9 @@ class GraphArrays(AdjacencyCSR):
                 if rows is None or len(rows) < 2:
                     break
                 paths.append(self.to_nodes(rows))
-                used = [
-                    slot
-                    for a, b in zip(rows, rows[1:])
-                    for slot in (slot_of[(a, b)], slot_of[(b, a)])
-                ]
+                used = [hop for a, b in zip(rows, rows[1:]) for hop in (slot(a, b), slot(b, a))]
                 zeroed += used
-                originals += [balance[slot] for slot in used]
+                originals += [balance[hop] for hop in used]
                 self._write_balances(used, [0.0] * len(used))
         finally:
             self._write_balances(zeroed, originals)
@@ -1006,35 +1008,36 @@ class GraphArrays(AdjacencyCSR):
     # ------------------------------------------------------------------ #
     # edge-disjoint shortest paths (port of the EDS selector's working graph)
     # ------------------------------------------------------------------ #
-    def _working_adjacency(self) -> Tuple[Adjacency, Dict[Tuple[int, int], int]]:
+    def _working_adjacency(self) -> Adjacency:
         """Adjacency of the oracle's ``nx.Graph(mirror.edges())``, in its order.
 
         The scalar EDS selector rebuilds the graph from the edge iterator,
         which re-orders each node's neighbors by edge-insertion order of the
-        rebuilt graph; replicating that order is what keeps the BFS
-        tie-breaks identical.  Nodes without channels are absent from the
-        rebuilt graph -- callers treat them as unreachable.
+        rebuilt graph: a row's lower neighbors first, ascending (each was
+        emitted while its own row was walked), then its higher ones in
+        adjacency order.  Replicating that order is what keeps the BFS
+        tie-breaks identical.  A row already in that order -- on a freshly
+        built topology, every row -- *is* the primary row and its pairs; a
+        row a churn reordered gets its own list of the primary's
+        ``(neighbor, slot)`` tuples, so a hop keeps its primary slot.  Nodes
+        without channels are absent from the rebuilt graph -- callers treat
+        them as unreachable.
         """
         if self._working is not None:
             return self._working
-        n = self.node_count
-        lists: List[List[int]] = [[] for _ in range(n)]
-        emitted = [False] * n
-        for row in range(n):
-            for neighbor in self.adjacency[row]:
-                if not emitted[neighbor]:
-                    lists[row].append(neighbor)
-                    lists[neighbor].append(row)
-            emitted[row] = True
-        pair_lists: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        slot_of: Dict[Tuple[int, int], int] = {}
-        next_slot = 0
-        for row, neighbors in enumerate(lists):
-            for neighbor in neighbors:
-                slot_of[(row, neighbor)] = next_slot
-                pair_lists[row].append((neighbor, next_slot))
-                next_slot += 1
-        self._working = ((lists, pair_lists), slot_of)
+        lists, pair_lists = self.adjacency, self.pairs
+        for row, neighbors in enumerate(self.adjacency):
+            lower = sorted(neighbor for neighbor in neighbors if neighbor < row)
+            if neighbors[: len(lower)] == lower:
+                continue
+            if lists is self.adjacency:
+                lists, pair_lists = list(self.adjacency), list(self.pairs)
+            primary = self.pairs[row]
+            pairs = sorted(pair for pair in primary if pair[0] < row)
+            pairs += [pair for pair in primary if pair[0] >= row]
+            pair_lists[row] = pairs
+            lists[row] = [neighbor for neighbor, _ in pairs]
+        self._working = (lists, pair_lists)
         return self._working
 
     def edge_disjoint_shortest_paths(
@@ -1054,7 +1057,7 @@ class GraphArrays(AdjacencyCSR):
         self, source: NodeId, target: NodeId, k: int
     ) -> List[List[int]]:
         """Successive shortest paths over the working graph, hops removed as used."""
-        adjacency, slot_of = self._working_adjacency()
+        adjacency = self._working_adjacency()
         source_row = self.node_row.get(source)
         target_row = self.node_row.get(target)
         # Unknown and channel-less nodes do not exist in the scalar working
@@ -1076,6 +1079,6 @@ class GraphArrays(AdjacencyCSR):
                 break
             paths.append(rows)
             for a, b in zip(rows, rows[1:]):
-                removed[slot_of[(a, b)]] = 1
-                removed[slot_of[(b, a)]] = 1
+                removed[self.slot(a, b)] = 1
+                removed[self.slot(b, a)] = 1
         return paths

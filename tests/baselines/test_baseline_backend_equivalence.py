@@ -247,7 +247,7 @@ class TestExecutorArithmetic:
         fresh.refresh_balances()
         assert arrays.balance == fresh.balance
         n0, n1 = arrays.node_row["n0"], arrays.node_row["n1"]
-        assert arrays.balance[arrays.slot_of[(n0, n1)]] == 15.0
+        assert arrays.balance[arrays.slot(n0, n1)] == 15.0
 
     def test_conservation_after_mixed_outcomes(self):
         for side in ("reference", "production"):

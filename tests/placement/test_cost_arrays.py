@@ -11,7 +11,9 @@
   ``min(axis=0).sum()``, ``==``, ties included.
 * At paper scale set-up holds one dense ``(Z, M)`` block plus bounded
   scratch: the traced peaks of the cost build and of an all-hub probe, and
-  no routing mirror built on the way.
+  no routing mirror built on the way.  The routing mirror, once built,
+  holds its adjacency once: the traced peak of the mirror plus one query
+  per path kernel.
 * No production solver materialises the nested-dict views -- not the double
   greedy, not ``exact``, not ``milp``; the oracle reads them and agrees.
 * A cost model is immutable: arrays and views both refuse writes.
@@ -39,6 +41,7 @@ from repro.placement.problem import PlacementProblem
 from repro.placement.solver import build_problem, solve_placement
 from repro.placement.supermodular import objective_upper_bound
 from repro.reference import placement as reference
+from repro.topology import csr
 from repro.topology.csr import NodeNotFound
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -338,6 +341,31 @@ class TestSetupMemory:
     def test_unknown_candidate_raises_before_any_block(self, paper_network):
         with pytest.raises(NodeNotFound, match="ghost"):
             cost_model_from_network(paper_network, candidates=["ghost"])
+
+
+class TestRoutingMirrorMemory:
+    """The routing mirror keeps one adjacency; EDS and slot lookups are views of it."""
+
+    @staticmethod
+    def _mirror_and_queries(network):
+        network._graph_arrays = None
+        csr.clear_path_memo()
+        nodes = network.nodes()
+        source, target = nodes[1], nodes[-7]
+        arrays = network.graph_arrays()
+        arrays.shortest_path(source, target)
+        arrays.edge_disjoint_shortest_paths(source, target, 4)
+        arrays.edge_disjoint_widest_paths(source, target, 4)
+
+    def test_mirror_plus_one_query_per_kernel_is_under_8_mib(self, paper_network):
+        # Warm imports (scipy for the widest-path drain) outside the trace.
+        self._mirror_and_queries(build_place_network({"nodes": 200}, 1))
+        try:
+            _, peak = _traced_peak(lambda: self._mirror_and_queries(paper_network))
+        finally:
+            paper_network._graph_arrays = None
+            csr.clear_path_memo()
+        assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------- #

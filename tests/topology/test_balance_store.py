@@ -204,8 +204,8 @@ class TestBalanceVector:
         expected = [0.0] * arrays.slot_count
         for channel in network.channels():
             row_a, row_b = (arrays.node_row[node] for node in channel.endpoints)
-            expected[arrays.slot_of[(row_a, row_b)]] = channel.balance(channel.node_a)
-            expected[arrays.slot_of[(row_b, row_a)]] = channel.balance(channel.node_b)
+            expected[arrays.slot(row_a, row_b)] = channel.balance(channel.node_a)
+            expected[arrays.slot(row_b, row_a)] = channel.balance(channel.node_b)
         assert arrays.balance == expected
         assert arrays.balance_array.tolist() == expected
         assert all(type(value) is float for value in arrays.balance)
@@ -214,7 +214,7 @@ class TestBalanceVector:
         channel.transfer(channel.node_b, channel.balance(channel.node_b) / 3)
         arrays.refresh_balances()
         row_a, row_b = (arrays.node_row[node] for node in channel.endpoints)
-        assert arrays.balance[arrays.slot_of[(row_b, row_a)]] == channel.balance(channel.node_b)
+        assert arrays.balance[arrays.slot(row_b, row_a)] == channel.balance(channel.node_b)
 
     def test_networks_do_not_invalidate_each_other(self, monkeypatch, rebalance):
         first, second = _skewed_network(seed=1), _skewed_network(seed=2)

@@ -15,12 +15,14 @@ import itertools
 from heapq import heappop
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.batch import PathCatalog
+from repro.data.lightning import load_snapshot
 from repro.placement import costs
 from repro.placement.compare import build_place_network
 from repro.reference import topology as reference
@@ -32,6 +34,7 @@ from repro.routing.paths import (
 )
 from repro.routing.prices import PriceTable
 from repro.scenarios.dynamics import churn_events, jamming_events
+from repro.scenarios.registry import build_comparison_spec
 from repro.topology import csr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
@@ -234,7 +237,7 @@ class TestDistanceHelperEquivalence:
             slots = list(range(indptr[row], indptr[row + 1]))
             assert mirror.adjacency[row] == neighbors
             assert mirror.pairs[row] == list(zip(neighbors, slots))
-            assert [mirror.slot_of[(row, neighbor)] for neighbor in neighbors] == slots
+            assert [mirror.slot(row, neighbor) for neighbor in neighbors] == slots
 
 
 @st.composite
@@ -380,6 +383,53 @@ class TestMutationEquivalence:
         for undo in reversed(undos):
             undo()
         _assert_selectors_identical(network, pairs, ks=(3,))
+
+
+class TestWorkingAdjacency:
+    """The EDS working graph is a view of the primary adjacency, not a copy."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_comparison_spec("paper", ["splicer"]).topology.build(1),
+            load_snapshot,
+        ],
+        ids=["paper-watts-strogatz", "lightning-snapshot"],
+    )
+    def test_fresh_topology_shares_every_row(self, build):
+        arrays = build().graph_arrays()
+        rows, pairs = arrays._working_adjacency()
+        assert all(row is primary for row, primary in zip(rows, arrays.adjacency))
+        assert all(row is primary for row, primary in zip(pairs, arrays.pairs))
+
+    def test_reopened_channel_reorders_exactly_the_rows_that_differ(self):
+        network = _build_network(41)
+        pairs = _sample_pairs(network, 12, 42)
+        # Reopening moves the channel to the back of both endpoints' rows.
+        node_a, node_b = next(network.channels()).endpoints
+        settlement = network.remove_channel(node_a, node_b)
+        network.add_channel(node_a, node_b, settlement[node_a], settlement[node_b])
+        arrays = network.graph_arrays()
+        node_row = arrays.node_row
+        rebuilt = nx.Graph(reference.nx_mirror(network).edges())
+        expected = {
+            node_row[node]: [node_row[neighbor] for neighbor in rebuilt.adj[node]]
+            for node in rebuilt
+        }
+        differing = {row for row, order in expected.items() if order != arrays.adjacency[row]}
+        assert differing
+
+        rows, row_pairs = arrays._working_adjacency()
+        for row, primary in enumerate(arrays.adjacency):
+            assert (rows[row] is primary) == (row not in differing)
+            assert (row_pairs[row] is arrays.pairs[row]) == (row not in differing)
+            assert rows[row] == expected.get(row, [])
+            slots = [arrays.slot(row, neighbor) for neighbor in rows[row]]
+            assert row_pairs[row] == list(zip(rows[row], slots))
+        for source, target in pairs + [(node_a, node) for node in network.nodes()]:
+            for k in (1, 4):
+                assert arrays.edge_disjoint_shortest_paths(source, target, k) == \
+                    reference.edge_disjoint_shortest_paths(network, source, target, k)
 
 
 # ---------------------------------------------------------------------- #
@@ -580,9 +630,7 @@ class TestEarlyExit:
         )
         arrays = network.graph_arrays()
         arrays.refresh_balances()
-        slots = [
-            arrays.slot_of[hop] for a, b in excluded for hop in ((a, b), (b, a))
-        ]
+        slots = [arrays.slot(*hop) for a, b in excluded for hop in ((a, b), (b, a))]
         arrays._write_balances(slots, [0.0] * len(slots))
         graph = reference.nx_mirror(network)
         excluded_keys = {frozenset(edge) for edge in excluded}
@@ -638,8 +686,8 @@ class TestBalanceVectorIntegrity:
         for channel in network.channels():
             node_a, node_b = channel.endpoints
             row_a, row_b = arrays.node_row[node_a], arrays.node_row[node_b]
-            fresh[arrays.slot_of[(row_a, row_b)]] = channel.balance(node_a)
-            fresh[arrays.slot_of[(row_b, row_a)]] = channel.balance(node_b)
+            fresh[arrays.slot(row_a, row_b)] = channel.balance(node_a)
+            fresh[arrays.slot(row_b, row_a)] = channel.balance(node_b)
         assert arrays.balance == fresh
         assert arrays.balance_array.tolist() == fresh
 
