@@ -67,7 +67,7 @@ from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import WorkloadConfig, generate_workload
-from repro.topology import csr  # PCNetwork imports it lazily; not inside a memory probe
+from repro.topology import csr  # noqa: F401 - imported before any memory probe
 from repro.topology.network import PCNetwork
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -125,13 +125,15 @@ XL_SCALES: Dict[str, Dict[str, object]] = {
 def _cold_step(state) -> None:
     """``state.step()`` from an empty path memo.
 
-    The memo (:func:`csr.clear_path_memo`) outlives a call, so without the
-    reset every repeat after the warmup would answer its KSP / EDS /
-    shortest-path queries from a dict -- and from the third call on, a
-    scheme's catalog entries from memoised rows -- and the row would stop
-    timing those kernels.
+    The state's network keeps its routing mirror, and the mirror's memo
+    (``GraphArrays.memo``), across calls, so without the reset every repeat
+    after the warmup would answer its KSP / EDS / shortest-path queries from
+    a dict -- and from the third call on, a scheme's catalog entries from
+    memoised rows -- and the row would stop timing those kernels.
     """
-    csr.clear_path_memo()
+    mirror = getattr(getattr(state, "network", None), "_graph_arrays", None)
+    if mirror is not None:
+        mirror.memo.clear()
     state.step()
 
 

@@ -205,15 +205,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=8.0, help="workload duration in seconds (default 8)"
     )
     compare.add_argument(
-        "--arrival-rate", type=float, help="override the scale's arrival rate (payments/s)"
-    )
-    compare.add_argument(
         "--payments",
         type=int,
         help=(
             "override the scale's offered payment count (sets the arrival "
-            "rate to payments/duration); mutually exclusive with "
-            "--arrival-rate"
+            "rate to payments/duration)"
         ),
     )
     compare.add_argument(
@@ -695,8 +691,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     schemes = _split(args.schemes, "--schemes")
     scales = _split(args.scale, "--scale")
     seeds = _split(args.seeds, "--seeds", int)
-    if args.payments is not None and args.arrival_rate is not None:
-        raise ValueError("--payments and --arrival-rate are mutually exclusive")
     _check_scheme_names(schemes)
 
     for scale in scales:
@@ -712,8 +706,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         if args.nodes is not None:
             # As on ``run``: a source sized by its own parameters rejects it.
             required_size_key(spec.topology)
-        if args.arrival_rate is not None:
-            spec.workload.arrival_rate = args.arrival_rate
         if args.payments is not None:
             spec.workload.arrival_rate = args.payments / spec.workload.duration
         spec.obs = _obs_settings(args)

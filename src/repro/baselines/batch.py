@@ -74,18 +74,18 @@ class PathCatalog:
     schemes that cache paths without invalidation -- while their hop slots
     still follow the live topology.
 
-    A pair's first computation can come from the process's path memo
+    A pair's first computation can come from the mirror's path memo
     (:meth:`repro.topology.csr.GraphArrays.catalog_rows`): when ``resolve``
-    names its ``query`` and an earlier catalog of the process resolved the
-    same query on the same store layout, the entry is built from the
-    memo's rows and neither ``compute`` nor the slot walk runs.
+    names its ``query`` and an earlier catalog resolved the same query on
+    the same mirror, the entry is built from the memo's rows and neither
+    ``compute`` nor the slot walk runs.
     """
 
     def __init__(self, network: PCNetwork) -> None:
         self.network = network
         self._entries: Dict[Pair, CatalogEntry] = {}
         #: Per query, the memo's shared rows (``None``: not reused) on the
-        #: layout of topology version ``_shared_version``.
+        #: mirror of topology version ``_shared_version``.
         self._shared: Dict[Hashable, Optional[Dict[Pair, tuple]]] = {}
         self._shared_version = -1
 

@@ -38,7 +38,6 @@ from repro.placement.solver import PlacementSolver, build_problem
 from repro.routing.router import RateRouter
 from repro.routing.transaction import Payment
 from repro.simulator.workload import TransactionRequest
-from repro.topology.generators import assign_roles_from_placement
 from repro.topology.network import PCNetwork
 
 NodeId = Hashable
@@ -88,7 +87,6 @@ class SplicerScheme(RoutingScheme):
         problem = build_problem(network, omega=config.omega, clients=clients, candidates=candidates)
         plan = PlacementSolver(problem, method=config.placement_method).solve()
         self.placement_plan = plan
-        assign_roles_from_placement(network, plan.hubs)
 
         hubs = list(plan.hubs)
         hub_index = {hub: i for i, hub in enumerate(hubs)}

@@ -26,7 +26,7 @@ from repro.routing.paths import (
 )
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PathRateController
-from repro.routing.router import RateRouter, RoutingDecision
+from repro.routing.router import RateRouter
 from repro.routing.scheduling import SCHEDULERS, get_scheduler
 from repro.routing.transaction import Payment, PaymentStatus, TransactionUnit, split_value
 
@@ -46,5 +46,4 @@ __all__ = [
     "SCHEDULERS",
     "get_scheduler",
     "RateRouter",
-    "RoutingDecision",
 ]

@@ -117,16 +117,6 @@ class RouterConfig:
 
 
 @dataclass
-class RoutingDecision:
-    """Outcome of submitting one payment demand to the router."""
-
-    payment: Payment
-    paths: List[Path]
-    accepted: bool
-    reason: str = ""
-
-
-@dataclass
 class _InFlightUnit:
     """A dispatched unit whose locks settle at ``complete_at``."""
 
@@ -191,8 +181,12 @@ class RateRouter:
     # ------------------------------------------------------------------ #
     # payment intake
     # ------------------------------------------------------------------ #
-    def submit(self, payment: Payment, now: float) -> RoutingDecision:
-        """Accept a payment demand: split it into TUs and queue them for dispatch."""
+    def submit(self, payment: Payment, now: float) -> None:
+        """Accept a payment demand: split it into TUs and queue them for dispatch.
+
+        A payment with no path, or over its sender's ``queue_limit``, fails
+        at once (``payment.failure_reason``) and the next step reports it.
+        """
         cfg = self.config
         rec = obs.RECORDER
         pair = (payment.sender, payment.recipient)
@@ -203,14 +197,14 @@ class RateRouter:
             self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
                 rec.payment_event(payment, "reject", now, reason=FailureReason.NO_PATH.value)
-            return RoutingDecision(payment, [], accepted=False, reason="no path")
+            return
         queued_value = self._queued_value.get(payment.sender, 0.0)
         if queued_value + payment.value > cfg.queue_limit:
             payment.fail(FailureReason.QUEUE_FULL)
             self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
                 rec.payment_event(payment, "reject", now, reason=FailureReason.QUEUE_FULL.value)
-            return RoutingDecision(payment, paths, accepted=False, reason="queue full")
+            return
 
         self._payments[payment.payment_id] = payment
         units = payment.split(cfg.min_tu, cfg.max_tu, now=now)
@@ -220,7 +214,6 @@ class RateRouter:
         self._refresh_demand_rate(state, queue, now)
         if rec.enabled and rec.payment_begin(payment):
             rec.payment_event(payment, "paths", now, paths=len(paths), units=len(units))
-        return RoutingDecision(payment, paths, accepted=True)
 
     def _pair_state(self, pair: Pair, now: float) -> PairRateState:
         """The pair's record, its paths searched again once they are stale.
@@ -585,10 +578,6 @@ class RateRouter:
     def in_flight_count(self) -> int:
         """Number of units currently locked along their paths."""
         return len(self._in_flight)
-
-    def active_payment_count(self) -> int:
-        """Payments submitted but not yet completed or failed."""
-        return len(self._payments)
 
     def drain(self, now: float, dt: float, max_steps: int = 1000) -> List[StepReport]:
         """Step repeatedly until no queued or in-flight units remain (or budget ends)."""

@@ -17,13 +17,16 @@ order.  Rows are written in completion order; the run report hands them
 back in grid order, and consumers of the file that need a stable order sort
 by ``run_key``.
 
-Per-seed reuse: the grid is seed-major, and a comparison sweep runs one
-scheme per shard.  Each process therefore keeps the last seed's
+Cross-shard reuse: the grid is seed-major, and a comparison sweep runs one
+scheme per shard.  Each process therefore keeps its last
 :class:`~repro.simulator.experiment.ExperimentRunner` (network, workload,
-dynamics events) and replays it for the next shard of the same spec and seed
-whose overrides stay under ``schemes.``, exactly as ``ExperimentRunner.run``
-replays one topology for several schemes.  Rows equal those of a fresh build
-per shard (``tests/scenarios/test_seed_runner.py``).
+dynamics events) and replays it whole for the next shard whose spec differs
+only in its schemes and whose seed matches, exactly as
+``ExperimentRunner.run`` replays one topology for several schemes.  A shard
+that builds the same topology under another seed or workload -- a new seed
+on an unseeded snapshot -- keeps only the runner's network, reset to its
+snapshot, with its routing mirror and path memo.  Rows equal those of a
+fresh build per shard (``tests/scenarios/test_seed_runner.py``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.scenarios.spec import ScenarioSpec, derive_seed
 
 if TYPE_CHECKING:
     from repro.simulator.experiment import ExperimentRunner
+    from repro.topology.network import PCNetwork
 
 log = get_logger("repro.sweep")
 
@@ -134,42 +138,58 @@ def _build_recorder(spec: ScenarioSpec, key: str) -> "RunRecorder":
     )
 
 
-#: One-entry per-process memo of the last ``(spec fingerprint, seed)``'s
-#: experiment runner.  The grid is seed-major and pool workers are
-#: long-lived, so the scheme siblings of a seed replay one network, workload
-#: and dynamics schedule instead of rebuilding them; the shard's schemes are
-#: built per shard.  :func:`execute_run` takes the entry out while a shard
-#: runs and puts it back only when the shard succeeds.
-_SEED_RUNNER: Dict[Tuple[str, int], "ExperimentRunner"] = {}
+#: The process's last experiment runner, keyed by ``(runner key, network
+#: key)`` (:func:`_runner_key`, :meth:`TopologySpec.build_key`); at most one
+#: entry.  The grid is seed-major and pool workers are long-lived, so the
+#: scheme siblings of a seed replay one network, workload and dynamics
+#: schedule, and the seeds of an unseeded topology share one network.
+#: :func:`execute_run` takes the entry out while a shard runs and puts it
+#: back only when the shard succeeds.
+_SEED_RUNNER: Dict[Tuple[Tuple[str, int], str], "ExperimentRunner"] = {}
 
 
 def clear_seed_runner() -> None:
-    """Drop the process's cached experiment runner.
+    """Drop the process's kept experiment runner.
 
-    A test that pairs two :func:`execute_run` calls of one spec and seed to
-    compare two code paths starts the second here, or the second one replays
-    the first one's runner.
+    A test that pairs two :func:`execute_run` calls building one topology to
+    compare two code paths starts the second here, or the second one reuses
+    the first one's runner or network.
     """
     _SEED_RUNNER.clear()
 
 
-def _cached_runner(seed_key: Optional[Tuple[str, int]]) -> Optional["ExperimentRunner"]:
-    """Take the cached runner out if it serves ``seed_key``, else drop it.
+def _runner_key(spec: ScenarioSpec, seed: int) -> Tuple[str, int]:
+    """What a shard's experiment runner is built from: its spec bar the schemes, and its seed."""
+    data = spec.to_dict()
+    del data["schemes"]
+    return spec_fingerprint(data), seed
 
-    A runner serves only while its network is still at the snapshot's
-    topology: a dynamics undo re-adds a channel at the end of the adjacency,
-    so a reconciled network breaks path ties differently from a fresh one.
-    A dropped runner is collected before the caller builds the next one, so
-    two networks never sit under one peak.
+
+def _kept_runner(
+    runner_key: Tuple[str, int], network_key: str
+) -> Tuple[Optional["ExperimentRunner"], Optional[PCNetwork]]:
+    """Take the kept runner out: whole, its network alone, or neither.
+
+    The whole runner serves a shard with its ``runner_key``; otherwise its
+    network, reset to the snapshot, serves one that builds ``network_key``.
+    Neither serves once the topology moved: a dynamics undo re-adds a
+    channel at the end of the adjacency, so a reconciled network breaks path
+    ties differently from a fresh one.  A runner that serves neither is
+    collected before the caller builds the next one, so two networks never
+    sit under one peak.
     """
     if not _SEED_RUNNER:
-        return None
-    cached_key, runner = _SEED_RUNNER.popitem()
-    if cached_key == seed_key and not runner.topology_moved:
-        return runner
+        return None, None
+    (kept_runner_key, kept_network_key), runner = _SEED_RUNNER.popitem()
+    if not runner.topology_moved:
+        if kept_runner_key == runner_key:
+            return runner, None
+        if kept_network_key == network_key:
+            runner.reset_network()
+            return None, runner.network
     del runner
     gc.collect()
-    return None
+    return None, None
 
 
 def _shared_network(shared_name: Optional[str]):
@@ -198,8 +218,8 @@ def execute_run(
     Module-level so it pickles for worker processes; the spec travels as a
     plain dict for the same reason.  A 4-tuple task carries the name of a
     shared-memory topology block exported by the parent: a shard that cannot
-    reuse its process's cached runner rebuilds the network from the block
-    instead of re-running the topology generator.
+    reuse its process's kept runner or network rebuilds the network from the
+    block instead of re-running the topology generator.
     """
     if len(task) == 4:
         spec_dict, seed, overrides, shared_name = task
@@ -211,15 +231,13 @@ def execute_run(
         spec = spec.with_overrides(overrides)
     fingerprint = spec_fingerprint(spec_dict)
     key = run_key(spec.name, seed, overrides, fingerprint)
-    # Only scheme overrides leave the seed's network, workload and dynamics alone.
-    seed_key = (
-        (fingerprint, seed)
-        if all(path.startswith("schemes.") for path in overrides)
-        else None
-    )
-    runner = _cached_runner(seed_key)
+    runner_key = _runner_key(spec, seed)
+    network_key = spec.topology.build_key(derive_seed(seed, "topology"))
+    runner, network = _kept_runner(runner_key, network_key)
     if runner is None:
-        runner, schemes = spec.build_experiment(seed, network=_shared_network(shared_name))
+        if network is None:
+            network = _shared_network(shared_name)
+        runner, schemes = spec.build_experiment(seed, network=network)
     else:
         schemes = [scheme_spec.build() for scheme_spec in spec.scheme_specs()]
     recorder = _build_recorder(spec, key) if spec.obs and spec.obs.get("dir") else None
@@ -232,8 +250,7 @@ def execute_run(
             recorder.close()
     else:
         result = runner.run(schemes, rng=rng)
-    if seed_key is not None:
-        _SEED_RUNNER[seed_key] = runner
+    _SEED_RUNNER[runner_key, network_key] = runner
     row = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "run_key": key,

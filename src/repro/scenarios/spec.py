@@ -22,6 +22,7 @@ import copy
 import hashlib
 import inspect
 import itertools
+import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -40,7 +41,7 @@ from repro.scenarios.dynamics import (
     hub_outage_events,
     jamming_events,
 )
-from repro.data.sources import get_topology_source, get_workload_source
+from repro.data.sources import SourceInfo, get_topology_source, get_workload_source
 from repro.simulator.experiment import ExperimentRunner, validate_stepping
 from repro.simulator.workload import TransactionWorkload, WorkloadConfig, generate_workload
 from repro.topology.datasets import TransactionValueDistribution
@@ -133,8 +134,8 @@ class TopologySpec:
         info = get_topology_source(kind)
         return {"kind": kind, "params": params, "synthetic": info.synthetic}
 
-    def build(self, seed: int) -> PCNetwork:
-        """Build the funded network deterministically from ``seed``."""
+    def _builder_call(self, seed: int) -> Tuple[SourceInfo, Dict[str, object]]:
+        """The source and the keyword arguments :meth:`build` calls it with."""
         kind, params = self.resolved_source()
         info = get_topology_source(kind)
         if self.channel_scale not in (None, 1, 1.0) and not info.channel_scale:
@@ -148,7 +149,22 @@ class TopologySpec:
             kwargs.setdefault("seed", seed)
         if info.channel_scale:
             kwargs.setdefault("channel_scale", self.channel_scale)
+        return info, kwargs
+
+    def build(self, seed: int) -> PCNetwork:
+        """Build the funded network deterministically from ``seed``."""
+        info, kwargs = self._builder_call(seed)
         return info.builder(**kwargs)
+
+    def build_key(self, seed: int) -> str:
+        """Everything :meth:`build` reads: two equal keys build the same network.
+
+        The resolved source with its ``channel_scale`` and, for a seeded
+        source only, ``seed`` -- an unseeded source (a snapshot loader)
+        builds one network for every seed.
+        """
+        info, kwargs = self._builder_call(seed)
+        return json.dumps([info.kind, kwargs], sort_keys=True, default=str)
 
 
 # ---------------------------------------------------------------------- #

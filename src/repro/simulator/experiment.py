@@ -186,6 +186,12 @@ class ExperimentRunner:
         """
         return self.network.topology_version != self._snapshot.topology_version
 
+    def reset_network(self) -> None:
+        """Bring the network back to the snapshot: channel set, balances, no locks."""
+        self.network.release_all_locks()
+        self._reconcile_topology()
+        self.network.restore(self._snapshot)
+
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
@@ -226,7 +232,7 @@ class ExperimentRunner:
         pulled chunk by chunk at the same drain points, so the full trace is
         never materialized as Python objects.
         """
-        self._reset_network()
+        self.reset_network()
         scheme.prepare(self.network, rng=rng)
         collector = MetricsCollector(scheme.name)
 
@@ -387,11 +393,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _reset_network(self) -> None:
-        self.network.release_all_locks()
-        self._reconcile_topology()
-        self.network.restore(self._snapshot)
-
     def _reconcile_topology(self) -> None:
         """Force the channel set back to the snapshotted topology.
 

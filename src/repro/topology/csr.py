@@ -33,17 +33,18 @@ once per ``topology_version`` and implements the queries on top:
   giant component of "hops at least this wide", where the heap degenerates
   into a FIFO queue) to a single ``csgraph.breadth_first_order`` call that
   visits the same rows in the same order from the same predecessors.
-* a per-process memo of the hop-count answers -- ``shortest_path``,
+* a per-mirror memo of the hop-count answers -- ``shortest_path``,
   ``k_shortest_paths`` and ``edge_disjoint_shortest_paths`` read no balance,
   so their answer is a function of the adjacency order and the arguments
-  alone.  It holds one topology, keyed by :attr:`GraphArrays.digest`; the
-  shards of a sweep over one snapshot rebuild the same topology again and
-  again, and each worker answers a repeated question once.  The widest-path
-  search and the heuristic ranking read balances and are never memoised.
-  The same memo keeps the atomic baselines' catalog rows (a pair's paths
-  plus their store slots, :meth:`GraphArrays.catalog_rows`) per store
-  layout, once a second catalog of the process asks for them;
-  :func:`clear_path_memo` empties all of it.
+  alone.  It is a dict on the mirror (:attr:`GraphArrays.memo`) and lives
+  and dies with it: every scheme that routes on one topology version asks
+  a repeated question once, and a sweep that keeps a network between
+  shards (:func:`repro.scenarios.runner.execute_run`) keeps its answers
+  too.  The widest-path search and the heuristic ranking read balances and
+  are never memoised.  The same dict keeps the atomic baselines' catalog
+  rows (a pair's paths plus their store slots,
+  :meth:`GraphArrays.catalog_rows`) once a second catalog on the mirror
+  asks for them.
 
 Every port reproduces the scalar tie-breaks *by construction* (same
 neighbor iteration order, same heap keys, same first-meet detection), so
@@ -104,25 +105,6 @@ _DRAIN_LEVEL_POPS = 64
 #: ``path-generation/*``; see ``docs/architecture.md``).
 _DRAIN_MIN_UNVISITED = 256
 
-#: The hop-count path answers of one topology, shared by every mirror of it
-#: in this process: ``{digest: {query: answer}}`` with at most one digest
-#: (a mirror with another digest drops the old one).  A query is
-#: ``(kernel, source, target[, k])``; an answer is a tuple of node ids or a
-#: tuple of such paths.  A query that raises is not kept.  The same dict
-#: holds the catalog rows of :meth:`GraphArrays.catalog_rows` under
-#: ``("rows", store layout, catalog query)`` keys.
-_PATH_MEMO: Dict[bytes, Dict[tuple, object]] = {}
-
-
-def clear_path_memo() -> None:
-    """Empty the process's path memo: kernel answers, catalog rows and reuse records.
-
-    A timing or test that counts kernel work across networks built from one
-    topology starts here, or it measures dict hits.
-    """
-    _PATH_MEMO.clear()
-
-
 #: Adjacency structure of the path kernels: per-node neighbor rows plus the
 #: pre-joined ``(neighbor, slot)`` tuple lists, both in networkx adjacency
 #: order (the unfiltered BFS iterates the former, filtered loops the latter).
@@ -139,9 +121,7 @@ def topology_fingerprint(network) -> str:
     just the edge set, because path tie-breaks follow adjacency iteration
     order: closing and reopening a channel leaves the edge set intact but
     moves the edge to the back of both endpoints' adjacency, which can flip
-    equal-length path choices.  Balances stay out of the hash.  The path
-    memo keys on the same contract (:attr:`GraphArrays.digest`, hashed from
-    the mirror's arrays instead of the adjacency dicts).
+    equal-length path choices.  Balances stay out of the hash.
     """
     adj = network.adj
     parts = []
@@ -340,8 +320,13 @@ class GraphArrays(AdjacencyCSR):
 
         #: Buffers of the widest-path level drain (see :meth:`_level_buffers`).
         self._level: Optional[Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]] = None
-        self._digest: Optional[bytes] = None
-        self._store_layout: Optional[bytes] = None
+
+        #: The hop-count path answers and catalog rows of this topology
+        #: version.  A query is ``(kernel, source, target[, k])`` and its
+        #: answer a tuple of node ids or a tuple of such paths; a query that
+        #: raises is not kept.  :meth:`catalog_rows` keeps its rows under
+        #: ``("rows", catalog query)`` keys.
+        self.memo: Dict[tuple, object] = {}
 
         # Stamped BFS scratch, reused across every bidirectional search on
         # this mirror: an entry is valid only when its stamp matches the
@@ -399,71 +384,32 @@ class GraphArrays(AdjacencyCSR):
     # ------------------------------------------------------------------ #
     # the path memo: hop-count answers and catalog rows
     # ------------------------------------------------------------------ #
-    @property
-    def digest(self) -> bytes:
-        """Content key of the topology: node order, ``indptr`` and ``indices``.
-
-        Two mirrors with one digest answer every hop-count path query alike
-        (the :func:`topology_fingerprint` contract, hashed from the arrays
-        this mirror already holds, which is ~10x cheaper).  Computed on the
-        first memoised query.
-        """
-        if self._digest is None:
-            digest = hashlib.blake2b(repr(self.node_ids).encode(), digest_size=16)
-            digest.update(self.indptr.tobytes())
-            digest.update(self.indices.tobytes())
-            self._digest = digest.digest()
-        return self._digest
-
-    @property
-    def store_layout(self) -> bytes:
-        """Content key of where each directed hop sits in the balance store.
-
-        A hash of ``_balance_gather``.  The digest alone does not fix a hop's
-        store slot -- slots follow channel insertion order, so ``a-b, c-d``
-        and ``c-d, a-b`` share a digest but not a layout -- while digest and
-        layout together do.
-        """
-        if self._store_layout is None:
-            layout = hashlib.blake2b(self._balance_gather.tobytes(), digest_size=16)
-            self._store_layout = layout.digest()
-        return self._store_layout
-
-    def _topology_memo(self) -> Dict[tuple, object]:
-        """This topology's dict in the process's path memo."""
-        memo = _PATH_MEMO.get(self.digest)
-        if memo is None:
-            # Dropped first: one topology per process.
-            _PATH_MEMO.clear()
-            memo = _PATH_MEMO[self.digest] = {}
-        return memo
-
     def _memoised(self, query: tuple, compute: Callable[[], object]) -> object:
-        """The answer to ``query`` from the process's path memo, or ``compute()``'s.
+        """The answer to ``query`` from :attr:`memo`, or ``compute()``'s.
 
         Answers are immutable tuples; the public kernels hand out fresh lists
         built from them.  A ``NoPath`` / ``NodeNotFound`` propagates and is
         recomputed on a repeat.
         """
-        memo = self._topology_memo()
+        memo = self.memo
         answer = memo.get(query)
         if answer is None:
             answer = memo[query] = compute()
         return answer
 
     def catalog_rows(self, query: tuple) -> Optional[Dict[tuple, tuple]]:
-        """The shared ``{pair: (paths, slots)}`` rows of ``query`` on this layout.
+        """The shared ``{pair: (paths, slots)}`` rows of ``query`` on this mirror.
 
         ``query`` names what a catalog computes per pair (e.g. ``("ksp",
         1)``), so a pair's filtered paths and their store slots are a
-        function of digest, layout, query and pair.  The first call for a
-        (layout, query) only records it and returns ``None``: rows are kept
-        only once a second caller -- the next catalog of the same scheme on
-        this topology -- asks again, and every later call returns that one
-        dict.  A run that resolves each query once keeps no rows.
+        function of the topology version, query and pair.  The first call
+        for a query only records it and returns ``None``: rows are kept only
+        once a second caller -- the next catalog of the same scheme on this
+        mirror -- asks again, and every later call returns that one dict.  A
+        run that resolves each query once keeps no rows.
         """
-        memo = self._topology_memo()
-        key = ("rows", self.store_layout, query)
+        memo = self.memo
+        key = ("rows", query)
         if key not in memo:
             memo[key] = None
             return None

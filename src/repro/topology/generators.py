@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -325,18 +325,3 @@ def multi_star_pcn(
             network.add_node(client, role=ROLE_CLIENT)
             network.add_channel(client, hub, client_channel_size, hub_channel_size)
     return network
-
-
-def assign_roles_from_placement(network: PCNetwork, hubs: Iterable[NodeId]) -> None:
-    """Mark the given nodes as hubs and demote all other candidates.
-
-    Helper used after solving the placement problem to reflect the placement
-    decision in the topology's node roles.
-    """
-    hub_set = set(hubs)
-    for node in network.nodes():
-        current = network.role(node)
-        if node in hub_set:
-            network.set_role(node, ROLE_HUB)
-        elif current == ROLE_HUB:
-            network.set_role(node, ROLE_CANDIDATE)

@@ -33,4 +33,3 @@ def test_every_call_runs_the_hop_count_kernels(name, kernel_calls):
         per_call.append(len(kernel_calls))
     assert per_call[0] > 0
     assert per_call == [per_call[0]] * 3
-    csr.clear_path_memo()

@@ -41,7 +41,6 @@ from repro.placement.problem import PlacementProblem
 from repro.placement.solver import build_problem, solve_placement
 from repro.placement.supermodular import objective_upper_bound
 from repro.reference import placement as reference
-from repro.topology import csr
 from repro.topology.csr import NodeNotFound
 from repro.topology.generators import watts_strogatz_pcn
 
@@ -349,7 +348,6 @@ class TestRoutingMirrorMemory:
     @staticmethod
     def _mirror_and_queries(network):
         network._graph_arrays = None
-        csr.clear_path_memo()
         nodes = network.nodes()
         source, target = nodes[1], nodes[-7]
         arrays = network.graph_arrays()
@@ -364,7 +362,6 @@ class TestRoutingMirrorMemory:
             _, peak = _traced_peak(lambda: self._mirror_and_queries(paper_network))
         finally:
             paper_network._graph_arrays = None
-            csr.clear_path_memo()
         assert peak <= 8 * 2**20
 
 

@@ -198,8 +198,8 @@ class TestRateControllerEquivalence:
         filler = Payment.create("n0", "n4", 6.0, created_at=0.0, timeout=9.0)
         router.submit(filler, 0.0)
         rejected = Payment.create("n0", "n2", 5.0, created_at=0.0, timeout=9.0)
-        decision = router.submit(rejected, 0.0)
-        assert not decision.accepted  # paths for (n0, n2) cached, never priced
+        router.submit(rejected, 0.0)
+        assert rejected.failure_reason == "queue-full"  # paths for (n0, n2) cached, never priced
         network.remove_channel("n0", "z")
         network.remove_channel("z", "n2")
         for step in range(1, 11):  # epoch updates + dispatch must not raise
@@ -207,7 +207,8 @@ class TestRateControllerEquivalence:
         assert filler.is_complete
         # The pair with the dead cached path keeps working end to end.
         accepted = Payment.create("n0", "n2", 2.0, created_at=1.1, timeout=9.0)
-        assert router.submit(accepted, 1.1).accepted
+        router.submit(accepted, 1.1)
+        assert not accepted.is_failed
         for step in range(1, 15):
             router.step(1.1 + 0.1 * step, 0.1)
         assert accepted.is_complete

@@ -4,7 +4,7 @@ import pytest
 
 from repro.reference import routing as reference
 from repro.routing.router import RateRouter, RouterConfig
-from repro.routing.transaction import Payment
+from repro.routing.transaction import Payment, PaymentStatus
 from repro.topology.network import PCNetwork
 
 
@@ -34,30 +34,29 @@ class TestSubmission:
     def test_accepts_routable_payment(self, line_network, fast_config):
         router = RateRouter(line_network, fast_config)
         payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=3.0)
-        decision = router.submit(payment, now=0.0)
-        assert decision.accepted
+        router.submit(payment, now=0.0)
+        assert payment.status is PaymentStatus.IN_FLIGHT
         assert payment.units
         assert router.queued_unit_count() == len(payment.units)
-        assert router.active_payment_count() == 1
 
     def test_rejects_unroutable_payment(self, line_network, fast_config):
         line_network.add_node("island")
         router = RateRouter(line_network, fast_config)
         payment = Payment.create("n0", "island", 5.0, created_at=0.0, timeout=3.0)
-        decision = router.submit(payment, now=0.0)
-        assert not decision.accepted
-        assert decision.reason == "no path"
+        router.submit(payment, now=0.0)
         assert payment.is_failed
+        assert payment.failure_reason == "no-path"
 
     def test_rejects_when_queue_full(self, line_network):
         config = RouterConfig(queue_limit=5.0)
         router = RateRouter(line_network, config)
         first = Payment.create("n0", "n4", 4.0, created_at=0.0, timeout=3.0)
         second = Payment.create("n0", "n4", 4.0, created_at=0.0, timeout=3.0)
-        assert router.submit(first, 0.0).accepted
-        decision = router.submit(second, 0.0)
-        assert not decision.accepted
-        assert decision.reason == "queue full"
+        router.submit(first, 0.0)
+        router.submit(second, 0.0)
+        assert first.status is PaymentStatus.IN_FLIGHT
+        assert second.is_failed
+        assert second.failure_reason == "queue-full"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +159,6 @@ class TestFailures:
         reports = _run(router, 2.0)
         assert payment.is_failed
         assert payment in _failed(reports)
-        assert router.active_payment_count() == 0
 
     def test_fully_drained_channel_rejected_at_submission(self, triangle_network, fast_config):
         # With C -> B completely empty there is no usable path at all, so the
@@ -168,9 +166,9 @@ class TestFailures:
         triangle_network.channel("C", "B").transfer("C", 10.0)
         router = RateRouter(triangle_network, fast_config)
         payment = Payment.create("A", "B", 5.0, created_at=0.0, timeout=1.0)
-        decision = router.submit(payment, 0.0)
-        assert not decision.accepted
+        router.submit(payment, 0.0)
         assert payment.is_failed
+        assert payment.failure_reason == "no-path"
 
     def test_mid_flight_channel_close_refunds_sender(self, line_network, fast_config):
         """A channel closing under an in-flight unit aborts it HTLC-style.
@@ -248,7 +246,8 @@ class TestQueueAccounting:
 
         def offer(value, now):
             payment = Payment.create("A", "B", value, created_at=now, timeout=0.5)
-            return router.submit(payment, now).accepted
+            router.submit(payment, now)
+            return not payment.is_failed
 
         assert offer(5.0, 0.0)
         assert not offer(0.5, 0.0)
@@ -259,12 +258,15 @@ class TestQueueAccounting:
         router = RateRouter(line_network, RouterConfig(queue_limit=5.0, hop_delay=0.01))
         first = Payment.create("n0", "n4", 4.0, created_at=0.0, timeout=3.0)
         refused = Payment.create("n0", "n4", 2.0, created_at=0.0, timeout=3.0)
-        assert router.submit(first, 0.0).accepted
-        assert router.submit(refused, 0.0).reason == "queue full"
+        router.submit(first, 0.0)
+        router.submit(refused, 0.0)
+        assert first.status is PaymentStatus.IN_FLIGHT
+        assert refused.failure_reason == "queue-full"
         assert router.queued_value("n0") == pytest.approx(4.0)
         # The bound is per sender: another sender still has the whole limit.
         other = Payment.create("n4", "n0", 5.0, created_at=0.0, timeout=3.0)
-        assert router.submit(other, 0.0).accepted
+        router.submit(other, 0.0)
+        assert other.status is PaymentStatus.IN_FLIGHT
         reports = _run(router, 2.0)
         assert refused in _failed(reports)
         assert first.is_complete and other.is_complete
@@ -277,13 +279,13 @@ class TestQueueAccounting:
         router = RateRouter(triangle_network, fast_config)
         stuck = Payment.create("A", "B", 5.0, created_at=0.0, timeout=0.5)
         direct = Payment.create("A", "C", 3.0, created_at=0.0, timeout=3.0)
-        assert router.submit(stuck, 0.0).accepted
-        assert router.submit(direct, 0.0).accepted
-        assert router.active_payment_count() == 2
+        router.submit(stuck, 0.0)
+        router.submit(direct, 0.0)
+        assert stuck.status is direct.status is PaymentStatus.IN_FLIGHT
         reports = _run(router, 1.5)
         assert _failed(reports) == [stuck]
         assert _completed(reports) == [direct]
-        assert router.active_payment_count() == 0
+        assert stuck.failure_reason == "timeout"
         assert router.in_flight_count() == 0
         assert router.queued_unit_count() == 0
         assert router.queued_value("A") == pytest.approx(0.0)
@@ -414,7 +416,8 @@ class TestEmptyPathSearch:
     def test_disconnected_pair_keeps_previous_paths(self, line_network, fast_config):
         router = RateRouter(line_network, fast_config)
         payment = Payment.create("n0", "n4", 10.0, created_at=0.0, timeout=1.5)
-        assert router.submit(payment, 0.0).accepted
+        router.submit(payment, 0.0)
+        assert payment.status is PaymentStatus.IN_FLIGHT
         line_network.remove_channel("n1", "n2")
         state = router.rate_controller.pair_state("n0", "n4")
         for step in range(1, 10):
@@ -441,9 +444,11 @@ class TestEmptyPathSearch:
         # The empty answer holds for path_refresh_interval despite the reopen.
         line_network.add_channel("n1", "n2", 50.0, 50.0)
         early = Payment.create("n0", "n4", 2.0, created_at=1.7, timeout=3.0)
-        assert router.submit(early, 1.7).reason == "no path"
+        router.submit(early, 1.7)
+        assert early.failure_reason == "no-path"
         late = Payment.create("n0", "n4", 2.0, created_at=2.0, timeout=3.0)
-        assert router.submit(late, 2.0).accepted
+        router.submit(late, 2.0)
+        assert late.status is PaymentStatus.IN_FLIGHT
         assert router.rate_controller.pair_state("n0", "n4").paths == [self.PATH]
         for step in range(21, 40):
             router.step(0.1 * step, 0.1)

@@ -1,10 +1,11 @@
-"""The per-process seed runner cache of ``execute_run``.
+"""The cross-shard runner cache of ``execute_run``.
 
-The scheme shards of one seed replay the process's cached experiment runner
-(network, workload, dynamics events) instead of rebuilding it.  These tests
-pin what that may change -- nothing in a row -- and when the cache must not
-serve: another seed, a non-scheme override, a moved topology, a shard that
-raised.
+The scheme shards of one seed replay the process's kept experiment runner
+(network, workload, dynamics events) instead of rebuilding it, and a shard
+that builds the same topology otherwise -- another seed of an unseeded
+snapshot, a workload override -- reuses the runner's network.  These tests
+pin what that may change -- nothing in a row -- and when neither may serve:
+another topology, a moved topology, a shard that raised.
 """
 
 import json
@@ -15,7 +16,13 @@ import pytest
 from repro.scenarios import jsonl, runner as runner_module
 from repro.scenarios.registry import build_comparison_spec, get_scenario
 from repro.scenarios.runner import ScenarioRunner, clear_seed_runner, execute_run
-from repro.scenarios.spec import TopologySpec, derive_seed
+from repro.scenarios.spec import (
+    ScenarioSpec,
+    SchemeSpec,
+    TopologySpec,
+    WorkloadSpec,
+    derive_seed,
+)
 from repro.simulator.experiment import ExperimentRunner
 from repro.topology import shared
 
@@ -58,6 +65,16 @@ def snapshot_trace_spec():
     )
 
 
+def grid_splicer_spec():
+    """A grid with no designated candidates: Splicer elects its own."""
+    return ScenarioSpec(
+        name="grid-splicer",
+        topology=TopologySpec(kind="grid", params={"rows": 6, "cols": 6}),
+        workload=WorkloadSpec(duration=2.0, arrival_rate=10.0),
+        schemes=[SchemeSpec(name="splicer")],
+    )
+
+
 def churn_spec():
     """``channel-churn`` sharded one scheme per run, as ``compare`` shards."""
     spec = get_scenario("channel-churn").with_overrides(
@@ -77,6 +94,12 @@ def as_json(rows):
     return [json.dumps(row, sort_keys=True) for row in rows]
 
 
+def cold(task):
+    """``task``'s row from a process that kept nothing."""
+    clear_seed_runner()
+    return execute_run(task)
+
+
 class TestReuse:
     def test_a_seeds_scheme_shards_build_its_topology_once(self, topology_builds):
         rows = [execute_run(task) for task in tasks(comparison_spec())]
@@ -90,10 +113,7 @@ class TestReuse:
     def test_rows_equal_a_fresh_runner_per_shard(self, make_spec, topology_builds):
         spec = make_spec()
         reused = [execute_run(task) for task in tasks(spec)]
-        fresh = []
-        for task in tasks(spec):
-            clear_seed_runner()  # what a new worker process starts with
-            fresh.append(execute_run(task))
+        fresh = [cold(task) for task in tasks(spec)]
         assert as_json(reused) == as_json(fresh)
 
     def test_a_moved_topology_is_rebuilt(self, topology_builds):
@@ -113,14 +133,65 @@ class TestReuse:
         assert topology_builds == [1, 2, 1]
         assert len(runner_module._SEED_RUNNER) == 1
 
-    def test_a_non_scheme_override_never_uses_the_entry(self, topology_builds):
+    def test_a_splicer_shard_leaves_the_next_shard_a_cold_network(self, topology_builds):
+        # Splicer elects and places hubs on the network it routes; a kept
+        # runner must hand the next omega the network a cold build would.
+        spec = grid_splicer_spec().to_dict()
+        execute_run((spec, 1, {"schemes.0.params.omega": 0.5}))
+        warm = execute_run((spec, 1, {"schemes.0.params.omega": 0.0}))
+        assert topology_builds == [1]
+        assert as_json([warm]) == as_json([cold((spec, 1, {"schemes.0.params.omega": 0.0}))])
+
+
+class TestNetworkReuse:
+    def test_seeds_of_the_bundled_snapshot_build_it_once(self, topology_builds):
+        # Poisson arrivals: each seed offers its own workload on the one network.
+        spec = build_comparison_spec(
+            "small",
+            ["waterfilling", "splicer"],
+            seeds=[1, 2, 3],
+            duration=2.0,
+            nodes=40,
+            topology_source="lightning-snapshot",
+        )
+        reused = [execute_run(task) for task in tasks(spec)]
+        assert topology_builds == [1]
+        assert len({row["workload_value"] for row in reused}) == 3
+        fresh = [cold(task) for task in tasks(spec)]
+        assert as_json(reused) == as_json(fresh)
+
+    def test_a_workload_override_reuses_the_network_and_rebuilds_the_workload(
+        self, topology_builds
+    ):
         first, second = tasks(comparison_spec(seeds=[1]))[:2]
         base = execute_run(first)
-        scaled = execute_run((first[0], 1, {"workload.value_scale": 3.0}))
+        (kept,) = runner_module._SEED_RUNNER.values()
+        scaled_task = (first[0], 1, {"workload.value_scale": 3.0})
+        scaled = execute_run(scaled_task)
+        (rebuilt,) = runner_module._SEED_RUNNER.values()
+        assert rebuilt is not kept and rebuilt.network is kept.network
         assert scaled["workload_value"] == pytest.approx(3.0 * base["workload_value"], rel=1e-3)
-        assert runner_module._SEED_RUNNER == {}  # dropped, and its runner not kept
-        execute_run(second)
-        assert topology_builds == [1, 1, 1]
+        back = execute_run(second)
+        assert topology_builds == [1]
+        assert as_json([scaled, back]) == as_json([cold(scaled_task), cold(second)])
+
+    @pytest.mark.parametrize(
+        "make_spec, first, then",
+        [
+            (comparison_spec, (1, {}), (1, {"topology.params.nearest_neighbors": 6})),
+            (comparison_spec, (1, {}), (2, {})),
+            (churn_spec, (1, {}), (1, {"workload.value_scale": 3.0})),
+        ],
+        ids=["topology-override", "watts-strogatz-seed", "moved-topology"],
+    )
+    def test_another_or_a_moved_topology_is_rebuilt(
+        self, make_spec, first, then, topology_builds
+    ):
+        spec = make_spec().to_dict()
+        execute_run((spec, *first))
+        row = execute_run((spec, *then))
+        assert topology_builds == [first[0], then[0]]
+        assert as_json([row]) == as_json([cold((spec, *then))])
 
     def test_a_shard_that_raises_drops_the_entry(self, topology_builds, monkeypatch):
         first, second = tasks(comparison_spec(seeds=[1]))[:2]

@@ -81,7 +81,7 @@ class TestExperimentRunner:
         snapshot = small_ws_network.snapshot()
         runner = ExperimentRunner(small_ws_network, workload, step_size=0.2, drain_time=1.0)
         runner.run([ShortestPathScheme(), ShortestPathScheme()])
-        runner._reset_network()
+        runner.reset_network()
         assert small_ws_network.snapshot() == snapshot
 
     def test_real_scheme_produces_sensible_metrics(self, small_ws_network, workload):

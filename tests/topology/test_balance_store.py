@@ -140,7 +140,7 @@ class TestSnapshotRestore:
         fees = {c.endpoints: (c.base_fee, c.fee_rate) for c in line_network.channels()}
 
         line_network.channel("n0", "n1").transfer("n0", 3.0)
-        runner._reset_network()  # same version: nothing to reconcile
+        runner.reset_network()  # same version: nothing to reconcile
         assert removed == [] and _pairs(line_network) == before
 
         # One channel the snapshot knows is lost, one it does not know appears.
@@ -148,7 +148,7 @@ class TestSnapshotRestore:
         ChannelOpen(node_a="n0", node_b="n2", balance_a=5.0).apply(line_network)
         line_network.channel("n0", "n1").transfer("n0", 3.0)
         removed.clear()
-        runner._reset_network()
+        runner.reset_network()
         assert removed == [("n0", "n2")]
         assert _pairs(line_network) == before
         assert {

@@ -9,7 +9,6 @@ from repro.topology.datasets import ChannelSizeDistribution
 from repro.topology.generators import (
     _connected_watts_strogatz,
     _edges,
-    assign_roles_from_placement,
     grid_pcn,
     multi_star_pcn,
     random_pcn,
@@ -17,7 +16,6 @@ from repro.topology.generators import (
     star_pcn,
     watts_strogatz_pcn,
 )
-from repro.topology.network import ROLE_CANDIDATE
 
 
 class TestWattsStrogatz:
@@ -168,20 +166,4 @@ class TestStarTopologies:
     def test_multi_star_invalid(self):
         with pytest.raises(ValueError):
             multi_star_pcn(hub_count=0, clients_per_hub=1)
-
-
-class TestRoleAssignment:
-    def test_assign_roles_from_placement(self, small_ws_network):
-        candidates = small_ws_network.candidates()
-        chosen = candidates[:2]
-        assign_roles_from_placement(small_ws_network, chosen)
-        assert set(small_ws_network.hubs()) == set(chosen)
-        for node in candidates[2:]:
-            assert small_ws_network.role(node) == ROLE_CANDIDATE
-
-    def test_assignment_demotes_previous_hubs(self, small_ws_network):
-        candidates = small_ws_network.candidates()
-        assign_roles_from_placement(small_ws_network, candidates[:1])
-        assign_roles_from_placement(small_ws_network, candidates[1:2])
-        assert small_ws_network.hubs() == [candidates[1]]
 

@@ -1,11 +1,12 @@
-"""The per-process memo of the hop-count path kernels (``repro.topology.csr``).
+"""The per-mirror memo of the hop-count path kernels (``repro.topology.csr``).
 
 ``shortest_path``, ``k_shortest_paths`` and ``edge_disjoint_shortest_paths``
-read no balance, so every mirror of one topology shares their answers; the
+read no balance, so a mirror answers a repeated query from its own dict
+(``GraphArrays.memo``), which lives and dies with the mirror; the
 widest-path search and the heuristic ranking read balances and must follow
-them.  The same memo keeps the atomic baselines' catalog rows per store
-layout once a scheme routes again on one topology.  These tests pin what a
-hit may and may not change.
+them.  The same dict keeps the atomic baselines' catalog rows once a scheme
+routes again on one mirror.  These tests pin what a hit may and may not
+change.
 """
 
 import pytest
@@ -29,13 +30,6 @@ from repro.routing.paths import (
 from repro.topology import csr, pathcsr
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.network import PCNetwork
-
-
-@pytest.fixture(autouse=True)
-def _empty_memo():
-    csr.clear_path_memo()
-    yield
-    csr.clear_path_memo()
 
 
 def _watts_strogatz(seed=5):
@@ -80,20 +74,24 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-class TestSharedAnswers:
-    def test_a_second_network_of_the_same_topology_runs_no_kernel(self, kernel_calls):
-        first = _watts_strogatz()
-        nodes = first.nodes()
+class TestMirrorAnswers:
+    def test_a_repeated_query_runs_no_kernel_until_the_mirror_is_rebuilt(self, kernel_calls):
+        network = _watts_strogatz()
+        nodes = network.nodes()
         pairs = [(nodes[i], nodes[-1 - i]) for i in range(6)]
-        cold = _answers(first, pairs)
+        cold = _answers(network, pairs)
         assert kernel_calls
         kernel_calls.clear()
 
-        second = _watts_strogatz()
-        assert second.graph_arrays() is not first.graph_arrays()
-        assert second.graph_arrays().digest == first.graph_arrays().digest
-        assert _answers(second, pairs) == cold
+        assert _answers(network, pairs) == cold
         assert kernel_calls == []
+
+        network._graph_arrays = None  # a new mirror starts with an empty memo
+        assert _answers(network, pairs) == cold
+        assert kernel_calls
+        kernel_calls.clear()
+        assert _answers(_watts_strogatz(), pairs) == cold
+        assert kernel_calls  # nor does another network of the same topology share it
 
     def test_answers_equal_the_reference(self):
         network = _watts_strogatz()
@@ -121,11 +119,11 @@ class TestSharedAnswers:
         assert "intruder" not in arrays.shortest_path(source, target)
 
 
-class TestTopologyKey:
+class TestMirrorLifetime:
     def test_close_and_reopen_misses_and_follows_the_new_order(self, kernel_calls):
         network = _square()
         assert network.shortest_path("s", "t") == ["s", "a", "t"]
-        before = network.graph_arrays().digest
+        before = network.graph_arrays()
 
         balances = network.remove_channel("a", "t")
         network.add_channel("a", "t", balance_a=balances["a"], balance_b=balances["t"])
@@ -133,23 +131,12 @@ class TestTopologyKey:
         flipped = network.shortest_path("s", "t")
 
         assert kernel_calls  # a miss: the adjacency order moved
-        assert network.graph_arrays().digest != before
+        assert network.graph_arrays() is not before
         assert flipped == ["s", "b", "t"]
         assert flipped == reference.shortest_path(network, "s", "t")
         assert network.shortest_paths("s", "t", 2) == reference.k_shortest_paths(
             network, "s", "t", 2
         )
-
-    def test_a_second_topology_evicts_the_first(self):
-        first = _watts_strogatz(seed=5)
-        second = _watts_strogatz(seed=6)
-        source, target = first.nodes()[0], first.nodes()[-1]
-        first.shortest_path(source, target)
-        assert list(csr._PATH_MEMO) == [first.graph_arrays().digest]
-
-        second.shortest_path(source, target)
-        assert list(csr._PATH_MEMO) == [second.graph_arrays().digest]
-        assert len(csr._PATH_MEMO[second.graph_arrays().digest]) == 1
 
 
 class TestFailingQueries:
@@ -178,7 +165,7 @@ class TestFailingQueries:
                 query(arrays)
             raised.append(info.value)
         assert {str(exception) for exception in raised} == {str(raised[0])}
-        assert not csr._PATH_MEMO.get(arrays.digest)  # a failing query is not kept
+        assert arrays.memo == {}  # a failing query is not kept
 
     def test_eds_of_an_unknown_node_is_an_empty_answer(self):
         arrays = self._disconnected().graph_arrays()
@@ -218,12 +205,11 @@ class TestBalanceReadersStayLive:
 # ---------------------------------------------------------------------- #
 # catalog rows
 # ---------------------------------------------------------------------- #
-def _kept_rows():
-    """Every catalog row the memo holds, as ``{(layout, query): {pair: row}}``."""
+def _kept_rows(network):
+    """Every catalog row the network's mirror holds, as ``{query: {pair: row}}``."""
     return {
-        key[1:]: rows
-        for memo in csr._PATH_MEMO.values()
-        for key, rows in memo.items()
+        key[1]: rows
+        for key, rows in network.graph_arrays().memo.items()
         if key[0] == "rows" and rows
     }
 
@@ -240,16 +226,6 @@ def slot_walks(monkeypatch):
 
     monkeypatch.setattr(pathcsr, "hop_slots", counted)
     return walks
-
-
-def _two_channels(order):
-    """Nodes ``a..d`` with channels ``a-b`` and ``c-d`` opened in ``order``."""
-    network = PCNetwork()
-    for node in "abcd":
-        network.add_node(node)
-    for a, b in order:
-        network.add_channel(a, b, balance_a=10.0, balance_b=10.0)
-    return network
 
 
 def _resolve(network, pair, query=("ksp", 2)):
@@ -280,11 +256,11 @@ class TestCatalogRows:
         self, name, slot_walks
     ):
         factory = CATALOG_SCHEMES[name]
+        network = load_snapshot()
+        nodes = network.nodes()
+        pairs = [(nodes[i], nodes[-1 - i]) for i in range(12)]
         shards = []
-        for _ in range(3):  # three shards of one snapshot in one worker
-            network = load_snapshot()
-            nodes = network.nodes()
-            pairs = [(nodes[i], nodes[-1 - i]) for i in range(12)]
+        for _ in range(3):  # three shards of one kept network in one worker
             scheme = factory()
             scheme.prepare(network)
             slot_walks.clear()
@@ -301,31 +277,27 @@ class TestCatalogRows:
         assert warm == cold
         # A hit counts as computed: Flash's pool probes are charged again.
         assert warm_messages == cold_messages
-        assert _kept_rows()
+        assert _kept_rows(network)
 
     def test_a_hit_returns_computed_and_the_fresh_rows(self):
-        pair = None
+        network = _watts_strogatz()
+        pair = (network.nodes()[0], network.nodes()[-1])
         for _ in range(3):
-            network = _watts_strogatz()
-            pair = pair or (network.nodes()[0], network.nodes()[-1])
             entry = _resolve(network, pair)
             fresh = [tuple(path) for path in k_shortest_paths(network, *pair, 2)]
             assert entry.paths == fresh
             assert _rows_of(entry) == [
                 (path, tuple(pathcsr.hop_slots(network, path))) for path in fresh
             ]
-        assert len(_kept_rows()) == 1
+        assert len(_kept_rows(network)) == 1
 
-    def test_rows_follow_the_store_layout_not_the_digest(self):
-        first = _two_channels([("a", "b"), ("c", "d")])
-        second = _two_channels([("c", "d"), ("a", "b")])
-        assert first.graph_arrays().digest == second.graph_arrays().digest
-        assert first.graph_arrays().store_layout != second.graph_arrays().store_layout
-        for network in (first, first, first, second, second, second):
-            (slots,) = [slots for _path, slots in _rows_of(_resolve(network, ("a", "b")))]
-            assert slots == tuple(pathcsr.hop_slots(network, ("a", "b")))
-        assert _rows_of(_resolve(first, ("a", "b"))) == [(("a", "b"), (0,))]
-        assert _rows_of(_resolve(second, ("a", "b"))) == [(("a", "b"), (2,))]
+    def test_a_new_network_keeps_no_rows_of_another(self):
+        first, second = _watts_strogatz(), _watts_strogatz()
+        pair = (first.nodes()[0], first.nodes()[-1])
+        for _ in range(3):
+            _resolve(first, pair)
+        _resolve(second, pair)
+        assert _kept_rows(first) and not _kept_rows(second)
 
     def test_queries_resolved_once_each_keep_no_rows(self):
         network = _watts_strogatz()
@@ -339,7 +311,7 @@ class TestCatalogRows:
             lambda: edge_disjoint_shortest_paths(network, source, target, 3),
             query=("eds", 3),
         )
-        assert _kept_rows() == {}
+        assert _kept_rows(network) == {}
 
     def test_a_channel_closed_mid_run_never_gets_the_old_layouts_rows(self):
         network = _watts_strogatz()
@@ -351,7 +323,7 @@ class TestCatalogRows:
         catalog = PathCatalog(network)
         compute = {pair: (lambda p=pair: k_shortest_paths(network, *p, 2)) for pair in pairs}
         before = [catalog.resolve(pair, compute[pair], query=("ksp", 2))[0] for pair in pairs]
-        assert _kept_rows()  # the third catalog was served from the memo
+        assert _kept_rows(network)  # the third catalog was served from the memo
         path = next(entry.paths[0] for entry in before if entry.paths)
         network.remove_channel(path[0], path[1])
         for pair in pairs:
@@ -363,11 +335,11 @@ class TestCatalogRows:
             ]
 
     def test_speedymurmurs_adds_no_rows(self):
+        network = load_snapshot()
+        nodes = network.nodes()
         for _ in range(3):
-            network = load_snapshot()
-            nodes = network.nodes()
             scheme = SpeedyMurmursScheme()
             scheme.prepare(network)
             for i in range(12):
                 scheme._paths(nodes[i], nodes[-1 - i], 5.0)
-        assert not any(key[0] == "rows" for memo in csr._PATH_MEMO.values() for key in memo)
+        assert not any(key[0] == "rows" for key in network.graph_arrays().memo)
