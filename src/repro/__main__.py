@@ -19,8 +19,9 @@ Subcommands:
   tables, failure-reason breakdown and (for traced runs) epoch health.
 * ``trace <trace-file>`` -- filter and pretty-print a payment trace,
   including a per-payment ``--timeline`` view.
-* ``doctor`` -- reap orphaned shared-memory segments left by killed
-  runners and inspect or clear sweep quarantine files
+* ``doctor`` -- reap orphaned shared-memory segments (left by a killed
+  runner of an earlier version, or a killed benchmark pass) and inspect or
+  clear sweep quarantine files
   (see ``docs/resilience.md``).
 
 ``run`` re-invoked with the same arguments performs zero duplicate
@@ -713,9 +714,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             spec,
             results_dir=args.results_dir,
             workers=args.workers,
-            # At the xl scale each seed's topology is exported once to a
-            # read-only shared-memory block instead of rebuilt per shard.
-            shared_topology=scale == "xl",
             **_resilience_kwargs(args),
         )
         total = len(spec.expand_runs())

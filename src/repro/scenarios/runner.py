@@ -25,7 +25,9 @@ only in its schemes and whose seed matches, exactly as
 ``ExperimentRunner.run`` replays one topology for several schemes.  A shard
 that builds the same topology under another seed or workload -- a new seed
 on an unseeded snapshot -- keeps only the runner's network, reset to its
-snapshot, with its routing mirror and path memo.  Rows equal those of a
+snapshot, with its routing mirror and path memo.  Any other shard builds
+its network from the topology generator; that is the only other source of
+a network, whatever the scale or worker count.  Rows equal those of a
 fresh build per shard (``tests/scenarios/test_seed_runner.py``).
 """
 
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import DEFAULT_SAMPLE_RATE, HealthRecorder, RunRecorder, use_recorder
-from repro.obs.log import get_logger
 from repro.scenarios.jsonl import (
     RESULT_SCHEMA_VERSION,
     GridRunReport,
@@ -52,8 +53,6 @@ from repro.scenarios.spec import ScenarioSpec, derive_seed
 if TYPE_CHECKING:
     from repro.simulator.experiment import ExperimentRunner
     from repro.topology.network import PCNetwork
-
-log = get_logger("repro.sweep")
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
@@ -192,40 +191,16 @@ def _kept_runner(
     return None, None
 
 
-def _shared_network(shared_name: Optional[str]):
-    """The network rebuilt from a shared-memory block, or ``None`` without one.
-
-    Bit-identical to the generator's by the block's order-preservation
-    contract (``tests/topology/test_shared_topology.py``); the segment is
-    unmapped again at once (the rebuilt network borrows nothing).
-    """
-    if shared_name is None:
-        return None
-    from repro.topology.shared import SharedTopologyBlock
-
-    block = SharedTopologyBlock.attach(shared_name)
-    try:
-        return block.build_network()
-    finally:
-        block.close()
-
-
 def execute_run(
     task: Tuple[Dict[str, object], int, Dict[str, object]]
 ) -> Dict[str, object]:
-    """Execute one (spec dict, seed, overrides[, shm name]) task; return its row.
+    """Execute one (spec dict, seed, overrides) task; return its row.
 
     Module-level so it pickles for worker processes; the spec travels as a
-    plain dict for the same reason.  A 4-tuple task carries the name of a
-    shared-memory topology block exported by the parent: a shard that cannot
-    reuse its process's kept runner or network rebuilds the network from the
-    block instead of re-running the topology generator.
+    plain dict for the same reason.  A shard that cannot reuse its process's
+    kept runner or network builds the network from the topology generator.
     """
-    if len(task) == 4:
-        spec_dict, seed, overrides, shared_name = task
-    else:
-        spec_dict, seed, overrides = task
-        shared_name = None
+    spec_dict, seed, overrides = task
     spec = ScenarioSpec.from_dict(spec_dict)
     if overrides:
         spec = spec.with_overrides(overrides)
@@ -235,8 +210,6 @@ def execute_run(
     network_key = spec.topology.build_key(derive_seed(seed, "topology"))
     runner, network = _kept_runner(runner_key, network_key)
     if runner is None:
-        if network is None:
-            network = _shared_network(shared_name)
         runner, schemes = spec.build_experiment(seed, network=network)
     else:
         schemes = [scheme_spec.build() for scheme_spec in spec.scheme_specs()]
@@ -267,33 +240,17 @@ def execute_run(
 
 
 class ScenarioRunner(JsonlGridRunner):
-    """Runs a scenario's full grid over worker processes, resumably.
-
-    With ``shared_topology=True`` and more than one worker, the parent builds
-    each pending seed's funded topology once, exports it to a read-only
-    shared-memory block (:class:`~repro.topology.shared.SharedTopologyBlock`)
-    and hands workers the block name instead of letting every worker re-run
-    the generator.  On one worker nothing is exported: the shards run in this
-    process, where the per-seed runner cache of :func:`execute_run` already
-    builds each seed once.  Sharing applies only when every grid override
-    path stays under ``schemes.`` (the comparison pipeline's shape) -- a grid
-    that sweeps topology parameters builds per-run networks as before.  Rows
-    are bit-identical either way; the blocks are unlinked in a ``finally``
-    (plus a finalizer guard inside the block itself).
-    """
+    """Runs a scenario's full grid over worker processes, resumably."""
 
     def __init__(
         self,
         spec: ScenarioSpec,
         results_dir: str = os.path.join("results", "scenarios"),
         workers: int = 1,
-        shared_topology: bool = False,
         **resilience,
     ) -> None:
         super().__init__(results_dir=results_dir, workers=workers, **resilience)
         self.spec = spec
-        self.shared_topology = shared_topology
-        self._shared_blocks: Dict[int, "SharedTopologyBlock"] = {}
 
     @property
     def results_name(self) -> str:
@@ -309,88 +266,25 @@ class ScenarioRunner(JsonlGridRunner):
         ]
 
     def pending_tasks(self) -> List[Tuple]:
-        """Grid entries not yet present in the results file, in grid order.
-
-        Tasks are 3-tuples, or 4-tuples carrying the seed's shared-memory
-        block name when the parent exported one.
-        """
+        """Grid entries not yet present in the results file, in grid order."""
         done = self.completed_keys()
         spec_dict = self.spec.to_dict()
         fingerprint = spec_fingerprint(spec_dict)
-        tasks: List[Tuple] = []
-        for seed, overrides in self.spec.expand_runs():
-            if run_key(self.spec.name, seed, overrides, fingerprint) in done:
-                continue
-            block = self._shared_blocks.get(seed)
-            if block is not None:
-                tasks.append((spec_dict, seed, overrides, block.name))
-            else:
-                tasks.append((spec_dict, seed, overrides))
-        return tasks
+        return [
+            (spec_dict, seed, overrides)
+            for seed, overrides in self.spec.expand_runs()
+            if run_key(self.spec.name, seed, overrides, fingerprint) not in done
+        ]
 
     def executor(self):
         """The module-level scenario task function."""
         return execute_run
 
     def run(self, on_row=None) -> GridRunReport:
-        """Execute pending runs, exporting shared topology blocks if enabled.
+        """Execute pending runs.
 
-        Blocks are exported only when the sweep forks workers.  Such a sweep
-        starts by reaping orphaned shared-memory segments of dead owner
-        processes (a previous runner killed hard), so crashed sweeps cannot
-        leak machine memory across restarts.  The spec is validated first: a
-        configuration error is raised here, in the parent, and leaves no
-        failure row or quarantine entry.
+        The spec is validated first: a configuration error is raised here, in
+        the parent, and leaves no failure row or quarantine entry.
         """
         self.spec.validate()
-        if not self.shared_topology or self.workers <= 1:
-            return super().run(on_row=on_row)
-        from repro.topology.shared import reap_orphan_segments
-
-        reaped = reap_orphan_segments()
-        if reaped:
-            log.info(
-                f"reaped {len(reaped)} orphaned shared-memory segment(s) "
-                f"from dead runner process(es)",
-                reaped=len(reaped),
-            )
-        self._export_shared_blocks()
-        try:
-            return super().run(on_row=on_row)
-        finally:
-            self._release_shared_blocks()
-
-    # ------------------------------------------------------------------ #
-    # shared-memory topology blocks
-    # ------------------------------------------------------------------ #
-    def _export_shared_blocks(self) -> None:
-        """Build and export one topology block per seed with pending work.
-
-        Bails (leaving all tasks as plain 3-tuples) if any pending override
-        touches anything outside ``schemes.``: those overrides change the
-        network a run builds, so one per-seed topology cannot serve them.
-        """
-        from repro.topology.shared import SharedTopologyBlock
-
-        done = self.completed_keys()
-        fingerprint = spec_fingerprint(self.spec.to_dict())
-        seeds = set()
-        for seed, overrides in self.spec.expand_runs():
-            if run_key(self.spec.name, seed, overrides, fingerprint) in done:
-                continue
-            if any(not path.startswith("schemes.") for path in overrides):
-                return
-            seeds.add(seed)
-        for seed in sorted(seeds):
-            network = self.spec.topology.build(derive_seed(seed, "topology"))
-            self._shared_blocks[seed] = SharedTopologyBlock.from_network(network)
-            # Cyclic garbage now: freed before the next seed's build, and never
-            # inherited (and frozen) by the workers forked later.
-            del network
-            gc.collect()
-
-    def _release_shared_blocks(self) -> None:
-        """Unlink every exported block (idempotent)."""
-        blocks, self._shared_blocks = self._shared_blocks, {}
-        for block in blocks.values():
-            block.unlink()
+        return super().run(on_row=on_row)

@@ -565,11 +565,10 @@ class ScenarioSpec:
     ) -> Tuple[ExperimentRunner, List[RoutingScheme]]:
         """Build the runner (network + workload + dynamics) and the schemes.
 
-        ``network`` may carry a pre-built topology (the shared-memory
-        compare path reconstructs it from a read-only block); it must be
-        identical to what ``topology.build`` would produce for ``seed``,
-        which :class:`~repro.topology.shared.SharedTopologyBlock`
-        guarantees by preserving node, adjacency and channel order.
+        ``network`` may carry a pre-built topology: a sweep process's kept
+        network, reset to its snapshot, or one a benchmark rebuilt from a
+        :class:`~repro.topology.shared.SharedTopologyBlock`.  It must be
+        identical to what ``topology.build`` would produce for ``seed``.
 
         The runner depends on the spec only through its topology, workload,
         dynamics and stepping, so a sweep process keeps it across the scheme

@@ -1,28 +1,33 @@
-"""Shared-memory topology blocks for multi-process comparison pipelines.
+"""Shared-memory topology blocks: one seed's funded topology in one segment.
 
-At xl scale (~100k nodes) every ``compare`` worker process used to rebuild
-the funded topology from scratch: re-run the generator, re-sample channel
-sizes, and re-derive the adjacency -- identical work repeated once per
-scheme shard.  This module packs one seed's topology into a single
-``multiprocessing.shared_memory`` segment the parent builds once:
+No sweep uses this module: a sweep process keeps its last network across
+shards (:func:`repro.scenarios.runner.execute_run`), so each worker builds
+a seed once, and a parent-side build and export would only delay dispatch.
+Its callers are ``bench/layers.py::trace_compare``, which exports and
+attaches blocks, and ``bench/run.py`` plus ``repro doctor``, which scan
+``/dev/shm`` for segments that a killed benchmark pass, or a killed runner
+of an earlier version, left behind.
+
+A block packs one topology into a single ``multiprocessing.shared_memory``
+segment:
 
 * **read-only block** -- node ids and attribute dicts (pickled), the CSR
   adjacency (``indptr``/``indices`` plus a per-slot channel index that
   preserves the *exact* insertion/adjacency order, so the reconstructed
   network's ``topology_fingerprint`` matches the original bit for bit),
   and per-channel initial balances and fees as float64 arrays,
-* **per-worker private state** -- a worker attaches, reconstructs a
+* **per-process private state** -- a reader attaches, reconstructs a
   :class:`~repro.topology.network.PCNetwork` that *copies out* everything
   it needs (:meth:`SharedTopologyBlock.build_network`), and unmaps the
-  segment again before it runs: the rebuilt network borrows nothing from
-  the block, so neither side constrains the other's lifetime.
+  segment again: the rebuilt network borrows nothing from the block, so
+  neither side constrains the other's lifetime.
 
-Cleanup is owned by the creating process: the compare runner unlinks every
-block in a ``finally``, and creator blocks additionally carry a
-``weakref.finalize`` guard so a crashed shard sweep still unlinks the
-segment when the parent's reference is dropped.  Worker attaches leave the
-(fork-shared) resource tracker alone: re-registration is a set no-op there,
-and the tracker remains the last-resort cleanup if the parent is killed.
+Cleanup is owned by the creating process: it unlinks the block, and a
+creator block additionally carries a ``weakref.finalize`` guard so the
+segment is unlinked when the creator's reference is dropped.  Attaches
+leave the (fork-shared) resource tracker alone: re-registration is a set
+no-op there, and the tracker remains the last-resort cleanup if the
+creator is killed.
 """
 
 from __future__ import annotations
@@ -225,8 +230,7 @@ class SharedTopologyBlock:
     index), channel endpoint order, per-side balances and fees, and node
     attribute dicts.  :meth:`build_network` therefore returns a network whose
     ``topology_fingerprint``, snapshot and every query result are identical
-    to the original -- the bit-identity contract of the shared-memory
-    compare path, pinned by ``tests/topology/test_shared_topology.py``.
+    to the original -- the bit-identity contract its round-trip tests pin.
     """
 
     def __init__(self, block: SharedArrayBlock) -> None:
@@ -407,8 +411,8 @@ def _segment_owner_pid(path: str) -> Optional[int]:
 def scan_segments(shm_dir: str = _SHM_DIR) -> List[Tuple[str, int, bool]]:
     """All magic-tagged segments: ``(name, owner_pid, owner_alive)`` triples.
 
-    Powers both the automatic sweep-start reap and the ``repro doctor``
-    report.  Returns an empty list on platforms without a ``/dev/shm``.
+    Powers the ``repro doctor`` reap and report.  Returns an empty list on
+    platforms without a ``/dev/shm``.
     """
     found: List[Tuple[str, int, bool]] = []
     try:

@@ -9,7 +9,6 @@ shared-memory segments.
 """
 
 import json
-import os
 
 import pytest
 
@@ -45,12 +44,10 @@ class TestChaosAcceptance:
         )
         spec = compare_spec()
         chaos_dir = str(tmp_path / "chaos")
-        shared = os.path.isdir("/dev/shm")
         report = ScenarioRunner(
             spec,
             results_dir=chaos_dir,
             workers=2,
-            shared_topology=shared,
             shard_timeout=5.0,
             fault_plan=plan,
         ).run()
@@ -70,21 +67,16 @@ class TestChaosAcceptance:
             assert row["error"]
 
         # A plain rerun resumes with zero new work...
-        resumed = ScenarioRunner(
-            spec, results_dir=chaos_dir, workers=2, shared_topology=shared
-        ).run()
+        resumed = ScenarioRunner(spec, results_dir=chaos_dir, workers=2).run()
         assert resumed.executed == 0 and resumed.skipped == 4
 
         # ...and the success rows are byte-identical to an uninterrupted
         # sweep in a fresh directory.
-        clean = ScenarioRunner(
-            spec, results_dir=str(tmp_path / "clean"), workers=2, shared_topology=shared
-        ).run()
+        clean = ScenarioRunner(spec, results_dir=str(tmp_path / "clean"), workers=2).run()
         assert row_lines(resumed) == row_lines(clean) == row_lines(report)
 
         # Zero leaked shared-memory segments: every magic-tagged segment
         # still present belongs to a live process (the reaper scan would
         # reap nothing of ours).
-        if shared:
-            dead = [name for name, _owner, alive in scan_segments() if not alive]
-            assert dead == []
+        dead = [name for name, _owner, alive in scan_segments() if not alive]
+        assert dead == []

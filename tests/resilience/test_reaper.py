@@ -6,6 +6,8 @@ import signal
 
 import pytest
 
+from repro.__main__ import main as cli_main
+from repro.scenarios.registry import build_comparison_spec
 from repro.scenarios.runner import ScenarioRunner
 from repro.topology.generators import watts_strogatz_pcn
 from repro.topology.shared import (
@@ -161,66 +163,36 @@ class TestReaper:
         assert current.exists() and not recycled.exists()
 
 
-def _export_partial_sweep_and_die(conn, spec_dict, results_dir):
-    """Child: start a shared-topology sweep, die between export and attach.
+class TestSegmentsLeftBehind:
+    """A killed exporter -- a benchmark pass, an earlier version -- leaks a block.
 
-    Models a runner killed after building the shared block but before any
-    worker attached: the block leaks, the results file holds a torn line.
+    Sweeps neither make nor reap segments; ``repro doctor`` reaps them.
     """
-    from repro.scenarios.spec import ScenarioSpec
 
-    spec = ScenarioSpec.from_dict(spec_dict)
-    runner = ScenarioRunner(
-        spec, results_dir=results_dir, workers=2, shared_topology=True
-    )
-    runner._export_shared_blocks()
-    os.makedirs(results_dir, exist_ok=True)
-    with open(runner.results_path, "w") as handle:
-        handle.write('{"run_key": "torn')  # mid-write kill
-    conn.send([block.name for block in runner._shared_blocks.values()])
-    conn.close()
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestKillBetweenExportAndAttach:
-    def test_resume_reaps_and_completes(self, tmp_path):
-        """The xl-path crash window: export done, workers not yet attached.
-
-        The rerun must (1) reap the dead runner's segments at sweep start,
-        (2) newline-terminate the torn results line, and (3) produce rows
-        identical to a never-crashed shared-topology sweep.
-        """
-        from repro.scenarios.registry import build_comparison_spec
-
-        spec = build_comparison_spec(
-            "small", ["shortest-path", "landmark"], seeds=[1], duration=1.0, nodes=16
-        )
-        crashed_dir = str(tmp_path / "crashed")
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(
-            target=_export_partial_sweep_and_die,
-            args=(send, spec.to_dict(), crashed_dir),
-        )
-        child.start()
-        send.close()
-        leaked = receive.recv()
-        child.join(timeout=60)
-        receive.close()
-        assert leaked
-        for name in leaked:
-            assert os.path.exists(os.path.join("/dev/shm", name))
-
-        resumed = ScenarioRunner(
-            spec, results_dir=crashed_dir, workers=2, shared_topology=True
-        ).run()
-        for name in leaked:
+    def test_a_sweep_leaves_a_dead_segment_alone(self, tmp_path):
+        name = leak_segment()
+        path = os.path.join("/dev/shm", name)
+        try:
+            spec = build_comparison_spec(
+                "small", ["shortest-path", "landmark"], seeds=[1], duration=1.0, nodes=16
+            )
+            report = ScenarioRunner(spec, results_dir=str(tmp_path), workers=2).run()
+            assert report.executed == 2
+            assert os.path.exists(path)
+            assert (name, False) in [(seg, alive) for seg, _owner, alive in scan_segments()]
+        finally:
+            reap_orphan_segments()
             _untrack(name)
-            assert not os.path.exists(os.path.join("/dev/shm", name))
-        clean = ScenarioRunner(
-            spec, results_dir=str(tmp_path / "clean"), workers=2, shared_topology=True
-        ).run()
-        assert resumed.executed == clean.executed == 2
-        assert sorted(map(repr, resumed.rows)) == sorted(map(repr, clean.rows))
-        # And nothing of ours leaked from the resumed sweep either.
-        assert all(alive for _name, _owner, alive in scan_segments())
+        assert not os.path.exists(path)
+
+    def test_doctor_reaps_a_dead_segment(self):
+        name = leak_segment()
+        path = os.path.join("/dev/shm", name)
+        assert os.path.exists(path)
+        try:
+            assert cli_main(["doctor"]) == 0
+            assert not os.path.exists(path)
+            assert name not in [seg for seg, _owner, _alive in scan_segments()]
+        finally:
+            reap_orphan_segments()
+            _untrack(name)

@@ -5,17 +5,26 @@ The scheme shards of one seed replay the process's kept experiment runner
 that builds the same topology otherwise -- another seed of an unseeded
 snapshot, a workload override -- reuses the runner's network.  These tests
 pin what that may change -- nothing in a row -- and when neither may serve:
-another topology, a moved topology, a shard that raised.
+another topology, a moved topology, a shard that raised.  Reuse is the only
+way a shard gets a network it did not build: no sweep exports one to shared
+memory, at any scale or worker count.
 """
 
 import json
+import os
 from dataclasses import asdict
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.scenarios import jsonl, runner as runner_module
 from repro.scenarios.registry import build_comparison_spec, get_scenario
-from repro.scenarios.runner import ScenarioRunner, clear_seed_runner, execute_run
+from repro.scenarios.runner import (
+    ScenarioRunner,
+    clear_seed_runner,
+    execute_run,
+    load_result_rows,
+)
 from repro.scenarios.spec import (
     ScenarioSpec,
     SchemeSpec,
@@ -237,17 +246,65 @@ class TestSerialSweep:
         assert topology_builds == [1, 1, 1]
         assert as_json(retried.rows) == as_json(clean.rows)
 
-    def test_one_worker_exports_no_shared_memory(self, topology_builds, monkeypatch, tmp_path):
-        exports = []
-        monkeypatch.setattr(
-            shared.SharedTopologyBlock, "from_network",
-            classmethod(lambda cls, network: exports.append(network)),
-        )
+
+class TestNoSharedMemory:
+    def test_an_xl_compare_exports_nothing_at_either_worker_count(
+        self, topology_builds, monkeypatch, tmp_path
+    ):
+        # Calls land in a file, so a forked worker's call counts too.
+        calls = tmp_path / "from_network.log"
+        from_network = shared.SharedTopologyBlock.from_network.__func__
+
+        def recording(cls, network):
+            with open(calls, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return from_network(cls, network)
+
+        monkeypatch.setattr(shared.SharedTopologyBlock, "from_network", classmethod(recording))
         before = shared.scan_segments()
+        argv = [
+            "compare", "--scale", "xl", "--nodes", "60", "--payments", "200",
+            "--schemes", "shortest-path,landmark", "--seeds", "1,2", "--quiet",
+        ]
+        rows = {}
+        for workers in (1, 2):
+            results_dir = tmp_path / f"w{workers}"
+            extra = ["--workers", str(workers), "--results-dir", str(results_dir)]
+            assert cli_main([*argv, *extra]) == 0
+            rows[workers] = sorted(
+                as_json(load_result_rows(str(results_dir / "compare-xl.jsonl")))
+            )
+        assert not calls.exists()
+        assert shared.scan_segments() == before
+        assert len(rows[1]) == 4
+        assert rows[1] == rows[2]
+        # One build per seed in this process, all on the serial pass: the
+        # two-worker parent builds nothing.
+        assert topology_builds == [1, 2]
+
+    def test_a_two_worker_sweep_builds_each_seed_once_per_worker(self, monkeypatch, tmp_path):
+        # The grid is seed-major and shards go out in order, so a worker that
+        # moved on to the next seed never needs an earlier one again.
+        monkeypatch.setattr(runner_module, "_SEED_RUNNER", {})
+        log_path = tmp_path / "builds.log"
+        build = TopologySpec.build
+        seeds = {derive_seed(seed, "topology"): seed for seed in (1, 2)}
+
+        def logging_build(topology, seed):
+            with open(log_path, "a") as handle:
+                handle.write(f"{os.getpid()} {seeds[seed]}\n")
+            return build(topology, seed)
+
+        monkeypatch.setattr(TopologySpec, "build", logging_build)
         report = ScenarioRunner(
-            comparison_spec(), results_dir=str(tmp_path), workers=1, shared_topology=True
+            comparison_spec(), results_dir=str(tmp_path / "rows"), workers=2
         ).run()
         assert report.executed == 8
-        assert exports == []
-        assert shared.scan_segments() == before
-        assert topology_builds == [1, 2]
+        builds = [tuple(map(int, line.split())) for line in log_path.read_text().splitlines()]
+        assert len(builds) == len(set(builds))
+        assert {seed for _pid, seed in builds} == {1, 2}
+        assert os.getpid() not in {pid for pid, _seed in builds}
+
+    def test_the_runner_takes_no_shared_topology_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            ScenarioRunner(comparison_spec(), results_dir=str(tmp_path), shared_topology=True)

@@ -1,12 +1,12 @@
-"""Tests for the shared-memory topology blocks of the xl compare path.
+"""Tests for the shared-memory topology blocks.
 
-Covers the whole contract chain: order-preserving export/reconstruction
+Covers the block's contract: order-preserving export/reconstruction
 (bit-identical fingerprints and snapshots), read-only enforcement on the
 shared views, creator-side lifecycle (explicit unlink, idempotency, and the
 ``weakref.finalize`` crash guard), self-contained reconstruction (the
-rebuilt network outlives the mapping and shares no memory with it), and
-end-to-end compare runs that produce byte-identical JSONL rows with sharing
-on and off.
+rebuilt network outlives the mapping and shares no memory with it), and the
+``build_experiment(seed, network=...)`` contract a block-backed caller
+relies on: a rebuilt network runs the same experiment as a built one.
 """
 
 import gc
@@ -16,12 +16,6 @@ import numpy as np
 import pytest
 
 from repro.scenarios.registry import build_comparison_spec
-from repro.scenarios.runner import (
-    ScenarioRunner,
-    clear_seed_runner,
-    execute_run,
-    load_result_rows,
-)
 from repro.scenarios.spec import derive_seed
 from repro.topology.generators import multi_star_pcn, watts_strogatz_pcn
 from repro.topology.shared import SharedArrayBlock, SharedTopologyBlock
@@ -196,79 +190,44 @@ class TestSelfContainedReconstruction:
         )
 
 
-def _tiny_spec(name: str):
-    spec = build_comparison_spec(
-        "small",
-        ["shortest-path", "spider"],
-        seeds=[1, 2],
-        duration=2.0,
-        nodes=30,
+def _comparison_spec():
+    return build_comparison_spec(
+        "small", ["shortest-path", "spider"], seeds=[1], duration=2.0, nodes=30
     )
-    spec.name = name
-    return spec
 
 
-def _sorted_rows(results_dir: str, name: str):
-    rows = load_result_rows(f"{results_dir}/{name}.jsonl")
-    return sorted(rows, key=lambda row: row["run_key"])
+def _snapshot_spec():
+    return build_comparison_spec(
+        "small",
+        ["landmark", "waterfilling"],
+        seeds=[1],
+        duration=2.0,
+        nodes=40,
+        topology_source="lightning-snapshot",
+        workload_source="ripple-trace",
+    )
 
 
-class TestSharedCompareEquivalence:
-    def test_execute_run_with_and_without_block_match(self, tmp_path):
-        spec = _tiny_spec("shared-exec")
-        spec_dict = spec.to_dict()
+def _experiment_metrics(spec, seed, network=None):
+    runner, schemes = spec.build_experiment(seed, network=network)
+    result = runner.run(schemes, rng=np.random.default_rng(derive_seed(seed, "schemes")))
+    return json.dumps(
+        {name: metrics.as_dict() for name, metrics in result.metrics.items()},
+        sort_keys=True,
+    )
+
+
+class TestBlockBackedExperiment:
+    @pytest.mark.parametrize(
+        "make_spec", [_comparison_spec, _snapshot_spec], ids=["generated", "snapshot"]
+    )
+    def test_a_rebuilt_network_runs_the_same_experiment(self, make_spec):
+        spec = make_spec()
         block = SharedTopologyBlock.from_network(
             spec.topology.build(derive_seed(1, "topology"))
         )
         try:
-            plain = execute_run((spec_dict, 1, {}))
-            clear_seed_runner()  # or the second call replays the first one's network
-            shared = execute_run((spec_dict, 1, {}, block.name))
+            rebuilt = SharedTopologyBlock.attach(block.name).build_network()
         finally:
             block.unlink()
-        assert json.dumps(shared, sort_keys=True) == json.dumps(plain, sort_keys=True)
-
-    def test_full_runner_rows_bit_identical(self, tmp_path):
-        spec = _tiny_spec("shared-compare")
-        baseline_dir = str(tmp_path / "plain")
-        shared_dir = str(tmp_path / "shared")
-
-        plain = ScenarioRunner(spec, results_dir=baseline_dir, workers=2)
-        plain.run()
-        shared = ScenarioRunner(
-            spec, results_dir=shared_dir, workers=2, shared_topology=True
-        )
-        shared.run()
-
-        plain_rows = _sorted_rows(baseline_dir, spec.name)
-        shared_rows = _sorted_rows(shared_dir, spec.name)
-        assert len(plain_rows) == len(spec.expand_runs())
-        assert json.dumps(shared_rows, sort_keys=True) == json.dumps(plain_rows, sort_keys=True)
-        # The runner released every block it exported.
-        assert shared._shared_blocks == {}
-
-    def test_non_scheme_grid_disables_sharing(self, tmp_path):
-        spec = _tiny_spec("shared-gridded")
-        spec.grid = {"workload.value_scale": [1.0, 2.0]}
-        runner = ScenarioRunner(
-            spec, results_dir=str(tmp_path), workers=1, shared_topology=True
-        )
-        runner._export_shared_blocks()
-        assert runner._shared_blocks == {}
-        runner._release_shared_blocks()
-
-    def test_runner_blocks_unlinked_on_crash(self, tmp_path):
-        # Simulate the parent dying between export and the finally-cleanup:
-        # dropping the runner must let the per-block finalizers unlink.
-        spec = _tiny_spec("shared-crash")
-        runner = ScenarioRunner(
-            spec, results_dir=str(tmp_path), workers=1, shared_topology=True
-        )
-        runner._export_shared_blocks()
-        names = [block.name for block in runner._shared_blocks.values()]
-        assert names
-        del runner
-        gc.collect()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedTopologyBlock.attach(name)
+        assert _experiment_metrics(spec, 1, network=rebuilt) == _experiment_metrics(spec, 1)
