@@ -29,15 +29,22 @@ def build_triangle() -> PCNetwork:
 ROUNDS = 60
 
 
+class DemoRouter(RateRouter):
+    """The router with a steeper imbalance price and faster hops.
+
+    At the paper's ``eta`` of 0.1 the imbalance price grows too slowly to
+    throttle C -> B within this short run: both halves would print the
+    same numbers.
+    """
+
+    eta = 0.5
+    hop_delay = 0.01
+
+
 def run(imbalance_pricing: bool) -> dict:
     network = build_triangle()
-    config = RouterConfig(
-        path_count=1,
-        hop_delay=0.01,
-        eta=0.5,
-        imbalance_pricing_enabled=imbalance_pricing,
-    )
-    router = RateRouter(network, config)
+    config = RouterConfig(path_count=1, imbalance_pricing_enabled=imbalance_pricing)
+    router = DemoRouter(network, config)
     submitted = []  # (round, payment)
     now = 0.0
     for round_number in range(ROUNDS):

@@ -35,7 +35,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.batch import AtomicBatchExecutor
-from repro.routing.transaction import FailureReason, Payment
+from repro.routing.transaction import HOP_DELAY, FailureReason, Payment
 from repro.simulator.workload import TransactionRequest
 from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import PathCSR
@@ -200,9 +200,6 @@ class AtomicRoutingMixin:
     makes paper-scale comparisons tractable.
     """
 
-    #: Per-hop settlement delay used to timestamp completions.
-    hop_delay: float = 0.02
-
     #: Bound by :meth:`prepare`.
     _executor: Optional[AtomicBatchExecutor] = None
 
@@ -214,7 +211,7 @@ class AtomicRoutingMixin:
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         """Bind a fresh executor and report buffer for a run on ``network``."""
         super().prepare(network, rng)
-        self._executor = AtomicBatchExecutor(network, hop_delay=self.hop_delay)
+        self._executor = AtomicBatchExecutor(network, HOP_DELAY)
         self._report = SchemeStepReport()
 
     def submit(self, request: TransactionRequest, now: float) -> Payment:

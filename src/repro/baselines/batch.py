@@ -166,7 +166,7 @@ class AtomicBatchExecutor:
     failure), so both make identical decisions and leave identical balances.
     """
 
-    def __init__(self, network: PCNetwork, hop_delay: float = 0.02) -> None:
+    def __init__(self, network: PCNetwork, hop_delay: float) -> None:
         self.network = network
         self.hop_delay = hop_delay
         self.catalog = PathCatalog(network)

@@ -31,7 +31,6 @@ from repro.topology.network import PCNetwork
 SPIDER_ROUTER_CONFIG = RouterConfig(
     path_type="eds",
     path_count=4,
-    scheduler="lifo",
     imbalance_pricing_enabled=False,
 )
 

@@ -1,14 +1,15 @@
 """Configuration for the Splicer system.
 
-All defaults follow section V-A of the paper: Min-TU of 1 token, Max-TU of
-4 tokens, 5 routing paths, 200 ms update time, 8000-token queues and the
-hop-based placement cost coefficients.  The paper's 3-second transaction
-timeout is every scheme's :attr:`~repro.baselines.base.RoutingScheme.timeout`,
-and the randomized placement approximation always draws from seed 0.  The
-paper's 400 ms queueing-delay threshold has no field: the router does not
-mark delayed units.  Nor do its window factors beta=10 and gamma=0.1 (equations
-27-28): the router keeps no congestion windows, which changed no measured
-outcome.
+All defaults follow section V-A of the paper: 5 routing paths, 200 ms update
+time and the hop-based placement cost coefficients.  Min-TU of 1 token,
+Max-TU of 4 tokens, 8000-token queues and the step sizes are router
+constants (:class:`~repro.routing.router.RateRouter`), not config.  The
+paper's 3-second transaction timeout is every scheme's
+:attr:`~repro.baselines.base.RoutingScheme.timeout`, and the randomized
+placement approximation always draws from seed 0.  The paper's 400 ms
+queueing-delay threshold has no field: the router does not mark delayed
+units.  Nor do its window factors beta=10 and gamma=0.1 (equations 27-28):
+the router keeps no congestion windows, which changed no measured outcome.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class SplicerConfig:
     but the message count.
 
     Attributes:
-        router: Routing-protocol parameters (paths, rates, prices, queues).
+        router: Routing-protocol settings (paths, scheduler, tau, ablations).
         omega: Placement weight between management and synchronization costs.
         placement_method: Placement algorithm (``auto``/``milp``/``exact``/``greedy``).
     """

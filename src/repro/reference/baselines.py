@@ -32,7 +32,7 @@ from repro.baselines import (
 from repro.obs import core as obs
 from repro.reference.routing import RateRouter
 from repro.reference.topology import path_capacity
-from repro.routing.transaction import FailureReason, Payment
+from repro.routing.transaction import HOP_DELAY, FailureReason, Payment
 from repro.topology.channel import InsufficientFundsError
 from repro.topology.network import PCNetwork
 from repro.topology.pathcsr import hop_slots
@@ -180,7 +180,7 @@ class ScalarAtomicMixin:
     def prepare(self, network: PCNetwork, rng: Optional[np.random.Generator] = None) -> None:
         """Prepare as production does, then swap the array executor out."""
         super().prepare(network, rng)
-        self._executor = ScalarExecutor(network, self.hop_delay)
+        self._executor = ScalarExecutor(network, HOP_DELAY)
 
 
 class ShortestPathScheme(ScalarAtomicMixin, shortest_path.ShortestPathScheme):

@@ -267,16 +267,12 @@ class PathRateController(rate_control.PathRateController):
 class RateRouter(router.RateRouter):
     """The production dispatch engine over the scalar table, controller and selectors."""
 
+    price_table_type = PriceTable
+    rate_controller_type = PathRateController
+
     def __init__(self, network: PCNetwork, config: Optional[router.RouterConfig] = None) -> None:
         super().__init__(network, config)
-        cfg = self.config
-        self.price_table = PriceTable(network, kappa=cfg.kappa, eta=cfg.eta, t_fee=cfg.t_fee)
-        if not cfg.imbalance_pricing_enabled:
-            self.price_table.eta = 0.0
-        self.rate_controller = PathRateController(
-            alpha=cfg.alpha, min_rate=cfg.min_rate, initial_rate=cfg.initial_rate
-        )
-        self._select_paths = PATH_SELECTORS[cfg.path_type.lower()]
+        self._select_paths = PATH_SELECTORS[self.config.path_type.lower()]
 
     def _maybe_prune_paths(self) -> None:
         """The scalar table keeps no path index, so there is nothing to prune."""

@@ -41,6 +41,7 @@ from repro.routing.paths import get_path_selector
 from repro.routing.prices import PriceTable
 from repro.routing.rate_control import PairRateState, PathRateController
 from repro.routing.scheduling import get_scheduler
+from repro.routing.transaction import HOP_DELAY, PAPER_MAX_TU, PAPER_MIN_TU
 from repro.routing.transaction import FailureReason, Payment, TransactionUnit
 from repro.topology.channel import ChannelError, InsufficientFundsError
 from repro.topology.network import PCNetwork
@@ -52,34 +53,13 @@ Path = Tuple[NodeId, ...]
 
 @dataclass
 class RouterConfig:
-    """Tunable parameters of the rate-based router (paper defaults).
+    """The router settings a workload sets; the rest are :class:`RateRouter` constants.
 
     Attributes:
         path_type: Path selection strategy (``edw``/``eds``/``ksp``/``heuristic``).
         path_count: Number of candidate paths per pair (paper: 5).
-        min_tu: Minimum transaction-unit value (paper: 1 token).
-        max_tu: Maximum transaction-unit value (paper: 4 tokens).
         update_interval: Price/rate update period tau in seconds (paper: 0.2).
-        settlement_delay: Average per-path acknowledgment delay Delta used to
-            convert rates into required funds.
-        hop_delay: Propagation + processing delay per channel hop, used to
-            compute unit completion times.
-        alpha: Rate-update step size (equation 26).
-        kappa: Capacity-price step size (equation 21).
-        eta: Imbalance-price step size (equation 22).
-        t_fee: Fee threshold ``T_fee`` in (0, 1) (equation 24).
-        max_imbalance_gap: Hard bound on the per-channel imbalance-price gap
-            (the balance constraint of equation 19): a direction whose
-            imbalance price exceeds the reverse direction's by more than this
-            gap is not used until the reverse flow catches up.  With the
-            default eta this corresponds to blocking a direction once it has
-            net-drained roughly three quarters of the channel capacity.
         scheduler: Waiting-queue scheduling policy (paper default: ``lifo``).
-        queue_limit: Maximum value a sender may have queued (paper: 8000
-            tokens); a payment that would exceed it is refused.
-        initial_rate: Starting per-path rate (tokens/second).
-        min_rate: Floor on per-path rates.
-        path_refresh_interval: How often cached paths are recomputed (seconds).
         rate_control_enabled: Disable to ablate price-based rate control.
         imbalance_pricing_enabled: Disable to ablate the imbalance price
             (the deadlock-avoidance mechanism).
@@ -87,21 +67,8 @@ class RouterConfig:
 
     path_type: str = "edw"
     path_count: int = 5
-    min_tu: float = 1.0
-    max_tu: float = 4.0
     update_interval: float = 0.2
-    settlement_delay: float = 0.2
-    hop_delay: float = 0.02
-    alpha: float = 1.0
-    kappa: float = 0.1
-    eta: float = 0.1
-    max_imbalance_gap: float = 0.075
-    t_fee: float = 0.01
     scheduler: str = "lifo"
-    queue_limit: float = 8000.0
-    initial_rate: float = 20.0
-    min_rate: float = 2.0
-    path_refresh_interval: float = 1.0
     rate_control_enabled: bool = True
     imbalance_pricing_enabled: bool = True
 
@@ -110,10 +77,6 @@ class RouterConfig:
             raise ValueError("path_count must be at least 1")
         if self.update_interval <= 0:
             raise ValueError("update_interval must be positive")
-        if not 0 < self.t_fee < 1:
-            raise ValueError("t_fee must be in (0, 1)")
-        if self.queue_limit <= 0:
-            raise ValueError("queue_limit must be positive")
 
 
 @dataclass
@@ -146,24 +109,55 @@ class RateRouter:
     A pair's one record is its rate controller ``PairRateState``; only the
     waiting queues live apart, as their insertion order is the dispatch order.
     ``_queued_value`` sums each sender's queued value against ``queue_limit``.
+
+    The class constants are the paper's fixed operating point, which no
+    workload sets.  Override one on a subclass or, except the step sizes
+    that ``__init__`` hands to the kernels, on the instance.
     """
+
+    #: Transaction-unit value bounds (tokens).
+    min_tu = PAPER_MIN_TU
+    max_tu = PAPER_MAX_TU
+    #: Acknowledgment delay Delta per path, which turns rates into required funds.
+    settlement_delay = 0.2
+    #: Delay per channel hop, which dates unit completions.
+    hop_delay = HOP_DELAY
+    #: Step sizes of the rate update (eq. 26) and the capacity and imbalance
+    #: prices (eqs. 21-22).
+    alpha = 1.0
+    kappa = 0.1
+    eta = 0.1
+    #: Balance constraint (eq. 19): a direction whose imbalance price exceeds the
+    #: reverse one's by more than this waits for reverse flow (at ``eta`` 0.1,
+    #: once about three quarters of the channel capacity has drained).
+    max_imbalance_gap = 0.075
+    #: Fee threshold ``T_fee`` in (0, 1) (eq. 24).
+    t_fee = 0.01
+    #: Most value a sender may have queued; a payment over it is refused.
+    queue_limit = 8000.0
+    #: Starting and floor per-path rates (tokens/second).
+    initial_rate = 20.0
+    min_rate = 2.0
+    #: Seconds before a pair's paths are searched again.
+    path_refresh_interval = 1.0
+    #: The equation kernels; the scalar oracle swaps in its own.
+    price_table_type = PriceTable
+    rate_controller_type = PathRateController
 
     def __init__(self, network: PCNetwork, config: Optional[RouterConfig] = None) -> None:
         self.network = network
         self.config = config or RouterConfig()
         cfg = self.config
-        self.price_table = PriceTable(
+        self.price_table = self.price_table_type(
             network,
-            kappa=cfg.kappa,
-            eta=cfg.eta,
-            t_fee=cfg.t_fee,
+            kappa=self.kappa,
+            eta=self.eta if cfg.imbalance_pricing_enabled else 0.0,
+            t_fee=self.t_fee,
         )
-        if not cfg.imbalance_pricing_enabled:
-            self.price_table.eta = 0.0
-        self.rate_controller = PathRateController(
-            alpha=cfg.alpha,
-            min_rate=cfg.min_rate,
-            initial_rate=cfg.initial_rate,
+        self.rate_controller = self.rate_controller_type(
+            alpha=self.alpha,
+            min_rate=self.min_rate,
+            initial_rate=self.initial_rate,
         )
         self._select_paths = get_path_selector(cfg.path_type)
         self._schedule = get_scheduler(cfg.scheduler)
@@ -187,7 +181,6 @@ class RateRouter:
         A payment with no path, or over its sender's ``queue_limit``, fails
         at once (``payment.failure_reason``) and the next step reports it.
         """
-        cfg = self.config
         rec = obs.RECORDER
         pair = (payment.sender, payment.recipient)
         state = self._pair_state(pair, now)
@@ -199,7 +192,7 @@ class RateRouter:
                 rec.payment_event(payment, "reject", now, reason=FailureReason.NO_PATH.value)
             return
         queued_value = self._queued_value.get(payment.sender, 0.0)
-        if queued_value + payment.value > cfg.queue_limit:
+        if queued_value + payment.value > self.queue_limit:
             payment.fail(FailureReason.QUEUE_FULL)
             self._refused.append(payment)
             if rec.enabled and rec.payment_begin(payment):
@@ -207,7 +200,7 @@ class RateRouter:
             return
 
         self._payments[payment.payment_id] = payment
-        units = payment.split(cfg.min_tu, cfg.max_tu, now=now)
+        units = payment.split(self.min_tu, self.max_tu, now=now)
         queue = self._queues.setdefault(pair, [])
         queue.extend(units)
         self._queued_value[payment.sender] = queued_value + payment.value
@@ -222,7 +215,7 @@ class RateRouter:
         the controller keeps the previous paths registered meanwhile.
         """
         state = self.rate_controller.pair_state(*pair)
-        if state is not None and now - state.searched_at < self.config.path_refresh_interval:
+        if state is not None and now - state.searched_at < self.path_refresh_interval:
             return state
         raw = self._select_paths(self.network, pair[0], pair[1], self.config.path_count)
         paths = [tuple(path) for path in raw]
@@ -245,7 +238,7 @@ class RateRouter:
         """
         outstanding = sum(unit.value for unit in queue)
         if outstanding > 0:
-            delay = max(self.config.settlement_delay, 1e-6)
+            delay = self.settlement_delay
             # Equation (17) caps in-flight funds by the demand: r * Delta <= d.
             state.demand_rate = outstanding / delay
             # The *target* rate only needs to clear the queued value before the
@@ -365,7 +358,7 @@ class RateRouter:
     def _maybe_update_prices(self, now: float) -> None:
         cfg = self.config
         while now + 1e-12 >= self._next_price_update:
-            self.rate_controller.report_required_funds(self.price_table, cfg.settlement_delay)
+            self.rate_controller.report_required_funds(self.price_table, self.settlement_delay)
             self.price_table.update_all()
             if cfg.rate_control_enabled:
                 self.rate_controller.update_rates(self.price_table)
@@ -407,7 +400,7 @@ class RateRouter:
                     continue
                 # Token bucket: the burst capacity tracks the current rate so
                 # high-demand pairs are not throttled below their allowance.
-                burst_cap = max(cfg.max_tu * 4.0, rate * dt * 2.0)
+                burst_cap = max(self.max_tu * 4.0, rate * dt * 2.0)
                 budgets[path] = min(budgets.get(path, 0.0) + rate * dt, burst_cap)
 
     # -- dispatch -------------------------------------------------------- #
@@ -464,7 +457,7 @@ class RateRouter:
         # _choose_path keeps units off it.
         prices = self.price_table.path_prices(paths)
         if self.config.imbalance_pricing_enabled:
-            blocked = self.price_table.paths_blocked(paths, self.config.max_imbalance_gap)
+            blocked = self.price_table.paths_blocked(paths, self.max_imbalance_gap)
         else:
             blocked = np.zeros(len(paths), dtype=bool)
         ranked = sorted(
@@ -507,7 +500,7 @@ class RateRouter:
         budget = state.budgets.get(path, 0.0)
         if budget != float("inf"):
             state.budgets[path] = max(budget - unit.value, 0.0)
-        complete_at = now + self.config.hop_delay * (len(path) - 1)
+        complete_at = now + self.hop_delay * (len(path) - 1)
         self._in_flight.append(
             _InFlightUnit(unit=unit, path=path, locks=locks, complete_at=complete_at, fee=fee)
         )

@@ -20,6 +20,10 @@ NodeId = Hashable
 PAPER_MIN_TU = 1.0
 PAPER_MAX_TU = 4.0
 
+#: Propagation + processing delay per channel hop (seconds): a unit or an
+#: atomic payment settles this long after dispatch for every hop it takes.
+HOP_DELAY = 0.02
+
 
 class PaymentStatus(enum.Enum):
     """Lifecycle of a payment demand."""

@@ -84,7 +84,6 @@ class SchemeMetrics:
         failure_reasons: Failed-payment counts keyed by machine-readable
             reason code (see :class:`repro.routing.transaction.FailureReason`);
             payments failed without a recorded cause count under ``unknown``.
-        extra: Free-form per-scheme diagnostic values.
     """
 
     scheme: str
@@ -103,7 +102,6 @@ class SchemeMetrics:
     transfer_hops: int = 0
     fees_paid: float = 0.0
     failure_reasons: Dict[str, int] = field(default_factory=dict)
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary view used by the analysis tables."""
@@ -126,7 +124,6 @@ class SchemeMetrics:
         }
         if self.failure_reasons:
             row["failure_reasons"] = {key: int(count) for key, count in sorted(self.failure_reasons.items())}
-        row.update({key: round(value, 4) for key, value in self.extra.items()})
         return row
 
 
@@ -145,7 +142,6 @@ class MetricsCollector:
         self.transfer_hops = 0
         self.fees_paid = 0.0
         self.failure_reasons: Dict[str, int] = {}
-        self.extra: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # recording
@@ -185,10 +181,6 @@ class MetricsCollector:
         """Add collected forwarding fees."""
         self.fees_paid += fees
 
-    def set_extra(self, key: str, value: float) -> None:
-        """Attach a scheme-specific diagnostic value."""
-        self.extra[key] = value
-
     # ------------------------------------------------------------------ #
     # finalization
     # ------------------------------------------------------------------ #
@@ -221,5 +213,4 @@ class MetricsCollector:
             transfer_hops=self.transfer_hops,
             fees_paid=self.fees_paid,
             failure_reasons=dict(self.failure_reasons),
-            extra=dict(self.extra),
         )

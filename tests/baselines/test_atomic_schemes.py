@@ -11,7 +11,7 @@ from repro.baselines import (
 )
 from repro.baselines.base import SourceComputationModel
 from repro.baselines.batch import AtomicBatchExecutor
-from repro.routing.transaction import FailureReason, Payment
+from repro.routing.transaction import HOP_DELAY, FailureReason, Payment
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import TransactionRequest, WorkloadConfig, generate_workload
 from repro.topology.channel import EPS
@@ -189,7 +189,7 @@ class TestExecutorCallerShares:
 
     def _execute(self, network, shares):
         payment = Payment.create("n0", "n2", 5.0, timeout=3.0)
-        ok = AtomicBatchExecutor(network).execute(
+        ok = AtomicBatchExecutor(network, HOP_DELAY).execute(
             payment, PathCSR(network, self.PATHS), 0.0, shares=shares
         )
         return payment, ok

@@ -6,7 +6,7 @@ from repro.baselines import A2LScheme, SpiderScheme, SplicerScheme
 from repro.baselines.base import SourceComputationModel
 from repro.baselines.splicer_scheme import CLIENT_HUB_HOP_DELAY, EPOCH_DURATION
 from repro.core.config import SplicerConfig
-from repro.routing.router import RouterConfig
+from repro.routing.router import RateRouter, RouterConfig
 from repro.simulator.experiment import ExperimentRunner
 from repro.simulator.workload import TransactionRequest, WorkloadConfig, generate_workload
 
@@ -103,12 +103,10 @@ class TestA2LScheme:
 class TestSplicerScheme:
     @pytest.fixture
     def scheme(self, small_ws_network):
-        config = SplicerConfig(
-            router=RouterConfig(path_count=3, hop_delay=0.01),
-            placement_method="greedy",
-        )
+        config = SplicerConfig(router=RouterConfig(path_count=3), placement_method="greedy")
         scheme = SplicerScheme(config)
         scheme.prepare(small_ws_network)
+        scheme.router.hop_delay = 0.01
         return scheme
 
     def test_prepare_runs_placement(self, scheme):
@@ -138,9 +136,10 @@ class TestSplicerScheme:
         assert expected > 0
         assert scheme.extra_delay(payment) == pytest.approx(expected)
 
-    def test_refused_payments_are_reported_failed(self, small_ws_network):
+    def test_refused_payments_are_reported_failed(self, small_ws_network, monkeypatch):
         # A sender's queue holds at most 2 tokens, so most payments are refused.
-        config = SplicerConfig(router=RouterConfig(queue_limit=2.0), placement_method="greedy")
+        monkeypatch.setattr(RateRouter, "queue_limit", 2.0)
+        config = SplicerConfig(placement_method="greedy")
         workload = generate_workload(
             small_ws_network, WorkloadConfig(duration=2.0, arrival_rate=10.0, seed=1)
         )

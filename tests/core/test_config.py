@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.base import RoutingScheme
 from repro.core.config import SplicerConfig
-from repro.routing.router import RouterConfig
+from repro.routing.router import RateRouter, RouterConfig
 
 
 class TestSplicerConfig:
@@ -14,26 +14,43 @@ class TestSplicerConfig:
         config = SplicerConfig()
         assert config.placement_method == "greedy"  # what every scenario runs
         assert RoutingScheme.timeout == pytest.approx(3.0)
-        assert config.router.min_tu == pytest.approx(1.0)
-        assert config.router.max_tu == pytest.approx(4.0)
+        assert RateRouter.min_tu == pytest.approx(1.0)
+        assert RateRouter.max_tu == pytest.approx(4.0)
         assert config.router.path_count == 5
         assert config.router.update_interval == pytest.approx(0.2)
-        assert config.router.queue_limit == pytest.approx(8000.0)
+        assert RateRouter.queue_limit == pytest.approx(8000.0)
         assert config.router.scheduler == "lifo"
         assert config.router.path_type == "edw"
 
-    def test_router_rejects_removed_field(self):
-        # The congestion windows' switch went with the windows.
-        with pytest.raises(TypeError, match="congestion_control_enabled"):
-            RouterConfig(congestion_control_enabled=False)
+    @pytest.mark.parametrize(
+        "field_name",
+        [
+            "congestion_control_enabled",
+            "min_tu",
+            "max_tu",
+            "settlement_delay",
+            "hop_delay",
+            "alpha",
+            "kappa",
+            "eta",
+            "max_imbalance_gap",
+            "t_fee",
+            "queue_limit",
+            "initial_rate",
+            "min_rate",
+            "path_refresh_interval",
+        ],
+    )
+    def test_router_rejects_removed_field(self, field_name):
+        # The congestion windows' switch went with the windows; the paper's
+        # fixed operating point is RateRouter class constants.
+        with pytest.raises(TypeError, match=field_name):
+            RouterConfig(**{field_name: 1})
 
     def test_router_fields(self):
-        # Every router option a scenario may set; a new one is a deliberate change.
+        # Every router option a workload sets; a new one is a deliberate change.
         assert [f.name for f in fields(RouterConfig)] == [
-            "path_type", "path_count", "min_tu", "max_tu", "update_interval",
-            "settlement_delay", "hop_delay", "alpha", "kappa", "eta",
-            "max_imbalance_gap", "t_fee", "scheduler", "queue_limit",
-            "initial_rate", "min_rate", "path_refresh_interval",
+            "path_type", "path_count", "update_interval", "scheduler",
             "rate_control_enabled", "imbalance_pricing_enabled",
         ]
 

@@ -12,17 +12,20 @@ from repro.simulator.workload import TransactionRequest
 from repro.topology.csr import NodeNotFound
 from repro.topology.network import PCNetwork
 
-_CONFIG = SplicerConfig(
-    router=RouterConfig(hop_delay=0.01, path_count=3),
-    placement_method="greedy",
-)
+_CONFIG = SplicerConfig(router=RouterConfig(path_count=3), placement_method="greedy")
+
+
+def _prepared(network) -> SplicerScheme:
+    """A Splicer prepared on ``network``, its units settling in 10 ms per hop."""
+    instance = SplicerScheme(_CONFIG)
+    instance.prepare(network)
+    instance.router.hop_delay = 0.01
+    return instance
 
 
 @pytest.fixture
 def scheme(small_ws_network) -> SplicerScheme:
-    instance = SplicerScheme(_CONFIG)
-    instance.prepare(small_ws_network)
-    return instance
+    return _prepared(small_ws_network)
 
 
 def _clients(scheme):
@@ -334,8 +337,7 @@ class TestWorkflowMessages:
 @pytest.mark.parametrize("seed", range(6))
 def test_random_workload_counts_each_client_submission_and_completion(small_ws_network, seed):
     """Mixed senders, values and arrival times: only client payments cost workflow messages."""
-    scheme = SplicerScheme(_CONFIG)
-    scheme.prepare(small_ws_network)
+    scheme = _prepared(small_ws_network)
     rng = np.random.default_rng(seed)
     clients = _clients(scheme)
     others = sorted(set(small_ws_network.nodes()) - set(clients), key=repr)

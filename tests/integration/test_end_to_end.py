@@ -125,14 +125,14 @@ class TestDeadlockScenario:
         into B complete until their channels run dry and fail after that,
         while every late B -> A payment completes.
         """
-        config = SplicerConfig(
-            router=RouterConfig(path_count=1, hop_delay=0.01, eta=0.5),
-            placement_method="greedy",
-        )
+        config = SplicerConfig(router=RouterConfig(path_count=1), placement_method="greedy")
         # C, the relay, is the only candidate and so the one hub.
         triangle_network.set_role("C", "candidate")
         scheme = SplicerScheme(config)
         scheme.prepare(triangle_network)
+        # The demo's steeper imbalance price and faster hops.
+        scheme.router.price_table.eta = 0.5
+        scheme.router.hop_delay = 0.01
         assert list(scheme.placement_plan.hubs) == ["C"]
         completed_late_circulation = 0
         submitted = []

@@ -43,15 +43,14 @@ def _figure1_network() -> PCNetwork:
 
 def _run_figure1(imbalance_pricing: bool, router_class=RateRouter):
     """The deadlock-demo circulation; returns per-step relay balances."""
+
+    class DemoRouter(router_class):
+        eta = 0.5
+        hop_delay = 0.01
+
     network = _figure1_network()
-    router = router_class(
-        network,
-        RouterConfig(
-            path_count=1,
-            hop_delay=0.01,
-            eta=0.5,
-            imbalance_pricing_enabled=imbalance_pricing,
-        ),
+    router = DemoRouter(
+        network, RouterConfig(path_count=1, imbalance_pricing_enabled=imbalance_pricing)
     )
     relay_history = []
     now = 0.0
@@ -126,7 +125,7 @@ class TestDynamicScenarioInvariants:
         _, scheme, _, _ = _run_scenario(scenario_name)
         router = scheme.router
         table = router.price_table
-        max_gap = router.config.max_imbalance_gap
+        max_gap = router.max_imbalance_gap
         for entry in table.all_prices():
             price_a = entry.imbalance_price[entry.node_a]
             price_b = entry.imbalance_price[entry.node_b]

@@ -51,7 +51,8 @@ def test_router_conserves_funds_and_resolves_every_payment(seed, payment_count):
         16, nearest_neighbors=4, uniform_channel_size=60.0, candidate_fraction=0.0, seed=seed
     )
     total_before = network.total_funds()
-    router = RateRouter(network, RouterConfig(path_count=3, hop_delay=0.01))
+    router = RateRouter(network, RouterConfig(path_count=3))
+    router.hop_delay = 0.01
     nodes = sorted(network.nodes(), key=repr)
     payments = []
     for index in range(payment_count):

@@ -183,15 +183,14 @@ class TestRateControllerEquivalence:
         """A path cached through a channel that opened and closed again
         before it was ever priced must not crash the epoch update or the
         dispatch ranking (regression: KeyError from pricing the dead hop)."""
-        from repro.routing.router import RouterConfig
         from repro.routing.transaction import Payment
 
         network = _line_network()
         # queue_limit small enough that the second submission is rejected
         # after its paths are cached but before they are ever priced.
-        router = side.RateRouter(
-            network, RouterConfig(queue_limit=6.0, path_refresh_interval=10.0)
-        )
+        router = side.RateRouter(network)
+        router.queue_limit = 6.0
+        router.path_refresh_interval = 10.0
         network.add_node("z")
         network.add_channel("n0", "z", 50.0, 50.0)
         network.add_channel("z", "n2", 50.0, 50.0)
@@ -228,10 +227,11 @@ class TestRateControllerEquivalence:
             assert np.allclose(rates_py[key], rates_np[key], atol=TOL, rtol=TOL)
 
     def test_router_prunes_retired_paths(self):
-        from repro.routing.router import RateRouter, RouterConfig
+        from repro.routing.router import RateRouter
 
         network = _line_network()
-        router = RateRouter(network, RouterConfig(path_refresh_interval=0.0))
+        router = RateRouter(network)
+        router.path_refresh_interval = 0.0
         # Register far more retired paths than the router's active set.
         for i in range(1200):
             network.add_node(f"x{i}")

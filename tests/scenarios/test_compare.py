@@ -381,6 +381,12 @@ class TestCompareCliErrorPaths:
                 ["'splicer'", "unknown parameter 'router.gamma'"],
                 id="gamma",
             ),
+            # The paper's fixed operating point is router class constants.
+            pytest.param(
+                ["paper-default"], 'schemes.0.params={"router": {"queue_limit": 10}}',
+                ["'splicer'", "unknown parameter 'router.queue_limit'"],
+                id="queue_limit",
+            ),
             # The key management group went with the simulated workflow.
             pytest.param(
                 ["paper-default"], "schemes.0.params.kmg_size=3",
@@ -437,15 +443,15 @@ class TestCompareCliErrorPaths:
         assert not self.results_dir.exists()
 
     def test_run_rejects_a_bad_router_setting_in_the_parent(self, capsys):
-        # RouterConfig checks queue_limit when the spec builds its schemes:
+        # RouterConfig checks path_count when the spec builds its schemes:
         # exit 2 before dispatch, nothing retried, nothing written.
         self._fails_cleanly(
             capsys,
             [
                 "run", "paper-default", "--duration", "1", "--seeds", "1",
-                "--set", 'schemes.0.params={"router": {"queue_limit": 0}}',
+                "--set", 'schemes.0.params={"router": {"path_count": 0}}',
             ],
-            "queue_limit must be positive",
+            "path_count must be at least 1",
         )
         assert not self.results_dir.exists()
 

@@ -49,13 +49,6 @@ class TestMetricsCollector:
         assert metrics.overhead_messages == 150.0
         assert metrics.fees_paid == 1.5
 
-    def test_extra_values(self):
-        collector = MetricsCollector("test")
-        collector.set_extra("hub_count", 4.0)
-        metrics = collector.finalize()
-        assert metrics.extra["hub_count"] == 4.0
-        assert metrics.as_dict()["hub_count"] == 4.0
-
     def test_bounds_invariants(self):
         collector = MetricsCollector("test")
         for value in (5.0, 7.0):
