@@ -326,11 +326,10 @@ def cost_model_from_network(
         uniform_delta: Replace the hop-based delta with its mean value, which
             makes the objective provably supermodular (Lemma 2's uniform-cost
             case) -- used by the large-scale approximation experiments.
-        hops: A pre-made probe covering every candidate: the ``(node order,
-            sources, matrix)`` rows of :meth:`PCNetwork.hop_count_rows` (``inf``
-            where unreachable) or per-candidate reachable-only hop-count
-            dicts (the oracle's BFS probe).  ``None`` probes the network with
-            bit-parallel BFS sweeps over its bare adjacency CSR
+        hops: A pre-made probe covering every candidate: per-candidate
+            reachable-only hop-count dicts (the oracle's BFS probe).  ``None``
+            probes the network with bit-parallel BFS sweeps over its bare
+            adjacency CSR
             (:meth:`repro.topology.csr.AdjacencyCSR.distances_from`), one
             chunk of candidates per sweep.
     """
@@ -364,19 +363,13 @@ def _hop_probe(network: PCNetwork, clients: List[NodeId], candidates: List[NodeI
         graph = AdjacencyCSR(network)
         source_rows = graph.rows_of(candidates)
         return graph.node_ids, lambda start, stop: graph.distances_from(source_rows[start:stop])
-    if isinstance(hops, Mapping):
-        # Densify only the columns the blocks read.
-        node_order = clients + candidates
-        sources = [hops[candidate] for candidate in candidates]
-        return node_order, lambda start, stop: np.array(
-            [[row.get(node, np.inf) for node in node_order] for row in sources[start:stop]],
-            dtype=float,
-        )
-    node_order, sources, matrix = hops
-    matrix = np.asarray(matrix, dtype=float)
-    source_row = {source: row for row, source in enumerate(sources)}
-    picks = np.asarray([source_row[candidate] for candidate in candidates], dtype=np.intp)
-    return node_order, lambda start, stop: matrix[picks[start:stop]]
+    # Densify only the columns the blocks read.
+    node_order = clients + candidates
+    sources = [hops[candidate] for candidate in candidates]
+    return node_order, lambda start, stop: np.array(
+        [[row.get(node, np.inf) for node in node_order] for row in sources[start:stop]],
+        dtype=float,
+    )
 
 
 def _hop_blocks(

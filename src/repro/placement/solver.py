@@ -185,10 +185,9 @@ def build_problem(
 ) -> PlacementProblem:
     """Construct a placement problem from a PCN with the paper's cost model.
 
-    ``hops`` optionally injects a pre-made probe (the figure-9 pipeline's
-    persistent hop-matrix rows, or the oracle's per-candidate dicts; see
-    :func:`~repro.placement.costs.cost_model_from_network`); otherwise the
-    network is probed with batched bit-parallel BFS sweeps.
+    ``hops`` optionally injects a pre-made probe, per-candidate hop-count
+    dicts (see :func:`~repro.placement.costs.cost_model_from_network`);
+    otherwise the network is probed with batched bit-parallel BFS sweeps.
     """
     cost_model = cost_model_from_network(
         network,

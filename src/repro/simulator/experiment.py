@@ -20,7 +20,7 @@ the material of the paper's figures 7, 8 and 9 and Table II.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -111,7 +111,6 @@ class ExperimentResult:
     metrics: Dict[str, SchemeMetrics]
     workload_count: int
     workload_value: float
-    parameters: Dict[str, object] = field(default_factory=dict)
 
     def scheme(self, name: str) -> SchemeMetrics:
         """Metrics of one scheme by name."""
@@ -199,32 +198,28 @@ class ExperimentRunner:
         self,
         schemes: Sequence[RoutingScheme],
         rng: Optional[np.random.Generator] = None,
-        parameters: Optional[Dict[str, object]] = None,
-        dynamics: Optional[Sequence[NetworkDynamicsEvent]] = None,
     ) -> ExperimentResult:
         """Run every scheme on the workload and collect its metrics."""
         metrics: Dict[str, SchemeMetrics] = {}
         for scheme in schemes:
-            metrics[scheme.name] = self.run_single(scheme, rng=rng, dynamics=dynamics)
+            metrics[scheme.name] = self.run_single(scheme, rng=rng)
         return ExperimentResult(
             metrics=metrics,
             workload_count=self.workload.count,
             workload_value=self.workload.total_value,
-            parameters=dict(parameters or {}),
         )
 
     def run_single(
         self,
         scheme: RoutingScheme,
         rng: Optional[np.random.Generator] = None,
-        dynamics: Optional[Sequence[NetworkDynamicsEvent]] = None,
     ) -> SchemeMetrics:
         """Run one scheme on the workload from a pristine copy of the topology.
 
-        ``dynamics`` (defaulting to the runner-level list) are injected as
-        engine events: each fires at its ``time``, mutates the live network,
-        and is undone after its ``duration`` -- or at the end of the run, so
-        the next scheme replays the identical (static) starting topology.
+        The runner's ``dynamics`` are injected as engine events: each fires
+        at its ``time``, mutates the live network, and is undone after its
+        ``duration`` -- or at the end of the run, so the next scheme replays
+        the identical (static) starting topology.
 
         Arrivals are drained through :meth:`RoutingScheme.route_batch` at
         every tick, dynamics event, timed revert and at the end of the run
@@ -264,8 +259,7 @@ class ExperimentRunner:
             end=end_time,
             handler=on_tick,
         )
-        events = self.dynamics if dynamics is None else list(dynamics)
-        outstanding = self._schedule_dynamics(engine, events, scheme, drain_arrivals)
+        outstanding = self._schedule_dynamics(engine, scheme, drain_arrivals)
         health = rec.health if rec.enabled else None
         if health is not None:
             # Scheduled after the tick series so that a probe landing on a
@@ -332,11 +326,10 @@ class ExperimentRunner:
     def _schedule_dynamics(
         self,
         engine: SimulationEngine,
-        events: Sequence[NetworkDynamicsEvent],
         scheme: RoutingScheme,
         drain_arrivals: Callable[[], None],
     ) -> Dict[int, Callable[[], None]]:
-        """Schedule dynamics events plus their timed reverts on the engine.
+        """Schedule the runner's dynamics events and their timed reverts.
 
         Buffered arrivals are drained *before* every mutation (they arrived
         while the network was unchanged) and the scheme's
@@ -386,7 +379,7 @@ class ExperimentRunner:
 
             _engine.schedule_at(_engine.now + dynamics_event.duration, handler=on_revert)
 
-        for dynamics_event in events:
+        for dynamics_event in self.dynamics:
             engine.schedule_at(dynamics_event.time, payload=dynamics_event, handler=on_dynamics)
         return outstanding
 

@@ -92,7 +92,7 @@ def run_once():
     def run(spec, seed: int):
         runner, schemes = spec.build_experiment(seed)
         rng = np.random.default_rng(derive_seed(seed, "schemes"))
-        return runner.run(schemes, rng=rng, parameters={"scenario": spec.name, "seed": seed})
+        return runner.run(schemes, rng=rng)
 
     return run
 

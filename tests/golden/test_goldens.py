@@ -2,9 +2,9 @@
 
 Rows and tables are compared as text (floats by ``repr``); the digests
 catch what 4-dp rows cannot (see ``regenerate.py``).  A failure here means
-a change moved a figure-8 or dynamics number: if that is intended, rewrite
-the files with ``PYTHONPATH=src python tests/golden/regenerate.py`` and
-review the diff.
+a change moved a figure-8, figure-9, dynamics or resume-key number: if that
+is intended, rewrite the files with
+``PYTHONPATH=src python tests/golden/regenerate.py`` and review the diff.
 """
 
 import importlib.util
@@ -34,3 +34,12 @@ def test_golden(name):
     assert lines == _read(f"{name}.jsonl").splitlines()
     assert table == _read(f"{name}.txt")
     assert digests == json.loads(_read("digests.json"))[name]
+
+
+_COMMITTED_FINGERPRINTS = json.loads(_read("digests.json"))["fingerprints"]
+
+
+# One case per spec, committed or registered, so a moved fingerprint names its spec.
+@pytest.mark.parametrize("name", sorted(set(_COMMITTED_FINGERPRINTS) | set(regenerate.fingerprints())))
+def test_fingerprints(name):
+    assert regenerate.fingerprints().get(name) == _COMMITTED_FINGERPRINTS.get(name)

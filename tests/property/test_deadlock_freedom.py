@@ -1,16 +1,20 @@
-"""Deadlock-freedom invariants of the imbalance-priced router (Alg. 2).
+"""Deadlock-freedom properties of the imbalance-priced router (Alg. 2).
 
 The paper's argument that Splicer cannot wedge (section IV, figure 1) rests
 on one mechanism: a channel direction that net-drains accumulates imbalance
 price until the balance constraint (equation 19) blocks it, *before* the
-channel is empty.  These tests pin that as an invariant:
+channel is empty.  These tests pin:
 
-* on the figure-1 motif under a sustained draining circulation, the relay
-  channel's spendable balance stays bounded away from zero at every step
-  with imbalance pricing enabled -- and demonstrably drains without it,
+* on the figure-1 motif under a sustained draining circulation, at the
+  deadlock demo's steeper imbalance step (``eta`` 0.5, not the router's
+  shipped 0.1), the relay channel's spendable balance stays bounded away
+  from zero at every step with imbalance pricing enabled -- and
+  demonstrably drains without it;
+* at the shipped constants the same circulation drains the relay with
+  pricing on, so the bound is not a property of the router the sweeps run;
 * under the churn and jamming scenarios (with batched dispatch), balances
-  never go negative, funds are conserved, and every channel's drain stays
-  bounded by the imbalance-price block threshold.
+  never go negative, funds are conserved, and the price table blocks
+  exactly the paths whose imbalance gap exceeds the bound.
 """
 
 import numpy as np
@@ -24,11 +28,11 @@ from repro.scenarios.spec import SchemeSpec
 from repro.topology.network import PCNetwork
 
 #: Fraction of the relay's initial directional funds that must survive the
-#: draining workload when imbalance pricing is on.  The price mechanism
-#: blocks the draining direction after a net drain of roughly
-#: max_imbalance_gap / eta * capacity, but in-flight locks dip below that
-#: transiently; measured: the relay never drops under 10% of its deposit
-#: with pricing on, and hits exactly 0 without it.
+#: draining workload when imbalance pricing is on at the demo constants.
+#: The price mechanism blocks the draining direction after a net drain of
+#: roughly max_imbalance_gap / eta * capacity, but in-flight locks dip below
+#: that transiently; measured: the relay never drops under 10% of its
+#: deposit with pricing on, and hits exactly 0 without it.
 RETAINED_FLOOR = 0.05
 
 
@@ -41,15 +45,21 @@ def _figure1_network() -> PCNetwork:
     return network
 
 
-def _run_figure1(imbalance_pricing: bool, router_class=RateRouter):
-    """The deadlock-demo circulation; returns per-step relay balances."""
+def _run_figure1(imbalance_pricing: bool, router_class=RateRouter, demo_constants=True):
+    """The deadlock-demo circulation; returns per-step relay balances.
 
-    class DemoRouter(router_class):
-        eta = 0.5
-        hop_delay = 0.01
+    ``demo_constants``: ``eta`` 0.5 and 10 ms hops, as in
+    ``examples/deadlock_demo.py``; ``False`` keeps the shipped constants.
+    """
+    if demo_constants:
 
+        class DemoRouter(router_class):
+            eta = 0.5
+            hop_delay = 0.01
+
+        router_class = DemoRouter
     network = _figure1_network()
-    router = DemoRouter(
+    router = router_class(
         network, RouterConfig(path_count=1, imbalance_pricing_enabled=imbalance_pricing)
     )
     relay_history = []
@@ -81,6 +91,21 @@ class TestImbalancePricesBoundDrain:
         so the bound above is the price mechanism's doing, not slack demand."""
         _, history = _run_figure1(imbalance_pricing=False)
         assert min(history) < 10.0 * RETAINED_FLOOR
+
+    @pytest.mark.parametrize(
+        "router_class", [ReferenceRateRouter, RateRouter], ids=["reference", "production"]
+    )
+    def test_at_the_shipped_constants_the_relay_drains(self, router_class):
+        """At the shipped ``eta`` 0.1 and ``max_imbalance_gap`` 0.075 the
+        balance bound never blocks the draining direction: C's side of
+        (C, B) reaches 0.0 and ends the drain at 0.0 with pricing on, as it
+        does with pricing off.  ROADMAP item 15 weighs imbalance pricing by
+        what it does at these constants, and item 18(c) asks for a deadlock
+        test that can fail; this pins the outcome either must move."""
+        _, history = _run_figure1(
+            imbalance_pricing=True, router_class=router_class, demo_constants=False
+        )
+        assert (min(history), history[-1]) == (0.0, 0.0)
 
     def test_balances_never_negative_on_motif(self):
         network, _ = _run_figure1(imbalance_pricing=True)

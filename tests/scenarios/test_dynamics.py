@@ -166,9 +166,10 @@ class TestMidRunInjection:
         runner.run_single(_ChannelProbeScheme("n1", "n2"))
         assert line_network.snapshot() == snapshot_before
 
-        # A second scheme must replay the identical starting topology.
+        # A second scheme, without the outage, must replay the starting topology.
+        runner.dynamics = []
         probe = _ChannelProbeScheme("n1", "n2")
-        runner.run_single(probe, dynamics=[])
+        runner.run_single(probe)
         assert all(present for _, present in probe.observations)
 
     def test_overlapping_close_and_open_still_restore(self, line_network):
@@ -187,9 +188,10 @@ class TestMidRunInjection:
         snapshot_before = line_network.snapshot()
         runner.run_single(_ChannelProbeScheme("n1", "n2"))
 
-        # The next scheme must see the pristine topology again.
+        # The next scheme, without dynamics, must see the pristine topology again.
+        runner.dynamics = []
         probe = _ChannelProbeScheme("n1", "n2")
-        runner.run_single(probe, dynamics=[])
+        runner.run_single(probe)
         assert line_network.snapshot() == snapshot_before
         assert all(present for _, present in probe.observations)
 
@@ -225,6 +227,9 @@ class TestMidRunInjection:
         outage = [HubOutage(time=0.5, duration=None, node=max(
             runner.network.nodes(), key=lambda n: runner.network.degree(n)
         ))]
-        degraded = runner.run(schemes, dynamics=outage).scheme("a2l")
+        runner = ExperimentRunner(
+            runner.network, runner.workload, spec.step_size, spec.drain_time, dynamics=outage
+        )
+        degraded = runner.run(schemes).scheme("a2l")
 
         assert degraded.success_ratio < static.success_ratio

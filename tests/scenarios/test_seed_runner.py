@@ -207,7 +207,7 @@ class TestNetworkReuse:
         execute_run(first)
         run_single = ExperimentRunner.run_single
 
-        def broken(self, scheme, rng=None, dynamics=None):
+        def broken(self, scheme, rng=None):
             raise RuntimeError("scheme blew up mid-run")
 
         monkeypatch.setattr(ExperimentRunner, "run_single", broken)
@@ -231,11 +231,11 @@ class TestSerialSweep:
         run_single = ExperimentRunner.run_single
         calls = []
 
-        def fails_once_on_the_second_shard(self, scheme, rng=None, dynamics=None):
+        def fails_once_on_the_second_shard(self, scheme, rng=None):
             calls.append(scheme.name)
             if len(calls) == 2:
                 raise RuntimeError("transient")
-            return run_single(self, scheme, rng=rng, dynamics=dynamics)
+            return run_single(self, scheme, rng=rng)
 
         monkeypatch.setattr(ExperimentRunner, "run_single", fails_once_on_the_second_shard)
         clear_seed_runner()

@@ -1,106 +1,20 @@
-"""Differential + behavioral tests for the source-provider API rewiring.
+"""Behavioral tests for the source-provider API.
 
-The fingerprint and metric pins below were captured from the pre-rewiring
-code path; they guarantee that moving topology/workload construction behind
-the source registries changed *nothing* for pre-existing synthetic specs --
-neither resume keys (fingerprints) nor simulation results (metric rows).
+Moving topology/workload construction behind the source registries must
+change nothing for pre-existing synthetic specs: their resume fingerprints
+and a churned two-scheme run are pinned by the goldens
+(``tests/golden/digests.json`` ``fingerprints`` and ``diff-pin``).
 """
 
 import pytest
 
-from repro.scenarios.registry import build_comparison_spec, get_scenario
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import spec_fingerprint
-from repro.scenarios.spec import (
-    DynamicsEventSpec,
-    ScenarioSpec,
-    SchemeSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from repro.scenarios.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.simulator.workload import StreamingWorkload
-
-#: Resume fingerprints of every built-in spec as of the pre-source-API code.
-PINNED_FINGERPRINTS = {
-    "paper-default": "aa36d44a4d97",
-    "large-scale": "44a494aca38b",
-    "flash-crowd": "b0b68692540f",
-    "channel-churn": "2a06f542c864",
-    "hub-failure": "69d6afd3b3c6",
-    "channel-jamming": "6a41dfc6ade0",
-    "compare-large": "dadf87ab5be7",
-}
-
-#: Exact metric rows of the diff-pin scenario (seed 7), captured pre-rewiring.
-DIFF_PIN_FINGERPRINT = "ea950e61bb58"
-DIFF_PIN_METRICS = {
-    "shortest-path": {
-        "scheme": "shortest-path",
-        "generated_count": 41,
-        "generated_value": 631.794,
-        "completed_count": 29,
-        "completed_value": 232.483,
-        "failed_count": 12,
-        "failure_reasons": {"insufficient-capacity": 12},
-        "success_ratio": 0.7073,
-        "normalized_throughput": 0.368,
-        "average_delay": 0.0686,
-        "median_delay": 0.072,
-        "p90_delay": 0.092,
-        "p99_delay": 0.112,
-        "fees_paid": 0.0,
-        "transfer_hops": 82,
-        "overhead_messages": 41.0,
-    },
-    "landmark": {
-        "scheme": "landmark",
-        "generated_count": 41,
-        "generated_value": 631.794,
-        "completed_count": 32,
-        "completed_value": 266.294,
-        "failed_count": 9,
-        "failure_reasons": {"insufficient-capacity": 4, "lock-contention": 5},
-        "success_ratio": 0.7805,
-        "normalized_throughput": 0.4215,
-        "average_delay": 0.0803,
-        "median_delay": 0.0872,
-        "p90_delay": 0.1072,
-        "p99_delay": 0.141,
-        "fees_paid": 0.0,
-        "transfer_hops": 117,
-        "overhead_messages": 706.0,
-    },
-}
-def _diff_pin_spec() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="diff-pin",
-        topology=TopologySpec(
-            kind="watts-strogatz",
-            params={"node_count": 24, "nearest_neighbors": 4, "candidate_fraction": 0.2},
-        ),
-        workload=WorkloadSpec(duration=2.0, arrival_rate=15.0, bursts=[[0.5, 1.0, 2.0]]),
-        schemes=[SchemeSpec(name="shortest-path"), SchemeSpec(name="landmark")],
-        dynamics=[
-            DynamicsEventSpec(kind="churn", time=0.5, duration=0.5, params={"count": 3})
-        ],
-        seeds=[7],
-    )
 
 
 class TestFingerprintsUnchanged:
-    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
-    def test_builtin_fingerprint_pinned(self, name):
-        assert spec_fingerprint(get_scenario(name).to_dict()) == PINNED_FINGERPRINTS[name]
-
-    def test_comparison_spec_fingerprint_pinned(self):
-        spec = build_comparison_spec(
-            "small",
-            ["splicer", "shortest-path"],
-            seeds=[1],
-            duration=2.0,
-            nodes=30,
-        )
-        assert spec_fingerprint(spec.to_dict()) == "cf8590a45483"
-
     def test_legacy_to_dict_has_no_source_key(self):
         data = get_scenario("paper-default").to_dict()
         assert "source" not in data["topology"]
@@ -111,7 +25,7 @@ class TestFingerprintsUnchanged:
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
         assert rebuilt.topology.source is None
         assert rebuilt.workload.source is None
-        assert spec_fingerprint(rebuilt.to_dict()) == PINNED_FINGERPRINTS["flash-crowd"]
+        assert spec_fingerprint(rebuilt.to_dict()) == spec_fingerprint(spec.to_dict())
 
     def test_source_backed_spec_round_trips(self):
         spec = get_scenario("real-trace")
@@ -119,15 +33,6 @@ class TestFingerprintsUnchanged:
         assert data["topology"]["source"] == {"kind": "lightning-snapshot"}
         rebuilt = ScenarioSpec.from_dict(data)
         assert spec_fingerprint(rebuilt.to_dict()) == spec_fingerprint(data)
-
-
-class TestResultsUnchanged:
-    def test_diff_pin_metrics_bit_identical(self, run_once):
-        spec = _diff_pin_spec()
-        assert spec_fingerprint(spec.to_dict()) == DIFF_PIN_FINGERPRINT
-        result = run_once(spec, 7)
-        observed = {name: metrics.as_dict() for name, metrics in result.metrics.items()}
-        assert observed == DIFF_PIN_METRICS
 
 
 class TestSourceDescriptors:

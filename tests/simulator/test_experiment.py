@@ -100,11 +100,11 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             ExperimentRunner(small_ws_network, workload, drain_time=-1.0)
 
-    def test_run_records_parameters(self, small_ws_network, workload):
+    def test_run_records_the_workload(self, small_ws_network, workload):
         runner = ExperimentRunner(small_ws_network, workload, step_size=0.2, drain_time=0.5)
-        result = runner.run([AcceptAllScheme()], parameters={"label": "unit-test"})
-        assert result.parameters["label"] == "unit-test"
+        result = runner.run([AcceptAllScheme()])
         assert result.workload_count == workload.count
+        assert result.workload_value == workload.total_value
 
 
 class TestExperimentResult:
