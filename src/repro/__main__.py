@@ -412,24 +412,14 @@ def _command_list() -> int:
         for name, description in list_scenarios().items()
     ]
     log.info(format_table(rows))
-    for heading, sources in (
-        ("topology sources (topology.kind / topology.source):", list_topology_sources()),
-        ("workload sources (workload.source):", list_workload_sources()),
+    for heading, sources, columns in (
+        ("topology sources (topology.kind):", list_topology_sources(), ["kind", "size_key"]),
+        ("workload sources (workload.source; none is Poisson):", list_workload_sources(), ["kind"]),
     ):
         log.info("")
         log.info(heading)
-        log.info(
-            format_table(
-                [
-                    {
-                        "kind": info.kind,
-                        "data": "synthetic" if info.synthetic else "data-backed",
-                        "description": info.description,
-                    }
-                    for info in sources
-                ]
-            )
-        )
+        rows = [{**vars(info), "size_key": info.size_key or "-"} for info in sources]
+        log.info(format_table(rows, columns + ["description"]))
     return 0
 
 
@@ -717,7 +707,7 @@ def _command_compare(args: argparse.Namespace) -> int:
             **_resilience_kwargs(args),
         )
         total = len(spec.expand_runs())
-        nodes = _node_label(*spec.topology.resolved_source())
+        nodes = _node_label(spec.topology.kind, spec.topology.params)
         report = _sweep(
             runner,
             args,

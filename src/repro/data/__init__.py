@@ -4,10 +4,10 @@ The paper's evaluation runs on synthetic Watts-Strogatz graphs and Poisson
 workloads; this package opens the seam for real data.  It has three parts:
 
 * :mod:`repro.data.sources` -- the provider registries behind the scenario
-  layer's ``topology:`` / ``workload:`` fields.  Every synthetic generator
-  and every real loader registers under a ``kind`` name; scenario specs
-  dispatch through the registry instead of hard-coded builder tables, so
-  new sources plug in with a decorator.
+  layer's ``topology.kind`` and ``workload.source`` fields.  Every
+  topology source, synthetic generator and real loader alike, registers
+  under a ``kind`` name, as does every workload source but the spec's own
+  Poisson generator; new sources plug in with a decorator.
 * :mod:`repro.data.lightning` -- a Lightning-Network-style channel-graph
   snapshot loader (JSON/CSV -> :class:`~repro.topology.network.PCNetwork`),
   with capacity/fee normalization, largest-connected-component extraction

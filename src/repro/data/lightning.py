@@ -450,7 +450,7 @@ def snapshot_info(path: Optional[str] = None) -> Dict[str, object]:
     description="Lightning-style channel-graph snapshot (JSON/CSV), normalized to paper units",
     seeded=False,
     channel_scale=True,
-    synthetic=False,
+    size_key="max_nodes",
 )
 def _lightning_snapshot_source(channel_scale=None, **params):
     return load_snapshot(channel_scale=channel_scale, **params)

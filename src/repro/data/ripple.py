@@ -584,7 +584,6 @@ def trace_workload(
 @workload_source(
     "ripple-trace",
     description="Ripple-style payment trace (raw CSV or canonical NPZ), streamed in chunks",
-    synthetic=False,
 )
 def _ripple_trace_source(network, seed, params, spec):
     """Build a streaming trace replay; spec fields supply scaling defaults."""

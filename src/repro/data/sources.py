@@ -1,9 +1,6 @@
 """Registries of topology and workload source providers.
 
-The scenario layer used to hard-code its inputs: a closed dict of synthetic
-topology generators and one Poisson workload generator baked into
-``WorkloadSpec``.  This module replaces both with open registries.  A
-*source* is a named builder:
+A *source* is a named builder of one scenario input:
 
 * a **topology source** turns ``(seed, params)`` into a funded
   :class:`~repro.topology.network.PCNetwork`;
@@ -11,10 +8,12 @@ topology generators and one Poisson workload generator baked into
   transaction workload (materialized or streaming).
 
 Register new sources with the :func:`topology_source` /
-:func:`workload_source` decorators; scenario specs dispatch by ``kind``
-(``topology.kind`` for the legacy synthetic spelling, or the explicit
-``topology.source`` / ``workload.source`` descriptor), and every source
-parameter is reachable from grid overrides, e.g.
+:func:`workload_source` decorators.  A scenario spec names its topology
+source by ``topology.kind`` with the builder's arguments in
+``topology.params``, and a non-Poisson workload by the ``workload.source``
+descriptor (a kind name or ``{"kind": ..., **params}``); no descriptor
+means the spec's own Poisson generator.  Every source parameter is
+reachable from grid overrides, e.g. ``topology.params.max_nodes`` or
 ``workload.source.time_scale``.
 
 Builder calling conventions (enforced by the spec layer, not here):
@@ -42,7 +41,7 @@ from __future__ import annotations
 import importlib.util
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, TypeVar
+from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.topology.datasets import ChannelSizeDistribution
 from repro.topology.generators import (
@@ -81,11 +80,9 @@ class SourceInfo:
             ``channel_scale`` knob (the paper's channel-size sweeps).
             Specs with a non-trivial ``channel_scale`` on a source that
             does not support it are rejected instead of silently ignored.
-        synthetic: Whether the source generates its data (synthetic
-            generators) or loads external data (trace/snapshot loaders).
-            A data-backed source spelled through the ``kind`` field is
-            rejected with a ``ValueError`` pointing at ``source:``
-            (:meth:`~repro.scenarios.spec.TopologySpec.resolved_source`).
+        size_key: Topology only -- the parameter a node count (``--nodes``)
+            sets: ``"node_count"`` for a generator, ``"max_nodes"`` for a
+            loader's cap, ``None`` for a source sized by its own parameters.
     """
 
     kind: str
@@ -93,21 +90,16 @@ class SourceInfo:
     description: str = ""
     seeded: bool = True
     channel_scale: bool = False
-    synthetic: bool = False
+    size_key: Optional[str] = None
 
 
 TOPOLOGY_SOURCES: Dict[str, SourceInfo] = {}
 WORKLOAD_SOURCES: Dict[str, SourceInfo] = {}
 
 
-def _register(
-    registry: Dict[str, SourceInfo], info: SourceInfo, family: str, replace: bool
-) -> None:
-    if not replace and info.kind in registry:
-        raise ValueError(
-            f"{family} source {info.kind!r} is already registered; "
-            f"pass replace=True to override it"
-        )
+def _register(registry: Dict[str, SourceInfo], info: SourceInfo, family: str) -> None:
+    if info.kind in registry:
+        raise ValueError(f"{family} source {info.kind!r} is already registered")
     registry[info.kind] = info
 
 
@@ -117,53 +109,27 @@ def topology_source(
     description: str = "",
     seeded: bool = True,
     channel_scale: bool = False,
-    synthetic: bool = False,
-    replace: bool = False,
+    size_key: Optional[str] = None,
 ) -> Callable[[Callable], Callable]:
     """Class/function decorator registering a topology source builder."""
 
     def decorator(builder: Callable) -> Callable:
-        _register(
-            TOPOLOGY_SOURCES,
-            SourceInfo(
-                kind=kind,
-                builder=builder,
-                description=description,
-                seeded=seeded,
-                channel_scale=channel_scale,
-                synthetic=synthetic,
-            ),
-            "topology",
-            replace,
+        info = SourceInfo(
+            kind=kind, builder=builder, description=description,
+            seeded=seeded, channel_scale=channel_scale, size_key=size_key,
         )
+        _register(TOPOLOGY_SOURCES, info, "topology")
         return builder
 
     return decorator
 
 
-def workload_source(
-    kind: str,
-    *,
-    description: str = "",
-    synthetic: bool = False,
-    replace: bool = False,
-) -> Callable[[Callable], Callable]:
+def workload_source(kind: str, *, description: str = "") -> Callable[[Callable], Callable]:
     """Class/function decorator registering a workload source builder."""
 
     def decorator(builder: Callable) -> Callable:
-        _register(
-            WORKLOAD_SOURCES,
-            SourceInfo(
-                kind=kind,
-                builder=builder,
-                description=description,
-                seeded=True,
-                channel_scale=False,
-                synthetic=synthetic,
-            ),
-            "workload",
-            replace,
-        )
+        info = SourceInfo(kind=kind, builder=builder, description=description)
+        _register(WORKLOAD_SOURCES, info, "workload")
         return builder
 
     return decorator
@@ -256,7 +222,7 @@ def _with_channel_sizes(params: Dict[str, object], channel_scale) -> Dict[str, o
     "watts-strogatz",
     description="funded Watts-Strogatz small world (the paper's evaluation topology)",
     channel_scale=True,
-    synthetic=True,
+    size_key="node_count",
 )
 def _watts_strogatz_source(channel_scale=None, **params):
     return watts_strogatz_pcn(**_with_channel_sizes(params, channel_scale))
@@ -266,7 +232,7 @@ def _watts_strogatz_source(channel_scale=None, **params):
     "scale-free",
     description="Barabasi-Albert scale-free PCN (ROLL-style hub structure)",
     channel_scale=True,
-    synthetic=True,
+    size_key="node_count",
 )
 def _scale_free_source(channel_scale=None, **params):
     return scale_free_pcn(**_with_channel_sizes(params, channel_scale))
@@ -276,7 +242,7 @@ def _scale_free_source(channel_scale=None, **params):
     "random",
     description="connected Erdos-Renyi PCN (fuzz/property testing)",
     channel_scale=True,
-    synthetic=True,
+    size_key="node_count",
 )
 def _random_source(channel_scale=None, **params):
     return random_pcn(**_with_channel_sizes(params, channel_scale))
@@ -285,7 +251,6 @@ def _random_source(channel_scale=None, **params):
 @topology_source(
     "grid",
     description="2-D grid PCN with uniform channels (hand-checkable tests)",
-    synthetic=True,
 )
 def _grid_source(**params):
     return grid_pcn(**params)
@@ -295,7 +260,6 @@ def _grid_source(**params):
     "star",
     description="single-PCH star of figure 2(a)",
     seeded=False,
-    synthetic=True,
 )
 def _star_source(**params):
     return star_pcn(**params)
@@ -305,29 +269,9 @@ def _star_source(**params):
     "multi-star",
     description="multi-PCH star-of-stars of figure 2(b)",
     seeded=False,
-    synthetic=True,
 )
 def _multi_star_source(**params):
     return multi_star_pcn(**params)
-
-
-# ---------------------------------------------------------------------- #
-# built-in synthetic workload source
-# ---------------------------------------------------------------------- #
-@workload_source(
-    "poisson",
-    description="synthetic Poisson arrivals, heavy-tailed values, skewed pairs",
-    synthetic=True,
-)
-def _poisson_source(network, seed, params, spec):
-    """The default generator, parameterized by the spec's own fields.
-
-    ``params`` (from an explicit ``workload.source`` descriptor) override
-    the spec fields of the same name, so sources and grid overrides
-    compose: ``workload.source.arrival_rate`` sweeps work like
-    ``workload.arrival_rate``.
-    """
-    return spec.with_poisson_params(params).build_poisson(network, seed)
 
 
 # Data-backed sources register from their own modules; importing them last

@@ -275,7 +275,9 @@ class PlacementCostModel:
     ) -> float:
         """``C_S(x, y)``: total hub-to-hub synchronization cost (equation 4)."""
         arrays = self._arrays
-        hub_list = list(hubs)
+        # Candidate order, not the caller's: a frozenset of string ids
+        # iterates in hash order, and the sum's rounding follows it.
+        hub_list = sorted(hubs, key=arrays.candidate_index.__getitem__)
         loads = Counter(assignment.values())
         clients_per_hub = np.array([loads[hub] for hub in hub_list], dtype=float)
         rows = [arrays.candidate_index[hub] for hub in hub_list]

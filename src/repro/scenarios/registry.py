@@ -32,12 +32,14 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional
 
+from repro.data.sources import get_topology_source
 from repro.scenarios.spec import (
     DynamicsEventSpec,
     ScenarioSpec,
     SchemeSpec,
     TopologySpec,
     WorkloadSpec,
+    split_descriptor,
 )
 
 ScenarioFactory = Callable[[], ScenarioSpec]
@@ -45,10 +47,9 @@ ScenarioFactory = Callable[[], ScenarioSpec]
 _REGISTRY: Dict[str, ScenarioFactory] = {}
 
 
-def register_scenario(factory: ScenarioFactory, name: Optional[str] = None) -> ScenarioFactory:
-    """Register a scenario factory under its spec's name (or an explicit one)."""
-    scenario_name = name or factory().name
-    _REGISTRY[scenario_name] = factory
+def register_scenario(factory: ScenarioFactory) -> ScenarioFactory:
+    """Register a scenario factory under its spec's name."""
+    _REGISTRY[factory().name] = factory
     return factory
 
 
@@ -205,24 +206,10 @@ def comparison_scheme_spec(scheme: str) -> SchemeSpec:
     return SchemeSpec(name=scheme)
 
 
-#: Synthetic topology sources sized by a ``node_count`` argument (``grid`` /
-#: ``star`` / ``multi-star`` are sized by their own parameters).
-_NODE_COUNT_SOURCES = ("watts-strogatz", "scale-free", "random")
-
-
 def node_size_key(topology: TopologySpec) -> Optional[str]:
-    """The source parameter a node count sizes ``topology`` through.
-
-    A data-backed loader takes it as a ``max_nodes`` cap, the generators in
-    ``_NODE_COUNT_SOURCES`` as their ``node_count``; ``None`` for any other
-    source, which is sized by its own parameters.
-    """
-    described = topology.describe_source()
-    if not described["synthetic"]:
-        return "max_nodes"
-    if described["kind"] in _NODE_COUNT_SOURCES:
-        return "node_count"
-    return None
+    """The source parameter a node count sizes ``topology`` through
+    (:attr:`~repro.data.sources.SourceInfo.size_key`)."""
+    return get_topology_source(topology.kind).size_key
 
 
 def required_size_key(topology: TopologySpec) -> str:
@@ -232,7 +219,7 @@ def required_size_key(topology: TopologySpec) -> str:
     key = node_size_key(topology)
     if key is None:
         raise ValueError(
-            f"topology source {topology.describe_source()['kind']!r} is sized by "
+            f"topology source {topology.kind!r} is sized by "
             f"its own parameters and takes no node count (--nodes)"
         )
     return key
@@ -240,12 +227,7 @@ def required_size_key(topology: TopologySpec) -> str:
 
 def size_topology(topology: TopologySpec, nodes: int) -> None:
     """Set ``topology``'s node count (``--nodes``) through :func:`node_size_key`."""
-    key = required_size_key(topology)
-    if topology.source is None:
-        topology.params[key] = nodes
-        return
-    kind, params = topology.resolved_source()
-    topology.source = {"kind": kind, **params, key: nodes}
+    topology.params[required_size_key(topology)] = nodes
 
 
 def build_comparison_spec(
@@ -264,16 +246,16 @@ def build_comparison_spec(
     combination is an independent run the scenario runner can place on any
     worker process and resume from its JSONL results file.
 
-    ``topology_source`` / ``workload_source`` swap the synthetic topology
-    and/or Poisson workload for registered source descriptors (a kind name
-    or ``{"kind": ..., **params}``), e.g. ``lightning-snapshot`` x
-    ``ripple-trace`` for a real-graph-x-real-payments comparison; the
-    scale's node count (or a ``nodes`` override) becomes a data-backed
-    loader's ``max_nodes`` cap and the default ``node_count`` of the
-    synthetic generators that take one (:func:`node_size_key`); an
-    explicit descriptor key, or the own parameters of a source that takes
-    neither key, wins.
-    Source-backed specs fingerprint on the descriptor, so their JSONL
+    ``topology_source`` / ``workload_source`` swap the Watts-Strogatz
+    topology and/or the Poisson workload for registered sources, each a
+    kind name or a ``{"kind": ..., **params}`` descriptor, e.g.
+    ``lightning-snapshot`` x ``ripple-trace`` for a real-graph-x-real-payments
+    comparison.  The topology descriptor becomes the spec's ``kind`` and
+    ``params``; the scale's node count (or a ``nodes`` override) fills the
+    source's size key (:func:`node_size_key`: a loader's ``max_nodes`` cap,
+    a generator's ``node_count``) unless the descriptor sets it.  A source
+    sized by its own parameters keeps them.
+    Source-backed specs fingerprint on their sources, so their JSONL
     sweeps resume independently of the synthetic ones.
     """
     try:
@@ -284,28 +266,22 @@ def build_comparison_spec(
             f"{', '.join(sorted(COMPARISON_SCALES))}"
         ) from None
     nodes = int(params["nodes"]) if nodes is None else int(nodes)
-    topology = TopologySpec(
-        kind="watts-strogatz",
-        params={
-            "node_count": nodes,
-            "nearest_neighbors": 8,
-            "rewire_probability": 0.25,
-            "candidate_fraction": 0.15 if nodes <= 150 else 0.08,
-        },
-        channel_scale=1.0,
-    )
-    if topology_source is not None:
-        descriptor = (
-            {"kind": topology_source}
-            if isinstance(topology_source, str)
-            else dict(topology_source)
+    if topology_source is None:
+        topology = TopologySpec(
+            kind="watts-strogatz",
+            params={
+                "node_count": nodes,
+                "nearest_neighbors": 8,
+                "rewire_probability": 0.25,
+                "candidate_fraction": 0.15 if nodes <= 150 else 0.08,
+            },
+            channel_scale=1.0,
         )
-        topology = TopologySpec(source=descriptor)
-        # The descriptor's own sizing wins: an explicit key, or the
-        # parameters of a source that takes no node count.
+    else:
+        topology = TopologySpec(*split_descriptor(topology_source, "topology"))
         key = node_size_key(topology)
         if key is not None:
-            descriptor.setdefault(key, nodes)
+            topology.params.setdefault(key, nodes)
     workload = WorkloadSpec(duration=duration, arrival_rate=float(params["arrival_rate"]))
     if workload_source is not None:
         workload.source = (
@@ -346,14 +322,14 @@ def real_trace() -> ScenarioSpec:
     Both sides go through the source-provider API: the topology is the
     bundled Lightning-style snapshot (normalized to paper units), the
     workload is the bundled Ripple-style trace compressed to the spec's
-    duration and streamed in chunks.  Point ``topology.source.path`` /
+    duration and streamed in chunks.  Point ``topology.params.path`` /
     ``workload.source.path`` at full datasets (see ``docs/datasets.md``)
     to run the same scenario at paper scale and beyond.
     """
     return ScenarioSpec(
         name="real-trace",
         description="Bundled Lightning snapshot x Ripple trace via source providers",
-        topology=TopologySpec(source={"kind": "lightning-snapshot"}),
+        topology=TopologySpec(kind="lightning-snapshot"),
         workload=WorkloadSpec(duration=8.0, source={"kind": "ripple-trace"}),
         schemes=_all_schemes(),
         seeds=[1, 2],

@@ -65,7 +65,7 @@ def derive_seed(base: int, *parts: object) -> int:
 # ---------------------------------------------------------------------- #
 # topology
 # ---------------------------------------------------------------------- #
-def _normalize_descriptor(
+def split_descriptor(
     descriptor: SourceDescriptor, family: str
 ) -> Tuple[str, Dict[str, object]]:
     """Split a source descriptor into ``(kind, params)``."""
@@ -87,64 +87,35 @@ class TopologySpec:
 
     Attributes:
         kind: Source name from the topology-source registry
-            (:mod:`repro.data.sources`); the spelling for synthetic
-            generators only -- data-backed sources go through ``source``.
+            (:mod:`repro.data.sources`), synthetic generator or data loader
+            alike (``watts-strogatz``, ``lightning-snapshot``, ...).
         params: Keyword arguments passed to the source builder verbatim
-            (e.g. ``node_count``, ``nearest_neighbors``).
+            (e.g. ``node_count``, ``nearest_neighbors``, ``max_nodes``);
+            grid overrides reach them as ``topology.params.<name>``.
         channel_scale: Scale of the paper's heavy-tailed channel-size
             distribution; ``None`` uses the generator's uniform sizing.
             Rejected (not ignored) by sources that do not support it.
-        source: Explicit source descriptor -- a kind name or
-            ``{"kind": ..., **params}``.  Takes precedence over ``kind``
-            and ``params`` entirely.  This is the spelling for data-backed
-            sources (``lightning-snapshot``), and its entries are
-            reachable from grid overrides, e.g.
-            ``topology.source.max_nodes``.
     """
 
     kind: str = "watts-strogatz"
     params: Dict[str, object] = field(default_factory=dict)
     channel_scale: Optional[float] = 1.0
-    source: Optional[SourceDescriptor] = None
-
-    def resolved_source(self) -> Tuple[str, Dict[str, object]]:
-        """The effective ``(kind, params)``.
-
-        An explicit ``source`` descriptor replaces both ``kind`` and
-        ``params`` -- the legacy ``params`` field belongs to the legacy
-        ``kind`` spelling (a Watts-Strogatz ``node_count`` means nothing to
-        a snapshot loader), so the two spellings never mix.  ``kind`` names
-        synthetic generators only; a data-backed source spelled through it
-        is rejected here, where the parent resolves the spec, rather than
-        inside a shard.
-        """
-        if self.source is not None:
-            return _normalize_descriptor(self.source, "topology")
-        if not get_topology_source(self.kind).synthetic:
-            raise ValueError(
-                f"the data-backed topology source {self.kind!r} cannot be spelled "
-                f"through the 'kind' field; use topology.source = "
-                f"{{'kind': {self.kind!r}, ...}} instead"
-            )
-        return self.kind, dict(self.params)
 
     def describe_source(self) -> Dict[str, object]:
-        """The active source descriptor (for run manifests and reports)."""
-        kind, params = self.resolved_source()
-        info = get_topology_source(kind)
-        return {"kind": kind, "params": params, "synthetic": info.synthetic}
+        """The active source (for run manifests); an unknown kind raises."""
+        get_topology_source(self.kind)
+        return {"kind": self.kind, "params": dict(self.params)}
 
     def _builder_call(self, seed: int) -> Tuple[SourceInfo, Dict[str, object]]:
         """The source and the keyword arguments :meth:`build` calls it with."""
-        kind, params = self.resolved_source()
-        info = get_topology_source(kind)
+        info = get_topology_source(self.kind)
         if self.channel_scale not in (None, 1, 1.0) and not info.channel_scale:
             raise ValueError(
-                f"topology source {kind!r} does not support channel_scale "
+                f"topology source {self.kind!r} does not support channel_scale "
                 f"(got channel_scale={self.channel_scale!r}); remove the "
                 f"parameter or use a channel-scale-aware source"
             )
-        kwargs = dict(params)
+        kwargs = dict(self.params)
         if info.seeded:
             kwargs.setdefault("seed", seed)
         if info.channel_scale:
@@ -159,9 +130,9 @@ class TopologySpec:
     def build_key(self, seed: int) -> str:
         """Everything :meth:`build` reads: two equal keys build the same network.
 
-        The resolved source with its ``channel_scale`` and, for a seeded
-        source only, ``seed`` -- an unseeded source (a snapshot loader)
-        builds one network for every seed.
+        The source with its ``channel_scale`` and, for a seeded source only,
+        ``seed`` -- an unseeded source (a snapshot loader) builds one network
+        for every seed.
         """
         info, kwargs = self._builder_call(seed)
         return json.dumps([info.kind, kwargs], sort_keys=True, default=str)
@@ -175,17 +146,17 @@ class WorkloadSpec:
     """Workload parameters plus optional flash-crowd bursts.
 
     The flat fields mirror :class:`~repro.simulator.workload.WorkloadConfig`
-    and parameterize the default synthetic Poisson source; ``bursts`` is a
-    list of ``(start, end, rate_multiplier)`` windows during which the
+    and parameterize the Poisson generator, the paper's workload; ``bursts``
+    is a list of ``(start, end, rate_multiplier)`` windows during which the
     arrival rate is multiplied, modeling flash-crowd demand spikes.
 
-    ``source`` selects a different workload source from the registry
-    (:mod:`repro.data.sources`) -- a kind name or ``{"kind": ..., **params}``
-    -- e.g. ``{"kind": "ripple-trace", "path": ...}`` replays a payment
-    trace instead of generating one.  Source params are reachable from grid
-    overrides (``workload.source.time_scale``); the flat fields keep
-    supplying defaults (duration, value scale, minimum value) that sources
-    may honor.
+    ``source`` replaces the Poisson generator with a registered workload
+    source (:mod:`repro.data.sources`) -- a kind name or
+    ``{"kind": ..., **params}`` -- e.g. ``{"kind": "ripple-trace", "path":
+    ...}`` replays a payment trace; ``None`` means Poisson.  Source params
+    are reachable from grid overrides (``workload.source.time_scale``); the
+    flat fields keep supplying defaults (duration, value scale, minimum
+    value) that sources may honor.
     """
 
     duration: float = 8.0
@@ -201,35 +172,13 @@ class WorkloadSpec:
     bursts: List[List[float]] = field(default_factory=list)
     source: Optional[SourceDescriptor] = None
 
-    def resolved_source(self) -> Tuple[str, Dict[str, object]]:
-        """The effective ``(kind, params)``; no ``source`` means Poisson."""
-        if self.source is None:
-            return "poisson", {}
-        return _normalize_descriptor(self.source, "workload")
-
     def describe_source(self) -> Dict[str, object]:
-        """The active source descriptor (for run manifests and reports)."""
-        kind, params = self.resolved_source()
-        info = get_workload_source(kind)
-        return {"kind": kind, "params": params, "synthetic": info.synthetic}
-
-    def with_poisson_params(self, params: Dict[str, object]) -> "WorkloadSpec":
-        """A copy with Poisson fields overridden from a source descriptor.
-
-        Lets an explicit ``{"kind": "poisson", "arrival_rate": ...}``
-        descriptor override the flat spec fields, so grid overrides compose
-        identically through either spelling.
-        """
-        allowed = {
-            spec_field.name for spec_field in fields(self) if spec_field.name != "source"
-        }
-        unknown = sorted(set(params) - allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown poisson workload parameter(s) {unknown}; "
-                f"expected one of {sorted(allowed)}"
-            )
-        return replace(self, source=None, **params)
+        """The active source (for run manifests); ``None`` reports ``poisson``."""
+        if self.source is None:
+            return {"kind": "poisson", "params": {}}
+        kind, params = split_descriptor(self.source, "workload")
+        get_workload_source(kind)
+        return {"kind": kind, "params": params}
 
     def _config(self, seed: int, duration: float, arrival_rate: float) -> WorkloadConfig:
         return WorkloadConfig(
@@ -249,19 +198,16 @@ class WorkloadSpec:
         )
 
     def build(self, network: PCNetwork, seed: int):
-        """Build the workload by dispatching to the active source.
+        """Build the workload: the active source's, or the Poisson process plus bursts.
 
         Returns either a materialized
         :class:`~repro.simulator.workload.TransactionWorkload` or a
         :class:`~repro.simulator.workload.StreamingWorkload`, depending on
         the source.
         """
-        kind, params = self.resolved_source()
-        info = get_workload_source(kind)
-        return info.builder(network, seed, params, self)
-
-    def build_poisson(self, network: PCNetwork, seed: int) -> TransactionWorkload:
-        """Generate the synthetic workload (baseline Poisson process plus bursts)."""
+        if self.source is not None:
+            kind, params = split_descriptor(self.source, "workload")
+            return get_workload_source(kind).builder(network, seed, params, self)
         base = generate_workload(network, self._config(seed, self.duration, self.arrival_rate))
         requests = list(base.requests)
         for index, burst in enumerate(self.bursts):
@@ -459,16 +405,13 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict (JSON-safe) representation.
 
-        An unset ``source`` is pruned from the topology/workload sections:
-        specs that predate the source-provider API keep the exact dict
-        shape (and therefore the exact resume fingerprint) they had before
-        the field existed.
+        An unset workload ``source`` is pruned: Poisson specs keep the exact
+        dict shape (and therefore the exact resume fingerprint) they had
+        before the field existed.
         """
         data = asdict(self)
-        for section in ("topology", "workload"):
-            sub = data.get(section)
-            if isinstance(sub, dict) and sub.get("source") is None:
-                sub.pop("source", None)
+        if data["workload"].get("source") is None:
+            data["workload"].pop("source", None)
         return data
 
     @classmethod
@@ -491,27 +434,31 @@ class ScenarioSpec:
         Paths traverse dataclass attributes, dictionary keys and list
         indices, e.g. ``workload.arrival_rate``,
         ``topology.params.node_count`` or ``dynamics.0.params.fraction``.
+        A part that does not resolve raises a ``KeyError`` naming the path.
         """
         spec = copy.deepcopy(self)
         for path, value in overrides.items():
+            *parents, last = path.split(".")
             target: object = spec
-            parts = path.split(".")
-            for part in parts[:-1]:
+            try:
+                for part in parents:
+                    if isinstance(target, dict):
+                        target = target[part]
+                    elif isinstance(target, list):
+                        target = target[int(part)]
+                    else:
+                        target = getattr(target, part)
                 if isinstance(target, dict):
-                    target = target[part]
+                    target[last] = value
                 elif isinstance(target, list):
-                    target = target[int(part)]
+                    target[int(last)] = value
                 else:
-                    target = getattr(target, part)
-            last = parts[-1]
-            if isinstance(target, dict):
-                target[last] = value
-            elif isinstance(target, list):
-                target[int(last)] = value
-            elif hasattr(target, last):
-                setattr(target, last, value)
-            else:
-                raise KeyError(f"override path {path!r} does not resolve on {type(target).__name__}")
+                    getattr(target, last)  # a new attribute is a typo, not a field
+                    setattr(target, last, value)
+            except (AttributeError, IndexError, KeyError, ValueError):
+                raise KeyError(
+                    f"override path {path!r} does not resolve on {type(target).__name__}"
+                ) from None
         return spec
 
     def _grid_points(self) -> List[Dict[str, object]]:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.placement.costs import PlacementCostModel, cost_model_from_network
 from repro.placement.problem import PlacementProblem
+from repro.scenarios import registry
 from repro.topology.datasets import ChannelSizeDistribution, TransactionValueDistribution
 from repro.topology.generators import grid_pcn, multi_star_pcn, watts_strogatz_pcn
 from repro.topology.network import PCNetwork
@@ -70,6 +71,23 @@ def checkout_stays_clean():
     if leaked:
         pytest.fail(
             "the test suite left new state in the checkout:\n  " + "\n  ".join(leaked),
+            pytrace=False,
+        )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def scenario_registry_stays_unchanged():
+    """Fail the session if a test left a scenario registered (or removed one).
+
+    ``scenario_names()`` would otherwise depend on which test modules ran
+    first; a test registers its own scenario through ``monkeypatch``.
+    """
+    before = sorted(registry._REGISTRY)
+    yield
+    after = sorted(registry._REGISTRY)
+    if after != before:
+        pytest.fail(
+            f"the test suite changed the scenario registry: {before} -> {after}",
             pytrace=False,
         )
 

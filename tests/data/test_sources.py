@@ -11,7 +11,6 @@ from repro.data.sources import (
     list_topology_sources,
     list_workload_sources,
     topology_source,
-    workload_source,
 )
 
 
@@ -19,13 +18,15 @@ class TestBuiltins:
     def test_synthetic_generators_registered(self):
         for kind in ("watts-strogatz", "scale-free", "random", "grid", "star", "multi-star"):
             info = get_topology_source(kind)
-            assert info.synthetic
             assert info.kind == kind
+            sized = kind in ("watts-strogatz", "scale-free", "random")
+            assert info.size_key == ("node_count" if sized else None)
 
     def test_data_backed_sources_registered(self):
-        assert not get_topology_source("lightning-snapshot").synthetic
-        assert not get_workload_source("ripple-trace").synthetic
-        assert get_workload_source("poisson").synthetic
+        assert get_topology_source("lightning-snapshot").size_key == "max_nodes"
+        assert get_workload_source("ripple-trace").size_key is None
+        # No descriptor is the Poisson workload; it is not a registered source.
+        assert sorted(WORKLOAD_SOURCES) == ["ripple-trace"]
 
     def test_seeded_and_channel_scale_flags(self):
         assert get_topology_source("watts-strogatz").seeded
@@ -54,31 +55,16 @@ class TestRegistration:
             get_workload_source("no-such-thing")
 
     def test_duplicate_registration_rejected(self):
-        @topology_source("dup-test-kind", synthetic=True)
+        @topology_source("dup-test-kind")
         def build_one(**params):
             return None
 
         try:
             with pytest.raises(ValueError, match="already registered"):
 
-                @topology_source("dup-test-kind", synthetic=True)
+                @topology_source("dup-test-kind")
                 def build_two(**params):
                     return None
 
         finally:
             TOPOLOGY_SOURCES.pop("dup-test-kind", None)
-
-    def test_replace_flag_overrides(self):
-        @workload_source("replace-test-kind")
-        def build_one(network, seed, params, spec):
-            return "one"
-
-        try:
-
-            @workload_source("replace-test-kind", replace=True)
-            def build_two(network, seed, params, spec):
-                return "two"
-
-            assert get_workload_source("replace-test-kind").builder is build_two
-        finally:
-            WORKLOAD_SOURCES.pop("replace-test-kind", None)

@@ -41,8 +41,7 @@ from repro.baselines import SCHEME_REGISTRY
 from repro.placement.assignment import placement_cost
 from repro.placement.compare import PlacementCompareSpec, build_place_spec, execute_place_run
 from repro.placement.problem import PlacementProblem
-from repro.scenarios import registry
-from repro.scenarios.registry import build_comparison_spec, get_scenario
+from repro.scenarios.registry import build_comparison_spec, get_scenario, scenario_names
 from repro.scenarios.runner import execute_run, spec_fingerprint
 from repro.scenarios.spec import DynamicsEventSpec, ScenarioSpec, SchemeSpec
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
@@ -120,12 +119,7 @@ GOLDENS: Dict[str, Callable[[], Union[ScenarioSpec, PlacementCompareSpec]]] = {
 
 def fingerprints() -> Dict[str, str]:
     """Resume fingerprints of every scenario the package registers, and two more specs."""
-    specs = {
-        name: factory()
-        for name, factory in registry._REGISTRY.items()
-        # Test modules register scenarios of their own.
-        if factory.__module__ == registry.__name__
-    }
+    specs = {name: get_scenario(name) for name in scenario_names()}
     # python -m repro compare --scale small --schemes splicer,shortest-path
     #   --seeds 1 --duration 2 --nodes 30
     specs["compare-small-nodes-30"] = build_comparison_spec(

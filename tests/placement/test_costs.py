@@ -1,7 +1,12 @@
 """Tests for the placement cost model."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.placement.costs import (
     PAPER_DELTA_PER_HOP,
     PAPER_EPSILON_PER_HOP,
@@ -78,6 +83,27 @@ class TestCostEvaluation:
         assert costs.balance_cost(["h0", "h1"], assignment, omega=0.5) == pytest.approx(
             management + 0.5 * sync
         )
+
+    def test_synchronization_cost_does_not_depend_on_the_hash_seed(self):
+        # The bundled snapshot's string node ids iterate a plan's frozenset
+        # of hubs in hash order; the cost must be summed in candidate order.
+        code = (
+            "from repro.data.lightning import load_snapshot\n"
+            "from repro.placement.solver import solve_placement\n"
+            "plan = solve_placement(load_snapshot(), omega=0.02, deterministic_greedy=True)\n"
+            "print(len(plan.hubs), plan.synchronization_cost.hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert int(outputs[0].split()[0]) > 1  # several hubs, so the order matters
+        assert outputs[0] == outputs[1]
 
     def test_oracle_assignment_key_is_lemma1_quantity(self, tiny_placement_problem):
         from repro.reference.placement import assignment_key

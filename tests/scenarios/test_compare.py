@@ -12,7 +12,7 @@ from repro.scenarios.registry import (
     get_scenario,
     size_topology,
 )
-from repro.scenarios.runner import ScenarioRunner, run_key
+from repro.scenarios.runner import ScenarioRunner, clear_seed_runner, run_key
 from repro.scenarios.spec import ScenarioSpec, SchemeSpec, TopologySpec
 
 
@@ -88,7 +88,7 @@ class TestComparisonSpec:
         assert specs[0].build().name == "shortest-path"
 
 
-#: What the synthetic kinds sized by their own parameters need spelled out.
+#: What the sources sized by their own parameters need spelled out.
 _OWN_SIZE_PARAMS = {
     "grid": {"rows": 4, "cols": 4},
     "star": {"client_count": 12},
@@ -96,23 +96,28 @@ _OWN_SIZE_PARAMS = {
 }
 
 
+@pytest.mark.parametrize("info", list_topology_sources(), ids=lambda info: info.kind)
+def test_every_registered_topology_kind_builds_from_kind_and_params(info):
+    params = _OWN_SIZE_PARAMS[info.kind] if info.size_key is None else {info.size_key: 18}
+    network = TopologySpec(kind=info.kind, params=params).build(seed=1)
+    assert network.node_count() > 1
+    if info.size_key is not None:
+        assert network.node_count() == 18
+
+
 class TestSyntheticTopologySources:
     """``compare --topology-source`` works for every registered generator."""
 
     @pytest.mark.parametrize(
-        "kind", [info.kind for info in list_topology_sources() if info.synthetic]
+        "kind", [info.kind for info in list_topology_sources() if info.size_key != "max_nodes"]
     )
     def test_spec_builds_and_a_shard_runs_to_a_row(self, kind, tmp_path):
         descriptor = {"kind": kind, **_OWN_SIZE_PARAMS.get(kind, {})}
         spec = build_comparison_spec(
             "small", ["shortest-path"], duration=1.0, nodes=18, topology_source=descriptor
         )
-        _, params = spec.topology.resolved_source()
-        assert "max_nodes" not in params  # the data-backed loaders' cap only
-        if kind in _OWN_SIZE_PARAMS:
-            assert params == _OWN_SIZE_PARAMS[kind]
-        else:
-            assert params == {"node_count": 18}
+        assert spec.topology.kind == kind
+        assert spec.topology.params == _OWN_SIZE_PARAMS.get(kind, {"node_count": 18})
         report = ScenarioRunner(spec, results_dir=str(tmp_path), workers=1).run()
         assert report.executed == 1 and not report.failures
         assert report.rows[0]["metrics"]["shortest-path"]["completed_count"] >= 1
@@ -121,17 +126,21 @@ class TestSyntheticTopologySources:
         explicit = build_comparison_spec(
             "small", ["splicer"], topology_source={"kind": "scale-free", "node_count": 25}
         )
-        assert explicit.topology.resolved_source()[1] == {"node_count": 25}
+        assert explicit.topology.params == {"node_count": 25}
         snapshot = build_comparison_spec(
             "small", ["splicer"], nodes=30, topology_source="lightning-snapshot"
         )
-        assert snapshot.topology.resolved_source()[1] == {"max_nodes": 30}
+        assert snapshot.topology.params == {"max_nodes": 30}
 
 
 class TestRunNodes:
     """``run --nodes`` sizes a spec through the same key ``compare`` uses."""
 
-    def test_it_caps_a_source_backed_scenario(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "sizing", [["--nodes", "20"], ["--set", "topology.params.max_nodes=20"]],
+        ids=["nodes", "set"],
+    )
+    def test_it_caps_a_source_backed_scenario(self, tmp_path, monkeypatch, sizing):
         built = []
         build = TopologySpec.build
 
@@ -141,8 +150,9 @@ class TestRunNodes:
             return network
 
         monkeypatch.setattr(TopologySpec, "build", spy)
+        clear_seed_runner()  # a kept network of an earlier shard is not rebuilt
         argv = [
-            "run", "real-trace", "--nodes", "20", "--seeds", "1", "--schemes", "flash",
+            "run", "real-trace", *sizing, "--seeds", "1", "--schemes", "flash",
             "--duration", "1", "--quiet", "--results-dir", str(tmp_path),
         ]
         assert cli_main(argv) == 0
@@ -151,9 +161,9 @@ class TestRunNodes:
     def test_it_overrides_a_descriptor_key_compare_would_keep(self):
         descriptor = {"kind": "lightning-snapshot", "max_nodes": 30}
         spec = build_comparison_spec("small", ["flash"], nodes=20, topology_source=descriptor)
-        assert spec.topology.resolved_source()[1] == {"max_nodes": 30}
+        assert spec.topology.params == {"max_nodes": 30}
         size_topology(spec.topology, 20)
-        assert spec.topology.resolved_source()[1] == {"max_nodes": 20}
+        assert spec.topology.params == {"max_nodes": 20}
 
 
 class TestComparisonRuns:
@@ -318,7 +328,7 @@ class TestCompareCliErrorPaths:
             capsys,
             [
                 *_TINY_RUN, "--nodes", "20",
-                "--set", 'topology.source={"kind": "grid", "rows": 3, "cols": 3}',
+                "--set", "topology.kind=grid", "--set", 'topology.params={"rows": 3, "cols": 3}',
             ],
             "'grid' is sized by its own parameters",
         )

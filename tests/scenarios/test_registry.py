@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenarios import registry
 from repro.scenarios.registry import (
     get_scenario,
     list_scenarios,
@@ -64,9 +65,11 @@ class TestBuiltins:
 
 
 class TestRegistration:
-    def test_register_custom_scenario(self):
+    def test_register_custom_scenario(self, monkeypatch):
         def factory():
             return ScenarioSpec(name="custom-test-scenario", description="mine")
 
+        # Into a copy: the process-wide registry keeps only the built-ins.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
         register_scenario(factory)
         assert get_scenario("custom-test-scenario").description == "mine"

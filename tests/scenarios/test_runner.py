@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.analysis.tables import scenario_summary_rows
-from repro.scenarios.registry import register_scenario
+from repro.scenarios import registry
 from repro.scenarios.runner import (
     ScenarioRunner,
     clear_seed_runner,
@@ -149,9 +149,14 @@ class TestAggregation:
             assert 0.0 <= row["success_ratio"] <= 1.0
 
 
-@register_scenario
-def _cli_test_scenario() -> ScenarioSpec:
-    return tiny_spec(name="cli-test-scenario", description="tiny grid for CLI tests")
+@pytest.fixture
+def cli_test_scenario(monkeypatch):
+    """``cli-test-scenario``, registered for one test only."""
+    monkeypatch.setitem(
+        registry._REGISTRY,
+        "cli-test-scenario",
+        lambda: tiny_spec(name="cli-test-scenario", description="tiny grid for CLI tests"),
+    )
 
 
 class TestCli:
@@ -170,6 +175,7 @@ class TestCli:
         assert cli_main(["show", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("cli_test_scenario")
     def test_run_and_resume(self, tmp_path, capsys):
         args = [
             "run", "cli-test-scenario",
@@ -185,6 +191,7 @@ class TestCli:
         assert cli_main(args) == 0
         assert "executed 0 run(s), skipped 2" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("cli_test_scenario")
     def test_run_cli_overrides(self, tmp_path, capsys):
         assert (
             cli_main(

@@ -92,6 +92,13 @@ class TestOverrides:
         with pytest.raises(KeyError):
             full_spec.with_overrides({"workload.not_a_field": 1})
 
+    @pytest.mark.parametrize(
+        "path", ["topology.nosuch.max_nodes", "topology.params.nosuch.x", "schemes.9.name"]
+    )
+    def test_a_missing_inner_part_is_the_same_error(self, full_spec, path):
+        with pytest.raises(KeyError, match=f"override path '{path}' does not resolve"):
+            full_spec.with_overrides({path: 1})
+
 
 class TestGridExpansion:
     def test_cartesian_product(self, full_spec):
