@@ -68,8 +68,7 @@ def _add_resilience_arguments(sub: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "wall-clock seconds one shard may run before its worker is "
-            "killed and the attempt counts as failed (default: no timeout; "
-            "needs --workers >= 2)"
+            "killed and the attempt counts as failed (default: no timeout)"
         ),
     )
     sub.add_argument(
@@ -483,11 +482,6 @@ def _record_manifest(
 
 def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, object]:
     """The runner's resilience keyword arguments from the CLI flags."""
-    if args.shard_timeout is not None and args.workers <= 1:
-        log.warning(
-            "--shard-timeout needs --workers >= 2 (the serial path runs "
-            "shards in-process and cannot kill a stuck one); ignoring it"
-        )
     return {
         "shard_timeout": args.shard_timeout,
         "max_retries": args.max_retries,
@@ -622,11 +616,13 @@ def _check_scheme_names(names: Sequence[str]) -> None:
 
 
 def _log_peak_memory() -> None:
-    """Log the peak RSS of this process and its worker children, in MiB.
+    """Log the peak RSS of this process and of its largest worker child, in MiB.
 
-    The ``peak memory: runner ... MiB, max worker ... MiB`` line is what the
-    CI memory ceilings are documented and grepped against; nothing is logged
-    where the ``resource`` module is unavailable.
+    Shards run in worker processes at every worker count, so ``runner`` is
+    the supervising parent alone and ``max worker`` is where a shard's
+    memory shows.  The ``peak memory: runner ... MiB, max worker ... MiB``
+    line is what the CI memory ceilings are documented and grepped against;
+    nothing is logged where the ``resource`` module is unavailable.
     """
     try:
         import resource

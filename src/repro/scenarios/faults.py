@@ -216,9 +216,8 @@ def run_with_directive(
     """Execute one task under an optional fault directive.
 
     ``task``-site directives fire before the executor (``corrupt`` skips it
-    entirely); ``result``-site directives fire after.  Shared by the worker
-    entry point and the serial in-process path so both execute faults
-    identically.
+    entirely); ``result``-site directives fire after.  The pool worker runs
+    every shard attempt through it, so a fault acts on the worker alone.
     """
     if directive is not None and directive.site == "task":
         _fire(directive)

@@ -42,21 +42,20 @@ Resilience contract (the failure-survival layer):
   (``<results>.quarantine.jsonl``) and skipped on subsequent resumes with
   a visible warning, so one poisoned shard cannot wedge a sweep forever
   (``python -m repro doctor --clear-quarantine`` lifts the quarantine);
-* shards run on a supervised persistent pool: at most ``workers``
-  long-lived processes, forked on first need, each serving one shard
-  attempt at a time over its own pipe while the parent sleeps until a
-  pipe, a process sentinel, a shard deadline or a retry backoff wakes it.
-  A worker that dies (OOM kill, segfault, ``kill -9``) or overruns
-  ``shard_timeout`` is killed and replaced on the next dispatch, and only
-  the shard it was running gets the failure row; an exception or a corrupt
-  row leaves the worker alive.  Reuse is safe because a shard's row is a
-  function of its task alone -- the serial path already runs every shard
-  back to back in one process and yields the same rows;
+* shards run on a supervised persistent pool at every worker count: at
+  most ``workers`` long-lived processes, forked on first need, each serving
+  one shard attempt at a time over its own pipe while the parent sleeps
+  until a pipe, a process sentinel, a shard deadline or a retry backoff
+  wakes it.  A worker that dies (OOM kill, segfault, ``kill -9``) or
+  overruns ``shard_timeout`` is killed and replaced on the next dispatch,
+  and only the shard it was running gets the failure row; an exception or a
+  corrupt row leaves the worker alive.  Reuse is safe because a shard's row
+  is a function of its task alone: one worker running every shard back to
+  back yields the rows that two workers do;
 * SIGINT/SIGTERM stop the sweep gracefully: in-flight shards are killed,
-  the results file is left newline-clean, cleanup (shared-memory blocks,
-  signal handlers) runs, and :class:`SweepInterrupted` propagates so the
-  CLI can exit with the conventional ``128 + signum`` -- a plain rerun
-  resumes byte-identically;
+  the results file is left newline-clean, the signal handlers are restored,
+  and :class:`SweepInterrupted` propagates so the CLI can exit with the
+  conventional ``128 + signum`` -- a plain rerun resumes byte-identically;
 * a deterministic :class:`~repro.scenarios.faults.FaultPlan` (constructor
   argument or the ``REPRO_FAULT_PLAN`` environment variable)
   injects exactly these failures on chosen shard attempts, which is how
@@ -80,7 +79,7 @@ from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.log import get_logger
-from repro.scenarios.faults import FaultDirective, FaultPlan, run_with_directive
+from repro.scenarios.faults import FaultPlan, run_with_directive
 
 log = get_logger("repro.sweep")
 
@@ -267,24 +266,11 @@ def _error_info(error: BaseException) -> Dict[str, object]:
     }
 
 
-def attempt(
-    execute: Callable[[object], Dict[str, object]],
-    task: object,
-    directive: Optional[FaultDirective],
-) -> Tuple[str, object]:
-    """Run one shard attempt: ``("ok", payload)`` or ``("exception", info)``.
-
-    Shared by the serial loop and the pool worker, so the two differ only
-    in transport.
-    """
-    try:
-        return "ok", run_with_directive(execute, task, directive)
-    except Exception as error:  # noqa: BLE001 - captured into a failure row
-        return "exception", _error_info(error)
-
-
 def _pool_worker(execute: Callable[[object], Dict[str, object]], conn, inherited) -> None:
     """Pool-process entry point: serve ``(task, directive)`` requests until EOF.
+
+    Each request is one shard attempt, answered with ``("ok", row)`` or
+    ``("exception", info)``.
 
     ``inherited`` holds the parent-side pipe ends a forked child received a
     copy of; they are closed first so that every worker sees EOF -- and
@@ -310,7 +296,10 @@ def _pool_worker(execute: Callable[[object], Dict[str, object]], conn, inherited
             task, directive = conn.recv()
         except (EOFError, OSError):
             return
-        outcome = attempt(execute, task, directive)
+        try:
+            outcome = "ok", run_with_directive(execute, task, directive)
+        except Exception as error:  # noqa: BLE001 - captured into a failure row
+            outcome = "exception", _error_info(error)
         try:
             conn.send(outcome)
         except OSError:  # the parent is gone
@@ -328,8 +317,7 @@ class JsonlGridRunner:
     Args:
         shard_timeout: Wall-clock seconds one shard attempt may run before
             its worker is killed and the attempt counts as failed
-            (``None``/``0`` disables; enforced only on the multi-worker
-            pool path).
+            (``None``/``0`` disables).
         max_retries: Failed-shard re-dispatch budget under
             ``on_error="retry"``.
         on_error: ``"retry"`` (default) retries then quarantines,
@@ -619,14 +607,7 @@ class JsonlGridRunner:
                         _Shard(key=key, task=task, index=index)
                         for index, (key, task) in enumerate(entries)
                     ]
-                    if self.workers <= 1:
-                        retries = self._run_serial(
-                            shards, execute, plan, record, record_failure
-                        )
-                    else:
-                        retries = self._run_pool(
-                            shards, self.workers, execute, plan, record, record_failure
-                        )
+                    retries = self._run_pool(shards, execute, plan, record, record_failure)
         finally:
             self._restore_signal_handlers(previous_handlers)
         if self._stop_signal is not None:
@@ -657,59 +638,17 @@ class JsonlGridRunner:
         )
 
     # ------------------------------------------------------------------ #
-    # serial path (workers == 1): in-process, retries but no supervision
-    # ------------------------------------------------------------------ #
-    def _run_serial(
-        self,
-        shards: List[_Shard],
-        execute: Callable[[object], Dict[str, object]],
-        plan: Optional[FaultPlan],
-        record: Callable[[Dict[str, object]], None],
-        record_failure: Callable[[Dict[str, object]], None],
-    ) -> int:
-        """Execute shards in-process; exceptions and corrupt rows are captured.
-
-        Hang/kill faults act on the runner process itself here -- timeout
-        supervision and death detection need the multi-worker path.  Like
-        :func:`_pool_worker`, the loop collects each shard's cyclic garbage
-        when the shard ends, over a frozen heap, so it does not sit under
-        the next shard's peak.
-        """
-        retries = 0
-        gc.freeze()
-        try:
-            for shard in shards:
-                while True:
-                    if self._stop_signal is not None:
-                        return retries
-                    directive = plan.directive_for(shard.index, shard.attempt) if plan else None
-                    status, payload = attempt(execute, shard.task, directive)
-                    failure = self._failure(shard.key, status, payload)
-                    if failure is None:
-                        record(payload)  # type: ignore[arg-type]
-                        break
-                    if not self._handle_failure(shard, *failure, record_failure):
-                        break
-                    retries += 1
-                    time.sleep(self._backoff(shard.attempt - 1))
-                gc.collect()
-        finally:
-            gc.unfreeze()
-        return retries
-
-    # ------------------------------------------------------------------ #
-    # pool path (workers > 1): persistent supervised worker processes
+    # the pool: persistent supervised worker processes
     # ------------------------------------------------------------------ #
     def _run_pool(
         self,
         shards: List[_Shard],
-        worker_count: int,
         execute: Callable[[object], Dict[str, object]],
         plan: Optional[FaultPlan],
         record: Callable[[Dict[str, object]], None],
         record_failure: Callable[[Dict[str, object]], None],
     ) -> int:
-        """Supervised dispatch over at most ``worker_count`` reused workers.
+        """Supervised dispatch over at most ``workers`` reused workers.
 
         The loop hands eligible shards to idle workers (forking one while
         under the cap), then blocks until something can have changed: a
@@ -724,10 +663,10 @@ class JsonlGridRunner:
         retries = 0
         try:
             while pending or any(worker.shard for worker in pool):
-                self._dispatch(pending, pool, worker_count, ctx, execute, plan)
+                self._dispatch(pending, pool, ctx, execute, plan)
                 busy = [worker for worker in pool if worker.shard is not None]
                 wakeups = [worker.deadline for worker in busy if worker.deadline]
-                if len(busy) < worker_count:
+                if len(busy) < self.workers:
                     wakeups += [shard.not_before for shard in pending]
                 ready = connection.wait(
                     [worker.conn for worker in busy]
@@ -771,7 +710,6 @@ class JsonlGridRunner:
         self,
         pending: deque,
         pool: List[_Worker],
-        worker_count: int,
         ctx,
         execute: Callable[[object], Dict[str, object]],
         plan: Optional[FaultPlan],
@@ -780,7 +718,7 @@ class JsonlGridRunner:
         now = time.monotonic()
         for _ in range(len(pending)):
             worker = next((worker for worker in pool if worker.shard is None), None)
-            if worker is None and len(pool) >= worker_count:
+            if worker is None and len(pool) >= self.workers:
                 return
             shard = pending.popleft()
             if shard.not_before > now:

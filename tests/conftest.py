@@ -9,9 +9,11 @@ from typing import Optional, Set
 import numpy as np
 import pytest
 
+from repro.placement import compare
 from repro.placement.costs import PlacementCostModel, cost_model_from_network
 from repro.placement.problem import PlacementProblem
 from repro.scenarios import registry
+from repro.scenarios.runner import clear_seed_runner
 from repro.topology.datasets import ChannelSizeDistribution, TransactionValueDistribution
 from repro.topology.generators import grid_pcn, multi_star_pcn, watts_strogatz_pcn
 from repro.topology.network import PCNetwork
@@ -90,6 +92,20 @@ def scenario_registry_stays_unchanged():
             f"the test suite changed the scenario registry: {before} -> {after}",
             pytrace=False,
         )
+
+
+@pytest.fixture(autouse=True)
+def no_kept_seed_state():
+    """Start every test with nothing kept from an earlier test's shards.
+
+    ``execute_run`` keeps its last runner (network included) and
+    ``execute_place_run`` its last placement problem, per process; a sweep
+    runs its shards in worker processes, so only a test that calls either
+    function directly fills them here, and the next test must not inherit
+    its network or problem.
+    """
+    clear_seed_runner()
+    compare._SEED_PROBLEM.clear()
 
 
 @pytest.fixture

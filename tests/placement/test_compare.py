@@ -158,7 +158,6 @@ class TestSeedProblemMemo:
 
     @pytest.fixture
     def network_builds(self, monkeypatch):
-        monkeypatch.setattr(compare, "_SEED_PROBLEM", {})
         builds = []
         build = compare.build_place_network
 

@@ -309,27 +309,19 @@ class TestLongLivedWorkerHygiene:
         assert max(row["served"] for row in report.rows) >= 2  # workers were reused
         assert [row["new_mappings"] for row in report.rows] == [0] * 6
 
-    def test_a_shards_cyclic_garbage_goes_with_the_shard(self, toy_runner_cls, tmp_path):
-        class LitteringRunner(toy_runner_cls):
-            def executor(self):
-                return littering_execute
-
-        report = LitteringRunner(str(tmp_path), KEYS, workers=2).run()
-        assert report.executed == len(KEYS)
-        # Twelve tiny shards never reach an automatic collection: without the
-        # worker's own one per shard the counts would climb 0, 1, 2, ...
-        assert [row["survivors"] for row in report.rows] == [0] * len(KEYS)
-
-    def test_the_serial_loop_collects_like_the_worker(self, toy_runner_cls, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_shards_cyclic_garbage_goes_with_the_shard(self, toy_runner_cls, tmp_path, workers):
         class LitteringRunner(toy_runner_cls):
             def executor(self):
                 return littering_execute
 
         gc.collect()
-        report = LitteringRunner(str(tmp_path), KEYS, workers=1).run()
+        report = LitteringRunner(str(tmp_path), KEYS, workers=workers).run()
         assert report.executed == len(KEYS)
+        # Twelve tiny shards never reach an automatic collection: without the
+        # worker's own one per shard the counts would climb 0, 1, 2, ...
         assert [row["survivors"] for row in report.rows] == [0] * len(KEYS)
-        # The runner's heap is frozen only while the loop runs.
+        # Only a worker freezes its heap; the supervising parent's stays live.
         assert gc.get_freeze_count() == 0
 
     def test_worker_rss_is_flat_from_ten_to_a_hundred_shards(self, tmp_path):

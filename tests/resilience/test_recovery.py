@@ -27,41 +27,43 @@ def assert_all_completed(report):
 
 
 class TestRetryRecovery:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "action,kind",
-        [("raise", "exception"), ("kill", "worker-death"), ("corrupt", "corrupt-output")],
+        "action,kind,error",
+        [
+            ("raise", "exception", "FaultInjected"),
+            ("kill", "worker-death", "WorkerDied"),
+            ("corrupt", "corrupt-output", "CorruptRow"),
+        ],
     )
-    def test_single_fault_recovers(self, toy_runner_cls, tmp_path, action, kind):
+    def test_single_fault_recovers(self, toy_runner_cls, tmp_path, workers, action, kind, error):
         plan = FaultPlan([FaultDirective(action=action, shard=1)])
-        _runner, report = run_with_plan(toy_runner_cls, tmp_path, plan)
+        _runner, report = run_with_plan(toy_runner_cls, tmp_path, plan, workers=workers)
         assert_all_completed(report)
         assert report.retries == 1
         assert [row["failure"] for row in report.failures] == [kind]
+        assert report.failures[0]["error"] == error
         assert report.failures[0]["run_key"] == KEYS[1]
         assert report.failures[0]["final"] is False
         assert report.quarantined == []
 
-    def test_hang_recovers_via_timeout(self, toy_runner_cls, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hang_recovers_via_timeout(self, toy_runner_cls, tmp_path, workers):
         plan = FaultPlan([FaultDirective(action="hang", shard=0, seconds=60.0)])
-        _runner, report = run_with_plan(toy_runner_cls, tmp_path, plan, shard_timeout=1.5)
+        _runner, report = run_with_plan(
+            toy_runner_cls, tmp_path, plan, workers=workers, shard_timeout=1.5
+        )
         assert_all_completed(report)
         assert [row["failure"] for row in report.failures] == ["timeout"]
 
-    def test_healthy_shards_complete_alongside_failures(self, toy_runner_cls, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_healthy_shards_complete_alongside_failures(self, toy_runner_cls, tmp_path, workers):
         plan = FaultPlan([FaultDirective(action="kill", shard=0, attempts=(0, 1))])
-        runner, report = run_with_plan(toy_runner_cls, tmp_path, plan)
+        runner, report = run_with_plan(toy_runner_cls, tmp_path, plan, workers=workers)
         assert report.executed == len(KEYS) - 1
         assert report.quarantined == [KEYS[0]]
         assert {row["run_key"] for row in report.rows} == set(KEYS[1:])
         assert os.path.exists(runner.quarantine_path)
-
-    def test_serial_path_captures_and_retries(self, toy_runner_cls, tmp_path):
-        plan = FaultPlan([FaultDirective(action="raise", shard=2)])
-        _runner, report = run_with_plan(toy_runner_cls, tmp_path, plan, workers=1)
-        assert_all_completed(report)
-        assert report.retries == 1
-        assert report.failures[0]["failure"] == "exception"
-        assert report.failures[0]["error"] == "FaultInjected"
 
     def test_failure_rows_are_structured(self, toy_runner_cls, tmp_path):
         plan = FaultPlan([FaultDirective(action="raise", shard=0)])

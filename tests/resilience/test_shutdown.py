@@ -1,4 +1,5 @@
-"""Graceful-shutdown tests: SIGINT/SIGTERM checkpoint cleanly and resume."""
+"""CLI supervision tests: SIGTERM checkpoints cleanly and resumes, and one
+worker gets the timeout and death handling that two get."""
 
 import json
 import os
@@ -6,6 +7,8 @@ import signal
 import subprocess
 import sys
 import time
+
+import pytest
 
 import repro
 from repro.scenarios.jsonl import load_result_rows
@@ -33,15 +36,16 @@ COMPARE_ARGS = [
     "1,2",
     "--schemes",
     "shortest-path,landmark",
-    "--workers",
-    "2",
     "--quiet",
 ]
 
 
-def run_cli(results_dir, env=None, timeout=120):
+def run_cli(results_dir, *extra, env=None, workers=2, timeout=120):
     return subprocess.run(
-        [sys.executable, "-m", "repro", *COMPARE_ARGS, "--results-dir", str(results_dir)],
+        [
+            sys.executable, "-m", "repro", *COMPARE_ARGS, "--workers", str(workers),
+            "--results-dir", str(results_dir), *extra,
+        ],
         env=env or cli_env(),
         capture_output=True,
         text=True,
@@ -59,17 +63,19 @@ def success_lines(results_dir):
 
 
 class TestSigtermShutdown:
-    def test_sigterm_checkpoints_and_resumes_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_checkpoints_and_resumes_byte_identical(self, tmp_path, workers):
         """SIGTERM mid-sweep: exit 143, clean results file, exact resume.
 
         One shard hangs (so the sweep is reliably in flight when the signal
-        lands), the parent is SIGTERMed, and the rerun without the fault
-        plan must resume to rows byte-identical to an uninterrupted run in
-        a fresh directory.
+        lands), the parent is SIGTERMed and kills it, and the rerun without
+        the fault plan must resume to rows byte-identical to an
+        uninterrupted run in a fresh directory.
         """
         interrupted_dir = tmp_path / "interrupted"
+        # The last shard hangs, so one worker has rows on disk first.
         plan = json.dumps(
-            {"directives": [{"action": "hang", "shard": 0, "seconds": 600}]}
+            {"directives": [{"action": "hang", "shard": 3, "seconds": 600}]}
         )
         merged = cli_env(REPRO_FAULT_PLAN=plan)
         proc = subprocess.Popen(
@@ -78,6 +84,8 @@ class TestSigtermShutdown:
                 "-m",
                 "repro",
                 *COMPARE_ARGS,
+                "--workers",
+                str(workers),
                 "--results-dir",
                 str(interrupted_dir),
             ],
@@ -120,21 +128,36 @@ class TestSigtermShutdown:
 class TestShardFailureExitCode:
     def test_on_shard_error_fail_exits_one(self, tmp_path):
         plan = json.dumps({"directives": [{"action": "raise", "shard": 0}]})
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                *COMPARE_ARGS,
-                "--results-dir",
-                str(tmp_path),
-                "--on-shard-error",
-                "fail",
-            ],
-            env=cli_env(REPRO_FAULT_PLAN=plan),
-            capture_output=True,
-            text=True,
-            timeout=120,
+        result = run_cli(
+            tmp_path, "--on-shard-error", "fail", env=cli_env(REPRO_FAULT_PLAN=plan)
         )
         assert result.returncode == 1
         assert "failed (exception" in result.stderr
+
+
+def assert_one_retried_failure(results_dir, kind):
+    """The results hold one ``kind`` failure row, and its shard's retried success row."""
+    rows = load_result_rows(os.path.join(str(results_dir), "compare-small.jsonl"))
+    (failed,) = [row for row in rows if row.get("status") == "failed"]
+    assert failed["failure"] == kind and failed["final"] is False
+    assert failed["run_key"] in {row["run_key"] for row in rows if row.get("status") != "failed"}
+
+
+class TestOneWorkerSupervision:
+    """``--workers 1`` runs its shard in a supervised worker, like ``--workers 2``."""
+
+    def test_a_hung_shard_times_out_and_retries(self, tmp_path):
+        plan = json.dumps({"directives": [{"action": "hang", "shard": 0, "seconds": 600}]})
+        result = run_cli(
+            tmp_path, "--shard-timeout", "2", workers=1, env=cli_env(REPRO_FAULT_PLAN=plan)
+        )
+        assert result.returncode == 0, result.stderr
+        assert "retry 1/1" in result.stderr
+        assert_one_retried_failure(tmp_path, "timeout")
+
+    def test_a_killed_worker_is_replaced_and_its_shard_retried(self, tmp_path):
+        plan = json.dumps({"directives": [{"action": "kill", "shard": 1}]})
+        result = run_cli(tmp_path, workers=1, env=cli_env(REPRO_FAULT_PLAN=plan))
+        assert result.returncode == 0, result.stderr
+        assert_one_retried_failure(tmp_path, "worker-death")
+        assert len(success_lines(tmp_path)) == 4

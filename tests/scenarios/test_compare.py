@@ -12,7 +12,7 @@ from repro.scenarios.registry import (
     get_scenario,
     size_topology,
 )
-from repro.scenarios.runner import ScenarioRunner, clear_seed_runner, run_key
+from repro.scenarios.runner import ScenarioRunner, run_key
 from repro.scenarios.spec import ScenarioSpec, SchemeSpec, TopologySpec
 
 
@@ -141,22 +141,24 @@ class TestRunNodes:
         ids=["nodes", "set"],
     )
     def test_it_caps_a_source_backed_scenario(self, tmp_path, monkeypatch, sizing):
-        built = []
+        # Builds land in a file, so the sweep worker's build counts too.
+        built = tmp_path / "built.log"
         build = TopologySpec.build
 
         def spy(topology, seed):
             network = build(topology, seed)
-            built.append(network.node_count())
+            with open(built, "a") as handle:
+                handle.write(f"{os.getpid()} {network.node_count()}\n")
             return network
 
         monkeypatch.setattr(TopologySpec, "build", spy)
-        clear_seed_runner()  # a kept network of an earlier shard is not rebuilt
         argv = [
             "run", "real-trace", *sizing, "--seeds", "1", "--schemes", "flash",
-            "--duration", "1", "--quiet", "--results-dir", str(tmp_path),
+            "--duration", "1", "--quiet", "--results-dir", str(tmp_path / "rows"),
         ]
         assert cli_main(argv) == 0
-        assert built == [20]
+        ((pid, nodes),) = [tuple(map(int, line.split())) for line in built.read_text().splitlines()]
+        assert nodes == 20 and pid != os.getpid()
 
     def test_it_overrides_a_descriptor_key_compare_would_keep(self):
         descriptor = {"kind": "lightning-snapshot", "max_nodes": 30}

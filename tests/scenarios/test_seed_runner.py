@@ -37,19 +37,33 @@ from repro.topology import shared
 
 
 @pytest.fixture
-def topology_builds(monkeypatch):
-    """The base seed of every topology build, with a cold cache to start."""
-    monkeypatch.setattr(runner_module, "_SEED_RUNNER", {})
-    builds = []
+def topology_builds(monkeypatch, tmp_path):
+    """``topology_builds()``: ``(pid, base seed)`` of every topology build so far.
+
+    Builds land in a file, so a forked worker's builds count too.
+    """
+    log_path = tmp_path / "topology-builds.log"
     build = TopologySpec.build
     seeds = {derive_seed(seed, "topology"): seed for seed in range(1, 5)}
 
     def spy(topology, seed):
-        builds.append(seeds.get(seed, seed))
+        with open(log_path, "a") as handle:
+            handle.write(f"{os.getpid()} {seeds.get(seed, seed)}\n")
         return build(topology, seed)
 
     monkeypatch.setattr(TopologySpec, "build", spy)
+
+    def builds():
+        if not log_path.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in log_path.read_text().splitlines()]
+
     return builds
+
+
+def here(*seeds):
+    """The builds of ``seeds``, in order, by the test process itself."""
+    return [(os.getpid(), seed) for seed in seeds]
 
 
 def comparison_spec(seeds=(1, 2)):
@@ -113,7 +127,7 @@ class TestReuse:
     def test_a_seeds_scheme_shards_build_its_topology_once(self, topology_builds):
         rows = [execute_run(task) for task in tasks(comparison_spec())]
         assert len(rows) == 8
-        assert topology_builds == [1, 2]
+        assert topology_builds() == here(1, 2)
 
     @pytest.mark.parametrize(
         "make_spec", [comparison_spec, snapshot_trace_spec, churn_spec],
@@ -133,13 +147,13 @@ class TestReuse:
             execute_run(task)
             (cached,) = runner_module._SEED_RUNNER.values()
             assert cached.topology_moved
-        assert topology_builds == [1] * len(spec.expand_runs())
+        assert topology_builds() == here(*[1] * len(spec.expand_runs()))
 
     def test_another_seed_evicts(self, topology_builds):
         first, _, _, _, other, *_ = tasks(comparison_spec())
         for task in (first, other, first):
             execute_run(task)
-        assert topology_builds == [1, 2, 1]
+        assert topology_builds() == here(1, 2, 1)
         assert len(runner_module._SEED_RUNNER) == 1
 
     def test_a_splicer_shard_leaves_the_next_shard_a_cold_network(self, topology_builds):
@@ -148,7 +162,7 @@ class TestReuse:
         spec = grid_splicer_spec().to_dict()
         execute_run((spec, 1, {"schemes.0.params.omega": 0.5}))
         warm = execute_run((spec, 1, {"schemes.0.params.omega": 0.0}))
-        assert topology_builds == [1]
+        assert topology_builds() == here(1)
         assert as_json([warm]) == as_json([cold((spec, 1, {"schemes.0.params.omega": 0.0}))])
 
 
@@ -164,7 +178,7 @@ class TestNetworkReuse:
             topology_source="lightning-snapshot",
         )
         reused = [execute_run(task) for task in tasks(spec)]
-        assert topology_builds == [1]
+        assert topology_builds() == here(1)
         assert len({row["workload_value"] for row in reused}) == 3
         fresh = [cold(task) for task in tasks(spec)]
         assert as_json(reused) == as_json(fresh)
@@ -181,7 +195,7 @@ class TestNetworkReuse:
         assert rebuilt is not kept and rebuilt.network is kept.network
         assert scaled["workload_value"] == pytest.approx(3.0 * base["workload_value"], rel=1e-3)
         back = execute_run(second)
-        assert topology_builds == [1]
+        assert topology_builds() == here(1)
         assert as_json([scaled, back]) == as_json([cold(scaled_task), cold(second)])
 
     @pytest.mark.parametrize(
@@ -199,7 +213,7 @@ class TestNetworkReuse:
         spec = make_spec().to_dict()
         execute_run((spec, *first))
         row = execute_run((spec, *then))
-        assert topology_builds == [first[0], then[0]]
+        assert topology_builds() == here(first[0], then[0])
         assert as_json([row]) == as_json([cold((spec, *then))])
 
     def test_a_shard_that_raises_drops_the_entry(self, topology_builds, monkeypatch):
@@ -216,17 +230,24 @@ class TestNetworkReuse:
         assert runner_module._SEED_RUNNER == {}
         monkeypatch.setattr(ExperimentRunner, "run_single", run_single)
         execute_run(second)
-        assert topology_builds == [1, 1]
+        assert topology_builds() == here(1, 1)
 
 
-class TestSerialSweep:
+def sweep_builds(builds):
+    """The worker processes of a sweep's ``builds`` and the seeds they built, in order."""
+    assert os.getpid() not in {pid for pid, _seed in builds}  # the parent builds nothing
+    return {pid for pid, _seed in builds}, [seed for _pid, seed in builds]
+
+
+class TestOneWorkerSweep:
     def test_a_retried_shard_rebuilds_and_rows_match_a_clean_sweep(
         self, topology_builds, monkeypatch, tmp_path
     ):
         monkeypatch.setattr(jsonl, "BACKOFF_BASE", 0.0)
         spec = comparison_spec(seeds=[1])
         clean = ScenarioRunner(spec, results_dir=str(tmp_path / "clean")).run()
-        assert topology_builds == [1]
+        workers, seeds = sweep_builds(topology_builds())
+        assert len(workers) == 1 and seeds == [1]
 
         run_single = ExperimentRunner.run_single
         calls = []
@@ -238,12 +259,12 @@ class TestSerialSweep:
             return run_single(self, scheme, rng=rng)
 
         monkeypatch.setattr(ExperimentRunner, "run_single", fails_once_on_the_second_shard)
-        clear_seed_runner()
         retried = ScenarioRunner(spec, results_dir=str(tmp_path / "retried")).run()
         assert retried.retries == 1
-        # One build for the clean sweep, then the retried sweep's first build
-        # and the one after its failed shard dropped the runner.
-        assert topology_builds == [1, 1, 1]
+        # The retried sweep's worker builds the seed, then builds it again
+        # after its failed shard dropped the runner.
+        workers, seeds = sweep_builds(topology_builds()[1:])
+        assert len(workers) == 1 and seeds == [1, 1]
         assert as_json(retried.rows) == as_json(clean.rows)
 
 
@@ -266,44 +287,35 @@ class TestNoSharedMemory:
             "compare", "--scale", "xl", "--nodes", "60", "--payments", "200",
             "--schemes", "shortest-path,landmark", "--seeds", "1,2", "--quiet",
         ]
-        rows = {}
+        rows, builds = {}, {}
         for workers in (1, 2):
+            done = len(topology_builds())
             results_dir = tmp_path / f"w{workers}"
             extra = ["--workers", str(workers), "--results-dir", str(results_dir)]
             assert cli_main([*argv, *extra]) == 0
             rows[workers] = sorted(
                 as_json(load_result_rows(str(results_dir / "compare-xl.jsonl")))
             )
+            builds[workers] = sweep_builds(topology_builds()[done:])
         assert not calls.exists()
         assert shared.scan_segments() == before
         assert len(rows[1]) == 4
         assert rows[1] == rows[2]
-        # One build per seed in this process, all on the serial pass: the
-        # two-worker parent builds nothing.
-        assert topology_builds == [1, 2]
+        # One build per seed, all in the one-worker pass's worker.
+        workers, seeds = builds[1]
+        assert len(workers) == 1 and seeds == [1, 2]
 
-    def test_a_two_worker_sweep_builds_each_seed_once_per_worker(self, monkeypatch, tmp_path):
+    def test_a_two_worker_sweep_builds_each_seed_once_per_worker(self, topology_builds, tmp_path):
         # The grid is seed-major and shards go out in order, so a worker that
         # moved on to the next seed never needs an earlier one again.
-        monkeypatch.setattr(runner_module, "_SEED_RUNNER", {})
-        log_path = tmp_path / "builds.log"
-        build = TopologySpec.build
-        seeds = {derive_seed(seed, "topology"): seed for seed in (1, 2)}
-
-        def logging_build(topology, seed):
-            with open(log_path, "a") as handle:
-                handle.write(f"{os.getpid()} {seeds[seed]}\n")
-            return build(topology, seed)
-
-        monkeypatch.setattr(TopologySpec, "build", logging_build)
         report = ScenarioRunner(
             comparison_spec(), results_dir=str(tmp_path / "rows"), workers=2
         ).run()
         assert report.executed == 8
-        builds = [tuple(map(int, line.split())) for line in log_path.read_text().splitlines()]
+        builds = topology_builds()
         assert len(builds) == len(set(builds))
-        assert {seed for _pid, seed in builds} == {1, 2}
-        assert os.getpid() not in {pid for pid, _seed in builds}
+        _workers, seeds = sweep_builds(builds)
+        assert set(seeds) == {1, 2}
 
     def test_the_runner_takes_no_shared_topology_option(self, tmp_path):
         with pytest.raises(TypeError):
