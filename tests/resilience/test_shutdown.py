@@ -96,19 +96,24 @@ class TestSigtermShutdown:
         )
         results = interrupted_dir / "compare-small.jsonl"
         deadline = time.monotonic() + 90
-        # Wait until at least one healthy shard's row is on disk, so the
-        # interruption happens mid-sweep with real progress to preserve.
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                break
-            if results.exists() and results.read_text().count("\n") >= 1:
-                break
-            time.sleep(0.2)
-        assert proc.poll() is None, (
-            f"sweep finished before the signal: {proc.communicate()}"
-        )
-        proc.send_signal(signal.SIGTERM)
-        stdout, stderr = proc.communicate(timeout=60)
+        try:
+            # Wait until at least one healthy shard's row is on disk, so the
+            # interruption happens mid-sweep with real progress to preserve.
+            while time.monotonic() < deadline:
+                if proc.poll() is not None:
+                    break
+                if results.exists() and results.read_text().count("\n") >= 1:
+                    break
+                time.sleep(0.2)
+            assert proc.poll() is None, (
+                f"sweep finished before the signal: {proc.communicate()}"
+            )
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            # A CLI that ignored the signal must not outlive the test.
+            proc.kill()
+            proc.wait()
         assert proc.returncode == 128 + signal.SIGTERM, (stdout, stderr)
         assert "interrupted" in stderr
         # The results file was left newline-clean: every line parses.
